@@ -379,6 +379,66 @@ func BenchmarkSinglePathProjection(b *testing.B) {
 	})
 }
 
+// BenchmarkRelationalPointQuery measures the relational backend on the
+// 10-peer chain the served point-read workload uses: "point" is the
+// paper's core question about one tuple (an anchor WHERE pinning the
+// key, answered by key and index probes), "whole-target" the same
+// projection for every target tuple (no WHERE: hash joins over scans).
+func BenchmarkRelationalPointQuery(b *testing.B) {
+	set, err := workload.Build(workload.Config{
+		Topology:  workload.Chain,
+		Profile:   workload.ProfileLinear,
+		NumPeers:  10,
+		DataPeers: workload.UpstreamDataPeers(10, 2),
+		BaseSize:  500,
+		Seed:      7,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng := proql.NewEngine(set.Sys)
+	var keys []model.Datum
+	set.Sys.DB.MustTable(workload.ARel(0)).Iterate(func(row model.Tuple) bool {
+		keys = append(keys, row[0])
+		return true
+	})
+	b.Run("point", func(b *testing.B) {
+		qs := make([]*proql.Query, len(keys))
+		for i, k := range keys {
+			qs[i], err = proql.Parse(fmt.Sprintf("FOR [A0 $x] WHERE $x.k = %v INCLUDE PATH [$x] <-+ [] RETURN $x", k))
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			res, err := eng.Exec(context.Background(), qs[i%len(qs)], proql.Options{Backend: "relational"})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if len(res.Bindings) != 1 {
+				b.Fatalf("point query bound %d tuples, want 1", len(res.Bindings))
+			}
+		}
+	})
+	b.Run("whole-target", func(b *testing.B) {
+		q, err := proql.Parse(set.TargetQuery())
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			res, err := eng.Exec(context.Background(), q, proql.Options{Backend: "relational"})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if len(res.Bindings) != len(keys) {
+				b.Fatalf("target query bound %d tuples, want %d", len(res.Bindings), len(keys))
+			}
+		}
+	})
+}
+
 // BenchmarkExchange measures update-exchange materialization itself —
 // the offline step whose output all queries consume — on the legacy
 // interpreting engine; BenchmarkExchangeCompiled is the same setting

@@ -107,9 +107,46 @@ func (o *unfoldOutput) build() (*provgraph.Graph, error) {
 	return g, nil
 }
 
-// execUnfold runs a compiled query on the relational backend: one plan
-// per unfolded conjunctive rule, UNION of the results, and a semiring
-// aggregation grouped by the distinguished tuple (Section 4.2.4).
+// unfoldPlans is the physical side of a compiled query on one snapshot.
+type unfoldPlans struct {
+	// rules holds one plan per unfolded conjunctive rule (after ASR
+	// rewriting, if enabled).
+	rules []*rulePlan
+	// anchor reads the anchor relation's tuples satisfying WHERE, for a
+	// single-node FOR clause; nil otherwise.
+	anchor relstore.Plan
+}
+
+// planUnfold builds the plans of a compiled query against sys (the ASR
+// rewriting hook applies here). Only the unfolding is cached across
+// queries of one shape; plans are rebuilt per execution because they
+// carry the query's constants and the snapshot's tables.
+func (e *Engine) planUnfold(sys *exchange.System, comp *Compiled) (*unfoldPlans, error) {
+	q := comp.Query
+	rules := comp.Rules
+	if e.RewriteRules != nil {
+		rules = e.RewriteRules(rules)
+	}
+	ctx := &planContext{sys: sys, atomPlanOverride: e.AtomPlanOverride}
+	spec := pruneSpecFor(q)
+	up := &unfoldPlans{rules: make([]*rulePlan, 0, len(rules))}
+	for _, r := range rules {
+		rp, err := buildRulePlan(ctx, r, q.Projection.Where, comp.AnchorVar, spec)
+		if err != nil {
+			return nil, err
+		}
+		up.rules = append(up.rules, rp)
+	}
+	if len(q.Projection.For[0].Edges) == 0 {
+		var err error
+		if up.anchor, err = anchorPlan(sys, comp); err != nil {
+			return nil, err
+		}
+	}
+	return up, nil
+}
+
+// execUnfold runs a compiled query on the relational backend.
 // Evaluation reads through a pinned storage snapshot, so a concurrent
 // exchange commit (RunDelta, DeleteLocal) cannot leak half of its
 // writes into one query's result. With asOf != 0 the snapshot pins
@@ -120,7 +157,26 @@ func (e *Engine) execUnfold(comp *Compiled, asOf uint64) (*Result, error) {
 		return nil, err
 	}
 	defer release()
+	unfoldStart := time.Now()
+	up, err := e.planUnfold(sys, comp)
+	if err != nil {
+		return nil, err
+	}
+	unfoldTime := time.Since(unfoldStart)
+	res, err := e.runUnfold(sys, comp, asOf, up)
+	if err != nil {
+		return nil, err
+	}
+	res.Stats.UnfoldTime = unfoldTime
+	return res, nil
+}
+
+// runUnfold evaluates the plans of a compiled query: one plan per
+// unfolded conjunctive rule, UNION of the results, and a semiring
+// aggregation grouped by the distinguished tuple (Section 4.2.4).
+func (e *Engine) runUnfold(sys *exchange.System, comp *Compiled, asOf uint64, up *unfoldPlans) (*Result, error) {
 	q := comp.Query
+	plans := up.rules
 	out := newUnfoldOutput(e, asOf)
 	res := &Result{
 		Stats:      Stats{Backend: "relational", AsOf: asOf, UnfoldedRules: len(comp.Rules)},
@@ -147,30 +203,12 @@ func (e *Engine) execUnfold(comp *Compiled, asOf uint64) (*Result, error) {
 		}
 	}
 
-	// Build plans (ASR rewriting hook applies here).
-	unfoldStart := time.Now()
-	rules := comp.Rules
-	if e.RewriteRules != nil {
-		rules = e.RewriteRules(rules)
-	}
-	ctx := &planContext{sys: sys, atomPlanOverride: e.AtomPlanOverride}
-	spec := pruneSpecFor(q)
-	plans := make([]*rulePlan, 0, len(rules))
-	for _, r := range rules {
-		rp, err := buildRulePlan(ctx, r, q.Projection.Where, comp.AnchorVar, spec)
-		if err != nil {
-			return nil, err
-		}
-		plans = append(plans, rp)
-	}
-	res.Stats.UnfoldTime = time.Since(unfoldStart)
-
 	evalStart := time.Now()
 	anchorRel, ok := sys.Schema.Relation(comp.AnchorRel)
 	if !ok {
 		return nil, fmt.Errorf("proql: unknown anchor relation %q", comp.AnchorRel)
 	}
-	singleNode := len(q.Projection.For[0].Edges) == 0
+	singleNode := up.anchor != nil
 	includeGraph := len(q.Projection.Include) > 0
 	addBinding := func(ref model.TupleRef, key []model.Datum) {
 		if _, seen := out.anchors[ref]; !seen {
@@ -182,12 +220,22 @@ func (e *Engine) execUnfold(comp *Compiled, asOf uint64) (*Result, error) {
 	// Single-node FOR clauses bind every tuple of the anchor relation
 	// (subject to WHERE), independent of derivations.
 	if singleNode {
-		if err := scanAnchor(sys, comp, anchorRel, func(row model.Tuple, ref model.TupleRef) error {
+		it := relstore.Stream(up.anchor, sys.DB)
+		defer it.Close()
+		for {
 			if q.Cancel != nil {
 				if err := q.Cancel(); err != nil {
-					return err
+					return nil, err
 				}
 			}
+			row, ok, err := it.Next()
+			if err != nil {
+				return nil, err
+			}
+			if !ok {
+				break
+			}
+			ref := model.NewTupleRef(anchorRel, row)
 			addBinding(ref, anchorRel.KeyOf(row))
 			if s != nil && !includeGraph {
 				// With no INCLUDE PATH the projected subgraph is just
@@ -196,13 +244,10 @@ func (e *Engine) execUnfold(comp *Compiled, asOf uint64) (*Result, error) {
 				ctx := leafContextForRow(anchorRel, row, ref)
 				v, err := evalLeafAssign(s, q.LeafAssign, ctx)
 				if err != nil {
-					return err
+					return nil, err
 				}
 				accumulate(res.Annotations, s, ref, v)
 			}
-			return nil
-		}); err != nil {
-			return nil, err
 		}
 	}
 
@@ -272,43 +317,43 @@ func ruleStream(db *relstore.Database, plans []*rulePlan) stream.Iterator[ruleRo
 	return stream.OrderedParallel(makers, runtime.GOMAXPROCS(0))
 }
 
-// scanAnchor scans the anchor relation with the WHERE filter applied,
-// reading through the query's snapshot system.
-func scanAnchor(sys *exchange.System, comp *Compiled, rel *model.Relation, fn func(model.Tuple, model.TupleRef) error) error {
-	t, ok := sys.DB.Table(rel.Name)
+// anchorPlan plans the read of the anchor relation's tuples satisfying
+// WHERE, along the same pushed-down access path the rule plans use: a
+// WHERE that pins the key is one lookup, not a scan.
+func anchorPlan(sys *exchange.System, comp *Compiled) (relstore.Plan, error) {
+	t, ok := sys.DB.Table(comp.AnchorRel)
 	if !ok {
-		return fmt.Errorf("proql: missing table %q", rel.Name)
+		return nil, fmt.Errorf("proql: missing table %q", comp.AnchorRel)
 	}
-	var pred relstore.Expr = relstore.TrueExpr{}
-	if w := comp.Query.Projection.Where; w != nil {
-		varCols := map[string]int{}
-		for i, term := range comp.AnchorAtom.Args {
-			varCols[term.Var] = i
-		}
-		pseudo := &ConjRule{Anchor: comp.AnchorAtom}
-		var err error
-		pred, err = condToExpr(w, pseudo, varCols, comp.AnchorVar, sys)
-		if err != nil {
-			return err
+	// The shared anchor atom's terms are distinct fresh variables, one
+	// per column.
+	pseudo := &ConjRule{Anchor: comp.AnchorAtom}
+	sel, err := splitWhere(comp.Query.Projection.Where, pseudo, comp.AnchorVar, sys)
+	if err != nil {
+		return nil, err
+	}
+	if sel.empty {
+		return &relstore.Values{}, nil
+	}
+	varCols := make(map[string]int, len(comp.AnchorAtom.Args))
+	var cols []int
+	var vals []model.Datum
+	for i, term := range comp.AnchorAtom.Args {
+		varCols[term.Var] = i
+		if d, isFixed := sel.fixed[term.Var]; isFixed {
+			cols = append(cols, i)
+			vals = append(vals, d)
 		}
 	}
-	var iterErr error
-	t.Iterate(func(row model.Tuple) bool {
-		ok, err := evalPred(pred, row)
+	plan := relstore.Select(t, cols, vals)
+	for _, rc := range sel.residual {
+		pred, err := condToExpr(rc.cond, pseudo, varCols, comp.AnchorVar, sys)
 		if err != nil {
-			iterErr = err
-			return false
+			return nil, err
 		}
-		if !ok {
-			return true
-		}
-		if err := fn(row, model.NewTupleRef(rel, row)); err != nil {
-			iterErr = err
-			return false
-		}
-		return true
-	})
-	return iterErr
+		plan = &relstore.Filter{Input: plan, Pred: pred}
+	}
+	return plan, nil
 }
 
 func evalPred(pred relstore.Expr, row model.Tuple) (bool, error) {

@@ -32,7 +32,7 @@ func (e *Engine) Explain(q *Query) (string, error) {
 			}
 			return "", err
 		}
-		if err := e.explainRelational(&sb, q, comp); err != nil {
+		if err := e.explainRelational(&sb, comp); err != nil {
 			return "", err
 		}
 	case "relational":
@@ -40,7 +40,7 @@ func (e *Engine) Explain(q *Query) (string, error) {
 		if err != nil {
 			return "", err
 		}
-		if err := e.explainRelational(&sb, q, comp); err != nil {
+		if err := e.explainRelational(&sb, comp); err != nil {
 			return "", err
 		}
 	case "graph":
@@ -95,20 +95,21 @@ func (e *Engine) explainPhys(sb *strings.Builder, q *Query, backend string) erro
 
 // explainRelational renders the Section 4 pipeline: anchor, matched
 // schema-graph fragment, unfolded rules, per-rule relational plans.
-func (e *Engine) explainRelational(sb *strings.Builder, q *Query, comp *Compiled) error {
+func (e *Engine) explainRelational(sb *strings.Builder, comp *Compiled) error {
 	fmt.Fprintf(sb, "backend: relational\n")
 	fmt.Fprintf(sb, "anchor: %s ($%s)\n", comp.AnchorRel, comp.AnchorVar)
 	fmt.Fprintf(sb, "matched relations: %s\n", strings.Join(comp.Allowed.SortedRelations(), ", "))
 	fmt.Fprintf(sb, "matched mappings: %s\n", strings.Join(comp.Allowed.SortedMappings(), ", "))
-	rules := comp.Rules
 	if e.RewriteRules != nil {
-		rules = e.RewriteRules(rules)
 		fmt.Fprintf(sb, "ASR rewriting: enabled\n")
 	}
-	fmt.Fprintf(sb, "unfolded rules: %d\n", len(rules))
-	ctx := &planContext{sys: e.Sys, atomPlanOverride: e.AtomPlanOverride}
-	spec := pruneSpecFor(q)
-	for i, r := range rules {
+	up, err := e.planUnfold(e.Sys, comp)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(sb, "unfolded rules: %d\n", len(up.rules))
+	for i, rp := range up.rules {
+		r := rp.rule
 		fmt.Fprintf(sb, "\n-- rule %d: %s :- ", i+1, r.Anchor)
 		parts := make([]string, len(r.Body))
 		for j, a := range r.Body {
@@ -116,10 +117,6 @@ func (e *Engine) explainRelational(sb *strings.Builder, q *Query, comp *Compiled
 		}
 		sb.WriteString(strings.Join(parts, ", "))
 		sb.WriteByte('\n')
-		rp, err := buildRulePlan(ctx, r, q.Projection.Where, comp.AnchorVar, spec)
-		if err != nil {
-			return err
-		}
 		sb.WriteString(indent(relstore.Explain(rp.plan), "   "))
 	}
 	return nil

@@ -1,0 +1,52 @@
+package proql
+
+import "repro/internal/relstore"
+
+// ExecFilterOnTop is the oracle of the selection-pushdown differential:
+// it runs q on the relational backend with the anchor WHERE condition
+// kept out of planning altogether — every rule is planned as if the
+// query had no WHERE (hash joins over scans in body order), the anchor
+// relation is scanned whole, and the condition is evaluated by one
+// relstore Filter on top of each plan. This is where the condition sat
+// before pushdown; nothing in it depends on the literal's type, on
+// keys or on indexes.
+func (e *Engine) ExecFilterOnTop(q *Query, asOf uint64) (*Result, error) {
+	comp, err := e.compileUnfoldCached(q)
+	if err != nil {
+		return nil, err
+	}
+	sys, release, err := e.snapshotAt(asOf)
+	if err != nil {
+		return nil, err
+	}
+	defer release()
+	bare := *q
+	bare.Projection.Where = nil
+	unrestricted := *comp
+	unrestricted.Query = &bare
+	up, err := e.planUnfold(sys, &unrestricted)
+	if err != nil {
+		return nil, err
+	}
+	if where := q.Projection.Where; where != nil {
+		for _, rp := range up.rules {
+			pred, err := condToExpr(where, rp.rule, rp.varCols, comp.AnchorVar, sys)
+			if err != nil {
+				return nil, err
+			}
+			rp.plan = &relstore.Filter{Input: rp.plan, Pred: pred}
+		}
+		if up.anchor != nil {
+			varCols := make(map[string]int, len(comp.AnchorAtom.Args))
+			for i, term := range comp.AnchorAtom.Args {
+				varCols[term.Var] = i
+			}
+			pred, err := condToExpr(where, &ConjRule{Anchor: comp.AnchorAtom}, varCols, comp.AnchorVar, sys)
+			if err != nil {
+				return nil, err
+			}
+			up.anchor = &relstore.Filter{Input: up.anchor, Pred: pred}
+		}
+	}
+	return e.runUnfold(sys, comp, asOf, up)
+}

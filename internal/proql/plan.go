@@ -2,6 +2,8 @@ package proql
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"repro/internal/exchange"
 	"repro/internal/model"
@@ -18,7 +20,6 @@ type rulePlan struct {
 	rule    *ConjRule
 	plan    relstore.Plan
 	varCols map[string]int
-	width   int
 }
 
 // planContext resolves tables, including virtual provenance views and
@@ -117,102 +118,296 @@ func externalVars(sys *exchange.System, rule *ConjRule, spec pruneSpec) map[stri
 	return needed
 }
 
-// buildRulePlan compiles a conjunctive rule to a left-deep hash-join
-// plan with pushed-down constant filters and per-step column pruning,
-// then applies the WHERE condition (already verified to reference only
-// the anchor variable).
+// planAtom is one body atom classified for planning.
+type planAtom struct {
+	atom model.Atom
+	// table is the atom's backing table; nil for a virtual provenance
+	// view or an ASR-layer override, which are evaluated as opaque
+	// plans and never probed.
+	table *relstore.Table
+	// constCols/constVals are the argument positions fixed to a
+	// constant — by the rule itself or by a pushed anchor selection.
+	constCols []int
+	constVals []model.Datum
+	// vars/varCols give the first occurrence of each distinct variable;
+	// repeats pairs every later occurrence with the first.
+	vars    []string
+	varCols []int
+	repeats [][2]int
+}
+
+func classifyAtom(ctx *planContext, atom model.Atom, fixed map[string]model.Datum) planAtom {
+	pa := planAtom{atom: atom, vars: make([]string, 0, len(atom.Args)), varCols: make([]int, 0, len(atom.Args))}
+	overridden := false
+	if ctx.atomPlanOverride != nil {
+		_, overridden = ctx.atomPlanOverride(atom)
+	}
+	if !overridden {
+		pa.table, _ = ctx.sys.DB.Table(atom.Rel)
+	}
+	for ai, t := range atom.Args {
+		if t.IsConst {
+			pa.constCols = append(pa.constCols, ai)
+			pa.constVals = append(pa.constVals, t.Const)
+			continue
+		}
+		if t.Var == "_" {
+			continue
+		}
+		d, isFixed := fixed[t.Var]
+		if isFixed {
+			pa.constCols = append(pa.constCols, ai)
+			pa.constVals = append(pa.constVals, d)
+		}
+		if j := slices.Index(pa.vars, t.Var); j < 0 {
+			pa.vars = append(pa.vars, t.Var)
+			pa.varCols = append(pa.varCols, ai)
+		} else if !isFixed {
+			pa.repeats = append(pa.repeats, [2]int{ai, pa.varCols[j]})
+		}
+	}
+	return pa
+}
+
+// repeatPred is the equality of an atom's repeated variable occurrences
+// over a row holding the atom's columns from position off on.
+func (pa *planAtom) repeatPred(off int, skip []string) relstore.Expr {
+	var preds []relstore.Expr
+	for _, r := range pa.repeats {
+		if !slices.Contains(skip, pa.atom.Args[r[0]].Var) {
+			preds = append(preds, relstore.Cmp{Op: relstore.EQ, L: relstore.Col(off + r[0]), R: relstore.Col(off + r[1])})
+		}
+	}
+	if preds == nil {
+		return nil
+	}
+	return relstore.AndAll(preds)
+}
+
+// joinStep is one position of a rule's join order: the atom joined
+// there and, when it is index-joined, the argument positions whose
+// values are known by then and the access path over them.
+// path.Kind == AccessScan means a hash join over the atom's own access
+// plan.
+type joinStep struct {
+	atom  int
+	bound []int
+	path  relstore.AccessPath
+}
+
+// joinOrder orders a rule's body atoms from what the planner can
+// observe without statistics — which terms are bound and which keys and
+// indexes exist (a bound term is obviously selective). A rule with no
+// constant anywhere keeps its body order and joins by hash over scans.
+// Otherwise the order starts from the atom with the best
+// constant-restricted access path (primary key, then index, then
+// filtered scan; more constants first) and greedily follows atoms
+// sharing an already-bound variable, preferring one whose primary key
+// or an existing index covers bound columns including a join column:
+// that atom is index-joined, reading only the rows that join. Atoms
+// with no such path (and views and overrides) are hash-joined.
+//
+// The second result maps every variable to the last step whose atom
+// mentions it.
+func joinOrder(atoms []planAtom, fixed map[string]model.Datum) ([]joinStep, map[string]int) {
+	steps := make([]joinStep, 0, len(atoms))
+	nvars := 0
+	for i := range atoms {
+		nvars += len(atoms[i].vars)
+	}
+	lastUse := make(map[string]int, nvars)
+	placed := make([]bool, len(atoms))
+	place := func(st joinStep) {
+		for _, v := range atoms[st.atom].vars {
+			lastUse[v] = len(steps)
+		}
+		steps = append(steps, st)
+		placed[st.atom] = true
+	}
+	seed, seedKind := -1, relstore.AccessScan
+	for i := range atoms {
+		a := &atoms[i]
+		if len(a.constCols) == 0 {
+			continue
+		}
+		kind := relstore.AccessScan
+		if a.table != nil {
+			kind = a.table.ChooseAccess(a.constCols).Kind
+		}
+		if seed < 0 || kind > seedKind || kind == seedKind && len(a.constCols) > len(atoms[seed].constCols) {
+			seed, seedKind = i, kind
+		}
+	}
+	if seed < 0 {
+		for i := range atoms {
+			place(joinStep{atom: i})
+		}
+		return steps, lastUse
+	}
+	place(joinStep{atom: seed})
+	for len(steps) < len(atoms) {
+		next := joinStep{atom: -1}
+		connected, unplaced := -1, -1
+		for i := range atoms {
+			if placed[i] {
+				continue
+			}
+			if unplaced < 0 {
+				unplaced = i
+			}
+			a := &atoms[i]
+			var bound []int
+			joins := false
+			for ai, t := range a.atom.Args {
+				if _, isFixed := fixed[t.Var]; t.IsConst || isFixed {
+					bound = append(bound, ai)
+				} else if _, have := lastUse[t.Var]; have { // never for "_"
+					bound = append(bound, ai)
+					joins = true
+				}
+			}
+			if !joins {
+				continue
+			}
+			if connected < 0 {
+				connected = i
+			}
+			if a.table == nil {
+				continue
+			}
+			path := a.table.ChooseAccess(bound)
+			probesJoinCol := false
+			for _, p := range path.Probe {
+				t := a.atom.Args[bound[p]]
+				if _, isFixed := fixed[t.Var]; !t.IsConst && !isFixed {
+					probesJoinCol = true
+				}
+			}
+			// A probe keyed on constants alone fetches the same rows
+			// for every left row: a hash join reads them once.
+			if path.Kind != relstore.AccessScan && probesJoinCol {
+				next = joinStep{atom: i, bound: bound, path: path}
+				break
+			}
+		}
+		switch {
+		case next.atom >= 0:
+		case connected >= 0:
+			next.atom = connected
+		default:
+			next.atom = unplaced
+		}
+		place(next)
+	}
+	return steps, lastUse
+}
+
+// buildRulePlan compiles a conjunctive rule to a left-deep join plan
+// with per-step column pruning. The anchor WHERE condition (already
+// verified to reference only the anchor variable) is pushed into the
+// rule: attr = literal conjuncts fix their variable to a constant in
+// every body atom, a statically false conjunct empties the rule, and
+// the remaining conjuncts become Filters at the first step that binds
+// their variables. Constants then drive each atom's access path and the
+// join order and method (joinOrder).
 func buildRulePlan(ctx *planContext, rule *ConjRule, where Cond, anchorVar string, spec pruneSpec) (*rulePlan, error) {
 	if len(rule.Body) == 0 {
 		return nil, fmt.Errorf("proql: empty rule body")
 	}
-	external := externalVars(ctx.sys, rule, spec)
-	// future[i] = variables appearing in atoms i..end.
-	future := make([]map[string]bool, len(rule.Body)+1)
-	future[len(rule.Body)] = map[string]bool{}
-	for i := len(rule.Body) - 1; i >= 0; i-- {
-		m := make(map[string]bool, len(future[i+1])+4)
-		for v := range future[i+1] {
-			m[v] = true
-		}
-		for _, v := range rule.Body[i].Vars() {
-			m[v] = true
-		}
-		future[i] = m
+	sel, err := splitWhere(where, rule, anchorVar, ctx.sys)
+	if err != nil {
+		return nil, err
+	}
+	if sel.empty {
+		return &rulePlan{rule: rule, plan: &relstore.Values{}}, nil
+	}
+	atoms := make([]planAtom, len(rule.Body))
+	for i, atom := range rule.Body {
+		atoms[i] = classifyAtom(ctx, atom, sel.fixed)
+	}
+	// Past the last step that mentions it, a variable is carried only if
+	// the query consumes it.
+	steps, lastUse := joinOrder(atoms, sel.fixed)
+	for v := range externalVars(ctx.sys, rule, spec) {
+		lastUse[v] = len(steps)
 	}
 
-	rp := &rulePlan{rule: rule}
 	var plan relstore.Plan
-	var cols []string // variable name per current output column
-	for i, atom := range rule.Body {
-		// Classify argument positions: constants (pushed filters or an
-		// index probe) and first variable occurrences.
-		var constCols []int
-		var constVals []model.Datum
-		var repeatPreds []relstore.Expr
-		localFirst := make(map[string]int)
-		var localVars []string
-		var localCols []int
-		for ai, t := range atom.Args {
-			if t.IsConst {
-				constCols = append(constCols, ai)
-				constVals = append(constVals, t.Const)
-				continue
-			}
-			if t.Var == "_" {
-				continue
-			}
-			if j, seen := localFirst[t.Var]; seen {
-				repeatPreds = append(repeatPreds, relstore.Cmp{Op: relstore.EQ, L: relstore.Col(ai), R: relstore.Col(j)})
-			} else {
-				localFirst[t.Var] = ai
-				localVars = append(localVars, t.Var)
-				localCols = append(localCols, ai)
-			}
-		}
-		ap, err := atomAccessPlan(ctx, atom, constCols, constVals)
-		if err != nil {
-			return nil, err
-		}
-		if len(repeatPreds) > 0 {
-			ap = &relstore.Filter{Input: ap, Pred: relstore.AndAll(repeatPreds)}
-		}
-		// Narrow the atom to one column per distinct variable.
-		ap = relstore.ProjectCols(ap, localCols...)
-
-		if plan == nil {
-			plan = ap
-			cols = localVars
-		} else {
-			colOf := make(map[string]int, len(cols))
-			for ci, v := range cols {
-				colOf[v] = ci
-			}
-			var leftKeys, rightKeys []int
-			for li, v := range localVars {
-				if j, ok := colOf[v]; ok {
-					leftKeys = append(leftKeys, j)
-					rightKeys = append(rightKeys, li)
+	var cols []string // variable name per current output column ("" = dead)
+	pending := sel.residual
+	for p, st := range steps {
+		a := &atoms[st.atom]
+		if plan != nil && st.path.Kind != relstore.AccessScan {
+			keys := make([]relstore.Expr, len(st.bound))
+			for i, ai := range st.bound {
+				t := a.atom.Args[ai]
+				if d, isFixed := sel.fixed[t.Var]; isFixed {
+					t = model.C(d)
+				}
+				if t.IsConst {
+					keys[i] = relstore.Lit{Val: t.Const}
+				} else {
+					keys[i] = relstore.Col(slices.Index(cols, t.Var))
 				}
 			}
-			plan = &relstore.HashJoin{
-				Left:      plan,
-				Right:     ap,
-				LeftKeys:  leftKeys,
-				RightKeys: rightKeys,
-				Type:      relstore.InnerJoin,
+			width := len(a.atom.Args)
+			plan = &relstore.IndexJoin{
+				Left:  plan,
+				Table: a.atom.Rel,
+				Width: width,
+				Cols:  st.bound,
+				Keys:  keys,
+				Path:  st.path,
 			}
-			cols = append(cols, localVars...)
+			// Occurrences of left-bound variables are all probe or
+			// residual columns; only free repeats need checking.
+			if pred := a.repeatPred(len(cols), cols); pred != nil {
+				plan = &relstore.Filter{Input: plan, Pred: pred}
+			}
+			names := make([]string, width)
+			for i, v := range a.vars {
+				names[a.varCols[i]] = v
+			}
+			cols = append(cols, names...)
+		} else {
+			ap, err := atomAccessPlan(ctx, a)
+			if err != nil {
+				return nil, err
+			}
+			if pred := a.repeatPred(0, nil); pred != nil {
+				ap = &relstore.Filter{Input: ap, Pred: pred}
+			}
+			// Narrow the atom to one column per distinct variable.
+			ap = relstore.ProjectCols(ap, a.varCols...)
+			if plan == nil {
+				plan = ap
+				cols = a.vars
+			} else {
+				var leftKeys, rightKeys []int
+				for li, v := range a.vars {
+					if j := slices.Index(cols, v); j >= 0 {
+						leftKeys = append(leftKeys, j)
+						rightKeys = append(rightKeys, li)
+					}
+				}
+				plan = &relstore.HashJoin{
+					Left:      plan,
+					Right:     ap,
+					LeftKeys:  leftKeys,
+					RightKeys: rightKeys,
+					Type:      relstore.InnerJoin,
+				}
+				cols = append(cols, a.vars...)
+			}
 		}
 		// Prune columns dead from here on.
-		var keepCols []int
-		var keepVars []string
-		seen := make(map[string]bool, len(cols))
+		keepCols := make([]int, 0, len(cols))
+		keepVars := make([]string, 0, len(cols))
 		for ci, v := range cols {
-			if seen[v] {
+			if v == "" || slices.Contains(cols[:ci], v) {
 				continue
 			}
-			seen[v] = true
-			if external[v] || future[i+1][v] {
+			if lastUse[v] > p {
 				keepCols = append(keepCols, ci)
 				keepVars = append(keepVars, v)
 			}
@@ -221,71 +416,73 @@ func buildRulePlan(ctx *planContext, rule *ConjRule, where Cond, anchorVar strin
 			plan = relstore.ProjectCols(plan, keepCols...)
 			cols = keepVars
 		}
+		// Apply the WHERE conjuncts whose variables are now all bound
+		// (anchor variables are external, so pruning kept them).
+		rest := pending[:0:0]
+		for _, rc := range pending {
+			at := make(map[string]int, len(rc.vars))
+			for _, v := range rc.vars {
+				if ci := slices.Index(cols, v); ci >= 0 {
+					at[v] = ci
+				} else {
+					at = nil
+					break
+				}
+			}
+			if at == nil {
+				rest = append(rest, rc)
+				continue
+			}
+			pred, err := condToExpr(rc.cond, rule, at, anchorVar, ctx.sys)
+			if err != nil {
+				return nil, err
+			}
+			plan = &relstore.Filter{Input: plan, Pred: pred}
+		}
+		pending = rest
 	}
+	if len(pending) > 0 {
+		return nil, fmt.Errorf("proql: WHERE references a variable not bound by the rule body")
+	}
+	rp := &rulePlan{rule: rule, plan: plan}
 	rp.varCols = make(map[string]int, len(cols))
 	for ci, v := range cols {
 		rp.varCols[v] = ci
 	}
-	rp.width = len(cols)
-	if where != nil {
-		pred, err := condToExpr(where, rule, rp.varCols, anchorVar, ctx.sys)
-		if err != nil {
-			return nil, err
-		}
-		plan = &relstore.Filter{Input: plan, Pred: pred}
-	}
-	rp.plan = plan
 	return rp, nil
 }
 
 // atomAccessPlan produces the access path for one body atom with its
-// constant-column restrictions applied: an index probe when the table
-// has a matching secondary index (ASR tables index their span column),
-// otherwise a scan with pushed filters; superfluous provenance
-// relations become projection views, and ASR overrides take
-// precedence.
-func atomAccessPlan(ctx *planContext, atom model.Atom, constCols []int, constVals []model.Datum) (relstore.Plan, error) {
-	overridden := false
-	if ctx.atomPlanOverride != nil {
-		if _, ok := ctx.atomPlanOverride(atom); ok {
-			overridden = true
-		}
+// constant-column restrictions applied. A stored table is read along
+// the path relstore.Select chooses (primary-key lookup, index probe or
+// scan, with residual filters); superfluous provenance relations are
+// projection views and ASR overrides opaque plans, filtered on top.
+func atomAccessPlan(ctx *planContext, pa *planAtom) (relstore.Plan, error) {
+	if pa.table != nil {
+		return relstore.Select(pa.table, pa.constCols, pa.constVals), nil
 	}
-	if len(constCols) > 0 && !overridden {
-		if t, ok := ctx.sys.DB.Table(atom.Rel); ok && t.HasIndex(constCols) {
-			return &relstore.IndexProbe{
-				Table: atom.Rel,
-				Cols:  constCols,
-				Vals:  constVals,
-				Width: len(t.Schema.Columns),
-			}, nil
-		}
-	}
-	ap, err := atomPlan(ctx, atom)
+	ap, err := viewPlan(ctx, pa.atom)
 	if err != nil {
 		return nil, err
 	}
-	if len(constCols) == 0 {
+	if len(pa.constCols) == 0 {
 		return ap, nil
 	}
-	preds := make([]relstore.Expr, len(constCols))
-	for i, c := range constCols {
-		preds[i] = relstore.Cmp{Op: relstore.EQ, L: relstore.Col(c), R: relstore.Lit{Val: constVals[i]}}
+	preds := make([]relstore.Expr, len(pa.constCols))
+	for i, c := range pa.constCols {
+		preds[i] = relstore.Cmp{Op: relstore.EQ, L: relstore.Col(c), R: relstore.Lit{Val: pa.constVals[i]}}
 	}
 	return &relstore.Filter{Input: ap, Pred: relstore.AndAll(preds)}, nil
 }
 
-// atomPlan produces the raw scan for one body atom: a table scan for
-// ordinary and materialized-provenance atoms, a projection view for
-// superfluous provenance relations, or an ASR override.
-func atomPlan(ctx *planContext, atom model.Atom) (relstore.Plan, error) {
+// viewPlan produces the plan of a body atom with no table of its own: an
+// ASR override, or a projection view for a superfluous provenance
+// relation.
+func viewPlan(ctx *planContext, atom model.Atom) (relstore.Plan, error) {
 	if ctx.atomPlanOverride != nil {
 		if p, ok := ctx.atomPlanOverride(atom); ok {
 			return p, nil
 		}
-	}
-	if t, ok := ctx.sys.DB.Table(atom.Rel); ok {
-		return &relstore.Scan{Table: atom.Rel, Width: len(t.Schema.Columns)}, nil
 	}
 	// Virtual provenance relation: P_<mapping> with no backing table.
 	if len(atom.Rel) > len(exchange.ProvTablePrefix) && atom.Rel[:len(exchange.ProvTablePrefix)] == exchange.ProvTablePrefix {
@@ -407,21 +604,172 @@ func operandExpr(o CmpOperand, rule *ConjRule, varCols map[string]int, anchorVar
 	if o.Var == "" {
 		return relstore.Lit{Val: o.Lit}, nil
 	}
+	t, _, err := anchorTerm(o, rule, anchorVar, sys)
+	if err != nil {
+		return nil, err
+	}
+	return termExpr(t, varCols)
+}
+
+// anchorTerm resolves the attribute access $x.attr to the rule's anchor
+// term at that attribute, and the attribute's declared type.
+func anchorTerm(o CmpOperand, rule *ConjRule, anchorVar string, sys *exchange.System) (model.Term, model.DatumType, error) {
 	if o.Var != anchorVar {
-		return nil, fmt.Errorf("proql: WHERE references non-anchor variable $%s", o.Var)
+		return model.Term{}, 0, fmt.Errorf("proql: WHERE references non-anchor variable $%s", o.Var)
 	}
 	if o.Attr == "" {
-		return nil, fmt.Errorf("proql: bare $%s cannot be compared; use $%s.<attr>", o.Var, o.Var)
+		return model.Term{}, 0, fmt.Errorf("proql: bare $%s cannot be compared; use $%s.<attr>", o.Var, o.Var)
 	}
 	rel, ok := sys.Schema.Relation(rule.Anchor.Rel)
 	if !ok {
-		return nil, fmt.Errorf("proql: unknown anchor relation %q", rule.Anchor.Rel)
+		return model.Term{}, 0, fmt.Errorf("proql: unknown anchor relation %q", rule.Anchor.Rel)
 	}
 	idx := rel.ColumnIndex(o.Attr)
 	if idx < 0 {
-		return nil, fmt.Errorf("proql: relation %s has no attribute %q", rel.Name, o.Attr)
+		return model.Term{}, 0, fmt.Errorf("proql: relation %s has no attribute %q", rel.Name, o.Attr)
 	}
-	return termExpr(rule.Anchor.Args[idx], varCols)
+	return rule.Anchor.Args[idx], rel.Columns[idx].Type, nil
+}
+
+// anchorSelection is the anchor WHERE condition split into top-level
+// conjuncts and sorted by what the planner can do with each.
+type anchorSelection struct {
+	// empty: some conjunct is false for every row (it compares
+	// constants only), so the rule contributes nothing.
+	empty bool
+	// fixed maps each anchor variable pinned by an attr = literal
+	// conjunct to its constant.
+	fixed map[string]model.Datum
+	// residual conjuncts are evaluated as Filters once their variables
+	// are bound.
+	residual []residualCond
+}
+
+type residualCond struct {
+	cond Cond
+	vars []string // rule variables the condition reads
+}
+
+// splitWhere splits the anchor WHERE condition of one rule. Every
+// conjunct is validated, whatever the others decide.
+func splitWhere(where Cond, rule *ConjRule, anchorVar string, sys *exchange.System) (*anchorSelection, error) {
+	sel := &anchorSelection{fixed: map[string]model.Datum{}}
+	if where == nil {
+		return sel, nil
+	}
+	for _, c := range splitConjuncts(where) {
+		vars, err := anchorCondVars(c, rule, anchorVar, sys)
+		if err != nil {
+			return nil, err
+		}
+		if len(vars) == 0 {
+			// The conjunct compares constants only (literals, constant
+			// anchor terms, IN): decide it now.
+			pred, err := condToExpr(c, rule, nil, anchorVar, sys)
+			if err != nil {
+				return nil, err
+			}
+			keep, err := evalPred(pred, nil)
+			if err != nil {
+				return nil, err
+			}
+			sel.empty = sel.empty || !keep
+			continue
+		}
+		if v, d, ok := pushableEq(c, rule, anchorVar, sys); ok {
+			if _, dup := sel.fixed[v]; !dup {
+				sel.fixed[v] = d
+				continue
+			}
+		}
+		sel.residual = append(sel.residual, residualCond{cond: c, vars: vars})
+	}
+	return sel, nil
+}
+
+// anchorCondVars returns the rule variables a WHERE condition reads,
+// validating its attribute accesses on the way.
+func anchorCondVars(c Cond, rule *ConjRule, anchorVar string, sys *exchange.System) ([]string, error) {
+	both := func(l, r Cond) ([]string, error) {
+		lv, err := anchorCondVars(l, rule, anchorVar, sys)
+		if err != nil {
+			return nil, err
+		}
+		rv, err := anchorCondVars(r, rule, anchorVar, sys)
+		return append(lv, rv...), err
+	}
+	switch cc := c.(type) {
+	case CondCmp:
+		var vars []string
+		for _, o := range []CmpOperand{cc.L, cc.R} {
+			if o.Var == "" {
+				continue
+			}
+			t, _, err := anchorTerm(o, rule, anchorVar, sys)
+			if err != nil {
+				return nil, err
+			}
+			if !t.IsConst {
+				vars = append(vars, t.Var)
+			}
+		}
+		return vars, nil
+	case CondIn:
+		return nil, nil
+	case CondAnd:
+		return both(cc.L, cc.R)
+	case CondOr:
+		return both(cc.L, cc.R)
+	case CondNot:
+		return anchorCondVars(cc.E, rule, anchorVar, sys)
+	}
+	return nil, fmt.Errorf("proql: unsupported WHERE condition for relational backend")
+}
+
+// pushableEq recognizes a conjunct $x.attr = literal (either way round)
+// that can be pushed into the rule as a constant for the anchor
+// variable at attr. Pushed constants are matched by key and index
+// probes, which compare canonical encodings, while the Filter they
+// replace compares with relstore.Cmp, which also equates int64 and
+// float64 of equal value; the two agree only when the literal has the
+// attribute's declared type. Such literals are pushed, an integral
+// float against an integer attribute is pushed as that integer, and
+// everything else (NULL, other mixed types, float zero — 0.0 and -0.0
+// are equal but encode differently) stays a Filter.
+func pushableEq(c Cond, rule *ConjRule, anchorVar string, sys *exchange.System) (string, model.Datum, bool) {
+	cmp, ok := c.(CondCmp)
+	if !ok || cmp.Op != "=" {
+		return "", nil, false
+	}
+	attr, lit := cmp.L, cmp.R
+	if attr.Var == "" {
+		attr, lit = lit, attr
+	}
+	if attr.Var == "" || lit.Var != "" {
+		return "", nil, false
+	}
+	t, typ, err := anchorTerm(attr, rule, anchorVar, sys)
+	if err != nil || t.IsConst {
+		return "", nil, false
+	}
+	switch v := lit.Lit.(type) {
+	case int64:
+		return t.Var, v, typ == model.TypeInt
+	case string:
+		return t.Var, v, typ == model.TypeString
+	case bool:
+		return t.Var, v, typ == model.TypeBool
+	case float64:
+		if typ == model.TypeFloat {
+			return t.Var, v, v != 0
+		}
+		// Below 2^53 every integer is its own float64, so no other
+		// integer coerces to v.
+		if typ == model.TypeInt && v == math.Trunc(v) && math.Abs(v) < 1<<53 {
+			return t.Var, int64(v), true
+		}
+	}
+	return "", nil, false
 }
 
 // termExpr resolves a rule term to a column reference or literal.

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/model"
+	"repro/internal/stream"
 )
 
 // Plan is a materializing physical query plan node. Run evaluates the
@@ -84,6 +85,67 @@ func (p *IndexProbe) Arity() int { return p.Width }
 
 func (p *IndexProbe) explain(sb *strings.Builder, indent int) {
 	writeLine(sb, indent, "IndexProbe(%s cols=%v)", p.Table, p.Cols)
+}
+
+// PKLookup reads the at most one row of a keyed table whose primary key
+// equals Key (values in key-column order).
+type PKLookup struct {
+	Table string
+	Key   []model.Datum
+	Width int
+}
+
+// Run implements Plan.
+func (p *PKLookup) Run(db *Database) ([]model.Tuple, error) {
+	t, ok := db.Table(p.Table)
+	if !ok {
+		return nil, fmt.Errorf("relstore: lookup in unknown table %q", p.Table)
+	}
+	if row, found := t.LookupKey(p.Key); found {
+		return []model.Tuple{row}, nil
+	}
+	return nil, nil
+}
+
+// Arity implements Plan.
+func (p *PKLookup) Arity() int { return p.Width }
+
+func (p *PKLookup) explain(sb *strings.Builder, indent int) {
+	writeLine(sb, indent, "PKLookup(%s)", p.Table)
+}
+
+// Select plans the read of the rows of t whose cols equal vals along
+// the path t.ChooseAccess picks: a PKLookup or IndexProbe on the
+// covered columns under a Filter on the residual ones, or a filtered
+// Scan when neither the key nor an index is covered.
+func Select(t *Table, cols []int, vals []model.Datum) Plan {
+	name, width := t.Schema.Name, len(t.Schema.Columns)
+	if len(cols) == 0 {
+		return &Scan{Table: name, Width: width}
+	}
+	path := t.ChooseAccess(cols)
+	probeCols := make([]int, len(path.Probe))
+	probeVals := make([]model.Datum, len(path.Probe))
+	for i, p := range path.Probe {
+		probeCols[i], probeVals[i] = cols[p], vals[p]
+	}
+	var plan Plan
+	switch path.Kind {
+	case AccessPK:
+		plan = &PKLookup{Table: name, Key: probeVals, Width: width}
+	case AccessIndex:
+		plan = &IndexProbe{Table: name, Cols: probeCols, Vals: probeVals, Width: width}
+	default:
+		plan = &Scan{Table: name, Width: width}
+	}
+	if len(path.Residual) > 0 {
+		preds := make([]Expr, len(path.Residual))
+		for i, p := range path.Residual {
+			preds[i] = Cmp{Op: EQ, L: Col(cols[p]), R: Lit{Val: vals[p]}}
+		}
+		plan = &Filter{Input: plan, Pred: AndAll(preds)}
+	}
+	return plan
 }
 
 // Values returns a constant row set; used to seed plans with tuples of
@@ -283,6 +345,53 @@ func (j *HashJoin) explain(sb *strings.Builder, indent int) {
 	writeLine(sb, indent, "HashJoin(%s, left=%v right=%v)", j.Type, j.LeftKeys, j.RightKeys)
 	j.Left.explain(sb, indent+1)
 	j.Right.explain(sb, indent+1)
+}
+
+// IndexJoin is an index nested-loop join: for every left row it fetches
+// the rows of Table whose columns Cols equal the values of Keys
+// (expressions over the left row, parallel to Cols) through the
+// table's primary key or a secondary index, as laid out by Path =
+// Table.ChooseAccess(Cols), whose Kind must not be AccessScan; residual
+// columns are compared with model.Equal, type-strict like the probes. A
+// left row with a NULL key value matches nothing. Output rows are the left
+// columns followed by all of the table's columns. Unlike HashJoin it
+// reads only the right rows that join, and it is not a pipeline breaker:
+// Stream pulls one left row at a time and opens the right table only
+// when the first one arrives.
+type IndexJoin struct {
+	Left  Plan
+	Table string
+	Width int
+	Cols  []int
+	Keys  []Expr
+	Path  AccessPath
+}
+
+// Run implements Plan.
+func (j *IndexJoin) Run(db *Database) ([]model.Tuple, error) {
+	return stream.Collect(Stream(j, db))
+}
+
+// Arity implements Plan.
+func (j *IndexJoin) Arity() int { return j.Left.Arity() + j.Width }
+
+func (j *IndexJoin) explain(sb *strings.Builder, indent int) {
+	part := func(positions []int) (cols []int, keys string) {
+		ks := make([]string, len(positions))
+		for i, p := range positions {
+			cols = append(cols, j.Cols[p])
+			ks[i] = j.Keys[p].String()
+		}
+		return cols, strings.Join(ks, ", ")
+	}
+	cols, keys := part(j.Path.Probe)
+	line := fmt.Sprintf("IndexJoin(%s via %s cols=%v keys=[%s]", j.Table, j.Path.Kind, cols, keys)
+	if len(j.Path.Residual) > 0 {
+		cols, keys = part(j.Path.Residual)
+		line += fmt.Sprintf(" residual cols=%v keys=[%s]", cols, keys)
+	}
+	writeLine(sb, indent, "%s)", line)
+	j.Left.explain(sb, indent+1)
 }
 
 func hasNullAt(row model.Tuple, cols []int) bool {

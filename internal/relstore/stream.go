@@ -10,9 +10,10 @@ import (
 // Stream exposes a plan as a pull-based tuple iterator — the same
 // stream.Iterator interface the graph backend's physical operators
 // produce, so the engine can drain either backend through one loop.
-// Pipeline operators (Filter, Project, FilterFunc, Distinct, UnionAll)
-// stream over their inputs without materializing; pipeline breakers
-// (joins, grouping) materialize on first Next exactly as Run does.
+// Pipeline operators (Filter, Project, FilterFunc, Distinct, UnionAll,
+// IndexJoin) stream over their inputs without materializing; pipeline
+// breakers (hash joins, grouping) materialize on first Next exactly as
+// Run does.
 func Stream(p Plan, db *Database) stream.Iterator[model.Tuple] {
 	switch n := p.(type) {
 	case *UnionAll:
@@ -147,9 +148,11 @@ func Stream(p Plan, db *Database) stream.Iterator[model.Tuple] {
 				return row, ok, nil
 			},
 		}
+	case *IndexJoin:
+		return streamIndexJoin(n, db)
 	default:
-		// Pipeline breaker (IndexProbe, Values, HashJoin, GroupBy):
-		// materialize lazily on first pull.
+		// Pipeline breaker (IndexProbe, PKLookup, Values, HashJoin,
+		// GroupBy): materialize lazily on first pull.
 		var rows []model.Tuple
 		started := false
 		pos := 0
@@ -173,3 +176,114 @@ func Stream(p Plan, db *Database) stream.Iterator[model.Tuple] {
 		}
 	}
 }
+
+// indexJoinIter streams an IndexJoin: it pulls left rows one at a time
+// and, for each, yields its matches from the right table's primary key
+// or index.
+type indexJoinIter struct {
+	j         *IndexJoin
+	db        *Database
+	left      stream.Iterator[model.Tuple]
+	lw        int
+	right     *Table // opened when the first left row arrives
+	probeCols []int
+	ixName    string
+	vals      []model.Datum // key values of the current left row
+	enc       []byte        // reused probe-key encoding
+	lrow      model.Tuple
+	matches   []model.Tuple
+	pos       int
+}
+
+func streamIndexJoin(j *IndexJoin, db *Database) stream.Iterator[model.Tuple] {
+	return &indexJoinIter{j: j, db: db, left: Stream(j.Left, db), lw: j.Left.Arity(), vals: make([]model.Datum, len(j.Keys))}
+}
+
+func (it *indexJoinIter) open() error {
+	j := it.j
+	if len(j.Keys) != len(j.Cols) || j.Path.Kind == AccessScan {
+		return fmt.Errorf("relstore: index join into %q has no key or index to probe", j.Table)
+	}
+	t, ok := it.db.Table(j.Table)
+	if !ok {
+		return fmt.Errorf("relstore: index join into unknown table %q", j.Table)
+	}
+	it.right = t
+	it.probeCols = make([]int, len(j.Path.Probe))
+	for i, p := range j.Path.Probe {
+		it.probeCols[i] = j.Cols[p]
+	}
+	if j.Path.Kind == AccessIndex {
+		it.ixName = IndexName(it.probeCols)
+	}
+	return nil
+}
+
+// fetch refills matches with the right rows joining lr.
+func (it *indexJoinIter) fetch(lr model.Tuple) error {
+	j := it.j
+	it.lrow, it.pos, it.matches = lr, 0, it.matches[:0]
+	for i, k := range j.Keys {
+		v, err := k.Eval(lr)
+		if err != nil {
+			return err
+		}
+		if v == nil {
+			return nil
+		}
+		it.vals[i] = v
+	}
+	it.enc = it.enc[:0]
+	for _, p := range j.Path.Probe {
+		it.enc = model.AppendDatum(it.enc, it.vals[p])
+	}
+	if j.Path.Kind == AccessPK {
+		if row, ok := it.right.LookupKeyBytes(it.enc); ok {
+			it.matches = append(it.matches, row)
+		}
+	} else {
+		it.matches = it.right.probeEncoded(it.matches, it.ixName, it.probeCols, it.enc)
+	}
+	if len(j.Path.Residual) == 0 {
+		return nil
+	}
+	kept := it.matches[:0]
+	for _, row := range it.matches {
+		ok := true
+		for _, p := range j.Path.Residual {
+			if !model.Equal(row[j.Cols[p]], it.vals[p]) {
+				ok = false
+				break
+			}
+		}
+		if ok {
+			kept = append(kept, row)
+		}
+	}
+	it.matches = kept
+	return nil
+}
+
+// Next implements stream.Iterator.
+func (it *indexJoinIter) Next() (model.Tuple, bool, error) {
+	for it.pos >= len(it.matches) {
+		lr, ok, err := it.left.Next()
+		if err != nil || !ok {
+			return nil, false, err
+		}
+		if it.right == nil {
+			if err := it.open(); err != nil {
+				return nil, false, err
+			}
+		}
+		if err := it.fetch(lr); err != nil {
+			return nil, false, err
+		}
+	}
+	row := concatRows(it.lrow, it.matches[it.pos], it.lw, it.j.Width)
+	it.pos++
+	return row, true, nil
+}
+
+// Close implements stream.Iterator.
+func (it *indexJoinIter) Close() { it.left.Close() }

@@ -20,6 +20,7 @@ package relstore
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -690,6 +691,90 @@ func (t *Table) EnsureIndex(cols []int) {
 	s.mu.Unlock()
 }
 
+// AccessKind says how an access path reaches the rows of a table.
+// Kinds are ordered by how selective they are known to be without
+// statistics: a larger kind is a better path.
+type AccessKind int
+
+// Access kinds.
+const (
+	// AccessScan reads every row: no key or index is covered.
+	AccessScan AccessKind = iota
+	// AccessIndex probes an existing secondary hash index.
+	AccessIndex
+	// AccessPK looks the primary key up: at most one row.
+	AccessPK
+)
+
+func (k AccessKind) String() string {
+	switch k {
+	case AccessIndex:
+		return "index"
+	case AccessPK:
+		return "pk"
+	}
+	return "scan"
+}
+
+// AccessPath is how to fetch the rows of a table for which a list of
+// columns is bound to known values. Probe and Residual partition the
+// positions of that list: Probe, in primary-key or index column order,
+// forms the lookup key; Residual columns are not covered by the lookup
+// and must be compared on the fetched rows.
+type AccessPath struct {
+	Kind     AccessKind
+	Probe    []int
+	Residual []int
+}
+
+// ChooseAccess picks the access path for rows whose columns bound are
+// known, from what the table can observe about itself: a primary-key
+// lookup when bound covers the key, else a probe of the widest existing
+// secondary index bound covers, else a scan with every column residual.
+// It builds no index — writers pre-build the ones their readers need,
+// and snapshot views share them.
+func (t *Table) ChooseAccess(bound []int) AccessPath {
+	cover := func(cols []int) []int {
+		if len(cols) == 0 || len(cols) > len(bound) {
+			return nil
+		}
+		probe := make([]int, len(cols))
+		for i, c := range cols {
+			p := slices.Index(bound, c)
+			if p < 0 {
+				return nil
+			}
+			probe[i] = p
+		}
+		return probe
+	}
+	path := AccessPath{}
+	if probe := cover(t.Schema.Key); probe != nil {
+		path = AccessPath{Kind: AccessPK, Probe: probe}
+	} else {
+		s := t.s
+		var best *hashIndex
+		s.mu.RLock()
+		for _, ix := range s.indexes {
+			// Map order is random: break width ties by name.
+			if best != nil && (len(ix.cols) < len(best.cols) ||
+				len(ix.cols) == len(best.cols) && IndexName(ix.cols) > IndexName(best.cols)) {
+				continue
+			}
+			if probe := cover(ix.cols); probe != nil {
+				best, path = ix, AccessPath{Kind: AccessIndex, Probe: probe}
+			}
+		}
+		s.mu.RUnlock()
+	}
+	for p := range bound {
+		if !slices.Contains(path.Probe, p) {
+			path.Residual = append(path.Residual, p)
+		}
+	}
+	return path
+}
+
 // ProbeEach calls fn for every live row whose cols equal vals, using an
 // index if one exists and scanning otherwise. fn returning false stops
 // the enumeration. The matching rows are collected under the read lock
@@ -711,24 +796,30 @@ func (t *Table) Probe(cols []int, vals []model.Datum) []model.Tuple {
 }
 
 func (t *Table) probeInto(out []model.Tuple, cols []int, vals []model.Datum) []model.Tuple {
+	// Local buffer, not s.keyBuf: a read path, safe under concurrent
+	// readers.
+	var buf []byte
+	for _, v := range vals {
+		buf = model.AppendDatum(buf, v)
+	}
+	return t.probeEncoded(out, IndexName(cols), cols, buf)
+}
+
+// probeEncoded is probeInto for callers that hold the index name and
+// the canonical encoding of the probed values (IndexJoin encodes into
+// one reused buffer per left row).
+func (t *Table) probeEncoded(out []model.Tuple, name string, cols []int, enc []byte) []model.Tuple {
 	s := t.s
 	s.mu.RLock()
-	if ix, ok := s.indexes[IndexName(cols)]; ok {
-		// Local buffer, not s.keyBuf: a read path, safe under
-		// concurrent readers.
-		var buf []byte
-		for _, v := range vals {
-			buf = model.AppendDatum(buf, v)
-		}
-		for _, i := range ix.buckets[string(buf)] {
+	if ix, ok := s.indexes[name]; ok {
+		for _, i := range ix.buckets[string(enc)] {
 			if row, ok := s.liveRow(i, t.asOf); ok {
 				out = append(out, row)
 			}
 		}
 	} else {
-		want := model.EncodeDatums(vals)
 		for i, slots := 0, s.be.Slots(); i < slots; i++ {
-			if row, ok := s.liveRow(i, t.asOf); ok && encodeCols(row, cols) == want {
+			if row, ok := s.liveRow(i, t.asOf); ok && encodeCols(row, cols) == string(enc) {
 				out = append(out, row)
 			}
 		}
