@@ -385,14 +385,7 @@ func BenchmarkSinglePathProjection(b *testing.B) {
 // key, answered by key and index probes), "whole-target" the same
 // projection for every target tuple (no WHERE: hash joins over scans).
 func BenchmarkRelationalPointQuery(b *testing.B) {
-	set, err := workload.Build(workload.Config{
-		Topology:  workload.Chain,
-		Profile:   workload.ProfileLinear,
-		NumPeers:  10,
-		DataPeers: workload.UpstreamDataPeers(10, 2),
-		BaseSize:  500,
-		Seed:      7,
-	})
+	set, err := workload.Build(servedConfig("S"))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -437,6 +430,125 @@ func BenchmarkRelationalPointQuery(b *testing.B) {
 			}
 		}
 	})
+}
+
+// servedConfig is the chain instance the served-path benchmark (bench/)
+// runs its workloads on: S is 10 peers with 2 upstream data peers
+// (point-read, mixed-churn), M 20 peers with 3 (analytic-read,
+// write-durable), 500 local rows per data peer.
+func servedConfig(size string) workload.Config {
+	peers, data := 10, 2
+	if size == "M" {
+		peers, data = 20, 3
+	}
+	return workload.Config{
+		Topology:  workload.Chain,
+		Profile:   workload.ProfileLinear,
+		NumPeers:  peers,
+		DataPeers: workload.UpstreamDataPeers(peers, data),
+		BaseSize:  500,
+		Seed:      7,
+	}
+}
+
+// BenchmarkGraphPointQuery is BenchmarkRelationalPointQuery's point
+// question on the physplan backends, on instance S: a WHERE that fixes
+// the start relation's key starts the path from one point lookup. The
+// asr backend is measured warm (adapter kept across queries) and with
+// its adapter retired before every query, which is what every commit
+// does to it under churn: the lookup interns one tuple either way.
+func BenchmarkGraphPointQuery(b *testing.B) {
+	set, err := workload.Build(servedConfig("S"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng := proql.NewEngine(set.Sys)
+	var qs []*proql.Query
+	set.Sys.DB.MustTable(workload.ARel(0)).Iterate(func(row model.Tuple) bool {
+		qs = append(qs, proql.MustParse(fmt.Sprintf("FOR [A0 $x] WHERE $x.k = %v INCLUDE PATH [$x] <-+ [] RETURN $x", row[0])))
+		return true
+	})
+	for _, arm := range []struct {
+		name, backend string
+		retire        bool
+	}{
+		{"graph", "graph", false},
+		{"asr-warm", "asr", false},
+		{"asr-retired", "asr", true},
+	} {
+		b.Run(arm.name, func(b *testing.B) {
+			// Build the cached graph / the adapter outside the timer.
+			if _, err := eng.Exec(context.Background(), qs[0], proql.Options{Backend: arm.backend}); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if arm.retire {
+					eng.MaintainGraph(nil) // retires the adapter, patches nothing
+				}
+				res, err := eng.Exec(context.Background(), qs[i%len(qs)], proql.Options{Backend: arm.backend})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(res.Bindings) != 1 {
+					b.Fatalf("point query bound %d tuples, want 1", len(res.Bindings))
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkGraphPatchDelete times provgraph.Apply alone — the cached
+// graph's share of a delete — on instances S and M: each iteration
+// deletes one seeded row of the far upstream peer, whose derived tuples
+// and derivations sit anywhere in the graph's order and label lists,
+// and (off the clock) inserts it again. The chain is twice as long on
+// M, so a delete removes twice the nodes; ns/node is the cost per
+// removed node, which must not grow with the graph ("nodes").
+func BenchmarkGraphPatchDelete(b *testing.B) {
+	for _, size := range []string{"S", "M"} {
+		b.Run(size, func(b *testing.B) {
+			cfg := servedConfig(size)
+			set, err := workload.Build(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			sys := set.Sys
+			g, err := provgraph.Build(sys)
+			if err != nil {
+				b.Fatal(err)
+			}
+			rel := workload.ARel(cfg.NumPeers - 1)
+			rows := sys.DB.MustTable(rel + "_l").Rows()
+			removed := 0
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				row := rows[(i*37)%len(rows)]
+				report, err := sys.DeleteLocal(rel, row[:1])
+				if err != nil {
+					b.Fatal(err)
+				}
+				removed += len(report.DeletedTuples) + len(report.DeletedDerivations)
+				b.StartTimer()
+				provgraph.Apply(g, sys, report)
+				b.StopTimer()
+				if err := sys.InsertLocal(rel, row); err != nil {
+					b.Fatal(err)
+				}
+				ins, err := sys.RunDelta()
+				if err != nil {
+					b.Fatal(err)
+				}
+				if ok, err := provgraph.ApplyInsertions(g, sys, ins); !ok || err != nil {
+					b.Fatalf("ApplyInsertions = %v, %v", ok, err)
+				}
+				b.StartTimer()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(removed), "ns/node")
+			b.ReportMetric(float64(g.NumTuples()+g.NumDerivations()), "nodes")
+		})
+	}
 }
 
 // BenchmarkExchange measures update-exchange materialization itself —

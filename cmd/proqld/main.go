@@ -292,6 +292,9 @@ type queryRequest struct {
 	AsOf uint64 `json:"as_of"`
 }
 
+// queryResponse is the reply to a query. Epoch is the storage epoch
+// the query read (its pinned snapshot), not the newest one: the same
+// query with as_of set to it returns the same bindings.
 type queryResponse struct {
 	Bindings  map[string][]string `json:"bindings"`
 	Count     int                 `json:"count"`
@@ -359,7 +362,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	resp := queryResponse{
 		Bindings:  map[string][]string{},
 		Backend:   res.Stats.Backend,
-		Epoch:     s.sys.Exchange().DB.Epoch(),
+		Epoch:     res.Stats.Epoch,
 		AsOf:      res.Stats.AsOf,
 		ElapsedNS: time.Since(start).Nanoseconds(),
 	}
@@ -846,6 +849,11 @@ func smokeV1() error {
 		}
 		if old.AsOf != before {
 			return fmt.Errorf("%s as_of echo = %d, want %d", backend, old.AsOf, before)
+		}
+		// A reply names the epoch it read, not the newest one.
+		if live.Epoch != ins.Epoch || old.Epoch != before {
+			return fmt.Errorf("%s: replies name epochs %d (live) and %d (as_of %d), want %d and %d",
+				backend, live.Epoch, old.Epoch, before, ins.Epoch, before)
 		}
 		if len(live.Bindings["x"]) != len(old.Bindings["x"])+1 {
 			return fmt.Errorf("%s: live %d vs as_of %d O bindings, want live = as_of + 1",

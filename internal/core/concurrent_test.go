@@ -11,6 +11,8 @@ import (
 	"repro/internal/exchange"
 	"repro/internal/model"
 	"repro/internal/proql"
+	"repro/internal/relstore"
+	"repro/internal/workload"
 )
 
 // fingerprint renders the committed public state of a system (or a
@@ -175,5 +177,137 @@ func TestSnapshotReaderVsSerializedOracle(t *testing.T) {
 		if got := fingerprint(live.Exchange()); got != want[i+1] {
 			t.Errorf("step %d: live state diverges from serialized oracle", i)
 		}
+	}
+}
+
+// TestReportedEpochReplays: Stats.Epoch names the storage epoch a query
+// read, on every backend, under a concurrent writer. While a writer
+// inserts and deletes rows that propagate down a chain to the queried
+// relation — patching the cached graph and retiring the ASR adapter
+// with every commit — readers run a key-pinned point query on one of
+// the churned keys and a whole-relation query on all three backends and
+// record the bindings with the reported epoch. Afterwards every record
+// must replay: the same query AS OF that epoch returns those bindings.
+// (An epoch read from the database after the query returned, which is
+// what the daemon used to report, names a later commit than the one the
+// query saw as soon as the writer gets in between.)
+func TestReportedEpochReplays(t *testing.T) {
+	cfg := workload.Config{
+		Topology:  workload.Chain,
+		Profile:   workload.ProfileLinear,
+		NumPeers:  4,
+		DataPeers: workload.UpstreamDataPeers(4, 1),
+		BaseSize:  20,
+		Seed:      11,
+	}
+	set, err := workload.Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	set.Sys.DB.SetRetention(relstore.RetainAll)
+	sys := core.Wrap(set.Sys)
+	eng := sys.Engine()
+	source := workload.ARel(cfg.NumPeers - 1)
+	template := set.Sys.DB.MustTable(source + "_l").Rows()[0]
+	churned := make([]model.Tuple, 3)
+	for i := range churned {
+		row := append(model.Tuple(nil), template...)
+		row[0] = int64(cfg.NumPeers-1)*10_000_000 + int64(cfg.BaseSize+i)
+		churned[i] = row
+	}
+	queries := []*proql.Query{
+		proql.MustParse(fmt.Sprintf(`FOR [A0 $x] WHERE $x.k = %v INCLUDE PATH [$x] <-+ [] RETURN $x`, churned[1][0])),
+		proql.MustParse(`FOR [A0 $x] RETURN $x`),
+	}
+
+	type observation struct {
+		query int
+		epoch uint64
+	}
+	var mu sync.Mutex
+	seen := map[observation]string{}
+	// Every reader answers both queries before the writer starts and
+	// once more after it finished, so at least two epochs are observed.
+	const readers = 6
+	var wg, started sync.WaitGroup
+	writerDone := make(chan struct{})
+	started.Add(readers)
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			var once sync.Once
+			defer once.Do(started.Done) // also when a failure ends the reader early
+			backend := []string{"relational", "graph", "asr"}[r%3]
+			last := false
+			for n := 0; !last || n%len(queries) != 0; n++ {
+				if n == len(queries) {
+					once.Do(started.Done)
+				}
+				select {
+				case <-writerDone:
+					last = true
+				default:
+				}
+				qi := n % len(queries)
+				res, err := eng.Exec(context.Background(), queries[qi], proql.Options{Backend: backend})
+				if err != nil {
+					t.Errorf("%s: %v", backend, err)
+					return
+				}
+				if res.Stats.Epoch == 0 || res.Stats.Epoch > sys.Epoch() {
+					t.Errorf("%s: reported epoch %d, newest is %d", backend, res.Stats.Epoch, sys.Epoch())
+					return
+				}
+				got := fmt.Sprint(res.SortedRefs("x"))
+				ob := observation{qi, res.Stats.Epoch}
+				mu.Lock()
+				prev, dup := seen[ob]
+				seen[ob] = got
+				mu.Unlock()
+				if dup && prev != got {
+					t.Errorf("%s: query %d at epoch %d: %s, another reader saw %s", backend, qi, ob.epoch, got, prev)
+					return
+				}
+			}
+		}(r)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(writerDone)
+		started.Wait()
+		for round := 0; round < 6; round++ {
+			if err := sys.InsertLocal(source, churned...); err != nil {
+				t.Error(err)
+				return
+			}
+			if err := sys.Run(); err != nil {
+				t.Error(err)
+				return
+			}
+			for _, row := range churned {
+				if _, err := sys.DeleteLocal(source, row[:1]); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}
+	}()
+	wg.Wait()
+
+	epochs := map[uint64]bool{}
+	for ob, got := range seen {
+		epochs[ob.epoch] = true
+		res, err := eng.Exec(context.Background(), queries[ob.query], proql.Options{AsOfEpoch: ob.epoch})
+		if err != nil {
+			t.Fatalf("replay of query %d as of %d: %v", ob.query, ob.epoch, err)
+		}
+		if want := fmt.Sprint(res.SortedRefs("x")); got != want {
+			t.Errorf("query %d reported epoch %d and bindings %s; as of that epoch the answer is %s", ob.query, ob.epoch, got, want)
+		}
+	}
+	if len(epochs) < 2 {
+		t.Errorf("readers observed %d distinct epochs, want the first and the last at least", len(epochs))
 	}
 }

@@ -78,10 +78,13 @@ type Binding map[string]model.TupleRef
 // Stats reports how a query was executed. UnfoldTime and EvalTime are
 // the two components the paper plots separately in Figures 7–8;
 // PlanTime is the graph backend's physical-planning component. AsOf
-// is the historical epoch the query evaluated at (0 = the live epoch).
+// is the historical epoch the query asked for (0 = the live epoch);
+// Epoch is the storage epoch whose state the query read, whichever way
+// it was chosen: replaying the query AS OF Epoch gives the same answer.
 type Stats struct {
 	Backend       string // "relational", "graph", or "asr"
 	AsOf          uint64
+	Epoch         uint64
 	UnfoldedRules int
 	UnfoldTime    time.Duration
 	PlanTime      time.Duration

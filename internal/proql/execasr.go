@@ -38,7 +38,7 @@ func (e *Engine) execASR(q *Query, asOf uint64) (*Result, error) {
 	// so plans run single-worker regardless of e.Parallelism.
 	res, err := e.execPhys(q, g, "asr", 1)
 	if err == nil {
-		res.Stats.AsOf = asOf
+		res.Stats.AsOf, res.Stats.Epoch = asOf, g.epoch
 	}
 	return res, err
 }
@@ -590,6 +590,32 @@ func (g *asrGraph) EachTupleOf(rel string, yield func(physplan.Tuple) bool) {
 			return
 		}
 	}
+}
+
+// TupleByKey implements physplan.Graph: one primary-key lookup on the
+// pinned snapshot, interning only the tuple found — a key-pinned start
+// costs the same on a freshly re-pinned adapter as on a warm one.
+func (g *asrGraph) TupleByKey(rel string, key []model.Datum) (physplan.Tuple, bool) {
+	if g.Err() != nil {
+		return nil, false
+	}
+	r, ok := g.sys.Schema.Relation(rel)
+	if !ok || r.IsLocal {
+		return nil, false
+	}
+	tab, ok := g.sys.DB.Table(rel)
+	if !ok {
+		return nil, false
+	}
+	row, ok := tab.LookupKey(key)
+	if !ok {
+		return nil, false
+	}
+	t := g.internTuple(model.RefFromKey(rel, key), key)
+	g.mu.Lock()
+	t.row, t.rowOK = row, true
+	g.mu.Unlock()
+	return t, true
 }
 
 // EachTuple implements physplan.Graph.

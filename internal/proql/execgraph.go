@@ -18,7 +18,7 @@ import (
 // existential path conditions — at the cost of touching the whole
 // graph, where the relational backend is goal-directed.
 func (e *Engine) execGraph(q *Query, asOf uint64) (*Result, error) {
-	g, release, err := e.graphAt(asOf)
+	g, epoch, release, err := e.graphAt(asOf)
 	if err != nil {
 		return nil, err
 	}
@@ -26,7 +26,7 @@ func (e *Engine) execGraph(q *Query, asOf uint64) (*Result, error) {
 	start := time.Now()
 	outG := provgraph.New()
 	res := &Result{
-		Stats: Stats{Backend: "graph", AsOf: asOf},
+		Stats: Stats{Backend: "graph", AsOf: asOf, Epoch: epoch},
 		graph: outG,
 	}
 

@@ -24,38 +24,45 @@ func (e *Engine) execPlanned(q *Query, asOf uint64) (*Result, error) {
 	// snapshot throughout. An AS OF query bypasses the cache — the
 	// cached graph reflects the live epoch only — and materializes a
 	// transient graph from a snapshot pinned at the requested epoch.
-	g, release, err := e.graphAt(asOf)
+	g, epoch, release, err := e.graphAt(asOf)
 	if err != nil {
 		return nil, err
 	}
 	defer release()
 	res, err := e.execPhys(q, physplan.NewMem(g), "graph", e.Parallelism)
 	if err == nil {
-		res.Stats.AsOf = asOf
+		res.Stats.AsOf, res.Stats.Epoch = asOf, epoch
 	}
 	return res, err
 }
 
-// graphAt returns the provenance graph a query should evaluate over:
-// the engine's cached graph (read-latched) for the live epoch, or a
-// transient uncached build from a SnapshotAt view for a historical
-// one. The returned release function must be called when done.
-func (e *Engine) graphAt(asOf uint64) (*provgraph.Graph, func(), error) {
+// graphAt returns the provenance graph a query should evaluate over
+// and the storage epoch it reflects: the engine's cached graph
+// (read-latched) for the live epoch, or a transient uncached build from
+// a SnapshotAt view for a historical one. The returned release function
+// must be called when done.
+func (e *Engine) graphAt(asOf uint64) (*provgraph.Graph, uint64, func(), error) {
 	if asOf == 0 {
-		return e.acquireGraph()
+		g, release, err := e.acquireGraph()
+		if err != nil {
+			return nil, 0, nil, err
+		}
+		// Patches move graphEpoch under the write latch; the read latch
+		// acquireGraph took is still held.
+		return g, e.graphEpoch, release, nil
 	}
 	sys, release, err := e.Sys.SnapshotAt(asOf)
 	if err != nil {
-		return nil, nil, err
+		return nil, 0, nil, err
 	}
 	defer release()
 	g, err := provgraph.Build(sys)
 	if err != nil {
-		return nil, nil, err
+		return nil, 0, nil, err
 	}
 	// The graph owns its nodes and aliases immutable tuples; it needs
 	// no snapshot once built.
-	return g, func() {}, nil
+	return g, asOf, func() {}, nil
 }
 
 // execPhys evaluates a query through the physical-plan pipeline over
@@ -164,7 +171,9 @@ func (e *Engine) lowerSpec(g physplan.Graph, q *Query, outG *provgraph.Graph, wo
 		spec.Include = append(spec.Include, toPhysPath(p))
 	}
 	if q.Projection.Where != nil {
-		for _, c := range splitConjuncts(q.Projection.Where) {
+		conjuncts := splitConjuncts(q.Projection.Where)
+		e.pinStartKeys(q.Projection.For, conjuncts, spec.Paths)
+		for _, c := range conjuncts {
 			need := condVars(c)
 			if _, isPath := c.(CondPath); isPath {
 				// A path condition's variables outside the FOR clause
@@ -187,6 +196,104 @@ func (e *Engine) lowerSpec(g physplan.Graph, q *Query, outG *provgraph.Graph, wo
 		}
 	}
 	return spec, nil
+}
+
+// pinStartKeys gives physplan a key-pinned start for every FOR path
+// whose start node [R $x] has all of R's primary-key columns fixed by
+// WHERE conjuncts $x.col = literal: a query anchored on one tuple then
+// starts from that tuple, not from every tuple of R. The conjuncts stay
+// in the plan as Filters, so the pin may only skip rows they drop
+// silently. That holds when the literal passes probeLiteral, the test
+// the relational pushdown applies (the key lookup compares encodings,
+// the Filter coerces), and when no conjunct evaluated before the pinning
+// ones can fail on a skipped row — only the leading conjuncts that
+// cannot fail are considered. The decision reads literal types, so it is
+// made per request, never cached with the query's shape.
+func (e *Engine) pinStartKeys(forPaths []PathExpr, conjuncts []Cond, paths []physplan.Path) {
+	// The relation of each tuple variable some FOR node labels; nil for
+	// a variable labelled with two relations (it matches nothing).
+	relOf := map[string]*model.Relation{}
+	for _, p := range forPaths {
+		for _, n := range p.Nodes {
+			if n.Var == "" || n.Rel == "" {
+				continue
+			}
+			rel, _ := e.Sys.Schema.Relation(n.Rel)
+			if prev, seen := relOf[n.Var]; seen && prev != rel {
+				rel = nil
+			}
+			relOf[n.Var] = rel
+		}
+	}
+	type attrOf struct {
+		v   string
+		col int
+	}
+	fixed := map[attrOf]model.Datum{}
+	for _, c := range conjuncts {
+		if !cannotFail(c, relOf) {
+			break
+		}
+		attr, lit, ok := eqLiteral(c)
+		if !ok {
+			continue
+		}
+		rel := relOf[attr.Var]
+		at := attrOf{attr.Var, rel.ColumnIndex(attr.Attr)}
+		if _, dup := fixed[at]; dup {
+			continue
+		}
+		if d, ok := probeLiteral(lit, rel.Columns[at.col].Type); ok {
+			fixed[at] = d
+		}
+	}
+	if len(fixed) == 0 {
+		return
+	}
+	for i := range paths {
+		n0 := paths[i].Nodes[0]
+		rel := relOf[n0.Var]
+		if n0.Rel == "" || rel == nil || len(rel.Key) == 0 {
+			continue
+		}
+		key := make([]model.Datum, 0, len(rel.Key))
+		for _, col := range rel.Key {
+			if d, ok := fixed[attrOf{n0.Var, col}]; ok {
+				key = append(key, d)
+			}
+		}
+		if len(key) == len(rel.Key) {
+			paths[i].StartKey = key
+		}
+	}
+}
+
+// cannotFail reports whether a WHERE condition evaluates to true or
+// false — never to an error — on every row of the FOR paths: it reads
+// only existing attributes of tuple variables whose relation a FOR node
+// names (relOf).
+func cannotFail(c Cond, relOf map[string]*model.Relation) bool {
+	switch cc := c.(type) {
+	case CondCmp:
+		for _, o := range []CmpOperand{cc.L, cc.R} {
+			if o.Var == "" {
+				continue
+			}
+			if rel := relOf[o.Var]; rel == nil || rel.ColumnIndex(o.Attr) < 0 {
+				return false
+			}
+		}
+		return true
+	case CondIn:
+		return relOf[cc.Var] != nil
+	case CondAnd:
+		return cannotFail(cc.L, relOf) && cannotFail(cc.R, relOf)
+	case CondOr:
+		return cannotFail(cc.L, relOf) && cannotFail(cc.R, relOf)
+	case CondNot:
+		return cannotFail(cc.E, relOf)
+	}
+	return false
 }
 
 // buildGraphPlan lowers a query to the physplan spec and compiles it.

@@ -179,7 +179,7 @@ func (e *Engine) runUnfold(sys *exchange.System, comp *Compiled, asOf uint64, up
 	plans := up.rules
 	out := newUnfoldOutput(e, asOf)
 	res := &Result{
-		Stats:      Stats{Backend: "relational", AsOf: asOf, UnfoldedRules: len(comp.Rules)},
+		Stats:      Stats{Backend: "relational", AsOf: asOf, Epoch: sys.DB.Epoch(), UnfoldedRules: len(comp.Rules)},
 		buildGraph: out.build,
 	}
 

@@ -47,20 +47,27 @@ func TestExplainUnrestrictedPlansUnchanged(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		path := filepath.Join("testdata", name)
-		if *updateGolden {
-			if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			continue
-		}
-		want, err := os.ReadFile(path)
-		if err != nil {
+		checkGolden(t, name, query, got)
+	}
+}
+
+// checkGolden compares an EXPLAIN with its golden file under testdata
+// (or rewrites the file under -update).
+func checkGolden(t *testing.T, name, query, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if got != string(want) {
-			t.Errorf("%s: EXPLAIN of %q changed:\n%s", name, query, got)
-		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("%s: EXPLAIN of %q changed:\n%s", name, query, got)
 	}
 }
 

@@ -55,6 +55,10 @@ type Graph interface {
 	EachTupleOf(rel string, yield func(Tuple) bool)
 	// EachTuple enumerates every tuple.
 	EachTuple(yield func(Tuple) bool)
+	// TupleByKey is the point lookup behind key-pinned path starts: the
+	// tuple EachTupleOf(rel) would yield whose primary key is key (datums
+	// in the relation's key order), if there is one.
+	TupleByKey(rel string, key []model.Datum) (Tuple, bool)
 	// NumTuples, NumTuplesOf, NumDerivations, NumDerivationsOf and
 	// SourcePairs are the cardinality statistics the planner's cost
 	// model uses; estimates are fine.
@@ -93,11 +97,7 @@ func (m Mem) EachDerivInto(t Tuple, mapping string, yield func(Deriv) bool) {
 
 // EachDerivOf implements Graph.
 func (m Mem) EachDerivOf(mapping string, yield func(Deriv) bool) {
-	for _, d := range m.G.DerivationsOf(mapping) {
-		if !yield(d) {
-			return
-		}
-	}
+	m.G.EachDerivationOf(mapping, func(d *provgraph.DerivNode) bool { return yield(d) })
 }
 
 // EachSource implements Graph.
@@ -120,11 +120,7 @@ func (m Mem) EachTarget(d Deriv, yield func(Tuple) bool) {
 
 // EachTupleOf implements Graph.
 func (m Mem) EachTupleOf(rel string, yield func(Tuple) bool) {
-	for _, t := range m.G.TuplesOfUnordered(rel) {
-		if !yield(t) {
-			return
-		}
-	}
+	m.G.EachTupleOf(rel, func(t *provgraph.TupleNode) bool { return yield(t) })
 }
 
 // EachTuple implements Graph.
@@ -134,6 +130,15 @@ func (m Mem) EachTuple(yield func(Tuple) bool) {
 			return
 		}
 	}
+}
+
+// TupleByKey implements Graph.
+func (m Mem) TupleByKey(rel string, key []model.Datum) (Tuple, bool) {
+	// A missing node must come back as a nil Tuple, not a nil pointer in one.
+	if t, ok := m.G.Lookup(model.RefFromKey(rel, key)); ok {
+		return t, true
+	}
+	return nil, false
 }
 
 // NumTuples implements Graph.
@@ -146,7 +151,7 @@ func (m Mem) NumTuplesOf(rel string) int { return m.G.NumTuplesOf(rel) }
 func (m Mem) NumDerivations() int { return m.G.NumDerivations() }
 
 // NumDerivationsOf implements Graph.
-func (m Mem) NumDerivationsOf(mapping string) int { return len(m.G.DerivationsOf(mapping)) }
+func (m Mem) NumDerivationsOf(mapping string) int { return m.G.NumDerivationsOf(mapping) }
 
 // SourcePairs implements Graph.
 func (m Mem) SourcePairs() int {

@@ -3,6 +3,8 @@ package physplan
 import (
 	"fmt"
 	"strings"
+
+	"repro/internal/model"
 )
 
 // EdgeKind distinguishes single derivation steps from <-+ paths.
@@ -57,6 +59,12 @@ func (e Edge) String() string {
 type Path struct {
 	Nodes []Node // len = len(Edges)+1
 	Edges []Edge
+	// StartKey, when set, pins the start node — which must name a
+	// relation — to the one tuple with this primary key (datums in the
+	// relation's key order). Whoever sets it guarantees that a WHERE
+	// conjunct rejects every other tuple of the relation, so the pin
+	// changes the access path and never the result.
+	StartKey []model.Datum
 }
 
 func (p Path) String() string {
@@ -135,12 +143,13 @@ func (bp *boundPath) nodeMatches(i int, tn Tuple, row Row) bool {
 
 // eachStart enumerates the candidate start tuples of the path under
 // row, narrowest index first: a bound start variable, a bound
-// first-edge derivation variable (its targets), the relation label
-// index, the first-edge mapping index (targets of its derivations), or
-// the whole store. With useIndexes false the derivation-variable and
-// mapping shortcuts are skipped and candidate sets match the naive
-// enumeration exactly (INCLUDE paths copy metadata for every
-// candidate, so their candidate set is semantically visible).
+// first-edge derivation variable (its targets), a pinned primary key
+// (one point lookup), the relation label index, the first-edge mapping
+// index (targets of its derivations), or the whole store. With
+// useIndexes false the derivation-variable and mapping shortcuts are
+// skipped and candidate sets match the naive enumeration exactly
+// (INCLUDE paths copy metadata for every candidate, so their candidate
+// set is semantically visible).
 func (bp *boundPath) eachStart(g Graph, row Row, useIndexes bool, yield func(Tuple) bool) error {
 	n0 := bp.path.Nodes[0]
 	if c := bp.nodeCol[0]; c >= 0 && row[c] != nil {
@@ -158,6 +167,12 @@ func (bp *boundPath) eachStart(g Graph, row Row, useIndexes bool, yield func(Tup
 				return nil
 			}
 		}
+	}
+	if bp.path.StartKey != nil {
+		if t, ok := g.TupleByKey(n0.Rel, bp.path.StartKey); ok {
+			yield(t)
+		}
+		return nil
 	}
 	if n0.Rel != "" {
 		g.EachTupleOf(n0.Rel, yield)
@@ -204,6 +219,13 @@ func (bp *boundPath) startsDesc(bound map[string]bool) string {
 	}
 	if len(bp.path.Edges) > 0 && bp.path.Edges[0].Kind == EdgeDirect && bp.path.Edges[0].Var != "" && bound[bp.path.Edges[0].Var] {
 		return "start=targets($" + bp.path.Edges[0].Var + ")"
+	}
+	if bp.path.StartKey != nil {
+		key := make([]string, len(bp.path.StartKey))
+		for i, d := range bp.path.StartKey {
+			key[i] = model.FormatDatum(d)
+		}
+		return "start=key:" + n0.Rel + "(" + strings.Join(key, ", ") + ")"
 	}
 	if n0.Rel != "" {
 		return "start=index:rel(" + n0.Rel + ")"

@@ -360,3 +360,76 @@ func TestLenientFilterDefersErrors(t *testing.T) {
 		t.Fatal("strict filter must surface evaluation errors")
 	}
 }
+
+// countingGraph counts the start-enumeration calls a plan makes.
+type countingGraph struct {
+	Mem
+	byKey, byRel, all int
+}
+
+func (c *countingGraph) TupleByKey(rel string, key []model.Datum) (Tuple, bool) {
+	c.byKey++
+	return c.Mem.TupleByKey(rel, key)
+}
+
+func (c *countingGraph) EachTupleOf(rel string, yield func(Tuple) bool) {
+	c.byRel++
+	c.Mem.EachTupleOf(rel, yield)
+}
+
+func (c *countingGraph) EachTuple(yield func(Tuple) bool) {
+	c.all++
+	c.Mem.EachTuple(yield)
+}
+
+// TestScanKeyPinnedStart: a path whose StartKey is set starts from one
+// point lookup and never enumerates the relation; its cost of one start
+// puts it first in a join; an absent key matches nothing.
+func TestScanKeyPinnedStart(t *testing.T) {
+	g := &countingGraph{Mem: NewMem(diamondGraph(50))}
+	pinned := Path{
+		Nodes:    []Node{{Rel: "O", Var: "x"}, {Var: "z"}},
+		Edges:    []Edge{{Kind: EdgePlus}},
+		StartKey: []model.Datum{int64(7)},
+	}
+	plan, err := Compile(g, Spec{Paths: []Path{pinned}, Return: []string{"x", "z"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "start=key:O(7)"; !contains(Explain(plan.Root), want) {
+		t.Errorf("plan should start from the key:\n%s", Explain(plan.Root))
+	}
+	// O(7)'s ancestors: B(7), C(7), A(7).
+	if rows := mustRows(t, plan.Root); len(rows) != 3 {
+		t.Fatalf("rows = %d, want 3: %v", len(rows), rowStrings(rows))
+	}
+	if g.byKey != 1 || g.byRel != 0 || g.all != 0 {
+		t.Errorf("start enumeration: %d key lookups, %d relation scans, %d full scans; want 1, 0, 0", g.byKey, g.byRel, g.all)
+	}
+
+	// Written second, the pinned path still runs first and the other
+	// path joins it on $z.
+	other := Path{
+		Nodes: []Node{{Rel: "B", Var: "y"}, {Var: "z"}},
+		Edges: []Edge{{Kind: EdgeDirect}},
+	}
+	plan, err = Compile(g, Spec{Paths: []Path{other, pinned}, Return: []string{"x", "y"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plan.Order) != 2 || plan.Order[0] != 1 {
+		t.Fatalf("order = %v, want the key-pinned path first\n%s", plan.Order, Explain(plan.Root))
+	}
+	if rows := mustRows(t, plan.Root); len(rows) != 1 {
+		t.Fatalf("rows = %d, want 1 (O(7), B(7) share A(7)): %v", len(rows), rowStrings(rows))
+	}
+
+	pinned.StartKey = []model.Datum{int64(50)}
+	plan, err = Compile(g, Spec{Paths: []Path{pinned}, Return: []string{"x", "z"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rows := mustRows(t, plan.Root); len(rows) != 0 {
+		t.Fatalf("absent key: rows = %v, want none", rowStrings(rows))
+	}
+}

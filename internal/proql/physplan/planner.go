@@ -40,7 +40,8 @@ type Spec struct {
 
 // Decisions captures the planner's data-dependent choices — the join
 // order of the FOR paths and their estimated costs. They depend only on
-// the query shape and store statistics, never on WHERE constants, so a
+// the query shape and store statistics — of WHERE constants at most on
+// whether they pin a path's start key, never on their values — so a
 // plan cache can replay them via CompileWithDecisions and skip the
 // estimator entirely.
 type Decisions struct {
@@ -291,6 +292,8 @@ func (e *estimator) pathCost(p Path, bound map[string]bool) float64 {
 		start = 1
 	case len(p.Edges) > 0 && p.Edges[0].Kind == EdgeDirect && p.Edges[0].Var != "" && bound[p.Edges[0].Var]:
 		start = 2 // targets of one bound derivation
+	case p.StartKey != nil:
+		start = 1
 	case n0.Rel != "":
 		start = float64(e.g.NumTuplesOf(n0.Rel))
 	case len(p.Edges) > 0 && p.Edges[0].Kind == EdgeDirect && p.Edges[0].Mapping != "":

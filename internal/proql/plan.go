@@ -728,48 +728,66 @@ func anchorCondVars(c Cond, rule *ConjRule, anchorVar string, sys *exchange.Syst
 
 // pushableEq recognizes a conjunct $x.attr = literal (either way round)
 // that can be pushed into the rule as a constant for the anchor
-// variable at attr. Pushed constants are matched by key and index
-// probes, which compare canonical encodings, while the Filter they
-// replace compares with relstore.Cmp, which also equates int64 and
-// float64 of equal value; the two agree only when the literal has the
-// attribute's declared type. Such literals are pushed, an integral
-// float against an integer attribute is pushed as that integer, and
-// everything else (NULL, other mixed types, float zero — 0.0 and -0.0
-// are equal but encode differently) stays a Filter.
+// variable at attr; probeLiteral decides which literals qualify.
 func pushableEq(c Cond, rule *ConjRule, anchorVar string, sys *exchange.System) (string, model.Datum, bool) {
-	cmp, ok := c.(CondCmp)
-	if !ok || cmp.Op != "=" {
-		return "", nil, false
-	}
-	attr, lit := cmp.L, cmp.R
-	if attr.Var == "" {
-		attr, lit = lit, attr
-	}
-	if attr.Var == "" || lit.Var != "" {
+	attr, lit, ok := eqLiteral(c)
+	if !ok {
 		return "", nil, false
 	}
 	t, typ, err := anchorTerm(attr, rule, anchorVar, sys)
 	if err != nil || t.IsConst {
 		return "", nil, false
 	}
-	switch v := lit.Lit.(type) {
+	d, ok := probeLiteral(lit, typ)
+	return t.Var, d, ok
+}
+
+// eqLiteral recognizes a conjunct $x.attr = literal, either way round.
+func eqLiteral(c Cond) (attr CmpOperand, lit model.Datum, ok bool) {
+	cmp, isCmp := c.(CondCmp)
+	if !isCmp || cmp.Op != "=" {
+		return CmpOperand{}, nil, false
+	}
+	l, r := cmp.L, cmp.R
+	if l.Var == "" {
+		l, r = r, l
+	}
+	if l.Var == "" || r.Var != "" {
+		return CmpOperand{}, nil, false
+	}
+	return l, r.Lit, true
+}
+
+// probeLiteral is the one rule by which an equality with a literal may
+// become an access path — a constant in an unfolded rule (relational
+// backend) or a key-pinned path start (graph and asr backends) — and
+// returns the datum to probe with. Key and index probes compare
+// canonical encodings, while the Filter such a probe stands in for
+// compares with coercion (relstore.Cmp, compareDatums: int64 and float64
+// of equal value are equal); the two agree only when the literal has the
+// attribute's declared type. Such literals qualify, an integral float
+// against an integer attribute qualifies as that integer, and everything
+// else (NULL, other mixed types, float zero — 0.0 and -0.0 are equal
+// but encode differently) stays with the Filter.
+func probeLiteral(lit model.Datum, typ model.DatumType) (model.Datum, bool) {
+	switch v := lit.(type) {
 	case int64:
-		return t.Var, v, typ == model.TypeInt
+		return v, typ == model.TypeInt
 	case string:
-		return t.Var, v, typ == model.TypeString
+		return v, typ == model.TypeString
 	case bool:
-		return t.Var, v, typ == model.TypeBool
+		return v, typ == model.TypeBool
 	case float64:
 		if typ == model.TypeFloat {
-			return t.Var, v, v != 0
+			return v, v != 0
 		}
 		// Below 2^53 every integer is its own float64, so no other
 		// integer coerces to v.
 		if typ == model.TypeInt && v == math.Trunc(v) && math.Abs(v) < 1<<53 {
-			return t.Var, int64(v), true
+			return int64(v), true
 		}
 	}
-	return "", nil, false
+	return nil, false
 }
 
 // termExpr resolves a rule term to a column reference or literal.

@@ -123,6 +123,12 @@ func (g *whereGen) literal(col int) model.Datum {
 	if vals := g.stored[col]; len(vals) > 0 {
 		d = vals[g.rng.Intn(len(vals))]
 	}
+	return g.perturb(d)
+}
+
+// perturb returns d half of the time and otherwise one of the literals
+// a comparison with d must not be confused by.
+func (g *whereGen) perturb(d model.Datum) model.Datum {
 	switch g.rng.Intn(10) {
 	case 0: // numeric value in the other numeric type
 		switch n := d.(type) {

@@ -27,17 +27,19 @@ func Apply(g *Graph, sys *exchange.System, report *exchange.MaintenanceReport) {
 	if report == nil {
 		return
 	}
-	deadD := make(map[string]bool, len(report.DeletedDerivations))
+	var deadD []*DerivNode
 	for _, dd := range report.DeletedDerivations {
-		deadD[derivID(dd.Mapping, dd.Row)] = true
+		if d, ok := g.derivs[derivID(dd.Mapping, dd.Row)]; ok {
+			deadD = append(deadD, d)
+		}
 	}
-	deadT := make(map[model.TupleRef]bool, len(report.DeletedTuples))
+	var deadT []*TupleNode
 	for _, ref := range report.DeletedTuples {
-		deadT[ref] = true
+		if tn, ok := g.tuples[ref]; ok {
+			deadT = append(deadT, tn)
+		}
 	}
-	if len(deadD) > 0 || len(deadT) > 0 {
-		g.removeBatch(deadT, deadD)
-	}
+	g.removeBatch(deadT, deadD)
 	// A deleted local contribution demotes a surviving tuple from leaf
 	// status (it may remain derivable through mappings).
 	for _, ref := range report.DeletedLocals {
@@ -98,128 +100,82 @@ func ApplyInsertions(g *Graph, sys *exchange.System, report *exchange.InsertionR
 // source and target tuples' adjacency and the mapping index. It
 // reports whether the node existed.
 func (g *Graph) RemoveDerivation(id string) bool {
-	if _, ok := g.derivs[id]; !ok {
-		return false
+	d, ok := g.derivs[id]
+	if ok {
+		g.removeBatch(nil, []*DerivNode{d})
 	}
-	g.removeBatch(nil, map[string]bool{id: true})
-	return true
+	return ok
 }
 
 // RemoveTuple deletes one tuple node together with every derivation
 // touching it (a derivation without one of its tuples is meaningless),
 // keeping all indexes coherent. It reports whether the node existed.
 func (g *Graph) RemoveTuple(ref model.TupleRef) bool {
-	if _, ok := g.tuples[ref]; !ok {
-		return false
+	tn, ok := g.tuples[ref]
+	if ok {
+		g.removeBatch([]*TupleNode{tn}, nil)
 	}
-	g.removeBatch(map[model.TupleRef]bool{ref: true}, map[string]bool{})
-	return true
+	return ok
 }
 
-// removeBatch removes the given tuple refs and derivation ids in one
-// pass. Derivations incident to a removed tuple are cascaded into the
-// dead set (deadD is extended in place). Node ordinals are never
-// reused, so ordinal-keyed consumers stay collision-free.
-func (g *Graph) removeBatch(deadT map[model.TupleRef]bool, deadD map[string]bool) {
-	// Cascade: a removed tuple takes its incident derivations along.
-	for ref := range deadT {
-		if tn, ok := g.tuples[ref]; ok {
-			for _, d := range tn.Derivations {
-				deadD[d.ID] = true
-			}
-			for _, d := range tn.Uses {
-				deadD[d.ID] = true
-			}
-		}
-	}
-	// Splice dead derivations out of surviving tuples' adjacency.
-	touched := make(map[*TupleNode]bool)
-	deadMappings := make(map[string]bool)
-	for id := range deadD {
-		d, ok := g.derivs[id]
-		if !ok {
+// removeBatch removes the given nodes of g, and with each tuple the
+// derivations incident to it. The work is proportional to the removed
+// nodes and the adjacency of their surviving neighbours, not to the
+// graph: a removed node is flagged dead, dropped from the registry,
+// emptied (a dead slot then holds a bare node, not rows and adjacency)
+// and left for its order and label lists to compact (see nodeList).
+// Node ordinals are never reused, so ordinal-keyed consumers stay
+// collision-free.
+func (g *Graph) removeBatch(deadT []*TupleNode, deadD []*DerivNode) {
+	for _, tn := range deadT {
+		if tn.dead {
 			continue
 		}
-		deadMappings[d.Mapping] = true
+		tn.dead = true
+		delete(g.tuples, tn.Ref)
+		g.tupleOrder.dropped()
+		g.byRel[tn.Ref.Rel].dropped()
+		deadD = append(deadD, tn.Derivations...)
+		deadD = append(deadD, tn.Uses...)
+		tn.Row, tn.Derivations, tn.Uses = nil, nil, nil
+	}
+	// Surviving tuples lose the dead derivations from their adjacency,
+	// each filtered once however many of its derivations died.
+	touched := make(map[*TupleNode]struct{})
+	for _, d := range deadD {
+		if d.dead {
+			continue
+		}
+		d.dead = true
+		delete(g.derivs, d.ID)
+		g.derivOrder.dropped()
+		g.byMapping[d.Mapping].dropped()
 		for _, tn := range d.Sources {
-			if !deadT[tn.Ref] {
-				touched[tn] = true
+			if !tn.dead {
+				touched[tn] = struct{}{}
 			}
 		}
 		for _, tn := range d.Targets {
-			if !deadT[tn.Ref] {
-				touched[tn] = true
+			if !tn.dead {
+				touched[tn] = struct{}{}
 			}
 		}
+		d.Sources, d.Targets, d.ProvRow = nil, nil, nil
 	}
 	for tn := range touched {
-		tn.Uses = filterDerivs(tn.Uses, deadD)
-		tn.Derivations = filterDerivs(tn.Derivations, deadD)
-	}
-	// Drop dead derivations from the registry, order, and mapping
-	// index.
-	removedD := false
-	for id := range deadD {
-		if _, ok := g.derivs[id]; ok {
-			delete(g.derivs, id)
-			removedD = true
-		}
-	}
-	if removedD {
-		kept := g.derivOrder[:0]
-		for _, id := range g.derivOrder {
-			if _, ok := g.derivs[id]; ok {
-				kept = append(kept, id)
-			}
-		}
-		g.derivOrder = kept
-		for m := range deadMappings {
-			keptD := g.byMapping[m][:0]
-			for _, d := range g.byMapping[m] {
-				if !deadD[d.ID] {
-					keptD = append(keptD, d)
-				}
-			}
-			g.byMapping[m] = keptD
-		}
-	}
-	// Drop dead tuples likewise.
-	removedT := false
-	deadRels := make(map[string]bool)
-	for ref := range deadT {
-		if _, ok := g.tuples[ref]; ok {
-			delete(g.tuples, ref)
-			deadRels[ref.Rel] = true
-			removedT = true
-		}
-	}
-	if removedT {
-		kept := g.tupleOrder[:0]
-		for _, ref := range g.tupleOrder {
-			if _, ok := g.tuples[ref]; ok {
-				kept = append(kept, ref)
-			}
-		}
-		g.tupleOrder = kept
-		for rel := range deadRels {
-			keptT := g.byRel[rel][:0]
-			for _, tn := range g.byRel[rel] {
-				if !deadT[tn.Ref] {
-					keptT = append(keptT, tn)
-				}
-			}
-			g.byRel[rel] = keptT
-		}
+		tn.Uses = liveDerivs(tn.Uses)
+		tn.Derivations = liveDerivs(tn.Derivations)
 	}
 }
 
-// filterDerivs drops every dead derivation from list in place.
-func filterDerivs(list []*DerivNode, dead map[string]bool) []*DerivNode {
+// liveDerivs drops every dead derivation from list in place.
+func liveDerivs(list []*DerivNode) []*DerivNode {
 	kept := list[:0]
 	for _, d := range list {
-		if !dead[d.ID] {
+		if !d.dead {
 			kept = append(kept, d)
 		}
 	}
+	clear(list[len(kept):])
 	return kept
 }

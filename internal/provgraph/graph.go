@@ -32,6 +32,8 @@ type TupleNode struct {
 	Derivations []*DerivNode
 	// Uses are the derivation nodes consuming this tuple as a source.
 	Uses []*DerivNode
+	// dead marks a node removed from its graph; see nodeList.
+	dead bool
 }
 
 // Ord returns the node's insertion ordinal, unique across the tuple
@@ -65,6 +67,70 @@ type DerivNode struct {
 	// was built from storage; incremental maintenance uses it to
 	// delete invalidated derivations.
 	ProvRow model.Tuple
+	// dead marks a node removed from its graph; see nodeList.
+	dead bool
+}
+
+func (t *TupleNode) removed() bool { return t.dead }
+func (d *DerivNode) removed() bool { return d.dead }
+
+// nodeList is an insertion-ordered (hence ordinal-sorted) list of nodes
+// with lazy removal. The graph flags a removed node dead and reports it
+// with dropped; the node keeps its slot until more than a quarter of the
+// slots are dead, when one pass compacts the list. A removal therefore
+// costs O(1) amortised (at most four slot visits), whatever the size of
+// the list, where filtering the list per removal cost a pass over it;
+// dead slots hold at most a third more memory than the live ones (at a
+// half, a churning graph measurably raised the daemon's resident set).
+// Readers skip the dead. A nil list is empty.
+type nodeList[N interface{ removed() bool }] struct {
+	nodes []N
+	dead  int
+}
+
+func (l *nodeList[N]) len() int {
+	if l == nil {
+		return 0
+	}
+	return len(l.nodes) - l.dead
+}
+
+// each yields the live nodes in insertion order.
+func (l *nodeList[N]) each(yield func(N) bool) {
+	if l == nil {
+		return
+	}
+	for _, n := range l.nodes {
+		if !n.removed() && !yield(n) {
+			return
+		}
+	}
+}
+
+// live returns a fresh slice of the live nodes in insertion order.
+func (l *nodeList[N]) live() []N {
+	out := make([]N, 0, l.len())
+	l.each(func(n N) bool {
+		out = append(out, n)
+		return true
+	})
+	return out
+}
+
+// dropped records that one member was just flagged dead.
+func (l *nodeList[N]) dropped() {
+	l.dead++
+	if 4*l.dead <= len(l.nodes) {
+		return
+	}
+	kept := l.nodes[:0]
+	for _, n := range l.nodes {
+		if !n.removed() {
+			kept = append(kept, n)
+		}
+	}
+	clear(l.nodes[len(kept):])
+	l.nodes, l.dead = kept, 0
 }
 
 // Graph is a provenance graph. Beyond the node maps it maintains the
@@ -77,16 +143,16 @@ type Graph struct {
 	tuples map[model.TupleRef]*TupleNode
 	derivs map[string]*DerivNode
 	// insertion order for deterministic iteration
-	tupleOrder []model.TupleRef
-	derivOrder []string
+	tupleOrder nodeList[*TupleNode]
+	derivOrder nodeList[*DerivNode]
 	// byRel indexes tuple nodes by relation name, in insertion order.
-	byRel map[string][]*TupleNode
+	byRel map[string]*nodeList[*TupleNode]
 	// byMapping indexes derivation nodes by mapping name, in insertion
 	// order.
-	byMapping map[string][]*DerivNode
+	byMapping map[string]*nodeList[*DerivNode]
 	// nextTupleOrd and nextDerivOrd are monotone ordinal counters,
 	// never reused: after incremental removals (Apply) the order
-	// slices shrink, so slice lengths would hand out colliding
+	// lists shrink, so list lengths would hand out colliding
 	// ordinals.
 	nextTupleOrd int
 	nextDerivOrd int
@@ -97,8 +163,8 @@ func New() *Graph {
 	return &Graph{
 		tuples:    make(map[model.TupleRef]*TupleNode),
 		derivs:    make(map[string]*DerivNode),
-		byRel:     make(map[string][]*TupleNode),
-		byMapping: make(map[string][]*DerivNode),
+		byRel:     make(map[string]*nodeList[*TupleNode]),
+		byMapping: make(map[string]*nodeList[*DerivNode]),
 	}
 }
 
@@ -110,8 +176,13 @@ func (g *Graph) Tuple(ref model.TupleRef) *TupleNode {
 	n := &TupleNode{Ref: ref, ord: g.nextTupleOrd}
 	g.nextTupleOrd++
 	g.tuples[ref] = n
-	g.tupleOrder = append(g.tupleOrder, ref)
-	g.byRel[ref.Rel] = append(g.byRel[ref.Rel], n)
+	g.tupleOrder.nodes = append(g.tupleOrder.nodes, n)
+	idx := g.byRel[ref.Rel]
+	if idx == nil {
+		idx = &nodeList[*TupleNode]{}
+		g.byRel[ref.Rel] = idx
+	}
+	idx.nodes = append(idx.nodes, n)
 	return n
 }
 
@@ -140,8 +211,13 @@ func (g *Graph) AddDerivation(id, mapping string, sources, targets []model.Tuple
 		tn.Derivations = append(tn.Derivations, d)
 	}
 	g.derivs[id] = d
-	g.derivOrder = append(g.derivOrder, id)
-	g.byMapping[mapping] = append(g.byMapping[mapping], d)
+	g.derivOrder.nodes = append(g.derivOrder.nodes, d)
+	idx := g.byMapping[mapping]
+	if idx == nil {
+		idx = &nodeList[*DerivNode]{}
+		g.byMapping[mapping] = idx
+	}
+	idx.nodes = append(idx.nodes, d)
 	return d
 }
 
@@ -159,22 +235,10 @@ func (d *DerivNode) DerivID() string { return d.ID }
 func (d *DerivNode) DerivMapping() string { return d.Mapping }
 
 // Tuples iterates tuple nodes in insertion order.
-func (g *Graph) Tuples() []*TupleNode {
-	out := make([]*TupleNode, 0, len(g.tupleOrder))
-	for _, ref := range g.tupleOrder {
-		out = append(out, g.tuples[ref])
-	}
-	return out
-}
+func (g *Graph) Tuples() []*TupleNode { return g.tupleOrder.live() }
 
 // Derivations iterates derivation nodes in insertion order.
-func (g *Graph) Derivations() []*DerivNode {
-	out := make([]*DerivNode, 0, len(g.derivOrder))
-	for _, id := range g.derivOrder {
-		out = append(out, g.derivs[id])
-	}
-	return out
-}
+func (g *Graph) Derivations() []*DerivNode { return g.derivOrder.live() }
 
 // NumTuples returns the tuple-node count.
 func (g *Graph) NumTuples() int { return len(g.tuples) }
@@ -184,25 +248,26 @@ func (g *Graph) NumDerivations() int { return len(g.derivs) }
 
 // TuplesOf returns the tuple nodes of one relation, sorted by key.
 func (g *Graph) TuplesOf(rel string) []*TupleNode {
-	idx := g.byRel[rel]
-	out := make([]*TupleNode, len(idx))
-	copy(out, idx)
+	out := g.byRel[rel].live()
 	sort.Slice(out, func(i, j int) bool { return out[i].Ref.Key < out[j].Ref.Key })
 	return out
 }
 
-// TuplesOfUnordered returns the relation's tuple nodes in insertion
-// order, straight from the label index without copying or sorting.
-// Callers must not mutate the returned slice.
-func (g *Graph) TuplesOfUnordered(rel string) []*TupleNode { return g.byRel[rel] }
+// EachTupleOf yields the relation's tuple nodes in insertion order,
+// straight from the label index without copying or sorting.
+func (g *Graph) EachTupleOf(rel string, yield func(*TupleNode) bool) { g.byRel[rel].each(yield) }
 
 // NumTuplesOf returns the tuple-node count of one relation.
-func (g *Graph) NumTuplesOf(rel string) int { return len(g.byRel[rel]) }
+func (g *Graph) NumTuplesOf(rel string) int { return g.byRel[rel].len() }
 
-// DerivationsOf returns the derivation nodes of one mapping in
-// insertion order, straight from the mapping index. Callers must not
-// mutate the returned slice.
-func (g *Graph) DerivationsOf(mapping string) []*DerivNode { return g.byMapping[mapping] }
+// EachDerivationOf yields the derivation nodes of one mapping in
+// insertion order, straight from the mapping index.
+func (g *Graph) EachDerivationOf(mapping string, yield func(*DerivNode) bool) {
+	g.byMapping[mapping].each(yield)
+}
+
+// NumDerivationsOf returns the derivation-node count of one mapping.
+func (g *Graph) NumDerivationsOf(mapping string) int { return g.byMapping[mapping].len() }
 
 // buildCount counts full-graph materializations; see Builds.
 var buildCount atomic.Int64
