@@ -12,12 +12,14 @@ import (
 	"testing"
 
 	"repro/internal/asr"
+	"repro/internal/core"
 	"repro/internal/exchange"
 	"repro/internal/fixture"
 	"repro/internal/model"
 	"repro/internal/proql"
 	"repro/internal/provgraph"
 	"repro/internal/semiring"
+	"repro/internal/wal"
 	"repro/internal/workload"
 )
 
@@ -840,6 +842,70 @@ func BenchmarkInterleavedChurn(b *testing.B) {
 		}
 		churnArm(b, set, set.Sys.Run)
 	})
+}
+
+// BenchmarkDurableCommit is the served-path benchmark's write-durable
+// write in process: the 5-row insert/delete toggle at the far upstream
+// peer of instance M through the facade, fsync per commit, checkpoint
+// every 256 commits, 64 epochs retained. Each arm times its half of
+// the toggle and reports what the log did for it: syncs/op is 1 and
+// loggedB/op the frame's payload, unless an acknowledged write costs
+// more than one commit.
+func BenchmarkDurableCommit(b *testing.B) {
+	cfg := servedConfig("M")
+	rel := workload.ARel(cfg.NumPeers - 1)
+	rows := make([]model.Tuple, 5)
+	keys := make([][]model.Datum, len(rows))
+	for j := range rows {
+		k := int64(cfg.NumPeers-1)*10_000_000 + int64(cfg.BaseSize) + int64(j)
+		row := model.Tuple{k, int64(j % 16)}
+		for a := 0; a < 10; a++ {
+			row = append(row, k+int64(a))
+		}
+		rows[j], keys[j] = row, row[:1]
+	}
+	for _, arm := range []string{"insert", "delete"} {
+		b.Run(arm, func(b *testing.B) {
+			set, st, err := workload.OpenDurable(cfg, b.TempDir(), wal.Options{SyncEvery: 1, CheckpointEvery: 256, Retain: 64})
+			if err != nil {
+				b.Fatal(err)
+			}
+			sys := core.WrapDurable(set.Sys, st)
+			defer sys.Close()
+			write := func(insert bool) {
+				var err error
+				if insert {
+					_, err = sys.Insert(rel, rows...)
+				} else {
+					_, _, err = sys.Delete(rel, keys...)
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			var syncs, logged int64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if arm == "delete" {
+					b.StopTimer()
+					write(true)
+					b.StartTimer()
+				}
+				s0 := st.Stats()
+				write(arm == "insert")
+				s1 := st.Stats()
+				syncs += s1.Syncs - s0.Syncs
+				logged += s1.PayloadBytes - s0.PayloadBytes
+				if arm == "insert" {
+					b.StopTimer()
+					write(false)
+					b.StartTimer()
+				}
+			}
+			b.ReportMetric(float64(syncs)/float64(b.N), "syncs/op")
+			b.ReportMetric(float64(logged)/float64(b.N), "loggedB/op")
+		})
+	}
 }
 
 // BenchmarkSuperfluousProvenance is the storage ablation of Section

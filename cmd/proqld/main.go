@@ -17,16 +17,18 @@
 // {"error": "...", "code": "..."}: 400 bad_request for malformed
 // requests (including epoch_out_of_range for an AS OF epoch outside
 // the retention window), 404 not_found for unknown routes, 503
-// over_capacity past -max-conns.
+// over_capacity past -max-conns, 503 durability_lost for every write
+// once a commit could not be logged (reads keep working; restart to
+// recover the state on disk).
 //
 // Endpoints:
 //
 //	GET  /v1/healthz   liveness probe
-//	GET  /v1/stats     epoch, retention floor, instance size, counters
+//	GET  /v1/stats     epoch, retention floor, instance size, counters, write-lock and log timings
 //	POST /v1/query     {"query": "FOR [O $x] ... RETURN $x", "backend": "auto|relational|graph|asr", "as_of": 7}
 //	POST /v1/diff      {"query": "...", "from": 5, "to": 9}  (what appeared/disappeared)
-//	POST /v1/insert    {"relation": "A", "rows": [[3, "sn3", 9]]}  (commits a Run)
-//	POST /v1/delete    {"relation": "A", "keys": [[3]]}            (commits a DeleteLocal)
+//	POST /v1/insert    {"relation": "A", "rows": [[3, "sn3", 9]]}  (one commit: rows and what they derive)
+//	POST /v1/delete    {"relation": "A", "keys": [[3]]}            (one commit: rows and what depended on them)
 //
 // The unversioned paths from earlier releases (/healthz, /stats,
 // /query, /insert, /delete) remain as aliases for their /v1
@@ -258,10 +260,22 @@ type statsResponse struct {
 	CacheEntries     int    `json:"cache_entries"`
 	CacheHits        int    `json:"cache_hits"`
 	CacheMisses      int    `json:"cache_misses"`
+	// WriteWaitNS and WriteHoldNS total the time writes spent waiting
+	// for the writer lock and holding it.
+	WriteWaitNS int64 `json:"write_wait_ns"`
+	WriteHoldNS int64 `json:"write_hold_ns"`
+	// WAL is what the durable store has done since start-up.
+	WAL *wal.Stats `json:"wal,omitempty"`
 }
 
 func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	st := s.sys.Engine().PlanCacheStats()
+	wait, hold := s.sys.WriteLockNS()
+	var ws *wal.Stats
+	if store := s.sys.Store(); store != nil {
+		c := store.Stats()
+		ws = &c
+	}
 	writeJSON(w, http.StatusOK, statsResponse{
 		Epoch:            s.sys.Exchange().DB.Epoch(),
 		RetentionFloor:   s.sys.Exchange().DB.RetentionFloor(),
@@ -275,6 +289,9 @@ func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		CacheEntries:     st.Entries,
 		CacheHits:        st.Hits,
 		CacheMisses:      st.Misses,
+		WriteWaitNS:      wait,
+		WriteHoldNS:      hold,
+		WAL:              ws,
 	})
 }
 
@@ -494,19 +511,24 @@ func (s *server) handleInsert(w http.ResponseWriter, r *http.Request) {
 		}
 		rows[i] = row
 	}
-	if err := s.sys.InsertLocal(req.Relation, rows...); err != nil {
-		writeError(w, http.StatusUnprocessableEntity, "exec_failed", err.Error())
-		return
-	}
-	if err := s.sys.Run(); err != nil {
-		writeError(w, http.StatusInternalServerError, "exec_failed", err.Error())
+	epoch, err := s.sys.Insert(req.Relation, rows...)
+	if err != nil {
+		writeFailed(w, err)
 		return
 	}
 	s.commits.Add(1)
-	writeJSON(w, http.StatusOK, mutateResponse{
-		Applied: len(rows),
-		Epoch:   s.sys.Exchange().DB.Epoch(),
-	})
+	writeJSON(w, http.StatusOK, mutateResponse{Applied: len(rows), Epoch: epoch})
+}
+
+// writeFailed maps a failed mutation onto the error envelope: a commit
+// the log did not take (and every write after it) is 503
+// durability_lost, anything else is exec_failed.
+func writeFailed(w http.ResponseWriter, err error) {
+	if errors.Is(err, core.ErrDurabilityLost) {
+		writeError(w, http.StatusServiceUnavailable, "durability_lost", err.Error())
+		return
+	}
+	writeError(w, http.StatusUnprocessableEntity, "exec_failed", err.Error())
 }
 
 type deleteRequest struct {
@@ -538,15 +560,13 @@ func (s *server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		}
 		keys[i] = key
 	}
-	if _, err := s.sys.DeleteLocal(req.Relation, keys...); err != nil {
-		writeError(w, http.StatusUnprocessableEntity, "exec_failed", err.Error())
+	epoch, _, err := s.sys.Delete(req.Relation, keys...)
+	if err != nil {
+		writeFailed(w, err)
 		return
 	}
 	s.commits.Add(1)
-	writeJSON(w, http.StatusOK, mutateResponse{
-		Applied: len(keys),
-		Epoch:   s.sys.Exchange().DB.Epoch(),
-	})
+	writeJSON(w, http.StatusOK, mutateResponse{Applied: len(keys), Epoch: epoch})
 }
 
 // decodeRow converts a JSON row ([]any with float64 numbers) into a
@@ -640,8 +660,8 @@ func runSmoke(srv *server) error {
 	// Each HTTP mutation is one commit, so the legal O-binding counts
 	// are the committed states of the cycle: 4 (base), 5 (A(3) alone —
 	// m4 fires, m1/m5 await N(3)), 6 (both rows in). Anything else is
-	// a torn read. (The single-commit insert path is differentially
-	// tested in internal/core; this smoke checks the serving stack.)
+	// a torn read. (The insert path is differentially tested in
+	// internal/core; this smoke checks the serving stack.)
 	const q = `FOR [O $x] INCLUDE PATH [$x] <-+ [] RETURN $x`
 	var wg sync.WaitGroup
 	errs := make(chan error, 16)
@@ -922,10 +942,7 @@ func smokeDurable() error {
 	if err != nil {
 		return err
 	}
-	if err := sys.InsertLocal("A", model.Tuple{int64(3), "sn3", int64(9)}); err != nil {
-		return err
-	}
-	if err := sys.Run(); err != nil {
+	if _, err := sys.Insert("A", model.Tuple{int64(3), "sn3", int64(9)}); err != nil {
 		return err
 	}
 	wantRows := sys.Exchange().DB.TotalRows()

@@ -1,0 +1,138 @@
+package main
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/relstore"
+)
+
+func post(t *testing.T, h http.Handler, path string, payload any) (int, []byte) {
+	t.Helper()
+	body, err := json.Marshal(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+	return rec.Code, rec.Body.Bytes()
+}
+
+// TestWritesReportTheirEpoch has two clients write concurrently over
+// HTTP: every reply's epoch is the one that write published — the rows
+// are there AS OF it and not AS OF the epoch before — and an insert is
+// a single epoch.
+func TestWritesReportTheirEpoch(t *testing.T) {
+	sys, err := buildSystem(0, 0, 0, "", 0, t.TempDir(), 1, 4, relstore.RetainAll)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	srv := newServer(sys, 30*time.Second, 16)
+	h := srv.handler()
+	type ack struct {
+		id       int
+		epoch    uint64
+		inserted bool
+	}
+	var mu sync.Mutex
+	var acks []ack
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(id int) {
+			defer wg.Done()
+			for round := 0; round < 8; round++ {
+				for _, insert := range []bool{true, false} {
+					path, payload := "/v1/delete", any(deleteRequest{Relation: "A", Keys: [][]any{{id}}})
+					if insert {
+						path, payload = "/v1/insert", insertRequest{Relation: "A", Rows: [][]any{{id, "sn", 9}}}
+					}
+					code, body := post(t, h, path, payload)
+					var r mutateResponse
+					if err := json.Unmarshal(body, &r); code != http.StatusOK || err != nil || r.Applied != 1 {
+						t.Errorf("%s: %d %s", path, code, body)
+						return
+					}
+					mu.Lock()
+					acks = append(acks, ack{id, r.Epoch, insert})
+					mu.Unlock()
+				}
+			}
+		}(10 + w)
+	}
+	wg.Wait()
+	seen := map[uint64]bool{}
+	for _, a := range acks {
+		if seen[a.epoch] {
+			t.Errorf("two writes reported epoch %d", a.epoch)
+		}
+		seen[a.epoch] = true
+		for _, at := range []struct {
+			epoch   uint64
+			present bool
+		}{{a.epoch, a.inserted}, {a.epoch - 1, !a.inserted}} {
+			code, body := post(t, h, "/v1/query", queryRequest{
+				Query: fmt.Sprintf("FOR [A $x] WHERE $x.id = %d RETURN $x", a.id), AsOf: at.epoch})
+			var r queryResponse
+			if err := json.Unmarshal(body, &r); code != http.StatusOK || err != nil {
+				t.Fatalf("as of %d: %d %s", at.epoch, code, body)
+			}
+			if got := r.Count == 1; got != at.present {
+				t.Errorf("write of %d reported epoch %d (inserted=%v), but as of %d present=%v", a.id, a.epoch, a.inserted, at.epoch, got)
+			}
+		}
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/stats", nil))
+	var st statsResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.WAL == nil || st.WAL.Frames < 32 || st.WAL.Syncs < st.WAL.Frames || st.WAL.CheckpointsStarted == 0 || st.WriteHoldNS == 0 {
+		t.Errorf("stats after 32 durable writes: %s", rec.Body.Bytes())
+	}
+}
+
+// TestDurabilityLostIs503 fails the store (its checkpoint cannot be
+// written): writes get 503 durability_lost from then on, reads and
+// stats keep answering.
+func TestDurabilityLostIs503(t *testing.T) {
+	dir := t.TempDir()
+	sys, err := buildSystem(0, 0, 0, "", 0, dir, 1, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	h := newServer(sys, 30*time.Second, 16).handler()
+	if code, body := post(t, h, "/v1/insert", insertRequest{Relation: "A", Rows: [][]any{{3, "sn3", 9}}}); code != http.StatusOK {
+		t.Fatalf("insert: %d %s", code, body)
+	}
+	if err := os.MkdirAll(filepath.Join(dir, "ckpt-1.ckpt.tmp", "x"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Checkpoint(); err == nil {
+		t.Fatal("checkpoint over an unwritable temporary succeeded")
+	}
+	for path, payload := range map[string]any{
+		"/v1/insert": insertRequest{Relation: "A", Rows: [][]any{{4, "sn4", 9}}},
+		"/v1/delete": deleteRequest{Relation: "A", Keys: [][]any{{3}}},
+	} {
+		code, body := post(t, h, path, payload)
+		var envelope apiError
+		if err := json.Unmarshal(body, &envelope); err != nil || code != http.StatusServiceUnavailable || envelope.Code != "durability_lost" {
+			t.Errorf("%s after the store failed: %d %s", path, code, body)
+		}
+	}
+	if code, body := post(t, h, "/v1/query", queryRequest{Query: "FOR [O $x] RETURN $x"}); code != http.StatusOK {
+		t.Errorf("query after the store failed: %d %s", code, body)
+	}
+}

@@ -190,7 +190,11 @@ func TestSnapshotReaderVsSerializedOracle(t *testing.T) {
 // must replay: the same query AS OF that epoch returns those bindings.
 // (An epoch read from the database after the query returned, which is
 // what the daemon used to report, names a later commit than the one the
-// query saw as soon as the writer gets in between.)
+// query saw as soon as the writer gets in between.) The same holds for
+// writes: two writers commit concurrently, and every acknowledged
+// insert is visible AS OF the epoch it reported and absent AS OF the
+// epoch before, every delete the reverse — the epoch a write reports is
+// the one it published, not whatever is newest when the call returns.
 func TestReportedEpochReplays(t *testing.T) {
 	cfg := workload.Config{
 		Topology:  workload.Chain,
@@ -209,12 +213,16 @@ func TestReportedEpochReplays(t *testing.T) {
 	eng := sys.Engine()
 	source := workload.ARel(cfg.NumPeers - 1)
 	template := set.Sys.DB.MustTable(source + "_l").Rows()[0]
-	churned := make([]model.Tuple, 3)
-	for i := range churned {
-		row := append(model.Tuple(nil), template...)
-		row[0] = int64(cfg.NumPeers-1)*10_000_000 + int64(cfg.BaseSize+i)
-		churned[i] = row
+	const writers = 2
+	var churnedBy [writers][]model.Tuple
+	for w := range churnedBy {
+		for i := 0; i < 3; i++ {
+			row := append(model.Tuple(nil), template...)
+			row[0] = int64(cfg.NumPeers-1)*10_000_000 + int64(cfg.BaseSize+3*w+i)
+			churnedBy[w] = append(churnedBy[w], row)
+		}
 	}
+	churned := churnedBy[0]
 	queries := []*proql.Query{
 		proql.MustParse(fmt.Sprintf(`FOR [A0 $x] WHERE $x.k = %v INCLUDE PATH [$x] <-+ [] RETURN $x`, churned[1][0])),
 		proql.MustParse(`FOR [A0 $x] RETURN $x`),
@@ -272,29 +280,78 @@ func TestReportedEpochReplays(t *testing.T) {
 			}
 		}(r)
 	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		defer close(writerDone)
-		started.Wait()
-		for round := 0; round < 6; round++ {
-			if err := sys.InsertLocal(source, churned...); err != nil {
-				t.Error(err)
-				return
+	// write is one acknowledged commit of a writer: the epoch it
+	// reported and whether its rows are in or out from then on.
+	type write struct {
+		writer   int
+		epoch    uint64
+		inserted bool
+	}
+	var writes []write
+	var writersWG sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		writersWG.Add(1)
+		go func(w int) {
+			defer writersWG.Done()
+			started.Wait()
+			rows := churnedBy[w]
+			keys := make([][]model.Datum, len(rows))
+			for i, row := range rows {
+				keys[i] = row[:1]
 			}
-			if err := sys.Run(); err != nil {
-				t.Error(err)
-				return
-			}
-			for _, row := range churned {
-				if _, err := sys.DeleteLocal(source, row[:1]); err != nil {
+			for round := 0; round < 6; round++ {
+				e, err := sys.Insert(source, rows...)
+				if err != nil {
 					t.Error(err)
 					return
 				}
+				mu.Lock()
+				writes = append(writes, write{w, e, true})
+				mu.Unlock()
+				if e, _, err = sys.Delete(source, keys...); err != nil {
+					t.Error(err)
+					return
+				}
+				mu.Lock()
+				writes = append(writes, write{w, e, false})
+				mu.Unlock()
 			}
-		}
+		}(w)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		writersWG.Wait()
+		close(writerDone)
 	}()
 	wg.Wait()
+
+	// Each write reported the epoch it published: its effect is there
+	// AS OF that epoch and not AS OF the one before.
+	reported := map[uint64]bool{}
+	for _, wr := range writes {
+		if reported[wr.epoch] {
+			t.Errorf("two writes reported epoch %d", wr.epoch)
+		}
+		reported[wr.epoch] = true
+		q := fmt.Sprintf(`FOR [A0 $x] WHERE $x.k = %v RETURN $x`, churnedBy[wr.writer][0][0])
+		for _, at := range []struct {
+			epoch   uint64
+			present bool
+		}{{wr.epoch, wr.inserted}, {wr.epoch - 1, !wr.inserted}} {
+			res, err := sys.QueryAsOf(q, at.epoch)
+			if err != nil {
+				t.Fatalf("writer %d, as of %d: %v", wr.writer, at.epoch, err)
+			}
+			if got := len(res.SortedRefs("x")) == 1; got != at.present {
+				t.Errorf("writer %d reported epoch %d for inserted=%v, but as of %d its row is present=%v",
+					wr.writer, wr.epoch, wr.inserted, at.epoch, got)
+			}
+		}
+	}
+	if len(writes) != writers*12 {
+		t.Errorf("%d acknowledged writes, want %d", len(writes), writers*12)
+	}
 
 	epochs := map[uint64]bool{}
 	for ob, got := range seen {

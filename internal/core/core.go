@@ -7,16 +7,18 @@
 // A typical session (see examples/quickstart):
 //
 //	sys, _ := core.Open(schema, core.Options{})
-//	sys.InsertLocal("A", rows...)
-//	sys.Run()
+//	sys.Insert("A", rows...)
 //	res, _ := sys.Query(`EVALUATE TRUST OF { FOR [O $x] INCLUDE PATH [$x] <-+ [] RETURN $x }`)
 package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"sync"
+	"sync/atomic"
+	"time"
 
 	"repro/internal/asr"
 	"repro/internal/exchange"
@@ -32,10 +34,10 @@ import (
 // Concurrency: queries (Query, and the engine's Exec* family) may run
 // from any number of goroutines, including while a mutation commits —
 // each query reads a pinned storage snapshot or latched graph, so it
-// observes either the whole commit or none of it. Mutations
-// (InsertLocal, Run, DeleteLocal, DefineASR, AdviseASRs, UseASRs) are
-// serialized by an internal writer lock: callers may issue them from
-// multiple goroutines, but they execute one at a time.
+// observes either the whole commit or none of it. Mutations (Insert,
+// Delete, InsertLocal, Run, DeleteLocal, DefineASR, AdviseASRs,
+// UseASRs) are serialized by an internal writer lock: callers may issue
+// them from multiple goroutines, but they execute one at a time.
 type System struct {
 	ex     *exchange.System
 	engine *proql.Engine
@@ -49,6 +51,68 @@ type System struct {
 	// protocol simple: every commit is one batch, and the cached-graph
 	// patch that follows it always sees the post-commit epoch.
 	wmu sync.Mutex
+	// wmuWaitNS and wmuHoldNS total the time mutations spent waiting for
+	// wmu and holding it.
+	wmuWaitNS, wmuHoldNS atomic.Int64
+}
+
+// ErrDurabilityLost is returned (wrapped around the cause) by a
+// mutation of a durable system whose commit could not be written to the
+// log, and by every mutation after it: the in-memory state is ahead of
+// the disk, so the system refuses further writes rather than
+// acknowledge what a restart would lose. Queries keep working.
+var ErrDurabilityLost = errors.New("core: durability lost")
+
+// lockWrite takes the writer lock for a mutation, refusing it when the
+// durable store has failed. The caller passes the returned time to
+// unlockWrite.
+func (s *System) lockWrite() (locked time.Time, err error) {
+	t0 := time.Now()
+	s.wmu.Lock()
+	locked = time.Now()
+	s.wmuWaitNS.Add(int64(locked.Sub(t0)))
+	if err := s.durable(); err != nil {
+		s.unlockWrite(locked)
+		return locked, err
+	}
+	return locked, nil
+}
+
+func (s *System) unlockWrite(locked time.Time) {
+	s.wmuHoldNS.Add(int64(time.Since(locked)))
+	s.wmu.Unlock()
+}
+
+// durable reports whether everything committed so far reached the log.
+func (s *System) durable() error {
+	if s.store == nil {
+		return nil
+	}
+	if err := s.store.Err(); err != nil {
+		return fmt.Errorf("%w: %v", ErrDurabilityLost, err)
+	}
+	return nil
+}
+
+// committed closes a mutation whose batch has published: it reports a
+// commit the log did not take, and otherwise runs the checkpoint
+// cadence — when one is due the store pins a snapshot, moves the log
+// to its next segment and returns; the snapshot is written off this
+// lock. Called with wmu held.
+func (s *System) committed() error {
+	if err := s.durable(); err != nil || s.store == nil {
+		return err
+	}
+	if _, err := s.store.MaybeCheckpoint(); err != nil {
+		return fmt.Errorf("%w: %v", ErrDurabilityLost, err)
+	}
+	return nil
+}
+
+// WriteLockNS reports the total time mutations have spent waiting for
+// the writer lock and holding it.
+func (s *System) WriteLockNS() (wait, hold int64) {
+	return s.wmuWaitNS.Load(), s.wmuHoldNS.Load()
 }
 
 // Options configures Open.
@@ -60,7 +124,7 @@ type Options struct {
 	// batches (<= 1 syncs every commit). Only used by OpenDurable.
 	SyncEvery int
 	// CheckpointEvery, when > 0, checkpoints the durable store after
-	// this many committed batches (checked after each Run/DeleteLocal).
+	// this many committed batches (checked after each mutation).
 	// Only used by OpenDurable.
 	CheckpointEvery int
 	// RetainEpochs, when non-zero, keeps superseded row versions for
@@ -109,8 +173,9 @@ func OpenDurable(schema *model.Schema, dir string, opts Options) (*System, error
 // Store exposes the durability layer (nil for in-memory systems).
 func (s *System) Store() *wal.Store { return s.store }
 
-// Checkpoint snapshots a durable system and truncates its log; a
-// no-op on in-memory systems. Serialized with other mutations.
+// Checkpoint snapshots a durable system and retires its log, waiting
+// until the snapshot is on disk; a no-op on in-memory systems.
+// Serialized with other mutations.
 func (s *System) Checkpoint() error {
 	if s.store == nil {
 		return nil
@@ -129,18 +194,6 @@ func (s *System) Close() error {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
 	return s.store.Close()
-}
-
-// maybeCheckpointLocked runs the configured checkpoint cadence after a
-// committed mutation. Called with wmu held (the store itself only
-// needs commit-hook exclusion, but holding the writer lock keeps the
-// checkpoint ordered against other mutations).
-func (s *System) maybeCheckpointLocked() error {
-	if s.store == nil {
-		return nil
-	}
-	_, err := s.store.MaybeCheckpoint()
-	return err
 }
 
 // Wrap adapts an already-built exchange system (e.g. a generated
@@ -165,12 +218,40 @@ func (s *System) Exchange() *exchange.System { return s.ex }
 // Engine exposes the ProQL engine for advanced use.
 func (s *System) Engine() *proql.Engine { return s.engine }
 
+// Insert adds local-contribution tuples to a relation and propagates
+// them, as InsertLocal followed by Run does, but as one commit: one
+// storage epoch, one log record and one sync on a durable system. It
+// returns the epoch the commit published.
+func (s *System) Insert(rel string, rows ...model.Tuple) (uint64, error) {
+	locked, err := s.lockWrite()
+	if err != nil {
+		return 0, err
+	}
+	defer s.unlockWrite(locked)
+	db := s.ex.DB
+	db.BeginBatch()
+	if err := s.ex.InsertLocal(rel, rows...); err != nil {
+		db.EndBatch()
+		return 0, err
+	}
+	if err := s.runLocked(); err != nil {
+		return 0, err
+	}
+	return db.Epoch(), nil
+}
+
 // InsertLocal adds local-contribution tuples to a relation. Call Run
 // afterwards to propagate them.
 func (s *System) InsertLocal(rel string, rows ...model.Tuple) error {
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
-	return s.ex.InsertLocal(rel, rows...)
+	locked, err := s.lockWrite()
+	if err != nil {
+		return err
+	}
+	defer s.unlockWrite(locked)
+	if err := s.ex.InsertLocal(rel, rows...); err != nil {
+		return err
+	}
+	return s.durable()
 }
 
 // Run executes update exchange, materializing all peer instances and
@@ -184,14 +265,23 @@ func (s *System) InsertLocal(rel string, rows ...model.Tuple) error {
 // repairs the engine's journals from its deletion report, so a Run
 // after it is still delta-seeded.
 func (s *System) Run() error {
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
+	locked, err := s.lockWrite()
+	if err != nil {
+		return err
+	}
+	defer s.unlockWrite(locked)
+	s.ex.DB.BeginBatch()
+	return s.runLocked()
+}
+
+// runLocked propagates the pending insertions and closes the batch the
+// caller opened. Called with wmu held.
+func (s *System) runLocked() error {
 	// One outer batch makes the exchange run and the ASR patches a
 	// single storage epoch: a concurrent snapshot sees the pre-run
 	// state or the fully propagated-and-indexed one, never an exchanged
 	// instance whose ASR tables lag behind.
 	db := s.ex.DB
-	db.BeginBatch()
 	report, err := s.ex.RunDelta()
 	if err != nil {
 		db.EndBatch()
@@ -211,17 +301,20 @@ func (s *System) Run() error {
 	if asrErr != nil {
 		return asrErr
 	}
-	return s.maybeCheckpointLocked()
+	return s.committed()
 }
 
-// DeleteLocal removes base tuples and incrementally propagates the
+// Delete removes base tuples and incrementally propagates the
 // deletions through the materialized views using their provenance
 // (use case Q5); the cached provenance graph and the ASR backing
 // tables are patched in place from the deletion report rather than
-// rebuilt.
-func (s *System) DeleteLocal(rel string, keys ...[]model.Datum) (*exchange.MaintenanceReport, error) {
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
+// rebuilt. It returns the epoch the commit published.
+func (s *System) Delete(rel string, keys ...[]model.Datum) (uint64, *exchange.MaintenanceReport, error) {
+	locked, err := s.lockWrite()
+	if err != nil {
+		return 0, nil, err
+	}
+	defer s.unlockWrite(locked)
 	// Same epoch discipline as Run: deletions and the ASR patches they
 	// imply commit atomically; the graph patch follows the publish.
 	db := s.ex.DB
@@ -229,18 +322,25 @@ func (s *System) DeleteLocal(rel string, keys ...[]model.Datum) (*exchange.Maint
 	report, err := s.ex.DeleteLocal(rel, keys...)
 	if err != nil {
 		db.EndBatch()
-		return nil, err
+		return 0, nil, err
 	}
 	asrErr := s.index.ApplyDeletions(report)
 	db.EndBatch()
+	epoch := db.Epoch()
 	s.engine.MaintainGraph(report)
 	if asrErr != nil {
-		return nil, asrErr
+		return 0, nil, asrErr
 	}
-	if err := s.maybeCheckpointLocked(); err != nil {
-		return nil, err
+	if err := s.committed(); err != nil {
+		return 0, nil, err
 	}
-	return report, nil
+	return epoch, report, nil
+}
+
+// DeleteLocal is Delete without the epoch.
+func (s *System) DeleteLocal(rel string, keys ...[]model.Datum) (*exchange.MaintenanceReport, error) {
+	_, report, err := s.Delete(rel, keys...)
+	return report, err
 }
 
 // Query parses and executes a ProQL query.
@@ -284,20 +384,29 @@ func (s *System) RetentionFloor() uint64 { return s.ex.DB.RetentionFloor() }
 // (ordered from the derived end toward the sources) and materializes
 // it. UseASRs must be enabled for queries to exploit it.
 func (s *System) DefineASR(kind asr.Kind, chain ...string) error {
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
+	locked, err := s.lockWrite()
+	if err != nil {
+		return err
+	}
+	defer s.unlockWrite(locked)
 	if _, err := s.index.Define(kind, chain...); err != nil {
 		return err
 	}
-	return s.index.Materialize()
+	if err := s.index.Materialize(); err != nil {
+		return err
+	}
+	return s.durable()
 }
 
 // AdviseASRs runs the automated ASR selection (the paper's Section 8
 // future work) for target-style queries anchored at a relation,
 // materializes the suggested indexes, and enables rewriting.
 func (s *System) AdviseASRs(anchorRel string, maxLen int) error {
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
+	locked, err := s.lockWrite()
+	if err != nil {
+		return err
+	}
+	defer s.unlockWrite(locked)
 	if _, err := s.index.Advise(anchorRel, maxLen); err != nil {
 		return err
 	}
@@ -305,7 +414,7 @@ func (s *System) AdviseASRs(anchorRel string, maxLen int) error {
 		return err
 	}
 	s.useASRsLocked(true)
-	return nil
+	return s.durable()
 }
 
 // UseASRs toggles ASR-based rewriting for subsequent queries. Like all

@@ -2,52 +2,67 @@ package wal
 
 import (
 	"os"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/model"
 	"repro/internal/relstore"
 )
 
-// validLogBlob builds a well-formed log (DDL + inserts + deletes) as a
-// fuzz seed, so mutations start from bytes that exercise the decoder's
-// deep paths rather than dying at the frame header.
-func validLogBlob() []byte {
+// logFile renders a log segment of generation gen holding the given
+// payloads as consecutive chained frames.
+func logFile(gen uint64, payloads ...[]byte) []byte {
+	blob, sum := []byte(segMagic), logSeed(gen)
+	for _, p := range payloads {
+		blob, sum = appendFrame(blob, sum, uint32(len(p)), p)
+	}
+	return blob
+}
+
+// validLog builds a well-formed log of generation gen (DDL + inserts +
+// deletes) as a fuzz seed, so mutations start from bytes that exercise
+// the decoder's deep paths rather than dying at the first checksum.
+func validLog(gen uint64) []byte {
 	sc := keyedSchema("R")
-	var blob, payload []byte
-	payload = AppendBatch(payload[:0], 1, []relstore.LoggedOp{
-		{Kind: relstore.OpCreateTable, Table: "R", Schema: sc},
-		{Kind: relstore.OpInsert, Table: "R", Row: model.Tuple{int64(1), "a"}},
-		{Kind: relstore.OpInsert, Table: "R", Row: model.Tuple{int64(2), "b"}},
-	})
-	blob = appendFrame(blob, payload)
-	payload = AppendBatch(payload[:0], 2, []relstore.LoggedOp{
-		{Kind: relstore.OpDeleteKey, Table: "R", Key: model.EncodeDatums([]model.Datum{int64(1)})},
-		{Kind: relstore.OpDeleteRow, Table: "M", Row: model.Tuple{int64(9), int64(9)}},
-		{Kind: relstore.OpDropTable, Table: "R"},
-	})
-	return appendFrame(blob, payload)
+	return logFile(gen,
+		AppendBatch(nil, 2*gen+2, []relstore.LoggedOp{
+			{Kind: relstore.OpCreateTable, Table: "R", Schema: sc},
+			{Kind: relstore.OpInsert, Table: "R", Row: model.Tuple{int64(1), "a"}},
+			{Kind: relstore.OpInsert, Table: "R", Row: model.Tuple{int64(2), "b"}},
+		}),
+		AppendBatch(nil, 2*gen+3, []relstore.LoggedOp{
+			{Kind: relstore.OpDeleteKey, Table: "R", Key: model.EncodeDatums([]model.Datum{int64(1)})},
+			{Kind: relstore.OpDeleteRow, Table: "M", Row: model.Tuple{int64(9), int64(9)}},
+			{Kind: relstore.OpDropTable, Table: "R"},
+		}))
 }
 
 // FuzzWALReplay feeds arbitrary bytes to the full recovery path — a
-// data directory whose log is the fuzz input — and requires it never
-// panics: every outcome is either a recovered store or a clean error.
-// Frames that survive the CRC but decode to garbage ops must surface
-// as errors, and whatever Open accepts must reopen identically
-// (recovery is idempotent).
+// data directory whose two logs (the state between a log switch and
+// its checkpoint landing) are the fuzz inputs after the segment magic —
+// and requires it never panics: every outcome is either a recovered
+// store or a clean error. Frames that pass the checksum chain but
+// decode to garbage ops must surface as errors, and whatever Open
+// accepts must reopen identically (recovery is idempotent, though the
+// first Open appended a salt frame and put the next segment in place).
 func FuzzWALReplay(f *testing.F) {
-	f.Add([]byte{})
-	f.Add(validLogBlob())
-	blob := validLogBlob()
-	f.Add(blob[:len(blob)-5]) // torn tail
-	mut := append([]byte(nil), blob...)
-	mut[9] ^= 0x40 // corrupt first payload byte (CRC catches it)
-	f.Add(mut)
-	f.Add(appendFrame(nil, []byte{0x07})) // valid frame, garbage batch
-	f.Fuzz(func(t *testing.T, data []byte) {
+	hdr := len(segMagic)
+	log0, log1 := validLog(0)[hdr:], validLog(1)[hdr:]
+	f.Add([]byte{}, []byte{})
+	f.Add(log0, []byte{})
+	f.Add(log0, log1)
+	f.Add(log0[:len(log0)-5], log1) // torn tail in the older log
+	mut := append([]byte(nil), log0...)
+	mut[9] ^= 0x40 // corrupt first payload byte (the checksum catches it)
+	f.Add(mut, log1)
+	f.Add(logFile(0, []byte{0x07})[hdr:], []byte{})                             // valid frame, garbage batch
+	f.Add(validLog(1)[hdr:], log0)                                              // frames of the wrong generation: empty logs
+	f.Add(append(append([]byte(nil), log0...), make([]byte, 64)...), log1[:20]) // zero tail
+	f.Fuzz(func(t *testing.T, data0, data1 []byte) {
 		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, "wal-0.log"), data, 0o644); err != nil {
-			t.Skip()
+		for gen, data := range [][]byte{data0, data1} {
+			if err := os.WriteFile(logPath(dir, uint64(gen)), append([]byte(segMagic), data...), 0o644); err != nil {
+				t.Skip()
+			}
 		}
 		s, err := Open(dir, Options{})
 		if err != nil {

@@ -3,12 +3,17 @@ package wal
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
 	"runtime/debug"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
+	"sync/atomic"
+	"time"
 
 	"repro/internal/model"
 	"repro/internal/relstore"
@@ -21,7 +26,7 @@ type Options struct {
 	// the log for throughput.
 	SyncEvery int
 	// CheckpointEvery, when > 0, is the batch count at which
-	// MaybeCheckpoint rotates generations.
+	// MaybeCheckpoint starts a checkpoint.
 	CheckpointEvery int
 	// Retain is the time-travel retention depth in epochs applied to
 	// the recovered database (relstore.RetainAll = unbounded, 0 = off).
@@ -33,9 +38,10 @@ type Options struct {
 
 // Store binds a relstore.Database to an on-disk generation: every
 // committed batch is appended to the live log segment via the
-// database's commit hook, and Checkpoint rotates to a fresh
-// generation. Open recovers the database from the newest checkpoint
-// plus the log suffix.
+// database's commit hook, and a checkpoint moves appends to the next
+// segment while a background goroutine writes the snapshot. Open
+// recovers the database from the newest checkpoint plus the logs of
+// its generation and later.
 //
 // The zero value is not usable; construct with Open.
 type Store struct {
@@ -44,13 +50,72 @@ type Store struct {
 	db   *relstore.Database
 
 	mu        sync.Mutex
-	seg       *segment
+	seg       *segment // live log, generation gen
+	next      *segment // wal-(gen+1).log, in place and empty; nil while busy
 	gen       uint64
-	pending   int // batches logged since the last checkpoint
-	lastEpoch uint64
-	replayed  int // batches replayed by Open (stats)
+	pending   int    // batches logged since the last checkpoint started
+	lastEpoch uint64 // newest epoch Open found on disk
+	replayed  int    // batches replayed by Open (stats)
 	encBuf    []byte
-	err       error // first append failure; surfaced by Err/Close
+	// err is the first failed append, sync or background checkpoint.
+	// Once set nothing more is appended: the log ends at the last batch
+	// known to be whole.
+	err error
+	// busy is set while the background goroutine runs (at most one at a
+	// time): writing a checkpoint and then, or after Open only, putting
+	// the next segment in place. idle is signalled when it finishes.
+	busy bool
+	idle *sync.Cond
+
+	stats counters
+}
+
+// counters is what the store has done since Open.
+type counters struct {
+	frames, payloadBytes    atomic.Int64
+	syncs, syncNS           atomic.Int64
+	grows                   atomic.Int64
+	ckptStarted, ckptLanded atomic.Int64
+	lastCkptNS, lastCkptLen atomic.Int64
+}
+
+// Stats is a copy of the store's counters since Open.
+type Stats struct {
+	// Frames and PayloadBytes count the batches appended to the log.
+	Frames       int64 `json:"frames"`
+	PayloadBytes int64 `json:"payload_bytes"`
+	// Syncs counts fsyncs of a log segment, SyncNS their total duration.
+	Syncs  int64 `json:"syncs"`
+	SyncNS int64 `json:"sync_ns"`
+	// SegmentGrows counts appends that ended past the pre-written part
+	// of their segment (every append to a new directory's first one).
+	SegmentGrows int64 `json:"segment_grows"`
+	// A checkpoint has started once appends moved to the next segment,
+	// has landed once its file is renamed into place, and is in flight
+	// in between.
+	CheckpointsStarted int64 `json:"checkpoints_started"`
+	CheckpointsLanded  int64 `json:"checkpoints_landed"`
+	CheckpointInFlight bool  `json:"checkpoint_in_flight"`
+	// LastCheckpointNS is the newest landed checkpoint's duration from
+	// start to landing, LastCheckpointBytes its file size.
+	LastCheckpointNS    int64 `json:"last_checkpoint_ns"`
+	LastCheckpointBytes int64 `json:"last_checkpoint_bytes"`
+}
+
+// Stats returns the store's counters.
+func (s *Store) Stats() Stats {
+	c := &s.stats
+	st := Stats{
+		Frames: c.frames.Load(), PayloadBytes: c.payloadBytes.Load(),
+		Syncs: c.syncs.Load(), SyncNS: c.syncNS.Load(),
+		SegmentGrows: c.grows.Load(),
+		// Landed before started: a checkpoint starting in between must
+		// not read as more landed than started.
+		CheckpointsLanded: c.ckptLanded.Load(), CheckpointsStarted: c.ckptStarted.Load(),
+		LastCheckpointNS: c.lastCkptNS.Load(), LastCheckpointBytes: c.lastCkptLen.Load(),
+	}
+	st.CheckpointInFlight = st.CheckpointsStarted > st.CheckpointsLanded
+	return st
 }
 
 func ckptPath(dir string, gen uint64) string {
@@ -61,12 +126,47 @@ func logPath(dir string, gen uint64) string {
 	return filepath.Join(dir, fmt.Sprintf("wal-%d.log", gen))
 }
 
+// parseGen extracts the generation from a file name of the given shape.
+func parseGen(name, prefix, suffix string) (uint64, bool) {
+	mid, ok := strings.CutPrefix(name, prefix)
+	if !ok {
+		return 0, false
+	}
+	if mid, ok = strings.CutSuffix(mid, suffix); !ok {
+		return 0, false
+	}
+	g, err := strconv.ParseUint(mid, 10, 64)
+	return g, err == nil
+}
+
+// scan lists the generations of the log files in dir, ascending, and
+// the newest checkpoint generation.
+func scan(dir string) (logs []uint64, ckptGen uint64, hasCkpt bool, err error) {
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, 0, false, err
+	}
+	for _, e := range ents {
+		if g, ok := parseGen(e.Name(), "ckpt-", ".ckpt"); ok {
+			if !hasCkpt || g > ckptGen {
+				ckptGen, hasCkpt = g, true
+			}
+		} else if g, ok := parseGen(e.Name(), "wal-", ".log"); ok {
+			logs = append(logs, g)
+		}
+	}
+	sort.Slice(logs, func(i, j int) bool { return logs[i] < logs[j] })
+	return logs, ckptGen, hasCkpt, nil
+}
+
 // Open recovers (or initialises) a durable database in dir: it loads
-// the newest checkpoint generation if one exists, replays the
-// generation's log suffix with torn-tail truncation, fast-forwards the
-// epoch counter past everything on disk, and installs the commit hook
-// so subsequent batches are logged. The returned store owns the
-// database's commit hook; install any observers before writing.
+// the newest checkpoint c if one exists, replays every log of
+// generation >= c in order (skipping batches the checkpoint covers),
+// fast-forwards the epoch counter past everything on disk, resumes the
+// newest log that holds frames behind a salt frame, and installs the
+// commit hook so subsequent batches are logged. The returned store
+// owns the database's commit hook; install any observers before
+// writing.
 func Open(dir string, opts Options) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
@@ -79,14 +179,15 @@ func Open(dir string, opts Options) (*Store, error) {
 	// decode buffer. The previous policy is restored on every path out.
 	gcPct := debug.SetGCPercent(-1)
 	defer debug.SetGCPercent(gcPct)
-	gen, hasCkpt, err := newestGeneration(dir)
+	logs, ckptGen, hasCkpt, err := scan(dir)
 	if err != nil {
 		return nil, err
 	}
-	s := &Store{dir: dir, opts: opts, gen: gen, db: relstore.NewDatabase()}
+	s := &Store{dir: dir, opts: opts, db: relstore.NewDatabase()}
+	s.idle = sync.NewCond(&s.mu)
 	var ckptEpoch, ckptFloor uint64
 	if hasCkpt {
-		if ckptEpoch, ckptFloor, err = s.loadCheckpoint(ckptPath(dir, gen)); err != nil {
+		if ckptEpoch, ckptFloor, err = s.loadCheckpoint(ckptPath(dir, ckptGen)); err != nil {
 			return nil, err
 		}
 	}
@@ -102,66 +203,45 @@ func Open(dir string, opts Options) (*Store, error) {
 			s.db.RestoreHistoryFloor(ckptFloor)
 		}
 	}
-	if err := s.replayLog(logPath(dir, gen), ckptEpoch); err != nil {
-		return nil, err
-	}
-	s.db.FastForward(s.lastEpoch)
-	if s.seg, err = openSegment(logPath(dir, gen), opts.SyncEvery); err != nil {
-		return nil, err
-	}
-	removeStaleGenerations(dir, gen)
-	s.db.SetCommitHook(s.onCommit)
-	return s, nil
-}
-
-// removeStaleGenerations deletes files left behind by a crash between
-// a checkpoint's commit point and its cleanup: older generations and
-// abandoned .tmp checkpoints. Best-effort — recovery ignores them
-// anyway (newest generation wins).
-func removeStaleGenerations(dir string, live uint64) {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return
-	}
-	for _, e := range ents {
-		name := e.Name()
-		if filepath.Ext(name) == ".tmp" {
-			os.Remove(filepath.Join(dir, name))
+	// The live log is the newest one holding frames: a log past it is
+	// the next segment, put in place before its generation began.
+	live, liveExists := ckptGen, false
+	end, sum := int64(len(segMagic)), logSeed(live)
+	for _, g := range logs {
+		if g < ckptGen {
 			continue
 		}
-		var g uint64
-		if n, _ := fmt.Sscanf(name, "ckpt-%d.ckpt", &g); n == 1 && filepath.Ext(name) == ".ckpt" && g < live {
-			os.Remove(filepath.Join(dir, name))
-		} else if n, _ := fmt.Sscanf(name, "wal-%d.log", &g); n == 1 && filepath.Ext(name) == ".log" && g < live {
-			os.Remove(filepath.Join(dir, name))
+		e, c, frames, err := s.replayLog(g, ckptEpoch)
+		if err != nil {
+			return nil, err
+		}
+		if frames > 0 || g == ckptGen {
+			live, liveExists, end, sum = g, true, e, c
 		}
 	}
-}
-
-// newestGeneration scans dir for checkpoint and log files and returns
-// the highest generation present. hasCkpt reports whether that
-// generation has a checkpoint file (the first generation does not).
-func newestGeneration(dir string) (gen uint64, hasCkpt bool, err error) {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return 0, false, err
-	}
-	best := uint64(0)
-	ckpts := map[uint64]bool{}
-	for _, e := range ents {
-		var g uint64
-		if n, _ := fmt.Sscanf(e.Name(), "ckpt-%d.ckpt", &g); n == 1 && filepath.Ext(e.Name()) == ".ckpt" {
-			ckpts[g] = true
-			if g > best {
-				best = g
-			}
-		} else if n, _ := fmt.Sscanf(e.Name(), "wal-%d.log", &g); n == 1 && filepath.Ext(e.Name()) == ".log" {
-			if g > best {
-				best = g
-			}
+	s.db.FastForward(s.lastEpoch)
+	if !liveExists {
+		if err := createSegment(dir, live, 0); err != nil {
+			return nil, err
+		}
+		if err := syncDir(dir); err != nil {
+			return nil, err
 		}
 	}
-	return best, ckpts[best], nil
+	if s.seg, err = openSegment(logPath(dir, live), end, sum, opts.SyncEvery, &s.stats); err != nil {
+		return nil, err
+	}
+	var nonce [8]byte
+	binary.LittleEndian.PutUint64(nonce[:], uint64(time.Now().UnixNano()))
+	if err := s.seg.write(saltFlag|uint32(len(nonce)), nonce[:]); err != nil {
+		s.seg.f.Close()
+		return nil, err
+	}
+	s.gen, s.pending = live, s.replayed
+	s.busy = true
+	go s.background(nil, ckptGen, live)
+	s.db.SetCommitHook(s.onCommit)
+	return s, nil
 }
 
 // loadCheckpoint applies a checkpoint file to the (empty) database and
@@ -255,12 +335,16 @@ func (s *Store) loadCheckpoint(path string) (uint64, uint64, error) {
 		}
 	}
 
-	fi, err := os.Stat(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return 0, 0, err
 	}
-
-	err = replayFile(path, func(payload []byte) error {
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return 0, 0, err
+	}
+	_, _, _, err = readFrames(f, 0, false, func(payload []byte) error {
 		switch state {
 		case 0:
 			_, e, fl, nd, nt, err := decodeCkptHeader(payload)
@@ -331,12 +415,23 @@ func (s *Store) loadCheckpoint(path string) (uint64, uint64, error) {
 	return epoch, floor, nil
 }
 
-// replayLog applies the log's batches to the database in commit order,
-// skipping batches already covered by the checkpoint (a batch that
-// published while the checkpoint was being cut appears in both). The
-// file's torn tail, if any, is truncated in place.
-func (s *Store) replayLog(path string, ckptEpoch uint64) error {
-	return replayFile(path, func(payload []byte) error {
+// replayLog applies generation gen's log to the database in commit
+// order, skipping batches already covered by the checkpoint (a batch
+// that published while the checkpoint was being cut appears in both).
+// It returns where the valid frames end, the checksum the next frame
+// must continue and how many frames were valid.
+func (s *Store) replayLog(gen, ckptEpoch uint64) (end int64, sum uint32, frames int, err error) {
+	path := logPath(s.dir, gen)
+	f, err := os.Open(path)
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	defer f.Close()
+	var magic [len(segMagic)]byte
+	if _, err := io.ReadFull(f, magic[:]); err != nil || string(magic[:]) != segMagic {
+		return 0, 0, 0, fmt.Errorf("%w: %s", ErrOldFormat, path)
+	}
+	end, sum, frames, err = readFrames(f, logSeed(gen), true, func(payload []byte) error {
 		b, err := DecodeBatch(payload)
 		if err != nil {
 			return fmt.Errorf("wal: corrupt batch in %s: %w", path, err)
@@ -350,6 +445,7 @@ func (s *Store) replayLog(path string, ckptEpoch uint64) error {
 		s.replayed++
 		return s.applyBatch(b)
 	})
+	return int64(len(segMagic)) + end, sum, frames, err
 }
 
 // applyBatch replays one logged batch against the database. The epoch
@@ -414,17 +510,26 @@ func (s *Store) applyBatch(b Batch) error {
 }
 
 // onCommit is the database's commit hook: it appends the batch to the
-// live segment. Append failures latch into s.err (the hook cannot
-// return one) and surface on Err, Checkpoint, and Close.
+// live segment. The hook cannot return an error, so a failure latches
+// into s.err and the store stops appending; callers see it on Err,
+// MaybeCheckpoint, Checkpoint and Close.
 func (s *Store) onCommit(epoch uint64, ops []relstore.LoggedOp) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.encBuf = AppendBatch(s.encBuf[:0], epoch, ops)
-	if err := s.seg.Append(s.encBuf); err != nil && s.err == nil {
-		s.err = err
+	if s.err != nil {
+		return
 	}
+	s.encBuf = AppendBatch(s.encBuf[:0], epoch, ops)
+	if len(s.encBuf) > maxRecord {
+		s.err = fmt.Errorf("wal: batch of %d bytes exceeds the %d-byte record limit", len(s.encBuf), maxRecord)
+		return
+	}
+	if s.err = s.seg.append(s.encBuf); s.err != nil {
+		return
+	}
+	s.stats.frames.Add(1)
+	s.stats.payloadBytes.Add(int64(len(s.encBuf)))
 	s.pending++
-	s.lastEpoch = epoch
 }
 
 // DB returns the recovered database. The store owns its commit hook.
@@ -433,48 +538,153 @@ func (s *Store) DB() *relstore.Database { return s.db }
 // Dir returns the data directory.
 func (s *Store) Dir() string { return s.dir }
 
-// Pending returns the number of batches logged since the last
-// checkpoint (or open).
+// Pending returns the number of batches in the log that no started
+// checkpoint covers (after Open, the batches it replayed).
 func (s *Store) Pending() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.pending
 }
 
-// Replayed returns how many batches Open replayed from the log suffix.
+// Replayed returns how many batches Open replayed from the logs.
 func (s *Store) Replayed() int { return s.replayed }
 
-// Err returns the first background append failure, if any.
+// Err returns the failure that stopped the store, if any: a committed
+// batch that could not be appended or synced, or a checkpoint that
+// could not be written. Batches committed since are not on disk.
 func (s *Store) Err() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.err
 }
 
-// Checkpoint writes a full snapshot of the database and rotates to a
-// fresh generation: ckpt-(g+1).tmp → fsync → rename → new empty
-// wal-(g+1).log → old generation removed. The rename is the commit
-// point; a crash at any step leaves a recoverable directory. Commits
-// racing the checkpoint block on the store mutex and land in the new
-// generation's log (or, if they published before the snapshot was
-// pinned, inside the checkpoint itself — replay skips batches the
-// checkpoint epoch covers).
-func (s *Store) Checkpoint() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.err != nil {
+// ckptJob is what a started checkpoint hands the background goroutine.
+type ckptJob struct {
+	snap  *relstore.Database // pinned at the switch
+	floor uint64             // retention floor at the switch
+	gen   uint64             // the generation appends moved to
+	old   *segment           // the log they left
+}
+
+// startCheckpoint moves appends to the next segment and starts the
+// background goroutine that writes the checkpoint. Called with mu held,
+// the store idle and without error (so next is in place). Every frame
+// in the log left behind was published, hence is visible to the
+// snapshot pinned here; a batch published but not yet logged lands in
+// the new segment and is skipped on replay.
+func (s *Store) startCheckpoint() error {
+	if s.err = s.seg.sync(); s.err != nil {
 		return s.err
 	}
-	snap := s.db.Snapshot()
-	defer snap.Close()
-	// The retention floor at the cut: dead versions still answerable
-	// are dumped with their stamps and the floor is recorded in the
-	// header so the recovered store answers the same epoch range.
-	floor := s.db.RetentionFloor()
-	newGen := s.gen + 1
+	j := &ckptJob{snap: s.db.Snapshot(), floor: s.db.RetentionFloor(), gen: s.gen + 1, old: s.seg}
+	s.seg, s.next = s.next, nil
+	s.gen = j.gen
+	s.pending = 0
+	s.busy = true
+	s.stats.ckptStarted.Add(1)
+	go s.background(j, j.gen, j.gen)
+	return nil
+}
 
+// background writes ckpt-<j.gen> from the job's snapshot (no job after
+// Open), then removes what checkpoint ckptGen made obsolete and puts
+// the segment after the live one in place. It takes mu only to publish
+// the outcome.
+func (s *Store) background(j *ckptJob, ckptGen, live uint64) {
+	var err error
+	if j != nil {
+		t0 := time.Now()
+		var n int64
+		n, err = writeCheckpoint(s.dir, j.gen, j.snap, j.floor)
+		j.snap.Close()
+		if cerr := j.old.close(); err == nil {
+			err = cerr
+		}
+		if err == nil {
+			s.stats.lastCkptNS.Store(int64(time.Since(t0)))
+			s.stats.lastCkptLen.Store(n)
+			s.stats.ckptLanded.Add(1)
+		}
+	}
+	var next *segment
+	if err == nil {
+		next, err = s.prepareNext(ckptGen, live)
+	}
+	s.mu.Lock()
+	s.next, s.busy = next, false
+	if err != nil && s.err == nil {
+		s.err = err
+	}
+	s.idle.Broadcast()
+	s.mu.Unlock()
+}
+
+// prepareNext removes the files checkpoint ckptGen made obsolete —
+// older checkpoints and logs, abandoned temporaries — and leaves
+// wal-(live+1).log in place, pre-written and empty: a retired log of
+// the standard size is renamed to it, its old frames failing the new
+// generation's chain; otherwise a new file is zero-filled. Removals are
+// best-effort, recovery ignores what they would have removed.
+func (s *Store) prepareNext(ckptGen, live uint64) (*segment, error) {
+	ents, err := os.ReadDir(s.dir)
+	if err != nil {
+		return nil, err
+	}
+	next, have := live+1, false
+	var retired []string
+	for _, e := range ents {
+		path := filepath.Join(s.dir, e.Name())
+		if filepath.Ext(path) == ".tmp" {
+			os.Remove(path)
+		} else if g, ok := parseGen(e.Name(), "ckpt-", ".ckpt"); ok && g < ckptGen {
+			os.Remove(path)
+		} else if g, ok := parseGen(e.Name(), "wal-", ".log"); ok {
+			switch {
+			case g < ckptGen:
+				retired = append(retired, path)
+			case g == next:
+				have = true
+			case g > next:
+				os.Remove(path)
+			}
+		}
+	}
+	for _, path := range retired {
+		if st, err := os.Stat(path); !have && err == nil && st.Size() == segSize {
+			have = os.Rename(path, logPath(s.dir, next)) == nil
+		} else {
+			os.Remove(path)
+		}
+	}
+	if !have {
+		if err := createSegment(s.dir, next, segSize); err != nil {
+			return nil, err
+		}
+	}
+	if err := syncDir(s.dir); err != nil {
+		return nil, err
+	}
+	return openSegment(logPath(s.dir, next), int64(len(segMagic)), logSeed(next), s.opts.SyncEvery, &s.stats)
+}
+
+// writeCheckpoint writes the snapshot to ckpt-<gen>.tmp, syncs it and
+// renames it into place — the commit point: from then on recovery
+// starts from it and ignores every log below gen. It returns the
+// file's size.
+func writeCheckpoint(dir string, gen uint64, snap *relstore.Database, floor uint64) (int64, error) {
 	names := snap.TableNames()
 	sort.Strings(names)
+	vers := make([][]relstore.Version, len(names))
+	for i, name := range names {
+		vers[i] = snap.MustTable(name).Versions(floor)
+	}
+	// Writers kept committing while the versions were read, and each
+	// sweep since the switch reclaimed history below its own, later
+	// floor. What is complete in vers is the history from the floor as
+	// it stands now: record that one and drop what died at or below it.
+	if f := snap.RetentionFloor(); f > floor {
+		floor = f
+	}
 
 	// Pass 1: build the row dictionary and each table's reference
 	// stream. Distinct rows append to the current dictionary frame;
@@ -500,10 +710,14 @@ func (s *Store) Checkpoint() error {
 		cur = cur[:0]
 	}
 	refs := make([][]uint64, len(names))
-	vers := make([][]relstore.Version, len(names))
 	var scratch []byte
-	for i, name := range names {
-		vs := snap.MustTable(name).Versions(floor)
+	for i := range names {
+		vs := vers[i][:0]
+		for _, v := range vers[i] {
+			if v.Died == 0 || v.Died > floor {
+				vs = append(vs, v)
+			}
+		}
 		vers[i] = vs
 		r := make([]uint64, len(vs))
 		for j := range vs {
@@ -524,21 +738,23 @@ func (s *Store) Checkpoint() error {
 	}
 	finishFrame()
 
-	tmp := ckptPath(s.dir, newGen) + ".tmp"
+	tmp := ckptPath(dir, gen) + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
-		return err
+		return 0, err
 	}
+	var size int64
 	var buf []byte
 	write := func(payload []byte) {
 		if err != nil {
 			return
 		}
-		buf = appendFrame(buf[:0], payload)
+		buf, _ = appendFrame(buf[:0], 0, uint32(len(payload)), payload)
+		size += int64(len(buf))
 		_, err = f.Write(buf)
 	}
 	var rec []byte
-	rec = appendCkptHeader(rec[:0], newGen, snap.Epoch(), floor, len(dictIdx), len(names))
+	rec = appendCkptHeader(rec[:0], gen, snap.Epoch(), floor, len(dictIdx), len(names))
 	write(rec)
 	for _, frame := range dictFrames {
 		write(frame)
@@ -554,60 +770,71 @@ func (s *Store) Checkpoint() error {
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
+	if err == nil {
+		err = os.Rename(tmp, ckptPath(dir, gen))
+	}
 	if err != nil {
 		os.Remove(tmp)
-		return err
+		return 0, err
 	}
-	if err := os.Rename(tmp, ckptPath(s.dir, newGen)); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := syncDir(s.dir); err != nil {
-		return err
-	}
-
-	// The new generation is durable; swing the log and drop the old
-	// generation. Failures past this point leave stale files that the
-	// next Open ignores (newest generation wins).
-	newSeg, err := openSegment(logPath(s.dir, newGen), s.opts.SyncEvery)
-	if err != nil {
-		return err
-	}
-	if err := s.seg.Close(); err != nil {
-		newSeg.Close()
-		return err
-	}
-	oldGen := s.gen
-	s.seg = newSeg
-	s.gen = newGen
-	s.pending = 0
-	os.Remove(logPath(s.dir, oldGen))
-	os.Remove(ckptPath(s.dir, oldGen))
-	return syncDir(s.dir)
+	return size, syncDir(dir)
 }
 
-// MaybeCheckpoint rotates generations when the pending batch count has
-// reached Options.CheckpointEvery; it reports whether it did.
+// waitIdle blocks until the background goroutine has finished. Called
+// with mu held.
+func (s *Store) waitIdle() {
+	for s.busy {
+		s.idle.Wait()
+	}
+}
+
+// Checkpoint writes a full snapshot of the database and rotates the
+// log, synchronously: it waits for a checkpoint in flight, starts one
+// and returns once that one has landed, the generation before it is
+// retired and the next segment is in place. Commits made meanwhile are
+// not held up; they land in the new generation's log.
+func (s *Store) Checkpoint() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.waitIdle()
+	if s.err != nil {
+		return s.err
+	}
+	if err := s.startCheckpoint(); err != nil {
+		return err
+	}
+	s.waitIdle()
+	return s.err
+}
+
+// MaybeCheckpoint starts a checkpoint when the pending batch count has
+// reached Options.CheckpointEvery and none is in flight; it reports
+// whether it did. It returns as soon as appends have moved to the next
+// segment; the snapshot is written in the background.
 func (s *Store) MaybeCheckpoint() (bool, error) {
 	if s.opts.CheckpointEvery <= 0 {
 		return false, nil
 	}
 	s.mu.Lock()
-	due := s.pending >= s.opts.CheckpointEvery
-	s.mu.Unlock()
-	if !due {
-		return false, nil
+	defer s.mu.Unlock()
+	if s.err != nil || s.busy || s.pending < s.opts.CheckpointEvery {
+		return false, s.err
 	}
-	return true, s.Checkpoint()
+	return true, s.startCheckpoint()
 }
 
-// Close flushes and closes the live segment. The database stays usable
-// in memory, but further commits are not logged.
+// Close waits for a checkpoint in flight, then syncs and closes the
+// log. The database stays usable in memory, but further commits are
+// not logged.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.waitIdle()
 	s.db.SetCommitHook(nil)
-	err := s.seg.Close()
+	err := s.seg.close()
+	if s.next != nil {
+		s.next.f.Close()
+	}
 	if s.err != nil {
 		err = s.err
 	}

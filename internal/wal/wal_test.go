@@ -166,35 +166,48 @@ func TestCheckpointRotation(t *testing.T) {
 	}
 }
 
-// TestTornTailTruncated corrupts the log's tail and expects recovery
-// to keep every complete batch and drop the torn one.
-func TestTornTailTruncated(t *testing.T) {
+// quiesce waits until the store's background goroutine has finished.
+func quiesce(s *Store) {
+	s.mu.Lock()
+	s.waitIdle()
+	s.mu.Unlock()
+}
+
+// commitRows commits one single-row batch per key into keyed table R.
+func commitRows(db *relstore.Database, from, to int) {
+	r := db.MustTable("R")
+	for i := from; i < to; i++ {
+		db.BeginBatch()
+		r.Insert(model.Tuple{int64(i), "x"})
+		db.EndBatch()
+	}
+}
+
+// TestTornTail cuts and corrupts the log's tail and expects recovery to
+// keep every complete batch, drop the torn one, and resume appending
+// over it without truncating anything.
+func TestTornTail(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	db := s.DB()
-	r, _ := db.CreateTable(keyedSchema("R"))
-	for i := 0; i < 10; i++ {
-		db.BeginBatch()
-		r.Insert(model.Tuple{int64(i), "x"})
-		db.EndBatch()
-	}
+	db.CreateTable(keyedSchema("R"))
+	commitRows(db, 0, 10)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, "wal-0.log")
-	blob, err := os.ReadFile(path)
+	blob, err := os.ReadFile(logPath(dir, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, cut := range []int{1, len(blob) / 2, len(blob) - 3} {
-		sub := filepath.Join(t.TempDir(), "d")
-		if err := os.MkdirAll(sub, 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(sub, "wal-0.log"), blob[:cut], 0o644); err != nil {
+	for _, cut := range []int{len(segMagic) + 1, len(blob) / 2, len(blob) - 3} {
+		sub := t.TempDir()
+		// The bytes after the cut are what a torn write leaves: zeros,
+		// as the blocks of a segment are written before it goes live.
+		img := append(append([]byte(nil), blob[:cut]...), make([]byte, len(blob)-cut+64)...)
+		if err := os.WriteFile(logPath(sub, 0), img, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		s2, err := Open(sub, Options{})
@@ -208,18 +221,31 @@ func TestTornTailTruncated(t *testing.T) {
 		if got > 10 || (cut == len(blob)-3 && got != 9) {
 			t.Fatalf("cut=%d: recovered %d rows", cut, got)
 		}
-		// The torn tail was truncated: reopening is clean and appends work.
-		st, err := os.Stat(filepath.Join(sub, "wal-0.log"))
-		if err != nil || st.Size() > int64(cut) {
-			t.Fatalf("cut=%d: tail not truncated (%v, size %d)", cut, err, st.Size())
+		// Appends resume over the torn frame; a reopen sees them.
+		if got > 0 {
+			commitRows(s2.DB(), 100, 101)
 		}
-		s2.Close()
+		want := signature(s2.DB())
+		if err := s2.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if st, err := os.Stat(logPath(sub, 0)); err != nil || st.Size() < int64(len(img)) {
+			t.Fatalf("cut=%d: log truncated (%v, %d < %d bytes)", cut, err, st.Size(), len(img))
+		}
+		s3, err := Open(sub, Options{})
+		if err != nil {
+			t.Fatalf("cut=%d: reopen: %v", cut, err)
+		}
+		if got := signature(s3.DB()); got != want {
+			t.Fatalf("cut=%d: reopen after resumed appends differs\ngot:\n%s\nwant:\n%s", cut, got, want)
+		}
+		s3.Close()
 	}
 	// Flipping a payload byte mid-file cuts replay at the corrupt frame.
 	flip := append([]byte(nil), blob...)
 	flip[len(flip)/2] ^= 0xff
 	sub := t.TempDir()
-	if err := os.WriteFile(filepath.Join(sub, "wal-0.log"), flip, 0o644); err != nil {
+	if err := os.WriteFile(logPath(sub, 0), flip, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	s3, err := Open(sub, Options{})
@@ -296,7 +322,8 @@ func TestSyncEveryBatching(t *testing.T) {
 	}
 }
 
-// TestMaybeCheckpoint rotates exactly at the configured cadence.
+// TestMaybeCheckpoint starts a checkpoint at the configured cadence,
+// and only when none is in flight.
 func TestMaybeCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, Options{CheckpointEvery: 5})
@@ -305,27 +332,34 @@ func TestMaybeCheckpoint(t *testing.T) {
 	}
 	defer s.Close()
 	db := s.DB()
-	r, _ := db.CreateTable(keyedSchema("R"))
-	rotated := 0
+	db.CreateTable(keyedSchema("R"))
+	started := 0
 	for i := 0; i < 12; i++ {
-		db.BeginBatch()
-		r.Insert(model.Tuple{int64(i), "x"})
-		db.EndBatch()
+		commitRows(db, i, i+1)
+		quiesce(s)
 		did, err := s.MaybeCheckpoint()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if did {
-			rotated++
+			started++
+			// Due again at once, but one is in flight (or it landed
+			// and nothing is pending): never two at a time.
+			if again, _ := s.MaybeCheckpoint(); again {
+				t.Fatal("MaybeCheckpoint started a second checkpoint on top of the first")
+			}
 		}
 	}
-	// 13 logged batches (CreateTable publishes one): rotations at >=5
-	// pending. Exact count depends on where DDL lands; at least two.
-	if rotated < 2 {
-		t.Fatalf("MaybeCheckpoint rotated %d times over 12 batches with cadence 5", rotated)
+	// 13 logged batches (CreateTable publishes one) at cadence 5.
+	if started != 2 {
+		t.Fatalf("MaybeCheckpoint started %d checkpoints over 13 batches with cadence 5", started)
 	}
+	quiesce(s)
 	if _, err := os.Stat(ckptPath(dir, s.gen)); err != nil {
 		t.Fatalf("latest checkpoint missing: %v", err)
+	}
+	if st := s.Stats(); st.CheckpointsStarted != 2 || st.CheckpointsLanded != 2 || st.LastCheckpointBytes == 0 {
+		t.Fatalf("stats after two checkpoints: %+v", st)
 	}
 }
 
