@@ -500,6 +500,51 @@ func BenchmarkGraphPointQuery(b *testing.B) {
 	}
 }
 
+// multipathQuery is the served analytic workload's common-provenance
+// question: pairs of target and A1 tuples that share an ancestor.
+const multipathQuery = "FOR [A0 $x] <-+ [$z], [A1 $y] <-+ [$z] RETURN $x, $y"
+
+// BenchmarkAnalyticShapes runs the served analytic-read workload's
+// query shapes in process on instance M, the way proqld answers them:
+// Eval, then the sorted distinct refs of every variable. "bindings" is
+// the number of RETURN rows (140,652 pairs for the multipath shape).
+func BenchmarkAnalyticShapes(b *testing.B) {
+	set, err := workload.Build(servedConfig("M"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng := proql.NewEngine(set.Sys)
+	for _, arm := range []struct{ name, query, backend string }{
+		{"target/auto", set.TargetQuery(), "auto"},
+		{"target/asr", set.TargetQuery(), "asr"},
+		{"trust/auto", set.TargetAnnotationQuery(), "auto"},
+		{"multipath/graph", multipathQuery, "graph"},
+		{"multipath/asr", multipathQuery, "asr"},
+	} {
+		b.Run(arm.name, func(b *testing.B) {
+			q := proql.MustParse(arm.query)
+			serve := func() int {
+				res, err := eng.Eval(context.Background(), q, proql.Options{Backend: arm.backend})
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, v := range res.Vars() {
+					res.SortedRefs(v)
+				}
+				return res.Len()
+			}
+			serve() // build the cached graph / the adapter, fill the plan cache
+			b.ReportAllocs()
+			b.ResetTimer()
+			rows := 0
+			for i := 0; i < b.N; i++ {
+				rows = serve()
+			}
+			b.ReportMetric(float64(rows), "bindings")
+		})
+	}
+}
+
 // BenchmarkGraphPatchDelete times provgraph.Apply alone — the cached
 // graph's share of a delete — on instances S and M: each iteration
 // deletes one seeded row of the far upstream peer, whose derived tuples

@@ -16,7 +16,8 @@
 // The API is versioned under /v1. Errors are a JSON envelope
 // {"error": "...", "code": "..."}: 400 bad_request for malformed
 // requests (including epoch_out_of_range for an AS OF epoch outside
-// the retention window), 404 not_found for unknown routes, 503
+// the retention window), 404 not_found for unknown routes, 413
+// request_too_large for a body over 8 MiB, 503
 // over_capacity past -max-conns, 503 durability_lost for every write
 // once a commit could not be logged (reads keep working; restart to
 // recover the state on disk).
@@ -240,6 +241,32 @@ func writeError(w http.ResponseWriter, status int, code, msg string) {
 	writeJSON(w, status, apiError{Error: msg, Code: code})
 }
 
+// maxBodyBytes bounds every request body: reading past it fails the
+// request with 413 request_too_large.
+const maxBodyBytes = 8 << 20
+
+// decodeBody decodes a POST request's JSON body, of at most
+// maxBodyBytes, into v. On failure it has answered with the error
+// envelope and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	if r.Method != http.MethodPost {
+		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "POST only")
+		return false
+	}
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLarge):
+		writeError(w, http.StatusRequestEntityTooLarge, "request_too_large",
+			fmt.Sprintf("request body exceeds %d bytes", maxBodyBytes))
+		return false
+	case err != nil:
+		writeError(w, http.StatusBadRequest, "bad_request", err.Error())
+		return false
+	}
+	return true
+}
+
 func (s *server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	io.WriteString(w, "ok\n")
 }
@@ -343,13 +370,8 @@ func (s *server) execError(w http.ResponseWriter, err error) {
 }
 
 func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "POST only")
-		return
-	}
 	var req queryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", err.Error())
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	q, err := proql.Parse(req.Query)
@@ -370,7 +392,9 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		defer cancel()
 	}
 	start := time.Now()
-	res, err := s.sys.Engine().Exec(ctx, q, proql.Options{Backend: req.Backend, AsOfEpoch: req.AsOf})
+	// The reply lists distinct refs per variable: Eval's compact rows
+	// answer that without a binding map per row.
+	res, err := s.sys.Engine().Eval(ctx, q, proql.Options{Backend: req.Backend, AsOfEpoch: req.AsOf})
 	if err != nil {
 		s.execError(w, err)
 		return
@@ -383,13 +407,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		AsOf:      res.Stats.AsOf,
 		ElapsedNS: time.Since(start).Nanoseconds(),
 	}
-	vars := map[string]bool{}
-	for _, b := range res.Bindings {
-		for v := range b {
-			vars[v] = true
-		}
-	}
-	for v := range vars {
+	for _, v := range res.Vars() {
 		refs := res.SortedRefs(v)
 		out := make([]string, len(refs))
 		for i, ref := range refs {
@@ -424,13 +442,8 @@ type diffResponse struct {
 }
 
 func (s *server) handleDiff(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "POST only")
-		return
-	}
 	var req diffRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", err.Error())
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	q, err := proql.Parse(req.Query)
@@ -488,13 +501,8 @@ type mutateResponse struct {
 }
 
 func (s *server) handleInsert(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "POST only")
-		return
-	}
 	var req insertRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", err.Error())
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	rel, ok := s.sys.Exchange().Schema.Relation(req.Relation)
@@ -537,13 +545,8 @@ type deleteRequest struct {
 }
 
 func (s *server) handleDelete(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "POST only")
-		return
-	}
 	var req deleteRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", err.Error())
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	rel, ok := s.sys.Exchange().Schema.Relation(req.Relation)

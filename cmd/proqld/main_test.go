@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -99,6 +100,41 @@ func TestWritesReportTheirEpoch(t *testing.T) {
 	}
 	if st.WAL == nil || st.WAL.Frames < 32 || st.WAL.Syncs < st.WAL.Frames || st.WAL.CheckpointsStarted == 0 || st.WriteHoldNS == 0 {
 		t.Errorf("stats after 32 durable writes: %s", rec.Body.Bytes())
+	}
+}
+
+// TestRequestBodyBound: a POST body over maxBodyBytes is refused on
+// every route with 413 request_too_large, one of exactly maxBodyBytes
+// is decoded (and then fails on its merits), and the server keeps
+// serving.
+func TestRequestBodyBound(t *testing.T) {
+	sys, err := buildSystem(0, 0, 0, "", 0, "", 1, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := newServer(sys, 30*time.Second, 16).handler()
+	send := func(path string, body []byte) (int, apiError) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+		var envelope apiError
+		if err := json.Unmarshal(rec.Body.Bytes(), &envelope); err != nil {
+			t.Fatalf("%s: reply is not the error envelope: %.200s", path, rec.Body.Bytes())
+		}
+		return rec.Code, envelope
+	}
+	padded := func(size int) []byte {
+		return []byte(`{"query":"` + strings.Repeat("x", size-len(`{"query":""}`)) + `"}`)
+	}
+	for _, path := range []string{"/v1/query", "/v1/diff", "/v1/insert", "/v1/delete", "/query"} {
+		if code, e := send(path, padded(maxBodyBytes+1)); code != http.StatusRequestEntityTooLarge || e.Code != "request_too_large" {
+			t.Errorf("%s with %d bytes: %d %+v, want 413 request_too_large", path, maxBodyBytes+1, code, e)
+		}
+	}
+	if code, e := send("/v1/query", padded(maxBodyBytes)); code != http.StatusBadRequest || e.Code != "bad_request" {
+		t.Errorf("query of exactly %d bytes: %d %+v, want 400 bad_request (a parse error)", maxBodyBytes, code, e)
+	}
+	if code, body := post(t, h, "/v1/query", queryRequest{Query: "FOR [O $x] RETURN $x"}); code != http.StatusOK {
+		t.Errorf("query after oversized requests: %d %s", code, body)
 	}
 }
 

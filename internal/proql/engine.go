@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -102,13 +102,35 @@ type Stats struct {
 // first called. Stats therefore measure query processing exactly as
 // Section 6 does.
 type Result struct {
+	// Bindings holds one map per RETURN row, sorted by (Rel, Key)
+	// variable by variable. Exec fills it; Eval leaves it nil. Len,
+	// Vars and SortedRefs answer from the compact rows either way.
 	Bindings    []Binding
 	Annotations map[model.TupleRef]semiring.Value
 	Semiring    semiring.Semiring
 	Stats       Stats
 
+	rows       resultRows
 	graph      *provgraph.Graph
 	buildGraph func() (*provgraph.Graph, error)
+}
+
+// Len returns the number of RETURN rows.
+func (r *Result) Len() int { return r.rows.n }
+
+// Vars returns the distinct RETURN variables the rows bind, in RETURN
+// order; nil when there are no rows.
+func (r *Result) Vars() []string {
+	if r.rows.n == 0 {
+		return nil
+	}
+	var out []string
+	for _, v := range r.rows.vars {
+		if !slices.Contains(out, v) {
+			out = append(out, v)
+		}
+	}
+	return out
 }
 
 // Graph returns the projected provenance subgraph, assembling it from
@@ -139,24 +161,10 @@ func (r *Result) MustGraph() *provgraph.Graph {
 	return g
 }
 
-// SortedRefs returns the distinct bound refs of a variable, sorted —
-// convenience for deterministic output.
+// SortedRefs returns the distinct bound refs of a variable, sorted by
+// (Rel, Key) — convenience for deterministic output.
 func (r *Result) SortedRefs(v string) []model.TupleRef {
-	seen := map[model.TupleRef]bool{}
-	var out []model.TupleRef
-	for _, b := range r.Bindings {
-		if ref, ok := b[v]; ok && !seen[ref] {
-			seen[ref] = true
-			out = append(out, ref)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Rel != out[j].Rel {
-			return out[i].Rel < out[j].Rel
-		}
-		return out[i].Key < out[j].Key
-	})
-	return out
+	return r.rows.sortedRefs(v)
 }
 
 // Options selects how one Exec call runs. The zero value is the
@@ -188,7 +196,22 @@ type Options struct {
 // concurrent Exec calls must use non-cancellable contexts (the
 // concurrency the plan cache is built for), since binding a
 // cancellable one mutates q.
+//
+// Exec is Eval plus the materialization of Result.Bindings.
 func (e *Engine) Exec(ctx context.Context, q *Query, opts Options) (*Result, error) {
+	res, err := e.Eval(ctx, q, opts)
+	if err != nil {
+		return nil, err
+	}
+	res.Bindings = res.rows.bindings()
+	return res, nil
+}
+
+// Eval runs a query exactly as Exec does but leaves Result.Bindings
+// nil: the answer stays in its compact row form, read through Len,
+// Vars and SortedRefs — all a caller that renders distinct refs per
+// variable (the HTTP server) needs, without one map per row.
+func (e *Engine) Eval(ctx context.Context, q *Query, opts Options) (*Result, error) {
 	if ctx != nil && ctx.Done() != nil {
 		q.Cancel = ctx.Err
 	}

@@ -2,7 +2,6 @@ package proql
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -69,9 +68,11 @@ func (e *Engine) execGraph(q *Query, asOf uint64) (*Result, error) {
 	}
 
 	// Assemble RETURN rows and the projected subgraph.
+	res.rows.vars = q.Projection.Return
+	ids := map[*provgraph.TupleNode]int32{}
+	cells := make([]int32, len(q.Projection.Return))
 	for _, b := range rows {
-		out := Binding{}
-		for _, v := range q.Projection.Return {
+		for i, v := range q.Projection.Return {
 			node, ok := b[v]
 			if !ok {
 				return nil, fmt.Errorf("proql: RETURN variable $%s is not bound by the FOR clause", v)
@@ -80,17 +81,22 @@ func (e *Engine) execGraph(q *Query, asOf uint64) (*Result, error) {
 			if !ok {
 				return nil, fmt.Errorf("proql: RETURN variable $%s binds derivation nodes; only tuple nodes can be returned", v)
 			}
-			out[v] = tn.Ref
+			id, seen := ids[tn]
+			if !seen {
+				id = res.rows.addRef(tn.Ref)
+				ids[tn] = id
+			}
+			cells[i] = id
 			copyTupleMeta(outG, tn)
 		}
-		res.Bindings = append(res.Bindings, out)
+		res.rows.addRow(cells...)
 		for _, inc := range q.Projection.Include {
 			if err := includePath(g, outG, inc, b); err != nil {
 				return nil, err
 			}
 		}
 	}
-	sortBindings(res.Bindings, q.Projection.Return)
+	res.rows.sort()
 
 	if q.Evaluate != "" {
 		if err := e.annotateGraphResult(q, res, outG); err != nil {
@@ -147,12 +153,10 @@ func (e *Engine) annotateGraphResult(q *Query, res *Result, outG *provgraph.Grap
 		return leafErr
 	}
 	res.Annotations = make(map[model.TupleRef]semiring.Value)
-	for _, b := range res.Bindings {
-		for _, ref := range b {
-			if tn, ok := outG.Lookup(ref); ok {
-				if v, ok := ann.Annotation(tn); ok {
-					res.Annotations[ref] = v
-				}
+	for _, ref := range res.rows.refs {
+		if tn, ok := outG.Lookup(ref); ok {
+			if v, ok := ann.Annotation(tn); ok {
+				res.Annotations[ref] = v
 			}
 		}
 	}
@@ -193,21 +197,6 @@ func bindingSignature(b graphBinding, vars []string) string {
 		sb.WriteByte(',')
 	}
 	return sb.String()
-}
-
-func sortBindings(bs []Binding, vars []string) {
-	sort.Slice(bs, func(i, j int) bool {
-		for _, v := range vars {
-			a, b := bs[i][v], bs[j][v]
-			if a.Rel != b.Rel {
-				return a.Rel < b.Rel
-			}
-			if a.Key != b.Key {
-				return a.Key < b.Key
-			}
-		}
-		return false
-	})
 }
 
 // matchPathBinding enumerates all extensions of binding b that satisfy

@@ -82,43 +82,13 @@ func (e *Engine) execPhys(q *Query, g physplan.Graph, backend string, workers in
 	res.Stats.PlanTime = time.Since(planStart)
 
 	evalStart := time.Now()
-	it, err := plan.Root.Open()
-	if err != nil {
+	if err := collectPhys(q, plan, outG, &res.rows); err != nil {
 		return nil, err
-	}
-	defer it.Close()
-	for {
-		if q.Cancel != nil {
-			if err := q.Cancel(); err != nil {
-				return nil, err
-			}
-		}
-		row, ok, err := it.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		out := Binding{}
-		for i, v := range q.Projection.Return {
-			node := row[i]
-			if node == nil {
-				return nil, fmt.Errorf("proql: RETURN variable $%s is not bound by the FOR clause", v)
-			}
-			tn, isTuple := node.(physplan.Tuple)
-			if !isTuple {
-				return nil, fmt.Errorf("proql: RETURN variable $%s binds derivation nodes; only tuple nodes can be returned", v)
-			}
-			out[v] = tn.TupleRef()
-			physplan.CopyTupleMeta(outG, tn)
-		}
-		res.Bindings = append(res.Bindings, out)
 	}
 	if err := g.Err(); err != nil {
 		return nil, err
 	}
-	sortBindings(res.Bindings, q.Projection.Return)
+	res.rows.sort()
 
 	if q.Evaluate != "" {
 		if err := e.annotateGraphResult(q, res, outG); err != nil {
@@ -127,6 +97,59 @@ func (e *Engine) execPhys(q *Query, g physplan.Graph, backend string, workers in
 	}
 	res.Stats.EvalTime = time.Since(evalStart)
 	return res, nil
+}
+
+// collectPhys drains a plan into rows: each returned tuple handle is
+// registered once (by ordinal, which identifies it in its store), with
+// its metadata copied into the projected subgraph.
+func collectPhys(q *Query, plan *physplan.Plan, outG *provgraph.Graph, rows *resultRows) error {
+	it, err := plan.Root.Open()
+	if err != nil {
+		return err
+	}
+	defer it.Close()
+	ret := q.Projection.Return
+	rows.vars = ret
+	ids := map[int]int32{}
+	var buf [8]int32 // one row's cells (grows past short RETURN lists)
+	for {
+		if q.Cancel != nil {
+			if err := q.Cancel(); err != nil {
+				return err
+			}
+		}
+		row, ok, err := it.Next()
+		if err != nil {
+			return err
+		}
+		if !ok {
+			// A cancellation that cut the stream short must not pass for
+			// its end.
+			if q.Cancel != nil {
+				return q.Cancel()
+			}
+			return nil
+		}
+		cells := buf[:0]
+		for i, v := range ret {
+			node := row[i]
+			if node == nil {
+				return fmt.Errorf("proql: RETURN variable $%s is not bound by the FOR clause", v)
+			}
+			tn, isTuple := node.(physplan.Tuple)
+			if !isTuple {
+				return fmt.Errorf("proql: RETURN variable $%s binds derivation nodes; only tuple nodes can be returned", v)
+			}
+			id, seen := ids[tn.TupleOrd()]
+			if !seen {
+				id = rows.addRef(tn.TupleRef())
+				ids[tn.TupleOrd()] = id
+				physplan.CopyTupleMeta(outG, tn)
+			}
+			cells = append(cells, id)
+		}
+		rows.addRow(cells...)
+	}
 }
 
 // buildPhysPlan lowers the query and compiles it, replaying cached

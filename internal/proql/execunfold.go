@@ -210,10 +210,11 @@ func (e *Engine) runUnfold(sys *exchange.System, comp *Compiled, asOf uint64, up
 	}
 	singleNode := up.anchor != nil
 	includeGraph := len(q.Projection.Include) > 0
+	res.rows.vars = q.Projection.Return // exactly the anchor variable
 	addBinding := func(ref model.TupleRef, key []model.Datum) {
 		if _, seen := out.anchors[ref]; !seen {
 			out.anchors[ref] = key
-			res.Bindings = append(res.Bindings, Binding{comp.AnchorVar: ref})
+			res.rows.addRow(res.rows.addRef(ref))
 		}
 	}
 
@@ -292,6 +293,7 @@ func (e *Engine) runUnfold(sys *exchange.System, comp *Compiled, asOf uint64, up
 			accumulate(res.Annotations, s, ref, v)
 		}
 	}
+	res.rows.sort()
 	res.Stats.EvalTime = time.Since(evalStart)
 	return res, nil
 }

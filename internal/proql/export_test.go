@@ -48,5 +48,10 @@ func (e *Engine) ExecFilterOnTop(q *Query, asOf uint64) (*Result, error) {
 			up.anchor = &relstore.Filter{Input: up.anchor, Pred: pred}
 		}
 	}
-	return e.runUnfold(sys, comp, asOf, up)
+	res, err := e.runUnfold(sys, comp, asOf, up)
+	if err != nil {
+		return nil, err
+	}
+	res.Bindings = res.rows.bindings()
+	return res, nil
 }

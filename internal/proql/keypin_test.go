@@ -360,8 +360,8 @@ func TestKeyPinKeepsErrors(t *testing.T) {
 // TestExplainGraphPlans pins the physical plans of the served graph and
 // asr shapes on the miniature point-read instance: the key-pinned point
 // query on both backends (one start tuple instead of the relation), and
-// the key-less common-provenance query, whose plan is the one recorded
-// before key pins existed.
+// the key-less common-provenance query: two relation scans under one
+// DistinctJoin, the dedup on RETURN fused into the join on $z.
 func TestExplainGraphPlans(t *testing.T) {
 	const point = `FOR [A0 $x] WHERE $x.k = 80000003 INCLUDE PATH [$x] <-+ [] RETURN $x`
 	const multipath = `FOR [A0 $x] <-+ [$z], [A1 $y] <-+ [$z] RETURN $x, $y`

@@ -1,0 +1,235 @@
+package proql_test
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+	"runtime"
+	"slices"
+	"strings"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/fixture"
+	"repro/internal/model"
+	"repro/internal/proql"
+	"repro/internal/relstore"
+	"repro/internal/workload"
+)
+
+// multipathShape is one multi-path query form. fused says whether the
+// planner may fuse the dedup on RETURN into the last join; anyRep marks
+// the form whose projected graph depends on which row Dedup keeps per
+// RETURN combination (an INCLUDE over the non-returned $z).
+type multipathShape struct {
+	name   string
+	query  string
+	fused  bool
+	anyRep bool
+}
+
+// multipathShapes instantiates the forms over three relations.
+func multipathShapes(r1, r2, r3 string) []multipathShape {
+	common := fmt.Sprintf("[%s $x] <-+ [$z], [%s $y] <-+ [$z]", r1, r2)
+	both := "INCLUDE PATH [$x] <-+ [], [$y] <-+ []"
+	return []multipathShape{
+		{"shared tuple variable", fmt.Sprintf("FOR %s RETURN $x, $y", common), true, false},
+		// $p is joined, not extended: the second path reaches it past its
+		// start ($v is a target of $p, so $v = $x and $y is derived from $x).
+		{"shared derivation variable", fmt.Sprintf("FOR [%s $x] <$p [$u], [$y] <- [$v] <$p [] RETURN $x, $y", r2), true, false},
+		{"three paths", fmt.Sprintf("FOR %s, [%s $w] <-+ [$z] RETURN $x, $y, $w", common, r3), true, false},
+		{"three paths, four columns", fmt.Sprintf("FOR %s, [%s $w] <-+ [$z] RETURN $w, $z, $y, $x", common, r3), true, false},
+		{"cross product", fmt.Sprintf("FOR [%s $x] <- [$u], [%s $y] RETURN $x, $y", r1, r2), true, false},
+		{"include returned", fmt.Sprintf("FOR %s %s RETURN $x, $y", common, both), true, false},
+		{"include non-returned", fmt.Sprintf("FOR %s INCLUDE PATH [$z] <-+ [] RETURN $x, $y", common), false, true},
+		{"where non-returned", fmt.Sprintf("FOR %s WHERE NOT $z IN %s RETURN $x, $y", common, r3), false, false},
+		{"evaluate", fmt.Sprintf("EVALUATE DERIVABILITY OF { FOR %s %s RETURN $x, $y }", common, both), true, false},
+	}
+}
+
+// checkMultipath runs one query on the graph and asr backends and on
+// the tree-walking interpreter (graph-legacy, which shares no code with
+// physplan) and demands identical bindings, SortedRefs, annotations
+// and projected graphs — except the projected graph of an anyRep form,
+// which only the two physplan backends must agree on, and not under a
+// parallel scan. Eval must answer what Exec answers, without bindings.
+func checkMultipath(t *testing.T, eng *proql.Engine, sh multipathShape, asOf uint64, label string) int {
+	t.Helper()
+	label = fmt.Sprintf("%s: %s: %s", label, sh.name, sh.query)
+	q := proql.MustParse(sh.query)
+	exec := func(backend string) *proql.Result {
+		t.Helper()
+		res, err := eng.Exec(context.Background(), q, proql.Options{Backend: backend, AsOfEpoch: asOf})
+		if err != nil {
+			t.Fatalf("%s: %s: %v", label, backend, err)
+		}
+		return res
+	}
+	want := exec("graph-legacy")
+	vars := q.Projection.Return
+	var physGraph string
+	for _, backend := range []string{"graph", "asr"} {
+		got := exec(backend)
+		if g, w := bindingRows(got, vars), bindingRows(want, vars); !slices.Equal(g, w) {
+			t.Fatalf("%s: %s bindings\n got  %v\n want %v", label, backend, g, w)
+		}
+		for _, v := range vars {
+			if g, w := got.SortedRefs(v), want.SortedRefs(v); !slices.Equal(g, w) {
+				t.Fatalf("%s: %s SortedRefs($%s)\n got  %v\n want %v", label, backend, v, g, w)
+			}
+		}
+		if len(got.Annotations) != len(want.Annotations) {
+			t.Fatalf("%s: %s: %d annotations, oracle has %d", label, backend, len(got.Annotations), len(want.Annotations))
+		}
+		for ref, wv := range want.Annotations {
+			if gv, ok := got.Annotations[ref]; !ok || !want.Semiring.Eq(gv, wv) {
+				t.Fatalf("%s: %s: annotation of %v: got %v, want %v", label, backend, ref, gv, wv)
+			}
+		}
+		gs := graphSignature(t, got)
+		switch {
+		case !sh.anyRep:
+			if ws := graphSignature(t, want); gs != ws {
+				t.Fatalf("%s: %s projected graph\n got:\n%s\n want:\n%s", label, backend, gs, ws)
+			}
+		case eng.Parallelism > 1:
+		case physGraph == "":
+			physGraph = gs
+		case gs != physGraph:
+			t.Fatalf("%s: asr projected graph\n got:\n%s\n graph backend:\n%s", label, gs, physGraph)
+		}
+
+		lean, err := eng.Eval(context.Background(), q, proql.Options{Backend: backend, AsOfEpoch: asOf})
+		if err != nil {
+			t.Fatalf("%s: %s Eval: %v", label, backend, err)
+		}
+		if lean.Bindings != nil || lean.Len() != len(got.Bindings) {
+			t.Fatalf("%s: %s Eval: %d bindings materialized, Len %d; Exec has %d rows", label, backend, len(lean.Bindings), lean.Len(), len(got.Bindings))
+		}
+		for _, v := range vars {
+			if g, w := lean.SortedRefs(v), got.SortedRefs(v); !slices.Equal(g, w) {
+				t.Fatalf("%s: %s Eval SortedRefs($%s) differs from Exec's", label, backend, v)
+			}
+		}
+	}
+	if plan, err := eng.Explain(q); err != nil {
+		t.Fatalf("%s: %v", label, err)
+	} else if fused := strings.Contains(plan, "DistinctJoin("); fused != sh.fused {
+		t.Fatalf("%s: DistinctJoin in plan = %v, want %v:\n%s", label, fused, sh.fused, plan)
+	}
+	return len(want.Bindings)
+}
+
+// TestMultiPathDifferential is the correctness guard of the distinct
+// join and of the compact result rows: every multi-path form, on
+// random chain and branched settings and on the cyclic running example,
+// live, after deletes, AS OF the epoch before them, and with a
+// two-worker parallel root scan.
+func TestMultiPathDifferential(t *testing.T) {
+	rng := rand.New(rand.NewSource(20100608))
+	rows := map[string]int{} // per form, so none is vacuous
+	for trial := 0; trial < 12; trial++ {
+		cfg := randomConfig(rng)
+		cfg.NumPeers = 3 + rng.Intn(3) // keep the interpreter tractable
+		cfg.BaseSize = 4 + rng.Intn(8)
+		cfg.DataPeers = workload.UpstreamDataPeers(cfg.NumPeers, 1+rng.Intn(cfg.NumPeers))
+		set, err := workload.Build(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		set.Sys.DB.SetRetention(relstore.RetainAll)
+		sys := core.Wrap(set.Sys)
+		label := fmt.Sprintf("trial %d (%s/%s peers=%d data=%v)", trial, cfg.Topology, cfg.Profile, cfg.NumPeers, cfg.DataPeers)
+		shapes := multipathShapes(workload.ARel(0), workload.ARel(1+rng.Intn(cfg.NumPeers-1)), workload.ARel(rng.Intn(cfg.NumPeers)))
+		parallel := proql.NewEngine(set.Sys)
+		parallel.Parallelism = 2
+		for _, sh := range shapes {
+			rows[sh.name] += checkMultipath(t, sys.Engine(), sh, 0, label+" live")
+			checkMultipath(t, parallel, sh, 0, label+" parallel")
+		}
+		before := sys.Epoch()
+		peer := cfg.DataPeers[rng.Intn(len(cfg.DataPeers))]
+		for d := 0; d < 2; d++ {
+			key := []model.Datum{int64(peer)*10_000_000 + int64(rng.Intn(cfg.BaseSize))}
+			if _, err := sys.DeleteLocal(workload.ARel(peer), key); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, sh := range shapes {
+			rows[sh.name] += checkMultipath(t, sys.Engine(), sh, 0, label+" after deletes")
+			rows[sh.name] += checkMultipath(t, sys.Engine(), sh, before, fmt.Sprintf("%s as of %d", label, before))
+		}
+	}
+
+	cyclic := proql.NewEngine(fixture.MustSystem(fixture.Options{IncludeM3: true}))
+	for _, sh := range multipathShapes("N", "C", "O") {
+		rows["cyclic "+sh.name] += checkMultipath(t, cyclic, sh, 0, "cyclic")
+	}
+	for name, n := range rows {
+		t.Logf("%s: %d rows compared", name, n)
+		if n == 0 {
+			t.Errorf("%s: no rows in any setting; the comparison is vacuous", name)
+		}
+	}
+}
+
+// servedAllocBound and servedByteBound cap the allocations and bytes
+// of one served common-provenance query on instance M. The executor
+// that built a binding map per row and cloned every join row made
+// 8.26 M allocations and 394 MB; the distinct join and compact rows
+// make about 42 k and 38 MB. Rows are carved from shared chunks, so a
+// join materialized before its dedup would stay under the allocation
+// bound; its 2.4 M rows (77 MB of cells alone) break the byte bound.
+const (
+	servedAllocBound = 100_000
+	servedByteBound  = 64 << 20
+)
+
+// TestMultiPathServedAllocs runs the served analytic workload's
+// common-provenance query on instance M the way proqld does — Eval,
+// then the sorted refs of every variable — and holds its exact answer
+// size and the allocation and byte bounds, on both physplan backends.
+func TestMultiPathServedAllocs(t *testing.T) {
+	set, err := workload.Build(workload.Config{
+		Topology:  workload.Chain,
+		Profile:   workload.ProfileLinear,
+		NumPeers:  20,
+		DataPeers: workload.UpstreamDataPeers(20, 3),
+		BaseSize:  500,
+		Seed:      7,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := proql.NewEngine(set.Sys)
+	q := proql.MustParse("FOR [A0 $x] <-+ [$z], [A1 $y] <-+ [$z] RETURN $x, $y")
+	for _, backend := range []string{"graph", "asr"} {
+		rows := 0
+		serve := func() {
+			res, err := eng.Eval(context.Background(), q, proql.Options{Backend: backend})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, v := range res.Vars() {
+				res.SortedRefs(v)
+			}
+			rows = res.Len()
+		}
+		allocs := testing.AllocsPerRun(2, serve) // warms the cached graph / adapter first
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		serve()
+		runtime.ReadMemStats(&after)
+		bytes := after.TotalAlloc - before.TotalAlloc
+		if rows != 140_652 {
+			t.Errorf("%s: %d rows, want 140,652", backend, rows)
+		}
+		if allocs > servedAllocBound {
+			t.Errorf("%s: %.0f allocations per query, bound %d", backend, allocs, servedAllocBound)
+		}
+		if bytes > servedByteBound {
+			t.Errorf("%s: %d bytes allocated per query, bound %d", backend, bytes, servedByteBound)
+		}
+		t.Logf("%s: %d rows, %.0f allocations, %d bytes", backend, rows, allocs, bytes)
+	}
+}

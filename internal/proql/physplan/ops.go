@@ -100,8 +100,12 @@ func (s *Scan) Open() (stream.Iterator[Row], error) {
 		return nil, err
 	}
 	if s.workers <= 1 {
+		m := s.bp.newMatcher(s.g)
+		var batch []Row
 		i := 0
 		return &batchIter{produce: func() ([]Row, bool, error) {
+			// The consumer has drained the previous batch: reuse it.
+			batch = batch[:0]
 			for i < len(starts) {
 				if s.cancel != nil {
 					if err := s.cancel(); err != nil {
@@ -110,8 +114,7 @@ func (s *Scan) Open() (stream.Iterator[Row], error) {
 				}
 				st := starts[i]
 				i++
-				var batch []Row
-				s.bp.matchStart(s.g, st, seed, func(r Row) bool {
+				m.matchStart(st, seed, func(r Row) bool {
 					batch = append(batch, r)
 					return true
 				})
@@ -126,12 +129,16 @@ func (s *Scan) Open() (stream.Iterator[Row], error) {
 }
 
 // openParallel partitions the start tuples over the worker pool; each
-// worker streams its matches into a shared channel.
+// worker streams its matches into a shared channel. A worker that sees
+// the plan cancelled records the error and stops; the consumer returns
+// the first recorded error once the workers are done, so a cancelled
+// scan never ends like a complete one.
 func (s *Scan) openParallel(starts []Tuple, seed Row) stream.Iterator[Row] {
-	type scanBatch struct{ rows []Row }
-	out := make(chan scanBatch, s.workers)
+	out := make(chan []Row, s.workers)
 	stop := make(chan struct{})
 	var stopOnce sync.Once
+	var errMu sync.Mutex
+	var firstErr error
 	next := make(chan int) // work queue of start indexes
 	go func() {
 		defer close(next)
@@ -148,12 +155,20 @@ func (s *Scan) openParallel(starts []Tuple, seed Row) stream.Iterator[Row] {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			m := s.bp.newMatcher(s.g)
 			for i := range next {
-				if s.cancel != nil && s.cancel() != nil {
-					return
+				if s.cancel != nil {
+					if err := s.cancel(); err != nil {
+						errMu.Lock()
+						if firstErr == nil {
+							firstErr = err
+						}
+						errMu.Unlock()
+						return
+					}
 				}
 				var batch []Row
-				s.bp.matchStart(s.g, starts[i], seed, func(r Row) bool {
+				m.matchStart(starts[i], seed, func(r Row) bool {
 					batch = append(batch, r)
 					return true
 				})
@@ -161,7 +176,7 @@ func (s *Scan) openParallel(starts []Tuple, seed Row) stream.Iterator[Row] {
 					continue
 				}
 				select {
-				case out <- scanBatch{rows: batch}:
+				case out <- batch:
 				case <-stop:
 					return
 				}
@@ -181,9 +196,12 @@ func (s *Scan) openParallel(starts []Tuple, seed Row) stream.Iterator[Row] {
 			}
 			b, ok := <-out
 			if !ok {
-				return nil, false, nil
+				// Closed after every worker returned: firstErr is final.
+				errMu.Lock()
+				defer errMu.Unlock()
+				return nil, false, firstErr
 			}
-			return b.rows, true, nil
+			return b, true, nil
 		},
 		closeFn: func() { stopOnce.Do(func() { close(stop) }) },
 	}
@@ -215,8 +233,11 @@ func (e *Extend) Open() (stream.Iterator[Row], error) {
 	if err != nil {
 		return nil, err
 	}
+	m := e.bp.newMatcher(e.g)
+	var batch []Row
 	return &batchIter{
 		produce: func() ([]Row, bool, error) {
+			batch = batch[:0]
 			for {
 				if e.cancel != nil {
 					if err := e.cancel(); err != nil {
@@ -227,8 +248,7 @@ func (e *Extend) Open() (stream.Iterator[Row], error) {
 				if err != nil || !ok {
 					return nil, false, err
 				}
-				var batch []Row
-				if err := e.bp.matchAll(e.g, row, func(r Row) bool {
+				if err := m.matchAll(row, func(r Row) bool {
 					batch = append(batch, r)
 					return true
 				}); err != nil {
@@ -268,28 +288,20 @@ func (j *HashJoin) explain(sb *strings.Builder, indent int) {
 
 // Open implements Op.
 func (j *HashJoin) Open() (stream.Iterator[Row], error) {
-	rit, err := j.right.Open()
-	if err != nil {
+	var keys keyer
+	build := map[uint64][]Row{}
+	if err := drain(j.right, func(row Row) {
+		k := keys.key(row, j.onCols)
+		build[k] = append(build[k], row)
+	}); err != nil {
 		return nil, err
 	}
-	build := map[string][]Row{}
-	for {
-		row, ok, err := rit.Next()
-		if err != nil {
-			rit.Close()
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		k := RowKey(row, j.onCols)
-		build[k] = append(build[k], row)
-	}
-	rit.Close()
 	lit, err := j.left.Open()
 	if err != nil {
 		return nil, err
 	}
+	rows := rowAlloc{width: j.schema.Width()}
+	var batch []Row
 	return &batchIter{
 		produce: func() ([]Row, bool, error) {
 			for {
@@ -297,13 +309,14 @@ func (j *HashJoin) Open() (stream.Iterator[Row], error) {
 				if err != nil || !ok {
 					return nil, false, err
 				}
-				matches := build[RowKey(lrow, j.onCols)]
+				matches := build[keys.key(lrow, j.onCols)]
 				if len(matches) == 0 {
 					continue
 				}
-				batch := make([]Row, 0, len(matches))
+				batch = batch[:0]
 				for _, rrow := range matches {
-					out := cloneRow(lrow)
+					out := rows.row()
+					copy(out, lrow)
 					for c, v := range rrow {
 						if out[c] == nil {
 							out[c] = v
@@ -402,7 +415,8 @@ func (d *Dedup) Open() (stream.Iterator[Row], error) {
 	if err != nil {
 		return nil, err
 	}
-	seen := map[string]bool{}
+	var keys keyer
+	seen := map[uint64]struct{}{}
 	return &stream.Func[Row]{
 		NextFn: func() (Row, bool, error) {
 			for {
@@ -410,11 +424,11 @@ func (d *Dedup) Open() (stream.Iterator[Row], error) {
 				if err != nil || !ok {
 					return nil, false, err
 				}
-				k := RowKey(row, d.onCols)
-				if seen[k] {
+				k := keys.key(row, d.onCols)
+				if _, dup := seen[k]; dup {
 					continue
 				}
-				seen[k] = true
+				seen[k] = struct{}{}
 				return row, true, nil
 			}
 		},
@@ -447,13 +461,14 @@ func (p *Project) Open() (stream.Iterator[Row], error) {
 	if err != nil {
 		return nil, err
 	}
+	rows := rowAlloc{width: len(p.colIdx)}
 	return &stream.Func[Row]{
 		NextFn: func() (Row, bool, error) {
 			row, ok, err := in.Next()
 			if err != nil || !ok {
 				return nil, false, err
 			}
-			out := make(Row, len(p.colIdx))
+			out := rows.row()
 			for i, c := range p.colIdx {
 				if c >= 0 {
 					out[i] = row[c]

@@ -2,6 +2,7 @@ package physplan
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/model"
@@ -236,70 +237,136 @@ func (bp *boundPath) startsDesc(bound map[string]bool) string {
 	return "start=scan:all"
 }
 
+// matcher enumerates the matches of one bound path. It binds the
+// path's columns in place on one scratch row, unbinding them on the way
+// back, and copies the row only when it completes a match; the
+// simple-path and ancestor bookkeeping is reused across starts. A
+// matcher serves one goroutine.
+type matcher struct {
+	bp      *boundPath
+	g       Graph
+	row     Row
+	visited map[Tuple]bool
+	// reached/seen are the per-edge ancestor buffers of <-+ steps;
+	// walkEdge is the edge the running walk fills, and walkDeriv/
+	// walkSource its callbacks, bound once.
+	reached    [][]Tuple
+	seen       []map[Tuple]bool
+	walkEdge   int
+	walkDeriv  func(Deriv) bool
+	walkSource func(Tuple) bool
+	out        rowAlloc
+}
+
+func (bp *boundPath) newMatcher(g Graph) *matcher {
+	m := &matcher{bp: bp, g: g, visited: map[Tuple]bool{}}
+	if !slices.ContainsFunc(bp.path.Edges, func(e Edge) bool { return e.Kind == EdgePlus }) {
+		return m
+	}
+	m.reached = make([][]Tuple, len(bp.path.Edges))
+	m.seen = make([]map[Tuple]bool, len(bp.path.Edges))
+	m.walkDeriv = func(d Deriv) bool {
+		m.g.EachSource(d, m.walkSource)
+		return true
+	}
+	m.walkSource = func(src Tuple) bool {
+		if m.visited[src] {
+			return true
+		}
+		e := m.walkEdge
+		if !m.seen[e][src] {
+			m.seen[e][src] = true
+			m.reached[e] = append(m.reached[e], src)
+		}
+		m.visited[src] = true
+		m.g.EachDerivInto(src, "", m.walkDeriv)
+		delete(m.visited, src)
+		return true
+	}
+	return m
+}
+
 // matchAll enumerates every extension of row that satisfies the path,
 // passing each completed row (a fresh copy) to yield. yield returning
 // false stops the enumeration early.
-func (bp *boundPath) matchAll(g Graph, row Row, yield func(Row) bool) error {
+func (m *matcher) matchAll(row Row, yield func(Row) bool) error {
 	cont := true
-	err := bp.eachStart(g, row, true, func(st Tuple) bool {
-		cont = bp.matchStart(g, st, row, yield)
+	err := m.bp.eachStart(m.g, row, true, func(st Tuple) bool {
+		cont = m.matchStart(st, row, yield)
 		return cont
 	})
 	return err
 }
 
-// matchStart enumerates the path's matches anchored at one start
-// tuple. It reports false when yield stopped the enumeration.
-func (bp *boundPath) matchStart(g Graph, st Tuple, row Row, yield func(Row) bool) bool {
-	if !bp.nodeMatches(0, st, row) {
+// matchStart enumerates the path's matches extending row anchored at
+// one start tuple. It reports false when yield stopped the enumeration.
+func (m *matcher) matchStart(st Tuple, row Row, yield func(Row) bool) bool {
+	if !m.bp.nodeMatches(0, st, row) {
 		return true
 	}
-	nr := row
-	if c := bp.nodeCol[0]; c >= 0 && nr[c] == nil {
-		nr = cloneRow(nr)
-		nr[c] = st
+	if len(m.row) != len(row) {
+		m.row = make(Row, len(row))
+		m.out.width = len(row)
 	}
-	visited := map[Tuple]bool{st: true}
-	return bp.step(g, 0, st, nr, visited, yield)
+	copy(m.row, row)
+	if c := m.bp.nodeCol[0]; c >= 0 && m.row[c] == nil {
+		m.row[c] = st
+	}
+	m.visited[st] = true
+	cont := m.step(0, st, yield)
+	delete(m.visited, st)
+	return cont
 }
 
 // step matches the path's edge edgeIdx (and everything after it) from
 // cur, mirroring the tree-walking interpreter's simple-path semantics:
 // within one path match a tuple node is never revisited.
-func (bp *boundPath) step(g Graph, edgeIdx int, cur Tuple, row Row, visited map[Tuple]bool, yield func(Row) bool) bool {
+func (m *matcher) step(edgeIdx int, cur Tuple, yield func(Row) bool) bool {
+	bp, row := m.bp, m.row
 	if edgeIdx == len(bp.path.Edges) {
-		return yield(cloneRow(row))
+		out := m.out.row()
+		copy(out, row)
+		return yield(out)
 	}
 	edge := bp.path.Edges[edgeIdx]
 	nextCol := bp.nodeCol[edgeIdx+1]
+	// next binds src at the following node (if its column is free),
+	// matches the rest of the path, and unbinds.
+	next := func(src Tuple) bool {
+		bind := nextCol >= 0 && row[nextCol] == nil
+		if bind {
+			row[nextCol] = src
+		}
+		m.visited[src] = true
+		cont := m.step(edgeIdx+1, src, yield)
+		delete(m.visited, src)
+		if bind {
+			row[nextCol] = nil
+		}
+		return cont
+	}
 	cont := true
 	switch edge.Kind {
 	case EdgeDirect:
 		ec := bp.edgeCol[edgeIdx]
-		g.EachDerivInto(cur, edge.Mapping, func(d Deriv) bool {
+		m.g.EachDerivInto(cur, edge.Mapping, func(d Deriv) bool {
 			if ec >= 0 {
 				if prev := row[ec]; prev != nil && prev != any(d) {
 					return true
 				}
 			}
-			g.EachSource(d, func(src Tuple) bool {
-				if visited[src] || !bp.nodeMatches(edgeIdx+1, src, row) {
+			m.g.EachSource(d, func(src Tuple) bool {
+				if m.visited[src] || !bp.nodeMatches(edgeIdx+1, src, row) {
 					return true
 				}
-				nr, cloned := row, false
-				if ec >= 0 && nr[ec] == nil {
-					nr, cloned = cloneRow(nr), true
-					nr[ec] = d
+				bind := ec >= 0 && row[ec] == nil
+				if bind {
+					row[ec] = d
 				}
-				if nextCol >= 0 && nr[nextCol] == nil {
-					if !cloned {
-						nr = cloneRow(nr)
-					}
-					nr[nextCol] = src
+				cont = next(src)
+				if bind {
+					row[ec] = nil
 				}
-				visited[src] = true
-				cont = bp.step(g, edgeIdx+1, src, nr, visited, yield)
-				delete(visited, src)
 				return cont
 			})
 			return cont
@@ -307,41 +374,18 @@ func (bp *boundPath) step(g Graph, edgeIdx int, cur Tuple, row Row, visited map[
 	case EdgePlus:
 		// All ancestors at distance >= 1 reachable by simple paths, in
 		// discovery order for determinism.
-		var reached []Tuple
-		seen := map[Tuple]bool{}
-		var walk func(t Tuple)
-		walk = func(t Tuple) {
-			g.EachDerivInto(t, "", func(d Deriv) bool {
-				g.EachSource(d, func(src Tuple) bool {
-					if visited[src] {
-						return true
-					}
-					if !seen[src] {
-						seen[src] = true
-						reached = append(reached, src)
-					}
-					visited[src] = true
-					walk(src)
-					delete(visited, src)
-					return true
-				})
-				return true
-			})
+		if m.seen[edgeIdx] == nil {
+			m.seen[edgeIdx] = map[Tuple]bool{}
 		}
-		walk(cur)
-		for _, src := range reached {
+		clear(m.seen[edgeIdx])
+		m.reached[edgeIdx] = m.reached[edgeIdx][:0]
+		m.walkEdge = edgeIdx
+		m.g.EachDerivInto(cur, "", m.walkDeriv)
+		for _, src := range m.reached[edgeIdx] {
 			if !bp.nodeMatches(edgeIdx+1, src, row) {
 				continue
 			}
-			nr := row
-			if nextCol >= 0 && nr[nextCol] == nil {
-				nr = cloneRow(nr)
-				nr[nextCol] = src
-			}
-			visited[src] = true
-			cont = bp.step(g, edgeIdx+1, src, nr, visited, yield)
-			delete(visited, src)
-			if !cont {
+			if cont = next(src); !cont {
 				break
 			}
 		}
@@ -350,18 +394,19 @@ func (bp *boundPath) step(g Graph, edgeIdx int, cur Tuple, row Row, visited map[
 }
 
 // NewExistsChecker precompiles an existential path condition against a
-// schema, returning a predicate over that schema's rows. It is the
-// WHERE-clause path-condition primitive: variables of the path absent
-// from s are existential.
+// schema, returning a predicate over that schema's rows (for one
+// goroutine at a time). It is the WHERE-clause path-condition
+// primitive: variables of the path absent from s are existential.
 func NewExistsChecker(g Graph, p Path, s *Schema) func(Row) (bool, error) {
 	ext := s.Extend(p.Vars())
 	bp := bindPath(p, ext)
-	width := ext.Width()
+	m := bp.newMatcher(g)
+	seed := make(Row, ext.Width())
 	return func(row Row) (bool, error) {
-		seed := make(Row, width)
+		clear(seed)
 		copy(seed, row)
 		found := false
-		err := bp.matchAll(g, seed, func(Row) bool {
+		err := m.matchAll(seed, func(Row) bool {
 			found = true
 			return false
 		})

@@ -2,7 +2,10 @@ package physplan
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/model"
@@ -230,6 +233,52 @@ func TestDedupDistinctNodesNoCollision(t *testing.T) {
 	}
 }
 
+// ordTuple and ordDeriv are handles with chosen ordinals.
+type ordTuple int
+
+func (o ordTuple) TupleRef() model.TupleRef { return ref("T", int(o)) }
+func (o ordTuple) TupleOrd() int            { return int(o) }
+func (o ordTuple) TupleRow() model.Tuple    { return nil }
+func (o ordTuple) TupleLeaf() bool          { return false }
+
+type ordDeriv int
+
+func (o ordDeriv) DerivOrd() int        { return int(o) }
+func (o ordDeriv) DerivID() string      { return fmt.Sprint(int(o)) }
+func (o ordDeriv) DerivMapping() string { return "m" }
+
+// TestKeyerKeys: integer keys tell tuples from derivations of the same
+// ordinal, bound from unbound and column order apart; keys over more
+// than two columns or oversize ordinals take the string fallback, whose
+// ids never meet an integer key.
+func TestKeyerKeys(t *testing.T) {
+	const big = 1 << 40
+	rows := []Row{
+		{ordTuple(5), nil, nil}, {ordDeriv(5), nil, nil}, {nil, nil, nil}, {ordTuple(0), nil, nil},
+		{ordTuple(1), ordTuple(2), nil}, {ordTuple(2), ordTuple(1), nil},
+		{ordTuple(big), ordTuple(1), nil}, {ordTuple(1), ordTuple(big), nil},
+		{ordTuple(1), ordTuple(2), ordTuple(3)}, {ordTuple(1), ordTuple(2), ordDeriv(3)},
+		{ordTuple(big), nil, nil},
+	}
+	cols := [][]int{{0}, {0}, {0}, {0}, {0, 1}, {0, 1}, {0, 1}, {0, 1}, {0, 1, 2}, {0, 1, 2}, {0}}
+	var k keyer
+	seen := map[uint64]int{}
+	for i, r := range rows {
+		key := k.key(r, cols[i])
+		if j, dup := seen[key]; dup {
+			t.Errorf("rows %d and %d share key %#x", j, i, key)
+		}
+		seen[key] = i
+		wide := key>>63 == 1
+		if want := len(cols[i]) > 2 || (len(cols[i]) == 2 && (r[0] == ordTuple(big) || r[1] == ordTuple(big))); wide != want {
+			t.Errorf("row %d: string fallback = %v, want %v", i, wide, want)
+		}
+		if again := k.key(r, cols[i]); again != key {
+			t.Errorf("row %d: key %#x, then %#x", i, key, again)
+		}
+	}
+}
+
 func TestParallelScanMatchesSerial(t *testing.T) {
 	g := diamondGraph(50)
 	p1 := Path{
@@ -267,6 +316,71 @@ func TestParallelScanEarlyClose(t *testing.T) {
 		t.Fatalf("first row: ok=%v err=%v", ok, err)
 	}
 	it.Close() // must not deadlock or leak workers blocked on send
+}
+
+// startGate serializes a scan's start tuples (the test path calls
+// EachDerivInto once per start) and runs onStart(k) for the k-th.
+type startGate struct {
+	Mem
+	mu      sync.Mutex
+	started int
+	onStart func(k int)
+}
+
+func (g *startGate) EachDerivInto(t Tuple, mapping string, yield func(Deriv) bool) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.started++
+	g.onStart(g.started)
+	g.Mem.EachDerivInto(t, mapping, yield)
+}
+
+// TestParallelScanCancelSurfaces: a parallel scan cancelled after k
+// start tuples must end with the cancellation error, never as a
+// complete (truncated) result. The path matches nothing, so the
+// consumer polls once, finds the plan live, and waits on the workers;
+// the cancel fires only after that poll, so the workers alone see it.
+func TestParallelScanCancelSurfaces(t *testing.T) {
+	const workers, k = 2, 5
+	errStop := fmt.Errorf("cancelled")
+	var polls atomic.Int64
+	var cancelled atomic.Bool
+	g := &startGate{Mem: NewMem(diamondGraph(200))}
+	g.onStart = func(n int) {
+		if n != k {
+			return
+		}
+		// Each worker polls before each start it enters; while this one
+		// holds the gate, the workers have polled at most k+workers-1
+		// times, so one more poll is the consumer's.
+		for polls.Load() < k+workers {
+			runtime.Gosched()
+		}
+		cancelled.Store(true)
+	}
+	nothing := Path{
+		Nodes: []Node{{Rel: "O", Var: "x"}, {Rel: "Q"}},
+		Edges: []Edge{{Kind: EdgeDirect}},
+	}
+	plan, err := Compile(g, Spec{Paths: []Path{nothing}, Return: []string{"x"}, Workers: workers,
+		Cancel: func() error {
+			polls.Add(1)
+			if cancelled.Load() {
+				return errStop
+			}
+			return nil
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	it, err := plan.Root.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer it.Close()
+	if _, ok, err := it.Next(); err != errStop {
+		t.Fatalf("cancelled parallel scan ended with ok=%v err=%v, want %v", ok, err, errStop)
+	}
 }
 
 func TestExistsChecker(t *testing.T) {

@@ -2,6 +2,7 @@ package physplan
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/provgraph"
@@ -86,8 +87,8 @@ func (p *Plan) ExplainString() string {
 // starts exploited), index-nested-loop extension where a path's start
 // is bound, hash joins on shared variables otherwise, filters pushed
 // to the earliest operator with their variables in scope, then
-// dedup on the RETURN variables, subgraph projection, and column
-// projection.
+// dedup on the RETURN variables (fused into the last join where
+// fusable allows), subgraph projection, and column projection.
 func Compile(g Graph, spec Spec) (*Plan, error) {
 	return compile(g, spec, nil)
 }
@@ -210,7 +211,13 @@ func compile(g Graph, spec Spec, dec *Decisions) (*Plan, error) {
 	for i, v := range spec.Return {
 		retCols[i] = schema.Col(v)
 	}
-	root = &Dedup{input: root, on: spec.Return, onCols: retCols}
+	if j, ok := root.(*HashJoin); ok && fusable(spec, retCols, schema) {
+		// Dedup directly on the last join: one distinct join, bounded by
+		// the output.
+		root = newDistinctJoin(j, spec.Return, retCols, spec.Cancel)
+	} else {
+		root = &Dedup{input: root, on: spec.Return, onCols: retCols}
+	}
 	if len(spec.Include) > 0 {
 		if spec.Out == nil {
 			return nil, fmt.Errorf("physplan: INCLUDE paths require Spec.Out")
@@ -223,6 +230,25 @@ func compile(g Graph, spec Spec, dec *Decisions) (*Plan, error) {
 	}
 	root = &Project{input: root, cols: spec.Return, colIdx: retCols, schema: NewSchema(spec.Return)}
 	return &Plan{Root: root, Order: order, Costs: costs, Schema: schema}, nil
+}
+
+// fusable reports whether Dedup's choice of representative row is
+// unobservable, so the dedup may fuse into the join beneath it: every
+// returned variable has a column, and no INCLUDE path reads a column
+// outside RETURN. (Authoritative filters between the two rule fusion
+// out by sitting on top of the join.)
+func fusable(spec Spec, retCols []int, schema *Schema) bool {
+	if slices.Contains(retCols, -1) {
+		return false
+	}
+	for _, p := range spec.Include {
+		for _, v := range p.Vars() {
+			if schema.Col(v) >= 0 && !slices.Contains(spec.Return, v) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 func varsBound(vars []string, bound map[string]bool) bool {

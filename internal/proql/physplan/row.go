@@ -15,7 +15,9 @@
 //     row through a path whose start is already bound, following
 //     per-node adjacency lists (goal-directed evaluation).
 //   - HashJoin joins two independent sub-plans on their shared
-//     variables.
+//     variables; DistinctJoin is a HashJoin fused with the dedup above
+//     it, emitting each distinct returned combination once without
+//     materializing the join.
 //   - Filter, Dedup, Include and Project do WHERE evaluation,
 //     duplicate elimination on the RETURN variables, provenance
 //     subgraph projection, and final column selection.
@@ -31,12 +33,6 @@ package physplan
 // Row is one variable binding: a slice indexed by the plan Schema,
 // holding Tuple or Deriv handles (nil = unbound).
 type Row []any
-
-func cloneRow(r Row) Row {
-	out := make(Row, len(r))
-	copy(out, r)
-	return out
-}
 
 // Schema maps variable names to row columns.
 type Schema struct {
@@ -80,6 +76,81 @@ func (s *Schema) Col(name string) int {
 	return -1
 }
 
+// rowAlloc carves fixed-width rows out of shared backing arrays whose
+// size doubles from one row up to 256: a one-row result costs one
+// allocation, a large one an allocation per 256 rows instead of one per
+// row. A chunk stays alive while any row cut from it does.
+type rowAlloc struct {
+	width int
+	chunk int // rows in the last chunk
+	buf   []any
+}
+
+func (a *rowAlloc) row() Row {
+	if len(a.buf) < a.width {
+		a.chunk = min(max(2*a.chunk, 1), 256)
+		a.buf = make([]any, a.chunk*a.width)
+	}
+	r := Row(a.buf[:a.width:a.width])
+	a.buf = a.buf[a.width:]
+	return r
+}
+
+// keyer encodes some columns of a row as the uint64 key of the join
+// and dedup maps. One column is its node code; two columns whose codes
+// fit 31 bits are both codes side by side; so bit 63 stays clear. Any
+// other key — more columns, oversize ordinals — falls back to RowKey's
+// string, which the keyer numbers with bit 63 set. Keys from one keyer
+// are comparable; a keyer serves one goroutine.
+type keyer struct {
+	wide map[string]uint64
+}
+
+func (k *keyer) key(r Row, cols []int) uint64 {
+	switch len(cols) {
+	case 0:
+		return 0
+	case 1:
+		if c := codeAt(r, cols[0]); c < 1<<63 {
+			return c
+		}
+	case 2:
+		if a, b := codeAt(r, cols[0]), codeAt(r, cols[1]); a < 1<<31 && b < 1<<31 {
+			return a<<32 | b
+		}
+	}
+	s := RowKey(r, cols)
+	id, ok := k.wide[s]
+	if !ok {
+		if k.wide == nil {
+			k.wide = map[string]uint64{}
+		}
+		id = 1<<63 | uint64(len(k.wide))
+		k.wide[s] = id
+	}
+	return id
+}
+
+// nodeCode is the fixed-width code of one bound value: the node's
+// ordinal above a two-bit tag (1 tuple, 2 derivation); 0 is unbound.
+func nodeCode(v any) uint64 {
+	switch n := v.(type) {
+	case Tuple:
+		return uint64(n.TupleOrd())<<2 | 1
+	case Deriv:
+		return uint64(n.DerivOrd())<<2 | 2
+	}
+	return 0
+}
+
+// codeAt is the node code of column c of r; a column of -1 is unbound.
+func codeAt(r Row, c int) uint64 {
+	if c < 0 {
+		return 0
+	}
+	return nodeCode(r[c])
+}
+
 // nodeKey appends a collision-free encoding of one bound value to buf:
 // node ordinals are unique per store and contain no separator
 // ambiguity, unlike the raw string signatures they replace.
@@ -111,7 +182,8 @@ func appendInt(buf []byte, n int) []byte {
 	return append(buf, tmp[i:]...)
 }
 
-// RowKey encodes the given columns of a row as a dedup/join key.
+// RowKey encodes the given columns of a row as a string key: the
+// fallback of the operators' integer keys (see keyer).
 func RowKey(r Row, cols []int) string {
 	buf := make([]byte, 0, 8*len(cols))
 	for _, c := range cols {

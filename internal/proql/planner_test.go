@@ -175,6 +175,8 @@ func TestBindingSignatureCollisionFree(t *testing.T) {
 
 func TestExplainGraphQueryShowsPhysicalPlan(t *testing.T) {
 	e := exampleEngine(t)
+	// The INCLUDE paths read only returned variables, so the dedup on
+	// RETURN fuses into the hash join on $z.
 	out, err := e.ExplainString(`FOR [O $x] <-+ [$z], [C $y] <-+ [$z] INCLUDE PATH [$x] <-+ [], [$y] <-+ [] RETURN $x, $y`)
 	if err != nil {
 		t.Fatal(err)
@@ -183,7 +185,7 @@ func TestExplainGraphQueryShowsPhysicalPlan(t *testing.T) {
 		"backend: graph",
 		"join order:",
 		"physical plan:",
-		"Dedup($x, $y)",
+		"DistinctJoin(on $z; distinct $x, $y)",
 		"Scan(",
 		"Include(",
 		"Project($x, $y)",
@@ -192,8 +194,16 @@ func TestExplainGraphQueryShowsPhysicalPlan(t *testing.T) {
 			t.Errorf("explain missing %q:\n%s", want, out)
 		}
 	}
-	// A multi-path query without a bound start joins via hash join.
-	if !strings.Contains(out, "HashJoin") && !strings.Contains(out, "Extend") {
-		t.Errorf("explain should show a join operator:\n%s", out)
+	if strings.Contains(out, "Dedup(") || strings.Contains(out, "HashJoin(") {
+		t.Errorf("dedup should be fused into the join:\n%s", out)
+	}
+	// An INCLUDE over the non-returned $z reads Dedup's representative
+	// row: the operators stay apart.
+	out, err = e.ExplainString(`FOR [O $x] <-+ [$z], [C $y] <-+ [$z] INCLUDE PATH [$z] <-+ [] RETURN $x, $y`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out, "Dedup($x, $y)") || !strings.Contains(out, "HashJoin(on $z)") {
+		t.Errorf("dedup must not fuse under an INCLUDE of $z:\n%s", out)
 	}
 }
