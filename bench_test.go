@@ -385,7 +385,8 @@ func BenchmarkSinglePathProjection(b *testing.B) {
 // 10-peer chain the served point-read workload uses: "point" is the
 // paper's core question about one tuple (an anchor WHERE pinning the
 // key, answered by key and index probes), "whole-target" the same
-// projection for every target tuple (no WHERE: hash joins over scans).
+// projection for every target tuple (no WHERE: one scan per rule, the
+// other atoms reached by key probes).
 func BenchmarkRelationalPointQuery(b *testing.B) {
 	set, err := workload.Build(servedConfig("S"))
 	if err != nil {

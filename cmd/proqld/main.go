@@ -10,8 +10,12 @@
 //	proqld                        # running example on :8080
 //	proqld -addr :9090            # custom listen address
 //	proqld -peers 8 -data 2 -base 100   # synthetic chain setting
-//	proqld -retain 64             # keep 64 epochs of history for AS OF queries
+//	proqld -retain 64             # keep the history of the last 64 writes for AS OF queries
 //	proqld -smoke                 # self-test on an ephemeral port and exit
+//
+// SIGTERM or SIGINT shuts the daemon down cleanly: requests in flight
+// finish, then the durable store syncs its log and waits for a
+// checkpoint in flight, so every acknowledged write survives.
 //
 // The API is versioned under /v1. Errors are a JSON envelope
 // {"error": "...", "code": "..."}: 400 bad_request for malformed
@@ -47,8 +51,10 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"os/signal"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"repro/internal/core"
@@ -71,7 +77,7 @@ func main() {
 		dataDir   = flag.String("data-dir", "", "persist storage in this directory (checkpoint + write-ahead log); restart recovers the instance instead of rebuilding it")
 		syncEvery = flag.Int("sync-every", 1, "fsync the log every N commits (durable mode; 1 = every commit)")
 		ckptEvery = flag.Int("checkpoint-every", 256, "checkpoint after this many commits (durable mode; 0 = never)")
-		retain    = flag.Int64("retain", 0, "keep this many epochs of row history for AS OF queries (-1 = retain everything, 0 = live-only)")
+		retain    = flag.Int64("retain", 0, "keep the row history of this many writes for AS OF queries: every /v1/insert or /v1/delete is one epoch (-1 = retain everything, 0 = live-only)")
 		timeout   = flag.Duration("query-timeout", 30*time.Second, "abort queries running longer than this (0 = no limit)")
 		maxConns  = flag.Int("max-conns", 64, "concurrent request limit; excess requests get 503 instead of queuing (0 = unlimited)")
 		smoke     = flag.Bool("smoke", false, "start on an ephemeral port, run a concurrent read/write self-test, and exit")
@@ -83,26 +89,58 @@ func main() {
 		fmt.Fprintln(os.Stderr, "proqld:", err)
 		os.Exit(1)
 	}
-	defer sys.Close()
 	srv := newServer(sys, *timeout, *maxConns)
 
 	if *smoke {
-		if err := runSmoke(srv); err != nil {
+		err := runSmoke(srv)
+		sys.Close()
+		if err != nil {
 			fmt.Fprintln(os.Stderr, "proqld: smoke:", err)
 			os.Exit(1)
 		}
 		return
 	}
 
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		sys.Close()
+		fmt.Fprintln(os.Stderr, "proqld:", err)
+		os.Exit(1)
+	}
 	if *dataDir != "" {
 		fmt.Printf("proqld serving durable store %s on %s\n", *dataDir, *addr)
 	} else {
 		fmt.Printf("proqld listening on %s\n", *addr)
 	}
-	if err := http.ListenAndServe(*addr, srv.handler()); err != nil {
+	if err := serve(ln, srv); err != nil {
 		fmt.Fprintln(os.Stderr, "proqld:", err)
 		os.Exit(1)
 	}
+}
+
+// serve answers HTTP on ln until SIGTERM or SIGINT arrives, then shuts
+// down in order: it stops accepting, lets the requests in flight finish
+// (each query is bounded by -query-timeout) and closes the system,
+// which syncs the log and waits for a background checkpoint in flight.
+// Every write acknowledged before the signal is then on disk, whatever
+// -sync-every is. A second signal during the drain kills the process.
+func serve(ln net.Listener, srv *server) error {
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, os.Interrupt)
+	defer stop()
+	hs := &http.Server{Handler: srv.handler()}
+	served := make(chan error, 1)
+	go func() { served <- hs.Serve(ln) }()
+	var err error
+	select {
+	case err = <-served:
+	case <-ctx.Done():
+		stop()
+		err = hs.Shutdown(context.Background())
+	}
+	if cerr := srv.sys.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // retainEpochs maps the -retain flag onto the storage retention depth:

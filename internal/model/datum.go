@@ -181,13 +181,16 @@ func AppendDatum(buf []byte, d Datum) []byte {
 	return append(buf, '|')
 }
 
-// EncodeDatums returns the canonical encoding of a datum sequence.
+// EncodeDatums returns the canonical encoding of a datum sequence. It
+// encodes into a stack buffer, so a short sequence costs one allocation:
+// the string.
 func EncodeDatums(ds []Datum) string {
-	var sb strings.Builder
+	var buf [64]byte
+	b := buf[:0]
 	for _, d := range ds {
-		EncodeDatum(&sb, d)
+		b = AppendDatum(b, d)
 	}
-	return sb.String()
+	return string(b)
 }
 
 // DecodeDatums parses a canonical encoding produced by EncodeDatums

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/exchange"
@@ -61,6 +62,8 @@ type Engine struct {
 	// plans is the shape-keyed plan cache shared by all backends; it is
 	// internally synchronized.
 	plans *planCache
+	// ruleWorkers counts the relational rule evaluations in flight.
+	ruleWorkers atomic.Int64
 }
 
 // NewEngine builds an engine over a system. The engine is safe for

@@ -3,6 +3,7 @@ package proql
 import (
 	"fmt"
 	"runtime"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/exchange"
@@ -118,16 +119,17 @@ type unfoldPlans struct {
 }
 
 // planUnfold builds the plans of a compiled query against sys (the ASR
-// rewriting hook applies here). Only the unfolding is cached across
-// queries of one shape; plans are rebuilt per execution because they
-// carry the query's constants and the snapshot's tables.
+// rewriting hook applies here). The unfolding and the join orders that
+// do not depend on the query's literals are cached across queries of
+// one shape; plans are rebuilt per execution because they carry the
+// query's constants and the snapshot's tables.
 func (e *Engine) planUnfold(sys *exchange.System, comp *Compiled) (*unfoldPlans, error) {
 	q := comp.Query
 	rules := comp.Rules
 	if e.RewriteRules != nil {
 		rules = e.RewriteRules(rules)
 	}
-	ctx := &planContext{sys: sys, atomPlanOverride: e.AtomPlanOverride}
+	ctx := &planContext{sys: sys, atomPlanOverride: e.AtomPlanOverride, orders: comp.orders}
 	spec := pruneSpecFor(q)
 	up := &unfoldPlans{rules: make([]*rulePlan, 0, len(rules))}
 	for _, r := range rules {
@@ -259,7 +261,7 @@ func (e *Engine) runUnfold(sys *exchange.System, comp *Compiled, asOf uint64, up
 	// but determinism keeps output ordering and tests stable). The
 	// rules flow through the same stream.Iterator interface the graph
 	// backend's physical operators use.
-	it := ruleStream(sys.DB, plans)
+	it := ruleStream(sys.DB, plans, q.Cancel, &e.ruleWorkers)
 	defer it.Close()
 	for {
 		if q.Cancel != nil {
@@ -304,16 +306,38 @@ type ruleRow struct {
 	row  model.Tuple
 }
 
+// cancelPollRows is how many rows a rule worker produces between two
+// polls of the query's cancel func.
+const cancelPollRows = 64
+
 // ruleStream evaluates every rule plan concurrently and yields the
-// rows in rule order.
-func ruleStream(db *relstore.Database, plans []*rulePlan) stream.Iterator[ruleRow] {
+// rows in rule order. Each worker polls cancel (when set) before its
+// first row and every cancelPollRows rows after it, and stops on its
+// error; closing the stream stops the workers and waits for them.
+// running counts the rule evaluations in flight.
+func ruleStream(db *relstore.Database, plans []*rulePlan, cancel func() error, running *atomic.Int64) stream.Iterator[ruleRow] {
 	makers := make([]func() (stream.Iterator[ruleRow], error), len(plans))
 	for i, rp := range plans {
-		i, rp := i, rp
 		makers[i] = func() (stream.Iterator[ruleRow], error) {
-			return stream.Map(relstore.Stream(rp.plan, db), func(t model.Tuple) (ruleRow, error) {
-				return ruleRow{rule: i, row: t}, nil
-			}), nil
+			running.Add(1)
+			in := relstore.Stream(rp.plan, db)
+			n := 0
+			return &stream.Func[ruleRow]{
+				NextFn: func() (ruleRow, bool, error) {
+					if cancel != nil && n%cancelPollRows == 0 {
+						if err := cancel(); err != nil {
+							return ruleRow{}, false, err
+						}
+					}
+					n++
+					t, ok, err := in.Next()
+					return ruleRow{rule: i, row: t}, ok, err
+				},
+				CloseFn: func() {
+					in.Close()
+					running.Add(-1)
+				},
+			}, nil
 		}
 	}
 	return stream.OrderedParallel(makers, runtime.GOMAXPROCS(0))
@@ -412,6 +436,10 @@ func (e *Engine) evalTreeRow(
 	row model.Tuple,
 ) (semiring.Value, error) {
 	if n.IsLeaf() {
+		if leafClause != nil && len(leafClause.Cases) == 0 && leafClause.Default != nil {
+			// Every leaf takes the DEFAULT: no context to build.
+			return convertAssignValue(s, leafClause.Default.Lit)
+		}
 		ctx, err := e.leafContextFor(rp, n, row)
 		if err != nil {
 			return nil, err

@@ -32,12 +32,13 @@ func chainSetting(t testing.TB) *workload.Setting {
 	return set
 }
 
-// TestExplainUnrestrictedPlansUnchanged pins the plans of queries that
-// carry no constant: the whole-target query and its TRUST variant must
-// explain byte-for-byte as they did before selection pushdown and index
-// joins existed (the golden files were recorded at that commit) — hash
-// joins over scans in body order.
-func TestExplainUnrestrictedPlansUnchanged(t *testing.T) {
+// TestExplainConstantFreePlansAreProbePipelines pins the plans of
+// queries that carry no constant, the whole-target query and its TRUST
+// variant: each rule scans its first provenance relation and reaches
+// every other atom by a primary-key probe — no hash join, one scan per
+// rule — and the atoms that bind nothing the query reads (every P_mA
+// after the first, every B_l) are semi-joins.
+func TestExplainConstantFreePlansAreProbePipelines(t *testing.T) {
 	set := chainSetting(t)
 	for name, query := range map[string]string{
 		"explain_target.golden": set.TargetQuery(),
@@ -48,6 +49,16 @@ func TestExplainUnrestrictedPlansUnchanged(t *testing.T) {
 			t.Fatal(err)
 		}
 		checkGolden(t, name, query, got)
+		rules := strings.Count(got, "\n-- rule ")
+		if n := strings.Count(got, "HashJoin("); n != 0 {
+			t.Errorf("%s: %d hash joins", name, n)
+		}
+		if n := strings.Count(got, "Scan(P_mA1)"); n != rules || strings.Count(got, "Scan(") != rules {
+			t.Errorf("%s: want one Scan(P_mA1) per rule and no other scan:\n%s", name, got)
+		}
+		if n := strings.Count(got, "SemiJoin(B1_l via pk"); n != rules {
+			t.Errorf("%s: B1_l semi-joined in %d of %d rules", name, n, rules)
+		}
 	}
 }
 
@@ -73,8 +84,10 @@ func checkGolden(t *testing.T, name, query, got string) {
 
 // TestExplainPointQueryIsGoalDirected pins the shape of the paper's
 // core question about one tuple: the key selection is pushed into both
-// unfolded rules, so every atom is reached by a key lookup or an index
-// join and nothing is scanned.
+// unfolded rules, so every atom is reached by a key lookup or a key
+// probe and nothing is scanned; the lookup of the anchor's local row
+// binds every column the query reads, so every probe after it is a
+// semi-join and no row is copied.
 func TestExplainPointQueryIsGoalDirected(t *testing.T) {
 	set := chainSetting(t)
 	out, err := proql.NewEngine(set.Sys).ExplainString(
@@ -82,7 +95,7 @@ func TestExplainPointQueryIsGoalDirected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, banned := range []string{"Scan(", "HashJoin(", "Filter("} {
+	for _, banned := range []string{"Scan(", "HashJoin(", "Filter(", "IndexJoin(", "Project("} {
 		if strings.Contains(out, banned) {
 			t.Errorf("point query plan contains %s:\n%s", banned, out)
 		}
@@ -91,8 +104,8 @@ func TestExplainPointQueryIsGoalDirected(t *testing.T) {
 		"unfolded rules: 2",
 		"PKLookup(A8_l)",
 		"PKLookup(A9_l)",
-		"IndexJoin(P_mA1 via pk cols=[0 1] keys=[80000003, $1])",
-		"IndexJoin(B1_l via pk cols=[0] keys=[$1])",
+		"SemiJoin(P_mA1 via pk cols=[0 1] keys=[80000003, $1])",
+		"SemiJoin(B1_l via pk cols=[0] keys=[$1])",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("point query plan missing %q:\n%s", want, out)

@@ -5,6 +5,10 @@ import (
 	"testing"
 )
 
+// TestExplainRelationalQuery pins Q1's relational translation. Only the
+// rule through the virtual provenance view P_m4 keeps a hash join (a
+// view has no key to probe); the m5 rule scans P_m5 and semi-joins the
+// local rows, whose columns it does not read.
 func TestExplainRelationalQuery(t *testing.T) {
 	e := exampleEngine(t)
 	out, err := e.ExplainString(paperQueries["Q1"])
@@ -19,10 +23,14 @@ func TestExplainRelationalQuery(t *testing.T) {
 		"HashJoin",
 		"Scan(P_m5)",
 		"Scan(A_l)",
+		"SemiJoin(C_l via pk cols=[0 1] keys=[$0, $1])",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("explain output missing %q:\n%s", want, out)
 		}
+	}
+	if n := strings.Count(out, "HashJoin("); n != 1 {
+		t.Errorf("%d hash joins, want 1 (the view's):\n%s", n, out)
 	}
 }
 

@@ -2,14 +2,17 @@ package proql
 
 import "repro/internal/relstore"
 
+// RunningRuleWorkers is the number of the engine's relational rule
+// evaluations in flight.
+func (e *Engine) RunningRuleWorkers() int64 { return e.ruleWorkers.Load() }
+
 // ExecFilterOnTop is the oracle of the selection-pushdown differential:
 // it runs q on the relational backend with the anchor WHERE condition
 // kept out of planning altogether — every rule is planned as if the
-// query had no WHERE (hash joins over scans in body order), the anchor
-// relation is scanned whole, and the condition is evaluated by one
-// relstore Filter on top of each plan. This is where the condition sat
-// before pushdown; nothing in it depends on the literal's type, on
-// keys or on indexes.
+// query had no WHERE (the constant-free plans), the anchor relation is
+// scanned whole, and the condition is evaluated by one relstore Filter
+// on top of each plan. This is where the condition sat before
+// pushdown; nothing in it depends on the literal's type.
 func (e *Engine) ExecFilterOnTop(q *Query, asOf uint64) (*Result, error) {
 	comp, err := e.compileUnfoldCached(q)
 	if err != nil {

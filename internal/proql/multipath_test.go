@@ -190,18 +190,7 @@ const (
 // then the sorted refs of every variable — and holds its exact answer
 // size and the allocation and byte bounds, on both physplan backends.
 func TestMultiPathServedAllocs(t *testing.T) {
-	set, err := workload.Build(workload.Config{
-		Topology:  workload.Chain,
-		Profile:   workload.ProfileLinear,
-		NumPeers:  20,
-		DataPeers: workload.UpstreamDataPeers(20, 3),
-		BaseSize:  500,
-		Seed:      7,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := proql.NewEngine(set.Sys)
+	eng := proql.NewEngine(instanceM(t).Sys)
 	q := proql.MustParse("FOR [A0 $x] <-+ [$z], [A1 $y] <-+ [$z] RETURN $x, $y")
 	for _, backend := range []string{"graph", "asr"} {
 		rows := 0

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strings"
+	"sync"
 
 	"repro/internal/exchange"
 	"repro/internal/model"
@@ -29,6 +31,8 @@ type planContext struct {
 	// atomPlanOverride lets the ASR layer substitute plans for ASR
 	// atoms; it returns (nil, false) for ordinary atoms.
 	atomPlanOverride func(atom model.Atom) (relstore.Plan, bool)
+	// orders caches literal-independent join orders (nil: none).
+	orders *orderCache
 }
 
 // pruneSpec describes which variables the query consumes beyond the
@@ -197,33 +201,20 @@ type joinStep struct {
 
 // joinOrder orders a rule's body atoms from what the planner can
 // observe without statistics — which terms are bound and which keys and
-// indexes exist (a bound term is obviously selective). A rule with no
-// constant anywhere keeps its body order and joins by hash over scans.
-// Otherwise the order starts from the atom with the best
-// constant-restricted access path (primary key, then index, then
-// filtered scan; more constants first) and greedily follows atoms
-// sharing an already-bound variable, preferring one whose primary key
-// or an existing index covers bound columns including a join column:
-// that atom is index-joined, reading only the rows that join. Atoms
-// with no such path (and views and overrides) are hash-joined.
+// indexes exist (a bound term is obviously selective). From a seed atom
+// it greedily follows atoms sharing an already-bound variable,
+// preferring one whose primary key or an existing index covers bound
+// columns including a join column: that atom is index-joined, reading
+// only the rows that join. Atoms with no such path (and views and
+// overrides) are hash-joined.
 //
-// The second result maps every variable to the last step whose atom
-// mentions it.
-func joinOrder(atoms []planAtom, fixed map[string]model.Datum) ([]joinStep, map[string]int) {
-	steps := make([]joinStep, 0, len(atoms))
-	nvars := 0
-	for i := range atoms {
-		nvars += len(atoms[i].vars)
-	}
-	lastUse := make(map[string]int, nvars)
-	placed := make([]bool, len(atoms))
-	place := func(st joinStep) {
-		for _, v := range atoms[st.atom].vars {
-			lastUse[v] = len(steps)
-		}
-		steps = append(steps, st)
-		placed[st.atom] = true
-	}
+// A rule with a constant is seeded by the atom with the best
+// constant-restricted access path (primary key, then index, then
+// filtered scan; more constants first). A rule with none is seeded by
+// the first stored atom in body order from which the greedy places
+// every other stored atom by a probe or, when no atom does, by the one
+// that leaves the fewest stored atoms to hash joins.
+func joinOrder(atoms []planAtom, fixed map[string]model.Datum) []joinStep {
 	seed, seedKind := -1, relstore.AccessScan
 	for i := range atoms {
 		a := &atoms[i]
@@ -238,12 +229,44 @@ func joinOrder(atoms []planAtom, fixed map[string]model.Datum) ([]joinStep, map[
 			seed, seedKind = i, kind
 		}
 	}
-	if seed < 0 {
-		for i := range atoms {
-			place(joinStep{atom: i})
-		}
-		return steps, lastUse
+	if seed >= 0 {
+		steps, _ := placeFrom(atoms, fixed, seed, len(atoms))
+		return steps
 	}
+	var best []joinStep
+	fewest := len(atoms)
+	for i := range atoms {
+		if atoms[i].table == nil {
+			continue
+		}
+		if steps, hashed := placeFrom(atoms, fixed, i, fewest); steps != nil {
+			best, fewest = steps, hashed
+			if hashed == 0 {
+				break
+			}
+		}
+	}
+	if best == nil { // no stored atom
+		best, _ = placeFrom(atoms, fixed, 0, len(atoms))
+	}
+	return best
+}
+
+// placeFrom runs the greedy of joinOrder from the seed atom and counts
+// the stored atoms it leaves to hash joins. It gives up, returning nil,
+// as soon as that count reaches limit.
+func placeFrom(atoms []planAtom, fixed map[string]model.Datum, seed, limit int) ([]joinStep, int) {
+	steps := make([]joinStep, 0, len(atoms))
+	placed := make([]bool, len(atoms))
+	have := make(map[string]bool)
+	place := func(st joinStep) {
+		for _, v := range atoms[st.atom].vars {
+			have[v] = true
+		}
+		steps = append(steps, st)
+		placed[st.atom] = true
+	}
+	hashed := 0
 	place(joinStep{atom: seed})
 	for len(steps) < len(atoms) {
 		next := joinStep{atom: -1}
@@ -261,7 +284,7 @@ func joinOrder(atoms []planAtom, fixed map[string]model.Datum) ([]joinStep, map[
 			for ai, t := range a.atom.Args {
 				if _, isFixed := fixed[t.Var]; t.IsConst || isFixed {
 					bound = append(bound, ai)
-				} else if _, have := lastUse[t.Var]; have { // never for "_"
+				} else if have[t.Var] { // never for "_"
 					bound = append(bound, ai)
 					joins = true
 				}
@@ -297,9 +320,14 @@ func joinOrder(atoms []planAtom, fixed map[string]model.Datum) ([]joinStep, map[
 		default:
 			next.atom = unplaced
 		}
+		if next.path.Kind == relstore.AccessScan && atoms[next.atom].table != nil {
+			if hashed++; hashed >= limit {
+				return nil, hashed
+			}
+		}
 		place(next)
 	}
-	return steps, lastUse
+	return steps, hashed
 }
 
 // buildRulePlan compiles a conjunctive rule to a left-deep join plan
@@ -309,7 +337,13 @@ func joinOrder(atoms []planAtom, fixed map[string]model.Datum) ([]joinStep, map[
 // every body atom, a statically false conjunct empties the rule, and
 // the remaining conjuncts become Filters at the first step that binds
 // their variables. Constants then drive each atom's access path and the
-// join order and method (joinOrder).
+// join order and method (joinOrder). A rule whose order does not depend
+// on the query's literals takes it from ctx.orders.
+//
+// A primary-key probe whose atom binds no variable live after its step
+// (and has no repeated variable to compare) is a semi-join: at most one
+// row matches and none of its columns is needed, so the step emits the
+// left row itself.
 func buildRulePlan(ctx *planContext, rule *ConjRule, where Cond, anchorVar string, spec pruneSpec) (*rulePlan, error) {
 	if len(rule.Body) == 0 {
 		return nil, fmt.Errorf("proql: empty rule body")
@@ -325,9 +359,20 @@ func buildRulePlan(ctx *planContext, rule *ConjRule, where Cond, anchorVar strin
 	for i, atom := range rule.Body {
 		atoms[i] = classifyAtom(ctx, atom, sel.fixed)
 	}
+	var steps []joinStep
+	if len(sel.fixed) == 0 {
+		steps = ctx.orders.order(atoms)
+	} else {
+		steps = joinOrder(atoms, sel.fixed)
+	}
 	// Past the last step that mentions it, a variable is carried only if
 	// the query consumes it.
-	steps, lastUse := joinOrder(atoms, sel.fixed)
+	lastUse := make(map[string]int)
+	for p, st := range steps {
+		for _, v := range atoms[st.atom].vars {
+			lastUse[v] = p
+		}
+	}
 	for v := range externalVars(ctx.sys, rule, spec) {
 		lastUse[v] = len(steps)
 	}
@@ -351,7 +396,7 @@ func buildRulePlan(ctx *planContext, rule *ConjRule, where Cond, anchorVar strin
 				}
 			}
 			width := len(a.atom.Args)
-			plan = &relstore.IndexJoin{
+			join := &relstore.IndexJoin{
 				Left:  plan,
 				Table: a.atom.Rel,
 				Width: width,
@@ -359,16 +404,22 @@ func buildRulePlan(ctx *planContext, rule *ConjRule, where Cond, anchorVar strin
 				Keys:  keys,
 				Path:  st.path,
 			}
+			plan = join
 			// Occurrences of left-bound variables are all probe or
 			// residual columns; only free repeats need checking.
-			if pred := a.repeatPred(len(cols), cols); pred != nil {
-				plan = &relstore.Filter{Input: plan, Pred: pred}
+			pred := a.repeatPred(len(cols), cols)
+			if st.path.Kind == relstore.AccessPK && pred == nil && !bindsLive(a, cols, lastUse, p) {
+				join.Semi = true
+			} else {
+				if pred != nil {
+					plan = &relstore.Filter{Input: plan, Pred: pred}
+				}
+				names := make([]string, width)
+				for i, v := range a.vars {
+					names[a.varCols[i]] = v
+				}
+				cols = append(cols, names...)
 			}
-			names := make([]string, width)
-			for i, v := range a.vars {
-				names[a.varCols[i]] = v
-			}
-			cols = append(cols, names...)
 		} else {
 			ap, err := atomAccessPlan(ctx, a)
 			if err != nil {
@@ -378,7 +429,9 @@ func buildRulePlan(ctx *planContext, rule *ConjRule, where Cond, anchorVar strin
 				ap = &relstore.Filter{Input: ap, Pred: pred}
 			}
 			// Narrow the atom to one column per distinct variable.
-			ap = relstore.ProjectCols(ap, a.varCols...)
+			if !isIdentity(a.varCols, len(a.atom.Args)) {
+				ap = relstore.ProjectCols(ap, a.varCols...)
+			}
 			if plan == nil {
 				plan = ap
 				cols = a.vars
@@ -450,6 +503,89 @@ func buildRulePlan(ctx *planContext, rule *ConjRule, where Cond, anchorVar strin
 		rp.varCols[v] = ci
 	}
 	return rp, nil
+}
+
+// bindsLive reports whether atom a, joined at step p onto a row whose
+// columns hold cols, binds a variable that is still used after p.
+func bindsLive(a *planAtom, cols []string, lastUse map[string]int, p int) bool {
+	for _, v := range a.vars {
+		if lastUse[v] > p && !slices.Contains(cols, v) {
+			return true
+		}
+	}
+	return false
+}
+
+// isIdentity reports whether cols selects all width columns in order.
+func isIdentity(cols []int, width int) bool {
+	if len(cols) != width {
+		return false
+	}
+	for i, c := range cols {
+		if c != i {
+			return false
+		}
+	}
+	return true
+}
+
+// orderCache holds the join orders of one compiled query's rules whose
+// order does not depend on the query's literals — no anchor WHERE
+// conjunct fixes a variable. Such an order is a function of the rule
+// body and of the keys and pre-built indexes of its tables, so it is
+// computed once and shared by every execution through the plan cache.
+// An index built later only leaves a cached order suboptimal: a probe
+// through it is still correct. Orders are keyed by the body's shape,
+// which also tells apart the ASR-rewritten variants of a rule.
+type orderCache struct {
+	mu     sync.Mutex
+	orders map[string][]joinStep
+}
+
+func newOrderCache() *orderCache { return &orderCache{orders: map[string][]joinStep{}} }
+
+// order returns the literal-independent join order of atoms, from the
+// cache when present (a nil cache computes it every time).
+func (c *orderCache) order(atoms []planAtom) []joinStep {
+	if c == nil {
+		return joinOrder(atoms, nil)
+	}
+	key := shapeOf(atoms)
+	c.mu.Lock()
+	steps, ok := c.orders[key]
+	c.mu.Unlock()
+	if !ok {
+		steps = joinOrder(atoms, nil)
+		c.mu.Lock()
+		c.orders[key] = steps
+		c.mu.Unlock()
+	}
+	return steps
+}
+
+// shapeOf renders what joinOrder reads of a rule body: relations,
+// whether each is a stored table, and the variables, constants and
+// wildcards of their arguments.
+func shapeOf(atoms []planAtom) string {
+	var sb strings.Builder
+	for i := range atoms {
+		a := &atoms[i]
+		sb.WriteString(a.atom.Rel)
+		if a.table == nil {
+			sb.WriteByte('!')
+		}
+		sb.WriteByte('(')
+		for _, t := range a.atom.Args {
+			if t.IsConst {
+				sb.WriteByte('#')
+			} else {
+				sb.WriteString(t.Var)
+			}
+			sb.WriteByte(',')
+		}
+		sb.WriteByte(')')
+	}
+	return sb.String()
 }
 
 // atomAccessPlan produces the access path for one body atom with its

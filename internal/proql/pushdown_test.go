@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/asr"
@@ -435,21 +436,21 @@ func TestPushdownErrorsAndCancel(t *testing.T) {
 	}
 
 	q := proql.MustParse(`FOR [R0 $x] WHERE $x.ok = true INCLUDE PATH [$x] <-+ [] RETURN $x`)
-	polls := 0
-	q.Cancel = func() error { polls++; return nil }
+	var polls atomic.Int64 // rule workers poll too
+	q.Cancel = func() error { polls.Add(1); return nil }
 	res, err := eng.Exec(context.Background(), q, proql.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// One poll per row and one per end of stream, on the anchor read
 	// and on the rule stream; every binding is at least one row of each.
-	if n := len(res.Bindings); polls < 2*(n+1) {
-		t.Errorf("Cancel polled %d times for %d bindings", polls, n)
+	if n := len(res.Bindings); polls.Load() < int64(2*(n+1)) {
+		t.Errorf("Cancel polled %d times for %d bindings", polls.Load(), n)
 	}
 	stop := errors.New("stop")
-	polls = 0
+	polls.Store(0)
 	q.Cancel = func() error {
-		if polls++; polls > 3 {
+		if polls.Add(1) > 3 {
 			return stop
 		}
 		return nil

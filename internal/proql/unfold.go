@@ -70,6 +70,9 @@ type Compiled struct {
 	// BaseRels are terminal relations (named rightmost path patterns):
 	// their atoms are not unfolded further.
 	BaseRels map[string]bool
+
+	// orders is shared by the copies the plan cache hands out.
+	orders *orderCache
 }
 
 // ErrNotRelational reports that a query needs the graph backend.
@@ -208,6 +211,7 @@ func CompileUnfold(sys *exchange.System, q *Query) (*Compiled, error) {
 		Rules:      out,
 		Allowed:    allowed,
 		BaseRels:   baseRels,
+		orders:     newOrderCache(),
 	}, nil
 }
 

@@ -3,6 +3,7 @@ package relstore
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -205,6 +206,43 @@ func TestIndexJoinAccessPaths(t *testing.T) {
 	// Primary key plus residual join column: id = G.n AND dept = G.dept.
 	j = indexJoin(t, db, g, "E", []int{0, 1}, []Expr{Col(1), Col(0)})
 	checkIndexJoin(t, db, j, 1) // only (3, 3): ids 10, 11 and 9 sit in other departments
+}
+
+// TestSemiJoin: a semi-join through the primary key returns the full
+// join's rows cut back to the left columns, duplicate left rows
+// included, and they are the left rows themselves. Through an index
+// (more than one match) it is refused.
+func TestSemiJoin(t *testing.T) {
+	db := accessFixture(t)
+	left := &Values{Rows: []model.Tuple{{int64(3), "a"}, {int64(3), "b"}, {int64(3), "a"}, {int64(99), "c"}, {nil, "d"}, {int64(7), "e"}}}
+	for _, cols := range [][]int{{0}, {0, 1}} {
+		keys := []Expr{Col(0), Lit{Val: int64(3)}}[:len(cols)]
+		full := indexJoin(t, db, left, "E", cols, keys)
+		semi := *full
+		semi.Semi = true
+		want := runPlan(t, db, ProjectCols(full, 0, 1))
+		got := runPlan(t, db, &semi)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("semi-join on %v = %v, want %v", cols, got, want)
+		}
+		for _, row := range got {
+			if !slices.ContainsFunc(left.Rows, func(l model.Tuple) bool { return &l[0] == &row[0] }) {
+				t.Errorf("semi-join row %v is a copy, not the left row", row)
+			}
+		}
+		if semi.Arity() != 2 {
+			t.Errorf("semi-join arity %d, want 2", semi.Arity())
+		}
+	}
+	if got := Explain(&IndexJoin{Left: left, Table: "E", Width: 4, Cols: []int{0}, Keys: []Expr{Col(0)},
+		Path: AccessPath{Kind: AccessPK, Probe: []int{0}}, Semi: true}); got != "SemiJoin(E via pk cols=[0] keys=[$0])\n  Values(6 rows)\n" {
+		t.Errorf("explain:\n%s", got)
+	}
+	byIndex := indexJoin(t, db, left, "E", []int{1}, []Expr{Col(0)})
+	byIndex.Semi = true
+	if _, err := byIndex.Run(db); err == nil {
+		t.Error("a semi-join through a secondary index should error")
+	}
 }
 
 func TestIndexJoinRepeatedVariable(t *testing.T) {

@@ -358,6 +358,12 @@ func (j *HashJoin) explain(sb *strings.Builder, indent int) {
 // reads only the right rows that join, and it is not a pipeline breaker:
 // Stream pulls one left row at a time and opens the right table only
 // when the first one arrives.
+//
+// Semi makes the join an existence check: a left row with a match is
+// emitted itself, with no right columns and no copy. It is valid only
+// on a primary-key path, where a left row has at most one match, so the
+// semi-join returns exactly the rows of the join projected to the left
+// columns, duplicates included.
 type IndexJoin struct {
 	Left  Plan
 	Table string
@@ -365,6 +371,7 @@ type IndexJoin struct {
 	Cols  []int
 	Keys  []Expr
 	Path  AccessPath
+	Semi  bool
 }
 
 // Run implements Plan.
@@ -373,7 +380,12 @@ func (j *IndexJoin) Run(db *Database) ([]model.Tuple, error) {
 }
 
 // Arity implements Plan.
-func (j *IndexJoin) Arity() int { return j.Left.Arity() + j.Width }
+func (j *IndexJoin) Arity() int {
+	if j.Semi {
+		return j.Left.Arity()
+	}
+	return j.Left.Arity() + j.Width
+}
 
 func (j *IndexJoin) explain(sb *strings.Builder, indent int) {
 	part := func(positions []int) (cols []int, keys string) {
@@ -385,7 +397,11 @@ func (j *IndexJoin) explain(sb *strings.Builder, indent int) {
 		return cols, strings.Join(ks, ", ")
 	}
 	cols, keys := part(j.Path.Probe)
-	line := fmt.Sprintf("IndexJoin(%s via %s cols=%v keys=[%s]", j.Table, j.Path.Kind, cols, keys)
+	op := "IndexJoin"
+	if j.Semi {
+		op = "SemiJoin"
+	}
+	line := fmt.Sprintf("%s(%s via %s cols=%v keys=[%s]", op, j.Table, j.Path.Kind, cols, keys)
 	if len(j.Path.Residual) > 0 {
 		cols, keys = part(j.Path.Residual)
 		line += fmt.Sprintf(" residual cols=%v keys=[%s]", cols, keys)

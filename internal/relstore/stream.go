@@ -204,6 +204,9 @@ func (it *indexJoinIter) open() error {
 	if len(j.Keys) != len(j.Cols) || j.Path.Kind == AccessScan {
 		return fmt.Errorf("relstore: index join into %q has no key or index to probe", j.Table)
 	}
+	if j.Semi && j.Path.Kind != AccessPK {
+		return fmt.Errorf("relstore: semi-join into %q needs a primary-key path", j.Table)
+	}
 	t, ok := it.db.Table(j.Table)
 	if !ok {
 		return fmt.Errorf("relstore: index join into unknown table %q", j.Table)
@@ -279,6 +282,10 @@ func (it *indexJoinIter) Next() (model.Tuple, bool, error) {
 		if err := it.fetch(lr); err != nil {
 			return nil, false, err
 		}
+	}
+	if it.j.Semi {
+		it.pos = len(it.matches) // the one match of a key
+		return it.lrow, true, nil
 	}
 	row := concatRows(it.lrow, it.matches[it.pos], it.lw, it.j.Width)
 	it.pos++
