@@ -517,6 +517,7 @@ func BenchmarkAnalyticShapes(b *testing.B) {
 	eng := proql.NewEngine(set.Sys)
 	for _, arm := range []struct{ name, query, backend string }{
 		{"target/auto", set.TargetQuery(), "auto"},
+		{"target/graph", set.TargetQuery(), "graph"},
 		{"target/asr", set.TargetQuery(), "asr"},
 		{"trust/auto", set.TargetAnnotationQuery(), "auto"},
 		{"multipath/graph", multipathQuery, "graph"},

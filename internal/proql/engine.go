@@ -5,12 +5,14 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/exchange"
 	"repro/internal/model"
+	"repro/internal/proql/physplan"
 	"repro/internal/provgraph"
 	"repro/internal/relstore"
 	"repro/internal/semiring"
@@ -100,10 +102,17 @@ type Stats struct {
 //
 // Mirroring the paper's implementation — which populates relational
 // *output tables* of provenance edges, leaving graph assembly to the
-// client — the relational backend stores the projected derivations as
-// rows and only links them into a provgraph.Graph when Graph() is
-// first called. Stats therefore measure query processing exactly as
-// Section 6 does.
+// client — every backend records the projected derivations as
+// (mapping, provenance row) pairs and only links them into a
+// provgraph.Graph when Graph() is first called; Stats therefore measure
+// query processing exactly as Section 6 does. The projected structure
+// is fixed by the query; the tuple nodes' stored rows and leaf marks
+// resolve when Graph() first links — against the newest epoch for a
+// live query (a tuple deleted since carries no row), against its own
+// epoch for an AS OF query. EVALUATE on the graph and asr backends is
+// the exception: it links during the query, from the state the query
+// read, and Graph() returns that graph. The graph-legacy interpreter
+// links eagerly.
 type Result struct {
 	// Bindings holds one map per RETURN row, sorted by (Rel, Key)
 	// variable by variable. Exec fills it; Eval leaves it nil. Len,
@@ -151,6 +160,85 @@ func (r *Result) Graph() (*provgraph.Graph, error) {
 		return nil, err
 	}
 	r.graph = g
+	return g, nil
+}
+
+// tupleMeta resolves a projected tuple node's stored row (nil when the
+// tuple is not stored) and leaf mark.
+type tupleMeta func(ref model.TupleRef) (model.Tuple, bool)
+
+// snapshotMeta resolves tuple metadata against a pinned storage view.
+func snapshotMeta(sys *exchange.System) tupleMeta {
+	return func(ref model.TupleRef) (model.Tuple, bool) {
+		var row model.Tuple
+		if t, ok := sys.DB.Table(ref.Rel); ok {
+			row, _ = t.LookupEncoded(ref.Key)
+		}
+		return row, sys.IsLeafRef(ref)
+	}
+}
+
+// graphMeta resolves tuple metadata from a materialized graph's nodes;
+// the caller keeps the graph from changing meanwhile.
+func graphMeta(g *provgraph.Graph) tupleMeta {
+	return func(ref model.TupleRef) (model.Tuple, bool) {
+		if tn, ok := g.Lookup(ref); ok {
+			return tn.Row, tn.Leaf
+		}
+		return nil, false
+	}
+}
+
+// linkAt links a recorded projection with tuple metadata resolved at
+// epoch asOf (0: the newest) — the rule Result.Graph documents.
+func (e *Engine) linkAt(asOf uint64, derivs []physplan.ProjDeriv, tuples ...[]model.TupleRef) (*provgraph.Graph, error) {
+	sys, release, err := e.snapshotAt(asOf)
+	if err != nil {
+		return nil, err
+	}
+	defer release()
+	return e.linkProjection(derivs, snapshotMeta(sys), tuples...)
+}
+
+// linkProjection is the one builder of projected subgraphs: a
+// derivation node per recorded (mapping, provenance row), wired to the
+// source and target tuples the row names, plus a node for every tuple
+// in tuples (returned and path-start tuples), each tuple node carrying
+// the row and leaf mark meta resolves. Nodes link in canonical order —
+// tuple nodes by ref, then derivations by ID — so equal projections
+// render identically whichever backend recorded them.
+func (e *Engine) linkProjection(derivs []physplan.ProjDeriv, meta tupleMeta, tuples ...[]model.TupleRef) (*provgraph.Graph, error) {
+	type linked struct {
+		id, mapping string
+		srcs, tgts  []model.TupleRef
+	}
+	ds := make([]linked, len(derivs))
+	var refs []model.TupleRef
+	for _, ts := range tuples {
+		refs = append(refs, ts...)
+	}
+	for i, d := range derivs {
+		pr, ok := e.Sys.Prov[d.Mapping]
+		if !ok {
+			return nil, fmt.Errorf("proql: unknown mapping %q in output", d.Mapping)
+		}
+		srcs, tgts, err := e.Sys.AtomRefs(pr, d.Row)
+		if err != nil {
+			return nil, err
+		}
+		ds[i] = linked{provgraph.DerivIDFor(d.Mapping, d.Row), d.Mapping, srcs, tgts}
+		refs = append(append(refs, srcs...), tgts...)
+	}
+	slices.SortFunc(refs, compareRefs)
+	slices.SortFunc(ds, func(a, b linked) int { return strings.Compare(a.id, b.id) })
+	g := provgraph.New()
+	for _, ref := range slices.Compact(refs) {
+		tn := g.Tuple(ref)
+		tn.Row, tn.Leaf = meta(ref)
+	}
+	for _, d := range ds {
+		g.AddDerivation(d.id, d.mapping, d.srcs, d.tgts)
+	}
 	return g, nil
 }
 

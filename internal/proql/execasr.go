@@ -36,7 +36,7 @@ func (e *Engine) execASR(q *Query, asOf uint64) (*Result, error) {
 	defer release()
 	// The adapter interns handles in shared maps under its own lock,
 	// so plans run single-worker regardless of e.Parallelism.
-	res, err := e.execPhys(q, g, "asr", 1)
+	res, err := e.execPhys(q, g, "asr", 1, asOf, snapshotMeta(g.sys))
 	if err == nil {
 		res.Stats.AsOf, res.Stats.Epoch = asOf, g.epoch
 	}
@@ -180,18 +180,16 @@ func (g *asrGraph) Err() error {
 	return g.err
 }
 
-// asrTuple is the interned handle of one tuple; row, leaf mark, and
-// incoming derivations resolve lazily and stick.
+// asrTuple is the interned handle of one tuple; row and incoming
+// derivations resolve lazily and stick.
 type asrTuple struct {
 	g   *asrGraph
 	ref model.TupleRef
 	ord int
 	key []model.Datum // decoded key datums, relation key order
 
-	row    model.Tuple
-	rowOK  bool
-	leaf   bool
-	leafOK bool
+	row   model.Tuple
+	rowOK bool
 	// inBy caches incoming derivations per mapping filter ("" = all).
 	inBy map[string][]*asrDeriv
 }
@@ -226,29 +224,11 @@ func (t *asrTuple) TupleRow() model.Tuple {
 	return row
 }
 
-// TupleLeaf implements physplan.Tuple.
-func (t *asrTuple) TupleLeaf() bool {
-	g := t.g
-	g.mu.Lock()
-	if t.leafOK {
-		leaf := t.leaf
-		g.mu.Unlock()
-		return leaf
-	}
-	g.mu.Unlock()
-	leaf := g.sys.IsLeaf(t.ref.Rel, t.key)
-	g.mu.Lock()
-	t.leaf, t.leafOK = leaf, true
-	g.mu.Unlock()
-	return leaf
-}
-
 // asrDeriv is the interned handle of one derivation (one provenance
 // row); its source and target tuples resolve lazily.
 type asrDeriv struct {
 	g       *asrGraph
 	ord     int
-	id      string
 	mapping string
 	pr      *exchange.ProvRel
 	row     model.Tuple
@@ -260,11 +240,11 @@ type asrDeriv struct {
 // DerivOrd implements physplan.Deriv.
 func (d *asrDeriv) DerivOrd() int { return d.ord }
 
-// DerivID implements physplan.Deriv.
-func (d *asrDeriv) DerivID() string { return d.id }
-
 // DerivMapping implements physplan.Deriv.
 func (d *asrDeriv) DerivMapping() string { return d.mapping }
+
+// DerivRow implements physplan.Deriv.
+func (d *asrDeriv) DerivRow() model.Tuple { return d.row }
 
 // internTuple returns the unique handle of a reference, recording its
 // decoded key datums on first sight.
@@ -290,7 +270,7 @@ func (g *asrGraph) internDeriv(pr *exchange.ProvRel, row model.Tuple) *asrDeriv 
 		return d
 	}
 	g.ords++
-	d := &asrDeriv{g: g, ord: g.ords, id: id, mapping: pr.Mapping.Name, pr: pr, row: row}
+	d := &asrDeriv{g: g, ord: g.ords, mapping: pr.Mapping.Name, pr: pr, row: row}
 	g.derivs[id] = d
 	return d
 }

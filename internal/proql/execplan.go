@@ -29,7 +29,7 @@ func (e *Engine) execPlanned(q *Query, asOf uint64) (*Result, error) {
 		return nil, err
 	}
 	defer release()
-	res, err := e.execPhys(q, physplan.NewMem(g), "graph", e.Parallelism)
+	res, err := e.execPhys(q, physplan.NewMem(g), "graph", e.Parallelism, asOf, graphMeta(g))
 	if err == nil {
 		res.Stats.AsOf, res.Stats.Epoch = asOf, epoch
 	}
@@ -68,21 +68,22 @@ func (e *Engine) graphAt(asOf uint64) (*provgraph.Graph, uint64, func(), error) 
 // execPhys evaluates a query through the physical-plan pipeline over
 // any physplan storage (the materialized graph or the goal-directed
 // ASR adapter) — the shared executor of the graph and asr backends.
-func (e *Engine) execPhys(q *Query, g physplan.Graph, backend string, workers int) (*Result, error) {
+// The projected subgraph is recorded, not linked: Result.Graph links it
+// on first call. EVALUATE links it here, with tuple metadata from meta —
+// the state the query read — because the annotations are computed over
+// it.
+func (e *Engine) execPhys(q *Query, g physplan.Graph, backend string, workers int, asOf uint64, meta tupleMeta) (*Result, error) {
 	planStart := time.Now()
-	outG := provgraph.New()
-	res := &Result{
-		Stats: Stats{Backend: backend},
-		graph: outG,
-	}
-	plan, err := e.buildPhysPlan(g, q, outG, workers, backend)
+	proj := &physplan.Projection{}
+	res := &Result{Stats: Stats{Backend: backend}}
+	plan, err := e.buildPhysPlan(g, q, proj, workers, backend)
 	if err != nil {
 		return nil, err
 	}
 	res.Stats.PlanTime = time.Since(planStart)
 
 	evalStart := time.Now()
-	if err := collectPhys(q, plan, outG, &res.rows); err != nil {
+	if err := collectPhys(q, plan, &res.rows); err != nil {
 		return nil, err
 	}
 	if err := g.Err(); err != nil {
@@ -91,18 +92,27 @@ func (e *Engine) execPhys(q *Query, g physplan.Graph, backend string, workers in
 	res.rows.sort()
 
 	if q.Evaluate != "" {
+		outG, err := e.linkProjection(proj.Derivs, meta, res.rows.refs, proj.Starts)
+		if err != nil {
+			return nil, err
+		}
+		res.graph = outG
 		if err := e.annotateGraphResult(q, res, outG); err != nil {
 			return nil, err
+		}
+	} else {
+		derivs, starts := proj.Derivs, proj.Starts // not the dedup set
+		res.buildGraph = func() (*provgraph.Graph, error) {
+			return e.linkAt(asOf, derivs, res.rows.refs, starts)
 		}
 	}
 	res.Stats.EvalTime = time.Since(evalStart)
 	return res, nil
 }
 
-// collectPhys drains a plan into rows: each returned tuple handle is
-// registered once (by ordinal, which identifies it in its store), with
-// its metadata copied into the projected subgraph.
-func collectPhys(q *Query, plan *physplan.Plan, outG *provgraph.Graph, rows *resultRows) error {
+// collectPhys drains a plan into rows, registering each returned tuple
+// once (by ordinal, which identifies it in its store).
+func collectPhys(q *Query, plan *physplan.Plan, rows *resultRows) error {
 	it, err := plan.Root.Open()
 	if err != nil {
 		return err
@@ -144,7 +154,6 @@ func collectPhys(q *Query, plan *physplan.Plan, outG *provgraph.Graph, rows *res
 			if !seen {
 				id = rows.addRef(tn.TupleRef())
 				ids[tn.TupleOrd()] = id
-				physplan.CopyTupleMeta(outG, tn)
 			}
 			cells = append(cells, id)
 		}
@@ -155,9 +164,9 @@ func collectPhys(q *Query, plan *physplan.Plan, outG *provgraph.Graph, rows *res
 // buildPhysPlan lowers the query and compiles it, replaying cached
 // planner decisions when the plan cache holds a valid entry for the
 // query's shape on this backend.
-func (e *Engine) buildPhysPlan(g physplan.Graph, q *Query, outG *provgraph.Graph, workers int, backend string) (*physplan.Plan, error) {
+func (e *Engine) buildPhysPlan(g physplan.Graph, q *Query, proj *physplan.Projection, workers int, backend string) (*physplan.Plan, error) {
 	if dec, ok := e.cachedDecisions(backend, q); ok {
-		spec, err := e.lowerSpec(g, q, outG, workers)
+		spec, err := e.lowerSpec(g, q, proj, workers)
 		if err != nil {
 			return nil, err
 		}
@@ -167,7 +176,7 @@ func (e *Engine) buildPhysPlan(g physplan.Graph, q *Query, outG *provgraph.Graph
 		}
 		// A stale or mismatched entry falls through to a fresh compile.
 	}
-	plan, err := e.buildGraphPlan(g, q, outG, workers)
+	plan, err := e.buildGraphPlan(g, q, proj, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -176,10 +185,10 @@ func (e *Engine) buildPhysPlan(g physplan.Graph, q *Query, outG *provgraph.Graph
 }
 
 // lowerSpec lowers a query to the physplan spec without compiling it.
-func (e *Engine) lowerSpec(g physplan.Graph, q *Query, outG *provgraph.Graph, workers int) (physplan.Spec, error) {
+func (e *Engine) lowerSpec(g physplan.Graph, q *Query, proj *physplan.Projection, workers int) (physplan.Spec, error) {
 	spec := physplan.Spec{
 		Return:  q.Projection.Return,
-		Out:     outG,
+		Out:     proj,
 		Workers: workers,
 		Cancel:  q.Cancel,
 	}
@@ -320,9 +329,9 @@ func cannotFail(c Cond, relOf map[string]*model.Relation) bool {
 }
 
 // buildGraphPlan lowers a query to the physplan spec and compiles it.
-// outG receives the projected subgraph when the plan runs.
-func (e *Engine) buildGraphPlan(g physplan.Graph, q *Query, outG *provgraph.Graph, workers int) (*physplan.Plan, error) {
-	spec, err := e.lowerSpec(g, q, outG, workers)
+// proj records the projected subgraph when the plan runs.
+func (e *Engine) buildGraphPlan(g physplan.Graph, q *Query, proj *physplan.Projection, workers int) (*physplan.Plan, error) {
+	spec, err := e.lowerSpec(g, q, proj, workers)
 	if err != nil {
 		return nil, err
 	}

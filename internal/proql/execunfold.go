@@ -8,37 +8,23 @@ import (
 
 	"repro/internal/exchange"
 	"repro/internal/model"
+	"repro/internal/proql/physplan"
 	"repro/internal/provgraph"
 	"repro/internal/relstore"
 	"repro/internal/semiring"
 	"repro/internal/stream"
 )
 
-// unfoldOutput collects the relational backend's output: the
-// distinguished tuples (with key datums) and the projected derivations
-// as provenance rows per mapping — the paper's "output tables", from
-// which the linked graph is assembled lazily.
-type unfoldOutput struct {
-	eng     *Engine
-	asOf    uint64 // the query's AS OF epoch; metadata resolves at it
-	anchors map[model.TupleRef][]model.Datum
-	prov    map[string]map[string]model.Tuple // mapping → encoded row → row
-}
+// unfoldOutput collects the relational backend's projected
+// derivations as provenance rows per mapping, each once — the paper's
+// "output tables", from which Result.Graph links the graph lazily.
+type unfoldOutput map[string]map[string]model.Tuple // mapping → encoded row → row
 
-func newUnfoldOutput(e *Engine, asOf uint64) *unfoldOutput {
-	return &unfoldOutput{
-		eng:     e,
-		asOf:    asOf,
-		anchors: make(map[model.TupleRef][]model.Datum),
-		prov:    make(map[string]map[string]model.Tuple),
-	}
-}
-
-func (o *unfoldOutput) addProvRow(mapping string, row model.Tuple) {
-	m, ok := o.prov[mapping]
+func (o unfoldOutput) addProvRow(mapping string, row model.Tuple) {
+	m, ok := o[mapping]
 	if !ok {
 		m = make(map[string]model.Tuple)
-		o.prov[mapping] = m
+		o[mapping] = m
 	}
 	enc := model.EncodeDatums(row)
 	if _, dup := m[enc]; !dup {
@@ -46,66 +32,15 @@ func (o *unfoldOutput) addProvRow(mapping string, row model.Tuple) {
 	}
 }
 
-// build assembles the projected provenance subgraph from the collected
-// rows: one derivation node per output provenance row (with all its
-// sources and targets), plus the anchor tuples, with stored rows and
-// leaf marks attached. The projected structure (anchors, derivations)
-// was frozen at query time; node metadata — stored rows and leaf marks
-// — resolves against a snapshot taken when the graph is first
-// assembled, so a tuple deleted between the query and the first
-// Graph() call simply carries no stored row. An AS OF query resolves
-// metadata at its own epoch instead, keeping the assembled graph
-// consistent with the historical answer.
-func (o *unfoldOutput) build() (*provgraph.Graph, error) {
-	g := provgraph.New()
-	sys, release, err := o.eng.snapshotAt(o.asOf)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	meta := func(ref model.TupleRef, key []model.Datum) {
-		tn := g.Tuple(ref)
-		if tn.Row != nil {
-			return
-		}
-		if t, ok := sys.DB.Table(ref.Rel); ok {
-			if row, found := t.LookupKey(key); found {
-				tn.Row = row
-			}
-		}
-		tn.Leaf = sys.IsLeaf(ref.Rel, key)
-	}
-	for mapping, rows := range o.prov {
-		pr, ok := sys.Prov[mapping]
-		if !ok {
-			return nil, fmt.Errorf("proql: unknown mapping %q in output", mapping)
-		}
-		for enc, row := range rows {
-			sources, targets, err := sys.AtomRefKeys(pr, row)
-			if err != nil {
-				return nil, err
-			}
-			srcRefs := make([]model.TupleRef, len(sources))
-			for i, rk := range sources {
-				srcRefs[i] = rk.Ref
-			}
-			tgtRefs := make([]model.TupleRef, len(targets))
-			for i, rk := range targets {
-				tgtRefs[i] = rk.Ref
-			}
-			g.AddDerivation(mapping+"#"+enc, mapping, srcRefs, tgtRefs)
-			for _, rk := range sources {
-				meta(rk.Ref, rk.Key)
-			}
-			for _, rk := range targets {
-				meta(rk.Ref, rk.Key)
-			}
+// derivs lists the collected derivations for linking.
+func (o unfoldOutput) derivs() []physplan.ProjDeriv {
+	var out []physplan.ProjDeriv
+	for mapping, rows := range o {
+		for _, row := range rows {
+			out = append(out, physplan.ProjDeriv{Mapping: mapping, Row: row})
 		}
 	}
-	for ref, key := range o.anchors {
-		meta(ref, key)
-	}
-	return g, nil
+	return out
 }
 
 // unfoldPlans is the physical side of a compiled query on one snapshot.
@@ -179,11 +114,9 @@ func (e *Engine) execUnfold(comp *Compiled, asOf uint64) (*Result, error) {
 func (e *Engine) runUnfold(sys *exchange.System, comp *Compiled, asOf uint64, up *unfoldPlans) (*Result, error) {
 	q := comp.Query
 	plans := up.rules
-	out := newUnfoldOutput(e, asOf)
-	res := &Result{
-		Stats:      Stats{Backend: "relational", AsOf: asOf, Epoch: sys.DB.Epoch(), UnfoldedRules: len(comp.Rules)},
-		buildGraph: out.build,
-	}
+	out := make(unfoldOutput)
+	res := &Result{Stats: Stats{Backend: "relational", AsOf: asOf, Epoch: sys.DB.Epoch(), UnfoldedRules: len(comp.Rules)}}
+	res.buildGraph = func() (*provgraph.Graph, error) { return e.linkAt(asOf, out.derivs(), res.rows.refs) }
 
 	var s semiring.Semiring
 	var mapFuncs map[string]semiring.MappingFunc
@@ -213,9 +146,10 @@ func (e *Engine) runUnfold(sys *exchange.System, comp *Compiled, asOf uint64, up
 	singleNode := up.anchor != nil
 	includeGraph := len(q.Projection.Include) > 0
 	res.rows.vars = q.Projection.Return // exactly the anchor variable
-	addBinding := func(ref model.TupleRef, key []model.Datum) {
-		if _, seen := out.anchors[ref]; !seen {
-			out.anchors[ref] = key
+	anchors := make(map[model.TupleRef]struct{})
+	addBinding := func(ref model.TupleRef) {
+		if _, seen := anchors[ref]; !seen {
+			anchors[ref] = struct{}{}
 			res.rows.addRow(res.rows.addRef(ref))
 		}
 	}
@@ -239,7 +173,7 @@ func (e *Engine) runUnfold(sys *exchange.System, comp *Compiled, asOf uint64, up
 				break
 			}
 			ref := model.NewTupleRef(anchorRel, row)
-			addBinding(ref, anchorRel.KeyOf(row))
+			addBinding(ref)
 			if s != nil && !includeGraph {
 				// With no INCLUDE PATH the projected subgraph is just
 				// the node itself: it has no incoming derivations, so
@@ -277,11 +211,11 @@ func (e *Engine) runUnfold(sys *exchange.System, comp *Compiled, asOf uint64, up
 			break
 		}
 		rp, row := plans[rr.rule], rr.row
-		ref, key, err := anchorRefOf(rp, anchorRel, row)
+		ref, err := anchorRefOf(rp, anchorRel, row)
 		if err != nil {
 			return nil, err
 		}
-		addBinding(ref, key)
+		addBinding(ref)
 		if includeGraph {
 			if err := collectRowDerivations(out, rp, row); err != nil {
 				return nil, err
@@ -394,23 +328,23 @@ func evalPred(pred relstore.Expr, row model.Tuple) (bool, error) {
 	return b, nil
 }
 
-// anchorRefOf extracts the distinguished tuple's ref and key datums
-// from one result row.
-func anchorRefOf(rp *rulePlan, rel *model.Relation, row model.Tuple) (model.TupleRef, []model.Datum, error) {
+// anchorRefOf extracts the distinguished tuple's ref from one result
+// row.
+func anchorRefOf(rp *rulePlan, rel *model.Relation, row model.Tuple) (model.TupleRef, error) {
 	key := make([]model.Datum, 0, len(rel.Key))
 	for _, k := range rel.Key {
 		v, err := termValue(rp.rule.Anchor.Args[k], rp.varCols, row)
 		if err != nil {
-			return model.TupleRef{}, nil, err
+			return model.TupleRef{}, err
 		}
 		key = append(key, v)
 	}
-	return model.RefFromKey(rel.Name, key), key, nil
+	return model.RefFromKey(rel.Name, key), nil
 }
 
 // collectRowDerivations records the derivation rows witnessed by one
 // result row (the INCLUDE PATH output).
-func collectRowDerivations(out *unfoldOutput, rp *rulePlan, row model.Tuple) error {
+func collectRowDerivations(out unfoldOutput, rp *rulePlan, row model.Tuple) error {
 	for _, pv := range rp.rule.Prov {
 		prow := make(model.Tuple, len(pv.Terms))
 		for i, t := range pv.Terms {
@@ -500,6 +434,9 @@ func leafContextForRow(rel *model.Relation, row model.Tuple, ref model.TupleRef)
 			idx := rel.ColumnIndex(name)
 			if idx < 0 {
 				return nil, fmt.Errorf("proql: relation %s has no attribute %q", rel.Name, name)
+			}
+			if row == nil {
+				return nil, fmt.Errorf("proql: no stored row for %v", ref)
 			}
 			return row[idx], nil
 		},

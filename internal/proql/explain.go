@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"repro/internal/proql/physplan"
-	"repro/internal/provgraph"
 	"repro/internal/relstore"
 )
 
@@ -85,7 +84,7 @@ func (e *Engine) explainPhys(sb *strings.Builder, q *Query, backend string) erro
 	if backend == "asr" {
 		workers = 1
 	}
-	plan, err := e.buildPhysPlan(g, q, provgraph.New(), workers, backend)
+	plan, err := e.buildPhysPlan(g, q, &physplan.Projection{}, workers, backend)
 	if err != nil {
 		return err
 	}

@@ -1,10 +1,41 @@
 package proql
 
-import "repro/internal/relstore"
+import (
+	"repro/internal/model"
+	"repro/internal/relstore"
+)
 
 // RunningRuleWorkers is the number of the engine's relational rule
 // evaluations in flight.
 func (e *Engine) RunningRuleWorkers() int64 { return e.ruleWorkers.Load() }
+
+// LinkedNodes is the number of provgraph nodes the result holds linked:
+// 0 until Graph() links its recorded projection.
+func (r *Result) LinkedNodes() int {
+	if r.graph == nil {
+		return 0
+	}
+	return r.graph.NumTuples() + r.graph.NumDerivations()
+}
+
+// ChurnGraphOrdinals builds the cached graph if needed and churns it n
+// times — one tuple and one derivation linked, then removed — so both
+// ordinal counters move n past where they were while the graph's
+// content is what it was.
+func (e *Engine) ChurnGraphOrdinals(n int) error {
+	g, err := e.Graph()
+	if err != nil {
+		return err
+	}
+	e.graphMu.Lock()
+	defer e.graphMu.Unlock()
+	ref := model.TupleRef{Rel: "churn", Key: "churn"}
+	for i := 0; i < n; i++ {
+		g.AddDerivation("churn", "churn", nil, []model.TupleRef{ref})
+		g.RemoveTuple(ref)
+	}
+	return nil
+}
 
 // ExecFilterOnTop is the oracle of the selection-pushdown differential:
 // it runs q on the relational backend with the anchor WHERE condition

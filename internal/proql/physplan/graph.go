@@ -16,18 +16,18 @@ type Tuple interface {
 	TupleOrd() int
 	// TupleRow is the stored row, or nil for dangling references.
 	TupleRow() model.Tuple
-	// TupleLeaf reports a local contribution ('+' node).
-	TupleLeaf() bool
 }
 
 // Deriv is a handle to one derivation node; interned like Tuple.
 type Deriv interface {
 	// DerivOrd is a store-wide unique ordinal.
 	DerivOrd() int
-	// DerivID is the derivation's unique ID (mapping # provenance key).
-	DerivID() string
 	// DerivMapping names the mapping that fired.
 	DerivMapping() string
+	// DerivRow is the derivation's provenance row (nil for a node built
+	// without one). A store may drop it when the node is removed, so a
+	// reader copies it while the store is still pinned.
+	DerivRow() model.Tuple
 }
 
 // Graph is the provenance-store surface the physical operators run

@@ -4,12 +4,50 @@ import (
 	"strings"
 
 	"repro/internal/model"
-	"repro/internal/provgraph"
 	"repro/internal/stream"
 )
 
-// Include copies the provenance paths matching the query's INCLUDE
-// PATH expressions (under each surviving row) into the output graph,
+// Projection records the subgraph a plan's INCLUDE PATH clauses
+// project without linking it: each included derivation once, as its
+// mapping and provenance row (copied while the store is still pinned;
+// the row names the derivation's sources and targets), and each
+// candidate path-start tuple once. Memory follows what is recorded,
+// never the store's ordinal range.
+type Projection struct {
+	Derivs []ProjDeriv      // in recording order
+	Starts []model.TupleRef // in recording order
+	seen   map[uint64]bool  // node codes of the recorded handles
+}
+
+// ProjDeriv is one recorded derivation: the mapping that fired and its
+// provenance row.
+type ProjDeriv struct {
+	Mapping string
+	Row     model.Tuple
+}
+
+// fresh marks a Tuple or Deriv handle recorded, reporting whether it
+// was not yet.
+func (p *Projection) fresh(h any) bool {
+	if p.seen == nil {
+		p.seen = map[uint64]bool{}
+	}
+	c := nodeCode(h)
+	if p.seen[c] {
+		return false
+	}
+	p.seen[c] = true
+	return true
+}
+
+func (p *Projection) addDeriv(d Deriv) {
+	if p.fresh(d) {
+		p.Derivs = append(p.Derivs, ProjDeriv{Mapping: d.DerivMapping(), Row: d.DerivRow()})
+	}
+}
+
+// Include records the provenance paths matching the query's INCLUDE
+// PATH expressions (under each surviving row) into the projection,
 // passing rows through unchanged. Include runs after Dedup, mirroring
 // the interpreter: one projection per distinct RETURN row. Variables
 // of an include path that the row leaves unbound act as wildcards; the
@@ -17,7 +55,7 @@ import (
 type Include struct {
 	input Op
 	g     Graph
-	out   *provgraph.Graph
+	out   *Projection
 	paths []boundPath
 }
 
@@ -39,6 +77,7 @@ func (inc *Include) Open() (stream.Iterator[Row], error) {
 	if err != nil {
 		return nil, err
 	}
+	w := newIncludeWalk(inc.g, inc.out)
 	return &stream.Func[Row]{
 		NextFn: func() (Row, bool, error) {
 			row, ok, err := in.Next()
@@ -46,7 +85,7 @@ func (inc *Include) Open() (stream.Iterator[Row], error) {
 				return nil, false, err
 			}
 			for i := range inc.paths {
-				if err := inc.paths[i].include(inc.g, inc.out, row); err != nil {
+				if err := w.include(&inc.paths[i], row); err != nil {
 					return nil, false, err
 				}
 			}
@@ -56,25 +95,62 @@ func (inc *Include) Open() (stream.Iterator[Row], error) {
 	}, nil
 }
 
-// include copies the paths matching bp under row into out. Every
-// candidate start tuple's metadata is copied even when no path matches
-// it, and every included derivation brings all of its sources and
-// targets — both mirroring the interpreter's projection semantics.
-func (bp *boundPath) include(g Graph, out *provgraph.Graph, row Row) error {
-	return bp.eachStart(g, row, false, func(st Tuple) bool {
+// includeWalk is one Include execution's walk state, reused across rows
+// and starts: the simple-path visited set, and the ancestor BFS's queue
+// and done set. A tuple is done once its every ancestor derivation is
+// recorded, so a later BFS stops where an earlier one has been.
+type includeWalk struct {
+	g             Graph
+	out           *Projection
+	visited, done map[Tuple]bool
+	queue         []Tuple
+	found         bool
+	onDeriv       func(Deriv) bool
+	onSource      func(Tuple) bool
+}
+
+func newIncludeWalk(g Graph, out *Projection) *includeWalk {
+	w := &includeWalk{g: g, out: out, visited: map[Tuple]bool{}, done: map[Tuple]bool{}}
+	w.onSource = func(src Tuple) bool {
+		if !w.done[src] {
+			w.done[src] = true
+			w.queue = append(w.queue, src)
+		}
+		return true
+	}
+	w.onDeriv = func(d Deriv) bool {
+		w.found = true
+		w.out.addDeriv(d)
+		g.EachSource(d, w.onSource)
+		return true
+	}
+	return w
+}
+
+// include records the paths matching bp under row. Every candidate
+// start tuple is recorded even when no path matches it, and every
+// included derivation brings all of its sources and targets — both
+// mirroring the interpreter's projection semantics.
+func (w *includeWalk) include(bp *boundPath, row Row) error {
+	return bp.eachStart(w.g, row, false, func(st Tuple) bool {
 		if r := bp.path.Nodes[0].Rel; r != "" && st.TupleRef().Rel != r {
 			return true
 		}
-		CopyTupleMeta(out, st)
-		bp.walkInclude(g, out, 0, st, row, map[Tuple]bool{st: true})
+		if w.out.fresh(st) {
+			w.out.Starts = append(w.out.Starts, st.TupleRef())
+		}
+		w.visited[st] = true
+		w.walk(bp, 0, st, row)
+		delete(w.visited, st)
 		return true
 	})
 }
 
-func (bp *boundPath) walkInclude(g Graph, out *provgraph.Graph, edgeIdx int, cur Tuple, row Row, visited map[Tuple]bool) bool {
+func (w *includeWalk) walk(bp *boundPath, edgeIdx int, cur Tuple, row Row) bool {
 	if edgeIdx == len(bp.path.Edges) {
 		return true
 	}
+	g, visited := w.g, w.visited
 	edge := bp.path.Edges[edgeIdx]
 	nextCol := bp.nodeCol[edgeIdx+1]
 	nextRel := bp.path.Nodes[edgeIdx+1].Rel
@@ -84,25 +160,23 @@ func (bp *boundPath) walkInclude(g Graph, out *provgraph.Graph, edgeIdx int, cur
 	// graphs).
 	if edge.Kind == EdgePlus && edgeIdx == len(bp.path.Edges)-1 &&
 		nextRel == "" && (nextCol < 0 || row[nextCol] == nil) {
-		return includeAllAncestors(g, out, cur)
+		return w.ancestors(cur)
 	}
 	matchedAny := false
 	switch edge.Kind {
 	case EdgeDirect:
 		ec := bp.edgeCol[edgeIdx]
 		g.EachDerivInto(cur, edge.Mapping, func(d Deriv) bool {
-			if ec >= 0 {
-				if prev := row[ec]; prev != nil && prev != any(d) {
-					return true
-				}
+			if ec >= 0 && row[ec] != nil && row[ec] != any(d) {
+				return true
 			}
 			g.EachSource(d, func(src Tuple) bool {
 				if visited[src] || !bp.nodeMatches(edgeIdx+1, src, row) {
 					return true
 				}
 				visited[src] = true
-				if bp.walkInclude(g, out, edgeIdx+1, src, row, visited) {
-					CopyDerivation(g, out, d)
+				if w.walk(bp, edgeIdx+1, src, row) {
+					w.out.addDeriv(d)
 					matchedAny = true
 				}
 				delete(visited, src)
@@ -111,7 +185,7 @@ func (bp *boundPath) walkInclude(g Graph, out *provgraph.Graph, edgeIdx int, cur
 			return true
 		})
 	case EdgePlus:
-		// Treat <-+ as one step followed by zero-or-more: copy a
+		// Treat <-+ as one step followed by zero-or-more: record a
 		// derivation iff its source either matches the next pattern
 		// (path ends here) or continues to a successful match.
 		var walk func(t Tuple) bool
@@ -123,15 +197,10 @@ func (bp *boundPath) walkInclude(g Graph, out *provgraph.Graph, edgeIdx int, cur
 						return true
 					}
 					visited[src] = true
-					endsHere := false
-					if bp.nodeMatches(edgeIdx+1, src, row) {
-						if bp.walkInclude(g, out, edgeIdx+1, src, row, visited) {
-							endsHere = true
-						}
-					}
+					endsHere := bp.nodeMatches(edgeIdx+1, src, row) && w.walk(bp, edgeIdx+1, src, row)
 					continues := walk(src)
 					if endsHere || continues {
-						CopyDerivation(g, out, d)
+						w.out.addDeriv(d)
 						ok = true
 					}
 					delete(visited, src)
@@ -146,60 +215,14 @@ func (bp *boundPath) walkInclude(g Graph, out *provgraph.Graph, edgeIdx int, cur
 	return matchedAny
 }
 
-// includeAllAncestors copies every derivation backwards-reachable from
-// cur into the output graph, reporting whether any exists.
-func includeAllAncestors(g Graph, out *provgraph.Graph, cur Tuple) bool {
-	seen := map[Tuple]bool{cur: true}
-	queue := []Tuple{cur}
-	found := false
-	for len(queue) > 0 {
-		tn := queue[0]
-		queue = queue[1:]
-		g.EachDerivInto(tn, "", func(d Deriv) bool {
-			found = true
-			CopyDerivation(g, out, d)
-			g.EachSource(d, func(src Tuple) bool {
-				if !seen[src] {
-					seen[src] = true
-					queue = append(queue, src)
-				}
-				return true
-			})
-			return true
-		})
+// ancestors records every derivation backwards-reachable from cur,
+// reporting whether cur has any. Done tuples are not re-entered, so a
+// repeated start revisits only its own derivations.
+func (w *includeWalk) ancestors(cur Tuple) bool {
+	w.found, w.done[cur] = false, true
+	w.queue = append(w.queue[:0], cur)
+	for i := 0; i < len(w.queue); i++ {
+		w.g.EachDerivInto(w.queue[i], "", w.onDeriv)
 	}
-	return found
-}
-
-// CopyDerivation copies a derivation node (with all sources and
-// targets, including their metadata) into out.
-func CopyDerivation(g Graph, out *provgraph.Graph, d Deriv) {
-	var srcs, tgts []model.TupleRef
-	g.EachSource(d, func(s Tuple) bool {
-		srcs = append(srcs, s.TupleRef())
-		return true
-	})
-	g.EachTarget(d, func(t Tuple) bool {
-		tgts = append(tgts, t.TupleRef())
-		return true
-	})
-	out.AddDerivation(d.DerivID(), d.DerivMapping(), srcs, tgts)
-	g.EachSource(d, func(s Tuple) bool {
-		CopyTupleMeta(out, s)
-		return true
-	})
-	g.EachTarget(d, func(t Tuple) bool {
-		CopyTupleMeta(out, t)
-		return true
-	})
-}
-
-// CopyTupleMeta copies one tuple node's stored row and leaf mark into
-// out.
-func CopyTupleMeta(out *provgraph.Graph, tn Tuple) {
-	n := out.Tuple(tn.TupleRef())
-	if n.Row == nil {
-		n.Row = tn.TupleRow()
-	}
-	n.Leaf = tn.TupleLeaf()
+	return w.found
 }

@@ -95,8 +95,11 @@ func (s *Scan) explain(sb *strings.Builder, indent int) {
 // Open implements Op.
 func (s *Scan) Open() (stream.Iterator[Row], error) {
 	seed := make(Row, s.schema.Width())
-	starts, err := s.bp.startTuples(s.g, seed, true)
-	if err != nil {
+	var starts []Tuple // materialized: the parallel scan partitions them
+	if err := s.bp.eachStart(s.g, seed, true, func(t Tuple) bool {
+		starts = append(starts, t)
+		return true
+	}); err != nil {
 		return nil, err
 	}
 	if s.workers <= 1 {

@@ -200,17 +200,6 @@ func (bp *boundPath) eachStart(g Graph, row Row, useIndexes bool, yield func(Tup
 	return nil
 }
 
-// startTuples materializes eachStart's candidates (the parallel scan
-// partitions them over workers).
-func (bp *boundPath) startTuples(g Graph, row Row, useIndexes bool) ([]Tuple, error) {
-	var out []Tuple
-	err := bp.eachStart(g, row, useIndexes, func(t Tuple) bool {
-		out = append(out, t)
-		return true
-	})
-	return out, err
-}
-
 // startsDesc describes the start strategy for EXPLAIN output, given the
 // variables bound before this path runs.
 func (bp *boundPath) startsDesc(bound map[string]bool) string {

@@ -239,13 +239,12 @@ type ordTuple int
 func (o ordTuple) TupleRef() model.TupleRef { return ref("T", int(o)) }
 func (o ordTuple) TupleOrd() int            { return int(o) }
 func (o ordTuple) TupleRow() model.Tuple    { return nil }
-func (o ordTuple) TupleLeaf() bool          { return false }
 
 type ordDeriv int
 
-func (o ordDeriv) DerivOrd() int        { return int(o) }
-func (o ordDeriv) DerivID() string      { return fmt.Sprint(int(o)) }
-func (o ordDeriv) DerivMapping() string { return "m" }
+func (o ordDeriv) DerivOrd() int         { return int(o) }
+func (o ordDeriv) DerivMapping() string  { return "m" }
+func (o ordDeriv) DerivRow() model.Tuple { return nil }
 
 // TestKeyerKeys: integer keys tell tuples from derivations of the same
 // ordinal, bound from unbound and column order apart; keys over more
@@ -426,7 +425,7 @@ func TestGreedyOrderPrefersSelectiveStart(t *testing.T) {
 
 func TestIncludeProjectsSubgraph(t *testing.T) {
 	g := diamondGraph(3)
-	out := provgraph.New()
+	out := &Projection{}
 	p := Path{
 		Nodes: []Node{{Rel: "O", Var: "x"}},
 	}
@@ -439,9 +438,10 @@ func TestIncludeProjectsSubgraph(t *testing.T) {
 	if len(rows) != 3 {
 		t.Fatalf("rows = %d, want 3", len(rows))
 	}
-	// All 10 derivations are ancestors of some O tuple.
-	if out.NumDerivations() != 10 {
-		t.Errorf("included derivations = %d, want 10", out.NumDerivations())
+	// All 10 derivations are ancestors of some O tuple, each recorded
+	// once; so is each of the 3 start tuples.
+	if len(out.Derivs) != 10 || len(out.Starts) != 3 {
+		t.Errorf("recorded %d derivations and %d starts, want 10 and 3", len(out.Derivs), len(out.Starts))
 	}
 }
 

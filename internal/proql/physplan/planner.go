@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"slices"
 	"strings"
-
-	"repro/internal/provgraph"
 )
 
 // FilterSpec is one WHERE conjunct: the variables it needs bound (only
@@ -19,16 +17,16 @@ type FilterSpec struct {
 }
 
 // Spec is the logical input to the planner: the FOR paths, the WHERE
-// conjuncts, the INCLUDE paths with their output graph, and the RETURN
-// variables.
+// conjuncts, the INCLUDE paths with their projection recorder, and the
+// RETURN variables.
 type Spec struct {
 	Paths   []Path
 	Filters []FilterSpec
 	Return  []string
 	Include []Path
-	// Out receives the projected provenance subgraph (tuple metadata
-	// and included derivations). Required when Include is non-empty.
-	Out *provgraph.Graph
+	// Out records the projected provenance subgraph. Required when
+	// Include is non-empty.
+	Out *Projection
 	// Workers > 1 partitions the root path scan's start tuples over a
 	// worker pool.
 	Workers int

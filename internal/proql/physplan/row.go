@@ -30,6 +30,8 @@
 // ASR adapter.
 package physplan
 
+import "strconv"
+
 // Row is one variable binding: a slice indexed by the plan Schema,
 // holding Tuple or Deriv handles (nil = unbound).
 type Row []any
@@ -61,9 +63,6 @@ func (s *Schema) Extend(extra []string) *Schema {
 	}
 	return NewSchema(cols)
 }
-
-// Cols returns the column names in order.
-func (s *Schema) Cols() []string { return s.cols }
 
 // Width returns the row width.
 func (s *Schema) Width() int { return len(s.cols) }
@@ -157,29 +156,13 @@ func codeAt(r Row, c int) uint64 {
 func nodeKey(buf []byte, v any) []byte {
 	switch n := v.(type) {
 	case Tuple:
-		buf = append(buf, 't')
-		buf = appendInt(buf, n.TupleOrd())
+		buf = strconv.AppendInt(append(buf, 't'), int64(n.TupleOrd()), 10)
 	case Deriv:
-		buf = append(buf, 'd')
-		buf = appendInt(buf, n.DerivOrd())
+		buf = strconv.AppendInt(append(buf, 'd'), int64(n.DerivOrd()), 10)
 	default:
 		buf = append(buf, '?')
 	}
 	return append(buf, ',')
-}
-
-func appendInt(buf []byte, n int) []byte {
-	if n == 0 {
-		return append(buf, '0')
-	}
-	var tmp [20]byte
-	i := len(tmp)
-	for n > 0 {
-		i--
-		tmp[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return append(buf, tmp[i:]...)
 }
 
 // RowKey encodes the given columns of a row as a string key: the

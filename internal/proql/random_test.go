@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/asr"
@@ -91,10 +92,8 @@ func TestRandomSettingsBackendParity(t *testing.T) {
 					t.Fatalf("%s: binding %d differs", label, i)
 				}
 			}
-			if rel.MustGraph().NumDerivations() != gr.MustGraph().NumDerivations() ||
-				leg.MustGraph().NumDerivations() != gr.MustGraph().NumDerivations() {
-				t.Errorf("%s: projected derivations %d (relational) vs %d (planned) vs %d (legacy)", label,
-					rel.MustGraph().NumDerivations(), gr.MustGraph().NumDerivations(), leg.MustGraph().NumDerivations())
+			if rs, gs, ls := graphSignature(t, rel), graphSignature(t, gr), graphSignature(t, leg); rs != gs || ls != gs {
+				t.Errorf("%s: projected graphs differ: relational/planned %v, legacy/planned %v", label, rs == gs, ls == gs)
 			}
 			if rel.Annotations != nil {
 				for ref, v := range rel.Annotations {
@@ -141,13 +140,47 @@ func randomQuery(rng *rand.Rand, numPeers int) (string, []string) {
 	}
 }
 
+// diffQuery is one query of the differential. relGraph says whether
+// the relational backend's projected graph must match too: it does for
+// a whole-ancestry INCLUDE ([$x] <-+ [] on a single-node FOR) and for
+// queries without INCLUDE, but the relational translation projects only
+// derivation trees inside the matched schema subgraph, so it drops part
+// of every other INCLUDE form's projection.
+type diffQuery struct {
+	text     string
+	vars     []string
+	relGraph bool
+}
+
+// includeShapes are INCLUDE forms off the ancestor-BFS fast path, over
+// the target relation, a middle relation mid and the top relation top
+// (whose tuples have no derivations): a direct mapping edge, <-+ to a
+// labelled node, two include paths (one ending at a bound variable), an
+// include over a non-returned variable whose starts match no path, and
+// EVALUATE over one and two include paths.
+func includeShapes(mid, top string) []diffQuery {
+	a0, x, xy := workload.ARel(0), []string{"x"}, []string{"x", "y"}
+	return []diffQuery{
+		{fmt.Sprintf("FOR [%s $x] INCLUDE PATH [$x] <%s [] RETURN $x", a0, workload.AMapping(1)), x, false},
+		{fmt.Sprintf("FOR [%s $x] INCLUDE PATH [$x] <-+ [%s] RETURN $x", a0, mid), x, false},
+		{fmt.Sprintf("FOR [%s $x] <-+ [%s $y] INCLUDE PATH [$x] <-+ [$y], [$y] <-+ [] RETURN $x, $y", a0, mid), xy, false},
+		{fmt.Sprintf("FOR [%s $x] <-+ [%s $y] INCLUDE PATH [$y] <-+ [] RETURN $x", a0, top), x, false},
+		{fmt.Sprintf("EVALUATE COUNT OF { FOR [%s $x] INCLUDE PATH [$x] <-+ [] RETURN $x }", a0), x, true},
+		{fmt.Sprintf("EVALUATE DERIVABILITY OF { FOR [%s $x] <-+ [%s $y] INCLUDE PATH [$x] <-+ [], [$y] <-+ [] RETURN $x, $y }", a0, mid), xy, false},
+	}
+}
+
 // TestRandomQueriesDifferential generates random queries over random
 // settings and cross-checks every evaluation path the engine has: the
-// automatically chosen backend (Exec), the planned graph pipeline, and
-// the legacy graph interpreter must agree on bindings and projected
-// derivations.
+// automatically chosen backend (Exec), the planned graph pipeline and
+// the asr backend must agree with the legacy graph interpreter on
+// bindings, annotations and the whole projected graph — derivation
+// IDs, each derivation's ordered sources and targets, and every tuple
+// node with its row and leaf mark (see diffQuery for where the
+// relational backend's graph is held).
 func TestRandomQueriesDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260728))
+	relational := 0
 	for trial := 0; trial < 20; trial++ {
 		cfg := randomConfig(rng)
 		cfg.NumPeers = 2 + rng.Intn(3) // keep the legacy interpreter tractable
@@ -158,46 +191,69 @@ func TestRandomQueriesDifferential(t *testing.T) {
 			t.Fatal(err)
 		}
 		eng := proql.NewEngine(set.Sys)
+		queries := includeShapes(workload.ARel(1+rng.Intn(cfg.NumPeers-1)), workload.ARel(cfg.NumPeers-1))
 		for qi := 0; qi < 4; qi++ {
 			text, vars := randomQuery(rng, cfg.NumPeers)
-			label := fmt.Sprintf("trial %d query %q", trial, text)
-			q := proql.MustParse(text)
-			auto, err := eng.Exec(context.Background(), q, proql.Options{})
+			queries = append(queries, diffQuery{text, vars, true})
+		}
+		for _, dq := range queries {
+			label := fmt.Sprintf("trial %d query %q", trial, dq.text)
+			q := proql.MustParse(dq.text)
+			want, err := eng.Exec(context.Background(), q, proql.Options{Backend: "graph-legacy"})
 			if err != nil {
-				t.Fatalf("%s: exec: %v", label, err)
+				t.Fatalf("%s: graph-legacy: %v", label, err)
 			}
-			planned, err := eng.Exec(context.Background(), q, proql.Options{Backend: "graph"})
-			if err != nil {
-				t.Fatalf("%s: planned: %v", label, err)
-			}
-			legacy, err := eng.Exec(context.Background(), q, proql.Options{Backend: "graph-legacy"})
-			if err != nil {
-				t.Fatalf("%s: legacy: %v", label, err)
-			}
-			goal, err := eng.Exec(context.Background(), q, proql.Options{Backend: "asr"})
-			if err != nil {
-				t.Fatalf("%s: asr: %v", label, err)
-			}
-			for _, v := range vars {
-				aRefs, pRefs, lRefs, sRefs := auto.SortedRefs(v), planned.SortedRefs(v), legacy.SortedRefs(v), goal.SortedRefs(v)
-				if len(aRefs) != len(pRefs) || len(aRefs) != len(lRefs) || len(aRefs) != len(sRefs) {
-					t.Fatalf("%s: $%s bindings %d (%s) vs %d (planned) vs %d (legacy) vs %d (asr)",
-						label, v, len(aRefs), auto.Stats.Backend, len(pRefs), len(lRefs), len(sRefs))
+			wantGraph := graphSignature(t, want)
+			for _, backend := range []string{"auto", "graph", "asr"} {
+				res, err := eng.Exec(context.Background(), q, proql.Options{Backend: backend})
+				if err != nil {
+					t.Fatalf("%s: %s: %v", label, backend, err)
 				}
-				for i := range aRefs {
-					if aRefs[i] != pRefs[i] || aRefs[i] != lRefs[i] || aRefs[i] != sRefs[i] {
-						t.Fatalf("%s: $%s binding %d differs", label, v, i)
+				backend = res.Stats.Backend
+				for _, v := range dq.vars {
+					if w, g := want.SortedRefs(v), res.SortedRefs(v); fmt.Sprint(w) != fmt.Sprint(g) {
+						t.Fatalf("%s: $%s bindings\n graph-legacy %v\n %s %v", label, v, w, backend, g)
 					}
 				}
-			}
-			if pd, ld := planned.MustGraph().NumDerivations(), legacy.MustGraph().NumDerivations(); pd != ld {
-				t.Errorf("%s: projected derivations %d (planned) vs %d (legacy)", label, pd, ld)
-			}
-			if pd, sd := planned.MustGraph().NumDerivations(), goal.MustGraph().NumDerivations(); pd != sd {
-				t.Errorf("%s: projected derivations %d (planned) vs %d (asr)", label, pd, sd)
+				if len(res.Annotations) != len(want.Annotations) {
+					t.Fatalf("%s: %d annotations on %s, graph-legacy has %d", label, len(res.Annotations), backend, len(want.Annotations))
+				}
+				for ref, wv := range want.Annotations {
+					if v, ok := res.Annotations[ref]; !ok || !want.Semiring.Eq(wv, v) {
+						t.Fatalf("%s: annotation of %v: %v on %s, graph-legacy %v", label, ref, v, backend, wv)
+					}
+				}
+				if backend == "relational" {
+					relational++
+					if !dq.relGraph {
+						continue
+					}
+				}
+				if got := graphSignature(t, res); got != wantGraph {
+					t.Fatalf("%s: projected graph: only on graph-legacy:\n%s\n only on %s:\n%s", label,
+						lineDiff(wantGraph, got), backend, lineDiff(got, wantGraph))
+				}
 			}
 		}
 	}
+	if relational == 0 {
+		t.Error("no query ran on the relational backend")
+	}
+}
+
+// lineDiff lists the lines of a that b lacks.
+func lineDiff(a, b string) string {
+	in := map[string]bool{}
+	for _, l := range strings.Split(b, "\n") {
+		in[l] = true
+	}
+	var out []string
+	for _, l := range strings.Split(a, "\n") {
+		if !in[l] {
+			out = append(out, l)
+		}
+	}
+	return strings.Join(out, "\n")
 }
 
 // TestRandomASRPreservation defines random ASR configurations over
@@ -249,9 +305,8 @@ func TestRandomASRPreservation(t *testing.T) {
 				t.Fatalf("trial %d: binding %d differs", trial, i)
 			}
 		}
-		if base.MustGraph().NumDerivations() != opt.MustGraph().NumDerivations() {
-			t.Errorf("trial %d (%v len=%d): derivations %d vs %d", trial, kind, maxLen,
-				base.MustGraph().NumDerivations(), opt.MustGraph().NumDerivations())
+		if b, o := graphSignature(t, base), graphSignature(t, opt); b != o {
+			t.Errorf("trial %d (%v len=%d): projected graph\n without ASRs:\n%s\n with:\n%s", trial, kind, maxLen, b, o)
 		}
 	}
 }
@@ -364,9 +419,9 @@ func TestRandomASRBackendAfterChurn(t *testing.T) {
 					}
 				}
 			}
-			if gd, sd := gr.MustGraph().NumDerivations(), goal.MustGraph().NumDerivations(); gd != sd {
-				t.Errorf("trial %d round %d %q: projected derivations %d (graph) vs %d (asr)",
-					trial, round, text, gd, sd)
+			if gs, ss := graphSignature(t, gr), graphSignature(t, goal); gs != ss {
+				t.Errorf("trial %d round %d %q: projected graph: only on graph:\n%s\n only on asr:\n%s",
+					trial, round, text, lineDiff(gs, ss), lineDiff(ss, gs))
 			}
 		}
 	}

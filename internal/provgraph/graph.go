@@ -50,9 +50,6 @@ func (t *TupleNode) TupleOrd() int { return t.ord }
 // TupleRow implements the physplan tuple-handle surface.
 func (t *TupleNode) TupleRow() model.Tuple { return t.Row }
 
-// TupleLeaf implements the physplan tuple-handle surface.
-func (t *TupleNode) TupleLeaf() bool { return t.Leaf }
-
 // DerivNode is an ellipse of Figure 1: one firing of a mapping,
 // relating its m source tuples to its n target tuples.
 type DerivNode struct {
@@ -228,11 +225,11 @@ func (d *DerivNode) Ord() int { return d.ord }
 // DerivOrd implements the physplan derivation-handle surface.
 func (d *DerivNode) DerivOrd() int { return d.ord }
 
-// DerivID implements the physplan derivation-handle surface.
-func (d *DerivNode) DerivID() string { return d.ID }
-
 // DerivMapping implements the physplan derivation-handle surface.
 func (d *DerivNode) DerivMapping() string { return d.Mapping }
+
+// DerivRow implements the physplan derivation-handle surface.
+func (d *DerivNode) DerivRow() model.Tuple { return d.ProvRow }
 
 // Tuples iterates tuple nodes in insertion order.
 func (g *Graph) Tuples() []*TupleNode { return g.tupleOrder.live() }
