@@ -8,7 +8,6 @@ package repro_test
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"testing"
 
 	"repro/internal/asr"
@@ -275,10 +274,10 @@ func BenchmarkAnnotationOverhead(b *testing.B) {
 
 // BenchmarkMultiPathMatch measures the graph backend on a multi-path
 // common-provenance query (the Q4 shape): the physical-plan pipeline
-// (indexed scans + hash join on the shared variable, optionally with a
-// parallel root scan) against the legacy tree-walking interpreter,
-// which re-walks the second path under every binding of the first.
-// EXPERIMENTS.md records the measured speedup.
+// (indexed scans + hash join on the shared variable) against the
+// legacy tree-walking interpreter, which re-walks the second path
+// under every binding of the first. EXPERIMENTS.md records the
+// measured speedup.
 func BenchmarkMultiPathMatch(b *testing.B) {
 	set, err := workload.Build(workload.Config{
 		Topology:  workload.Chain,
@@ -311,18 +310,6 @@ func BenchmarkMultiPathMatch(b *testing.B) {
 	b.Run("planned", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := eng.Exec(context.Background(), q, proql.Options{Backend: "graph"}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("planned-parallel", func(b *testing.B) {
-		par := proql.NewEngine(set.Sys)
-		par.Parallelism = runtime.GOMAXPROCS(0)
-		if _, err := par.Graph(); err != nil {
-			b.Fatal(err)
-		}
-		for i := 0; i < b.N; i++ {
-			if _, err := par.Exec(context.Background(), q, proql.Options{Backend: "graph"}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -626,42 +613,32 @@ func BenchmarkExchange(b *testing.B) {
 }
 
 // BenchmarkExchangeCompiled is BenchmarkExchange on the compiled
-// engine, serially and (on multi-core hosts) with a worker pool. The
-// "noindex" variant skips maintenance of the deletion-support index
-// the hooks otherwise keep current, isolating the index's overhead
-// (the price paid at exchange time for delta-driven DeleteLocal).
+// engine. The "noindex" variant skips maintenance of the deletion-
+// support index the hooks otherwise keep current, isolating the
+// index's overhead (the price paid at exchange time for delta-driven
+// DeleteLocal).
 func BenchmarkExchangeCompiled(b *testing.B) {
-	pars := []int{0}
-	if n := runtime.GOMAXPROCS(0); n > 1 {
-		pars = append(pars, n)
-	}
 	for _, base := range []int{250, 1000} {
-		for _, par := range pars {
-			for _, noIndex := range []bool{false, true} {
-				name := fmt.Sprintf("base=%d", base)
-				if par > 1 {
-					name += fmt.Sprintf("/par=%d", par)
-				}
-				if noIndex {
-					name += "/noindex"
-				}
-				b.Run(name, func(b *testing.B) {
-					for i := 0; i < b.N; i++ {
-						if _, err := workload.Build(workload.Config{
-							Topology:       workload.Chain,
-							Profile:        workload.ProfileLinear,
-							NumPeers:       10,
-							DataPeers:      workload.UpstreamDataPeers(10, 2),
-							BaseSize:       base,
-							Seed:           42,
-							Parallelism:    par,
-							NoSupportIndex: noIndex,
-						}); err != nil {
-							b.Fatal(err)
-						}
-					}
-				})
+		for _, noIndex := range []bool{false, true} {
+			name := fmt.Sprintf("base=%d", base)
+			if noIndex {
+				name += "/noindex"
 			}
+			b.Run(name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, err := workload.Build(workload.Config{
+						Topology:       workload.Chain,
+						Profile:        workload.ProfileLinear,
+						NumPeers:       10,
+						DataPeers:      workload.UpstreamDataPeers(10, 2),
+						BaseSize:       base,
+						Seed:           42,
+						NoSupportIndex: noIndex,
+					}); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
 	}
 }

@@ -40,7 +40,6 @@ type benchFile struct {
 	Del    []map[string]json.Number `json:"del"`
 	Ins    []map[string]json.Number `json:"ins"`
 	Mix    []map[string]json.Number `json:"mix"`
-	Shard  []map[string]json.Number `json:"shard"`
 	Proql  []map[string]json.Number `json:"proql"`
 	// Serve rows mix a string metric (backend) with numbers, so they
 	// decode as any; load uses UseNumber so numeric values still carry
@@ -74,7 +73,7 @@ func load(path string) (*benchFile, error) {
 // deterministic churn; window_epochs carries the same signal as a
 // gated counter).
 var ungated = map[string]bool{
-	"peers": true, "shards": true, "scale": true, "instance_rows": true,
+	"peers": true, "scale": true, "instance_rows": true,
 	"backend": true, "readers": true, "commits": true, "elapsed_ns": true, "max_ns": true,
 	"depth": true, "floor_epoch": true,
 }
@@ -84,7 +83,6 @@ func main() {
 		baselinePath = flag.String("baseline", "BENCH_baseline.json", "checked-in baseline JSON")
 		currentPath  = flag.String("current", "", "fresh proqlbench -json output")
 		factor       = flag.Float64("factor", 2.0, "maximum allowed current/baseline ratio per metric (latency metrics compare rebuild-normalized shares, counters absolute values)")
-		shardFactor  = flag.Float64("shard-factor", 3.0, "maximum allowed ratio for the shard experiment's scaling shares; looser than -factor because t(S)/t(S=1) compounds the noise of two independent measurements")
 		serveFactor  = flag.Float64("serve-factor", 5.0, "maximum allowed current/baseline ratio for the serve experiment's p50 contention shares (p50 as a multiple of the row's solo p50); looser than -factor because contention depends on the runner's core count and scheduler")
 		serveP99Cap  = flag.Float64("serve-p99-cap", 100.0, "absolute ceiling on the serve experiment's p99 contention share (p99 as a multiple of the same row's solo p50). The tail is gated against this cap rather than the baseline: per-row p99 rests on few samples, so a cross-run ratio of two noisy tails flakes, while 'reads stay within Nx of the uncontended median even under churn' is the bound the experiment exists to enforce")
 		recoverCap   = flag.Float64("recover-cap", 0.2, "absolute ceiling on the recover experiment's restart share (recover_ns as a fraction of the same row's cold_ns). The durable-restart claim is that checkpoint + WAL replay beats the cold full exchange by at least 1/cap (5x at the default); the share is a within-run ratio, so runner speed cancels and the cap gates the claim itself, not the clock")
@@ -121,7 +119,6 @@ func main() {
 	} {
 		failures += gateExperiment(exp.name, exp.base, exp.cur, *factor, *floorNS)
 	}
-	failures += gateShard(base.Shard, cur.Shard, *shardFactor, *floorNS)
 	failures += gateProQL(base.Proql, cur.Proql, *factor, *floorNS)
 	failures += gateServe(base.Serve, cur.Serve, *serveFactor, *serveP99Cap, *floorNS)
 	failures += gateRecover(base.Recover, cur.Recover, *factor, *recoverCap)
@@ -199,92 +196,6 @@ func gateExperiment(name string, base, cur []map[string]json.Number, factor, flo
 			}
 			fmt.Printf("%s[peers=%s].%-22s %14.0f -> %14.0f  (%.2fx%s) %s\n",
 				name, peers, metric, bv, cv, ratio, note, status)
-		}
-	}
-	return failures
-}
-
-// gateShard gates the shard strong-scaling sweep. Rows are keyed by
-// "shards" and the sweep's signal is the scaling curve, not the clock:
-// each latency metric is normalized cross-row against the same metric
-// of the same file's shards=1 row (the unsharded serial engine), so
-// the gated quantity is t(S)/t(S=1) — the inverse speedup — which a
-// uniformly faster or slower runner leaves unchanged. A sharded row's
-// normalized share growing past the factor means sharding lost ground
-// against its own serial engine: a scaling regression. The S=1 row's
-// latencies are the normalizers and are reported ungated; counters
-// are gated strictly on absolute values as usual.
-func gateShard(base, cur []map[string]json.Number, factor, floorNS float64) int {
-	if len(base) == 0 {
-		return 0
-	}
-	curByShards := make(map[string]map[string]json.Number, len(cur))
-	for _, row := range cur {
-		curByShards[string(row["shards"])] = row
-	}
-	norm := func(rows []map[string]json.Number) map[string]json.Number {
-		for _, row := range rows {
-			if string(row["shards"]) == "1" {
-				return row
-			}
-		}
-		return nil
-	}
-	bnorm, cnorm := norm(base), norm(cur)
-	failures := 0
-	for _, brow := range base {
-		shards := string(brow["shards"])
-		crow, ok := curByShards[shards]
-		if !ok {
-			fmt.Printf("shard[shards=%s]: row missing from current run\n", shards)
-			failures++
-			continue
-		}
-		for _, metric := range sortedKeys(brow) {
-			if ungated[metric] {
-				continue
-			}
-			bv, err1 := brow[metric].Float64()
-			cnum, present := crow[metric]
-			if !present {
-				fmt.Printf("shard[shards=%s].%s: metric missing from current run\n", shards, metric)
-				failures++
-				continue
-			}
-			cv, err2 := cnum.Float64()
-			if err1 != nil || err2 != nil {
-				fmt.Printf("shard[shards=%s].%s: non-numeric metric\n", shards, metric)
-				failures++
-				continue
-			}
-			isLatency := strings.HasSuffix(metric, "_ns")
-			if isLatency && shards == "1" {
-				fmt.Printf("shard[shards=%s].%-22s %14.0f -> %14.0f  (%.2fx) normalizer (not gated)\n",
-					shards, metric, bv, cv, ratioOf(bv, cv, factor))
-				continue
-			}
-			gb, gc := bv, cv
-			note := ""
-			if isLatency && bnorm != nil && cnorm != nil {
-				bn, berr := bnorm[metric].Float64()
-				cn, cerr := cnorm[metric].Float64()
-				if berr == nil && cerr == nil && bn > 0 && cn > 0 {
-					gb, gc = bv/bn, cv/cn
-					note = " of S=1"
-				}
-			}
-			ratio := ratioOf(gb, gc, factor)
-			status := "ok"
-			switch {
-			case ratio <= factor:
-			case isLatency && cv < floorNS:
-				status = "ok (below noise floor)"
-			default:
-				status = "REGRESSED"
-				failures++
-			}
-			fmt.Printf("shard[shards=%s].%-22s %14.0f -> %14.0f  (%.2fx%s) %s\n",
-				shards, metric, bv, cv, ratio, note, status)
 		}
 	}
 	return failures

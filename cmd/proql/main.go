@@ -44,7 +44,6 @@ func main() {
 		seed     = flag.Int64("seed", 42, "workload seed")
 		loadFile = flag.String("load", "", "load a setting from a JSON file (see internal/settingio)")
 		saveFile = flag.String("save", "", "save the setting as JSON and exit")
-		par      = flag.Int("par", 1, "worker-pool size for graph-backend path scans (1 = serial)")
 		backend  = flag.String("backend", "auto", "execution backend: auto (relational when the query allows, else graph), relational, graph, or asr (goal-directed over the provenance tables, no graph build)")
 	)
 	flag.Parse()
@@ -109,7 +108,6 @@ func main() {
 	}
 
 	engine := proql.NewEngine(sys)
-	engine.Parallelism = *par
 	engine.Backend = *backend
 	if *demo {
 		runDemo(engine)

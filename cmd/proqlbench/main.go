@@ -62,14 +62,6 @@ type benchMixRow struct {
 	InstanceRows     int   `json:"instance_rows"`
 }
 
-type benchShardRow struct {
-	Shards           int   `json:"shards"`
-	RunNS            int64 `json:"run_ns"`
-	DeltaNS          int64 `json:"delta_ns"`
-	DeltaDerivations int   `json:"delta_derivations"`
-	InstanceRows     int   `json:"instance_rows"`
-}
-
 type benchProQLRow struct {
 	Scale        int   `json:"scale"`
 	GraphBuildNS int64 `json:"graph_build_ns"`
@@ -121,7 +113,6 @@ type benchJSON struct {
 	Del     []benchDelRow     `json:"del,omitempty"`
 	Ins     []benchInsRow     `json:"ins,omitempty"`
 	Mix     []benchMixRow     `json:"mix,omitempty"`
-	Shard   []benchShardRow   `json:"shard,omitempty"`
 	Proql   []benchProQLRow   `json:"proql,omitempty"`
 	Serve   []benchServeRow   `json:"serve,omitempty"`
 	Recover []benchRecoverRow `json:"recover,omitempty"`
@@ -159,9 +150,6 @@ type scaleParams struct {
 	recovPeers  []int
 	recovBase   int
 	recovBatch  int
-	shardPeers  int
-	shardBase   int
-	shardList   []int
 	proqlScales []int
 	proqlPeers  int
 	proqlData   int
@@ -201,7 +189,6 @@ func defaultScale() scaleParams {
 		delPeers: []int{10, 20, 40}, delData: 2, delBase: 500,
 		insBatch:   5,
 		recovPeers: []int{6, 10}, recovBase: 4000, recovBatch: 10,
-		shardPeers: 40, shardBase: 500, shardList: []int{1, 2, 4, 8},
 		proqlScales: []int{1, 10, 100}, proqlPeers: 8, proqlData: 2, proqlBase: 20,
 		serveReader: []int{1, 4}, servePeers: 8, serveData: 2, serveBase: 100,
 		serveBatch: 5, serveQPR: 20,
@@ -219,8 +206,6 @@ func ciScale() scaleParams {
 	p := defaultScale()
 	p.delPeers = []int{10, 20}
 	p.delBase = 500
-	p.shardPeers = 40
-	p.shardBase = 500
 	p.serveBase = 50
 	p.serveQPR = 25
 	p.asofBase = 50
@@ -241,8 +226,6 @@ func paperScale() scaleParams {
 	p.delBase = 2000
 	p.recovPeers = []int{10, 20}
 	p.recovBase = 8000
-	p.shardPeers = 80
-	p.shardBase = 2000
 	p.proqlBase = 100
 	p.asofBase = 500
 	p.runs = 7
@@ -251,11 +234,9 @@ func paperScale() scaleParams {
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "comma-separated experiments: table1, fig7, fig8, fig9, fig10, fig11, fig12, fig13, annot, del, ins, mix, shard, proql, serve, recover, asof, or all")
+		exp      = flag.String("exp", "all", "comma-separated experiments: table1, fig7, fig8, fig9, fig10, fig11, fig12, fig13, annot, del, ins, mix, proql, serve, recover, asof, or all")
 		scale    = flag.String("scale", "default", "default, ci, or paper")
 		engine   = flag.String("engine", "compiled", "datalog engine for update exchange: legacy or compiled")
-		par      = flag.Int("par", 0, "compiled-engine worker count per evaluation round (0 = serial); how much hardware a round may use, independent of -shards")
-		shards   = flag.Int("shards", 0, "fact-space shard count for the compiled engine (0/1 = unsharded); fixes data partitioning and merge order, while -par fixes the workers evaluating the shards")
 		jsonPath = flag.String("json", "", "write the del/ins/mix sweep results to this file (perf-trajectory JSON)")
 	)
 	flag.Parse()
@@ -278,12 +259,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown -engine %q (want legacy or compiled)\n", *engine)
 		os.Exit(2)
 	}
-	workload.DefaultParallelism = *par
-	workload.DefaultShards = *shards
 	if *jsonPath != "" {
 		collected = &benchJSON{Schema: "proqlbench-v1", Scale: *scale, Engine: *engine}
 	}
-	known := []string{"all", "table1", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "annot", "del", "ins", "mix", "shard", "proql", "serve", "recover", "asof"}
+	known := []string{"all", "table1", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "annot", "del", "ins", "mix", "proql", "serve", "recover", "asof"}
 	isKnown := map[string]bool{}
 	for _, name := range known {
 		isKnown[name] = true
@@ -340,7 +319,6 @@ func main() {
 	run("del", runDeletion)
 	run("ins", runInsertion)
 	run("mix", runMixed)
-	run("shard", runShard)
 	run("proql", runProQL)
 	run("serve", runServe)
 	run("recover", runRecover)
@@ -388,43 +366,6 @@ func runMixed(p scaleParams) error {
 				ASRRematNS:       r.ASRRematTime.Nanoseconds(),
 				DeltaDerivations: r.DeltaDerivations,
 				TuplesVisited:    r.TuplesVisited,
-				InstanceRows:     r.InstanceSize,
-			})
-		}
-	}
-	return nil
-}
-
-// runShard is the strong-scaling experiment (E13): the same
-// Fig.-10-style chain built at shard counts 1/2/4/8 (Parallelism set
-// to the shard count), measuring the warm full-exchange fixpoint and
-// one interleaved churn operation per shard count. The S=1 row is the
-// unsharded serial engine — the parity and speedup reference the gate
-// normalizes against.
-func runShard(p scaleParams) error {
-	fmt.Printf("Shard scaling (E13): chain of %d peers, base %d at %d upstream peers, shard counts %v\n",
-		p.shardPeers, p.shardBase, p.delData, p.shardList)
-	fmt.Println("shards  full-run  mixed-delta  delta-derivs  instance")
-	rows, err := workload.RunShardScaling(p.shardList, p.shardPeers, p.delData, p.shardBase, p.insBatch, p.runs, p.seed)
-	if err != nil {
-		return err
-	}
-	var base float64
-	for _, r := range rows {
-		speedup := ""
-		if r.Shards == 1 {
-			base = float64(r.RunTime)
-		} else if base > 0 {
-			speedup = fmt.Sprintf("  (%.2fx vs S=1)", base/float64(r.RunTime))
-		}
-		fmt.Printf("%6d  %8v  %11v  %12d  %8d%s\n",
-			r.Shards, r.RunTime, r.DeltaTime, r.DeltaDerivations, r.InstanceSize, speedup)
-		if collected != nil {
-			collected.Shard = append(collected.Shard, benchShardRow{
-				Shards:           r.Shards,
-				RunNS:            r.RunTime.Nanoseconds(),
-				DeltaNS:          r.DeltaTime.Nanoseconds(),
-				DeltaDerivations: r.DeltaDerivations,
 				InstanceRows:     r.InstanceSize,
 			})
 		}

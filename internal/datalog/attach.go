@@ -10,12 +10,11 @@ import (
 
 // WarmAttach seeds a compiled program's persistent evaluation state
 // directly from the backing tables without evaluating a single rule:
-// every predicate journal holds exactly its table's rows (routed by
-// key hash for sharded programs), the key→position maps cover them,
-// and the age watermarks mark everything OLD — the state a successful
-// full run would have left behind, built in O(rows) instead of
-// O(derivations). Probe indexes are cleared and rebuild lazily at the
-// next run's first round.
+// every predicate journal holds exactly its table's rows and the age
+// watermarks mark everything OLD — the state a successful full run
+// would have left behind, built in O(rows) instead of O(derivations).
+// Probe indexes are cleared and rebuild lazily at the next run's first
+// round.
 //
 // exclude lists rows (per predicate name, matched by primary key) to
 // leave out of the journals: rows that are in the tables but must seed
@@ -35,7 +34,7 @@ import (
 //
 // After WarmAttach, StateValid reports true.
 //
-// Predicates attach independently (each touches only its own shards
+// Predicates attach independently (each touches only its own journal
 // and reads only its own table), so they are fanned out across the
 // machine: attach is the restart path's wall clock, and unlike the
 // fixpoint a cold run pays, it has no cross-predicate dependencies to
@@ -79,73 +78,35 @@ func (p *Program) attachPred(ps *predState, exclude map[string][]model.Tuple) {
 		}
 	}
 	nrows := ps.table.Len()
-
-	if p.nShards == 1 {
-		// Serial programs do not keep position maps between runs (reset
-		// leaves pos nil; ensurePos rebuilds it on demand at the next
-		// deletion repair), so the warm attach must not pay for one
-		// either: without exclusions the journal seed is a straight
-		// append of the table — the restart path's cheapest possible
-		// O(rows).
-		sh := ps.shards[0]
-		if cap(sh.rows) < nrows {
-			sh.rows = make([]model.Tuple, 0, nrows)
-		} else {
-			sh.rows = sh.rows[:0]
-		}
-		sh.clearIndexes()
-		sh.pos = nil
-		sh.posBuilt = 0
-		if skip == nil {
-			ps.table.Iterate(func(row model.Tuple) bool {
-				sh.rows = append(sh.rows, row)
-				return true
-			})
-		} else {
-			var buf []byte
-			ps.table.Iterate(func(row model.Tuple) bool {
-				buf = appendCols(buf[:0], row, ps.keyCols)
-				if skip[string(buf)] {
-					return true
-				}
-				sh.rows = append(sh.rows, row)
-				return true
-			})
-		}
-		sh.oldEnd = len(sh.rows)
-		sh.deltaEnd = len(sh.rows)
-		sh.synced = len(sh.rows)
-		sh.view = sh.rows
-		return
+	// Programs do not keep position maps between runs (reset leaves pos
+	// nil; ensurePos rebuilds it on demand at the next deletion repair),
+	// so the warm attach must not pay for one either: without exclusions
+	// the journal seed is a straight append of the table — the restart
+	// path's cheapest possible O(rows).
+	if cap(ps.rows) < nrows {
+		ps.rows = make([]model.Tuple, 0, nrows)
+	} else {
+		ps.rows = ps.rows[:0]
 	}
-
-	// Sharded programs keep the position maps hot between runs
-	// (seedDelta assigns into them), so build them alongside the
-	// key-hash routing.
-	for _, sh := range ps.shards {
-		sh.rows = sh.rows[:0]
-		sh.clearIndexes()
-		// Presize for an even spread; a fresh map sized for the table
-		// beats clearing and regrowing a stale one row by row.
-		sh.pos = make(map[string]int32, nrows/len(ps.shards)+1)
-		sh.posBuilt = 0
-	}
-	var buf []byte
-	ps.table.Iterate(func(row model.Tuple) bool {
-		buf = appendCols(buf[:0], row, ps.keyCols)
-		if skip != nil && skip[string(buf)] {
+	ps.clearIndexes()
+	ps.pos = nil
+	ps.posBuilt = 0
+	if skip == nil {
+		ps.table.Iterate(func(row model.Tuple) bool {
+			ps.rows = append(ps.rows, row)
 			return true
-		}
-		sh := ps.shards[shardOfBytes(buf, p.nShards)]
-		sh.pos[string(buf)] = int32(len(sh.rows))
-		sh.rows = append(sh.rows, row)
-		return true
-	})
-	for _, sh := range ps.shards {
-		sh.oldEnd = len(sh.rows)
-		sh.deltaEnd = len(sh.rows)
-		sh.synced = len(sh.rows)
-		sh.posBuilt = len(sh.rows)
-		sh.view = sh.rows
+		})
+	} else {
+		var buf []byte
+		ps.table.Iterate(func(row model.Tuple) bool {
+			buf = appendCols(buf[:0], row, ps.keyCols)
+			if skip[string(buf)] {
+				return true
+			}
+			ps.rows = append(ps.rows, row)
+			return true
+		})
 	}
+	ps.oldEnd = len(ps.rows)
+	ps.deltaEnd = len(ps.rows)
 }

@@ -1,7 +1,6 @@
 package datalog
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/model"
@@ -13,74 +12,68 @@ import (
 // state, journals mirroring tables, and subsequent delta runs landing
 // on the same database as a never-restarted engine.
 func TestWarmAttachMatchesFullRun(t *testing.T) {
-	for _, par := range []int{0, 3} {
-		t.Run(fmt.Sprintf("par=%d", par), func(t *testing.T) {
-			// Oracle: one engine runs full, then extends by delta.
-			odb, orules := tcProgram(t)
-			oe := NewEngine(odb)
-			oe.Parallelism = par
-			op, err := Compile(odb, orules)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := oe.RunProgram(op); err != nil {
-				t.Fatal(err)
-			}
+	// Oracle: one engine runs full, then extends by delta.
+	odb, orules := tcProgram(t)
+	oe := NewEngine(odb)
+	op, err := Compile(odb, orules)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := oe.RunProgram(op); err != nil {
+		t.Fatal(err)
+	}
 
-			// Subject: compute the same fixpoint, then simulate a restart
-			// by compiling a fresh program over the populated tables and
-			// attaching warm instead of re-running.
-			db, rules := tcProgram(t)
-			e := NewEngine(db)
-			e.Parallelism = par
-			p0, err := Compile(db, rules)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := e.RunProgram(p0); err != nil {
-				t.Fatal(err)
-			}
-			p, err := Compile(db, rules)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if p.StateValid() {
-				t.Fatal("fresh program claims valid state")
-			}
-			p.WarmAttach(nil)
-			if !p.StateValid() {
-				t.Fatal("state invalid after WarmAttach")
-			}
-			if err := p.JournalMirrorsTables(); err != nil {
-				t.Fatalf("warm-attached journals do not mirror tables: %v", err)
-			}
+	// Subject: compute the same fixpoint, then simulate a restart
+	// by compiling a fresh program over the populated tables and
+	// attaching warm instead of re-running.
+	db, rules := tcProgram(t)
+	e := NewEngine(db)
+	p0, err := Compile(db, rules)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.RunProgram(p0); err != nil {
+		t.Fatal(err)
+	}
+	p, err := Compile(db, rules)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.StateValid() {
+		t.Fatal("fresh program claims valid state")
+	}
+	p.WarmAttach(nil)
+	if !p.StateValid() {
+		t.Fatal("state invalid after WarmAttach")
+	}
+	if err := p.JournalMirrorsTables(); err != nil {
+		t.Fatalf("warm-attached journals do not mirror tables: %v", err)
+	}
 
-			// Both sides now take the same delta.
-			newRows := []model.Tuple{{int64(0), int64(1)}, {int64(4), int64(5)}}
-			for _, row := range newRows {
-				if _, err := db.MustTable("edge").Insert(row); err != nil {
-					t.Fatal(err)
-				}
-				if _, err := odb.MustTable("edge").Insert(row); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := e.RunProgramDelta(p, map[string][]model.Tuple{"edge": newRows}); err != nil {
-				t.Fatal(err)
-			}
-			if err := oe.RunProgramDelta(op, map[string][]model.Tuple{"edge": newRows}); err != nil {
-				t.Fatal(err)
-			}
-			if e.Derivations != oe.Derivations {
-				t.Errorf("warm-attached delta enumerated %d derivations, never-restarted engine %d", e.Derivations, oe.Derivations)
-			}
-			if got, want := dbSignature(db), dbSignature(odb); got != want {
-				t.Fatalf("warm-attached database differs from oracle\nwarm:\n%s\noracle:\n%s", got, want)
-			}
-			if err := p.JournalMirrorsTables(); err != nil {
-				t.Fatalf("journals diverged after delta run: %v", err)
-			}
-		})
+	// Both sides now take the same delta.
+	newRows := []model.Tuple{{int64(0), int64(1)}, {int64(4), int64(5)}}
+	for _, row := range newRows {
+		if _, err := db.MustTable("edge").Insert(row); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := odb.MustTable("edge").Insert(row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.RunProgramDelta(p, map[string][]model.Tuple{"edge": newRows}); err != nil {
+		t.Fatal(err)
+	}
+	if err := oe.RunProgramDelta(op, map[string][]model.Tuple{"edge": newRows}); err != nil {
+		t.Fatal(err)
+	}
+	if e.Derivations != oe.Derivations {
+		t.Errorf("warm-attached delta enumerated %d derivations, never-restarted engine %d", e.Derivations, oe.Derivations)
+	}
+	if got, want := dbSignature(db), dbSignature(odb); got != want {
+		t.Fatalf("warm-attached database differs from oracle\nwarm:\n%s\noracle:\n%s", got, want)
+	}
+	if err := p.JournalMirrorsTables(); err != nil {
+		t.Fatalf("journals diverged after delta run: %v", err)
 	}
 }
 

@@ -2,16 +2,17 @@ package datalog
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/model"
 	"repro/internal/relstore"
 )
 
 // This file is the compiler half of the compiled semi-naive engine
-// (exec.go holds the executor, shard.go the shard-parallel loop). A
-// Program is built once per rule set and database — update exchange
-// compiles its mapping program a single time and reuses it across runs
-// — and turns every rule into flat, integer-addressed join programs:
+// (exec.go holds the executor). A Program is built once per rule set
+// and database — update exchange compiles its mapping program a single
+// time and reuses it across runs — and turns every rule into flat,
+// integer-addressed join programs:
 //
 //   - each rule's variables are numbered into slots, so a firing pass
 //     runs over a reusable []model.Datum with zero map operations;
@@ -23,13 +24,6 @@ import (
 //     OLD ∪ Δ, atoms after d see OLD only — which is the classic
 //     semi-naive decomposition under which every derivation is
 //     enumerated exactly once across the whole fixpoint.
-//
-// A program compiled with CompileSharded(S > 1) additionally partitions
-// every predicate's fact space into S shards by a hash of the row's
-// primary-key encoding: each shard owns its own journal segment, probe
-// indexes, and key→position map, and the executor runs every round's
-// firing passes on all shards in parallel (shard.go). Compile is the
-// single-shard special case.
 
 // Program is a rule set compiled against the tables of one database.
 // It is immutable after Compile except for the per-run storage inside
@@ -43,20 +37,11 @@ type Program struct {
 	// maxSlots is the widest rule's slot count, sizing the executor's
 	// reusable binding buffers.
 	maxSlots int
-	// nShards is the shard count the program was compiled for (1 for
-	// Compile). It is fixed for the program's lifetime: the shard a row
-	// belongs to is part of the persistent journal layout.
-	nShards int
 	// stateValid reports that the predicate journals, indexes, and age
 	// watermarks mirror the backing tables exactly (set after a
 	// successful run, cleared by InvalidateState and on run errors), so
 	// a delta-seeded run may extend them instead of reseeding.
 	stateValid bool
-	// execs is the sharded executor scratch (binding buffers, cross-
-	// shard queues, arenas), kept on the program so successive runs
-	// reuse grown queue capacity. Like the journals, it assumes one run
-	// at a time.
-	execs []*shardExec
 }
 
 // StateValid reports whether the program's persistent evaluation state
@@ -69,65 +54,35 @@ func (p *Program) StateValid() bool { return p.stateValid }
 // deletion propagation); the next RunProgram reseeds from the tables.
 func (p *Program) InvalidateState() { p.stateValid = false }
 
-// Shards reports the shard count the program was compiled for.
-func (p *Program) Shards() int { return p.nShards }
-
-// predState is one predicate's compiled metadata plus its per-shard
-// storage. The journal of a predicate is the union of its shards'
-// journals; with one shard (Compile) the layout degenerates to the
-// single append-only journal of the serial engine.
-type predState struct {
-	name  string
-	table *relstore.Table
-	// keyCols is the table's primary-key column list (nil for keyless
-	// tables, which sharded programs reject): rows are routed to shards
-	// by the hash of their key encoding, and the per-shard key→position
-	// maps are keyed by the same encoding.
-	keyCols []int
-	// indexCols registers the probe column patterns the compiled join
-	// steps need, by ordinal; every shard materializes one probeIndex
-	// per pattern. indexOrd maps a pattern signature to its ordinal.
-	indexCols [][]int
-	indexOrd  map[string]int
-
-	shards []*predShard
-}
-
-// predShard is one shard's slice of a predicate's storage: an
-// append-only journal of the shard's facts partitioned by age
+// predState is one predicate's compiled metadata plus its storage: an
+// append-only journal of the predicate's facts partitioned by age
 // watermarks. rows[:oldEnd] were derived two or more rounds ago (OLD),
 // rows[oldEnd:deltaEnd] in the previous round (Δ), and rows[deltaEnd:]
 // in the current round (NEW — invisible to joins until the round ends
 // and the watermarks advance).
-type predShard struct {
+type predState struct {
+	name  string
+	table *relstore.Table
+	// keyCols is the table's primary-key column list (nil for keyless
+	// tables); the key→position map is keyed by its encoding.
+	keyCols []int
+
 	rows     []model.Tuple
 	oldEnd   int
 	deltaEnd int
-	// view is the journal slice header snapshot other shards read
-	// during a parallel round: the owner may append (and reallocate)
-	// rows concurrently, but view keeps addressing the rows below the
-	// round's watermarks. Refreshed at every round barrier.
-	view []model.Tuple
-	// synced is the prefix of rows already present in the backing
-	// table. Sharded runs buffer fresh rows in the journal and write
-	// them back at end of run (the tables are single-writer); serial
-	// runs insert into the table first, so they never consult it.
-	synced int
 	// pos maps a row's primary-key encoding to its journal position —
-	// the shard-local duplicate filter of sharded runs and the
-	// O(deleted)-repair index of ApplyDeletions. Built lazily up to
-	// posBuilt: serial runs skip it entirely on the insert hot path and
-	// the first repair after a run extends it; sharded runs keep it hot
-	// (it replaces the table's primary-key probe).
+	// the O(deleted)-repair index of ApplyDeletions. Built lazily up to
+	// posBuilt: runs skip it entirely on the insert hot path and the
+	// first repair after a run extends it.
 	pos      map[string]int32
 	posBuilt int
-	// indexes holds the shard's probe indexes, parallel to the
-	// predicate's indexCols. Buckets store row positions in ascending
-	// order, so a partition bound is a cutoff, not a filter.
+	// indexes holds one probe index per column pattern the compiled
+	// join steps need. Buckets store row positions in ascending order,
+	// so a partition bound is a cutoff, not a filter.
 	indexes []*probeIndex
 }
 
-// probeIndex is a hash index over a shard's journal for one probe
+// probeIndex is a hash index over a predicate's journal for one probe
 // column pattern. built is the journal watermark the index covers; it
 // is extended to deltaEnd at the start of every round.
 type probeIndex struct {
@@ -193,10 +148,6 @@ type headCol struct {
 	slot    int
 }
 
-// compiledRule is single-head in sharded programs; head returns the
-// spec the shard executor routes by.
-func (cr *compiledRule) head() *headSpec { return &cr.heads[0] }
-
 // deltaProg is the rule specialized to "the Δ fact sits at body
 // position d": the seed spec matches a Δ row, then the remaining atoms
 // join in precomputed greedy order against their partitions.
@@ -217,103 +168,36 @@ type seedSpec struct {
 }
 
 // joinStep extends a partial binding through one body atom. When probe
-// is non-empty the step goes through the predicate's index of ordinal
-// indexOrd, whose buckets already satisfy every probe constraint;
-// checks holds only the residual intra-atom repeated-variable
-// equalities. An unconstrained step scans its partition.
+// is non-empty the step goes through index, whose buckets already
+// satisfy every probe constraint; checks holds only the residual
+// intra-atom repeated-variable equalities. An unconstrained step (nil
+// index) scans its partition.
 type joinStep struct {
 	pred   *predState
 	part   partition
 	probe  []colRef
 	checks []colSlot
 	binds  []colSlot
-	// indexOrd is the ordinal of the probe index in every shard's
-	// indexes slice, or -1 for scan steps. index is the single-shard
-	// fast path: for nShards == 1 finalize resolves the ordinal to the
-	// one shard's probeIndex so the serial executor pays no extra
-	// indirection per probe.
-	indexOrd int
-	index    *probeIndex
-	// routeProbe, when non-nil, maps each primary-key column of the
-	// probed predicate to the probe entry supplying its value: the
-	// probe constrains every key column, so any matching row's shard is
-	// computable from the binding and only that one shard's index needs
-	// probing. Nil probes (or probes missing a key column) fan out over
-	// all shards. routeIsProbe marks the common special case where the
-	// probe columns are exactly the key columns in key order — the
-	// probe encoding doubles as the routing key.
-	routeProbe   []int
-	routeIsProbe bool
+	index  *probeIndex
 }
 
-// Compile lowers rules into a single-shard Program over db's tables.
-// It fails on predicates without tables, on head wildcards, and on
-// head variables not bound in the body — conditions the legacy engine
-// only detects at evaluation time.
+// Compile lowers rules into a Program over db's tables. It fails on
+// predicates without tables, on head wildcards, and on head variables
+// not bound in the body — conditions the legacy engine only detects at
+// evaluation time.
 func Compile(db *relstore.Database, rules []Rule) (*Program, error) {
-	return CompileSharded(db, rules, 1)
-}
-
-// CompileSharded is Compile with the fact space of every predicate
-// partitioned into the given number of shards (values below 2 compile
-// the serial single-shard program). Sharded programs require every
-// rule to have exactly one head atom and every predicate to have a
-// primary key: a derivation is applied by the shard owning its head
-// row, and rows are routed by their key encoding.
-func CompileSharded(db *relstore.Database, rules []Rule, shards int) (*Program, error) {
-	if shards < 1 {
-		shards = 1
-	}
-	p := &Program{db: db, predID: make(map[string]int), nShards: shards}
+	p := &Program{db: db, predID: make(map[string]int)}
 	for i := range rules {
 		cr, err := p.compileRule(rules[i])
 		if err != nil {
 			return nil, err
-		}
-		if shards > 1 && len(cr.heads) != 1 {
-			return nil, fmt.Errorf("datalog: sharded program requires single-head rules; rule %s has %d heads", cr.rule.ID, len(cr.heads))
 		}
 		p.rules = append(p.rules, cr)
 		if n := len(cr.slotVars); n > p.maxSlots {
 			p.maxSlots = n
 		}
 	}
-	if err := p.finalize(); err != nil {
-		return nil, err
-	}
 	return p, nil
-}
-
-// finalize allocates the per-shard storage (rule compilation only
-// registered index patterns) and, for single-shard programs, resolves
-// every join step's index ordinal to the one shard's probeIndex.
-func (p *Program) finalize() error {
-	for _, ps := range p.preds {
-		if p.nShards > 1 && len(ps.keyCols) == 0 {
-			return fmt.Errorf("datalog: sharded program requires keyed predicates; %q has no primary key", ps.name)
-		}
-		ps.shards = make([]*predShard, p.nShards)
-		for i := range ps.shards {
-			sh := &predShard{indexes: make([]*probeIndex, len(ps.indexCols))}
-			for j, cols := range ps.indexCols {
-				sh.indexes[j] = &probeIndex{cols: cols, buckets: make(map[string][]int32)}
-			}
-			ps.shards[i] = sh
-		}
-	}
-	if p.nShards == 1 {
-		for _, cr := range p.rules {
-			for pi := range cr.progs {
-				steps := cr.progs[pi].steps
-				for si := range steps {
-					if steps[si].indexOrd >= 0 {
-						steps[si].index = steps[si].pred.shards[0].indexes[steps[si].indexOrd]
-					}
-				}
-			}
-		}
-	}
-	return nil
 }
 
 // pred interns the predicate state for a table-backed predicate.
@@ -325,23 +209,23 @@ func (p *Program) pred(name string) (*predState, error) {
 	if !ok {
 		return nil, fmt.Errorf("datalog: predicate %q has no table", name)
 	}
-	ps := &predState{name: name, table: t, keyCols: t.Schema.Key, indexOrd: make(map[string]int)}
+	ps := &predState{name: name, table: t, keyCols: t.Schema.Key}
 	p.predID[name] = len(p.preds)
 	p.preds = append(p.preds, ps)
 	return ps, nil
 }
 
-// ensureIndex registers (or reuses) the probe index pattern on exactly
-// cols, returning its ordinal.
-func (ps *predState) ensureIndex(cols []int) int {
-	key := relstore.IndexName(cols)
-	if ord, ok := ps.indexOrd[key]; ok {
-		return ord
+// ensureIndex returns the probe index on exactly cols, registering it
+// on first use.
+func (ps *predState) ensureIndex(cols []int) *probeIndex {
+	for _, ix := range ps.indexes {
+		if slices.Equal(ix.cols, cols) {
+			return ix
+		}
 	}
-	ord := len(ps.indexCols)
-	ps.indexOrd[key] = ord
-	ps.indexCols = append(ps.indexCols, append([]int(nil), cols...))
-	return ord
+	ix := &probeIndex{cols: cols, buckets: make(map[string][]int32)}
+	ps.indexes = append(ps.indexes, ix)
+	return ix
 }
 
 func (p *Program) compileRule(r Rule) (*compiledRule, error) {
@@ -465,7 +349,7 @@ func (p *Program) compileStep(cr *compiledRule, a model.Atom, beforeDelta bool, 
 	if err != nil {
 		return joinStep{}, err
 	}
-	st := joinStep{pred: ps, part: partOld, indexOrd: -1}
+	st := joinStep{pred: ps, part: partOld}
 	if beforeDelta {
 		st.part = partFull
 	}
@@ -508,45 +392,9 @@ func (p *Program) compileStep(cr *compiledRule, a model.Atom, beforeDelta bool, 
 		for i, pr := range st.probe {
 			cols[i] = pr.col
 		}
-		st.indexOrd = ps.ensureIndex(cols)
-		st.compileRoute(ps)
+		st.index = ps.ensureIndex(cols)
 	}
 	return st, nil
-}
-
-// compileRoute precomputes shard routing for an indexed step: when the
-// probe constrains every primary-key column of the probed predicate,
-// the shard holding any matching row is computable from the binding,
-// so the step probes exactly one shard instead of fanning out.
-func (st *joinStep) compileRoute(ps *predState) {
-	if len(ps.keyCols) == 0 {
-		return
-	}
-	route := make([]int, len(ps.keyCols))
-	for i, k := range ps.keyCols {
-		found := -1
-		for j, pr := range st.probe {
-			if pr.col == k {
-				found = j
-				break
-			}
-		}
-		if found < 0 {
-			return
-		}
-		route[i] = found
-	}
-	st.routeProbe = route
-	if len(st.probe) == len(ps.keyCols) {
-		exact := true
-		for i, k := range ps.keyCols {
-			if st.probe[i].col != k {
-				exact = false
-				break
-			}
-		}
-		st.routeIsProbe = exact
-	}
 }
 
 // VarSlots resolves variable names to slot positions for the (first)

@@ -104,69 +104,6 @@ func TestLegacyEngineOverCountsDerivations(t *testing.T) {
 	}
 }
 
-// TestCompiledEngineParallelMatchesSerial runs a larger transitive
-// closure serially and with a worker pool; fixpoints, derivation
-// counts, and firing multisets must be identical.
-func TestCompiledEngineParallelMatchesSerial(t *testing.T) {
-	build := func() (*relstore.Database, []Rule) {
-		db := relstore.NewDatabase()
-		edge := mkTable(t, db, "edge", 2, true)
-		mkTable(t, db, "path", 2, true)
-		for i := int64(0); i < 60; i++ {
-			edge.Insert(model.Tuple{i, i + 1})
-			if i%7 == 0 {
-				edge.Insert(model.Tuple{i, i + 3})
-			}
-		}
-		rules := []Rule{
-			NewRule("base", model.NewAtom("path", model.V("x"), model.V("y")),
-				model.NewAtom("edge", model.V("x"), model.V("y"))),
-			NewRule("step", model.NewAtom("path", model.V("x"), model.V("z")),
-				model.NewAtom("edge", model.V("x"), model.V("y")),
-				model.NewAtom("path", model.V("y"), model.V("z"))),
-		}
-		return db, rules
-	}
-	run := func(par int) (map[string]int, int, *relstore.Database) {
-		db, rules := build()
-		e := NewEngine(db)
-		e.Parallelism = par
-		firings := map[string]int{}
-		e.Hook = func(r *Rule, vars []string, slots []model.Datum) {
-			firings[firingKey(r, BindingFromSlots(vars, slots))]++
-		}
-		if err := e.Run(rules); err != nil {
-			t.Fatal(err)
-		}
-		return firings, e.Derivations, db
-	}
-	serialFirings, serialDerivs, serialDB := run(0)
-	parFirings, parDerivs, parDB := run(4)
-	if serialDerivs != parDerivs {
-		t.Errorf("derivations: serial %d, parallel %d", serialDerivs, parDerivs)
-	}
-	if len(serialFirings) != len(parFirings) {
-		t.Errorf("distinct firings: serial %d, parallel %d", len(serialFirings), len(parFirings))
-	}
-	for key, n := range serialFirings {
-		if parFirings[key] != n {
-			t.Errorf("firing %s: serial %d, parallel %d", key, n, parFirings[key])
-		}
-	}
-	for _, name := range []string{"edge", "path"} {
-		s := serialDB.MustTable(name).SortedRows()
-		p := parDB.MustTable(name).SortedRows()
-		if len(s) != len(p) {
-			t.Fatalf("%s: serial %d rows, parallel %d", name, len(s), len(p))
-		}
-		for i := range s {
-			if model.EncodeDatums(s[i]) != model.EncodeDatums(p[i]) {
-				t.Fatalf("%s row %d: serial %v, parallel %v", name, i, s[i], p[i])
-			}
-		}
-	}
-}
-
 // TestProgramReuseAcrossRuns compiles once and re-runs the program
 // after the base data changes — the update-exchange reuse pattern.
 func TestProgramReuseAcrossRuns(t *testing.T) {

@@ -144,9 +144,6 @@ func TestDifferentialCompiledVsLegacy(t *testing.T) {
 
 		compiledDB := s.materialize(t)
 		compiled := NewEngine(compiledDB)
-		if trial%3 == 2 {
-			compiled.Parallelism = 3
-		}
 		compiledFirings := map[string]int{}
 		compiled.Hook = func(r *Rule, vars []string, slots []model.Datum) {
 			compiledFirings[firingKey(r, BindingFromSlots(vars, slots))]++

@@ -24,15 +24,15 @@ const indexThreshold = 32
 
 // EngineLegacy is the original tuple-at-a-time interpreter, kept for
 // differential testing against the compiled engine (exec.go), exactly
-// as proql keeps ExecGraphLegacy beside the physical-plan pipeline. It
-// evaluates positive Datalog programs bottom-up over a relstore
-// database; each predicate is a table and head facts are inserted with
-// the table's set semantics (primary key identity). Its delta
-// discipline is coarse: a derivation whose body facts enter the delta
-// in the same iteration is re-enumerated once per delta position, so
-// the hook can fire several times for one distinct derivation (the
-// compiled engine fixes this; consumers keying on all columns absorb
-// the duplicates).
+// as proql keeps the graph-legacy backend beside the physical-plan
+// pipeline. It evaluates positive Datalog programs bottom-up over a
+// relstore database; each predicate is a table and head facts are
+// inserted with the table's set semantics (primary key identity). Its
+// delta discipline is coarse: a derivation whose body facts enter the
+// delta in the same iteration is re-enumerated once per delta
+// position, so the hook can fire several times for one distinct
+// derivation (the compiled engine fixes this; consumers keying on all
+// columns absorb the duplicates).
 type EngineLegacy struct {
 	DB   *relstore.Database
 	Hook DerivationHook

@@ -2,7 +2,6 @@ package datalog
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/model"
 	"repro/internal/relstore"
@@ -39,25 +38,10 @@ type HeadInsert struct {
 // needing the insertion results accept that ordering.
 type HeadHook func(rule *Rule, vars []string, slots []model.Datum, heads []HeadInsert)
 
-// ShardHook is the firing callback of shard-parallel programs
-// (CompileSharded with more than one shard). It is invoked by the
-// shard that owns the firing's head row — concurrently across shards,
-// never concurrently for the same shard — so implementations must keep
-// any mutable state per shard (indexed by the shard argument) or
-// immutable. The head insertion semantics match HeadHook, except that
-// Inserted reflects the shard journal's duplicate check: the backing
-// table itself is only written back at the end of the run.
-type ShardHook func(shard int, rule *Rule, vars []string, slots []model.Datum, heads []HeadInsert)
-
 // Engine is the compiled semi-naive Datalog engine: rules are lowered
 // once into slot-based join programs (compile.go) and evaluated to
 // fixpoint over flat binding arrays, probing incremental hash indexes
-// over age-partitioned fact journals. With Parallelism > 1, each
-// round's Δ rows are partitioned across a worker pool that collects
-// firings into batches, which the coordinating goroutine then applies
-// in deterministic task order. Programs compiled with more than one
-// shard run every round's firing passes on all shards in parallel
-// instead (shard.go), with Parallelism bounding the worker pool.
+// over age-partitioned fact journals.
 type Engine struct {
 	DB   *relstore.Database
 	Hook SlotHook
@@ -65,15 +49,6 @@ type Engine struct {
 	// additionally receives the firing's head insertions (with their
 	// canonical key encodings). See HeadHook for ordering semantics.
 	HookHeads HeadHook
-	// HookShard is the firing callback for sharded programs; setting it
-	// alongside a single-shard program (or Hook/HookHeads alongside a
-	// sharded one) is an error — the two modes have different
-	// concurrency contracts.
-	HookShard ShardHook
-	// Parallelism is the worker count for the firing passes; values
-	// below 2 run serially. For sharded programs it bounds the shard
-	// worker pool (0 means one worker per shard).
-	Parallelism int
 
 	// Stats from the last run.
 	Iterations  int
@@ -111,12 +86,6 @@ func (e *Engine) checkProgram(p *Program) error {
 	if p.db != e.DB {
 		return fmt.Errorf("datalog: program was compiled against a different database")
 	}
-	if p.nShards > 1 && (e.Hook != nil || e.HookHeads != nil) {
-		return fmt.Errorf("datalog: sharded program requires HookShard (Hook/HookHeads are single-shard callbacks)")
-	}
-	if p.nShards == 1 && e.HookShard != nil {
-		return fmt.Errorf("datalog: HookShard requires a sharded program")
-	}
 	return nil
 }
 
@@ -133,15 +102,8 @@ func (e *Engine) RunProgram(p *Program) error {
 	}
 	p.stateValid = false
 	e.Iterations, e.Derivations = 0, 0
-	if p.nShards > 1 {
-		if err := e.runSharded(p, nil); err != nil {
-			return err
-		}
-		p.stateValid = true
-		return nil
-	}
 	for _, ps := range p.preds {
-		ps.shards[0].reset(ps.table)
+		ps.reset()
 	}
 	if err := e.fixpoint(p); err != nil {
 		return err
@@ -170,13 +132,6 @@ func (e *Engine) RunProgramDelta(p *Program, delta map[string][]model.Tuple) err
 		return fmt.Errorf("datalog: delta run requires valid persistent state (run RunProgram first)")
 	}
 	e.Iterations, e.Derivations = 0, 0
-	if p.nShards > 1 {
-		if err := e.runSharded(p, delta); err != nil {
-			p.stateValid = false
-			return err
-		}
-		return nil
-	}
 	for name, rows := range delta {
 		id, ok := p.predID[name]
 		if !ok {
@@ -184,21 +139,20 @@ func (e *Engine) RunProgramDelta(p *Program, delta map[string][]model.Tuple) err
 			return fmt.Errorf("datalog: delta predicate %q not in program", name)
 		}
 		ps := p.preds[id]
-		sh := ps.shards[0]
-		if sh.pos != nil {
-			// Keep the key→position map hot (see apply): the next
+		if ps.pos != nil {
+			// Keep the key→position map hot (see journalAppend): the next
 			// deletion repair stays O(deleted rows).
 			var buf []byte
 			for _, row := range rows {
 				buf = appendCols(buf[:0], row, ps.keyCols)
-				sh.pos[string(buf)] = int32(len(sh.rows))
-				sh.rows = append(sh.rows, row)
+				ps.pos[string(buf)] = int32(len(ps.rows))
+				ps.rows = append(ps.rows, row)
 			}
-			sh.posBuilt = len(sh.rows)
+			ps.posBuilt = len(ps.rows)
 		} else {
-			sh.rows = append(sh.rows, rows...)
+			ps.rows = append(ps.rows, rows...)
 		}
-		sh.deltaEnd = len(sh.rows)
+		ps.deltaEnd = len(ps.rows)
 	}
 	if err := e.fixpoint(p); err != nil {
 		p.stateValid = false
@@ -207,17 +161,15 @@ func (e *Engine) RunProgramDelta(p *Program, delta map[string][]model.Tuple) err
 	return nil
 }
 
-// fixpoint runs semi-naive rounds until no predicate has Δ rows (the
-// single-shard loop; shard.go holds the parallel one). On entry
-// rows[oldEnd:deltaEnd] of each predicate is the seed Δ.
+// fixpoint runs semi-naive rounds until no predicate has Δ rows. On
+// entry rows[oldEnd:deltaEnd] of each predicate is the seed Δ.
 func (e *Engine) fixpoint(p *Program) error {
-	x := &executor{eng: e, prog: p}
+	x := &executor{eng: e, prog: p, slots: make([]model.Datum, p.maxSlots)}
 	for {
 		work := false
 		for _, ps := range p.preds {
-			sh := ps.shards[0]
-			sh.extendIndexes()
-			if sh.deltaEnd > sh.oldEnd {
+			ps.extendIndexes()
+			if ps.deltaEnd > ps.oldEnd {
 				work = true
 			}
 		}
@@ -225,57 +177,48 @@ func (e *Engine) fixpoint(p *Program) error {
 			return nil
 		}
 		e.Iterations++
-		var err error
-		if e.Parallelism > 1 {
-			err = x.roundParallel(e.Parallelism)
-		} else {
-			err = x.roundSerial()
-		}
-		if err != nil {
+		if err := x.round(); err != nil {
 			return err
 		}
 		for _, ps := range p.preds {
-			sh := ps.shards[0]
-			sh.oldEnd = sh.deltaEnd
-			sh.deltaEnd = len(sh.rows)
+			ps.oldEnd = ps.deltaEnd
+			ps.deltaEnd = len(ps.rows)
 		}
 	}
 }
 
-// reset reseeds a shard's journal from a backing table and clears the
-// indexes and position map; everything stored becomes the first
-// round's Δ. (Single-shard form: the whole table lands in the shard.
-// Sharded programs route rows by key hash instead — shard.go.)
-func (sh *predShard) reset(table *relstore.Table) {
-	sh.rows = sh.rows[:0]
-	table.Iterate(func(row model.Tuple) bool {
-		sh.rows = append(sh.rows, row)
+// reset reseeds a predicate's journal from its backing table and clears
+// the indexes and position map; everything stored becomes the first
+// round's Δ.
+func (ps *predState) reset() {
+	ps.rows = ps.rows[:0]
+	ps.table.Iterate(func(row model.Tuple) bool {
+		ps.rows = append(ps.rows, row)
 		return true
 	})
-	sh.oldEnd = 0
-	sh.deltaEnd = len(sh.rows)
-	sh.synced = len(sh.rows)
-	sh.pos = nil
-	sh.posBuilt = 0
-	sh.clearIndexes()
+	ps.oldEnd = 0
+	ps.deltaEnd = len(ps.rows)
+	ps.pos = nil
+	ps.posBuilt = 0
+	ps.clearIndexes()
 }
 
-func (sh *predShard) clearIndexes() {
-	for _, ix := range sh.indexes {
+func (ps *predState) clearIndexes() {
+	for _, ix := range ps.indexes {
 		ix.buckets = make(map[string][]int32, len(ix.buckets))
 		ix.built = 0
 	}
 }
 
 // extendIndexes brings every probe index up to the joinable watermark.
-func (sh *predShard) extendIndexes() {
+func (ps *predState) extendIndexes() {
 	var buf []byte
-	for _, ix := range sh.indexes {
-		for i := ix.built; i < sh.deltaEnd; i++ {
-			buf = appendCols(buf[:0], sh.rows[i], ix.cols)
+	for _, ix := range ps.indexes {
+		for i := ix.built; i < ps.deltaEnd; i++ {
+			buf = appendCols(buf[:0], ps.rows[i], ix.cols)
 			ix.buckets[string(buf)] = append(ix.buckets[string(buf)], int32(i))
 		}
-		ix.built = sh.deltaEnd
+		ix.built = ps.deltaEnd
 	}
 }
 
@@ -286,13 +229,15 @@ func appendCols(buf []byte, row model.Tuple, cols []int) []byte {
 	return buf
 }
 
-// executor runs one single-shard program's rounds.
+// executor runs one program's rounds.
 type executor struct {
 	eng  *Engine
 	prog *Program
-	// arena carves the head rows the firing passes materialize;
-	// apply() runs only on the coordinating goroutine, so one arena
-	// suffices even in parallel mode.
+	// slots is the binding buffer the join recursion fills; keyBuf the
+	// probe-encoding scratch (consumed before any deeper recursion).
+	slots  []model.Datum
+	keyBuf []byte
+	// arena carves the head rows the firing passes materialize.
 	arena model.TupleArena
 	// heads and encArena are the reused buffers HookHeads firings
 	// materialize head insertions into. Encoded keys are copied out of
@@ -307,23 +252,19 @@ type executor struct {
 	posBuf []byte
 }
 
-// fireFn receives each completed firing; the serial path applies it
-// immediately, the parallel path batches it.
-type fireFn func(cr *compiledRule, slots []model.Datum) error
-
-func (x *executor) roundSerial() error {
-	slots := make([]model.Datum, x.prog.maxSlots)
-	var keyBuf []byte
+// round runs every Δ-specialized program over its predicate's Δ rows,
+// applying each firing as it completes.
+func (x *executor) round() error {
 	for _, cr := range x.prog.rules {
 		for pi := range cr.progs {
 			dp := &cr.progs[pi]
-			sh := dp.pred.shards[0]
-			delta := sh.rows[sh.oldEnd:sh.deltaEnd]
-			if len(delta) == 0 {
-				continue
-			}
-			if err := runProg(cr, dp, delta, slots, &keyBuf, x.apply); err != nil {
-				return err
+			for _, row := range dp.pred.rows[dp.pred.oldEnd:dp.pred.deltaEnd] {
+				if !matchSeed(&dp.seed, row, x.slots) {
+					continue
+				}
+				if err := x.joinFrom(cr, dp, 0); err != nil {
+					return err
+				}
 			}
 		}
 	}
@@ -334,10 +275,11 @@ func (x *executor) roundSerial() error {
 // insert the instantiated heads (new rows join the journal's NEW
 // region, invisible until the round ends). With HookHeads set the
 // heads are inserted first and surfaced to the callback.
-func (x *executor) apply(cr *compiledRule, slots []model.Datum) error {
+func (x *executor) apply(cr *compiledRule) error {
+	slots := x.slots
 	x.eng.Derivations++
 	if x.eng.HookHeads != nil {
-		return x.applyWithHeads(cr, slots)
+		return x.applyWithHeads(cr)
 	}
 	if x.eng.Hook != nil {
 		x.eng.Hook(&cr.rule, cr.slotVars, slots)
@@ -364,25 +306,24 @@ func (x *executor) apply(cr *compiledRule, slots []model.Datum) error {
 }
 
 // journalAppend appends a freshly inserted head row to the predicate's
-// (single-shard) journal. Once the shard's key→position map exists —
-// built by the first deletion repair (repair.go) — it is maintained
-// here on the insert path, so every later repair stays O(deleted
-// rows) instead of re-scanning the journal; until then the insert hot
-// path pays only this nil check. enc is the row's canonical key
-// encoding when the caller already has it, nil to encode here.
-func (x *executor) journalAppend(pred *predState, row model.Tuple, enc []byte) {
-	sh := pred.shards[0]
-	if sh.pos != nil {
+// journal. Once the predicate's key→position map exists — built by the
+// first deletion repair (repair.go) — it is maintained here on the
+// insert path, so every later repair stays O(deleted rows) instead of
+// re-scanning the journal; until then the insert hot path pays only
+// this nil check. enc is the row's canonical key encoding when the
+// caller already has it, nil to encode here.
+func (x *executor) journalAppend(ps *predState, row model.Tuple, enc []byte) {
+	if ps.pos != nil {
 		if enc == nil {
-			x.posBuf = appendCols(x.posBuf[:0], row, pred.keyCols)
+			x.posBuf = appendCols(x.posBuf[:0], row, ps.keyCols)
 			enc = x.posBuf
 		}
-		sh.pos[string(enc)] = int32(len(sh.rows))
-		sh.rows = append(sh.rows, row)
-		sh.posBuilt = len(sh.rows)
+		ps.pos[string(enc)] = int32(len(ps.rows))
+		ps.rows = append(ps.rows, row)
+		ps.posBuilt = len(ps.rows)
 		return
 	}
-	sh.rows = append(sh.rows, row)
+	ps.rows = append(ps.rows, row)
 }
 
 // applyWithHeads is apply for the HookHeads mode: insert every head
@@ -392,7 +333,8 @@ func (x *executor) journalAppend(pred *predState, row model.Tuple, enc []byte) {
 // directly; only multi-head rules copy encodings into the executor's
 // arena, since a later head insert into the same table would clobber
 // the earlier scratch.
-func (x *executor) applyWithHeads(cr *compiledRule, slots []model.Datum) error {
+func (x *executor) applyWithHeads(cr *compiledRule) error {
+	slots := x.slots
 	x.heads = x.heads[:0]
 	multi := len(cr.heads) > 1
 	if multi {
@@ -438,19 +380,6 @@ func (x *executor) applyWithHeads(cr *compiledRule, slots []model.Datum) error {
 	return nil
 }
 
-// runProg fires one Δ-specialized program over the given Δ rows.
-func runProg(cr *compiledRule, dp *deltaProg, delta []model.Tuple, slots []model.Datum, keyBuf *[]byte, fire fireFn) error {
-	for _, row := range delta {
-		if !matchSeed(&dp.seed, row, slots) {
-			continue
-		}
-		if err := joinFrom(cr, dp, 0, slots, keyBuf, fire); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 func matchSeed(s *seedSpec, row model.Tuple, slots []model.Datum) bool {
 	for _, c := range s.consts {
 		if !model.Equal(row[c.col], c.val) {
@@ -469,153 +398,61 @@ func matchSeed(s *seedSpec, row model.Tuple, slots []model.Datum) bool {
 }
 
 // joinFrom extends the binding through the steps from depth on,
-// calling fire on every completed match (single-shard form; shard.go
-// holds the fan-out variant). Binds need no undo: each step's checks
-// reference only slots bound by earlier steps (or its own row), so
-// stale values in later slots are always overwritten before being
+// applying every completed match. Binds need no undo: each step's
+// checks reference only slots bound by earlier steps (or its own row),
+// so stale values in later slots are always overwritten before being
 // read.
-func joinFrom(cr *compiledRule, dp *deltaProg, depth int, slots []model.Datum, keyBuf *[]byte, fire fireFn) error {
+func (x *executor) joinFrom(cr *compiledRule, dp *deltaProg, depth int) error {
 	if depth == len(dp.steps) {
-		return fire(cr, slots)
+		return x.apply(cr)
 	}
 	st := &dp.steps[depth]
-	sh := st.pred.shards[0]
-	limit := sh.deltaEnd
+	ps := st.pred
+	limit := ps.deltaEnd
 	if st.part == partOld {
-		limit = sh.oldEnd
+		limit = ps.oldEnd
 	}
 	if limit == 0 {
 		return nil
 	}
 	if st.index != nil {
-		buf := (*keyBuf)[:0]
+		buf := x.keyBuf[:0]
 		for _, pr := range st.probe {
 			if pr.isConst {
 				buf = model.AppendDatum(buf, pr.konst)
 			} else {
-				buf = model.AppendDatum(buf, slots[pr.slot])
+				buf = model.AppendDatum(buf, x.slots[pr.slot])
 			}
 		}
-		*keyBuf = buf
+		x.keyBuf = buf
 		// Bucket positions are ascending, so the partition bound is a
 		// cutoff.
 		for _, idx := range st.index.buckets[string(buf)] {
 			if int(idx) >= limit {
 				break
 			}
-			if err := stepRow(cr, dp, depth, st, sh.rows[idx], slots, keyBuf, fire); err != nil {
+			if err := x.stepRow(cr, dp, depth, st, ps.rows[idx]); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	for _, row := range sh.rows[:limit] {
-		if err := stepRow(cr, dp, depth, st, row, slots, keyBuf, fire); err != nil {
+	for _, row := range ps.rows[:limit] {
+		if err := x.stepRow(cr, dp, depth, st, row); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func stepRow(cr *compiledRule, dp *deltaProg, depth int, st *joinStep, row model.Tuple, slots []model.Datum, keyBuf *[]byte, fire fireFn) error {
+func (x *executor) stepRow(cr *compiledRule, dp *deltaProg, depth int, st *joinStep, row model.Tuple) error {
 	for _, b := range st.binds {
-		slots[b.slot] = row[b.col]
+		x.slots[b.slot] = row[b.col]
 	}
 	for _, q := range st.checks {
-		if !model.Equal(row[q.col], slots[q.slot]) {
+		if !model.Equal(row[q.col], x.slots[q.slot]) {
 			return nil
 		}
 	}
-	return joinFrom(cr, dp, depth+1, slots, keyBuf, fire)
-}
-
-// roundParallel runs one round's firing passes over a worker pool. Δ
-// rows of every (rule, delta-position) pair are chunked into tasks;
-// workers enumerate matches into per-task batches (the journals and
-// indexes are read-only during this phase), and the coordinator then
-// applies all batches in task order — the hook/insert sequence is
-// deterministic and identical in content to the serial round.
-func (x *executor) roundParallel(workers int) error {
-	type task struct {
-		cr    *compiledRule
-		dp    *deltaProg
-		delta []model.Tuple
-	}
-	var tasks []task
-	for _, cr := range x.prog.rules {
-		for pi := range cr.progs {
-			dp := &cr.progs[pi]
-			sh := dp.pred.shards[0]
-			delta := sh.rows[sh.oldEnd:sh.deltaEnd]
-			if len(delta) == 0 {
-				continue
-			}
-			chunk := (len(delta) + workers*4 - 1) / (workers * 4)
-			if chunk < 32 {
-				chunk = 32
-			}
-			for lo := 0; lo < len(delta); lo += chunk {
-				hi := lo + chunk
-				if hi > len(delta) {
-					hi = len(delta)
-				}
-				tasks = append(tasks, task{cr: cr, dp: dp, delta: delta[lo:hi]})
-			}
-		}
-	}
-	if len(tasks) == 0 {
-		return nil
-	}
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
-	// batches[i] holds task i's firings as slot arrays flattened at the
-	// rule's stride; counts[i] the firing count (the stride can be 0
-	// for variable-free rules).
-	batches := make([][]model.Datum, len(tasks))
-	counts := make([]int, len(tasks))
-	errs := make([]error, workers)
-	// Buffered and pre-filled so an early-exiting worker can never
-	// strand the producer.
-	queue := make(chan int, len(tasks))
-	for ti := range tasks {
-		queue <- ti
-	}
-	close(queue)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			slots := make([]model.Datum, x.prog.maxSlots)
-			var keyBuf []byte
-			for ti := range queue {
-				t := tasks[ti]
-				stride := len(t.cr.slotVars)
-				errs[w] = runProg(t.cr, t.dp, t.delta, slots, &keyBuf, func(_ *compiledRule, s []model.Datum) error {
-					batches[ti] = append(batches[ti], s[:stride]...)
-					counts[ti]++
-					return nil
-				})
-				if errs[w] != nil {
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	for ti, t := range tasks {
-		stride := len(t.cr.slotVars)
-		for k := 0; k < counts[ti]; k++ {
-			if err := x.apply(t.cr, batches[ti][k*stride:(k+1)*stride]); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	return x.joinFrom(cr, dp, depth+1)
 }

@@ -8,7 +8,7 @@ import (
 )
 
 // This file is the deletion-repair half of the persistent evaluation
-// state: RunProgram/RunProgramDelta (exec.go, shard.go) leave the
+// state: RunProgram/RunProgramDelta (exec.go) leave the
 // predicate journals mirroring the backing tables, and ApplyDeletions
 // keeps that mirror intact when rows are deleted from the tables
 // outside a run (update exchange's deletion propagation). Without it a
@@ -29,17 +29,16 @@ import (
 // was ever propagated). Unknown predicates are an error: every
 // predicate the caller can delete from must be part of the program.
 //
-// The repair is O(deleted rows): each dead key is routed to its shard
-// and removed by a swap-delete against the shard's key→position map,
-// with in-place surgery on the affected index buckets (bucket
-// positions stay ascending, so a partition bound stays a cutoff). The
-// position map is built lazily but kept hot from then on: sharded runs
-// always maintain it (it is their duplicate filter), while serial runs
-// pay only a nil check on the insert hot path until the first repair
-// builds the map — after which the executor maintains it per appended
-// row (exec.go journalAppend), so every subsequent repair is O(deleted
-// rows) even when full runs' worth of inserts intervened. Only a full
-// RunProgram reset drops the map back to lazy.
+// The repair is O(deleted rows): each dead key is removed by a
+// swap-delete against the predicate's key→position map, with in-place
+// surgery on the affected index buckets (bucket positions stay
+// ascending, so a partition bound stays a cutoff). The position map is
+// built lazily — runs pay only a nil check on the insert hot path until
+// the first repair builds the map — and kept hot from then on: the
+// executor maintains it per appended row (exec.go journalAppend), so
+// every subsequent repair is O(deleted rows) even when full runs' worth
+// of inserts intervened. Only a full RunProgram reset drops the map
+// back to lazy.
 //
 // ApplyDeletions requires valid state (StateValid). On any error the
 // state is invalidated and the caller must fall back to a full
@@ -62,76 +61,71 @@ func (p *Program) ApplyDeletions(deleted map[string][]string) error {
 			p.stateValid = false
 			return fmt.Errorf("datalog: predicate %q has no primary key; cannot repair journal", ps.name)
 		}
+		ps.ensurePos()
 		for _, k := range keys {
-			sh := ps.shards[ShardOfKey(k, p.nShards)]
-			sh.ensurePos(ps.keyCols)
-			sh.removeKey(k, ps.keyCols)
+			ps.removeKey(k)
 		}
 		// Restore the journal invariants: the whole (now shorter)
-		// journal is OLD and fully indexed. Shards the keys did not
-		// route to already satisfy this (valid state between runs).
-		for _, sh := range ps.shards {
-			sh.oldEnd = len(sh.rows)
-			sh.deltaEnd = len(sh.rows)
-			sh.synced = len(sh.rows)
-			for _, ix := range sh.indexes {
-				ix.built = len(sh.rows)
-			}
+		// journal is OLD and fully indexed.
+		ps.oldEnd = len(ps.rows)
+		ps.deltaEnd = len(ps.rows)
+		for _, ix := range ps.indexes {
+			ix.built = len(ps.rows)
 		}
 	}
 	return nil
 }
 
-// ensurePos extends the shard's key→position map over the journal rows
-// appended since it was last current (all rows, after a serial reset).
-func (sh *predShard) ensurePos(keyCols []int) {
-	if sh.posBuilt == len(sh.rows) && sh.pos != nil {
+// ensurePos extends the predicate's key→position map over the journal
+// rows appended since it was last current (all rows, after a reset).
+func (ps *predState) ensurePos() {
+	if ps.posBuilt == len(ps.rows) && ps.pos != nil {
 		return
 	}
-	if sh.pos == nil {
-		sh.pos = make(map[string]int32, len(sh.rows))
+	if ps.pos == nil {
+		ps.pos = make(map[string]int32, len(ps.rows))
 	}
 	var buf []byte
-	for i := sh.posBuilt; i < len(sh.rows); i++ {
-		buf = appendCols(buf[:0], sh.rows[i], keyCols)
-		sh.pos[string(buf)] = int32(i)
+	for i := ps.posBuilt; i < len(ps.rows); i++ {
+		buf = appendCols(buf[:0], ps.rows[i], ps.keyCols)
+		ps.pos[string(buf)] = int32(i)
 	}
-	sh.posBuilt = len(sh.rows)
+	ps.posBuilt = len(ps.rows)
 }
 
 // removeKey swap-deletes the row with the given key encoding from the
-// shard journal: the journal tail replaces the dead row's slot, the
-// position map records the move, and each probe index drops the dead
-// position and re-files the moved one — O(index count) bucket
-// operations per deleted row, independent of the journal length.
-func (sh *predShard) removeKey(k string, keyCols []int) {
-	p, ok := sh.pos[k]
+// journal: the journal tail replaces the dead row's slot, the position
+// map records the move, and each probe index drops the dead position
+// and re-files the moved one — O(index count) bucket operations per
+// deleted row, independent of the journal length.
+func (ps *predState) removeKey(k string) {
+	p, ok := ps.pos[k]
 	if !ok {
 		return
 	}
-	delete(sh.pos, k)
-	row := sh.rows[p]
+	delete(ps.pos, k)
+	row := ps.rows[p]
 	var buf []byte
-	for _, ix := range sh.indexes {
+	for _, ix := range ps.indexes {
 		buf = appendCols(buf[:0], row, ix.cols)
 		ix.removePos(buf, p)
 	}
-	last := int32(len(sh.rows) - 1)
+	last := int32(len(ps.rows) - 1)
 	if p != last {
-		moved := sh.rows[last]
-		sh.rows[p] = moved
-		buf = appendCols(buf[:0], moved, keyCols)
-		sh.pos[string(buf)] = p
-		for _, ix := range sh.indexes {
+		moved := ps.rows[last]
+		ps.rows[p] = moved
+		buf = appendCols(buf[:0], moved, ps.keyCols)
+		ps.pos[string(buf)] = p
+		for _, ix := range ps.indexes {
 			buf = appendCols(buf[:0], moved, ix.cols)
 			ix.movePos(buf, last, p)
 		}
 	}
 	// Clear the vacated tail slot so the journal doesn't pin the
 	// deleted tuple alive.
-	sh.rows[last] = nil
-	sh.rows = sh.rows[:last]
-	sh.posBuilt = len(sh.rows)
+	ps.rows[last] = nil
+	ps.rows = ps.rows[:last]
+	ps.posBuilt = len(ps.rows)
 }
 
 // removePos deletes position p from the bucket of the encoded key
@@ -172,52 +166,34 @@ func (ix *probeIndex) movePos(key []byte, old, new int32) {
 	ix.buckets[string(key)] = b
 }
 
-// JournalLen reports the journal length of a predicate, summed over
-// its shards (tests and diagnostics); -1 when the predicate is not
-// part of the program.
+// JournalLen reports the journal length of a predicate (tests and
+// diagnostics); -1 when the predicate is not part of the program.
 func (p *Program) JournalLen(pred string) int {
 	id, ok := p.predID[pred]
 	if !ok {
 		return -1
 	}
-	n := 0
-	for _, sh := range p.preds[id].shards {
-		n += len(sh.rows)
-	}
-	return n
+	return len(p.preds[id].rows)
 }
 
 // JournalMirrorsTables verifies that every predicate journal holds
 // exactly the rows of its backing table (set equality on primary-key
-// encodings, multiplicity-checked across shards), that every row sits
-// in the shard its key hashes to, and that the position maps index
+// encodings, multiplicity-checked) and that the position maps index
 // their covered prefix exactly. It is O(database) and intended for
 // tests and fuzz oracles, not production paths.
 func (p *Program) JournalMirrorsTables() error {
 	for _, ps := range p.preds {
+		if len(ps.pos) != ps.posBuilt {
+			return fmt.Errorf("datalog: %s position map holds %d keys, covers %d rows", ps.name, len(ps.pos), ps.posBuilt)
+		}
 		counts := make(map[string]int)
-		total := 0
 		var buf []byte
-		for si, sh := range ps.shards {
-			if len(sh.pos) != sh.posBuilt {
-				return fmt.Errorf("datalog: %s shard %d position map holds %d keys, covers %d rows", ps.name, si, len(sh.pos), sh.posBuilt)
-			}
-			for i, row := range sh.rows {
-				buf = appendCols(buf[:0], row, ps.table.Schema.Key)
-				counts[string(buf)]++
-				total++
-				if p.nShards > 1 {
-					if got := shardOfBytes(buf, p.nShards); got != si {
-						return fmt.Errorf("datalog: %s row %s in shard %d, hashes to %d", ps.name, row.Format(), si, got)
-					}
-					if sh.synced != len(sh.rows) {
-						return fmt.Errorf("datalog: %s shard %d synced watermark %d, journal %d", ps.name, si, sh.synced, len(sh.rows))
-					}
-				}
-				if i < sh.posBuilt {
-					if got, ok := sh.pos[string(buf)]; !ok || got != int32(i) {
-						return fmt.Errorf("datalog: %s shard %d position map misses row %d", ps.name, si, i)
-					}
+		for i, row := range ps.rows {
+			buf = appendCols(buf[:0], row, ps.table.Schema.Key)
+			counts[string(buf)]++
+			if i < ps.posBuilt {
+				if got, ok := ps.pos[string(buf)]; !ok || got != int32(i) {
+					return fmt.Errorf("datalog: %s position map misses row %d", ps.name, i)
 				}
 			}
 		}
@@ -236,8 +212,8 @@ func (p *Program) JournalMirrorsTables() error {
 		if err != nil {
 			return err
 		}
-		if n != total {
-			return fmt.Errorf("datalog: journal of %s holds %d rows, table %d", ps.name, total, n)
+		if n != len(ps.rows) {
+			return fmt.Errorf("datalog: journal of %s holds %d rows, table %d", ps.name, len(ps.rows), n)
 		}
 	}
 	return nil

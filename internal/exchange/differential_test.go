@@ -114,14 +114,7 @@ func genDelSetting(rng *rand.Rand, cyclic bool) delSetting {
 			model.NewMapping("cycBA", model.Atom{Rel: relName(a), Args: args}, model.Atom{Rel: relName(b), Args: args}),
 		)
 	}
-	s.opts = exchange.Options{
-		MaterializeAll: rng.Intn(2) == 0,
-		Parallelism:    []int{0, 0, 3}[rng.Intn(3)],
-		// Random shard counts thread the shard-parallel engine, hook,
-		// and support-index layout through every differential that
-		// builds from this generator.
-		Shards: []int{0, 0, 2, 3, 8}[rng.Intn(5)],
-	}
+	s.opts = exchange.Options{MaterializeAll: rng.Intn(2) == 0}
 	return s
 }
 

@@ -46,19 +46,6 @@ type Options struct {
 	// semi-naive engine; kept for differential testing and the
 	// engine-comparison benchmarks.
 	UseLegacyEngine bool
-	// Parallelism is the compiled engine's worker count for the firing
-	// passes (values below 2 run serially). Ignored by the legacy
-	// engine. For sharded systems (Shards > 1) it bounds the shard
-	// worker pool instead (0 means one worker per shard).
-	Parallelism int
-	// Shards partitions the engine's fact space into this many hash
-	// shards evaluated in parallel (datalog.CompileSharded): each shard
-	// owns its slice of every fact journal, probe index, and the
-	// support-index pools, and the exchange hook runs shard-locally.
-	// Values below 2 select the single-shard engine. Incompatible with
-	// UseLegacyEngine, and requires single-head mappings (the compiler
-	// rejects multi-head rules when sharded).
-	Shards int
 	// NoSupportIndex skips hook-maintenance of the deletion-support
 	// index during Run, trading faster exchange for an O(database)
 	// index rebuild on the first DeleteLocal (after which the hooks
@@ -89,17 +76,9 @@ type System struct {
 	// during delta runs — the insertion report. hookLean is the
 	// provenance-only variant installed for full runs when no support
 	// index is alive, so exchange skips the head-surfacing machinery
-	// it would not consume. hookShard is the sharded-engine variant:
-	// it runs concurrently across shards, so all mutable state is in
-	// shardHook[shard], and provenance rows are buffered there and
-	// flushed into the tables after the run (flushShardHooks) — during
-	// the run the hook only reads the tables (a read-only duplicate
-	// probe; within one run the engine's exactly-once enumeration
-	// cannot fire the same provenance row twice).
-	hookFull  datalog.HeadHook
-	hookLean  datalog.SlotHook
-	hookShard datalog.ShardHook
-	shardHook []*shardHookState
+	// it would not consume.
+	hookFull datalog.HeadHook
+	hookLean datalog.SlotHook
 
 	// pending buffers, per public relation, the local-contribution rows
 	// InsertLocal actually stored since the last run — the Δ seed of
@@ -162,34 +141,6 @@ type atomPlan struct {
 	cols []datalog.KeyCol
 }
 
-// shardCount normalizes the Shards option (0 and 1 are the
-// single-shard engine).
-func (o Options) shardCount() int {
-	if o.Shards < 2 {
-		return 1
-	}
-	return o.Shards
-}
-
-// shardHookState is one engine shard's private exchange-hook state:
-// scratch buffers plus the provenance rows and report entries the
-// shard's firings produced, merged in stable shard order after the
-// run's final barrier.
-type shardHookState struct {
-	arena  model.TupleArena
-	keyBuf []byte
-	idBuf  []int32
-	// provFresh buffers, per mapping, the fresh provenance rows this
-	// shard derived; flushShardHooks inserts them into the provenance
-	// tables once the engine is done (tables are read-only during a
-	// sharded run).
-	provFresh map[string][]model.Tuple
-	// insTuples and insDerivs are the shard's slices of a delta run's
-	// insertion report.
-	insTuples []InsertedTuple
-	insDerivs []InsertedDerivation
-}
-
 // NewSystem creates the storage layout for a schema: one table per
 // public relation (keyed), one per local-contribution relation, and one
 // provenance table per non-superfluous mapping (keyed on all columns,
@@ -224,12 +175,9 @@ func ensureTable(db *relstore.Database, schema *relstore.TableSchema) error {
 // NewSystem (fresh in-memory database) and OpenDurable (database
 // recovered from a checkpoint + log replay).
 func newSystemOn(db *relstore.Database, schema *model.Schema, opts Options) (*System, error) {
-	if opts.shardCount() > 1 && opts.UseLegacyEngine {
-		return nil, fmt.Errorf("exchange: sharded execution requires the compiled engine (Shards=%d with UseLegacyEngine)", opts.Shards)
-	}
 	sys := &System{Schema: schema, DB: db, Prov: make(map[string]*ProvRel), opts: opts}
 	if !opts.NoSupportIndex {
-		sys.support = newSupportIndex(opts.shardCount())
+		sys.support = newSupportIndex()
 	}
 	for _, r := range schema.Relations() {
 		if err := ensureTable(db, relstore.SchemaOf(r)); err != nil {
@@ -438,17 +386,7 @@ func (s *System) Run() error {
 	s.installHooks()
 	s.deltaReady = false
 	if err := s.eng.RunProgram(s.prog); err != nil {
-		if s.opts.shardCount() > 1 {
-			s.dropShardHooks()
-		}
 		return err
-	}
-	if s.opts.shardCount() > 1 {
-		if err := s.flushShardHooks(nil); err != nil {
-			s.invalidateDelta()
-			s.support = nil
-			return err
-		}
 	}
 	s.LastIterations = s.eng.Iterations
 	s.LastDerivations = s.eng.Derivations
@@ -552,26 +490,13 @@ func (s *System) RunDelta() (*InsertionReport, error) {
 	}
 	// Delta runs always take the head-surfacing hook: the report needs
 	// the inserted head tuples regardless of the support index.
-	// (Sharded systems keep their one hook; it surfaces heads always.)
-	if s.opts.shardCount() == 1 {
-		s.eng.HookHeads, s.eng.Hook = s.hookFull, nil
-	}
+	s.eng.HookHeads, s.eng.Hook = s.hookFull, nil
 	s.collect = report
 	err := s.eng.RunProgramDelta(s.prog, delta)
 	s.collect = nil
 	if err != nil {
 		s.deltaReady = false
-		if s.opts.shardCount() > 1 {
-			s.dropShardHooks()
-		}
 		return nil, err
-	}
-	if s.opts.shardCount() > 1 {
-		if err := s.flushShardHooks(report); err != nil {
-			s.invalidateDelta()
-			s.support = nil
-			return nil, err
-		}
 	}
 	s.pending = nil
 	s.LastIterations = s.eng.Iterations
@@ -609,7 +534,7 @@ func (s *System) ensureCompiled() error {
 	if s.prog != nil {
 		return nil
 	}
-	prog, err := datalog.CompileSharded(s.DB, s.Rules(), s.opts.shardCount())
+	prog, err := datalog.Compile(s.DB, s.Rules())
 	if err != nil {
 		return err
 	}
@@ -645,13 +570,7 @@ func (s *System) ensureCompiled() error {
 	}
 	s.prog, s.hookPlans = prog, plans
 
-	eng := datalog.NewEngine(s.DB)
-	eng.Parallelism = s.opts.Parallelism
-	s.eng = eng
-	if s.opts.shardCount() > 1 {
-		s.compileShardHook()
-		return nil
-	}
+	s.eng = datalog.NewEngine(s.DB)
 	var arena model.TupleArena
 	var keyBuf []byte
 	var idBuf []int32
@@ -681,7 +600,7 @@ func (s *System) ensureCompiled() error {
 			}
 			fresh = inserted
 		} else if s.support != nil {
-			fresh = s.support.shards[0].markVirtual(rule.ID, row)
+			fresh = s.support.markVirtual(rule.ID, row)
 		} else if s.collect != nil {
 			// Virtual mapping with no support index: delta rounds never
 			// re-enumerate a derivation across the system's lifetime,
@@ -701,7 +620,7 @@ func (s *System) ensureCompiled() error {
 		if cap(idBuf) < len(hp.atoms) {
 			idBuf = make([]int32, len(hp.atoms))
 		}
-		sup := s.support.shards[0]
+		sup := s.support
 		ids := idBuf[:len(hp.atoms)]
 		for i := 0; i < hp.nSources; i++ {
 			ap := &hp.atoms[i]
@@ -743,172 +662,10 @@ func (s *System) ensureCompiled() error {
 	return nil
 }
 
-// compileShardHook builds the sharded-engine firing callback and its
-// per-shard state. The contract with datalog.ShardHook: the hook runs
-// concurrently across shards but never concurrently for one shard, so
-// every mutable structure it touches is either in shardHook[shard] or
-// the matching support-index shard. Provenance tables are never
-// written during the run — freshness is decided by a read-only
-// primary-key probe (sound because a sharded run's exactly-once
-// enumeration cannot produce one provenance row twice: the row's
-// attributes determine the body-tuple combination), and fresh rows are
-// buffered for flushShardHooks.
-func (s *System) compileShardHook() {
-	n := s.opts.shardCount()
-	s.shardHook = make([]*shardHookState, n)
-	for i := range s.shardHook {
-		s.shardHook[i] = &shardHookState{provFresh: make(map[string][]model.Tuple)}
-	}
-	s.hookShard = func(shard int, rule *datalog.Rule, _ []string, slots []model.Datum, heads []datalog.HeadInsert) {
-		st := s.shardHook[shard]
-		hp, ok := s.hookPlans[rule.ID]
-		if !ok {
-			// Local copy rule: no provenance, but a delta run wants the
-			// freshly materialized public tuples for graph patching.
-			if s.collect != nil {
-				st.insTuples = appendInsertedHeads(st.insTuples, heads)
-			}
-			return
-		}
-		row := st.arena.Alloc(len(hp.slots))
-		for i, si := range hp.slots {
-			row[i] = slots[si]
-		}
-		fresh := false
-		if hp.table != nil {
-			// Provenance tables are keyed on all columns, so the row is
-			// its own key encoding.
-			st.keyBuf = st.keyBuf[:0]
-			for _, d := range row {
-				st.keyBuf = model.AppendDatum(st.keyBuf, d)
-			}
-			if _, exists := hp.table.LookupKeyBytes(st.keyBuf); !exists {
-				st.provFresh[rule.ID] = append(st.provFresh[rule.ID], row)
-				fresh = true
-			}
-		} else if s.support != nil {
-			// A derivation always hashes to the same shard, so the
-			// shard-local virtual-dedup map is authoritative for it.
-			fresh = s.support.shards[shard].markVirtual(rule.ID, row)
-		} else if s.collect != nil {
-			// Virtual mapping with no support index: delta rounds never
-			// re-enumerate a derivation across the system's lifetime,
-			// so every delta firing is new.
-			fresh = true
-		}
-		if s.collect != nil {
-			st.insTuples = appendInsertedHeads(st.insTuples, heads)
-			if fresh {
-				st.insDerivs = append(st.insDerivs, InsertedDerivation{Mapping: rule.ID, Row: row})
-			}
-		}
-		if !fresh || s.support == nil || hp.atoms == nil {
-			return
-		}
-		sup := s.support.shards[shard]
-		if cap(st.idBuf) < len(hp.atoms) {
-			st.idBuf = make([]int32, len(hp.atoms))
-		}
-		ids := st.idBuf[:len(hp.atoms)]
-		for i := 0; i < hp.nSources; i++ {
-			ap := &hp.atoms[i]
-			st.keyBuf = st.keyBuf[:0]
-			for _, c := range ap.cols {
-				if c.IsConst {
-					st.keyBuf = model.AppendDatum(st.keyBuf, c.Const)
-				} else {
-					st.keyBuf = model.AppendDatum(st.keyBuf, slots[c.Slot])
-				}
-			}
-			ids[i] = sup.tupleID(ap.rel, st.keyBuf)
-		}
-		for j := range heads {
-			ids[hp.nSources+j] = sup.tupleID(heads[j].Pred, heads[j].EncKey)
-		}
-		sup.add(rule.ID, hp.table == nil, row, ids, hp.nSources)
-	}
-}
-
-// flushShardHooks applies the per-shard hook buffers after a
-// successful sharded run: fresh provenance rows enter their tables
-// (stable mapping-then-shard order, so reruns are deterministic), and
-// a delta run's report slices are merged in shard order. Every
-// buffered row must be new — the in-run probe plus exactly-once
-// enumeration guarantee it — so a duplicate here is an internal error.
-func (s *System) flushShardHooks(report *InsertionReport) error {
-	for _, m := range s.Schema.Mappings() {
-		pr := s.Prov[m.Name]
-		if pr.Virtual {
-			continue
-		}
-		tbl := s.DB.MustTable(pr.TableName)
-		for _, st := range s.shardHook {
-			rows := st.provFresh[m.Name]
-			if len(rows) == 0 {
-				continue
-			}
-			for _, row := range rows {
-				inserted, err := tbl.Insert(row)
-				if err != nil {
-					return err
-				}
-				if !inserted {
-					return fmt.Errorf("exchange: duplicate buffered provenance row for %s", m.Name)
-				}
-			}
-			st.provFresh[m.Name] = nil
-		}
-	}
-	for _, st := range s.shardHook {
-		if report != nil {
-			report.InsertedTuples = append(report.InsertedTuples, st.insTuples...)
-			report.InsertedDerivations = append(report.InsertedDerivations, st.insDerivs...)
-		}
-		st.insTuples, st.insDerivs = nil, nil
-	}
-	return nil
-}
-
-// dropShardHooks discards the per-shard hook buffers after a failed
-// sharded run. The backing tables were never touched mid-run, so they
-// are consistent at their pre-run state; the support index, however,
-// may hold additions from the aborted enumeration, so it is dropped
-// and rebuilt from the provenance tables on the next deletion.
-func (s *System) dropShardHooks() {
-	for _, st := range s.shardHook {
-		for k := range st.provFresh {
-			delete(st.provFresh, k)
-		}
-		st.insTuples, st.insDerivs = nil, nil
-	}
-	if s.support != nil {
-		s.support = nil
-	}
-}
-
-// appendInsertedHeads appends a firing's freshly inserted head tuples
-// to a shard's report slice (the sharded form of collectHeads).
-func appendInsertedHeads(dst []InsertedTuple, heads []datalog.HeadInsert) []InsertedTuple {
-	for i := range heads {
-		if !heads[i].Inserted {
-			continue
-		}
-		dst = append(dst, InsertedTuple{
-			Ref: model.TupleRef{Rel: heads[i].Pred, Key: string(heads[i].EncKey)},
-			Row: heads[i].Row,
-		})
-	}
-	return dst
-}
-
 // installHooks picks the firing callback for a full run: the head-
 // surfacing hook when a support index consumes the surfaced keys, the
 // lean provenance-only hook otherwise.
 func (s *System) installHooks() {
-	if s.opts.shardCount() > 1 {
-		s.eng.HookShard = s.hookShard
-		return
-	}
 	if s.support != nil {
 		s.eng.HookHeads, s.eng.Hook = s.hookFull, nil
 	} else {
@@ -985,7 +742,7 @@ func (s *System) runLegacy() error {
 			}
 			fresh = inserted
 		} else if s.support != nil {
-			fresh = s.support.shards[0].markVirtual(rule.ID, row)
+			fresh = s.support.markVirtual(rule.ID, row)
 		}
 		if !fresh || s.support == nil {
 			return
@@ -998,7 +755,7 @@ func (s *System) runLegacy() error {
 			s.support = nil
 			return
 		}
-		s.supportAddRefs(0, pr, row, sources, targets)
+		s.supportAddRefs(pr, row, sources, targets)
 	}
 	if err := eng.Run(s.Rules()); err != nil {
 		return err

@@ -207,25 +207,20 @@ func dbSignature(t *testing.T, sys *exchange.System) string {
 }
 
 func TestExchangeCompiledMatchesLegacy(t *testing.T) {
-	// The compiled semi-naive engine (default), its parallel mode, and
-	// the legacy interpreter must materialize identical instances and
-	// identical provenance tables, on both the acyclic and the cyclic
-	// (m3) running example.
+	// The compiled semi-naive engine (default) and the legacy
+	// interpreter must materialize identical instances and identical
+	// provenance tables, on both the acyclic and the cyclic (m3)
+	// running example.
 	for _, includeM3 := range []bool{false, true} {
 		legacy := fixture.MustSystem(fixture.Options{
 			IncludeM3: includeM3,
 			Exchange:  exchange.Options{UseLegacyEngine: true},
 		})
 		want := dbSignature(t, legacy)
-		for name, opts := range map[string]exchange.Options{
-			"compiled":          {},
-			"compiled-parallel": {Parallelism: 4},
-		} {
-			sys := fixture.MustSystem(fixture.Options{IncludeM3: includeM3, Exchange: opts})
-			if got := dbSignature(t, sys); got != want {
-				t.Errorf("m3=%v: %s database differs from legacy\nlegacy:\n%s\ngot:\n%s",
-					includeM3, name, want, got)
-			}
+		sys := fixture.MustSystem(fixture.Options{IncludeM3: includeM3})
+		if got := dbSignature(t, sys); got != want {
+			t.Errorf("m3=%v: compiled database differs from legacy\nlegacy:\n%s\ngot:\n%s",
+				includeM3, want, got)
 		}
 	}
 }

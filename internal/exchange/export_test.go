@@ -18,23 +18,22 @@ func (s *System) SupportSignature() string {
 	if s.support == nil {
 		return ""
 	}
+	ix := s.support
 	var lines []string
-	for _, ix := range s.support.shards {
-		for di := range ix.derivs {
-			d := &ix.derivs[di]
-			if d.dead {
-				continue
-			}
-			line := d.mapping + "|" + model.EncodeDatums(d.row) + "|S:"
-			for _, t := range ix.sources(d) {
-				line += ix.refs[t].Rel + "#" + ix.refs[t].Key + ";"
-			}
-			line += "|T:"
-			for _, t := range ix.targets(d) {
-				line += ix.refs[t].Rel + "#" + ix.refs[t].Key + ";"
-			}
-			lines = append(lines, line)
+	for di := range ix.derivs {
+		d := &ix.derivs[di]
+		if d.dead {
+			continue
 		}
+		line := d.mapping + "|" + model.EncodeDatums(d.row) + "|S:"
+		for _, t := range ix.sources(d) {
+			line += ix.refs[t].Rel + "#" + ix.refs[t].Key + ";"
+		}
+		line += "|T:"
+		for _, t := range ix.targets(d) {
+			line += ix.refs[t].Rel + "#" + ix.refs[t].Key + ";"
+		}
+		lines = append(lines, line)
 	}
 	sort.Strings(lines)
 	out := ""
@@ -55,21 +54,14 @@ func (s *System) HasSupportIndex() bool { return s.support != nil }
 func (s *System) EnsureSupport() error { return s.ensureSupport() }
 
 // SupportPoolSizes reports the support index's pool lengths and free-
-// list sizes, summed over shards: total derivation slots, live
-// derivations, edge-pool length, free edges, atom-pool length. Zeroes
-// when no index exists.
+// list sizes: total derivation slots, live derivations, edge-pool
+// length, free edges, atom-pool length. Zeroes when no index exists.
 func (s *System) SupportPoolSizes() (derivSlots, live, edges, freeEdges, atomPool int) {
-	if s.support == nil {
+	ix := s.support
+	if ix == nil {
 		return 0, 0, 0, 0, 0
 	}
-	for _, ix := range s.support.shards {
-		derivSlots += len(ix.derivs)
-		live += ix.live()
-		edges += len(ix.edgeDeriv)
-		freeEdges += len(ix.edgeFree)
-		atomPool += len(ix.atomPool)
-	}
-	return
+	return len(ix.derivs), ix.live(), len(ix.edgeDeriv), len(ix.edgeFree), len(ix.atomPool)
 }
 
 // JournalsMirrorTables flushes any deferred journal repairs and then

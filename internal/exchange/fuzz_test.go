@@ -23,15 +23,15 @@ import (
 // storage deltas.
 func FuzzDeleteLocal(f *testing.F) {
 	// Seeds: drain a cycle's external support in different orders, at
-	// both provenance layouts and several engine shard counts (byte 0
-	// is the mode byte, see fuzzOptions).
+	// both provenance layouts (byte 0 is the mode byte, see
+	// fuzzOptions).
 	f.Add([]byte{0, 0x00, 0x11, 0x21})       // delete R(0), P_l(1), Q_l(1)
 	f.Add([]byte{1, 0x01, 0x11, 0x21})       // same key drained in order R,P,Q
 	f.Add([]byte{0, 0x21, 0x11, 0x01})       // reverse order
 	f.Add([]byte{1, 0x00, 0x00, 0x10, 0x20}) // repeated delete of a gone key
 	f.Add([]byte{0, 0x02, 0x12, 0x22, 0x01})
-	f.Add([]byte{2, 0x01, 0x11, 0x21})       // 2-shard engine
-	f.Add([]byte{7, 0x02, 0x12, 0x22, 0x01}) // 8 shards, materialized provenance
+	f.Add([]byte{2, 0x01, 0x11, 0x21})
+	f.Add([]byte{7, 0x02, 0x12, 0x22, 0x01}) // materialized provenance
 
 	const domain = 3
 	f.Fuzz(func(t *testing.T, ops []byte) {
@@ -110,14 +110,14 @@ func FuzzDeleteLocal(f *testing.F) {
 // arriving and draining.
 func FuzzInsertDelete(f *testing.F) {
 	// Seeds: drain then re-add a key's support; insert a brand-new key;
-	// alternate insert/delete on one key; both provenance layouts and
-	// sharded engines (mode byte 0, see fuzzOptions).
+	// alternate insert/delete on one key; both provenance layouts (mode
+	// byte 0, see fuzzOptions).
 	// Action nibbles: 0/1/2 = del R/P/Q, 3/4/5 = ins R/P/Q.
 	f.Add([]byte{0, 0x00, 0x30, 0x00})             // del R(0), ins R(0), del R(0)
 	f.Add([]byte{1, 0x33, 0x43, 0x03, 0x13, 0x23}) // new key 3: ins R, ins P, drain all
 	f.Add([]byte{0, 0x11, 0x41, 0x21, 0x51})       // mixed P/Q churn on key 1
 	f.Add([]byte{1, 0x30, 0x30, 0x00, 0x00})       // duplicate insert, repeated delete
-	f.Add([]byte{4, 0x33, 0x43, 0x03, 0x13, 0x23}) // 3-shard engine on the new-key churn
+	f.Add([]byte{4, 0x33, 0x43, 0x03, 0x13, 0x23})
 
 	const domain = 4 // one key beyond the initial data
 	f.Fuzz(func(t *testing.T, ops []byte) {
@@ -221,15 +221,15 @@ func FuzzInsertDelete(f *testing.F) {
 func FuzzInterleavedChurn(f *testing.F) {
 	// Seeds: churn one key through delete→insert→run; buffer several
 	// inserts across a deletion before running; delete a pending row
-	// before it ever propagates; both provenance layouts and sharded
-	// engines (mode byte 0, see fuzzOptions).
+	// before it ever propagates; both provenance layouts (mode byte 0,
+	// see fuzzOptions).
 	f.Add([]byte{0, 0x00, 0x30, 0x60, 0x00, 0x60})       // del R0, ins R0, run, del R0, run
 	f.Add([]byte{1, 0x33, 0x43, 0x01, 0x60, 0x13, 0x70}) // ins R3+P3 pending, del P1, run, del P3, run
 	f.Add([]byte{0, 0x31, 0x11, 0x60})                   // ins buffered then its key's P support deleted
 	f.Add([]byte{1, 0x02, 0x12, 0x22, 0x60, 0x32, 0x60}) // drain key 2, run, re-add, run
 	f.Add([]byte{0, 0x60, 0x60, 0x00, 0x60})             // idle runs around a deletion
-	f.Add([]byte{2, 0x33, 0x43, 0x01, 0x60, 0x13, 0x70}) // 2-shard engine, churn across pending inserts
-	f.Add([]byte{7, 0x00, 0x30, 0x60, 0x00, 0x60})       // 8 shards, materialized provenance
+	f.Add([]byte{2, 0x33, 0x43, 0x01, 0x60, 0x13, 0x70}) // churn across pending inserts
+	f.Add([]byte{7, 0x00, 0x30, 0x60, 0x00, 0x60})       // materialized provenance
 
 	const domain = 4
 	f.Fuzz(func(t *testing.T, ops []byte) {
@@ -341,14 +341,11 @@ func FuzzInterleavedChurn(f *testing.F) {
 }
 
 // fuzzOptions decodes the mode byte every fuzz target reserves at
-// ops[0]: bit 0 switches MaterializeAll, bits 1–2 pick the engine
-// shard count from {1, 2, 3, 8} — the corpus explores both provenance
-// layouts at serial and shard-parallel execution.
+// ops[0]: bit 0 switches MaterializeAll, so the corpus explores both
+// provenance layouts. The other bits are ignored: seeds whose mode byte
+// sets them (2, 4, 7) decode exactly like 0 or 1.
 func fuzzOptions(mode byte) exchange.Options {
-	return exchange.Options{
-		MaterializeAll: mode%2 == 1,
-		Shards:         []int{0, 2, 3, 8}[int(mode>>1)%4],
-	}
+	return exchange.Options{MaterializeAll: mode%2 == 1}
 }
 
 // buildCycleSetting constructs the P⇄Q / R→P schema with base data

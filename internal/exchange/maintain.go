@@ -2,9 +2,7 @@ package exchange
 
 import (
 	"fmt"
-	"sync"
 
-	"repro/internal/datalog"
 	"repro/internal/model"
 )
 
@@ -220,8 +218,7 @@ func (s *System) ensureSupport() error {
 	if s.support != nil {
 		return nil
 	}
-	n := s.opts.shardCount()
-	ix := newSupportIndex(n)
+	ix := newSupportIndex()
 	s.support = ix
 	for _, m := range s.Schema.Mappings() {
 		pr := s.Prov[m.Name]
@@ -236,28 +233,21 @@ func (s *System) ensureSupport() error {
 				s.support = nil
 				return err
 			}
-			// Route the derivation to the shard its head (first target)
-			// key hashes to — the same shard whose engine worker fires
-			// it, so hook maintenance and rebuilds agree on placement.
-			shard := 0
-			if n > 1 && len(targets) > 0 {
-				shard = datalog.ShardOfKey(targets[0].Key, n)
-			}
 			if pr.Virtual {
-				ix.shards[shard].markVirtual(m.Name, row)
+				ix.markVirtual(m.Name, row)
 			}
-			s.supportAddRefs(shard, pr, row, sources, targets)
+			s.supportAddRefs(pr, row, sources, targets)
 		}
 	}
 	return nil
 }
 
 // supportAddRefs interns the refs of one derivation and adds it to the
-// given support shard (the ref-based slow path shared by the
-// legacy-engine hook and index rebuilds; the compiled hooks intern
-// straight from their slot buffers instead).
-func (s *System) supportAddRefs(shard int, pr *ProvRel, row model.Tuple, sources, targets []model.TupleRef) {
-	sup := s.support.shards[shard]
+// support index (the ref-based slow path shared by the legacy-engine
+// hook and index rebuilds; the compiled hooks intern straight from
+// their slot buffers instead).
+func (s *System) supportAddRefs(pr *ProvRel, row model.Tuple, sources, targets []model.TupleRef) {
+	sup := s.support
 	ids := make([]int32, 0, len(sources)+len(targets))
 	for _, ref := range sources {
 		ids = append(ids, sup.tupleIDRef(ref))
@@ -283,14 +273,9 @@ func (s *System) IsLeafRef(ref model.TupleRef) bool {
 }
 
 // maintainDelta propagates deletions from the frontier refs outward
-// over the support index. Single-shard systems run the original
-// shard-local int32 walk; sharded systems take maintainDeltaMulti,
-// which walks all shards' pools under a transient global interning.
+// over the support index.
 func (s *System) maintainDelta(report *MaintenanceReport, frontier []model.TupleRef) error {
-	if s.support.nShards() > 1 {
-		return s.maintainDeltaMulti(report, frontier)
-	}
-	ix := s.support.shards[0]
+	ix := s.support
 
 	// Affected subgraph: the forward closure of the frontier through
 	// support edges. Every derivation consuming an affected tuple has
@@ -422,286 +407,6 @@ func (s *System) maintainDelta(report *MaintenanceReport, frontier []model.Tuple
 		}
 	}
 	return nil
-}
-
-// maintainDeltaMulti is the deletion walk over a sharded support
-// index. Shard-local tuple ids are meaningless across shards (one
-// tuple may be interned wherever a firing referenced it), so the walk
-// interns the refs it reaches into transient walk ids of its own and
-// addresses derivations globally as gid = shard<<32 | local index. A
-// tuple's uses/incoming adjacency is the union over all shards'
-// chains (probed read-only — shards that never saw the tuple must not
-// grow); everything else — affected-closure, per-occurrence pending
-// counts, leaf seeding, cycle collapse — mirrors the single-shard
-// walk, and the visited counts it reports are the same unique-tuple /
-// unique-derivation measures.
-func (s *System) maintainDeltaMulti(report *MaintenanceReport, frontier []model.TupleRef) error {
-	shards := s.support.shards
-
-	wid := make(map[model.TupleRef]int32, len(frontier))
-	var wrefs []model.TupleRef
-	widOf := func(ref model.TupleRef) int32 {
-		if id, ok := wid[ref]; ok {
-			return id
-		}
-		id := int32(len(wrefs))
-		wid[ref] = id
-		wrefs = append(wrefs, ref)
-		return id
-	}
-
-	affected := make([]int32, 0, len(frontier))
-	inAffected := make(map[int32]bool, len(frontier))
-	addAffected := func(t int32) {
-		if !inAffected[t] {
-			inAffected[t] = true
-			affected = append(affected, t)
-		}
-	}
-	for _, ref := range frontier {
-		addAffected(widOf(ref))
-	}
-	// forEdges yields the derivations linked from ref's chain of the
-	// given kind in every shard, in stable shard order.
-	forEdges := func(ref model.TupleRef, incoming bool, f func(si int, di int32)) {
-		for si, sh := range shards {
-			lid, ok := sh.lookupID(ref)
-			if !ok {
-				continue
-			}
-			head := sh.usesHead
-			if incoming {
-				head = sh.incomingHead
-			}
-			for e := head[lid]; e != -1; e = sh.edgeNext[e] {
-				f(si, sh.edgeDeriv[e])
-			}
-		}
-	}
-	for qi := 0; qi < len(affected); qi++ {
-		forEdges(wrefs[affected[qi]], false, func(si int, di int32) {
-			sh := shards[si]
-			for _, tgt := range sh.targets(&sh.derivs[di]) {
-				addAffected(widOf(sh.refs[tgt]))
-			}
-		})
-	}
-	// Pending counts partition by a derivation's home shard, which is
-	// what lets the fire loop's decrement phase run shard-parallel.
-	var derivSet []int64
-	pendings := make([]map[int32]int, len(shards))
-	for si := range pendings {
-		pendings[si] = make(map[int32]int)
-	}
-	for _, t := range affected {
-		forEdges(wrefs[t], true, func(si int, di int32) {
-			if _, seen := pendings[si][di]; !seen {
-				pendings[si][di] = 0
-				derivSet = append(derivSet, int64(si)<<32|int64(di))
-			}
-		})
-	}
-	report.TuplesVisited = len(affected)
-	report.DerivationsVisited = len(derivSet)
-
-	derivable := make(map[int32]bool)
-	for _, t := range affected {
-		if s.IsLeafRef(wrefs[t]) {
-			derivable[t] = true
-		}
-	}
-	var fire []int64
-	for _, g := range derivSet {
-		sh := shards[g>>32]
-		d := &sh.derivs[int32(g)]
-		p := 0
-		for _, src := range sh.sources(d) {
-			// Every wid entry is affected by construction, so a hit in
-			// the walk interning means the source sits in the subgraph.
-			if wt, ok := wid[sh.refs[src]]; ok && !derivable[wt] {
-				p++
-			}
-		}
-		pendings[g>>32][int32(g)] = p
-		if p == 0 {
-			fire = append(fire, g)
-		}
-	}
-	fireLoopMulti(shards, wid, derivable, pendings, fire)
-
-	// Remove invalidated derivations (some source underivable).
-	for _, g := range derivSet {
-		if pendings[g>>32][int32(g)] == 0 {
-			continue
-		}
-		sh := shards[g>>32]
-		di := int32(g)
-		d := &sh.derivs[di]
-		if d.virtual {
-			report.DerivationsDeleted++
-		} else {
-			removed, err := s.DB.MustTable(s.Prov[d.mapping].TableName).Delete(d.row)
-			if err != nil {
-				return err
-			}
-			if removed {
-				report.DerivationsDeleted++
-			}
-		}
-		report.DeletedDerivations = append(report.DeletedDerivations, DeletedDerivation{Mapping: d.mapping, Row: d.row})
-		sh.remove(di)
-	}
-
-	// Remove underivable tuples.
-	for _, t := range affected {
-		if derivable[t] {
-			continue
-		}
-		ref := wrefs[t]
-		if tbl, ok := s.DB.Table(ref.Rel); ok {
-			removed, err := tbl.DeleteEncoded(ref.Key)
-			if err != nil {
-				return err
-			}
-			if removed {
-				report.TuplesDeleted++
-				report.DeletedTuples = append(report.DeletedTuples, ref)
-			}
-		}
-	}
-	return nil
-}
-
-// fireLoopMulti propagates derivability from the zero-pending seed
-// set. With a single shard it is the plain stack-driven walk. With
-// several shards it runs in synchronized rounds: each shard's worker
-// processes its home segment of the frontier (reading only its own
-// adjacency arrays) and collects the fired derivations' target refs; a
-// serial barrier dedups those into the newly derivable tuples; the
-// workers then decrement their own pending partitions against the new
-// tuples' uses chains and emit the next frontier. Pending counts
-// partition by home shard, so no two workers touch the same entry, and
-// each tuple becomes derivable exactly once, so every (tuple, use
-// edge) pair decrements exactly once — the final derivable set and
-// pending counts are identical to the serial walk's regardless of
-// scheduling.
-func fireLoopMulti(shards []*supportShard, wid map[model.TupleRef]int32, derivable map[int32]bool, pendings []map[int32]int, fire []int64) {
-	if len(shards) <= 1 {
-		for len(fire) > 0 {
-			g := fire[len(fire)-1]
-			fire = fire[:len(fire)-1]
-			sh := shards[g>>32]
-			for _, tgt := range sh.targets(&sh.derivs[int32(g)]) {
-				ref := sh.refs[tgt]
-				wt, ok := wid[ref]
-				if !ok || derivable[wt] {
-					continue
-				}
-				derivable[wt] = true
-				for si, s2 := range shards {
-					lid, found := s2.lookupID(ref)
-					if !found {
-						continue
-					}
-					for e := s2.usesHead[lid]; e != -1; e = s2.edgeNext[e] {
-						di := s2.edgeDeriv[e]
-						if p, tracked := pendings[si][di]; tracked {
-							p--
-							pendings[si][di] = p
-							if p == 0 {
-								fire = append(fire, int64(si)<<32|int64(di))
-							}
-						}
-					}
-				}
-			}
-		}
-		return
-	}
-
-	frontier := fire
-	homes := make([][]int64, len(shards))
-	tgtRefs := make([][]model.TupleRef, len(shards))
-	nextBy := make([][]int64, len(shards))
-	for len(frontier) > 0 {
-		for si := range homes {
-			homes[si] = homes[si][:0]
-		}
-		for _, g := range frontier {
-			homes[g>>32] = append(homes[g>>32], g)
-		}
-		// Phase 1 (parallel): each shard expands its home segment of
-		// the frontier into target refs.
-		var wg sync.WaitGroup
-		for si := range shards {
-			if len(homes[si]) == 0 {
-				tgtRefs[si] = tgtRefs[si][:0]
-				continue
-			}
-			wg.Add(1)
-			go func(si int) {
-				defer wg.Done()
-				sh := shards[si]
-				out := tgtRefs[si][:0]
-				for _, g := range homes[si] {
-					for _, tgt := range sh.targets(&sh.derivs[int32(g)]) {
-						out = append(out, sh.refs[tgt])
-					}
-				}
-				tgtRefs[si] = out
-			}(si)
-		}
-		wg.Wait()
-		// Barrier (serial): dedup targets into newly derivable tuples,
-		// in stable shard order.
-		var newly []model.TupleRef
-		for _, refs := range tgtRefs {
-			for _, ref := range refs {
-				wt, ok := wid[ref]
-				if !ok || derivable[wt] {
-					continue
-				}
-				derivable[wt] = true
-				newly = append(newly, ref)
-			}
-		}
-		if len(newly) == 0 {
-			return
-		}
-		// Phase 2 (parallel): each shard decrements its own pending
-		// partition against the new tuples' uses chains.
-		for si := range shards {
-			wg.Add(1)
-			go func(si int) {
-				defer wg.Done()
-				sh := shards[si]
-				pend := pendings[si]
-				next := nextBy[si][:0]
-				for _, ref := range newly {
-					lid, ok := sh.lookupID(ref)
-					if !ok {
-						continue
-					}
-					for e := sh.usesHead[lid]; e != -1; e = sh.edgeNext[e] {
-						di := sh.edgeDeriv[e]
-						if p, tracked := pend[di]; tracked {
-							p--
-							pend[di] = p
-							if p == 0 {
-								next = append(next, int64(si)<<32|int64(di))
-							}
-						}
-					}
-				}
-				nextBy[si] = next
-			}(si)
-		}
-		wg.Wait()
-		frontier = frontier[:0]
-		for _, next := range nextBy {
-			frontier = append(frontier, next...)
-		}
-	}
 }
 
 // MaintainLegacy recomputes derivability over the whole provenance

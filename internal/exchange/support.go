@@ -10,28 +10,14 @@ import (
 // target tuples, and for every tuple the derivations using it as a
 // source (uses) and producing it as a target (incoming).
 //
-// The index is partitioned into per-shard pools mirroring the engine's
-// fact-space sharding: a derivation lives in the shard its head (first
-// target) key hashes to — exactly the shard whose engine worker fires
-// it — so the shard-parallel exchange hook appends derivations to its
-// own shard's pools with no coordination. Single-shard systems keep
-// the flat layout as shards[0] and pay nothing new. A tuple may be
-// interned in several shards (as a source of derivations fired by
-// different shards); its incoming chain, however, lives only in its
-// home shard, since single-head mappings pin a derivation's target to
-// the derivation's own shard. The deletion walk therefore probes every
-// shard's adjacency per tuple (maintainDeltaMulti); with one shard it
-// runs the original int32 walk untouched.
-//
-// Within a shard, tuples are interned to dense int32 ids (per-relation
-// maps from the canonical key encoding), so the exchange hook adds a
-// derivation with one map probe per atom — no TupleRef materialization
-// on the hot path — and the propagation worklist runs on integer ids.
-// The adjacency lists are intrusive linked lists over one shared edge
-// pool per shard: appending an edge never allocates per tuple, only
-// the two flat pool arrays grow (the exchange hook runs once per
-// derivation, so GC pressure here is what the engine-comparison
-// benchmarks see).
+// Tuples are interned to dense int32 ids (per-relation maps from the
+// canonical key encoding), so the exchange hook adds a derivation with
+// one map probe per atom — no TupleRef materialization on the hot path
+// — and the propagation worklist runs on integer ids. The adjacency
+// lists are intrusive linked lists over one shared edge pool: appending
+// an edge never allocates per tuple, only the two flat pool arrays grow
+// (the exchange hook runs once per derivation, so GC pressure here is
+// what the engine-comparison benchmarks see).
 //
 // The index is built once per System — populated by the exchange hooks
 // as Run enumerates derivations, or rebuilt from the provenance tables
@@ -39,35 +25,6 @@ import (
 // tuples and derivations, so a deletion never re-reads the provenance
 // tables: its cost scales with the affected subgraph, not the database.
 type supportIndex struct {
-	shards []*supportShard
-}
-
-func newSupportIndex(nShards int) *supportIndex {
-	ix := &supportIndex{shards: make([]*supportShard, nShards)}
-	for i := range ix.shards {
-		ix.shards[i] = &supportShard{
-			byRel:    make(map[string]map[string]int32),
-			virtSeen: make(map[string]map[string]bool),
-			atomFree: make(map[uint16][]int32),
-		}
-	}
-	return ix
-}
-
-func (ix *supportIndex) nShards() int { return len(ix.shards) }
-
-// liveDerivs reports the number of live derivation entries across all
-// shards (tests).
-func (ix *supportIndex) liveDerivs() int {
-	n := 0
-	for _, sh := range ix.shards {
-		n += sh.live()
-	}
-	return n
-}
-
-// supportShard is one shard's pools of the support index.
-type supportShard struct {
 	// refs maps tuple id → ref; ids are never reclaimed (a deleted
 	// tuple's id is reused if the tuple is ever re-derived).
 	refs  []model.TupleRef
@@ -97,10 +54,16 @@ type supportShard struct {
 	atomFree map[uint16][]int32
 	// virtSeen dedups virtual derivations across re-runs by encoded
 	// provenance row; materialized mappings dedup through their
-	// provenance table's set semantics instead. A virtual derivation
-	// always hashes to the same shard, so the per-shard maps partition
-	// the dedup space.
+	// provenance table's set semantics instead.
 	virtSeen map[string]map[string]bool
+}
+
+func newSupportIndex() *supportIndex {
+	return &supportIndex{
+		byRel:    make(map[string]map[string]int32),
+		virtSeen: make(map[string]map[string]bool),
+		atomFree: make(map[uint16][]int32),
+	}
 }
 
 // derivEntry is one derivation node: a provenance-relation row plus the
@@ -118,18 +81,18 @@ type derivEntry struct {
 
 // sources and targets return an entry's id segments; the returned
 // slices alias atomPool and must not be retained across adds.
-func (ix *supportShard) sources(d *derivEntry) []int32 {
+func (ix *supportIndex) sources(d *derivEntry) []int32 {
 	return ix.atomPool[d.atomOff : d.atomOff+int32(d.nSources)]
 }
 
-func (ix *supportShard) targets(d *derivEntry) []int32 {
+func (ix *supportIndex) targets(d *derivEntry) []int32 {
 	return ix.atomPool[d.atomOff+int32(d.nSources) : d.atomOff+int32(d.nAtoms)]
 }
 
 // tupleID interns the tuple of rel with the given encoded key, passed
 // as a scratch buffer: the probe allocates nothing when the tuple is
 // already known.
-func (ix *supportShard) tupleID(rel string, encKey []byte) int32 {
+func (ix *supportIndex) tupleID(rel string, encKey []byte) int32 {
 	m := ix.byRel[rel]
 	if m == nil {
 		m = make(map[string]int32)
@@ -142,7 +105,7 @@ func (ix *supportShard) tupleID(rel string, encKey []byte) int32 {
 }
 
 // tupleIDRef is tupleID for callers already holding a TupleRef.
-func (ix *supportShard) tupleIDRef(ref model.TupleRef) int32 {
+func (ix *supportIndex) tupleIDRef(ref model.TupleRef) int32 {
 	m := ix.byRel[ref.Rel]
 	if m == nil {
 		m = make(map[string]int32)
@@ -154,19 +117,7 @@ func (ix *supportShard) tupleIDRef(ref model.TupleRef) int32 {
 	return ix.intern(m, ref)
 }
 
-// lookupID probes for a tuple's id without interning it (the
-// multi-shard deletion walk asks every shard about every walked ref;
-// shards that never saw the tuple must not grow).
-func (ix *supportShard) lookupID(ref model.TupleRef) (int32, bool) {
-	m := ix.byRel[ref.Rel]
-	if m == nil {
-		return 0, false
-	}
-	id, ok := m[ref.Key]
-	return id, ok
-}
-
-func (ix *supportShard) intern(m map[string]int32, ref model.TupleRef) int32 {
+func (ix *supportIndex) intern(m map[string]int32, ref model.TupleRef) int32 {
 	id := int32(len(ix.refs))
 	m[ref.Key] = id
 	ix.refs = append(ix.refs, ref)
@@ -177,7 +128,7 @@ func (ix *supportShard) intern(m map[string]int32, ref model.TupleRef) int32 {
 
 // markVirtual records a virtual derivation's encoded row, reporting
 // whether it was new.
-func (ix *supportShard) markVirtual(mapping string, row model.Tuple) bool {
+func (ix *supportIndex) markVirtual(mapping string, row model.Tuple) bool {
 	seen := ix.virtSeen[mapping]
 	if seen == nil {
 		seen = make(map[string]bool)
@@ -196,7 +147,7 @@ func (ix *supportShard) markVirtual(mapping string, row model.Tuple) bool {
 // chains. atomIDs may be a scratch buffer; it is copied. Callers are
 // responsible for dedup (provenance-table insert result, or
 // markVirtual).
-func (ix *supportShard) add(mapping string, virtual bool, row model.Tuple, atomIDs []int32, nSources int) {
+func (ix *supportIndex) add(mapping string, virtual bool, row model.Tuple, atomIDs []int32, nSources int) {
 	var off int32
 	if fl := ix.atomFree[uint16(len(atomIDs))]; len(fl) > 0 {
 		off = fl[len(fl)-1]
@@ -231,7 +182,7 @@ func (ix *supportShard) add(mapping string, virtual bool, row model.Tuple, atomI
 	}
 }
 
-func (ix *supportShard) newEdge(di, next int32) int32 {
+func (ix *supportIndex) newEdge(di, next int32) int32 {
 	if n := len(ix.edgeFree); n > 0 {
 		e := ix.edgeFree[n-1]
 		ix.edgeFree = ix.edgeFree[:n-1]
@@ -249,7 +200,7 @@ func (ix *supportShard) newEdge(di, next int32) int32 {
 // from its tuples' chains (returning the edges and the atomPool
 // segment to their free lists) and releasing its virtual-dedup mark
 // (so a re-derivation after a later insert re-enters the index).
-func (ix *supportShard) remove(di int32) {
+func (ix *supportIndex) remove(di int32) {
 	d := &ix.derivs[di]
 	if d.dead {
 		return
@@ -274,7 +225,7 @@ func (ix *supportShard) remove(di int32) {
 
 // unlink removes every edge referencing di from head[t]'s chain,
 // returning spliced-out edges to the free list.
-func (ix *supportShard) unlink(head []int32, t, di int32) {
+func (ix *supportIndex) unlink(head []int32, t, di int32) {
 	p := &head[t]
 	for *p != -1 {
 		e := *p
@@ -288,4 +239,4 @@ func (ix *supportShard) unlink(head []int32, t, di int32) {
 }
 
 // live reports the number of live derivation entries (tests).
-func (ix *supportShard) live() int { return len(ix.derivs) - len(ix.free) }
+func (ix *supportIndex) live() int { return len(ix.derivs) - len(ix.free) }

@@ -40,10 +40,9 @@ type Query struct {
 
 	// Cancel, when non-nil, is polled during execution (per result row
 	// / start tuple), concurrently from the relational backend's rule
-	// workers and the graph backend's parallel scan; a non-nil return
-	// aborts the query with that error. It is per-request state, not
-	// part of the query shape — the plan cache ignores it. Set it
-	// directly or via the engine's Exec*Context entry points.
+	// workers; a non-nil return aborts the query with that error. It is
+	// per-request state, not part of the query shape — the plan cache
+	// ignores it. Set it directly or via the ctx of Exec and Eval.
 	Cancel func() error
 }
 

@@ -39,13 +39,6 @@ type Engine struct {
 	// system does not know (ASR tables).
 	AtomPlanOverride func(atom model.Atom) (relstore.Plan, bool)
 
-	// Parallelism > 1 partitions the graph backend's root path scan
-	// over that many workers. Results are identical (the pipeline
-	// deduplicates and the engine sorts bindings); only which
-	// representative row survives deduplication for INCLUDE paths over
-	// non-returned variables may vary with scheduling.
-	Parallelism int
-
 	// graphMu guards the cached materialized graph (patched in place by
 	// Maintain*) and the ASR adapter handle. Graph-backend queries hold
 	// the read side for their whole evaluation, so a maintenance patch
@@ -356,49 +349,6 @@ func (e *Engine) snapshotAt(asOf uint64) (*exchange.System, func(), error) {
 		return sys, release, nil
 	}
 	return e.Sys.SnapshotAt(asOf)
-}
-
-// ExecGraph forces evaluation on the graph backend.
-//
-// Deprecated: use Exec with Options{Backend: "graph"}.
-func (e *Engine) ExecGraph(q *Query) (*Result, error) {
-	return e.Exec(context.Background(), q, Options{Backend: "graph"})
-}
-
-// ExecASR forces evaluation on the goal-directed ASR backend.
-//
-// Deprecated: use Exec with Options{Backend: "asr"}.
-func (e *Engine) ExecASR(q *Query) (*Result, error) {
-	return e.Exec(context.Background(), q, Options{Backend: "asr"})
-}
-
-// ExecGraphLegacy forces the graph backend's original tree-walking
-// interpreter (kept to cross-check the planned pipeline).
-//
-// Deprecated: use Exec with Options{Backend: "graph-legacy"}.
-func (e *Engine) ExecGraphLegacy(q *Query) (*Result, error) {
-	return e.Exec(context.Background(), q, Options{Backend: "graph-legacy"})
-}
-
-// ExecContext is Exec on the default backend.
-//
-// Deprecated: use Exec.
-func (e *Engine) ExecContext(ctx context.Context, q *Query) (*Result, error) {
-	return e.Exec(ctx, q, Options{})
-}
-
-// ExecGraphContext is Exec on the graph backend.
-//
-// Deprecated: use Exec with Options{Backend: "graph"}.
-func (e *Engine) ExecGraphContext(ctx context.Context, q *Query) (*Result, error) {
-	return e.Exec(ctx, q, Options{Backend: "graph"})
-}
-
-// ExecASRContext is Exec on the ASR backend.
-//
-// Deprecated: use Exec with Options{Backend: "asr"}.
-func (e *Engine) ExecASRContext(ctx context.Context, q *Query) (*Result, error) {
-	return e.Exec(ctx, q, Options{Backend: "asr"})
 }
 
 // Graph returns the engine's materialized provenance graph, building

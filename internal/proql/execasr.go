@@ -34,9 +34,7 @@ func (e *Engine) execASR(q *Query, asOf uint64) (*Result, error) {
 		return nil, err
 	}
 	defer release()
-	// The adapter interns handles in shared maps under its own lock,
-	// so plans run single-worker regardless of e.Parallelism.
-	res, err := e.execPhys(q, g, "asr", 1, asOf, snapshotMeta(g.sys))
+	res, err := e.execPhys(q, g, "asr", asOf, snapshotMeta(g.sys))
 	if err == nil {
 		res.Stats.AsOf, res.Stats.Epoch = asOf, g.epoch
 	}
@@ -128,8 +126,7 @@ func (e *Engine) releaseASR(g *asrGraph) {
 // asrGraph implements physplan.Graph over an exchanged system's
 // relational storage, reading through a pinned snapshot view. Handles
 // intern into shared maps under mu, so concurrent queries can share
-// one adapter; within a single plan execution runs one worker (the
-// interning cost would serialize workers anyway).
+// one adapter.
 type asrGraph struct {
 	sys    *exchange.System // snapshot view; reads are epoch-frozen
 	probes map[string][]exchange.IncomingProbe

@@ -15,8 +15,8 @@ import (
 // operators (path scans seeded from the graph's label indexes,
 // index-nested-loop extensions, hash joins on shared variables, pushed-
 // down filters, dedup, subgraph projection), replacing the tree-walking
-// interpreter's cartesian binding threading. ExecGraphLegacy retains
-// the interpreter for cross-checking.
+// interpreter's cartesian binding threading. The graph-legacy backend
+// retains the interpreter for cross-checking.
 func (e *Engine) execPlanned(q *Query, asOf uint64) (*Result, error) {
 	// Hold the graph latch for the whole evaluation: a concurrent
 	// maintenance commit patches the cached graph only after every
@@ -29,7 +29,7 @@ func (e *Engine) execPlanned(q *Query, asOf uint64) (*Result, error) {
 		return nil, err
 	}
 	defer release()
-	res, err := e.execPhys(q, physplan.NewMem(g), "graph", e.Parallelism, asOf, graphMeta(g))
+	res, err := e.execPhys(q, physplan.NewMem(g), "graph", asOf, graphMeta(g))
 	if err == nil {
 		res.Stats.AsOf, res.Stats.Epoch = asOf, epoch
 	}
@@ -72,11 +72,11 @@ func (e *Engine) graphAt(asOf uint64) (*provgraph.Graph, uint64, func(), error) 
 // on first call. EVALUATE links it here, with tuple metadata from meta —
 // the state the query read — because the annotations are computed over
 // it.
-func (e *Engine) execPhys(q *Query, g physplan.Graph, backend string, workers int, asOf uint64, meta tupleMeta) (*Result, error) {
+func (e *Engine) execPhys(q *Query, g physplan.Graph, backend string, asOf uint64, meta tupleMeta) (*Result, error) {
 	planStart := time.Now()
 	proj := &physplan.Projection{}
 	res := &Result{Stats: Stats{Backend: backend}}
-	plan, err := e.buildPhysPlan(g, q, proj, workers, backend)
+	plan, err := e.buildPhysPlan(g, q, proj, backend)
 	if err != nil {
 		return nil, err
 	}
@@ -164,9 +164,9 @@ func collectPhys(q *Query, plan *physplan.Plan, rows *resultRows) error {
 // buildPhysPlan lowers the query and compiles it, replaying cached
 // planner decisions when the plan cache holds a valid entry for the
 // query's shape on this backend.
-func (e *Engine) buildPhysPlan(g physplan.Graph, q *Query, proj *physplan.Projection, workers int, backend string) (*physplan.Plan, error) {
+func (e *Engine) buildPhysPlan(g physplan.Graph, q *Query, proj *physplan.Projection, backend string) (*physplan.Plan, error) {
 	if dec, ok := e.cachedDecisions(backend, q); ok {
-		spec, err := e.lowerSpec(g, q, proj, workers)
+		spec, err := e.lowerSpec(g, q, proj)
 		if err != nil {
 			return nil, err
 		}
@@ -176,7 +176,7 @@ func (e *Engine) buildPhysPlan(g physplan.Graph, q *Query, proj *physplan.Projec
 		}
 		// A stale or mismatched entry falls through to a fresh compile.
 	}
-	plan, err := e.buildGraphPlan(g, q, proj, workers)
+	plan, err := e.buildGraphPlan(g, q, proj)
 	if err != nil {
 		return nil, err
 	}
@@ -185,12 +185,11 @@ func (e *Engine) buildPhysPlan(g physplan.Graph, q *Query, proj *physplan.Projec
 }
 
 // lowerSpec lowers a query to the physplan spec without compiling it.
-func (e *Engine) lowerSpec(g physplan.Graph, q *Query, proj *physplan.Projection, workers int) (physplan.Spec, error) {
+func (e *Engine) lowerSpec(g physplan.Graph, q *Query, proj *physplan.Projection) (physplan.Spec, error) {
 	spec := physplan.Spec{
-		Return:  q.Projection.Return,
-		Out:     proj,
-		Workers: workers,
-		Cancel:  q.Cancel,
+		Return: q.Projection.Return,
+		Out:    proj,
+		Cancel: q.Cancel,
 	}
 	pathVars := map[string]bool{}
 	for _, p := range q.Projection.For {
@@ -330,8 +329,8 @@ func cannotFail(c Cond, relOf map[string]*model.Relation) bool {
 
 // buildGraphPlan lowers a query to the physplan spec and compiles it.
 // proj records the projected subgraph when the plan runs.
-func (e *Engine) buildGraphPlan(g physplan.Graph, q *Query, proj *physplan.Projection, workers int) (*physplan.Plan, error) {
-	spec, err := e.lowerSpec(g, q, proj, workers)
+func (e *Engine) buildGraphPlan(g physplan.Graph, q *Query, proj *physplan.Projection) (*physplan.Plan, error) {
+	spec, err := e.lowerSpec(g, q, proj)
 	if err != nil {
 		return nil, err
 	}

@@ -80,11 +80,7 @@ func (e *Engine) explainPhys(sb *strings.Builder, q *Query, backend string) erro
 		defer release()
 		g = physplan.NewMem(mg)
 	}
-	workers := e.Parallelism
-	if backend == "asr" {
-		workers = 1
-	}
-	plan, err := e.buildPhysPlan(g, q, &physplan.Projection{}, workers, backend)
+	plan, err := e.buildPhysPlan(g, q, &physplan.Projection{}, backend)
 	if err != nil {
 		return err
 	}

@@ -92,7 +92,6 @@ func checkMultipath(t *testing.T, eng *proql.Engine, sh multipathShape, asOf uin
 			if ws := graphSignature(t, want); gs != ws {
 				t.Fatalf("%s: %s projected graph\n got:\n%s\n want:\n%s", label, backend, gs, ws)
 			}
-		case eng.Parallelism > 1:
 		case physGraph == "":
 			physGraph = gs
 		case gs != physGraph:
@@ -123,8 +122,7 @@ func checkMultipath(t *testing.T, eng *proql.Engine, sh multipathShape, asOf uin
 // TestMultiPathDifferential is the correctness guard of the distinct
 // join and of the compact result rows: every multi-path form, on
 // random chain and branched settings and on the cyclic running example,
-// live, after deletes, AS OF the epoch before them, and with a
-// two-worker parallel root scan.
+// live, after deletes, and AS OF the epoch before them.
 func TestMultiPathDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(20100608))
 	rows := map[string]int{} // per form, so none is vacuous
@@ -141,11 +139,8 @@ func TestMultiPathDifferential(t *testing.T) {
 		sys := core.Wrap(set.Sys)
 		label := fmt.Sprintf("trial %d (%s/%s peers=%d data=%v)", trial, cfg.Topology, cfg.Profile, cfg.NumPeers, cfg.DataPeers)
 		shapes := multipathShapes(workload.ARel(0), workload.ARel(1+rng.Intn(cfg.NumPeers-1)), workload.ARel(rng.Intn(cfg.NumPeers)))
-		parallel := proql.NewEngine(set.Sys)
-		parallel.Parallelism = 2
 		for _, sh := range shapes {
 			rows[sh.name] += checkMultipath(t, sys.Engine(), sh, 0, label+" live")
-			checkMultipath(t, parallel, sh, 0, label+" parallel")
 		}
 		before := sys.Epoch()
 		peer := cfg.DataPeers[rng.Intn(len(cfg.DataPeers))]

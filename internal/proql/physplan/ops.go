@@ -3,7 +3,6 @@ package physplan
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"repro/internal/stream"
 )
@@ -66,148 +65,57 @@ func (b *batchIter) Close() {
 }
 
 // Scan enumerates the matches of one path expression over the whole
-// graph, seeding from the narrowest available index. With Workers > 1
-// the start tuples are partitioned over a worker pool; row order then
-// depends on scheduling, so parallel scans belong under order-
-// insensitive consumers (the planner always deduplicates and the
-// engine sorts final bindings).
+// graph, seeding from the narrowest available index.
 type Scan struct {
-	g       Graph
-	bp      boundPath
-	schema  *Schema
-	workers int
-	desc    string
-	est     float64
-	cancel  func() error
+	g      Graph
+	bp     boundPath
+	schema *Schema
+	desc   string
+	est    float64
+	cancel func() error
 }
 
 // Schema implements Op.
 func (s *Scan) Schema() *Schema { return s.schema }
 
 func (s *Scan) explain(sb *strings.Builder, indent int) {
-	par := ""
-	if s.workers > 1 {
-		par = fmt.Sprintf(" workers=%d", s.workers)
-	}
-	writeLine(sb, indent, "Scan(%s, %s, est=%.0f%s)", s.bp.path, s.desc, s.est, par)
+	writeLine(sb, indent, "Scan(%s, %s, est=%.0f)", s.bp.path, s.desc, s.est)
 }
 
 // Open implements Op.
 func (s *Scan) Open() (stream.Iterator[Row], error) {
 	seed := make(Row, s.schema.Width())
-	var starts []Tuple // materialized: the parallel scan partitions them
+	var starts []Tuple
 	if err := s.bp.eachStart(s.g, seed, true, func(t Tuple) bool {
 		starts = append(starts, t)
 		return true
 	}); err != nil {
 		return nil, err
 	}
-	if s.workers <= 1 {
-		m := s.bp.newMatcher(s.g)
-		var batch []Row
-		i := 0
-		return &batchIter{produce: func() ([]Row, bool, error) {
-			// The consumer has drained the previous batch: reuse it.
-			batch = batch[:0]
-			for i < len(starts) {
-				if s.cancel != nil {
-					if err := s.cancel(); err != nil {
-						return nil, false, err
-					}
-				}
-				st := starts[i]
-				i++
-				m.matchStart(st, seed, func(r Row) bool {
-					batch = append(batch, r)
-					return true
-				})
-				if len(batch) > 0 {
-					return batch, true, nil
-				}
-			}
-			return nil, false, nil
-		}}, nil
-	}
-	return s.openParallel(starts, seed), nil
-}
-
-// openParallel partitions the start tuples over the worker pool; each
-// worker streams its matches into a shared channel. A worker that sees
-// the plan cancelled records the error and stops; the consumer returns
-// the first recorded error once the workers are done, so a cancelled
-// scan never ends like a complete one.
-func (s *Scan) openParallel(starts []Tuple, seed Row) stream.Iterator[Row] {
-	out := make(chan []Row, s.workers)
-	stop := make(chan struct{})
-	var stopOnce sync.Once
-	var errMu sync.Mutex
-	var firstErr error
-	next := make(chan int) // work queue of start indexes
-	go func() {
-		defer close(next)
-		for i := range starts {
-			select {
-			case next <- i:
-			case <-stop:
-				return
-			}
-		}
-	}()
-	var wg sync.WaitGroup
-	for w := 0; w < s.workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			m := s.bp.newMatcher(s.g)
-			for i := range next {
-				if s.cancel != nil {
-					if err := s.cancel(); err != nil {
-						errMu.Lock()
-						if firstErr == nil {
-							firstErr = err
-						}
-						errMu.Unlock()
-						return
-					}
-				}
-				var batch []Row
-				m.matchStart(starts[i], seed, func(r Row) bool {
-					batch = append(batch, r)
-					return true
-				})
-				if len(batch) == 0 {
-					continue
-				}
-				select {
-				case out <- batch:
-				case <-stop:
-					return
-				}
-			}
-		}()
-	}
-	go func() {
-		wg.Wait()
-		close(out)
-	}()
-	return &batchIter{
-		produce: func() ([]Row, bool, error) {
+	m := s.bp.newMatcher(s.g)
+	var batch []Row
+	i := 0
+	return &batchIter{produce: func() ([]Row, bool, error) {
+		// The consumer has drained the previous batch: reuse it.
+		batch = batch[:0]
+		for i < len(starts) {
 			if s.cancel != nil {
 				if err := s.cancel(); err != nil {
 					return nil, false, err
 				}
 			}
-			b, ok := <-out
-			if !ok {
-				// Closed after every worker returned: firstErr is final.
-				errMu.Lock()
-				defer errMu.Unlock()
-				return nil, false, firstErr
+			st := starts[i]
+			i++
+			m.matchStart(st, seed, func(r Row) bool {
+				batch = append(batch, r)
+				return true
+			})
+			if len(batch) > 0 {
+				return batch, true, nil
 			}
-			return b, true, nil
-		},
-		closeFn: func() { stopOnce.Do(func() { close(stop) }) },
-	}
+		}
+		return nil, false, nil
+	}}, nil
 }
 
 // Extend is the index-nested-loop join: for each input row it

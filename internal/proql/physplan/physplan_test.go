@@ -2,10 +2,7 @@ package physplan
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/model"
@@ -278,107 +275,54 @@ func TestKeyerKeys(t *testing.T) {
 	}
 }
 
-func TestParallelScanMatchesSerial(t *testing.T) {
-	g := diamondGraph(50)
-	p1 := Path{
-		Nodes: []Node{{Rel: "O", Var: "x"}, {Var: "z"}},
-		Edges: []Edge{{Kind: EdgePlus}},
-	}
-	spec := Spec{Paths: []Path{p1}, Return: []string{"x", "z"}}
-	serial := compilePlan(t, g, spec)
-	spec.Workers = 4
-	parallel := compilePlan(t, g, spec)
-	a := rowStrings(mustRows(t, serial.Root))
-	b := rowStrings(mustRows(t, parallel.Root))
-	if len(a) != len(b) {
-		t.Fatalf("serial %d rows vs parallel %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("row %d: %q vs %q", i, a[i], b[i])
-		}
-	}
-}
-
-func TestParallelScanEarlyClose(t *testing.T) {
-	g := diamondGraph(100)
-	p1 := Path{
-		Nodes: []Node{{Rel: "O", Var: "x"}, {Var: "z"}},
-		Edges: []Edge{{Kind: EdgePlus}},
-	}
-	plan := compilePlan(t, g, Spec{Paths: []Path{p1}, Return: []string{"x"}, Workers: 4})
-	it, err := plan.Root.Open()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok, err := it.Next(); err != nil || !ok {
-		t.Fatalf("first row: ok=%v err=%v", ok, err)
-	}
-	it.Close() // must not deadlock or leak workers blocked on send
-}
-
-// startGate serializes a scan's start tuples (the test path calls
-// EachDerivInto once per start) and runs onStart(k) for the k-th.
-type startGate struct {
-	Mem
-	mu      sync.Mutex
-	started int
-	onStart func(k int)
-}
-
-func (g *startGate) EachDerivInto(t Tuple, mapping string, yield func(Deriv) bool) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.started++
-	g.onStart(g.started)
-	g.Mem.EachDerivInto(t, mapping, yield)
-}
-
-// TestParallelScanCancelSurfaces: a parallel scan cancelled after k
-// start tuples must end with the cancellation error, never as a
-// complete (truncated) result. The path matches nothing, so the
-// consumer polls once, finds the plan live, and waits on the workers;
-// the cancel fires only after that poll, so the workers alone see it.
-func TestParallelScanCancelSurfaces(t *testing.T) {
-	const workers, k = 2, 5
+// TestScanCancelSurfaces: a scan whose Cancel starts failing after k
+// start tuples must end with that error, never as a complete
+// (truncated) result. The scan polls before every start tuple; on the
+// path that matches nothing the failing poll falls inside one produce
+// call that would otherwise run through every start.
+func TestScanCancelSurfaces(t *testing.T) {
+	const k = 5
 	errStop := fmt.Errorf("cancelled")
-	var polls atomic.Int64
-	var cancelled atomic.Bool
-	g := &startGate{Mem: NewMem(diamondGraph(200))}
-	g.onStart = func(n int) {
-		if n != k {
-			return
-		}
-		// Each worker polls before each start it enters; while this one
-		// holds the gate, the workers have polled at most k+workers-1
-		// times, so one more poll is the consumer's.
-		for polls.Load() < k+workers {
-			runtime.Gosched()
-		}
-		cancelled.Store(true)
-	}
-	nothing := Path{
-		Nodes: []Node{{Rel: "O", Var: "x"}, {Rel: "Q"}},
-		Edges: []Edge{{Kind: EdgeDirect}},
-	}
-	plan, err := Compile(g, Spec{Paths: []Path{nothing}, Return: []string{"x"}, Workers: workers,
-		Cancel: func() error {
-			polls.Add(1)
-			if cancelled.Load() {
-				return errStop
+	for _, tc := range []struct {
+		name     string
+		path     Path
+		wantRows int
+	}{
+		{"matches", Path{Nodes: []Node{{Rel: "O", Var: "x"}, {Rel: "B", Var: "y"}}, Edges: []Edge{{Kind: EdgeDirect}}}, k},
+		{"nothing", Path{Nodes: []Node{{Rel: "O", Var: "x"}, {Rel: "Q"}}, Edges: []Edge{{Kind: EdgeDirect}}}, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			polls := 0
+			plan := compilePlan(t, diamondGraph(200), Spec{Paths: []Path{tc.path}, Return: []string{"x"},
+				Cancel: func() error {
+					if polls++; polls > k {
+						return errStop
+					}
+					return nil
+				}})
+			it, err := plan.Root.Open()
+			if err != nil {
+				t.Fatal(err)
 			}
-			return nil
-		}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	it, err := plan.Root.Open()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer it.Close()
-	if _, ok, err := it.Next(); err != errStop {
-		t.Fatalf("cancelled parallel scan ended with ok=%v err=%v, want %v", ok, err, errStop)
+			defer it.Close()
+			rows := 0
+			for {
+				_, ok, err := it.Next()
+				if err != nil {
+					if err != errStop {
+						t.Fatalf("scan ended with %v, want %v", err, errStop)
+					}
+					break
+				}
+				if !ok {
+					t.Fatalf("cancelled scan ended as a complete result after %d rows", rows)
+				}
+				rows++
+			}
+			if rows != tc.wantRows {
+				t.Errorf("scan returned %d rows before the cancel, want %d", rows, tc.wantRows)
+			}
+		})
 	}
 }
 

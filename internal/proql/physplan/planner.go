@@ -27,9 +27,6 @@ type Spec struct {
 	// Out records the projected provenance subgraph. Required when
 	// Include is non-empty.
 	Out *Projection
-	// Workers > 1 partitions the root path scan's start tuples over a
-	// worker pool.
-	Workers int
 	// Cancel, when non-nil, is polled by the long-running operators
 	// (one check per start tuple / input row); a non-nil return aborts
 	// the plan with that error. The engine wires a request context's
@@ -168,7 +165,7 @@ func compile(g Graph, spec Spec, dec *Decisions) (*Plan, error) {
 		desc := bp.startsDesc(bound)
 		switch {
 		case root == nil:
-			root = &Scan{g: g, bp: bp, schema: schema, workers: spec.Workers, desc: desc, est: costFor(oi, p, bound), cancel: spec.Cancel}
+			root = &Scan{g: g, bp: bp, schema: schema, desc: desc, est: costFor(oi, p, bound), cancel: spec.Cancel}
 		case startBound(p, bound):
 			// Goal-directed: the start tuple (or first-edge derivation)
 			// is bound by earlier paths — extend row by row.

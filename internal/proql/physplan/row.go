@@ -9,8 +9,7 @@
 //
 //   - Scan enumerates the instance-level matches of one path
 //     expression, seeding from the graph's label indexes (relation →
-//     tuples, mapping → derivations) and optionally partitioning its
-//     start tuples over a worker pool.
+//     tuples, mapping → derivations).
 //   - Extend is the index-nested-loop join: it extends each incoming
 //     row through a path whose start is already bound, following
 //     per-node adjacency lists (goal-directed evaluation).

@@ -96,37 +96,6 @@ func TestPlannedMatchesLegacyOnCyclicGraph(t *testing.T) {
 	}
 }
 
-func TestPlannedParallelMatchesSerial(t *testing.T) {
-	serial := exampleEngine(t)
-	parallel := exampleEngine(t)
-	parallel.Parallelism = 4
-	for _, text := range []string{
-		`FOR [O $x] INCLUDE PATH [$x] <-+ [] RETURN $x`,
-		`FOR [O $x] <-+ [$z], [C $y] <-+ [$z] RETURN $x, $y`,
-	} {
-		q := MustParse(text)
-		a, err := serial.Exec(context.Background(), q, Options{Backend: "graph"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := parallel.Exec(context.Background(), q, Options{Backend: "graph"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, v := range q.Projection.Return {
-			ar, br := a.SortedRefs(v), b.SortedRefs(v)
-			if len(ar) != len(br) {
-				t.Fatalf("%s: $%s bindings %d vs %d", text, v, len(ar), len(br))
-			}
-			for i := range ar {
-				if ar[i] != br[i] {
-					t.Errorf("%s: $%s binding %d differs", text, v, i)
-				}
-			}
-		}
-	}
-}
-
 func TestPlannedErrorParity(t *testing.T) {
 	e := exampleEngine(t)
 	for _, text := range []string{

@@ -52,9 +52,10 @@ type Database struct {
 	histFloor atomic.Uint64
 
 	// Commit capture: while hook is set, every mutation appends a
-	// LoggedOp to logOps (under logMu — sharded syncs write different
-	// tables concurrently) and publish hands the batch to the hook with
-	// its epoch. hook is written once, before any logged mutation.
+	// LoggedOp to logOps (under logMu — writers on different goroutines
+	// may mutate different tables concurrently) and publish hands the
+	// batch to the hook with its epoch. hook is written once, before any
+	// logged mutation.
 	hook   CommitHook
 	logMu  sync.Mutex
 	logOps []LoggedOp

@@ -57,10 +57,10 @@ func SchemaOf(r *model.Relation) *TableSchema {
 // cheap: the writable head table and every snapshot view share the
 // same guarded state, differing only in the epoch they read as of.
 // Writes are rejected on views. Mutating methods may be called by one
-// logical writer at a time (concurrent writers inside a sharded sync
-// are serialized per operation by the internal lock, but the scratch
-// aliasing of InsertKeyed assumes one writer per table); reads are
-// safe from any number of goroutines.
+// logical writer at a time (concurrent writers are serialized per
+// operation by the internal lock, but the scratch aliasing of
+// InsertKeyed assumes one writer per table); reads are safe from any
+// number of goroutines.
 type Table struct {
 	Schema *TableSchema
 	s      *tableState

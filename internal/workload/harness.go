@@ -669,99 +669,6 @@ func RunMixed(peerCounts []int, dataPeers, baseSize, batch, runs int, seed int64
 	return out, nil
 }
 
-// ShardScaleRow is one point of the shard strong-scaling experiment
-// (E13): one shard count S on a fixed Fig.-10-style setting, with the
-// full exchange fixpoint re-run on a warm system, and one interleaved
-// churn operation (1 delete + batch inserts + RunDelta) as the
-// incremental arm. S=1 is the unsharded serial engine, so the row
-// doubles as the sharding-overhead / parity reference.
-type ShardScaleRow struct {
-	Shards           int
-	RunTime          time.Duration
-	DeltaTime        time.Duration
-	DeltaDerivations int
-	InstanceSize     int
-}
-
-// RunShardScaling measures the shard-parallel engine's strong scaling:
-// the same chain setting (data at the far end) built at each shard
-// count, with Parallelism set to the shard count so each shard can own
-// a worker. The full-run arm re-runs the complete exchange fixpoint on
-// the warm system — every derivation is re-enumerated, insertions are
-// all duplicates — which isolates enumeration + journal bookkeeping
-// from schema build and data loading. The delta arm is RunMixed's
-// churn operation at the same scale. Sharded and serial runs produce
-// byte-identical instances (enforced by the differential suite), so
-// rows differ only in time.
-func RunShardScaling(shardCounts []int, numPeers, dataPeers, baseSize, batch, runs int, seed int64) ([]ShardScaleRow, error) {
-	var out []ShardScaleRow
-	for _, s := range shardCounts {
-		cfg := Config{
-			Topology:    Chain,
-			Profile:     ProfileLinear,
-			NumPeers:    numPeers,
-			DataPeers:   UpstreamDataPeers(numPeers, dataPeers),
-			BaseSize:    baseSize,
-			Categories:  16,
-			Seed:        seed,
-			Shards:      s,
-			Parallelism: s,
-		}
-		row := ShardScaleRow{Shards: s}
-
-		set, err := Build(cfg)
-		if err != nil {
-			return nil, err
-		}
-		row.InstanceSize = set.InstanceSize()
-		row.RunTime, err = timed(runs, set.Sys.Run)
-		if err != nil {
-			return nil, err
-		}
-
-		churnSet, err := Build(cfg)
-		if err != nil {
-			return nil, err
-		}
-		src := numPeers - 1
-		var delNext, insNext int64
-		row.DeltaTime, err = timed(runs, func() error {
-			delKey := []model.Datum{int64(src)*10_000_000 + delNext%int64(baseSize)}
-			delNext++
-			if _, err := churnSet.Sys.DeleteLocal(ARel(src), delKey); err != nil {
-				return err
-			}
-			ins := make([]model.Tuple, batch)
-			for j := range ins {
-				k := int64(src)*10_000_000 + int64(baseSize) + insNext
-				insNext++
-				r := model.Tuple{k, k % int64(cfg.Categories)}
-				for a := 0; a < 10; a++ {
-					r = append(r, k+int64(a))
-				}
-				ins[j] = r
-			}
-			if err := churnSet.Sys.InsertLocal(ARel(src), ins...); err != nil {
-				return err
-			}
-			rep, err := churnSet.Sys.RunDelta()
-			if err != nil {
-				return err
-			}
-			if rep.Full {
-				return fmt.Errorf("workload: shard delta arm fell back to a full run")
-			}
-			row.DeltaDerivations = rep.Derivations
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, row)
-	}
-	return out, nil
-}
-
 // AnnotationOverheadRow compares graph projection alone against
 // projection plus annotation computation (Section 6.1.2's observation
 // that the projection component dominates).

@@ -88,31 +88,15 @@ type Config struct {
 	// LegacyEngine runs update exchange on the interpreting Datalog
 	// engine instead of the compiled one (engine-comparison sweeps).
 	LegacyEngine bool
-	// Parallelism is the compiled engine's worker count (0/1 serial).
-	// It sets how many goroutines evaluate a round — how much hardware
-	// the engine may use — and is independent of Shards, which sets how
-	// the fact space is partitioned.
-	Parallelism int
-	// Shards partitions the fact space into this many hash shards, each
-	// with its own journal, indexes, and arena (0/1 = unsharded serial
-	// engine). Shards fixes the data layout and the deterministic merge
-	// order; Parallelism fixes the worker count that evaluates the
-	// shards. S shards saturate at Parallelism = S workers.
-	Shards int
 	// NoSupportIndex disables hook-maintenance of the deletion-support
 	// index during exchange (index-overhead ablations).
 	NoSupportIndex bool
 }
 
-// DefaultLegacyEngine, DefaultParallelism, and DefaultShards are
-// process-wide engine defaults applied to Configs that leave the
-// corresponding fields zero; proqlbench's -engine, -par, and -shards
-// flags reach every sweep through them.
-var (
-	DefaultLegacyEngine bool
-	DefaultParallelism  int
-	DefaultShards       int
-)
+// DefaultLegacyEngine is the process-wide engine default applied to
+// Configs that leave LegacyEngine false; proqlbench's -engine flag
+// reaches every sweep through it.
+var DefaultLegacyEngine bool
 
 // Defaults fills zero fields.
 func (c *Config) defaults() {
@@ -127,12 +111,6 @@ func (c *Config) defaults() {
 	}
 	if !c.LegacyEngine {
 		c.LegacyEngine = DefaultLegacyEngine
-	}
-	if c.Parallelism == 0 {
-		c.Parallelism = DefaultParallelism
-	}
-	if c.Shards == 0 {
-		c.Shards = DefaultShards
 	}
 }
 
@@ -257,8 +235,6 @@ func OpenDurable(cfg Config, dir string, wopts wal.Options) (*Setting, *wal.Stor
 func (set *Setting) exchangeOptions() exchange.Options {
 	return exchange.Options{
 		UseLegacyEngine: set.Config.LegacyEngine,
-		Parallelism:     set.Config.Parallelism,
-		Shards:          set.Config.Shards,
 		NoSupportIndex:  set.Config.NoSupportIndex,
 	}
 }

@@ -276,46 +276,6 @@ func TestHarnessSmoke(t *testing.T) {
 	}
 }
 
-// TestShardedBuildParity builds the same setting unsharded and at two
-// shard counts and requires identical instances: the shard partitioning
-// is an execution layout, never a semantics change.
-func TestShardedBuildParity(t *testing.T) {
-	base := Config{
-		Topology:  Chain,
-		Profile:   ProfileLinear,
-		NumPeers:  6,
-		DataPeers: UpstreamDataPeers(6, 2),
-		BaseSize:  20,
-		Seed:      7,
-	}
-	serial, err := Build(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range []int{2, 8} {
-		cfg := base
-		cfg.Shards = s
-		cfg.Parallelism = 2
-		sharded, err := Build(cfg)
-		if err != nil {
-			t.Fatalf("S=%d: %v", s, err)
-		}
-		if got, want := sharded.InstanceSize(), serial.InstanceSize(); got != want {
-			t.Errorf("S=%d: instance size %d, serial %d", s, got, want)
-		}
-		for p := 0; p < base.NumPeers; p++ {
-			for _, rel := range []string{ARel(p), BRel(p)} {
-				if got, want := sharded.Sys.DB.MustTable(rel).Len(), serial.Sys.DB.MustTable(rel).Len(); got != want {
-					t.Errorf("S=%d: %s has %d rows, serial %d", s, rel, got, want)
-				}
-			}
-		}
-		if got, want := sharded.Sys.ProvRowCount(), serial.Sys.ProvRowCount(); got != want {
-			t.Errorf("S=%d: %d provenance rows, serial %d", s, got, want)
-		}
-	}
-}
-
 // TestProQLSweepZeroBuildsAt100x runs the E14 backend sweep at 1× and
 // 100× of the base setting and asserts the asr backend's defining
 // invariant at both points: the Q4-shaped multi-path query and the
@@ -372,26 +332,5 @@ func TestProQLSweepZeroBuildsAt100x(t *testing.T) {
 	}
 	if got := provgraph.Builds() - before; got != 0 {
 		t.Errorf("annotation query materialized %d provenance graphs, want 0", got)
-	}
-}
-
-// TestRunShardScaling smoke-tests the E13 sweep at a tiny scale: every
-// shard count must produce the same instance and delta derivation
-// count (the rows differ only in time).
-func TestRunShardScaling(t *testing.T) {
-	rows, err := RunShardScaling([]int{1, 3}, 6, 2, 20, 2, 3, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("rows = %+v", rows)
-	}
-	for i, r := range rows {
-		if r.RunTime <= 0 || r.DeltaTime <= 0 {
-			t.Errorf("row %d has non-positive times: %+v", i, r)
-		}
-		if r.InstanceSize != rows[0].InstanceSize || r.DeltaDerivations != rows[0].DeltaDerivations {
-			t.Errorf("row %d diverges from S=1: %+v vs %+v", i, r, rows[0])
-		}
 	}
 }
