@@ -28,71 +28,76 @@ func dbSignature(db *relstore.Database) string {
 // identical to a from-scratch fixpoint over all edges, and (b) fire
 // the hook exactly once per derivation that involves a new fact —
 // never re-enumerating old derivations.
+//
+// The serial engine is the only one; its subtest keeps the name par=0
+// it had when the test also ran a worker-pool arm.
 func TestRunProgramDeltaMatchesFullRun(t *testing.T) {
-	db, rules := tcProgram(t)
-	e := NewEngine(db)
-	p, err := Compile(db, rules)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.RunProgram(p); err != nil {
-		t.Fatal(err)
-	}
-	if !p.StateValid() {
-		t.Fatal("state invalid after successful full run")
-	}
-	fullDerivs := e.Derivations
-
-	// Insert new edges 0->1 and 4->5: 0->1 prepends to the chain
-	// (paths 0->1..0->5), 4->5 appends (paths 1..4 ->5).
-	edge := db.MustTable("edge")
-	newRows := []model.Tuple{{int64(0), int64(1)}, {int64(4), int64(5)}}
-	for _, row := range newRows {
-		if _, err := edge.Insert(row); err != nil {
+	t.Run("par=0", func(t *testing.T) {
+		db, rules := tcProgram(t)
+		e := NewEngine(db)
+		p, err := Compile(db, rules)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	firings := map[string]int{}
-	e.Hook = func(r *Rule, vars []string, slots []model.Datum) {
-		firings[firingKey(r, BindingFromSlots(vars, slots))]++
-	}
-	if err := e.RunProgramDelta(p, map[string][]model.Tuple{"edge": newRows}); err != nil {
-		t.Fatal(err)
-	}
-	if !p.StateValid() {
-		t.Fatal("state invalid after successful delta run")
-	}
-	for key, n := range firings {
-		if n != 1 {
-			t.Errorf("delta firing %s seen %d times, want 1", key, n)
-		}
-	}
-
-	// Oracle: fresh database with all five edges, full fixpoint.
-	odb, orules := tcProgram(t)
-	oedge := odb.MustTable("edge")
-	for _, row := range newRows {
-		if _, err := oedge.Insert(row); err != nil {
+		if err := e.RunProgram(p); err != nil {
 			t.Fatal(err)
 		}
-	}
-	oe := NewEngine(odb)
-	if err := oe.Run(orules); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := dbSignature(db), dbSignature(odb); got != want {
-		t.Fatalf("delta-extended database differs from oracle\ndelta:\n%s\noracle:\n%s", got, want)
-	}
-	// Every derivation is enumerated exactly once across the two
-	// runs: full + delta must equal the oracle's total.
-	if fullDerivs+e.Derivations != oe.Derivations {
-		t.Errorf("derivations full(%d) + delta(%d) != oracle(%d)", fullDerivs, e.Derivations, oe.Derivations)
-	}
-	// And the delta run enumerated strictly fewer than the whole
-	// program (it skipped all old-only derivations).
-	if e.Derivations >= oe.Derivations {
-		t.Errorf("delta run enumerated %d derivations, oracle total is %d — no savings", e.Derivations, oe.Derivations)
-	}
+		if !p.StateValid() {
+			t.Fatal("state invalid after successful full run")
+		}
+		fullDerivs := e.Derivations
+
+		// Insert new edges 0->1 and 4->5: 0->1 prepends to the chain
+		// (paths 0->1..0->5), 4->5 appends (paths 1..4 ->5).
+		edge := db.MustTable("edge")
+		newRows := []model.Tuple{{int64(0), int64(1)}, {int64(4), int64(5)}}
+		for _, row := range newRows {
+			if _, err := edge.Insert(row); err != nil {
+				t.Fatal(err)
+			}
+		}
+		firings := map[string]int{}
+		e.Hook = func(r *Rule, vars []string, slots []model.Datum) {
+			firings[firingKey(r, BindingFromSlots(vars, slots))]++
+		}
+		if err := e.RunProgramDelta(p, map[string][]model.Tuple{"edge": newRows}); err != nil {
+			t.Fatal(err)
+		}
+		if !p.StateValid() {
+			t.Fatal("state invalid after successful delta run")
+		}
+		for key, n := range firings {
+			if n != 1 {
+				t.Errorf("delta firing %s seen %d times, want 1", key, n)
+			}
+		}
+
+		// Oracle: fresh database with all five edges, full fixpoint.
+		odb, orules := tcProgram(t)
+		oedge := odb.MustTable("edge")
+		for _, row := range newRows {
+			if _, err := oedge.Insert(row); err != nil {
+				t.Fatal(err)
+			}
+		}
+		oe := NewEngine(odb)
+		if err := oe.Run(orules); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := dbSignature(db), dbSignature(odb); got != want {
+			t.Fatalf("delta-extended database differs from oracle\ndelta:\n%s\noracle:\n%s", got, want)
+		}
+		// Every derivation is enumerated exactly once across the two
+		// runs: full + delta must equal the oracle's total.
+		if fullDerivs+e.Derivations != oe.Derivations {
+			t.Errorf("derivations full(%d) + delta(%d) != oracle(%d)", fullDerivs, e.Derivations, oe.Derivations)
+		}
+		// And the delta run enumerated strictly fewer than the whole
+		// program (it skipped all old-only derivations).
+		if e.Derivations >= oe.Derivations {
+			t.Errorf("delta run enumerated %d derivations, oracle total is %d — no savings", e.Derivations, oe.Derivations)
+		}
+	})
 }
 
 // TestRunProgramDeltaEmptyIsNoOp checks a delta run with no pending
