@@ -272,12 +272,10 @@ func BenchmarkAnnotationOverhead(b *testing.B) {
 	})
 }
 
-// BenchmarkMultiPathMatch measures the graph backend on a multi-path
-// common-provenance query (the Q4 shape): the physical-plan pipeline
-// (indexed scans + hash join on the shared variable) against the
-// legacy tree-walking interpreter, which re-walks the second path
-// under every binding of the first. EXPERIMENTS.md records the
-// measured speedup.
+// BenchmarkMultiPathMatch measures the graph and asr backends on a
+// multi-path common-provenance query (the Q4 shape): the physical-plan
+// pipeline (indexed scans + a join on the shared variable) over the
+// materialized graph and over the goal-directed adapter.
 func BenchmarkMultiPathMatch(b *testing.B) {
 	set, err := workload.Build(workload.Config{
 		Topology:  workload.Chain,
@@ -300,13 +298,6 @@ func BenchmarkMultiPathMatch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Run("interpreter", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := eng.Exec(context.Background(), q, proql.Options{Backend: "graph-legacy"}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("planned", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := eng.Exec(context.Background(), q, proql.Options{Backend: "graph"}); err != nil {
@@ -322,46 +313,6 @@ func BenchmarkMultiPathMatch(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := goal.Exec(context.Background(), q, proql.Options{Backend: "asr"}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkSinglePathProjection compares the two graph-backend
-// runtimes on the Section 6 target query (single anchored path with a
-// full ancestor projection), where the interpreter's whole-graph scans
-// are replaced by label-index lookups.
-func BenchmarkSinglePathProjection(b *testing.B) {
-	set, err := workload.Build(workload.Config{
-		Topology:  workload.Chain,
-		Profile:   workload.ProfileLinear,
-		NumPeers:  12,
-		DataPeers: workload.UpstreamDataPeers(12, 3),
-		BaseSize:  100,
-		Seed:      42,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	eng := proql.NewEngine(set.Sys)
-	if _, err := eng.Graph(); err != nil {
-		b.Fatal(err)
-	}
-	q, err := proql.Parse(set.TargetQuery())
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("interpreter", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := eng.Exec(context.Background(), q, proql.Options{Backend: "graph-legacy"}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("planned", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := eng.Exec(context.Background(), q, proql.Options{Backend: "graph"}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -587,23 +538,21 @@ func BenchmarkGraphPatchDelete(b *testing.B) {
 	}
 }
 
-// BenchmarkExchange measures update-exchange materialization itself —
-// the offline step whose output all queries consume — on the legacy
-// interpreting engine; BenchmarkExchangeCompiled is the same setting
-// on the compiled semi-naive engine, so the pair quantifies the
-// rule-compilation speedup (recorded in EXPERIMENTS.md).
-func BenchmarkExchange(b *testing.B) {
+// BenchmarkExchangeCompiled measures update-exchange materialization
+// itself — the offline step whose output all queries consume — on the
+// compiled semi-naive engine, with the deletion-support index the
+// hooks keep current.
+func BenchmarkExchangeCompiled(b *testing.B) {
 	for _, base := range []int{250, 1000} {
 		b.Run(fmt.Sprintf("base=%d", base), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := workload.Build(workload.Config{
-					Topology:     workload.Chain,
-					Profile:      workload.ProfileLinear,
-					NumPeers:     10,
-					DataPeers:    workload.UpstreamDataPeers(10, 2),
-					BaseSize:     base,
-					Seed:         42,
-					LegacyEngine: true,
+					Topology:  workload.Chain,
+					Profile:   workload.ProfileLinear,
+					NumPeers:  10,
+					DataPeers: workload.UpstreamDataPeers(10, 2),
+					BaseSize:  base,
+					Seed:      42,
 				}); err != nil {
 					b.Fatal(err)
 				}
@@ -612,44 +561,11 @@ func BenchmarkExchange(b *testing.B) {
 	}
 }
 
-// BenchmarkExchangeCompiled is BenchmarkExchange on the compiled
-// engine. The "noindex" variant skips maintenance of the deletion-
-// support index the hooks otherwise keep current, isolating the
-// index's overhead (the price paid at exchange time for delta-driven
-// DeleteLocal).
-func BenchmarkExchangeCompiled(b *testing.B) {
-	for _, base := range []int{250, 1000} {
-		for _, noIndex := range []bool{false, true} {
-			name := fmt.Sprintf("base=%d", base)
-			if noIndex {
-				name += "/noindex"
-			}
-			b.Run(name, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := workload.Build(workload.Config{
-						Topology:       workload.Chain,
-						Profile:        workload.ProfileLinear,
-						NumPeers:       10,
-						DataPeers:      workload.UpstreamDataPeers(10, 2),
-						BaseSize:       base,
-						Seed:           42,
-						NoSupportIndex: noIndex,
-					}); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkIncrementalDeletion quantifies the paper's Q5 claim —
 // "provenance can speed up this test" — by comparing deletion
 // propagation against rebuilding the exchange from scratch on the
 // reduced base data. The "provenance" arm is the delta-driven
-// propagator over the support index built alongside exchange; the
-// "legacy-maintain" arm is the pre-index whole-graph derivability
-// walk, kept for comparison.
+// propagator over the support index built alongside exchange.
 func BenchmarkIncrementalDeletion(b *testing.B) {
 	cfg := workload.Config{
 		Topology:  workload.Chain,
@@ -673,20 +589,6 @@ func BenchmarkIncrementalDeletion(b *testing.B) {
 			}
 		}
 	})
-	b.Run("legacy-maintain", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			set, err := workload.Build(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			key := []model.Datum{int64(9)*10_000_000 + int64(i%cfg.BaseSize)}
-			b.StartTimer()
-			if _, err := set.Sys.DeleteLocalLegacy(workload.ARel(9), key); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("rebuild", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			// Rebuilding re-runs generation + exchange on the full
@@ -704,7 +606,7 @@ func BenchmarkIncrementalDeletion(b *testing.B) {
 // semi-naive rounds from the pending rows alone (RunDelta over the
 // persistent engine state); "full-rerun" re-runs the whole compiled
 // fixpoint after the same inserts (the pre-PR-4 behavior of
-// InsertLocal+Run); "legacy-rerun" re-runs the interpreting engine.
+// InsertLocal+Run).
 // Each iteration inserts fresh keys, so every measurement propagates
 // the same amount of new data through a warm system.
 func BenchmarkIncrementalInsertion(b *testing.B) {
@@ -753,24 +655,6 @@ func BenchmarkIncrementalInsertion(b *testing.B) {
 	})
 	b.Run("full-rerun", func(b *testing.B) {
 		set, err := workload.Build(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var next int64
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := set.Sys.InsertLocal(workload.ARel(src), newRows(&next)...); err != nil {
-				b.Fatal(err)
-			}
-			if err := set.Sys.Run(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("legacy-rerun", func(b *testing.B) {
-		legacyCfg := cfg
-		legacyCfg.LegacyEngine = true
-		set, err := workload.Build(legacyCfg)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -36,7 +36,6 @@ import (
 type benchFile struct {
 	Schema string                   `json:"schema"`
 	Scale  string                   `json:"scale"`
-	Engine string                   `json:"engine"`
 	Del    []map[string]json.Number `json:"del"`
 	Ins    []map[string]json.Number `json:"ins"`
 	Mix    []map[string]json.Number `json:"mix"`
@@ -103,9 +102,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
 		os.Exit(2)
 	}
-	if base.Scale != cur.Scale || base.Engine != cur.Engine {
-		fmt.Fprintf(os.Stderr, "benchgate: scale/engine mismatch: baseline %s/%s vs current %s/%s\n",
-			base.Scale, base.Engine, cur.Scale, cur.Engine)
+	if base.Scale != cur.Scale {
+		fmt.Fprintf(os.Stderr, "benchgate: scale mismatch: baseline %s vs current %s\n", base.Scale, cur.Scale)
 		os.Exit(1)
 	}
 	failures := 0

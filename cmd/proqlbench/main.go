@@ -34,7 +34,6 @@ import (
 type benchDelRow struct {
 	Peers              int   `json:"peers"`
 	MaintainNS         int64 `json:"maintain_ns"`
-	LegacyMaintainNS   int64 `json:"legacy_maintain_ns"`
 	RebuildNS          int64 `json:"rebuild_ns"`
 	TuplesVisited      int   `json:"tuples_visited"`
 	DerivationsVisited int   `json:"derivations_visited"`
@@ -109,7 +108,6 @@ type benchAsOfRow struct {
 type benchJSON struct {
 	Schema  string            `json:"schema"`
 	Scale   string            `json:"scale"`
-	Engine  string            `json:"engine"`
 	Del     []benchDelRow     `json:"del,omitempty"`
 	Ins     []benchInsRow     `json:"ins,omitempty"`
 	Mix     []benchMixRow     `json:"mix,omitempty"`
@@ -236,7 +234,6 @@ func main() {
 	var (
 		exp      = flag.String("exp", "all", "comma-separated experiments: table1, fig7, fig8, fig9, fig10, fig11, fig12, fig13, annot, del, ins, mix, proql, serve, recover, asof, or all")
 		scale    = flag.String("scale", "default", "default, ci, or paper")
-		engine   = flag.String("engine", "compiled", "datalog engine for update exchange: legacy or compiled")
 		jsonPath = flag.String("json", "", "write the del/ins/mix sweep results to this file (perf-trajectory JSON)")
 	)
 	flag.Parse()
@@ -251,16 +248,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown -scale %q (want default, ci, or paper)\n", *scale)
 		os.Exit(2)
 	}
-	switch *engine {
-	case "legacy":
-		workload.DefaultLegacyEngine = true
-	case "compiled":
-	default:
-		fmt.Fprintf(os.Stderr, "unknown -engine %q (want legacy or compiled)\n", *engine)
-		os.Exit(2)
-	}
 	if *jsonPath != "" {
-		collected = &benchJSON{Schema: "proqlbench-v1", Scale: *scale, Engine: *engine}
+		collected = &benchJSON{Schema: "proqlbench-v1", Scale: *scale}
 	}
 	known := []string{"all", "table1", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "annot", "del", "ins", "mix", "proql", "serve", "recover", "asof"}
 	isKnown := map[string]bool{}
@@ -549,24 +538,23 @@ func runInsertion(p scaleParams) error {
 }
 
 // runDeletion is the use-case-Q5 experiment: one base-tuple deletion
-// propagated by the delta-driven support-index walk, by the legacy
-// whole-graph derivability fixpoint, and by full re-exchange.
+// propagated by the delta-driven support-index walk and by full
+// re-exchange.
 func runDeletion(p scaleParams) error {
 	fmt.Printf("Incremental deletion (Q5): chain, base %d at %d upstream peers, one base tuple deleted\n", p.delBase, p.delData)
-	fmt.Println("peers  delta-maintain  legacy-maintain  rebuild  visited(tuples/derivs)  instance")
+	fmt.Println("peers  delta-maintain  rebuild  visited(tuples/derivs)  instance")
 	rows, err := workload.RunDeletion(p.delPeers, p.delData, p.delBase, p.runs, p.seed)
 	if err != nil {
 		return err
 	}
 	for _, r := range rows {
-		fmt.Printf("%5d  %14v  %15v  %7v  %11s  %9d\n",
-			r.Peers, r.MaintainTime, r.LegacyTime, r.RebuildTime,
+		fmt.Printf("%5d  %14v  %7v  %11s  %9d\n",
+			r.Peers, r.MaintainTime, r.RebuildTime,
 			fmt.Sprintf("%d/%d", r.TuplesVisited, r.DerivationsVisited), r.InstanceSize)
 		if collected != nil {
 			collected.Del = append(collected.Del, benchDelRow{
 				Peers:              r.Peers,
 				MaintainNS:         r.MaintainTime.Nanoseconds(),
-				LegacyMaintainNS:   r.LegacyTime.Nanoseconds(),
 				RebuildNS:          r.RebuildTime.Nanoseconds(),
 				TuplesVisited:      r.TuplesVisited,
 				DerivationsVisited: r.DerivationsVisited,

@@ -34,10 +34,6 @@
 //	POST /v1/diff      {"query": "...", "from": 5, "to": 9}  (what appeared/disappeared)
 //	POST /v1/insert    {"relation": "A", "rows": [[3, "sn3", 9]]}  (one commit: rows and what they derive)
 //	POST /v1/delete    {"relation": "A", "keys": [[3]]}            (one commit: rows and what depended on them)
-//
-// The unversioned paths from earlier releases (/healthz, /stats,
-// /query, /insert, /delete) remain as aliases for their /v1
-// counterparts.
 package main
 
 import (
@@ -223,20 +219,14 @@ func newServer(sys *core.System, timeout time.Duration, maxConns int) *server {
 
 func (s *server) mux() *http.ServeMux {
 	m := http.NewServeMux()
-	// Versioned API plus the pre-/v1 paths as aliases; anything else
-	// falls through to the catch-all 404 so clients get the JSON error
-	// envelope instead of the default text page.
-	routes := map[string]http.HandlerFunc{
-		"/healthz": s.handleHealth,
-		"/stats":   s.handleStats,
-		"/query":   s.handleQuery,
-		"/insert":  s.handleInsert,
-		"/delete":  s.handleDelete,
-	}
-	for path, h := range routes {
-		m.HandleFunc("/v1"+path, h)
-		m.HandleFunc(path, h)
-	}
+	// Anything outside /v1 falls through to the catch-all 404 so
+	// clients get the JSON error envelope instead of the default text
+	// page.
+	m.HandleFunc("/v1/healthz", s.handleHealth)
+	m.HandleFunc("/v1/stats", s.handleStats)
+	m.HandleFunc("/v1/query", s.handleQuery)
+	m.HandleFunc("/v1/insert", s.handleInsert)
+	m.HandleFunc("/v1/delete", s.handleDelete)
 	m.HandleFunc("/v1/diff", s.handleDiff)
 	m.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "not_found",
@@ -254,7 +244,7 @@ func (s *server) handler() http.Handler {
 		return m
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/healthz" || r.URL.Path == "/v1/healthz" {
+		if r.URL.Path == "/v1/healthz" {
 			m.ServeHTTP(w, r)
 			return
 		}
@@ -694,7 +684,7 @@ func runSmoke(srv *server) error {
 	defer hs.Close()
 	base := "http://" + ln.Addr().String()
 
-	if _, err := httpGet(base + "/healthz"); err != nil {
+	if _, err := httpGet(base + "/v1/healthz"); err != nil {
 		return err
 	}
 
@@ -711,7 +701,7 @@ func runSmoke(srv *server) error {
 		go func(backend string) {
 			defer wg.Done()
 			for i := 0; i < 15; i++ {
-				body, err := httpPost(base+"/query", queryRequest{Query: q, Backend: backend})
+				body, err := httpPost(base+"/v1/query", queryRequest{Query: q, Backend: backend})
 				if err != nil {
 					errs <- fmt.Errorf("%s: %v", backend, err)
 					return
@@ -732,25 +722,25 @@ func runSmoke(srv *server) error {
 	go func() {
 		defer wg.Done()
 		for round := 0; round < 5; round++ {
-			if _, err := httpPost(base+"/insert", insertRequest{
+			if _, err := httpPost(base+"/v1/insert", insertRequest{
 				Relation: "A", Rows: [][]any{{3, "sn3", 9}},
 			}); err != nil {
 				errs <- err
 				return
 			}
-			if _, err := httpPost(base+"/insert", insertRequest{
+			if _, err := httpPost(base+"/v1/insert", insertRequest{
 				Relation: "N", Rows: [][]any{{3, "cn3", false}},
 			}); err != nil {
 				errs <- err
 				return
 			}
-			if _, err := httpPost(base+"/delete", deleteRequest{
+			if _, err := httpPost(base+"/v1/delete", deleteRequest{
 				Relation: "A", Keys: [][]any{{3}},
 			}); err != nil {
 				errs <- err
 				return
 			}
-			if _, err := httpPost(base+"/delete", deleteRequest{
+			if _, err := httpPost(base+"/v1/delete", deleteRequest{
 				Relation: "N", Keys: [][]any{{3, "cn3", false}},
 			}); err != nil {
 				errs <- err
@@ -764,7 +754,7 @@ func runSmoke(srv *server) error {
 		return err
 	}
 
-	body, err := httpGet(base + "/stats")
+	body, err := httpGet(base + "/v1/stats")
 	if err != nil {
 		return err
 	}
@@ -825,12 +815,12 @@ func smokeHardening(srv *server) error {
 	limited.conns <- struct{}{}
 	h := limited.handler()
 	rec := newRecorder()
-	h.ServeHTTP(rec, mustRequest(http.MethodGet, "/stats"))
+	h.ServeHTTP(rec, mustRequest(http.MethodGet, "/v1/stats"))
 	if rec.status != http.StatusServiceUnavailable {
 		return fmt.Errorf("saturated server returned %d, want 503", rec.status)
 	}
 	rec = newRecorder()
-	h.ServeHTTP(rec, mustRequest(http.MethodGet, "/healthz"))
+	h.ServeHTTP(rec, mustRequest(http.MethodGet, "/v1/healthz"))
 	if rec.status != http.StatusOK {
 		return fmt.Errorf("liveness probe blocked by connection limit: %d", rec.status)
 	}
@@ -939,7 +929,8 @@ func smokeV1() error {
 		return fmt.Errorf("diff: %d appeared / %d disappeared, want 1/0 (%v)", len(d.Appeared), len(d.Disappeared), d.Appeared)
 	}
 
-	// Error envelope: unknown route, unknown backend, epoch out of range.
+	// Error envelope: unknown route, a pre-/v1 path, unknown backend,
+	// epoch out of range.
 	for _, check := range []struct {
 		status int
 		code   string
@@ -947,6 +938,9 @@ func smokeV1() error {
 	}{
 		{http.StatusNotFound, "not_found", func() (int, []byte, error) {
 			return httpGetStatus(base + "/v2/query")
+		}},
+		{http.StatusNotFound, "not_found", func() (int, []byte, error) {
+			return httpGetStatus(base + "/stats")
 		}},
 		{http.StatusBadRequest, "bad_request", func() (int, []byte, error) {
 			return httpPostStatus(base+"/v1/query", queryRequest{Query: q, Backend: "quantum"})

@@ -171,6 +171,24 @@ func TestSignalShutdownKeepsAcknowledgedWrites(t *testing.T) {
 	t.Logf("%d acknowledged writes survived; %d frames, %d syncs, %d checkpoints", len(acked), st.Frames, st.Syncs, st.CheckpointsLanded)
 }
 
+// TestOnlyV1Routes: the pre-/v1 paths are not served; each answers
+// 404 with the JSON error envelope.
+func TestOnlyV1Routes(t *testing.T) {
+	sys, err := buildSystem(0, 0, 0, "", 0, "", 1, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := newServer(sys, 30*time.Second, 16).handler()
+	for _, path := range []string{"/healthz", "/stats", "/query", "/insert", "/delete"} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		var envelope apiError
+		if err := json.Unmarshal(rec.Body.Bytes(), &envelope); err != nil || rec.Code != http.StatusNotFound || envelope.Code != "not_found" {
+			t.Errorf("GET %s: %d %s, want 404 not_found", path, rec.Code, rec.Body.Bytes())
+		}
+	}
+}
+
 // TestRequestBodyBound: a POST body over maxBodyBytes is refused on
 // every route with 413 request_too_large, one of exactly maxBodyBytes
 // is decoded (and then fails on its merits), and the server keeps
@@ -193,7 +211,7 @@ func TestRequestBodyBound(t *testing.T) {
 	padded := func(size int) []byte {
 		return []byte(`{"query":"` + strings.Repeat("x", size-len(`{"query":""}`)) + `"}`)
 	}
-	for _, path := range []string{"/v1/query", "/v1/diff", "/v1/insert", "/v1/delete", "/query"} {
+	for _, path := range []string{"/v1/query", "/v1/diff", "/v1/insert", "/v1/delete"} {
 		if code, e := send(path, padded(maxBodyBytes+1)); code != http.StatusRequestEntityTooLarge || e.Code != "request_too_large" {
 			t.Errorf("%s with %d bytes: %d %+v, want 413 request_too_large", path, maxBodyBytes+1, code, e)
 		}

@@ -66,18 +66,10 @@ func (ix *Index) ApplyInsertions(report *exchange.InsertionReport) error {
 
 // ApplyDeletions removes from every definition's backing table the ASR
 // rows embedding a deleted derivation: one scan per touched table, no
-// join re-computation. A report carrying counts but no row lists (the
-// legacy whole-graph propagator) can't be patched from and falls back
-// to Materialize.
+// join re-computation.
 func (ix *Index) ApplyDeletions(report *exchange.MaintenanceReport) error {
-	if len(ix.defs) == 0 || report == nil {
+	if len(ix.defs) == 0 || report == nil || len(report.DeletedDerivations) == 0 {
 		return nil
-	}
-	if len(report.DeletedDerivations) == 0 {
-		if report.DerivationsDeleted == 0 {
-			return nil
-		}
-		return ix.Materialize()
 	}
 	ix.sys.DB.BeginBatch()
 	defer ix.sys.DB.EndBatch()

@@ -192,42 +192,9 @@ func TestASRPatchVirtualProvenance(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("after delete")
-}
 
-// TestASRApplyDeletionsLegacyReportRebuilds: a report carrying only
-// counters (the legacy whole-graph propagator leaves the row lists
-// nil) cannot be patched from, so ApplyDeletions must fall back to a
-// full re-materialization.
-func TestASRApplyDeletionsLegacyReportRebuilds(t *testing.T) {
-	set, err := workload.Build(workload.Config{
-		Topology:  workload.Chain,
-		Profile:   workload.ProfileLinear,
-		NumPeers:  4,
-		DataPeers: workload.UpstreamDataPeers(4, 1),
-		BaseSize:  10,
-		Seed:      7,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ix := asr.NewIndex(set.Sys)
-	chain := set.AChains()[0]
-	if _, err := ix.Define(asr.CompletePath, chain...); err != nil {
-		t.Fatal(err)
-	}
-	if err := ix.Materialize(); err != nil {
-		t.Fatal(err)
-	}
+	// A report that deleted nothing touches no definition.
 	before := ix.Materializations()
-	legacy := &exchange.MaintenanceReport{DerivationsDeleted: 3}
-	if err := ix.ApplyDeletions(legacy); err != nil {
-		t.Fatal(err)
-	}
-	if got := ix.Materializations(); got != before+len(ix.Defs()) {
-		t.Fatalf("legacy report materialized %d defs, want %d", got-before, len(ix.Defs()))
-	}
-	// An empty report is a no-op, not a rebuild.
-	before = ix.Materializations()
 	if err := ix.ApplyDeletions(&exchange.MaintenanceReport{}); err != nil {
 		t.Fatal(err)
 	}

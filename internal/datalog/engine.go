@@ -22,10 +22,10 @@ type DerivationHook func(rule *Rule, binding Binding)
 // scanning.
 const indexThreshold = 32
 
-// EngineLegacy is the original tuple-at-a-time interpreter, kept for
-// differential testing against the compiled engine (exec.go), exactly
-// as proql keeps the graph-legacy backend beside the physical-plan
-// pipeline. It evaluates positive Datalog programs bottom-up over a
+// EngineLegacy is the original tuple-at-a-time interpreter. It is the
+// test oracle of the compiled engine (exec.go) — the datalog and
+// exchange differentials run both and compare — and has no production
+// caller. It evaluates positive Datalog programs bottom-up over a
 // relstore database; each predicate is a table and head facts are
 // inserted with the table's set semantics (primary key identity). Its
 // delta discipline is coarse: a derivation whose body facts enter the

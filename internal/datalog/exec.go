@@ -71,16 +71,6 @@ func (e *Engine) Run(rules []Rule) error {
 	return e.RunProgram(p)
 }
 
-// BindingFromSlots materializes a hook's slot buffer as a legacy
-// Binding map, for tests and debugging output.
-func BindingFromSlots(vars []string, slots []model.Datum) Binding {
-	b := make(Binding, len(vars))
-	for i, v := range vars {
-		b[v] = slots[i]
-	}
-	return b
-}
-
 // checkProgram validates the program/engine pairing before a run.
 func (e *Engine) checkProgram(p *Program) error {
 	if p.db != e.DB {

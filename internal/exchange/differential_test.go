@@ -9,12 +9,11 @@ import (
 	"repro/internal/model"
 )
 
-// Differential testing in the PR-1/PR-2 style: on randomly generated
-// CDSS settings (acyclic and cyclic mapping graphs, random base data)
-// and random deletion batches, the delta-driven DeleteLocal must leave
-// the database and provenance tables byte-identical to (a) the legacy
-// whole-graph derivability walk and (b) a from-scratch re-exchange
-// oracle over the surviving base data.
+// Differential testing: on randomly generated CDSS settings (acyclic
+// and cyclic mapping graphs, random base data) and random deletion
+// batches, DeleteLocal must leave the database and provenance tables
+// byte-identical to a from-scratch re-exchange oracle over the
+// surviving base data, and its report must count what storage lost.
 
 // delSetting is one randomly generated schema + base data, replayable
 // onto fresh systems so each arm sees identical inputs.
@@ -203,7 +202,6 @@ func TestDifferentialDeletion(t *testing.T) {
 		s := genDelSetting(rng, cyclic)
 
 		sysDelta := s.build(t, s.facts)
-		sysLegacy := s.build(t, s.facts)
 
 		// surviving[i] tracks the base rows not yet deleted, keyed by
 		// encoding (all columns are the key).
@@ -239,21 +237,21 @@ func TestDifferentialDeletion(t *testing.T) {
 				continue
 			}
 
+			tuplesBefore, derivsBefore := publicRowCount(sysDelta), derivationCount(t, sysDelta)
 			repDelta, err := sysDelta.DeleteLocal(relName(ri), keys...)
 			if err != nil {
 				t.Fatalf("trial %d batch %d: delta: %v", trial, batch, err)
 			}
-			repLegacy, err := sysLegacy.DeleteLocalLegacy(relName(ri), keys...)
-			if err != nil {
-				t.Fatalf("trial %d batch %d: legacy: %v", trial, batch, err)
+			if lost := tuplesBefore - publicRowCount(sysDelta); lost != repDelta.TuplesDeleted {
+				t.Fatalf("trial %d batch %d: TuplesDeleted=%d, storage lost %d rows\nmappings: %v",
+					trial, batch, repDelta.TuplesDeleted, lost, s.mappings)
 			}
-			if repDelta.LocalDeleted != repLegacy.LocalDeleted ||
-				repDelta.TuplesDeleted != repLegacy.TuplesDeleted ||
-				repDelta.DerivationsDeleted != repLegacy.DerivationsDeleted {
-				t.Fatalf("trial %d batch %d: reports differ\ndelta  %+v\nlegacy %+v\nmappings: %v",
-					trial, batch, repDelta, repLegacy, s.mappings)
+			if lost := derivsBefore - derivationCount(t, sysDelta); lost != repDelta.DerivationsDeleted {
+				t.Fatalf("trial %d batch %d: DerivationsDeleted=%d, storage lost %d derivations\nmappings: %v",
+					trial, batch, repDelta.DerivationsDeleted, lost, s.mappings)
 			}
-			if repDelta.TuplesDeleted != len(repDelta.DeletedTuples) ||
+			if repDelta.LocalDeleted != len(repDelta.DeletedLocals) ||
+				repDelta.TuplesDeleted != len(repDelta.DeletedTuples) ||
 				repDelta.DerivationsDeleted != len(repDelta.DeletedDerivations) {
 				t.Fatalf("trial %d batch %d: delta report lists inconsistent: %+v", trial, batch, repDelta)
 			}
@@ -266,14 +264,9 @@ func TestDifferentialDeletion(t *testing.T) {
 			}
 			oracle := s.build(t, oracleFacts)
 
-			sigDelta, sigLegacy, sigOracle := signature(t, sysDelta), signature(t, sysLegacy), signature(t, oracle)
-			if sigDelta != sigOracle {
+			if sigDelta, sigOracle := signature(t, sysDelta), signature(t, oracle); sigDelta != sigOracle {
 				t.Fatalf("trial %d batch %d (cyclic=%v): delta != oracle\nmappings: %v\ndelta:\n%s\noracle:\n%s",
 					trial, batch, cyclic, s.mappings, sigDelta, sigOracle)
-			}
-			if sigLegacy != sigOracle {
-				t.Fatalf("trial %d batch %d (cyclic=%v): legacy != oracle\nmappings: %v\nlegacy:\n%s\noracle:\n%s",
-					trial, batch, cyclic, s.mappings, sigLegacy, sigOracle)
 			}
 		}
 	}

@@ -65,9 +65,6 @@ func OpenDurable(schema *model.Schema, dir string, wopts wal.Options, opts Optio
 //   - the deletion-support index is dropped for a lazy rebuild from
 //     the recovered provenance tables on the first DeleteLocal
 //     (hook maintenance resumes afterwards).
-//
-// Legacy-engine systems have no persistent evaluation state; for them
-// only the pending buffer is recovered.
 func (s *System) WarmAttach() error {
 	if err := s.recoverPending(); err != nil {
 		return err
@@ -75,9 +72,6 @@ func (s *System) WarmAttach() error {
 	// The support index must never be live-but-empty over non-empty
 	// provenance tables: ensureSupport rebuilds it on demand.
 	s.support = nil
-	if s.opts.UseLegacyEngine {
-		return nil
-	}
 	if err := s.ensureCompiled(); err != nil {
 		return err
 	}

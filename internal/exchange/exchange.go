@@ -41,16 +41,6 @@ type Options struct {
 	// materializing a provenance table even for projection mappings.
 	// Used by the storage-overhead ablation.
 	MaterializeAll bool
-	// UseLegacyEngine evaluates the exchange program with the
-	// tuple-at-a-time interpreting engine instead of the compiled
-	// semi-naive engine; kept for differential testing and the
-	// engine-comparison benchmarks.
-	UseLegacyEngine bool
-	// NoSupportIndex skips hook-maintenance of the deletion-support
-	// index during Run, trading faster exchange for an O(database)
-	// index rebuild on the first DeleteLocal (after which the hooks
-	// resume keeping it current). For systems that never delete.
-	NoSupportIndex bool
 }
 
 // System is one CDSS replica: the schema, the backing database, and the
@@ -84,10 +74,11 @@ type System struct {
 	// InsertLocal actually stored since the last run — the Δ seed of
 	// the next RunDelta. deltaReady reports that the engine state still
 	// mirrors the tables; deletions keep it alive by repairing the
-	// journals from the deletion report (repairJournals), so only run
-	// errors and the legacy propagator clear it and force the next run
-	// to a full fixpoint. collect, when non-nil, is the report the
-	// hooks append insertion effects to (set only during delta runs).
+	// journals from the deletion report (repairJournals), so only
+	// errors — a failed run or journal repair — clear it and force the
+	// next run to a full fixpoint.
+	// collect, when non-nil, is the report the hooks append insertion
+	// effects to (set only during delta runs).
 	pending    map[string][]model.Tuple
 	deltaReady bool
 	collect    *InsertionReport
@@ -104,8 +95,8 @@ type System struct {
 	// support is the persistent ref→derivation index DeleteLocal
 	// propagates over. It is populated by the Run hooks as exchange
 	// enumerates derivations; nil means it must be rebuilt from the
-	// provenance tables on the next deletion (after MaintainLegacy, or
-	// when ref-plan compilation was not possible for this schema).
+	// provenance tables on the next deletion (after WarmAttach, or when
+	// ref-plan compilation was not possible for this schema).
 	support *supportIndex
 
 	// Stats from the last Run.
@@ -175,10 +166,7 @@ func ensureTable(db *relstore.Database, schema *relstore.TableSchema) error {
 // NewSystem (fresh in-memory database) and OpenDurable (database
 // recovered from a checkpoint + log replay).
 func newSystemOn(db *relstore.Database, schema *model.Schema, opts Options) (*System, error) {
-	sys := &System{Schema: schema, DB: db, Prov: make(map[string]*ProvRel), opts: opts}
-	if !opts.NoSupportIndex {
-		sys.support = newSupportIndex()
-	}
+	sys := &System{Schema: schema, DB: db, Prov: make(map[string]*ProvRel), opts: opts, support: newSupportIndex()}
 	for _, r := range schema.Relations() {
 		if err := ensureTable(db, relstore.SchemaOf(r)); err != nil {
 			return nil, err
@@ -364,12 +352,11 @@ func (s *System) Rules() []datalog.Rule {
 }
 
 // Run executes the exchange program to fixpoint, materializing every
-// public relation and populating the provenance tables. The default
-// engine is the compiled semi-naive one; the program is compiled once
-// per system and reused by subsequent runs (incremental maintenance
-// re-running the fixpoint pays no recompilation cost). A successful
-// compiled run leaves the engine's journals mirroring the tables, so
-// the next batch of InsertLocal rows can be propagated by RunDelta
+// public relation and populating the provenance tables. The program is
+// compiled once per system and reused by subsequent runs (incremental
+// maintenance re-running the fixpoint pays no recompilation cost). A
+// successful run leaves the engine's journals mirroring the tables,
+// so the next batch of InsertLocal rows can be propagated by RunDelta
 // instead of a full re-fixpoint.
 func (s *System) Run() error {
 	// The whole fixpoint — public-relation materialization plus all
@@ -377,9 +364,6 @@ func (s *System) Run() error {
 	// while it runs observe the pre-run state only.
 	s.DB.BeginBatch()
 	defer s.DB.EndBatch()
-	if s.opts.UseLegacyEngine {
-		return s.runLegacy()
-	}
 	if err := s.ensureCompiled(); err != nil {
 		return err
 	}
@@ -401,11 +385,10 @@ func (s *System) Run() error {
 // ApplyInsertions) can patch instead of rebuilding.
 type InsertionReport struct {
 	// Full reports that RunDelta fell back to a full exchange — first
-	// run, legacy engine, or engine state invalidated by an earlier
-	// run error or legacy-propagator deletion (delta-driven DeleteLocal
-	// repairs the journals and keeps delta runs alive). The insertion
-	// lists below are empty then; cache holders must invalidate rather
-	// than patch.
+	// run, or engine state invalidated by an earlier run error or a
+	// failed journal repair (DeleteLocal repairs the journals and keeps
+	// delta runs alive). The insertion lists below are empty then;
+	// cache holders must invalidate rather than patch.
 	Full bool
 
 	// Iterations and Derivations are the engine stats of this run; for
@@ -450,16 +433,16 @@ type InsertedDerivation struct {
 // everything added. Interleaved deletions do not break the chain of
 // delta runs: DeleteLocal repairs the persistent journals from its
 // deletion report, so a RunDelta after it still seeds from the pending
-// rows alone. When no valid persistent state exists (first run, legacy
-// engine, or an earlier error invalidated it) RunDelta falls back to a
-// full Run and reports Full.
+// rows alone. When no valid persistent state exists (first run, or an
+// earlier error invalidated it) RunDelta falls back to a full Run and
+// reports Full.
 func (s *System) RunDelta() (*InsertionReport, error) {
 	// One epoch per delta run (batches nest across the full-run
 	// fallback): concurrent snapshots see the pre-delta state until
 	// the run commits, then all of its effects at once.
 	s.DB.BeginBatch()
 	defer s.DB.EndBatch()
-	if s.opts.UseLegacyEngine || !s.deltaReady || s.prog == nil || !s.prog.StateValid() {
+	if !s.deltaReady || s.prog == nil || !s.prog.StateValid() {
 		if err := s.Run(); err != nil {
 			return nil, err
 		}
@@ -510,15 +493,15 @@ func (s *System) RunDelta() (*InsertionReport, error) {
 // mirrors the backing tables, i.e. whether the next RunDelta will run
 // incrementally instead of falling back to a full fixpoint. It stays
 // true across DeleteLocal (which repairs the journals from its
-// report); only run errors and the legacy propagation paths clear it.
+// report); only run errors and failed journal repairs clear it.
 func (s *System) DeltaReady() bool {
 	return s.deltaReady && s.prog != nil && s.prog.StateValid()
 }
 
-// invalidateDelta marks the persistent engine state stale (the tables
-// were mutated outside a run and the journals could not be repaired —
-// legacy propagation, run errors); the next RunDelta falls back to a
-// full fixpoint.
+// invalidateDelta marks the persistent engine state stale (a deletion
+// failed part way, or its report could not be fed to journals that
+// were already stale or refused the repair); the next RunDelta falls
+// back to a full fixpoint.
 func (s *System) invalidateDelta() {
 	s.deltaReady = false
 	s.deadRows = nil // a full reseed supersedes any deferred repair
@@ -719,53 +702,6 @@ func (s *System) compileRefPlans(prog *datalog.Program, name string, pr *ProvRel
 	return atoms, len(m.Body), nil
 }
 
-// runLegacy is Run on the interpreting engine, with its map-based
-// binding hook.
-func (s *System) runLegacy() error {
-	eng := datalog.NewEngineLegacy(s.DB)
-	eng.Hook = func(rule *datalog.Rule, binding datalog.Binding) {
-		pr, ok := s.Prov[rule.ID]
-		if !ok {
-			return
-		}
-		row := make(model.Tuple, len(pr.Vars))
-		for i, v := range pr.Vars {
-			row[i] = binding[v]
-		}
-		// Set semantics on the all-column key deduplicate the legacy
-		// engine's repeated enumerations of the same derivation.
-		fresh := false
-		if !pr.Virtual {
-			inserted, err := s.DB.MustTable(pr.TableName).Insert(row)
-			if err != nil {
-				panic(fmt.Sprintf("exchange: provenance insert: %v", err))
-			}
-			fresh = inserted
-		} else if s.support != nil {
-			fresh = s.support.markVirtual(rule.ID, row)
-		}
-		if !fresh || s.support == nil {
-			return
-		}
-		sources, targets, err := s.AtomRefs(pr, row)
-		if err != nil {
-			// Atom keys not recoverable from the provenance row; stop
-			// hook maintenance and let DeleteLocal rebuild (and report
-			// the defect) on demand.
-			s.support = nil
-			return
-		}
-		s.supportAddRefs(pr, row, sources, targets)
-	}
-	if err := eng.Run(s.Rules()); err != nil {
-		return err
-	}
-	s.LastIterations = eng.Iterations
-	s.LastDerivations = eng.Derivations
-	s.pending = nil
-	return nil
-}
-
 // ProvRows returns the provenance rows of a mapping, reconstructing
 // them from the source relation for virtual provenance relations.
 func (s *System) ProvRows(mappingName string) ([]model.Tuple, error) {
@@ -830,21 +766,6 @@ func (s *System) ProvRowCount() int {
 		}
 	}
 	return total
-}
-
-// IsLeaf reports whether the tuple with the given key has a local
-// contribution (a '+' node in Figure 1).
-func (s *System) IsLeaf(rel string, key []model.Datum) bool {
-	r, ok := s.Schema.Relation(rel)
-	if !ok || r.IsLocal {
-		return false
-	}
-	lt, ok := s.DB.Table(r.LocalName())
-	if !ok {
-		return false
-	}
-	_, found := lt.LookupKey(key)
-	return found
 }
 
 // RefKey pairs a tuple reference with its decoded key datums, so

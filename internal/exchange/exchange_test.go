@@ -143,19 +143,19 @@ func TestExchangeCyclicMappingsTerminate(t *testing.T) {
 
 func TestIsLeaf(t *testing.T) {
 	sys := fixture.MustSystem(fixture.Options{})
-	if !sys.IsLeaf("A", []model.Datum{int64(1)}) {
+	if !sys.IsLeafRef(model.RefFromKey("A", []model.Datum{int64(1)})) {
 		t.Error("A(1) is a leaf")
 	}
-	if !sys.IsLeaf("C", []model.Datum{int64(2), "cn2"}) {
+	if !sys.IsLeafRef(model.RefFromKey("C", []model.Datum{int64(2), "cn2"})) {
 		t.Error("C(2,cn2) is a leaf")
 	}
-	if sys.IsLeaf("C", []model.Datum{int64(1), "cn1"}) {
+	if sys.IsLeafRef(model.RefFromKey("C", []model.Datum{int64(1), "cn1"})) {
 		t.Error("C(1,cn1) is derived only")
 	}
-	if sys.IsLeaf("O", []model.Datum{"sn1", int64(7)}) {
+	if sys.IsLeafRef(model.RefFromKey("O", []model.Datum{"sn1", int64(7)})) {
 		t.Error("O tuples are never local")
 	}
-	if sys.IsLeaf("nope", nil) {
+	if sys.IsLeafRef(model.RefFromKey("nope", nil)) {
 		t.Error("unknown relation is not a leaf")
 	}
 }
@@ -207,19 +207,35 @@ func dbSignature(t *testing.T, sys *exchange.System) string {
 }
 
 func TestExchangeCompiledMatchesLegacy(t *testing.T) {
-	// The compiled semi-naive engine (default) and the legacy
-	// interpreter must materialize identical instances and identical
-	// provenance tables, on both the acyclic and the cyclic (m3)
-	// running example.
+	// The compiled semi-naive engine (Run) and the interpreting oracle
+	// must materialize identical instances and identical provenance
+	// tables, on both the acyclic and the cyclic (m3) running example.
 	for _, includeM3 := range []bool{false, true} {
-		legacy := fixture.MustSystem(fixture.Options{
-			IncludeM3: includeM3,
-			Exchange:  exchange.Options{UseLegacyEngine: true},
-		})
-		want := dbSignature(t, legacy)
-		sys := fixture.MustSystem(fixture.Options{IncludeM3: includeM3})
+		opts := fixture.Options{IncludeM3: includeM3}
+		schema, err := fixture.Schema(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		oracle, err := exchange.NewSystem(schema, exchange.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for rel, rows := range map[string][]model.Tuple{
+			"A": {{int64(1), "sn1", int64(7)}, {int64(2), "sn2", int64(5)}},
+			"N": {{int64(1), "cn1", false}},
+			"C": {{int64(2), "cn2"}},
+		} {
+			if err := oracle.InsertLocal(rel, rows...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := oracle.RunInterpreted(); err != nil {
+			t.Fatal(err)
+		}
+		want := dbSignature(t, oracle)
+		sys := fixture.MustSystem(opts)
 		if got := dbSignature(t, sys); got != want {
-			t.Errorf("m3=%v: compiled database differs from legacy\nlegacy:\n%s\ngot:\n%s",
+			t.Errorf("m3=%v: compiled database differs from the interpreter's\ninterpreter:\n%s\ngot:\n%s",
 				includeM3, want, got)
 		}
 	}

@@ -19,11 +19,9 @@ type MaintenanceReport struct {
 	DerivationsDeleted int
 
 	// TuplesVisited and DerivationsVisited measure the propagation's
-	// cost: the size of the affected subgraph the delta-driven walk
-	// examined. The legacy whole-graph walk reports the full instance
-	// here; the delta-driven propagator reports only the refs reachable
-	// from the deleted frontier — 0 derivations when the deleted tuples
-	// feed no mapping.
+	// cost: the size of the affected subgraph the walk examined — only
+	// the refs reachable from the deleted frontier, 0 derivations when
+	// the deleted tuples feed no mapping.
 	TuplesVisited      int
 	DerivationsVisited int
 
@@ -32,9 +30,8 @@ type MaintenanceReport struct {
 	// the removed public-relation tuples, and DeletedDerivations the
 	// removed provenance rows, so consumers (e.g. an incrementally
 	// maintained provenance graph, provgraph.Apply) can apply the same
-	// deletions without diffing storage. The tuple/derivation lists are
-	// populated by the delta-driven propagator; MaintainLegacy leaves
-	// them nil.
+	// deletions without diffing storage. Every report carries them, so
+	// an empty list means nothing of that kind was deleted.
 	DeletedLocals      []model.TupleRef
 	DeletedTuples      []model.TupleRef
 	DeletedDerivations []DeletedDerivation
@@ -142,22 +139,6 @@ func (s *System) flushDeadRows() error {
 	return s.prog.ApplyDeletions(dead)
 }
 
-// DeleteLocalLegacy is DeleteLocal propagating through MaintainLegacy's
-// whole-graph derivability walk; kept for differential testing against
-// the delta-driven propagator.
-func (s *System) DeleteLocalLegacy(rel string, keys ...[]model.Datum) (*MaintenanceReport, error) {
-	s.DB.BeginBatch()
-	defer s.DB.EndBatch()
-	report, _, err := s.deleteLocalBase(rel, keys)
-	if err != nil || report.LocalDeleted == 0 {
-		return report, err
-	}
-	if err := s.MaintainLegacy(report); err != nil {
-		return nil, err
-	}
-	return report, nil
-}
-
 // deleteLocalBase removes the keys from the relation's local table and
 // returns the refs of the tuples actually deleted (the frontier).
 func (s *System) deleteLocalBase(rel string, keys [][]model.Datum) (*MaintenanceReport, []model.TupleRef, error) {
@@ -212,8 +193,8 @@ func (s *System) dropPending(rel string, r *model.Relation, key []model.Datum) {
 }
 
 // ensureSupport (re)builds the support index from the provenance
-// relations when it is absent — after MaintainLegacy invalidated it, or
-// when a ref-plan compilation failure disabled hook maintenance.
+// relations when it is absent — after WarmAttach dropped it, or when a
+// ref-plan compilation failure disabled hook maintenance.
 func (s *System) ensureSupport() error {
 	if s.support != nil {
 		return nil
@@ -243,9 +224,8 @@ func (s *System) ensureSupport() error {
 }
 
 // supportAddRefs interns the refs of one derivation and adds it to the
-// support index (the ref-based slow path shared by the legacy-engine
-// hook and index rebuilds; the compiled hooks intern straight from
-// their slot buffers instead).
+// support index (the ref-based slow path of index rebuilds; the
+// exchange hooks intern straight from their slot buffers instead).
 func (s *System) supportAddRefs(pr *ProvRel, row model.Tuple, sources, targets []model.TupleRef) {
 	sup := s.support
 	ids := make([]int32, 0, len(sources)+len(targets))
@@ -258,7 +238,8 @@ func (s *System) supportAddRefs(pr *ProvRel, row model.Tuple, sources, targets [
 	sup.add(pr.Mapping.Name, pr.Virtual, row, ids, len(sources))
 }
 
-// IsLeafRef is IsLeaf addressed by an encoded ref (no key re-encoding).
+// IsLeafRef reports whether the tuple named by ref has a local
+// contribution (a '+' node in Figure 1).
 func (s *System) IsLeafRef(ref model.TupleRef) bool {
 	r, ok := s.Schema.Relation(ref.Rel)
 	if !ok || r.IsLocal {
@@ -404,143 +385,6 @@ func (s *System) maintainDelta(report *MaintenanceReport, frontier []model.Tuple
 				report.TuplesDeleted++
 				report.DeletedTuples = append(report.DeletedTuples, ref)
 			}
-		}
-	}
-	return nil
-}
-
-// MaintainLegacy recomputes derivability over the whole provenance
-// graph — reconstructed inline from every provenance row — and removes
-// underivable tuples and invalidated derivations. This is the pre-
-// support-index propagator, kept for differential testing against
-// maintainDelta; its cost is proportional to the database. It leaves
-// the support index stale, so it is invalidated here and rebuilt on
-// the next DeleteLocal.
-func (s *System) MaintainLegacy(report *MaintenanceReport) error {
-	s.support = nil
-	s.invalidateDelta()
-	type derivation struct {
-		mapping string
-		row     model.Tuple
-		sources []RefKey
-		targets []RefKey
-	}
-	var derivs []derivation
-	// tuple ref -> key datums, and -> incoming derivation indices.
-	keys := make(map[model.TupleRef][]model.Datum)
-	incoming := make(map[model.TupleRef][]int)
-	uses := make(map[model.TupleRef][]int)
-	for _, m := range s.Schema.Mappings() {
-		pr := s.Prov[m.Name]
-		rows, err := s.ProvRows(m.Name)
-		if err != nil {
-			return err
-		}
-		for _, row := range rows {
-			sources, targets, err := s.AtomRefKeys(pr, row)
-			if err != nil {
-				return err
-			}
-			idx := len(derivs)
-			derivs = append(derivs, derivation{m.Name, row, sources, targets})
-			for _, rk := range sources {
-				keys[rk.Ref] = rk.Key
-				uses[rk.Ref] = append(uses[rk.Ref], idx)
-			}
-			for _, rk := range targets {
-				keys[rk.Ref] = rk.Key
-				incoming[rk.Ref] = append(incoming[rk.Ref], idx)
-			}
-		}
-	}
-	// Register tuples present only via local contributions.
-	for _, r := range s.Schema.PublicRelations() {
-		t, ok := s.DB.Table(r.Name)
-		if !ok {
-			continue
-		}
-		t.Iterate(func(row model.Tuple) bool {
-			ref := model.NewTupleRef(r, row)
-			if _, seen := keys[ref]; !seen {
-				keys[ref] = r.KeyOf(row)
-			}
-			return true
-		})
-	}
-	report.TuplesVisited = len(keys)
-	report.DerivationsVisited = len(derivs)
-
-	// Monotone fixpoint of derivability (the boolean semiring of Table
-	// 1) from the current local tables.
-	derivable := make(map[model.TupleRef]bool, len(keys))
-	for ref, key := range keys {
-		if s.IsLeaf(ref.Rel, key) {
-			derivable[ref] = true
-		}
-	}
-	for changed := true; changed; {
-		changed = false
-		for i := range derivs {
-			all := true
-			for _, rk := range derivs[i].sources {
-				if !derivable[rk.Ref] {
-					all = false
-					break
-				}
-			}
-			if !all {
-				continue
-			}
-			for _, rk := range derivs[i].targets {
-				if !derivable[rk.Ref] {
-					derivable[rk.Ref] = true
-					changed = true
-				}
-			}
-		}
-	}
-
-	// Remove underivable tuples.
-	for ref, key := range keys {
-		if derivable[ref] {
-			continue
-		}
-		t, ok := s.DB.Table(ref.Rel)
-		if !ok {
-			continue
-		}
-		removed, err := t.Delete(key)
-		if err != nil {
-			return err
-		}
-		if removed {
-			report.TuplesDeleted++
-		}
-	}
-	// Remove derivations that lost a source (materialized provenance
-	// only; virtual rows track their source relation automatically).
-	for i := range derivs {
-		invalid := false
-		for _, rk := range derivs[i].sources {
-			if !derivable[rk.Ref] {
-				invalid = true
-				break
-			}
-		}
-		if !invalid {
-			continue
-		}
-		pr := s.Prov[derivs[i].mapping]
-		if pr.Virtual {
-			report.DerivationsDeleted++
-			continue
-		}
-		removed, err := s.DB.MustTable(pr.TableName).Delete(derivs[i].row)
-		if err != nil {
-			return err
-		}
-		if removed {
-			report.DerivationsDeleted++
 		}
 	}
 	return nil

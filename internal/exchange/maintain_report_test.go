@@ -191,64 +191,4 @@ func TestDeleteLocalShortCircuit(t *testing.T) {
 			t.Errorf("%s: %d rows, had %d before the unrelated delete", rel, got, lenBefore[rel])
 		}
 	}
-
-	// The legacy walk on the same deletion visits the whole instance —
-	// the cost the support index eliminates.
-	sysLegacy, err := exchange.NewSystem(schema, exchange.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	must(sysLegacy.InsertLocal("A", model.Tuple{int64(1), "sn1", int64(7)}))
-	must(sysLegacy.InsertLocal("N", model.Tuple{int64(1), "cn1", false}))
-	must(sysLegacy.InsertLocal("S", model.Tuple{int64(10)}, model.Tuple{int64(11)}))
-	must(sysLegacy.Run())
-	legacyReport, err := sysLegacy.DeleteLocalLegacy("S", []model.Datum{int64(10)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if legacyReport.DerivationsVisited == 0 || legacyReport.TuplesVisited <= 1 {
-		t.Errorf("legacy walk should visit the whole graph, got %+v", legacyReport)
-	}
-	if legacyReport.TuplesDeleted != report.TuplesDeleted {
-		t.Errorf("legacy and delta disagree: %d vs %d", legacyReport.TuplesDeleted, report.TuplesDeleted)
-	}
-}
-
-// TestSupportIndexRebuildAfterLegacy: MaintainLegacy leaves the
-// support index stale, so it is dropped and transparently rebuilt on
-// the next delta deletion.
-func TestSupportIndexRebuildAfterLegacy(t *testing.T) {
-	sys := fixture.MustSystem(fixture.Options{})
-	if _, err := sys.DeleteLocalLegacy("C", []model.Datum{int64(2), "cn2"}); err != nil {
-		t.Fatal(err)
-	}
-	report, err := sys.DeleteLocal("A", []model.Datum{int64(1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if report.TuplesDeleted != 5 {
-		t.Errorf("TuplesDeleted = %d, want 5 after rebuild", report.TuplesDeleted)
-	}
-}
-
-// TestNoSupportIndexOption: with NoSupportIndex the hooks skip index
-// maintenance and the first DeleteLocal rebuilds it on demand; results
-// are identical to the default layout.
-func TestNoSupportIndexOption(t *testing.T) {
-	sys := fixture.MustSystem(fixture.Options{Exchange: exchange.Options{NoSupportIndex: true}})
-	report, err := sys.DeleteLocal("A", []model.Datum{int64(1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if report.TuplesDeleted != 5 || report.DerivationsDeleted != 4 {
-		t.Errorf("deferred-index deletion: %+v", report)
-	}
-	// Subsequent deletions ride the now-built index.
-	report2, err := sys.DeleteLocal("A", []model.Datum{int64(2)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if report2.TuplesDeleted == 0 {
-		t.Errorf("second deletion should propagate: %+v", report2)
-	}
 }

@@ -37,7 +37,7 @@ func constFreeQueries(anchor, caseRel, caseAttr, caseLit string) []string {
 }
 
 // checkConstFree runs one query on the relational backend and on the
-// graph and graph-legacy backends (which share no planning code with
+// graph backend and the interpreter (which share no planning code with
 // it) at one epoch, and demands identical bindings, annotations and
 // projected graphs. It returns the number of bindings compared.
 func checkConstFree(t *testing.T, eng *proql.Engine, text string, asOf uint64, label string) int {
@@ -47,13 +47,16 @@ func checkConstFree(t *testing.T, eng *proql.Engine, text string, asOf uint64, l
 	exec := func(backend string) *proql.Result {
 		t.Helper()
 		res, err := eng.Exec(context.Background(), q, proql.Options{Backend: backend, AsOfEpoch: asOf})
+		if backend == "interpreter" {
+			res, err = proql.ExecInterpreter(eng, context.Background(), q, asOf)
+		}
 		if err != nil {
 			t.Fatalf("%s: %s: %v", label, backend, err)
 		}
 		return res
 	}
 	got := exec("relational")
-	for _, backend := range []string{"graph", "graph-legacy"} {
+	for _, backend := range []string{"graph", "interpreter"} {
 		want := exec(backend)
 		if g, w := got.SortedRefs("x"), want.SortedRefs("x"); fmt.Sprint(g) != fmt.Sprint(w) {
 			t.Fatalf("%s: bindings\n relational %v\n %s %v", label, g, backend, w)

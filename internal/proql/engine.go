@@ -104,8 +104,7 @@ type Stats struct {
 // live query (a tuple deleted since carries no row), against its own
 // epoch for an AS OF query. EVALUATE on the graph and asr backends is
 // the exception: it links during the query, from the state the query
-// read, and Graph() returns that graph. The graph-legacy interpreter
-// links eagerly.
+// read, and Graph() returns that graph.
 type Result struct {
 	// Bindings holds one map per RETURN row, sorted by (Rel, Key)
 	// variable by variable. Exec fills it; Eval leaves it nil. Len,
@@ -256,10 +255,9 @@ func (r *Result) SortedRefs(v string) []model.TupleRef {
 // the live epoch.
 type Options struct {
 	// Backend forces an execution backend for this call: "relational",
-	// "graph", "asr", or "graph-legacy" (the tree-walking interpreter
-	// kept for differential testing). Empty falls back to the engine's
-	// Backend field, then to auto (relational when the translation
-	// covers the query, graph otherwise).
+	// "graph", or "asr". Empty falls back to the engine's Backend field,
+	// then to auto (relational when the translation covers the query,
+	// graph otherwise).
 	Backend string
 	// AsOfEpoch, when non-zero, evaluates the query AS OF that storage
 	// epoch: every backend pins a SnapshotAt view instead of the live
@@ -325,10 +323,8 @@ func (e *Engine) Eval(ctx context.Context, q *Query, opts Options) (*Result, err
 		return e.execPlanned(q, asOf)
 	case "asr":
 		return e.execASR(q, asOf)
-	case "graph-legacy":
-		return e.execGraph(q, asOf)
 	default:
-		return nil, fmt.Errorf("proql: unknown backend %q (want relational, graph, asr, or graph-legacy)", backend)
+		return nil, fmt.Errorf("proql: unknown backend %q (want relational, graph, or asr)", backend)
 	}
 }
 
@@ -436,9 +432,7 @@ func (e *Engine) retireASRLocked() {
 // MaintainGraph applies an incremental-deletion report to the cached
 // provenance graph in place, so a deletion costs a subgraph patch
 // instead of a full rebuild on the next graph-backend query. A no-op
-// when no graph is cached. Reports without deletion lists (the legacy
-// propagator's) cannot be patched in; callers holding one must
-// InvalidateGraph instead. The patch waits for in-flight graph
+// when no graph is cached. The patch waits for in-flight graph
 // queries: they finish on the pre-patch graph.
 func (e *Engine) MaintainGraph(report *exchange.MaintenanceReport) {
 	e.graphMu.Lock()

@@ -8,6 +8,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/proql/physplan"
 	"repro/internal/provgraph"
+	"repro/internal/semiring"
 )
 
 // execPlanned evaluates a query on the graph backend through the
@@ -15,8 +16,8 @@ import (
 // operators (path scans seeded from the graph's label indexes,
 // index-nested-loop extensions, hash joins on shared variables, pushed-
 // down filters, dedup, subgraph projection), replacing the tree-walking
-// interpreter's cartesian binding threading. The graph-legacy backend
-// retains the interpreter for cross-checking.
+// interpreter's cartesian binding threading (the interpreter survives as
+// the tests' oracle).
 func (e *Engine) execPlanned(q *Query, asOf uint64) (*Result, error) {
 	// Hold the graph latch for the whole evaluation: a concurrent
 	// maintenance commit patches the cached graph only after every
@@ -108,6 +109,62 @@ func (e *Engine) execPhys(q *Query, g physplan.Graph, backend string, asOf uint6
 	}
 	res.Stats.EvalTime = time.Since(evalStart)
 	return res, nil
+}
+
+// annotateGraphResult runs the EVALUATE clause over the projected
+// subgraph: tuple nodes with no incoming derivations in the projection
+// are its leaves (Section 3.2.2).
+func (e *Engine) annotateGraphResult(q *Query, res *Result, outG *provgraph.Graph) error {
+	s, err := semiring.Lookup(q.Evaluate)
+	if err != nil {
+		return err
+	}
+	res.Semiring = s
+	for _, tn := range outG.Tuples() {
+		if len(tn.Derivations) == 0 {
+			tn.Leaf = true
+		}
+	}
+	var names []string
+	for _, m := range e.Sys.Schema.Mappings() {
+		names = append(names, m.Name)
+	}
+	mapFuncs, err := buildMapFuncs(s, q.MapAssign, names)
+	if err != nil {
+		return err
+	}
+	var leafErr error
+	ann, err := provgraph.Eval(outG, s, provgraph.EvalOptions{
+		Leaf: func(tn *provgraph.TupleNode) semiring.Value {
+			rel, ok := e.Sys.Schema.Relation(tn.Ref.Rel)
+			if !ok {
+				leafErr = fmt.Errorf("proql: unknown relation %q", tn.Ref.Rel)
+				return s.Zero()
+			}
+			v, err := evalLeafAssign(s, q.LeafAssign, leafContextForRow(rel, tn.Row, tn.Ref))
+			if err != nil {
+				leafErr = err
+				return s.Zero()
+			}
+			return v
+		},
+		MapFunc: func(m string) semiring.MappingFunc { return mapFuncs[m] },
+	})
+	if err != nil {
+		return err
+	}
+	if leafErr != nil {
+		return leafErr
+	}
+	res.Annotations = make(map[model.TupleRef]semiring.Value)
+	for _, ref := range res.rows.refs {
+		if tn, ok := outG.Lookup(ref); ok {
+			if v, ok := ann.Annotation(tn); ok {
+				res.Annotations[ref] = v
+			}
+		}
+	}
+	return nil
 }
 
 // collectPhys drains a plan into rows, registering each returned tuple

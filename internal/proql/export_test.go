@@ -1,7 +1,10 @@
 package proql
 
 import (
+	"context"
+
 	"repro/internal/model"
+	"repro/internal/provgraph"
 	"repro/internal/relstore"
 )
 
@@ -86,6 +89,33 @@ func (e *Engine) ExecFilterOnTop(q *Query, asOf uint64) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	res.Bindings = res.rows.bindings()
+	return res, nil
+}
+
+// ExecInterpreter is the oracle of the ProQL differentials: it runs q
+// on the tree-walking interpreter (execGraph) over a provenance graph
+// built afresh from a snapshot pinned at asOf (0: the live epoch), so
+// the backends are checked against a graph no maintenance patch ever
+// touched. The result carries Bindings, as Exec's does.
+func ExecInterpreter(e *Engine, ctx context.Context, q *Query, asOf uint64) (*Result, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	sys, release, err := e.snapshotAt(asOf)
+	if err != nil {
+		return nil, err
+	}
+	defer release()
+	g, err := provgraph.Build(sys)
+	if err != nil {
+		return nil, err
+	}
+	res, err := e.execGraph(g, q)
+	if err != nil {
+		return nil, err
+	}
+	res.Stats.AsOf, res.Stats.Epoch = asOf, sys.DB.Epoch()
 	res.Bindings = res.rows.bindings()
 	return res, nil
 }

@@ -8,24 +8,20 @@ import (
 
 	"repro/internal/model"
 	"repro/internal/provgraph"
-	"repro/internal/semiring"
 )
 
-// execGraph evaluates a query directly over the materialized
-// provenance graph. It implements the full ProQL semantics — multiple
-// path expressions joined on shared variables, derivation variables,
-// existential path conditions — at the cost of touching the whole
-// graph, where the relational backend is goal-directed.
-func (e *Engine) execGraph(q *Query, asOf uint64) (*Result, error) {
-	g, epoch, release, err := e.graphAt(asOf)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
+// execGraph evaluates a query by walking a materialized provenance
+// graph: the tree-walking interpreter the ProQL differentials use as
+// their oracle. It implements the full ProQL semantics — multiple path
+// expressions joined on shared variables, derivation variables,
+// existential path conditions — by threading bindings path by path and
+// touching the whole graph, and it shares no planning or path-matching
+// code with the relational, graph and asr backends.
+func (e *Engine) execGraph(g *provgraph.Graph, q *Query) (*Result, error) {
 	start := time.Now()
 	outG := provgraph.New()
 	res := &Result{
-		Stats: Stats{Backend: "graph", AsOf: asOf, Epoch: epoch},
+		Stats: Stats{Backend: "interpreter"},
 		graph: outG,
 	}
 
@@ -105,62 +101,6 @@ func (e *Engine) execGraph(q *Query, asOf uint64) (*Result, error) {
 	}
 	res.Stats.EvalTime = time.Since(start)
 	return res, nil
-}
-
-// annotateGraphResult runs the EVALUATE clause over the projected
-// subgraph: tuple nodes with no incoming derivations in the projection
-// are its leaves (Section 3.2.2).
-func (e *Engine) annotateGraphResult(q *Query, res *Result, outG *provgraph.Graph) error {
-	s, err := semiring.Lookup(q.Evaluate)
-	if err != nil {
-		return err
-	}
-	res.Semiring = s
-	for _, tn := range outG.Tuples() {
-		if len(tn.Derivations) == 0 {
-			tn.Leaf = true
-		}
-	}
-	var names []string
-	for _, m := range e.Sys.Schema.Mappings() {
-		names = append(names, m.Name)
-	}
-	mapFuncs, err := buildMapFuncs(s, q.MapAssign, names)
-	if err != nil {
-		return err
-	}
-	var leafErr error
-	ann, err := provgraph.Eval(outG, s, provgraph.EvalOptions{
-		Leaf: func(tn *provgraph.TupleNode) semiring.Value {
-			rel, ok := e.Sys.Schema.Relation(tn.Ref.Rel)
-			if !ok {
-				leafErr = fmt.Errorf("proql: unknown relation %q", tn.Ref.Rel)
-				return s.Zero()
-			}
-			v, err := evalLeafAssign(s, q.LeafAssign, leafContextForRow(rel, tn.Row, tn.Ref))
-			if err != nil {
-				leafErr = err
-				return s.Zero()
-			}
-			return v
-		},
-		MapFunc: func(m string) semiring.MappingFunc { return mapFuncs[m] },
-	})
-	if err != nil {
-		return err
-	}
-	if leafErr != nil {
-		return leafErr
-	}
-	res.Annotations = make(map[model.TupleRef]semiring.Value)
-	for _, ref := range res.rows.refs {
-		if tn, ok := outG.Lookup(ref); ok {
-			if v, ok := ann.Annotation(tn); ok {
-				res.Annotations[ref] = v
-			}
-		}
-	}
-	return nil
 }
 
 // graphBinding maps variables to graph nodes (*provgraph.TupleNode or

@@ -76,7 +76,7 @@ func bindingRows(res *proql.Result, vars []string) []string {
 }
 
 // checkKeyPin runs one query on a physplan backend and on the
-// tree-walking interpreter (graph-legacy: it matches every tuple of the
+// tree-walking interpreter (ExecInterpreter: it matches every tuple of the
 // start relation and filters afterwards, and shares no code with the
 // lowering that pins keys) at one epoch and demands identical
 // bindings, annotations and projected graphs.
@@ -86,7 +86,7 @@ func checkKeyPin(t *testing.T, eng *proql.Engine, q *proql.Query, backend string
 	if err != nil {
 		t.Fatalf("%s: %s: %v", label, backend, err)
 	}
-	want, err := eng.Exec(context.Background(), q, proql.Options{Backend: "graph-legacy", AsOfEpoch: asOf})
+	want, err := proql.ExecInterpreter(eng, context.Background(), q, asOf)
 	if err != nil {
 		t.Fatalf("%s: oracle: %v", label, err)
 	}
@@ -346,7 +346,7 @@ func TestKeyPinKeepsErrors(t *testing.T) {
 				t.Errorf("%s on %s: pinned = %v, want %v:\n%s", tc.where, backend, got, tc.pinned, plan)
 			}
 			_, err = eng.Exec(context.Background(), q, proql.Options{})
-			_, wantErr := eng.Exec(context.Background(), q, proql.Options{Backend: "graph-legacy"})
+			_, wantErr := proql.ExecInterpreter(eng, context.Background(), q, 0)
 			if (err == nil) != (wantErr == nil) {
 				t.Errorf("%s on %s: error %v, interpreter %v", tc.where, backend, err, wantErr)
 			}

@@ -48,7 +48,7 @@ func multipathShapes(r1, r2, r3 string) []multipathShape {
 }
 
 // checkMultipath runs one query on the graph and asr backends and on
-// the tree-walking interpreter (graph-legacy, which shares no code with
+// the tree-walking interpreter (ExecInterpreter, which shares no code with
 // physplan) and demands identical bindings, SortedRefs, annotations
 // and projected graphs — except the projected graph of an anyRep form,
 // which only the two physplan backends must agree on, and not under a
@@ -65,7 +65,10 @@ func checkMultipath(t *testing.T, eng *proql.Engine, sh multipathShape, asOf uin
 		}
 		return res
 	}
-	want := exec("graph-legacy")
+	want, err := proql.ExecInterpreter(eng, context.Background(), q, asOf)
+	if err != nil {
+		t.Fatalf("%s: interpreter: %v", label, err)
+	}
 	vars := q.Projection.Return
 	var physGraph string
 	for _, backend := range []string{"graph", "asr"} {

@@ -11,7 +11,7 @@ import (
 )
 
 // assertSameGraphResults cross-checks the planned pipeline against the
-// legacy interpreter on one query: identical bindings per returned
+// interpreter on one query: identical bindings per returned
 // variable and an identical projected-derivation count.
 func assertSameGraphResults(t *testing.T, e *Engine, text string, vars []string) {
 	t.Helper()
@@ -20,12 +20,12 @@ func assertSameGraphResults(t *testing.T, e *Engine, text string, vars []string)
 	if err != nil {
 		t.Fatalf("%s: planned: %v", text, err)
 	}
-	legacy, err := e.Exec(context.Background(), q, Options{Backend: "graph-legacy"})
+	interp, err := ExecInterpreter(e, context.Background(), q, 0)
 	if err != nil {
-		t.Fatalf("%s: legacy: %v", text, err)
+		t.Fatalf("%s: interpreter: %v", text, err)
 	}
 	for _, v := range vars {
-		p, l := planned.SortedRefs(v), legacy.SortedRefs(v)
+		p, l := planned.SortedRefs(v), interp.SortedRefs(v)
 		if len(p) != len(l) {
 			t.Fatalf("%s: $%s bindings %d vs %d", text, v, len(p), len(l))
 		}
@@ -35,16 +35,16 @@ func assertSameGraphResults(t *testing.T, e *Engine, text string, vars []string)
 			}
 		}
 	}
-	if pd, ld := planned.MustGraph().NumDerivations(), legacy.MustGraph().NumDerivations(); pd != ld {
+	if pd, ld := planned.MustGraph().NumDerivations(), interp.MustGraph().NumDerivations(); pd != ld {
 		t.Errorf("%s: projected derivations %d vs %d", text, pd, ld)
 	}
-	if planned.Annotations != nil || legacy.Annotations != nil {
-		if len(planned.Annotations) != len(legacy.Annotations) {
-			t.Fatalf("%s: annotations %d vs %d", text, len(planned.Annotations), len(legacy.Annotations))
+	if planned.Annotations != nil || interp.Annotations != nil {
+		if len(planned.Annotations) != len(interp.Annotations) {
+			t.Fatalf("%s: annotations %d vs %d", text, len(planned.Annotations), len(interp.Annotations))
 		}
-		for ref, v := range legacy.Annotations {
+		for ref, v := range interp.Annotations {
 			pv, ok := planned.Annotations[ref]
-			if !ok || !legacy.Semiring.Eq(v, pv) {
+			if !ok || !interp.Semiring.Eq(v, pv) {
 				t.Errorf("%s: annotation mismatch for %v", text, ref)
 			}
 		}
@@ -109,8 +109,8 @@ func TestPlannedErrorParity(t *testing.T) {
 		if _, err := e.Exec(context.Background(), MustParse(text), Options{Backend: "graph"}); err == nil {
 			t.Errorf("%s: planned should error", text)
 		}
-		if _, err := e.Exec(context.Background(), MustParse(text), Options{Backend: "graph-legacy"}); err == nil {
-			t.Errorf("%s: legacy should error", text)
+		if _, err := ExecInterpreter(e, context.Background(), MustParse(text), 0); err == nil {
+			t.Errorf("%s: interpreter should error", text)
 		}
 	}
 }

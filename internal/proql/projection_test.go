@@ -291,7 +291,7 @@ func TestEvaluateRacingCommitReadsItsEpoch(t *testing.T) {
 	epochs := map[uint64]bool{}
 	for _, r := range reads {
 		epochs[r.res.Stats.Epoch] = true
-		want, err := eng.Eval(context.Background(), r.q, proql.Options{Backend: "graph-legacy", AsOfEpoch: r.res.Stats.Epoch})
+		want, err := proql.ExecInterpreter(eng, context.Background(), r.q, r.res.Stats.Epoch)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -357,7 +357,7 @@ func TestBackendParity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s relational: %v", name, err)
 		}
-		gr, err := e.execGraph(q, 0)
+		gr, err := ExecInterpreter(e, context.Background(), q, 0)
 		if err != nil {
 			t.Fatalf("%s graph: %v", name, err)
 		}

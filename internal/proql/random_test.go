@@ -76,15 +76,15 @@ func TestRandomSettingsBackendParity(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: graph: %v", label, err)
 			}
-			leg, err := eng.Exec(context.Background(), q, proql.Options{Backend: "graph-legacy"})
+			leg, err := proql.ExecInterpreter(eng, context.Background(), q, 0)
 			if err != nil {
-				t.Fatalf("%s: legacy graph: %v", label, err)
+				t.Fatalf("%s: interpreter: %v", label, err)
 			}
 			relRefs := rel.SortedRefs("x")
 			grRefs := gr.SortedRefs("x")
 			legRefs := leg.SortedRefs("x")
 			if len(relRefs) != len(grRefs) || len(relRefs) != len(legRefs) {
-				t.Fatalf("%s: bindings %d (relational) vs %d (planned) vs %d (legacy)",
+				t.Fatalf("%s: bindings %d (relational) vs %d (planned) vs %d (interpreter)",
 					label, len(relRefs), len(grRefs), len(legRefs))
 			}
 			for i := range relRefs {
@@ -93,7 +93,7 @@ func TestRandomSettingsBackendParity(t *testing.T) {
 				}
 			}
 			if rs, gs, ls := graphSignature(t, rel), graphSignature(t, gr), graphSignature(t, leg); rs != gs || ls != gs {
-				t.Errorf("%s: projected graphs differ: relational/planned %v, legacy/planned %v", label, rs == gs, ls == gs)
+				t.Errorf("%s: projected graphs differ: relational/planned %v, interpreter/planned %v", label, rs == gs, ls == gs)
 			}
 			if rel.Annotations != nil {
 				for ref, v := range rel.Annotations {
@@ -103,7 +103,7 @@ func TestRandomSettingsBackendParity(t *testing.T) {
 					}
 					lv, ok := leg.Annotations[ref]
 					if !ok || !rel.Semiring.Eq(v, lv) {
-						t.Errorf("%s: legacy annotation mismatch for %v", label, ref)
+						t.Errorf("%s: interpreter annotation mismatch for %v", label, ref)
 					}
 				}
 			}
@@ -173,7 +173,7 @@ func includeShapes(mid, top string) []diffQuery {
 // TestRandomQueriesDifferential generates random queries over random
 // settings and cross-checks every evaluation path the engine has: the
 // automatically chosen backend (Exec), the planned graph pipeline and
-// the asr backend must agree with the legacy graph interpreter on
+// the asr backend must agree with the tree-walking interpreter on
 // bindings, annotations and the whole projected graph — derivation
 // IDs, each derivation's ordered sources and targets, and every tuple
 // node with its row and leaf mark (see diffQuery for where the
@@ -183,7 +183,7 @@ func TestRandomQueriesDifferential(t *testing.T) {
 	relational := 0
 	for trial := 0; trial < 20; trial++ {
 		cfg := randomConfig(rng)
-		cfg.NumPeers = 2 + rng.Intn(3) // keep the legacy interpreter tractable
+		cfg.NumPeers = 2 + rng.Intn(3) // keep the interpreter tractable
 		cfg.BaseSize = 3 + rng.Intn(5)
 		cfg.DataPeers = workload.UpstreamDataPeers(cfg.NumPeers, 1+rng.Intn(cfg.NumPeers))
 		set, err := workload.Build(cfg)
@@ -199,9 +199,9 @@ func TestRandomQueriesDifferential(t *testing.T) {
 		for _, dq := range queries {
 			label := fmt.Sprintf("trial %d query %q", trial, dq.text)
 			q := proql.MustParse(dq.text)
-			want, err := eng.Exec(context.Background(), q, proql.Options{Backend: "graph-legacy"})
+			want, err := proql.ExecInterpreter(eng, context.Background(), q, 0)
 			if err != nil {
-				t.Fatalf("%s: graph-legacy: %v", label, err)
+				t.Fatalf("%s: interpreter: %v", label, err)
 			}
 			wantGraph := graphSignature(t, want)
 			for _, backend := range []string{"auto", "graph", "asr"} {
@@ -212,15 +212,15 @@ func TestRandomQueriesDifferential(t *testing.T) {
 				backend = res.Stats.Backend
 				for _, v := range dq.vars {
 					if w, g := want.SortedRefs(v), res.SortedRefs(v); fmt.Sprint(w) != fmt.Sprint(g) {
-						t.Fatalf("%s: $%s bindings\n graph-legacy %v\n %s %v", label, v, w, backend, g)
+						t.Fatalf("%s: $%s bindings\n interpreter %v\n %s %v", label, v, w, backend, g)
 					}
 				}
 				if len(res.Annotations) != len(want.Annotations) {
-					t.Fatalf("%s: %d annotations on %s, graph-legacy has %d", label, len(res.Annotations), backend, len(want.Annotations))
+					t.Fatalf("%s: %d annotations on %s, the interpreter has %d", label, len(res.Annotations), backend, len(want.Annotations))
 				}
 				for ref, wv := range want.Annotations {
 					if v, ok := res.Annotations[ref]; !ok || !want.Semiring.Eq(wv, v) {
-						t.Fatalf("%s: annotation of %v: %v on %s, graph-legacy %v", label, ref, v, backend, wv)
+						t.Fatalf("%s: annotation of %v: %v on %s, interpreter %v", label, ref, v, backend, wv)
 					}
 				}
 				if backend == "relational" {
@@ -230,7 +230,7 @@ func TestRandomQueriesDifferential(t *testing.T) {
 					}
 				}
 				if got := graphSignature(t, res); got != wantGraph {
-					t.Fatalf("%s: projected graph: only on graph-legacy:\n%s\n only on %s:\n%s", label,
+					t.Fatalf("%s: projected graph: only on the interpreter:\n%s\n only on %s:\n%s", label,
 						lineDiff(wantGraph, got), backend, lineDiff(got, wantGraph))
 				}
 			}
@@ -347,11 +347,12 @@ func TestRandomDeletionMatchesRebuild(t *testing.T) {
 	}
 }
 
-// TestRandomASRBackendAfterChurn cross-checks the asr and graph
-// backends on random queries issued immediately after deletion and
-// delta-insertion churn — the window where the asr adapter's lazily
-// interned handles and the maintained graph are most likely to
-// diverge from the tables if invalidation is wrong.
+// TestRandomASRBackendAfterChurn cross-checks the graph and asr
+// backends against the interpreter on random queries issued immediately
+// after deletion and delta-insertion churn — the window where the asr
+// adapter's lazily interned handles and the patched graph are most
+// likely to diverge from the tables if invalidation or patching is
+// wrong. The interpreter walks a graph built afresh from the tables.
 func TestRandomASRBackendAfterChurn(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260808))
 	for trial := 0; trial < 10; trial++ {
@@ -407,21 +408,22 @@ func TestRandomASRBackendAfterChurn(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d round %d %q: asr: %v", trial, round, text, err)
 			}
-			for _, v := range vars {
-				gRefs, sRefs := gr.SortedRefs(v), goal.SortedRefs(v)
-				if len(gRefs) != len(sRefs) {
-					t.Fatalf("trial %d round %d %q: $%s bindings %d (graph) vs %d (asr)",
-						trial, round, text, v, len(gRefs), len(sRefs))
-				}
-				for i := range gRefs {
-					if gRefs[i] != sRefs[i] {
-						t.Fatalf("trial %d round %d %q: $%s binding %d differs", trial, round, text, v, i)
+			want, err := proql.ExecInterpreter(eng, context.Background(), q, 0)
+			if err != nil {
+				t.Fatalf("trial %d round %d %q: interpreter: %v", trial, round, text, err)
+			}
+			ws := graphSignature(t, want)
+			for backend, res := range map[string]*proql.Result{"graph": gr, "asr": goal} {
+				for _, v := range vars {
+					if w, g := want.SortedRefs(v), res.SortedRefs(v); fmt.Sprint(w) != fmt.Sprint(g) {
+						t.Fatalf("trial %d round %d %q: $%s bindings\n interpreter %v\n %s %v",
+							trial, round, text, v, w, backend, g)
 					}
 				}
-			}
-			if gs, ss := graphSignature(t, gr), graphSignature(t, goal); gs != ss {
-				t.Errorf("trial %d round %d %q: projected graph: only on graph:\n%s\n only on asr:\n%s",
-					trial, round, text, lineDiff(gs, ss), lineDiff(ss, gs))
+				if gs := graphSignature(t, res); gs != ws {
+					t.Errorf("trial %d round %d %q: projected graph: only on the interpreter:\n%s\n only on %s:\n%s",
+						trial, round, text, lineDiff(ws, gs), backend, lineDiff(gs, ws))
+				}
 			}
 		}
 	}

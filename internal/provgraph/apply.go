@@ -19,10 +19,7 @@ import (
 // Apply updates a built graph in place after an incremental deletion:
 // the report's deleted derivations and tuples are removed (with their
 // adjacency), and the leaf marks of surviving tuples whose local
-// contribution was deleted are cleared. Only reports produced by the
-// delta-driven DeleteLocal carry the deletion lists; MaintainLegacy
-// reports leave them empty, in which case Apply is a no-op and the
-// caller must rebuild.
+// contribution was deleted are cleared.
 func Apply(g *Graph, sys *exchange.System, report *exchange.MaintenanceReport) {
 	if report == nil {
 		return

@@ -310,7 +310,7 @@ func Build(sys *exchange.System) (*Graph, error) {
 			if tn.Row == nil {
 				tn.Row = row
 			}
-			tn.Leaf = sys.IsLeaf(r.Name, r.KeyOf(row))
+			tn.Leaf = sys.IsLeafRef(ref)
 			return true
 		})
 	}

@@ -305,13 +305,12 @@ func RunASRSweep(cfg Config, maxLens []int, kinds []asr.Kind, runs int) (*ASRExp
 
 // DeletionRow is one point of the use-case-Q5 experiment: the time to
 // propagate one base-tuple deletion with the delta-driven propagator
-// (support index), with the legacy whole-graph derivability walk, and
-// by rebuilding the exchange from scratch, plus the size of the
-// affected subgraph the delta walk visited versus the instance size.
+// (support index) and by rebuilding the exchange from scratch, plus
+// the size of the affected subgraph the delta walk visited versus the
+// instance size.
 type DeletionRow struct {
 	Peers              int
 	MaintainTime       time.Duration
-	LegacyTime         time.Duration
 	RebuildTime        time.Duration
 	TuplesVisited      int
 	DerivationsVisited int
@@ -353,20 +352,6 @@ func RunDeletion(peerCounts []int, dataPeers, baseSize, runs int, seed int64) ([
 				row.TuplesVisited = rep.TuplesVisited
 				row.DerivationsVisited = rep.DerivationsVisited
 			}
-			return err
-		})
-		if err != nil {
-			return nil, err
-		}
-
-		legacySet, err := Build(cfg)
-		if err != nil {
-			return nil, err
-		}
-		j := 0
-		row.LegacyTime, err = timed(runs, func() error {
-			_, err := legacySet.Sys.DeleteLocalLegacy(ARel(src), key(j))
-			j++
 			return err
 		})
 		if err != nil {

@@ -85,18 +85,7 @@ type Config struct {
 	Categories int
 	// Seed drives all random generation.
 	Seed int64
-	// LegacyEngine runs update exchange on the interpreting Datalog
-	// engine instead of the compiled one (engine-comparison sweeps).
-	LegacyEngine bool
-	// NoSupportIndex disables hook-maintenance of the deletion-support
-	// index during exchange (index-overhead ablations).
-	NoSupportIndex bool
 }
-
-// DefaultLegacyEngine is the process-wide engine default applied to
-// Configs that leave LegacyEngine false; proqlbench's -engine flag
-// reaches every sweep through it.
-var DefaultLegacyEngine bool
 
 // Defaults fills zero fields.
 func (c *Config) defaults() {
@@ -108,9 +97,6 @@ func (c *Config) defaults() {
 	}
 	if c.Categories <= 0 {
 		c.Categories = 16
-	}
-	if !c.LegacyEngine {
-		c.LegacyEngine = DefaultLegacyEngine
 	}
 }
 
@@ -195,7 +181,7 @@ func Build(cfg Config) (*Setting, error) {
 	if err != nil {
 		return nil, err
 	}
-	sys, err := exchange.NewSystem(set.Schema, set.exchangeOptions())
+	sys, err := exchange.NewSystem(set.Schema, exchange.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -217,7 +203,7 @@ func OpenDurable(cfg Config, dir string, wopts wal.Options) (*Setting, *wal.Stor
 	if err != nil {
 		return nil, nil, err
 	}
-	sys, st, err := exchange.OpenDurable(set.Schema, dir, wopts, set.exchangeOptions())
+	sys, st, err := exchange.OpenDurable(set.Schema, dir, wopts, exchange.Options{})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -229,14 +215,6 @@ func OpenDurable(cfg Config, dir string, wopts wal.Options) (*Setting, *wal.Stor
 		}
 	}
 	return set, st, nil
-}
-
-// exchangeOptions maps the workload knobs onto exchange options.
-func (set *Setting) exchangeOptions() exchange.Options {
-	return exchange.Options{
-		UseLegacyEngine: set.Config.LegacyEngine,
-		NoSupportIndex:  set.Config.NoSupportIndex,
-	}
 }
 
 // Seed inserts the deterministic local data and runs the initial
