@@ -618,7 +618,7 @@ func runTable1(p scaleParams) error {
 func runFig7(p scaleParams) error {
 	fmt.Println("Figure 7: chain, data at every peer (fan profile)")
 	fmt.Println("peers  unfolded-rules  unfold-time  eval-time")
-	rows, err := workload.RunFig7(p.fig7Peers, p.fig7Base, p.runs, p.seed)
+	rows, err := workload.RunFig7(p.fig7Peers, p.fig7Base, p.seed)
 	if err != nil {
 		return err
 	}
@@ -631,7 +631,7 @@ func runFig7(p scaleParams) error {
 func runFig8(p scaleParams) error {
 	fmt.Printf("Figure 8: chain of %d peers, varying peers with data (fan profile)\n", p.fig8Peers)
 	fmt.Println("data-peers  unfolded-rules  unfold-time  eval-time")
-	rows, err := workload.RunFig8(p.fig8Peers, p.fig8Data, p.fig8Base, p.runs, p.seed)
+	rows, err := workload.RunFig8(p.fig8Peers, p.fig8Data, p.fig8Base, p.seed)
 	if err != nil {
 		return err
 	}

@@ -228,6 +228,10 @@ func (s *Schema) Mappings() []*Mapping {
 	return out
 }
 
+// NumMappings returns the number of mappings, without the copy
+// Mappings makes.
+func (s *Schema) NumMappings() int { return len(s.mappingOrder) }
+
 // MappingsInto returns the mappings whose head includes relation rel.
 func (s *Schema) MappingsInto(rel string) []*Mapping {
 	var out []*Mapping

@@ -14,7 +14,6 @@ import (
 	"repro/internal/model"
 	"repro/internal/proql/physplan"
 	"repro/internal/provgraph"
-	"repro/internal/relstore"
 	"repro/internal/semiring"
 )
 
@@ -35,9 +34,6 @@ type Engine struct {
 	// before planning — the hook the ASR layer (Section 5) uses to
 	// substitute materialized path indexes.
 	RewriteRules func([]*ConjRule) []*ConjRule
-	// AtomPlanOverride, when set, supplies plans for atoms the base
-	// system does not know (ASR tables).
-	AtomPlanOverride func(atom model.Atom) (relstore.Plan, bool)
 
 	// graphMu guards the cached materialized graph (patched in place by
 	// Maintain*) and the ASR adapter handle. Graph-backend queries hold
@@ -74,7 +70,10 @@ func NewEngine(sys *exchange.System) *Engine {
 type Binding map[string]model.TupleRef
 
 // Stats reports how a query was executed. UnfoldTime and EvalTime are
-// the two components the paper plots separately in Figures 7–8;
+// the two components the paper plots separately in Figures 7–8.
+// UnfoldTime is the relational backend's translation: on a plan-cache
+// miss the unfolding (CompileUnfold) plus building the plan template,
+// on a hit binding the query's literals into the cached template.
 // PlanTime is the graph backend's physical-planning component. AsOf
 // is the historical epoch the query asked for (0 = the live epoch);
 // Epoch is the storage epoch whose state the query read, whichever way
@@ -304,21 +303,14 @@ func (e *Engine) Eval(ctx context.Context, q *Query, opts Options) (*Result, err
 	asOf := opts.AsOfEpoch
 	switch backend {
 	case "", "auto":
-		comp, err := e.compileUnfoldCached(q)
-		if err != nil {
-			var nr *ErrNotRelational
-			if errors.As(err, &nr) {
-				return e.execPlanned(q, asOf)
-			}
-			return nil, err
+		res, err := e.execUnfold(q, asOf)
+		var nr *ErrNotRelational
+		if errors.As(err, &nr) {
+			return e.execPlanned(q, asOf)
 		}
-		return e.execUnfold(comp, asOf)
+		return res, err
 	case "relational":
-		comp, err := e.compileUnfoldCached(q)
-		if err != nil {
-			return nil, err
-		}
-		return e.execUnfold(comp, asOf)
+		return e.execUnfold(q, asOf)
 	case "graph":
 		return e.execPlanned(q, asOf)
 	case "asr":

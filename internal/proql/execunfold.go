@@ -43,64 +43,115 @@ func (o unfoldOutput) derivs() []physplan.ProjDeriv {
 	return out
 }
 
-// unfoldPlans is the physical side of a compiled query on one snapshot.
-type unfoldPlans struct {
-	// rules holds one plan per unfolded conjunctive rule (after ASR
-	// rewriting, if enabled).
+// relTemplate is the relational backend's plan of one query shape: the
+// unfolded rules and, per rule (after ASR rewriting, if enabled), a
+// physical plan in which every WHERE literal is a parameter slot. It
+// is built on a plan-cache miss and bound to each query's literals on
+// every execution; once stored it is immutable and shared by
+// concurrent queries.
+type relTemplate struct {
+	comp  *Compiled
 	rules []*rulePlan
 	// anchor reads the anchor relation's tuples satisfying WHERE, for a
 	// single-node FOR clause; nil otherwise.
-	anchor relstore.Plan
+	anchor *guardedPlan
+	slots  []paramSlot
 }
 
-// planUnfold builds the plans of a compiled query against sys (the ASR
-// rewriting hook applies here). The unfolding and the join orders that
-// do not depend on the query's literals are cached across queries of
-// one shape; plans are rebuilt per execution because they carry the
-// query's constants and the snapshot's tables.
-func (e *Engine) planUnfold(sys *exchange.System, comp *Compiled) (*unfoldPlans, error) {
-	q := comp.Query
+// unfoldPlans is a template bound to one query's literals.
+type unfoldPlans struct {
+	rules  []*rulePlan     // the template's
+	plans  []relstore.Plan // parallel to rules
+	anchor relstore.Plan   // nil unless the template has one
+}
+
+// buildTemplate plans a compiled query against sys with the literals
+// of q — the first query of its shape — lifted into parameter slots.
+// Everything that depends on a literal's value rather than its
+// literalClass is left to bind: the slots' values and the guards.
+func (e *Engine) buildTemplate(sys *exchange.System, comp *Compiled, q *Query) (*relTemplate, error) {
 	rules := comp.Rules
 	if e.RewriteRules != nil {
 		rules = e.RewriteRules(rules)
 	}
-	ctx := &planContext{sys: sys, atomPlanOverride: e.AtomPlanOverride, orders: comp.orders}
+	ps := &paramSlots{lits: appendWhereLits(nil, q.Projection.Where)}
+	var n int
+	where := slotWhere(q.Projection.Where, &n)
+	ctx := &planContext{sys: sys, params: ps}
 	spec := pruneSpecFor(q)
-	up := &unfoldPlans{rules: make([]*rulePlan, 0, len(rules))}
+	t := &relTemplate{comp: comp, rules: make([]*rulePlan, 0, len(rules))}
 	for _, r := range rules {
-		rp, err := buildRulePlan(ctx, r, q.Projection.Where, comp.AnchorVar, spec)
+		rp, err := buildRulePlan(ctx, r, where, comp.AnchorVar, spec)
 		if err != nil {
 			return nil, err
 		}
-		up.rules = append(up.rules, rp)
+		t.rules = append(t.rules, rp)
 	}
 	if len(q.Projection.For[0].Edges) == 0 {
 		var err error
-		if up.anchor, err = anchorPlan(sys, comp); err != nil {
+		if t.anchor, err = anchorPlan(ctx, comp, where); err != nil {
+			return nil, err
+		}
+	}
+	t.slots = ps.slots
+	return t, nil
+}
+
+// bind fills the template's slots with q's literals: O(slots + rules),
+// no planning.
+func (t *relTemplate) bind(q *Query) (*unfoldPlans, error) {
+	var args []model.Datum
+	if len(t.slots) > 0 {
+		lits := appendWhereLits(make([]model.Datum, 0, len(t.slots)), q.Projection.Where)
+		args = make([]model.Datum, len(t.slots))
+		for i, s := range t.slots {
+			args[i] = lits[s.lit]
+			if s.probe {
+				args[i], _ = probeLiteral(args[i], s.typ)
+			}
+		}
+	}
+	up := &unfoldPlans{rules: t.rules, plans: make([]relstore.Plan, len(t.rules))}
+	for i, rp := range t.rules {
+		p, err := rp.bind(args)
+		if err != nil {
+			return nil, err
+		}
+		up.plans[i] = p
+	}
+	if t.anchor != nil {
+		var err error
+		if up.anchor, err = t.anchor.bind(args); err != nil {
 			return nil, err
 		}
 	}
 	return up, nil
 }
 
-// execUnfold runs a compiled query on the relational backend.
-// Evaluation reads through a pinned storage snapshot, so a concurrent
-// exchange commit (RunDelta, DeleteLocal) cannot leak half of its
+// execUnfold runs a query on the relational backend: it pins a storage
+// snapshot, takes the query shape's plan template from the plan cache
+// (building it on a miss), binds the query's literals into it, and
+// evaluates. Reading through the pinned snapshot keeps a concurrent
+// exchange commit (RunDelta, DeleteLocal) from leaking half of its
 // writes into one query's result. With asOf != 0 the snapshot pins
 // that retained historical epoch instead of the live one.
-func (e *Engine) execUnfold(comp *Compiled, asOf uint64) (*Result, error) {
+func (e *Engine) execUnfold(q *Query, asOf uint64) (*Result, error) {
 	sys, release, err := e.snapshotAt(asOf)
 	if err != nil {
 		return nil, err
 	}
 	defer release()
 	unfoldStart := time.Now()
-	up, err := e.planUnfold(sys, comp)
+	t, err := e.relationalTemplate(sys, q)
+	if err != nil {
+		return nil, err
+	}
+	up, err := t.bind(q)
 	if err != nil {
 		return nil, err
 	}
 	unfoldTime := time.Since(unfoldStart)
-	res, err := e.runUnfold(sys, comp, asOf, up)
+	res, err := e.runUnfold(sys, q, t.comp, asOf, up)
 	if err != nil {
 		return nil, err
 	}
@@ -111,9 +162,8 @@ func (e *Engine) execUnfold(comp *Compiled, asOf uint64) (*Result, error) {
 // runUnfold evaluates the plans of a compiled query: one plan per
 // unfolded conjunctive rule, UNION of the results, and a semiring
 // aggregation grouped by the distinguished tuple (Section 4.2.4).
-func (e *Engine) runUnfold(sys *exchange.System, comp *Compiled, asOf uint64, up *unfoldPlans) (*Result, error) {
-	q := comp.Query
-	plans := up.rules
+func (e *Engine) runUnfold(sys *exchange.System, q *Query, comp *Compiled, asOf uint64, up *unfoldPlans) (*Result, error) {
+	rules := up.rules
 	out := make(unfoldOutput)
 	res := &Result{Stats: Stats{Backend: "relational", AsOf: asOf, Epoch: sys.DB.Epoch(), UnfoldedRules: len(comp.Rules)}}
 	res.buildGraph = func() (*provgraph.Graph, error) { return e.linkAt(asOf, out.derivs(), res.rows.refs) }
@@ -195,7 +245,7 @@ func (e *Engine) runUnfold(sys *exchange.System, comp *Compiled, asOf uint64, up
 	// but determinism keeps output ordering and tests stable). The
 	// rules flow through the same stream.Iterator interface the graph
 	// backend's physical operators use.
-	it := ruleStream(sys.DB, plans, q.Cancel, &e.ruleWorkers)
+	it := ruleStream(sys.DB, up.plans, q.Cancel, &e.ruleWorkers)
 	defer it.Close()
 	for {
 		if q.Cancel != nil {
@@ -210,7 +260,7 @@ func (e *Engine) runUnfold(sys *exchange.System, comp *Compiled, asOf uint64, up
 		if !ok {
 			break
 		}
-		rp, row := plans[rr.rule], rr.row
+		rp, row := rules[rr.rule], rr.row
 		ref, err := anchorRefOf(rp, anchorRel, row)
 		if err != nil {
 			return nil, err
@@ -249,12 +299,12 @@ const cancelPollRows = 64
 // first row and every cancelPollRows rows after it, and stops on its
 // error; closing the stream stops the workers and waits for them.
 // running counts the rule evaluations in flight.
-func ruleStream(db *relstore.Database, plans []*rulePlan, cancel func() error, running *atomic.Int64) stream.Iterator[ruleRow] {
+func ruleStream(db *relstore.Database, plans []relstore.Plan, cancel func() error, running *atomic.Int64) stream.Iterator[ruleRow] {
 	makers := make([]func() (stream.Iterator[ruleRow], error), len(plans))
-	for i, rp := range plans {
+	for i, plan := range plans {
 		makers[i] = func() (stream.Iterator[ruleRow], error) {
 			running.Add(1)
-			in := relstore.Stream(rp.plan, db)
+			in := relstore.Stream(plan, db)
 			n := 0
 			return &stream.Func[ruleRow]{
 				NextFn: func() (ruleRow, bool, error) {
@@ -278,22 +328,19 @@ func ruleStream(db *relstore.Database, plans []*rulePlan, cancel func() error, r
 }
 
 // anchorPlan plans the read of the anchor relation's tuples satisfying
-// WHERE, along the same pushed-down access path the rule plans use: a
-// WHERE that pins the key is one lookup, not a scan.
-func anchorPlan(sys *exchange.System, comp *Compiled) (relstore.Plan, error) {
-	t, ok := sys.DB.Table(comp.AnchorRel)
+// the (slotted) WHERE, along the same pushed-down access path the rule
+// plans use: a WHERE that pins the key is one lookup, not a scan.
+func anchorPlan(ctx *planContext, comp *Compiled, where Cond) (*guardedPlan, error) {
+	t, ok := ctx.sys.DB.Table(comp.AnchorRel)
 	if !ok {
 		return nil, fmt.Errorf("proql: missing table %q", comp.AnchorRel)
 	}
 	// The shared anchor atom's terms are distinct fresh variables, one
 	// per column.
 	pseudo := &ConjRule{Anchor: comp.AnchorAtom}
-	sel, err := splitWhere(comp.Query.Projection.Where, pseudo, comp.AnchorVar, sys)
+	sel, err := splitWhere(ctx, where, pseudo, comp.AnchorVar)
 	if err != nil {
 		return nil, err
-	}
-	if sel.empty {
-		return &relstore.Values{}, nil
 	}
 	varCols := make(map[string]int, len(comp.AnchorAtom.Args))
 	var cols []int
@@ -307,13 +354,13 @@ func anchorPlan(sys *exchange.System, comp *Compiled) (relstore.Plan, error) {
 	}
 	plan := relstore.Select(t, cols, vals)
 	for _, rc := range sel.residual {
-		pred, err := condToExpr(rc.cond, pseudo, varCols, comp.AnchorVar, sys)
+		pred, err := condToExpr(ctx, rc.cond, pseudo, varCols, comp.AnchorVar)
 		if err != nil {
 			return nil, err
 		}
 		plan = &relstore.Filter{Input: plan, Pred: pred}
 	}
-	return plan, nil
+	return &guardedPlan{plan: plan, guards: sel.guards}, nil
 }
 
 func evalPred(pred relstore.Expr, row model.Tuple) (bool, error) {

@@ -15,31 +15,23 @@ import (
 // for the graph and asr backends the physical operator tree. The
 // engine's Backend selection applies, and the trailing plan-cache line
 // reports hit/miss counters (Explain itself consults the cache, so
-// explaining a repeated shape counts a hit).
+// explaining a repeated shape counts a hit). A relational EXPLAIN
+// renders the cached plan template bound to the query's literals — the
+// plans an execution of the query runs.
 func (e *Engine) Explain(q *Query) (string, error) {
 	var sb strings.Builder
 	switch e.Backend {
 	case "", "auto":
-		comp, err := e.compileUnfoldCached(q)
-		if err != nil {
-			if nr, ok := err.(*ErrNotRelational); ok {
-				fmt.Fprintf(&sb, "backend: graph (%s)\n", nr.Reason)
-				if err := e.explainPhys(&sb, q, "graph"); err != nil {
-					return "", err
-				}
-				break
-			}
-			return "", err
+		err := e.explainRelational(&sb, q)
+		if nr, ok := err.(*ErrNotRelational); ok {
+			fmt.Fprintf(&sb, "backend: graph (%s)\n", nr.Reason)
+			err = e.explainPhys(&sb, q, "graph")
 		}
-		if err := e.explainRelational(&sb, comp); err != nil {
+		if err != nil {
 			return "", err
 		}
 	case "relational":
-		comp, err := e.compileUnfoldCached(q)
-		if err != nil {
-			return "", err
-		}
-		if err := e.explainRelational(&sb, comp); err != nil {
+		if err := e.explainRelational(&sb, q); err != nil {
 			return "", err
 		}
 	case "graph":
@@ -89,18 +81,24 @@ func (e *Engine) explainPhys(sb *strings.Builder, q *Query, backend string) erro
 }
 
 // explainRelational renders the Section 4 pipeline: anchor, matched
-// schema-graph fragment, unfolded rules, per-rule relational plans.
-func (e *Engine) explainRelational(sb *strings.Builder, comp *Compiled) error {
+// schema-graph fragment, unfolded rules, per-rule relational plans. It
+// writes nothing when the query is not relational.
+func (e *Engine) explainRelational(sb *strings.Builder, q *Query) error {
+	t, err := e.relationalTemplate(e.Sys, q)
+	if err != nil {
+		return err
+	}
+	up, err := t.bind(q)
+	if err != nil {
+		return err
+	}
+	comp := t.comp
 	fmt.Fprintf(sb, "backend: relational\n")
 	fmt.Fprintf(sb, "anchor: %s ($%s)\n", comp.AnchorRel, comp.AnchorVar)
 	fmt.Fprintf(sb, "matched relations: %s\n", strings.Join(comp.Allowed.SortedRelations(), ", "))
 	fmt.Fprintf(sb, "matched mappings: %s\n", strings.Join(comp.Allowed.SortedMappings(), ", "))
 	if e.RewriteRules != nil {
 		fmt.Fprintf(sb, "ASR rewriting: enabled\n")
-	}
-	up, err := e.planUnfold(e.Sys, comp)
-	if err != nil {
-		return err
 	}
 	fmt.Fprintf(sb, "unfolded rules: %d\n", len(up.rules))
 	for i, rp := range up.rules {
@@ -112,7 +110,7 @@ func (e *Engine) explainRelational(sb *strings.Builder, comp *Compiled) error {
 		}
 		sb.WriteString(strings.Join(parts, ", "))
 		sb.WriteByte('\n')
-		sb.WriteString(indent(relstore.Explain(rp.plan), "   "))
+		sb.WriteString(indent(relstore.Explain(up.plans[i]), "   "))
 	}
 	return nil
 }

@@ -12,6 +12,10 @@ import (
 // evaluations in flight.
 func (e *Engine) RunningRuleWorkers() int64 { return e.ruleWorkers.Load() }
 
+// RulePlansBuilt is the number of relational rule plans built so far,
+// by every engine: a plan-template hit builds none.
+func RulePlansBuilt() int64 { return rulePlansBuilt.Load() }
+
 // LinkedNodes is the number of provgraph nodes the result holds linked:
 // 0 until Graph() links its recorded projection.
 func (r *Result) LinkedNodes() int {
@@ -48,7 +52,7 @@ func (e *Engine) ChurnGraphOrdinals(n int) error {
 // on top of each plan. This is where the condition sat before
 // pushdown; nothing in it depends on the literal's type.
 func (e *Engine) ExecFilterOnTop(q *Query, asOf uint64) (*Result, error) {
-	comp, err := e.compileUnfoldCached(q)
+	comp, err := CompileUnfold(e.Sys, q)
 	if err != nil {
 		return nil, err
 	}
@@ -59,33 +63,36 @@ func (e *Engine) ExecFilterOnTop(q *Query, asOf uint64) (*Result, error) {
 	defer release()
 	bare := *q
 	bare.Projection.Where = nil
-	unrestricted := *comp
-	unrestricted.Query = &bare
-	up, err := e.planUnfold(sys, &unrestricted)
+	t, err := e.buildTemplate(sys, comp, &bare)
+	if err != nil {
+		return nil, err
+	}
+	up, err := t.bind(&bare)
 	if err != nil {
 		return nil, err
 	}
 	if where := q.Projection.Where; where != nil {
-		for _, rp := range up.rules {
-			pred, err := condToExpr(where, rp.rule, rp.varCols, comp.AnchorVar, sys)
+		ctx := &planContext{sys: sys}
+		for i, rp := range up.rules {
+			pred, err := condToExpr(ctx, where, rp.rule, rp.varCols, comp.AnchorVar)
 			if err != nil {
 				return nil, err
 			}
-			rp.plan = &relstore.Filter{Input: rp.plan, Pred: pred}
+			up.plans[i] = &relstore.Filter{Input: up.plans[i], Pred: pred}
 		}
 		if up.anchor != nil {
 			varCols := make(map[string]int, len(comp.AnchorAtom.Args))
 			for i, term := range comp.AnchorAtom.Args {
 				varCols[term.Var] = i
 			}
-			pred, err := condToExpr(where, &ConjRule{Anchor: comp.AnchorAtom}, varCols, comp.AnchorVar, sys)
+			pred, err := condToExpr(ctx, where, &ConjRule{Anchor: comp.AnchorAtom}, varCols, comp.AnchorVar)
 			if err != nil {
 				return nil, err
 			}
 			up.anchor = &relstore.Filter{Input: up.anchor, Pred: pred}
 		}
 	}
-	res, err := e.runUnfold(sys, comp, asOf, up)
+	res, err := e.runUnfold(sys, q, comp, asOf, up)
 	if err != nil {
 		return nil, err
 	}

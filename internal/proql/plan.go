@@ -4,8 +4,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"strings"
-	"sync"
+	"sync/atomic"
 
 	"repro/internal/exchange"
 	"repro/internal/model"
@@ -17,22 +16,85 @@ import (
 // by later joins or by the query's outputs (anchor keys, provenance
 // terms, leaf contexts) are carried, keeping rows narrow through long
 // join chains. varCols maps each surviving rule variable to its output
-// column.
+// column. The plan is a template: the query's WHERE literals sit in it
+// as relstore.Param slots (paramSlots), bound per execution.
 type rulePlan struct {
-	rule    *ConjRule
-	plan    relstore.Plan
+	rule *ConjRule
+	guardedPlan
 	varCols map[string]int
 }
 
-// planContext resolves tables, including virtual provenance views and
-// ASR substitutions.
+// guardedPlan is a plan template that yields nothing unless every
+// guard — a WHERE conjunct comparing constants only — holds for the
+// bound literals.
+type guardedPlan struct {
+	plan   relstore.Plan
+	guards []relstore.Expr
+}
+
+// bind returns the executable plan for one query's parameter values.
+func (g *guardedPlan) bind(args []model.Datum) (relstore.Plan, error) {
+	for _, guard := range g.guards {
+		keep, err := evalPred(relstore.BindExpr(guard, args), nil)
+		if err != nil {
+			return nil, err
+		}
+		if !keep {
+			return noRows, nil
+		}
+	}
+	if len(args) == 0 {
+		return g.plan, nil
+	}
+	return &relstore.Bound{Plan: g.plan, Args: args}, nil
+}
+
+// noRows is the plan of a rule a guard empties.
+var noRows = &relstore.Values{}
+
+// planContext resolves tables, including virtual provenance views, and
+// numbers the parameter slots of the template being built.
 type planContext struct {
-	sys *exchange.System
-	// atomPlanOverride lets the ASR layer substitute plans for ASR
-	// atoms; it returns (nil, false) for ordinary atoms.
-	atomPlanOverride func(atom model.Atom) (relstore.Plan, bool)
-	// orders caches literal-independent join orders (nil: none).
-	orders *orderCache
+	sys    *exchange.System
+	params *paramSlots
+}
+
+// whereLit stands for the i-th literal of a WHERE condition (in
+// appendWhereLits order) in the copy a template is built from.
+type whereLit int
+
+// paramSlots numbers the parameter slots of a plan template as the
+// builder asks for them. A slot reads one WHERE literal of the query
+// being bound: as written, or — where an equality is pushed into an
+// access path — converted by probeLiteral to the attribute's type.
+type paramSlots struct {
+	lits  []model.Datum // the literals of the query the template is built from
+	slots []paramSlot
+}
+
+type paramSlot struct {
+	lit   int
+	probe bool
+	typ   model.DatumType
+}
+
+func (ps *paramSlots) slot(s paramSlot) relstore.Param {
+	i := slices.Index(ps.slots, s)
+	if i < 0 {
+		i = len(ps.slots)
+		ps.slots = append(ps.slots, s)
+	}
+	return relstore.Param(i)
+}
+
+// litExpr is the expression of a WHERE literal: its parameter slot in
+// a template, the value itself in a condition planned with its literals
+// (a test oracle's).
+func (ctx *planContext) litExpr(lit model.Datum) relstore.Expr {
+	if i, ok := lit.(whereLit); ok {
+		return ctx.params.slot(paramSlot{lit: int(i)})
+	}
+	return relstore.Lit{Val: lit}
 }
 
 // pruneSpec describes which variables the query consumes beyond the
@@ -126,11 +188,11 @@ func externalVars(sys *exchange.System, rule *ConjRule, spec pruneSpec) map[stri
 type planAtom struct {
 	atom model.Atom
 	// table is the atom's backing table; nil for a virtual provenance
-	// view or an ASR-layer override, which are evaluated as opaque
-	// plans and never probed.
+	// view, which is evaluated as an opaque plan and never probed.
 	table *relstore.Table
 	// constCols/constVals are the argument positions fixed to a
-	// constant — by the rule itself or by a pushed anchor selection.
+	// constant — by the rule itself or by a pushed anchor selection,
+	// whose value is a parameter slot.
 	constCols []int
 	constVals []model.Datum
 	// vars/varCols give the first occurrence of each distinct variable;
@@ -142,13 +204,7 @@ type planAtom struct {
 
 func classifyAtom(ctx *planContext, atom model.Atom, fixed map[string]model.Datum) planAtom {
 	pa := planAtom{atom: atom, vars: make([]string, 0, len(atom.Args)), varCols: make([]int, 0, len(atom.Args))}
-	overridden := false
-	if ctx.atomPlanOverride != nil {
-		_, overridden = ctx.atomPlanOverride(atom)
-	}
-	if !overridden {
-		pa.table, _ = ctx.sys.DB.Table(atom.Rel)
-	}
+	pa.table, _ = ctx.sys.DB.Table(atom.Rel)
 	for ai, t := range atom.Args {
 		if t.IsConst {
 			pa.constCols = append(pa.constCols, ai)
@@ -201,12 +257,13 @@ type joinStep struct {
 
 // joinOrder orders a rule's body atoms from what the planner can
 // observe without statistics — which terms are bound and which keys and
-// indexes exist (a bound term is obviously selective). From a seed atom
-// it greedily follows atoms sharing an already-bound variable,
-// preferring one whose primary key or an existing index covers bound
-// columns including a join column: that atom is index-joined, reading
-// only the rows that join. Atoms with no such path (and views and
-// overrides) are hash-joined.
+// indexes exist (a bound term is obviously selective) — never from the
+// values of the constants, so a template's order serves every binding
+// of its slots. From a seed atom it greedily follows atoms sharing an
+// already-bound variable, preferring one whose primary key or an
+// existing index covers bound columns including a join column: that
+// atom is index-joined, reading only the rows that join. Atoms with no
+// such path (and views) are hash-joined.
 //
 // A rule with a constant is seeded by the atom with the best
 // constant-restricted access path (primary key, then index, then
@@ -334,37 +391,30 @@ func placeFrom(atoms []planAtom, fixed map[string]model.Datum, seed, limit int) 
 // with per-step column pruning. The anchor WHERE condition (already
 // verified to reference only the anchor variable) is pushed into the
 // rule: attr = literal conjuncts fix their variable to a constant in
-// every body atom, a statically false conjunct empties the rule, and
-// the remaining conjuncts become Filters at the first step that binds
-// their variables. Constants then drive each atom's access path and the
-// join order and method (joinOrder). A rule whose order does not depend
-// on the query's literals takes it from ctx.orders.
+// every body atom, conjuncts over constants only become the rule's
+// guards, and the remaining conjuncts become Filters at the first step
+// that binds their variables. Constants then drive each atom's access
+// path and the join order and method (joinOrder). The literals enter
+// the plan as parameter slots: it is built once per query shape.
 //
 // A primary-key probe whose atom binds no variable live after its step
 // (and has no repeated variable to compare) is a semi-join: at most one
 // row matches and none of its columns is needed, so the step emits the
 // left row itself.
 func buildRulePlan(ctx *planContext, rule *ConjRule, where Cond, anchorVar string, spec pruneSpec) (*rulePlan, error) {
+	rulePlansBuilt.Add(1)
 	if len(rule.Body) == 0 {
 		return nil, fmt.Errorf("proql: empty rule body")
 	}
-	sel, err := splitWhere(where, rule, anchorVar, ctx.sys)
+	sel, err := splitWhere(ctx, where, rule, anchorVar)
 	if err != nil {
 		return nil, err
-	}
-	if sel.empty {
-		return &rulePlan{rule: rule, plan: &relstore.Values{}}, nil
 	}
 	atoms := make([]planAtom, len(rule.Body))
 	for i, atom := range rule.Body {
 		atoms[i] = classifyAtom(ctx, atom, sel.fixed)
 	}
-	var steps []joinStep
-	if len(sel.fixed) == 0 {
-		steps = ctx.orders.order(atoms)
-	} else {
-		steps = joinOrder(atoms, sel.fixed)
-	}
+	steps := joinOrder(atoms, sel.fixed)
 	// Past the last step that mentions it, a variable is carried only if
 	// the query consumes it.
 	lastUse := make(map[string]int)
@@ -390,7 +440,7 @@ func buildRulePlan(ctx *planContext, rule *ConjRule, where Cond, anchorVar strin
 					t = model.C(d)
 				}
 				if t.IsConst {
-					keys[i] = relstore.Lit{Val: t.Const}
+					keys[i] = relstore.ValueExpr(t.Const)
 				} else {
 					keys[i] = relstore.Col(slices.Index(cols, t.Var))
 				}
@@ -486,7 +536,7 @@ func buildRulePlan(ctx *planContext, rule *ConjRule, where Cond, anchorVar strin
 				rest = append(rest, rc)
 				continue
 			}
-			pred, err := condToExpr(rc.cond, rule, at, anchorVar, ctx.sys)
+			pred, err := condToExpr(ctx, rc.cond, rule, at, anchorVar)
 			if err != nil {
 				return nil, err
 			}
@@ -497,7 +547,7 @@ func buildRulePlan(ctx *planContext, rule *ConjRule, where Cond, anchorVar strin
 	if len(pending) > 0 {
 		return nil, fmt.Errorf("proql: WHERE references a variable not bound by the rule body")
 	}
-	rp := &rulePlan{rule: rule, plan: plan}
+	rp := &rulePlan{rule: rule, guardedPlan: guardedPlan{plan: plan, guards: sel.guards}}
 	rp.varCols = make(map[string]int, len(cols))
 	for ci, v := range cols {
 		rp.varCols[v] = ci
@@ -529,70 +579,11 @@ func isIdentity(cols []int, width int) bool {
 	return true
 }
 
-// orderCache holds the join orders of one compiled query's rules whose
-// order does not depend on the query's literals — no anchor WHERE
-// conjunct fixes a variable. Such an order is a function of the rule
-// body and of the keys and pre-built indexes of its tables, so it is
-// computed once and shared by every execution through the plan cache.
-// An index built later only leaves a cached order suboptimal: a probe
-// through it is still correct. Orders are keyed by the body's shape,
-// which also tells apart the ASR-rewritten variants of a rule.
-type orderCache struct {
-	mu     sync.Mutex
-	orders map[string][]joinStep
-}
-
-func newOrderCache() *orderCache { return &orderCache{orders: map[string][]joinStep{}} }
-
-// order returns the literal-independent join order of atoms, from the
-// cache when present (a nil cache computes it every time).
-func (c *orderCache) order(atoms []planAtom) []joinStep {
-	if c == nil {
-		return joinOrder(atoms, nil)
-	}
-	key := shapeOf(atoms)
-	c.mu.Lock()
-	steps, ok := c.orders[key]
-	c.mu.Unlock()
-	if !ok {
-		steps = joinOrder(atoms, nil)
-		c.mu.Lock()
-		c.orders[key] = steps
-		c.mu.Unlock()
-	}
-	return steps
-}
-
-// shapeOf renders what joinOrder reads of a rule body: relations,
-// whether each is a stored table, and the variables, constants and
-// wildcards of their arguments.
-func shapeOf(atoms []planAtom) string {
-	var sb strings.Builder
-	for i := range atoms {
-		a := &atoms[i]
-		sb.WriteString(a.atom.Rel)
-		if a.table == nil {
-			sb.WriteByte('!')
-		}
-		sb.WriteByte('(')
-		for _, t := range a.atom.Args {
-			if t.IsConst {
-				sb.WriteByte('#')
-			} else {
-				sb.WriteString(t.Var)
-			}
-			sb.WriteByte(',')
-		}
-		sb.WriteByte(')')
-	}
-	return sb.String()
-}
-
 // atomAccessPlan produces the access path for one body atom with its
 // constant-column restrictions applied. A stored table is read along
 // the path relstore.Select chooses (primary-key lookup, index probe or
 // scan, with residual filters); superfluous provenance relations are
-// projection views and ASR overrides opaque plans, filtered on top.
+// projection views, filtered on top.
 func atomAccessPlan(ctx *planContext, pa *planAtom) (relstore.Plan, error) {
 	if pa.table != nil {
 		return relstore.Select(pa.table, pa.constCols, pa.constVals), nil
@@ -606,20 +597,14 @@ func atomAccessPlan(ctx *planContext, pa *planAtom) (relstore.Plan, error) {
 	}
 	preds := make([]relstore.Expr, len(pa.constCols))
 	for i, c := range pa.constCols {
-		preds[i] = relstore.Cmp{Op: relstore.EQ, L: relstore.Col(c), R: relstore.Lit{Val: pa.constVals[i]}}
+		preds[i] = relstore.Cmp{Op: relstore.EQ, L: relstore.Col(c), R: relstore.ValueExpr(pa.constVals[i])}
 	}
 	return &relstore.Filter{Input: ap, Pred: relstore.AndAll(preds)}, nil
 }
 
-// viewPlan produces the plan of a body atom with no table of its own: an
-// ASR override, or a projection view for a superfluous provenance
-// relation.
+// viewPlan produces the plan of a body atom with no table of its own: a
+// projection view for a superfluous provenance relation.
 func viewPlan(ctx *planContext, atom model.Atom) (relstore.Plan, error) {
-	if ctx.atomPlanOverride != nil {
-		if p, ok := ctx.atomPlanOverride(atom); ok {
-			return p, nil
-		}
-	}
 	// Virtual provenance relation: P_<mapping> with no backing table.
 	if len(atom.Rel) > len(exchange.ProvTablePrefix) && atom.Rel[:len(exchange.ProvTablePrefix)] == exchange.ProvTablePrefix {
 		mapping := atom.Rel[len(exchange.ProvTablePrefix):]
@@ -674,14 +659,14 @@ func virtualProvPlan(sys *exchange.System, pr *exchange.ProvRel) (relstore.Plan,
 // condToExpr compiles a WHERE condition over the anchor variable into a
 // relstore predicate over the rule's output row, resolving $x.attr
 // through the anchor atom's terms.
-func condToExpr(c Cond, rule *ConjRule, varCols map[string]int, anchorVar string, sys *exchange.System) (relstore.Expr, error) {
+func condToExpr(ctx *planContext, c Cond, rule *ConjRule, varCols map[string]int, anchorVar string) (relstore.Expr, error) {
 	switch cc := c.(type) {
 	case CondCmp:
-		l, err := operandExpr(cc.L, rule, varCols, anchorVar, sys)
+		l, err := operandExpr(ctx, cc.L, rule, varCols, anchorVar)
 		if err != nil {
 			return nil, err
 		}
-		r, err := operandExpr(cc.R, rule, varCols, anchorVar, sys)
+		r, err := operandExpr(ctx, cc.R, rule, varCols, anchorVar)
 		if err != nil {
 			return nil, err
 		}
@@ -707,27 +692,27 @@ func condToExpr(c Cond, rule *ConjRule, varCols map[string]int, anchorVar string
 		// Anchor membership: statically true or false.
 		return relstore.Lit{Val: cc.Rel == rule.Anchor.Rel}, nil
 	case CondAnd:
-		l, err := condToExpr(cc.L, rule, varCols, anchorVar, sys)
+		l, err := condToExpr(ctx, cc.L, rule, varCols, anchorVar)
 		if err != nil {
 			return nil, err
 		}
-		r, err := condToExpr(cc.R, rule, varCols, anchorVar, sys)
+		r, err := condToExpr(ctx, cc.R, rule, varCols, anchorVar)
 		if err != nil {
 			return nil, err
 		}
 		return relstore.And{L: l, R: r}, nil
 	case CondOr:
-		l, err := condToExpr(cc.L, rule, varCols, anchorVar, sys)
+		l, err := condToExpr(ctx, cc.L, rule, varCols, anchorVar)
 		if err != nil {
 			return nil, err
 		}
-		r, err := condToExpr(cc.R, rule, varCols, anchorVar, sys)
+		r, err := condToExpr(ctx, cc.R, rule, varCols, anchorVar)
 		if err != nil {
 			return nil, err
 		}
 		return relstore.Or{L: l, R: r}, nil
 	case CondNot:
-		e, err := condToExpr(cc.E, rule, varCols, anchorVar, sys)
+		e, err := condToExpr(ctx, cc.E, rule, varCols, anchorVar)
 		if err != nil {
 			return nil, err
 		}
@@ -736,11 +721,11 @@ func condToExpr(c Cond, rule *ConjRule, varCols map[string]int, anchorVar string
 	return nil, fmt.Errorf("proql: unsupported WHERE condition for relational backend")
 }
 
-func operandExpr(o CmpOperand, rule *ConjRule, varCols map[string]int, anchorVar string, sys *exchange.System) (relstore.Expr, error) {
+func operandExpr(ctx *planContext, o CmpOperand, rule *ConjRule, varCols map[string]int, anchorVar string) (relstore.Expr, error) {
 	if o.Var == "" {
-		return relstore.Lit{Val: o.Lit}, nil
+		return ctx.litExpr(o.Lit), nil
 	}
-	t, _, err := anchorTerm(o, rule, anchorVar, sys)
+	t, _, err := anchorTerm(o, rule, anchorVar, ctx.sys)
 	if err != nil {
 		return nil, err
 	}
@@ -770,11 +755,13 @@ func anchorTerm(o CmpOperand, rule *ConjRule, anchorVar string, sys *exchange.Sy
 // anchorSelection is the anchor WHERE condition split into top-level
 // conjuncts and sorted by what the planner can do with each.
 type anchorSelection struct {
-	// empty: some conjunct is false for every row (it compares
-	// constants only), so the rule contributes nothing.
-	empty bool
+	// guards are the conjuncts that compare constants only (literals,
+	// constant anchor terms, IN): the rule contributes nothing unless
+	// every one holds. They depend on the literals' values, so they
+	// are decided when a template is bound.
+	guards []relstore.Expr
 	// fixed maps each anchor variable pinned by an attr = literal
-	// conjunct to its constant.
+	// conjunct to its constant (a parameter slot).
 	fixed map[string]model.Datum
 	// residual conjuncts are evaluated as Filters once their variables
 	// are bound.
@@ -788,31 +775,25 @@ type residualCond struct {
 
 // splitWhere splits the anchor WHERE condition of one rule. Every
 // conjunct is validated, whatever the others decide.
-func splitWhere(where Cond, rule *ConjRule, anchorVar string, sys *exchange.System) (*anchorSelection, error) {
+func splitWhere(ctx *planContext, where Cond, rule *ConjRule, anchorVar string) (*anchorSelection, error) {
 	sel := &anchorSelection{fixed: map[string]model.Datum{}}
 	if where == nil {
 		return sel, nil
 	}
 	for _, c := range splitConjuncts(where) {
-		vars, err := anchorCondVars(c, rule, anchorVar, sys)
+		vars, err := anchorCondVars(c, rule, anchorVar, ctx.sys)
 		if err != nil {
 			return nil, err
 		}
 		if len(vars) == 0 {
-			// The conjunct compares constants only (literals, constant
-			// anchor terms, IN): decide it now.
-			pred, err := condToExpr(c, rule, nil, anchorVar, sys)
+			pred, err := condToExpr(ctx, c, rule, nil, anchorVar)
 			if err != nil {
 				return nil, err
 			}
-			keep, err := evalPred(pred, nil)
-			if err != nil {
-				return nil, err
-			}
-			sel.empty = sel.empty || !keep
+			sel.guards = append(sel.guards, pred)
 			continue
 		}
-		if v, d, ok := pushableEq(c, rule, anchorVar, sys); ok {
+		if v, d, ok := pushableEq(ctx, c, rule, anchorVar); ok {
 			if _, dup := sel.fixed[v]; !dup {
 				sel.fixed[v] = d
 				continue
@@ -864,17 +845,26 @@ func anchorCondVars(c Cond, rule *ConjRule, anchorVar string, sys *exchange.Syst
 
 // pushableEq recognizes a conjunct $x.attr = literal (either way round)
 // that can be pushed into the rule as a constant for the anchor
-// variable at attr; probeLiteral decides which literals qualify.
-func pushableEq(c Cond, rule *ConjRule, anchorVar string, sys *exchange.System) (string, model.Datum, bool) {
+// variable at attr; probeLiteral decides which literals qualify. In a
+// template the constant is the literal's probe slot: the decision
+// holds for every literal of the same literalClass.
+func pushableEq(ctx *planContext, c Cond, rule *ConjRule, anchorVar string) (string, model.Datum, bool) {
 	attr, lit, ok := eqLiteral(c)
 	if !ok {
 		return "", nil, false
 	}
-	t, typ, err := anchorTerm(attr, rule, anchorVar, sys)
+	t, typ, err := anchorTerm(attr, rule, anchorVar, ctx.sys)
 	if err != nil || t.IsConst {
 		return "", nil, false
 	}
+	i, slotted := lit.(whereLit)
+	if slotted {
+		lit = ctx.params.lits[i]
+	}
 	d, ok := probeLiteral(lit, typ)
+	if ok && slotted {
+		d = ctx.params.slot(paramSlot{lit: int(i), probe: true, typ: typ})
+	}
 	return t.Var, d, ok
 }
 
@@ -908,14 +898,14 @@ func eqLiteral(c Cond) (attr CmpOperand, lit model.Datum, ok bool) {
 func probeLiteral(lit model.Datum, typ model.DatumType) (model.Datum, bool) {
 	switch v := lit.(type) {
 	case int64:
-		return v, typ == model.TypeInt
+		return lit, typ == model.TypeInt
 	case string:
-		return v, typ == model.TypeString
+		return lit, typ == model.TypeString
 	case bool:
-		return v, typ == model.TypeBool
+		return lit, typ == model.TypeBool
 	case float64:
 		if typ == model.TypeFloat {
-			return v, v != 0
+			return lit, v != 0
 		}
 		// Below 2^53 every integer is its own float64, so no other
 		// integer coerces to v.
@@ -924,6 +914,33 @@ func probeLiteral(lit model.Datum, typ model.DatumType) (model.Datum, bool) {
 		}
 	}
 	return nil, false
+}
+
+// literalClass partitions literals by what probeLiteral does with them
+// against an attribute of any type: int, string, bool, NULL, float
+// zero (either sign), integral float below 2^53, any other float, and
+// anything else. Plan templates are keyed by it, so a literal bound
+// into a template is pushed exactly where the template's own was.
+func literalClass(lit model.Datum) byte {
+	switch v := lit.(type) {
+	case int64:
+		return 'i'
+	case string:
+		return 's'
+	case bool:
+		return 'b'
+	case nil:
+		return 'n'
+	case float64:
+		switch {
+		case v == 0:
+			return 'z'
+		case v == math.Trunc(v) && math.Abs(v) < 1<<53:
+			return 'I'
+		}
+		return 'f'
+	}
+	return 'o'
 }
 
 // termExpr resolves a rule term to a column reference or literal.
@@ -937,6 +954,10 @@ func termExpr(t model.Term, varCols map[string]int) (relstore.Expr, error) {
 	}
 	return relstore.Col(col), nil
 }
+
+// rulePlansBuilt counts buildRulePlan calls, for tests that check a
+// cached template is bound, not rebuilt.
+var rulePlansBuilt atomic.Int64
 
 // termValue resolves a rule term against a result row.
 func termValue(t model.Term, varCols map[string]int, row model.Tuple) (model.Datum, error) {

@@ -5,40 +5,50 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/exchange"
+	"repro/internal/model"
 	"repro/internal/proql/physplan"
 )
 
 // planCache caches per-query-shape planning work: the physplan join
 // order and cost estimates for the graph and asr backends, and the
-// unfolded rule set for the relational backend. Keys are normalized
-// query shapes — structure and binding pattern, with WHERE literals
-// masked — so repeated queries differing only in constants hit.
-// Entries are validated against the relstore definition version and
-// the mapping count, so dropping or (re)creating tables (Materialize,
-// schema edits) invalidates without an explicit hook; row churn keeps
-// entries alive, since planning decisions depend only on coarse
-// statistics and correctness never does.
+// relational backend's plan template — the unfolded rules with one
+// physical plan per rule whose WHERE literals are parameter slots. Keys
+// are normalized query shapes — structure and binding pattern, with
+// WHERE literals masked — so repeated queries differing only in
+// constants hit, and a relational hit binds the query's literals into
+// the cached plans instead of planning. Entries are validated against
+// the relstore definition version and the mapping count, so dropping or
+// (re)creating tables (Materialize, schema edits) invalidates without
+// an explicit hook; row churn keeps entries alive, since planning
+// decisions depend only on coarse statistics and correctness never
+// does.
 //
 // The cache is shared by every concurrent query on the engine; mu
 // guards the entry map and the hit/miss counters. Entries themselves
-// are immutable once stored (readers copy before re-pointing the
-// query), so the lock covers only map access, never planning work.
+// are immutable once stored, so the lock covers only map access, never
+// planning work. At most maxPlanCacheEntries entries are kept: variable
+// names are part of a shape, so a client can mint shapes without end.
 //
 // Entries are epoch-correct by construction, so AS OF queries share
 // them with live ones: an entry holds only shape-level artifacts — an
-// unfolded rule set or replayable join-order decisions — never table
-// handles or row data. Every execution rebuilds its physical operators
-// against the snapshot it pinned (live or SnapshotAt), so a plan
-// cached by a live query produces epoch-accurate answers for a
-// time-travel query and vice versa. The dbVersion check above is about
-// the plan *space* (tables appearing or disappearing), not row
-// visibility.
+// unfolded rule set, plans that name tables rather than hold them, or
+// replayable join-order decisions — never row data. Every execution
+// runs the plans against the snapshot it pinned (live or SnapshotAt),
+// so a plan cached by a live query produces epoch-accurate answers for
+// a time-travel query and vice versa. The version check is about the
+// plan *space* (tables appearing or disappearing), not row visibility:
+// a relational execution checks the version of the snapshot it pinned.
 type planCache struct {
 	mu      sync.Mutex
 	entries map[string]*planCacheEntry
 	hits    int
 	misses  int
 }
+
+// maxPlanCacheEntries bounds the plan cache; storing into a full cache
+// evicts an arbitrary entry.
+const maxPlanCacheEntries = 256
 
 func newPlanCache() *planCache {
 	return &planCache{entries: map[string]*planCacheEntry{}}
@@ -47,12 +57,12 @@ func newPlanCache() *planCache {
 type planCacheEntry struct {
 	dbVersion uint64
 	mappings  int
-	// dec replays the physplan planner (graph/asr backends); comp is
-	// the relational backend's unfolded compilation. Exactly one is
-	// set, according to the backend segment of the key.
+	// dec replays the physplan planner (graph/asr backends); tpl is the
+	// relational backend's plan template. Exactly one is set, according
+	// to the backend segment of the key.
 	dec    physplan.Decisions
 	hasDec bool
-	comp   *Compiled
+	tpl    *relTemplate
 }
 
 // PlanCacheStats reports plan-cache effectiveness, surfaced by
@@ -80,10 +90,11 @@ func (e *Engine) cache() *planCache {
 	return e.plans
 }
 
-func (e *Engine) cacheLookup(key string) (*planCacheEntry, bool) {
+// cacheLookup returns the entry under key if it was recorded at
+// definition version dbVersion and the current mapping count.
+func (e *Engine) cacheLookup(key string, dbVersion uint64) (*planCacheEntry, bool) {
 	c := e.cache()
-	dbVersion := e.Sys.DB.Version()
-	mappings := len(e.Sys.Schema.Mappings())
+	mappings := e.Sys.Schema.NumMappings()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	ent, ok := c.entries[key]
@@ -100,19 +111,25 @@ func (e *Engine) cacheLookup(key string) (*planCacheEntry, bool) {
 	return nil, false
 }
 
-func (e *Engine) cacheStore(key string, ent *planCacheEntry) {
+func (e *Engine) cacheStore(key string, dbVersion uint64, ent *planCacheEntry) {
 	c := e.cache()
-	ent.dbVersion = e.Sys.DB.Version()
-	ent.mappings = len(e.Sys.Schema.Mappings())
+	ent.dbVersion = dbVersion
+	ent.mappings = e.Sys.Schema.NumMappings()
 	c.mu.Lock()
+	defer c.mu.Unlock()
+	if _, ok := c.entries[key]; !ok && len(c.entries) >= maxPlanCacheEntries {
+		for k := range c.entries {
+			delete(c.entries, k)
+			break
+		}
+	}
 	c.entries[key] = ent
-	c.mu.Unlock()
 }
 
 // cachedDecisions returns the replayable planner decisions for a
 // query's shape on one backend, if cached and still valid.
 func (e *Engine) cachedDecisions(backend string, q *Query) (physplan.Decisions, bool) {
-	ent, ok := e.cacheLookup(backend + "\x00" + shapeKey(q))
+	ent, ok := e.cacheLookup(backend+"\x00"+shapeKey(q), e.Sys.DB.Version())
 	if !ok || !ent.hasDec {
 		return physplan.Decisions{}, false
 	}
@@ -121,27 +138,29 @@ func (e *Engine) cachedDecisions(backend string, q *Query) (physplan.Decisions, 
 
 // storeDecisions records freshly made planner decisions.
 func (e *Engine) storeDecisions(backend string, q *Query, dec physplan.Decisions) {
-	e.cacheStore(backend+"\x00"+shapeKey(q), &planCacheEntry{dec: dec, hasDec: true})
+	e.cacheStore(backend+"\x00"+shapeKey(q), e.Sys.DB.Version(), &planCacheEntry{dec: dec, hasDec: true})
 }
 
-// compileUnfoldCached is CompileUnfold behind the plan cache: on a hit
-// the cached rule set is reused with the Query re-pointed, so the
-// current constants flow into plan building and evaluation while the
-// unfolding work is skipped. Compilation failures (including
-// ErrNotRelational) are not cached.
-func (e *Engine) compileUnfoldCached(q *Query) (*Compiled, error) {
-	key := "relational\x00" + shapeKey(q)
-	if ent, ok := e.cacheLookup(key); ok && ent.comp != nil {
-		cp := *ent.comp
-		cp.Query = q
-		return &cp, nil
+// relationalTemplate returns the plan template of q's shape for
+// execution on sys: from the cache when recorded at sys's definition
+// version, otherwise unfolded (CompileUnfold), built and stored.
+// Failures, ErrNotRelational included, are not cached.
+func (e *Engine) relationalTemplate(sys *exchange.System, q *Query) (*relTemplate, error) {
+	key := templateKey(q, e.RewriteRules != nil)
+	version := sys.DB.Version()
+	if ent, ok := e.cacheLookup(key, version); ok && ent.tpl != nil {
+		return ent.tpl, nil
 	}
 	comp, err := CompileUnfold(e.Sys, q)
 	if err != nil {
 		return nil, err
 	}
-	e.cacheStore(key, &planCacheEntry{comp: comp})
-	return comp, nil
+	t, err := e.buildTemplate(sys, comp, q)
+	if err != nil {
+		return nil, err
+	}
+	e.cacheStore(key, version, &planCacheEntry{tpl: t})
+	return t, nil
 }
 
 // shapeKey renders the normalized shape of a query: path structure,
@@ -152,6 +171,35 @@ func (e *Engine) compileUnfoldCached(q *Query) (*Compiled, error) {
 // the masking sound.
 func shapeKey(q *Query) string {
 	var sb strings.Builder
+	writeShape(&sb, q, false)
+	return sb.String()
+}
+
+// templateKey is the relational plan-cache key: the shape with each
+// WHERE literal's literalClass after its '?' (which decides where it is
+// pushed), plus what else shapes the plans: the EVALUATE flag and the
+// leaf ASSIGNING conditions, whose attributes column pruning keeps
+// (pruneSpec), and whether rules are ASR-rewritten.
+func templateKey(q *Query, rewrite bool) string {
+	var sb strings.Builder
+	sb.WriteString("relational\x00")
+	writeShape(&sb, q, true)
+	if q.Evaluate != "" {
+		sb.WriteString("|evaluate")
+		if q.LeafAssign != nil {
+			for _, c := range q.LeafAssign.Cases {
+				sb.WriteByte(':')
+				writeCondShape(&sb, c.Cond, false)
+			}
+		}
+	}
+	if rewrite {
+		sb.WriteString("|asr")
+	}
+	return sb.String()
+}
+
+func writeShape(sb *strings.Builder, q *Query, classes bool) {
 	sb.WriteString("for:")
 	for i, p := range q.Projection.For {
 		if i > 0 {
@@ -161,7 +209,7 @@ func shapeKey(q *Query) string {
 	}
 	if q.Projection.Where != nil {
 		sb.WriteString("|where:")
-		writeCondShape(&sb, q.Projection.Where)
+		writeCondShape(sb, q.Projection.Where, classes)
 	}
 	if len(q.Projection.Include) > 0 {
 		sb.WriteString("|include:")
@@ -174,15 +222,17 @@ func shapeKey(q *Query) string {
 	}
 	sb.WriteString("|return:")
 	sb.WriteString(strings.Join(q.Projection.Return, ","))
-	return sb.String()
 }
 
-func writeCondShape(sb *strings.Builder, c Cond) {
+// writeCondShape, appendWhereLits and slotWhere visit a condition's
+// literals in the same order: left operand before right, left
+// subcondition before right.
+func writeCondShape(sb *strings.Builder, c Cond, classes bool) {
 	switch cc := c.(type) {
 	case CondCmp:
-		writeOperandShape(sb, cc.L)
+		writeOperandShape(sb, cc.L, classes)
 		sb.WriteString(cc.Op)
-		writeOperandShape(sb, cc.R)
+		writeOperandShape(sb, cc.R, classes)
 	case CondIn:
 		sb.WriteByte('$')
 		sb.WriteString(cc.Var)
@@ -190,19 +240,19 @@ func writeCondShape(sb *strings.Builder, c Cond) {
 		sb.WriteString(cc.Rel)
 	case CondAnd:
 		sb.WriteByte('(')
-		writeCondShape(sb, cc.L)
+		writeCondShape(sb, cc.L, classes)
 		sb.WriteString(" AND ")
-		writeCondShape(sb, cc.R)
+		writeCondShape(sb, cc.R, classes)
 		sb.WriteByte(')')
 	case CondOr:
 		sb.WriteByte('(')
-		writeCondShape(sb, cc.L)
+		writeCondShape(sb, cc.L, classes)
 		sb.WriteString(" OR ")
-		writeCondShape(sb, cc.R)
+		writeCondShape(sb, cc.R, classes)
 		sb.WriteByte(')')
 	case CondNot:
 		sb.WriteString("(NOT ")
-		writeCondShape(sb, cc.E)
+		writeCondShape(sb, cc.E, classes)
 		sb.WriteByte(')')
 	case CondPath:
 		sb.WriteString(cc.Path.String())
@@ -212,8 +262,9 @@ func writeCondShape(sb *strings.Builder, c Cond) {
 }
 
 // writeOperandShape keeps the binding pattern (variable vs literal,
-// attribute access) and masks the literal value.
-func writeOperandShape(sb *strings.Builder, o CmpOperand) {
+// attribute access) and masks the literal value, optionally to its
+// literalClass.
+func writeOperandShape(sb *strings.Builder, o CmpOperand, classes bool) {
 	if o.Var != "" {
 		sb.WriteByte('$')
 		sb.WriteString(o.Var)
@@ -224,4 +275,51 @@ func writeOperandShape(sb *strings.Builder, o CmpOperand) {
 		return
 	}
 	sb.WriteByte('?')
+	if classes {
+		sb.WriteByte(literalClass(o.Lit))
+	}
+}
+
+// appendWhereLits appends the literals of a WHERE condition to dst.
+func appendWhereLits(dst []model.Datum, c Cond) []model.Datum {
+	switch cc := c.(type) {
+	case CondCmp:
+		if cc.L.Var == "" {
+			dst = append(dst, cc.L.Lit)
+		}
+		if cc.R.Var == "" {
+			dst = append(dst, cc.R.Lit)
+		}
+	case CondAnd:
+		dst = appendWhereLits(appendWhereLits(dst, cc.L), cc.R)
+	case CondOr:
+		dst = appendWhereLits(appendWhereLits(dst, cc.L), cc.R)
+	case CondNot:
+		dst = appendWhereLits(dst, cc.E)
+	}
+	return dst
+}
+
+// slotWhere copies a WHERE condition with each literal replaced by its
+// whereLit position, counting from *n.
+func slotWhere(c Cond, n *int) Cond {
+	switch cc := c.(type) {
+	case CondCmp:
+		for _, o := range []*CmpOperand{&cc.L, &cc.R} {
+			if o.Var == "" {
+				o.Lit = whereLit(*n)
+				*n++
+			}
+		}
+		return cc
+	case CondAnd:
+		l := slotWhere(cc.L, n)
+		return CondAnd{L: l, R: slotWhere(cc.R, n)}
+	case CondOr:
+		l := slotWhere(cc.L, n)
+		return CondOr{L: l, R: slotWhere(cc.R, n)}
+	case CondNot:
+		return CondNot{E: slotWhere(cc.E, n)}
+	}
+	return c
 }

@@ -112,3 +112,40 @@ func TestPlanCacheInvalidationOnDefinitionChange(t *testing.T) {
 		t.Errorf("expected a second miss after invalidation: stats = %+v", st)
 	}
 }
+
+// TestPlanCacheBounded mints 10,000 shapes the way a client renaming
+// its variables would, interleaved with one recurring shape: the cache
+// never holds more than maxPlanCacheEntries entries, every answer
+// matches its literal, and the recurring shape still hits whenever its
+// entry survived.
+func TestPlanCacheBounded(t *testing.T) {
+	e := exampleEngine(t)
+	e.Backend = "relational"
+	want := map[int]int{0: 2, 6: 1, 100: 0} // A_l rows have length 7 and 5 (Figure 1)
+	lengths := []int{0, 6, 100}
+	run := func(v string, i int) {
+		t.Helper()
+		n := lengths[i%len(lengths)]
+		q := MustParse(fmt.Sprintf(`FOR [A $%s] WHERE $%s.length >= %d RETURN $%s`, v, v, n, v))
+		res, err := e.Exec(context.Background(), q, Options{})
+		if err != nil {
+			t.Fatalf("$%s, length >= %d: %v", v, n, err)
+		}
+		if got := len(res.SortedRefs(v)); got != want[n] {
+			t.Fatalf("$%s, length >= %d: %d bindings, want %d", v, n, got, want[n])
+		}
+	}
+	for i := 0; i < 10_000; i++ {
+		run(fmt.Sprintf("x%d", i), i)
+		if i%10 == 0 {
+			run("x", i)
+		}
+		if st := e.PlanCacheStats(); st.Entries > maxPlanCacheEntries {
+			t.Fatalf("after %d shapes: %d entries, cap %d", i+1, st.Entries, maxPlanCacheEntries)
+		}
+	}
+	st := e.PlanCacheStats()
+	if st.Entries != maxPlanCacheEntries || st.Hits == 0 {
+		t.Errorf("stats %+v: want a full cache and some hits of the recurring shape", st)
+	}
+}

@@ -70,9 +70,6 @@ type Compiled struct {
 	// BaseRels are terminal relations (named rightmost path patterns):
 	// their atoms are not unfolded further.
 	BaseRels map[string]bool
-
-	// orders is shared by the copies the plan cache hands out.
-	orders *orderCache
 }
 
 // ErrNotRelational reports that a query needs the graph backend.
@@ -211,7 +208,6 @@ func CompileUnfold(sys *exchange.System, q *Query) (*Compiled, error) {
 		Rules:      out,
 		Allowed:    allowed,
 		BaseRels:   baseRels,
-		orders:     newOrderCache(),
 	}, nil
 }
 

@@ -77,6 +77,9 @@ func (p *IndexProbe) Run(db *Database) ([]model.Tuple, error) {
 	if !ok {
 		return nil, fmt.Errorf("relstore: probe of unknown table %q", p.Table)
 	}
+	if err := checkBound(p.Vals); err != nil {
+		return nil, err
+	}
 	return t.Probe(p.Cols, p.Vals), nil
 }
 
@@ -101,6 +104,9 @@ func (p *PKLookup) Run(db *Database) ([]model.Tuple, error) {
 	if !ok {
 		return nil, fmt.Errorf("relstore: lookup in unknown table %q", p.Table)
 	}
+	if err := checkBound(p.Key); err != nil {
+		return nil, err
+	}
 	if row, found := t.LookupKey(p.Key); found {
 		return []model.Tuple{row}, nil
 	}
@@ -117,7 +123,8 @@ func (p *PKLookup) explain(sb *strings.Builder, indent int) {
 // Select plans the read of the rows of t whose cols equal vals along
 // the path t.ChooseAccess picks: a PKLookup or IndexProbe on the
 // covered columns under a Filter on the residual ones, or a filtered
-// Scan when neither the key nor an index is covered.
+// Scan when neither the key nor an index is covered. Any of vals may
+// be a Param.
 func Select(t *Table, cols []int, vals []model.Datum) Plan {
 	name, width := t.Schema.Name, len(t.Schema.Columns)
 	if len(cols) == 0 {
@@ -141,7 +148,7 @@ func Select(t *Table, cols []int, vals []model.Datum) Plan {
 	if len(path.Residual) > 0 {
 		preds := make([]Expr, len(path.Residual))
 		for i, p := range path.Residual {
-			preds[i] = Cmp{Op: EQ, L: Col(cols[p]), R: Lit{Val: vals[p]}}
+			preds[i] = Cmp{Op: EQ, L: Col(cols[p]), R: ValueExpr(vals[p])}
 		}
 		plan = &Filter{Input: plan, Pred: AndAll(preds)}
 	}

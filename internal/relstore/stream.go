@@ -13,9 +13,17 @@ import (
 // Pipeline operators (Filter, Project, FilterFunc, Distinct, UnionAll,
 // IndexJoin) stream over their inputs without materializing; pipeline
 // breakers (hash joins, grouping) materialize on first Next exactly as
-// Run does.
+// Run does. A Bound plan streams its template with the parameters
+// resolved as each operator opens.
 func Stream(p Plan, db *Database) stream.Iterator[model.Tuple] {
+	return streamArgs(p, db, nil)
+}
+
+// streamArgs is Stream with the parameter values of an enclosing Bound.
+func streamArgs(p Plan, db *Database, args []model.Datum) stream.Iterator[model.Tuple] {
 	switch n := p.(type) {
+	case *Bound:
+		return streamArgs(n.Plan, db, n.Args)
 	case *UnionAll:
 		idx := 0
 		var cur stream.Iterator[model.Tuple]
@@ -26,7 +34,7 @@ func Stream(p Plan, db *Database) stream.Iterator[model.Tuple] {
 						if idx >= len(n.Inputs) {
 							return nil, false, nil
 						}
-						cur = Stream(n.Inputs[idx], db)
+						cur = streamArgs(n.Inputs[idx], db, args)
 						idx++
 					}
 					row, ok, err := cur.Next()
@@ -47,7 +55,8 @@ func Stream(p Plan, db *Database) stream.Iterator[model.Tuple] {
 			},
 		}
 	case *Filter:
-		in := Stream(n.Input, db)
+		in := streamArgs(n.Input, db, args)
+		pred := BindExpr(n.Pred, args)
 		return &stream.Func[model.Tuple]{
 			NextFn: func() (model.Tuple, bool, error) {
 				for {
@@ -55,7 +64,7 @@ func Stream(p Plan, db *Database) stream.Iterator[model.Tuple] {
 					if err != nil || !ok {
 						return nil, false, err
 					}
-					keep, err := evalBool(n.Pred, row)
+					keep, err := evalBool(pred, row)
 					if err != nil {
 						return nil, false, err
 					}
@@ -67,7 +76,7 @@ func Stream(p Plan, db *Database) stream.Iterator[model.Tuple] {
 			CloseFn: in.Close,
 		}
 	case *FilterFunc:
-		in := Stream(n.Input, db)
+		in := streamArgs(n.Input, db, args)
 		return &stream.Func[model.Tuple]{
 			NextFn: func() (model.Tuple, bool, error) {
 				for {
@@ -87,7 +96,7 @@ func Stream(p Plan, db *Database) stream.Iterator[model.Tuple] {
 			CloseFn: in.Close,
 		}
 	case *Project:
-		in := Stream(n.Input, db)
+		in := streamArgs(n.Input, db, args)
 		return &stream.Func[model.Tuple]{
 			NextFn: func() (model.Tuple, bool, error) {
 				row, ok, err := in.Next()
@@ -107,7 +116,7 @@ func Stream(p Plan, db *Database) stream.Iterator[model.Tuple] {
 			CloseFn: in.Close,
 		}
 	case *Distinct:
-		in := Stream(n.Input, db)
+		in := streamArgs(n.Input, db, args)
 		seen := map[string]bool{}
 		return &stream.Func[model.Tuple]{
 			NextFn: func() (model.Tuple, bool, error) {
@@ -149,10 +158,11 @@ func Stream(p Plan, db *Database) stream.Iterator[model.Tuple] {
 			},
 		}
 	case *IndexJoin:
-		return streamIndexJoin(n, db)
+		return streamIndexJoin(n, db, args)
 	default:
 		// Pipeline breaker (IndexProbe, PKLookup, Values, HashJoin,
-		// GroupBy): materialize lazily on first pull.
+		// GroupBy): materialize lazily on first pull, parameters
+		// substituted.
 		var rows []model.Tuple
 		started := false
 		pos := 0
@@ -161,7 +171,7 @@ func Stream(p Plan, db *Database) stream.Iterator[model.Tuple] {
 				if !started {
 					started = true
 					var err error
-					rows, err = p.Run(db)
+					rows, err = Bind(p, args).Run(db)
 					if err != nil {
 						return nil, false, err
 					}
@@ -183,6 +193,7 @@ func Stream(p Plan, db *Database) stream.Iterator[model.Tuple] {
 type indexJoinIter struct {
 	j         *IndexJoin
 	db        *Database
+	args      []model.Datum // values of the Params among the keys
 	left      stream.Iterator[model.Tuple]
 	lw        int
 	right     *Table // opened when the first left row arrives
@@ -195,8 +206,8 @@ type indexJoinIter struct {
 	pos       int
 }
 
-func streamIndexJoin(j *IndexJoin, db *Database) stream.Iterator[model.Tuple] {
-	return &indexJoinIter{j: j, db: db, left: Stream(j.Left, db), lw: j.Left.Arity(), vals: make([]model.Datum, len(j.Keys))}
+func streamIndexJoin(j *IndexJoin, db *Database, args []model.Datum) stream.Iterator[model.Tuple] {
+	return &indexJoinIter{j: j, db: db, args: args, left: streamArgs(j.Left, db, args), lw: j.Left.Arity(), vals: make([]model.Datum, len(j.Keys))}
 }
 
 func (it *indexJoinIter) open() error {
@@ -227,9 +238,14 @@ func (it *indexJoinIter) fetch(lr model.Tuple) error {
 	j := it.j
 	it.lrow, it.pos, it.matches = lr, 0, it.matches[:0]
 	for i, k := range j.Keys {
-		v, err := k.Eval(lr)
-		if err != nil {
-			return err
+		var v model.Datum
+		if p, ok := k.(Param); ok && int(p) < len(it.args) {
+			v = it.args[p]
+		} else {
+			var err error
+			if v, err = k.Eval(lr); err != nil {
+				return err
+			}
 		}
 		if v == nil {
 			return nil

@@ -74,7 +74,9 @@ func timedWith(runs int, fn func() (func() error, error)) (time.Duration, error)
 }
 
 // UnfoldStatsRow is one point of Figures 7 and 8: the unfolded-rule
-// count and the unfolding/evaluation time split.
+// count and the unfolding/evaluation time split of the target query's
+// first execution on a fresh engine, so UnfoldTime is the unfolding
+// itself (plus building the plan template), not a plan-cache hit.
 type UnfoldStatsRow struct {
 	X             int // number of peers (Fig 7) or peers with data (Fig 8)
 	UnfoldedRules int
@@ -85,7 +87,7 @@ type UnfoldStatsRow struct {
 // RunFig7 reproduces Figure 7: chain topology, data at every peer,
 // sweeping the number of peers; fan profile so the unfolding must
 // cover all derivation combinations.
-func RunFig7(peerCounts []int, baseSize int, runs int, seed int64) ([]UnfoldStatsRow, error) {
+func RunFig7(peerCounts []int, baseSize int, seed int64) ([]UnfoldStatsRow, error) {
 	var out []UnfoldStatsRow
 	for _, n := range peerCounts {
 		set, err := Build(Config{
@@ -99,7 +101,7 @@ func RunFig7(peerCounts []int, baseSize int, runs int, seed int64) ([]UnfoldStat
 		if err != nil {
 			return nil, err
 		}
-		row, err := measureTarget(set, n, runs)
+		row, err := measureTarget(set, n)
 		if err != nil {
 			return nil, err
 		}
@@ -110,7 +112,7 @@ func RunFig7(peerCounts []int, baseSize int, runs int, seed int64) ([]UnfoldStat
 
 // RunFig8 reproduces Figure 8: fixed-length chain, sweeping the number
 // of peers with local data.
-func RunFig8(numPeers int, dataCounts []int, baseSize int, runs int, seed int64) ([]UnfoldStatsRow, error) {
+func RunFig8(numPeers int, dataCounts []int, baseSize int, seed int64) ([]UnfoldStatsRow, error) {
 	var out []UnfoldStatsRow
 	for _, d := range dataCounts {
 		set, err := Build(Config{
@@ -124,7 +126,7 @@ func RunFig8(numPeers int, dataCounts []int, baseSize int, runs int, seed int64)
 		if err != nil {
 			return nil, err
 		}
-		row, err := measureTarget(set, d, runs)
+		row, err := measureTarget(set, d)
 		if err != nil {
 			return nil, err
 		}
@@ -133,26 +135,20 @@ func RunFig8(numPeers int, dataCounts []int, baseSize int, runs int, seed int64)
 	return out, nil
 }
 
-func measureTarget(set *Setting, x, runs int) (UnfoldStatsRow, error) {
-	eng := proql.NewEngine(set.Sys)
+func measureTarget(set *Setting, x int) (UnfoldStatsRow, error) {
 	q, err := proql.Parse(set.TargetQuery())
 	if err != nil {
 		return UnfoldStatsRow{}, err
 	}
-	var last *proql.Result
-	_, err = timed(runs, func() error {
-		res, err := eng.Exec(context.Background(), q, proql.Options{})
-		last = res
-		return err
-	})
+	res, err := proql.NewEngine(set.Sys).Exec(context.Background(), q, proql.Options{})
 	if err != nil {
 		return UnfoldStatsRow{}, err
 	}
 	return UnfoldStatsRow{
 		X:             x,
-		UnfoldedRules: last.Stats.UnfoldedRules,
-		UnfoldTime:    last.Stats.UnfoldTime,
-		EvalTime:      last.Stats.EvalTime,
+		UnfoldedRules: res.Stats.UnfoldedRules,
+		UnfoldTime:    res.Stats.UnfoldTime,
+		EvalTime:      res.Stats.EvalTime,
 	}, nil
 }
 

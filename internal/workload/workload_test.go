@@ -221,7 +221,7 @@ func TestHarnessSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("harness smoke test is slow")
 	}
-	rows, err := RunFig7([]int{2, 3}, 4, 3, 11)
+	rows, err := RunFig7([]int{2, 3}, 4, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
