@@ -272,10 +272,10 @@ func BenchmarkAnnotationOverhead(b *testing.B) {
 	})
 }
 
-// BenchmarkMultiPathMatch measures the graph and asr backends on a
-// multi-path common-provenance query (the Q4 shape): the physical-plan
-// pipeline (indexed scans + a join on the shared variable) over the
-// materialized graph and over the goal-directed adapter.
+// BenchmarkMultiPathMatch measures the asr backend on a multi-path
+// common-provenance query (the Q4 shape): the physical-plan pipeline
+// (indexed scans + a join on the shared variable) over the
+// goal-directed adapter, warm.
 func BenchmarkMultiPathMatch(b *testing.B) {
 	set, err := workload.Build(workload.Config{
 		Topology:  workload.Chain,
@@ -288,23 +288,12 @@ func BenchmarkMultiPathMatch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	eng := proql.NewEngine(set.Sys)
-	if _, err := eng.Graph(); err != nil { // prebuild so runs measure evaluation only
-		b.Fatal(err)
-	}
 	q, err := proql.Parse(fmt.Sprintf(
 		"FOR [%s $x] <-+ [$z], [%s $y] <-+ [$z] RETURN $x, $y",
 		workload.ARel(0), workload.ARel(1)))
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Run("planned", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := eng.Exec(context.Background(), q, proql.Options{Backend: "graph"}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("asr", func(b *testing.B) {
 		goal := proql.NewEngine(set.Sys)
 		if _, err := goal.Exec(context.Background(), q, proql.Options{Backend: "asr"}); err != nil { // warm the adapter and plan cache
@@ -393,11 +382,12 @@ func servedConfig(size string) workload.Config {
 }
 
 // BenchmarkGraphPointQuery is BenchmarkRelationalPointQuery's point
-// question on the physplan backends, on instance S: a WHERE that fixes
-// the start relation's key starts the path from one point lookup. The
-// asr backend is measured warm (adapter kept across queries) and with
-// its adapter retired before every query, which is what every commit
-// does to it under churn: the lookup interns one tuple either way.
+// question on the asr backend (which backend "graph" aliases), on
+// instance S: a WHERE that fixes the start relation's key starts the
+// path from one point lookup. It is measured warm (adapter kept across
+// queries) and with the adapter retired before every query, which is
+// what every commit does to it under churn: the lookup interns one
+// tuple either way.
 func BenchmarkGraphPointQuery(b *testing.B) {
 	set, err := workload.Build(servedConfig("S"))
 	if err != nil {
@@ -413,19 +403,18 @@ func BenchmarkGraphPointQuery(b *testing.B) {
 		name, backend string
 		retire        bool
 	}{
-		{"graph", "graph", false},
 		{"asr-warm", "asr", false},
 		{"asr-retired", "asr", true},
 	} {
 		b.Run(arm.name, func(b *testing.B) {
-			// Build the cached graph / the adapter outside the timer.
+			// Build the adapter outside the timer.
 			if _, err := eng.Exec(context.Background(), qs[0], proql.Options{Backend: arm.backend}); err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if arm.retire {
-					eng.MaintainGraph(nil) // retires the adapter, patches nothing
+					eng.RetireAdapter()
 				}
 				res, err := eng.Exec(context.Background(), qs[i%len(qs)], proql.Options{Backend: arm.backend})
 				if err != nil {
@@ -455,10 +444,8 @@ func BenchmarkAnalyticShapes(b *testing.B) {
 	eng := proql.NewEngine(set.Sys)
 	for _, arm := range []struct{ name, query, backend string }{
 		{"target/auto", set.TargetQuery(), "auto"},
-		{"target/graph", set.TargetQuery(), "graph"},
 		{"target/asr", set.TargetQuery(), "asr"},
 		{"trust/auto", set.TargetAnnotationQuery(), "auto"},
-		{"multipath/graph", multipathQuery, "graph"},
 		{"multipath/asr", multipathQuery, "asr"},
 	} {
 		b.Run(arm.name, func(b *testing.B) {
@@ -473,7 +460,7 @@ func BenchmarkAnalyticShapes(b *testing.B) {
 				}
 				return res.Len()
 			}
-			serve() // build the cached graph / the adapter, fill the plan cache
+			serve() // build the adapter, fill the plan cache
 			b.ReportAllocs()
 			b.ResetTimer()
 			rows := 0
@@ -481,59 +468,6 @@ func BenchmarkAnalyticShapes(b *testing.B) {
 				rows = serve()
 			}
 			b.ReportMetric(float64(rows), "bindings")
-		})
-	}
-}
-
-// BenchmarkGraphPatchDelete times provgraph.Apply alone — the cached
-// graph's share of a delete — on instances S and M: each iteration
-// deletes one seeded row of the far upstream peer, whose derived tuples
-// and derivations sit anywhere in the graph's order and label lists,
-// and (off the clock) inserts it again. The chain is twice as long on
-// M, so a delete removes twice the nodes; ns/node is the cost per
-// removed node, which must not grow with the graph ("nodes").
-func BenchmarkGraphPatchDelete(b *testing.B) {
-	for _, size := range []string{"S", "M"} {
-		b.Run(size, func(b *testing.B) {
-			cfg := servedConfig(size)
-			set, err := workload.Build(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			sys := set.Sys
-			g, err := provgraph.Build(sys)
-			if err != nil {
-				b.Fatal(err)
-			}
-			rel := workload.ARel(cfg.NumPeers - 1)
-			rows := sys.DB.MustTable(rel + "_l").Rows()
-			removed := 0
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				row := rows[(i*37)%len(rows)]
-				report, err := sys.DeleteLocal(rel, row[:1])
-				if err != nil {
-					b.Fatal(err)
-				}
-				removed += len(report.DeletedTuples) + len(report.DeletedDerivations)
-				b.StartTimer()
-				provgraph.Apply(g, sys, report)
-				b.StopTimer()
-				if err := sys.InsertLocal(rel, row); err != nil {
-					b.Fatal(err)
-				}
-				ins, err := sys.RunDelta()
-				if err != nil {
-					b.Fatal(err)
-				}
-				if ok, err := provgraph.ApplyInsertions(g, sys, ins); !ok || err != nil {
-					b.Fatalf("ApplyInsertions = %v, %v", ok, err)
-				}
-				b.StartTimer()
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(removed), "ns/node")
-			b.ReportMetric(float64(g.NumTuples()+g.NumDerivations()), "nodes")
 		})
 	}
 }

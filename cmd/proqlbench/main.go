@@ -364,9 +364,10 @@ func runMixed(p scaleParams) error {
 
 // runProQL is the backend sweep (E14): the Q4-shaped multi-path
 // common-provenance query at 1x/10x/100x of the base setting, on the
-// graph backend (materialize the provenance graph, then evaluate warm)
-// and on the goal-directed asr backend (probe the ASR tables directly:
-// no materialization, plan cached after the first run). graph-builds
+// goal-directed asr backend (probe the provenance tables directly: no
+// materialization, plan cached after the first run), next to the
+// reference arm: materializing the whole provenance graph (graph-build)
+// and a warm run through the "graph" alias (graph-eval). graph-builds
 // must read 0 — the asr arm never pays the build column.
 func runProQL(p scaleParams) error {
 	fmt.Printf("ProQL backend sweep (E14): chain of %d peers, base %d at %d upstream peers, scales %v\n",

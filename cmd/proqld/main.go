@@ -30,7 +30,8 @@
 //
 //	GET  /v1/healthz   liveness probe
 //	GET  /v1/stats     epoch, retention floor, instance size, counters, write-lock and log timings
-//	POST /v1/query     {"query": "FOR [O $x] ... RETURN $x", "backend": "auto|relational|graph|asr", "as_of": 7}
+//	POST /v1/query     {"query": "FOR [O $x] ... RETURN $x", "backend": "auto|relational|asr|graph", "as_of": 7}
+//	                   ("graph" is an alias of "asr"; the reply's "backend" names the executor that ran)
 //	POST /v1/diff      {"query": "...", "from": 5, "to": 9}  (what appeared/disappeared)
 //	POST /v1/insert    {"relation": "A", "rows": [[3, "sn3", 9]]}  (one commit: rows and what they derive)
 //	POST /v1/delete    {"relation": "A", "keys": [[3]]}            (one commit: rows and what depended on them)
@@ -353,9 +354,9 @@ func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 type queryRequest struct {
 	Query string `json:"query"`
 	// Backend selects the execution strategy: "" or "auto" (relational
-	// when the query allows, else graph), "relational", "graph", or
-	// "asr". The choice is per request; all of them read a pinned
-	// snapshot.
+	// when the query allows, else asr), "relational", or "asr"; "graph"
+	// is accepted as an alias of "asr". The choice is per request; all
+	// of them read a pinned snapshot.
 	Backend string `json:"backend"`
 	// AsOf, when non-zero, evaluates the query against the retained
 	// state at that epoch (time travel). Requires the server to run
@@ -364,9 +365,11 @@ type queryRequest struct {
 	AsOf uint64 `json:"as_of"`
 }
 
-// queryResponse is the reply to a query. Epoch is the storage epoch
-// the query read (its pinned snapshot), not the newest one: the same
-// query with as_of set to it returns the same bindings.
+// queryResponse is the reply to a query. Backend is the executor that
+// ran ("relational" or "asr"; a "graph" request reports "asr"). Epoch
+// is the storage epoch the query read (its pinned snapshot), not the
+// newest one: the same query with as_of set to it returns the same
+// bindings.
 type queryResponse struct {
 	Bindings  map[string][]string `json:"bindings"`
 	Count     int                 `json:"count"`

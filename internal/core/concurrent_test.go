@@ -183,8 +183,8 @@ func TestSnapshotReaderVsSerializedOracle(t *testing.T) {
 // TestReportedEpochReplays: Stats.Epoch names the storage epoch a query
 // read, on every backend, under a concurrent writer. While a writer
 // inserts and deletes rows that propagate down a chain to the queried
-// relation — patching the cached graph and retiring the ASR adapter
-// with every commit — readers run a key-pinned point query on one of
+// relation — retiring the engine's asr adapter with every commit —
+// readers run a key-pinned point query on one of
 // the churned keys and a whole-relation query on all three backends and
 // record the bindings with the reported epoch. Afterwards every record
 // must replay: the same query AS OF that epoch returns those bindings.

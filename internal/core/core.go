@@ -33,8 +33,8 @@ import (
 //
 // Concurrency: queries (Query, and the engine's Exec* family) may run
 // from any number of goroutines, including while a mutation commits —
-// each query reads a pinned storage snapshot or latched graph, so it
-// observes either the whole commit or none of it. Mutations (Insert,
+// each query reads a pinned storage snapshot, so it observes either
+// the whole commit or none of it, and no query holds up a mutation. Mutations (Insert,
 // Delete, InsertLocal, Run, DeleteLocal, DefineASR, AdviseASRs,
 // UseASRs) are serialized by an internal writer lock: callers may issue
 // them from multiple goroutines, but they execute one at a time.
@@ -48,8 +48,7 @@ type System struct {
 	store *wal.Store
 
 	// wmu serializes mutations. Single-logical-writer keeps the epoch
-	// protocol simple: every commit is one batch, and the cached-graph
-	// patch that follows it always sees the post-commit epoch.
+	// protocol simple: every commit is one batch.
 	wmu sync.Mutex
 	// wmuWaitNS and wmuHoldNS total the time mutations spent waiting for
 	// wmu and holding it.
@@ -258,8 +257,7 @@ func (s *System) InsertLocal(rel string, rows ...model.Tuple) error {
 // their provenance. The first call runs the full fixpoint; afterwards
 // the engine's state persists, so subsequent calls propagate only the
 // rows inserted since the previous run (a Δ-seeded RunDelta whose cost
-// scales with the affected derivations, not the database), the cached
-// provenance graph is patched in place instead of rebuilt, and ASR
+// scales with the affected derivations, not the database), and ASR
 // backing tables are patched from the same insertion report instead of
 // re-materialized. Deletions do not break the chain: DeleteLocal
 // repairs the engine's journals from its deletion report, so a Run
@@ -289,15 +287,10 @@ func (s *System) runLocked() error {
 	}
 	asrErr := s.index.ApplyInsertions(report)
 	db.EndBatch()
-	// Patch the cached graph only after the batch published: the
-	// engine compares its graph's epoch to the post-commit epoch to
-	// decide between patching and skipping (a concurrent query may
-	// have rebuilt the graph from the committed state already).
-	if report.Full {
-		s.engine.InvalidateGraph()
-	} else {
-		s.engine.MaintainGraphInsert(report)
-	}
+	// The engine's shared asr adapter pins the previous epoch: retire
+	// it so its snapshot goes with its last in-flight query instead of
+	// waiting for the next one.
+	s.engine.RetireAdapter()
 	if asrErr != nil {
 		return asrErr
 	}
@@ -306,9 +299,9 @@ func (s *System) runLocked() error {
 
 // Delete removes base tuples and incrementally propagates the
 // deletions through the materialized views using their provenance
-// (use case Q5); the cached provenance graph and the ASR backing
-// tables are patched in place from the deletion report rather than
-// rebuilt. It returns the epoch the commit published.
+// (use case Q5); the ASR backing tables are patched in place from the
+// deletion report rather than rebuilt. It returns the epoch the commit
+// published.
 func (s *System) Delete(rel string, keys ...[]model.Datum) (uint64, *exchange.MaintenanceReport, error) {
 	locked, err := s.lockWrite()
 	if err != nil {
@@ -316,7 +309,7 @@ func (s *System) Delete(rel string, keys ...[]model.Datum) (uint64, *exchange.Ma
 	}
 	defer s.unlockWrite(locked)
 	// Same epoch discipline as Run: deletions and the ASR patches they
-	// imply commit atomically; the graph patch follows the publish.
+	// imply commit atomically.
 	db := s.ex.DB
 	db.BeginBatch()
 	report, err := s.ex.DeleteLocal(rel, keys...)
@@ -327,7 +320,7 @@ func (s *System) Delete(rel string, keys ...[]model.Datum) (uint64, *exchange.Ma
 	asrErr := s.index.ApplyDeletions(report)
 	db.EndBatch()
 	epoch := db.Epoch()
-	s.engine.MaintainGraph(report)
+	s.engine.RetireAdapter()
 	if asrErr != nil {
 		return 0, nil, asrErr
 	}
@@ -439,7 +432,9 @@ func (s *System) useASRsLocked(on bool) {
 // ASRIndex exposes the index for inspection.
 func (s *System) ASRIndex() *asr.Index { return s.index }
 
-// Graph returns the full materialized provenance graph.
+// Graph materializes the full provenance graph of the current epoch
+// from a pinned snapshot; the graph is the caller's, and later commits
+// do not change it.
 func (s *System) Graph() (*provgraph.Graph, error) {
 	return s.engine.Graph()
 }

@@ -58,8 +58,10 @@ func TestInsertIsOneCommit(t *testing.T) {
 	two, _ := durableChain(t, t.TempDir(), wal.Options{})
 	defer two.Close()
 	source, rows, keys := churnRows(one, cfg, 3)
-	// Build the cached graph first, so the insert has one to patch.
-	if _, err := one.Graph(); err != nil {
+	q := proql.MustParse(`FOR [A0 $x] INCLUDE PATH [$x] <-+ [] RETURN $x`)
+	// Bind the engine's shared adapter first, so the insert has one to
+	// retire.
+	if _, err := one.Engine().Exec(context.Background(), q, proql.Options{Backend: "graph"}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -87,7 +89,6 @@ func TestInsertIsOneCommit(t *testing.T) {
 	if got, want := fingerprint(one.Exchange()), fingerprint(two.Exchange()); got != want {
 		t.Fatalf("Insert and InsertLocal+Run disagree\ngot:\n%s\nwant:\n%s", got, want)
 	}
-	q := proql.MustParse(`FOR [A0 $x] INCLUDE PATH [$x] <-+ [] RETURN $x`)
 	for _, backend := range []string{"relational", "graph", "asr"} {
 		a, err := one.Engine().Exec(context.Background(), q, proql.Options{Backend: backend})
 		if err != nil {

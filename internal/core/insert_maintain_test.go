@@ -3,58 +3,23 @@ package core_test
 import (
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/model"
 )
 
 // TestFacadeRunPatchesGraphOnInsert: after the first full run, the
-// facade's Run propagates new local rows with the Δ-seeded RunDelta
-// and patches the cached provenance graph in place; graph-backend
-// queries afterwards must see exactly what a fresh engine over the
-// same storage sees.
+// facade's Run propagates new local rows with the Δ-seeded RunDelta;
+// graph and asr queries on the warm engine afterwards answer what a
+// fresh engine over the same storage answers.
 func TestFacadeRunPatchesGraphOnInsert(t *testing.T) {
 	sys := openExample(t)
-	q := `FOR [O $x] INCLUDE PATH [$x] <-+ [] RETURN $x`
-	if _, err := sys.Query(q); err != nil { // warm the graph cache
-		t.Fatal(err)
-	}
-	gBefore, err := sys.Engine().Graph()
-	if err != nil {
-		t.Fatal(err)
-	}
+	warmPathBackends(t, sys, targetQuery)
 	if err := sys.InsertLocal("A", model.Tuple{int64(3), "sn3", int64(4)}); err != nil {
 		t.Fatal(err)
 	}
 	if err := sys.Run(); err != nil {
 		t.Fatal(err)
 	}
-	gAfter, err := sys.Engine().Graph()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gAfter != gBefore {
-		t.Fatal("incremental insertion rebuilt the cached graph instead of patching it")
-	}
-	res, err := sys.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := res.SortedRefs("x")
-
-	fresh := core.Wrap(sys.Exchange())
-	wantRes, err := fresh.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := wantRes.SortedRefs("x")
-	if len(got) != len(want) {
-		t.Fatalf("patched engine returned %d refs, fresh engine %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Errorf("ref %d: patched %v, fresh %v", i, got[i], want[i])
-		}
-	}
+	got := queryAfterWrite(t, sys, targetQuery)
 	// The new A(3) row derives O(sn3,4) via m4.
 	found := false
 	for _, ref := range got {
@@ -63,26 +28,19 @@ func TestFacadeRunPatchesGraphOnInsert(t *testing.T) {
 		}
 	}
 	if !found {
-		t.Errorf("newly derived O tuple missing from patched query results: %v", got)
+		t.Errorf("newly derived O tuple missing from query results: %v", got)
 	}
 }
 
 // TestFacadeRunAfterDeleteStaysDelta: a deletion feeds its report
 // back into the persistent engine journals (datalog journal repair),
-// so the Run after a DeleteLocal is STILL delta-seeded — the cached
-// graph is patched, not rebuilt, the run enumerates only the affected
-// derivations, and results still match a fresh engine.
+// so the Run after a DeleteLocal is STILL delta-seeded — the run
+// enumerates only the affected derivations — and results still match
+// a fresh engine.
 func TestFacadeRunAfterDeleteStaysDelta(t *testing.T) {
 	sys := openExample(t)
 	fullDerivations := sys.Exchange().LastDerivations
-	q := `FOR [O $x] INCLUDE PATH [$x] <-+ [] RETURN $x`
-	if _, err := sys.Query(q); err != nil {
-		t.Fatal(err)
-	}
-	gBefore, err := sys.Engine().Graph()
-	if err != nil {
-		t.Fatal(err)
-	}
+	warmPathBackends(t, sys, targetQuery)
 	if _, err := sys.DeleteLocal("A", []model.Datum{int64(1)}); err != nil {
 		t.Fatal(err)
 	}
@@ -101,30 +59,7 @@ func TestFacadeRunAfterDeleteStaysDelta(t *testing.T) {
 		t.Fatalf("run after deletion enumerated %d derivations (full fixpoint is %d) — not delta-seeded",
 			got, fullDerivations)
 	}
-	gAfter, err := sys.Engine().Graph()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gAfter != gBefore {
-		t.Fatal("run after deletion rebuilt the cached graph instead of patching it")
-	}
-	res, err := sys.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := res.SortedRefs("x")
-	fresh := core.Wrap(sys.Exchange())
-	wantRes, err := fresh.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := wantRes.SortedRefs("x")
-	if len(got) != len(want) {
-		t.Fatalf("got %d refs, fresh engine %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Errorf("ref %d: got %v, fresh %v", i, got[i], want[i])
-		}
+	if got := queryAfterWrite(t, sys, targetQuery); len(got) != 4 {
+		t.Errorf("got %d O tuples after delete and re-insert, want all 4", len(got))
 	}
 }

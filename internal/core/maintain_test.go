@@ -1,26 +1,66 @@
 package core_test
 
 import (
+	"context"
+	"fmt"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/fixture"
 	"repro/internal/model"
+	"repro/internal/proql"
 )
 
-// TestFacadeDeleteLocalPatchesGraph: the facade's DeleteLocal patches
-// the engine's cached provenance graph in place; graph-backend queries
-// afterwards must see exactly what a fresh engine over the same
-// storage sees.
+// targetQuery is the running example's whole-target projection.
+const targetQuery = `FOR [O $x] INCLUDE PATH [$x] <-+ [] RETURN $x`
+
+// warmPathBackends runs q once on the graph and asr backends, so the
+// engine's shared adapter is bound to the current epoch.
+func warmPathBackends(t *testing.T, sys *core.System, q string) {
+	t.Helper()
+	for _, backend := range []string{"graph", "asr"} {
+		if _, err := sys.Engine().Exec(context.Background(), proql.MustParse(q), proql.Options{Backend: backend}); err != nil {
+			t.Fatalf("%s: %v", backend, err)
+		}
+	}
+}
+
+// queryAfterWrite runs q on the graph and asr backends of sys's engine,
+// warmed before the write, and of a fresh engine over the same storage;
+// every answer (bindings and projected derivations) must be the same.
+// It returns the bindings of $x.
+func queryAfterWrite(t *testing.T, sys *core.System, q string) []model.TupleRef {
+	t.Helper()
+	fresh := proql.NewEngine(sys.Exchange())
+	var want string
+	var refs []model.TupleRef
+	for _, backend := range []string{"graph", "asr"} {
+		for name, eng := range map[string]*proql.Engine{"warm": sys.Engine(), "fresh": fresh} {
+			res, err := eng.Exec(context.Background(), proql.MustParse(q), proql.Options{Backend: backend})
+			if err != nil {
+				t.Fatalf("%s engine, %s: %v", name, backend, err)
+			}
+			var derivs []string
+			for _, d := range res.MustGraph().Derivations() {
+				derivs = append(derivs, d.ID)
+			}
+			got := fmt.Sprint(res.SortedRefs("x"), derivs)
+			if want == "" {
+				want, refs = got, res.SortedRefs("x")
+			} else if got != want {
+				t.Errorf("%s engine, %s: %s, want %s", name, backend, got, want)
+			}
+		}
+	}
+	return refs
+}
+
+// TestFacadeDeleteLocalPatchesGraph: after the facade's DeleteLocal,
+// graph and asr queries on the warm engine answer what a fresh engine
+// over the same storage answers.
 func TestFacadeDeleteLocalPatchesGraph(t *testing.T) {
 	sys := openExample(t)
-	q := `FOR [O $x] INCLUDE PATH [$x] <-+ [] RETURN $x`
-	if _, err := sys.Query(q); err != nil { // warm the graph cache
-		t.Fatal(err)
-	}
-	if _, err := sys.Engine().Graph(); err != nil {
-		t.Fatal(err)
-	}
+	warmPathBackends(t, sys, targetQuery)
 	report, err := sys.DeleteLocal("A", []model.Datum{int64(1)})
 	if err != nil {
 		t.Fatal(err)
@@ -28,26 +68,7 @@ func TestFacadeDeleteLocalPatchesGraph(t *testing.T) {
 	if report.TuplesDeleted == 0 {
 		t.Fatalf("deletion should have propagated, report=%+v", report)
 	}
-	res, err := sys.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := res.SortedRefs("x")
-
-	fresh := core.Wrap(sys.Exchange())
-	wantRes, err := fresh.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := wantRes.SortedRefs("x")
-	if len(got) != len(want) {
-		t.Fatalf("patched engine returned %d refs, fresh engine %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Errorf("ref %d: patched %v, fresh %v", i, got[i], want[i])
-		}
-	}
+	got := queryAfterWrite(t, sys, targetQuery)
 	// The surviving O tuples rest on A(2) only.
 	for _, ref := range got {
 		if ref.Rel != "O" {

@@ -560,8 +560,8 @@ func (s *System) ensureCompiled() error {
 	s.hookFull = func(rule *datalog.Rule, _ []string, slots []model.Datum, heads []datalog.HeadInsert) {
 		hp, ok := s.hookPlans[rule.ID]
 		if !ok {
-			// Local copy rule: no provenance, but a delta run wants the
-			// freshly materialized public tuples for graph patching.
+			// Local copy rule: no provenance, but a delta run reports
+			// the freshly materialized public tuples.
 			if s.collect != nil {
 				collectHeads(s.collect, heads)
 			}

@@ -28,9 +28,9 @@ type MaintenanceReport struct {
 	// DeletedLocals lists the refs of the base tuples removed from
 	// local-contribution tables (the deletion frontier), DeletedTuples
 	// the removed public-relation tuples, and DeletedDerivations the
-	// removed provenance rows, so consumers (e.g. an incrementally
-	// maintained provenance graph, provgraph.Apply) can apply the same
-	// deletions without diffing storage. Every report carries them, so
+	// removed provenance rows, so consumers (the ASR index patch,
+	// asr.Index.ApplyDeletions) can apply the same deletions without
+	// diffing storage. Every report carries them, so
 	// an empty list means nothing of that kind was deleted.
 	DeletedLocals      []model.TupleRef
 	DeletedTuples      []model.TupleRef

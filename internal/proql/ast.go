@@ -13,9 +13,10 @@
 //     aggregation. It supports the anchored-path queries that all of
 //     the paper's experiments use, and is the backend the ASR indexes
 //     of Section 5 accelerate.
-//   - The graph backend evaluates the full language (multiple path
-//     expressions, derivation variables, common-provenance joins)
-//     directly over a materialized provenance graph.
+//   - The asr backend evaluates the full language (multiple path
+//     expressions, derivation variables, common-provenance joins) by
+//     physical path-navigation plans over the provenance relations of
+//     a pinned snapshot; "graph" is an alias of it.
 //
 // Exec picks the relational backend whenever the query fits it.
 package proql

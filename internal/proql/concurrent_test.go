@@ -9,8 +9,8 @@ import (
 
 // TestPlanCacheConcurrentSameShape hammers one engine with the same
 // query shape (varying constants) from many goroutines across all
-// three backends. Under -race this exercises the plan cache's mutex,
-// the graph latch, and the ASR adapter's refcounting; afterwards the
+// three backend names. Under -race this exercises the plan cache's
+// mutex and the ASR adapter's refcounting; afterwards the
 // stats must balance: every execution was either a hit or a miss, and
 // the shape interned exactly one entry per backend.
 func TestPlanCacheConcurrentSameShape(t *testing.T) {

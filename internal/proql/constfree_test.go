@@ -123,11 +123,10 @@ func TestConstantFreeDifferential(t *testing.T) {
 		for d := 0; d < 2; d++ {
 			peer := cfg.DataPeers[rng.Intn(len(cfg.DataPeers))]
 			victim := int64(peer)*10_000_000 + int64(rng.Intn(cfg.BaseSize))
-			rep, err := set.Sys.DeleteLocal(workload.ARel(peer), []model.Datum{victim})
-			if err != nil {
+			if _, err := set.Sys.DeleteLocal(workload.ARel(peer), []model.Datum{victim}); err != nil {
 				t.Fatal(err)
 			}
-			eng.MaintainGraph(rep)
+			eng.RetireAdapter()
 		}
 		run(before, fmt.Sprintf("as of %d", before))
 		run(0, "after deletes")
@@ -142,11 +141,10 @@ func TestConstantFreeDifferential(t *testing.T) {
 	}
 	checkSemiJoins(t, eng, queries, "A", "running example")
 	before := sys.DB.Epoch()
-	rep, err := sys.DeleteLocal("A", []model.Datum{int64(2)})
-	if err != nil {
+	if _, err := sys.DeleteLocal("A", []model.Datum{int64(2)}); err != nil {
 		t.Fatal(err)
 	}
-	eng.MaintainGraph(rep)
+	eng.RetireAdapter()
 	for _, text := range queries {
 		compared += checkConstFree(t, eng, text, before, "running example as of the delete")
 		compared += checkConstFree(t, eng, text, 0, "running example after the delete")

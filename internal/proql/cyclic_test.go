@@ -10,8 +10,9 @@ import (
 // cyclicEngine builds the running example *with* mapping m3, which
 // makes C and N derive each other — a recursive mapping set whose
 // Datalog program the relational backend cannot unfold (paper footnote
-// 4). The engine must route such queries to the graph backend, whose
-// fixpoint evaluation (Section 2.1 "Cycles") handles them.
+// 4). The engine must route such queries to the asr backend (which
+// backend "graph" aliases); its EVALUATE runs the fixpoint evaluation
+// of Section 2.1 "Cycles".
 func cyclicEngine(t *testing.T) *Engine {
 	t.Helper()
 	return NewEngine(fixture.MustSystem(fixture.Options{IncludeM3: true}))
@@ -40,8 +41,8 @@ func TestCyclicFallsBackToGraphBackend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.Backend != "graph" {
-		t.Fatalf("backend = %s, want graph", res.Stats.Backend)
+	if res.Stats.Backend != "asr" {
+		t.Fatalf("backend = %s, want asr", res.Stats.Backend)
 	}
 	// N holds: (1,cn1,false), (1,sn1,true), (2,sn2,true), (2,cn2,false).
 	if got := len(res.SortedRefs("x")); got != 4 {
@@ -66,8 +67,8 @@ func TestCyclicDerivabilityFixpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.Backend != "graph" {
-		t.Fatalf("backend = %s", res.Stats.Backend)
+	if res.Stats.Backend != "asr" {
+		t.Fatalf("backend = %s, want asr", res.Stats.Backend)
 	}
 	for ref, v := range res.Annotations {
 		if v != true {

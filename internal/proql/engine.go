@@ -18,16 +18,17 @@ import (
 )
 
 // Engine executes ProQL queries over an exchanged system. It prefers
-// the relational backend (Section 4) and falls back to the graph
-// backend for query shapes the relational translation does not cover.
+// the relational backend (Section 4) and falls back to the asr backend
+// (physplan over the provenance relations) for query shapes the
+// relational translation does not cover.
 type Engine struct {
 	Sys *exchange.System
 
-	// Backend forces an execution backend: "relational", "graph", or
-	// "asr" (goal-directed evaluation over the provenance tables, no
-	// graph materialization). Empty or "auto" keeps the default policy:
-	// relational when the translation covers the query, graph
-	// otherwise.
+	// Backend forces an execution backend: "relational" or "asr"
+	// (goal-directed path navigation over the provenance tables of a
+	// pinned snapshot); "graph" is accepted as an alias of "asr". Empty
+	// or "auto" keeps the default policy: relational when the
+	// translation covers the query, asr otherwise.
 	Backend string
 
 	// RewriteRules, when set, rewrites the unfolded conjunctive rules
@@ -35,19 +36,12 @@ type Engine struct {
 	// substitute materialized path indexes.
 	RewriteRules func([]*ConjRule) []*ConjRule
 
-	// graphMu guards the cached materialized graph (patched in place by
-	// Maintain*) and the ASR adapter handle. Graph-backend queries hold
-	// the read side for their whole evaluation, so a maintenance patch
-	// (write side) never mutates the graph mid-query: readers started
-	// before a commit finish on the pre-patch graph, then the patch
-	// applies. graphEpoch is the storage epoch the cached graph
-	// reflects; Maintain* skips the patch when a concurrent rebuild
-	// already observed the post-commit state (double-patch guard).
-	graphMu    sync.RWMutex
-	graph      *provgraph.Graph
-	graphEpoch uint64
+	// asrMu guards the asr adapter handle and its refcount. It is held
+	// only to hand out, release or retire the adapter, never while a
+	// query evaluates.
+	asrMu sync.Mutex
 	// asr is the goal-directed adapter bound to a pinned storage
-	// snapshot; it is shared (refcounted) by concurrent ASR queries at
+	// snapshot; it is shared (refcounted) by concurrent live queries at
 	// the same epoch and retired when the epoch moves on.
 	asr *asrGraph
 	// plans is the shape-keyed plan cache shared by all backends; it is
@@ -58,10 +52,8 @@ type Engine struct {
 }
 
 // NewEngine builds an engine over a system. The engine is safe for
-// concurrent queries (Exec/ExecString); maintenance entry points
-// (Graph invalidation and patching) may run concurrently with queries
-// but must themselves be serialized by the caller, as core.System
-// does under its writer lock.
+// concurrent queries (Exec/ExecString) and for RetireAdapter calls
+// concurrent with them.
 func NewEngine(sys *exchange.System) *Engine {
 	return &Engine{Sys: sys, plans: newPlanCache()}
 }
@@ -74,12 +66,12 @@ type Binding map[string]model.TupleRef
 // UnfoldTime is the relational backend's translation: on a plan-cache
 // miss the unfolding (CompileUnfold) plus building the plan template,
 // on a hit binding the query's literals into the cached template.
-// PlanTime is the graph backend's physical-planning component. AsOf
+// PlanTime is the asr backend's physical-planning component. AsOf
 // is the historical epoch the query asked for (0 = the live epoch);
 // Epoch is the storage epoch whose state the query read, whichever way
 // it was chosen: replaying the query AS OF Epoch gives the same answer.
 type Stats struct {
-	Backend       string // "relational", "graph", or "asr"
+	Backend       string // the executor that ran: "relational" or "asr" (also for "graph")
 	AsOf          uint64
 	Epoch         uint64
 	UnfoldedRules int
@@ -101,9 +93,9 @@ type Stats struct {
 // is fixed by the query; the tuple nodes' stored rows and leaf marks
 // resolve when Graph() first links — against the newest epoch for a
 // live query (a tuple deleted since carries no row), against its own
-// epoch for an AS OF query. EVALUATE on the graph and asr backends is
-// the exception: it links during the query, from the state the query
-// read, and Graph() returns that graph.
+// epoch for an AS OF query. EVALUATE on the asr backend is the
+// exception: it links during the query, from the state the query read,
+// and Graph() returns that graph.
 type Result struct {
 	// Bindings holds one map per RETURN row, sorted by (Rel, Key)
 	// variable by variable. Exec fills it; Eval leaves it nil. Len,
@@ -154,32 +146,6 @@ func (r *Result) Graph() (*provgraph.Graph, error) {
 	return g, nil
 }
 
-// tupleMeta resolves a projected tuple node's stored row (nil when the
-// tuple is not stored) and leaf mark.
-type tupleMeta func(ref model.TupleRef) (model.Tuple, bool)
-
-// snapshotMeta resolves tuple metadata against a pinned storage view.
-func snapshotMeta(sys *exchange.System) tupleMeta {
-	return func(ref model.TupleRef) (model.Tuple, bool) {
-		var row model.Tuple
-		if t, ok := sys.DB.Table(ref.Rel); ok {
-			row, _ = t.LookupEncoded(ref.Key)
-		}
-		return row, sys.IsLeafRef(ref)
-	}
-}
-
-// graphMeta resolves tuple metadata from a materialized graph's nodes;
-// the caller keeps the graph from changing meanwhile.
-func graphMeta(g *provgraph.Graph) tupleMeta {
-	return func(ref model.TupleRef) (model.Tuple, bool) {
-		if tn, ok := g.Lookup(ref); ok {
-			return tn.Row, tn.Leaf
-		}
-		return nil, false
-	}
-}
-
 // linkAt links a recorded projection with tuple metadata resolved at
 // epoch asOf (0: the newest) — the rule Result.Graph documents.
 func (e *Engine) linkAt(asOf uint64, derivs []physplan.ProjDeriv, tuples ...[]model.TupleRef) (*provgraph.Graph, error) {
@@ -188,17 +154,18 @@ func (e *Engine) linkAt(asOf uint64, derivs []physplan.ProjDeriv, tuples ...[]mo
 		return nil, err
 	}
 	defer release()
-	return e.linkProjection(derivs, snapshotMeta(sys), tuples...)
+	return e.linkProjection(derivs, sys, tuples...)
 }
 
 // linkProjection is the one builder of projected subgraphs: a
 // derivation node per recorded (mapping, provenance row), wired to the
 // source and target tuples the row names, plus a node for every tuple
 // in tuples (returned and path-start tuples), each tuple node carrying
-// the row and leaf mark meta resolves. Nodes link in canonical order —
-// tuple nodes by ref, then derivations by ID — so equal projections
-// render identically whichever backend recorded them.
-func (e *Engine) linkProjection(derivs []physplan.ProjDeriv, meta tupleMeta, tuples ...[]model.TupleRef) (*provgraph.Graph, error) {
+// its stored row (nil when the tuple is not stored) and leaf mark in
+// the pinned view sys. Nodes link in canonical order — tuple nodes by
+// ref, then derivations by ID — so equal projections render
+// identically whichever backend recorded them.
+func (e *Engine) linkProjection(derivs []physplan.ProjDeriv, sys *exchange.System, tuples ...[]model.TupleRef) (*provgraph.Graph, error) {
 	type linked struct {
 		id, mapping string
 		srcs, tgts  []model.TupleRef
@@ -225,7 +192,10 @@ func (e *Engine) linkProjection(derivs []physplan.ProjDeriv, meta tupleMeta, tup
 	g := provgraph.New()
 	for _, ref := range slices.Compact(refs) {
 		tn := g.Tuple(ref)
-		tn.Row, tn.Leaf = meta(ref)
+		if t, ok := sys.DB.Table(ref.Rel); ok {
+			tn.Row, _ = t.LookupEncoded(ref.Key)
+		}
+		tn.Leaf = sys.IsLeafRef(ref)
 	}
 	for _, d := range ds {
 		g.AddDerivation(d.id, d.mapping, d.srcs, d.tgts)
@@ -253,10 +223,10 @@ func (r *Result) SortedRefs(v string) []model.TupleRef {
 // default policy: the engine's configured backend (or auto) against
 // the live epoch.
 type Options struct {
-	// Backend forces an execution backend for this call: "relational",
-	// "graph", or "asr". Empty falls back to the engine's Backend field,
-	// then to auto (relational when the translation covers the query,
-	// graph otherwise).
+	// Backend forces an execution backend for this call: "relational"
+	// or "asr" ("graph" is an alias of "asr"). Empty falls back to the
+	// engine's Backend field, then to auto (relational when the
+	// translation covers the query, asr otherwise).
 	Backend string
 	// AsOfEpoch, when non-zero, evaluates the query AS OF that storage
 	// epoch: every backend pins a SnapshotAt view instead of the live
@@ -306,14 +276,12 @@ func (e *Engine) Eval(ctx context.Context, q *Query, opts Options) (*Result, err
 		res, err := e.execUnfold(q, asOf)
 		var nr *ErrNotRelational
 		if errors.As(err, &nr) {
-			return e.execPlanned(q, asOf)
+			return e.execASR(q, asOf)
 		}
 		return res, err
 	case "relational":
 		return e.execUnfold(q, asOf)
-	case "graph":
-		return e.execPlanned(q, asOf)
-	case "asr":
+	case "graph", "asr":
 		return e.execASR(q, asOf)
 	default:
 		return nil, fmt.Errorf("proql: unknown backend %q (want relational, graph, or asr)", backend)
@@ -339,74 +307,26 @@ func (e *Engine) snapshotAt(asOf uint64) (*exchange.System, func(), error) {
 	return e.Sys.SnapshotAt(asOf)
 }
 
-// Graph returns the engine's materialized provenance graph, building
-// it on first use from a consistent storage snapshot. The returned
-// graph is the live cache: a later maintenance commit may patch it in
-// place. Callers that need mid-commit stability should run queries
-// (which hold the graph latch for their whole evaluation) instead of
-// holding the pointer across commits.
+// Graph materializes the whole provenance graph from a pinned storage
+// snapshot: one consistent epoch, private to the caller, never patched
+// afterwards.
 func (e *Engine) Graph() (*provgraph.Graph, error) {
-	g, release, err := e.acquireGraph()
-	if err != nil {
-		return nil, err
-	}
-	release()
-	return g, nil
-}
-
-// acquireGraph returns the cached graph with the read latch held; the
-// caller must invoke the release function when done reading. While
-// any reader holds the latch, maintenance patches wait, so the graph
-// never changes under an in-flight query.
-func (e *Engine) acquireGraph() (*provgraph.Graph, func(), error) {
-	for {
-		e.graphMu.RLock()
-		if e.graph != nil {
-			return e.graph, e.graphMu.RUnlock, nil
-		}
-		e.graphMu.RUnlock()
-		if err := e.buildGraph(); err != nil {
-			return nil, nil, err
-		}
-	}
-}
-
-// buildGraph materializes the provenance graph from a pinned storage
-// snapshot, so a concurrent exchange commit cannot leak half of its
-// writes into the build. The epoch the snapshot pinned is recorded for
-// the Maintain* double-patch guard.
-func (e *Engine) buildGraph() error {
-	e.graphMu.Lock()
-	defer e.graphMu.Unlock()
-	if e.graph != nil {
-		return nil
-	}
-	snap, release := e.Sys.Snapshot()
+	sys, release := e.Sys.Snapshot()
 	defer release()
-	g, err := provgraph.Build(snap)
-	if err != nil {
-		return err
-	}
-	e.graph = g
-	e.graphEpoch = snap.DB.Epoch()
-	return nil
+	return provgraph.Build(sys)
 }
 
-// InvalidateGraph drops the cached graph and retires the ASR adapter
-// (call after new exchange runs). In-flight queries finish on the
-// graph or adapter they already hold.
-func (e *Engine) InvalidateGraph() {
-	e.graphMu.Lock()
-	defer e.graphMu.Unlock()
-	e.graph = nil
-	e.graphEpoch = 0
+// RetireAdapter detaches the shared asr adapter; a writer calls it
+// after each commit. New queries pin the new epoch, in-flight queries
+// finish on the snapshot they hold, and that snapshot is released once
+// the last of them finishes (at once when none holds it).
+func (e *Engine) RetireAdapter() {
+	e.asrMu.Lock()
+	defer e.asrMu.Unlock()
 	e.retireASRLocked()
 }
 
-// retireASRLocked detaches the current ASR adapter: new queries build
-// a fresh one, in-flight queries keep reading their pinned snapshot,
-// and the snapshot is released once the last of them finishes. Callers
-// hold graphMu.
+// retireASRLocked is RetireAdapter with asrMu held.
 func (e *Engine) retireASRLocked() {
 	g := e.asr
 	if g == nil {
@@ -421,54 +341,13 @@ func (e *Engine) retireASRLocked() {
 	}
 }
 
-// MaintainGraph applies an incremental-deletion report to the cached
-// provenance graph in place, so a deletion costs a subgraph patch
-// instead of a full rebuild on the next graph-backend query. A no-op
-// when no graph is cached. The patch waits for in-flight graph
-// queries: they finish on the pre-patch graph.
-func (e *Engine) MaintainGraph(report *exchange.MaintenanceReport) {
-	e.graphMu.Lock()
-	defer e.graphMu.Unlock()
-	// The ASR adapter is bound to a pre-commit snapshot; retire it so
-	// the next ASR query re-pins current state (it re-interns lazily,
-	// so the drop costs only the warmed handles).
-	e.retireASRLocked()
-	if e.graph == nil || report == nil {
-		return
-	}
-	post := e.Sys.DB.Epoch()
-	if post == e.graphEpoch {
-		// A concurrent query rebuilt the graph from the post-commit
-		// state after the deletion published; patching it again would
-		// double-apply the report.
-		return
-	}
-	provgraph.Apply(e.graph, e.Sys, report)
-	e.graphEpoch = post
-}
+// InvalidateGraph, MaintainGraph and MaintainGraphInsert are
+// RetireAdapter under the names bench/trace.go calls; that file
+// re-enacts core's commit path by hand. The reports are not needed.
+func (e *Engine) InvalidateGraph() { e.RetireAdapter() }
 
-// MaintainGraphInsert applies an incremental-insertion report (a
-// RunDelta's) to the cached provenance graph in place, so new local
-// data costs a subgraph patch instead of a full rebuild on the next
-// graph-backend query. A no-op when no graph is cached; when the
-// report says the run was a full re-exchange (or the patch fails) the
-// cache is invalidated and the next query rebuilds. Like
-// MaintainGraph, the patch waits for in-flight graph queries.
-func (e *Engine) MaintainGraphInsert(report *exchange.InsertionReport) {
-	e.graphMu.Lock()
-	defer e.graphMu.Unlock()
-	e.retireASRLocked()
-	if e.graph == nil || report == nil {
-		return
-	}
-	post := e.Sys.DB.Epoch()
-	if post == e.graphEpoch {
-		return // rebuilt post-commit by a concurrent query; see MaintainGraph
-	}
-	if ok, err := provgraph.ApplyInsertions(e.graph, e.Sys, report); !ok || err != nil {
-		e.graph = nil
-		e.graphEpoch = 0
-		return
-	}
-	e.graphEpoch = post
-}
+// MaintainGraph is RetireAdapter; see InvalidateGraph.
+func (e *Engine) MaintainGraph(*exchange.MaintenanceReport) { e.RetireAdapter() }
+
+// MaintainGraphInsert is RetireAdapter; see InvalidateGraph.
+func (e *Engine) MaintainGraphInsert(*exchange.InsertionReport) { e.RetireAdapter() }

@@ -1,6 +1,7 @@
 package proql
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -91,13 +92,13 @@ func TestExecGraphBackendReturnDerivationVar(t *testing.T) {
 func TestExecExistentialPathCondition(t *testing.T) {
 	e := exampleEngine(t)
 	// O tuples with a one-step derivation from C: only m5 outputs
-	// (cn1, cn2). The path condition forces the graph backend.
+	// (cn1, cn2). The path condition forces the asr backend.
 	res, err := e.ExecString(`FOR [O $x] WHERE [$x] <- [C] RETURN $x`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.Backend != "graph" {
-		t.Fatalf("backend = %s", res.Stats.Backend)
+	if res.Stats.Backend != "asr" {
+		t.Fatalf("backend = %s, want asr", res.Stats.Backend)
 	}
 	refs := res.SortedRefs("x")
 	if len(refs) != 2 {
@@ -167,20 +168,38 @@ func TestParallelPlanErrorPropagates(t *testing.T) {
 	}
 }
 
+// TestEngineInvalidateGraph: InvalidateGraph retires the shared asr
+// adapter — with no query holding it, its snapshot pin goes at once and
+// the next query binds a fresh adapter — and Graph builds a private
+// graph on every call.
 func TestEngineInvalidateGraph(t *testing.T) {
 	sys := fixture.MustSystem(fixture.Options{})
 	e := NewEngine(sys)
+	pins := sys.DB.Pins()
+	q := MustParse(paperQueries["Q4"])
+	if _, err := e.Exec(context.Background(), q, Options{Backend: "graph"}); err != nil {
+		t.Fatal(err)
+	}
+	first := e.asr
+	if first == nil || sys.DB.Pins() != pins+1 {
+		t.Fatalf("after a query: adapter %v, %d pins, want a shared adapter holding 1 pin over %d", first, sys.DB.Pins(), pins)
+	}
+	e.InvalidateGraph()
+	if e.asr != nil || sys.DB.Pins() != pins {
+		t.Fatalf("after InvalidateGraph: adapter %v, %d pins, want none and %d", e.asr, sys.DB.Pins(), pins)
+	}
+	if _, err := e.Exec(context.Background(), q, Options{Backend: "graph"}); err != nil {
+		t.Fatal(err)
+	}
+	if e.asr == nil || e.asr == first {
+		t.Error("the query after InvalidateGraph should bind a fresh adapter")
+	}
 	g1, err := e.Graph()
 	if err != nil {
 		t.Fatal(err)
 	}
 	g2, _ := e.Graph()
-	if g1 != g2 {
-		t.Error("graph should be cached")
-	}
-	e.InvalidateGraph()
-	g3, _ := e.Graph()
-	if g1 == g3 {
-		t.Error("InvalidateGraph should rebuild")
+	if g1 == g2 || g1.NumTuples() != g2.NumTuples() || g1.NumDerivations() != g2.NumDerivations() {
+		t.Error("Graph should build an equal, private graph on every call")
 	}
 }

@@ -1,11 +1,12 @@
-// This file is the goal-directed ASR backend: the same physical-plan
-// pipeline as the graph backend, but with a storage adapter (asrGraph)
-// answering the operators' navigation calls directly from the relstore
-// tables — probing the provenance relations' secondary indexes for a
-// tuple's incoming derivations instead of following materialized
-// adjacency lists. No provgraph is ever built: handles are interned
-// lazily, so memory is proportional to the portion of the provenance
-// graph the query touches, not to the instance.
+// This file is the goal-directed asr backend, the engine's one
+// path-navigation executor (backend "graph" is an alias of it): the
+// physical-plan pipeline with a storage adapter (asrGraph) answering
+// the operators' navigation calls directly from the relstore tables of
+// a pinned snapshot — probing the provenance relations' secondary
+// indexes for a tuple's incoming derivations instead of following
+// materialized adjacency lists. No provgraph is ever built: handles
+// are interned lazily, so memory is proportional to the portion of the
+// provenance graph the queries touch, not to the instance.
 
 package proql
 
@@ -21,87 +22,85 @@ import (
 	"repro/internal/provgraph"
 )
 
-// execASR evaluates a query on the goal-directed ASR backend: the
-// same physical-plan pipeline as the graph backend, but running
-// directly over the provenance relations (and their secondary
-// indexes) through an adapter that interns tuple and derivation
-// handles on demand — no provenance graph is ever materialized. With
-// asOf != 0 a private adapter is bound to a SnapshotAt view for just
-// this query; the live path shares the engine's refcounted adapter.
+// execASR evaluates a query on the goal-directed asr backend: the
+// physical-plan pipeline running directly over the provenance
+// relations (and their secondary indexes) through an adapter that
+// interns tuple and derivation handles on demand — no provenance graph
+// is ever materialized. With asOf != 0 a private adapter is bound to a
+// SnapshotAt view for just this query (history queries must not
+// displace the warmed live adapter); the live path shares the engine's
+// refcounted adapter.
 func (e *Engine) execASR(q *Query, asOf uint64) (*Result, error) {
 	g, release, err := e.asrAdapterAt(asOf)
 	if err != nil {
 		return nil, err
 	}
 	defer release()
-	res, err := e.execPhys(q, g, "asr", asOf, snapshotMeta(g.sys))
-	if err == nil {
-		res.Stats.AsOf, res.Stats.Epoch = asOf, g.epoch
-	}
-	return res, err
+	return e.execPhys(q, g, asOf)
 }
 
-// asrAdapterAt returns the adapter for one query: the shared live
-// adapter when asOf is 0, otherwise a fresh single-query adapter
-// pinned at the historical epoch (uncached — history queries must not
-// displace the warmed live adapter).
+// asrAdapterAt returns the adapter for one query and the function that
+// releases it: the shared live adapter when asOf is 0, otherwise a
+// private one pinned at the historical epoch.
 func (e *Engine) asrAdapterAt(asOf uint64) (*asrGraph, func(), error) {
 	if asOf == 0 {
 		return e.asrAdapter()
-	}
-	probes := e.Sys.Probes()
-	if probes == nil {
-		var err error
-		if probes, err = e.Sys.IncomingProbes(); err != nil {
-			return nil, nil, err
-		}
 	}
 	snap, release, err := e.Sys.SnapshotAt(asOf)
 	if err != nil {
 		return nil, nil, err
 	}
-	g := &asrGraph{
-		sys:     snap,
-		epoch:   asOf,
-		probes:  probes,
-		tuples:  map[model.TupleRef]*asrTuple{},
-		derivs:  map[string]*asrDeriv{},
-		virtIdx: map[string]map[string][]model.Tuple{},
+	g, err := e.newASRGraph(snap, asOf)
+	if err != nil {
+		release()
+		return nil, nil, err
 	}
 	return g, release, nil
 }
 
-// asrAdapter returns the engine's ASR adapter with a reference held;
+// newASRGraph binds a fresh adapter to a pinned snapshot at epoch.
+func (e *Engine) newASRGraph(snap *exchange.System, epoch uint64) (*asrGraph, error) {
+	probes := e.Sys.Probes()
+	if probes == nil {
+		var err error
+		if probes, err = e.Sys.IncomingProbes(); err != nil {
+			return nil, err
+		}
+	}
+	return &asrGraph{
+		sys:     snap,
+		epoch:   epoch,
+		probes:  probes,
+		tuples:  map[model.TupleRef]*asrTuple{},
+		derivs:  map[string]*asrDeriv{},
+		virtIdx: map[string]map[string][]model.Tuple{},
+	}, nil
+}
+
+// asrAdapter returns the engine's live adapter with a reference held;
 // the caller must invoke the release function when its query is done.
 // The adapter is bound to a pinned storage snapshot, so every query
 // sharing it reads one consistent epoch no matter what commits
-// concurrently; when the storage epoch moves on (or maintenance
-// retires it), new queries get a fresh adapter and the old snapshot
-// is released once its last in-flight query finishes.
+// concurrently. It stays shared for as long as the epoch does: the
+// handles and scans it interns serve every later query at that epoch.
+// When the storage epoch moves on (or RetireAdapter retires it), new
+// queries get a fresh adapter and the old snapshot is released once
+// its last in-flight query finishes.
 func (e *Engine) asrAdapter() (*asrGraph, func(), error) {
-	e.graphMu.Lock()
-	defer e.graphMu.Unlock()
+	e.asrMu.Lock()
+	defer e.asrMu.Unlock()
 	if e.asr != nil && e.asr.epoch != e.Sys.DB.Epoch() {
 		e.retireASRLocked()
 	}
 	if e.asr == nil {
-		probes := e.Sys.Probes()
-		if probes == nil {
-			var err error
-			if probes, err = e.Sys.IncomingProbes(); err != nil {
-				return nil, nil, err
-			}
-		}
 		snap, release := e.Sys.Snapshot()
-		e.asr = &asrGraph{
-			sys:     snap,
-			release: release,
-			epoch:   snap.DB.Epoch(),
-			probes:  probes,
-			tuples:  map[model.TupleRef]*asrTuple{},
-			derivs:  map[string]*asrDeriv{},
-			virtIdx: map[string]map[string][]model.Tuple{},
+		g, err := e.newASRGraph(snap, snap.DB.Epoch())
+		if err != nil {
+			release()
+			return nil, nil, err
 		}
+		g.release = release
+		e.asr = g
 	}
 	g := e.asr
 	g.refs++
@@ -111,13 +110,13 @@ func (e *Engine) asrAdapter() (*asrGraph, func(), error) {
 // releaseASR drops one query's reference; the retired adapter's
 // snapshot is released when the last reference goes.
 func (e *Engine) releaseASR(g *asrGraph) {
-	e.graphMu.Lock()
+	e.asrMu.Lock()
 	g.refs--
 	var rel func()
 	if g.refs == 0 && g.retired && g.release != nil {
 		rel, g.release = g.release, nil
 	}
-	e.graphMu.Unlock()
+	e.asrMu.Unlock()
 	if rel != nil {
 		rel()
 	}
@@ -131,8 +130,8 @@ type asrGraph struct {
 	sys    *exchange.System // snapshot view; reads are epoch-frozen
 	probes map[string][]exchange.IncomingProbe
 
-	// release unpins the snapshot; refs/retired are managed by the
-	// owning engine under its graphMu.
+	// release unpins the shared adapter's snapshot; refs/retired are
+	// managed by the owning engine under its asrMu.
 	release func()
 	epoch   uint64
 	refs    int
@@ -155,8 +154,7 @@ type asrGraph struct {
 
 	// relScan caches the interned handle list of a fully scanned
 	// relation, so repeated anchor scans (the common case with a plan
-	// cache) skip re-encoding every ref. Dropped with the adapter on
-	// maintenance.
+	// cache) skip re-encoding every ref. Dropped with the adapter.
 	relScan map[string][]*asrTuple
 
 	err error

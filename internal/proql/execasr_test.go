@@ -8,16 +8,16 @@ import (
 )
 
 // TestASRBackendMatchesGraphOnPaperQueries cross-checks the
-// goal-directed asr backend against the graph backend on every paper
-// query: bindings, projected subgraph size, and annotations must
-// agree.
+// goal-directed asr backend against the tree-walking interpreter over
+// a built provenance graph on every paper query: bindings, projected
+// subgraph size, and annotations must agree.
 func TestASRBackendMatchesGraphOnPaperQueries(t *testing.T) {
 	for name, text := range paperQueries {
 		e := exampleEngine(t)
 		q := MustParse(text)
-		gr, err := e.Exec(context.Background(), q, Options{Backend: "graph"})
+		gr, err := ExecInterpreter(e, context.Background(), q, 0)
 		if err != nil {
-			t.Fatalf("%s: graph: %v", name, err)
+			t.Fatalf("%s: interpreter: %v", name, err)
 		}
 		goal, err := e.Exec(context.Background(), q, Options{Backend: "asr"})
 		if err != nil {
@@ -29,7 +29,7 @@ func TestASRBackendMatchesGraphOnPaperQueries(t *testing.T) {
 		for _, v := range q.Projection.Return {
 			gRefs, sRefs := gr.SortedRefs(v), goal.SortedRefs(v)
 			if len(gRefs) != len(sRefs) {
-				t.Fatalf("%s: $%s bindings %d (graph) vs %d (asr)", name, v, len(gRefs), len(sRefs))
+				t.Fatalf("%s: $%s bindings %d (interpreter) vs %d (asr)", name, v, len(gRefs), len(sRefs))
 			}
 			for i := range gRefs {
 				if gRefs[i] != sRefs[i] {
@@ -39,10 +39,10 @@ func TestASRBackendMatchesGraphOnPaperQueries(t *testing.T) {
 		}
 		gg, sg := gr.MustGraph(), goal.MustGraph()
 		if gg.NumDerivations() != sg.NumDerivations() {
-			t.Errorf("%s: projected derivations %d (graph) vs %d (asr)", name, gg.NumDerivations(), sg.NumDerivations())
+			t.Errorf("%s: projected derivations %d (interpreter) vs %d (asr)", name, gg.NumDerivations(), sg.NumDerivations())
 		}
 		if gg.NumTuples() != sg.NumTuples() {
-			t.Errorf("%s: projected tuples %d (graph) vs %d (asr)", name, gg.NumTuples(), sg.NumTuples())
+			t.Errorf("%s: projected tuples %d (interpreter) vs %d (asr)", name, gg.NumTuples(), sg.NumTuples())
 		}
 		if (gr.Annotations == nil) != (goal.Annotations == nil) {
 			t.Fatalf("%s: annotation presence differs", name)

@@ -11,73 +11,18 @@ import (
 	"repro/internal/semiring"
 )
 
-// execPlanned evaluates a query on the graph backend through the
-// physical-plan pipeline: the query is compiled into a DAG of streaming
-// operators (path scans seeded from the graph's label indexes,
-// index-nested-loop extensions, hash joins on shared variables, pushed-
-// down filters, dedup, subgraph projection), replacing the tree-walking
-// interpreter's cartesian binding threading (the interpreter survives as
-// the tests' oracle).
-func (e *Engine) execPlanned(q *Query, asOf uint64) (*Result, error) {
-	// Hold the graph latch for the whole evaluation: a concurrent
-	// maintenance commit patches the cached graph only after every
-	// in-flight query released it, so this query reads the pre-patch
-	// snapshot throughout. An AS OF query bypasses the cache — the
-	// cached graph reflects the live epoch only — and materializes a
-	// transient graph from a snapshot pinned at the requested epoch.
-	g, epoch, release, err := e.graphAt(asOf)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	res, err := e.execPhys(q, physplan.NewMem(g), "graph", asOf, graphMeta(g))
-	if err == nil {
-		res.Stats.AsOf, res.Stats.Epoch = asOf, epoch
-	}
-	return res, err
-}
-
-// graphAt returns the provenance graph a query should evaluate over
-// and the storage epoch it reflects: the engine's cached graph
-// (read-latched) for the live epoch, or a transient uncached build from
-// a SnapshotAt view for a historical one. The returned release function
-// must be called when done.
-func (e *Engine) graphAt(asOf uint64) (*provgraph.Graph, uint64, func(), error) {
-	if asOf == 0 {
-		g, release, err := e.acquireGraph()
-		if err != nil {
-			return nil, 0, nil, err
-		}
-		// Patches move graphEpoch under the write latch; the read latch
-		// acquireGraph took is still held.
-		return g, e.graphEpoch, release, nil
-	}
-	sys, release, err := e.Sys.SnapshotAt(asOf)
-	if err != nil {
-		return nil, 0, nil, err
-	}
-	defer release()
-	g, err := provgraph.Build(sys)
-	if err != nil {
-		return nil, 0, nil, err
-	}
-	// The graph owns its nodes and aliases immutable tuples; it needs
-	// no snapshot once built.
-	return g, asOf, func() {}, nil
-}
-
-// execPhys evaluates a query through the physical-plan pipeline over
-// any physplan storage (the materialized graph or the goal-directed
-// ASR adapter) — the shared executor of the graph and asr backends.
+// execPhys evaluates a query through the physical-plan pipeline (path
+// scans, index-nested-loop extensions, hash joins on shared variables,
+// pushed-down filters, dedup, subgraph projection) over an asr adapter.
 // The projected subgraph is recorded, not linked: Result.Graph links it
-// on first call. EVALUATE links it here, with tuple metadata from meta —
-// the state the query read — because the annotations are computed over
-// it.
-func (e *Engine) execPhys(q *Query, g physplan.Graph, backend string, asOf uint64, meta tupleMeta) (*Result, error) {
+// on first call. EVALUATE links it here, with tuple metadata from the
+// adapter's snapshot — the state the query read — because the
+// annotations are computed over it.
+func (e *Engine) execPhys(q *Query, g *asrGraph, asOf uint64) (*Result, error) {
 	planStart := time.Now()
 	proj := &physplan.Projection{}
-	res := &Result{Stats: Stats{Backend: backend}}
-	plan, err := e.buildPhysPlan(g, q, proj, backend)
+	res := &Result{Stats: Stats{Backend: "asr", AsOf: asOf, Epoch: g.epoch}}
+	plan, err := e.buildPhysPlan(g, q, proj)
 	if err != nil {
 		return nil, err
 	}
@@ -93,7 +38,7 @@ func (e *Engine) execPhys(q *Query, g physplan.Graph, backend string, asOf uint6
 	res.rows.sort()
 
 	if q.Evaluate != "" {
-		outG, err := e.linkProjection(proj.Derivs, meta, res.rows.refs, proj.Starts)
+		outG, err := e.linkProjection(proj.Derivs, g.sys, res.rows.refs, proj.Starts)
 		if err != nil {
 			return nil, err
 		}
@@ -220,9 +165,9 @@ func collectPhys(q *Query, plan *physplan.Plan, rows *resultRows) error {
 
 // buildPhysPlan lowers the query and compiles it, replaying cached
 // planner decisions when the plan cache holds a valid entry for the
-// query's shape on this backend.
-func (e *Engine) buildPhysPlan(g physplan.Graph, q *Query, proj *physplan.Projection, backend string) (*physplan.Plan, error) {
-	if dec, ok := e.cachedDecisions(backend, q); ok {
+// query's shape.
+func (e *Engine) buildPhysPlan(g physplan.Graph, q *Query, proj *physplan.Projection) (*physplan.Plan, error) {
+	if dec, ok := e.cachedDecisions(q); ok {
 		spec, err := e.lowerSpec(g, q, proj)
 		if err != nil {
 			return nil, err
@@ -233,11 +178,15 @@ func (e *Engine) buildPhysPlan(g physplan.Graph, q *Query, proj *physplan.Projec
 		}
 		// A stale or mismatched entry falls through to a fresh compile.
 	}
-	plan, err := e.buildGraphPlan(g, q, proj)
+	spec, err := e.lowerSpec(g, q, proj)
 	if err != nil {
 		return nil, err
 	}
-	e.storeDecisions(backend, q, plan.Decisions())
+	plan, err := physplan.Compile(g, spec)
+	if err != nil {
+		return nil, err
+	}
+	e.storeDecisions(q, plan.Decisions())
 	return plan, nil
 }
 
@@ -382,16 +331,6 @@ func cannotFail(c Cond, relOf map[string]*model.Relation) bool {
 		return cannotFail(cc.E, relOf)
 	}
 	return false
-}
-
-// buildGraphPlan lowers a query to the physplan spec and compiles it.
-// proj records the projected subgraph when the plan runs.
-func (e *Engine) buildGraphPlan(g physplan.Graph, q *Query, proj *physplan.Projection) (*physplan.Plan, error) {
-	spec, err := e.lowerSpec(g, q, proj)
-	if err != nil {
-		return nil, err
-	}
-	return physplan.Compile(g, spec)
 }
 
 // toPhysPath lowers an AST path expression to the physical layer's

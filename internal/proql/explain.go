@@ -12,10 +12,10 @@ import (
 // backend's translation: for the relational backend (Section 4) the
 // matched relations and mappings, every unfolded conjunctive rule
 // (after ASR rewriting, if enabled), and each rule's physical plan;
-// for the graph and asr backends the physical operator tree. The
-// engine's Backend selection applies, and the trailing plan-cache line
-// reports hit/miss counters (Explain itself consults the cache, so
-// explaining a repeated shape counts a hit). A relational EXPLAIN
+// for the asr backend (and its alias graph) the physical operator
+// tree. The engine's Backend selection applies, and the trailing
+// plan-cache line reports hit/miss counters (Explain itself consults
+// the cache, so explaining a repeated shape counts a hit). A relational EXPLAIN
 // renders the cached plan template bound to the query's literals — the
 // plans an execution of the query runs.
 func (e *Engine) Explain(q *Query) (string, error) {
@@ -24,8 +24,8 @@ func (e *Engine) Explain(q *Query) (string, error) {
 	case "", "auto":
 		err := e.explainRelational(&sb, q)
 		if nr, ok := err.(*ErrNotRelational); ok {
-			fmt.Fprintf(&sb, "backend: graph (%s)\n", nr.Reason)
-			err = e.explainPhys(&sb, q, "graph")
+			fmt.Fprintf(&sb, "backend: asr (%s)\n", nr.Reason)
+			err = e.explainPhys(&sb, q)
 		}
 		if err != nil {
 			return "", err
@@ -34,14 +34,9 @@ func (e *Engine) Explain(q *Query) (string, error) {
 		if err := e.explainRelational(&sb, q); err != nil {
 			return "", err
 		}
-	case "graph":
-		fmt.Fprintf(&sb, "backend: graph (forced)\n")
-		if err := e.explainPhys(&sb, q, "graph"); err != nil {
-			return "", err
-		}
-	case "asr":
+	case "graph", "asr":
 		fmt.Fprintf(&sb, "backend: asr (forced)\n")
-		if err := e.explainPhys(&sb, q, "asr"); err != nil {
+		if err := e.explainPhys(&sb, q); err != nil {
 			return "", err
 		}
 	default:
@@ -53,26 +48,14 @@ func (e *Engine) Explain(q *Query) (string, error) {
 }
 
 // explainPhys renders the physical-plan pipeline's operator tree over
-// the requested storage (going through the plan cache, like
-// execution).
-func (e *Engine) explainPhys(sb *strings.Builder, q *Query, backend string) error {
-	var g physplan.Graph
-	if backend == "asr" {
-		ag, release, err := e.asrAdapter()
-		if err != nil {
-			return err
-		}
-		defer release()
-		g = ag
-	} else {
-		mg, release, err := e.acquireGraph()
-		if err != nil {
-			return err
-		}
-		defer release()
-		g = physplan.NewMem(mg)
+// the live asr adapter (going through the plan cache, like execution).
+func (e *Engine) explainPhys(sb *strings.Builder, q *Query) error {
+	g, release, err := e.asrAdapter()
+	if err != nil {
+		return err
 	}
-	plan, err := e.buildPhysPlan(g, q, &physplan.Projection{}, backend)
+	defer release()
+	plan, err := e.buildPhysPlan(g, q, &physplan.Projection{})
 	if err != nil {
 		return err
 	}

@@ -40,7 +40,7 @@ func TestExplainGraphQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out, "backend: graph") {
+	if !strings.Contains(out, "backend: asr (multiple FOR path expressions)") {
 		t.Errorf("explain output:\n%s", out)
 	}
 }

@@ -3,7 +3,6 @@ package proql
 import (
 	"context"
 
-	"repro/internal/model"
 	"repro/internal/provgraph"
 	"repro/internal/relstore"
 )
@@ -25,22 +24,18 @@ func (r *Result) LinkedNodes() int {
 	return r.graph.NumTuples() + r.graph.NumDerivations()
 }
 
-// ChurnGraphOrdinals builds the cached graph if needed and churns it n
-// times — one tuple and one derivation linked, then removed — so both
-// ordinal counters move n past where they were while the graph's
-// content is what it was.
-func (e *Engine) ChurnGraphOrdinals(n int) error {
-	g, err := e.Graph()
+// AdvanceAdapterOrdinals moves the shared asr adapter's ordinal
+// counter n past where it is — where a long-lived adapter's interning
+// takes it — while the adapter's content stays what it was.
+func (e *Engine) AdvanceAdapterOrdinals(n int) error {
+	g, release, err := e.asrAdapter()
 	if err != nil {
 		return err
 	}
-	e.graphMu.Lock()
-	defer e.graphMu.Unlock()
-	ref := model.TupleRef{Rel: "churn", Key: "churn"}
-	for i := 0; i < n; i++ {
-		g.AddDerivation("churn", "churn", nil, []model.TupleRef{ref})
-		g.RemoveTuple(ref)
-	}
+	defer release()
+	g.mu.Lock()
+	g.ords += n
+	g.mu.Unlock()
 	return nil
 }
 
@@ -103,8 +98,8 @@ func (e *Engine) ExecFilterOnTop(q *Query, asOf uint64) (*Result, error) {
 // ExecInterpreter is the oracle of the ProQL differentials: it runs q
 // on the tree-walking interpreter (execGraph) over a provenance graph
 // built afresh from a snapshot pinned at asOf (0: the live epoch), so
-// the backends are checked against a graph no maintenance patch ever
-// touched. The result carries Bindings, as Exec's does.
+// the backends are checked against a graph built straight from the
+// tables. The result carries Bindings, as Exec's does.
 func ExecInterpreter(e *Engine, ctx context.Context, q *Query, asOf uint64) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err

@@ -139,7 +139,7 @@ func pinForms(t *testing.T, start, other string, where proql.Cond) []*proql.Quer
 // relation's whole primary key, must give the same answer on the graph
 // and asr backends — which start a pinned path from one point lookup —
 // as on the interpreter that enumerates and filters; live, after the
-// pinned keys were deleted (cached graph patched, adapter retired),
+// pinned keys were deleted (adapter retired),
 // after they were inserted again, and AS OF the epoch before all that.
 func TestKeyPinDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(20100615))
@@ -359,8 +359,9 @@ func TestKeyPinKeepsErrors(t *testing.T) {
 
 // TestExplainGraphPlans pins the physical plans of the served graph and
 // asr shapes on the miniature point-read instance: the key-pinned point
-// query on both backends (one start tuple instead of the relation), and
-// the key-less common-provenance query: two relation scans under one
+// query on both backend names (one start tuple instead of the relation;
+// "graph" is an alias of asr, so the two plans are the same), and the
+// key-less common-provenance query: two relation scans under one
 // DistinctJoin, the dedup on RETURN fused into the join on $z.
 func TestExplainGraphPlans(t *testing.T) {
 	const point = `FOR [A0 $x] WHERE $x.k = 80000003 INCLUDE PATH [$x] <-+ [] RETURN $x`

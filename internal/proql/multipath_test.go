@@ -202,7 +202,7 @@ func TestMultiPathServedAllocs(t *testing.T) {
 			}
 			rows = res.Len()
 		}
-		allocs := testing.AllocsPerRun(2, serve) // warms the cached graph / adapter first
+		allocs := testing.AllocsPerRun(2, serve) // warms the adapter first
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		serve()

@@ -1,8 +1,8 @@
-// Package physplan is the physical layer of the ProQL graph backend:
-// it compiles a query's FOR/WHERE/INCLUDE/RETURN block into a DAG of
-// streaming physical operators over a materialized provenance graph
-// (internal/provgraph), choosing a join order for the FOR path
-// expressions by estimated selectivity.
+// Package physplan is the physical layer of ProQL's path-navigation
+// backend: it compiles a query's FOR/WHERE/INCLUDE/RETURN block into a
+// DAG of streaming physical operators over a provenance store (the
+// Graph interface), choosing a join order for the FOR path expressions
+// by estimated selectivity.
 //
 // The operator set mirrors a relational engine specialized to
 // provenance-graph navigation:
@@ -25,8 +25,7 @@
 // Deriv handles; nil marks a variable not yet bound. All operators of
 // one plan share the plan-wide schema, so joins merge rows without
 // column remapping. Operators run over the Graph storage interface, so
-// the same plans serve the materialized provgraph and the goal-directed
-// ASR adapter.
+// the same plans serve any store that implements it.
 package physplan
 
 import "strconv"

@@ -11,7 +11,7 @@ import (
 )
 
 // planCache caches per-query-shape planning work: the physplan join
-// order and cost estimates for the graph and asr backends, and the
+// order and cost estimates for the asr backend, and the
 // relational backend's plan template — the unfolded rules with one
 // physical plan per rule whose WHERE literals are parameter slots. Keys
 // are normalized query shapes — structure and binding pattern, with
@@ -57,7 +57,7 @@ func newPlanCache() *planCache {
 type planCacheEntry struct {
 	dbVersion uint64
 	mappings  int
-	// dec replays the physplan planner (graph/asr backends); tpl is the
+	// dec replays the physplan planner (asr backend); tpl is the
 	// relational backend's plan template. Exactly one is set, according
 	// to the backend segment of the key.
 	dec    physplan.Decisions
@@ -126,10 +126,10 @@ func (e *Engine) cacheStore(key string, dbVersion uint64, ent *planCacheEntry) {
 	c.entries[key] = ent
 }
 
-// cachedDecisions returns the replayable planner decisions for a
-// query's shape on one backend, if cached and still valid.
-func (e *Engine) cachedDecisions(backend string, q *Query) (physplan.Decisions, bool) {
-	ent, ok := e.cacheLookup(backend+"\x00"+shapeKey(q), e.Sys.DB.Version())
+// cachedDecisions returns the replayable physplan planner decisions
+// for a query's shape, if cached and still valid.
+func (e *Engine) cachedDecisions(q *Query) (physplan.Decisions, bool) {
+	ent, ok := e.cacheLookup("asr\x00"+shapeKey(q), e.Sys.DB.Version())
 	if !ok || !ent.hasDec {
 		return physplan.Decisions{}, false
 	}
@@ -137,8 +137,8 @@ func (e *Engine) cachedDecisions(backend string, q *Query) (physplan.Decisions, 
 }
 
 // storeDecisions records freshly made planner decisions.
-func (e *Engine) storeDecisions(backend string, q *Query, dec physplan.Decisions) {
-	e.cacheStore(backend+"\x00"+shapeKey(q), e.Sys.DB.Version(), &planCacheEntry{dec: dec, hasDec: true})
+func (e *Engine) storeDecisions(q *Query, dec physplan.Decisions) {
+	e.cacheStore("asr\x00"+shapeKey(q), e.Sys.DB.Version(), &planCacheEntry{dec: dec, hasDec: true})
 }
 
 // relationalTemplate returns the plan template of q's shape for

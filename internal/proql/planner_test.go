@@ -151,7 +151,7 @@ func TestExplainGraphQueryShowsPhysicalPlan(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
-		"backend: graph",
+		"backend: asr",
 		"join order:",
 		"physical plan:",
 		"DistinctJoin(on $z; distinct $x, $y)",

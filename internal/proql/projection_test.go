@@ -85,7 +85,7 @@ func TestProjectionServedCounts(t *testing.T) {
 				res.SortedRefs(v)
 			}
 		}
-		allocs := testing.AllocsPerRun(2, serve) // warms the cached graph / adapter first
+		allocs := testing.AllocsPerRun(2, serve) // warms the adapter first
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		serve()
@@ -120,8 +120,8 @@ func TestProjectionServedCounts(t *testing.T) {
 }
 
 // TestIncludePointQueryIgnoresOrdinalRange: a keyed INCLUDE point query
-// on a cached graph whose ordinals churn has pushed past 1,000,000
-// allocates what the same query allocates on a fresh graph (±10 %):
+// on a shared adapter whose ordinals have advanced past 1,000,000
+// allocates what the same query allocates on a fresh adapter (±10 %):
 // per-query memory follows the projection, not the store's ordinal
 // range.
 func TestIncludePointQueryIgnoresOrdinalRange(t *testing.T) {
@@ -151,13 +151,13 @@ func TestIncludePointQueryIgnoresOrdinalRange(t *testing.T) {
 	fresh := proql.NewEngine(set.Sys)
 	freshAllocs, freshBytes := measure(fresh)
 	churned := proql.NewEngine(set.Sys)
-	if err := churned.ChurnGraphOrdinals(1 << 20); err != nil {
+	if err := churned.AdvanceAdapterOrdinals(1 << 20); err != nil {
 		t.Fatal(err)
 	}
 	allocs, bytes := measure(churned)
-	t.Logf("fresh graph: %.0f allocations, %.0f bytes; churned: %.0f, %.0f", freshAllocs, freshBytes, allocs, bytes)
+	t.Logf("fresh adapter: %.0f allocations, %.0f bytes; advanced: %.0f, %.0f", freshAllocs, freshBytes, allocs, bytes)
 	if allocs > 1.1*freshAllocs || bytes > 1.1*freshBytes {
-		t.Errorf("churned graph: %.0f allocations and %.0f bytes per query, fresh %.0f and %.0f (+10 %% allowed)",
+		t.Errorf("advanced adapter: %.0f allocations and %.0f bytes per query, fresh %.0f and %.0f (+10 %% allowed)",
 			allocs, bytes, freshAllocs, freshBytes)
 	}
 }
@@ -189,11 +189,10 @@ func TestGraphRuleAfterDelete(t *testing.T) {
 	top := set.Config.NumPeers - 1
 	key := []model.Datum{int64(top) * 10_000_000}
 	deleted := model.RefFromKey(workload.ARel(0), key)
-	rep, err := set.Sys.DeleteLocal(workload.ARel(top), key)
-	if err != nil {
+	if _, err := set.Sys.DeleteLocal(workload.ARel(top), key); err != nil {
 		t.Fatal(err)
 	}
-	eng.MaintainGraph(rep)
+	eng.RetireAdapter()
 
 	for _, c := range []struct {
 		name    string

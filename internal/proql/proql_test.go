@@ -297,8 +297,8 @@ func TestExecQ3GraphBackend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.Backend != "graph" {
-		t.Fatalf("backend = %s, want graph", res.Stats.Backend)
+	if res.Stats.Backend != "asr" {
+		t.Fatalf("backend = %s, want asr", res.Stats.Backend)
 	}
 	// Tuples derived via m1 or m2: C(1,cn1), N(1,sn1,true), N(2,sn2,true).
 	// One-step derivations *from* those tuples: C(1,cn1) feeds m5 → O(cn1,7).
@@ -318,8 +318,8 @@ func TestExecQ4CommonProvenance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.Backend != "graph" {
-		t.Fatalf("backend = %s, want graph", res.Stats.Backend)
+	if res.Stats.Backend != "asr" {
+		t.Fatalf("backend = %s, want asr", res.Stats.Backend)
 	}
 	// Only C(1,cn1) has incoming derivations (C(2,cn2) is a pure leaf,
 	// so [C $y] <-+ [$z] cannot match it). Pairs: O(cn1,7) shares A(1)
@@ -343,8 +343,8 @@ func TestExecQ4CommonProvenance(t *testing.T) {
 	}
 }
 
-// TestBackendParity cross-checks the relational and graph backends on
-// the same annotation queries.
+// TestBackendParity cross-checks the relational and asr (as "graph")
+// backends on the same annotation queries.
 func TestBackendParity(t *testing.T) {
 	e := exampleEngine(t)
 	for name, text := range map[string]string{

@@ -46,9 +46,9 @@ func randomConfig(rng *rand.Rand) workload.Config {
 }
 
 // TestRandomSettingsBackendParity generates random settings and
-// cross-checks the relational and graph backends on the target query
-// and its trust evaluation — the strongest end-to-end invariant the
-// system has.
+// cross-checks the relational and asr (as "graph") backends on the
+// target query and its trust evaluation — the strongest end-to-end
+// invariant the system has.
 func TestRandomSettingsBackendParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(20100611))
 	for trial := 0; trial < 25; trial++ {
@@ -119,7 +119,7 @@ func TestRandomSettingsBackendParity(t *testing.T) {
 // randomQuery draws a random ProQL query over a setting's A relations.
 // The shapes cover both backends: anchored single-path queries the
 // relational translation handles, and multi-path / derivation-variable
-// / path-condition queries that route to the graph backend.
+// / path-condition queries that route to the asr backend.
 func randomQuery(rng *rand.Rand, numPeers int) (string, []string) {
 	mid := 1 + rng.Intn(numPeers-1)
 	any := rng.Intn(numPeers)
@@ -347,12 +347,12 @@ func TestRandomDeletionMatchesRebuild(t *testing.T) {
 	}
 }
 
-// TestRandomASRBackendAfterChurn cross-checks the graph and asr
-// backends against the interpreter on random queries issued immediately
-// after deletion and delta-insertion churn — the window where the asr
-// adapter's lazily interned handles and the patched graph are most
-// likely to diverge from the tables if invalidation or patching is
-// wrong. The interpreter walks a graph built afresh from the tables.
+// TestRandomASRBackendAfterChurn cross-checks the asr backend and its
+// graph alias against the interpreter on random queries issued
+// immediately after deletion and delta-insertion churn — the window
+// where the asr adapter's lazily interned handles are most likely to
+// diverge from the tables if retiring is wrong. The interpreter walks a
+// graph built afresh from the tables.
 func TestRandomASRBackendAfterChurn(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260808))
 	for trial := 0; trial < 10; trial++ {
@@ -377,11 +377,10 @@ func TestRandomASRBackendAfterChurn(t *testing.T) {
 			switch rng.Intn(2) {
 			case 0:
 				victim := int64(src)*10_000_000 + int64(rng.Intn(cfg.BaseSize))
-				rep, err := set.Sys.DeleteLocal(workload.ARel(src), []model.Datum{victim})
-				if err != nil {
+				if _, err := set.Sys.DeleteLocal(workload.ARel(src), []model.Datum{victim}); err != nil {
 					t.Fatalf("trial %d round %d: delete: %v", trial, round, err)
 				}
-				eng.MaintainGraph(rep)
+				eng.RetireAdapter()
 			default:
 				k := int64(src)*10_000_000 + int64(cfg.BaseSize) + int64(100*trial+round)
 				row := model.Tuple{k, k % int64(cfg.Categories)}
@@ -391,11 +390,10 @@ func TestRandomASRBackendAfterChurn(t *testing.T) {
 				if err := set.Sys.InsertLocal(workload.ARel(src), row); err != nil {
 					t.Fatalf("trial %d round %d: insert: %v", trial, round, err)
 				}
-				rep, err := set.Sys.RunDelta()
-				if err != nil {
+				if _, err := set.Sys.RunDelta(); err != nil {
 					t.Fatalf("trial %d round %d: delta: %v", trial, round, err)
 				}
-				eng.MaintainGraphInsert(rep)
+				eng.RetireAdapter()
 			}
 			// Query immediately after the churn.
 			text, vars := randomQuery(rng, cfg.NumPeers)

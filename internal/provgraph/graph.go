@@ -9,6 +9,7 @@ package provgraph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -32,8 +33,6 @@ type TupleNode struct {
 	Derivations []*DerivNode
 	// Uses are the derivation nodes consuming this tuple as a source.
 	Uses []*DerivNode
-	// dead marks a node removed from its graph; see nodeList.
-	dead bool
 }
 
 // Ord returns the node's insertion ordinal, unique across the tuple
@@ -61,73 +60,8 @@ type DerivNode struct {
 	Sources []*TupleNode
 	Targets []*TupleNode
 	// ProvRow is the backing provenance-relation row when the graph
-	// was built from storage; incremental maintenance uses it to
-	// delete invalidated derivations.
+	// was built from storage.
 	ProvRow model.Tuple
-	// dead marks a node removed from its graph; see nodeList.
-	dead bool
-}
-
-func (t *TupleNode) removed() bool { return t.dead }
-func (d *DerivNode) removed() bool { return d.dead }
-
-// nodeList is an insertion-ordered (hence ordinal-sorted) list of nodes
-// with lazy removal. The graph flags a removed node dead and reports it
-// with dropped; the node keeps its slot until more than a quarter of the
-// slots are dead, when one pass compacts the list. A removal therefore
-// costs O(1) amortised (at most four slot visits), whatever the size of
-// the list, where filtering the list per removal cost a pass over it;
-// dead slots hold at most a third more memory than the live ones (at a
-// half, a churning graph measurably raised the daemon's resident set).
-// Readers skip the dead. A nil list is empty.
-type nodeList[N interface{ removed() bool }] struct {
-	nodes []N
-	dead  int
-}
-
-func (l *nodeList[N]) len() int {
-	if l == nil {
-		return 0
-	}
-	return len(l.nodes) - l.dead
-}
-
-// each yields the live nodes in insertion order.
-func (l *nodeList[N]) each(yield func(N) bool) {
-	if l == nil {
-		return
-	}
-	for _, n := range l.nodes {
-		if !n.removed() && !yield(n) {
-			return
-		}
-	}
-}
-
-// live returns a fresh slice of the live nodes in insertion order.
-func (l *nodeList[N]) live() []N {
-	out := make([]N, 0, l.len())
-	l.each(func(n N) bool {
-		out = append(out, n)
-		return true
-	})
-	return out
-}
-
-// dropped records that one member was just flagged dead.
-func (l *nodeList[N]) dropped() {
-	l.dead++
-	if 4*l.dead <= len(l.nodes) {
-		return
-	}
-	kept := l.nodes[:0]
-	for _, n := range l.nodes {
-		if !n.removed() {
-			kept = append(kept, n)
-		}
-	}
-	clear(l.nodes[len(kept):])
-	l.nodes, l.dead = kept, 0
 }
 
 // Graph is a provenance graph. Beyond the node maps it maintains the
@@ -139,20 +73,15 @@ func (l *nodeList[N]) dropped() {
 type Graph struct {
 	tuples map[model.TupleRef]*TupleNode
 	derivs map[string]*DerivNode
-	// insertion order for deterministic iteration
-	tupleOrder nodeList[*TupleNode]
-	derivOrder nodeList[*DerivNode]
+	// insertion order for deterministic iteration; a node's ordinal is
+	// its position here
+	tupleOrder []*TupleNode
+	derivOrder []*DerivNode
 	// byRel indexes tuple nodes by relation name, in insertion order.
-	byRel map[string]*nodeList[*TupleNode]
+	byRel map[string][]*TupleNode
 	// byMapping indexes derivation nodes by mapping name, in insertion
 	// order.
-	byMapping map[string]*nodeList[*DerivNode]
-	// nextTupleOrd and nextDerivOrd are monotone ordinal counters,
-	// never reused: after incremental removals (Apply) the order
-	// lists shrink, so list lengths would hand out colliding
-	// ordinals.
-	nextTupleOrd int
-	nextDerivOrd int
+	byMapping map[string][]*DerivNode
 }
 
 // New returns an empty graph.
@@ -160,8 +89,8 @@ func New() *Graph {
 	return &Graph{
 		tuples:    make(map[model.TupleRef]*TupleNode),
 		derivs:    make(map[string]*DerivNode),
-		byRel:     make(map[string]*nodeList[*TupleNode]),
-		byMapping: make(map[string]*nodeList[*DerivNode]),
+		byRel:     make(map[string][]*TupleNode),
+		byMapping: make(map[string][]*DerivNode),
 	}
 }
 
@@ -170,16 +99,10 @@ func (g *Graph) Tuple(ref model.TupleRef) *TupleNode {
 	if n, ok := g.tuples[ref]; ok {
 		return n
 	}
-	n := &TupleNode{Ref: ref, ord: g.nextTupleOrd}
-	g.nextTupleOrd++
+	n := &TupleNode{Ref: ref, ord: len(g.tupleOrder)}
 	g.tuples[ref] = n
-	g.tupleOrder.nodes = append(g.tupleOrder.nodes, n)
-	idx := g.byRel[ref.Rel]
-	if idx == nil {
-		idx = &nodeList[*TupleNode]{}
-		g.byRel[ref.Rel] = idx
-	}
-	idx.nodes = append(idx.nodes, n)
+	g.tupleOrder = append(g.tupleOrder, n)
+	g.byRel[ref.Rel] = append(g.byRel[ref.Rel], n)
 	return n
 }
 
@@ -195,8 +118,7 @@ func (g *Graph) AddDerivation(id, mapping string, sources, targets []model.Tuple
 	if d, ok := g.derivs[id]; ok {
 		return d
 	}
-	d := &DerivNode{ID: id, Mapping: mapping, ord: g.nextDerivOrd}
-	g.nextDerivOrd++
+	d := &DerivNode{ID: id, Mapping: mapping, ord: len(g.derivOrder)}
 	for _, ref := range sources {
 		tn := g.Tuple(ref)
 		d.Sources = append(d.Sources, tn)
@@ -208,13 +130,8 @@ func (g *Graph) AddDerivation(id, mapping string, sources, targets []model.Tuple
 		tn.Derivations = append(tn.Derivations, d)
 	}
 	g.derivs[id] = d
-	g.derivOrder.nodes = append(g.derivOrder.nodes, d)
-	idx := g.byMapping[mapping]
-	if idx == nil {
-		idx = &nodeList[*DerivNode]{}
-		g.byMapping[mapping] = idx
-	}
-	idx.nodes = append(idx.nodes, d)
+	g.derivOrder = append(g.derivOrder, d)
+	g.byMapping[mapping] = append(g.byMapping[mapping], d)
 	return d
 }
 
@@ -231,11 +148,13 @@ func (d *DerivNode) DerivMapping() string { return d.Mapping }
 // DerivRow implements the physplan derivation-handle surface.
 func (d *DerivNode) DerivRow() model.Tuple { return d.ProvRow }
 
-// Tuples iterates tuple nodes in insertion order.
-func (g *Graph) Tuples() []*TupleNode { return g.tupleOrder.live() }
+// Tuples returns the tuple nodes in insertion order. The slice is the
+// graph's own; callers must not modify it.
+func (g *Graph) Tuples() []*TupleNode { return g.tupleOrder }
 
-// Derivations iterates derivation nodes in insertion order.
-func (g *Graph) Derivations() []*DerivNode { return g.derivOrder.live() }
+// Derivations returns the derivation nodes in insertion order. The
+// slice is the graph's own; callers must not modify it.
+func (g *Graph) Derivations() []*DerivNode { return g.derivOrder }
 
 // NumTuples returns the tuple-node count.
 func (g *Graph) NumTuples() int { return len(g.tuples) }
@@ -245,26 +164,36 @@ func (g *Graph) NumDerivations() int { return len(g.derivs) }
 
 // TuplesOf returns the tuple nodes of one relation, sorted by key.
 func (g *Graph) TuplesOf(rel string) []*TupleNode {
-	out := g.byRel[rel].live()
+	out := slices.Clone(g.byRel[rel])
 	sort.Slice(out, func(i, j int) bool { return out[i].Ref.Key < out[j].Ref.Key })
 	return out
 }
 
 // EachTupleOf yields the relation's tuple nodes in insertion order,
 // straight from the label index without copying or sorting.
-func (g *Graph) EachTupleOf(rel string, yield func(*TupleNode) bool) { g.byRel[rel].each(yield) }
+func (g *Graph) EachTupleOf(rel string, yield func(*TupleNode) bool) {
+	for _, n := range g.byRel[rel] {
+		if !yield(n) {
+			return
+		}
+	}
+}
 
 // NumTuplesOf returns the tuple-node count of one relation.
-func (g *Graph) NumTuplesOf(rel string) int { return g.byRel[rel].len() }
+func (g *Graph) NumTuplesOf(rel string) int { return len(g.byRel[rel]) }
 
 // EachDerivationOf yields the derivation nodes of one mapping in
 // insertion order, straight from the mapping index.
 func (g *Graph) EachDerivationOf(mapping string, yield func(*DerivNode) bool) {
-	g.byMapping[mapping].each(yield)
+	for _, d := range g.byMapping[mapping] {
+		if !yield(d) {
+			return
+		}
+	}
 }
 
 // NumDerivationsOf returns the derivation-node count of one mapping.
-func (g *Graph) NumDerivationsOf(mapping string) int { return g.byMapping[mapping].len() }
+func (g *Graph) NumDerivationsOf(mapping string) int { return len(g.byMapping[mapping]) }
 
 // buildCount counts full-graph materializations; see Builds.
 var buildCount atomic.Int64

@@ -8,7 +8,7 @@ import (
 )
 
 // Stream exposes a plan as a pull-based tuple iterator — the same
-// stream.Iterator interface the graph backend's physical operators
+// stream.Iterator interface the asr backend's physical operators
 // produce, so the engine can drain either backend through one loop.
 // Pipeline operators (Filter, Project, FilterFunc, Distinct, UnionAll,
 // IndexJoin) stream over their inputs without materializing; pipeline

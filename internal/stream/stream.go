@@ -1,5 +1,5 @@
 // Package stream defines the pull-based iterator abstraction shared by
-// the ProQL physical-operator runtimes: the graph backend's operators
+// the ProQL physical-operator runtimes: the asr backend's operators
 // (internal/proql/physplan) stream variable-binding rows through it,
 // and the relational backend (internal/relstore) exposes its plans as
 // tuple streams through the same interface. Keeping the interface in

@@ -37,8 +37,8 @@ type ServeRow struct {
 }
 
 // serveQuery picks each backend's natural workload: the relational
-// backend gets the Section 6.1.2 target query it can unfold; the
-// graph and asr backends get the Q4-shaped multi-path query their
+// backend gets the Section 6.1.2 target query it can unfold; the asr
+// backend and its graph alias get the Q4-shaped multi-path query their
 // physical pipeline exists for.
 func serveQuery(set *Setting, backend string) (*proql.Query, error) {
 	if backend == "relational" {
