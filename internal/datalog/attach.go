@@ -1,12 +1,6 @@
 package datalog
 
-import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-
-	"repro/internal/model"
-)
+import "repro/internal/model"
 
 // WarmAttach seeds a compiled program's persistent evaluation state
 // directly from the backing tables without evaluating a single rule:
@@ -33,36 +27,10 @@ import (
 // are exactly as valid as journals left behind by a run.
 //
 // After WarmAttach, StateValid reports true.
-//
-// Predicates attach independently (each touches only its own journal
-// and reads only its own table), so they are fanned out across the
-// machine: attach is the restart path's wall clock, and unlike the
-// fixpoint a cold run pays, it has no cross-predicate dependencies to
-// serialize on.
 func (p *Program) WarmAttach(exclude map[string][]model.Tuple) {
-	nw := runtime.GOMAXPROCS(0)
-	if nw > len(p.preds) {
-		nw = len(p.preds)
+	for _, ps := range p.preds {
+		p.attachPred(ps, exclude)
 	}
-	if nw < 1 {
-		nw = 1
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < nw; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(p.preds) {
-					return
-				}
-				p.attachPred(p.preds[i], exclude)
-			}
-		}()
-	}
-	wg.Wait()
 	p.stateValid = true
 }
 

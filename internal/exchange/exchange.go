@@ -381,13 +381,13 @@ func (s *System) Run() error {
 }
 
 // InsertionReport summarizes one RunDelta: what the delta propagation
-// added, so consumers (the cached provenance graph, provgraph.
-// ApplyInsertions) can patch instead of rebuilding.
+// added, so consumers (asr.Index.ApplyInsertions) can patch instead of
+// rebuilding.
 type InsertionReport struct {
 	// Full reports that RunDelta fell back to a full exchange — first
 	// run, or engine state invalidated by an earlier run error or a
 	// failed journal repair (DeleteLocal repairs the journals and keeps
-	// delta runs alive). The insertion lists below are empty then;
+	// delta runs alive). The insertion list below is empty then;
 	// cache holders must invalidate rather than patch.
 	Full bool
 
@@ -396,23 +396,9 @@ type InsertionReport struct {
 	Iterations  int
 	Derivations int
 
-	// InsertedLocals lists the refs (public relation + key) of the base
-	// tuples added to local-contribution tables since the last run —
-	// the delta seed. A surviving public tuple gaining a local
-	// contribution becomes a leaf even when nothing else changes.
-	InsertedLocals []model.TupleRef
-	// InsertedTuples lists the public-relation tuples the propagation
-	// newly materialized, with their full rows.
-	InsertedTuples []InsertedTuple
 	// InsertedDerivations lists the new derivations as (mapping,
 	// provenance-relation row) pairs, mirroring DeletedDerivation.
 	InsertedDerivations []InsertedDerivation
-}
-
-// InsertedTuple is one newly materialized public tuple.
-type InsertedTuple struct {
-	Ref model.TupleRef
-	Row model.Tuple
 }
 
 // InsertedDerivation identifies one new derivation: the mapping and its
@@ -467,12 +453,10 @@ func (s *System) RunDelta() (*InsertionReport, error) {
 			return nil, fmt.Errorf("exchange: unknown relation %q in pending delta", rel)
 		}
 		delta[r.LocalName()] = append(delta[r.LocalName()], rows...)
-		for _, row := range rows {
-			report.InsertedLocals = append(report.InsertedLocals, model.NewTupleRef(r, row))
-		}
 	}
-	// Delta runs always take the head-surfacing hook: the report needs
-	// the inserted head tuples regardless of the support index.
+	// Delta runs always take the full hook, not the lean one: even with
+	// no support index, the report's InsertedDerivations (virtual
+	// mappings' included) feed asr.Index maintenance.
 	s.eng.HookHeads, s.eng.Hook = s.hookFull, nil
 	s.collect = report
 	err := s.eng.RunProgramDelta(s.prog, delta)
@@ -560,12 +544,7 @@ func (s *System) ensureCompiled() error {
 	s.hookFull = func(rule *datalog.Rule, _ []string, slots []model.Datum, heads []datalog.HeadInsert) {
 		hp, ok := s.hookPlans[rule.ID]
 		if !ok {
-			// Local copy rule: no provenance, but a delta run reports
-			// the freshly materialized public tuples.
-			if s.collect != nil {
-				collectHeads(s.collect, heads)
-			}
-			return
+			return // local copy rule: no provenance
 		}
 		row := arena.Alloc(len(hp.slots))
 		for i, si := range hp.slots {
@@ -590,12 +569,9 @@ func (s *System) ensureCompiled() error {
 			// so every delta firing is new.
 			fresh = true
 		}
-		if s.collect != nil {
-			collectHeads(s.collect, heads)
-			if fresh {
-				s.collect.InsertedDerivations = append(s.collect.InsertedDerivations,
-					InsertedDerivation{Mapping: rule.ID, Row: row})
-			}
+		if fresh && s.collect != nil {
+			s.collect.InsertedDerivations = append(s.collect.InsertedDerivations,
+				InsertedDerivation{Mapping: rule.ID, Row: row})
 		}
 		if !fresh || s.support == nil || hp.atoms == nil {
 			return
@@ -653,20 +629,6 @@ func (s *System) installHooks() {
 		s.eng.HookHeads, s.eng.Hook = s.hookFull, nil
 	} else {
 		s.eng.HookHeads, s.eng.Hook = nil, s.hookLean
-	}
-}
-
-// collectHeads appends a firing's freshly inserted head tuples to a
-// delta run's report.
-func collectHeads(report *InsertionReport, heads []datalog.HeadInsert) {
-	for i := range heads {
-		if !heads[i].Inserted {
-			continue
-		}
-		report.InsertedTuples = append(report.InsertedTuples, InsertedTuple{
-			Ref: model.TupleRef{Rel: heads[i].Pred, Key: string(heads[i].EncKey)},
-			Row: heads[i].Row,
-		})
 	}
 }
 

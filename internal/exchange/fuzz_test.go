@@ -150,10 +150,6 @@ func FuzzInsertDelete(f *testing.F) {
 					t.Fatal(err)
 				}
 				if !report.Full {
-					if got := publicRowCount(sys) - tuplesBefore; got != len(report.InsertedTuples) {
-						t.Fatalf("InsertedTuples=%d, storage gained %d rows (op ins %s[%d])",
-							len(report.InsertedTuples), got, rel, x)
-					}
 					if got := derivationCount(t, sys) - derivsBefore; got != len(report.InsertedDerivations) {
 						t.Fatalf("InsertedDerivations=%d, storage gained %d derivations (op ins %s[%d])",
 							len(report.InsertedDerivations), got, rel, x)
@@ -314,7 +310,6 @@ func FuzzInterleavedChurn(f *testing.F) {
 					pending++
 				}
 			default: // run
-				tuplesBefore := publicRowCount(sys)
 				derivsBefore := derivationCount(t, sys)
 				report, err := sys.RunDelta()
 				if err != nil {
@@ -322,9 +317,6 @@ func FuzzInterleavedChurn(f *testing.F) {
 				}
 				if report.Full {
 					t.Fatal("RunDelta fell back to a full fixpoint")
-				}
-				if got := publicRowCount(sys) - tuplesBefore; got != len(report.InsertedTuples) {
-					t.Fatalf("InsertedTuples=%d, storage gained %d rows", len(report.InsertedTuples), got)
 				}
 				if got := derivationCount(t, sys) - derivsBefore; got != len(report.InsertedDerivations) {
 					t.Fatalf("InsertedDerivations=%d, storage gained %d derivations",

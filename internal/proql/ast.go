@@ -39,9 +39,9 @@ type Query struct {
 	// Projection is the graph-projection block.
 	Projection Projection
 
-	// Cancel, when non-nil, is polled during execution (per result row
-	// / start tuple), concurrently from the relational backend's rule
-	// workers; a non-nil return aborts the query with that error. It is
+	// Cancel, when non-nil, is polled during execution, from the
+	// evaluating goroutine, once per result row / start tuple; a non-nil
+	// return aborts the query with that error. It is
 	// per-request state, not part of the query shape — the plan cache
 	// ignores it. Set it directly or via the ctx of Exec and Eval.
 	Cancel func() error

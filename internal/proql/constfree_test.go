@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"runtime"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/asr"
@@ -257,33 +256,60 @@ func TestConstantFreeServedCounts(t *testing.T) {
 }
 
 // TestCancelStopsRuleWorkers: a relational query whose cancel func
-// fires on its first poll while its rules are being evaluated returns
-// that error, and no rule worker is still running when Eval returns —
-// the rules of a cancelled query stop rather than run to completion
-// behind its error.
+// fires on its first poll after the anchor read, while its rules are
+// being evaluated, returns that error, and nothing runs behind it: no
+// further poll and no further rule row read — the rules of a cancelled
+// query stop rather than run to completion behind its error.
 func TestCancelStopsRuleWorkers(t *testing.T) {
 	set := instanceM(t)
 	eng := proql.NewEngine(set.Sys)
 	q := proql.MustParse(set.TargetQuery())
-	if _, err := eng.Eval(context.Background(), q, proql.Options{}); err != nil {
+	anchor, ok := set.Sys.DB.Table(workload.ARel(0))
+	if !ok {
+		t.Fatalf("no table %s", workload.ARel(0))
+	}
+	// The anchor read polls once per anchor row and once at its end;
+	// the poll after those is the first rule's.
+	first := anchor.Len() + 2
+	var polls, reads int
+	q.Cancel = func() error { polls++; return nil }
+	if err := proql.EvalCountingRuleRows(eng, q, func() { reads++ }); err != nil {
 		t.Fatal(err)
 	}
+	if polls <= first || reads == 0 {
+		t.Fatalf("uncancelled query polled %d times and read %d rule rows; want more than %d polls and some rows", polls, reads, first)
+	}
+
 	stop := errors.New("stop")
-	var fired atomic.Bool
-	q.Cancel = func() error {
-		// The polls of the anchor read, before any rule starts, pass.
-		if fired.Load() || eng.RunningRuleWorkers() > 0 {
-			fired.Store(true)
-			return stop
+	var readsAtStop int
+	for _, arm := range []struct {
+		name string
+		eval func() error
+	}{
+		{"Eval", func() error { _, err := eng.Eval(context.Background(), q, proql.Options{}); return err }},
+		{"counting", func() error { return proql.EvalCountingRuleRows(eng, q, func() { reads++ }) }},
+	} {
+		polls, reads = 0, 0
+		q.Cancel = func() error {
+			polls++
+			switch {
+			case polls == first:
+				readsAtStop = reads
+				return stop
+			case polls > first:
+				t.Errorf("%s: poll %d after cancel fired", arm.name, polls)
+				return stop
+			}
+			return nil
 		}
-		return nil
-	}
-	_, err := eng.Eval(context.Background(), q, proql.Options{})
-	running := eng.RunningRuleWorkers()
-	if !errors.Is(err, stop) {
-		t.Errorf("Eval = %v, want %v", err, stop)
-	}
-	if running != 0 {
-		t.Errorf("%d rule workers still running when Eval returned", running)
+		if err := arm.eval(); !errors.Is(err, stop) {
+			t.Errorf("%s = %v, want %v", arm.name, err, stop)
+		}
+		if polls != first {
+			t.Errorf("%s: %d polls, want cancel to fire on poll %d", arm.name, polls, first)
+		}
+		if reads != readsAtStop {
+			t.Errorf("%s: %d rule rows read after cancel fired", arm.name, reads-readsAtStop)
+		}
 	}
 }

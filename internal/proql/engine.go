@@ -7,7 +7,6 @@ import (
 	"slices"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/exchange"
@@ -47,8 +46,6 @@ type Engine struct {
 	// plans is the shape-keyed plan cache shared by all backends; it is
 	// internally synchronized.
 	plans *planCache
-	// ruleWorkers counts the relational rule evaluations in flight.
-	ruleWorkers atomic.Int64
 }
 
 // NewEngine builds an engine over a system. The engine is safe for

@@ -2,8 +2,6 @@ package proql
 
 import (
 	"fmt"
-	"runtime"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/exchange"
@@ -12,7 +10,6 @@ import (
 	"repro/internal/provgraph"
 	"repro/internal/relstore"
 	"repro/internal/semiring"
-	"repro/internal/stream"
 )
 
 // unfoldOutput collects the relational backend's projected
@@ -163,7 +160,6 @@ func (e *Engine) execUnfold(q *Query, asOf uint64) (*Result, error) {
 // unfolded conjunctive rule, UNION of the results, and a semiring
 // aggregation grouped by the distinguished tuple (Section 4.2.4).
 func (e *Engine) runUnfold(sys *exchange.System, q *Query, comp *Compiled, asOf uint64, up *unfoldPlans) (*Result, error) {
-	rules := up.rules
 	out := make(unfoldOutput)
 	res := &Result{Stats: Stats{Backend: "relational", AsOf: asOf, Epoch: sys.DB.Epoch(), UnfoldedRules: len(comp.Rules)}}
 	res.buildGraph = func() (*provgraph.Graph, error) { return e.linkAt(asOf, out.derivs(), res.rows.refs) }
@@ -238,93 +234,50 @@ func (e *Engine) runUnfold(sys *exchange.System, q *Query, comp *Compiled, asOf 
 		}
 	}
 
-	// The unfolded rules are the branches of a UNION ALL and touch the
-	// database read-only: evaluate them concurrently (bounded by
-	// GOMAXPROCS) and fold the merged stream in rule order so bindings
-	// and annotations stay deterministic (semiring ⊕ is commutative,
-	// but determinism keeps output ordering and tests stable). The
-	// rules flow through the same stream.Iterator interface the graph
-	// backend's physical operators use.
-	it := ruleStream(sys.DB, up.plans, q.Cancel, &e.ruleWorkers)
-	defer it.Close()
-	for {
-		if q.Cancel != nil {
-			if err := q.Cancel(); err != nil {
-				return nil, err
+	// The unfolded rules are the branches of a UNION ALL: evaluate them
+	// one after another, in rule order, so bindings and annotations
+	// stay deterministic (semiring ⊕ is commutative, but determinism
+	// keeps output ordering and tests stable).
+	foldRule := func(rp *rulePlan, plan relstore.Plan) error {
+		it := relstore.Stream(plan, sys.DB)
+		defer it.Close()
+		for {
+			if q.Cancel != nil {
+				if err := q.Cancel(); err != nil {
+					return err
+				}
 			}
-		}
-		rr, ok, err := it.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		rp, row := rules[rr.rule], rr.row
-		ref, err := anchorRefOf(rp, anchorRel, row)
-		if err != nil {
-			return nil, err
-		}
-		addBinding(ref)
-		if includeGraph {
-			if err := collectRowDerivations(out, rp, row); err != nil {
-				return nil, err
+			row, ok, err := it.Next()
+			if err != nil || !ok {
+				return err
 			}
-		}
-		if s != nil && (includeGraph || !singleNode) {
-			v, err := e.evalTreeRow(s, q.LeafAssign, mapFuncs, rp, rp.rule.Tree, row)
+			ref, err := anchorRefOf(rp, anchorRel, row)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			accumulate(res.Annotations, s, ref, v)
+			addBinding(ref)
+			if includeGraph {
+				if err := collectRowDerivations(out, rp, row); err != nil {
+					return err
+				}
+			}
+			if s != nil && (includeGraph || !singleNode) {
+				v, err := e.evalTreeRow(s, q.LeafAssign, mapFuncs, rp, rp.rule.Tree, row)
+				if err != nil {
+					return err
+				}
+				accumulate(res.Annotations, s, ref, v)
+			}
+		}
+	}
+	for i, plan := range up.plans {
+		if err := foldRule(up.rules[i], plan); err != nil {
+			return nil, err
 		}
 	}
 	res.rows.sort()
 	res.Stats.EvalTime = time.Since(evalStart)
 	return res, nil
-}
-
-// ruleRow tags a relational output row with the rule that produced it.
-type ruleRow struct {
-	rule int
-	row  model.Tuple
-}
-
-// cancelPollRows is how many rows a rule worker produces between two
-// polls of the query's cancel func.
-const cancelPollRows = 64
-
-// ruleStream evaluates every rule plan concurrently and yields the
-// rows in rule order. Each worker polls cancel (when set) before its
-// first row and every cancelPollRows rows after it, and stops on its
-// error; closing the stream stops the workers and waits for them.
-// running counts the rule evaluations in flight.
-func ruleStream(db *relstore.Database, plans []relstore.Plan, cancel func() error, running *atomic.Int64) stream.Iterator[ruleRow] {
-	makers := make([]func() (stream.Iterator[ruleRow], error), len(plans))
-	for i, plan := range plans {
-		makers[i] = func() (stream.Iterator[ruleRow], error) {
-			running.Add(1)
-			in := relstore.Stream(plan, db)
-			n := 0
-			return &stream.Func[ruleRow]{
-				NextFn: func() (ruleRow, bool, error) {
-					if cancel != nil && n%cancelPollRows == 0 {
-						if err := cancel(); err != nil {
-							return ruleRow{}, false, err
-						}
-					}
-					n++
-					t, ok, err := in.Next()
-					return ruleRow{rule: i, row: t}, ok, err
-				},
-				CloseFn: func() {
-					in.Close()
-					running.Add(-1)
-				},
-			}, nil
-		}
-	}
-	return stream.OrderedParallel(makers, runtime.GOMAXPROCS(0))
 }
 
 // anchorPlan plans the read of the anchor relation's tuples satisfying

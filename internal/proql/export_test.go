@@ -3,13 +3,37 @@ package proql
 import (
 	"context"
 
+	"repro/internal/model"
 	"repro/internal/provgraph"
 	"repro/internal/relstore"
 )
 
-// RunningRuleWorkers is the number of the engine's relational rule
-// evaluations in flight.
-func (e *Engine) RunningRuleWorkers() int64 { return e.ruleWorkers.Load() }
+// EvalCountingRuleRows runs q on the relational backend as Eval does,
+// over the live snapshot, calling read on every row a rule plan yields
+// to the consumer loop.
+func EvalCountingRuleRows(e *Engine, q *Query, read func()) error {
+	sys, release, err := e.snapshotAt(0)
+	if err != nil {
+		return err
+	}
+	defer release()
+	t, err := e.relationalTemplate(sys, q)
+	if err != nil {
+		return err
+	}
+	up, err := t.bind(q)
+	if err != nil {
+		return err
+	}
+	for i, p := range up.plans {
+		up.plans[i] = &relstore.FilterFunc{Input: p, Fn: func(model.Tuple) (bool, error) {
+			read()
+			return true, nil
+		}}
+	}
+	_, err = e.runUnfold(sys, q, t.comp, 0, up)
+	return err
+}
 
 // RulePlansBuilt is the number of relational rule plans built so far,
 // by every engine: a plan-template hit builds none.

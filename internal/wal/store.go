@@ -255,7 +255,10 @@ func Open(dir string, opts Options) (*Store, error) {
 // batch), so while the reader streams frames off disk, a worker pool
 // turns them into loaded tables. The checkpoint load is the restart
 // path's largest term — unlike the fixpoint a cold start pays, it
-// parallelizes trivially.
+// parallelizes trivially. The pool earns its place on 2 vCPUs: a
+// serial decode made the 10-peer restart of `proqlbench -exp=recover`
+// 1.47× slower (median 99 → 145 ms, slower by ≥ 10 % in 10 of 10
+// alternating pairs; EXPERIMENTS.md E28).
 func (s *Store) loadCheckpoint(path string) (uint64, uint64, error) {
 	var (
 		epoch      uint64
