@@ -432,6 +432,11 @@ func BenchmarkGraphPointQuery(b *testing.B) {
 // question: pairs of target and A1 tuples that share an ancestor.
 const multipathQuery = "FOR [A0 $x] <-+ [$z], [A1 $y] <-+ [$z] RETURN $x, $y"
 
+// multipathIncludeQuery is multipathQuery with an INCLUDE path on a
+// returned variable: the distinct join stays fused, and its pairs
+// stream through the Include above it.
+const multipathIncludeQuery = "FOR [A0 $x] <-+ [$z], [A1 $y] <-+ [$z] INCLUDE PATH [$x] <-+ [] RETURN $x, $y"
+
 // BenchmarkAnalyticShapes runs the served analytic-read workload's
 // query shapes in process on instance M, the way proqld answers them:
 // Eval, then the sorted distinct refs of every variable. "bindings" is
@@ -447,6 +452,7 @@ func BenchmarkAnalyticShapes(b *testing.B) {
 		{"target/asr", set.TargetQuery(), "asr"},
 		{"trust/auto", set.TargetAnnotationQuery(), "auto"},
 		{"multipath/asr", multipathQuery, "asr"},
+		{"include/asr", multipathIncludeQuery, "asr"},
 	} {
 		b.Run(arm.name, func(b *testing.B) {
 			q := proql.MustParse(arm.query)

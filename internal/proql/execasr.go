@@ -15,6 +15,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/exchange"
 	"repro/internal/model"
@@ -139,7 +140,11 @@ type asrGraph struct {
 
 	// mu guards the interning maps, the lazy per-handle fields, the
 	// memoized caches below, and err. It is never held while yielding
-	// to physplan callbacks or while probing tables.
+	// to physplan callbacks or while probing tables. The per-node
+	// caches a path walk reads at every step (asrTuple.in,
+	// asrDeriv.edges, failed) are atomics published once instead:
+	// queries sharing the adapter on two cores slowed each other
+	// through this lock without ever blocking on it.
 	mu     sync.Mutex
 	tuples map[model.TupleRef]*asrTuple
 	derivs map[string]*asrDeriv
@@ -158,18 +163,25 @@ type asrGraph struct {
 	relScan map[string][]*asrTuple
 
 	err error
+	// failed is set with err: while nothing failed, the Err check of
+	// every enumeration call is one atomic load.
+	failed atomic.Bool
 }
 
 func (g *asrGraph) fail(err error) {
 	g.mu.Lock()
 	if g.err == nil {
 		g.err = err
+		g.failed.Store(true)
 	}
 	g.mu.Unlock()
 }
 
 // Err implements physplan.Graph.
 func (g *asrGraph) Err() error {
+	if !g.failed.Load() {
+		return nil
+	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.err
@@ -185,7 +197,10 @@ type asrTuple struct {
 
 	row   model.Tuple
 	rowOK bool
-	// inBy caches incoming derivations per mapping filter ("" = all).
+	// in caches all incoming derivations, read without the lock by the
+	// closure walks that ask for them at every node; inBy caches those
+	// of one mapping.
+	in   atomic.Pointer[[]*asrDeriv]
 	inBy map[string][]*asrDeriv
 }
 
@@ -228,8 +243,12 @@ type asrDeriv struct {
 	pr      *exchange.ProvRel
 	row     model.Tuple
 
+	edges atomic.Pointer[derivEdges] // resolved lazily, published once
+}
+
+// derivEdges are a derivation's source and target handles.
+type derivEdges struct {
 	srcs, tgts []*asrTuple
-	edgesOK    bool
 }
 
 // DerivOrd implements physplan.Deriv.
@@ -250,7 +269,7 @@ func (g *asrGraph) internTuple(ref model.TupleRef, key []model.Datum) *asrTuple 
 		return t
 	}
 	g.ords++
-	t := &asrTuple{g: g, ref: ref, ord: g.ords, key: key, inBy: map[string][]*asrDeriv{}}
+	t := &asrTuple{g: g, ref: ref, ord: g.ords, key: key}
 	g.tuples[ref] = t
 	return t
 }
@@ -270,17 +289,14 @@ func (g *asrGraph) internDeriv(pr *exchange.ProvRel, row model.Tuple) *asrDeriv 
 	return d
 }
 
-// edges resolves a derivation's source and target handles from its
-// provenance row (AtomRefKeys reconstructs every atom's key).
-func (d *asrDeriv) edges() ([]*asrTuple, []*asrTuple) {
-	g := d.g
-	g.mu.Lock()
-	if d.edgesOK {
-		srcs, tgts := d.srcs, d.tgts
-		g.mu.Unlock()
-		return srcs, tgts
+// resolve returns a derivation's source and target handles, resolving
+// them from its provenance row on first use (AtomRefKeys reconstructs
+// every atom's key).
+func (d *asrDeriv) resolve() ([]*asrTuple, []*asrTuple) {
+	if e := d.edges.Load(); e != nil {
+		return e.srcs, e.tgts
 	}
-	g.mu.Unlock()
+	g := d.g
 	srcs, tgts, err := g.sys.AtomRefKeys(d.pr, d.row)
 	if err != nil {
 		g.fail(err)
@@ -294,13 +310,11 @@ func (d *asrDeriv) edges() ([]*asrTuple, []*asrTuple) {
 	for _, rk := range tgts {
 		ts = append(ts, g.internTuple(rk.Ref, rk.Key))
 	}
-	g.mu.Lock()
-	if !d.edgesOK {
-		d.srcs, d.tgts, d.edgesOK = ss, ts, true
+	e := &derivEdges{srcs: ss, tgts: ts}
+	if !d.edges.CompareAndSwap(nil, e) {
+		e = d.edges.Load() // a racing resolver published first
 	}
-	srcsOut, tgtsOut := d.srcs, d.tgts
-	g.mu.Unlock()
-	return srcsOut, tgtsOut
+	return e.srcs, e.tgts
 }
 
 // incoming resolves (and caches) the derivations targeting t,
@@ -310,12 +324,18 @@ func (d *asrDeriv) edges() ([]*asrTuple, []*asrTuple) {
 // on the probed head-key columns.
 func (t *asrTuple) incoming(mapping string) []*asrDeriv {
 	g := t.g
-	g.mu.Lock()
-	if ds, ok := t.inBy[mapping]; ok {
+	if mapping == "" {
+		if in := t.in.Load(); in != nil {
+			return *in
+		}
+	} else {
+		g.mu.Lock()
+		ds, ok := t.inBy[mapping]
 		g.mu.Unlock()
-		return ds
+		if ok {
+			return ds
+		}
 	}
-	g.mu.Unlock()
 	// Resolve outside the lock (probes read the snapshot, interning
 	// relocks per handle); two racing resolvers of the same tuple
 	// compute identical slices, so the overwrite below is benign.
@@ -342,7 +362,14 @@ func (t *asrTuple) incoming(mapping string) []*asrDeriv {
 			break
 		}
 	}
+	if mapping == "" {
+		t.in.Store(&out)
+		return out
+	}
 	g.mu.Lock()
+	if t.inBy == nil {
+		t.inBy = map[string][]*asrDeriv{}
+	}
 	t.inBy[mapping] = out
 	g.mu.Unlock()
 	return out
@@ -506,7 +533,7 @@ func (g *asrGraph) EachSource(d physplan.Deriv, yield func(physplan.Tuple) bool)
 	if g.Err() != nil {
 		return
 	}
-	srcs, _ := d.(*asrDeriv).edges()
+	srcs, _ := d.(*asrDeriv).resolve()
 	for _, s := range srcs {
 		if !yield(s) {
 			return
@@ -519,7 +546,7 @@ func (g *asrGraph) EachTarget(d physplan.Deriv, yield func(physplan.Tuple) bool)
 	if g.Err() != nil {
 		return
 	}
-	_, tgts := d.(*asrDeriv).edges()
+	_, tgts := d.(*asrDeriv).resolve()
 	for _, t := range tgts {
 		if !yield(t) {
 			return

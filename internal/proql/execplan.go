@@ -112,55 +112,60 @@ func (e *Engine) annotateGraphResult(q *Query, res *Result, outG *provgraph.Grap
 	return nil
 }
 
-// collectPhys drains a plan into rows, registering each returned tuple
+// collectPhys runs a plan to its answer cells and adopts them as rows,
+// renumbering each cell in place from its column's table to the result
+// refs. A table value is checked and registered once, when a cell first
+// reads it — so only returned tuples register, and each distinct tuple
 // once (by ordinal, which identifies it in its store).
 func collectPhys(q *Query, plan *physplan.Plan, rows *resultRows) error {
-	it, err := plan.Root.Open()
+	ans, err := plan.Answer()
 	if err != nil {
 		return err
 	}
-	defer it.Close()
+	// A cancellation that cut the answer short must not pass for its
+	// end.
+	if q.Cancel != nil {
+		if err := q.Cancel(); err != nil {
+			return err
+		}
+	}
 	ret := q.Projection.Return
 	rows.vars = ret
 	ids := map[int]int32{}
-	var buf [8]int32 // one row's cells (grows past short RETURN lists)
-	for {
-		if q.Cancel != nil {
-			if err := q.Cancel(); err != nil {
-				return err
-			}
-		}
-		row, ok, err := it.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			// A cancellation that cut the stream short must not pass for
-			// its end.
-			if q.Cancel != nil {
-				return q.Cancel()
-			}
-			return nil
-		}
-		cells := buf[:0]
-		for i, v := range ret {
-			node := row[i]
-			if node == nil {
-				return fmt.Errorf("proql: RETURN variable $%s is not bound by the FOR clause", v)
-			}
-			tn, isTuple := node.(physplan.Tuple)
-			if !isTuple {
-				return fmt.Errorf("proql: RETURN variable $%s binds derivation nodes; only tuple nodes can be returned", v)
-			}
-			id, seen := ids[tn.TupleOrd()]
-			if !seen {
-				id = rows.addRef(tn.TupleRef())
-				ids[tn.TupleOrd()] = id
-			}
-			cells = append(cells, id)
-		}
-		rows.addRow(cells...)
+	// remap[base[i]+j] is 1 + the ref of column i's table entry j, 0
+	// until a cell reads it.
+	var baseBuf [8]int // a short RETURN list allocates no bases
+	base, n := baseBuf[:0], 0
+	for i := range ret {
+		base = append(base, n)
+		n += len(ans.Table(i))
 	}
+	remap := make([]int32, n)
+	for r := 0; r < ans.Rows; r++ {
+		row := ans.Cells[r*len(ret) : (r+1)*len(ret)]
+		for i, c := range row {
+			at := base[i] + int(c)
+			if remap[at] == 0 {
+				node := ans.Table(i)[c]
+				tn, isTuple := node.(physplan.Tuple)
+				switch {
+				case node == nil:
+					return fmt.Errorf("proql: RETURN variable $%s is not bound by the FOR clause", ret[i])
+				case !isTuple:
+					return fmt.Errorf("proql: RETURN variable $%s binds derivation nodes; only tuple nodes can be returned", ret[i])
+				}
+				id, seen := ids[tn.TupleOrd()]
+				if !seen {
+					id = rows.addRef(tn.TupleRef())
+					ids[tn.TupleOrd()] = id
+				}
+				remap[at] = id + 1
+			}
+			row[i] = remap[at] - 1
+		}
+	}
+	rows.cells, rows.n = ans.Cells, ans.Rows
+	return nil
 }
 
 // buildPhysPlan lowers the query and compiles it, replaying cached

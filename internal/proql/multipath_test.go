@@ -2,6 +2,7 @@ package proql_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -174,13 +175,14 @@ func TestMultiPathDifferential(t *testing.T) {
 // servedAllocBound and servedByteBound cap the allocations and bytes
 // of one served common-provenance query on instance M. The executor
 // that built a binding map per row and cloned every join row made
-// 8.26 M allocations and 394 MB; the distinct join and compact rows
-// make about 42 k and 38 MB. Rows are carved from shared chunks, so a
-// join materialized before its dedup would stay under the allocation
-// bound; its 2.4 M rows (77 MB of cells alone) break the byte bound.
+// 8.26 M allocations and 394 MB; the distinct join with a row per match
+// and per pair made about 39 k and 37 MB; answer cells make about 6.5 k
+// and 10 MB. A join materialized before its dedup — 2.4 M rows, 77 MB
+// of cells alone — breaks the byte bound, and so would a row per match
+// and per pair.
 const (
 	servedAllocBound = 100_000
-	servedByteBound  = 64 << 20
+	servedByteBound  = 16 << 20
 )
 
 // TestMultiPathServedAllocs runs the served analytic workload's
@@ -218,5 +220,50 @@ func TestMultiPathServedAllocs(t *testing.T) {
 			t.Errorf("%s: %d bytes allocated per query, bound %d", backend, bytes, servedByteBound)
 		}
 		t.Logf("%s: %d rows, %.0f allocations, %d bytes", backend, rows, allocs, bytes)
+	}
+}
+
+// pollCtx is a context whose Err — the cancel poll Eval wires into
+// the plan — counts its calls and reports context.Canceled from call
+// stop on (never, when stop is 0).
+type pollCtx struct {
+	context.Context
+	stop, polls int
+}
+
+func (c *pollCtx) Done() <-chan struct{} { return make(chan struct{}) }
+
+func (c *pollCtx) Err() error {
+	if c.polls++; c.stop > 0 && c.polls >= c.stop {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestMultiPathEvalCancel: a multi-path query cancelled at any poll —
+// in either drain of the distinct join, in its pair emission, or at the
+// check after it — makes Eval return the context error and no result,
+// and polls no more after the poll that saw it.
+func TestMultiPathEvalCancel(t *testing.T) {
+	eng := proql.NewEngine(instanceS(t).Sys)
+	q := proql.MustParse("FOR [A0 $x] <-+ [$z], [A1 $y] <-+ [$z] RETURN $x, $y")
+	for _, backend := range []string{"graph", "asr"} {
+		free := &pollCtx{Context: context.Background()}
+		res, err := eng.Eval(free, q, proql.Options{Backend: backend})
+		if err != nil || res.Len() == 0 {
+			t.Fatalf("%s: uncancelled query: %v, %d rows", backend, err, res.Len())
+		}
+		all := free.polls
+		for _, stop := range []int{1, all / 3, 2 * all / 3, all - 1, all} {
+			ctx := &pollCtx{Context: context.Background(), stop: stop}
+			res, err := eng.Eval(ctx, q, proql.Options{Backend: backend})
+			if !errors.Is(err, context.Canceled) || res != nil {
+				t.Errorf("%s: cancelled at poll %d of %d: result %v, error %v; want none and %v",
+					backend, stop, all, res, err, context.Canceled)
+			}
+			if ctx.polls != stop {
+				t.Errorf("%s: cancelled at poll %d of %d: polled %d times", backend, stop, all, ctx.polls)
+			}
+		}
 	}
 }

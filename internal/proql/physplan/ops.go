@@ -9,20 +9,12 @@ import (
 
 // Op is a streaming physical operator. Open returns a fresh iterator
 // over the operator's output rows; Schema describes the row layout.
-// Every operator of one plan shares the plan-wide schema except
-// Project, which narrows it.
+// Every operator of one plan shares the plan-wide schema; the Project
+// at its root narrows the answer to the RETURN variables.
 type Op interface {
 	Open() (stream.Iterator[Row], error)
 	Schema() *Schema
 	explain(sb *strings.Builder, indent int)
-}
-
-// Explain renders an operator tree, one operator per line, children
-// indented under parents.
-func Explain(root Op) string {
-	var sb strings.Builder
-	root.explain(&sb, 0)
-	return sb.String()
 }
 
 func writeLine(sb *strings.Builder, indent int, format string, args ...any) {
@@ -82,18 +74,31 @@ func (s *Scan) explain(sb *strings.Builder, indent int) {
 	writeLine(sb, indent, "Scan(%s, %s, est=%.0f)", s.bp.path, s.desc, s.est)
 }
 
-// Open implements Op.
-func (s *Scan) Open() (stream.Iterator[Row], error) {
+// starts collects the scan's start tuples before any is matched, with
+// the empty seed row the matches extend.
+func (s *Scan) starts() (Row, []Tuple, error) {
 	seed := make(Row, s.schema.Width())
 	var starts []Tuple
-	if err := s.bp.eachStart(s.g, seed, true, func(t Tuple) bool {
+	err := s.bp.eachStart(s.g, seed, true, func(t Tuple) bool {
 		starts = append(starts, t)
 		return true
-	}); err != nil {
+	})
+	return seed, starts, err
+}
+
+// Open implements Op.
+func (s *Scan) Open() (stream.Iterator[Row], error) {
+	seed, starts, err := s.starts()
+	if err != nil {
 		return nil, err
 	}
 	m := s.bp.newMatcher(s.g)
+	rows := rowAlloc{width: s.schema.Width()}
 	var batch []Row
+	keep := func(r Row) bool {
+		batch = append(batch, rows.copy(r))
+		return true
+	}
 	i := 0
 	return &batchIter{produce: func() ([]Row, bool, error) {
 		// The consumer has drained the previous batch: reuse it.
@@ -106,16 +111,37 @@ func (s *Scan) Open() (stream.Iterator[Row], error) {
 			}
 			st := starts[i]
 			i++
-			m.matchStart(st, seed, func(r Row) bool {
-				batch = append(batch, r)
-				return true
-			})
+			m.matchStart(st, seed, keep)
 			if len(batch) > 0 {
 				return batch, true, nil
 			}
 		}
 		return nil, false, nil
 	}}, nil
+}
+
+// each passes every match to fn, borrowed — valid only during the call
+// — polling cancel before every start tuple as Open does: the drain of
+// a consumer that keeps no row.
+func (s *Scan) each(fn func(Row)) error {
+	seed, starts, err := s.starts()
+	if err != nil {
+		return err
+	}
+	m := s.bp.newMatcher(s.g)
+	visit := func(r Row) bool {
+		fn(r)
+		return true
+	}
+	for _, st := range starts {
+		if s.cancel != nil {
+			if err := s.cancel(); err != nil {
+				return err
+			}
+		}
+		m.matchStart(st, seed, visit)
+	}
+	return nil
 }
 
 // Extend is the index-nested-loop join: for each input row it
@@ -145,7 +171,12 @@ func (e *Extend) Open() (stream.Iterator[Row], error) {
 		return nil, err
 	}
 	m := e.bp.newMatcher(e.g)
+	rows := rowAlloc{width: e.schema.Width()}
 	var batch []Row
+	keep := func(r Row) bool {
+		batch = append(batch, rows.copy(r))
+		return true
+	}
 	return &batchIter{
 		produce: func() ([]Row, bool, error) {
 			batch = batch[:0]
@@ -159,10 +190,7 @@ func (e *Extend) Open() (stream.Iterator[Row], error) {
 				if err != nil || !ok {
 					return nil, false, err
 				}
-				if err := m.matchAll(row, func(r Row) bool {
-					batch = append(batch, r)
-					return true
-				}); err != nil {
+				if err := m.matchAll(row, keep); err != nil {
 					return nil, false, err
 				}
 				if len(batch) > 0 {
@@ -201,9 +229,10 @@ func (j *HashJoin) explain(sb *strings.Builder, indent int) {
 func (j *HashJoin) Open() (stream.Iterator[Row], error) {
 	var keys keyer
 	build := map[uint64][]Row{}
+	kept := rowAlloc{width: j.schema.Width()}
 	if err := drain(j.right, func(row Row) {
 		k := keys.key(row, j.onCols)
-		build[k] = append(build[k], row)
+		build[k] = append(build[k], kept.copy(row))
 	}); err != nil {
 		return nil, err
 	}
@@ -347,46 +376,105 @@ func (d *Dedup) Open() (stream.Iterator[Row], error) {
 	}, nil
 }
 
-// Project narrows rows to the given variables, in order. Variables
-// absent from the input schema project to nil (the engine reports them
-// as unbound when assembling bindings, preserving the interpreter's
-// error behavior).
+// Project is a plan's root: it narrows the answer to the RETURN
+// variables, in order, handing the engine their values as cells
+// (answer). Variables absent from the input schema project to nil (the
+// engine reports them as unbound when assembling bindings, preserving
+// the interpreter's error behavior).
 type Project struct {
 	input  Op
 	cols   []string
 	colIdx []int
-	schema *Schema
+	cancel func() error
 }
-
-// Schema implements Op.
-func (p *Project) Schema() *Schema { return p.schema }
 
 func (p *Project) explain(sb *strings.Builder, indent int) {
 	writeLine(sb, indent, "Project($%s)", strings.Join(p.cols, ", $"))
 	p.input.explain(sb, indent+1)
 }
 
-// Open implements Op.
-func (p *Project) Open() (stream.Iterator[Row], error) {
+// Answer is a plan's result as cells: per RETURN column a table of
+// distinct values (Tuple or Deriv handles, nil for an unbound column),
+// and per answer row one int32 cell per column indexing that column's
+// table, row-major. A table holds every value its column's cells read,
+// and may hold more (a join's build-side values no probe matched).
+// Rows are distinct and in no particular order.
+type Answer struct {
+	Cells  []int32
+	Rows   int
+	tables []table
+}
+
+// Table returns column i's table.
+func (a *Answer) Table(i int) []any { return a.tables[i].vals }
+
+// answer runs the plan beneath p to its answer cells. A DistinctJoin
+// writes them straight from its dense ids; any other input is drained
+// once, each row's values numbered per column.
+func (p *Project) answer() (Answer, error) {
+	if d, ok := p.input.(*DistinctJoin); ok {
+		return d.answer()
+	}
 	in, err := p.input.Open()
 	if err != nil {
-		return nil, err
+		return Answer{}, err
 	}
-	rows := rowAlloc{width: len(p.colIdx)}
-	return &stream.Func[Row]{
-		NextFn: func() (Row, bool, error) {
-			row, ok, err := in.Next()
-			if err != nil || !ok {
-				return nil, false, err
+	defer in.Close()
+	a := Answer{tables: make([]table, len(p.colIdx))}
+	for {
+		if p.cancel != nil {
+			if err := p.cancel(); err != nil {
+				return Answer{}, err
 			}
-			out := rows.row()
-			for i, c := range p.colIdx {
-				if c >= 0 {
-					out[i] = row[c]
-				}
+		}
+		row, ok, err := in.Next()
+		if err != nil {
+			return Answer{}, err
+		}
+		if !ok {
+			return a, nil
+		}
+		for i, c := range p.colIdx {
+			var v any
+			if c >= 0 {
+				v = row[c]
 			}
-			return out, true, nil
-		},
-		CloseFn: in.Close,
-	}, nil
+			a.Cells = append(a.Cells, a.tables[i].id(v))
+		}
+		a.Rows++
+	}
+}
+
+// table numbers the distinct values of one answer column densely by
+// node code: by a scan while it holds few (a point query's answer
+// needs no map), by a map after.
+type table struct {
+	vals []any
+	ids  map[uint64]int32
+}
+
+func (t *table) id(v any) int32 {
+	k := nodeCode(v)
+	if t.ids == nil {
+		for i, u := range t.vals {
+			if nodeCode(u) == k {
+				return int32(i)
+			}
+		}
+		if len(t.vals) < 8 {
+			t.vals = append(t.vals, v)
+			return int32(len(t.vals) - 1)
+		}
+		t.ids = make(map[uint64]int32, 2*len(t.vals))
+		for i, u := range t.vals {
+			t.ids[nodeCode(u)] = int32(i)
+		}
+	}
+	id, ok := t.ids[k]
+	if !ok {
+		id = int32(len(t.vals))
+		t.ids[k] = id
+		t.vals = append(t.vals, v)
+	}
+	return id
 }

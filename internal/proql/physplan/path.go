@@ -228,23 +228,24 @@ func (bp *boundPath) startsDesc(bound map[string]bool) string {
 
 // matcher enumerates the matches of one bound path. It binds the
 // path's columns in place on one scratch row, unbinding them on the way
-// back, and copies the row only when it completes a match; the
-// simple-path and ancestor bookkeeping is reused across starts. A
-// matcher serves one goroutine.
+// back, and passes that row — borrowed, valid only during the call — to
+// the consumer, which copies it if it keeps it; the simple-path and
+// ancestor bookkeeping is reused across starts. A matcher serves one
+// goroutine.
 type matcher struct {
 	bp      *boundPath
 	g       Graph
 	row     Row
 	visited map[Tuple]bool
-	// reached/seen are the per-edge ancestor buffers of <-+ steps;
-	// walkEdge is the edge the running walk fills, and walkDeriv/
-	// walkSource its callbacks, bound once.
+	// reached holds the per-edge ancestor lists of <-+ steps; marks is
+	// the running walk's set of entered (or blocked) nodes, walkEdge
+	// the edge it fills, and walkDeriv/walkSource its callbacks, bound
+	// once.
 	reached    [][]Tuple
-	seen       []map[Tuple]bool
+	marks      map[Tuple]bool
 	walkEdge   int
 	walkDeriv  func(Deriv) bool
 	walkSource func(Tuple) bool
-	out        rowAlloc
 }
 
 func (bp *boundPath) newMatcher(g Graph) *matcher {
@@ -253,31 +254,26 @@ func (bp *boundPath) newMatcher(g Graph) *matcher {
 		return m
 	}
 	m.reached = make([][]Tuple, len(bp.path.Edges))
-	m.seen = make([]map[Tuple]bool, len(bp.path.Edges))
+	m.marks = map[Tuple]bool{}
 	m.walkDeriv = func(d Deriv) bool {
 		m.g.EachSource(d, m.walkSource)
 		return true
 	}
 	m.walkSource = func(src Tuple) bool {
-		if m.visited[src] {
+		if m.marks[src] {
 			return true
 		}
-		e := m.walkEdge
-		if !m.seen[e][src] {
-			m.seen[e][src] = true
-			m.reached[e] = append(m.reached[e], src)
-		}
-		m.visited[src] = true
+		m.marks[src] = true
+		m.reached[m.walkEdge] = append(m.reached[m.walkEdge], src)
 		m.g.EachDerivInto(src, "", m.walkDeriv)
-		delete(m.visited, src)
 		return true
 	}
 	return m
 }
 
 // matchAll enumerates every extension of row that satisfies the path,
-// passing each completed row (a fresh copy) to yield. yield returning
-// false stops the enumeration early.
+// passing each completed row (borrowed) to yield. yield returning false
+// stops the enumeration early.
 func (m *matcher) matchAll(row Row, yield func(Row) bool) error {
 	cont := true
 	err := m.bp.eachStart(m.g, row, true, func(st Tuple) bool {
@@ -295,7 +291,6 @@ func (m *matcher) matchStart(st Tuple, row Row, yield func(Row) bool) bool {
 	}
 	if len(m.row) != len(row) {
 		m.row = make(Row, len(row))
-		m.out.width = len(row)
 	}
 	copy(m.row, row)
 	if c := m.bp.nodeCol[0]; c >= 0 && m.row[c] == nil {
@@ -313,22 +308,27 @@ func (m *matcher) matchStart(st Tuple, row Row, yield func(Row) bool) bool {
 func (m *matcher) step(edgeIdx int, cur Tuple, yield func(Row) bool) bool {
 	bp, row := m.bp, m.row
 	if edgeIdx == len(bp.path.Edges) {
-		out := m.out.row()
-		copy(out, row)
-		return yield(out)
+		return yield(row)
 	}
 	edge := bp.path.Edges[edgeIdx]
 	nextCol := bp.nodeCol[edgeIdx+1]
+	last := edgeIdx+1 == len(bp.path.Edges)
 	// next binds src at the following node (if its column is free),
-	// matches the rest of the path, and unbinds.
+	// matches the rest of the path, and unbinds. After the last edge
+	// no step reads visited, so src is not entered there.
 	next := func(src Tuple) bool {
 		bind := nextCol >= 0 && row[nextCol] == nil
 		if bind {
 			row[nextCol] = src
 		}
-		m.visited[src] = true
-		cont := m.step(edgeIdx+1, src, yield)
-		delete(m.visited, src)
+		var cont bool
+		if last {
+			cont = yield(row)
+		} else {
+			m.visited[src] = true
+			cont = m.step(edgeIdx+1, src, yield)
+			delete(m.visited, src)
+		}
 		if bind {
 			row[nextCol] = nil
 		}
@@ -361,12 +361,25 @@ func (m *matcher) step(edgeIdx int, cur Tuple, yield func(Row) bool) bool {
 			return cont
 		})
 	case EdgePlus:
-		// All ancestors at distance >= 1 reachable by simple paths, in
-		// discovery order for determinism.
-		if m.seen[edgeIdx] == nil {
-			m.seen[edgeIdx] = map[Tuple]bool{}
+		// Every ancestor at distance >= 1 that a simple path avoiding
+		// the nodes already on this match reaches, in the order the
+		// simple-path enumeration first reaches it. A depth-first walk
+		// that marks each node once and never unmarks it visits exactly
+		// those nodes in exactly that order: a node the enumeration
+		// re-enters along another simple path leads only to nodes the
+		// walk has already marked. So each ancestor is entered once per
+		// walk — linear where shared ancestors (diamonds) make the
+		// simple paths exponential.
+		// Clearing costs the map's capacity, so a set a big walk grew
+		// is dropped instead: the reset stays bounded by the last walk.
+		if len(m.marks) > 256 {
+			m.marks = map[Tuple]bool{}
+		} else {
+			clear(m.marks)
 		}
-		clear(m.seen[edgeIdx])
+		for t := range m.visited {
+			m.marks[t] = true
+		}
 		m.reached[edgeIdx] = m.reached[edgeIdx][:0]
 		m.walkEdge = edgeIdx
 		m.g.EachDerivInto(cur, "", m.walkDeriv)

@@ -1,7 +1,10 @@
 package physplan
 
 import (
+	"errors"
 	"fmt"
+	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -31,15 +34,21 @@ func diamondGraph(n int) *provgraph.Graph {
 	return g
 }
 
-func mustRows(t *testing.T, op Op) []Row {
+// mustRows runs plan to its answer, one row per answer row binding the
+// RETURN variables in order.
+func mustRows(t *testing.T, plan *Plan) []Row {
 	t.Helper()
-	it, err := op.Open()
+	a, err := plan.Answer()
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := stream.Collect[Row](it)
-	if err != nil {
-		t.Fatal(err)
+	w := len(a.tables)
+	rows := make([]Row, a.Rows)
+	for i := range rows {
+		rows[i] = make(Row, w)
+		for j, cell := range a.Cells[i*w : (i+1)*w] {
+			rows[i][j] = a.Table(j)[cell]
+		}
 	}
 	return rows
 }
@@ -82,7 +91,7 @@ func TestScanSinglePath(t *testing.T) {
 		Edges: []Edge{{Kind: EdgeDirect}},
 	}
 	plan := compilePlan(t, g, Spec{Paths: []Path{p}, Return: []string{"x", "y"}})
-	rows := mustRows(t, plan.Root)
+	rows := mustRows(t, plan)
 	if len(rows) != 3 {
 		t.Fatalf("rows = %d, want 3", len(rows))
 	}
@@ -97,10 +106,10 @@ func TestScanMappingIndexStart(t *testing.T) {
 		Edges: []Edge{{Kind: EdgeDirect, Mapping: "mx"}},
 	}
 	plan := compilePlan(t, g, Spec{Paths: []Path{p}, Return: []string{"x", "y"}})
-	if want := "start=index:mapping(mx)"; !contains(Explain(plan.Root), want) {
-		t.Errorf("plan should use the mapping index:\n%s", Explain(plan.Root))
+	if want := "start=index:mapping(mx)"; !contains(plan.ExplainString(), want) {
+		t.Errorf("plan should use the mapping index:\n%s", plan.ExplainString())
 	}
-	rows := mustRows(t, plan.Root)
+	rows := mustRows(t, plan)
 	if len(rows) != 1 {
 		t.Fatalf("rows = %d, want 1", len(rows))
 	}
@@ -136,7 +145,7 @@ func TestHashJoinOnSharedVar(t *testing.T) {
 		Edges: []Edge{{Kind: EdgePlus}},
 	}
 	plan := compilePlan(t, g, Spec{Paths: []Path{p1, p2}, Return: []string{"x", "y", "z"}})
-	rows := mustRows(t, plan.Root)
+	rows := mustRows(t, plan)
 	// Every (O(i), C(i), A(i)) triple.
 	if len(rows) != 3 {
 		t.Fatalf("rows = %d, want 3: %v", len(rows), rowStrings(rows))
@@ -164,10 +173,10 @@ func TestExtendWhenStartBound(t *testing.T) {
 		Edges: []Edge{{Kind: EdgeDirect}},
 	}
 	plan := compilePlan(t, g, Spec{Paths: []Path{p1, p2}, Return: []string{"x", "z"}})
-	if !contains(Explain(plan.Root), "Extend(") {
-		t.Fatalf("expected an Extend operator:\n%s", Explain(plan.Root))
+	if !contains(plan.ExplainString(), "Extend(") {
+		t.Fatalf("expected an Extend operator:\n%s", plan.ExplainString())
 	}
-	rows := mustRows(t, plan.Root)
+	rows := mustRows(t, plan)
 	if len(rows) != 3 {
 		t.Fatalf("rows = %d, want 3", len(rows))
 	}
@@ -195,14 +204,14 @@ func TestFilterPushdown(t *testing.T) {
 		},
 	}
 	plan := compilePlan(t, g, Spec{Paths: []Path{p1, p2}, Filters: []FilterSpec{filter}, Return: []string{"x", "z"}})
-	rows := mustRows(t, plan.Root)
+	rows := mustRows(t, plan)
 	if len(rows) != 1 {
 		t.Fatalf("rows = %d, want 1", len(rows))
 	}
 	// Pushdown: a lenient pruning copy must sit below Extend (closer to
 	// the scan), with the authoritative filter at the top of the
 	// pipeline.
-	ex := Explain(plan.Root)
+	ex := plan.ExplainString()
 	if idxPrune, idxExtend := indexOf(ex, "Filter(prune:"), indexOf(ex, "Extend("); idxPrune < 0 || idxExtend < 0 || idxPrune < idxExtend {
 		t.Errorf("pruning filter should sit below Extend:\n%s", ex)
 	}
@@ -275,11 +284,47 @@ func TestKeyerKeys(t *testing.T) {
 	}
 }
 
+// TestAnswerTables: a root other than the distinct join numbers each
+// RETURN column's values in a table of its own — by a map once a
+// column holds more than a few, so a value that repeats keeps its cell
+// — and a variable no path binds reads nil.
+func TestAnswerTables(t *testing.T) {
+	const n = 20
+	plan := compilePlan(t, diamondGraph(n), Spec{
+		Paths:  []Path{{Nodes: []Node{{Rel: "O", Var: "x"}, {Var: "y"}}, Edges: []Edge{{Kind: EdgeDirect}}}},
+		Return: []string{"y", "x", "w"},
+	})
+	a, err := plan.Answer()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// O(i) <- B(i), O(i) <- C(i), and O(0) <- A(0).
+	if a.Rows != 2*n+1 {
+		t.Fatalf("answer has %d rows, want %d", a.Rows, 2*n+1)
+	}
+	for j, want := range []int{2*n + 1, n, 1} {
+		if got := len(a.Table(j)); got != want {
+			t.Errorf("column %d's table holds %d values, want %d", j, got, want)
+		}
+	}
+	want := []string{ref("A", 0).String() + ";" + ref("O", 0).String() + ";?;"}
+	for i := 0; i < n; i++ {
+		for _, rel := range []string{"B", "C"} {
+			want = append(want, ref(rel, i).String()+";"+ref("O", i).String()+";?;")
+		}
+	}
+	sort.Strings(want)
+	if got := rowStrings(mustRows(t, plan)); !slices.Equal(got, want) {
+		t.Errorf("rows = %v, want %v", got, want)
+	}
+}
+
 // TestScanCancelSurfaces: a scan whose Cancel starts failing after k
 // start tuples must end with that error, never as a complete
 // (truncated) result. The scan polls before every start tuple; on the
 // path that matches nothing the failing poll falls inside one produce
-// call that would otherwise run through every start.
+// call that would otherwise run through every start. The plan's answer
+// ends with the same error.
 func TestScanCancelSurfaces(t *testing.T) {
 	const k = 5
 	errStop := fmt.Errorf("cancelled")
@@ -300,7 +345,7 @@ func TestScanCancelSurfaces(t *testing.T) {
 					}
 					return nil
 				}})
-			it, err := plan.Root.Open()
+			it, err := plan.Root.input.Open()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -322,8 +367,210 @@ func TestScanCancelSurfaces(t *testing.T) {
 			if rows != tc.wantRows {
 				t.Errorf("scan returned %d rows before the cancel, want %d", rows, tc.wantRows)
 			}
+			polls = 0
+			if a, err := plan.Answer(); err != errStop || a.Rows != 0 {
+				t.Errorf("answer = %d rows, %v; want none and %v", a.Rows, err, errStop)
+			}
 		})
 	}
+}
+
+// TestDistinctJoinCancel: a multi-path query whose Cancel starts
+// failing during the build-side drain, the probe-side drain or the pair
+// emission returns that error and no answer, polls no more, and makes
+// no graph call after the poll that saw it.
+func TestDistinctJoinCancel(t *testing.T) {
+	const n = 50 // diamonds: n start tuples per side, n answer groups
+	g := &countingGraph{Mem: NewMem(diamondGraph(n))}
+	spec := Spec{
+		Paths: []Path{
+			{Nodes: []Node{{Rel: "O", Var: "x"}, {Var: "z"}}, Edges: []Edge{{Kind: EdgePlus}}},
+			{Nodes: []Node{{Rel: "C", Var: "y"}, {Var: "z"}}, Edges: []Edge{{Kind: EdgePlus}}},
+		},
+		Return: []string{"x", "y"},
+	}
+	polls := 0
+	spec.Cancel = func() error { polls++; return nil }
+	plan, err := Compile(g, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ex := plan.ExplainString(); !contains(ex, "DistinctJoin(on $z; distinct $x, $y)") {
+		t.Fatalf("join not fused:\n%s", ex)
+	}
+	a, err := plan.Answer()
+	if err != nil || a.Rows != n {
+		t.Fatalf("uncancelled answer: %d rows, %v; want %d", a.Rows, err, n)
+	}
+	// One poll per build-side start, per probe-side start, per group.
+	if polls != 3*n {
+		t.Fatalf("uncancelled answer polled %d times, want %d", polls, 3*n)
+	}
+	stop := errors.New("stop")
+	for _, tc := range []struct {
+		phase string
+		poll  int
+	}{{"build drain", n / 2}, {"probe drain", n + n/2}, {"pair emission", 2*n + n/2}} {
+		t.Run(tc.phase, func(t *testing.T) {
+			polls, callsAtStop := 0, -1
+			spec.Cancel = func() error {
+				polls++
+				switch {
+				case polls == tc.poll:
+					callsAtStop = g.calls()
+					return stop
+				case polls > tc.poll:
+					t.Errorf("poll %d after the cancel fired", polls)
+					return stop
+				}
+				return nil
+			}
+			plan, err := CompileWithDecisions(g, spec, plan.Decisions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, err := plan.Answer()
+			if !errors.Is(err, stop) {
+				t.Fatalf("answer ended with %v, want %v", err, stop)
+			}
+			if a.Rows != 0 || a.Cells != nil {
+				t.Errorf("cancelled answer kept %d rows", a.Rows)
+			}
+			if calls := g.calls(); calls != callsAtStop {
+				t.Errorf("%d graph calls after the cancel fired", calls-callsAtStop)
+			}
+		})
+	}
+}
+
+// diamondLadder builds levels diamonds stacked on each other: L(i) is
+// derived from B(i) and from C(i), each of which is derived from
+// L(i+1), so 2^levels simple paths lead from L(0) to L(levels).
+func diamondLadder(levels int) *provgraph.Graph {
+	g := provgraph.New()
+	for i := 0; i < levels; i++ {
+		for _, mid := range []string{"B", "C"} {
+			g.AddDerivation(fmt.Sprintf("up%s#%d", mid, i), "up",
+				[]model.TupleRef{ref("L", i+1)}, []model.TupleRef{ref(mid, i)})
+			g.AddDerivation(fmt.Sprintf("down%s#%d", mid, i), "down",
+				[]model.TupleRef{ref(mid, i)}, []model.TupleRef{ref("L", i)})
+		}
+	}
+	return g
+}
+
+// TestPlusWalkLinearOnDiamonds: the <-+ walk from the bottom of a
+// 16-diamond ladder enters each ancestor once — at most 4 incoming-edge
+// enumerations per node, where walking every simple path makes about
+// 2^18 for its 49 nodes — and reaches each of them once.
+func TestPlusWalkLinearOnDiamonds(t *testing.T) {
+	const levels = 16
+	mem := diamondLadder(levels)
+	g := &countingGraph{Mem: NewMem(mem)}
+	p := Path{
+		Nodes:    []Node{{Rel: "L", Var: "x"}, {Var: "z"}},
+		Edges:    []Edge{{Kind: EdgePlus}},
+		StartKey: []model.Datum{int64(0)},
+	}
+	plan, err := Compile(g, Spec{Paths: []Path{p}, Return: []string{"x", "z"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := mustRows(t, plan)
+	if want := mem.NumTuples() - 1; len(rows) != want {
+		t.Errorf("%d ancestors reached, want %d", len(rows), want)
+	}
+	if bound := 4 * mem.NumTuples(); g.into > bound {
+		t.Errorf("%d EachDerivInto calls for %d nodes, bound %d", g.into, mem.NumTuples(), bound)
+	}
+}
+
+// simplePathOrder is the reference <-+ semantics: every tuple a simple
+// path from start reaches — one avoiding blocked and never revisiting a
+// node — in the order the enumeration of those paths first reaches it.
+func simplePathOrder(start *provgraph.TupleNode, blocked map[Tuple]bool) []Tuple {
+	onPath := map[Tuple]bool{start: true}
+	for t := range blocked {
+		onPath[t] = true
+	}
+	seen := map[Tuple]bool{}
+	var out []Tuple
+	var walk func(t *provgraph.TupleNode)
+	walk = func(t *provgraph.TupleNode) {
+		for _, d := range t.Derivations {
+			for _, src := range d.Sources {
+				if onPath[src] {
+					continue
+				}
+				if !seen[src] {
+					seen[src] = true
+					out = append(out, src)
+				}
+				onPath[src] = true
+				walk(src)
+				delete(onPath, src)
+			}
+		}
+	}
+	walk(start)
+	return out
+}
+
+// TestPlusWalkOrderMatchesSimplePaths: on random cyclic graphs, from
+// every start and with a random set of nodes already on the match, the
+// walk reaches exactly what simplePathOrder reaches, in the same order.
+func TestPlusWalkOrderMatchesSimplePaths(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	p := Path{Nodes: []Node{{Var: "x"}, {Var: "z"}}, Edges: []Edge{{Kind: EdgePlus}}}
+	schema := NewSchema(p.Vars())
+	bp := bindPath(p, schema)
+	checked := 0
+	for trial := 0; trial < 2000; trial++ {
+		n := 3 + rng.Intn(6)
+		g := provgraph.New()
+		for d := 0; d < n+rng.Intn(2*n); d++ {
+			srcs := []model.TupleRef{ref("T", rng.Intn(n))}
+			if s2 := ref("T", rng.Intn(n)); rng.Intn(3) == 0 && s2 != srcs[0] {
+				srcs = append(srcs, s2)
+			}
+			g.AddDerivation(fmt.Sprintf("d%d", d), "m", srcs, []model.TupleRef{ref("T", rng.Intn(n))})
+		}
+		m := bp.newMatcher(NewMem(g))
+		for _, st := range g.Tuples() {
+			blocked := map[Tuple]bool{}
+			for _, other := range g.Tuples() {
+				if other != st && rng.Intn(4) == 0 {
+					blocked[other] = true
+				}
+			}
+			want := simplePathOrder(st, blocked)
+			for b := range blocked {
+				m.visited[b] = true
+			}
+			var got []Tuple
+			m.matchStart(st, make(Row, schema.Width()), func(r Row) bool {
+				got = append(got, r[schema.Col("z")].(Tuple))
+				return true
+			})
+			clear(m.visited)
+			if !slices.Equal(got, want) {
+				t.Fatalf("trial %d, start %v, blocked %d nodes: walk reached %v, simple paths %v",
+					trial, st.Ref, len(blocked), tupleRefs(got), tupleRefs(want))
+			}
+			checked += len(want)
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no ancestor reached in any trial; the comparison is vacuous")
+	}
+}
+
+func tupleRefs(ts []Tuple) []model.TupleRef {
+	out := make([]model.TupleRef, len(ts))
+	for i, t := range ts {
+		out[i] = t.TupleRef()
+	}
+	return out
 }
 
 func TestExistsChecker(t *testing.T) {
@@ -358,9 +605,9 @@ func TestGreedyOrderPrefersSelectiveStart(t *testing.T) {
 	}
 	plan := compilePlan(t, g, Spec{Paths: []Path{broad, narrow}, Return: []string{"x", "z", "w"}})
 	if len(plan.Order) != 2 || plan.Order[0] != 1 {
-		t.Fatalf("order = %v, want the narrow mapping-indexed path first\n%s", plan.Order, Explain(plan.Root))
+		t.Fatalf("order = %v, want the narrow mapping-indexed path first\n%s", plan.Order, plan.ExplainString())
 	}
-	rows := mustRows(t, plan.Root)
+	rows := mustRows(t, plan)
 	// O(0)'s ancestors: B(0), C(0), A(0) → 3 z bindings with w=A(0).
 	if len(rows) != 3 {
 		t.Fatalf("rows = %d, want 3: %v", len(rows), rowStrings(rows))
@@ -378,7 +625,7 @@ func TestIncludeProjectsSubgraph(t *testing.T) {
 		Edges: []Edge{{Kind: EdgePlus}},
 	}
 	plan := compilePlan(t, g, Spec{Paths: []Path{p}, Include: []Path{inc}, Return: []string{"x"}, Out: out})
-	rows := mustRows(t, plan.Root)
+	rows := mustRows(t, plan)
 	if len(rows) != 3 {
 		t.Fatalf("rows = %d, want 3", len(rows))
 	}
@@ -403,13 +650,20 @@ func TestLenientFilterDefersErrors(t *testing.T) {
 	// The lenient pruning copy passes erroring rows through: later
 	// joins may prune them, and the authoritative filter decides.
 	lenient := &Filter{input: scan, desc: "boom", fn: boom, lenient: true}
-	rows := mustRows(t, lenient)
+	it, err := lenient.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := stream.Collect(it)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(rows) != 2 {
 		t.Fatalf("lenient filter should pass erroring rows through, got %d", len(rows))
 	}
 	// The authoritative copy surfaces the error.
 	strict := &Filter{input: scan, desc: "boom", fn: boom}
-	it, err := strict.Open()
+	it, err = strict.Open()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -419,10 +673,23 @@ func TestLenientFilterDefersErrors(t *testing.T) {
 	}
 }
 
-// countingGraph counts the start-enumeration calls a plan makes.
+// countingGraph counts the graph calls a plan makes, by kind.
 type countingGraph struct {
 	Mem
-	byKey, byRel, all int
+	byKey, byRel, all, into, sources int
+}
+
+// calls is the number of graph calls made so far.
+func (c *countingGraph) calls() int { return c.byKey + c.byRel + c.all + c.into + c.sources }
+
+func (c *countingGraph) EachDerivInto(t Tuple, mapping string, yield func(Deriv) bool) {
+	c.into++
+	c.Mem.EachDerivInto(t, mapping, yield)
+}
+
+func (c *countingGraph) EachSource(d Deriv, yield func(Tuple) bool) {
+	c.sources++
+	c.Mem.EachSource(d, yield)
 }
 
 func (c *countingGraph) TupleByKey(rel string, key []model.Datum) (Tuple, bool) {
@@ -454,11 +721,11 @@ func TestScanKeyPinnedStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := "start=key:O(7)"; !contains(Explain(plan.Root), want) {
-		t.Errorf("plan should start from the key:\n%s", Explain(plan.Root))
+	if want := "start=key:O(7)"; !contains(plan.ExplainString(), want) {
+		t.Errorf("plan should start from the key:\n%s", plan.ExplainString())
 	}
 	// O(7)'s ancestors: B(7), C(7), A(7).
-	if rows := mustRows(t, plan.Root); len(rows) != 3 {
+	if rows := mustRows(t, plan); len(rows) != 3 {
 		t.Fatalf("rows = %d, want 3: %v", len(rows), rowStrings(rows))
 	}
 	if g.byKey != 1 || g.byRel != 0 || g.all != 0 {
@@ -476,9 +743,9 @@ func TestScanKeyPinnedStart(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(plan.Order) != 2 || plan.Order[0] != 1 {
-		t.Fatalf("order = %v, want the key-pinned path first\n%s", plan.Order, Explain(plan.Root))
+		t.Fatalf("order = %v, want the key-pinned path first\n%s", plan.Order, plan.ExplainString())
 	}
-	if rows := mustRows(t, plan.Root); len(rows) != 1 {
+	if rows := mustRows(t, plan); len(rows) != 1 {
 		t.Fatalf("rows = %d, want 1 (O(7), B(7) share A(7)): %v", len(rows), rowStrings(rows))
 	}
 
@@ -487,7 +754,7 @@ func TestScanKeyPinnedStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rows := mustRows(t, plan.Root); len(rows) != 0 {
+	if rows := mustRows(t, plan); len(rows) != 0 {
 		t.Fatalf("absent key: rows = %v, want none", rowStrings(rows))
 	}
 }

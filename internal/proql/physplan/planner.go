@@ -47,9 +47,9 @@ type Decisions struct {
 
 // Plan is a compiled physical plan.
 type Plan struct {
-	// Root streams the final projected rows (one column per RETURN
-	// variable, in order).
-	Root Op
+	// Root computes the answer (one column per RETURN variable, in
+	// order) and renders the operator tree for EXPLAIN.
+	Root *Project
 	// Order is the chosen evaluation order of Spec.Paths, most
 	// selective first.
 	Order []int
@@ -58,6 +58,9 @@ type Plan struct {
 	// Schema is the plan-wide row layout (every FOR-path variable).
 	Schema *Schema
 }
+
+// Answer runs the plan to its answer cells.
+func (p *Plan) Answer() (Answer, error) { return p.Root.answer() }
 
 // Decisions returns the plan's cacheable planning choices.
 func (p *Plan) Decisions() Decisions { return Decisions{Order: p.Order, Costs: p.Costs} }
@@ -73,7 +76,7 @@ func (p *Plan) ExplainString() string {
 		fmt.Fprintf(&sb, "join order: path %s\n", strings.Join(parts, " -> "))
 	}
 	sb.WriteString("physical plan:\n")
-	sb.WriteString(Explain(p.Root))
+	p.Root.explain(&sb, 0)
 	return sb.String()
 }
 
@@ -223,8 +226,10 @@ func compile(g Graph, spec Spec, dec *Decisions) (*Plan, error) {
 		}
 		root = &Include{input: root, g: g, out: spec.Out, paths: bps}
 	}
-	root = &Project{input: root, cols: spec.Return, colIdx: retCols, schema: NewSchema(spec.Return)}
-	return &Plan{Root: root, Order: order, Costs: costs, Schema: schema}, nil
+	return &Plan{
+		Root:  &Project{input: root, cols: spec.Return, colIdx: retCols, cancel: spec.Cancel},
+		Order: order, Costs: costs, Schema: schema,
+	}, nil
 }
 
 // fusable reports whether Dedup's choice of representative row is

@@ -24,8 +24,17 @@
 // Rows are positional ([]any indexed by a Schema), holding Tuple /
 // Deriv handles; nil marks a variable not yet bound. All operators of
 // one plan share the plan-wide schema, so joins merge rows without
-// column remapping. Operators run over the Graph storage interface, so
-// the same plans serve any store that implements it.
+// column remapping. A path match is bound in place on one scratch row
+// and lent to its consumer: operators that keep rows (the batches of
+// Scan and Extend, HashJoin's build side) copy them, the distinct
+// join's drains read node codes off the borrowed row and keep none.
+// The engine takes a plan's result as an Answer — per RETURN column a
+// table of distinct values, and int32 cells indexing them — which
+// DistinctJoin writes from its dense ids and Project, the plan's root,
+// builds from any other input, so no answer row is copied on the way
+// out. Operators run
+// over the Graph storage interface, so the same plans serve any store
+// that implements it.
 package physplan
 
 import "strconv"
@@ -91,6 +100,14 @@ func (a *rowAlloc) row() Row {
 	r := Row(a.buf[:a.width:a.width])
 	a.buf = a.buf[a.width:]
 	return r
+}
+
+// copy returns a fresh row holding r: how a consumer keeps a borrowed
+// row.
+func (a *rowAlloc) copy(r Row) Row {
+	out := a.row()
+	copy(out, r)
+	return out
 }
 
 // keyer encodes some columns of a row as the uint64 key of the join
