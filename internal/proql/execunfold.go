@@ -156,9 +156,11 @@ func (e *Engine) execUnfold(q *Query, asOf uint64) (*Result, error) {
 	return res, nil
 }
 
-// runUnfold evaluates the plans of a compiled query: one plan per
-// unfolded conjunctive rule, UNION of the results, and a semiring
-// aggregation grouped by the distinguished tuple (Section 4.2.4).
+// runUnfold evaluates the plans of a compiled query: it streams one
+// plan per unfolded conjunctive rule, in rule order, and folds each row
+// into the bindings and, under EVALUATE, into the semiring annotation of
+// its distinguished tuple (evalTreeRow, accumulate) — the UNION and
+// GROUP BY aggregation of Section 4.2.4, done in Go.
 func (e *Engine) runUnfold(sys *exchange.System, q *Query, comp *Compiled, asOf uint64, up *unfoldPlans) (*Result, error) {
 	out := make(unfoldOutput)
 	res := &Result{Stats: Stats{Backend: "relational", AsOf: asOf, Epoch: sys.DB.Epoch(), UnfoldedRules: len(comp.Rules)}}

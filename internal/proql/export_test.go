@@ -26,14 +26,22 @@ func EvalCountingRuleRows(e *Engine, q *Query, read func()) error {
 		return err
 	}
 	for i, p := range up.plans {
-		up.plans[i] = &relstore.FilterFunc{Input: p, Fn: func(model.Tuple) (bool, error) {
-			read()
-			return true, nil
-		}}
+		up.plans[i] = &relstore.Filter{Input: p, Pred: rowCounter(read)}
 	}
 	_, err = e.runUnfold(sys, q, t.comp, 0, up)
 	return err
 }
+
+// rowCounter is a relstore predicate that holds for every row, calling
+// itself on each.
+type rowCounter func()
+
+func (r rowCounter) Eval(model.Tuple) (model.Datum, error) {
+	r()
+	return true, nil
+}
+
+func (r rowCounter) String() string { return "count" }
 
 // RulePlansBuilt is the number of relational rule plans built so far,
 // by every engine: a plan-template hit builds none.

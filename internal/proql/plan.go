@@ -498,7 +498,6 @@ func buildRulePlan(ctx *planContext, rule *ConjRule, where Cond, anchorVar strin
 					Right:     ap,
 					LeftKeys:  leftKeys,
 					RightKeys: rightKeys,
-					Type:      relstore.InnerJoin,
 				}
 				cols = append(cols, a.vars...)
 			}

@@ -7,6 +7,7 @@ import (
 	"repro/internal/exchange"
 	"repro/internal/model"
 	"repro/internal/relstore"
+	"repro/internal/stream"
 )
 
 // TestSemiJoinOnlyThroughKeys plans T(d) :- D(d), E(id, d) over D(dept)
@@ -49,7 +50,7 @@ func TestSemiJoinOnlyThroughKeys(t *testing.T) {
 		if got := relstore.Explain(rp.plan); got != tc.plan {
 			t.Errorf("prov %v: plan\n%swant\n%s", tc.prov, got, tc.plan)
 		}
-		rows, err := rp.plan.Run(db)
+		rows, err := stream.Collect(relstore.Stream(rp.plan, db))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/model"
+	"repro/internal/stream"
 )
 
 // Param is a parameter slot of a plan template: it stands for a value
@@ -23,15 +24,20 @@ func (p Param) Eval(model.Tuple) (model.Datum, error) {
 
 func (p Param) String() string { return fmt.Sprintf("?%d", int(p)) }
 
-// checkBound reports a Param left in a datum position.
-func checkBound(ds []model.Datum) error {
-	for _, d := range ds {
-		if p, ok := d.(Param); ok {
-			_, err := p.Eval(nil)
-			return err
+// appendArgs appends the canonical encoding of vals to enc, reading a
+// Param as its value in args; a Param args does not supply fails.
+func appendArgs(enc []byte, vals, args []model.Datum) ([]byte, error) {
+	for _, v := range vals {
+		if p, ok := v.(Param); ok && int(p) < len(args) {
+			v = args[p]
 		}
+		if p, ok := v.(Param); ok {
+			_, err := p.Eval(nil)
+			return nil, err
+		}
+		enc = model.AppendDatum(enc, v)
 	}
-	return nil
+	return enc, nil
 }
 
 // ValueExpr is the expression of a datum that may be a Param: the
@@ -44,81 +50,34 @@ func ValueExpr(d model.Datum) Expr {
 }
 
 // Bound runs a plan template with parameter Param(i) read as Args[i].
-// Streaming resolves the parameters as each operator opens — IndexJoin
-// keys per probe, Filter predicates once — so binding copies no node of
-// the pipeline; a materializing subtree (Run) is copied by Bind with its
-// parameters substituted, as is the plan Explain renders.
+// Each operator resolves the parameters as it opens — lookup and probe
+// keys when they are read, IndexJoin keys per probe, Filter predicates
+// once — and Explain renders them the same way, so binding copies no
+// node of the template.
 type Bound struct {
 	Plan Plan
 	Args []model.Datum
 }
 
-// Run implements Plan.
-func (b *Bound) Run(db *Database) ([]model.Tuple, error) { return Bind(b.Plan, b.Args).Run(db) }
+func (b *Bound) open(db *Database, _ []model.Datum) stream.Iterator[model.Tuple] {
+	return b.Plan.open(db, b.Args)
+}
 
 // Arity implements Plan.
 func (b *Bound) Arity() int { return b.Plan.Arity() }
 
-func (b *Bound) explain(sb *strings.Builder, indent int) {
-	Bind(b.Plan, b.Args).explain(sb, indent)
+func (b *Bound) explain(sb *strings.Builder, indent int, _ []model.Datum) {
+	b.Plan.explain(sb, indent, b.Args)
 }
 
-// Bind returns p with every Param replaced by its value in args, for
-// the nodes a plan template is made of (scans, lookups, probes,
-// filters, projections, joins). Nodes with no Param below them are
-// shared, not copied.
-func Bind(p Plan, args []model.Datum) Plan {
-	out, _ := bindPlan(p, args)
-	return out
-}
-
-// BindExpr is Bind for an expression.
+// BindExpr returns e with every Param replaced by a Lit of its value in
+// args. Subexpressions with no Param are shared, not copied.
 func BindExpr(e Expr, args []model.Datum) Expr {
 	out, _ := bindExpr(e, args)
 	return out
 }
 
-// bindPlan reports whether it substituted anything below p.
-func bindPlan(p Plan, args []model.Datum) (Plan, bool) {
-	switch n := p.(type) {
-	case *PKLookup:
-		if key, ok := bindDatums(n.Key, args); ok {
-			return &PKLookup{Table: n.Table, Key: key, Width: n.Width}, true
-		}
-	case *IndexProbe:
-		if vals, ok := bindDatums(n.Vals, args); ok {
-			return &IndexProbe{Table: n.Table, Cols: n.Cols, Vals: vals, Width: n.Width}, true
-		}
-	case *Filter:
-		in, okIn := bindPlan(n.Input, args)
-		pred, okPred := bindExpr(n.Pred, args)
-		if okIn || okPred {
-			return &Filter{Input: in, Pred: pred}, true
-		}
-	case *Project:
-		if in, ok := bindPlan(n.Input, args); ok {
-			return &Project{Input: in, Exprs: n.Exprs}, true
-		}
-	case *IndexJoin:
-		left, okLeft := bindPlan(n.Left, args)
-		keys, okKeys := bindExprs(n.Keys, args)
-		if okLeft || okKeys {
-			cp := *n
-			cp.Left, cp.Keys = left, keys
-			return &cp, true
-		}
-	case *HashJoin:
-		left, okLeft := bindPlan(n.Left, args)
-		right, okRight := bindPlan(n.Right, args)
-		if okLeft || okRight {
-			cp := *n
-			cp.Left, cp.Right = left, right
-			return &cp, true
-		}
-	}
-	return p, false
-}
-
+// bindExpr reports whether it substituted anything below e.
 func bindExpr(e Expr, args []model.Datum) (Expr, bool) {
 	switch x := e.(type) {
 	case Param:
@@ -149,36 +108,4 @@ func bindExpr(e Expr, args []model.Datum) (Expr, bool) {
 		}
 	}
 	return e, false
-}
-
-func bindExprs(es []Expr, args []model.Datum) ([]Expr, bool) {
-	var out []Expr
-	for i, e := range es {
-		if b, ok := bindExpr(e, args); ok {
-			if out == nil {
-				out = append([]Expr(nil), es...)
-			}
-			out[i] = b
-		}
-	}
-	if out == nil {
-		return es, false
-	}
-	return out, true
-}
-
-func bindDatums(ds []model.Datum, args []model.Datum) ([]model.Datum, bool) {
-	var out []model.Datum
-	for i, d := range ds {
-		if p, ok := d.(Param); ok && int(p) < len(args) {
-			if out == nil {
-				out = append([]model.Datum(nil), ds...)
-			}
-			out[i] = args[p]
-		}
-	}
-	if out == nil {
-		return ds, false
-	}
-	return out, true
 }

@@ -1,110 +1,30 @@
 package relstore
 
 import (
-	"errors"
 	"strings"
 	"testing"
 
 	"repro/internal/model"
+	"repro/internal/stream"
 )
 
-func TestGroupByEmptyInput(t *testing.T) {
-	db := NewDatabase()
-	db.CreateTable(&TableSchema{Name: "E", Columns: []model.Column{intCol("a")}})
-	g := &GroupBy{
-		Input:     &Scan{Table: "E", Width: 1},
-		GroupCols: []int{0},
-		Aggs: []AggSpec{{
-			Name:  "count",
-			Init:  func() any { return int64(0) },
-			Step:  func(acc any, _ model.Tuple) (any, error) { return acc.(int64) + 1, nil },
-			Final: func(acc any) model.Datum { return acc.(int64) },
-		}},
-	}
-	rows := runPlan(t, db, g)
-	if len(rows) != 0 {
-		t.Errorf("empty input should yield no groups: %v", rows)
-	}
-	if g.Arity() != 2 {
-		t.Errorf("arity = %d", g.Arity())
-	}
-}
-
-func TestGroupByCarriesSemiringValues(t *testing.T) {
-	// Aggregation columns may hold arbitrary Go values (semiring
-	// annotations) since model.Datum is dynamically typed.
-	db := joinFixture(t)
-	g := &GroupBy{
-		Input:     &Scan{Table: "R", Width: 2},
-		GroupCols: []int{0},
-		Aggs: []AggSpec{{
-			Name: "concat",
-			Init: func() any { return []string{} },
-			Step: func(acc any, row model.Tuple) (any, error) {
-				return append(acc.([]string), row[1].(string)), nil
-			},
-			Final: func(acc any) model.Datum { return acc },
-		}},
-	}
-	rows := runPlan(t, db, g)
-	for _, r := range rows {
-		if _, ok := r[1].([]string); !ok {
-			t.Fatalf("aggregate column should carry []string, got %T", r[1])
-		}
-	}
-}
-
-func TestFilterFuncErrorPropagates(t *testing.T) {
-	db := joinFixture(t)
-	wantErr := errors.New("boom")
-	f := &FilterFunc{
-		Input: &Scan{Table: "R", Width: 2},
-		Desc:  "always fails",
-		Fn:    func(model.Tuple) (bool, error) { return false, wantErr },
-	}
-	if _, err := f.Run(db); !errors.Is(err, wantErr) {
-		t.Errorf("error not propagated: %v", err)
-	}
-}
-
-func TestAggStepErrorPropagates(t *testing.T) {
-	db := joinFixture(t)
-	wantErr := errors.New("agg fail")
-	g := &GroupBy{
-		Input:     &Scan{Table: "R", Width: 2},
-		GroupCols: []int{0},
-		Aggs: []AggSpec{{
-			Name:  "bad",
-			Init:  func() any { return nil },
-			Step:  func(any, model.Tuple) (any, error) { return nil, wantErr },
-			Final: func(any) model.Datum { return nil },
-		}},
-	}
-	if _, err := g.Run(db); !errors.Is(err, wantErr) {
-		t.Errorf("error not propagated: %v", err)
-	}
-}
-
 func TestExplainCoversAllNodes(t *testing.T) {
-	plan := &FilterFunc{
-		Desc: "having",
-		Input: &GroupBy{
-			Input: &Distinct{Input: &UnionAll{Inputs: []Plan{
-				ProjectCols(&HashJoin{
-					Left:      &Scan{Table: "L", Width: 2},
-					Right:     &IndexProbe{Table: "R", Cols: []int{0}, Vals: []model.Datum{int64(1)}, Width: 2},
-					LeftKeys:  []int{0},
-					RightKeys: []int{0},
-					Type:      LeftOuterJoin,
-				}, 0),
-				&Values{Rows: []model.Tuple{{int64(1)}}},
-			}}},
-			GroupCols: []int{0},
-		},
-		Fn: func(model.Tuple) (bool, error) { return true, nil },
-	}
+	plan := &Bound{Args: []model.Datum{int64(7)}, Plan: &Filter{
+		Pred: Cmp{Op: EQ, L: Col(0), R: Param(0)},
+		Input: ProjectCols(&HashJoin{
+			Left: &IndexJoin{Left: &Values{Rows: []model.Tuple{{int64(1)}}}, Table: "E", Width: 2, Cols: []int{0},
+				Keys: []Expr{Param(0)}, Path: AccessPath{Kind: AccessPK, Probe: []int{0}}},
+			Right: &HashJoin{
+				Left:  &Scan{Table: "L", Width: 2},
+				Right: &IndexProbe{Table: "R", Cols: []int{0}, Vals: []model.Datum{Param(0)}, Width: 2},
+			},
+			LeftKeys:  []int{0},
+			RightKeys: []int{0},
+		}, 0),
+	}}
 	out := Explain(plan)
-	for _, want := range []string{"FilterFunc(having)", "GroupBy", "Distinct", "UnionAll", "Project", "HashJoin(left", "Scan(L)", "IndexProbe(R", "Values(1 rows)"} {
+	for _, want := range []string{"Filter(($0 = 7))", "Project($0)", "HashJoin(inner, left=[0] right=[0])", "IndexJoin(E via pk cols=[0] keys=[7])",
+		"Values(1 rows)", "HashJoin(inner, left=[] right=[])", "Scan(L)", "IndexProbe(R cols=[0])"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Explain missing %q in:\n%s", want, out)
 		}
@@ -127,11 +47,6 @@ func TestExprStrings(t *testing.T) {
 			t.Errorf("op %d = %q", int(op), op.String())
 		}
 	}
-	for jt, want := range map[JoinType]string{InnerJoin: "inner", LeftOuterJoin: "left", RightOuterJoin: "right", FullOuterJoin: "full"} {
-		if jt.String() != want {
-			t.Errorf("join type %d = %q", int(jt), jt.String())
-		}
-	}
 }
 
 func TestJoinKeyArityMismatch(t *testing.T) {
@@ -142,7 +57,7 @@ func TestJoinKeyArityMismatch(t *testing.T) {
 		LeftKeys:  []int{0},
 		RightKeys: []int{0, 1},
 	}
-	if _, err := j.Run(db); err == nil {
+	if _, err := stream.Collect(Stream(j, db)); err == nil {
 		t.Error("key arity mismatch should error")
 	}
 }
@@ -152,10 +67,71 @@ func TestCrossJoinWithEmptyKeys(t *testing.T) {
 	j := &HashJoin{
 		Left:  &Scan{Table: "L", Width: 2},
 		Right: &Scan{Table: "R", Width: 2},
-		Type:  InnerJoin,
 	}
 	rows := runPlan(t, db, j)
 	if len(rows) != 3*4 {
 		t.Errorf("cross join = %d rows, want 12", len(rows))
+	}
+}
+
+// openCounting is a plan that counts how often it is opened.
+type openCounting struct {
+	Plan
+	opens *int
+}
+
+func (o openCounting) open(db *Database, args []model.Datum) stream.Iterator[model.Tuple] {
+	*o.opens++
+	return o.Plan.open(db, args)
+}
+
+func TestHashJoinStreamsProbeSide(t *testing.T) {
+	// L(id, lv) holds 1, 2, NULL; R(id, rv) holds 2, 2, 3, NULL. Only
+	// L's second row joins, with R's first two.
+	db := joinFixture(t)
+	opens, built, probed := 0, 0, 0
+	join := func(rightKeys []int) *HashJoin {
+		return &HashJoin{
+			Left:      countingPlan(&Scan{Table: "L", Width: 2}, &probed),
+			Right:     openCounting{Plan: countingPlan(&Scan{Table: "R", Width: 2}, &built), opens: &opens},
+			LeftKeys:  []int{0},
+			RightKeys: rightKeys,
+		}
+	}
+	it := Stream(join([]int{0}), db)
+	defer it.Close()
+	if opens != 0 {
+		t.Fatalf("build side opened %d times before the first Next", opens)
+	}
+	for n, want := range []string{"r2", "r2b"} {
+		row, ok, err := it.Next()
+		if err != nil || !ok {
+			t.Fatalf("row %d: ok=%v err=%v", n, ok, err)
+		}
+		if row[1] != "l2" || row[3] != want {
+			t.Errorf("row %d = %v, want l2 joined with %s", n, row, want)
+		}
+		if opens != 1 || built != 4 {
+			t.Errorf("after row %d the build side was opened %d times and pulled %d rows, want 1 and 4", n, opens, built)
+		}
+		if probed != 2 {
+			t.Errorf("after row %d the join pulled %d probe rows, want 2", n, probed)
+		}
+	}
+	if _, ok, err := it.Next(); ok || err != nil {
+		t.Fatalf("third row: ok=%v err=%v", ok, err)
+	}
+	if opens != 1 || built != 4 || probed != 3 {
+		t.Errorf("drained join: %d build opens, %d build rows, %d probe rows; want 1, 4, 3", opens, built, probed)
+	}
+
+	// A key-arity mismatch fails the first Next, before the build side
+	// opens.
+	opens = 0
+	if _, err := stream.Collect(Stream(join([]int{0, 1}), db)); err == nil || !strings.Contains(err.Error(), "arity mismatch") {
+		t.Errorf("key arity mismatch streamed with err %v", err)
+	}
+	if opens != 0 {
+		t.Errorf("a join with mismatched keys opened its build side %d times", opens)
 	}
 }

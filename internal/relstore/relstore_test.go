@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/model"
+	"repro/internal/stream"
 )
 
 func intCol(name string) model.Column { return model.Column{Name: name, Type: model.TypeInt} }
@@ -285,7 +286,7 @@ func joinFixture(t *testing.T) *Database {
 
 func runPlan(t *testing.T, db *Database, p Plan) []model.Tuple {
 	t.Helper()
-	rows, err := p.Run(db)
+	rows, err := stream.Collect(Stream(p, db))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +300,6 @@ func TestHashJoinInner(t *testing.T) {
 		Right:     &Scan{Table: "R", Width: 2},
 		LeftKeys:  []int{0},
 		RightKeys: []int{0},
-		Type:      InnerJoin,
 	}
 	rows := runPlan(t, db, j)
 	if len(rows) != 2 {
@@ -312,43 +312,6 @@ func TestHashJoinInner(t *testing.T) {
 	}
 }
 
-func TestHashJoinOuterVariants(t *testing.T) {
-	db := joinFixture(t)
-	mk := func(jt JoinType) *HashJoin {
-		return &HashJoin{
-			Left:      &Scan{Table: "L", Width: 2},
-			Right:     &Scan{Table: "R", Width: 2},
-			LeftKeys:  []int{0},
-			RightKeys: []int{0},
-			Type:      jt,
-		}
-	}
-	// Left outer: 2 matches + L1 and Lnull padded = 4.
-	rows := runPlan(t, db, mk(LeftOuterJoin))
-	if len(rows) != 4 {
-		t.Fatalf("left outer = %d rows, want 4", len(rows))
-	}
-	padded := 0
-	for _, r := range rows {
-		if r[2] == nil && r[3] == nil {
-			padded++
-		}
-	}
-	if padded != 2 {
-		t.Errorf("left outer padded = %d, want 2", padded)
-	}
-	// Right outer: 2 matches + r3 and rnull padded = 4.
-	rows = runPlan(t, db, mk(RightOuterJoin))
-	if len(rows) != 4 {
-		t.Fatalf("right outer = %d rows, want 4", len(rows))
-	}
-	// Full outer: 2 + 2 + 2 = 6.
-	rows = runPlan(t, db, mk(FullOuterJoin))
-	if len(rows) != 6 {
-		t.Fatalf("full outer = %d rows, want 6", len(rows))
-	}
-}
-
 func TestHashJoinNullKeysNeverMatch(t *testing.T) {
 	db := joinFixture(t)
 	j := &HashJoin{
@@ -356,57 +319,12 @@ func TestHashJoinNullKeysNeverMatch(t *testing.T) {
 		Right:     &Scan{Table: "R", Width: 2},
 		LeftKeys:  []int{0},
 		RightKeys: []int{0},
-		Type:      InnerJoin,
 	}
 	rows := runPlan(t, db, j)
 	for _, r := range rows {
 		if r[0] == nil {
 			t.Errorf("NULL key joined: %v", r)
 		}
-	}
-}
-
-func TestProjectFilterDistinctUnion(t *testing.T) {
-	db := joinFixture(t)
-	// SELECT DISTINCT lv-prefix rows with id >= 1
-	p := &Distinct{Input: ProjectCols(&Filter{
-		Input: &Scan{Table: "L", Width: 2},
-		Pred:  Cmp{GE, Col(0), Lit{int64(1)}},
-	}, 0)}
-	rows := runPlan(t, db, p)
-	if len(rows) != 2 {
-		t.Fatalf("distinct project = %d rows", len(rows))
-	}
-	u := &UnionAll{Inputs: []Plan{p, p}}
-	rows = runPlan(t, db, u)
-	if len(rows) != 4 {
-		t.Fatalf("union all = %d rows", len(rows))
-	}
-	if u.Arity() != 1 {
-		t.Errorf("union arity = %d", u.Arity())
-	}
-}
-
-func TestGroupByWithHaving(t *testing.T) {
-	db := joinFixture(t)
-	count := AggSpec{
-		Name:  "count",
-		Init:  func() any { return int64(0) },
-		Step:  func(acc any, _ model.Tuple) (any, error) { return acc.(int64) + 1, nil },
-		Final: func(acc any) model.Datum { return acc.(int64) },
-	}
-	g := &GroupBy{Input: &Scan{Table: "R", Width: 2}, GroupCols: []int{0}, Aggs: []AggSpec{count}}
-	rows := runPlan(t, db, g)
-	if len(rows) != 3 {
-		t.Fatalf("groups = %d, want 3 (2, 3, NULL)", len(rows))
-	}
-	// HAVING count > 1 keeps only id=2.
-	h := &FilterFunc{Input: g, Desc: "count>1", Fn: func(r model.Tuple) (bool, error) {
-		return r[1].(int64) > 1, nil
-	}}
-	rows = runPlan(t, db, h)
-	if len(rows) != 1 || rows[0][0] != int64(2) || rows[0][1] != int64(2) {
-		t.Fatalf("having = %v", rows)
 	}
 }
 
@@ -427,10 +345,10 @@ func TestIndexProbePlanAndValues(t *testing.T) {
 
 func TestScanUnknownTableErrors(t *testing.T) {
 	db := NewDatabase()
-	if _, err := (&Scan{Table: "nope", Width: 1}).Run(db); err == nil {
+	if _, err := stream.Collect(Stream(&Scan{Table: "nope", Width: 1}, db)); err == nil {
 		t.Error("scan of unknown table should error")
 	}
-	if _, err := (&IndexProbe{Table: "nope"}).Run(db); err == nil {
+	if _, err := stream.Collect(Stream(&IndexProbe{Table: "nope"}, db)); err == nil {
 		t.Error("probe of unknown table should error")
 	}
 }

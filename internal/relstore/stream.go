@@ -7,185 +7,90 @@ import (
 	"repro/internal/stream"
 )
 
-// Stream exposes a plan as a pull-based tuple iterator — the same
-// stream.Iterator interface the asr backend's physical operators
-// produce, so the engine can drain either backend through one loop.
-// Pipeline operators (Filter, Project, FilterFunc, Distinct, UnionAll,
-// IndexJoin) stream over their inputs without materializing; pipeline
-// breakers (hash joins, grouping) materialize on first Next exactly as
-// Run does. A Bound plan streams its template with the parameters
-// resolved as each operator opens.
+// Stream runs a plan as a pull-based tuple iterator, the stream.Iterator
+// interface the asr backend's physical operators also produce. Every
+// operator streams over its inputs; only HashJoin holds rows, draining
+// its build side on the first Next. A Bound plan streams its template
+// with the parameters resolved as each operator opens, copying no node.
 func Stream(p Plan, db *Database) stream.Iterator[model.Tuple] {
-	return streamArgs(p, db, nil)
+	return p.open(db, nil)
 }
 
-// streamArgs is Stream with the parameter values of an enclosing Bound.
-func streamArgs(p Plan, db *Database, args []model.Datum) stream.Iterator[model.Tuple] {
-	switch n := p.(type) {
-	case *Bound:
-		return streamArgs(n.Plan, db, n.Args)
-	case *UnionAll:
-		idx := 0
-		var cur stream.Iterator[model.Tuple]
-		return &stream.Func[model.Tuple]{
-			NextFn: func() (model.Tuple, bool, error) {
-				for {
-					if cur == nil {
-						if idx >= len(n.Inputs) {
-							return nil, false, nil
-						}
-						cur = streamArgs(n.Inputs[idx], db, args)
-						idx++
-					}
-					row, ok, err := cur.Next()
-					if err != nil {
-						return nil, false, err
-					}
-					if ok {
-						return row, true, nil
-					}
-					cur.Close()
-					cur = nil
-				}
-			},
-			CloseFn: func() {
-				if cur != nil {
-					cur.Close()
-				}
-			},
-		}
-	case *Filter:
-		in := streamArgs(n.Input, db, args)
-		pred := BindExpr(n.Pred, args)
-		return &stream.Func[model.Tuple]{
-			NextFn: func() (model.Tuple, bool, error) {
-				for {
-					row, ok, err := in.Next()
-					if err != nil || !ok {
-						return nil, false, err
-					}
-					keep, err := evalBool(pred, row)
-					if err != nil {
-						return nil, false, err
-					}
-					if keep {
-						return row, true, nil
-					}
-				}
-			},
-			CloseFn: in.Close,
-		}
-	case *FilterFunc:
-		in := streamArgs(n.Input, db, args)
-		return &stream.Func[model.Tuple]{
-			NextFn: func() (model.Tuple, bool, error) {
-				for {
-					row, ok, err := in.Next()
-					if err != nil || !ok {
-						return nil, false, err
-					}
-					keep, err := n.Fn(row)
-					if err != nil {
-						return nil, false, err
-					}
-					if keep {
-						return row, true, nil
-					}
-				}
-			},
-			CloseFn: in.Close,
-		}
-	case *Project:
-		in := streamArgs(n.Input, db, args)
-		return &stream.Func[model.Tuple]{
-			NextFn: func() (model.Tuple, bool, error) {
-				row, ok, err := in.Next()
-				if err != nil || !ok {
+// deferred streams the rows fill returns, calling it on the first Next,
+// so a lookup opens its table when the plan is pulled, not when it is
+// opened.
+func deferred(fill func() ([]model.Tuple, error)) stream.Iterator[model.Tuple] {
+	var rows *stream.Slice[model.Tuple]
+	return &stream.Func[model.Tuple]{
+		NextFn: func() (model.Tuple, bool, error) {
+			if rows == nil {
+				rs, err := fill()
+				if err != nil {
 					return nil, false, err
 				}
-				nr := make(model.Tuple, len(n.Exprs))
-				for i, e := range n.Exprs {
-					v, err := e.Eval(row)
-					if err != nil {
-						return nil, false, err
-					}
-					nr[i] = v
-				}
-				return nr, true, nil
-			},
-			CloseFn: in.Close,
-		}
-	case *Distinct:
-		in := streamArgs(n.Input, db, args)
-		seen := map[string]bool{}
-		return &stream.Func[model.Tuple]{
-			NextFn: func() (model.Tuple, bool, error) {
-				for {
-					row, ok, err := in.Next()
-					if err != nil || !ok {
-						return nil, false, err
-					}
-					k := model.EncodeDatums(row)
-					if seen[k] {
-						continue
-					}
-					seen[k] = true
-					return row, true, nil
-				}
-			},
-			CloseFn: in.Close,
-		}
-	case *Scan:
-		// Table scans stream straight off the storage cursor — no
-		// materialized row slice per drain.
-		var cur *Cursor
-		started := false
-		return &stream.Func[model.Tuple]{
-			NextFn: func() (model.Tuple, bool, error) {
-				if !started {
-					started = true
-					t, ok := db.Table(n.Table)
-					if !ok {
-						return nil, false, fmt.Errorf("relstore: scan of unknown table %q", n.Table)
-					}
-					cur = t.Cursor()
-				}
-				if cur == nil {
-					return nil, false, nil
-				}
-				row, ok := cur.Next()
-				return row, ok, nil
-			},
-		}
-	case *IndexJoin:
-		return streamIndexJoin(n, db, args)
-	default:
-		// Pipeline breaker (IndexProbe, PKLookup, Values, HashJoin,
-		// GroupBy): materialize lazily on first pull, parameters
-		// substituted.
-		var rows []model.Tuple
-		started := false
-		pos := 0
-		return &stream.Func[model.Tuple]{
-			NextFn: func() (model.Tuple, bool, error) {
-				if !started {
-					started = true
-					var err error
-					rows, err = Bind(p, args).Run(db)
-					if err != nil {
-						return nil, false, err
-					}
-				}
-				if pos >= len(rows) {
-					return nil, false, nil
-				}
-				row := rows[pos]
-				pos++
-				return row, true, nil
-			},
-		}
+				rows = stream.FromSlice(rs)
+			}
+			return rows.Next()
+		},
 	}
 }
+
+// hashJoinIter streams a HashJoin: the first Next drains the build
+// (right) side into buckets by key; every Next after pulls left rows
+// until one has a match and yields its matches in right-input order.
+type hashJoinIter struct {
+	j       *HashJoin
+	db      *Database
+	args    []model.Datum
+	left    stream.Iterator[model.Tuple]
+	lw, rw  int
+	build   map[string][]model.Tuple // nil until the first Next
+	lrow    model.Tuple
+	matches []model.Tuple
+}
+
+func (it *hashJoinIter) drainBuild() error {
+	j := it.j
+	if len(j.LeftKeys) != len(j.RightKeys) {
+		return fmt.Errorf("relstore: join key arity mismatch %d vs %d", len(j.LeftKeys), len(j.RightKeys))
+	}
+	right, err := stream.Collect(j.Right.open(it.db, it.args))
+	if err != nil {
+		return err
+	}
+	it.build = make(map[string][]model.Tuple, len(right))
+	for _, row := range right {
+		if !hasNullAt(row, j.RightKeys) {
+			k := encodeCols(row, j.RightKeys)
+			it.build[k] = append(it.build[k], row)
+		}
+	}
+	return nil
+}
+
+// Next implements stream.Iterator.
+func (it *hashJoinIter) Next() (model.Tuple, bool, error) {
+	if it.build == nil {
+		if err := it.drainBuild(); err != nil {
+			return nil, false, err
+		}
+	}
+	for len(it.matches) == 0 {
+		lr, ok, err := it.left.Next()
+		if err != nil || !ok {
+			return nil, false, err
+		}
+		if !hasNullAt(lr, it.j.LeftKeys) {
+			it.lrow, it.matches = lr, it.build[encodeCols(lr, it.j.LeftKeys)]
+		}
+	}
+	row := concatRows(it.lrow, it.matches[0], it.lw, it.rw)
+	it.matches = it.matches[1:]
+	return row, true, nil
+}
+
+// Close implements stream.Iterator.
+func (it *hashJoinIter) Close() { it.left.Close() }
 
 // indexJoinIter streams an IndexJoin: it pulls left rows one at a time
 // and, for each, yields its matches from the right table's primary key
@@ -204,10 +109,6 @@ type indexJoinIter struct {
 	lrow      model.Tuple
 	matches   []model.Tuple
 	pos       int
-}
-
-func streamIndexJoin(j *IndexJoin, db *Database, args []model.Datum) stream.Iterator[model.Tuple] {
-	return &indexJoinIter{j: j, db: db, args: args, left: streamArgs(j.Left, db, args), lw: j.Left.Arity(), vals: make([]model.Datum, len(j.Keys))}
 }
 
 func (it *indexJoinIter) open() error {

@@ -1,10 +1,10 @@
 // Package relstore is the relational storage and execution substrate:
 // an in-memory stand-in for the RDBMS (DB2 in the paper) that stores
 // the peer instances, the provenance relations of Section 4.1, and the
-// ASR tables of Section 5, and executes the physical plans that ProQL
-// queries are translated into (scans, filters, hash joins including
-// outer joins, UNION ALL, and GROUP BY/HAVING with semiring
-// aggregation).
+// ASR tables of Section 5, and streams the physical plans that ProQL
+// queries are translated into (scans, key lookups, index probes,
+// filters, projections, hash joins and index joins); the union over
+// rules and the semiring aggregation happen in the proql engine.
 //
 // Tables are multi-versioned: every row slot carries the epoch it was
 // born in and, once deleted, the epoch it died in. Database.Snapshot

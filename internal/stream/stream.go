@@ -1,11 +1,9 @@
 // Package stream defines the pull-based iterator abstraction shared by
 // the ProQL physical-operator runtimes: the asr backend's operators
 // (internal/proql/physplan) stream variable-binding rows through it,
-// and the relational backend (internal/relstore) exposes its plans as
-// tuple streams through the same interface. Keeping the interface in
-// one tiny package lets the engine drive either backend with the same
-// drain loop and lets pipeline stages compose without materializing
-// intermediate results.
+// and the relational backend (internal/relstore) runs its plans as
+// tuple streams through the same interface, so pipeline stages of
+// either compose without materializing intermediate results.
 package stream
 
 // Iterator yields values one at a time. Next returns (value, true, nil)
