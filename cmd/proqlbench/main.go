@@ -365,7 +365,7 @@ func runMixed(p scaleParams) error {
 // runProQL is the backend sweep (E14): the Q4-shaped multi-path
 // common-provenance query at 1x/10x/100x of the base setting, on the
 // goal-directed asr backend (probe the provenance tables directly: no
-// materialization, plan cached after the first run), next to the
+// materialization, a join order read from the query syntax), next to the
 // reference arm: materializing the whole provenance graph (graph-build)
 // and a warm run through the "graph" alias (graph-eval). graph-builds
 // must read 0 — the asr arm never pays the build column.

@@ -313,9 +313,11 @@ type statsResponse struct {
 	Rejected         int64  `json:"rejected"`
 	Timeouts         int64  `json:"timeouts"`
 	Durable          bool   `json:"durable"`
-	CacheEntries     int    `json:"cache_entries"`
-	CacheHits        int    `json:"cache_hits"`
-	CacheMisses      int    `json:"cache_misses"`
+	// CacheEntries, CacheHits and CacheMisses are the relational plan
+	// cache's counters; asr and graph queries never touch the cache.
+	CacheEntries int `json:"cache_entries"`
+	CacheHits    int `json:"cache_hits"`
+	CacheMisses  int `json:"cache_misses"`
 	// WriteWaitNS and WriteHoldNS total the time writes spent waiting
 	// for the writer lock and holding it.
 	WriteWaitNS int64 `json:"write_wait_ns"`

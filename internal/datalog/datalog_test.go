@@ -372,104 +372,9 @@ func TestFindHomomorphism(t *testing.T) {
 	}
 }
 
-func TestUnfoldRunningExample(t *testing.T) {
-	// Mirrors Example 4.3: O derivations unfold into two conjunctive
-	// rules over provenance and local-contribution relations.
-	// Rules (with provenance atoms):
-	//   target: Q(n)       :- O(n, h)
-	//   m5:     O(n, h)    :- P5(i, n), A(i, s, h), C(i, n)
-	//   m1:     C(i, n)    :- P1(i, n), A(i, s, l), N(i, n)
-	//   LA:     A(i, s, l) :- Al(i, s, l)
-	//   LC:     C(i, n)    :- Cl(i, n)
-	//   LN:     N(i, n)    :- Nl(i, n)
-	defs := map[string][]Rule{
-		"O": {NewRule("m5", model.NewAtom("O", model.V("n"), model.V("h")),
-			model.NewAtom("P5", model.V("i"), model.V("n")),
-			model.NewAtom("A", model.V("i"), model.V("s"), model.V("h")),
-			model.NewAtom("C", model.V("i"), model.V("n")))},
-		"C": {
-			NewRule("LC", model.NewAtom("C", model.V("i"), model.V("n")),
-				model.NewAtom("Cl", model.V("i"), model.V("n"))),
-			NewRule("m1", model.NewAtom("C", model.V("i"), model.V("n")),
-				model.NewAtom("P1", model.V("i"), model.V("n")),
-				model.NewAtom("A", model.V("i"), model.V("s"), model.V("l")),
-				model.NewAtom("N", model.V("i"), model.V("n"))),
-		},
-		"A": {NewRule("LA", model.NewAtom("A", model.V("i"), model.V("s"), model.V("l")),
-			model.NewAtom("Al", model.V("i"), model.V("s"), model.V("l")))},
-		"N": {NewRule("LN", model.NewAtom("N", model.V("i"), model.V("n")),
-			model.NewAtom("Nl", model.V("i"), model.V("n")))},
-	}
-	base := map[string]bool{"P5": true, "P1": true, "Al": true, "Cl": true, "Nl": true}
-	start := NewRule("q", model.NewAtom("Q", model.V("n")), model.NewAtom("O", model.V("n"), model.V("h")))
-	rules, err := Unfold(start, UnfoldOptions{
-		Defs:   func(p string) []Rule { return defs[p] },
-		IsBase: func(p string) bool { return base[p] },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// O ← m5; A ← Al; C ← {Cl, m1}; within m1: A ← Al, N ← Nl.
-	// So 2 unfolded rules: (P5, Al, Cl) and (P5, Al, P1, Al, Nl).
-	if len(rules) != 2 {
-		for _, r := range rules {
-			t.Log(r)
-		}
-		t.Fatalf("unfolded %d rules, want 2", len(rules))
-	}
-	for _, r := range rules {
-		for _, a := range r.Body {
-			if !base[a.Rel] {
-				t.Errorf("non-base atom %s survived unfolding in %s", a, r)
-			}
-		}
-	}
-}
-
-func TestUnfoldRespectsMaxRules(t *testing.T) {
-	// Self-recursive definition with no base case explodes; the cap
-	// must stop it.
-	defs := map[string][]Rule{
-		"R": {
-			NewRule("r1", model.NewAtom("R", model.V("x")), model.NewAtom("R", model.V("x"))),
-			NewRule("r2", model.NewAtom("R", model.V("x")), model.NewAtom("B", model.V("x"))),
-		},
-	}
-	start := NewRule("q", model.NewAtom("Q", model.V("x")), model.NewAtom("R", model.V("x")))
-	_, err := Unfold(start, UnfoldOptions{
-		Defs:     func(p string) []Rule { return defs[p] },
-		IsBase:   func(p string) bool { return p == "B" },
-		MaxRules: 10,
-		MaxDepth: 0,
-	})
-	if err == nil {
-		t.Error("unbounded recursive unfolding should hit the cap")
-	}
-	// With a depth cap it terminates and yields depth-limited rules.
-	rules, err := Unfold(start, UnfoldOptions{
-		Defs:     func(p string) []Rule { return defs[p] },
-		IsBase:   func(p string) bool { return p == "B" },
-		MaxDepth: 5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rules) != 5 {
-		t.Errorf("depth-capped unfolding = %d rules, want 5", len(rules))
-	}
-}
-
-func TestRuleRenameSubstitute(t *testing.T) {
+func TestRuleVarsAndString(t *testing.T) {
 	r := NewRule("m", model.NewAtom("H", model.V("x")),
 		model.NewAtom("B", model.V("x"), model.V("y"), model.C(int64(1))))
-	r2 := r.RenameApart(3)
-	if r2.Heads[0].Args[0].Var != "x_3" || r2.Body[0].Args[1].Var != "y_3" {
-		t.Errorf("RenameApart = %v", r2)
-	}
-	r3 := r.Substitute(map[string]model.Term{"x": model.C(int64(9))})
-	if !r3.Heads[0].Args[0].IsConst || r3.Heads[0].Args[0].Const != int64(9) {
-		t.Errorf("Substitute = %v", r3)
-	}
 	vars := r.Vars()
 	if len(vars) != 2 || vars[0] != "x" || vars[1] != "y" {
 		t.Errorf("Vars = %v", vars)

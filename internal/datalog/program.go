@@ -1,10 +1,9 @@
 // Package datalog implements the Datalog machinery the paper's pipeline
 // rests on: bottom-up evaluation with derivation hooks (used by update
 // exchange to materialize instances and populate provenance relations,
-// Section 4.1), unification and homomorphism finding (used by the ASR
-// rewriting algorithm of Figure 4), and rule unfolding (used to expand
-// ProQL Datalog programs into unions of conjunctive rules, Section
-// 4.2.4).
+// Section 4.1), and unification and homomorphism finding (used by the
+// ASR rewriting algorithm of Figure 4). ProQL's rule unfolding (Section
+// 4.2.4) lives in package proql.
 package datalog
 
 import (
@@ -62,58 +61,6 @@ func (r Rule) Vars() []string {
 		add(a)
 	}
 	return out
-}
-
-// Rename returns a copy of the rule with all variables passed through f.
-func (r Rule) Rename(f func(string) string) Rule {
-	heads := make([]model.Atom, len(r.Heads))
-	for i, h := range r.Heads {
-		heads[i] = h.Rename(f)
-	}
-	body := make([]model.Atom, len(r.Body))
-	for i, b := range r.Body {
-		body[i] = b.Rename(f)
-	}
-	return Rule{ID: r.ID, Heads: heads, Body: body}
-}
-
-// RenameApart suffixes every variable with "_<n>", producing a rule
-// variable-disjoint from any rule renamed with a different n.
-func (r Rule) RenameApart(n int) Rule {
-	suffix := fmt.Sprintf("_%d", n)
-	return r.Rename(func(v string) string {
-		if v == "_" {
-			return v
-		}
-		return v + suffix
-	})
-}
-
-// Substitute applies a variable binding to the rule, replacing bound
-// variables with their terms.
-func (r Rule) Substitute(binding map[string]model.Term) Rule {
-	sub := func(a model.Atom) model.Atom {
-		args := make([]model.Term, len(a.Args))
-		for i, t := range a.Args {
-			if !t.IsConst {
-				if b, ok := binding[t.Var]; ok {
-					args[i] = b
-					continue
-				}
-			}
-			args[i] = t
-		}
-		return model.Atom{Rel: a.Rel, Args: args}
-	}
-	heads := make([]model.Atom, len(r.Heads))
-	for i, h := range r.Heads {
-		heads[i] = sub(h)
-	}
-	body := make([]model.Atom, len(r.Body))
-	for i, b := range r.Body {
-		body[i] = sub(b)
-	}
-	return Rule{ID: r.ID, Heads: heads, Body: body}
 }
 
 // RuleFromMapping converts a schema mapping to a Datalog rule.

@@ -115,36 +115,6 @@ func (m *Mapping) String() string {
 	return fmt.Sprintf("%s : %s :- %s", m.Name, strings.Join(heads, ", "), strings.Join(bodies, ", "))
 }
 
-// BodyVars returns the distinct variables appearing in the body.
-func (m *Mapping) BodyVars() []string {
-	var out []string
-	seen := make(map[string]bool)
-	for _, a := range m.Body {
-		for _, v := range a.Vars() {
-			if !seen[v] {
-				seen[v] = true
-				out = append(out, v)
-			}
-		}
-	}
-	return out
-}
-
-// HeadVars returns the distinct variables appearing in any head atom.
-func (m *Mapping) HeadVars() []string {
-	var out []string
-	seen := make(map[string]bool)
-	for _, a := range m.Head {
-		for _, v := range a.Vars() {
-			if !seen[v] {
-				seen[v] = true
-				out = append(out, v)
-			}
-		}
-	}
-	return out
-}
-
 // Validate checks the mapping against a schema: all relations exist,
 // arities match, head variables are range-restricted (appear in the
 // body), and no head targets a local-contribution relation.

@@ -10,9 +10,10 @@ import (
 // TestPlanCacheConcurrentSameShape hammers one engine with the same
 // query shape (varying constants) from many goroutines across all
 // three backend names. Under -race this exercises the plan cache's
-// mutex and the ASR adapter's refcounting; afterwards the
+// mutex and the ASR adapter's refcounting. Afterwards the relational
 // stats must balance: every execution was either a hit or a miss, and
-// the shape interned exactly one entry per backend.
+// the shape interned exactly one entry. The asr planner (and its alias
+// graph) never touches the cache, so there it stays empty.
 func TestPlanCacheConcurrentSameShape(t *testing.T) {
 	for _, backend := range []string{"relational", "graph", "asr"} {
 		e := exampleEngine(t)
@@ -52,6 +53,12 @@ func TestPlanCacheConcurrentSameShape(t *testing.T) {
 		wg.Wait()
 
 		st := e.PlanCacheStats()
+		if backend != "relational" {
+			if st != (PlanCacheStats{}) {
+				t.Errorf("%s: stats = %+v, want an untouched cache", backend, st)
+			}
+			continue
+		}
 		if st.Hits+st.Misses != goroutines*iters {
 			t.Errorf("%s: hits(%d)+misses(%d) != %d executions", backend, st.Hits, st.Misses, goroutines*iters)
 		}

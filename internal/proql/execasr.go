@@ -633,56 +633,3 @@ func (g *asrGraph) EachTuple(yield func(physplan.Tuple) bool) {
 		}
 	}
 }
-
-// NumTuples implements physplan.Graph.
-func (g *asrGraph) NumTuples() int {
-	n := 0
-	for _, r := range g.sys.Schema.PublicRelations() {
-		if tab, ok := g.sys.DB.Table(r.Name); ok {
-			n += tab.Len()
-		}
-	}
-	return n
-}
-
-// NumTuplesOf implements physplan.Graph.
-func (g *asrGraph) NumTuplesOf(rel string) int {
-	if tab, ok := g.sys.DB.Table(rel); ok {
-		return tab.Len()
-	}
-	return 0
-}
-
-// NumDerivations implements physplan.Graph.
-func (g *asrGraph) NumDerivations() int {
-	n := 0
-	for name := range g.sys.Prov {
-		n += g.NumDerivationsOf(name)
-	}
-	return n
-}
-
-// NumDerivationsOf implements physplan.Graph.
-func (g *asrGraph) NumDerivationsOf(mapping string) int {
-	pr, ok := g.sys.Prov[mapping]
-	if !ok {
-		return 0
-	}
-	if pr.Virtual {
-		rows, _ := g.virtualRows(pr)
-		return len(rows)
-	}
-	if tab, ok := g.sys.DB.Table(pr.TableName); ok {
-		return tab.Len()
-	}
-	return 0
-}
-
-// SourcePairs implements physplan.Graph.
-func (g *asrGraph) SourcePairs() int {
-	n := 0
-	for name, pr := range g.sys.Prov {
-		n += g.NumDerivationsOf(name) * len(pr.Mapping.Body)
-	}
-	return n
-}

@@ -57,9 +57,9 @@ func TestASRBackendMatchesGraphOnPaperQueries(t *testing.T) {
 }
 
 // TestASRBackendZeroGraphBuilds asserts the asr backend's defining
-// property: evaluating the multi-path Q4 and annotation Q5 shapes
-// (including repeats, which exercise the plan cache) never
-// materializes a provenance graph.
+// property: evaluating the multi-path Q4 and annotation Q5 shapes,
+// each twice, never materializes a provenance graph. The asr planner
+// reads only the query syntax, so the plan cache stays empty.
 func TestASRBackendZeroGraphBuilds(t *testing.T) {
 	e := exampleEngine(t)
 	e.Backend = "asr"
@@ -79,8 +79,8 @@ func TestASRBackendZeroGraphBuilds(t *testing.T) {
 	if got := provgraph.Builds() - before; got != 0 {
 		t.Fatalf("asr backend materialized %d provenance graphs, want 0", got)
 	}
-	if st := e.PlanCacheStats(); st.Hits == 0 {
-		t.Errorf("repeated shapes should hit the plan cache: %+v", st)
+	if st := e.PlanCacheStats(); st != (PlanCacheStats{}) {
+		t.Errorf("asr queries touched the plan cache: %+v", st)
 	}
 }
 

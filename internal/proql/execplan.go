@@ -22,7 +22,11 @@ func (e *Engine) execPhys(q *Query, g *asrGraph, asOf uint64) (*Result, error) {
 	planStart := time.Now()
 	proj := &physplan.Projection{}
 	res := &Result{Stats: Stats{Backend: "asr", AsOf: asOf, Epoch: g.epoch}}
-	plan, err := e.buildPhysPlan(g, q, proj)
+	spec, err := e.lowerSpec(g, q, proj)
+	if err != nil {
+		return nil, err
+	}
+	plan, err := physplan.Compile(g, spec)
 	if err != nil {
 		return nil, err
 	}
@@ -168,34 +172,7 @@ func collectPhys(q *Query, plan *physplan.Plan, rows *resultRows) error {
 	return nil
 }
 
-// buildPhysPlan lowers the query and compiles it, replaying cached
-// planner decisions when the plan cache holds a valid entry for the
-// query's shape.
-func (e *Engine) buildPhysPlan(g physplan.Graph, q *Query, proj *physplan.Projection) (*physplan.Plan, error) {
-	if dec, ok := e.cachedDecisions(q); ok {
-		spec, err := e.lowerSpec(g, q, proj)
-		if err != nil {
-			return nil, err
-		}
-		plan, err := physplan.CompileWithDecisions(g, spec, dec)
-		if err == nil {
-			return plan, nil
-		}
-		// A stale or mismatched entry falls through to a fresh compile.
-	}
-	spec, err := e.lowerSpec(g, q, proj)
-	if err != nil {
-		return nil, err
-	}
-	plan, err := physplan.Compile(g, spec)
-	if err != nil {
-		return nil, err
-	}
-	e.storeDecisions(q, plan.Decisions())
-	return plan, nil
-}
-
-// lowerSpec lowers a query to the physplan spec without compiling it.
+// lowerSpec lowers a query to the physplan spec.
 func (e *Engine) lowerSpec(g physplan.Graph, q *Query, proj *physplan.Projection) (physplan.Spec, error) {
 	spec := physplan.Spec{
 		Return: q.Projection.Return,

@@ -14,10 +14,11 @@ import (
 // (after ASR rewriting, if enabled), and each rule's physical plan;
 // for the asr backend (and its alias graph) the physical operator
 // tree. The engine's Backend selection applies, and the trailing
-// plan-cache line reports hit/miss counters (Explain itself consults
-// the cache, so explaining a repeated shape counts a hit). A relational EXPLAIN
-// renders the cached plan template bound to the query's literals — the
-// plans an execution of the query runs.
+// plan-cache line reports hit/miss counters (a relational Explain
+// consults the cache, so explaining a repeated shape counts a hit; the
+// asr planner never does). A relational EXPLAIN renders the cached plan
+// template bound to the query's literals — the plans an execution of
+// the query runs.
 func (e *Engine) Explain(q *Query) (string, error) {
 	var sb strings.Builder
 	switch e.Backend {
@@ -48,14 +49,18 @@ func (e *Engine) Explain(q *Query) (string, error) {
 }
 
 // explainPhys renders the physical-plan pipeline's operator tree over
-// the live asr adapter (going through the plan cache, like execution).
+// the live asr adapter.
 func (e *Engine) explainPhys(sb *strings.Builder, q *Query) error {
 	g, release, err := e.asrAdapter()
 	if err != nil {
 		return err
 	}
 	defer release()
-	plan, err := e.buildPhysPlan(g, q, &physplan.Projection{})
+	spec, err := e.lowerSpec(g, q, &physplan.Projection{})
+	if err != nil {
+		return err
+	}
+	plan, err := physplan.Compile(g, spec)
 	if err != nil {
 		return err
 	}

@@ -56,16 +56,6 @@ type Graph interface {
 	// tuple EachTupleOf(rel) would yield whose primary key is key (datums
 	// in the relation's key order), if there is one.
 	TupleByKey(rel string, key []model.Datum) (Tuple, bool)
-	// NumTuples, NumTuplesOf, NumDerivations, NumDerivationsOf and
-	// SourcePairs are the cardinality statistics the planner's cost
-	// model uses; estimates are fine.
-	NumTuples() int
-	NumTuplesOf(rel string) int
-	NumDerivations() int
-	NumDerivationsOf(mapping string) int
-	// SourcePairs counts (derivation, source) pairs — the fanout
-	// numerator.
-	SourcePairs() int
 	// Err returns the first enumeration failure, or nil.
 	Err() error
 }

@@ -73,26 +73,5 @@ func (m Mem) TupleByKey(rel string, key []model.Datum) (Tuple, bool) {
 	return nil, false
 }
 
-// NumTuples implements Graph.
-func (m Mem) NumTuples() int { return m.G.NumTuples() }
-
-// NumTuplesOf implements Graph.
-func (m Mem) NumTuplesOf(rel string) int { return m.G.NumTuplesOf(rel) }
-
-// NumDerivations implements Graph.
-func (m Mem) NumDerivations() int { return m.G.NumDerivations() }
-
-// NumDerivationsOf implements Graph.
-func (m Mem) NumDerivationsOf(mapping string) int { return m.G.NumDerivationsOf(mapping) }
-
-// SourcePairs implements Graph.
-func (m Mem) SourcePairs() int {
-	pairs := 0
-	for _, d := range m.G.Derivations() {
-		pairs += len(d.Sources)
-	}
-	return pairs
-}
-
 // Err implements Graph; in-memory enumeration cannot fail.
 func (m Mem) Err() error { return nil }

@@ -63,7 +63,6 @@ type Scan struct {
 	bp     boundPath
 	schema *Schema
 	desc   string
-	est    float64
 	cancel func() error
 }
 
@@ -71,7 +70,7 @@ type Scan struct {
 func (s *Scan) Schema() *Schema { return s.schema }
 
 func (s *Scan) explain(sb *strings.Builder, indent int) {
-	writeLine(sb, indent, "Scan(%s, %s, est=%.0f)", s.bp.path, s.desc, s.est)
+	writeLine(sb, indent, "Scan(%s, %s)", s.bp.path, s.desc)
 }
 
 // starts collects the scan's start tuples before any is matched, with

@@ -425,7 +425,7 @@ func TestDistinctJoinCancel(t *testing.T) {
 				}
 				return nil
 			}
-			plan, err := CompileWithDecisions(g, spec, plan.Decisions())
+			plan, err := Compile(g, spec)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -611,6 +611,64 @@ func TestGreedyOrderPrefersSelectiveStart(t *testing.T) {
 	// O(0)'s ancestors: B(0), C(0), A(0) → 3 z bindings with w=A(0).
 	if len(rows) != 3 {
 		t.Fatalf("rows = %d, want 3: %v", len(rows), rowStrings(rows))
+	}
+}
+
+// TestGreedyOrderSyntaxRank pins the join order read from the query
+// syntax alone: a start bound by an earlier path beats a key-pinned
+// one, which beats one named by a relation or a first-edge mapping,
+// which beats an unconstrained one; within a class fewer <-+ edges go
+// first; ties keep query order; and a connected path beats a
+// disconnected one whatever their ranks.
+func TestGreedyOrderSyntaxRank(t *testing.T) {
+	node := func(rel, v string) Node { return Node{Rel: rel, Var: v} }
+	step := func(from, to Node) Path { return Path{Nodes: []Node{from, to}, Edges: []Edge{{Kind: EdgeDirect}}} }
+	plus := func(from, to Node) Path { return Path{Nodes: []Node{from, to}, Edges: []Edge{{Kind: EdgePlus}}} }
+	pinned := func(p Path) Path { p.StartKey = []model.Datum{int64(7)}; return p }
+	for _, tc := range []struct {
+		name  string
+		paths []Path
+		want  []int
+	}{
+		{"bound start beats key-pinned", []Path{
+			pinned(Path{Nodes: []Node{node("O", "x")}}),
+			pinned(step(node("B", "w"), node("", "x"))),
+			plus(node("", "x"), node("", "z")),
+		}, []int{0, 2, 1}},
+		{"bound derivation beats key-pinned", []Path{
+			pinned(Path{Nodes: []Node{node("O", "x"), node("", "z")}, Edges: []Edge{{Kind: EdgeDirect, Var: "d"}}}),
+			pinned(step(node("B", "w"), node("", "x"))),
+			{Nodes: []Node{node("", "y"), node("", "v")}, Edges: []Edge{{Kind: EdgeDirect, Var: "d"}}},
+		}, []int{0, 2, 1}},
+		{"key-pinned beats relation", []Path{
+			step(node("O", "x"), node("", "z")),
+			pinned(plus(node("B", "y"), node("", "z"))),
+		}, []int{1, 0}},
+		{"relation beats unconstrained", []Path{
+			step(node("", "x"), node("", "z")),
+			plus(node("O", "y"), node("", "z")),
+		}, []int{1, 0}},
+		{"first-edge mapping beats unconstrained", []Path{
+			step(node("", "x"), node("", "z")),
+			{Nodes: []Node{node("", "y"), node("", "z")}, Edges: []Edge{{Kind: EdgeDirect, Mapping: "mx"}}},
+		}, []int{1, 0}},
+		{"fewer <-+ edges within a class", []Path{
+			plus(node("O", "x"), node("", "z")),
+			step(node("B", "y"), node("", "z")),
+		}, []int{1, 0}},
+		{"ties keep query order", []Path{
+			plus(node("C", "y"), node("", "z")),
+			plus(node("O", "x"), node("", "z")),
+		}, []int{0, 1}},
+		{"connected beats disconnected", []Path{
+			pinned(Path{Nodes: []Node{node("O", "x")}}),
+			pinned(Path{Nodes: []Node{node("B", "y")}}),
+			plus(node("C", "w"), node("", "x")),
+		}, []int{0, 2, 1}},
+	} {
+		if got := greedyOrder(tc.paths); !slices.Equal(got, tc.want) {
+			t.Errorf("%s: order = %v, want %v", tc.name, got, tc.want)
+		}
 	}
 }
 

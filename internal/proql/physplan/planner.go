@@ -34,36 +34,19 @@ type Spec struct {
 	Cancel func() error
 }
 
-// Decisions captures the planner's data-dependent choices — the join
-// order of the FOR paths and their estimated costs. They depend only on
-// the query shape and store statistics — of WHERE constants at most on
-// whether they pin a path's start key, never on their values — so a
-// plan cache can replay them via CompileWithDecisions and skip the
-// estimator entirely.
-type Decisions struct {
-	Order []int
-	Costs []float64
-}
-
 // Plan is a compiled physical plan.
 type Plan struct {
 	// Root computes the answer (one column per RETURN variable, in
 	// order) and renders the operator tree for EXPLAIN.
 	Root *Project
-	// Order is the chosen evaluation order of Spec.Paths, most
-	// selective first.
+	// Order is the chosen evaluation order of Spec.Paths.
 	Order []int
-	// Costs are the estimated per-path costs, parallel to Order.
-	Costs []float64
 	// Schema is the plan-wide row layout (every FOR-path variable).
 	Schema *Schema
 }
 
 // Answer runs the plan to its answer cells.
 func (p *Plan) Answer() (Answer, error) { return p.Root.answer() }
-
-// Decisions returns the plan's cacheable planning choices.
-func (p *Plan) Decisions() Decisions { return Decisions{Order: p.Order, Costs: p.Costs} }
 
 // ExplainString renders the join order and the operator tree.
 func (p *Plan) ExplainString() string {
@@ -81,28 +64,13 @@ func (p *Plan) ExplainString() string {
 }
 
 // Compile builds the physical plan for spec over g: greedy ordering of
-// the FOR paths by estimated cost (connected paths preferred, bound
-// starts exploited), index-nested-loop extension where a path's start
-// is bound, hash joins on shared variables otherwise, filters pushed
-// to the earliest operator with their variables in scope, then
-// dedup on the RETURN variables (fused into the last join where
-// fusable allows), subgraph projection, and column projection.
+// the FOR paths by the selectivity their syntax shows (connected paths
+// preferred, bound starts exploited), index-nested-loop extension where
+// a path's start is bound, hash joins on shared variables otherwise,
+// filters pushed to the earliest operator with their variables in
+// scope, then dedup on the RETURN variables (fused into the last join
+// where fusable allows), subgraph projection, and column projection.
 func Compile(g Graph, spec Spec) (*Plan, error) {
-	return compile(g, spec, nil)
-}
-
-// CompileWithDecisions builds the physical plan replaying previously
-// made planning decisions (a plan-cache hit): the estimator and greedy
-// ordering are skipped, only the operator tree — whose filter closures
-// capture the current query's constants — is rebuilt.
-func CompileWithDecisions(g Graph, spec Spec, dec Decisions) (*Plan, error) {
-	if len(dec.Order) != len(spec.Paths) {
-		return nil, fmt.Errorf("physplan: cached decisions cover %d paths, query has %d", len(dec.Order), len(spec.Paths))
-	}
-	return compile(g, spec, &dec)
-}
-
-func compile(g Graph, spec Spec, dec *Decisions) (*Plan, error) {
 	// Plan-wide schema: every FOR-path variable, first appearance
 	// order. (Stable under reordering, so filter predicates compiled
 	// against it stay valid regardless of the chosen join order.)
@@ -117,30 +85,7 @@ func compile(g Graph, spec Spec, dec *Decisions) (*Plan, error) {
 		}
 	}
 	schema := NewSchema(cols)
-
-	var order []int
-	var costs []float64
-	var est *estimator
-	if dec != nil {
-		order = dec.Order
-		costs = make([]float64, len(order))
-		copy(costs, dec.Costs)
-	} else {
-		est = newEstimator(g)
-		order = greedyOrder(est, spec.Paths)
-		costs = make([]float64, len(order))
-	}
-	// costFor records (or replays, on a cache hit) the estimate shown
-	// in EXPLAIN for the path at order slot oi.
-	costFor := func(oi int, p Path, bound map[string]bool) float64 {
-		if est != nil {
-			costs[oi] = est.pathCost(p, bound)
-		}
-		if oi < len(costs) {
-			return costs[oi]
-		}
-		return 0
-	}
+	order := greedyOrder(spec.Paths)
 
 	bound := map[string]bool{}
 	var root Op
@@ -168,7 +113,7 @@ func compile(g Graph, spec Spec, dec *Decisions) (*Plan, error) {
 		desc := bp.startsDesc(bound)
 		switch {
 		case root == nil:
-			root = &Scan{g: g, bp: bp, schema: schema, desc: desc, est: costFor(oi, p, bound), cancel: spec.Cancel}
+			root = &Scan{g: g, bp: bp, schema: schema, desc: desc, cancel: spec.Cancel}
 		case startBound(p, bound):
 			// Goal-directed: the start tuple (or first-edge derivation)
 			// is bound by earlier paths — extend row by row.
@@ -181,9 +126,7 @@ func compile(g Graph, spec Spec, dec *Decisions) (*Plan, error) {
 			for i, v := range shared {
 				onCols[i] = schema.Col(v)
 			}
-			// The independent scan runs uncorrelated, so its cost
-			// ignores variables bound on the probe side.
-			right := &Scan{g: g, bp: bp, schema: schema, desc: desc, est: costFor(oi, p, nil), cancel: spec.Cancel}
+			right := &Scan{g: g, bp: bp, schema: schema, desc: desc, cancel: spec.Cancel}
 			root = &HashJoin{left: root, right: right, on: shared, onCols: onCols, schema: schema}
 		}
 		for _, v := range p.Vars() {
@@ -228,7 +171,7 @@ func compile(g Graph, spec Spec, dec *Decisions) (*Plan, error) {
 	}
 	return &Plan{
 		Root:  &Project{input: root, cols: spec.Return, colIdx: retCols, cancel: spec.Cancel},
-		Order: order, Costs: costs, Schema: schema,
+		Order: order, Schema: schema,
 	}, nil
 }
 
@@ -285,105 +228,65 @@ func sharedVars(p Path, bound map[string]bool) []string {
 	return out
 }
 
-// estimator provides the cheap cardinality statistics the greedy
-// ordering uses: index sizes and average in-degree fanout.
-type estimator struct {
-	g Graph
-	// fanout is the expected number of (derivation, source) pairs one
-	// backward step from a tuple node explores.
-	fanout float64
-}
-
-func newEstimator(g Graph) *estimator {
-	tuples := g.NumTuples()
-	if tuples == 0 {
-		return &estimator{g: g, fanout: 1}
-	}
-	f := float64(g.SourcePairs()) / float64(tuples)
-	if f < 1 {
-		f = 1
-	}
-	return &estimator{g: g, fanout: f}
-}
-
-// pathCost estimates the number of (row, node) visits evaluating p
-// under the already-bound variables: start candidate count times the
-// per-edge expansion, discounted for every additional bound variable
-// (each acts as an equality filter).
-func (e *estimator) pathCost(p Path, bound map[string]bool) float64 {
-	var start float64
-	n0 := p.Nodes[0]
+// startRank ranks where evaluating p starts, from the query syntax
+// alone; lower runs first: 0 a start bound by an earlier path, 1 a
+// key-pinned start, 2 a start named by a relation or by the first
+// edge's mapping, 3 anything else (every tuple).
+func startRank(p Path, bound map[string]bool) int {
 	switch {
-	case n0.Var != "" && bound[n0.Var]:
-		start = 1
-	case len(p.Edges) > 0 && p.Edges[0].Kind == EdgeDirect && p.Edges[0].Var != "" && bound[p.Edges[0].Var]:
-		start = 2 // targets of one bound derivation
+	case startBound(p, bound):
+		return 0
 	case p.StartKey != nil:
-		start = 1
-	case n0.Rel != "":
-		start = float64(e.g.NumTuplesOf(n0.Rel))
-	case len(p.Edges) > 0 && p.Edges[0].Kind == EdgeDirect && p.Edges[0].Mapping != "":
-		start = float64(e.g.NumDerivationsOf(p.Edges[0].Mapping))
-	default:
-		start = float64(e.g.NumTuples())
+		return 1
+	case p.Nodes[0].Rel != "",
+		len(p.Edges) > 0 && p.Edges[0].Kind == EdgeDirect && p.Edges[0].Mapping != "":
+		return 2
 	}
-	cost := start + 1
-	derivs := float64(e.g.NumDerivations())
-	for i, edge := range p.Edges {
-		f := e.fanout
-		if edge.Kind == EdgePlus {
-			// Multi-hop: quadratic in the average fanout as a crude
-			// stand-in for expected ancestor-set size.
-			f = e.fanout*e.fanout + 1
-		} else if edge.Mapping != "" && derivs > 0 {
-			// A named mapping keeps only its share of derivations.
-			share := float64(e.g.NumDerivationsOf(edge.Mapping)) / derivs
-			f *= share
-			if f < 0.1 {
-				f = 0.1
-			}
-		}
-		cost *= f
-		// A bound or relation-constrained endpoint filters the
-		// expansion.
-		end := p.Nodes[i+1]
-		if end.Var != "" && bound[end.Var] {
-			cost /= 8
-		} else if end.Rel != "" {
-			cost /= 2
-		}
-	}
-	return cost
+	return 3
 }
 
-// greedyOrder picks the evaluation order of the FOR paths: the
-// cheapest path first, then repeatedly the cheapest path connected to
+// plusEdges counts p's <-+ edges, each a walk over every ancestor.
+func plusEdges(p Path) int {
+	n := 0
+	for _, e := range p.Edges {
+		if e.Kind == EdgePlus {
+			n++
+		}
+	}
+	return n
+}
+
+// greedyOrder picks the evaluation order of the FOR paths: the best
+// ranked path first, then repeatedly the best ranked path connected to
 // the bound variables (falling back to disconnected paths only when no
-// connected one remains). Ties break toward query order.
-func greedyOrder(est *estimator, paths []Path) []int {
+// connected one remains). A path ranks by startRank, then by fewer <-+
+// edges; ties break toward query order.
+func greedyOrder(paths []Path) []int {
 	n := len(paths)
 	order := make([]int, 0, n)
 	used := make([]bool, n)
 	bound := map[string]bool{}
 	for len(order) < n {
-		best, bestCost, bestConnected := -1, 0.0, false
+		best, bestRank, bestPlus, bestConnected := -1, 0, 0, false
 		for i := 0; i < n; i++ {
 			if used[i] {
 				continue
 			}
 			connected := len(order) == 0 || len(sharedVars(paths[i], bound)) > 0
-			cost := est.pathCost(paths[i], bound)
+			rank, plus := startRank(paths[i], bound), plusEdges(paths[i])
 			better := false
 			switch {
 			case best == -1:
 				better = true
 			case connected != bestConnected:
 				better = connected
+			case rank != bestRank:
+				better = rank < bestRank
 			default:
-				better = cost < bestCost
+				better = plus < bestPlus
 			}
 			if better {
-				best, bestCost, bestConnected = i, cost, connected
+				best, bestRank, bestPlus, bestConnected = i, rank, plus, connected
 			}
 		}
 		used[best] = true

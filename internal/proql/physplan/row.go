@@ -2,7 +2,7 @@
 // backend: it compiles a query's FOR/WHERE/INCLUDE/RETURN block into a
 // DAG of streaming physical operators over a provenance store (the
 // Graph interface), choosing a join order for the FOR path expressions
-// by estimated selectivity.
+// from the selectivity their syntax shows (no statistics).
 //
 // The operator set mirrors a relational engine specialized to
 // provenance-graph navigation:

@@ -7,22 +7,20 @@ import (
 
 	"repro/internal/exchange"
 	"repro/internal/model"
-	"repro/internal/proql/physplan"
 )
 
-// planCache caches per-query-shape planning work: the physplan join
-// order and cost estimates for the asr backend, and the
-// relational backend's plan template — the unfolded rules with one
-// physical plan per rule whose WHERE literals are parameter slots. Keys
-// are normalized query shapes — structure and binding pattern, with
-// WHERE literals masked — so repeated queries differing only in
-// constants hit, and a relational hit binds the query's literals into
-// the cached plans instead of planning. Entries are validated against
-// the relstore definition version and the mapping count, so dropping or
+// planCache caches the relational backend's plan templates — the
+// unfolded rules with one physical plan per rule whose WHERE literals
+// are parameter slots — per query shape. Keys are normalized query
+// shapes — structure and binding pattern, with WHERE literals masked to
+// their literalClass — so repeated queries differing only in constants
+// hit, and a hit binds the query's literals into the cached plans
+// instead of planning. The asr backend plans from the query syntax
+// alone and never consults the cache. Entries are validated against the
+// relstore definition version and the mapping count, so dropping or
 // (re)creating tables (Materialize, schema edits) invalidates without
-// an explicit hook; row churn keeps entries alive, since planning
-// decisions depend only on coarse statistics and correctness never
-// does.
+// an explicit hook; row churn keeps entries alive, since a template
+// names tables rather than holding rows.
 //
 // The cache is shared by every concurrent query on the engine; mu
 // guards the entry map and the hit/miss counters. Entries themselves
@@ -31,14 +29,13 @@ import (
 // names are part of a shape, so a client can mint shapes without end.
 //
 // Entries are epoch-correct by construction, so AS OF queries share
-// them with live ones: an entry holds only shape-level artifacts — an
-// unfolded rule set, plans that name tables rather than hold them, or
-// replayable join-order decisions — never row data. Every execution
-// runs the plans against the snapshot it pinned (live or SnapshotAt),
-// so a plan cached by a live query produces epoch-accurate answers for
-// a time-travel query and vice versa. The version check is about the
-// plan *space* (tables appearing or disappearing), not row visibility:
-// a relational execution checks the version of the snapshot it pinned.
+// them with live ones: an entry holds an unfolded rule set and plans
+// that name tables, never row data. Every execution runs the plans
+// against the snapshot it pinned (live or SnapshotAt), so a plan cached
+// by a live query produces epoch-accurate answers for a time-travel
+// query and vice versa. The version check is about the plan *space*
+// (tables appearing or disappearing), not row visibility: a relational
+// execution checks the version of the snapshot it pinned.
 type planCache struct {
 	mu      sync.Mutex
 	entries map[string]*planCacheEntry
@@ -57,12 +54,7 @@ func newPlanCache() *planCache {
 type planCacheEntry struct {
 	dbVersion uint64
 	mappings  int
-	// dec replays the physplan planner (asr backend); tpl is the
-	// relational backend's plan template. Exactly one is set, according
-	// to the backend segment of the key.
-	dec    physplan.Decisions
-	hasDec bool
-	tpl    *relTemplate
+	tpl       *relTemplate
 }
 
 // PlanCacheStats reports plan-cache effectiveness, surfaced by
@@ -126,21 +118,6 @@ func (e *Engine) cacheStore(key string, dbVersion uint64, ent *planCacheEntry) {
 	c.entries[key] = ent
 }
 
-// cachedDecisions returns the replayable physplan planner decisions
-// for a query's shape, if cached and still valid.
-func (e *Engine) cachedDecisions(q *Query) (physplan.Decisions, bool) {
-	ent, ok := e.cacheLookup("asr\x00"+shapeKey(q), e.Sys.DB.Version())
-	if !ok || !ent.hasDec {
-		return physplan.Decisions{}, false
-	}
-	return ent.dec, true
-}
-
-// storeDecisions records freshly made planner decisions.
-func (e *Engine) storeDecisions(q *Query, dec physplan.Decisions) {
-	e.cacheStore("asr\x00"+shapeKey(q), e.Sys.DB.Version(), &planCacheEntry{dec: dec, hasDec: true})
-}
-
 // relationalTemplate returns the plan template of q's shape for
 // execution on sys: from the cache when recorded at sys's definition
 // version, otherwise unfolded (CompileUnfold), built and stored.
@@ -148,7 +125,7 @@ func (e *Engine) storeDecisions(q *Query, dec physplan.Decisions) {
 func (e *Engine) relationalTemplate(sys *exchange.System, q *Query) (*relTemplate, error) {
 	key := templateKey(q, e.RewriteRules != nil)
 	version := sys.DB.Version()
-	if ent, ok := e.cacheLookup(key, version); ok && ent.tpl != nil {
+	if ent, ok := e.cacheLookup(key, version); ok {
 		return ent.tpl, nil
 	}
 	comp, err := CompileUnfold(e.Sys, q)
@@ -163,33 +140,21 @@ func (e *Engine) relationalTemplate(sys *exchange.System, q *Query) (*relTemplat
 	return t, nil
 }
 
-// shapeKey renders the normalized shape of a query: path structure,
-// variable names, condition operators and attribute accesses — but
-// WHERE literals masked to '?', so queries differing only in constants
-// share a key. Unfolding and physplan ordering never read literal
-// values (constants enter at operator-build time), which is what makes
-// the masking sound.
-func shapeKey(q *Query) string {
-	var sb strings.Builder
-	writeShape(&sb, q, false)
-	return sb.String()
-}
-
-// templateKey is the relational plan-cache key: the shape with each
-// WHERE literal's literalClass after its '?' (which decides where it is
-// pushed), plus what else shapes the plans: the EVALUATE flag and the
+// templateKey is the plan-cache key: the normalized query shape — path
+// structure, variable names, condition operators and attribute accesses
+// — with each WHERE literal masked to '?' and its literalClass (which
+// decides where it is pushed), plus what else shapes the plans: the EVALUATE flag and the
 // leaf ASSIGNING conditions, whose attributes column pruning keeps
 // (pruneSpec), and whether rules are ASR-rewritten.
 func templateKey(q *Query, rewrite bool) string {
 	var sb strings.Builder
-	sb.WriteString("relational\x00")
-	writeShape(&sb, q, true)
+	writeShape(&sb, q)
 	if q.Evaluate != "" {
 		sb.WriteString("|evaluate")
 		if q.LeafAssign != nil {
 			for _, c := range q.LeafAssign.Cases {
 				sb.WriteByte(':')
-				writeCondShape(&sb, c.Cond, false)
+				writeCondShape(&sb, c.Cond)
 			}
 		}
 	}
@@ -199,7 +164,7 @@ func templateKey(q *Query, rewrite bool) string {
 	return sb.String()
 }
 
-func writeShape(sb *strings.Builder, q *Query, classes bool) {
+func writeShape(sb *strings.Builder, q *Query) {
 	sb.WriteString("for:")
 	for i, p := range q.Projection.For {
 		if i > 0 {
@@ -209,7 +174,7 @@ func writeShape(sb *strings.Builder, q *Query, classes bool) {
 	}
 	if q.Projection.Where != nil {
 		sb.WriteString("|where:")
-		writeCondShape(sb, q.Projection.Where, classes)
+		writeCondShape(sb, q.Projection.Where)
 	}
 	if len(q.Projection.Include) > 0 {
 		sb.WriteString("|include:")
@@ -227,12 +192,12 @@ func writeShape(sb *strings.Builder, q *Query, classes bool) {
 // writeCondShape, appendWhereLits and slotWhere visit a condition's
 // literals in the same order: left operand before right, left
 // subcondition before right.
-func writeCondShape(sb *strings.Builder, c Cond, classes bool) {
+func writeCondShape(sb *strings.Builder, c Cond) {
 	switch cc := c.(type) {
 	case CondCmp:
-		writeOperandShape(sb, cc.L, classes)
+		writeOperandShape(sb, cc.L)
 		sb.WriteString(cc.Op)
-		writeOperandShape(sb, cc.R, classes)
+		writeOperandShape(sb, cc.R)
 	case CondIn:
 		sb.WriteByte('$')
 		sb.WriteString(cc.Var)
@@ -240,19 +205,19 @@ func writeCondShape(sb *strings.Builder, c Cond, classes bool) {
 		sb.WriteString(cc.Rel)
 	case CondAnd:
 		sb.WriteByte('(')
-		writeCondShape(sb, cc.L, classes)
+		writeCondShape(sb, cc.L)
 		sb.WriteString(" AND ")
-		writeCondShape(sb, cc.R, classes)
+		writeCondShape(sb, cc.R)
 		sb.WriteByte(')')
 	case CondOr:
 		sb.WriteByte('(')
-		writeCondShape(sb, cc.L, classes)
+		writeCondShape(sb, cc.L)
 		sb.WriteString(" OR ")
-		writeCondShape(sb, cc.R, classes)
+		writeCondShape(sb, cc.R)
 		sb.WriteByte(')')
 	case CondNot:
 		sb.WriteString("(NOT ")
-		writeCondShape(sb, cc.E, classes)
+		writeCondShape(sb, cc.E)
 		sb.WriteByte(')')
 	case CondPath:
 		sb.WriteString(cc.Path.String())
@@ -262,9 +227,8 @@ func writeCondShape(sb *strings.Builder, c Cond, classes bool) {
 }
 
 // writeOperandShape keeps the binding pattern (variable vs literal,
-// attribute access) and masks the literal value, optionally to its
-// literalClass.
-func writeOperandShape(sb *strings.Builder, o CmpOperand, classes bool) {
+// attribute access) and masks the literal value to its literalClass.
+func writeOperandShape(sb *strings.Builder, o CmpOperand) {
 	if o.Var != "" {
 		sb.WriteByte('$')
 		sb.WriteString(o.Var)
@@ -275,9 +239,7 @@ func writeOperandShape(sb *strings.Builder, o CmpOperand, classes bool) {
 		return
 	}
 	sb.WriteByte('?')
-	if classes {
-		sb.WriteByte(literalClass(o.Lit))
-	}
+	sb.WriteByte(literalClass(o.Lit))
 }
 
 // appendWhereLits appends the literals of a WHERE condition to dst.

@@ -165,8 +165,8 @@ func (db *Database) SnapshotAt(epoch uint64) (*Database, error) {
 
 // Version is one row version with its visibility interval: the row
 // exists at every epoch e with Born <= e and (Died == 0 or e < Died).
-// Versions dumps them and LoadVersions restores them — the checkpoint
-// path's history-preserving replacement for Rows/BulkLoad.
+// Versions dumps them and LoadVersions restores them, so a checkpoint
+// keeps the history as well as the live rows.
 type Version struct {
 	Row  model.Tuple
 	Born uint64
@@ -252,9 +252,7 @@ func (t *Table) LoadVersions(vs []Version) (int, error) {
 	}
 	deadN := 0
 	s.mu.Lock()
-	if g, ok := s.be.(growableBackend); ok {
-		g.Grow(len(vs))
-	}
+	s.be.Grow(len(vs))
 	if s.pk != nil && len(s.pk) == 0 {
 		s.pk = make(map[string]int, len(vs))
 	}

@@ -147,7 +147,7 @@ func TestReclamationWaitsForPins(t *testing.T) {
 	if db.ndead.Load() != 0 {
 		t.Errorf("dead slots not reclaimed after Close: %d", db.ndead.Load())
 	}
-	if got := len(tbl.s.be.(*memBackend).free); got != 10 {
+	if got := len(tbl.s.be.free); got != 10 {
 		t.Errorf("free list = %d slots, want 10", got)
 	}
 	// Double Close is a no-op.
@@ -253,8 +253,8 @@ func TestStandaloneTableDeletesEagerly(t *testing.T) {
 	})
 	tbl.Insert(model.Tuple{int64(1), "a"})
 	tbl.Delete([]model.Datum{int64(1)})
-	if len(tbl.s.be.(*memBackend).free) != 1 || len(tbl.s.dead) != 0 {
-		t.Errorf("standalone delete not eager: free=%d dead=%d", len(tbl.s.be.(*memBackend).free), len(tbl.s.dead))
+	if len(tbl.s.be.free) != 1 || len(tbl.s.dead) != 0 {
+		t.Errorf("standalone delete not eager: free=%d dead=%d", len(tbl.s.be.free), len(tbl.s.dead))
 	}
 }
 

@@ -24,11 +24,6 @@ import (
 // once. Snapshot pins the current epoch and returns a read-only view;
 // deleted slots are reclaimed only once no pin can still observe them.
 type Database struct {
-	// BackendFactory, when non-nil, supplies the slot store behind every
-	// table subsequently created on this database (backend.go); nil uses
-	// the in-memory default. Set it before creating tables.
-	BackendFactory func(*TableSchema) Backend
-
 	mu     sync.Mutex // guards tables and pins
 	tables map[string]*Table
 	pins   map[uint64]int
@@ -103,9 +98,6 @@ func (db *Database) Epoch() uint64 {
 	}
 	return db.published.Load()
 }
-
-// IsSnapshot reports whether this database is a read-only view.
-func (db *Database) IsSnapshot() bool { return db.base != nil }
 
 // Snapshot pins the current epoch and returns a read-only view: every
 // table read through it observes exactly the state committed by that

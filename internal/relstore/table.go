@@ -14,7 +14,7 @@
 // writer pays O(changed rows) per commit — no copy-on-write of tables
 // or indexes — and deleted slots are reclaimed once no pinned snapshot
 // can still observe them. See snapshot.go for the epoch discipline,
-// backend.go for the pluggable slot store behind each table, and
+// backend.go for the slot store behind each table, and
 // snapshot.go's commit hook for the write-ahead logging seam.
 package relstore
 
@@ -70,7 +70,7 @@ type Table struct {
 }
 
 // tableState is the versioned storage shared by a head table and all
-// of its snapshot views: a slot Backend holding the row versions, plus
+// of its snapshot views: a slot store holding the row versions, plus
 // the key map, secondary indexes, and reclamation bookkeeping.
 type tableState struct {
 	mu     sync.RWMutex
@@ -79,9 +79,8 @@ type tableState struct {
 	// tables, which delete eagerly since no snapshot can observe them.
 	db *Database
 	// be stores the row versions (slot → tuple, born/died interval,
-	// version-chain link). memBackend unless the database plugs in
-	// another one.
-	be Backend
+	// version-chain link).
+	be *memBackend
 	// pk maps encoded key datums to the newest slot for that key (only
 	// when Key != nil). The entry may point at a dead slot until the
 	// slot is reclaimed; prev links chain the older versions behind it.
@@ -118,11 +117,7 @@ func NewTable(schema *TableSchema) *Table {
 }
 
 func newTable(schema *TableSchema, db *Database) *Table {
-	factory := newMemBackend
-	if db != nil && db.BackendFactory != nil {
-		factory = db.BackendFactory
-	}
-	s := &tableState{schema: schema, db: db, be: factory(schema), indexes: make(map[string]*hashIndex)}
+	s := &tableState{schema: schema, db: db, be: &memBackend{}, indexes: make(map[string]*hashIndex)}
 	if schema.Key != nil {
 		s.pk = make(map[string]int)
 	}
@@ -229,58 +224,6 @@ func (t *Table) InsertKeyed(row model.Tuple) ([]byte, bool, error) {
 		s.db.opPublish()
 	}
 	return key, inserted, nil
-}
-
-// BulkLoad inserts a batch of rows through a single lock acquisition
-// and a single publish, presizing the backend and the primary-key map
-// for the whole batch. It is the checkpoint-recovery fast path:
-// loading a large snapshot through per-row Insert pays a lock round
-// trip, a publish check, a duplicate probe, and incremental map and
-// slice growth per row, which dominates restart time. Every row must
-// be new — on keyed tables a key that repeats within the batch or
-// already exists in the table is an error (a consistent snapshot
-// never holds one; a checkpoint that does is corrupt), detected by
-// the map's size not growing, so each key is hashed exactly once. On
-// error the table is left partially loaded and must be discarded.
-// Rows are stored by reference; the batch publishes as one epoch.
-// Returns how many rows were inserted.
-func (t *Table) BulkLoad(rows []model.Tuple) (int, error) {
-	if t.asOf != 0 {
-		return 0, t.readOnlyErr()
-	}
-	s := t.s
-	for _, row := range rows {
-		if len(row) != len(t.Schema.Columns) {
-			return 0, fmt.Errorf("relstore: %s: row arity %d, want %d", t.Schema.Name, len(row), len(t.Schema.Columns))
-		}
-	}
-	s.mu.Lock()
-	if g, ok := s.be.(growableBackend); ok {
-		g.Grow(len(rows))
-	}
-	if s.pk != nil && len(s.pk) == 0 {
-		s.pk = make(map[string]int, len(rows))
-	}
-	for _, row := range rows {
-		idx := s.be.Claim(row, s.stamp())
-		if s.pk != nil {
-			key := s.encodeKey(row, s.schema.Key)
-			before := len(s.pk)
-			s.pk[string(key)] = idx
-			if len(s.pk) == before {
-				s.mu.Unlock()
-				return 0, fmt.Errorf("relstore: %s: duplicate key %q in bulk load", t.Schema.Name, key)
-			}
-		}
-		s.indexRow(idx, row)
-		s.live++
-		s.logInsert(row)
-	}
-	s.mu.Unlock()
-	if len(rows) > 0 && s.db != nil {
-		s.db.opPublish()
-	}
-	return len(rows), nil
 }
 
 // insert does the keyed/keyless insert under s.mu, returning the key

@@ -81,9 +81,6 @@ func VarPoly(id string) Poly {
 // IsZero reports whether p is the zero polynomial.
 func (p Poly) IsZero() bool { return len(p.terms) == 0 }
 
-// NumTerms returns the number of monomials with non-zero coefficient.
-func (p Poly) NumTerms() int { return len(p.terms) }
-
 // Coeff returns the coefficient of the monomial, 0 if absent.
 func (p Poly) Coeff(m Mono) int64 {
 	if p.terms == nil {

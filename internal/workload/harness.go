@@ -706,21 +706,24 @@ type ProQLRow struct {
 	GraphBuildTime time.Duration
 	GraphEvalTime  time.Duration
 	// ASRFirstTime is the asr backend's cold evaluation (adapter
-	// warm-up plus a plan-cache miss); ASREvalTime is the warm
-	// repeated-shape evaluation, where planning is a cache hit.
+	// warm-up plus planning); ASREvalTime is the warm repeated-shape
+	// evaluation on a warm adapter.
 	ASRFirstTime time.Duration
 	ASREvalTime  time.Duration
 	// GraphBuilds counts provgraph materializations observed during
 	// the asr arm. The backend's defining invariant is 0.
 	GraphBuilds int64
+	// CacheHits and CacheMisses are the asr engine's plan-cache
+	// counters; the asr planner reads only the query syntax, so both
+	// are 0.
 	CacheHits   int
 	CacheMisses int
 }
 
 // RunProQL sweeps the multi-path provenance query across scale
 // multipliers of a chain setting, timing the goal-directed asr backend
-// (probe the provenance tables directly — no materialization, and
-// planning amortized by the shape-keyed cache) cold and warm against a
+// (probe the provenance tables directly — no materialization, and a
+// join order read from the query syntax) cold and warm against a
 // reference arm: materializing the whole provenance graph, plus a warm
 // evaluation through the "graph" alias.
 func RunProQL(scales []int, numPeers, dataPeers, baseSize, runs int, seed int64) ([]ProQLRow, error) {
@@ -765,8 +768,8 @@ func RunProQL(scales []int, numPeers, dataPeers, baseSize, runs int, seed int64)
 
 		before := provgraph.Builds()
 		// Cold arm: a fresh engine per iteration, so every run pays the
-		// adapter warm-up and a plan-cache miss (the discard-extremes
-		// protocol tames the noise a single cold measurement carries).
+		// adapter warm-up (the discard-extremes protocol tames the noise
+		// a single cold measurement carries).
 		var asrEng *proql.Engine
 		row.ASRFirstTime, err = timed(runs, func() error {
 			asrEng = proql.NewEngine(set.Sys)

@@ -280,7 +280,8 @@ func TestHarnessSmoke(t *testing.T) {
 // 100× of the base setting and asserts the asr backend's defining
 // invariant at both points: the Q4-shaped multi-path query and the
 // Q5-shaped annotation query evaluate with zero provgraph
-// materializations, with the plan cache hitting on repeated shapes.
+// materializations, and the asr planner, which reads only the query
+// syntax, records no plan-cache traffic.
 func TestProQLSweepZeroBuildsAt100x(t *testing.T) {
 	rows, err := RunProQL([]int{1, 100}, 6, 2, 4, 3, 9)
 	if err != nil {
@@ -293,8 +294,8 @@ func TestProQLSweepZeroBuildsAt100x(t *testing.T) {
 		if r.GraphBuilds != 0 {
 			t.Errorf("scale %d: asr arm materialized %d provenance graphs, want 0", r.Scale, r.GraphBuilds)
 		}
-		if r.CacheHits == 0 {
-			t.Errorf("scale %d: repeated shapes never hit the plan cache: %+v", r.Scale, r)
+		if r.CacheHits != 0 || r.CacheMisses != 0 {
+			t.Errorf("scale %d: the asr arm touched the plan cache: %+v", r.Scale, r)
 		}
 		if r.GraphBuildTime <= 0 || r.GraphEvalTime <= 0 || r.ASRFirstTime <= 0 || r.ASREvalTime <= 0 {
 			t.Errorf("scale %d: non-positive times: %+v", r.Scale, r)
