@@ -56,6 +56,11 @@ func BenchmarkTable1Semirings(b *testing.B) {
 	}
 }
 
+// relational pins the backend wherever a benchmark measures the
+// paper's relational translation (Figs. 7–13, annotation overhead):
+// auto answers the whole-target query on the asr path executor.
+var relational = proql.Options{Backend: "relational"}
+
 func benchTargetQuery(b *testing.B, cfg workload.Config) {
 	b.Helper()
 	set, err := workload.Build(cfg)
@@ -69,26 +74,52 @@ func benchTargetQuery(b *testing.B, cfg workload.Config) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eng.Exec(context.Background(), q, proql.Options{}); err != nil {
+		if _, err := eng.Exec(context.Background(), q, relational); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
+// fig7Config is the Fig. 7 setting at one number of peers.
+func fig7Config(peers int) workload.Config {
+	return workload.Config{
+		Topology:  workload.Chain,
+		Profile:   workload.ProfileFan,
+		NumPeers:  peers,
+		DataPeers: workload.AllDataPeers(peers),
+		BaseSize:  20,
+		Seed:      42,
+	}
+}
+
 // BenchmarkFig7ChainAllPeersData is experiment E2: chain topology with
 // data at every peer; unfolded rules and times grow exponentially with
-// the number of peers.
+// the number of peers. The auto-cold arms answer the same query the
+// way auto does, on the asr path executor, with a fresh engine (no
+// adapter, no cached plan) per query.
 func BenchmarkFig7ChainAllPeersData(b *testing.B) {
 	for _, peers := range []int{2, 3, 4, 5, 6} {
 		b.Run(fmt.Sprintf("peers=%d", peers), func(b *testing.B) {
-			benchTargetQuery(b, workload.Config{
-				Topology:  workload.Chain,
-				Profile:   workload.ProfileFan,
-				NumPeers:  peers,
-				DataPeers: workload.AllDataPeers(peers),
-				BaseSize:  20,
-				Seed:      42,
-			})
+			benchTargetQuery(b, fig7Config(peers))
+		})
+	}
+	for _, peers := range []int{5, 6, 7} {
+		b.Run(fmt.Sprintf("auto-cold/peers=%d", peers), func(b *testing.B) {
+			set, err := workload.Build(fig7Config(peers))
+			if err != nil {
+				b.Fatal(err)
+			}
+			q := proql.MustParse(set.TargetQuery())
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := proql.NewEngine(set.Sys).Eval(context.Background(), q, proql.Options{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if res.Stats.Backend != "asr" {
+					b.Fatalf("auto ran the target query on %s, want asr", res.Stats.Backend)
+				}
+			}
 		})
 	}
 }
@@ -161,7 +192,7 @@ func benchASR(b *testing.B, cfg workload.Config, lens []int) {
 	}
 	b.Run("noASR", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := eng.Exec(context.Background(), q, proql.Options{}); err != nil {
+			if _, err := eng.Exec(context.Background(), q, relational); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -182,7 +213,7 @@ func benchASR(b *testing.B, cfg workload.Config, lens []int) {
 			eng.RewriteRules = ix.RewriteRules
 			b.Run(fmt.Sprintf("%s/len=%d", kind, maxLen), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if _, err := eng.Exec(context.Background(), q, proql.Options{}); err != nil {
+					if _, err := eng.Exec(context.Background(), q, relational); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -258,14 +289,14 @@ func BenchmarkAnnotationOverhead(b *testing.B) {
 	}
 	b.Run("projection", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := eng.Exec(context.Background(), proj, proql.Options{}); err != nil {
+			if _, err := eng.Exec(context.Background(), proj, relational); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("annotated", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := eng.Exec(context.Background(), annot, proql.Options{}); err != nil {
+			if _, err := eng.Exec(context.Background(), annot, relational); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -450,7 +481,9 @@ func BenchmarkAnalyticShapes(b *testing.B) {
 	for _, arm := range []struct{ name, query, backend string }{
 		{"target/auto", set.TargetQuery(), "auto"},
 		{"target/asr", set.TargetQuery(), "asr"},
+		{"target/relational", set.TargetQuery(), "relational"},
 		{"trust/auto", set.TargetAnnotationQuery(), "auto"},
+		{"trust/asr", set.TargetAnnotationQuery(), "asr"},
 		{"multipath/asr", multipathQuery, "asr"},
 		{"include/asr", multipathIncludeQuery, "asr"},
 	} {
@@ -774,7 +807,7 @@ func BenchmarkSuperfluousProvenance(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportMetric(float64(sys.ProvRowCount()), "provrows")
 			for i := 0; i < b.N; i++ {
-				if _, err := eng.Exec(context.Background(), pq, proql.Options{}); err != nil {
+				if _, err := eng.Exec(context.Background(), pq, relational); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -355,10 +355,11 @@ func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 
 type queryRequest struct {
 	Query string `json:"query"`
-	// Backend selects the execution strategy: "" or "auto" (relational
-	// when the query allows, else asr), "relational", or "asr"; "graph"
-	// is accepted as an alias of "asr". The choice is per request; all
-	// of them read a pinned snapshot.
+	// Backend selects the execution strategy: "" or "auto" (asr for a
+	// query with no WHERE or EVALUATE; otherwise relational when the
+	// query allows, else asr), "relational", or "asr"; "graph" is
+	// accepted as an alias of "asr". The choice is per request; all of
+	// them read a pinned snapshot.
 	Backend string `json:"backend"`
 	// AsOf, when non-zero, evaluates the query against the retained
 	// state at that epoch (time travel). Requires the server to run
@@ -792,26 +793,13 @@ func smokeHardening(srv *server) error {
 	cancel()
 	const text = `FOR [O $x] INCLUDE PATH [$x] <-+ [] RETURN $x`
 	eng := srv.sys.Engine()
-	for _, run := range []struct {
-		backend string
-		exec    func(*proql.Query) (*proql.Result, error)
-	}{
-		{"relational", func(q *proql.Query) (*proql.Result, error) {
-			return eng.Exec(ctx, q, proql.Options{})
-		}},
-		{"graph", func(q *proql.Query) (*proql.Result, error) {
-			return eng.Exec(ctx, q, proql.Options{Backend: "graph"})
-		}},
-		{"asr", func(q *proql.Query) (*proql.Result, error) {
-			return eng.Exec(ctx, q, proql.Options{Backend: "asr"})
-		}},
-	} {
+	for _, backend := range []string{"auto", "relational", "graph", "asr"} {
 		q, err := proql.Parse(text)
 		if err != nil {
 			return err
 		}
-		if _, err := run.exec(q); !errors.Is(err, context.Canceled) {
-			return fmt.Errorf("%s backend ignored cancelled context: err=%v", run.backend, err)
+		if _, err := eng.Exec(ctx, q, proql.Options{Backend: backend}); !errors.Is(err, context.Canceled) {
+			return fmt.Errorf("%s backend ignored cancelled context: err=%v", backend, err)
 		}
 	}
 

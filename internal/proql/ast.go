@@ -18,7 +18,9 @@
 //     physical path-navigation plans over the provenance relations of
 //     a pinned snapshot; "graph" is an alias of it.
 //
-// Exec picks the relational backend whenever the query fits it.
+// Exec picks a backend from the query syntax alone: asr for a query
+// with no WHERE and no EVALUATE, otherwise the relational backend
+// whenever the query fits it.
 package proql
 
 import (

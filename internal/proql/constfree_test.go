@@ -92,6 +92,7 @@ func TestConstantFreeDifferential(t *testing.T) {
 		}
 		set.Sys.DB.SetRetention(relstore.RetainAll)
 		eng := proql.NewEngine(set.Sys)
+		eng.Backend = "relational" // checkSemiJoins explains the translation
 		label := fmt.Sprintf("trial %d (%s/%s peers=%d data=%v)", trial, cfg.Topology, cfg.Profile, cfg.NumPeers, cfg.DataPeers)
 		caseRel := workload.BRel(rng.Intn(cfg.NumPeers))
 		queries := constFreeQueries(workload.ARel(0), caseRel, "b1", "2147483648")
@@ -134,6 +135,7 @@ func TestConstantFreeDifferential(t *testing.T) {
 	sys := fixture.MustSystem(fixture.Options{})
 	sys.DB.SetRetention(relstore.RetainAll)
 	eng := proql.NewEngine(sys)
+	eng.Backend = "relational"
 	queries := constFreeQueries("O", "A", "sciName", "'sn2'")
 	for _, text := range queries {
 		compared += checkConstFree(t, eng, text, 0, "running example")
@@ -205,13 +207,15 @@ const (
 )
 
 // TestConstantFreeServedCounts holds, on instance M, what the
-// constant-free plans of the served analytic-read workload's
+// constant-free relational plans of the served analytic-read workload's
 // whole-target and TRUST queries are: no hash join and one scan per rule
 // in their EXPLAIN, and an allocation and byte bound per query served
-// the way proqld serves it (Eval, then the sorted refs).
+// the way proqld serves it (Eval, then the sorted refs). The backend is
+// pinned: auto answers the whole-target query on asr.
 func TestConstantFreeServedCounts(t *testing.T) {
 	set := instanceM(t)
 	eng := proql.NewEngine(set.Sys)
+	eng.Backend = "relational"
 	for _, text := range []string{set.TargetQuery(), set.TargetAnnotationQuery()} {
 		q := proql.MustParse(text)
 		plan, err := eng.Explain(q)

@@ -16,9 +16,11 @@ import (
 	"repro/internal/semiring"
 )
 
-// Engine executes ProQL queries over an exchanged system. It prefers
-// the relational backend (Section 4) and falls back to the asr backend
-// (physplan over the provenance relations) for query shapes the
+// Engine executes ProQL queries over an exchanged system. By default
+// it routes each query from its syntax alone (autoBackend): a query
+// with no WHERE and no EVALUATE runs on the asr backend (physplan over
+// the provenance relations); any other query runs on the relational
+// backend (Section 4), falling back to asr for query shapes the
 // relational translation does not cover.
 type Engine struct {
 	Sys *exchange.System
@@ -26,8 +28,7 @@ type Engine struct {
 	// Backend forces an execution backend: "relational" or "asr"
 	// (goal-directed path navigation over the provenance tables of a
 	// pinned snapshot); "graph" is accepted as an alias of "asr". Empty
-	// or "auto" keeps the default policy: relational when the
-	// translation covers the query, asr otherwise.
+	// or "auto" keeps the default policy of autoBackend.
 	Backend string
 
 	// RewriteRules, when set, rewrites the unfolded conjunctive rules
@@ -222,8 +223,9 @@ func (r *Result) SortedRefs(v string) []model.TupleRef {
 type Options struct {
 	// Backend forces an execution backend for this call: "relational"
 	// or "asr" ("graph" is an alias of "asr"). Empty falls back to the
-	// engine's Backend field, then to auto (relational when the
-	// translation covers the query, asr otherwise).
+	// engine's Backend field, then to auto: asr for a query with no
+	// WHERE and no EVALUATE; otherwise relational when the translation
+	// covers the query, asr when it does not.
 	Backend string
 	// AsOfEpoch, when non-zero, evaluates the query AS OF that storage
 	// epoch: every backend pins a SnapshotAt view instead of the live
@@ -270,6 +272,9 @@ func (e *Engine) Eval(ctx context.Context, q *Query, opts Options) (*Result, err
 	asOf := opts.AsOfEpoch
 	switch backend {
 	case "", "auto":
+		if b, _ := autoBackend(q); b == "asr" {
+			return e.execASR(q, asOf)
+		}
 		res, err := e.execUnfold(q, asOf)
 		var nr *ErrNotRelational
 		if errors.As(err, &nr) {
@@ -283,6 +288,26 @@ func (e *Engine) Eval(ctx context.Context, q *Query, opts Options) (*Result, err
 	default:
 		return nil, fmt.Errorf("proql: unknown backend %q (want relational, graph, or asr)", backend)
 	}
+}
+
+// autoBackend routes a query for backend "auto" from its syntax alone,
+// with no statistics and before any unfolding, and names the clause
+// that decided. A query with no WHERE and no EVALUATE runs on asr: it
+// reads whole relations, where the relational translation's union of
+// unfolded rules grows exponentially with the mapping chain and the
+// path walk does not. Key-pinned and range WHERE reads and EVALUATE
+// stay relational, the translation's measured ground (a point read
+// through asr keeps every interned handle for the epoch; asr EVALUATE
+// links a whole provenance graph); relational falls back to asr for
+// the shapes it does not cover.
+func autoBackend(q *Query) (backend, reason string) {
+	switch {
+	case q.Evaluate != "":
+		return "relational", "EVALUATE"
+	case q.Projection.Where != nil:
+		return "relational", "WHERE"
+	}
+	return "asr", "no WHERE or EVALUATE"
 }
 
 // ExecString parses and runs a query with default options.

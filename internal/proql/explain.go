@@ -13,7 +13,10 @@ import (
 // matched relations and mappings, every unfolded conjunctive rule
 // (after ASR rewriting, if enabled), and each rule's physical plan;
 // for the asr backend (and its alias graph) the physical operator
-// tree. The engine's Backend selection applies, and the trailing
+// tree. The engine's Backend selection applies; under auto the first
+// line names the backend Eval would run and the reason (the deciding
+// clause, or why the relational translation does not cover the
+// query). The trailing
 // plan-cache line reports hit/miss counters (a relational Explain
 // consults the cache, so explaining a repeated shape counts a hit; the
 // asr planner never does). A relational EXPLAIN renders the cached plan
@@ -23,16 +26,23 @@ func (e *Engine) Explain(q *Query) (string, error) {
 	var sb strings.Builder
 	switch e.Backend {
 	case "", "auto":
-		err := e.explainRelational(&sb, q)
-		if nr, ok := err.(*ErrNotRelational); ok {
-			fmt.Fprintf(&sb, "backend: asr (%s)\n", nr.Reason)
+		backend, reason := autoBackend(q)
+		var err error
+		if backend == "asr" {
+			fmt.Fprintf(&sb, "backend: asr (%s)\n", reason)
 			err = e.explainPhys(&sb, q)
+		} else {
+			err = e.explainRelational(&sb, q, " ("+reason+")")
+			if nr, ok := err.(*ErrNotRelational); ok {
+				fmt.Fprintf(&sb, "backend: asr (%s)\n", nr.Reason)
+				err = e.explainPhys(&sb, q)
+			}
 		}
 		if err != nil {
 			return "", err
 		}
 	case "relational":
-		if err := e.explainRelational(&sb, q); err != nil {
+		if err := e.explainRelational(&sb, q, ""); err != nil {
 			return "", err
 		}
 	case "graph", "asr":
@@ -69,9 +79,10 @@ func (e *Engine) explainPhys(sb *strings.Builder, q *Query) error {
 }
 
 // explainRelational renders the Section 4 pipeline: anchor, matched
-// schema-graph fragment, unfolded rules, per-rule relational plans. It
-// writes nothing when the query is not relational.
-func (e *Engine) explainRelational(sb *strings.Builder, q *Query) error {
+// schema-graph fragment, unfolded rules, per-rule relational plans;
+// note follows the backend name. It writes nothing when the query is
+// not relational.
+func (e *Engine) explainRelational(sb *strings.Builder, q *Query, note string) error {
 	t, err := e.relationalTemplate(e.Sys, q)
 	if err != nil {
 		return err
@@ -81,7 +92,7 @@ func (e *Engine) explainRelational(sb *strings.Builder, q *Query) error {
 		return err
 	}
 	comp := t.comp
-	fmt.Fprintf(sb, "backend: relational\n")
+	fmt.Fprintf(sb, "backend: relational%s\n", note)
 	fmt.Fprintf(sb, "anchor: %s ($%s)\n", comp.AnchorRel, comp.AnchorVar)
 	fmt.Fprintf(sb, "matched relations: %s\n", strings.Join(comp.Allowed.SortedRelations(), ", "))
 	fmt.Fprintf(sb, "matched mappings: %s\n", strings.Join(comp.Allowed.SortedMappings(), ", "))

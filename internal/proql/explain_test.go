@@ -1,6 +1,7 @@
 package proql
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -11,6 +12,7 @@ import (
 // local rows, whose columns it does not read.
 func TestExplainRelationalQuery(t *testing.T) {
 	e := exampleEngine(t)
+	e.Backend = "relational" // the translation is what is checked
 	out, err := e.ExplainString(paperQueries["Q1"])
 	if err != nil {
 		t.Fatal(err)
@@ -34,14 +36,23 @@ func TestExplainRelationalQuery(t *testing.T) {
 	}
 }
 
+// TestExplainGraphQuery: EXPLAIN names the asr backend and why — the
+// syntax route for a query with no WHERE or EVALUATE (Q4), the
+// relational translation's refusal for a multi-path query with a WHERE
+// (Q3).
 func TestExplainGraphQuery(t *testing.T) {
 	e := exampleEngine(t)
-	out, err := e.ExplainString(paperQueries["Q4"])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "backend: asr (multiple FOR path expressions)") {
-		t.Errorf("explain output:\n%s", out)
+	for q, want := range map[string]string{
+		"Q4": "backend: asr (no WHERE or EVALUATE)",
+		"Q3": "backend: asr (multiple FOR path expressions)",
+	} {
+		out, err := e.ExplainString(paperQueries[q])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(out, want) {
+			t.Errorf("%s: explain output:\n%s", q, out)
+		}
 	}
 }
 
@@ -56,6 +67,7 @@ func TestExplainShowsVirtualProvenanceView(t *testing.T) {
 	// m4 is superfluous: its provenance atom must appear as a
 	// projection over A, not a table scan.
 	e := exampleEngine(t)
+	e.Backend = "relational" // the translation is what is checked
 	out, err := e.ExplainString(paperQueries["Q1"])
 	if err != nil {
 		t.Fatal(err)
@@ -65,5 +77,40 @@ func TestExplainShowsVirtualProvenanceView(t *testing.T) {
 	}
 	if strings.Contains(out, "Scan(P_m4)") {
 		t.Errorf("P_m4 is virtual and must not be a table scan:\n%s", out)
+	}
+}
+
+// TestAutoRoutes pins auto's syntax-only routing, one query per class:
+// a query with no WHERE and no EVALUATE (whole-relation INCLUDE,
+// multi-path) runs on asr; a key-pinned or range WHERE and EVALUATE
+// run on the relational translation; a WHERE query the translation
+// does not cover falls back to asr. EXPLAIN's backend line names the
+// backend Eval ran.
+func TestAutoRoutes(t *testing.T) {
+	e := exampleEngine(t)
+	for _, c := range []struct{ class, query, want string }{
+		{"whole-relation INCLUDE", paperQueries["Q1"], "asr"},
+		{"multipath", paperQueries["Q4"], "asr"},
+		{"key-pinned", `FOR [A $x] WHERE $x.id = 2 INCLUDE PATH [$x] <-+ [] RETURN $x`, "relational"},
+		{"range", `FOR [A $x] WHERE $x.length >= 6 RETURN $x`, "relational"},
+		{"EVALUATE", paperQueries["Q7"], "relational"},
+		{"uncovered, falls back", paperQueries["Q3"], "asr"},
+	} {
+		q := MustParse(c.query)
+		res, err := e.Eval(context.Background(), q, Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", c.class, err)
+		}
+		if res.Stats.Backend != c.want {
+			t.Errorf("%s: ran on %s, want %s", c.class, res.Stats.Backend, c.want)
+		}
+		out, err := e.Explain(q)
+		if err != nil {
+			t.Fatalf("%s: explain: %v", c.class, err)
+		}
+		line, _, _ := strings.Cut(out, "\n")
+		if got, _, _ := strings.Cut(strings.TrimPrefix(line, "backend: "), " "); got != res.Stats.Backend {
+			t.Errorf("%s: EXPLAIN says %q, Eval ran on %s", c.class, line, res.Stats.Backend)
+		}
 	}
 }

@@ -16,7 +16,7 @@ import (
 type Projection struct {
 	Derivs []ProjDeriv      // in recording order
 	Starts []model.TupleRef // in recording order
-	seen   map[uint64]bool  // node codes of the recorded handles
+	seen   marks            // node codes of the recorded handles
 }
 
 // ProjDeriv is one recorded derivation: the mapping that fired and its
@@ -29,15 +29,7 @@ type ProjDeriv struct {
 // fresh marks a Tuple or Deriv handle recorded, reporting whether it
 // was not yet.
 func (p *Projection) fresh(h any) bool {
-	if p.seen == nil {
-		p.seen = map[uint64]bool{}
-	}
-	c := nodeCode(h)
-	if p.seen[c] {
-		return false
-	}
-	p.seen[c] = true
-	return true
+	return p.seen.mark(nodeCode(h))
 }
 
 func (p *Projection) addDeriv(d Deriv) {
@@ -97,23 +89,24 @@ func (inc *Include) Open() (stream.Iterator[Row], error) {
 
 // includeWalk is one Include execution's walk state, reused across rows
 // and starts: the simple-path visited set, and the ancestor BFS's queue
-// and done set. A tuple is done once its every ancestor derivation is
-// recorded, so a later BFS stops where an earlier one has been.
+// and done set (tuple ordinals). A tuple is done once its every
+// ancestor derivation is recorded, so a later BFS stops where an
+// earlier one has been.
 type includeWalk struct {
-	g             Graph
-	out           *Projection
-	visited, done map[Tuple]bool
-	queue         []Tuple
-	found         bool
-	onDeriv       func(Deriv) bool
-	onSource      func(Tuple) bool
+	g        Graph
+	out      *Projection
+	visited  map[Tuple]bool
+	done     marks
+	queue    []Tuple
+	found    bool
+	onDeriv  func(Deriv) bool
+	onSource func(Tuple) bool
 }
 
 func newIncludeWalk(g Graph, out *Projection) *includeWalk {
-	w := &includeWalk{g: g, out: out, visited: map[Tuple]bool{}, done: map[Tuple]bool{}}
+	w := &includeWalk{g: g, out: out, visited: map[Tuple]bool{}}
 	w.onSource = func(src Tuple) bool {
-		if !w.done[src] {
-			w.done[src] = true
+		if w.done.mark(uint64(src.TupleOrd())) {
 			w.queue = append(w.queue, src)
 		}
 		return true
@@ -219,7 +212,8 @@ func (w *includeWalk) walk(bp *boundPath, edgeIdx int, cur Tuple, row Row) bool 
 // reporting whether cur has any. Done tuples are not re-entered, so a
 // repeated start revisits only its own derivations.
 func (w *includeWalk) ancestors(cur Tuple) bool {
-	w.found, w.done[cur] = false, true
+	w.found = false
+	w.done.mark(uint64(cur.TupleOrd()))
 	w.queue = append(w.queue[:0], cur)
 	for i := 0; i < len(w.queue); i++ {
 		w.g.EachDerivInto(w.queue[i], "", w.onDeriv)

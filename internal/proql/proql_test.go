@@ -100,6 +100,7 @@ func TestCompileTargetQueryRuleCount(t *testing.T) {
 
 func TestExecQ1GraphProjection(t *testing.T) {
 	e := exampleEngine(t)
+	e.Backend = "relational" // the translation is what is checked
 	res, err := e.ExecString(paperQueries["Q1"])
 	if err != nil {
 		t.Fatal(err)
@@ -278,6 +279,7 @@ func TestExecWhereOnAnchor(t *testing.T) {
 
 func TestExecQ2PathRestriction(t *testing.T) {
 	e := exampleEngine(t)
+	e.Backend = "relational" // the translation is what is checked
 	res, err := e.ExecString(paperQueries["Q2"])
 	if err != nil {
 		t.Fatal(err)

@@ -48,7 +48,8 @@ func randomConfig(rng *rand.Rand) workload.Config {
 // TestRandomSettingsBackendParity generates random settings and
 // cross-checks the relational and asr (as "graph") backends on the
 // target query and its trust evaluation — the strongest end-to-end
-// invariant the system has.
+// invariant the system has — and whatever auto routes each query to
+// against the interpreter, projected graph included.
 func TestRandomSettingsBackendParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(20100611))
 	for trial := 0; trial < 25; trial++ {
@@ -65,12 +66,9 @@ func TestRandomSettingsBackendParity(t *testing.T) {
 			set.TargetAnnotationQuery(),
 		} {
 			q := proql.MustParse(text)
-			rel, err := eng.Exec(context.Background(), q, proql.Options{})
+			rel, err := eng.Exec(context.Background(), q, proql.Options{Backend: "relational"})
 			if err != nil {
 				t.Fatalf("%s: relational: %v", label, err)
-			}
-			if rel.Stats.Backend != "relational" {
-				t.Fatalf("%s: expected relational backend", label)
 			}
 			gr, err := eng.Exec(context.Background(), q, proql.Options{Backend: "graph"})
 			if err != nil {
@@ -79,6 +77,25 @@ func TestRandomSettingsBackendParity(t *testing.T) {
 			leg, err := proql.ExecInterpreter(eng, context.Background(), q, 0)
 			if err != nil {
 				t.Fatalf("%s: interpreter: %v", label, err)
+			}
+			auto, err := eng.Exec(context.Background(), q, proql.Options{})
+			if err != nil {
+				t.Fatalf("%s: auto: %v", label, err)
+			}
+			if fmt.Sprint(auto.SortedRefs("x")) != fmt.Sprint(leg.SortedRefs("x")) {
+				t.Fatalf("%s: bindings differ on auto (%s) and the interpreter", label, auto.Stats.Backend)
+			}
+			if as, ls := graphSignature(t, auto), graphSignature(t, leg); as != ls {
+				t.Errorf("%s: projected graph on auto (%s): only on the interpreter:\n%s\n only on auto:\n%s",
+					label, auto.Stats.Backend, lineDiff(ls, as), lineDiff(as, ls))
+			}
+			for ref, lv := range leg.Annotations {
+				if v, ok := auto.Annotations[ref]; !ok || !leg.Semiring.Eq(lv, v) {
+					t.Errorf("%s: annotation of %v: %v on auto (%s), interpreter %v", label, ref, v, auto.Stats.Backend, lv)
+				}
+			}
+			if len(auto.Annotations) != len(leg.Annotations) {
+				t.Errorf("%s: %d annotations on auto, the interpreter has %d", label, len(auto.Annotations), len(leg.Annotations))
 			}
 			relRefs := rel.SortedRefs("x")
 			grRefs := gr.SortedRefs("x")

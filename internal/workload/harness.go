@@ -18,6 +18,11 @@ import (
 // quick sweeps.
 const Runs = 7
 
+// relational pins the backend wherever a harness measures the paper's
+// relational translation (Figs. 7–13, annotation overhead): auto runs
+// the whole-target query on the asr path executor.
+var relational = proql.Options{Backend: "relational"}
+
 // timed measures fn with the discard-extremes-and-average protocol.
 func timed(runs int, fn func() error) (time.Duration, error) {
 	if runs < 3 {
@@ -140,7 +145,7 @@ func measureTarget(set *Setting, x int) (UnfoldStatsRow, error) {
 	if err != nil {
 		return UnfoldStatsRow{}, err
 	}
-	res, err := proql.NewEngine(set.Sys).Exec(context.Background(), q, proql.Options{})
+	res, err := proql.NewEngine(set.Sys).Exec(context.Background(), q, relational)
 	if err != nil {
 		return UnfoldStatsRow{}, err
 	}
@@ -209,7 +214,7 @@ func fillScaleRow(row *ScaleRow, numPeers, dataPeers, base, runs int, seed int64
 			return err
 		}
 		dur, err := timed(runs, func() error {
-			_, err := eng.Exec(context.Background(), q, proql.Options{})
+			_, err := eng.Exec(context.Background(), q, relational)
 			return err
 		})
 		if err != nil {
@@ -258,7 +263,7 @@ func RunASRSweep(cfg Config, maxLens []int, kinds []asr.Kind, runs int) (*ASRExp
 		return nil, err
 	}
 	exp.Baseline, err = timed(runs, func() error {
-		_, err := eng.Exec(context.Background(), q, proql.Options{})
+		_, err := eng.Exec(context.Background(), q, relational)
 		return err
 	})
 	if err != nil {
@@ -280,7 +285,7 @@ func RunASRSweep(cfg Config, maxLens []int, kinds []asr.Kind, runs int) (*ASRExp
 			}
 			eng.RewriteRules = ix.RewriteRules
 			dur, err := timed(runs, func() error {
-				_, err := eng.Exec(context.Background(), q, proql.Options{})
+				_, err := eng.Exec(context.Background(), q, relational)
 				return err
 			})
 			if err != nil {
@@ -676,14 +681,14 @@ func RunAnnotationOverhead(cfg Config, runs int) (*AnnotationOverheadRow, error)
 	}
 	row := &AnnotationOverheadRow{}
 	row.ProjectionTime, err = timed(runs, func() error {
-		_, err := eng.Exec(context.Background(), proj, proql.Options{})
+		_, err := eng.Exec(context.Background(), proj, relational)
 		return err
 	})
 	if err != nil {
 		return nil, err
 	}
 	row.AnnotatedTime, err = timed(runs, func() error {
-		_, err := eng.Exec(context.Background(), annot, proql.Options{})
+		_, err := eng.Exec(context.Background(), annot, relational)
 		return err
 	})
 	if err != nil {

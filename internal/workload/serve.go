@@ -101,15 +101,7 @@ func serveOne(backend string, readers, numPeers, dataPeers, baseSize, batch, que
 	}
 	execOnce := func() (time.Duration, error) {
 		start := time.Now()
-		var execErr error
-		switch backend {
-		case "graph":
-			_, execErr = eng.Exec(context.Background(), q, proql.Options{Backend: "graph"})
-		case "asr":
-			_, execErr = eng.Exec(context.Background(), q, proql.Options{Backend: "asr"})
-		default:
-			_, execErr = eng.Exec(context.Background(), q, proql.Options{})
-		}
+		_, execErr := eng.Exec(context.Background(), q, proql.Options{Backend: backend})
 		return time.Since(start), execErr
 	}
 
