@@ -56,11 +56,6 @@ func BenchmarkTable1Semirings(b *testing.B) {
 	}
 }
 
-// relational pins the backend wherever a benchmark measures the
-// paper's relational translation (Figs. 7–13, annotation overhead):
-// auto answers the whole-target query on the asr path executor.
-var relational = proql.Options{Backend: "relational"}
-
 func benchTargetQuery(b *testing.B, cfg workload.Config) {
 	b.Helper()
 	set, err := workload.Build(cfg)
@@ -68,13 +63,14 @@ func benchTargetQuery(b *testing.B, cfg workload.Config) {
 		b.Fatal(err)
 	}
 	eng := proql.NewEngine(set.Sys)
+	eng.Backend = "relational" // the paper's translation
 	q, err := proql.Parse(set.TargetQuery())
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eng.Exec(context.Background(), q, relational); err != nil {
+		if _, err := eng.Exec(context.Background(), q, proql.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -186,13 +182,14 @@ func benchASR(b *testing.B, cfg workload.Config, lens []int) {
 		b.Fatal(err)
 	}
 	eng := proql.NewEngine(set.Sys)
+	eng.Backend = "relational" // the paper's translation
 	q, err := proql.Parse(set.TargetQuery())
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Run("noASR", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := eng.Exec(context.Background(), q, relational); err != nil {
+			if _, err := eng.Exec(context.Background(), q, proql.Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -213,7 +210,7 @@ func benchASR(b *testing.B, cfg workload.Config, lens []int) {
 			eng.RewriteRules = ix.RewriteRules
 			b.Run(fmt.Sprintf("%s/len=%d", kind, maxLen), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if _, err := eng.Exec(context.Background(), q, relational); err != nil {
+					if _, err := eng.Exec(context.Background(), q, proql.Options{}); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -279,6 +276,7 @@ func BenchmarkAnnotationOverhead(b *testing.B) {
 		b.Fatal(err)
 	}
 	eng := proql.NewEngine(set.Sys)
+	eng.Backend = "relational" // the paper's translation
 	proj, err := proql.Parse(set.TargetQuery())
 	if err != nil {
 		b.Fatal(err)
@@ -289,14 +287,14 @@ func BenchmarkAnnotationOverhead(b *testing.B) {
 	}
 	b.Run("projection", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := eng.Exec(context.Background(), proj, relational); err != nil {
+			if _, err := eng.Exec(context.Background(), proj, proql.Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("annotated", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := eng.Exec(context.Background(), annot, relational); err != nil {
+			if _, err := eng.Exec(context.Background(), annot, proql.Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -803,11 +801,12 @@ func BenchmarkSuperfluousProvenance(b *testing.B) {
 			Exchange: exchange.Options{MaterializeAll: materializeAll},
 		})
 		eng := proql.NewEngine(sys)
+		eng.Backend = "relational" // the paper's translation
 		pq := proql.MustParse(q)
 		b.Run(name, func(b *testing.B) {
 			b.ReportMetric(float64(sys.ProvRowCount()), "provrows")
 			for i := 0; i < b.N; i++ {
-				if _, err := eng.Exec(context.Background(), pq, relational); err != nil {
+				if _, err := eng.Exec(context.Background(), pq, proql.Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}

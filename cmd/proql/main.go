@@ -44,7 +44,7 @@ func main() {
 		seed     = flag.Int64("seed", 42, "workload seed")
 		loadFile = flag.String("load", "", "load a setting from a JSON file (see internal/settingio)")
 		saveFile = flag.String("save", "", "save the setting as JSON and exit")
-		backend  = flag.String("backend", "auto", "execution backend: auto (asr for a query with no WHERE or EVALUATE; otherwise relational when the query allows, else asr), relational, or asr (goal-directed over the provenance tables, no graph build); graph is an alias of asr")
+		backend  = flag.String("backend", "auto", "execution backend: auto (asr for a query with no WHERE or EVALUATE; otherwise relational when the query allows, else asr; ASR rewriting and AS OF keep relational), relational, or asr (goal-directed over the provenance tables, no graph build); graph is an alias of asr")
 	)
 	flag.Parse()
 

@@ -48,6 +48,7 @@ func TestAdviseOnChainWorkload(t *testing.T) {
 	}
 	// Advised indexes must preserve query results.
 	eng := proql.NewEngine(set.Sys)
+	eng.Backend = "relational" // the rewrite applies to the translation only
 	q := proql.MustParse(set.TargetQuery())
 	base, err := eng.Exec(context.Background(), q, proql.Options{})
 	if err != nil {
@@ -60,6 +61,9 @@ func TestAdviseOnChainWorkload(t *testing.T) {
 	}
 	if len(base.SortedRefs("x")) != len(opt.SortedRefs("x")) {
 		t.Error("advised ASRs changed query results")
+	}
+	if got, want := opt.MustGraph().NumDerivations(), base.MustGraph().NumDerivations(); got != want {
+		t.Errorf("derivations %d with advised ASRs, %d without", got, want)
 	}
 }
 

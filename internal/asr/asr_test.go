@@ -119,6 +119,7 @@ func execWith(t *testing.T, kind asr.Kind, query string) {
 	t.Helper()
 	sys := fixture.MustSystem(fixture.Options{})
 	eng := proql.NewEngine(sys)
+	eng.Backend = "relational" // the rewrite applies to the translation only
 	q := proql.MustParse(query)
 	base, err := eng.Exec(context.Background(), q, proql.Options{})
 	if err != nil {

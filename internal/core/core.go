@@ -410,7 +410,9 @@ func (s *System) AdviseASRs(anchorRel string, maxLen int) error {
 	return s.durable()
 }
 
-// UseASRs toggles ASR-based rewriting for subsequent queries. Like all
+// UseASRs toggles ASR-based rewriting for subsequent queries; while it
+// is on, the auto backend runs every query on the relational
+// translation, the one the rewrite applies to. Like all
 // mutations it is serialized with other writers, but it swaps a hook
 // the query path reads without a latch: call it during setup, not
 // while queries are in flight.

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fixture"
 	"repro/internal/model"
+	"repro/internal/proql"
 	"repro/internal/semiring"
 )
 
@@ -54,23 +56,45 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 }
 
-func TestFacadeASRLifecycle(t *testing.T) {
-	sys := openExample(t)
-	q := `FOR [O $x] INCLUDE PATH [$x] <-+ [] RETURN $x`
-	base, err := sys.Query(q)
+// queryRelational runs q on the relational translation, the baseline
+// an ASR rewrite must preserve.
+func queryRelational(t *testing.T, sys *core.System, q string) *proql.Result {
+	t.Helper()
+	res, err := sys.Engine().Exec(context.Background(), proql.MustParse(q), proql.Options{Backend: "relational"})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return res
+}
+
+// queryRewritten runs q through the facade with ASRs in use, which
+// routes it to the relational translation the rewrite applies to.
+func queryRewritten(t *testing.T, sys *core.System, q string) *proql.Result {
+	t.Helper()
+	res, err := sys.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.Backend != "relational" {
+		t.Fatalf("with ASRs in use the facade ran %q on %s, not the rewritten translation", q, res.Stats.Backend)
+	}
+	return res
+}
+
+func TestFacadeASRLifecycle(t *testing.T) {
+	sys := openExample(t)
+	q := `FOR [O $x] INCLUDE PATH [$x] <-+ [] RETURN $x`
+	base := queryRelational(t, sys, q)
 	if err := sys.DefineASR(asr.Subpath, "m5", "m1"); err != nil {
 		t.Fatal(err)
 	}
 	sys.UseASRs(true)
-	opt, err := sys.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
+	opt := queryRewritten(t, sys, q)
 	if len(opt.SortedRefs("x")) != len(base.SortedRefs("x")) {
 		t.Error("ASR-rewritten query changed the result")
+	}
+	if got, want := opt.MustGraph().NumDerivations(), base.MustGraph().NumDerivations(); got != want {
+		t.Errorf("derivations %d with ASRs, %d without", got, want)
 	}
 	sys.UseASRs(false)
 	if sys.ASRIndex().TotalRows() == 0 {
@@ -140,22 +164,19 @@ func TestFacadeIncrementalRun(t *testing.T) {
 func TestAdviseASRs(t *testing.T) {
 	sys := openExample(t)
 	q := `FOR [O $x] INCLUDE PATH [$x] <-+ [] RETURN $x`
-	base, err := sys.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := queryRelational(t, sys, q)
 	if err := sys.AdviseASRs("O", 4); err != nil {
 		t.Fatal(err)
 	}
 	if len(sys.ASRIndex().Defs()) == 0 {
 		t.Fatal("advisor registered no definitions")
 	}
-	opt, err := sys.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
+	opt := queryRewritten(t, sys, q)
 	if len(opt.SortedRefs("x")) != len(base.SortedRefs("x")) {
 		t.Error("advised ASRs changed query results")
+	}
+	if got, want := opt.MustGraph().NumDerivations(), base.MustGraph().NumDerivations(); got != want {
+		t.Errorf("derivations %d with ASRs, %d without", got, want)
 	}
 }
 

@@ -17,11 +17,12 @@ import (
 )
 
 // Engine executes ProQL queries over an exchanged system. By default
-// it routes each query from its syntax alone (autoBackend): a query
-// with no WHERE and no EVALUATE runs on the asr backend (physplan over
-// the provenance relations); any other query runs on the relational
-// backend (Section 4), falling back to asr for query shapes the
-// relational translation does not cover.
+// it routes each query from its syntax alone (autoBackend): a live
+// query with no WHERE and no EVALUATE, while ASR rewriting is off,
+// runs on the asr backend (physplan over the provenance relations);
+// any other query runs on the relational backend (Section 4), falling
+// back to asr for query shapes the relational translation does not
+// cover.
 type Engine struct {
 	Sys *exchange.System
 
@@ -33,7 +34,9 @@ type Engine struct {
 
 	// RewriteRules, when set, rewrites the unfolded conjunctive rules
 	// before planning — the hook the ASR layer (Section 5) uses to
-	// substitute materialized path indexes.
+	// substitute materialized path indexes. It applies to the
+	// relational backend, which auto picks for every query while it is
+	// set.
 	RewriteRules func([]*ConjRule) []*ConjRule
 
 	// asrMu guards the asr adapter handle and its refcount. It is held
@@ -223,9 +226,10 @@ func (r *Result) SortedRefs(v string) []model.TupleRef {
 type Options struct {
 	// Backend forces an execution backend for this call: "relational"
 	// or "asr" ("graph" is an alias of "asr"). Empty falls back to the
-	// engine's Backend field, then to auto: asr for a query with no
-	// WHERE and no EVALUATE; otherwise relational when the translation
-	// covers the query, asr when it does not.
+	// engine's Backend field, then to auto: asr for a live query with
+	// no WHERE and no EVALUATE while RewriteRules is nil; otherwise
+	// relational when the translation covers the query, asr when it
+	// does not.
 	Backend string
 	// AsOfEpoch, when non-zero, evaluates the query AS OF that storage
 	// epoch: every backend pins a SnapshotAt view instead of the live
@@ -272,7 +276,7 @@ func (e *Engine) Eval(ctx context.Context, q *Query, opts Options) (*Result, err
 	asOf := opts.AsOfEpoch
 	switch backend {
 	case "", "auto":
-		if b, _ := autoBackend(q); b == "asr" {
+		if b, _ := e.autoBackend(q, asOf); b == "asr" {
 			return e.execASR(q, asOf)
 		}
 		res, err := e.execUnfold(q, asOf)
@@ -290,22 +294,29 @@ func (e *Engine) Eval(ctx context.Context, q *Query, opts Options) (*Result, err
 	}
 }
 
-// autoBackend routes a query for backend "auto" from its syntax alone,
-// with no statistics and before any unfolding, and names the clause
-// that decided. A query with no WHERE and no EVALUATE runs on asr: it
-// reads whole relations, where the relational translation's union of
-// unfolded rules grows exponentially with the mapping chain and the
-// path walk does not. Key-pinned and range WHERE reads and EVALUATE
-// stay relational, the translation's measured ground (a point read
-// through asr keeps every interned handle for the epoch; asr EVALUATE
-// links a whole provenance graph); relational falls back to asr for
-// the shapes it does not cover.
-func autoBackend(q *Query) (backend, reason string) {
+// autoBackend routes a query for backend "auto" from its syntax and
+// the call's settings alone, with no statistics and before any
+// unfolding, and names what decided. A query with no WHERE and no
+// EVALUATE runs on asr: it reads whole relations, where the relational
+// translation's union of unfolded rules grows exponentially with the
+// mapping chain and the path walk does not. Everything else stays
+// relational, the translation's measured ground, and falls back to asr
+// for the shapes the translation does not cover: key-pinned and range
+// WHERE reads and EVALUATE (a point read through asr keeps every
+// interned handle for the epoch; asr EVALUATE links a whole provenance
+// graph); any query while ASR rewriting is on, since the rewrite
+// applies to the unfolded rules only; and AS OF reads, which on asr
+// bind a private adapter per query.
+func (e *Engine) autoBackend(q *Query, asOf uint64) (backend, reason string) {
 	switch {
 	case q.Evaluate != "":
 		return "relational", "EVALUATE"
 	case q.Projection.Where != nil:
 		return "relational", "WHERE"
+	case e.RewriteRules != nil:
+		return "relational", "ASR rewriting"
+	case asOf != 0:
+		return "relational", "AS OF"
 	}
 	return "asr", "no WHERE or EVALUATE"
 }

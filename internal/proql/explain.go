@@ -14,7 +14,7 @@ import (
 // (after ASR rewriting, if enabled), and each rule's physical plan;
 // for the asr backend (and its alias graph) the physical operator
 // tree. The engine's Backend selection applies; under auto the first
-// line names the backend Eval would run and the reason (the deciding
+// line names the backend a live Eval would run and the reason (the deciding
 // clause, or why the relational translation does not cover the
 // query). The trailing
 // plan-cache line reports hit/miss counters (a relational Explain
@@ -26,7 +26,7 @@ func (e *Engine) Explain(q *Query) (string, error) {
 	var sb strings.Builder
 	switch e.Backend {
 	case "", "auto":
-		backend, reason := autoBackend(q)
+		backend, reason := e.autoBackend(q, 0)
 		var err error
 		if backend == "asr" {
 			fmt.Fprintf(&sb, "backend: asr (%s)\n", reason)

@@ -113,4 +113,29 @@ func TestAutoRoutes(t *testing.T) {
 			t.Errorf("%s: EXPLAIN says %q, Eval ran on %s", c.class, line, res.Stats.Backend)
 		}
 	}
+
+	// A whole-relation read stays on the translation AS OF an epoch
+	// and while ASR rewriting is on.
+	q := MustParse(paperQueries["Q1"])
+	res, err := e.Eval(context.Background(), q, Options{AsOfEpoch: e.Sys.DB.Epoch()})
+	if err != nil {
+		t.Fatalf("AS OF: %v", err)
+	}
+	if res.Stats.Backend != "relational" {
+		t.Errorf("AS OF: ran on %s, want relational", res.Stats.Backend)
+	}
+	e.RewriteRules = func(rules []*ConjRule) []*ConjRule { return rules }
+	if res, err = e.Eval(context.Background(), q, Options{}); err != nil {
+		t.Fatalf("ASR rewriting: %v", err)
+	}
+	if res.Stats.Backend != "relational" {
+		t.Errorf("ASR rewriting: ran on %s, want relational", res.Stats.Backend)
+	}
+	out, err := e.Explain(q)
+	if err != nil {
+		t.Fatalf("ASR rewriting: explain: %v", err)
+	}
+	if line, _, _ := strings.Cut(out, "\n"); line != "backend: relational (ASR rewriting)" {
+		t.Errorf("ASR rewriting: EXPLAIN says %q", line)
+	}
 }

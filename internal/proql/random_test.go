@@ -2,6 +2,7 @@ package proql_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -189,6 +190,7 @@ func includeShapes(mid, top string) []diffQuery {
 
 // TestRandomQueriesDifferential generates random queries over random
 // settings and cross-checks every evaluation path the engine has: the
+// relational translation (forced, on the queries it covers), the
 // automatically chosen backend (Exec), the planned graph pipeline and
 // the asr backend must agree with the tree-walking interpreter on
 // bindings, annotations and the whole projected graph — derivation
@@ -221,8 +223,12 @@ func TestRandomQueriesDifferential(t *testing.T) {
 				t.Fatalf("%s: interpreter: %v", label, err)
 			}
 			wantGraph := graphSignature(t, want)
-			for _, backend := range []string{"auto", "graph", "asr"} {
+			for _, backend := range []string{"relational", "auto", "graph", "asr"} {
 				res, err := eng.Exec(context.Background(), q, proql.Options{Backend: backend})
+				var nr *proql.ErrNotRelational
+				if backend == "relational" && errors.As(err, &nr) {
+					continue
+				}
 				if err != nil {
 					t.Fatalf("%s: %s: %v", label, backend, err)
 				}
@@ -289,6 +295,7 @@ func TestRandomASRPreservation(t *testing.T) {
 			t.Fatal(err)
 		}
 		eng := proql.NewEngine(set.Sys)
+		eng.Backend = "relational" // the rewrite applies to the translation only
 		q := proql.MustParse(set.TargetQuery())
 		base, err := eng.Exec(context.Background(), q, proql.Options{})
 		if err != nil {

@@ -18,10 +18,14 @@ import (
 // quick sweeps.
 const Runs = 7
 
-// relational pins the backend wherever a harness measures the paper's
-// relational translation (Figs. 7–13, annotation overhead): auto runs
-// the whole-target query on the asr path executor.
-var relational = proql.Options{Backend: "relational"}
+// relationalEngine returns an engine pinned to the relational backend,
+// for the harnesses that measure the paper's translation (Figs. 7–13,
+// annotation overhead): auto runs whole-relation reads on asr.
+func relationalEngine(set *Setting) *proql.Engine {
+	eng := proql.NewEngine(set.Sys)
+	eng.Backend = "relational"
+	return eng
+}
 
 // timed measures fn with the discard-extremes-and-average protocol.
 func timed(runs int, fn func() error) (time.Duration, error) {
@@ -145,7 +149,8 @@ func measureTarget(set *Setting, x int) (UnfoldStatsRow, error) {
 	if err != nil {
 		return UnfoldStatsRow{}, err
 	}
-	res, err := proql.NewEngine(set.Sys).Exec(context.Background(), q, relational)
+	eng := relationalEngine(set)
+	res, err := eng.Exec(context.Background(), q, proql.Options{})
 	if err != nil {
 		return UnfoldStatsRow{}, err
 	}
@@ -208,13 +213,13 @@ func fillScaleRow(row *ScaleRow, numPeers, dataPeers, base, runs int, seed int64
 		if err != nil {
 			return err
 		}
-		eng := proql.NewEngine(set.Sys)
+		eng := relationalEngine(set)
 		q, err := proql.Parse(set.TargetQuery())
 		if err != nil {
 			return err
 		}
 		dur, err := timed(runs, func() error {
-			_, err := eng.Exec(context.Background(), q, relational)
+			_, err := eng.Exec(context.Background(), q, proql.Options{})
 			return err
 		})
 		if err != nil {
@@ -257,13 +262,13 @@ func RunASRSweep(cfg Config, maxLens []int, kinds []asr.Kind, runs int) (*ASRExp
 		return nil, err
 	}
 	exp := &ASRExperiment{Setting: set}
-	eng := proql.NewEngine(set.Sys)
+	eng := relationalEngine(set)
 	q, err := proql.Parse(set.TargetQuery())
 	if err != nil {
 		return nil, err
 	}
 	exp.Baseline, err = timed(runs, func() error {
-		_, err := eng.Exec(context.Background(), q, relational)
+		_, err := eng.Exec(context.Background(), q, proql.Options{})
 		return err
 	})
 	if err != nil {
@@ -285,7 +290,7 @@ func RunASRSweep(cfg Config, maxLens []int, kinds []asr.Kind, runs int) (*ASRExp
 			}
 			eng.RewriteRules = ix.RewriteRules
 			dur, err := timed(runs, func() error {
-				_, err := eng.Exec(context.Background(), q, relational)
+				_, err := eng.Exec(context.Background(), q, proql.Options{})
 				return err
 			})
 			if err != nil {
@@ -670,7 +675,7 @@ func RunAnnotationOverhead(cfg Config, runs int) (*AnnotationOverheadRow, error)
 	if err != nil {
 		return nil, err
 	}
-	eng := proql.NewEngine(set.Sys)
+	eng := relationalEngine(set)
 	proj, err := proql.Parse(set.TargetQuery())
 	if err != nil {
 		return nil, err
@@ -681,14 +686,14 @@ func RunAnnotationOverhead(cfg Config, runs int) (*AnnotationOverheadRow, error)
 	}
 	row := &AnnotationOverheadRow{}
 	row.ProjectionTime, err = timed(runs, func() error {
-		_, err := eng.Exec(context.Background(), proj, relational)
+		_, err := eng.Exec(context.Background(), proj, proql.Options{})
 		return err
 	})
 	if err != nil {
 		return nil, err
 	}
 	row.AnnotatedTime, err = timed(runs, func() error {
-		_, err := eng.Exec(context.Background(), annot, relational)
+		_, err := eng.Exec(context.Background(), annot, proql.Options{})
 		return err
 	})
 	if err != nil {

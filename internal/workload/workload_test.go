@@ -152,6 +152,7 @@ func TestASRSweepMatchesBaselineResults(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := proql.NewEngine(set.Sys)
+	eng.Backend = "relational" // the rewrite applies to the translation only
 	q := proql.MustParse(set.TargetQuery())
 	base, err := eng.Exec(context.Background(), q, proql.Options{})
 	if err != nil {
