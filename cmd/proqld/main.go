@@ -382,13 +382,10 @@ type queryResponse struct {
 	ElapsedNS int64               `json:"elapsed_ns"`
 }
 
-var validBackends = map[string]bool{
-	"": true, "auto": true, "relational": true, "graph": true, "asr": true,
-}
-
 // execError maps a failed execution onto the error envelope: timeouts
-// and client disconnects are 503, an AS OF epoch outside the retention
-// window is a client error, anything else is exec_failed.
+// and client disconnects are 503, an unknown backend or an AS OF epoch
+// outside the retention window is a client error, anything else is
+// exec_failed.
 func (s *server) execError(w http.ResponseWriter, err error) {
 	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
 		s.timeouts.Add(1)
@@ -398,6 +395,11 @@ func (s *server) execError(w http.ResponseWriter, err error) {
 	var oor *relstore.ErrEpochOutOfRange
 	if errors.As(err, &oor) {
 		writeError(w, http.StatusBadRequest, "epoch_out_of_range", err.Error())
+		return
+	}
+	var ub *proql.ErrUnknownBackend
+	if errors.As(err, &ub) {
+		writeError(w, http.StatusBadRequest, "bad_request", err.Error())
 		return
 	}
 	writeError(w, http.StatusUnprocessableEntity, "exec_failed", err.Error())
@@ -411,10 +413,6 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	q, err := proql.Parse(req.Query)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad_request", err.Error())
-		return
-	}
-	if !validBackends[req.Backend] {
-		writeError(w, http.StatusBadRequest, "bad_request", fmt.Sprintf("unknown backend %q", req.Backend))
 		return
 	}
 	// The query runs under the request context — a dropped client
@@ -483,10 +481,6 @@ func (s *server) handleDiff(w http.ResponseWriter, r *http.Request) {
 	q, err := proql.Parse(req.Query)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad_request", err.Error())
-		return
-	}
-	if !validBackends[req.Backend] {
-		writeError(w, http.StatusBadRequest, "bad_request", fmt.Sprintf("unknown backend %q", req.Backend))
 		return
 	}
 	if req.From == 0 || req.To == 0 {
@@ -937,6 +931,9 @@ func smokeV1() error {
 		}},
 		{http.StatusBadRequest, "bad_request", func() (int, []byte, error) {
 			return httpPostStatus(base+"/v1/query", queryRequest{Query: q, Backend: "quantum"})
+		}},
+		{http.StatusBadRequest, "bad_request", func() (int, []byte, error) {
+			return httpPostStatus(base+"/v1/diff", diffRequest{Query: q, Backend: "quantum", From: before, To: ins.Epoch})
 		}},
 		{http.StatusBadRequest, "epoch_out_of_range", func() (int, []byte, error) {
 			return httpPostStatus(base+"/v1/query", queryRequest{Query: q, AsOf: before + 1000})

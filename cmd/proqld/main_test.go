@@ -189,6 +189,33 @@ func TestOnlyV1Routes(t *testing.T) {
 	}
 }
 
+// TestUnknownBackendIs400: /v1/query and /v1/diff answer a backend name
+// the engine does not know with 400 bad_request, naming the backends it
+// does; a known one is served.
+func TestUnknownBackendIs400(t *testing.T) {
+	sys, err := buildSystem(0, 0, 0, "", 0, "", 1, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := newServer(sys, 30*time.Second, 16).handler()
+	const q = "FOR [O $x] RETURN $x"
+	epoch := sys.Exchange().DB.Epoch()
+	for path, req := range map[string]any{
+		"/v1/query": queryRequest{Query: q, Backend: "quantum"},
+		"/v1/diff":  diffRequest{Query: q, Backend: "quantum", From: epoch, To: epoch},
+	} {
+		code, body := post(t, h, path, req)
+		var envelope apiError
+		if err := json.Unmarshal(body, &envelope); err != nil || code != http.StatusBadRequest ||
+			envelope.Code != "bad_request" || !strings.Contains(envelope.Error, "auto") {
+			t.Errorf("%s with backend quantum: %d %s, want 400 bad_request naming auto", path, code, body)
+		}
+	}
+	if code, body := post(t, h, "/v1/diff", diffRequest{Query: q, Backend: "auto", From: epoch, To: epoch}); code != http.StatusOK {
+		t.Errorf("diff on auto: %d %s", code, body)
+	}
+}
+
 // TestRequestBodyBound: a POST body over maxBodyBytes is refused on
 // every route with 413 request_too_large, one of exactly maxBodyBytes
 // is decoded (and then fails on its merits), and the server keeps

@@ -290,8 +290,16 @@ func (e *Engine) Eval(ctx context.Context, q *Query, opts Options) (*Result, err
 	case "graph", "asr":
 		return e.execASR(q, asOf)
 	default:
-		return nil, fmt.Errorf("proql: unknown backend %q (want relational, graph, or asr)", backend)
+		return nil, &ErrUnknownBackend{Backend: backend}
 	}
+}
+
+// ErrUnknownBackend is the error of a backend name that Eval and
+// Explain do not know.
+type ErrUnknownBackend struct{ Backend string }
+
+func (e *ErrUnknownBackend) Error() string {
+	return fmt.Sprintf("proql: unknown backend %q (want auto, relational, graph or asr)", e.Backend)
 }
 
 // autoBackend routes a query for backend "auto" from its syntax and

@@ -2,6 +2,7 @@ package proql
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"repro/internal/provgraph"
@@ -99,11 +100,12 @@ func TestASRBackendViaEngineBackendField(t *testing.T) {
 		}
 	}
 	e.Backend = "bogus"
-	if _, err := e.Exec(context.Background(), MustParse(paperQueries["Q1"]), Options{}); err == nil {
-		t.Error("unknown backend must error")
+	var ub *ErrUnknownBackend
+	if _, err := e.Exec(context.Background(), MustParse(paperQueries["Q1"]), Options{}); !errors.As(err, &ub) {
+		t.Errorf("unknown backend must error with ErrUnknownBackend, got %v", err)
 	}
-	if _, err := e.Explain(MustParse(paperQueries["Q1"])); err == nil {
-		t.Error("unknown backend must error in Explain")
+	if _, err := e.Explain(MustParse(paperQueries["Q1"])); !errors.As(err, &ub) {
+		t.Errorf("unknown backend must error in Explain with ErrUnknownBackend, got %v", err)
 	}
 }
 

@@ -156,8 +156,8 @@ func (e *Engine) execUnfold(q *Query, asOf uint64) (*Result, error) {
 	return res, nil
 }
 
-// runUnfold evaluates the plans of a compiled query: it streams one
-// plan per unfolded conjunctive rule, in rule order, and folds each row
+// runUnfold evaluates the plans of a compiled query: it runs one plan
+// per unfolded conjunctive rule, in rule order, and folds each row
 // into the bindings and, under EVALUATE, into the semiring annotation of
 // its distinguished tuple (evalTreeRow, accumulate) — the UNION and
 // GROUP BY aggregation of Section 4.2.4, done in Go.
@@ -202,37 +202,52 @@ func (e *Engine) runUnfold(sys *exchange.System, q *Query, comp *Compiled, asOf 
 		}
 	}
 
+	// run passes every row of plan to fold, polling the cancel func
+	// before the run and after every row. Its callback is built once
+	// for all the runs of the query.
+	var (
+		fold    func(model.Tuple) error
+		foldErr error
+	)
+	yield := func(row model.Tuple) bool {
+		if foldErr = fold(row); foldErr == nil && q.Cancel != nil {
+			foldErr = q.Cancel()
+		}
+		return foldErr == nil
+	}
+	run := func(plan relstore.Plan, f func(model.Tuple) error) error {
+		if q.Cancel != nil {
+			if err := q.Cancel(); err != nil {
+				return err
+			}
+		}
+		fold = f
+		if err := relstore.Each(plan, sys.DB, yield); err != nil {
+			return err
+		}
+		return foldErr
+	}
+
 	// Single-node FOR clauses bind every tuple of the anchor relation
 	// (subject to WHERE), independent of derivations.
 	if singleNode {
-		it := relstore.Stream(up.anchor, sys.DB)
-		defer it.Close()
-		for {
-			if q.Cancel != nil {
-				if err := q.Cancel(); err != nil {
-					return nil, err
-				}
-			}
-			row, ok, err := it.Next()
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				break
-			}
+		if err := run(up.anchor, func(row model.Tuple) error {
 			ref := model.NewTupleRef(anchorRel, row)
 			addBinding(ref)
-			if s != nil && !includeGraph {
-				// With no INCLUDE PATH the projected subgraph is just
-				// the node itself: it has no incoming derivations, so
-				// it is its own leaf (Section 3.2.2's leaf rule).
-				ctx := leafContextForRow(anchorRel, row, ref)
-				v, err := evalLeafAssign(s, q.LeafAssign, ctx)
-				if err != nil {
-					return nil, err
-				}
-				accumulate(res.Annotations, s, ref, v)
+			if s == nil || includeGraph {
+				return nil
 			}
+			// With no INCLUDE PATH the projected subgraph is just the
+			// node itself: it has no incoming derivations, so it is its
+			// own leaf (Section 3.2.2's leaf rule).
+			v, err := evalLeafAssign(s, q.LeafAssign, leafContextForRow(anchorRel, row, ref))
+			if err != nil {
+				return err
+			}
+			accumulate(res.Annotations, s, ref, v)
+			return nil
+		}); err != nil {
+			return nil, err
 		}
 	}
 
@@ -240,40 +255,30 @@ func (e *Engine) runUnfold(sys *exchange.System, q *Query, comp *Compiled, asOf 
 	// one after another, in rule order, so bindings and annotations
 	// stay deterministic (semiring ⊕ is commutative, but determinism
 	// keeps output ordering and tests stable).
-	foldRule := func(rp *rulePlan, plan relstore.Plan) error {
-		it := relstore.Stream(plan, sys.DB)
-		defer it.Close()
-		for {
-			if q.Cancel != nil {
-				if err := q.Cancel(); err != nil {
-					return err
-				}
-			}
-			row, ok, err := it.Next()
-			if err != nil || !ok {
+	var rp *rulePlan
+	foldRule := func(row model.Tuple) error {
+		ref, err := anchorRefOf(rp, anchorRel, row)
+		if err != nil {
+			return err
+		}
+		addBinding(ref)
+		if includeGraph {
+			if err := collectRowDerivations(out, rp, row); err != nil {
 				return err
 			}
-			ref, err := anchorRefOf(rp, anchorRel, row)
+		}
+		if s != nil && (includeGraph || !singleNode) {
+			v, err := e.evalTreeRow(s, q.LeafAssign, mapFuncs, rp, rp.rule.Tree, row)
 			if err != nil {
 				return err
 			}
-			addBinding(ref)
-			if includeGraph {
-				if err := collectRowDerivations(out, rp, row); err != nil {
-					return err
-				}
-			}
-			if s != nil && (includeGraph || !singleNode) {
-				v, err := e.evalTreeRow(s, q.LeafAssign, mapFuncs, rp, rp.rule.Tree, row)
-				if err != nil {
-					return err
-				}
-				accumulate(res.Annotations, s, ref, v)
-			}
+			accumulate(res.Annotations, s, ref, v)
 		}
+		return nil
 	}
 	for i, plan := range up.plans {
-		if err := foldRule(up.rules[i], plan); err != nil {
+		rp = up.rules[i]
+		if err := run(plan, foldRule); err != nil {
 			return nil, err
 		}
 	}

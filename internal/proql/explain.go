@@ -51,7 +51,7 @@ func (e *Engine) Explain(q *Query) (string, error) {
 			return "", err
 		}
 	default:
-		return "", fmt.Errorf("proql: unknown backend %q (want relational, graph, or asr)", e.Backend)
+		return "", &ErrUnknownBackend{Backend: e.Backend}
 	}
 	st := e.PlanCacheStats()
 	fmt.Fprintf(&sb, "plan cache: %d entries, %d hits, %d misses\n", st.Entries, st.Hits, st.Misses)

@@ -2,6 +2,7 @@ package proql
 
 import (
 	"fmt"
+	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -127,10 +128,10 @@ func bindingSignature(b graphBinding, vars []string) string {
 		switch n := b[v].(type) {
 		case *provgraph.TupleNode:
 			sb.WriteByte('t')
-			sb.WriteString(strconv.Itoa(n.Ord()))
+			sb.WriteString(strconv.Itoa(n.TupleOrd()))
 		case *provgraph.DerivNode:
 			sb.WriteByte('d')
-			sb.WriteString(strconv.Itoa(n.Ord()))
+			sb.WriteString(strconv.Itoa(n.DerivOrd()))
 		default:
 			sb.WriteByte('?')
 		}
@@ -252,7 +253,13 @@ func candidateTuples(g *provgraph.Graph, pat NodePattern, b graphBinding) ([]*pr
 		}
 	}
 	if pat.Rel != "" {
-		return g.TuplesOf(pat.Rel), nil
+		var out []*provgraph.TupleNode
+		g.EachTupleOf(pat.Rel, func(tn *provgraph.TupleNode) bool {
+			out = append(out, tn)
+			return true
+		})
+		sort.Slice(out, func(i, j int) bool { return out[i].Ref.Key < out[j].Ref.Key })
+		return out, nil
 	}
 	return g.Tuples(), nil
 }

@@ -3,8 +3,6 @@ package physplan
 import (
 	"slices"
 	"strings"
-
-	"repro/internal/stream"
 )
 
 // DistinctJoin is a HashJoin fused with the Dedup on the RETURN
@@ -20,9 +18,8 @@ import (
 // cost is one map probe per input row, integer work per (group, key,
 // value) triple and one answer row of int32 cells per output
 // combination, written straight from the dense ids (answer) — the
-// intermediate is bounded by the output, not by the join. Open emits
-// the same combinations as rows, one batch per left value, for an
-// Include above it.
+// intermediate is bounded by the output, not by the join. each emits
+// the same combinations as rows, for an Include above it.
 //
 // The rows it emits bind only the returned columns. The planner fuses
 // only where that is unobservable: no authoritative filter between the
@@ -136,8 +133,8 @@ func (in *interner) cells(tables []table, slots []int) []int32 {
 	return out
 }
 
-// distinctRun is one execution of a DistinctJoin: both inputs drained
-// to dense ids, and the left groups emitted so far.
+// distinctRun is one execution of a DistinctJoin: both inputs read
+// to dense ids.
 type distinctRun struct {
 	left, right *interner
 	// Join key k's distinct right values are lists[off[k]:off[k+1]]
@@ -146,15 +143,15 @@ type distinctRun struct {
 	off   []int32
 	pairs []uint64 // distinct left value << 32 | join key, sorted
 	stamp []int32
-	next  int // index in pairs of the next group
 }
 
-// run drains the build side, then the probe side.
+// run reads the build side, then the probe side.
 func (d *DistinctJoin) run() (*distinctRun, error) {
 	keys := newInterner(d.join.onCols, false)
 	r := &distinctRun{left: newInterner(d.leftCols, true), right: newInterner(d.rightCols, true)}
-	if err := drain(d.join.right, func(row Row) {
+	if err := d.join.right.each(func(row Row) bool {
 		r.lists = push(r.lists, uint64(keys.id(row))<<32|uint64(r.right.id(row)))
+		return true
 	}); err != nil {
 		return nil, err
 	}
@@ -167,10 +164,11 @@ func (d *DistinctJoin) run() (*distinctRun, error) {
 	for k := range keys.n {
 		r.off[k+1] += r.off[k]
 	}
-	if err := drain(d.join.left, func(row Row) {
+	if err := d.join.left.each(func(row Row) bool {
 		if k, ok := keys.lookup(row); ok {
 			r.pairs = push(r.pairs, uint64(r.left.id(row))<<32|uint64(k))
 		}
+		return true
 	}); err != nil {
 		return nil, err
 	}
@@ -180,29 +178,30 @@ func (d *DistinctJoin) run() (*distinctRun, error) {
 	return r, nil
 }
 
-// group passes the next left value's new combinations to emit, as
-// (left id, right id), polling cancel first; false once every group
-// was emitted.
-func (d *DistinctJoin) group(r *distinctRun, emit func(l, v int32)) (bool, error) {
-	if r.next == len(r.pairs) {
-		return false, nil
-	}
-	if d.cancel != nil {
-		if err := d.cancel(); err != nil {
-			return false, err
+// combos passes every distinct combination to emit, as (left id,
+// right id), one left value's group at a time, polling cancel before
+// each group; it stops once emit returns false.
+func (d *DistinctJoin) combos(r *distinctRun, emit func(l, v int32) bool) error {
+	for i := 0; i < len(r.pairs); {
+		if d.cancel != nil {
+			if err := d.cancel(); err != nil {
+				return err
+			}
 		}
-	}
-	l := int32(r.pairs[r.next] >> 32)
-	for ; r.next < len(r.pairs) && int32(r.pairs[r.next]>>32) == l; r.next++ {
-		k := uint32(r.pairs[r.next])
-		for _, kv := range r.lists[r.off[k]:r.off[k+1]] {
-			if v := int32(uint32(kv)); r.stamp[v] != l+1 {
-				r.stamp[v] = l + 1
-				emit(l, v)
+		l := int32(r.pairs[i] >> 32)
+		for ; i < len(r.pairs) && int32(r.pairs[i]>>32) == l; i++ {
+			k := uint32(r.pairs[i])
+			for _, kv := range r.lists[r.off[k]:r.off[k+1]] {
+				if v := int32(uint32(kv)); r.stamp[v] != l+1 {
+					r.stamp[v] = l + 1
+					if !emit(l, v) {
+						return nil
+					}
+				}
 			}
 		}
 	}
-	return true, nil
+	return nil
 }
 
 // answer computes the distinct combinations as answer cells, in RETURN
@@ -216,7 +215,7 @@ func (d *DistinctJoin) answer() (Answer, error) {
 	lc, rc := r.left.cells(a.tables, d.leftSlots), r.right.cells(a.tables, d.rightSlots)
 	lw, rw := len(d.leftSlots), len(d.rightSlots)
 	cell := make([]int32, len(d.ret)) // the answer row being written
-	emit := func(l, v int32) {
+	emit := func(l, v int32) bool {
 		for j, s := range d.leftSlots {
 			cell[s] = lc[int(l)*lw+j]
 		}
@@ -225,49 +224,33 @@ func (d *DistinctJoin) answer() (Answer, error) {
 		}
 		a.Cells = push(a.Cells, cell...)
 		a.Rows++
+		return true
 	}
-	for {
-		ok, err := d.group(r, emit)
-		if err != nil {
-			return Answer{}, err
-		}
-		if !ok {
-			return a, nil
-		}
+	if err := d.combos(r, emit); err != nil {
+		return Answer{}, err
 	}
+	return a, nil
 }
 
-// Open implements Op: the combinations as rows binding the returned
-// columns, one batch per left value, for an Include above the join.
-func (d *DistinctJoin) Open() (stream.Iterator[Row], error) {
+// each implements Op: the combinations as rows binding the returned
+// columns, bound on one scratch row, for an Include above the join.
+func (d *DistinctJoin) each(yield func(Row) bool) error {
 	r, err := d.run()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	rows := rowAlloc{width: d.join.schema.Width()}
+	out := make(Row, d.join.schema.Width())
 	lw, rw := len(d.leftCols), len(d.rightCols)
-	var batch []Row
-	emit := func(l, v int32) {
-		out := rows.row()
+	emit := func(l, v int32) bool {
 		for j, c := range d.leftCols {
 			out[c] = r.left.vals[int(l)*lw+j]
 		}
 		for j, c := range d.rightCols {
 			out[c] = r.right.vals[int(v)*rw+j]
 		}
-		batch = append(batch, out)
+		return yield(out)
 	}
-	return &batchIter{produce: func() ([]Row, bool, error) {
-		batch = batch[:0]
-		for {
-			if ok, err := d.group(r, emit); err != nil || !ok {
-				return nil, false, err
-			}
-			if len(batch) > 0 {
-				return batch, true, nil
-			}
-		}
-	}}, nil
+	return d.combos(r, emit)
 }
 
 // push appends vs to s, doubling its capacity when full: append grows a
@@ -279,25 +262,4 @@ func push[T any](s []T, vs ...T) []T {
 		s = slices.Grow(s, len(s)+len(vs))
 	}
 	return append(s, vs...)
-}
-
-// drain passes every row of op to fn, borrowed: fn copies what it
-// keeps. A Scan hands over its matcher's scratch row, so no row is
-// copied per match.
-func drain(op Op, fn func(Row)) error {
-	if s, ok := op.(*Scan); ok {
-		return s.each(fn)
-	}
-	it, err := op.Open()
-	if err != nil {
-		return err
-	}
-	defer it.Close()
-	for {
-		row, ok, err := it.Next()
-		if err != nil || !ok {
-			return err
-		}
-		fn(row)
-	}
 }

@@ -4,7 +4,6 @@ import (
 	"strings"
 
 	"repro/internal/model"
-	"repro/internal/stream"
 )
 
 // Projection records the subgraph a plan's INCLUDE PATH clauses
@@ -63,28 +62,21 @@ func (inc *Include) explain(sb *strings.Builder, indent int) {
 	inc.input.explain(sb, indent+1)
 }
 
-// Open implements Op.
-func (inc *Include) Open() (stream.Iterator[Row], error) {
-	in, err := inc.input.Open()
-	if err != nil {
-		return nil, err
-	}
+// each implements Op.
+func (inc *Include) each(yield func(Row) bool) error {
 	w := newIncludeWalk(inc.g, inc.out)
-	return &stream.Func[Row]{
-		NextFn: func() (Row, bool, error) {
-			row, ok, err := in.Next()
-			if err != nil || !ok {
-				return nil, false, err
+	var err error
+	if ierr := inc.input.each(func(row Row) bool {
+		for i := range inc.paths {
+			if err = w.include(&inc.paths[i], row); err != nil {
+				return false
 			}
-			for i := range inc.paths {
-				if err := w.include(&inc.paths[i], row); err != nil {
-					return nil, false, err
-				}
-			}
-			return row, true, nil
-		},
-		CloseFn: in.Close,
-	}, nil
+		}
+		return yield(row)
+	}); ierr != nil {
+		return ierr
+	}
+	return err
 }
 
 // includeWalk is one Include execution's walk state, reused across rows

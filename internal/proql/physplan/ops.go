@@ -3,16 +3,17 @@ package physplan
 import (
 	"fmt"
 	"strings"
-
-	"repro/internal/stream"
 )
 
-// Op is a streaming physical operator. Open returns a fresh iterator
-// over the operator's output rows; Schema describes the row layout.
-// Every operator of one plan shares the plan-wide schema; the Project
-// at its root narrows the answer to the RETURN variables.
+// Op is a streaming physical operator. each runs it, passing its output
+// rows to yield one at a time, borrowed: a row is valid only during the
+// call, and a consumer that keeps it copies it. each stops without an
+// error once yield returns false, and keeps its run state in the call,
+// never on the node. Schema describes the row layout. Every operator of
+// one plan shares the plan-wide schema; the Project at its root narrows
+// the answer to the RETURN variables.
 type Op interface {
-	Open() (stream.Iterator[Row], error)
+	each(yield func(Row) bool) error
 	Schema() *Schema
 	explain(sb *strings.Builder, indent int)
 }
@@ -23,37 +24,6 @@ func writeLine(sb *strings.Builder, indent int, format string, args ...any) {
 	}
 	fmt.Fprintf(sb, format, args...)
 	sb.WriteByte('\n')
-}
-
-// batchIter drains per-item row batches produced on demand — the
-// streaming granularity of path matching is one start tuple (or one
-// input row) at a time, whose matches form a batch.
-type batchIter struct {
-	produce func() ([]Row, bool, error)
-	closeFn func()
-	buf     []Row
-	pos     int
-}
-
-func (b *batchIter) Next() (Row, bool, error) {
-	for {
-		if b.pos < len(b.buf) {
-			r := b.buf[b.pos]
-			b.pos++
-			return r, true, nil
-		}
-		batch, ok, err := b.produce()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		b.buf, b.pos = batch, 0
-	}
-}
-
-func (b *batchIter) Close() {
-	if b.closeFn != nil {
-		b.closeFn()
-	}
 }
 
 // Scan enumerates the matches of one path expression over the whole
@@ -73,72 +43,29 @@ func (s *Scan) explain(sb *strings.Builder, indent int) {
 	writeLine(sb, indent, "Scan(%s, %s)", s.bp.path, s.desc)
 }
 
-// starts collects the scan's start tuples before any is matched, with
-// the empty seed row the matches extend.
-func (s *Scan) starts() (Row, []Tuple, error) {
+// each implements Op: the matches bound on the matcher's scratch row,
+// polling cancel before every start tuple. The start tuples are all
+// collected before any is matched; the matches extend an empty seed
+// row.
+func (s *Scan) each(yield func(Row) bool) error {
 	seed := make(Row, s.schema.Width())
 	var starts []Tuple
-	err := s.bp.eachStart(s.g, seed, true, func(t Tuple) bool {
+	if err := s.bp.eachStart(s.g, seed, true, func(t Tuple) bool {
 		starts = append(starts, t)
 		return true
-	})
-	return seed, starts, err
-}
-
-// Open implements Op.
-func (s *Scan) Open() (stream.Iterator[Row], error) {
-	seed, starts, err := s.starts()
-	if err != nil {
-		return nil, err
-	}
-	m := s.bp.newMatcher(s.g)
-	rows := rowAlloc{width: s.schema.Width()}
-	var batch []Row
-	keep := func(r Row) bool {
-		batch = append(batch, rows.copy(r))
-		return true
-	}
-	i := 0
-	return &batchIter{produce: func() ([]Row, bool, error) {
-		// The consumer has drained the previous batch: reuse it.
-		batch = batch[:0]
-		for i < len(starts) {
-			if s.cancel != nil {
-				if err := s.cancel(); err != nil {
-					return nil, false, err
-				}
-			}
-			st := starts[i]
-			i++
-			m.matchStart(st, seed, keep)
-			if len(batch) > 0 {
-				return batch, true, nil
-			}
-		}
-		return nil, false, nil
-	}}, nil
-}
-
-// each passes every match to fn, borrowed — valid only during the call
-// — polling cancel before every start tuple as Open does: the drain of
-// a consumer that keeps no row.
-func (s *Scan) each(fn func(Row)) error {
-	seed, starts, err := s.starts()
-	if err != nil {
+	}); err != nil {
 		return err
 	}
 	m := s.bp.newMatcher(s.g)
-	visit := func(r Row) bool {
-		fn(r)
-		return true
-	}
 	for _, st := range starts {
 		if s.cancel != nil {
 			if err := s.cancel(); err != nil {
 				return err
 			}
 		}
-		m.matchStart(st, seed, visit)
+		if !m.matchStart(st, seed, yield) {
+			return nil
+		}
 	}
 	return nil
 }
@@ -163,42 +90,24 @@ func (e *Extend) explain(sb *strings.Builder, indent int) {
 	e.input.explain(sb, indent+1)
 }
 
-// Open implements Op.
-func (e *Extend) Open() (stream.Iterator[Row], error) {
-	in, err := e.input.Open()
-	if err != nil {
-		return nil, err
-	}
+// each implements Op: each input row's extensions, bound on the
+// matcher's scratch row, polling cancel before every input row.
+func (e *Extend) each(yield func(Row) bool) error {
 	m := e.bp.newMatcher(e.g)
-	rows := rowAlloc{width: e.schema.Width()}
-	var batch []Row
-	keep := func(r Row) bool {
-		batch = append(batch, rows.copy(r))
-		return true
-	}
-	return &batchIter{
-		produce: func() ([]Row, bool, error) {
-			batch = batch[:0]
-			for {
-				if e.cancel != nil {
-					if err := e.cancel(); err != nil {
-						return nil, false, err
-					}
-				}
-				row, ok, err := in.Next()
-				if err != nil || !ok {
-					return nil, false, err
-				}
-				if err := m.matchAll(row, keep); err != nil {
-					return nil, false, err
-				}
-				if len(batch) > 0 {
-					return batch, true, nil
-				}
+	var err error
+	if ierr := e.input.each(func(row Row) bool {
+		if e.cancel != nil {
+			if err = e.cancel(); err != nil {
+				return false
 			}
-		},
-		closeFn: in.Close,
-	}, nil
+		}
+		var cont bool
+		cont, err = m.matchAll(row, yield)
+		return cont && err == nil
+	}); ierr != nil {
+		return ierr
+	}
+	return err
 }
 
 // HashJoin joins two sub-plans on their shared variables (an empty On
@@ -224,50 +133,34 @@ func (j *HashJoin) explain(sb *strings.Builder, indent int) {
 	j.right.explain(sb, indent+1)
 }
 
-// Open implements Op.
-func (j *HashJoin) Open() (stream.Iterator[Row], error) {
+// each implements Op: the right side is copied into the hash table,
+// then each left row's merges are bound on one scratch row.
+func (j *HashJoin) each(yield func(Row) bool) error {
 	var keys keyer
 	build := map[uint64][]Row{}
 	kept := rowAlloc{width: j.schema.Width()}
-	if err := drain(j.right, func(row Row) {
+	if err := j.right.each(func(row Row) bool {
 		k := keys.key(row, j.onCols)
 		build[k] = append(build[k], kept.copy(row))
+		return true
 	}); err != nil {
-		return nil, err
+		return err
 	}
-	lit, err := j.left.Open()
-	if err != nil {
-		return nil, err
-	}
-	rows := rowAlloc{width: j.schema.Width()}
-	var batch []Row
-	return &batchIter{
-		produce: func() ([]Row, bool, error) {
-			for {
-				lrow, ok, err := lit.Next()
-				if err != nil || !ok {
-					return nil, false, err
+	out := make(Row, j.schema.Width())
+	return j.left.each(func(lrow Row) bool {
+		for _, rrow := range build[keys.key(lrow, j.onCols)] {
+			copy(out, lrow)
+			for c, v := range rrow {
+				if out[c] == nil {
+					out[c] = v
 				}
-				matches := build[keys.key(lrow, j.onCols)]
-				if len(matches) == 0 {
-					continue
-				}
-				batch = batch[:0]
-				for _, rrow := range matches {
-					out := rows.row()
-					copy(out, lrow)
-					for c, v := range rrow {
-						if out[c] == nil {
-							out[c] = v
-						}
-					}
-					batch = append(batch, out)
-				}
-				return batch, true, nil
 			}
-		},
-		closeFn: lit.Close,
-	}, nil
+			if !yield(out) {
+				return false
+			}
+		}
+		return true
+	})
 }
 
 // FilterFn evaluates a predicate over a row; the schema is the plan
@@ -301,34 +194,24 @@ func (f *Filter) explain(sb *strings.Builder, indent int) {
 	f.input.explain(sb, indent+1)
 }
 
-// Open implements Op.
-func (f *Filter) Open() (stream.Iterator[Row], error) {
-	in, err := f.input.Open()
-	if err != nil {
-		return nil, err
-	}
+// each implements Op.
+func (f *Filter) each(yield func(Row) bool) error {
 	s := f.input.Schema()
-	return &stream.Func[Row]{
-		NextFn: func() (Row, bool, error) {
-			for {
-				row, ok, err := in.Next()
-				if err != nil || !ok {
-					return nil, false, err
-				}
-				keep, err := f.fn(s, row)
-				if err != nil {
-					if f.lenient {
-						return row, true, nil
-					}
-					return nil, false, err
-				}
-				if keep {
-					return row, true, nil
-				}
+	var err error
+	if ierr := f.input.each(func(row Row) bool {
+		keep, ferr := f.fn(s, row)
+		if ferr != nil {
+			if f.lenient {
+				return yield(row)
 			}
-		},
-		CloseFn: in.Close,
-	}, nil
+			err = ferr
+			return false
+		}
+		return !keep || yield(row)
+	}); ierr != nil {
+		return ierr
+	}
+	return err
 }
 
 // Dedup keeps the first row per distinct combination of the given
@@ -348,31 +231,18 @@ func (d *Dedup) explain(sb *strings.Builder, indent int) {
 	d.input.explain(sb, indent+1)
 }
 
-// Open implements Op.
-func (d *Dedup) Open() (stream.Iterator[Row], error) {
-	in, err := d.input.Open()
-	if err != nil {
-		return nil, err
-	}
+// each implements Op.
+func (d *Dedup) each(yield func(Row) bool) error {
 	var keys keyer
 	seen := map[uint64]struct{}{}
-	return &stream.Func[Row]{
-		NextFn: func() (Row, bool, error) {
-			for {
-				row, ok, err := in.Next()
-				if err != nil || !ok {
-					return nil, false, err
-				}
-				k := keys.key(row, d.onCols)
-				if _, dup := seen[k]; dup {
-					continue
-				}
-				seen[k] = struct{}{}
-				return row, true, nil
-			}
-		},
-		CloseFn: in.Close,
-	}, nil
+	return d.input.each(func(row Row) bool {
+		k := keys.key(row, d.onCols)
+		if _, dup := seen[k]; dup {
+			return true
+		}
+		seen[k] = struct{}{}
+		return yield(row)
+	})
 }
 
 // Project is a plan's root: it narrows the answer to the RETURN
@@ -408,31 +278,21 @@ type Answer struct {
 func (a *Answer) Table(i int) []any { return a.tables[i].vals }
 
 // answer runs the plan beneath p to its answer cells. A DistinctJoin
-// writes them straight from its dense ids; any other input is drained
-// once, each row's values numbered per column.
+// writes them straight from its dense ids; any other input runs once,
+// each row's values numbered per column, polling cancel before the run
+// and after every row.
 func (p *Project) answer() (Answer, error) {
 	if d, ok := p.input.(*DistinctJoin); ok {
 		return d.answer()
 	}
-	in, err := p.input.Open()
-	if err != nil {
-		return Answer{}, err
-	}
-	defer in.Close()
-	a := Answer{tables: make([]table, len(p.colIdx))}
-	for {
-		if p.cancel != nil {
-			if err := p.cancel(); err != nil {
-				return Answer{}, err
-			}
-		}
-		row, ok, err := in.Next()
-		if err != nil {
+	if p.cancel != nil {
+		if err := p.cancel(); err != nil {
 			return Answer{}, err
 		}
-		if !ok {
-			return a, nil
-		}
+	}
+	a := Answer{tables: make([]table, len(p.colIdx))}
+	var err error
+	if ierr := p.input.each(func(row Row) bool {
 		for i, c := range p.colIdx {
 			var v any
 			if c >= 0 {
@@ -441,7 +301,17 @@ func (p *Project) answer() (Answer, error) {
 			a.Cells = append(a.Cells, a.tables[i].id(v))
 		}
 		a.Rows++
+		if p.cancel != nil {
+			err = p.cancel()
+		}
+		return err == nil
+	}); ierr != nil {
+		return Answer{}, ierr
 	}
+	if err != nil {
+		return Answer{}, err
+	}
+	return a, nil
 }
 
 // table numbers the distinct values of one answer column densely by

@@ -273,14 +273,14 @@ func (bp *boundPath) newMatcher(g Graph) *matcher {
 
 // matchAll enumerates every extension of row that satisfies the path,
 // passing each completed row (borrowed) to yield. yield returning false
-// stops the enumeration early.
-func (m *matcher) matchAll(row Row, yield func(Row) bool) error {
+// stops the enumeration early, and matchAll then reports false.
+func (m *matcher) matchAll(row Row, yield func(Row) bool) (bool, error) {
 	cont := true
 	err := m.bp.eachStart(m.g, row, true, func(st Tuple) bool {
 		cont = m.matchStart(st, row, yield)
 		return cont
 	})
-	return err
+	return cont, err
 }
 
 // matchStart enumerates the path's matches extending row anchored at
@@ -408,7 +408,7 @@ func NewExistsChecker(g Graph, p Path, s *Schema) func(Row) (bool, error) {
 		clear(seed)
 		copy(seed, row)
 		found := false
-		err := m.matchAll(seed, func(Row) bool {
+		_, err := m.matchAll(seed, func(Row) bool {
 			found = true
 			return false
 		})

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/model"
 	"repro/internal/provgraph"
-	"repro/internal/stream"
 )
 
 func ref(rel string, k int) model.TupleRef {
@@ -321,10 +320,9 @@ func TestAnswerTables(t *testing.T) {
 
 // TestScanCancelSurfaces: a scan whose Cancel starts failing after k
 // start tuples must end with that error, never as a complete
-// (truncated) result. The scan polls before every start tuple; on the
-// path that matches nothing the failing poll falls inside one produce
-// call that would otherwise run through every start. The plan's answer
-// ends with the same error.
+// (truncated) result. The scan polls before every start tuple, also on
+// the path that matches nothing, where no row reaches the consumer
+// between polls. The plan's answer ends with the same error.
 func TestScanCancelSurfaces(t *testing.T) {
 	const k = 5
 	errStop := fmt.Errorf("cancelled")
@@ -345,24 +343,16 @@ func TestScanCancelSurfaces(t *testing.T) {
 					}
 					return nil
 				}})
-			it, err := plan.Root.input.Open()
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer it.Close()
 			rows := 0
-			for {
-				_, ok, err := it.Next()
-				if err != nil {
-					if err != errStop {
-						t.Fatalf("scan ended with %v, want %v", err, errStop)
-					}
-					break
-				}
-				if !ok {
-					t.Fatalf("cancelled scan ended as a complete result after %d rows", rows)
-				}
+			err := plan.Root.input.each(func(Row) bool {
 				rows++
+				return true
+			})
+			if err == nil {
+				t.Fatalf("cancelled scan ended as a complete result after %d rows", rows)
+			}
+			if err != errStop {
+				t.Fatalf("scan ended with %v, want %v", err, errStop)
 			}
 			if rows != tc.wantRows {
 				t.Errorf("scan returned %d rows before the cancel, want %d", rows, tc.wantRows)
@@ -708,26 +698,18 @@ func TestLenientFilterDefersErrors(t *testing.T) {
 	// The lenient pruning copy passes erroring rows through: later
 	// joins may prune them, and the authoritative filter decides.
 	lenient := &Filter{input: scan, desc: "boom", fn: boom, lenient: true}
-	it, err := lenient.Open()
-	if err != nil {
+	rows := 0
+	if err := lenient.each(func(Row) bool { rows++; return true }); err != nil {
 		t.Fatal(err)
 	}
-	rows, err := stream.Collect(it)
-	if err != nil {
-		t.Fatal(err)
+	if rows != 2 {
+		t.Fatalf("lenient filter should pass erroring rows through, got %d", rows)
 	}
-	if len(rows) != 2 {
-		t.Fatalf("lenient filter should pass erroring rows through, got %d", len(rows))
-	}
-	// The authoritative copy surfaces the error.
+	// The authoritative copy surfaces the error, yielding no row.
 	strict := &Filter{input: scan, desc: "boom", fn: boom}
-	it, err = strict.Open()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer it.Close()
-	if _, _, err := it.Next(); err == nil {
-		t.Fatal("strict filter must surface evaluation errors")
+	rows = 0
+	if err := strict.each(func(Row) bool { rows++; return true }); err == nil || rows != 0 {
+		t.Fatalf("strict filter must surface evaluation errors: %d rows, err %v", rows, err)
 	}
 }
 
@@ -814,5 +796,115 @@ func TestScanKeyPinnedStart(t *testing.T) {
 	}
 	if rows := mustRows(t, plan); len(rows) != 0 {
 		t.Fatalf("absent key: rows = %v, want none", rowStrings(rows))
+	}
+}
+
+// countingFilter passes every row of in, counting them.
+func countingFilter(in Op, n *int) *Filter {
+	return &Filter{input: in, desc: "count", fn: func(*Schema, Row) (bool, error) { *n++; return true, nil }}
+}
+
+// failingFilter passes the first n rows of in and fails on the next.
+func failingFilter(in Op, n int) *Filter {
+	seen := 0
+	return &Filter{input: in, desc: "fail", fn: func(*Schema, Row) (bool, error) {
+		if seen++; seen > n {
+			return false, errBoom
+		}
+		return true, nil
+	}}
+}
+
+var errBoom = errors.New("boom")
+
+// eachOps builds one of every operator over in, on diamondGraph's
+// schema (x, y): each row of in binds $x to an O tuple.
+func eachOps(g Graph, schema *Schema) map[string]func(in Op) Op {
+	scan := func(p Path) *Scan { return &Scan{g: g, bp: bindPath(p, schema), schema: schema} }
+	oB := Path{Nodes: []Node{{Rel: "O", Var: "x"}, {Rel: "B", Var: "y"}}, Edges: []Edge{{Kind: EdgeDirect}}}
+	return map[string]func(in Op) Op{
+		"scan":   func(in Op) Op { return in },
+		"filter": func(in Op) Op { return &Filter{input: in, fn: func(*Schema, Row) (bool, error) { return true, nil }} },
+		"dedup":  func(in Op) Op { return &Dedup{input: in, on: []string{"x"}, onCols: []int{0}} },
+		"extend": func(in Op) Op {
+			p := Path{Nodes: []Node{{Var: "x"}, {Var: "y"}}, Edges: []Edge{{Kind: EdgeDirect}}}
+			return &Extend{input: in, g: g, bp: bindPath(p, schema), schema: schema}
+		},
+		"hash join probe side": func(in Op) Op {
+			return &HashJoin{left: in, right: scan(oB), on: []string{"x"}, onCols: []int{0}, schema: schema}
+		},
+		"include": func(in Op) Op {
+			p := Path{Nodes: []Node{{Var: "x"}, {}}, Edges: []Edge{{Kind: EdgePlus}}}
+			return &Include{input: in, g: g, out: &Projection{}, paths: []boundPath{bindPath(p, schema)}}
+		},
+	}
+}
+
+// TestEachStopsEarly: a run whose yield returns false ends without an
+// error and reads no further row of its input, through every operator;
+// a distinct join, which reads its inputs whole first, emits no further
+// combination.
+func TestEachStopsEarly(t *testing.T) {
+	g := NewMem(diamondGraph(20))
+	schema := NewSchema([]string{"x", "y"})
+	o := func() *Scan {
+		return &Scan{g: g, bp: bindPath(Path{Nodes: []Node{{Rel: "O", Var: "x"}}}, schema), schema: schema}
+	}
+	for name, over := range eachOps(g, schema) {
+		pulled, yielded := 0, 0
+		if err := over(countingFilter(o(), &pulled)).each(func(Row) bool {
+			yielded++
+			return false
+		}); err != nil {
+			t.Errorf("%s: stopped run failed: %v", name, err)
+		}
+		if yielded != 1 || pulled != 1 {
+			t.Errorf("%s: stopped at the first row, the run yielded %d rows and read %d; want 1 and 1", name, yielded, pulled)
+		}
+	}
+	oB := Path{Nodes: []Node{{Rel: "O", Var: "x"}, {Rel: "B", Var: "y"}}, Edges: []Edge{{Kind: EdgeDirect}}}
+	j := &HashJoin{left: o(), right: &Scan{g: g, bp: bindPath(oB, schema), schema: schema}, on: []string{"x"}, onCols: []int{0}, schema: schema}
+	d := newDistinctJoin(j, []string{"x", "y"}, []int{0, 1}, nil)
+	yielded := 0
+	if err := d.each(func(Row) bool { yielded++; return false }); err != nil || yielded != 1 {
+		t.Errorf("distinct join stopped at its first row: %d rows, err %v; want 1, nil", yielded, err)
+	}
+}
+
+// TestEachReturnsMidRunError: an error in the middle of a run ends it,
+// after the rows yielded before it, and comes back from each and from
+// the plan's answer.
+func TestEachReturnsMidRunError(t *testing.T) {
+	g := NewMem(diamondGraph(20))
+	schema := NewSchema([]string{"x", "y"})
+	o := &Scan{g: g, bp: bindPath(Path{Nodes: []Node{{Rel: "O", Var: "x"}}}, schema), schema: schema}
+	for name, over := range eachOps(g, schema) {
+		// The rows of the first two input rows, from a run that ends there.
+		want, seen := 0, 0
+		first2 := &Filter{input: o, fn: func(*Schema, Row) (bool, error) { seen++; return seen <= 2, nil }}
+		if err := over(first2).each(func(Row) bool { want++; return true }); err != nil {
+			t.Fatal(err)
+		}
+		yielded := 0
+		err := over(failingFilter(o, 2)).each(func(Row) bool {
+			yielded++
+			return true
+		})
+		if !errors.Is(err, errBoom) || yielded != want {
+			t.Errorf("%s: run yielded %d rows and ended with %v; want %d and %v", name, yielded, err, want, errBoom)
+		}
+	}
+	j := &HashJoin{left: o, right: failingFilter(o, 2), on: []string{"x"}, onCols: []int{0}, schema: schema}
+	yielded := 0
+	if err := j.each(func(Row) bool { yielded++; return true }); !errors.Is(err, errBoom) || yielded != 0 {
+		t.Errorf("hash join build side: %d rows, err %v; want 0 and %v", yielded, err, errBoom)
+	}
+	plan := compilePlan(t, diamondGraph(20), Spec{
+		Paths:   []Path{{Nodes: []Node{{Rel: "O", Var: "x"}}}},
+		Filters: []FilterSpec{{Desc: "fail", Vars: []string{"x"}, Fn: failingFilter(nil, 2).fn}},
+		Return:  []string{"x"},
+	})
+	if a, err := plan.Answer(); !errors.Is(err, errBoom) || a.Rows != 0 {
+		t.Errorf("answer = %d rows, %v; want none and %v", a.Rows, err, errBoom)
 	}
 }

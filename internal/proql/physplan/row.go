@@ -24,10 +24,11 @@
 // Rows are positional ([]any indexed by a Schema), holding Tuple /
 // Deriv handles; nil marks a variable not yet bound. All operators of
 // one plan share the plan-wide schema, so joins merge rows without
-// column remapping. A path match is bound in place on one scratch row
-// and lent to its consumer: operators that keep rows (the batches of
-// Scan and Extend, HashJoin's build side) copy them, the distinct
-// join's drains read node codes off the borrowed row and keep none.
+// column remapping. Operators push their rows to a yield callback
+// (Op.each). A path match is bound in place on one scratch row and lent
+// to its consumer, as are the rows a join merges: an operator that
+// keeps rows (HashJoin's build side) copies them, and the distinct
+// join reads node codes off the borrowed rows and keeps none.
 // The engine takes a plan's result as an Answer — per RETURN column a
 // table of distinct values, and int32 cells indexing them — which
 // DistinctJoin writes from its dense ids and Project, the plan's root,
@@ -92,20 +93,15 @@ type rowAlloc struct {
 	buf   []any
 }
 
-func (a *rowAlloc) row() Row {
+// copy returns a fresh row holding r: how a consumer keeps a borrowed
+// row.
+func (a *rowAlloc) copy(r Row) Row {
 	if len(a.buf) < a.width {
 		a.chunk = min(max(2*a.chunk, 1), 256)
 		a.buf = make([]any, a.chunk*a.width)
 	}
-	r := Row(a.buf[:a.width:a.width])
+	out := Row(a.buf[:a.width:a.width])
 	a.buf = a.buf[a.width:]
-	return r
-}
-
-// copy returns a fresh row holding r: how a consumer keeps a borrowed
-// row.
-func (a *rowAlloc) copy(r Row) Row {
-	out := a.row()
 	copy(out, r)
 	return out
 }

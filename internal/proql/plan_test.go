@@ -7,7 +7,6 @@ import (
 	"repro/internal/exchange"
 	"repro/internal/model"
 	"repro/internal/relstore"
-	"repro/internal/stream"
 )
 
 // TestSemiJoinOnlyThroughKeys plans T(d) :- D(d), E(id, d) over D(dept)
@@ -50,8 +49,11 @@ func TestSemiJoinOnlyThroughKeys(t *testing.T) {
 		if got := relstore.Explain(rp.plan); got != tc.plan {
 			t.Errorf("prov %v: plan\n%swant\n%s", tc.prov, got, tc.plan)
 		}
-		rows, err := stream.Collect(relstore.Stream(rp.plan, db))
-		if err != nil {
+		var rows []model.Tuple
+		if err := relstore.Each(rp.plan, db, func(row model.Tuple) bool {
+			rows = append(rows, row)
+			return true
+		}); err != nil {
 			t.Fatal(err)
 		}
 		if len(rows) != 4 { // three employees in department 0, one in 1

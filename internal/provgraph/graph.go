@@ -2,15 +2,12 @@
 // a bipartite graph of tuple nodes and derivation nodes, built from the
 // relationally-encoded provenance of an exchange.System. It provides
 // the annotation evaluation of Section 2.1 (bottom-up for acyclic
-// graphs, fixpoint for cyclic graphs under cycle-safe semirings),
-// subgraph projections, and DOT export for interactive provenance
-// browsers.
+// graphs, fixpoint for cyclic graphs under cycle-safe semirings) and
+// DOT export for interactive provenance browsers.
 package provgraph
 
 import (
 	"fmt"
-	"slices"
-	"sort"
 	"sync/atomic"
 
 	"repro/internal/exchange"
@@ -20,7 +17,7 @@ import (
 // TupleNode is a rectangle of Figure 1: one tuple in some relation.
 type TupleNode struct {
 	Ref model.TupleRef
-	// ord is the node's graph-wide insertion ordinal; see Ord.
+	// ord is the node's graph-wide insertion ordinal; see TupleOrd.
 	ord int
 	// Row is the full tuple when available (used for labels and leaf
 	// CASE conditions); may be nil for dangling references.
@@ -31,19 +28,14 @@ type TupleNode struct {
 	// Derivations are the derivation nodes targeting this tuple
 	// (alternative ways it was derived — combined with ⊕).
 	Derivations []*DerivNode
-	// Uses are the derivation nodes consuming this tuple as a source.
-	Uses []*DerivNode
 }
-
-// Ord returns the node's insertion ordinal, unique across the tuple
-// nodes of one graph. Ordinals give collision-free, allocation-cheap
-// deduplication and join keys for query evaluation.
-func (t *TupleNode) Ord() int { return t.ord }
 
 // TupleRef implements the physplan tuple-handle surface.
 func (t *TupleNode) TupleRef() model.TupleRef { return t.Ref }
 
-// TupleOrd implements the physplan tuple-handle surface.
+// TupleOrd returns the node's insertion ordinal, unique across the
+// tuple nodes of one graph: a collision-free, allocation-cheap
+// deduplication and join key (the physplan tuple-handle surface).
 func (t *TupleNode) TupleOrd() int { return t.ord }
 
 // TupleRow implements the physplan tuple-handle surface.
@@ -52,7 +44,7 @@ func (t *TupleNode) TupleRow() model.Tuple { return t.Row }
 // DerivNode is an ellipse of Figure 1: one firing of a mapping,
 // relating its m source tuples to its n target tuples.
 type DerivNode struct {
-	// ord is the node's graph-wide insertion ordinal; see Ord.
+	// ord is the node's graph-wide insertion ordinal; see DerivOrd.
 	ord int
 	// ID is unique within the graph: mapping name + provenance row key.
 	ID      string
@@ -120,9 +112,7 @@ func (g *Graph) AddDerivation(id, mapping string, sources, targets []model.Tuple
 	}
 	d := &DerivNode{ID: id, Mapping: mapping, ord: len(g.derivOrder)}
 	for _, ref := range sources {
-		tn := g.Tuple(ref)
-		d.Sources = append(d.Sources, tn)
-		tn.Uses = append(tn.Uses, d)
+		d.Sources = append(d.Sources, g.Tuple(ref))
 	}
 	for _, ref := range targets {
 		tn := g.Tuple(ref)
@@ -135,11 +125,9 @@ func (g *Graph) AddDerivation(id, mapping string, sources, targets []model.Tuple
 	return d
 }
 
-// Ord returns the node's insertion ordinal, unique across the
-// derivation nodes of one graph.
-func (d *DerivNode) Ord() int { return d.ord }
-
-// DerivOrd implements the physplan derivation-handle surface.
+// DerivOrd returns the node's insertion ordinal, unique across the
+// derivation nodes of one graph (the physplan derivation-handle
+// surface).
 func (d *DerivNode) DerivOrd() int { return d.ord }
 
 // DerivMapping implements the physplan derivation-handle surface.
@@ -162,13 +150,6 @@ func (g *Graph) NumTuples() int { return len(g.tuples) }
 // NumDerivations returns the derivation-node count.
 func (g *Graph) NumDerivations() int { return len(g.derivs) }
 
-// TuplesOf returns the tuple nodes of one relation, sorted by key.
-func (g *Graph) TuplesOf(rel string) []*TupleNode {
-	out := slices.Clone(g.byRel[rel])
-	sort.Slice(out, func(i, j int) bool { return out[i].Ref.Key < out[j].Ref.Key })
-	return out
-}
-
 // EachTupleOf yields the relation's tuple nodes in insertion order,
 // straight from the label index without copying or sorting.
 func (g *Graph) EachTupleOf(rel string, yield func(*TupleNode) bool) {
@@ -179,9 +160,6 @@ func (g *Graph) EachTupleOf(rel string, yield func(*TupleNode) bool) {
 	}
 }
 
-// NumTuplesOf returns the tuple-node count of one relation.
-func (g *Graph) NumTuplesOf(rel string) int { return len(g.byRel[rel]) }
-
 // EachDerivationOf yields the derivation nodes of one mapping in
 // insertion order, straight from the mapping index.
 func (g *Graph) EachDerivationOf(mapping string, yield func(*DerivNode) bool) {
@@ -191,9 +169,6 @@ func (g *Graph) EachDerivationOf(mapping string, yield func(*DerivNode) bool) {
 		}
 	}
 }
-
-// NumDerivationsOf returns the derivation-node count of one mapping.
-func (g *Graph) NumDerivationsOf(mapping string) int { return len(g.byMapping[mapping]) }
 
 // buildCount counts full-graph materializations; see Builds.
 var buildCount atomic.Int64
@@ -255,10 +230,3 @@ func derivID(mapping string, row model.Tuple) string {
 // the graph use it to mint IDs identical to Build's, so projected
 // subgraphs and annotations agree across backends.
 func DerivIDFor(mapping string, row model.Tuple) string { return derivID(mapping, row) }
-
-// IsCyclic reports whether the graph contains a derivation cycle
-// (a tuple transitively deriving itself).
-func (g *Graph) IsCyclic() bool {
-	_, acyclic := g.topoOrder()
-	return !acyclic
-}

@@ -56,7 +56,7 @@ func TestBuildRunningExample(t *testing.T) {
 	if leaves != 4 {
 		t.Errorf("leaves = %d, want 4", leaves)
 	}
-	if g.IsCyclic() {
+	if provgraph.IsCyclic(g) {
 		t.Error("acyclic example classified as cyclic")
 	}
 	// O(cn2,5) has exactly one derivation (m5); O(sn1,7) one (m4).
@@ -211,7 +211,7 @@ func TestEvalLineageMatchesGraphLineage(t *testing.T) {
 		tn, _ := g.Lookup(root)
 		v, _ := ann.Annotation(tn)
 		ls := v.(semiring.LineageSet)
-		want := g.Lineage(root)
+		want := leafAncestors(g, root)
 		if len(ls.IDs) != len(want) {
 			t.Errorf("lineage(%v) = %v, graph walk found %v", root, ls.IDs, want)
 			continue
@@ -222,6 +222,31 @@ func TestEvalLineageMatchesGraphLineage(t *testing.T) {
 			}
 		}
 	}
+}
+
+// leafAncestors returns the leaf tuples reachable backwards from root,
+// root included: Cui-style lineage (use case Q6) by a walk of the graph.
+func leafAncestors(g *provgraph.Graph, root model.TupleRef) []model.TupleRef {
+	tn, ok := g.Lookup(root)
+	if !ok {
+		return nil
+	}
+	seen := map[*provgraph.TupleNode]bool{tn: true}
+	var out []model.TupleRef
+	for queue := []*provgraph.TupleNode{tn}; len(queue) > 0; queue = queue[1:] {
+		if n := queue[0]; n.Leaf {
+			out = append(out, n.Ref)
+		}
+		for _, d := range queue[0].Derivations {
+			for _, src := range d.Sources {
+				if !seen[src] {
+					seen[src] = true
+					queue = append(queue, src)
+				}
+			}
+		}
+	}
+	return out
 }
 
 func TestEvalProbabilityEvents(t *testing.T) {
@@ -255,7 +280,7 @@ func TestEvalProbabilityEvents(t *testing.T) {
 func TestEvalCyclicFixpoint(t *testing.T) {
 	// With m3 the graph is cyclic (C(1,cn1) ⇄ N(1,cn1,false)).
 	g := buildExample(t, true)
-	if !g.IsCyclic() {
+	if !provgraph.IsCyclic(g) {
 		t.Fatal("example with m3 should be cyclic")
 	}
 	// Cycle-safe semiring: fixpoint converges; everything derivable.
@@ -298,87 +323,6 @@ func TestEvalCyclicDropLeaf(t *testing.T) {
 	tn, _ := g.Lookup(refO("cn2", 5))
 	if v, _ := ann.Annotation(tn); v != true {
 		t.Error("O(cn2,5) should remain derivable")
-	}
-}
-
-func TestProjectAncestors(t *testing.T) {
-	g := buildExample(t, false)
-	sub := g.ProjectAncestors([]model.TupleRef{refO("cn1", 7)}, provgraph.ProjectOptions{})
-	// Expected subgraph: O(cn1,7) ← m5 ← {A(1), C(1,cn1)}; C(1,cn1) ← m1 ← {A(1), N(1,cn1,false)}.
-	if sub.NumDerivations() != 2 {
-		t.Errorf("projection has %d derivations, want 2", sub.NumDerivations())
-	}
-	wantTuples := []model.TupleRef{refO("cn1", 7), refA(1), refC(1, "cn1"), refN(1, "cn1", false)}
-	if sub.NumTuples() != len(wantTuples) {
-		t.Errorf("projection has %d tuples, want %d", sub.NumTuples(), len(wantTuples))
-	}
-	for _, ref := range wantTuples {
-		if _, ok := sub.Lookup(ref); !ok {
-			t.Errorf("projection missing %v", ref)
-		}
-	}
-	// Leaf marks preserved.
-	tn, _ := sub.Lookup(refA(1))
-	if !tn.Leaf {
-		t.Error("A(1) must stay a leaf in the projection")
-	}
-}
-
-func TestProjectWithMappingRestriction(t *testing.T) {
-	g := buildExample(t, false)
-	sub := g.ProjectAncestors([]model.TupleRef{refO("sn1", 7)}, provgraph.ProjectOptions{
-		Mappings: map[string]bool{"m5": true},
-	})
-	// O(sn1,7) is derived only via m4, so restricting to m5 leaves just
-	// the root.
-	if sub.NumDerivations() != 0 || sub.NumTuples() != 1 {
-		t.Errorf("restricted projection = %d derivs / %d tuples, want 0/1",
-			sub.NumDerivations(), sub.NumTuples())
-	}
-}
-
-func TestProjectDescendants(t *testing.T) {
-	g := buildExample(t, false)
-	sub := g.ProjectDescendants([]model.TupleRef{refA(2)}, provgraph.ProjectOptions{})
-	// A(2) feeds m2 (N(2,sn2,true)), m4 (O(sn2,5)), m5 (O(cn2,5)).
-	for _, ref := range []model.TupleRef{refN(2, "sn2", true), refO("sn2", 5), refO("cn2", 5)} {
-		if _, ok := sub.Lookup(ref); !ok {
-			t.Errorf("descendants missing %v", ref)
-		}
-	}
-	if _, ok := sub.Lookup(refO("cn1", 7)); ok {
-		t.Error("descendants must not include O(cn1,7)")
-	}
-}
-
-func TestProjectMaxDepth(t *testing.T) {
-	g := buildExample(t, false)
-	sub := g.ProjectAncestors([]model.TupleRef{refO("cn1", 7)}, provgraph.ProjectOptions{MaxDepth: 1})
-	// One step: m5 and its sources/targets only — m1 not followed.
-	if sub.NumDerivations() != 1 {
-		t.Errorf("depth-1 projection has %d derivations, want 1", sub.NumDerivations())
-	}
-}
-
-func TestCommonAncestors(t *testing.T) {
-	g := buildExample(t, false)
-	common := g.CommonAncestors(refO("cn1", 7), refO("sn1", 7))
-	// Both derive from A(1).
-	found := false
-	for _, ref := range common {
-		if ref == refA(1) {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("common ancestors %v should include A(1)", common)
-	}
-	// O(cn2,5) and O(cn1,7) share nothing.
-	common = g.CommonAncestors(refO("cn2", 5), refO("cn1", 7))
-	for _, ref := range common {
-		if ref == refA(1) || ref == refA(2) {
-			t.Errorf("unexpected common ancestor %v", ref)
-		}
 	}
 }
 
@@ -431,19 +375,8 @@ func TestLabelIndexes(t *testing.T) {
 				want++
 			}
 		}
-		if got := g.NumTuplesOf(rel); got != want {
-			t.Errorf("NumTuplesOf(%s) = %d, want %d", rel, got, want)
-		}
-		got := 0
-		g.EachTupleOf(rel, func(*provgraph.TupleNode) bool { got++; return true })
-		if got != want {
+		if got := numTuplesOf(g, rel); got != want {
 			t.Errorf("EachTupleOf(%s) yields %d nodes, want %d", rel, got, want)
-		}
-		sorted := g.TuplesOf(rel)
-		for i := 1; i < len(sorted); i++ {
-			if sorted[i-1].Ref.Key > sorted[i].Ref.Key {
-				t.Errorf("TuplesOf(%s) not sorted", rel)
-			}
 		}
 	}
 	// Mapping index agrees with a full iteration and partitions the
@@ -456,9 +389,9 @@ func TestLabelIndexes(t *testing.T) {
 				want++
 			}
 		}
-		got := g.NumDerivationsOf(m)
+		got := numDerivationsOf(g, m)
 		if got != want {
-			t.Errorf("NumDerivationsOf(%s) = %d, want %d", m, got, want)
+			t.Errorf("EachDerivationOf(%s) yields %d nodes, want %d", m, got, want)
 		}
 		total += got
 	}
@@ -467,38 +400,53 @@ func TestLabelIndexes(t *testing.T) {
 	}
 }
 
+// numTuplesOf counts the tuple nodes of one relation by its label index.
+func numTuplesOf(g *provgraph.Graph, rel string) int {
+	n := 0
+	g.EachTupleOf(rel, func(*provgraph.TupleNode) bool { n++; return true })
+	return n
+}
+
+// numDerivationsOf counts the derivation nodes of one mapping by its
+// label index.
+func numDerivationsOf(g *provgraph.Graph, mapping string) int {
+	n := 0
+	g.EachDerivationOf(mapping, func(*provgraph.DerivNode) bool { n++; return true })
+	return n
+}
+
 func TestNodeOrdinalsUnique(t *testing.T) {
 	g := buildExample(t, false)
 	seenT := map[int]bool{}
 	for _, tn := range g.Tuples() {
-		if seenT[tn.Ord()] {
-			t.Fatalf("duplicate tuple ordinal %d", tn.Ord())
+		if seenT[tn.TupleOrd()] {
+			t.Fatalf("duplicate tuple ordinal %d", tn.TupleOrd())
 		}
-		seenT[tn.Ord()] = true
+		seenT[tn.TupleOrd()] = true
 	}
 	seenD := map[int]bool{}
 	for _, d := range g.Derivations() {
-		if seenD[d.Ord()] {
-			t.Fatalf("duplicate derivation ordinal %d", d.Ord())
+		if seenD[d.DerivOrd()] {
+			t.Fatalf("duplicate derivation ordinal %d", d.DerivOrd())
 		}
-		seenD[d.Ord()] = true
+		seenD[d.DerivOrd()] = true
 	}
 }
 
 func TestIndexesTrackIncrementalAdds(t *testing.T) {
 	g := provgraph.New()
 	g.AddDerivation("m#1", "m", []model.TupleRef{refA(1)}, []model.TupleRef{refC(1, "x")})
-	if g.NumTuplesOf("A") != 1 || g.NumTuplesOf("C") != 1 {
-		t.Fatalf("label index after first add: A=%d C=%d", g.NumTuplesOf("A"), g.NumTuplesOf("C"))
+	if numTuplesOf(g, "A") != 1 || numTuplesOf(g, "C") != 1 {
+		t.Fatalf("label index after first add: A=%d C=%d", numTuplesOf(g, "A"), numTuplesOf(g, "C"))
 	}
 	// Re-adding the same derivation is a no-op everywhere.
 	g.AddDerivation("m#1", "m", []model.TupleRef{refA(1)}, []model.TupleRef{refC(1, "x")})
-	if g.NumDerivationsOf("m") != 1 {
-		t.Fatalf("mapping index after duplicate add: %d", g.NumDerivationsOf("m"))
+	if numDerivationsOf(g, "m") != 1 {
+		t.Fatalf("mapping index after duplicate add: %d", numDerivationsOf(g, "m"))
 	}
 	g.AddDerivation("m#2", "m", []model.TupleRef{refA(2)}, []model.TupleRef{refC(1, "x")})
-	if g.NumDerivationsOf("m") != 2 || g.NumTuplesOf("A") != 2 || g.NumTuplesOf("C") != 1 {
+	if numDerivationsOf(g, "m") != 2 || numTuplesOf(g, "A") != 2 || numTuplesOf(g, "C") != 1 {
 		t.Fatalf("indexes after second add: m=%d A=%d C=%d",
-			g.NumDerivationsOf("m"), g.NumTuplesOf("A"), g.NumTuplesOf("C"))
+			numDerivationsOf(g, "m"), numTuplesOf(g, "A"), numTuplesOf(g, "C"))
 	}
 }

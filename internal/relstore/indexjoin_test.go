@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"repro/internal/model"
-	"repro/internal/stream"
 )
 
 // accessFixture loads E(id, dept, city, name) keyed on id with an index
@@ -228,7 +227,7 @@ func TestSemiJoin(t *testing.T) {
 	}
 	byIndex := indexJoin(t, db, left, "E", []int{1}, []Expr{Col(0)})
 	byIndex.Semi = true
-	if _, err := stream.Collect(Stream(byIndex, db)); err == nil {
+	if _, err := collect(byIndex, db); err == nil {
 		t.Error("a semi-join through a secondary index should error")
 	}
 }
@@ -267,17 +266,17 @@ func TestIndexJoinOpensRightTableLazily(t *testing.T) {
 	}
 	// An empty left input never opens the right table.
 	empty := &Filter{Input: &Scan{Table: "G", Width: 2}, Pred: Cmp{Op: EQ, L: Col(0), R: Lit{Val: int64(-1)}}}
-	if rows, err := stream.Collect(Stream(missing(empty), db)); err != nil || len(rows) != 0 {
+	if rows, err := collect(missing(empty), db); err != nil || len(rows) != 0 {
 		t.Errorf("empty left: rows=%v err=%v", rows, err)
 	}
 	// The first left row does.
-	if _, err := stream.Collect(Stream(missing(&Scan{Table: "G", Width: 2}), db)); err == nil {
+	if _, err := collect(missing(&Scan{Table: "G", Width: 2}), db); err == nil {
 		t.Error("index join into an unknown table should error")
 	}
 	// A path with nothing to probe is a planning bug, reported as such.
 	bad := &IndexJoin{Left: &Scan{Table: "G", Width: 2}, Table: "E", Width: 4, Cols: []int{3}, Keys: []Expr{Col(0)},
 		Path: db.MustTable("E").ChooseAccess([]int{3})}
-	if _, err := stream.Collect(Stream(bad, db)); err == nil {
+	if _, err := collect(bad, db); err == nil {
 		t.Error("index join over a scan path should error")
 	}
 }
@@ -299,20 +298,23 @@ func TestIndexJoinStreamsPerOutputRow(t *testing.T) {
 	// The join is not a pipeline breaker: each output row costs at most
 	// one more left row, so a consumer that polls for cancellation
 	// between rows (proql's Query.Cancel) is never stuck behind a
-	// materialized input.
+	// materialized input, and one that stops reads no further row.
 	db := accessFixture(t)
 	pulled := 0
 	j := indexJoin(t, db, countingPlan(&Scan{Table: "E", Width: 4}, &pulled), "E", []int{1}, []Expr{Col(1)})
-	it := Stream(j, db)
-	defer it.Close()
-	for n := 1; n <= 7; n++ {
-		if _, ok, err := it.Next(); err != nil || !ok {
-			t.Fatalf("row %d: ok=%v err=%v", n, ok, err)
-		}
+	n := 0
+	if err := Each(j, db, func(model.Tuple) bool {
+		n++
 		// Every left row has three partners in its department.
 		if want := (n + 2) / 3; pulled != want {
 			t.Errorf("after %d output rows the join pulled %d left rows, want %d", n, pulled, want)
 		}
+		return n < 7
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if n != 7 || pulled != 3 {
+		t.Errorf("a run stopped after row 7 yielded %d rows and pulled %d left rows, want 7 and 3", n, pulled)
 	}
 }
 

@@ -162,35 +162,27 @@ func TestSnapshotCursorStableAcrossEpochBoundary(t *testing.T) {
 	}
 	snap := db.Snapshot()
 	defer snap.Close()
-	cur := snap.MustTable("R").Cursor()
-	// Drain half, then churn the writer hard (deletes, reinserts,
-	// slot reuse), then drain the rest: the cursor must deliver
-	// exactly the snapshot's 100 keys.
+	// Iterate half, then churn the writer hard from inside the callback
+	// (deletes, reinserts, slot reuse; the writes take the table latch,
+	// which Iterate does not hold while it yields), then iterate the
+	// rest: the scan must deliver exactly the snapshot's 100 keys.
 	seen := map[int64]bool{}
-	for i := 0; i < 50; i++ {
-		row, ok := cur.Next()
-		if !ok {
-			t.Fatalf("cursor exhausted at %d", i)
-		}
-		seen[row[0].(int64)] = true
-	}
-	for i := int64(0); i < 100; i += 2 {
-		tbl.Delete([]model.Datum{i})
-	}
-	for i := int64(200); i < 300; i++ {
-		tbl.Insert(model.Tuple{i, "y"})
-	}
-	for {
-		row, ok := cur.Next()
-		if !ok {
-			break
-		}
+	snap.MustTable("R").Iterate(func(row model.Tuple) bool {
 		k := row[0].(int64)
 		if seen[k] {
-			t.Fatalf("cursor yielded key %d twice", k)
+			t.Fatalf("scan yielded key %d twice", k)
 		}
 		seen[k] = true
-	}
+		if len(seen) == 50 {
+			for i := int64(0); i < 100; i += 2 {
+				tbl.Delete([]model.Datum{i})
+			}
+			for i := int64(200); i < 300; i++ {
+				tbl.Insert(model.Tuple{i, "y"})
+			}
+		}
+		return true
+	})
 	if len(seen) != 100 {
 		t.Fatalf("cursor saw %d keys, want 100", len(seen))
 	}

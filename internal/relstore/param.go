@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"repro/internal/model"
-	"repro/internal/stream"
 )
 
 // Param is a parameter slot of a plan template: it stands for a value
@@ -50,17 +49,17 @@ func ValueExpr(d model.Datum) Expr {
 }
 
 // Bound runs a plan template with parameter Param(i) read as Args[i].
-// Each operator resolves the parameters as it opens — lookup and probe
+// Each operator resolves the parameters in its run — lookup and probe
 // keys when they are read, IndexJoin keys per probe, Filter predicates
 // once — and Explain renders them the same way, so binding copies no
-// node of the template.
+// node of the template and concurrent runs of one template share it.
 type Bound struct {
 	Plan Plan
 	Args []model.Datum
 }
 
-func (b *Bound) open(db *Database, _ []model.Datum) stream.Iterator[model.Tuple] {
-	return b.Plan.open(db, b.Args)
+func (b *Bound) run(db *Database, _ []model.Datum, yield func(model.Tuple) bool) error {
+	return b.Plan.run(db, b.Args, yield)
 }
 
 // Arity implements Plan.

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/model"
-	"repro/internal/stream"
 )
 
 // TestBoundMatchesLiterals builds each plan twice, once with parameter
@@ -45,7 +44,7 @@ func TestBoundMatchesLiterals(t *testing.T) {
 	for name, mk := range shapes {
 		tpl := mk(Param(0), Param(1))
 		before := Explain(tpl)
-		if _, err := stream.Collect(Stream(tpl, db)); err == nil || !strings.Contains(err.Error(), "not bound") {
+		if _, err := collect(tpl, db); err == nil || !strings.Contains(err.Error(), "not bound") {
 			t.Errorf("%s: unbound template streamed with err %v", name, err)
 		}
 		for _, args := range argSets {
@@ -58,7 +57,7 @@ func TestBoundMatchesLiterals(t *testing.T) {
 				t.Errorf("%s %v: bound explains as\n%swant\n%s", name, args, got, w)
 			}
 			wantRows := runPlan(t, db, want)
-			streamed, err := stream.Collect(Stream(b, db))
+			streamed, err := collect(b, db)
 			if err != nil {
 				t.Fatalf("%s %v: %v", name, args, err)
 			}

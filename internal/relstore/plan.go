@@ -5,17 +5,29 @@ import (
 	"strings"
 
 	"repro/internal/model"
-	"repro/internal/stream"
 )
 
-// Plan is a physical query plan node; Stream runs it. Arity is the
-// output width. open returns the node's row iterator with Param(i) read
-// as args[i], opening the node's inputs the same way, and explain
-// renders the node with its parameters so bound.
+// Plan is a physical query plan node; Each runs it. Arity is the output
+// width. run passes the node's output rows to yield, one at a time, with
+// Param(i) read as args[i], running the node's inputs the same way; it
+// stops without an error once yield returns false. Every operator
+// pushes each row on as it arrives; only HashJoin holds rows, its build
+// side. A run keeps its state in the call, never on the node, so one
+// plan serves concurrent runs. explain renders the node with its
+// parameters so bound.
 type Plan interface {
 	Arity() int
-	open(db *Database, args []model.Datum) stream.Iterator[model.Tuple]
+	run(db *Database, args []model.Datum, yield func(model.Tuple) bool) error
 	explain(sb *strings.Builder, indent int, args []model.Datum)
+}
+
+// Each runs p over db, passing each output row to yield until yield
+// returns false. Sources read under the table latch in batches and
+// yield outside it, so yield may query any table, the scanned one
+// included. Rows are the stored ones or fresh, never reused: yield may
+// keep them but must not mutate them.
+func Each(p Plan, db *Database, yield func(model.Tuple) bool) error {
+	return p.run(db, nil, yield)
 }
 
 // Explain renders a plan tree for debugging and EXPLAIN-style output.
@@ -39,23 +51,13 @@ type Scan struct {
 	Width int
 }
 
-// open streams straight off the storage cursor, opening the table on
-// the first Next.
-func (s *Scan) open(db *Database, _ []model.Datum) stream.Iterator[model.Tuple] {
-	var cur *Cursor
-	return &stream.Func[model.Tuple]{
-		NextFn: func() (model.Tuple, bool, error) {
-			if cur == nil {
-				t, ok := db.Table(s.Table)
-				if !ok {
-					return nil, false, fmt.Errorf("relstore: scan of unknown table %q", s.Table)
-				}
-				cur = t.Cursor()
-			}
-			row, ok := cur.Next()
-			return row, ok, nil
-		},
+func (s *Scan) run(db *Database, _ []model.Datum, yield func(model.Tuple) bool) error {
+	t, ok := db.Table(s.Table)
+	if !ok {
+		return fmt.Errorf("relstore: scan of unknown table %q", s.Table)
 	}
+	t.Iterate(yield)
+	return nil
 }
 
 // Arity implements Plan.
@@ -76,19 +78,23 @@ type IndexProbe struct {
 	Width int
 }
 
-func (p *IndexProbe) open(db *Database, args []model.Datum) stream.Iterator[model.Tuple] {
-	return deferred(func() ([]model.Tuple, error) {
-		t, ok := db.Table(p.Table)
-		if !ok {
-			return nil, fmt.Errorf("relstore: probe of unknown table %q", p.Table)
+func (p *IndexProbe) run(db *Database, args []model.Datum, yield func(model.Tuple) bool) error {
+	t, ok := db.Table(p.Table)
+	if !ok {
+		return fmt.Errorf("relstore: probe of unknown table %q", p.Table)
+	}
+	var buf [64]byte
+	enc, err := appendArgs(buf[:0], p.Vals, args)
+	if err != nil {
+		return err
+	}
+	var stack [16]model.Tuple
+	for _, row := range t.probeEncoded(stack[:0], IndexName(p.Cols), p.Cols, enc) {
+		if !yield(row) {
+			break
 		}
-		var buf [64]byte
-		enc, err := appendArgs(buf[:0], p.Vals, args)
-		if err != nil {
-			return nil, err
-		}
-		return t.probeEncoded(nil, IndexName(p.Cols), p.Cols, enc), nil
-	})
+	}
+	return nil
 }
 
 // Arity implements Plan.
@@ -106,22 +112,20 @@ type PKLookup struct {
 	Width int
 }
 
-func (p *PKLookup) open(db *Database, args []model.Datum) stream.Iterator[model.Tuple] {
-	return deferred(func() ([]model.Tuple, error) {
-		t, ok := db.Table(p.Table)
-		if !ok {
-			return nil, fmt.Errorf("relstore: lookup in unknown table %q", p.Table)
-		}
-		var buf [64]byte
-		enc, err := appendArgs(buf[:0], p.Key, args)
-		if err != nil {
-			return nil, err
-		}
-		if row, found := t.LookupKeyBytes(enc); found {
-			return []model.Tuple{row}, nil
-		}
-		return nil, nil
-	})
+func (p *PKLookup) run(db *Database, args []model.Datum, yield func(model.Tuple) bool) error {
+	t, ok := db.Table(p.Table)
+	if !ok {
+		return fmt.Errorf("relstore: lookup in unknown table %q", p.Table)
+	}
+	var buf [64]byte
+	enc, err := appendArgs(buf[:0], p.Key, args)
+	if err != nil {
+		return err
+	}
+	if row, found := t.LookupKeyBytes(enc); found {
+		yield(row)
+	}
+	return nil
 }
 
 // Arity implements Plan.
@@ -172,8 +176,13 @@ type Values struct {
 	Rows []model.Tuple
 }
 
-func (v *Values) open(*Database, []model.Datum) stream.Iterator[model.Tuple] {
-	return stream.FromSlice(v.Rows)
+func (v *Values) run(_ *Database, _ []model.Datum, yield func(model.Tuple) bool) error {
+	for _, row := range v.Rows {
+		if !yield(row) {
+			break
+		}
+	}
+	return nil
 }
 
 // Arity implements Plan.
@@ -194,28 +203,20 @@ type Filter struct {
 	Pred  Expr
 }
 
-// open binds the predicate's parameters once.
-func (f *Filter) open(db *Database, args []model.Datum) stream.Iterator[model.Tuple] {
-	in := f.Input.open(db, args)
+// run binds the predicate's parameters once.
+func (f *Filter) run(db *Database, args []model.Datum, yield func(model.Tuple) bool) error {
 	pred := BindExpr(f.Pred, args)
-	return &stream.Func[model.Tuple]{
-		NextFn: func() (model.Tuple, bool, error) {
-			for {
-				row, ok, err := in.Next()
-				if err != nil || !ok {
-					return nil, false, err
-				}
-				keep, err := evalBool(pred, row)
-				if err != nil {
-					return nil, false, err
-				}
-				if keep {
-					return row, true, nil
-				}
-			}
-		},
-		CloseFn: in.Close,
+	var err error
+	if ierr := f.Input.run(db, args, func(row model.Tuple) bool {
+		var keep bool
+		if keep, err = evalBool(pred, row); err != nil {
+			return false
+		}
+		return !keep || yield(row)
+	}); ierr != nil {
+		return ierr
 	}
+	return err
 }
 
 // Arity implements Plan.
@@ -241,26 +242,20 @@ func ProjectCols(input Plan, cols ...int) *Project {
 	return &Project{Input: input, Exprs: exprs}
 }
 
-func (p *Project) open(db *Database, args []model.Datum) stream.Iterator[model.Tuple] {
-	in := p.Input.open(db, args)
-	return &stream.Func[model.Tuple]{
-		NextFn: func() (model.Tuple, bool, error) {
-			row, ok, err := in.Next()
-			if err != nil || !ok {
-				return nil, false, err
+func (p *Project) run(db *Database, args []model.Datum, yield func(model.Tuple) bool) error {
+	var err error
+	if ierr := p.Input.run(db, args, func(row model.Tuple) bool {
+		nr := make(model.Tuple, len(p.Exprs))
+		for i, e := range p.Exprs {
+			if nr[i], err = e.Eval(row); err != nil {
+				return false
 			}
-			nr := make(model.Tuple, len(p.Exprs))
-			for i, e := range p.Exprs {
-				v, err := e.Eval(row)
-				if err != nil {
-					return nil, false, err
-				}
-				nr[i] = v
-			}
-			return nr, true, nil
-		},
-		CloseFn: in.Close,
+		}
+		return yield(nr)
+	}); ierr != nil {
+		return ierr
 	}
+	return err
 }
 
 // Arity implements Plan.
@@ -278,15 +273,39 @@ func (p *Project) explain(sb *strings.Builder, indent int, args []model.Datum) {
 // HashJoin is an inner join of two inputs on positional key columns.
 // Rows with NULL in any key column never match (SQL semantics). Output
 // rows are left columns followed by right columns. The right side is the
-// build side, drained into a hash table on the first Next; the left side
-// is then streamed, one probe row at a time.
+// build side, drained into buckets by key before the left side runs; each
+// left row then yields its matches in right-input order.
 type HashJoin struct {
 	Left, Right         Plan
 	LeftKeys, RightKeys []int
 }
 
-func (j *HashJoin) open(db *Database, args []model.Datum) stream.Iterator[model.Tuple] {
-	return &hashJoinIter{j: j, db: db, args: args, left: j.Left.open(db, args), lw: j.Left.Arity(), rw: j.Right.Arity()}
+func (j *HashJoin) run(db *Database, args []model.Datum, yield func(model.Tuple) bool) error {
+	if len(j.LeftKeys) != len(j.RightKeys) {
+		return fmt.Errorf("relstore: join key arity mismatch %d vs %d", len(j.LeftKeys), len(j.RightKeys))
+	}
+	build := map[string][]model.Tuple{}
+	if err := j.Right.run(db, args, func(row model.Tuple) bool {
+		if !hasNullAt(row, j.RightKeys) {
+			k := encodeCols(row, j.RightKeys)
+			build[k] = append(build[k], row)
+		}
+		return true
+	}); err != nil {
+		return err
+	}
+	lw, rw := j.Left.Arity(), j.Right.Arity()
+	return j.Left.run(db, args, func(lr model.Tuple) bool {
+		if hasNullAt(lr, j.LeftKeys) {
+			return true
+		}
+		for _, r := range build[encodeCols(lr, j.LeftKeys)] {
+			if !yield(concatRows(lr, r, lw, rw)) {
+				return false
+			}
+		}
+		return true
+	})
 }
 
 // Arity implements Plan.
@@ -306,9 +325,9 @@ func (j *HashJoin) explain(sb *strings.Builder, indent int, args []model.Datum) 
 // columns are compared with model.Equal, type-strict like the probes. A
 // left row with a NULL key value matches nothing. Output rows are the left
 // columns followed by all of the table's columns. Unlike HashJoin it
-// reads only the right rows that join and holds none of them: it pulls
-// one left row at a time and opens the right table only when the first
-// one arrives.
+// reads only the right rows that join and holds none of them: it yields
+// each left row's matches as the row arrives and opens the right table
+// only when the first one does.
 //
 // Semi makes the join an existence check: a left row with a match is
 // emitted itself, with no right columns and no copy. It is valid only
@@ -325,8 +344,114 @@ type IndexJoin struct {
 	Semi  bool
 }
 
-func (j *IndexJoin) open(db *Database, args []model.Datum) stream.Iterator[model.Tuple] {
-	return &indexJoinIter{j: j, db: db, args: args, left: j.Left.open(db, args), lw: j.Left.Arity(), vals: make([]model.Datum, len(j.Keys))}
+func (j *IndexJoin) run(db *Database, args []model.Datum, yield func(model.Tuple) bool) error {
+	r := &indexJoinRun{j: j, db: db, args: args, yield: yield, lw: j.Left.Arity()}
+	if err := j.Left.run(db, args, r.row); err != nil {
+		return err
+	}
+	return r.err
+}
+
+// indexJoinRun is one run of an IndexJoin: the right table, opened on
+// the first left row, and the match buffer of its index probes.
+type indexJoinRun struct {
+	j         *IndexJoin
+	db        *Database
+	args      []model.Datum // values of the Params among the keys
+	yield     func(model.Tuple) bool
+	lw        int
+	right     *Table
+	probeCols []int
+	ixName    string
+	matches   []model.Tuple // reused by every index probe of the run
+	err       error
+}
+
+func (r *indexJoinRun) open() error {
+	j := r.j
+	if len(j.Keys) != len(j.Cols) || j.Path.Kind == AccessScan {
+		return fmt.Errorf("relstore: index join into %q has no key or index to probe", j.Table)
+	}
+	if j.Semi && j.Path.Kind != AccessPK {
+		return fmt.Errorf("relstore: semi-join into %q needs a primary-key path", j.Table)
+	}
+	t, ok := r.db.Table(j.Table)
+	if !ok {
+		return fmt.Errorf("relstore: index join into unknown table %q", j.Table)
+	}
+	r.right = t
+	r.probeCols = make([]int, len(j.Path.Probe))
+	for i, p := range j.Path.Probe {
+		r.probeCols[i] = j.Cols[p]
+	}
+	if j.Path.Kind == AccessIndex {
+		r.ixName = IndexName(r.probeCols)
+	}
+	return nil
+}
+
+// row yields the right rows joining one left row, recording a failure
+// in err. The row's key values and probe encoding live on the stack.
+func (r *indexJoinRun) row(lr model.Tuple) bool {
+	j := r.j
+	if r.right == nil {
+		if r.err = r.open(); r.err != nil {
+			return false
+		}
+	}
+	var valBuf [4]model.Datum
+	vals := valBuf[:0]
+	for _, k := range j.Keys {
+		var v model.Datum
+		if p, ok := k.(Param); ok && int(p) < len(r.args) {
+			v = r.args[p]
+		} else if v, r.err = k.Eval(lr); r.err != nil {
+			return false
+		}
+		if v == nil {
+			return true // a NULL key matches nothing
+		}
+		vals = append(vals, v)
+	}
+	var encBuf [64]byte
+	enc := encBuf[:0]
+	for _, p := range j.Path.Probe {
+		enc = model.AppendDatum(enc, vals[p])
+	}
+	var one [1]model.Tuple
+	var matches []model.Tuple
+	if j.Path.Kind == AccessPK {
+		if row, ok := r.right.LookupKeyBytes(enc); ok {
+			one[0] = row
+			matches = one[:]
+		}
+	} else {
+		r.matches = r.right.probeEncoded(r.matches[:0], r.ixName, r.probeCols, enc)
+		matches = r.matches
+	}
+	for _, m := range matches {
+		if !residualHolds(j, m, vals) {
+			continue
+		}
+		if j.Semi {
+			return r.yield(lr) // the one match of a key
+		}
+		if !r.yield(concatRows(lr, m, r.lw, j.Width)) {
+			return false
+		}
+	}
+	return true
+}
+
+// residualHolds reports whether row's residual columns equal their key
+// values.
+func residualHolds(j *IndexJoin, row model.Tuple, vals []model.Datum) bool {
+	for _, p := range j.Path.Residual {
+		if !model.Equal(row[j.Cols[p]], vals[p]) {
+			return false
+		}
+	}
+	return true
 }
 
 // Arity implements Plan.

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/model"
-	"repro/internal/stream"
 )
 
 func TestExplainCoversAllNodes(t *testing.T) {
@@ -57,7 +56,7 @@ func TestJoinKeyArityMismatch(t *testing.T) {
 		LeftKeys:  []int{0},
 		RightKeys: []int{0, 1},
 	}
-	if _, err := stream.Collect(Stream(j, db)); err == nil {
+	if _, err := collect(j, db); err == nil {
 		t.Error("key arity mismatch should error")
 	}
 }
@@ -74,15 +73,15 @@ func TestCrossJoinWithEmptyKeys(t *testing.T) {
 	}
 }
 
-// openCounting is a plan that counts how often it is opened.
+// openCounting is a plan that counts how often it is run.
 type openCounting struct {
 	Plan
 	opens *int
 }
 
-func (o openCounting) open(db *Database, args []model.Datum) stream.Iterator[model.Tuple] {
+func (o openCounting) run(db *Database, args []model.Datum, yield func(model.Tuple) bool) error {
 	*o.opens++
-	return o.Plan.open(db, args)
+	return o.Plan.run(db, args, yield)
 }
 
 func TestHashJoinStreamsProbeSide(t *testing.T) {
@@ -98,37 +97,42 @@ func TestHashJoinStreamsProbeSide(t *testing.T) {
 			RightKeys: rightKeys,
 		}
 	}
-	it := Stream(join([]int{0}), db)
-	defer it.Close()
+	j := join([]int{0})
 	if opens != 0 {
-		t.Fatalf("build side opened %d times before the first Next", opens)
+		t.Fatalf("build side opened %d times before the run", opens)
 	}
-	for n, want := range []string{"r2", "r2b"} {
-		row, ok, err := it.Next()
-		if err != nil || !ok {
-			t.Fatalf("row %d: ok=%v err=%v", n, ok, err)
-		}
+	n := 0
+	if err := Each(j, db, func(row model.Tuple) bool {
+		want := []string{"r2", "r2b"}[n]
 		if row[1] != "l2" || row[3] != want {
 			t.Errorf("row %d = %v, want l2 joined with %s", n, row, want)
 		}
 		if opens != 1 || built != 4 {
-			t.Errorf("after row %d the build side was opened %d times and pulled %d rows, want 1 and 4", n, opens, built)
+			t.Errorf("at row %d the build side was opened %d times and pulled %d rows, want 1 and 4", n, opens, built)
 		}
 		if probed != 2 {
-			t.Errorf("after row %d the join pulled %d probe rows, want 2", n, probed)
+			t.Errorf("at row %d the join pulled %d probe rows, want 2", n, probed)
 		}
-	}
-	if _, ok, err := it.Next(); ok || err != nil {
-		t.Fatalf("third row: ok=%v err=%v", ok, err)
+		n++
+		return true
+	}); err != nil || n != 2 {
+		t.Fatalf("join: %d rows, err %v; want 2, nil", n, err)
 	}
 	if opens != 1 || built != 4 || probed != 3 {
 		t.Errorf("drained join: %d build opens, %d build rows, %d probe rows; want 1, 4, 3", opens, built, probed)
 	}
+	// Stopping at the first row reads no further probe row.
+	opens, built, probed = 0, 0, 0
+	if err := Each(j, db, func(model.Tuple) bool { return false }); err != nil {
+		t.Fatal(err)
+	}
+	if opens != 1 || built != 4 || probed != 2 {
+		t.Errorf("join stopped at its first row: %d build opens, %d build rows, %d probe rows; want 1, 4, 2", opens, built, probed)
+	}
 
-	// A key-arity mismatch fails the first Next, before the build side
-	// opens.
+	// A key-arity mismatch fails the run before the build side opens.
 	opens = 0
-	if _, err := stream.Collect(Stream(join([]int{0, 1}), db)); err == nil || !strings.Contains(err.Error(), "arity mismatch") {
+	if _, err := collect(join([]int{0, 1}), db); err == nil || !strings.Contains(err.Error(), "arity mismatch") {
 		t.Errorf("key arity mismatch streamed with err %v", err)
 	}
 	if opens != 0 {

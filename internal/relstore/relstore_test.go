@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/model"
-	"repro/internal/stream"
 )
 
 func intCol(name string) model.Column { return model.Column{Name: name, Type: model.TypeInt} }
@@ -112,56 +111,58 @@ func TestTableIterateAndCursor(t *testing.T) {
 		t.Errorf("early-stop Iterate visited %d rows, want 2", stops)
 	}
 
-	// Cursor streams the same live rows.
-	var fromCursor []int64
-	for cur := tbl.Cursor(); ; {
-		row, ok := cur.Next()
-		if !ok {
-			break
-		}
-		fromCursor = append(fromCursor, row[0].(int64))
+	// A plan's Scan yields the same live rows in the same order.
+	var fromScan []int64
+	if err := Each(&Scan{Table: "R", Width: 2}, db, func(row model.Tuple) bool {
+		fromScan = append(fromScan, row[0].(int64))
+		return true
+	}); err != nil {
+		t.Fatal(err)
 	}
-	if len(fromCursor) != len(seen) {
-		t.Fatalf("Cursor visited %d rows, Iterate %d", len(fromCursor), len(seen))
+	if len(fromScan) != len(seen) {
+		t.Fatalf("Scan visited %d rows, Iterate %d", len(fromScan), len(seen))
 	}
 	for i := range seen {
-		if fromCursor[i] != seen[i] {
-			t.Errorf("row %d: cursor %d, iterate %d", i, fromCursor[i], seen[i])
+		if fromScan[i] != seen[i] {
+			t.Errorf("row %d: scan %d, iterate %d", i, fromScan[i], seen[i])
 		}
 	}
 }
 
 func TestStreamScanCursors(t *testing.T) {
-	// The streaming path for Scan must not materialize and must agree
-	// with Run, including skipping deleted slots.
+	// Scan yields each live row as it reads it, skipping deleted slots,
+	// and stops reading once yield returns false.
 	db := NewDatabase()
 	tbl := newKeyedTable(t, db, "R")
 	for i := int64(0); i < 6; i++ {
 		tbl.Insert(model.Tuple{i, "x"})
 	}
 	tbl.Delete([]model.Datum{int64(3)})
-	it := Stream(&Scan{Table: "R", Width: 2}, db)
-	defer it.Close()
 	n := 0
-	for {
-		row, ok, err := it.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
+	if err := Each(&Scan{Table: "R", Width: 2}, db, func(row model.Tuple) bool {
 		if row[0].(int64) == 3 {
 			t.Error("streamed a deleted row")
 		}
 		n++
+		return true
+	}); err != nil {
+		t.Fatal(err)
 	}
 	if n != 5 {
 		t.Errorf("streamed %d rows, want 5", n)
 	}
-	// Unknown table surfaces as an error on first pull.
-	bad := Stream(&Scan{Table: "nope", Width: 1}, db)
-	if _, _, err := bad.Next(); err == nil {
+	n = 0
+	if err := Each(&Scan{Table: "R", Width: 2}, db, func(model.Tuple) bool {
+		n++
+		return n < 2
+	}); err != nil || n != 2 {
+		t.Errorf("early stop: %d rows, err %v; want 2, nil", n, err)
+	}
+	// An unknown table fails the run without yielding.
+	if err := Each(&Scan{Table: "nope", Width: 1}, db, func(model.Tuple) bool {
+		t.Error("yielded a row of an unknown table")
+		return true
+	}); err == nil {
 		t.Error("unknown table should error")
 	}
 }
@@ -284,9 +285,22 @@ func joinFixture(t *testing.T) *Database {
 	return db
 }
 
+// collect runs p to completion, keeping every row.
+func collect(p Plan, db *Database) ([]model.Tuple, error) {
+	var rows []model.Tuple
+	err := Each(p, db, func(row model.Tuple) bool {
+		rows = append(rows, row)
+		return true
+	})
+	if err != nil {
+		return nil, err
+	}
+	return rows, nil
+}
+
 func runPlan(t *testing.T, db *Database, p Plan) []model.Tuple {
 	t.Helper()
-	rows, err := stream.Collect(Stream(p, db))
+	rows, err := collect(p, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,10 +359,10 @@ func TestIndexProbePlanAndValues(t *testing.T) {
 
 func TestScanUnknownTableErrors(t *testing.T) {
 	db := NewDatabase()
-	if _, err := stream.Collect(Stream(&Scan{Table: "nope", Width: 1}, db)); err == nil {
+	if _, err := collect(&Scan{Table: "nope", Width: 1}, db); err == nil {
 		t.Error("scan of unknown table should error")
 	}
-	if _, err := stream.Collect(Stream(&IndexProbe{Table: "nope"}, db)); err == nil {
+	if _, err := collect(&IndexProbe{Table: "nope"}, db); err == nil {
 		t.Error("probe of unknown table should error")
 	}
 }

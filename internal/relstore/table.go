@@ -786,16 +786,18 @@ func (t *Table) Rows() []model.Tuple {
 	return out
 }
 
-// iterateBatch is the shared refill size for Iterate and Cursor: rows
-// are collected under the read lock in batches of this many and
-// yielded outside it, bounding how long a scan can hold the lock while
-// letting callbacks query tables without re-entering it.
+// iterateBatch is Iterate's refill size: rows are collected under the
+// read lock in batches of this many and yielded outside it, bounding
+// how long a scan can hold the lock while letting callbacks query
+// tables without re-entering it.
 const iterateBatch = 64
 
 // Iterate calls fn for every live row, stopping early if fn returns
-// false. Rows are yielded outside the table lock in small batches; fn
-// must not mutate the rows. On the writer view, rows inserted by fn
-// itself may or may not be visited.
+// false; a plan's Scan runs on it. Rows are yielded outside the table
+// lock in small batches, so fn may query this table (a provenance
+// self-join) even while a writer waits on it; fn must not mutate the
+// rows. On the writer view, rows inserted by fn itself may or may not
+// be visited; on a snapshot view Iterate sees exactly the pinned epoch.
 func (t *Table) Iterate(fn func(model.Tuple) bool) {
 	s := t.s
 	var batch [iterateBatch]model.Tuple
@@ -822,51 +824,6 @@ func (t *Table) Iterate(fn func(model.Tuple) bool) {
 			return
 		}
 	}
-}
-
-// Cursor is a resumable iterator over a table's live rows, for
-// pull-based consumers (relstore.Stream). It refills a small buffer
-// under the table's read lock and serves rows from it, so Next never
-// blocks behind a whole commit. On the writer view, rows inserted
-// after the cursor was created may or may not be visited; on a
-// snapshot view the cursor sees exactly the pinned epoch.
-type Cursor struct {
-	t   *Table
-	pos int
-	buf []model.Tuple
-	bi  int
-}
-
-// Cursor returns a cursor positioned before the first live row.
-func (t *Table) Cursor() *Cursor { return &Cursor{t: t} }
-
-// Next returns the next live row, or false when exhausted.
-func (c *Cursor) Next() (model.Tuple, bool) {
-	if c.bi < len(c.buf) {
-		row := c.buf[c.bi]
-		c.bi++
-		return row, true
-	}
-	s := c.t.s
-	if c.buf == nil {
-		c.buf = make([]model.Tuple, 0, iterateBatch)
-	}
-	c.buf = c.buf[:0]
-	c.bi = 0
-	s.mu.RLock()
-	slots := s.be.Slots()
-	for c.pos < slots && len(c.buf) < iterateBatch {
-		if row, ok := s.liveRow(c.pos, c.t.asOf); ok {
-			c.buf = append(c.buf, row)
-		}
-		c.pos++
-	}
-	s.mu.RUnlock()
-	if len(c.buf) == 0 {
-		return nil, false
-	}
-	c.bi = 1
-	return c.buf[0], true
 }
 
 // SortedRows returns the live rows in lexicographic datum order;
