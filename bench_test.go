@@ -92,7 +92,7 @@ func fig7Config(peers int) workload.Config {
 // data at every peer; unfolded rules and times grow exponentially with
 // the number of peers. The auto-cold arms answer the same query the
 // way auto does, on the asr path executor, with a fresh engine (no
-// adapter, no cached plan) per query.
+// cached plan) per query.
 func BenchmarkFig7ChainAllPeersData(b *testing.B) {
 	for _, peers := range []int{2, 3, 4, 5, 6} {
 		b.Run(fmt.Sprintf("peers=%d", peers), func(b *testing.B) {
@@ -303,8 +303,8 @@ func BenchmarkAnnotationOverhead(b *testing.B) {
 
 // BenchmarkMultiPathMatch measures the asr backend on a multi-path
 // common-provenance query (the Q4 shape): the physical-plan pipeline
-// (indexed scans + a join on the shared variable) over the
-// goal-directed adapter, warm.
+// (indexed scans + a join on the shared variable) over the provenance
+// relations, with the plan cached.
 func BenchmarkMultiPathMatch(b *testing.B) {
 	set, err := workload.Build(workload.Config{
 		Topology:  workload.Chain,
@@ -325,7 +325,7 @@ func BenchmarkMultiPathMatch(b *testing.B) {
 	}
 	b.Run("asr", func(b *testing.B) {
 		goal := proql.NewEngine(set.Sys)
-		if _, err := goal.Exec(context.Background(), q, proql.Options{Backend: "asr"}); err != nil { // warm the adapter and plan cache
+		if _, err := goal.Exec(context.Background(), q, proql.Options{Backend: "asr"}); err != nil { // fill the plan cache
 			b.Fatal(err)
 		}
 		b.ResetTimer()
@@ -413,10 +413,8 @@ func servedConfig(size string) workload.Config {
 // BenchmarkGraphPointQuery is BenchmarkRelationalPointQuery's point
 // question on the asr backend (which backend "graph" aliases), on
 // instance S: a WHERE that fixes the start relation's key starts the
-// path from one point lookup. It is measured warm (adapter kept across
-// queries) and with the adapter retired before every query, which is
-// what every commit does to it under churn: the lookup interns one
-// tuple either way.
+// path from one point lookup. Every query binds its own view of the
+// snapshot it pins, so there is no warm or cold state to tell apart.
 func BenchmarkGraphPointQuery(b *testing.B) {
 	set, err := workload.Build(servedConfig("S"))
 	if err != nil {
@@ -428,33 +426,18 @@ func BenchmarkGraphPointQuery(b *testing.B) {
 		qs = append(qs, proql.MustParse(fmt.Sprintf("FOR [A0 $x] WHERE $x.k = %v INCLUDE PATH [$x] <-+ [] RETURN $x", row[0])))
 		return true
 	})
-	for _, arm := range []struct {
-		name, backend string
-		retire        bool
-	}{
-		{"asr-warm", "asr", false},
-		{"asr-retired", "asr", true},
-	} {
-		b.Run(arm.name, func(b *testing.B) {
-			// Build the adapter outside the timer.
-			if _, err := eng.Exec(context.Background(), qs[0], proql.Options{Backend: arm.backend}); err != nil {
+	b.Run("asr", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			res, err := eng.Exec(context.Background(), qs[i%len(qs)], proql.Options{Backend: "asr"})
+			if err != nil {
 				b.Fatal(err)
 			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if arm.retire {
-					eng.RetireAdapter()
-				}
-				res, err := eng.Exec(context.Background(), qs[i%len(qs)], proql.Options{Backend: arm.backend})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(res.Bindings) != 1 {
-					b.Fatalf("point query bound %d tuples, want 1", len(res.Bindings))
-				}
+			if len(res.Bindings) != 1 {
+				b.Fatalf("point query bound %d tuples, want 1", len(res.Bindings))
 			}
-		})
-	}
+		}
+	})
 }
 
 // multipathQuery is the served analytic workload's common-provenance
@@ -476,29 +459,18 @@ func BenchmarkAnalyticShapes(b *testing.B) {
 		b.Fatal(err)
 	}
 	eng := proql.NewEngine(set.Sys)
-	// The asr-retired arms retire the shared path adapter before every
-	// query, as each commit does: the cold read a query pays after a
-	// write.
-	for _, arm := range []struct {
-		name, query, backend string
-		retire               bool
-	}{
-		{"target/auto", set.TargetQuery(), "auto", false},
-		{"target/asr", set.TargetQuery(), "asr", false},
-		{"target/asr-retired", set.TargetQuery(), "asr", true},
-		{"target/relational", set.TargetQuery(), "relational", false},
-		{"trust/auto", set.TargetAnnotationQuery(), "auto", false},
-		{"trust/asr", set.TargetAnnotationQuery(), "asr", false},
-		{"multipath/asr", multipathQuery, "asr", false},
-		{"multipath/asr-retired", multipathQuery, "asr", true},
-		{"include/asr", multipathIncludeQuery, "asr", false},
+	for _, arm := range []struct{ name, query, backend string }{
+		{"target/auto", set.TargetQuery(), "auto"},
+		{"target/asr", set.TargetQuery(), "asr"},
+		{"target/relational", set.TargetQuery(), "relational"},
+		{"trust/auto", set.TargetAnnotationQuery(), "auto"},
+		{"trust/asr", set.TargetAnnotationQuery(), "asr"},
+		{"multipath/asr", multipathQuery, "asr"},
+		{"include/asr", multipathIncludeQuery, "asr"},
 	} {
 		b.Run(arm.name, func(b *testing.B) {
 			q := proql.MustParse(arm.query)
 			serve := func() int {
-				if arm.retire {
-					eng.RetireAdapter()
-				}
 				res, err := eng.Eval(context.Background(), q, proql.Options{Backend: arm.backend})
 				if err != nil {
 					b.Fatal(err)
@@ -508,7 +480,7 @@ func BenchmarkAnalyticShapes(b *testing.B) {
 				}
 				return res.Len()
 			}
-			serve() // build the adapter, fill the plan cache
+			serve() // fill the plan cache
 			b.ReportAllocs()
 			b.ResetTimer()
 			rows := 0

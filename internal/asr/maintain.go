@@ -116,13 +116,13 @@ func (ix *Index) ApplyDeletions(report *exchange.MaintenanceReport) error {
 // patch.
 type sideProbe struct {
 	table *relstore.Table
-	cols  []int
+	index relstore.Index
 	hash  map[string][]model.Tuple // fallback for virtual mappings
 }
 
 func (sp *sideProbe) candidates(vals []model.Datum) []model.Tuple {
 	if sp.table != nil {
-		return sp.table.Probe(sp.cols, vals)
+		return sp.table.Probe(sp.index, vals)
 	}
 	return sp.hash[model.EncodeDatums(vals)]
 }
@@ -132,7 +132,7 @@ func (ix *Index) newSideProbe(mapping string, cols []int) (*sideProbe, error) {
 	if pr := ix.sys.Prov[mapping]; pr != nil && !pr.Virtual {
 		if tbl, ok := ix.sys.DB.Table(pr.TableName); ok {
 			tbl.EnsureIndex(cols)
-			return &sideProbe{table: tbl, cols: cols}, nil
+			return &sideProbe{table: tbl, index: relstore.IndexOn(cols)}, nil
 		}
 	}
 	rows, err := ix.sys.ProvRows(mapping)
@@ -143,7 +143,7 @@ func (ix *Index) newSideProbe(mapping string, cols []int) (*sideProbe, error) {
 	for _, row := range rows {
 		build[encodeAt(row, cols)] = append(build[encodeAt(row, cols)], row)
 	}
-	return &sideProbe{cols: cols, hash: build}, nil
+	return &sideProbe{hash: build}, nil
 }
 
 // patchDefInsert delta-joins one definition's new provenance rows into

@@ -278,7 +278,8 @@ func (s *System) runLocked() error {
 	// One outer batch makes the exchange run and the ASR patches a
 	// single storage epoch: a concurrent snapshot sees the pre-run
 	// state or the fully propagated-and-indexed one, never an exchanged
-	// instance whose ASR tables lag behind.
+	// instance whose ASR tables lag behind. Nothing is told of the
+	// commit: every query pins the epoch it reads when it starts.
 	db := s.ex.DB
 	report, err := s.ex.RunDelta()
 	if err != nil {
@@ -287,10 +288,6 @@ func (s *System) runLocked() error {
 	}
 	asrErr := s.index.ApplyInsertions(report)
 	db.EndBatch()
-	// The engine's shared asr adapter pins the previous epoch: retire
-	// it so its snapshot goes with its last in-flight query instead of
-	// waiting for the next one.
-	s.engine.RetireAdapter()
 	if asrErr != nil {
 		return asrErr
 	}
@@ -320,7 +317,6 @@ func (s *System) Delete(rel string, keys ...[]model.Datum) (uint64, *exchange.Ma
 	asrErr := s.index.ApplyDeletions(report)
 	db.EndBatch()
 	epoch := db.Epoch()
-	s.engine.RetireAdapter()
 	if asrErr != nil {
 		return 0, nil, asrErr
 	}

@@ -59,8 +59,8 @@ func TestInsertIsOneCommit(t *testing.T) {
 	defer two.Close()
 	source, rows, keys := churnRows(one, cfg, 3)
 	q := proql.MustParse(`FOR [A0 $x] INCLUDE PATH [$x] <-+ [] RETURN $x`)
-	// Bind the engine's shared adapter first, so the insert has one to
-	// retire.
+	// Query first, so the insert commits under a reader that has read
+	// the epoch before it.
 	if _, err := one.Engine().Exec(context.Background(), q, proql.Options{Backend: "graph"}); err != nil {
 		t.Fatal(err)
 	}

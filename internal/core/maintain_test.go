@@ -15,7 +15,7 @@ import (
 const targetQuery = `FOR [O $x] INCLUDE PATH [$x] <-+ [] RETURN $x`
 
 // warmPathBackends runs q once on the graph and asr backends, so the
-// engine's shared adapter is bound to the current epoch.
+// engine has planned it against the current epoch.
 func warmPathBackends(t *testing.T, sys *core.System, q string) {
 	t.Helper()
 	for _, backend := range []string{"graph", "asr"} {

@@ -197,7 +197,7 @@ func (e *EngineLegacy) candidates(atom model.Atom, binding Binding) ([]model.Tup
 	if t.Len() > indexThreshold && !t.HasIndex(cols) {
 		t.CreateIndex(cols)
 	}
-	return t.Probe(cols, vals), nil
+	return t.Probe(relstore.IndexOn(cols), vals), nil
 }
 
 // fire instantiates the heads under binding, inserts new facts, and

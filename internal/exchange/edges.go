@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/model"
+	"repro/internal/relstore"
 )
 
 // IncomingProbe describes how to find, in one mapping's provenance
@@ -22,9 +23,10 @@ type IncomingProbe struct {
 	Head int
 	// Cols[i] is the provenance-row column that must equal the target
 	// key datum at position KeyPos[i] (an index into the relation's
-	// key-column order).
+	// key-column order); Index is the secondary index on Cols.
 	Cols   []int
 	KeyPos []int
+	Index  relstore.Index
 	// ConstPos/Consts are the key positions the head atom fixes to
 	// constants; a target whose key differs there matches no row.
 	ConstPos []int
@@ -43,13 +45,14 @@ func (p *IncomingProbe) Matches(key []model.Datum) bool {
 }
 
 // ProbeVals resolves the provenance-column values a matching row must
-// hold, parallel to Cols, from the target key.
-func (p *IncomingProbe) ProbeVals(key []model.Datum) []model.Datum {
-	vals := make([]model.Datum, len(p.Cols))
-	for i, kp := range p.KeyPos {
-		vals[i] = key[kp]
+// hold, parallel to Cols, from the target key, into dst[:0] (the
+// caller's scratch).
+func (p *IncomingProbe) ProbeVals(dst, key []model.Datum) []model.Datum {
+	dst = dst[:0]
+	for _, kp := range p.KeyPos {
+		dst = append(dst, key[kp])
 	}
-	return vals
+	return dst
 }
 
 // IncomingProbes builds, per target relation, the probe descriptors
@@ -86,6 +89,7 @@ func (s *System) IncomingProbes() (map[string][]IncomingProbe, error) {
 				p.Cols = append(p.Cols, c)
 				p.KeyPos = append(p.KeyPos, ki)
 			}
+			p.Index = relstore.IndexOn(p.Cols)
 			probes[a.Rel] = append(probes[a.Rel], p)
 		}
 	}

@@ -9,6 +9,7 @@ package exchange
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/datalog"
 	"repro/internal/model"
@@ -31,8 +32,56 @@ type ProvRel struct {
 	// mapping): no table is materialized; rows are reconstructed from
 	// the single source relation on demand.
 	Virtual bool
-	// TableName is the backing table ("P_<mapping>") when !Virtual.
+	// TableName is the backing table ("P_<mapping>") when !Virtual,
+	// and Table its ordinal (relstore.Table.Ord); -1 when Virtual.
 	TableName string
+	Table     int
+	// Sources and Targets rebuild the keys of the mapping's body and
+	// head atoms from one provenance row, in atom order.
+	Sources, Targets []AtomKey
+}
+
+// AtomKey rebuilds one atom's tuple key from a provenance row of its
+// mapping. Every key term of an atom is a provenance variable or a
+// constant: key position i is the row's column Cols[i], or Consts[i]
+// where Cols[i] is -1.
+type AtomKey struct {
+	Rel *model.Relation
+	// Table is the ordinal of Rel's table (relstore.Table.Ord).
+	Table  int
+	Cols   []int
+	Consts []model.Datum
+}
+
+// AppendDatums appends the atom's key datums under row to dst.
+func (a *AtomKey) AppendDatums(dst []model.Datum, row model.Tuple) []model.Datum {
+	for i, c := range a.Cols {
+		if c < 0 {
+			dst = append(dst, a.Consts[i])
+		} else {
+			dst = append(dst, row[c])
+		}
+	}
+	return dst
+}
+
+// AppendKey appends the canonical encoding of the atom's key under row
+// (model.EncodeDatums of its datums, a model.TupleRef's Key) to buf.
+func (a *AtomKey) AppendKey(buf []byte, row model.Tuple) []byte {
+	for i, c := range a.Cols {
+		if c < 0 {
+			buf = model.AppendDatum(buf, a.Consts[i])
+		} else {
+			buf = model.AppendDatum(buf, row[c])
+		}
+	}
+	return buf
+}
+
+// Ref returns the reference of the atom's tuple under row.
+func (a *AtomKey) Ref(row model.Tuple) model.TupleRef {
+	var buf [64]byte
+	return model.TupleRef{Rel: a.Rel.Name, Key: string(a.AppendKey(buf[:0], row))}
 }
 
 // Options configures a System.
@@ -178,6 +227,7 @@ func newSystemOn(db *relstore.Database, schema *model.Schema, opts Options) (*Sy
 			return nil, err
 		}
 		sys.Prov[m.Name] = pr
+		pr.Table = -1
 		if !pr.Virtual {
 			key := make([]int, len(pr.Cols))
 			for i := range key {
@@ -190,6 +240,7 @@ func newSystemOn(db *relstore.Database, schema *model.Schema, opts Options) (*Sy
 			}); err != nil {
 				return nil, err
 			}
+			pr.Table = db.MustTable(pr.TableName).Ord()
 		}
 	}
 	// Build the reverse-edge probe index now and pre-ensure every
@@ -274,7 +325,48 @@ func (s *System) provRelFor(m *model.Mapping) (*ProvRel, error) {
 		// the whole row (target keys are copies or constants).
 		pr.Virtual = s.virtualizable(m, vars)
 	}
+	for _, a := range m.Body {
+		ak, err := s.atomKey(pr, a)
+		if err != nil {
+			return nil, err
+		}
+		pr.Sources = append(pr.Sources, ak)
+	}
+	for _, a := range m.Head {
+		ak, err := s.atomKey(pr, a)
+		if err != nil {
+			return nil, err
+		}
+		pr.Targets = append(pr.Targets, ak)
+	}
 	return pr, nil
+}
+
+// atomKey compiles how one atom of pr's mapping rebuilds its key from
+// a provenance row. The atom's relation table must exist.
+func (s *System) atomKey(pr *ProvRel, a model.Atom) (AtomKey, error) {
+	r, ok := s.Schema.Relation(a.Rel)
+	if !ok {
+		return AtomKey{}, fmt.Errorf("exchange: unknown relation %q", a.Rel)
+	}
+	t, ok := s.DB.Table(a.Rel)
+	if !ok {
+		return AtomKey{}, fmt.Errorf("exchange: no table for %q", a.Rel)
+	}
+	ak := AtomKey{Rel: r, Table: t.Ord(), Cols: make([]int, len(r.Key)), Consts: make([]model.Datum, len(r.Key))}
+	for i, k := range r.Key {
+		term := a.Args[k]
+		if term.IsConst {
+			ak.Cols[i], ak.Consts[i] = -1, term.Const
+			continue
+		}
+		c := slices.Index(pr.Vars, term.Var)
+		if c < 0 {
+			return AtomKey{}, fmt.Errorf("exchange: mapping %s key var %q not in provenance row", pr.Mapping.Name, term.Var)
+		}
+		ak.Cols[i] = c
+	}
+	return ak, nil
 }
 
 // virtualizable checks that every provenance attribute of the
@@ -730,70 +822,17 @@ func (s *System) ProvRowCount() int {
 	return total
 }
 
-// RefKey pairs a tuple reference with its decoded key datums, so
-// callers can look the tuple up in storage.
-type RefKey struct {
-	Ref model.TupleRef
-	Key []model.Datum
-}
-
-// AtomRefKeys reconstructs, for one provenance row of a mapping, the
-// references (and key datums) of all source and target tuples related
-// by that derivation node. Every key term of every atom is either a
-// provenance variable (bound by the row) or a constant.
-func (s *System) AtomRefKeys(pr *ProvRel, row model.Tuple) (sources, targets []RefKey, err error) {
-	varVal := make(map[string]model.Datum, len(pr.Vars))
-	for i, v := range pr.Vars {
-		varVal[v] = row[i]
+// AtomRefs reconstructs, for one provenance row of a mapping, the
+// references of all source and target tuples related by that
+// derivation node.
+func (s *System) AtomRefs(pr *ProvRel, row model.Tuple) (sources, targets []model.TupleRef) {
+	sources = make([]model.TupleRef, len(pr.Sources))
+	for i := range pr.Sources {
+		sources[i] = pr.Sources[i].Ref(row)
 	}
-	refOf := func(a model.Atom) (RefKey, error) {
-		r, ok := s.Schema.Relation(a.Rel)
-		if !ok {
-			return RefKey{}, fmt.Errorf("exchange: unknown relation %q", a.Rel)
-		}
-		key := make([]model.Datum, 0, len(r.Key))
-		for _, k := range r.Key {
-			t := a.Args[k]
-			if t.IsConst {
-				key = append(key, t.Const)
-				continue
-			}
-			v, bound := varVal[t.Var]
-			if !bound {
-				return RefKey{}, fmt.Errorf("exchange: mapping %s key var %q not in provenance row", pr.Mapping.Name, t.Var)
-			}
-			key = append(key, v)
-		}
-		return RefKey{Ref: model.RefFromKey(a.Rel, key), Key: key}, nil
+	targets = make([]model.TupleRef, len(pr.Targets))
+	for i := range pr.Targets {
+		targets[i] = pr.Targets[i].Ref(row)
 	}
-	for _, a := range pr.Mapping.Body {
-		rk, err := refOf(a)
-		if err != nil {
-			return nil, nil, err
-		}
-		sources = append(sources, rk)
-	}
-	for _, a := range pr.Mapping.Head {
-		rk, err := refOf(a)
-		if err != nil {
-			return nil, nil, err
-		}
-		targets = append(targets, rk)
-	}
-	return sources, targets, nil
-}
-
-// AtomRefs is AtomRefKeys returning only the tuple references.
-func (s *System) AtomRefs(pr *ProvRel, row model.Tuple) (sources, targets []model.TupleRef, err error) {
-	srcs, tgts, err := s.AtomRefKeys(pr, row)
-	if err != nil {
-		return nil, nil, err
-	}
-	for _, rk := range srcs {
-		sources = append(sources, rk.Ref)
-	}
-	for _, rk := range tgts {
-		targets = append(targets, rk.Ref)
-	}
-	return sources, targets, nil
+	return sources, targets
 }

@@ -168,10 +168,7 @@ func TestAtomRefs(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, row := range rows {
-		sources, targets, err := sys.AtomRefs(pr, row)
-		if err != nil {
-			t.Fatal(err)
-		}
+		sources, targets := sys.AtomRefs(pr, row)
 		if len(sources) != 2 || len(targets) != 1 {
 			t.Fatalf("m5 derivation should have 2 sources, 1 target; got %d/%d", len(sources), len(targets))
 		}

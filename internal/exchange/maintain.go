@@ -209,11 +209,7 @@ func (s *System) ensureSupport() error {
 			return err
 		}
 		for _, row := range rows {
-			sources, targets, err := s.AtomRefs(pr, row)
-			if err != nil {
-				s.support = nil
-				return err
-			}
+			sources, targets := s.AtomRefs(pr, row)
 			if pr.Virtual {
 				ix.markVirtual(m.Name, row)
 			}

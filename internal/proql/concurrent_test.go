@@ -10,7 +10,7 @@ import (
 // TestPlanCacheConcurrentSameShape hammers one engine with the same
 // query shape (varying constants) from many goroutines across all
 // three backend names. Under -race this exercises the plan cache's
-// mutex and the ASR adapter's refcounting. Afterwards the relational
+// mutex and the per-query path views' shared buffer list. Afterwards the relational
 // stats must balance: every execution was either a hit or a miss, and
 // the shape interned exactly one entry. The asr planner (and its alias
 // graph) never touches the cache, so there it stays empty.

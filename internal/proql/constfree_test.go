@@ -126,7 +126,6 @@ func TestConstantFreeDifferential(t *testing.T) {
 			if _, err := set.Sys.DeleteLocal(workload.ARel(peer), []model.Datum{victim}); err != nil {
 				t.Fatal(err)
 			}
-			eng.RetireAdapter()
 		}
 		run(before, fmt.Sprintf("as of %d", before))
 		run(0, "after deletes")
@@ -145,7 +144,6 @@ func TestConstantFreeDifferential(t *testing.T) {
 	if _, err := sys.DeleteLocal("A", []model.Datum{int64(2)}); err != nil {
 		t.Fatal(err)
 	}
-	eng.RetireAdapter()
 	for _, text := range queries {
 		compared += checkConstFree(t, eng, text, before, "running example as of the delete")
 		compared += checkConstFree(t, eng, text, 0, "running example after the delete")

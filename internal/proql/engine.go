@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"slices"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/exchange"
@@ -22,7 +21,10 @@ import (
 // runs on the asr backend (physplan over the provenance relations);
 // any other query runs on the relational backend (Section 4), falling
 // back to asr for query shapes the relational translation does not
-// cover.
+// cover. Every query reads a snapshot it pins for itself; besides the
+// plan cache, which is keyed by query shape and not by epoch, the
+// engine keeps nothing between queries, so a commit has nothing of it
+// to invalidate.
 type Engine struct {
 	Sys *exchange.System
 
@@ -39,22 +41,14 @@ type Engine struct {
 	// set.
 	RewriteRules func([]*ConjRule) []*ConjRule
 
-	// asrMu guards the asr adapter handle and its refcount. It is held
-	// only to hand out, release or retire the adapter, never while a
-	// query evaluates.
-	asrMu sync.Mutex
-	// asr is the goal-directed adapter bound to a pinned storage
-	// snapshot; it is shared (refcounted) by concurrent live queries at
-	// the same epoch and retired when the epoch moves on.
-	asr *asrGraph
 	// plans is the shape-keyed plan cache shared by all backends; it is
 	// internally synchronized.
 	plans *planCache
 }
 
 // NewEngine builds an engine over a system. The engine is safe for
-// concurrent queries (Exec/ExecString) and for RetireAdapter calls
-// concurrent with them.
+// concurrent queries (Exec/ExecString) and for commits concurrent with
+// them: every query pins the snapshot it reads.
 func NewEngine(sys *exchange.System) *Engine {
 	return &Engine{Sys: sys, plans: newPlanCache()}
 }
@@ -96,7 +90,8 @@ type Stats struct {
 // live query (a tuple deleted since carries no row), against its own
 // epoch for an AS OF query. EVALUATE on the asr backend is the
 // exception: it links during the query, from the state the query read,
-// and Graph() returns that graph.
+// and Graph() returns that graph. A Result pins nothing: the snapshot
+// the query read is released before Exec returns.
 type Result struct {
 	// Bindings holds one map per RETURN row, sorted by (Rel, Key)
 	// variable by variable. Exec fills it; Eval leaves it nil. Len,
@@ -181,10 +176,7 @@ func (e *Engine) linkProjection(derivs []physplan.ProjDeriv, sys *exchange.Syste
 		if !ok {
 			return nil, fmt.Errorf("proql: unknown mapping %q in output", d.Mapping)
 		}
-		srcs, tgts, err := e.Sys.AtomRefs(pr, d.Row)
-		if err != nil {
-			return nil, err
-		}
+		srcs, tgts := e.Sys.AtomRefs(pr, d.Row)
 		ds[i] = linked{provgraph.DerivIDFor(d.Mapping, d.Row), d.Mapping, srcs, tgts}
 		refs = append(append(refs, srcs...), tgts...)
 	}
@@ -277,18 +269,18 @@ func (e *Engine) Eval(ctx context.Context, q *Query, opts Options) (*Result, err
 	switch backend {
 	case "", "auto":
 		if b, _ := e.autoBackend(q, asOf); b == "asr" {
-			return e.execASR(q, asOf)
+			return e.execPath(q, asOf)
 		}
 		res, err := e.execUnfold(q, asOf)
 		var nr *ErrNotRelational
 		if errors.As(err, &nr) {
-			return e.execASR(q, asOf)
+			return e.execPath(q, asOf)
 		}
 		return res, err
 	case "relational":
 		return e.execUnfold(q, asOf)
 	case "graph", "asr":
-		return e.execASR(q, asOf)
+		return e.execPath(q, asOf)
 	default:
 		return nil, &ErrUnknownBackend{Backend: backend}
 	}
@@ -310,11 +302,11 @@ func (e *ErrUnknownBackend) Error() string {
 // mapping chain and the path walk does not. Everything else stays
 // relational, the translation's measured ground, and falls back to asr
 // for the shapes the translation does not cover: key-pinned and range
-// WHERE reads and EVALUATE (a point read through asr keeps every
-// interned handle for the epoch; asr EVALUATE links a whole provenance
-// graph); any query while ASR rewriting is on, since the rewrite
-// applies to the unfolded rules only; and AS OF reads, which on asr
-// bind a private adapter per query.
+// WHERE reads and EVALUATE (no measurement has yet moved them: asr
+// EVALUATE links a whole provenance graph); any query while ASR
+// rewriting is on, since the rewrite applies to the unfolded rules
+// only; and AS OF reads, which were measured slower on asr when it kept
+// a per-epoch handle cache and have not been measured since.
 func (e *Engine) autoBackend(q *Query, asOf uint64) (backend, reason string) {
 	switch {
 	case q.Evaluate != "":
@@ -357,38 +349,14 @@ func (e *Engine) Graph() (*provgraph.Graph, error) {
 	return provgraph.Build(sys)
 }
 
-// RetireAdapter detaches the shared asr adapter; a writer calls it
-// after each commit. New queries pin the new epoch, in-flight queries
-// finish on the snapshot they hold, and that snapshot is released once
-// the last of them finishes (at once when none holds it).
-func (e *Engine) RetireAdapter() {
-	e.asrMu.Lock()
-	defer e.asrMu.Unlock()
-	e.retireASRLocked()
-}
+// InvalidateGraph, MaintainGraph and MaintainGraphInsert do nothing:
+// no query state outlives its query, so a commit has nothing to
+// invalidate. They keep the names bench/trace.go calls, which
+// re-enacts core's commit path by hand.
+func (e *Engine) InvalidateGraph() {}
 
-// retireASRLocked is RetireAdapter with asrMu held.
-func (e *Engine) retireASRLocked() {
-	g := e.asr
-	if g == nil {
-		return
-	}
-	e.asr = nil
-	g.retired = true
-	if g.refs == 0 && g.release != nil {
-		rel := g.release
-		g.release = nil
-		rel()
-	}
-}
+// MaintainGraph does nothing; see InvalidateGraph.
+func (e *Engine) MaintainGraph(*exchange.MaintenanceReport) {}
 
-// InvalidateGraph, MaintainGraph and MaintainGraphInsert are
-// RetireAdapter under the names bench/trace.go calls; that file
-// re-enacts core's commit path by hand. The reports are not needed.
-func (e *Engine) InvalidateGraph() { e.RetireAdapter() }
-
-// MaintainGraph is RetireAdapter; see InvalidateGraph.
-func (e *Engine) MaintainGraph(*exchange.MaintenanceReport) { e.RetireAdapter() }
-
-// MaintainGraphInsert is RetireAdapter; see InvalidateGraph.
-func (e *Engine) MaintainGraphInsert(*exchange.InsertionReport) { e.RetireAdapter() }
+// MaintainGraphInsert does nothing; see InvalidateGraph.
+func (e *Engine) MaintainGraphInsert(*exchange.InsertionReport) {}

@@ -2,6 +2,7 @@ package proql
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -170,31 +171,51 @@ func TestParallelPlanErrorPropagates(t *testing.T) {
 	}
 }
 
-// TestEngineInvalidateGraph: InvalidateGraph retires the shared asr
-// adapter — with no query holding it, its snapshot pin goes at once and
-// the next query binds a fresh adapter — and Graph builds a private
-// graph on every call.
-func TestEngineInvalidateGraph(t *testing.T) {
+// TestPathQueryPinsOnlyWhileRunning: a path query pins its snapshot
+// only while it runs — it leaves DB.Pins() where it found it — and the
+// next query reads the epoch a commit published, with no hook called
+// in between; Graph builds a private graph on every call.
+func TestPathQueryPinsOnlyWhileRunning(t *testing.T) {
 	sys := fixture.MustSystem(fixture.Options{})
 	e := NewEngine(sys)
 	pins := sys.DB.Pins()
 	q := MustParse(paperQueries["Q4"])
-	if _, err := e.Exec(context.Background(), q, Options{Backend: "graph"}); err != nil {
+	for _, backend := range []string{"graph", "asr"} {
+		res, err := e.Exec(context.Background(), q, Options{Backend: backend})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := sys.DB.Pins(); got != pins {
+			t.Fatalf("%s: %d pins after the query, want %d as before it", backend, got, pins)
+		}
+		if res.Stats.Epoch != sys.DB.Epoch() {
+			t.Fatalf("%s: read epoch %d, want the newest %d", backend, res.Stats.Epoch, sys.DB.Epoch())
+		}
+	}
+	all := MustParse(`FOR [O $x] RETURN $x`)
+	before, err := e.Exec(context.Background(), all, Options{Backend: "asr"})
+	if err != nil {
 		t.Fatal(err)
 	}
-	first := e.asr
-	if first == nil || sys.DB.Pins() != pins+1 {
-		t.Fatalf("after a query: adapter %v, %d pins, want a shared adapter holding 1 pin over %d", first, sys.DB.Pins(), pins)
-	}
-	e.InvalidateGraph()
-	if e.asr != nil || sys.DB.Pins() != pins {
-		t.Fatalf("after InvalidateGraph: adapter %v, %d pins, want none and %d", e.asr, sys.DB.Pins(), pins)
-	}
-	if _, err := e.Exec(context.Background(), q, Options{Backend: "graph"}); err != nil {
+	if _, err := sys.DeleteLocal("A", []model.Datum{int64(2)}); err != nil {
 		t.Fatal(err)
 	}
-	if e.asr == nil || e.asr == first {
-		t.Error("the query after InvalidateGraph should bind a fresh adapter")
+	after, err := e.Exec(context.Background(), all, Options{Backend: "asr"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ExecInterpreter(e, context.Background(), all, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Stats.Epoch != sys.DB.Epoch() || after.Stats.Epoch == before.Stats.Epoch {
+		t.Fatalf("after the delete: read epoch %d, want the newest %d (before: %d)", after.Stats.Epoch, sys.DB.Epoch(), before.Stats.Epoch)
+	}
+	if got, w := fmt.Sprint(after.SortedRefs("x")), fmt.Sprint(want.SortedRefs("x")); got != w || after.Len() >= before.Len() {
+		t.Fatalf("after the delete: %s (%d rows, %d before), interpreter %s", got, after.Len(), before.Len(), w)
+	}
+	if got := sys.DB.Pins(); got != pins {
+		t.Fatalf("%d pins after the queries, want %d", got, pins)
 	}
 	g1, err := e.Graph()
 	if err != nil {

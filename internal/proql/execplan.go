@@ -13,12 +13,12 @@ import (
 
 // execPhys evaluates a query through the physical-plan pipeline (path
 // scans, index-nested-loop extensions, hash joins on shared variables,
-// pushed-down filters, dedup, subgraph projection) over an asr adapter.
+// pushed-down filters, dedup, subgraph projection) over a path view.
 // The projected subgraph is recorded, not linked: Result.Graph links it
 // on first call. EVALUATE links it here, with tuple metadata from the
-// adapter's snapshot — the state the query read — because the
-// annotations are computed over it.
-func (e *Engine) execPhys(q *Query, g *asrGraph, asOf uint64) (*Result, error) {
+// view's snapshot — the state the query read — because the annotations
+// are computed over it.
+func (e *Engine) execPhys(q *Query, g *pathView, asOf uint64) (*Result, error) {
 	planStart := time.Now()
 	proj := &physplan.Projection{}
 	res := &Result{Stats: Stats{Backend: "asr", AsOf: asOf, Epoch: g.epoch}}
@@ -407,7 +407,7 @@ func (e *Engine) compileRowCond(g physplan.Graph, c Cond) physplan.FilterFn {
 			if !ok {
 				return false, fmt.Errorf("proql: IN requires a tuple variable")
 			}
-			return tn.TupleRef().Rel == cc.Rel, nil
+			return tn.TupleRel() == cc.Rel, nil
 		}
 	case CondAnd:
 		l, r := e.compileRowCond(g, cc.L), e.compileRowCond(g, cc.R)
@@ -469,10 +469,9 @@ func (e *Engine) rowOperand(o CmpOperand, s *physplan.Schema, row physplan.Row) 
 		if o.Attr == "" {
 			return nil, fmt.Errorf("proql: bare tuple variable $%s cannot be compared; use $%s.<attr> or IN", o.Var, o.Var)
 		}
-		ref := n.TupleRef()
-		rel, ok := e.Sys.Schema.Relation(ref.Rel)
+		rel, ok := e.Sys.Schema.Relation(n.TupleRel())
 		if !ok {
-			return nil, fmt.Errorf("proql: unknown relation %q", ref.Rel)
+			return nil, fmt.Errorf("proql: unknown relation %q", n.TupleRel())
 		}
 		idx := rel.ColumnIndex(o.Attr)
 		if idx < 0 {
@@ -480,7 +479,7 @@ func (e *Engine) rowOperand(o CmpOperand, s *physplan.Schema, row physplan.Row) 
 		}
 		r := n.TupleRow()
 		if r == nil {
-			return nil, fmt.Errorf("proql: no stored row for %v", ref)
+			return nil, fmt.Errorf("proql: no stored row for %v", n.TupleRef())
 		}
 		return r[idx], nil
 	}

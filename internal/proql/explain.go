@@ -59,9 +59,9 @@ func (e *Engine) Explain(q *Query) (string, error) {
 }
 
 // explainPhys renders the physical-plan pipeline's operator tree over
-// the live asr adapter.
+// a view of the live snapshot.
 func (e *Engine) explainPhys(sb *strings.Builder, q *Query) error {
-	g, release, err := e.asrAdapter()
+	g, release, err := e.bindPathView(0)
 	if err != nil {
 		return err
 	}

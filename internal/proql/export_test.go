@@ -56,21 +56,6 @@ func (r *Result) LinkedNodes() int {
 	return r.graph.NumTuples() + r.graph.NumDerivations()
 }
 
-// AdvanceAdapterOrdinals moves the shared asr adapter's ordinal
-// counter n past where it is — where a long-lived adapter's interning
-// takes it — while the adapter's content stays what it was.
-func (e *Engine) AdvanceAdapterOrdinals(n int) error {
-	g, release, err := e.asrAdapter()
-	if err != nil {
-		return err
-	}
-	defer release()
-	g.mu.Lock()
-	g.ords += n
-	g.mu.Unlock()
-	return nil
-}
-
 // ExecFilterOnTop is the oracle of the selection-pushdown differential:
 // it runs q on the relational backend with the anchor WHERE condition
 // kept out of planning altogether — every rule is planned as if the

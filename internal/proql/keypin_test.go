@@ -139,7 +139,7 @@ func pinForms(t *testing.T, start, other string, where proql.Cond) []*proql.Quer
 // relation's whole primary key, must give the same answer on the graph
 // and asr backends — which start a pinned path from one point lookup —
 // as on the interpreter that enumerates and filters; live, after the
-// pinned keys were deleted (adapter retired),
+// pinned keys were deleted,
 // after they were inserted again, and AS OF the epoch before all that.
 func TestKeyPinDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(20100615))

@@ -204,7 +204,7 @@ func TestMultiPathServedAllocs(t *testing.T) {
 			}
 			rows = res.Len()
 		}
-		allocs := testing.AllocsPerRun(2, serve) // warms the adapter first
+		allocs := testing.AllocsPerRun(2, serve) // fills the plan cache first
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		serve()

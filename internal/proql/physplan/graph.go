@@ -3,13 +3,18 @@ package physplan
 import "repro/internal/model"
 
 // Tuple is a handle to one tuple node of a provenance store. Handles
-// are interned: one store hands out exactly one (pointer-comparable)
-// handle per tuple, so interface equality and map keys work as node
-// identity throughout the operators.
+// are interned per query: while one plan runs, its Graph hands out
+// exactly one (pointer-comparable) handle per tuple, so interface
+// equality and map keys work as node identity throughout the
+// operators. Two queries may hand out different handles, and different
+// ordinals, for one tuple.
 type Tuple interface {
 	// TupleRef identifies the tuple.
 	TupleRef() model.TupleRef
-	// TupleOrd is a store-wide unique ordinal (dedup/join keys).
+	// TupleRel is TupleRef().Rel, without encoding the key.
+	TupleRel() string
+	// TupleOrd is an ordinal unique among the handles of one query
+	// (dedup/join keys).
 	TupleOrd() int
 	// TupleRow is the stored row, or nil for dangling references.
 	TupleRow() model.Tuple
@@ -17,7 +22,7 @@ type Tuple interface {
 
 // Deriv is a handle to one derivation node; interned like Tuple.
 type Deriv interface {
-	// DerivOrd is a store-wide unique ordinal.
+	// DerivOrd is an ordinal unique among the handles of one query.
 	DerivOrd() int
 	// DerivMapping names the mapping that fired.
 	DerivMapping() string
@@ -27,19 +32,19 @@ type Deriv interface {
 }
 
 // Graph is the provenance-store surface the physical operators run
-// over. The engine's implementation is the goal-directed adapter over
-// the provenance relations of a pinned snapshot (package proql); the
-// tests also run the operators over a materialized provgraph.
+// over. The engine's implementation is a per-query view over the
+// provenance relations of a pinned snapshot (package proql); the tests
+// also run the operators over a materialized provgraph.
 //
 // Enumeration is callback-style (yield returning false stops early) so
 // lazy implementations never build intermediate slices. Implementations
-// that can fail mid-enumeration (storage-backed adapters) record the
+// that can fail mid-enumeration (storage-backed views) record the
 // first failure and surface it from Err; the engine checks Err after
 // draining a plan.
 type Graph interface {
 	// EachDerivInto enumerates the derivations targeting t — its
 	// incoming edges — restricted to one mapping when mapping != ""
-	// (the goal-direction hook: storage adapters probe only that
+	// (the goal-direction hook: storage views probe only that
 	// mapping's provenance table).
 	EachDerivInto(t Tuple, mapping string, yield func(Deriv) bool)
 	// EachDerivOf enumerates one mapping's derivations.
@@ -58,4 +63,22 @@ type Graph interface {
 	TupleByKey(rel string, key []model.Datum) (Tuple, bool)
 	// Err returns the first enumeration failure, or nil.
 	Err() error
+}
+
+// Ancestry is implemented by a Graph that walks the ancestry of many
+// tuples in one pass. Ancestors records into out every derivation
+// backwards-reachable from any of starts — what INCLUDE PATH [$x] <-+ []
+// projects for each — and returns the starts it left to the caller,
+// who walks those one by one.
+type Ancestry interface {
+	Ancestors(starts []Tuple, out *Projection) (rest []Tuple)
+}
+
+// Reacher is implemented by a Graph that walks ancestors itself. Reach
+// appends to out every tuple backwards-reachable from t in one or more
+// steps, once each, in the order a depth-first walk over EachDerivInto
+// and EachSource first enters it, entering no tuple of skip; it
+// returns out.
+type Reacher interface {
+	Reach(t Tuple, skip map[Tuple]bool, out []Tuple) []Tuple
 }

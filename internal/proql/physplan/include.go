@@ -32,8 +32,14 @@ func (p *Projection) fresh(h any) bool {
 }
 
 func (p *Projection) addDeriv(d Deriv) {
-	if p.fresh(d) {
-		p.Derivs = append(p.Derivs, ProjDeriv{Mapping: d.DerivMapping(), Row: d.DerivRow()})
+	p.AddDeriv(d.DerivOrd(), d.DerivMapping(), d.DerivRow())
+}
+
+// AddDeriv records the derivation whose handle has ordinal ord —
+// whether or not the handle was made — unless it is recorded already.
+func (p *Projection) AddDeriv(ord int, mapping string, row model.Tuple) {
+	if p.seen.mark(uint64(ord)<<2 | 2) {
+		p.Derivs = push(p.Derivs, ProjDeriv{Mapping: mapping, Row: row})
 	}
 }
 
@@ -62,7 +68,9 @@ func (inc *Include) explain(sb *strings.Builder, indent int) {
 	inc.input.explain(sb, indent+1)
 }
 
-// each implements Op.
+// each implements Op. On a Graph that implements Ancestry, the
+// ancestries the paths' [$x] <-+ [] form asks for are walked in one
+// pass once the input is drained.
 func (inc *Include) each(yield func(Row) bool) error {
 	w := newIncludeWalk(inc.g, inc.out)
 	var err error
@@ -76,6 +84,11 @@ func (inc *Include) each(yield func(Row) bool) error {
 	}); ierr != nil {
 		return ierr
 	}
+	if err == nil && len(w.pending) > 0 {
+		for _, t := range w.anc.Ancestors(w.pending, w.out) {
+			w.ancestors(t)
+		}
+	}
 	return err
 }
 
@@ -86,6 +99,9 @@ func (inc *Include) each(yield func(Row) bool) error {
 // earlier one has been.
 type includeWalk struct {
 	g        Graph
+	anc      Ancestry // g, when it walks ancestries in bulk
+	pending  []Tuple  // the starts whose ancestry anc walks, once each
+	queued   marks    // their ordinals
 	out      *Projection
 	visited  map[Tuple]bool
 	done     marks
@@ -97,6 +113,7 @@ type includeWalk struct {
 
 func newIncludeWalk(g Graph, out *Projection) *includeWalk {
 	w := &includeWalk{g: g, out: out, visited: map[Tuple]bool{}}
+	w.anc, _ = g.(Ancestry)
 	w.onSource = func(src Tuple) bool {
 		if w.done.mark(uint64(src.TupleOrd())) {
 			w.queue = append(w.queue, src)
@@ -118,17 +135,31 @@ func newIncludeWalk(g Graph, out *Projection) *includeWalk {
 // mirroring the interpreter's projection semantics.
 func (w *includeWalk) include(bp *boundPath, row Row) error {
 	return bp.eachStart(w.g, row, false, func(st Tuple) bool {
-		if r := bp.path.Nodes[0].Rel; r != "" && st.TupleRef().Rel != r {
+		if r := bp.path.Nodes[0].Rel; r != "" && st.TupleRel() != r {
 			return true
 		}
 		if w.out.fresh(st) {
 			w.out.Starts = append(w.out.Starts, st.TupleRef())
+		}
+		if w.anc != nil && bp.ancestry(row) {
+			if w.queued.mark(uint64(st.TupleOrd())) {
+				w.pending = append(w.pending, st)
+			}
+			return true
 		}
 		w.visited[st] = true
 		w.walk(bp, 0, st, row)
 		delete(w.visited, st)
 		return true
 	})
+}
+
+// ancestry reports whether the path is [$x] <-+ [] under row: every
+// derivation backwards-reachable from the start is included.
+func (bp *boundPath) ancestry(row Row) bool {
+	p := bp.path
+	return len(p.Edges) == 1 && p.Edges[0].Kind == EdgePlus && p.Nodes[1].Rel == "" &&
+		(bp.nodeCol[1] < 0 || row[bp.nodeCol[1]] == nil)
 }
 
 func (w *includeWalk) walk(bp *boundPath, edgeIdx int, cur Tuple, row Row) bool {

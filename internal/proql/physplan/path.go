@@ -131,7 +131,7 @@ func bindPath(p Path, s *Schema) boundPath {
 
 // nodeMatches reports whether tn satisfies node pattern i under row.
 func (bp *boundPath) nodeMatches(i int, tn Tuple, row Row) bool {
-	if r := bp.path.Nodes[i].Rel; r != "" && tn.TupleRef().Rel != r {
+	if r := bp.path.Nodes[i].Rel; r != "" && tn.TupleRel() != r {
 		return false
 	}
 	if c := bp.nodeCol[i]; c >= 0 {
@@ -235,6 +235,7 @@ func (bp *boundPath) startsDesc(bound map[string]bool) string {
 type matcher struct {
 	bp      *boundPath
 	g       Graph
+	reach   Reacher // g, when it walks <-+ steps itself
 	row     Row
 	visited map[Tuple]bool
 	// reached holds the per-edge ancestor lists of <-+ steps; marks is
@@ -254,6 +255,9 @@ func (bp *boundPath) newMatcher(g Graph) *matcher {
 		return m
 	}
 	m.reached = make([][]Tuple, len(bp.path.Edges))
+	if m.reach, _ = g.(Reacher); m.reach != nil {
+		return m
+	}
 	m.marks = map[Tuple]bool{}
 	m.walkDeriv = func(d Deriv) bool {
 		m.g.EachSource(d, m.walkSource)
@@ -370,19 +374,24 @@ func (m *matcher) step(edgeIdx int, cur Tuple, yield func(Row) bool) bool {
 		// walk has already marked. So each ancestor is entered once per
 		// walk — linear where shared ancestors (diamonds) make the
 		// simple paths exponential.
-		// Clearing costs the map's capacity, so a set a big walk grew
-		// is dropped instead: the reset stays bounded by the last walk.
-		if len(m.marks) > 256 {
-			m.marks = map[Tuple]bool{}
+		if m.reach != nil {
+			m.reached[edgeIdx] = m.reach.Reach(cur, m.visited, m.reached[edgeIdx][:0])
 		} else {
-			clear(m.marks)
+			// Clearing costs the map's capacity, so a set a big walk
+			// grew is dropped instead: the reset stays bounded by the
+			// last walk.
+			if len(m.marks) > 256 {
+				m.marks = map[Tuple]bool{}
+			} else {
+				clear(m.marks)
+			}
+			for t := range m.visited {
+				m.marks[t] = true
+			}
+			m.reached[edgeIdx] = m.reached[edgeIdx][:0]
+			m.walkEdge = edgeIdx
+			m.g.EachDerivInto(cur, "", m.walkDeriv)
 		}
-		for t := range m.visited {
-			m.marks[t] = true
-		}
-		m.reached[edgeIdx] = m.reached[edgeIdx][:0]
-		m.walkEdge = edgeIdx
-		m.g.EachDerivInto(cur, "", m.walkDeriv)
 		for _, src := range m.reached[edgeIdx] {
 			if !bp.nodeMatches(edgeIdx+1, src, row) {
 				continue

@@ -242,6 +242,7 @@ func TestDedupDistinctNodesNoCollision(t *testing.T) {
 type ordTuple int
 
 func (o ordTuple) TupleRef() model.TupleRef { return ref("T", int(o)) }
+func (o ordTuple) TupleRel() string         { return "T" }
 func (o ordTuple) TupleOrd() int            { return int(o) }
 func (o ordTuple) TupleRow() model.Tuple    { return nil }
 

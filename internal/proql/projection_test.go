@@ -85,7 +85,7 @@ func TestProjectionServedCounts(t *testing.T) {
 				res.SortedRefs(v)
 			}
 		}
-		allocs := testing.AllocsPerRun(2, serve) // warms the adapter first
+		allocs := testing.AllocsPerRun(2, serve) // fills the plan cache first
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		serve()
@@ -120,22 +120,37 @@ func TestProjectionServedCounts(t *testing.T) {
 }
 
 // TestIncludePointQueryIgnoresOrdinalRange: a keyed INCLUDE point query
-// on a shared adapter whose ordinals have advanced past 1,000,000
-// allocates what the same query allocates on a fresh adapter (±10 %):
-// per-query memory follows the projection, not the store's ordinal
-// range.
+// whose tuples sit at high storage slots — past 5,000 rows of churn at
+// the data peer — allocates what the same query allocates for a tuple
+// at a low slot (±10 %): per-query memory follows the projection, not
+// the store's slot range.
 func TestIncludePointQueryIgnoresOrdinalRange(t *testing.T) {
 	set := instanceS(t)
-	const point = `FOR [A0 $x] WHERE $x.k = 80000003 INCLUDE PATH [$x] <-+ [] RETURN $x`
-	q := proql.MustParse(point)
-	measure := func(eng *proql.Engine) (allocs, bytes float64) {
+	eng := proql.NewEngine(set.Sys)
+	// Peer 8 holds data: its local rows are keyed 80,000,000 + i.
+	const peer, base, extra = 8, 80_000_000, 5_000
+	for i := 0; i < extra; i++ {
+		k := int64(base + 500 + i)
+		row := model.Tuple{k, k % int64(set.Config.Categories)}
+		for a := 0; a < 10; a++ {
+			row = append(row, k+int64(a))
+		}
+		if err := set.Sys.InsertLocal(workload.ARel(peer), row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := set.Sys.RunDelta(); err != nil {
+		t.Fatal(err)
+	}
+	measure := func(key int) (allocs, bytes float64) {
+		q := proql.MustParse(fmt.Sprintf(`FOR [A0 $x] WHERE $x.k = %d INCLUDE PATH [$x] <-+ [] RETURN $x`, key))
 		serve := func() {
 			res, err := eng.Eval(context.Background(), q, proql.Options{Backend: "graph"})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if res.Len() != 1 {
-				t.Fatalf("point query returned %d rows, want 1", res.Len())
+				t.Fatalf("point query on %d returned %d rows, want 1", key, res.Len())
 			}
 		}
 		const runs = 50
@@ -148,17 +163,12 @@ func TestIncludePointQueryIgnoresOrdinalRange(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		return allocs, float64(after.TotalAlloc-before.TotalAlloc) / runs
 	}
-	fresh := proql.NewEngine(set.Sys)
-	freshAllocs, freshBytes := measure(fresh)
-	churned := proql.NewEngine(set.Sys)
-	if err := churned.AdvanceAdapterOrdinals(1 << 20); err != nil {
-		t.Fatal(err)
-	}
-	allocs, bytes := measure(churned)
-	t.Logf("fresh adapter: %.0f allocations, %.0f bytes; advanced: %.0f, %.0f", freshAllocs, freshBytes, allocs, bytes)
-	if allocs > 1.1*freshAllocs || bytes > 1.1*freshBytes {
-		t.Errorf("advanced adapter: %.0f allocations and %.0f bytes per query, fresh %.0f and %.0f (+10 %% allowed)",
-			allocs, bytes, freshAllocs, freshBytes)
+	lowAllocs, lowBytes := measure(base + 3)
+	allocs, bytes := measure(base + 500 + extra - 1)
+	t.Logf("low slot: %.0f allocations, %.0f bytes; high slot: %.0f, %.0f", lowAllocs, lowBytes, allocs, bytes)
+	if allocs > 1.1*lowAllocs || bytes > 1.1*lowBytes {
+		t.Errorf("high slot: %.0f allocations and %.0f bytes per query, low slot %.0f and %.0f (+10 %% allowed)",
+			allocs, bytes, lowAllocs, lowBytes)
 	}
 }
 
@@ -192,7 +202,6 @@ func TestGraphRuleAfterDelete(t *testing.T) {
 	if _, err := set.Sys.DeleteLocal(workload.ARel(top), key); err != nil {
 		t.Fatal(err)
 	}
-	eng.RetireAdapter()
 
 	for _, c := range []struct {
 		name    string

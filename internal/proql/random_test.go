@@ -11,6 +11,7 @@ import (
 	"repro/internal/asr"
 	"repro/internal/model"
 	"repro/internal/proql"
+	"repro/internal/relstore"
 	"repro/internal/workload"
 )
 
@@ -371,15 +372,19 @@ func TestRandomDeletionMatchesRebuild(t *testing.T) {
 	}
 }
 
-// TestRandomASRBackendAfterChurn cross-checks the asr backend and its
-// graph alias against the interpreter on random queries issued
-// immediately after deletion and delta-insertion churn — the window
-// where the asr adapter's lazily interned handles are most likely to
-// diverge from the tables if retiring is wrong. The interpreter walks a
-// graph built afresh from the tables.
+// TestRandomASRBackendAfterChurn cross-checks the path executor (the
+// asr backend and its graph alias) against the interpreter, and against
+// the relational translation where it covers the query, on random
+// queries issued immediately after deletion and insertion churn. The
+// path executor names tuples and derivations by storage slot, so the
+// churn moves slots under it: a key deleted and re-inserted lives at a
+// new slot, and without retention the sweep hands reclaimed slots to
+// later inserts between queries. One trial in three keeps every epoch
+// and adds an AS OF arm, which reads the versions the churn superseded.
+// The interpreter walks a graph built afresh from the tables.
 func TestRandomASRBackendAfterChurn(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260808))
-	for trial := 0; trial < 10; trial++ {
+	for trial := 0; trial < 12; trial++ {
 		cfg := randomConfig(rng)
 		cfg.Profile = workload.ProfileLinear
 		cfg.NumPeers = 2 + rng.Intn(3)
@@ -388,65 +393,98 @@ func TestRandomASRBackendAfterChurn(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		asOfArm := trial%3 == 2
+		switch trial % 3 {
+		case 1:
+			set.Sys.DB.SetRetention(1)
+		case 2:
+			set.Sys.DB.SetRetention(relstore.RetainAll)
+		}
 		eng := proql.NewEngine(set.Sys)
-		// Warm both backends pre-churn so stale caches would be caught.
 		if _, err := eng.Exec(context.Background(), proql.MustParse(set.TargetQuery()), proql.Options{Backend: "asr"}); err != nil {
-			t.Fatalf("trial %d: warm asr: %v", trial, err)
+			t.Fatalf("trial %d: asr before churn: %v", trial, err)
 		}
-		if _, err := eng.Exec(context.Background(), proql.MustParse(set.TargetQuery()), proql.Options{Backend: "graph"}); err != nil {
-			t.Fatalf("trial %d: warm graph: %v", trial, err)
-		}
-		for round := 0; round < 3; round++ {
+		for round := 0; round < 4; round++ {
+			before := set.Sys.DB.Epoch()
 			src := cfg.DataPeers[rng.Intn(len(cfg.DataPeers))]
-			switch rng.Intn(2) {
+			rel := workload.ARel(src)
+			switch rng.Intn(3) {
 			case 0:
 				victim := int64(src)*10_000_000 + int64(rng.Intn(cfg.BaseSize))
-				if _, err := set.Sys.DeleteLocal(workload.ARel(src), []model.Datum{victim}); err != nil {
+				if _, err := set.Sys.DeleteLocal(rel, []model.Datum{victim}); err != nil {
 					t.Fatalf("trial %d round %d: delete: %v", trial, round, err)
 				}
-				eng.RetireAdapter()
-			default:
+			case 1:
 				k := int64(src)*10_000_000 + int64(cfg.BaseSize) + int64(100*trial+round)
 				row := model.Tuple{k, k % int64(cfg.Categories)}
 				for a := 0; a < 10; a++ {
 					row = append(row, k+int64(a))
 				}
-				if err := set.Sys.InsertLocal(workload.ARel(src), row); err != nil {
+				if err := set.Sys.InsertLocal(rel, row); err != nil {
 					t.Fatalf("trial %d round %d: insert: %v", trial, round, err)
 				}
 				if _, err := set.Sys.RunDelta(); err != nil {
 					t.Fatalf("trial %d round %d: delta: %v", trial, round, err)
 				}
-				eng.RetireAdapter()
+			default:
+				// Delete a key and insert it again: the tuple and its
+				// copies downstream come back at new slots.
+				key := []model.Datum{int64(src)*10_000_000 + int64(rng.Intn(cfg.BaseSize))}
+				row, ok := set.Sys.DB.MustTable(rel).LookupKey(key)
+				if !ok {
+					continue // deleted in an earlier round
+				}
+				if _, err := set.Sys.DeleteLocal(rel, key); err != nil {
+					t.Fatalf("trial %d round %d: delete: %v", trial, round, err)
+				}
+				if err := set.Sys.InsertLocal(rel, row); err != nil {
+					t.Fatalf("trial %d round %d: re-insert: %v", trial, round, err)
+				}
+				if _, err := set.Sys.RunDelta(); err != nil {
+					t.Fatalf("trial %d round %d: delta: %v", trial, round, err)
+				}
 			}
-			// Query immediately after the churn.
 			text, vars := randomQuery(rng, cfg.NumPeers)
-			q := proql.MustParse(text)
-			gr, err := eng.Exec(context.Background(), q, proql.Options{Backend: "graph"})
-			if err != nil {
-				t.Fatalf("trial %d round %d %q: graph: %v", trial, round, text, err)
+			where := fmt.Sprintf("trial %d round %d %q", trial, round, text)
+			checkPathAfterChurn(t, eng, proql.MustParse(text), vars, 0, where)
+			if asOfArm {
+				checkPathAfterChurn(t, eng, proql.MustParse(text), vars, before, fmt.Sprintf("%s as of %d", where, before))
 			}
-			goal, err := eng.Exec(context.Background(), q, proql.Options{Backend: "asr"})
-			if err != nil {
-				t.Fatalf("trial %d round %d %q: asr: %v", trial, round, text, err)
+		}
+	}
+}
+
+// checkPathAfterChurn runs q at epoch asOf (0: the newest) on both
+// names of the path executor, the interpreter and — when it covers q —
+// the relational translation. Every answer must bind what the
+// interpreter binds, and the path executor must project its graph.
+func checkPathAfterChurn(t *testing.T, eng *proql.Engine, q *proql.Query, vars []string, asOf uint64, where string) {
+	t.Helper()
+	want, err := proql.ExecInterpreter(eng, context.Background(), q, asOf)
+	if err != nil {
+		t.Fatalf("%s: interpreter: %v", where, err)
+	}
+	ws := graphSignature(t, want)
+	for _, backend := range []string{"graph", "asr", "relational"} {
+		res, err := eng.Exec(context.Background(), q, proql.Options{Backend: backend, AsOfEpoch: asOf})
+		var nr *proql.ErrNotRelational
+		if backend == "relational" && errors.As(err, &nr) {
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %s: %v", where, backend, err)
+		}
+		for _, v := range vars {
+			if w, g := want.SortedRefs(v), res.SortedRefs(v); fmt.Sprint(w) != fmt.Sprint(g) {
+				t.Fatalf("%s: $%s bindings\n interpreter %v\n %s %v", where, v, w, backend, g)
 			}
-			want, err := proql.ExecInterpreter(eng, context.Background(), q, 0)
-			if err != nil {
-				t.Fatalf("trial %d round %d %q: interpreter: %v", trial, round, text, err)
-			}
-			ws := graphSignature(t, want)
-			for backend, res := range map[string]*proql.Result{"graph": gr, "asr": goal} {
-				for _, v := range vars {
-					if w, g := want.SortedRefs(v), res.SortedRefs(v); fmt.Sprint(w) != fmt.Sprint(g) {
-						t.Fatalf("trial %d round %d %q: $%s bindings\n interpreter %v\n %s %v",
-							trial, round, text, v, w, backend, g)
-					}
-				}
-				if gs := graphSignature(t, res); gs != ws {
-					t.Errorf("trial %d round %d %q: projected graph: only on the interpreter:\n%s\n only on %s:\n%s",
-						trial, round, text, lineDiff(ws, gs), backend, lineDiff(gs, ws))
-				}
-			}
+		}
+		if backend == "relational" {
+			continue // its projection of INCLUDE forms is narrower (diffQuery.relGraph)
+		}
+		if gs := graphSignature(t, res); gs != ws {
+			t.Errorf("%s: projected graph: only on the interpreter:\n%s\n only on %s:\n%s",
+				where, lineDiff(ws, gs), backend, lineDiff(gs, ws))
 		}
 	}
 }

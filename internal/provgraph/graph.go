@@ -33,6 +33,9 @@ type TupleNode struct {
 // TupleRef implements the physplan tuple-handle surface.
 func (t *TupleNode) TupleRef() model.TupleRef { return t.Ref }
 
+// TupleRel implements the physplan tuple-handle surface.
+func (t *TupleNode) TupleRel() string { return t.Ref.Rel }
+
 // TupleOrd returns the node's insertion ordinal, unique across the
 // tuple nodes of one graph: a collision-free, allocation-cheap
 // deduplication and join key (the physplan tuple-handle surface).
@@ -191,10 +194,7 @@ func Build(sys *exchange.System) (*Graph, error) {
 			return nil, err
 		}
 		for _, row := range rows {
-			sources, targets, err := sys.AtomRefs(pr, row)
-			if err != nil {
-				return nil, err
-			}
+			sources, targets := sys.AtomRefs(pr, row)
 			id := derivID(m.Name, row)
 			d := g.AddDerivation(id, m.Name, sources, targets)
 			d.ProvRow = row

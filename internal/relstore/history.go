@@ -143,7 +143,6 @@ func (db *Database) SnapshotAt(epoch uint64) (*Database, error) {
 	}
 	base.mu.Lock()
 	pub := base.published.Load()
-	ver := base.version.Load()
 	if epoch == 0 || epoch > pub {
 		base.mu.Unlock()
 		return nil, &ErrEpochOutOfRange{Epoch: epoch, Floor: base.retentionFloorAt(pub), Newest: pub}
@@ -154,13 +153,9 @@ func (db *Database) SnapshotAt(epoch uint64) (*Database, error) {
 			return nil, &ErrEpochOutOfRange{Epoch: epoch, Floor: floor, Newest: pub}
 		}
 	}
-	tabs := make(map[string]*Table, len(base.tables))
-	for name, t := range base.tables {
-		tabs[name] = &Table{Schema: t.Schema, s: t.s, asOf: epoch}
-	}
-	base.pins[epoch]++
+	view := base.viewLocked(epoch)
 	base.mu.Unlock()
-	return &Database{tables: tabs, base: base, snapEpoch: epoch, snapVersion: ver}, nil
+	return view, nil
 }
 
 // Version is one row version with its visibility interval: the row

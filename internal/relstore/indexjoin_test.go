@@ -62,9 +62,9 @@ func TestChooseAccess(t *testing.T) {
 		{[]int{1, 0}, AccessPath{Kind: AccessPK, Probe: []int{1}, Residual: []int{0}}},
 		{[]int{0}, AccessPath{Kind: AccessPK, Probe: []int{0}}},
 		// The widest covered index, probed in index column order.
-		{[]int{2, 1}, AccessPath{Kind: AccessIndex, Probe: []int{1, 0}}},
-		{[]int{3, 2, 1}, AccessPath{Kind: AccessIndex, Probe: []int{2, 1}, Residual: []int{0}}},
-		{[]int{1, 3}, AccessPath{Kind: AccessIndex, Probe: []int{0}, Residual: []int{1}}},
+		{[]int{2, 1}, AccessPath{Kind: AccessIndex, Probe: []int{1, 0}, Index: IndexOn([]int{1, 2})}},
+		{[]int{3, 2, 1}, AccessPath{Kind: AccessIndex, Probe: []int{2, 1}, Residual: []int{0}, Index: IndexOn([]int{1, 2})}},
+		{[]int{1, 3}, AccessPath{Kind: AccessIndex, Probe: []int{0}, Residual: []int{1}, Index: IndexOn([]int{1})}},
 		// No key or index covered: scan, everything residual.
 		{[]int{2, 3}, AccessPath{Kind: AccessScan, Residual: []int{0, 1}}},
 		{nil, AccessPath{Kind: AccessScan}},

@@ -116,10 +116,10 @@ func TestSnapshotDeleteReinsertChain(t *testing.T) {
 		t.Errorf("writer key 1 = %v %v, want v2", row, ok)
 	}
 	// Probe paths agree with lookup paths on both versions.
-	if got := sOld.MustTable("R").Probe([]int{0}, []model.Datum{int64(1)}); len(got) != 1 || got[0][1] != "v1" {
+	if got := sOld.MustTable("R").Probe(IndexOn([]int{0}), []model.Datum{int64(1)}); len(got) != 1 || got[0][1] != "v1" {
 		t.Errorf("old snapshot probe = %v", got)
 	}
-	if got := sNew.MustTable("R").Probe([]int{0}, []model.Datum{int64(1)}); len(got) != 1 || got[0][1] != "v2" {
+	if got := sNew.MustTable("R").Probe(IndexOn([]int{0}), []model.Datum{int64(1)}); len(got) != 1 || got[0][1] != "v2" {
 		t.Errorf("new snapshot probe = %v", got)
 	}
 }
@@ -214,7 +214,7 @@ func TestSnapshotViewIsReadOnly(t *testing.T) {
 	if view.HasIndex([]int{1}) {
 		t.Error("EnsureIndex on a view must not build an index")
 	}
-	if got := view.Probe([]int{1}, []model.Datum{"a"}); len(got) != 1 {
+	if got := view.Probe(IndexOn([]int{1}), []model.Datum{"a"}); len(got) != 1 {
 		t.Errorf("scan-fallback probe = %v", got)
 	}
 }
@@ -229,10 +229,10 @@ func TestSnapshotIndexProbesFilterByEpoch(t *testing.T) {
 	defer snap.Close()
 	tbl.Delete([]model.Datum{int64(1)})
 	tbl.Insert(model.Tuple{int64(3), "a"})
-	if got := snap.MustTable("R").Probe([]int{1}, []model.Datum{"a"}); len(got) != 2 {
+	if got := snap.MustTable("R").Probe(IndexOn([]int{1}), []model.Datum{"a"}); len(got) != 2 {
 		t.Errorf("snapshot indexed probe = %d rows, want 2", len(got))
 	}
-	if got := tbl.Probe([]int{1}, []model.Datum{"a"}); len(got) != 2 {
+	if got := tbl.Probe(IndexOn([]int{1}), []model.Datum{"a"}); len(got) != 2 {
 		t.Errorf("writer indexed probe = %d rows, want 2 (keys 2,3)", len(got))
 	}
 }
@@ -313,7 +313,7 @@ func TestConcurrentSnapshotReadsUnderChurn(t *testing.T) {
 				for k := range tags {
 					tag = k
 				}
-				if got := view.Probe([]int{1}, []model.Datum{tag}); len(got) != n {
+				if got := view.Probe(IndexOn([]int{1}), []model.Datum{tag}); len(got) != n {
 					errs <- fmt.Errorf("probe saw %d rows of %q, want %d", len(got), tag, n)
 					snap.Close()
 					return

@@ -73,7 +73,7 @@ func (s *Scan) explain(sb *strings.Builder, indent int, _ []model.Datum) {
 // for the selected tuples".
 type IndexProbe struct {
 	Table string
-	Cols  []int
+	Index Index
 	Vals  []model.Datum
 	Width int
 }
@@ -88,12 +88,7 @@ func (p *IndexProbe) run(db *Database, args []model.Datum, yield func(model.Tupl
 	if err != nil {
 		return err
 	}
-	var stack [16]model.Tuple
-	for _, row := range t.probeEncoded(stack[:0], IndexName(p.Cols), p.Cols, enc) {
-		if !yield(row) {
-			break
-		}
-	}
+	t.ProbeEach(p.Index, enc, func(_ int, row model.Tuple) bool { return yield(row) })
 	return nil
 }
 
@@ -101,7 +96,7 @@ func (p *IndexProbe) run(db *Database, args []model.Datum, yield func(model.Tupl
 func (p *IndexProbe) Arity() int { return p.Width }
 
 func (p *IndexProbe) explain(sb *strings.Builder, indent int, _ []model.Datum) {
-	writeLine(sb, indent, "IndexProbe(%s cols=%v)", p.Table, p.Cols)
+	writeLine(sb, indent, "IndexProbe(%s cols=%v)", p.Table, p.Index.Cols)
 }
 
 // PKLookup reads the at most one row of a keyed table whose primary key
@@ -146,17 +141,16 @@ func Select(t *Table, cols []int, vals []model.Datum) Plan {
 		return &Scan{Table: name, Width: width}
 	}
 	path := t.ChooseAccess(cols)
-	probeCols := make([]int, len(path.Probe))
 	probeVals := make([]model.Datum, len(path.Probe))
 	for i, p := range path.Probe {
-		probeCols[i], probeVals[i] = cols[p], vals[p]
+		probeVals[i] = vals[p]
 	}
 	var plan Plan
 	switch path.Kind {
 	case AccessPK:
 		plan = &PKLookup{Table: name, Key: probeVals, Width: width}
 	case AccessIndex:
-		plan = &IndexProbe{Table: name, Cols: probeCols, Vals: probeVals, Width: width}
+		plan = &IndexProbe{Table: name, Index: path.Index, Vals: probeVals, Width: width}
 	default:
 		plan = &Scan{Table: name, Width: width}
 	}
@@ -355,16 +349,14 @@ func (j *IndexJoin) run(db *Database, args []model.Datum, yield func(model.Tuple
 // indexJoinRun is one run of an IndexJoin: the right table, opened on
 // the first left row, and the match buffer of its index probes.
 type indexJoinRun struct {
-	j         *IndexJoin
-	db        *Database
-	args      []model.Datum // values of the Params among the keys
-	yield     func(model.Tuple) bool
-	lw        int
-	right     *Table
-	probeCols []int
-	ixName    string
-	matches   []model.Tuple // reused by every index probe of the run
-	err       error
+	j       *IndexJoin
+	db      *Database
+	args    []model.Datum // values of the Params among the keys
+	yield   func(model.Tuple) bool
+	lw      int
+	right   *Table
+	matches []slotRow // reused by every index probe of the run
+	err     error
 }
 
 func (r *indexJoinRun) open() error {
@@ -380,13 +372,6 @@ func (r *indexJoinRun) open() error {
 		return fmt.Errorf("relstore: index join into unknown table %q", j.Table)
 	}
 	r.right = t
-	r.probeCols = make([]int, len(j.Path.Probe))
-	for i, p := range j.Path.Probe {
-		r.probeCols[i] = j.Cols[p]
-	}
-	if j.Path.Kind == AccessIndex {
-		r.ixName = IndexName(r.probeCols)
-	}
 	return nil
 }
 
@@ -418,25 +403,25 @@ func (r *indexJoinRun) row(lr model.Tuple) bool {
 	for _, p := range j.Path.Probe {
 		enc = model.AppendDatum(enc, vals[p])
 	}
-	var one [1]model.Tuple
-	var matches []model.Tuple
+	var one [1]slotRow
+	var matches []slotRow
 	if j.Path.Kind == AccessPK {
-		if row, ok := r.right.LookupKeyBytes(enc); ok {
-			one[0] = row
+		if slot, row, ok := r.right.LookupKeySlot(enc); ok {
+			one[0] = slotRow{slot, row}
 			matches = one[:]
 		}
 	} else {
-		r.matches = r.right.probeEncoded(r.matches[:0], r.ixName, r.probeCols, enc)
+		r.matches = r.right.probeEncoded(r.matches[:0], j.Path.Index, enc)
 		matches = r.matches
 	}
 	for _, m := range matches {
-		if !residualHolds(j, m, vals) {
+		if !residualHolds(j, m.row, vals) {
 			continue
 		}
 		if j.Semi {
 			return r.yield(lr) // the one match of a key
 		}
-		if !r.yield(concatRows(lr, m, r.lw, j.Width)) {
+		if !r.yield(concatRows(lr, m.row, r.lw, j.Width)) {
 			return false
 		}
 	}

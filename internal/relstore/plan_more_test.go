@@ -15,7 +15,7 @@ func TestExplainCoversAllNodes(t *testing.T) {
 				Keys: []Expr{Param(0)}, Path: AccessPath{Kind: AccessPK, Probe: []int{0}}},
 			Right: &HashJoin{
 				Left:  &Scan{Table: "L", Width: 2},
-				Right: &IndexProbe{Table: "R", Cols: []int{0}, Vals: []model.Datum{Param(0)}, Width: 2},
+				Right: &IndexProbe{Table: "R", Index: IndexOn([]int{0}), Vals: []model.Datum{Param(0)}, Width: 2},
 			},
 			LeftKeys:  []int{0},
 			RightKeys: []int{0},

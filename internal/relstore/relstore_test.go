@@ -174,7 +174,7 @@ func TestSecondaryIndexProbe(t *testing.T) {
 	tbl.Insert(model.Tuple{int64(2), "a"})
 	tbl.Insert(model.Tuple{int64(3), "b"})
 	// Probe without index scans.
-	got := tbl.Probe([]int{1}, []model.Datum{"a"})
+	got := tbl.Probe(IndexOn([]int{1}), []model.Datum{"a"})
 	if len(got) != 2 {
 		t.Fatalf("scan probe = %d rows", len(got))
 	}
@@ -182,14 +182,14 @@ func TestSecondaryIndexProbe(t *testing.T) {
 	if !tbl.HasIndex([]int{1}) || tbl.HasIndex([]int{0, 1}) {
 		t.Error("HasIndex wrong")
 	}
-	got = tbl.Probe([]int{1}, []model.Datum{"a"})
+	got = tbl.Probe(IndexOn([]int{1}), []model.Datum{"a"})
 	if len(got) != 2 {
 		t.Fatalf("index probe = %d rows", len(got))
 	}
 	// Index maintained under insert and delete.
 	tbl.Insert(model.Tuple{int64(4), "a"})
 	tbl.Delete([]model.Datum{int64(1)})
-	got = tbl.Probe([]int{1}, []model.Datum{"a"})
+	got = tbl.Probe(IndexOn([]int{1}), []model.Datum{"a"})
 	if len(got) != 2 {
 		t.Fatalf("index probe after churn = %d rows", len(got))
 	}
@@ -345,7 +345,7 @@ func TestHashJoinNullKeysNeverMatch(t *testing.T) {
 func TestIndexProbePlanAndValues(t *testing.T) {
 	db := joinFixture(t)
 	db.MustTable("R").CreateIndex([]int{0})
-	p := &IndexProbe{Table: "R", Cols: []int{0}, Vals: []model.Datum{int64(2)}, Width: 2}
+	p := &IndexProbe{Table: "R", Index: IndexOn([]int{0}), Vals: []model.Datum{int64(2)}, Width: 2}
 	rows := runPlan(t, db, p)
 	if len(rows) != 2 {
 		t.Fatalf("probe = %d rows", len(rows))

@@ -24,9 +24,12 @@ import (
 // once. Snapshot pins the current epoch and returns a read-only view;
 // deleted slots are reclaimed only once no pin can still observe them.
 type Database struct {
-	mu     sync.Mutex // guards tables and pins
+	mu     sync.Mutex // guards tables, byOrd and pins
 	tables map[string]*Table
-	pins   map[uint64]int
+	// byOrd indexes the tables by ordinal (Table.Ord); a dropped
+	// table's entry is nil.
+	byOrd []*Table
+	pins  map[uint64]int
 	// version counts definition changes (table creates and drops); see
 	// Version.
 	version atomic.Uint64
@@ -111,21 +114,31 @@ func (db *Database) Snapshot() *Database {
 		base = db.base
 	}
 	base.mu.Lock()
-	e := base.published.Load()
-	ver := base.version.Load()
-	var tabs map[string]*Table
+	defer base.mu.Unlock()
 	if db.base != nil {
-		e, ver = db.snapEpoch, db.snapVersion
-		tabs = db.tables // immutable once built
-	} else {
-		tabs = make(map[string]*Table, len(db.tables))
-		for name, t := range db.tables {
-			tabs[name] = &Table{Schema: t.Schema, s: t.s, asOf: e}
-		}
+		base.pins[db.snapEpoch]++
+		return &Database{tables: db.tables, byOrd: db.byOrd, base: base, snapEpoch: db.snapEpoch, snapVersion: db.snapVersion}
 	}
-	base.pins[e]++
-	base.mu.Unlock()
-	return &Database{tables: tabs, base: base, snapEpoch: e, snapVersion: ver}
+	return base.viewLocked(base.published.Load())
+}
+
+// viewLocked pins epoch and returns the read-only view of the current
+// table set as of it. The view's table handles share one allocation.
+// Callers hold db.mu on the writable database.
+func (db *Database) viewLocked(epoch uint64) *Database {
+	handles := make([]Table, len(db.byOrd))
+	tabs := make(map[string]*Table, len(db.tables))
+	byOrd := make([]*Table, len(db.byOrd))
+	for i, t := range db.byOrd {
+		if t == nil {
+			continue
+		}
+		h := &handles[i]
+		*h = Table{Schema: t.Schema, s: t.s, asOf: epoch}
+		tabs[t.Schema.Name], byOrd[i] = h, h
+	}
+	db.pins[epoch]++
+	return &Database{tables: tabs, byOrd: byOrd, base: db, snapEpoch: epoch, snapVersion: db.version.Load()}
 }
 
 // Close releases a snapshot view's pin, allowing rows deleted after
@@ -347,7 +360,9 @@ func (db *Database) CreateTable(schema *TableSchema) (*Table, error) {
 		return nil, fmt.Errorf("relstore: table %q already exists", schema.Name)
 	}
 	t := newTable(schema, db)
+	t.s.ord = len(db.byOrd)
 	db.tables[schema.Name] = t
+	db.byOrd = append(db.byOrd, t)
 	db.version.Add(1)
 	logged := db.hook != nil
 	if logged {
@@ -370,8 +385,9 @@ func (db *Database) DropTable(name string) {
 	}
 	db.mu.Lock()
 	logged := false
-	if _, ok := db.tables[name]; ok {
+	if t, ok := db.tables[name]; ok {
 		delete(db.tables, name)
+		db.byOrd[t.s.ord] = nil
 		db.version.Add(1)
 		if db.hook != nil {
 			db.logOp(LoggedOp{Kind: OpDropTable, Table: name})
@@ -394,6 +410,19 @@ func (db *Database) Table(name string) (*Table, bool) {
 	t, ok := db.tables[name]
 	db.mu.Unlock()
 	return t, ok
+}
+
+// TableAt returns the table with the given ordinal (Table.Ord), if it
+// exists: on a snapshot view, a slice index.
+func (db *Database) TableAt(ord int) (*Table, bool) {
+	if db.base == nil {
+		db.mu.Lock()
+		defer db.mu.Unlock()
+	}
+	if ord < 0 || ord >= len(db.byOrd) || db.byOrd[ord] == nil {
+		return nil, false
+	}
+	return db.byOrd[ord], true
 }
 
 // MustTable looks up a table, panicking if absent (programming error).

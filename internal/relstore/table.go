@@ -75,6 +75,8 @@ type Table struct {
 type tableState struct {
 	mu     sync.RWMutex
 	schema *TableSchema
+	// ord is the table's ordinal in its database (see Table.Ord).
+	ord int
 	// db is the owning database (epoch source); nil for standalone
 	// tables, which delete eagerly since no snapshot can observe them.
 	db *Database
@@ -106,7 +108,7 @@ type tableState struct {
 
 // hashIndex maps encoded column values to the row slots holding them.
 type hashIndex struct {
-	cols    []int
+	Index
 	buckets map[string][]int
 }
 
@@ -172,6 +174,35 @@ func IndexName(cols []int) string {
 		parts[i] = fmt.Sprint(c)
 	}
 	return strings.Join(parts, ",")
+}
+
+// Index is a secondary index on Cols, resolved once where a plan node
+// or probe descriptor is built: a probe through it reuses the registry
+// name instead of deriving it per call.
+type Index struct {
+	Cols []int
+	name string
+}
+
+// IndexOn resolves the index on cols.
+func IndexOn(cols []int) Index { return Index{Cols: cols, name: IndexName(cols)} }
+
+// Name is the index's registry name, IndexName(ix.Cols).
+func (ix Index) Name() string { return ix.name }
+
+// Ord returns the table's ordinal in its database: tables are numbered
+// densely in creation order and a dropped table's ordinal is never
+// reused, so within one pinned snapshot (Ord, slot) names exactly one
+// row version (see LookupKeySlot). A standalone table's ordinal is 0.
+func (t *Table) Ord() int { return t.s.ord }
+
+// Slots returns the size of the table's slot space: an upper bound on
+// the rows any view of it holds.
+func (t *Table) Slots() int {
+	s := t.s
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.be.Slots()
 }
 
 // Len returns the number of live rows (at the view's epoch, for
@@ -305,7 +336,7 @@ func (s *tableState) indexRow(idx int, row model.Tuple) {
 	}
 	for _, ix := range s.indexes {
 		buf := s.ixBuf[:0]
-		for _, c := range ix.cols {
+		for _, c := range ix.Cols {
 			buf = model.AppendDatum(buf, row[c])
 		}
 		s.ixBuf = buf
@@ -372,7 +403,7 @@ func (s *tableState) kill(idx int) {
 func (s *tableState) reclaim(idx int) {
 	row := s.be.Row(idx)
 	for _, ix := range s.indexes {
-		k := encodeCols(row, ix.cols)
+		k := encodeCols(row, ix.Cols)
 		bucket := ix.buckets[k]
 		for i, r := range bucket {
 			if r == idx {
@@ -525,15 +556,24 @@ func (t *Table) LookupKey(key []model.Datum) (model.Tuple, bool) {
 // LookupKeyBytes is LookupEncoded for callers holding the canonical
 // key encoding as a byte scratch: the map probe allocates nothing.
 func (t *Table) LookupKeyBytes(enc []byte) (model.Tuple, bool) {
+	_, row, ok := t.LookupKeySlot(enc)
+	return row, ok
+}
+
+// LookupKeySlot is LookupKeyBytes also returning the slot of the
+// version it found. A slot is released only once no snapshot can see
+// its version, so on a snapshot view the slot names that version for
+// as long as the view stays pinned.
+func (t *Table) LookupKeySlot(enc []byte) (int, model.Tuple, bool) {
 	s := t.s
 	if s.pk == nil {
-		return nil, false
+		return 0, nil, false
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	idx, ok := s.pk[string(enc)]
 	if !ok {
-		return nil, false
+		return 0, nil, false
 	}
 	return s.lookupVersion(idx, t.asOf)
 }
@@ -551,23 +591,25 @@ func (t *Table) LookupEncoded(enc string) (model.Tuple, bool) {
 	if !ok {
 		return nil, false
 	}
-	return s.lookupVersion(idx, t.asOf)
+	_, row, ok := s.lookupVersion(idx, t.asOf)
+	return row, ok
 }
 
 // lookupVersion walks the version chain from the newest slot to the
-// one visible at asOf. The writer view stops at the head: only the
-// newest version of a key can be live.
-func (s *tableState) lookupVersion(idx int, asOf uint64) (model.Tuple, bool) {
+// one visible at asOf, returning that slot and its row. The writer
+// view stops at the head: only the newest version of a key can be
+// live.
+func (s *tableState) lookupVersion(idx int, asOf uint64) (int, model.Tuple, bool) {
 	for idx >= 0 {
 		if row, ok := s.liveRow(idx, asOf); ok {
-			return row, true
+			return idx, row, true
 		}
 		if asOf == 0 {
-			return nil, false
+			return 0, nil, false
 		}
 		idx = s.be.Prev(idx)
 	}
-	return nil, false
+	return 0, nil, false
 }
 
 // CreateIndex builds (or rebuilds) a secondary hash index on cols.
@@ -588,7 +630,7 @@ func (s *tableState) createIndexLocked(cols []int) {
 	// at reopen) would otherwise spend most of its time rehashing the
 	// growing bucket map.
 	slots := s.be.Slots()
-	ix := &hashIndex{cols: append([]int(nil), cols...), buckets: make(map[string][]int, slots)}
+	ix := &hashIndex{Index: IndexOn(append([]int(nil), cols...)), buckets: make(map[string][]int, slots)}
 	// Dead-but-unreclaimed slots are indexed too: snapshot probes must
 	// still find them, and reclamation removes their entries.
 	buf := s.ixBuf
@@ -605,7 +647,7 @@ func (s *tableState) createIndexLocked(cols []int) {
 		ix.buckets[k] = append(ix.buckets[k], idx)
 	}
 	s.ixBuf = buf
-	s.indexes[IndexName(cols)] = ix
+	s.indexes[ix.name] = ix
 }
 
 // HasIndex reports whether an index on exactly cols exists.
@@ -663,11 +705,13 @@ func (k AccessKind) String() string {
 // columns is bound to known values. Probe and Residual partition the
 // positions of that list: Probe, in primary-key or index column order,
 // forms the lookup key; Residual columns are not covered by the lookup
-// and must be compared on the fetched rows.
+// and must be compared on the fetched rows. Index is the index an
+// AccessIndex path probes, resolved with the path.
 type AccessPath struct {
 	Kind     AccessKind
 	Probe    []int
 	Residual []int
+	Index    Index
 }
 
 // ChooseAccess picks the access path for rows whose columns bound are
@@ -700,12 +744,12 @@ func (t *Table) ChooseAccess(bound []int) AccessPath {
 		s.mu.RLock()
 		for _, ix := range s.indexes {
 			// Map order is random: break width ties by name.
-			if best != nil && (len(ix.cols) < len(best.cols) ||
-				len(ix.cols) == len(best.cols) && IndexName(ix.cols) > IndexName(best.cols)) {
+			if best != nil && (len(ix.Cols) < len(best.Cols) ||
+				len(ix.Cols) == len(best.Cols) && ix.name > best.name) {
 				continue
 			}
-			if probe := cover(ix.cols); probe != nil {
-				best, path = ix, AccessPath{Kind: AccessIndex, Probe: probe}
+			if probe := cover(ix.Cols); probe != nil {
+				best, path = ix, AccessPath{Kind: AccessIndex, Probe: probe, Index: ix.Index}
 			}
 		}
 		s.mu.RUnlock()
@@ -718,52 +762,61 @@ func (t *Table) ChooseAccess(bound []int) AccessPath {
 	return path
 }
 
-// ProbeEach calls fn for every live row whose cols equal vals, using an
-// index if one exists and scanning otherwise. fn returning false stops
-// the enumeration. The matching rows are collected under the read lock
-// and yielded outside it, so fn may freely query this or other tables.
-// fn must not mutate the rows.
-func (t *Table) ProbeEach(cols []int, vals []model.Datum, fn func(model.Tuple) bool) {
-	var stack [16]model.Tuple
-	for _, row := range t.probeInto(stack[:0], cols, vals) {
-		if !fn(row) {
+// ProbeEach calls fn with the slot and row of every row visible to the
+// view whose ix columns encode to enc (the canonical encoding of the
+// probed values, in ix.Cols order), using the index if the table has
+// it and scanning otherwise. fn returning false stops the enumeration.
+// The matching rows are collected under the read lock and yielded
+// outside it, so fn may freely query this or other tables. fn must not
+// mutate the rows.
+func (t *Table) ProbeEach(ix Index, enc []byte, fn func(slot int, row model.Tuple) bool) {
+	var stack [16]slotRow
+	for _, m := range t.probeEncoded(stack[:0], ix, enc) {
+		if !fn(m.slot, m.row) {
 			return
 		}
 	}
 }
 
-// Probe returns the rows whose cols equal vals, using an index if one
-// exists and scanning otherwise.
-func (t *Table) Probe(cols []int, vals []model.Datum) []model.Tuple {
-	return t.probeInto(nil, cols, vals)
-}
-
-func (t *Table) probeInto(out []model.Tuple, cols []int, vals []model.Datum) []model.Tuple {
+// Probe returns the rows whose ix columns equal vals, using the index
+// if the table has it and scanning otherwise.
+func (t *Table) Probe(ix Index, vals []model.Datum) []model.Tuple {
 	// Local buffer, not s.keyBuf: a read path, safe under concurrent
 	// readers.
-	var buf []byte
+	var buf [64]byte
+	enc := buf[:0]
 	for _, v := range vals {
-		buf = model.AppendDatum(buf, v)
+		enc = model.AppendDatum(enc, v)
 	}
-	return t.probeEncoded(out, IndexName(cols), cols, buf)
+	matches := t.probeEncoded(nil, ix, enc)
+	out := make([]model.Tuple, len(matches))
+	for i, m := range matches {
+		out[i] = m.row
+	}
+	return out
 }
 
-// probeEncoded is probeInto for callers that hold the index name and
-// the canonical encoding of the probed values (IndexJoin encodes into
-// one reused buffer per left row).
-func (t *Table) probeEncoded(out []model.Tuple, name string, cols []int, enc []byte) []model.Tuple {
+// slotRow is one probe match: the slot and the row it holds.
+type slotRow struct {
+	slot int
+	row  model.Tuple
+}
+
+// probeEncoded appends the rows visible to the view whose ix columns
+// encode to enc.
+func (t *Table) probeEncoded(out []slotRow, ix Index, enc []byte) []slotRow {
 	s := t.s
 	s.mu.RLock()
-	if ix, ok := s.indexes[name]; ok {
-		for _, i := range ix.buckets[string(enc)] {
+	if h, ok := s.indexes[ix.name]; ok {
+		for _, i := range h.buckets[string(enc)] {
 			if row, ok := s.liveRow(i, t.asOf); ok {
-				out = append(out, row)
+				out = append(out, slotRow{i, row})
 			}
 		}
 	} else {
 		for i, slots := 0, s.be.Slots(); i < slots; i++ {
-			if row, ok := s.liveRow(i, t.asOf); ok && encodeCols(row, cols) == string(enc) {
-				out = append(out, row)
+			if row, ok := s.liveRow(i, t.asOf); ok && encodeCols(row, ix.Cols) == string(enc) {
+				out = append(out, slotRow{i, row})
 			}
 		}
 	}
@@ -799,8 +852,13 @@ const iterateBatch = 64
 // rows. On the writer view, rows inserted by fn itself may or may not
 // be visited; on a snapshot view Iterate sees exactly the pinned epoch.
 func (t *Table) Iterate(fn func(model.Tuple) bool) {
+	t.EachSlot(func(_ int, row model.Tuple) bool { return fn(row) })
+}
+
+// EachSlot is Iterate also passing each row's slot.
+func (t *Table) EachSlot(fn func(slot int, row model.Tuple) bool) {
 	s := t.s
-	var batch [iterateBatch]model.Tuple
+	var batch [iterateBatch]slotRow
 	pos := 0
 	for {
 		s.mu.RLock()
@@ -808,15 +866,15 @@ func (t *Table) Iterate(fn func(model.Tuple) bool) {
 		n := 0
 		for pos < slots && n < len(batch) {
 			if row, ok := s.liveRow(pos, t.asOf); ok {
-				batch[n] = row
+				batch[n] = slotRow{pos, row}
 				n++
 			}
 			pos++
 		}
 		done := pos >= slots
 		s.mu.RUnlock()
-		for i := 0; i < n; i++ {
-			if !fn(batch[i]) {
+		for _, m := range batch[:n] {
+			if !fn(m.slot, m.row) {
 				return
 			}
 		}

@@ -715,9 +715,9 @@ type ProQLRow struct {
 	// "graph", the alias of asr.
 	GraphBuildTime time.Duration
 	GraphEvalTime  time.Duration
-	// ASRFirstTime is the asr backend's cold evaluation (adapter
-	// warm-up plus planning); ASREvalTime is the warm repeated-shape
-	// evaluation on a warm adapter.
+	// ASRFirstTime is the asr backend's first evaluation on a fresh
+	// engine (planning included); ASREvalTime is the repeated-shape
+	// evaluation with the plan cached.
 	ASRFirstTime time.Duration
 	ASREvalTime  time.Duration
 	// GraphBuilds counts provgraph materializations observed during
@@ -778,8 +778,8 @@ func RunProQL(scales []int, numPeers, dataPeers, baseSize, runs int, seed int64)
 
 		before := provgraph.Builds()
 		// Cold arm: a fresh engine per iteration, so every run pays the
-		// adapter warm-up (the discard-extremes protocol tames the noise
-		// a single cold measurement carries).
+		// planning a cached plan saves (the discard-extremes protocol
+		// tames the noise a single cold measurement carries).
 		var asrEng *proql.Engine
 		row.ASRFirstTime, err = timed(runs, func() error {
 			asrEng = proql.NewEngine(set.Sys)

@@ -5,8 +5,8 @@ import "testing"
 // TestRunServeSmall exercises the E15 harness end to end at a tiny
 // scale: all three backends, two reader counts, real churn. Under
 // -race this doubles as a concurrency check on the whole serving
-// stack (facade writer lock, snapshot reads, ASR adapter refcounting
-// and retiring).
+// stack (facade writer lock, snapshot reads, the path views' shared
+// buffer list).
 func TestRunServeSmall(t *testing.T) {
 	rows, err := RunServe([]int{1, 2}, 4, 1, 20, 4, 5, 42)
 	if err != nil {
