@@ -68,8 +68,8 @@ type Graph interface {
 // Ancestry is implemented by a Graph that walks the ancestry of many
 // tuples in one pass. Ancestors records into out every derivation
 // backwards-reachable from any of starts — what INCLUDE PATH [$x] <-+ []
-// projects for each — and returns the starts it left to the caller,
-// who walks those one by one.
+// projects for each — except the ancestries of the tuples it returns,
+// which the caller walks one by one.
 type Ancestry interface {
 	Ancestors(starts []Tuple, out *Projection) (rest []Tuple)
 }

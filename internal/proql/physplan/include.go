@@ -93,10 +93,10 @@ func (inc *Include) each(yield func(Row) bool) error {
 }
 
 // includeWalk is one Include execution's walk state, reused across rows
-// and starts: the simple-path visited set, and the ancestor BFS's queue
-// and done set (tuple ordinals). A tuple is done once its every
-// ancestor derivation is recorded, so a later BFS stops where an
-// earlier one has been.
+// and starts: the simple-path visited set, the ancestor BFS's queue
+// and done set (tuple ordinals), and the starts left for an Ancestry
+// graph. A tuple is done once its every ancestor derivation is
+// recorded, so a later BFS stops where an earlier one has been.
 type includeWalk struct {
 	g        Graph
 	anc      Ancestry // g, when it walks ancestries in bulk
