@@ -233,8 +233,7 @@ type denseRows struct {
 	hnum  []int32 // position → 1 + its handle's number, 0 until made
 	hash  keyHash // a relation's positions by key
 	// A resolved relation's incoming derivations: position i's are
-	// in[off[i]:off[i+1]], each probe index << 28 | position in the
-	// provenance table provs[probe index].
+	// in[off[i]:off[i+1]], each an inRef.
 	off, in []int32
 	provs   []*pathRel
 	// A resolved provenance table's source then target tuples, natoms
@@ -270,6 +269,15 @@ type pathDeriv struct {
 	num  int32
 	list int32
 	slot int32
+}
+
+// inRef packs an incoming derivation of a resolved relation: the index
+// of the probe that found it (4 bits) and its position in that probe's
+// provenance table, provs[probe].
+func inRef(probe int, pos int) int32 { return int32(uint32(probe)<<28 | uint32(pos)) }
+
+func splitInRef(ref int32) (probe int, pos int32) {
+	return int(uint32(ref) >> 28), int32(uint32(ref) & (1<<28 - 1))
 }
 
 // rowAt returns the row at handle position pos of r.
@@ -771,12 +779,15 @@ func (v *pathView) resolve(r *pathRel) bool {
 	if dr.off != nil {
 		return true
 	}
+	if len(r.probes) > 16 {
+		return false // more than an inRef holds
+	}
 	for i := range r.probes {
 		if r.probes[i].Prov.Virtual {
 			return false
 		}
 	}
-	refs := v.u64.take(len(dr.rows))[:0] // position << 32 | probe index << 28 | provenance position
+	refs := v.u64.take(len(dr.rows))[:0] // position << 32 | inRef
 	twice := false                       // some mapping has two head atoms in r
 	dr.provs = make([]*pathRel, len(r.probes))
 	for i := range r.probes {
@@ -787,7 +798,7 @@ func (v *pathView) resolve(r *pathRel) bool {
 			return false
 		}
 		pdr := v.densify(pr)
-		if !v.resolveEdges(pr) {
+		if len(pdr.rows) > 1<<28 || !v.resolveEdges(pr) {
 			return false
 		}
 		dr.provs[i] = pr
@@ -795,7 +806,7 @@ func (v *pathView) resolve(r *pathRel) bool {
 		head := len(p.Prov.Sources) + p.Head
 		for pos := range pdr.rows {
 			if e := pdr.edges[pos*atoms+head]; e >= 0 {
-				refs = append(refs, uint64(e)<<32|uint64(i)<<28|uint64(pos))
+				refs = append(refs, uint64(e)<<32|uint64(uint32(inRef(i, pos))))
 			}
 		}
 	}
@@ -900,8 +911,9 @@ func (v *pathView) Ancestors(starts []physplan.Tuple, out *physplan.Projection) 
 		queue = queue[:len(queue)-1]
 		dr := cur.r.dense
 		for _, ref := range dr.in[dr.off[cur.pos]:dr.off[cur.pos+1]] {
-			p, pr := &cur.r.probes[ref>>28], dr.provs[ref>>28]
-			pdr, pos := pr.dense, ref&(1<<28-1)
+			i, pos := splitInRef(ref)
+			p, pr := &cur.r.probes[i], dr.provs[i]
+			pdr := pr.dense
 			out.AddDeriv(derivCode(pr.ord, pdr.slots[pos]), p.Prov.Mapping.Name, pdr.rows[pos])
 			atoms := len(p.Prov.Sources) + len(p.Prov.Targets)
 			for j, e := range pdr.edges[int(pos)*atoms:][:len(p.Prov.Sources)] {
@@ -1026,7 +1038,8 @@ func (v *pathView) eachIn(t *pathTuple, yield func(int32) bool) {
 	if dr := t.rel.dense; dr != nil && dr.off != nil && t.pos >= 0 || v.resolved(t) {
 		dr := t.rel.dense
 		for _, ref := range dr.in[dr.off[t.pos]:dr.off[t.pos+1]] {
-			if !yield(v.handleAt(dr.provs[ref>>28], ref&(1<<28-1))) {
+			i, pos := splitInRef(ref)
+			if !yield(v.handleAt(dr.provs[i], pos)) {
 				return
 			}
 		}

@@ -548,3 +548,56 @@ func FuzzSnapshotOps(f *testing.F) {
 		}
 	})
 }
+
+// TestSlotsNameVersionsWithinASnapshot: within one pinned snapshot a
+// (table ordinal, slot) pair names one row version. A key deleted and
+// inserted again lives at a new slot while an older snapshot still
+// reads the old version at the old slot, and a dropped table's ordinal
+// taken by a new table leaves an older snapshot reading the old table.
+func TestSlotsNameVersionsWithinASnapshot(t *testing.T) {
+	db := NewDatabase()
+	tbl := newKeyedTable(t, db, "R")
+	tbl.Insert(model.Tuple{int64(1), "a"})
+	key := model.AppendDatum(nil, int64(1))
+
+	old := db.Snapshot()
+	defer old.Close()
+	oldSlot, oldRow, ok := old.MustTable("R").LookupKeySlot(key)
+	if !ok || oldRow[1] != "a" {
+		t.Fatalf("old snapshot: %v %v", oldRow, ok)
+	}
+	if _, err := tbl.Delete([]model.Datum{int64(1)}); err != nil {
+		t.Fatal(err)
+	}
+	tbl.Insert(model.Tuple{int64(1), "b"})
+	cur := db.Snapshot()
+	defer cur.Close()
+	slot, row, ok := cur.MustTable("R").LookupKeySlot(key)
+	if !ok || row[1] != "b" || slot == oldSlot {
+		t.Fatalf("new version at slot %d (%v, %v), old at %d", slot, row, ok, oldSlot)
+	}
+	if s, r, _ := old.MustTable("R").LookupKeySlot(key); s != oldSlot || r[1] != "a" {
+		t.Fatalf("old snapshot now reads slot %d %v, want %d [1 a]", s, r, oldSlot)
+	}
+	var slots []int
+	cur.MustTable("R").EachSlot(func(s int, _ model.Tuple) bool { slots = append(slots, s); return true })
+	if len(slots) != 1 || slots[0] != slot {
+		t.Fatalf("EachSlot = %v, want [%d]", slots, slot)
+	}
+
+	s := newKeyedTable(t, db, "S")
+	ord := s.Ord()
+	if got, ok := cur.TableAt(ord); ok || got != nil {
+		t.Fatalf("snapshot pinned before S was created sees ordinal %d", ord)
+	}
+	pinned := db.Snapshot()
+	defer pinned.Close()
+	db.DropTable("S")
+	u := newKeyedTable(t, db, "U")
+	if u.Ord() != ord {
+		t.Fatalf("U took ordinal %d, want the dropped %d", u.Ord(), ord)
+	}
+	if got, ok := pinned.TableAt(ord); !ok || got.Schema.Name != "S" {
+		t.Fatalf("snapshot pinned before the drop reads ordinal %d as %v", ord, got)
+	}
+}

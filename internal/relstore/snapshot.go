@@ -2,6 +2,7 @@ package relstore
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -27,7 +28,7 @@ type Database struct {
 	mu     sync.Mutex // guards tables, byOrd and pins
 	tables map[string]*Table
 	// byOrd indexes the tables by ordinal (Table.Ord); a dropped
-	// table's entry is nil.
+	// table's entry is nil until a new table takes it.
 	byOrd []*Table
 	pins  map[uint64]int
 	// version counts definition changes (table creates and drops); see
@@ -360,9 +361,15 @@ func (db *Database) CreateTable(schema *TableSchema) (*Table, error) {
 		return nil, fmt.Errorf("relstore: table %q already exists", schema.Name)
 	}
 	t := newTable(schema, db)
-	t.s.ord = len(db.byOrd)
+	// A dropped table's ordinal is taken again: a snapshot keeps the
+	// table set it was pinned with, so no view sees both tables.
+	t.s.ord = slices.Index(db.byOrd, nil)
+	if t.s.ord < 0 {
+		t.s.ord = len(db.byOrd)
+		db.byOrd = append(db.byOrd, nil)
+	}
 	db.tables[schema.Name] = t
-	db.byOrd = append(db.byOrd, t)
+	db.byOrd[t.s.ord] = t
 	db.version.Add(1)
 	logged := db.hook != nil
 	if logged {
