@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"hash/maphash"
 	"math"
-	"math/bits"
 	"runtime"
 	"slices"
 	"strings"
@@ -299,42 +298,28 @@ func derivCode(ord int, slot int32) int {
 	return ord<<32 | int(slot)
 }
 
-// chunks stores handles in chunks that never move, so a handle pointer
-// stays valid while more are added. Chunk k holds 16<<min(k, 6)
-// handles, numbered on from the last of chunk k-1: a point query fills
-// part of one small chunk.
+// chunks stores handles in chunks of 1024 that never move, so a handle
+// pointer stays valid while more are added; handle k<<10 | i is
+// element i of chunk k.
 type chunks[T any] struct {
 	c [][]T
 	k int // the chunk being filled
 }
 
-// chunkOf returns the chunk holding handle n and n's index in it.
-func chunkOf(n int32) (k, i int32) {
-	if n < 1008 { // chunks 0..5 hold 16, 32, ..., 512
-		k = int32(bits.Len32(uint32(n+16))) - 5
-		return k, n + 16 - 16<<k
-	}
-	return 6 + (n-1008)>>10, (n - 1008) & 1023
-}
-
 // add appends a zero handle, returning its number and address.
 func (c *chunks[T]) add() (int32, *T) {
 	if len(c.c) == 0 {
-		c.c = append(c.c, make([]T, 0, 16))
+		c.c = append(c.c, make([]T, 0, 1024))
 	}
-	if len(c.c[c.k]) == cap(c.c[c.k]) {
+	if len(c.c[c.k]) == 1024 {
 		if c.k++; c.k == len(c.c) {
-			c.c = append(c.c, make([]T, 0, 16<<min(c.k, 6)))
+			c.c = append(c.c, make([]T, 0, 1024))
 		}
 	}
 	ch := c.c[c.k][:len(c.c[c.k])+1]
 	c.c[c.k] = ch
 	i := len(ch) - 1
-	n := 16<<min(c.k, 6) - 16 + i // the first c.k chunks hold 16<<k - 16 for k <= 6
-	if c.k > 6 {
-		n = 1008 + (c.k-6)<<10 + i
-	}
-	return int32(n), &ch[i]
+	return int32(c.k<<10 | i), &ch[i]
 }
 
 // reset zeroes the handles and rewinds.
@@ -347,10 +332,7 @@ func (c *chunks[T]) reset() {
 }
 
 // at returns handle n.
-func (c *chunks[T]) at(n int32) *T {
-	k, i := chunkOf(n)
-	return &c.c[k][i]
-}
+func (c *chunks[T]) at(n int32) *T { return &c.c[n>>10][n&1023] }
 
 // keyHash is a dense relation's positions hashed on the relation key:
 // chained buckets. When the key is one column holding an int64 in every
@@ -422,16 +404,12 @@ func (v *pathView) rel(ord int) (*pathRel, bool) {
 		v.fail(fmt.Errorf("proql: no table with ordinal %d", ord))
 		return nil, false
 	}
-	// A probe costs some eight times a scanned row (a hash lookup with
-	// its cache misses against a sequential read), so a table goes
-	// dense after reads of an eighth of its slots.
 	r := &v.tabs.take(1)[0]
-	*r = pathRel{ord: ord, tab: tab, denseAt: max(16, tab.Slots()/8), loose: &v.loose}
-	if pr, ok := v.sys.Prov[strings.TrimPrefix(tab.Schema.Name, exchange.ProvTablePrefix)]; ok && pr.Table == ord {
-		r.prov = pr
-	}
+	*r = pathRel{ord: ord, tab: tab, loose: &v.loose}
 	if rel, ok := v.sys.Schema.Relation(tab.Schema.Name); ok {
 		r.rel, r.probes = rel, v.probes[rel.Name]
+	} else if pr, ok := v.sys.Prov[strings.TrimPrefix(tab.Schema.Name, exchange.ProvTablePrefix)]; ok && pr.Table == ord {
+		r.prov = pr
 	}
 	if ord >= len(v.rels) {
 		v.rels = slices.Grow(v.rels, ord+1-len(v.rels))[:ord+1]
@@ -538,6 +516,13 @@ func (v *pathView) densify(r *pathRel) *denseRows {
 // that reaches denseAt.
 func (v *pathView) read(r *pathRel) *denseRows {
 	if r.dense == nil {
+		if r.denseAt == 0 {
+			// A probe costs some eight times a scanned row (a hash
+			// lookup with its cache misses against a sequential read),
+			// so a table goes dense after reads of an eighth of its
+			// slots.
+			r.denseAt = max(16, r.tab.Slots()/8)
+		}
 		if r.reads++; r.reads < r.denseAt {
 			return nil
 		}

@@ -2,6 +2,7 @@ package relstore
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"sync"
@@ -25,10 +26,13 @@ import (
 // once. Snapshot pins the current epoch and returns a read-only view;
 // deleted slots are reclaimed only once no pin can still observe them.
 type Database struct {
-	mu     sync.Mutex // guards tables, byOrd and pins
+	mu sync.Mutex // guards tables, byOrd and pins
+	// tables maps names to the writable tables. A definition change
+	// replaces the map instead of writing into it, so a snapshot view
+	// keeps the one its pin saw.
 	tables map[string]*Table
-	// byOrd indexes the tables by ordinal (Table.Ord); a dropped
-	// table's entry is nil until a new table takes it.
+	// byOrd indexes the writable tables by ordinal (Table.Ord); a
+	// dropped table's entry is nil until a new table takes it.
 	byOrd []*Table
 	pins  map[uint64]int
 	// version counts definition changes (table creates and drops); see
@@ -60,10 +64,12 @@ type Database struct {
 	logOps []LoggedOp
 
 	// Snapshot views: base points at the writable database, snapEpoch
-	// and snapVersion freeze what the view observes.
+	// and snapVersion freeze what the view observes, and views holds
+	// the view's table handles by ordinal.
 	base        *Database
 	snapEpoch   uint64
 	snapVersion uint64
+	views       []Table
 	closed      atomic.Bool
 }
 
@@ -118,28 +124,24 @@ func (db *Database) Snapshot() *Database {
 	defer base.mu.Unlock()
 	if db.base != nil {
 		base.pins[db.snapEpoch]++
-		return &Database{tables: db.tables, byOrd: db.byOrd, base: base, snapEpoch: db.snapEpoch, snapVersion: db.snapVersion}
+		return &Database{tables: db.tables, views: db.views, base: base, snapEpoch: db.snapEpoch, snapVersion: db.snapVersion}
 	}
 	return base.viewLocked(base.published.Load())
 }
 
 // viewLocked pins epoch and returns the read-only view of the current
-// table set as of it. The view's table handles share one allocation.
-// Callers hold db.mu on the writable database.
+// table set as of it: one allocation of table handles, and the name map
+// shared with the writable database. Callers hold db.mu on the writable
+// database.
 func (db *Database) viewLocked(epoch uint64) *Database {
-	handles := make([]Table, len(db.byOrd))
-	tabs := make(map[string]*Table, len(db.tables))
-	byOrd := make([]*Table, len(db.byOrd))
+	views := make([]Table, len(db.byOrd))
 	for i, t := range db.byOrd {
-		if t == nil {
-			continue
+		if t != nil {
+			views[i] = Table{Schema: t.Schema, s: t.s, asOf: epoch}
 		}
-		h := &handles[i]
-		*h = Table{Schema: t.Schema, s: t.s, asOf: epoch}
-		tabs[t.Schema.Name], byOrd[i] = h, h
 	}
 	db.pins[epoch]++
-	return &Database{tables: tabs, byOrd: byOrd, base: db, snapEpoch: epoch, snapVersion: db.version.Load()}
+	return &Database{tables: db.tables, views: views, base: db, snapEpoch: epoch, snapVersion: db.version.Load()}
 }
 
 // Close releases a snapshot view's pin, allowing rows deleted after
@@ -368,7 +370,9 @@ func (db *Database) CreateTable(schema *TableSchema) (*Table, error) {
 		t.s.ord = len(db.byOrd)
 		db.byOrd = append(db.byOrd, nil)
 	}
-	db.tables[schema.Name] = t
+	tables := maps.Clone(db.tables)
+	tables[schema.Name] = t
+	db.tables = tables
 	db.byOrd[t.s.ord] = t
 	db.version.Add(1)
 	logged := db.hook != nil
@@ -393,7 +397,9 @@ func (db *Database) DropTable(name string) {
 	db.mu.Lock()
 	logged := false
 	if t, ok := db.tables[name]; ok {
-		delete(db.tables, name)
+		tables := maps.Clone(db.tables)
+		delete(tables, name)
+		db.tables = tables
 		db.byOrd[t.s.ord] = nil
 		db.version.Add(1)
 		if db.hook != nil {
@@ -411,7 +417,10 @@ func (db *Database) DropTable(name string) {
 func (db *Database) Table(name string) (*Table, bool) {
 	if db.base != nil {
 		t, ok := db.tables[name]
-		return t, ok
+		if !ok {
+			return nil, false
+		}
+		return &db.views[t.s.ord], true
 	}
 	db.mu.Lock()
 	t, ok := db.tables[name]
@@ -422,10 +431,14 @@ func (db *Database) Table(name string) (*Table, bool) {
 // TableAt returns the table with the given ordinal (Table.Ord), if it
 // exists: on a snapshot view, a slice index.
 func (db *Database) TableAt(ord int) (*Table, bool) {
-	if db.base == nil {
-		db.mu.Lock()
-		defer db.mu.Unlock()
+	if db.base != nil {
+		if ord < 0 || ord >= len(db.views) || db.views[ord].s == nil {
+			return nil, false
+		}
+		return &db.views[ord], true
 	}
+	db.mu.Lock()
+	defer db.mu.Unlock()
 	if ord < 0 || ord >= len(db.byOrd) || db.byOrd[ord] == nil {
 		return nil, false
 	}
