@@ -552,8 +552,9 @@ func FuzzSnapshotOps(f *testing.F) {
 // TestSlotsNameVersionsWithinASnapshot: within one pinned snapshot a
 // (table ordinal, slot) pair names one row version. A key deleted and
 // inserted again lives at a new slot while an older snapshot still
-// reads the old version at the old slot, and a dropped table's ordinal
-// taken by a new table leaves an older snapshot reading the old table.
+// reads the old version at the old slot. A dropped table's ordinal is
+// not taken again, and a snapshot pinned before the drop still reads
+// the table at it.
 func TestSlotsNameVersionsWithinASnapshot(t *testing.T) {
 	db := NewDatabase()
 	tbl := newKeyedTable(t, db, "R")
@@ -593,9 +594,11 @@ func TestSlotsNameVersionsWithinASnapshot(t *testing.T) {
 	pinned := db.Snapshot()
 	defer pinned.Close()
 	db.DropTable("S")
-	u := newKeyedTable(t, db, "U")
-	if u.Ord() != ord {
-		t.Fatalf("U took ordinal %d, want the dropped %d", u.Ord(), ord)
+	if u := newKeyedTable(t, db, "U"); u.Ord() == ord {
+		t.Fatalf("U took the dropped ordinal %d", ord)
+	}
+	if _, ok := db.TableAt(ord); ok {
+		t.Fatalf("the dropped ordinal %d still names a table", ord)
 	}
 	if got, ok := pinned.TableAt(ord); !ok || got.Schema.Name != "S" {
 		t.Fatalf("snapshot pinned before the drop reads ordinal %d as %v", ord, got)

@@ -3,7 +3,6 @@ package relstore
 import (
 	"fmt"
 	"maps"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -32,7 +31,7 @@ type Database struct {
 	// keeps the one its pin saw.
 	tables map[string]*Table
 	// byOrd indexes the writable tables by ordinal (Table.Ord); a
-	// dropped table's entry is nil until a new table takes it.
+	// dropped table's entry stays nil.
 	byOrd []*Table
 	pins  map[uint64]int
 	// version counts definition changes (table creates and drops); see
@@ -363,17 +362,11 @@ func (db *Database) CreateTable(schema *TableSchema) (*Table, error) {
 		return nil, fmt.Errorf("relstore: table %q already exists", schema.Name)
 	}
 	t := newTable(schema, db)
-	// A dropped table's ordinal is taken again: a snapshot keeps the
-	// table set it was pinned with, so no view sees both tables.
-	t.s.ord = slices.Index(db.byOrd, nil)
-	if t.s.ord < 0 {
-		t.s.ord = len(db.byOrd)
-		db.byOrd = append(db.byOrd, nil)
-	}
+	t.s.ord = len(db.byOrd)
+	db.byOrd = append(db.byOrd, t)
 	tables := maps.Clone(db.tables)
 	tables[schema.Name] = t
 	db.tables = tables
-	db.byOrd[t.s.ord] = t
 	db.version.Add(1)
 	logged := db.hook != nil
 	if logged {

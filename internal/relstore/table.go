@@ -191,10 +191,10 @@ func IndexOn(cols []int) Index { return Index{Cols: cols, name: IndexName(cols)}
 func (ix Index) Name() string { return ix.name }
 
 // Ord returns the table's ordinal in its database: tables are numbered
-// densely, a new table taking the lowest ordinal no table holds. A
-// snapshot keeps the table set it was pinned with, so within one pinned
-// snapshot (Ord, slot) names exactly one row version (see
-// LookupKeySlot). A standalone table's ordinal is 0.
+// in creation order and a dropped table's ordinal is never taken again,
+// so an ordinal a caller resolved once names that table or none, and
+// within one pinned snapshot (Ord, slot) names exactly one row version
+// (see LookupKeySlot). A standalone table's ordinal is 0.
 func (t *Table) Ord() int { return t.s.ord }
 
 // Slots returns the size of the table's slot space: an upper bound on
