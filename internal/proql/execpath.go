@@ -74,7 +74,7 @@ type pathBufs struct {
 	// ^i its handle records.
 	loose []model.Tuple
 	// nums numbers the handles of rows read sparsely by (table ordinal,
-	// slot), and of virtual derivations by virtualCode.
+	// slot), and of virtual derivations by derivCode.
 	nums map[uint64]int32
 	// lists holds the lists of handle numbers resolved one handle at a
 	// time (outside a resolved table), each at 1 + its handle's list.
