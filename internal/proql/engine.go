@@ -22,9 +22,9 @@ import (
 // any other query runs on the relational backend (Section 4), falling
 // back to asr for query shapes the relational translation does not
 // cover. Every query reads a snapshot it pins for itself; besides the
-// plan cache, which is keyed by query shape and not by epoch, the
-// engine keeps nothing between queries, so a commit has nothing of it
-// to invalidate.
+// plan cache, which is keyed by query shape and not by epoch, and the
+// emptied arrays of finished path views, the engine keeps nothing
+// between queries, so a commit has nothing of it to invalidate.
 type Engine struct {
 	Sys *exchange.System
 
@@ -44,6 +44,8 @@ type Engine struct {
 	// plans is the shape-keyed plan cache shared by all backends; it is
 	// internally synchronized.
 	plans *planCache
+	// views keeps finished path views' arrays for reuse.
+	views spareViews
 }
 
 // NewEngine builds an engine over a system. The engine is safe for

@@ -3,8 +3,12 @@ package proql
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 
+	"repro/internal/exchange"
+	"repro/internal/fixture"
+	"repro/internal/model"
 	"repro/internal/provgraph"
 )
 
@@ -116,4 +120,53 @@ func containsStr(s, sub string) bool {
 		}
 	}
 	return false
+}
+
+// TestSpareViewsBoundWhatTheyKeep: a finished path query's view is kept
+// for the next query with the arrays its dense reads filled, but only
+// while they stay within spareBytes. Past the bound the view is dropped
+// with its arrays, so a point query after a large one does not hold the
+// large one's memory.
+func TestSpareViewsBoundWhatTheyKeep(t *testing.T) {
+	// Every mapping materialized, so a key-pinned read stays sparse.
+	e := NewEngine(fixture.MustSystem(fixture.Options{Exchange: exchange.Options{MaterializeAll: true}}))
+	whole := MustParse("FOR [O $x] INCLUDE PATH [$x] <-+ [] RETURN $x")
+	one, err := e.Exec(context.Background(), MustParse("FOR [O $x] RETURN $x"), Options{})
+	if err != nil || one.Len() == 0 {
+		t.Fatalf("no O tuple: %v", err)
+	}
+	key, err := model.DecodeDatums(one.Bindings[0]["x"].Key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	point := MustParse(fmt.Sprintf("FOR [O $x] WHERE $x.name = '%s' AND $x.height = %d INCLUDE PATH [$x] <-+ [] RETURN $x", key[0], key[1]))
+	run := func(q *Query) {
+		t.Helper()
+		if _, err := e.Exec(context.Background(), q, Options{Backend: "asr"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	kept := func() (views, bytes int) {
+		e.views.mu.Lock()
+		defer e.views.mu.Unlock()
+		for _, v := range e.views.views {
+			bytes += v.held()
+		}
+		return len(e.views.views), bytes
+	}
+	run(whole)
+	n, full := kept()
+	if n != 1 || full == 0 {
+		t.Fatalf("after a whole-relation query: %d views kept holding %d bytes, want 1 holding its arrays", n, full)
+	}
+	defer func(b int) { spareBytes = b }(spareBytes)
+	spareBytes = full - 1
+	run(whole)
+	if n, _ := kept(); n != 0 {
+		t.Fatalf("a view holding more than spareBytes was kept (%d views)", n)
+	}
+	run(point)
+	if n, bytes := kept(); n != 1 || bytes >= full {
+		t.Fatalf("after a point query: %d views kept holding %d bytes, want 1 holding less than the whole query's %d", n, bytes, full)
+	}
 }

@@ -6,7 +6,8 @@
 // incoming derivations instead of following materialized adjacency
 // lists — and addresses what it reads by storage position: a tuple by
 // (table ordinal, slot), a derivation by (provenance table ordinal,
-// slot). No provgraph is built and nothing outlives the query.
+// slot). No provgraph is built, and no data outlives the query: a
+// finished view keeps only the capacity of its arrays (spareViews).
 
 package proql
 
@@ -14,6 +15,7 @@ import (
 	"fmt"
 	"hash/maphash"
 	"math"
+	"math/bits"
 	"runtime"
 	"slices"
 	"strings"
@@ -44,121 +46,101 @@ func (e *Engine) bindPathView(asOf uint64) (*pathView, func(), error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	v := &pathView{
-		pathBufs: freeBufs.get(),
-		sys:      snap,
-		epoch:    snap.DB.Epoch(),
-		probes:   e.Sys.Probes(),
-	}
+	v := e.views.get()
+	v.sys, v.epoch, v.probes = snap, snap.DB.Epoch(), e.Sys.Probes()
 	return v, func() {
 		unpin()
-		freeBufs.put(v.pathBufs)
+		e.views.put(v)
 	}, nil
 }
 
-// pathBufs is the memory a view cuts its handles and arrays from. A
-// query takes one from freeBufs and gives it back zeroed when it ends,
-// so the next query reuses the memory instead of leaving it to the
-// collector; no data in it outlives the query it serves.
-type pathBufs struct {
-	tuples chunks[pathTuple]
-	derivs chunks[pathDeriv]
-	i32    carve[int32]
-	i64    carve[int64]
-	u64    carve[uint64]
-	rows   carve[model.Tuple]
-	tabs   carve[pathRel]
-
-	rels []*pathRel // by table ordinal, bound on first use
-	// loose holds the rows read sparsely, each at the handle position
-	// ^i its handle records.
-	loose []model.Tuple
-	// nums numbers the handles of rows read sparsely by (table ordinal,
-	// slot), and of virtual derivations by derivCode.
-	nums map[uint64]int32
-	// lists holds the lists of handle numbers resolved one handle at a
-	// time (outside a resolved table), each at 1 + its handle's list.
-	lists [][]int32
-	list  []int32 // incoming scratch
-	// stamps holds, by tuple handle number, the last Reach walk that
-	// entered the tuple.
-	stamps []uint32
+// spareViews keeps the views of finished path queries for the next
+// ones, at most one per processor. A view keeps, by table ordinal, the
+// arrays its dense reads filled, so the next query's dense reads of
+// the same tables fill them again instead of allocating; a view whose
+// arrays hold more than spareBytes is dropped, so a large query's
+// memory goes with it.
+type spareViews struct {
+	mu    sync.Mutex
+	views []*pathView
 }
 
-// freeBufs keeps the zeroed buffers of finished queries, one per
-// processor at most.
-var freeBufs pathBufList
+// spareBytes bounds the arrays one kept view holds.
+var spareBytes = 16 << 20
 
-type pathBufList struct {
-	mu   sync.Mutex
-	bufs []*pathBufs
-}
-
-func (l *pathBufList) get() *pathBufs {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	n := len(l.bufs)
+func (s *spareViews) get() *pathView {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := len(s.views)
 	if n == 0 {
-		return new(pathBufs)
+		return &pathView{}
 	}
-	b := l.bufs[n-1]
-	l.bufs = l.bufs[:n-1]
-	return b
+	v := s.views[n-1]
+	s.views = s.views[:n-1]
+	return v
 }
 
-func (l *pathBufList) put(b *pathBufs) {
-	b.reset()
-	l.mu.Lock()
-	if len(l.bufs) < runtime.GOMAXPROCS(0) {
-		l.bufs = append(l.bufs, b)
+func (s *spareViews) put(v *pathView) {
+	if !v.recycle() {
+		return
 	}
-	l.mu.Unlock()
+	s.mu.Lock()
+	if len(s.views) < runtime.GOMAXPROCS(0) {
+		s.views = append(s.views, v)
+	}
+	s.mu.Unlock()
 }
 
-func (b *pathBufs) reset() {
-	b.tuples.reset()
-	b.derivs.reset()
-	b.i32.reset()
-	b.i64.reset()
-	b.u64.reset()
-	b.rows.reset()
-	b.tabs.reset()
-	clear(b.rels)
-	b.rels = b.rels[:0]
-	clear(b.loose)
-	b.loose = b.loose[:0]
-	clear(b.nums)
-	clear(b.lists)
-	b.lists = b.lists[:0]
-	clear(b.stamps)
-}
-
-// carve cuts zeroed arrays from the chunks it keeps: an array of 4096
-// elements or more gets a chunk of its own, smaller ones share. A
-// chunk's length is the part cut.
-type carve[T any] struct {
-	bufs [][]T
-}
-
-// take returns a zeroed array of n elements.
-func (c *carve[T]) take(n int) []T {
-	for i, b := range c.bufs {
-		if len(b)+n <= cap(b) {
-			c.bufs[i] = b[:len(b)+n]
-			return b[len(b) : len(b)+n : len(b)+n]
+// recycle clears v for another query, keeping its arrays; it reports
+// false when they hold more than spareBytes.
+func (v *pathView) recycle() bool {
+	spare := v.spare
+	for _, r := range v.rels {
+		if r != nil && r.dense != nil && r.tab != nil {
+			if r.ord >= len(spare) {
+				spare = slices.Grow(spare, r.ord+1-len(spare))[:r.ord+1]
+			}
+			spare[r.ord] = r.dense.recycle()
 		}
 	}
-	b := make([]T, n, max(n, 1<<12))
-	c.bufs = append(c.bufs, b)
-	return b[:n:n]
+	v.nodes.reset()
+	v.tabs.reset()
+	clear(v.loose)
+	*v = pathView{spare: spare, refs: v.refs, fill: v.fill, nodes: v.nodes, tabs: v.tabs,
+		lists: v.lists[:0], loose: v.loose[:0]}
+	return v.held() <= spareBytes
 }
 
-// reset zeroes what was cut and rewinds.
-func (c *carve[T]) reset() {
-	for i, b := range c.bufs {
-		clear(b)
-		c.bufs[i] = b[:0]
+// held is the size in bytes of the arrays a recycled view keeps.
+func (v *pathView) held() int {
+	n := 12*(cap(v.refs)+cap(v.fill)) + 4*cap(v.lists) + 24*(cap(v.loose)+v.nodes.elems()) + 128*v.tabs.elems()
+	for _, dr := range v.spare {
+		if dr != nil {
+			n += 24*cap(dr.rows) + 4*(cap(dr.slots)+cap(dr.hnum)+cap(dr.hash.head)+cap(dr.hash.next)+
+				cap(dr.off)+cap(dr.in)+cap(dr.edges)) + 8*cap(dr.hash.ints)
+		}
 	}
+	return n
+}
+
+// recycle empties dr, keeping its arrays, and returns it.
+func (dr *denseRows) recycle() *denseRows {
+	clear(dr.rows) // rows the store may free
+	*dr = denseRows{rows: dr.rows[:0], slots: dr.slots[:0], hnum: dr.hnum[:0],
+		hash: keyHash{head: dr.hash.head[:0], next: dr.hash.next[:0], ints: dr.hash.ints[:0]},
+		off:  dr.off[:0], in: dr.in[:0], edges: dr.edges[:0]}
+	return dr
+}
+
+// reuse returns s with n zeroed elements, in place when its capacity
+// allows.
+func reuse[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // pathView implements physplan.Graph over the provenance relations of
@@ -180,24 +162,40 @@ func (c *carve[T]) reset() {
 // a relational plan makes between an index join and a hash join: the
 // scans read memory in order where the probes miss the cache each. A
 // dense table addresses its rows by position (slot order); handles for
-// them are made when the walk reaches them, and Ancestors walks whole
-// ancestries by position without making any.
+// them are made when the walk reaches them.
 type pathView struct {
-	*pathBufs
 	sys    *exchange.System // snapshot view; reads are epoch-frozen
 	epoch  uint64
 	probes map[string][]exchange.IncomingProbe
 
-	// virt holds the rows of each virtual (superfluous) mapping the
-	// query reconstructed: their derivations have no slot.
-	virt map[*exchange.ProvRel]*virtualRows
+	nodes slab[pathNode] // the handles, by number
+	tabs  slab[pathRel]
+	rels  []*pathRel // by table ordinal, bound on first use
+	// loose holds the rows read sparsely, each at the handle position
+	// ^i its handle records.
+	loose []model.Tuple
+	// nums numbers the handles of rows read sparsely by (table ordinal,
+	// slot).
+	nums map[uint64]int32
+	// lists holds the lists of handle numbers resolved one handle at a
+	// time (outside a resolved table), back to back, each after its
+	// length: a handle's list l > 0 is lists[l:l+lists[l-1]].
+	lists []int32
+
+	// virt holds the table of each virtual (superfluous) mapping the
+	// query reconstructed (provRel).
+	virt map[*exchange.ProvRel]*pathRel
 	// dangling numbers the tuples a derivation names that the snapshot
 	// does not store, by table ordinal and key encoding.
 	dangling map[string]int32
 
 	key, vals []model.Datum // probe scratch
 	enc       []byte        // key encoding scratch
-	walk      uint32        // the Reach walks so far; see pathBufs.stamps
+	refs      []uint64      // resolve scratch
+	fill      []int32
+	// spare holds, by table ordinal, the dense arrays earlier queries
+	// filled (spareViews).
+	spare []*denseRows
 
 	err error
 }
@@ -216,9 +214,8 @@ type pathRel struct {
 	key string
 
 	// reads counts the sparse reads; at denseAt the table goes dense.
-	// loose holds the rows read sparsely (pathBufs.loose) or a virtual
-	// mapping's rows, each at the handle position ^i; sparse says some
-	// of r's rows are there.
+	// loose holds the rows read sparsely (pathView.loose), each at the
+	// handle position ^i; sparse says some of r's rows are there.
 	reads, denseAt int
 	loose          *[]model.Tuple
 	sparse         bool
@@ -233,42 +230,35 @@ type denseRows struct {
 	hash  keyHash // a relation's positions by key
 	// A resolved relation's incoming derivations: position i's are
 	// in[off[i]:off[i+1]], each an inRef.
-	off, in []int32
-	provs   []*pathRel
+	resolved bool
+	off, in  []int32
+	provs    []*pathRel
 	// A resolved provenance table's source then target tuples, natoms
 	// per position: a position in the atom's relation (atoms[j] for
 	// atom j), or ^n for the handle numbered n of a tuple the snapshot
 	// does not store.
+	edged bool
 	edges []int32
 	atoms []*pathRel
-	// done marks positions an Ancestors walk reached.
-	done []uint64
 }
 
-// pathTuple is a tuple's handle. pos is its position in its dense
-// relation, or ^i for rel.loose[i] (nil for a tuple the snapshot does
-// not store). list, once not 0, is 1 + the index in lists of its
-// incoming derivations; a tuple of a resolved relation reads them off
-// the relation instead.
-type pathTuple struct {
+// pathNode is a handle, a pathTuple or a pathDeriv: the row at
+// handle position pos of rel — its position in the dense table, or ^i
+// for (*rel.loose)[i] (nil for a tuple the snapshot does not store).
+// list, once not 0, locates in lists a tuple's incoming derivations,
+// or a derivation's source then target tuples; a handle of a resolved
+// table reads them off the table instead.
+type pathNode struct {
 	rel  *pathRel
 	pos  int32
 	num  int32
 	list int32
 }
 
-// pathDeriv is a derivation's handle: one provenance row, at pos of
-// rel as for pathTuple, from slot of rel's table, or row slot of a
-// virtual mapping's rows. list, once not 0, is 1 + the index in lists
-// of its source then target tuples; a derivation of a resolved table
-// reads them off the table instead.
-type pathDeriv struct {
-	rel  *pathRel
-	pos  int32
-	num  int32
-	list int32
-	slot int32
-}
+type (
+	pathTuple pathNode
+	pathDeriv pathNode
+)
 
 // inRef packs an incoming derivation of a resolved relation: the index
 // of the probe that found it (4 bits) and its position in that probe's
@@ -287,53 +277,6 @@ func (r *pathRel) rowAt(pos int32) model.Tuple {
 	return r.dense.rows[pos]
 }
 
-// derivCode is a derivation's ordinal: its table ordinal and slot, so
-// that Ancestors can record derivations it makes no handle for. A
-// virtual mapping's table ordinal is negative (virtualRows); bit 60
-// keeps its codes apart.
-func derivCode(ord int, slot int32) int {
-	if ord < 0 {
-		return 1<<60 | (-1-ord)<<32 | int(slot)
-	}
-	return ord<<32 | int(slot)
-}
-
-// chunks stores handles in chunks of 1024 that never move, so a handle
-// pointer stays valid while more are added; handle k<<10 | i is
-// element i of chunk k.
-type chunks[T any] struct {
-	c [][]T
-	k int // the chunk being filled
-}
-
-// add appends a zero handle, returning its number and address.
-func (c *chunks[T]) add() (int32, *T) {
-	if len(c.c) == 0 {
-		c.c = append(c.c, make([]T, 0, 1024))
-	}
-	if len(c.c[c.k]) == 1024 {
-		if c.k++; c.k == len(c.c) {
-			c.c = append(c.c, make([]T, 0, 1024))
-		}
-	}
-	ch := c.c[c.k][:len(c.c[c.k])+1]
-	c.c[c.k] = ch
-	i := len(ch) - 1
-	return int32(c.k<<10 | i), &ch[i]
-}
-
-// reset zeroes the handles and rewinds.
-func (c *chunks[T]) reset() {
-	for i := range c.c[:min(c.k+1, len(c.c))] {
-		clear(c.c[i])
-		c.c[i] = c.c[i][:0]
-	}
-	c.k = 0
-}
-
-// at returns handle n.
-func (c *chunks[T]) at(n int32) *T { return &c.c[n>>10][n&1023] }
-
 // keyHash is a dense relation's positions hashed on the relation key:
 // chained buckets. When the key is one column holding an int64 in every
 // row, ints holds those values, and a lookup compares them without
@@ -343,14 +286,6 @@ type keyHash struct {
 	head []int32 // bucket → 1 + its first position
 	next []int32 // position → 1 + the next position in its bucket
 	ints []int64 // position → key
-}
-
-// virtualRows is a virtual mapping's reconstructed provenance rows
-// (the loose rows of rel, whose ordinal -1-i numbers the query's
-// virtual mappings) and their hash indexes by probed column set.
-type virtualRows struct {
-	rel *pathRel
-	idx map[string]map[string][]int // column-set name → encoded values → row indexes
 }
 
 func (v *pathView) fail(err error) {
@@ -386,7 +321,7 @@ func (t *pathTuple) TupleOrd() int { return int(t.num) }
 func (t *pathTuple) TupleRow() model.Tuple { return t.rel.rowAt(t.pos) }
 
 // DerivOrd implements physplan.Deriv.
-func (d *pathDeriv) DerivOrd() int { return derivCode(d.rel.ord, d.slot) }
+func (d *pathDeriv) DerivOrd() int { return int(d.num) }
 
 // DerivMapping implements physplan.Deriv.
 func (d *pathDeriv) DerivMapping() string { return d.rel.prov.Mapping.Name }
@@ -404,7 +339,7 @@ func (v *pathView) rel(ord int) (*pathRel, bool) {
 		v.fail(fmt.Errorf("proql: no table with ordinal %d", ord))
 		return nil, false
 	}
-	r := &v.tabs.take(1)[0]
+	r := v.newRel()
 	*r = pathRel{ord: ord, tab: tab, loose: &v.loose}
 	if rel, ok := v.sys.Schema.Relation(tab.Schema.Name); ok {
 		r.rel, r.probes = rel, v.probes[rel.Name]
@@ -432,18 +367,62 @@ func (v *pathView) relNamed(name string) (*pathRel, bool) {
 	return v.rel(tab.Ord())
 }
 
-// newHandle makes a handle for the row at handle position pos of r,
-// from slot.
-func (v *pathView) newHandle(r *pathRel, pos, slot int32) int32 {
-	if r.rel == nil {
-		n, d := v.derivs.add()
-		*d = pathDeriv{rel: r, pos: pos, num: n, slot: slot}
-		return n
+// slab hands out numbered elements of chunks that never move, so an
+// element's address stays valid while more are added. Chunk k holds
+// 16<<k elements, numbered from 16<<k - 16: a point query's few
+// handles take one small chunk.
+type slab[T any] struct {
+	c [][]T
+	n int32 // the elements handed out
+}
+
+// add hands out a zero element, returning its number and address.
+func (s *slab[T]) add() (int32, *T) {
+	n := s.n
+	if k := bits.Len32(uint32(n/16+1)) - 1; k == len(s.c) {
+		s.c = append(s.c, make([]T, 16<<k))
 	}
-	n, t := v.tuples.add()
-	*t = pathTuple{rel: r, pos: pos, num: n}
+	s.n++
+	return n, s.at(n)
+}
+
+// at returns element n.
+func (s *slab[T]) at(n int32) *T {
+	k := bits.Len32(uint32(n/16+1)) - 1
+	return &s.c[k][n-(16<<k-16)]
+}
+
+// reset zeroes the elements handed out and takes them back.
+func (s *slab[T]) reset() {
+	for k, c := range s.c {
+		if 16<<k-16 < int(s.n) {
+			clear(c)
+		}
+	}
+	s.n = 0
+}
+
+// elems is the number of elements the chunks hold.
+func (s *slab[T]) elems() int { return 16<<len(s.c) - 16 }
+
+// newHandle makes a handle for the row at handle position pos of r.
+func (v *pathView) newHandle(r *pathRel, pos int32) int32 {
+	n, h := v.nodes.add()
+	*h = pathNode{rel: r, pos: pos, num: n}
 	return n
 }
+
+// newRel returns a zero pathRel of the view's.
+func (v *pathView) newRel() *pathRel {
+	_, r := v.tabs.add()
+	return r
+}
+
+func (v *pathView) tuple(n int32) *pathTuple { return (*pathTuple)(v.nodes.at(n)) }
+func (v *pathView) deriv(n int32) *pathDeriv { return (*pathDeriv)(v.nodes.at(n)) }
+
+// listAt returns the list that list number l locates.
+func (v *pathView) listAt(l int32) []int32 { return v.lists[l : l+v.lists[l-1]] }
 
 // handle returns the number of the handle of row, at slot of r.
 func (v *pathView) handle(r *pathRel, slot int, row model.Tuple) int32 {
@@ -458,7 +437,7 @@ func (v *pathView) handle(r *pathRel, slot int, row model.Tuple) int32 {
 	}
 	v.loose = append(v.loose, row)
 	r.sparse = true
-	n := v.newHandle(r, ^int32(len(v.loose)-1), int32(slot))
+	n := v.newHandle(r, ^int32(len(v.loose)-1))
 	if v.nums == nil {
 		v.nums = make(map[uint64]int32, 16)
 	}
@@ -473,7 +452,7 @@ func (v *pathView) handleAt(r *pathRel, pos int32) int32 {
 	if n := dr.hnum[pos]; n != 0 {
 		return n - 1
 	}
-	n := v.newHandle(r, pos, dr.slots[pos])
+	n := v.newHandle(r, pos)
 	dr.hnum[pos] = n + 1
 	return n
 }
@@ -486,22 +465,22 @@ func (v *pathView) densify(r *pathRel) *denseRows {
 		return r.dense
 	}
 	n := r.tab.Slots()
-	dr := &denseRows{rows: v.rows.take(n)[:0], slots: v.i32.take(n)[:0]}
+	dr := &denseRows{}
+	if r.ord < len(v.spare) && v.spare[r.ord] != nil {
+		dr, v.spare[r.ord] = v.spare[r.ord], nil
+	}
+	dr.rows, dr.slots = reuse(dr.rows, n)[:0], reuse(dr.slots, n)[:0]
 	r.tab.EachSlot(func(slot int, row model.Tuple) bool {
 		dr.rows = append(dr.rows, row)
 		dr.slots = append(dr.slots, int32(slot))
 		return true
 	})
-	dr.hnum = v.i32.take(len(dr.rows))
+	dr.hnum = reuse(dr.hnum, len(dr.rows))
 	if r.sparse {
 		for i, slot := range dr.slots {
 			if n, ok := v.nums[uint64(r.ord)<<32|uint64(slot)]; ok {
 				dr.hnum[i] = n + 1
-				if r.rel == nil {
-					v.derivs.at(n).pos = int32(i)
-				} else {
-					v.tuples.at(n).pos = int32(i)
-				}
+				v.nodes.at(n).pos = int32(i)
 			}
 		}
 	}
@@ -517,11 +496,17 @@ func (v *pathView) densify(r *pathRel) *denseRows {
 func (v *pathView) read(r *pathRel) *denseRows {
 	if r.dense == nil {
 		if r.denseAt == 0 {
-			// A probe costs some eight times a scanned row (a hash
-			// lookup with its cache misses against a sequential read),
-			// so a table goes dense after reads of an eighth of its
-			// slots.
-			r.denseAt = max(16, r.tab.Slots()/8)
+			// Resolving a tuple sparsely (a key lookup, then the probes
+			// for its incoming derivations: two reads) costs some seven
+			// times its share of reading the relation densely (E34),
+			// so a table goes dense after reads of about a third of
+			// its slots.
+			r.denseAt = max(16, r.tab.Slots()/3)
+			if slices.ContainsFunc(r.probes, func(p exchange.IncomingProbe) bool { return p.Prov.Virtual }) {
+				// A virtual mapping's rows are rebuilt by a scan anyway,
+				// and a probe into them is a scan of its own.
+				r.denseAt = 1
+			}
 		}
 		if r.reads++; r.reads < r.denseAt {
 			return nil
@@ -537,9 +522,11 @@ func (v *pathView) buildHash(h *keyHash, rows []model.Tuple, key []int) {
 		size <<= 1
 	}
 	h.mask = uint64(size - 1)
-	h.head, h.next = v.i32.take(size), v.i32.take(len(rows))
+	h.head, h.next = reuse(h.head, size), reuse(h.next, len(rows))
+	ints := h.ints
+	h.ints = nil
 	if len(key) == 1 {
-		h.ints = v.i64.take(len(rows))
+		h.ints = reuse(ints, len(rows))
 	}
 	// Inserting from the end leaves each bucket in position order.
 	for i := len(rows) - 1; i >= 0; i-- {
@@ -639,7 +626,7 @@ func (v *pathView) lookupKey(r *pathRel, key []model.Datum) (int32, bool) {
 func (v *pathView) eachEdge(d *pathDeriv, from, to int, yield func(int32) bool) {
 	pr := d.rel.prov
 	atoms := len(pr.Sources) + len(pr.Targets)
-	if dr := d.rel.dense; d.pos >= 0 && dr.edges != nil {
+	if dr := d.rel.dense; d.pos >= 0 && dr.edged {
 		for j, e := range dr.edges[int(d.pos)*atoms:][from:to] {
 			n := ^e
 			if e >= 0 {
@@ -653,11 +640,13 @@ func (v *pathView) eachEdge(d *pathDeriv, from, to int, yield func(int32) bool) 
 	}
 	if d.list == 0 {
 		row := d.DerivRow()
-		edges := v.i32.take(atoms)[:0]
+		off := len(v.lists)
+		v.lists = append(v.lists, int32(atoms))
 		for j := range atoms {
 			a := v.atom(pr, j)
 			r, ok := v.rel(a.Table)
 			if !ok {
+				v.lists = v.lists[:off]
 				return
 			}
 			v.key = a.AppendDatums(v.key[:0], row)
@@ -665,12 +654,11 @@ func (v *pathView) eachEdge(d *pathDeriv, from, to int, yield func(int32) bool) 
 			if !ok {
 				n = v.danglingTuple(r, v.key)
 			}
-			edges = append(edges, n)
+			v.lists = append(v.lists, n)
 		}
-		v.lists = append(v.lists, edges)
-		d.list = int32(len(v.lists))
+		d.list = int32(off + 1)
 	}
-	for _, n := range v.lists[d.list-1][from:to] {
+	for _, n := range v.listAt(d.list)[from:to] {
 		if !yield(n) {
 			return
 		}
@@ -693,10 +681,10 @@ func (v *pathView) danglingTuple(r *pathRel, key []model.Datum) int32 {
 	if n, ok := v.dangling[k]; ok {
 		return n
 	}
-	at := &v.tabs.take(1)[0]
+	at := v.newRel()
 	*at = pathRel{ord: r.ord, tab: r.tab, rel: r.rel, probes: r.probes, key: enc, loose: &v.loose}
 	v.loose = append(v.loose, nil)
-	n := v.newHandle(at, ^int32(len(v.loose)-1), -1)
+	n := v.newHandle(at, ^int32(len(v.loose)-1))
 	if v.dangling == nil {
 		v.dangling = map[string]int32{}
 	}
@@ -716,7 +704,7 @@ func (v *pathView) resolved(t *pathTuple) bool {
 // the head-key columns. The list stays on t for the rest of the query.
 func (v *pathView) incoming(t *pathTuple) []int32 {
 	if t.list != 0 {
-		return v.lists[t.list-1]
+		return v.listAt(t.list)
 	}
 	var key []model.Datum
 	if row := t.TupleRow(); row != nil {
@@ -732,7 +720,8 @@ func (v *pathView) incoming(t *pathTuple) []int32 {
 			return nil
 		}
 	}
-	v.list = v.list[:0]
+	off := len(v.lists)
+	v.lists = append(v.lists, 0)
 	for i := range t.rel.probes {
 		p := &t.rel.probes[i]
 		if !p.Matches(key) {
@@ -740,45 +729,39 @@ func (v *pathView) incoming(t *pathTuple) []int32 {
 		}
 		v.vals = p.ProbeVals(v.vals, key)
 		v.eachProvRow(p, v.vals, func(d int32) {
-			if !slices.Contains(v.list, d) { // a mapping with two heads in t's relation
-				v.list = append(v.list, d)
+			if !slices.Contains(v.lists[off+1:], d) { // a mapping with two heads in t's relation
+				v.lists = append(v.lists, d)
 			}
 		})
 		if v.err != nil {
+			v.lists = v.lists[:off]
 			return nil
 		}
 	}
-	v.lists = append(v.lists, append(v.i32.take(len(v.list))[:0], v.list...))
-	t.list = int32(len(v.lists))
-	return v.lists[t.list-1]
+	v.lists[off] = int32(len(v.lists) - off - 1)
+	t.list = int32(off + 1)
+	return v.listAt(t.list)
 }
 
 // resolve resolves dense relation r: every provenance table whose head
 // produces r is scanned once, each row's head key looked up in r's key
 // hash, and its source and target tuples — their tables read densely
-// too — recorded by position while the row is at hand. It reports
-// false for a relation a virtual mapping produces, which resolves tuple
-// by tuple.
+// too — recorded by position while the row is at hand.
 func (v *pathView) resolve(r *pathRel) bool {
 	dr := r.dense
-	if dr.off != nil {
+	if dr.resolved {
 		return true
 	}
 	if len(r.probes) > 16 {
 		return false // more than an inRef holds
 	}
-	for i := range r.probes {
-		if r.probes[i].Prov.Virtual {
-			return false
-		}
-	}
-	refs := v.u64.take(len(dr.rows))[:0] // position << 32 | inRef
-	twice := false                       // some mapping has two head atoms in r
+	refs := v.refs[:0] // position << 32 | inRef
+	twice := false     // some mapping has two head atoms in r
 	dr.provs = make([]*pathRel, len(r.probes))
 	for i := range r.probes {
 		p := &r.probes[i]
 		twice = twice || i > 0 && p.Prov == r.probes[i-1].Prov
-		pr, ok := v.rel(p.Prov.Table)
+		pr, ok := v.provRel(p.Prov)
 		if !ok {
 			return false
 		}
@@ -797,15 +780,17 @@ func (v *pathView) resolve(r *pathRel) bool {
 	}
 	// Counting sort by position keeps each tuple's derivations in probe
 	// then slot order.
-	dr.off = v.i32.take(len(dr.rows) + 1)
+	v.refs = refs
+	dr.off = reuse(dr.off, len(dr.rows)+1)
 	for _, ref := range refs {
 		dr.off[ref>>32+1]++
 	}
 	for i := range dr.rows {
 		dr.off[i+1] += dr.off[i]
 	}
-	dr.in = v.i32.take(len(refs))
-	fill := append(v.i32.take(len(dr.rows))[:0], dr.off[:len(dr.rows)]...)
+	dr.in = reuse(dr.in, len(refs))
+	fill := append(v.fill[:0], dr.off[:len(dr.rows)]...)
+	v.fill = fill
 	for _, ref := range refs {
 		pos := ref >> 32
 		dr.in[fill[pos]] = int32(uint32(ref))
@@ -825,6 +810,7 @@ func (v *pathView) resolve(r *pathRel) bool {
 		}
 		dr.in = in
 	}
+	dr.resolved = true
 	return true
 }
 
@@ -833,7 +819,7 @@ func (v *pathView) resolve(r *pathRel) bool {
 // which it reads densely.
 func (v *pathView) resolveEdges(pr *pathRel) bool {
 	dr := pr.dense
-	if dr.edges != nil {
+	if dr.edged {
 		return true
 	}
 	atoms := len(pr.prov.Sources) + len(pr.prov.Targets)
@@ -847,7 +833,7 @@ func (v *pathView) resolveEdges(pr *pathRel) bool {
 		rels[j] = r
 	}
 	dr.atoms = rels
-	edges := v.i32.take(len(dr.rows) * atoms)[:0]
+	edges := reuse(dr.edges, len(dr.rows)*atoms)[:0]
 	for _, row := range dr.rows {
 		for j, r := range rels {
 			a := v.atom(pr.prov, j)
@@ -859,128 +845,56 @@ func (v *pathView) resolveEdges(pr *pathRel) bool {
 			edges = append(edges, pos)
 		}
 	}
-	dr.edges = edges
+	dr.edges, dr.edged = edges, true
 	return true
 }
 
-// Ancestors implements physplan.Ancestry: the starts in dense resolved
-// relations are walked by position, recording derivations by their
-// storage codes and making no handles; the others are left to the
-// caller, as are the tuples the snapshot does not store that the walk
-// reaches.
-func (v *pathView) Ancestors(starts []physplan.Tuple, out *physplan.Projection) (rest []physplan.Tuple) {
-	type at struct {
-		r   *pathRel
-		pos int32
-	}
-	var queue []at
-	reach := func(r *pathRel, pos int32) {
-		dr := r.dense
-		if dr.done == nil {
-			dr.done = v.u64.take((len(dr.rows) + 63) / 64)
-		}
-		if w, bit := pos/64, uint64(1)<<(pos%64); dr.done[w]&bit == 0 {
-			dr.done[w] |= bit
-			queue = append(queue, at{r, pos})
-		}
-	}
-	for _, st := range starts {
-		if t := st.(*pathTuple); v.resolved(t) {
-			reach(t.rel, t.pos)
-		} else {
-			rest = append(rest, st)
-		}
-	}
-	for len(queue) > 0 && v.err == nil {
-		cur := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		dr := cur.r.dense
-		for _, ref := range dr.in[dr.off[cur.pos]:dr.off[cur.pos+1]] {
-			i, pos := splitInRef(ref)
-			p, pr := &cur.r.probes[i], dr.provs[i]
-			pdr := pr.dense
-			out.AddDeriv(derivCode(pr.ord, pdr.slots[pos]), p.Prov.Mapping.Name, pdr.rows[pos])
-			atoms := len(p.Prov.Sources) + len(p.Prov.Targets)
-			for j, e := range pdr.edges[int(pos)*atoms:][:len(p.Prov.Sources)] {
-				src := pdr.atoms[j]
-				switch {
-				case e < 0:
-					rest = append(rest, v.tuples.at(^e))
-				case v.resolve(src):
-					reach(src, e)
-				default:
-					rest = append(rest, v.tuples.at(v.handleAt(src, e)))
-				}
-			}
-		}
-	}
-	return rest
-}
-
 // eachProvRow passes the derivations of one probe whose probed columns
-// equal vals to fn: from the materialized table's index, or from the
-// reconstructed rows of a virtual mapping. An empty column set (an
-// all-constant head key) matches every row.
+// equal vals to fn: from the materialized table's index, or by a scan
+// of the reconstructed rows of a virtual mapping. An empty column set
+// (an all-constant head key) matches every row.
 func (v *pathView) eachProvRow(p *exchange.IncomingProbe, vals []model.Datum, fn func(int32)) {
-	if !p.Prov.Virtual {
-		r, ok := v.rel(p.Prov.Table)
-		if !ok {
-			return
-		}
-		each := func(slot int, row model.Tuple) bool {
-			fn(v.handle(r, slot, row))
-			return true
-		}
-		if len(p.Cols) == 0 {
-			r.tab.EachSlot(each)
-			return
-		}
-		v.enc = v.enc[:0]
-		for _, val := range vals {
-			v.enc = model.AppendDatum(v.enc, val)
-		}
-		r.tab.ProbeEach(p.Index, v.enc, each)
-		return
-	}
-	vr, ok := v.virtualRows(p.Prov)
+	r, ok := v.provRel(p.Prov)
 	if !ok {
 		return
 	}
-	if len(p.Cols) == 0 {
-		for i := range *vr.rel.loose {
-			fn(v.virtualDeriv(vr, i))
+	if p.Prov.Virtual {
+	rows:
+		for pos, row := range r.dense.rows {
+			for i, c := range p.Cols {
+				if !model.Equal(row[c], vals[i]) {
+					continue rows
+				}
+			}
+			fn(v.handleAt(r, int32(pos)))
 		}
+		return
+	}
+	each := func(slot int, row model.Tuple) bool {
+		fn(v.handle(r, slot, row))
+		return true
+	}
+	if len(p.Cols) == 0 {
+		r.tab.EachSlot(each)
 		return
 	}
 	v.enc = v.enc[:0]
 	for _, val := range vals {
 		v.enc = model.AppendDatum(v.enc, val)
 	}
-	for _, i := range vr.index(p.Index)[string(v.enc)] {
-		fn(v.virtualDeriv(vr, i))
-	}
+	r.tab.ProbeEach(p.Index, v.enc, each)
 }
 
-// virtualDeriv returns the number of the handle of row i of a virtual
-// mapping's rows.
-func (v *pathView) virtualDeriv(vr *virtualRows, i int) int32 {
-	code := uint64(derivCode(vr.rel.ord, int32(i)))
-	if n, ok := v.nums[code]; ok {
-		return n
+// provRel returns a mapping's provenance table as the view reads it. A
+// virtual mapping's rows are reconstructed once per query and read
+// densely: its derivations have no slot, and its ordinal -1-i numbers
+// the query's virtual mappings.
+func (v *pathView) provRel(pr *exchange.ProvRel) (*pathRel, bool) {
+	if !pr.Virtual {
+		return v.rel(pr.Table)
 	}
-	n := v.newHandle(vr.rel, ^int32(i), int32(i))
-	if v.nums == nil {
-		v.nums = make(map[uint64]int32, 16)
-	}
-	v.nums[code] = n
-	return n
-}
-
-// virtualRows reconstructs a virtual mapping's provenance rows once
-// per query.
-func (v *pathView) virtualRows(pr *exchange.ProvRel) (*virtualRows, bool) {
-	if vr, ok := v.virt[pr]; ok {
-		return vr, true
+	if r, ok := v.virt[pr]; ok {
+		return r, true
 	}
 	rows, err := v.sys.ProvRows(pr.Mapping.Name)
 	if err != nil {
@@ -988,39 +902,18 @@ func (v *pathView) virtualRows(pr *exchange.ProvRel) (*virtualRows, bool) {
 		return nil, false
 	}
 	if v.virt == nil {
-		v.virt = map[*exchange.ProvRel]*virtualRows{}
+		v.virt = map[*exchange.ProvRel]*pathRel{}
 	}
-	vr := &virtualRows{rel: &pathRel{ord: -1 - len(v.virt), prov: pr, loose: &rows}}
-	v.virt[pr] = vr
-	return vr, true
-}
-
-// index hash-indexes the rows on one column set, once per query.
-func (vr *virtualRows) index(ix relstore.Index) map[string][]int {
-	if idx, ok := vr.idx[ix.Name()]; ok {
-		return idx
-	}
-	rows := *vr.rel.loose
-	idx := make(map[string][]int, len(rows))
-	var buf []byte
-	for i, row := range rows {
-		buf = buf[:0]
-		for _, c := range ix.Cols {
-			buf = model.AppendDatum(buf, row[c])
-		}
-		idx[string(buf)] = append(idx[string(buf)], i)
-	}
-	if vr.idx == nil {
-		vr.idx = map[string]map[string][]int{}
-	}
-	vr.idx[ix.Name()] = idx
-	return idx
+	r := v.newRel()
+	*r = pathRel{ord: -1 - len(v.virt), prov: pr, dense: &denseRows{rows: rows, hnum: make([]int32, len(rows))}}
+	v.virt[pr] = r
+	return r, true
 }
 
 // eachIn passes the numbers of the derivations into t to yield: off
 // t's relation once that is resolved, else from incoming.
 func (v *pathView) eachIn(t *pathTuple, yield func(int32) bool) {
-	if dr := t.rel.dense; dr != nil && dr.off != nil && t.pos >= 0 || v.resolved(t) {
+	if dr := t.rel.dense; dr != nil && dr.resolved && t.pos >= 0 || v.resolved(t) {
 		dr := t.rel.dense
 		for _, ref := range dr.in[dr.off[t.pos]:dr.off[t.pos+1]] {
 			i, pos := splitInRef(ref)
@@ -1044,45 +937,9 @@ func (v *pathView) EachDerivInto(t physplan.Tuple, mapping string, yield func(ph
 		return
 	}
 	v.eachIn(t.(*pathTuple), func(n int32) bool {
-		d := v.derivs.at(n)
+		d := v.deriv(n)
 		return mapping != "" && d.rel.prov.Mapping.Name != mapping || yield(d)
 	})
-}
-
-// Reach implements physplan.Reacher: a depth-first walk over eachIn
-// and the derivations' sources, marking tuples by handle number.
-func (v *pathView) Reach(t physplan.Tuple, skip map[physplan.Tuple]bool, out []physplan.Tuple) []physplan.Tuple {
-	v.walk++
-	mark := func(n int32) bool {
-		if int(n) >= len(v.stamps) {
-			v.stamps = slices.Grow(v.stamps, int(n)+1-len(v.stamps))[:int(n)+1]
-		}
-		fresh := v.stamps[n] != v.walk
-		v.stamps[n] = v.walk
-		return fresh
-	}
-	for s := range skip {
-		mark(s.(*pathTuple).num)
-	}
-	var visit func(*pathTuple)
-	onSource := func(n int32) bool {
-		if mark(n) {
-			s := v.tuples.at(n)
-			out = append(out, s)
-			visit(s)
-		}
-		return true
-	}
-	onDeriv := func(n int32) bool {
-		d := v.derivs.at(n)
-		v.eachEdge(d, 0, len(d.rel.prov.Sources), onSource)
-		return true
-	}
-	visit = func(t *pathTuple) { v.eachIn(t, onDeriv) }
-	if v.err == nil {
-		visit(t.(*pathTuple))
-	}
-	return out
 }
 
 // EachDerivOf implements physplan.Graph.
@@ -1091,24 +948,12 @@ func (v *pathView) EachDerivOf(mapping string, yield func(physplan.Deriv) bool) 
 	if v.err != nil || !ok {
 		return
 	}
-	if pr.Virtual {
-		vr, ok := v.virtualRows(pr)
-		if !ok {
-			return
-		}
-		for i := range *vr.rel.loose {
-			if !yield(v.derivs.at(v.virtualDeriv(vr, i))) {
-				return
-			}
-		}
-		return
-	}
-	r, ok := v.rel(pr.Table)
+	r, ok := v.provRel(pr)
 	if !ok {
 		return
 	}
 	for pos := range v.densify(r).rows {
-		if !yield(v.derivs.at(v.handleAt(r, int32(pos)))) {
+		if !yield(v.deriv(v.handleAt(r, int32(pos)))) {
 			return
 		}
 	}
@@ -1120,7 +965,7 @@ func (v *pathView) EachSource(d physplan.Deriv, yield func(physplan.Tuple) bool)
 		return
 	}
 	pd := d.(*pathDeriv)
-	v.eachEdge(pd, 0, len(pd.rel.prov.Sources), func(n int32) bool { return yield(v.tuples.at(n)) })
+	v.eachEdge(pd, 0, len(pd.rel.prov.Sources), func(n int32) bool { return yield(v.tuple(n)) })
 }
 
 // EachTarget implements physplan.Graph.
@@ -1130,7 +975,7 @@ func (v *pathView) EachTarget(d physplan.Deriv, yield func(physplan.Tuple) bool)
 	}
 	pd := d.(*pathDeriv)
 	pr := pd.rel.prov
-	v.eachEdge(pd, len(pr.Sources), len(pr.Sources)+len(pr.Targets), func(n int32) bool { return yield(v.tuples.at(n)) })
+	v.eachEdge(pd, len(pr.Sources), len(pr.Sources)+len(pr.Targets), func(n int32) bool { return yield(v.tuple(n)) })
 }
 
 // EachTupleOf implements physplan.Graph: a relation scan makes its
@@ -1144,7 +989,7 @@ func (v *pathView) EachTupleOf(rel string, yield func(physplan.Tuple) bool) {
 		return
 	}
 	for pos := range v.densify(r).rows {
-		if !yield(v.tuples.at(v.handleAt(r, int32(pos)))) {
+		if !yield(v.tuple(v.handleAt(r, int32(pos)))) {
 			return
 		}
 	}
@@ -1164,7 +1009,7 @@ func (v *pathView) TupleByKey(rel string, key []model.Datum) (physplan.Tuple, bo
 	if !ok {
 		return nil, false
 	}
-	return v.tuples.at(n), true
+	return v.tuple(n), true
 }
 
 // EachTuple implements physplan.Graph.

@@ -64,21 +64,3 @@ type Graph interface {
 	// Err returns the first enumeration failure, or nil.
 	Err() error
 }
-
-// Ancestry is implemented by a Graph that walks the ancestry of many
-// tuples in one pass. Ancestors records into out every derivation
-// backwards-reachable from any of starts — what INCLUDE PATH [$x] <-+ []
-// projects for each — except the ancestries of the tuples it returns,
-// which the caller walks one by one.
-type Ancestry interface {
-	Ancestors(starts []Tuple, out *Projection) (rest []Tuple)
-}
-
-// Reacher is implemented by a Graph that walks ancestors itself. Reach
-// appends to out every tuple backwards-reachable from t in one or more
-// steps, once each, in the order a depth-first walk over EachDerivInto
-// and EachSource first enters it, entering no tuple of skip; it
-// returns out.
-type Reacher interface {
-	Reach(t Tuple, skip map[Tuple]bool, out []Tuple) []Tuple
-}

@@ -32,14 +32,8 @@ func (p *Projection) fresh(h any) bool {
 }
 
 func (p *Projection) addDeriv(d Deriv) {
-	p.AddDeriv(d.DerivOrd(), d.DerivMapping(), d.DerivRow())
-}
-
-// AddDeriv records the derivation whose handle has ordinal ord —
-// whether or not the handle was made — unless it is recorded already.
-func (p *Projection) AddDeriv(ord int, mapping string, row model.Tuple) {
-	if p.seen.mark(uint64(ord)<<2 | 2) {
-		p.Derivs = push(p.Derivs, ProjDeriv{Mapping: mapping, Row: row})
+	if p.fresh(d) {
+		p.Derivs = push(p.Derivs, ProjDeriv{Mapping: d.DerivMapping(), Row: d.DerivRow()})
 	}
 }
 
@@ -68,9 +62,7 @@ func (inc *Include) explain(sb *strings.Builder, indent int) {
 	inc.input.explain(sb, indent+1)
 }
 
-// each implements Op. On a Graph that implements Ancestry, the
-// ancestries the paths' [$x] <-+ [] form asks for are walked in one
-// pass once the input is drained.
+// each implements Op.
 func (inc *Include) each(yield func(Row) bool) error {
 	w := newIncludeWalk(inc.g, inc.out)
 	var err error
@@ -84,46 +76,63 @@ func (inc *Include) each(yield func(Row) bool) error {
 	}); ierr != nil {
 		return ierr
 	}
-	if err == nil && len(w.pending) > 0 {
-		for _, t := range w.anc.Ancestors(w.pending, w.out) {
-			w.ancestors(t)
-		}
-	}
 	return err
 }
 
 // includeWalk is one Include execution's walk state, reused across rows
-// and starts: the simple-path visited set, the ancestor BFS's queue
-// and done set (tuple ordinals), and the starts left for an Ancestry
-// graph. A tuple is done once its every ancestor derivation is
-// recorded, so a later BFS stops where an earlier one has been.
+// and starts: the simple-path visited set, and the ancestor BFS's queue
+// and done set (tuple ordinals). A tuple is done once its every
+// ancestor derivation is recorded, so a later BFS stops where an
+// earlier one has been.
 type includeWalk struct {
 	g        Graph
-	anc      Ancestry // g, when it walks ancestries in bulk
-	pending  []Tuple  // the starts whose ancestry anc walks, once each
-	queued   marks    // their ordinals
 	out      *Projection
 	visited  map[Tuple]bool
 	done     marks
 	queue    []Tuple
 	found    bool
 	onDeriv  func(Deriv) bool
+	onFirst  func(Deriv) bool
 	onSource func(Tuple) bool
+	// onStart walks from one start of bp under row.
+	bp      *boundPath
+	row     Row
+	onStart func(Tuple) bool
 }
 
 func newIncludeWalk(g Graph, out *Projection) *includeWalk {
 	w := &includeWalk{g: g, out: out, visited: map[Tuple]bool{}}
-	w.anc, _ = g.(Ancestry)
 	w.onSource = func(src Tuple) bool {
 		if w.done.mark(uint64(src.TupleOrd())) {
 			w.queue = append(w.queue, src)
 		}
 		return true
 	}
+	w.onFirst = func(Deriv) bool {
+		w.found = true
+		return false
+	}
 	w.onDeriv = func(d Deriv) bool {
 		w.found = true
 		w.out.addDeriv(d)
 		g.EachSource(d, w.onSource)
+		return true
+	}
+	w.onStart = func(st Tuple) bool {
+		bp, row := w.bp, w.row
+		if r := bp.path.Nodes[0].Rel; r != "" && st.TupleRel() != r {
+			return true
+		}
+		if w.out.fresh(st) {
+			w.out.Starts = append(w.out.Starts, st.TupleRef())
+		}
+		if bp.ancestrySuffix(0, row) {
+			w.ancestors(st)
+			return true
+		}
+		w.visited[st] = true
+		w.walk(bp, 0, st, row)
+		delete(w.visited, st)
 		return true
 	}
 	return w
@@ -134,32 +143,16 @@ func newIncludeWalk(g Graph, out *Projection) *includeWalk {
 // included derivation brings all of its sources and targets — both
 // mirroring the interpreter's projection semantics.
 func (w *includeWalk) include(bp *boundPath, row Row) error {
-	return bp.eachStart(w.g, row, false, func(st Tuple) bool {
-		if r := bp.path.Nodes[0].Rel; r != "" && st.TupleRel() != r {
-			return true
-		}
-		if w.out.fresh(st) {
-			w.out.Starts = append(w.out.Starts, st.TupleRef())
-		}
-		if w.anc != nil && bp.ancestry(row) {
-			if w.queued.mark(uint64(st.TupleOrd())) {
-				w.pending = append(w.pending, st)
-			}
-			return true
-		}
-		w.visited[st] = true
-		w.walk(bp, 0, st, row)
-		delete(w.visited, st)
-		return true
-	})
+	w.bp, w.row = bp, row
+	return bp.eachStart(w.g, row, false, w.onStart)
 }
 
-// ancestry reports whether the path is [$x] <-+ [] under row: every
-// derivation backwards-reachable from the start is included.
-func (bp *boundPath) ancestry(row Row) bool {
-	p := bp.path
-	return len(p.Edges) == 1 && p.Edges[0].Kind == EdgePlus && p.Nodes[1].Rel == "" &&
-		(bp.nodeCol[1] < 0 || row[bp.nodeCol[1]] == nil)
+// ancestrySuffix reports whether edge i ends the path as <-+ [] under
+// row: every derivation backwards-reachable from its tuple is included.
+func (bp *boundPath) ancestrySuffix(i int, row Row) bool {
+	c := bp.nodeCol[i+1]
+	return i == len(bp.path.Edges)-1 && bp.path.Edges[i].Kind == EdgePlus &&
+		bp.path.Nodes[i+1].Rel == "" && (c < 0 || row[c] == nil)
 }
 
 func (w *includeWalk) walk(bp *boundPath, edgeIdx int, cur Tuple, row Row) bool {
@@ -168,14 +161,11 @@ func (w *includeWalk) walk(bp *boundPath, edgeIdx int, cur Tuple, row Row) bool 
 	}
 	g, visited := w.g, w.visited
 	edge := bp.path.Edges[edgeIdx]
-	nextCol := bp.nodeCol[edgeIdx+1]
-	nextRel := bp.path.Nodes[edgeIdx+1].Rel
 	// Fast path for the ubiquitous [$x] <-+ [] suffix: every ancestor
 	// derivation is included, so a linear BFS replaces simple-path
 	// enumeration (which can be exponential, and matters on cyclic
 	// graphs).
-	if edge.Kind == EdgePlus && edgeIdx == len(bp.path.Edges)-1 &&
-		nextRel == "" && (nextCol < 0 || row[nextCol] == nil) {
+	if bp.ancestrySuffix(edgeIdx, row) {
 		return w.ancestors(cur)
 	}
 	matchedAny := false
@@ -232,11 +222,15 @@ func (w *includeWalk) walk(bp *boundPath, edgeIdx int, cur Tuple, row Row) bool 
 }
 
 // ancestors records every derivation backwards-reachable from cur,
-// reporting whether cur has any. Done tuples are not re-entered, so a
-// repeated start revisits only its own derivations.
+// reporting whether cur has any. Done tuples are not re-entered: a
+// tuple is marked done only by a walk that records its ancestry in
+// full, so a repeated start only looks for one derivation.
 func (w *includeWalk) ancestors(cur Tuple) bool {
 	w.found = false
-	w.done.mark(uint64(cur.TupleOrd()))
+	if !w.done.mark(uint64(cur.TupleOrd())) {
+		w.g.EachDerivInto(cur, "", w.onFirst)
+		return w.found
+	}
 	w.queue = append(w.queue[:0], cur)
 	for i := 0; i < len(w.queue); i++ {
 		w.g.EachDerivInto(w.queue[i], "", w.onDeriv)

@@ -1,52 +1,23 @@
 package physplan
 
-import "slices"
-
 // markPageBits is the span of one marks page: 4096 codes in 512 bytes.
 const markPageBits = 1 << 12
 
 type markPage [markPageBits / 64]uint64
 
-// marks is a set of uint64 codes (node codes or ordinals). Its first
-// few codes are kept in a list; past those, codes are held as bits in
-// pages allocated on first touch, so memory follows the marked set and
-// never the largest code. The page touched last is cached: handles
-// made together are marked together. The first page lives outside the
-// page map, which a set spanning one page never allocates.
+// marks is a set of uint64 codes (node codes or ordinals) held as bits
+// in pages allocated on first touch, so memory follows the marked set
+// and never the largest code. The page touched last is cached: handles
+// interned together are marked together. The first page lives outside
+// the page map, which a set spanning one page never allocates.
 type marks struct {
-	few   []uint64             // the codes, while there are at most fewMarks
 	pages map[uint64]*markPage // every page, once there are two
 	last  *markPage
 	lastN uint64 // page number of last
 }
 
-// fewMarks is how many codes a set holds in its list: a point query's
-// walk marks no more, over pages a code each.
-const fewMarks = 32
-
 // mark adds c, reporting whether it was not yet marked.
 func (m *marks) mark(c uint64) bool {
-	if m.last == nil {
-		if slices.Contains(m.few, c) {
-			return false
-		}
-		if len(m.few) < fewMarks {
-			if m.few == nil {
-				m.few = make([]uint64, 0, fewMarks)
-			}
-			m.few = append(m.few, c)
-			return true
-		}
-		for _, f := range m.few {
-			m.page(f)
-		}
-		m.few = nil
-	}
-	return m.page(c)
-}
-
-// page adds c to the pages, reporting whether it was not yet there.
-func (m *marks) page(c uint64) bool {
 	n := c / markPageBits
 	p := m.last
 	if p == nil || n != m.lastN {
@@ -68,4 +39,14 @@ func (m *marks) page(c uint64) bool {
 	}
 	p[w] |= bit
 	return true
+}
+
+// reset empties the set, keeping its pages for the next use.
+func (m *marks) reset() {
+	for _, p := range m.pages {
+		clear(p[:])
+	}
+	if m.last != nil {
+		clear(m.last[:])
+	}
 }

@@ -7,7 +7,8 @@ import (
 
 // TestMarks: a code reads as fresh exactly once, wherever it falls —
 // on either side of a page boundary, at 0 and at 1<<40 — and a mark
-// never disturbs its neighbours.
+// never disturbs its neighbours; after a reset every code is fresh
+// again.
 func TestMarks(t *testing.T) {
 	var m marks
 	codes := []uint64{0, 1, 63, 64, markPageBits - 1, markPageBits, markPageBits + 1,
@@ -25,6 +26,12 @@ func TestMarks(t *testing.T) {
 	for _, c := range []uint64{2, 62, 65, markPageBits - 2, markPageBits + 2, 1<<40 - 1, 1<<40 + 2} {
 		if !m.mark(c) {
 			t.Errorf("unmarked neighbour %d reported seen", c)
+		}
+	}
+	m.reset()
+	for _, c := range codes {
+		if !m.mark(c) {
+			t.Errorf("mark of %d after reset reported seen", c)
 		}
 	}
 }

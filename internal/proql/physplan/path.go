@@ -235,15 +235,14 @@ func (bp *boundPath) startsDesc(bound map[string]bool) string {
 type matcher struct {
 	bp      *boundPath
 	g       Graph
-	reach   Reacher // g, when it walks <-+ steps itself
 	row     Row
 	visited map[Tuple]bool
 	// reached holds the per-edge ancestor lists of <-+ steps; marks is
-	// the running walk's set of entered (or blocked) nodes, walkEdge
-	// the edge it fills, and walkDeriv/walkSource its callbacks, bound
-	// once.
+	// the running walk's set of entered (or blocked) tuple ordinals,
+	// walkEdge the edge it fills, and walkDeriv/walkSource its
+	// callbacks, bound once.
 	reached    [][]Tuple
-	marks      map[Tuple]bool
+	marks      marks
 	walkEdge   int
 	walkDeriv  func(Deriv) bool
 	walkSource func(Tuple) bool
@@ -255,19 +254,14 @@ func (bp *boundPath) newMatcher(g Graph) *matcher {
 		return m
 	}
 	m.reached = make([][]Tuple, len(bp.path.Edges))
-	if m.reach, _ = g.(Reacher); m.reach != nil {
-		return m
-	}
-	m.marks = map[Tuple]bool{}
 	m.walkDeriv = func(d Deriv) bool {
 		m.g.EachSource(d, m.walkSource)
 		return true
 	}
 	m.walkSource = func(src Tuple) bool {
-		if m.marks[src] {
+		if !m.marks.mark(uint64(src.TupleOrd())) {
 			return true
 		}
-		m.marks[src] = true
 		m.reached[m.walkEdge] = append(m.reached[m.walkEdge], src)
 		m.g.EachDerivInto(src, "", m.walkDeriv)
 		return true
@@ -374,24 +368,13 @@ func (m *matcher) step(edgeIdx int, cur Tuple, yield func(Row) bool) bool {
 		// walk has already marked. So each ancestor is entered once per
 		// walk — linear where shared ancestors (diamonds) make the
 		// simple paths exponential.
-		if m.reach != nil {
-			m.reached[edgeIdx] = m.reach.Reach(cur, m.visited, m.reached[edgeIdx][:0])
-		} else {
-			// Clearing costs the map's capacity, so a set a big walk
-			// grew is dropped instead: the reset stays bounded by the
-			// last walk.
-			if len(m.marks) > 256 {
-				m.marks = map[Tuple]bool{}
-			} else {
-				clear(m.marks)
-			}
-			for t := range m.visited {
-				m.marks[t] = true
-			}
-			m.reached[edgeIdx] = m.reached[edgeIdx][:0]
-			m.walkEdge = edgeIdx
-			m.g.EachDerivInto(cur, "", m.walkDeriv)
+		m.marks.reset()
+		for t := range m.visited {
+			m.marks.mark(uint64(t.TupleOrd()))
 		}
+		m.reached[edgeIdx] = m.reached[edgeIdx][:0]
+		m.walkEdge = edgeIdx
+		m.g.EachDerivInto(cur, "", m.walkDeriv)
 		for _, src := range m.reached[edgeIdx] {
 			if !bp.nodeMatches(edgeIdx+1, src, row) {
 				continue
