@@ -18,47 +18,70 @@ import (
 // subgraph size, and annotations must agree.
 func TestASRBackendMatchesGraphOnPaperQueries(t *testing.T) {
 	for name, text := range paperQueries {
-		e := exampleEngine(t)
-		q := MustParse(text)
-		gr, err := ExecInterpreter(e, context.Background(), q, 0)
-		if err != nil {
-			t.Fatalf("%s: interpreter: %v", name, err)
+		matchesInterpreter(t, exampleEngine(t), name, text)
+	}
+}
+
+// TestASRBackendMatchesGraphOnLabelStarts: a path whose start is pinned
+// only by its first edge's mapping starts from that mapping's
+// derivations (EachDerivOf, then EachTarget) — on every mapping of the
+// example, the superfluous m4, read from its reconstructed rows, among
+// them.
+func TestASRBackendMatchesGraphOnLabelStarts(t *testing.T) {
+	e := exampleEngine(t)
+	for _, m := range e.Sys.Schema.Mappings() {
+		text := fmt.Sprintf("FOR [$x] <%s [$y] INCLUDE PATH [$x] <%s [$y] RETURN $x, $y", m.Name, m.Name)
+		if n := matchesInterpreter(t, e, m.Name, text); n == 0 {
+			t.Errorf("%s: no derivation starts a path", m.Name)
 		}
-		goal, err := e.Exec(context.Background(), q, Options{Backend: "asr"})
-		if err != nil {
-			t.Fatalf("%s: asr: %v", name, err)
+	}
+}
+
+// matchesInterpreter runs one query on the interpreter and on asr and
+// compares bindings, projected subgraph size and annotations. It
+// returns the number of asr bindings.
+func matchesInterpreter(t *testing.T, e *Engine, name, text string) int {
+	t.Helper()
+	q := MustParse(text)
+	gr, err := ExecInterpreter(e, context.Background(), q, 0)
+	if err != nil {
+		t.Fatalf("%s: interpreter: %v", name, err)
+	}
+	goal, err := e.Exec(context.Background(), q, Options{Backend: "asr"})
+	if err != nil {
+		t.Fatalf("%s: asr: %v", name, err)
+	}
+	if goal.Stats.Backend != "asr" {
+		t.Fatalf("%s: backend = %q", name, goal.Stats.Backend)
+	}
+	for _, v := range q.Projection.Return {
+		gRefs, sRefs := gr.SortedRefs(v), goal.SortedRefs(v)
+		if len(gRefs) != len(sRefs) {
+			t.Fatalf("%s: $%s bindings %d (interpreter) vs %d (asr)", name, v, len(gRefs), len(sRefs))
 		}
-		if goal.Stats.Backend != "asr" {
-			t.Fatalf("%s: backend = %q", name, goal.Stats.Backend)
-		}
-		for _, v := range q.Projection.Return {
-			gRefs, sRefs := gr.SortedRefs(v), goal.SortedRefs(v)
-			if len(gRefs) != len(sRefs) {
-				t.Fatalf("%s: $%s bindings %d (interpreter) vs %d (asr)", name, v, len(gRefs), len(sRefs))
-			}
-			for i := range gRefs {
-				if gRefs[i] != sRefs[i] {
-					t.Fatalf("%s: $%s binding %d: %v vs %v", name, v, i, gRefs[i], sRefs[i])
-				}
-			}
-		}
-		gg, sg := gr.MustGraph(), goal.MustGraph()
-		if gg.NumDerivations() != sg.NumDerivations() {
-			t.Errorf("%s: projected derivations %d (interpreter) vs %d (asr)", name, gg.NumDerivations(), sg.NumDerivations())
-		}
-		if gg.NumTuples() != sg.NumTuples() {
-			t.Errorf("%s: projected tuples %d (interpreter) vs %d (asr)", name, gg.NumTuples(), sg.NumTuples())
-		}
-		if (gr.Annotations == nil) != (goal.Annotations == nil) {
-			t.Fatalf("%s: annotation presence differs", name)
-		}
-		for ref, v := range gr.Annotations {
-			sv, ok := goal.Annotations[ref]
-			if !ok || !gr.Semiring.Eq(v, sv) {
-				t.Errorf("%s: annotation mismatch for %v: %v vs %v", name, ref, v, sv)
+		for i := range gRefs {
+			if gRefs[i] != sRefs[i] {
+				t.Fatalf("%s: $%s binding %d: %v vs %v", name, v, i, gRefs[i], sRefs[i])
 			}
 		}
 	}
+	gg, sg := gr.MustGraph(), goal.MustGraph()
+	if gg.NumDerivations() != sg.NumDerivations() {
+		t.Errorf("%s: projected derivations %d (interpreter) vs %d (asr)", name, gg.NumDerivations(), sg.NumDerivations())
+	}
+	if gg.NumTuples() != sg.NumTuples() {
+		t.Errorf("%s: projected tuples %d (interpreter) vs %d (asr)", name, gg.NumTuples(), sg.NumTuples())
+	}
+	if (gr.Annotations == nil) != (goal.Annotations == nil) {
+		t.Fatalf("%s: annotation presence differs", name)
+	}
+	for ref, v := range gr.Annotations {
+		sv, ok := goal.Annotations[ref]
+		if !ok || !gr.Semiring.Eq(v, sv) {
+			t.Errorf("%s: annotation mismatch for %v: %v vs %v", name, ref, v, sv)
+		}
+	}
+	return goal.Len()
 }
 
 // TestASRBackendZeroGraphBuilds asserts the asr backend's defining
