@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/exchange"
@@ -192,4 +193,51 @@ func TestSpareViewsBoundWhatTheyKeep(t *testing.T) {
 	if n, bytes := kept(); n != 1 || bytes >= full {
 		t.Fatalf("after a point query: %d views kept holding %d bytes, want 1 holding less than the whole query's %d", n, bytes, full)
 	}
+}
+
+// TestASRBackendMatchesGraphOnDanglingReferences: a derivation whose
+// source and target tuples the snapshot does not store — a provenance
+// row written behind update exchange's back — gets handles with no row
+// for them, and asr answers as the interpreter does over the built
+// graph.
+func TestASRBackendMatchesGraphOnDanglingReferences(t *testing.T) {
+	e := NewEngine(fixture.MustSystem(fixture.Options{Exchange: exchange.Options{MaterializeAll: true}}))
+	pr := e.Sys.Prov[fixture.M1]
+	tab := e.Sys.DB.MustTable(pr.TableName)
+	var row model.Tuple
+	tab.Iterate(func(r model.Tuple) bool {
+		row = slices.Clone(r)
+		return false
+	})
+	for _, a := range append(slices.Clone(pr.Sources), pr.Targets...) {
+		for _, c := range a.Cols {
+			if c < 0 {
+				continue // a constant of the atom
+			}
+			switch d := row[c].(type) {
+			case int64:
+				row[c] = d + 1_000_000
+			case string:
+				row[c] = "ghost " + d
+			}
+		}
+	}
+	if ok, err := tab.Insert(row); !ok || err != nil {
+		t.Fatalf("insert %v: %v, %v", row, ok, err)
+	}
+	q := fmt.Sprintf("FOR [$x] <%s [$y] INCLUDE PATH [$x] <%s [$y] RETURN $x, $y", fixture.M1, fixture.M1)
+	res, err := e.Exec(context.Background(), MustParse(q), Options{Backend: "asr"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dangling := 0
+	for _, ref := range res.SortedRefs("x") {
+		if _, ok := e.Sys.DB.MustTable(ref.Rel).LookupEncoded(ref.Key); !ok {
+			dangling++
+		}
+	}
+	if dangling != 1 {
+		t.Fatalf("$x binds %d tuples the store lacks, want 1", dangling)
+	}
+	matchesInterpreter(t, e, "dangling", q)
 }
