@@ -262,7 +262,8 @@ func BenchmarkFig13ASRBranched(b *testing.B) {
 
 // BenchmarkAnnotationOverhead is experiment E9: the Section 6.1.2
 // observation that annotation computation adds little over the graph-
-// projection component.
+// projection component — on the paper's relational translation and on
+// the path executor, which auto runs for both queries.
 func BenchmarkAnnotationOverhead(b *testing.B) {
 	set, err := workload.Build(workload.Config{
 		Topology:  workload.Chain,
@@ -276,7 +277,6 @@ func BenchmarkAnnotationOverhead(b *testing.B) {
 		b.Fatal(err)
 	}
 	eng := proql.NewEngine(set.Sys)
-	eng.Backend = "relational" // the paper's translation
 	proj, err := proql.Parse(set.TargetQuery())
 	if err != nil {
 		b.Fatal(err)
@@ -285,20 +285,21 @@ func BenchmarkAnnotationOverhead(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Run("projection", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := eng.Exec(context.Background(), proj, proql.Options{}); err != nil {
-				b.Fatal(err)
-			}
+	for _, backend := range []string{"relational", "asr"} {
+		for _, arm := range []struct {
+			name string
+			q    *proql.Query
+		}{{"projection", proj}, {"annotated", annot}} {
+			b.Run(arm.name+"/"+backend, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := eng.Exec(context.Background(), arm.q, proql.Options{Backend: backend}); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
-	})
-	b.Run("annotated", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := eng.Exec(context.Background(), annot, proql.Options{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
 }
 
 // BenchmarkMultiPathMatch measures the asr backend on a multi-path

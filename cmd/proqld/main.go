@@ -356,10 +356,10 @@ func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 type queryRequest struct {
 	Query string `json:"query"`
 	// Backend selects the execution strategy: "" or "auto" (asr for a
-	// live query with no WHERE or EVALUATE; otherwise relational when
-	// the query allows, else asr), "relational", or "asr"; "graph" is
-	// accepted as an alias of "asr". The choice is per request; all of
-	// them read a pinned snapshot.
+	// live query with no WHERE; otherwise relational when the query
+	// allows, else asr), "relational", or "asr"; "graph" is accepted as
+	// an alias of "asr". The choice is per request; all of them read a
+	// pinned snapshot.
 	Backend string `json:"backend"`
 	// AsOf, when non-zero, evaluates the query against the retained
 	// state at that epoch (time travel). Requires the server to run

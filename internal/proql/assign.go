@@ -80,6 +80,16 @@ func defaultLeaf(s semiring.Semiring, ref model.TupleRef) semiring.Value {
 	return s.One()
 }
 
+// tokenLeaf reports whether defaultLeaf's value for s names the tuple:
+// only then does an unassigned leaf's value need its ref.
+func tokenLeaf(s semiring.Semiring) bool {
+	switch s.Name() {
+	case "LINEAGE", "PROBABILITY", "POSBOOL", "POLYNOMIAL":
+		return true
+	}
+	return false
+}
+
 // leafContext supplies attribute access for evaluating ASSIGNING EACH
 // leaf_node CASE conditions against one leaf tuple.
 type leafContext struct {

@@ -1,6 +1,8 @@
 package proql
 
 import (
+	"context"
+	"strings"
 	"testing"
 
 	"repro/internal/fixture"
@@ -79,11 +81,17 @@ func TestCyclicDerivabilityFixpoint(t *testing.T) {
 
 func TestCyclicCountRejected(t *testing.T) {
 	// The counting semiring diverges on cycles; evaluation must refuse
-	// rather than loop (Section 2.1: counts may not converge).
+	// rather than loop (Section 2.1: counts may not converge). So must
+	// the polynomial semiring, on auto and on the path executor alike.
 	e := cyclicEngine(t)
-	_, err := e.ExecString(`EVALUATE COUNT OF { ` + nQuery + ` }`)
-	if err == nil {
-		t.Fatal("COUNT over a cyclic projection should be rejected")
+	for _, s := range []string{"COUNT", "POLYNOMIAL"} {
+		for _, backend := range []string{"auto", "asr"} {
+			q := MustParse(`EVALUATE ` + s + ` OF { ` + nQuery + ` }`)
+			_, err := e.Exec(context.Background(), q, Options{Backend: backend})
+			if err == nil || !strings.Contains(err.Error(), "cyclic") {
+				t.Errorf("%s on %s over a cyclic projection: err = %v, want the cyclic refusal", s, backend, err)
+			}
+		}
 	}
 }
 

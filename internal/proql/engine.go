@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"iter"
 	"slices"
 	"strings"
 	"time"
@@ -17,8 +18,8 @@ import (
 
 // Engine executes ProQL queries over an exchanged system. By default
 // it routes each query from its syntax alone (autoBackend): a live
-// query with no WHERE and no EVALUATE, while ASR rewriting is off,
-// runs on the asr backend (physplan over the provenance relations);
+// query with no WHERE, while ASR rewriting is off, runs on the asr
+// backend (physplan over the provenance relations), EVALUATE included;
 // any other query runs on the relational backend (Section 4), falling
 // back to asr for query shapes the relational translation does not
 // cover. Every query reads a snapshot it pins for itself; besides the
@@ -90,10 +91,10 @@ type Stats struct {
 // is fixed by the query; the tuple nodes' stored rows and leaf marks
 // resolve when Graph() first links — against the newest epoch for a
 // live query (a tuple deleted since carries no row), against its own
-// epoch for an AS OF query. EVALUATE on the asr backend is the
-// exception: it links during the query, from the state the query read,
-// and Graph() returns that graph. A Result pins nothing: the snapshot
-// the query read is released before Exec returns.
+// epoch for an AS OF query. EVALUATE links nothing either: each backend
+// computes the annotations from the state the query read. A Result
+// pins nothing: the snapshot the query read is released before Exec
+// returns.
 type Result struct {
 	// Bindings holds one map per RETURN row, sorted by (Rel, Key)
 	// variable by variable. Exec fills it; Eval leaves it nil. Len,
@@ -146,7 +147,7 @@ func (r *Result) Graph() (*provgraph.Graph, error) {
 
 // linkAt links a recorded projection with tuple metadata resolved at
 // epoch asOf (0: the newest) — the rule Result.Graph documents.
-func (e *Engine) linkAt(asOf uint64, derivs []physplan.ProjDeriv, tuples ...[]model.TupleRef) (*provgraph.Graph, error) {
+func (e *Engine) linkAt(asOf uint64, derivs iter.Seq[physplan.ProjDeriv], tuples ...[]model.TupleRef) (*provgraph.Graph, error) {
 	sys, release, err := e.snapshotAt(asOf)
 	if err != nil {
 		return nil, err
@@ -163,23 +164,23 @@ func (e *Engine) linkAt(asOf uint64, derivs []physplan.ProjDeriv, tuples ...[]mo
 // the pinned view sys. Nodes link in canonical order — tuple nodes by
 // ref, then derivations by ID — so equal projections render
 // identically whichever backend recorded them.
-func (e *Engine) linkProjection(derivs []physplan.ProjDeriv, sys *exchange.System, tuples ...[]model.TupleRef) (*provgraph.Graph, error) {
+func (e *Engine) linkProjection(derivs iter.Seq[physplan.ProjDeriv], sys *exchange.System, tuples ...[]model.TupleRef) (*provgraph.Graph, error) {
 	type linked struct {
 		id, mapping string
 		srcs, tgts  []model.TupleRef
 	}
-	ds := make([]linked, len(derivs))
+	var ds []linked
 	var refs []model.TupleRef
 	for _, ts := range tuples {
 		refs = append(refs, ts...)
 	}
-	for i, d := range derivs {
+	for d := range derivs {
 		pr, ok := e.Sys.Prov[d.Mapping]
 		if !ok {
 			return nil, fmt.Errorf("proql: unknown mapping %q in output", d.Mapping)
 		}
 		srcs, tgts := e.Sys.AtomRefs(pr, d.Row)
-		ds[i] = linked{provgraph.DerivIDFor(d.Mapping, d.Row), d.Mapping, srcs, tgts}
+		ds = append(ds, linked{provgraph.DerivIDFor(d.Mapping, d.Row), d.Mapping, srcs, tgts})
 		refs = append(append(refs, srcs...), tgts...)
 	}
 	slices.SortFunc(refs, compareRefs)
@@ -221,9 +222,8 @@ type Options struct {
 	// Backend forces an execution backend for this call: "relational"
 	// or "asr" ("graph" is an alias of "asr"). Empty falls back to the
 	// engine's Backend field, then to auto: asr for a live query with
-	// no WHERE and no EVALUATE while RewriteRules is nil; otherwise
-	// relational when the translation covers the query, asr when it
-	// does not.
+	// no WHERE while RewriteRules is nil; otherwise relational when the
+	// translation covers the query, asr when it does not.
 	Backend string
 	// AsOfEpoch, when non-zero, evaluates the query AS OF that storage
 	// epoch: every backend pins a SnapshotAt view instead of the live
@@ -298,21 +298,19 @@ func (e *ErrUnknownBackend) Error() string {
 
 // autoBackend routes a query for backend "auto" from its syntax and
 // the call's settings alone, with no statistics and before any
-// unfolding, and names what decided. A query with no WHERE and no
-// EVALUATE runs on asr: it reads whole relations, where the relational
+// unfolding, and names what decided. A query with no WHERE runs on asr,
+// EVALUATE included: it reads whole relations, where the relational
 // translation's union of unfolded rules grows exponentially with the
-// mapping chain and the path walk does not. Everything else stays
+// mapping chain and the path walk does not, and the path executor
+// annotates over what it recorded (annotatePath). Everything else stays
 // relational, the translation's measured ground, and falls back to asr
 // for the shapes the translation does not cover: key-pinned and range
-// WHERE reads and EVALUATE (no measurement has yet moved them: asr
-// EVALUATE links a whole provenance graph); any query while ASR
+// WHERE reads (no measurement has yet moved them); any query while ASR
 // rewriting is on, since the rewrite applies to the unfolded rules
 // only; and AS OF reads, which were measured slower on asr when it kept
 // a per-epoch handle cache and have not been measured since.
 func (e *Engine) autoBackend(q *Query, asOf uint64) (backend, reason string) {
 	switch {
-	case q.Evaluate != "":
-		return "relational", "EVALUATE"
 	case q.Projection.Where != nil:
 		return "relational", "WHERE"
 	case e.RewriteRules != nil:
@@ -320,7 +318,7 @@ func (e *Engine) autoBackend(q *Query, asOf uint64) (backend, reason string) {
 	case asOf != 0:
 		return "relational", "AS OF"
 	}
-	return "asr", "no WHERE or EVALUATE"
+	return "asr", "no WHERE"
 }
 
 // ExecString parses and runs a query with default options.

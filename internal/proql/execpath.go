@@ -622,11 +622,10 @@ func (v *pathView) lookupKey(r *pathRel, key []model.Datum) (int32, bool) {
 
 // eachEdge passes the handles of d's atoms from..to (sources then
 // targets) to yield: off its table once that is resolved, else from a
-// list resolved by key lookups and kept on d.
+// list resolved by key lookups and kept on d (edgeList).
 func (v *pathView) eachEdge(d *pathDeriv, from, to int, yield func(int32) bool) {
-	pr := d.rel.prov
-	atoms := len(pr.Sources) + len(pr.Targets)
 	if dr := d.rel.dense; d.pos >= 0 && dr.edged {
+		atoms := len(dr.atoms)
 		for j, e := range dr.edges[int(d.pos)*atoms:][from:to] {
 			n := ^e
 			if e >= 0 {
@@ -638,7 +637,37 @@ func (v *pathView) eachEdge(d *pathDeriv, from, to int, yield func(int32) bool) 
 		}
 		return
 	}
+	for _, n := range v.edgeList(d)[from:to] {
+		if !yield(n) {
+			return
+		}
+	}
+}
+
+// appendEdges appends the handles of all of d's atoms, sources then
+// targets, to buf, as eachEdge passes them.
+func (v *pathView) appendEdges(buf []int32, d *pathDeriv) []int32 {
+	if dr := d.rel.dense; d.pos >= 0 && dr.edged {
+		atoms := len(dr.atoms)
+		for j, e := range dr.edges[int(d.pos)*atoms:][:atoms] {
+			n := ^e
+			if e >= 0 {
+				n = v.handleAt(dr.atoms[j], e)
+			}
+			buf = append(buf, n)
+		}
+		return buf
+	}
+	return append(buf, v.edgeList(d)...)
+}
+
+// edgeList returns the handles of d's atoms, sources then targets,
+// resolved by key lookups on first use and kept on d; nil after a
+// failure.
+func (v *pathView) edgeList(d *pathDeriv) []int32 {
 	if d.list == 0 {
+		pr := d.rel.prov
+		atoms := len(pr.Sources) + len(pr.Targets)
 		row := d.DerivRow()
 		off := len(v.lists)
 		v.lists = append(v.lists, int32(atoms))
@@ -647,7 +676,7 @@ func (v *pathView) eachEdge(d *pathDeriv, from, to int, yield func(int32) bool) 
 			r, ok := v.rel(a.Table)
 			if !ok {
 				v.lists = v.lists[:off]
-				return
+				return nil
 			}
 			v.key = a.AppendDatums(v.key[:0], row)
 			n, ok := v.lookupKey(r, v.key)
@@ -658,11 +687,7 @@ func (v *pathView) eachEdge(d *pathDeriv, from, to int, yield func(int32) bool) 
 		}
 		d.list = int32(off + 1)
 	}
-	for _, n := range v.listAt(d.list)[from:to] {
-		if !yield(n) {
-			return
-		}
-	}
+	return v.listAt(d.list)
 }
 
 // atom returns atom j of pr's sources then targets.

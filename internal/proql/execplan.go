@@ -8,16 +8,14 @@ import (
 	"repro/internal/model"
 	"repro/internal/proql/physplan"
 	"repro/internal/provgraph"
-	"repro/internal/semiring"
 )
 
 // execPhys evaluates a query through the physical-plan pipeline (path
 // scans, index-nested-loop extensions, hash joins on shared variables,
 // pushed-down filters, dedup, subgraph projection) over a path view.
 // The projected subgraph is recorded, not linked: Result.Graph links it
-// on first call. EVALUATE links it here, with tuple metadata from the
-// view's snapshot — the state the query read — because the annotations
-// are computed over it.
+// on first call. EVALUATE computes its annotations over the recording
+// while the view is still bound (annotatePath).
 func (e *Engine) execPhys(q *Query, g *pathView, asOf uint64) (*Result, error) {
 	planStart := time.Now()
 	proj := &physplan.Projection{}
@@ -33,109 +31,48 @@ func (e *Engine) execPhys(q *Query, g *pathView, asOf uint64) (*Result, error) {
 	res.Stats.PlanTime = time.Since(planStart)
 
 	evalStart := time.Now()
-	if err := collectPhys(q, plan, &res.rows); err != nil {
+	returned, err := collectPhys(q, plan, &res.rows)
+	if err != nil {
 		return nil, err
 	}
 	if err := g.Err(); err != nil {
 		return nil, err
 	}
-	res.rows.sort()
-
 	if q.Evaluate != "" {
-		outG, err := e.linkProjection(proj.Derivs, g.sys, res.rows.refs, proj.Starts)
-		if err != nil {
+		if res.Semiring, res.Annotations, err = e.annotatePath(q, g, proj, res.rows.refs, returned); err != nil {
 			return nil, err
 		}
-		res.graph = outG
-		if err := e.annotateGraphResult(q, res, outG); err != nil {
-			return nil, err
-		}
-	} else {
-		derivs, starts := proj.Derivs, proj.Starts // not the dedup set
-		res.buildGraph = func() (*provgraph.Graph, error) {
-			return e.linkAt(asOf, derivs, res.rows.refs, starts)
-		}
+	}
+	res.rows.sort()
+	res.buildGraph = func() (*provgraph.Graph, error) {
+		return e.linkAt(asOf, proj.Derivs(), res.rows.refs, proj.Starts)
 	}
 	res.Stats.EvalTime = time.Since(evalStart)
 	return res, nil
-}
-
-// annotateGraphResult runs the EVALUATE clause over the projected
-// subgraph: tuple nodes with no incoming derivations in the projection
-// are its leaves (Section 3.2.2).
-func (e *Engine) annotateGraphResult(q *Query, res *Result, outG *provgraph.Graph) error {
-	s, err := semiring.Lookup(q.Evaluate)
-	if err != nil {
-		return err
-	}
-	res.Semiring = s
-	for _, tn := range outG.Tuples() {
-		if len(tn.Derivations) == 0 {
-			tn.Leaf = true
-		}
-	}
-	var names []string
-	for _, m := range e.Sys.Schema.Mappings() {
-		names = append(names, m.Name)
-	}
-	mapFuncs, err := buildMapFuncs(s, q.MapAssign, names)
-	if err != nil {
-		return err
-	}
-	var leafErr error
-	ann, err := provgraph.Eval(outG, s, provgraph.EvalOptions{
-		Leaf: func(tn *provgraph.TupleNode) semiring.Value {
-			rel, ok := e.Sys.Schema.Relation(tn.Ref.Rel)
-			if !ok {
-				leafErr = fmt.Errorf("proql: unknown relation %q", tn.Ref.Rel)
-				return s.Zero()
-			}
-			v, err := evalLeafAssign(s, q.LeafAssign, leafContextForRow(rel, tn.Row, tn.Ref))
-			if err != nil {
-				leafErr = err
-				return s.Zero()
-			}
-			return v
-		},
-		MapFunc: func(m string) semiring.MappingFunc { return mapFuncs[m] },
-	})
-	if err != nil {
-		return err
-	}
-	if leafErr != nil {
-		return leafErr
-	}
-	res.Annotations = make(map[model.TupleRef]semiring.Value)
-	for _, ref := range res.rows.refs {
-		if tn, ok := outG.Lookup(ref); ok {
-			if v, ok := ann.Annotation(tn); ok {
-				res.Annotations[ref] = v
-			}
-		}
-	}
-	return nil
 }
 
 // collectPhys runs a plan to its answer cells and adopts them as rows,
 // renumbering each cell in place from its column's table to the result
 // refs. A table value is checked and registered once, when a cell first
 // reads it — so only returned tuples register, and each distinct tuple
-// once (by ordinal, which identifies it in its store).
-func collectPhys(q *Query, plan *physplan.Plan, rows *resultRows) error {
+// once (by ordinal, which identifies it in its store). Under EVALUATE
+// it returns the ordinal of each registered ref, in registration order.
+func collectPhys(q *Query, plan *physplan.Plan, rows *resultRows) ([]int32, error) {
 	ans, err := plan.Answer()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	// A cancellation that cut the answer short must not pass for its
 	// end.
 	if q.Cancel != nil {
 		if err := q.Cancel(); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	ret := q.Projection.Return
 	rows.vars = ret
 	ids := map[int]int32{}
+	var ords []int32
 	// remap[base[i]+j] is 1 + the ref of column i's table entry j, 0
 	// until a cell reads it.
 	var baseBuf [8]int // a short RETURN list allocates no bases
@@ -154,14 +91,17 @@ func collectPhys(q *Query, plan *physplan.Plan, rows *resultRows) error {
 				tn, isTuple := node.(physplan.Tuple)
 				switch {
 				case node == nil:
-					return fmt.Errorf("proql: RETURN variable $%s is not bound by the FOR clause", ret[i])
+					return nil, fmt.Errorf("proql: RETURN variable $%s is not bound by the FOR clause", ret[i])
 				case !isTuple:
-					return fmt.Errorf("proql: RETURN variable $%s binds derivation nodes; only tuple nodes can be returned", ret[i])
+					return nil, fmt.Errorf("proql: RETURN variable $%s binds derivation nodes; only tuple nodes can be returned", ret[i])
 				}
 				id, seen := ids[tn.TupleOrd()]
 				if !seen {
 					id = rows.addRef(tn.TupleRef())
 					ids[tn.TupleOrd()] = id
+					if q.Evaluate != "" {
+						ords = append(ords, int32(tn.TupleOrd()))
+					}
 				}
 				remap[at] = id + 1
 			}
@@ -169,7 +109,7 @@ func collectPhys(q *Query, plan *physplan.Plan, rows *resultRows) error {
 		}
 	}
 	rows.cells, rows.n = ans.Cells, ans.Rows
-	return nil
+	return ords, nil
 }
 
 // lowerSpec lowers a query to the physplan spec.

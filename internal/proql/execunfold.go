@@ -29,15 +29,15 @@ func (o unfoldOutput) addProvRow(mapping string, row model.Tuple) {
 	}
 }
 
-// derivs lists the collected derivations for linking.
-func (o unfoldOutput) derivs() []physplan.ProjDeriv {
-	var out []physplan.ProjDeriv
+// derivs yields the collected derivations for linking.
+func (o unfoldOutput) derivs(yield func(physplan.ProjDeriv) bool) {
 	for mapping, rows := range o {
 		for _, row := range rows {
-			out = append(out, physplan.ProjDeriv{Mapping: mapping, Row: row})
+			if !yield(physplan.ProjDeriv{Mapping: mapping, Row: row}) {
+				return
+			}
 		}
 	}
-	return out
 }
 
 // relTemplate is the relational backend's plan of one query shape: the
@@ -164,7 +164,7 @@ func (e *Engine) execUnfold(q *Query, asOf uint64) (*Result, error) {
 func (e *Engine) runUnfold(sys *exchange.System, q *Query, comp *Compiled, asOf uint64, up *unfoldPlans) (*Result, error) {
 	out := make(unfoldOutput)
 	res := &Result{Stats: Stats{Backend: "relational", AsOf: asOf, Epoch: sys.DB.Epoch(), UnfoldedRules: len(comp.Rules)}}
-	res.buildGraph = func() (*provgraph.Graph, error) { return e.linkAt(asOf, out.derivs(), res.rows.refs) }
+	res.buildGraph = func() (*provgraph.Graph, error) { return e.linkAt(asOf, out.derivs, res.rows.refs) }
 
 	var s semiring.Semiring
 	var mapFuncs map[string]semiring.MappingFunc

@@ -37,13 +37,13 @@ func TestExplainRelationalQuery(t *testing.T) {
 }
 
 // TestExplainGraphQuery: EXPLAIN names the asr backend and why — the
-// syntax route for a query with no WHERE or EVALUATE (Q4), the
+// syntax route for a query with no WHERE (Q4), the
 // relational translation's refusal for a multi-path query with a WHERE
 // (Q3).
 func TestExplainGraphQuery(t *testing.T) {
 	e := exampleEngine(t)
 	for q, want := range map[string]string{
-		"Q4": "backend: asr (no WHERE or EVALUATE)",
+		"Q4": "backend: asr (no WHERE)",
 		"Q3": "backend: asr (multiple FOR path expressions)",
 	} {
 		out, err := e.ExplainString(paperQueries[q])
@@ -81,20 +81,19 @@ func TestExplainShowsVirtualProvenanceView(t *testing.T) {
 }
 
 // TestAutoRoutes pins auto's syntax-only routing, one query per class:
-// a query with no WHERE and no EVALUATE (whole-relation INCLUDE,
-// multi-path) runs on asr; a key-pinned or range WHERE and EVALUATE
-// run on the relational translation; a WHERE query the translation
-// does not cover falls back to asr. EXPLAIN's backend line names the
-// backend Eval ran.
+// a query with no WHERE (whole-relation INCLUDE, multi-path, EVALUATE)
+// runs on asr; a key-pinned or range WHERE runs on the relational
+// translation; a WHERE query the translation does not cover falls back
+// to asr. EXPLAIN's backend line names the backend Eval ran, and why.
 func TestAutoRoutes(t *testing.T) {
 	e := exampleEngine(t)
-	for _, c := range []struct{ class, query, want string }{
-		{"whole-relation INCLUDE", paperQueries["Q1"], "asr"},
-		{"multipath", paperQueries["Q4"], "asr"},
-		{"key-pinned", `FOR [A $x] WHERE $x.id = 2 INCLUDE PATH [$x] <-+ [] RETURN $x`, "relational"},
-		{"range", `FOR [A $x] WHERE $x.length >= 6 RETURN $x`, "relational"},
-		{"EVALUATE", paperQueries["Q7"], "relational"},
-		{"uncovered, falls back", paperQueries["Q3"], "asr"},
+	for _, c := range []struct{ class, query, want, reason string }{
+		{"whole-relation INCLUDE", paperQueries["Q1"], "asr", "no WHERE"},
+		{"multipath", paperQueries["Q4"], "asr", "no WHERE"},
+		{"key-pinned", `FOR [A $x] WHERE $x.id = 2 INCLUDE PATH [$x] <-+ [] RETURN $x`, "relational", "WHERE"},
+		{"range", `FOR [A $x] WHERE $x.length >= 6 RETURN $x`, "relational", "WHERE"},
+		{"EVALUATE", paperQueries["Q7"], "asr", "no WHERE"},
+		{"uncovered, falls back", paperQueries["Q3"], "asr", "multiple FOR path expressions"},
 	} {
 		q := MustParse(c.query)
 		res, err := e.Eval(context.Background(), q, Options{})
@@ -109,8 +108,8 @@ func TestAutoRoutes(t *testing.T) {
 			t.Fatalf("%s: explain: %v", c.class, err)
 		}
 		line, _, _ := strings.Cut(out, "\n")
-		if got, _, _ := strings.Cut(strings.TrimPrefix(line, "backend: "), " "); got != res.Stats.Backend {
-			t.Errorf("%s: EXPLAIN says %q, Eval ran on %s", c.class, line, res.Stats.Backend)
+		if want := "backend: " + res.Stats.Backend + " (" + c.reason + ")"; line != want {
+			t.Errorf("%s: EXPLAIN says %q, want %q", c.class, line, want)
 		}
 	}
 

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/model"
 	"repro/internal/provgraph"
+	"repro/internal/semiring"
 )
 
 // execGraph evaluates a query by walking a materialized provenance
@@ -96,12 +97,69 @@ func (e *Engine) execGraph(g *provgraph.Graph, q *Query) (*Result, error) {
 	res.rows.sort()
 
 	if q.Evaluate != "" {
-		if err := e.annotateGraphResult(q, res, outG); err != nil {
+		if err := e.annotateGraph(q, res, outG); err != nil {
 			return nil, err
 		}
 	}
 	res.Stats.EvalTime = time.Since(start)
 	return res, nil
+}
+
+// annotateGraph runs the EVALUATE clause over the interpreter's
+// projected subgraph with provgraph.Eval: tuple nodes with no incoming
+// derivations in the projection are its leaves (Section 3.2.2), as are
+// those with a local contribution.
+func (e *Engine) annotateGraph(q *Query, res *Result, outG *provgraph.Graph) error {
+	s, err := semiring.Lookup(q.Evaluate)
+	if err != nil {
+		return err
+	}
+	res.Semiring = s
+	for _, tn := range outG.Tuples() {
+		if len(tn.Derivations) == 0 {
+			tn.Leaf = true
+		}
+	}
+	var names []string
+	for _, m := range e.Sys.Schema.Mappings() {
+		names = append(names, m.Name)
+	}
+	mapFuncs, err := buildMapFuncs(s, q.MapAssign, names)
+	if err != nil {
+		return err
+	}
+	var leafErr error
+	ann, err := provgraph.Eval(outG, s, provgraph.EvalOptions{
+		Leaf: func(tn *provgraph.TupleNode) semiring.Value {
+			rel, ok := e.Sys.Schema.Relation(tn.Ref.Rel)
+			if !ok {
+				leafErr = fmt.Errorf("proql: unknown relation %q", tn.Ref.Rel)
+				return s.Zero()
+			}
+			v, err := evalLeafAssign(s, q.LeafAssign, leafContextForRow(rel, tn.Row, tn.Ref))
+			if err != nil {
+				leafErr = err
+				return s.Zero()
+			}
+			return v
+		},
+		MapFunc: func(m string) semiring.MappingFunc { return mapFuncs[m] },
+	})
+	if err != nil {
+		return err
+	}
+	if leafErr != nil {
+		return leafErr
+	}
+	res.Annotations = make(map[model.TupleRef]semiring.Value)
+	for _, ref := range res.rows.refs {
+		if tn, ok := outG.Lookup(ref); ok {
+			if v, ok := ann.Annotation(tn); ok {
+				res.Annotations[ref] = v
+			}
+		}
+	}
+	return nil
 }
 
 // graphBinding maps variables to graph nodes (*provgraph.TupleNode or

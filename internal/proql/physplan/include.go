@@ -1,6 +1,7 @@
 package physplan
 
 import (
+	"iter"
 	"strings"
 
 	"repro/internal/model"
@@ -9,13 +10,19 @@ import (
 // Projection records the subgraph a plan's INCLUDE PATH clauses
 // project without linking it: each included derivation once, as its
 // mapping and provenance row (copied while the store is still pinned;
-// the row names the derivation's sources and targets), and each
-// candidate path-start tuple once. Memory follows what is recorded,
-// never the store's ordinal range.
+// the row names the derivation's sources and targets) beside its
+// handle ordinal, and each candidate path-start tuple once, as its ref
+// beside its handle ordinal. The rows serve a graph linked after the
+// store is released; the ordinals serve an evaluation while the plan's
+// Graph is still bound. Memory follows what is recorded, never the
+// store's ordinal range, and recording copies nothing it recorded
+// before: derivations go to chunks that never move.
 type Projection struct {
-	Derivs []ProjDeriv      // in recording order
-	Starts []model.TupleRef // in recording order
-	seen   marks            // node codes of the recorded handles
+	Starts    []model.TupleRef // in recording order
+	StartOrds []int32          // Starts[i]'s TupleOrd
+	derivs    chunks[ProjDeriv]
+	ords      chunks[int32] // derivs' DerivOrds, chunk for chunk
+	seen      marks         // node codes of the recorded handles
 }
 
 // ProjDeriv is one recorded derivation: the mapping that fired and its
@@ -25,6 +32,16 @@ type ProjDeriv struct {
 	Row     model.Tuple
 }
 
+// NumDerivs is the number of recorded derivations.
+func (p *Projection) NumDerivs() int { return p.derivs.n }
+
+// Derivs returns the recorded derivations in recording order.
+func (p *Projection) Derivs() iter.Seq[ProjDeriv] { return p.derivs.each }
+
+// DerivOrds returns the recorded derivations' DerivOrds in recording
+// order.
+func (p *Projection) DerivOrds() iter.Seq[int32] { return p.ords.each }
+
 // fresh marks a Tuple or Deriv handle recorded, reporting whether it
 // was not yet.
 func (p *Projection) fresh(h any) bool {
@@ -33,7 +50,50 @@ func (p *Projection) fresh(h any) bool {
 
 func (p *Projection) addDeriv(d Deriv) {
 	if p.fresh(d) {
-		p.Derivs = push(p.Derivs, ProjDeriv{Mapping: d.DerivMapping(), Row: d.DerivRow()})
+		p.derivs.add(ProjDeriv{Mapping: d.DerivMapping(), Row: d.DerivRow()})
+		p.ords.add(int32(d.DerivOrd()))
+	}
+}
+
+func (p *Projection) addStart(t Tuple) {
+	if p.fresh(t) {
+		p.Starts = append(p.Starts, t.TupleRef())
+		p.StartOrds = append(p.StartOrds, int32(t.TupleOrd()))
+	}
+}
+
+// chunks is an append-only list held in chunks that are never copied:
+// 16 elements, then twice the last chunk's, up to maxChunk each, so a
+// point query's few elements take one small chunk and a large list
+// wastes at most one chunk's tail.
+type chunks[T any] struct {
+	c [][]T
+	n int
+}
+
+const maxChunk = 1024
+
+func (l *chunks[T]) add(v T) {
+	k := len(l.c) - 1
+	if k < 0 || len(l.c[k]) == cap(l.c[k]) {
+		size := 16
+		if k >= 0 {
+			size = min(2*cap(l.c[k]), maxChunk)
+		}
+		l.c = append(l.c, make([]T, 0, size))
+		k++
+	}
+	l.c[k] = append(l.c[k], v)
+	l.n++
+}
+
+func (l *chunks[T]) each(yield func(T) bool) {
+	for _, c := range l.c {
+		for _, v := range c {
+			if !yield(v) {
+				return
+			}
+		}
 	}
 }
 
@@ -123,9 +183,7 @@ func newIncludeWalk(g Graph, out *Projection) *includeWalk {
 		if r := bp.path.Nodes[0].Rel; r != "" && st.TupleRel() != r {
 			return true
 		}
-		if w.out.fresh(st) {
-			w.out.Starts = append(w.out.Starts, st.TupleRef())
-		}
+		w.out.addStart(st)
 		if bp.ancestrySuffix(0, row) {
 			w.ancestors(st)
 			return true

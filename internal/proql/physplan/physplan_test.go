@@ -680,8 +680,8 @@ func TestIncludeProjectsSubgraph(t *testing.T) {
 	}
 	// All 10 derivations are ancestors of some O tuple, each recorded
 	// once; so is each of the 3 start tuples.
-	if len(out.Derivs) != 10 || len(out.Starts) != 3 {
-		t.Errorf("recorded %d derivations and %d starts, want 10 and 3", len(out.Derivs), len(out.Starts))
+	if out.NumDerivs() != 10 || len(out.Starts) != 3 {
+		t.Errorf("recorded %d derivations and %d starts, want 10 and 3", out.NumDerivs(), len(out.Starts))
 	}
 }
 
