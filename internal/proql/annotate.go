@@ -3,7 +3,6 @@ package proql
 import (
 	"fmt"
 	"slices"
-	"sync"
 
 	"repro/internal/model"
 	"repro/internal/proql/physplan"
@@ -42,8 +41,7 @@ func (e *Engine) annotatePath(q *Query, v *pathView, proj *physplan.Projection, 
 			return nil, nil, err
 		}
 	}
-	a := annotations.Get().(*annotation)
-	defer a.release()
+	a := &v.ann
 	a.v, a.s, a.zero, a.one = v, s, s.Zero(), s.One()
 	a.link(proj, returned, mapFuncs)
 	if v.err != nil {
@@ -63,7 +61,7 @@ func (e *Engine) annotatePath(q *Query, v *pathView, proj *physplan.Projection, 
 		for _, t := range order {
 			a.vals[t] = a.contribution(t, a.vals[t])
 		}
-	} else if err := a.fixpoint(a.vals); err != nil {
+	} else if err := a.fixpoint(); err != nil {
 		return nil, nil, err
 	}
 	out := make(map[model.TupleRef]semiring.Value, len(refs))
@@ -73,18 +71,25 @@ func (e *Engine) annotatePath(q *Query, v *pathView, proj *physplan.Projection, 
 	return s, out, nil
 }
 
-// annotations keeps the arrays of finished evaluations for the next
-// ones. They are sized by the projection: reusing them cut the TRUST
-// target query on instance M from 4.8 to 2.7 MB allocated (E35).
-var annotations = sync.Pool{New: func() any { return new(annotation) }}
-
-// release drops what a holds of its query and pools its arrays.
-func (a *annotation) release() {
+// recycle drops what a holds of its query, keeping its arrays for the
+// next query on its view (spareViews).
+func (a *annotation) recycle() {
 	clear(a.vals)
+	clear(a.base)
 	clear(a.fn)
 	clear(a.locals)
 	a.v, a.s, a.zero, a.one = nil, nil, nil, nil
-	annotations.Put(a)
+}
+
+// held is the size in bytes of the arrays a keeps.
+func (a *annotation) held() int {
+	n := 16 * (cap(a.vals) + cap(a.base) + cap(a.locals))
+	n += 8 * cap(a.fn)
+	for _, s := range [][]int32{a.tid, a.tuples, a.srcOff, a.src, a.tgtOff, a.tgt, a.inOff, a.in,
+		a.useOff, a.use, a.edges, a.fill, a.dwait, a.twait, a.queue} {
+		n += 4 * cap(s)
+	}
+	return n
 }
 
 // annotation is one EVALUATE's projected graph over per-query ids:
@@ -107,7 +112,9 @@ type annotation struct {
 	// use[useOff[t]:useOff[t+1]], one per source atom.
 	inOff, in   []int32
 	useOff, use []int32
-	vals        []semiring.Value
+	// vals holds the annotations; base the leaf values while a cyclic
+	// projection runs to its fixpoint.
+	vals, base []semiring.Value
 	// Scratch of link, group and order.
 	edges, fill, dwait, twait, queue []int32
 	// locals[ord] is the local-contribution table of the relation with
@@ -122,6 +129,13 @@ type annotation struct {
 // tupleID returns the id of the tuple with view handle number n,
 // numbering it on first sight.
 func (a *annotation) tupleID(n int32) int32 {
+	if int(n) >= len(a.tid) {
+		// Resolving a derivation's atoms made the handle after link
+		// sized tid: a head atom that no walk reached, say.
+		old := len(a.tid)
+		a.tid = slices.Grow(a.tid, int(n)+1-old)[:n+1]
+		clear(a.tid[old:])
+	}
 	if a.tid[n] == 0 {
 		a.tuples = append(a.tuples, n)
 		a.tid[n] = int32(len(a.tuples))
@@ -327,11 +341,12 @@ func (a *annotation) contribution(t int32, base semiring.Value) semiring.Value {
 // cycle-safe semiring: from Zero everywhere, every tuple accumulates
 // its contribution (x ⊕ next, which keeps the iteration monotone) until
 // a round changes nothing, within 2·(#tuples+#derivations)+2 rounds.
-// base holds the leaf values.
-func (a *annotation) fixpoint(base []semiring.Value) error {
+// It starts with the leaf values in vals and moves them to base.
+func (a *annotation) fixpoint() error {
 	s := a.s
 	rounds := 2*(len(a.tuples)+len(a.srcOff)-1) + 2
-	a.vals = make([]semiring.Value, len(a.tuples))
+	base := a.vals
+	a.vals, a.base = reuse(a.base, len(base)), base
 	for t := range a.vals {
 		a.vals[t] = a.zero
 	}

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/exchange"
 	"repro/internal/fixture"
 	"repro/internal/model"
 	"repro/internal/provgraph"
@@ -33,25 +34,21 @@ var table1Semirings = []struct{ name, picked, rest string }{
 // TestPathAnnotationsMatchInterpreter is the EVALUATE differential:
 // for every Table 1 semiring the path executor's annotations equal the
 // interpreter's (provgraph.Eval over the projected graph), value for
-// value and in their rendering, on the acyclic example and on the
-// cyclic one (mapping m3: C and N derive each other), over whole
-// ancestries and over no projection at all, under the default leaves, a leaf assignment that reads an attribute, one with
-// no DEFAULT (unselected leaves keep the semiring's default, the
+// value and in their rendering, on the acyclic example, on the cyclic
+// one (mapping m3: C and N derive each other) and on a multi-head
+// (GLAV) mapping large enough that the path view reads its relations
+// densely, over whole ancestries and over no projection at all, under
+// the default leaves, a leaf assignment that reads an attribute, one
+// with no DEFAULT (unselected leaves keep the semiring's default, the
 // tuple's own token for the token semirings) and a mapping assignment.
 // Where the interpreter refuses a cyclic projection (a semiring that is
 // not cycle-safe) the path executor must refuse it too. Some returned
 // tuple in each setting has a local contribution and is derived as
 // well, so its leaf value and its derivations both count.
 func TestPathAnnotationsMatchInterpreter(t *testing.T) {
-	for _, setting := range []struct {
-		name string
-		m3   bool
-	}{
-		{"acyclic", false},
-		{"cyclic", true},
-	} {
-		sys := fixture.MustSystem(fixture.Options{IncludeM3: setting.m3})
-		if !setting.m3 {
+	example := func(m3 bool) *exchange.System {
+		sys := fixture.MustSystem(fixture.Options{IncludeM3: m3})
+		if !m3 {
 			// N(2, sn2, true) is derived by m2; make it a local
 			// contribution as well (the cyclic setting has C(2, cn2)).
 			if err := sys.InsertLocal("N", model.Tuple{int64(2), "sn2", true}); err != nil {
@@ -61,20 +58,42 @@ func TestPathAnnotationsMatchInterpreter(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		e := NewEngine(sys)
+		return sys
+	}
+	exampleBodies := []string{
+		"FOR [O $x] INCLUDE PATH [$x] <-+ [] RETURN $x",
+		"FOR [N $x] INCLUDE PATH [$x] <-+ [] RETURN $x",
+		"FOR [C $x] INCLUDE PATH [$x] <-+ [] RETURN $x",
+		"FOR [O $x] RETURN $x", // no projection: every tuple is a leaf
+	}
+	for _, setting := range []struct {
+		name   string
+		sys    *exchange.System
+		bodies []string
+		// The leaf clauses' conditions: one reading an attribute, one
+		// naming a relation; and the mapping the mapping clause picks.
+		attrCond, relCond, mapping string
+		cyclic                     bool
+	}{
+		{"acyclic", example(false), exampleBodies, "$y in A and $y.length >= 6", "$y in C", "m1", false},
+		{"cyclic", example(true), exampleBodies, "$y in A and $y.length >= 6", "$y in C", "m1", true},
+		{"multi-head", multiHeadSystem(t, 60), []string{
+			// The walk from T1 reaches each derivation by its T1 head
+			// only; its T2 head joins the projection as a target.
+			"FOR [T1 $x] INCLUDE PATH [$x] <-+ [] RETURN $x",
+			"FOR [U $x] INCLUDE PATH [$x] <-+ [] RETURN $x",
+			"FOR [T2 $x] RETURN $x",
+		}, "$y in S and $y.w >= 30", "$y in T1", "mGLAV", false},
+	} {
+		e := NewEngine(setting.sys)
 		localAndDerived, refused := 0, 0
 		for _, sr := range table1Semirings {
-			for _, body := range []string{
-				"FOR [O $x] INCLUDE PATH [$x] <-+ [] RETURN $x",
-				"FOR [N $x] INCLUDE PATH [$x] <-+ [] RETURN $x",
-				"FOR [C $x] INCLUDE PATH [$x] <-+ [] RETURN $x",
-				"FOR [O $x] RETURN $x", // no projection: every tuple is a leaf
-			} {
+			for _, body := range setting.bodies {
 				for _, assign := range []string{
 					"",
-					fmt.Sprintf(` ASSIGNING EACH leaf_node $y { CASE $y in A and $y.length >= 6 : SET %s DEFAULT : SET %s }`, sr.picked, sr.rest),
-					fmt.Sprintf(` ASSIGNING EACH leaf_node $y { CASE $y in C : SET %s }`, sr.picked),
-					fmt.Sprintf(` ASSIGNING EACH mapping $p($z) { CASE $p = m1 : SET %s DEFAULT : SET $z }`, sr.rest),
+					fmt.Sprintf(` ASSIGNING EACH leaf_node $y { CASE %s : SET %s DEFAULT : SET %s }`, setting.attrCond, sr.picked, sr.rest),
+					fmt.Sprintf(` ASSIGNING EACH leaf_node $y { CASE %s : SET %s }`, setting.relCond, sr.picked),
+					fmt.Sprintf(` ASSIGNING EACH mapping $p($z) { CASE $p = %s : SET %s DEFAULT : SET $z }`, setting.mapping, sr.rest),
 				} {
 					text := fmt.Sprintf("EVALUATE %s OF { %s }%s", sr.name, body, assign)
 					label := setting.name + ": " + text
@@ -104,10 +123,54 @@ func TestPathAnnotationsMatchInterpreter(t *testing.T) {
 		if localAndDerived == 0 {
 			t.Errorf("%s: no returned tuple is both a local contribution and derived", setting.name)
 		}
-		if setting.m3 != (refused > 0) {
+		if setting.cyclic != (refused > 0) {
 			t.Errorf("%s: %d queries refused", setting.name, refused)
 		}
 	}
+}
+
+// multiHeadSystem builds an exchanged system whose mapping mGLAV has
+// two head atoms, T1(x, w) and T2(x, w) :- S(x, w), over n local S
+// tuples, with U(x, w) :- T1(x, w) downstream of one head. T1(0, 0)
+// is also a local contribution.
+func multiHeadSystem(t *testing.T, n int) *exchange.System {
+	t.Helper()
+	schema := model.NewSchema()
+	cols := []model.Column{{Name: "x", Type: model.TypeInt}, {Name: "w", Type: model.TypeInt}}
+	for _, name := range []string{"S", "T1", "T2", "U"} {
+		if err := schema.AddRelation(model.MustRelation(name, cols, "x")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	v := model.V
+	for _, m := range []*model.Mapping{
+		model.NewMultiHeadMapping("mGLAV",
+			[]model.Atom{model.NewAtom("T1", v("x"), v("w")), model.NewAtom("T2", v("x"), v("w"))},
+			[]model.Atom{model.NewAtom("S", v("x"), v("w"))}),
+		model.NewMultiHeadMapping("mU",
+			[]model.Atom{model.NewAtom("U", v("x"), v("w"))},
+			[]model.Atom{model.NewAtom("T1", v("x"), v("w"))}),
+	} {
+		if err := schema.AddMapping(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sys, err := exchange.NewSystem(schema, exchange.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for x := range int64(n) {
+		if err := sys.InsertLocal("S", model.Tuple{x, x % 50}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sys.InsertLocal("T1", model.Tuple{int64(0), int64(0)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Run(); err != nil {
+		t.Fatal(err)
+	}
+	return sys
 }
 
 // sameAnnotations compares two EVALUATE results: the same semiring and

@@ -69,25 +69,26 @@ func convertAssignValue(s semiring.Semiring, d model.Datum) (semiring.Value, err
 // the tuple-identity value for the provenance-token semirings, so that
 // lineage/probability/polynomial queries work out of the box.
 func defaultLeaf(s semiring.Semiring, ref model.TupleRef) semiring.Value {
-	switch s.Name() {
-	case "LINEAGE":
-		return semiring.NewLineage(ref.String())
-	case "PROBABILITY", "POSBOOL":
-		return semiring.VarDNF(ref.String())
-	case "POLYNOMIAL":
-		return semiring.VarPoly(ref.String())
+	if token, ok := tokenLeaves[s.Name()]; ok {
+		return token(ref.String())
 	}
 	return s.One()
+}
+
+// tokenLeaves builds, by semiring name, the default leaf value of the
+// provenance-token semirings from the tuple's name.
+var tokenLeaves = map[string]func(string) semiring.Value{
+	"LINEAGE":     func(name string) semiring.Value { return semiring.NewLineage(name) },
+	"PROBABILITY": func(name string) semiring.Value { return semiring.VarDNF(name) },
+	"POSBOOL":     func(name string) semiring.Value { return semiring.VarDNF(name) },
+	"POLYNOMIAL":  func(name string) semiring.Value { return semiring.VarPoly(name) },
 }
 
 // tokenLeaf reports whether defaultLeaf's value for s names the tuple:
 // only then does an unassigned leaf's value need its ref.
 func tokenLeaf(s semiring.Semiring) bool {
-	switch s.Name() {
-	case "LINEAGE", "PROBABILITY", "POSBOOL", "POLYNOMIAL":
-		return true
-	}
-	return false
+	_, ok := tokenLeaves[s.Name()]
+	return ok
 }
 
 // leafContext supplies attribute access for evaluating ASSIGNING EACH

@@ -57,9 +57,9 @@ func (e *Engine) bindPathView(asOf uint64) (*pathView, func(), error) {
 // spareViews keeps the views of finished path queries for the next
 // ones, at most one per processor. A view keeps, by table ordinal, the
 // arrays its dense reads filled, so the next query's dense reads of
-// the same tables fill them again instead of allocating; a view whose
-// arrays hold more than spareBytes is dropped, so a large query's
-// memory goes with it.
+// the same tables fill them again instead of allocating, and the
+// arrays of its EVALUATE (annotation); a view whose arrays hold more
+// than spareBytes is dropped, so a large query's memory goes with it.
 type spareViews struct {
 	mu    sync.Mutex
 	views []*pathView
@@ -106,14 +106,16 @@ func (v *pathView) recycle() bool {
 	v.nodes.reset()
 	v.tabs.reset()
 	clear(v.loose)
+	v.ann.recycle()
 	*v = pathView{spare: spare, refs: v.refs, fill: v.fill, nodes: v.nodes, tabs: v.tabs,
-		lists: v.lists[:0], loose: v.loose[:0]}
+		lists: v.lists[:0], loose: v.loose[:0], ann: v.ann}
 	return v.held() <= spareBytes
 }
 
 // held is the size in bytes of the arrays a recycled view keeps.
 func (v *pathView) held() int {
-	n := 12*(cap(v.refs)+cap(v.fill)) + 4*cap(v.lists) + 24*(cap(v.loose)+v.nodes.elems()) + 128*v.tabs.elems()
+	n := 12*(cap(v.refs)+cap(v.fill)) + 4*cap(v.lists) + 24*(cap(v.loose)+v.nodes.elems()) + 128*v.tabs.elems() +
+		v.ann.held()
 	for _, dr := range v.spare {
 		if dr != nil {
 			n += 24*cap(dr.rows) + 4*(cap(dr.slots)+cap(dr.hnum)+cap(dr.hash.head)+cap(dr.hash.next)+
@@ -196,6 +198,8 @@ type pathView struct {
 	// spare holds, by table ordinal, the dense arrays earlier queries
 	// filled (spareViews).
 	spare []*denseRows
+	// ann holds an EVALUATE's arrays (annotatePath).
+	ann annotation
 
 	err error
 }

@@ -227,10 +227,11 @@ func TestGraphRuleAfterDelete(t *testing.T) {
 }
 
 // TestEvaluateRacingCommitReadsItsEpoch: EVALUATE on the graph and asr
-// backends links its projection inside the query, from the state the
-// query read, never from a newer epoch: with commits racing the
-// queries, every annotation equals the one the interpreter computes AS
-// OF the epoch the result reports.
+// backends computes its annotations over the recorded projection while
+// the query's view is still bound, so they come from the epoch the
+// query read, never from a newer one: with commits racing the queries,
+// every annotation equals the one the interpreter computes AS OF the
+// epoch the result reports.
 func TestEvaluateRacingCommitReadsItsEpoch(t *testing.T) {
 	set, err := workload.Build(workload.Config{
 		Topology:  workload.Chain,
