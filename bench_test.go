@@ -16,39 +16,24 @@ import (
 	"repro/internal/fixture"
 	"repro/internal/model"
 	"repro/internal/proql"
-	"repro/internal/provgraph"
-	"repro/internal/semiring"
 	"repro/internal/wal"
 	"repro/internal/workload"
 )
 
-// BenchmarkTable1Semirings evaluates every Table 1 semiring over the
-// Figure 1 provenance graph (experiment E1).
+// relational pins the paper's translation (Section 4), which auto
+// leaves for whole-relation reads.
+var relational = proql.Options{Backend: "relational"}
+
+// BenchmarkTable1Semirings times experiment E1: one whole EVALUATE
+// query per Table 1 semiring over the Figure 1 setting, on the default
+// backend (auto, which runs it on asr).
 func BenchmarkTable1Semirings(b *testing.B) {
-	sys := fixture.MustSystem(fixture.Options{})
-	g, err := provgraph.Build(sys)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, name := range []string{"DERIVABILITY", "TRUST", "CONFIDENTIALITY", "WEIGHT", "LINEAGE", "PROBABILITY", "COUNT", "POLYNOMIAL"} {
-		s, err := semiring.Lookup(name)
-		if err != nil {
-			b.Fatal(err)
-		}
-		leaf := func(tn *provgraph.TupleNode) semiring.Value {
-			switch name {
-			case "LINEAGE":
-				return semiring.NewLineage(tn.Ref.String())
-			case "PROBABILITY":
-				return semiring.VarDNF(tn.Ref.String())
-			case "POLYNOMIAL":
-				return semiring.VarPoly(tn.Ref.String())
-			}
-			return s.One()
-		}
+	eng := proql.NewEngine(fixture.MustSystem(fixture.Options{}))
+	for _, name := range workload.Table1Semirings {
+		q := proql.MustParse(workload.Table1Query(name))
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := provgraph.Eval(g, s, provgraph.EvalOptions{Leaf: leaf}); err != nil {
+				if _, err := eng.Eval(context.Background(), q, proql.Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -63,14 +48,13 @@ func benchTargetQuery(b *testing.B, cfg workload.Config) {
 		b.Fatal(err)
 	}
 	eng := proql.NewEngine(set.Sys)
-	eng.Backend = "relational" // the paper's translation
 	q, err := proql.Parse(set.TargetQuery())
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eng.Exec(context.Background(), q, proql.Options{}); err != nil {
+		if _, err := eng.Exec(context.Background(), q, relational); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -182,14 +166,13 @@ func benchASR(b *testing.B, cfg workload.Config, lens []int) {
 		b.Fatal(err)
 	}
 	eng := proql.NewEngine(set.Sys)
-	eng.Backend = "relational" // the paper's translation
 	q, err := proql.Parse(set.TargetQuery())
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Run("noASR", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := eng.Exec(context.Background(), q, proql.Options{}); err != nil {
+			if _, err := eng.Exec(context.Background(), q, relational); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -210,7 +193,7 @@ func benchASR(b *testing.B, cfg workload.Config, lens []int) {
 			eng.RewriteRules = ix.RewriteRules
 			b.Run(fmt.Sprintf("%s/len=%d", kind, maxLen), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if _, err := eng.Exec(context.Background(), q, proql.Options{}); err != nil {
+					if _, err := eng.Exec(context.Background(), q, relational); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -365,7 +348,7 @@ func BenchmarkRelationalPointQuery(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			res, err := eng.Exec(context.Background(), qs[i%len(qs)], proql.Options{Backend: "relational"})
+			res, err := eng.Exec(context.Background(), qs[i%len(qs)], relational)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -381,7 +364,7 @@ func BenchmarkRelationalPointQuery(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			res, err := eng.Exec(context.Background(), q, proql.Options{Backend: "relational"})
+			res, err := eng.Exec(context.Background(), q, relational)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -785,12 +768,11 @@ func BenchmarkSuperfluousProvenance(b *testing.B) {
 			Exchange: exchange.Options{MaterializeAll: materializeAll},
 		})
 		eng := proql.NewEngine(sys)
-		eng.Backend = "relational" // the paper's translation
 		pq := proql.MustParse(q)
 		b.Run(name, func(b *testing.B) {
 			b.ReportMetric(float64(sys.ProvRowCount()), "provrows")
 			for i := 0; i < b.N; i++ {
-				if _, err := eng.Exec(context.Background(), pq, proql.Options{}); err != nil {
+				if _, err := eng.Exec(context.Background(), pq, relational); err != nil {
 					b.Fatal(err)
 				}
 			}

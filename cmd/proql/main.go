@@ -19,6 +19,7 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -108,9 +109,9 @@ func main() {
 	}
 
 	engine := proql.NewEngine(sys)
-	engine.Backend = *backend
+	opts := proql.Options{Backend: *backend}
 	if *demo {
-		runDemo(engine)
+		runDemo(engine, opts)
 		return
 	}
 
@@ -141,7 +142,7 @@ func main() {
 		buf.Reset()
 		text = strings.TrimSuffix(strings.TrimSpace(text), ";")
 		if rest, ok := cutKeyword(text, "explain"); ok {
-			out, err := engine.ExplainString(rest)
+			out, err := engine.ExplainString(rest, opts)
 			if err != nil {
 				fmt.Println("error:", err)
 				continue
@@ -149,13 +150,22 @@ func main() {
 			fmt.Print(out)
 			continue
 		}
-		res, err := engine.ExecString(text)
+		res, err := run(engine, text, opts)
 		if err != nil {
 			fmt.Println("error:", err)
 			continue
 		}
 		printResult(res)
 	}
+}
+
+// run parses and executes one query under opts.
+func run(engine *proql.Engine, text string, opts proql.Options) (*proql.Result, error) {
+	q, err := proql.Parse(text)
+	if err != nil {
+		return nil, err
+	}
+	return engine.Exec(context.Background(), q, opts)
 }
 
 // cutKeyword strips a leading case-insensitive keyword.
@@ -190,7 +200,7 @@ func buildSystem(peers, dataN, base int, topology string, seed int64) (*exchange
 	return set.Sys, workload.ARel(0), nil
 }
 
-func runDemo(engine *proql.Engine) {
+func runDemo(engine *proql.Engine, opts proql.Options) {
 	queries := []struct{ name, text string }{
 		{"Q1 (derivations of O tuples)", `FOR [O $x] INCLUDE PATH [$x] <-+ [] RETURN $x`},
 		{"Q2 (derivations involving A)", `FOR [O $x] <-+ [A $y] INCLUDE PATH [$x] <-+ [$y] RETURN $x`},
@@ -211,7 +221,7 @@ func runDemo(engine *proql.Engine) {
 	}
 	for _, q := range queries {
 		fmt.Println("==", q.name)
-		res, err := engine.ExecString(q.text)
+		res, err := run(engine, q.text, opts)
 		if err != nil {
 			fmt.Println("error:", err)
 			continue

@@ -18,11 +18,7 @@ import (
 	"strings"
 
 	"repro/internal/asr"
-	"repro/internal/fixture"
-	"repro/internal/model"
-	"repro/internal/provgraph"
 	"repro/internal/relstore"
-	"repro/internal/semiring"
 	"repro/internal/workload"
 )
 
@@ -566,52 +562,16 @@ func runDeletion(p scaleParams) error {
 	return nil
 }
 
-// runTable1 evaluates every Table 1 semiring over the Figure 1 graph.
+// runTable1 runs one EVALUATE query per Table 1 semiring over the
+// Figure 1 setting (experiment E1).
 func runTable1(p scaleParams) error {
-	sys, err := fixture.System(fixture.Options{})
+	values, err := workload.RunTable1("")
 	if err != nil {
 		return err
 	}
-	g, err := provgraph.Build(sys)
-	if err != nil {
-		return err
-	}
-	target := model.RefFromKey("O", []model.Datum{"cn1", int64(7)})
 	fmt.Println("Table 1: annotation of O(cn1,7,true) in each semiring over the Figure 1 graph")
-	for _, name := range []string{"DERIVABILITY", "TRUST", "CONFIDENTIALITY", "WEIGHT", "LINEAGE", "PROBABILITY", "COUNT", "POLYNOMIAL"} {
-		s, err := semiring.Lookup(name)
-		if err != nil {
-			return err
-		}
-		ann, err := provgraph.Eval(g, s, provgraph.EvalOptions{
-			Leaf: func(tn *provgraph.TupleNode) semiring.Value {
-				switch name {
-				case "WEIGHT":
-					return 1.0
-				case "CONFIDENTIALITY":
-					if tn.Ref.Rel == "A" {
-						return semiring.Secret
-					}
-					return semiring.Public
-				case "LINEAGE":
-					return semiring.NewLineage(tn.Ref.String())
-				case "PROBABILITY":
-					return semiring.VarDNF(tn.Ref.String())
-				case "POLYNOMIAL":
-					return semiring.VarPoly(tn.Ref.String())
-				}
-				return s.One()
-			},
-		})
-		if err != nil {
-			return err
-		}
-		tn, ok := g.Lookup(target)
-		if !ok {
-			return fmt.Errorf("missing target tuple")
-		}
-		v, _ := ann.Annotation(tn)
-		fmt.Printf("  %-16s %s\n", name, s.Format(v))
+	for i, name := range workload.Table1Semirings {
+		fmt.Printf("  %-16s %s\n", name, values[i])
 	}
 	return nil
 }

@@ -48,14 +48,14 @@ func TestAdviseOnChainWorkload(t *testing.T) {
 	}
 	// Advised indexes must preserve query results.
 	eng := proql.NewEngine(set.Sys)
-	eng.Backend = "relational" // the rewrite applies to the translation only
+	rel := proql.Options{Backend: "relational"} // the rewrite applies to the translation only
 	q := proql.MustParse(set.TargetQuery())
-	base, err := eng.Exec(context.Background(), q, proql.Options{})
+	base, err := eng.Exec(context.Background(), q, rel)
 	if err != nil {
 		t.Fatal(err)
 	}
 	eng.RewriteRules = ix.RewriteRules
-	opt, err := eng.Exec(context.Background(), q, proql.Options{})
+	opt, err := eng.Exec(context.Background(), q, rel)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -119,9 +119,9 @@ func execWith(t *testing.T, kind asr.Kind, query string) {
 	t.Helper()
 	sys := fixture.MustSystem(fixture.Options{})
 	eng := proql.NewEngine(sys)
-	eng.Backend = "relational" // the rewrite applies to the translation only
+	rel := proql.Options{Backend: "relational"} // the rewrite applies to the translation only
 	q := proql.MustParse(query)
-	base, err := eng.Exec(context.Background(), q, proql.Options{})
+	base, err := eng.Exec(context.Background(), q, rel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func execWith(t *testing.T, kind asr.Kind, query string) {
 		t.Fatal(err)
 	}
 	eng.RewriteRules = ix.RewriteRules
-	opt, err := eng.Exec(context.Background(), q, proql.Options{})
+	opt, err := eng.Exec(context.Background(), q, rel)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"errors"
 	"sort"
 	"strings"
@@ -52,7 +53,7 @@ func runAsOfCommits(t *testing.T, sys *core.System) (epochs []uint64, oracle []m
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := sys.Engine().Exec(t.Context(), q, proql.Options{Backend: b})
+			res, err := sys.Engine().Exec(context.Background(), q, proql.Options{Backend: b})
 			if err != nil {
 				t.Fatalf("live %s: %v", b, err)
 			}
@@ -93,7 +94,7 @@ func checkAsOf(t *testing.T, sys *core.System, epochs []uint64, oracle []map[str
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := sys.Engine().Exec(t.Context(), q, proql.Options{Backend: b, AsOfEpoch: e})
+			res, err := sys.Engine().Exec(context.Background(), q, proql.Options{Backend: b, AsOfEpoch: e})
 			if err != nil {
 				t.Fatalf("as of %d on %s: %v", e, b, err)
 			}
@@ -237,7 +238,7 @@ func TestQueryAsOfSurvivesRestart(t *testing.T) {
 	}
 	views := map[string]string{}
 	for _, b := range asOfBackends {
-		res, err := sys.Engine().Exec(t.Context(), q, proql.Options{Backend: b})
+		res, err := sys.Engine().Exec(context.Background(), q, proql.Options{Backend: b})
 		if err != nil {
 			t.Fatal(err)
 		}

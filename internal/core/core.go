@@ -25,7 +25,6 @@ import (
 	"repro/internal/model"
 	"repro/internal/proql"
 	"repro/internal/provgraph"
-	"repro/internal/semiring"
 	"repro/internal/wal"
 )
 
@@ -445,42 +444,6 @@ func (s *System) WriteDOT(w io.Writer, title string) error {
 		return err
 	}
 	return provgraph.WriteDOT(w, g, title)
-}
-
-// Annotate evaluates a semiring over the full provenance graph with
-// custom leaf values and mapping functions — the programmatic
-// counterpart of EVALUATE ... ASSIGNING for applications that prefer
-// Go callbacks over ProQL text.
-func (s *System) Annotate(
-	semiringName string,
-	leaf func(ref model.TupleRef, row model.Tuple) semiring.Value,
-	mapFunc func(mapping string) semiring.MappingFunc,
-) (map[model.TupleRef]semiring.Value, error) {
-	sr, err := semiring.Lookup(semiringName)
-	if err != nil {
-		return nil, err
-	}
-	g, err := s.Graph()
-	if err != nil {
-		return nil, err
-	}
-	opts := provgraph.EvalOptions{MapFunc: mapFunc}
-	if leaf != nil {
-		opts.Leaf = func(tn *provgraph.TupleNode) semiring.Value {
-			return leaf(tn.Ref, tn.Row)
-		}
-	}
-	ann, err := provgraph.Eval(g, sr, opts)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[model.TupleRef]semiring.Value, g.NumTuples())
-	for _, tn := range g.Tuples() {
-		if v, ok := ann.Annotation(tn); ok {
-			out[tn.Ref] = v
-		}
-	}
-	return out, nil
 }
 
 // FormatResult renders a query result compactly for CLIs and examples.

@@ -10,7 +10,6 @@ import (
 	"repro/internal/fixture"
 	"repro/internal/model"
 	"repro/internal/proql"
-	"repro/internal/semiring"
 )
 
 func openExample(t *testing.T) *core.System {
@@ -99,23 +98,6 @@ func TestFacadeASRLifecycle(t *testing.T) {
 	sys.UseASRs(false)
 	if sys.ASRIndex().TotalRows() == 0 {
 		t.Error("ASR table should be materialized")
-	}
-}
-
-func TestFacadeAnnotateCallback(t *testing.T) {
-	sys := openExample(t)
-	ann, err := sys.Annotate("WEIGHT",
-		func(ref model.TupleRef, row model.Tuple) semiring.Value { return 2.0 },
-		nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := model.RefFromKey("O", []model.Datum{"sn1", int64(7)})
-	if ann[ref] != 2.0 {
-		t.Errorf("weight = %v, want 2", ann[ref])
-	}
-	if _, err := sys.Annotate("BOGUS", nil, nil); err == nil {
-		t.Error("unknown semiring should error")
 	}
 }
 

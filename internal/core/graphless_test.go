@@ -14,26 +14,27 @@ import (
 	"repro/internal/provgraph"
 )
 
-// annotationSignature renders an Annotate result deterministically.
+// annotationSignature renders the derivability of every tuple, by an
+// EVALUATE over whole ancestries, deterministically.
 func annotationSignature(t *testing.T, sys *core.System) string {
 	t.Helper()
-	ann, err := sys.Annotate("DERIVABILITY", nil, nil)
+	res, err := sys.Query(`EVALUATE DERIVABILITY OF { FOR [$x] INCLUDE PATH [$x] <-+ [] RETURN $x }`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lines := make([]string, 0, len(ann))
-	for ref, v := range ann {
+	lines := make([]string, 0, len(res.Annotations))
+	for ref, v := range res.Annotations {
 		lines = append(lines, fmt.Sprintf("%v=%v", ref, v))
 	}
 	sort.Strings(lines)
 	return fmt.Sprint(lines)
 }
 
-// TestAnnotateConcurrentWithWrites: Annotate (like WriteDOT and Graph)
-// reads a graph built from one pinned snapshot, so a writer deleting
-// and re-inserting a row beside it neither races with it nor shows it
-// half a commit: every result is the annotation of the instance with
-// the row or of the instance without it.
+// TestAnnotateConcurrentWithWrites: an EVALUATE query reads the one
+// snapshot it pins, so a writer deleting and re-inserting a row beside
+// it neither races with it nor shows it half a commit: every result is
+// the annotation of the instance with the row or of the instance
+// without it.
 func TestAnnotateConcurrentWithWrites(t *testing.T) {
 	sys := openExample(t)
 	row := model.Tuple{int64(1), "sn1", int64(7)}

@@ -337,8 +337,8 @@ func (a *annotation) contribution(t int32, base semiring.Value) semiring.Value {
 	return acc
 }
 
-// fixpoint evaluates a cyclic projection as provgraph.Eval does, for a
-// cycle-safe semiring: from Zero everywhere, every tuple accumulates
+// fixpoint evaluates a cyclic projection for a cycle-safe semiring
+// (Section 2.1 "Cycles"): from Zero everywhere, every tuple accumulates
 // its contribution (x ⊕ next, which keeps the iteration monotone) until
 // a round changes nothing, within 2·(#tuples+#derivations)+2 rounds.
 // It starts with the leaf values in vals and moves them to base.

@@ -33,7 +33,7 @@ var table1Semirings = []struct{ name, picked, rest string }{
 
 // TestPathAnnotationsMatchInterpreter is the EVALUATE differential:
 // for every Table 1 semiring the path executor's annotations equal the
-// interpreter's (provgraph.Eval over the projected graph), value for
+// interpreter's (evalGraph over the projected graph), value for
 // value and in their rendering, on the acyclic example, on the cyclic
 // one (mapping m3: C and N derive each other) and on a multi-head
 // (GLAV) mapping large enough that the path view reads its relations

@@ -17,7 +17,7 @@ import (
 func TestPlanCacheConcurrentSameShape(t *testing.T) {
 	for _, backend := range []string{"relational", "graph", "asr"} {
 		e := exampleEngine(t)
-		e.Backend = backend
+		opts := Options{Backend: backend}
 
 		const goroutines = 8
 		const iters = 25
@@ -29,7 +29,7 @@ func TestPlanCacheConcurrentSameShape(t *testing.T) {
 				for i := 0; i < iters; i++ {
 					n := (seed + i) % 9
 					q := MustParse(fmt.Sprintf(`FOR [A $x] WHERE $x.length >= %d RETURN $x`, n))
-					res, err := e.Exec(context.Background(), q, Options{})
+					res, err := e.Exec(context.Background(), q, opts)
 					if err != nil {
 						t.Errorf("%s: goroutine %d: %v", backend, seed, err)
 						return

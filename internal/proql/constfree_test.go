@@ -92,7 +92,6 @@ func TestConstantFreeDifferential(t *testing.T) {
 		}
 		set.Sys.DB.SetRetention(relstore.RetainAll)
 		eng := proql.NewEngine(set.Sys)
-		eng.Backend = "relational" // checkSemiJoins explains the translation
 		label := fmt.Sprintf("trial %d (%s/%s peers=%d data=%v)", trial, cfg.Topology, cfg.Profile, cfg.NumPeers, cfg.DataPeers)
 		caseRel := workload.BRel(rng.Intn(cfg.NumPeers))
 		queries := constFreeQueries(workload.ARel(0), caseRel, "b1", "2147483648")
@@ -134,7 +133,6 @@ func TestConstantFreeDifferential(t *testing.T) {
 	sys := fixture.MustSystem(fixture.Options{})
 	sys.DB.SetRetention(relstore.RetainAll)
 	eng := proql.NewEngine(sys)
-	eng.Backend = "relational"
 	queries := constFreeQueries("O", "A", "sciName", "'sn2'")
 	for _, text := range queries {
 		compared += checkConstFree(t, eng, text, 0, "running example")
@@ -159,14 +157,15 @@ func TestConstantFreeDifferential(t *testing.T) {
 // attribute is read from the row).
 func checkSemiJoins(t *testing.T, eng *proql.Engine, queries []string, caseRel, label string) {
 	t.Helper()
-	target, err := eng.ExplainString(queries[0])
+	rel := proql.Options{Backend: "relational"} // the translation is what is checked
+	target, err := eng.ExplainString(queries[0], rel)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(target, "SemiJoin(") {
 		t.Errorf("%s: whole-target plan has no semi-join:\n%s", label, target)
 	}
-	withCase, err := eng.ExplainString(queries[len(queries)-1])
+	withCase, err := eng.ExplainString(queries[len(queries)-1], rel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,10 +212,10 @@ const (
 func TestConstantFreeServedCounts(t *testing.T) {
 	set := instanceM(t)
 	eng := proql.NewEngine(set.Sys)
-	eng.Backend = "relational"
+	opts := proql.Options{Backend: "relational"}
 	for _, text := range []string{set.TargetQuery(), set.TargetAnnotationQuery()} {
 		q := proql.MustParse(text)
-		plan, err := eng.Explain(q)
+		plan, err := eng.Explain(q, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -229,7 +228,7 @@ func TestConstantFreeServedCounts(t *testing.T) {
 		}
 		rows := 0
 		serve := func() {
-			res, err := eng.Eval(context.Background(), q, proql.Options{})
+			res, err := eng.Eval(context.Background(), q, opts)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -29,12 +29,6 @@ import (
 type Engine struct {
 	Sys *exchange.System
 
-	// Backend forces an execution backend: "relational" or "asr"
-	// (goal-directed path navigation over the provenance tables of a
-	// pinned snapshot); "graph" is accepted as an alias of "asr". Empty
-	// or "auto" keeps the default policy of autoBackend.
-	Backend string
-
 	// RewriteRules, when set, rewrites the unfolded conjunctive rules
 	// before planning — the hook the ASR layer (Section 5) uses to
 	// substitute materialized path indexes. It applies to the
@@ -215,14 +209,13 @@ func (r *Result) SortedRefs(v string) []model.TupleRef {
 	return r.rows.sortedRefs(v)
 }
 
-// Options selects how one Exec call runs. The zero value is the
-// default policy: the engine's configured backend (or auto) against
-// the live epoch.
+// Options selects how one Exec, Eval or Explain call runs. The zero
+// value is the default policy: auto against the live epoch.
 type Options struct {
 	// Backend forces an execution backend for this call: "relational"
-	// or "asr" ("graph" is an alias of "asr"). Empty falls back to the
-	// engine's Backend field, then to auto: asr for a live query with
-	// no WHERE while RewriteRules is nil; otherwise relational when the
+	// or "asr" ("graph" is an alias of "asr"). Empty or "auto" keeps
+	// the default policy of autoBackend: asr for a live query with no
+	// WHERE while RewriteRules is nil; otherwise relational when the
 	// translation covers the query, asr when it does not.
 	Backend string
 	// AsOfEpoch, when non-zero, evaluates the query AS OF that storage
@@ -263,29 +256,40 @@ func (e *Engine) Eval(ctx context.Context, q *Query, opts Options) (*Result, err
 	if ctx != nil && ctx.Done() != nil {
 		q.Cancel = ctx.Err
 	}
-	backend := opts.Backend
-	if backend == "" {
-		backend = e.Backend
+	backend, reason, err := e.route(q, opts)
+	if err != nil {
+		return nil, err
 	}
-	asOf := opts.AsOfEpoch
-	switch backend {
-	case "", "auto":
-		if b, _ := e.autoBackend(q, asOf); b == "asr" {
-			return e.execPath(q, asOf)
+	if backend == "relational" {
+		res, err := e.execUnfold(q, opts.AsOfEpoch)
+		if reason == "" { // forced: no fallback
+			return res, err
 		}
-		res, err := e.execUnfold(q, asOf)
 		var nr *ErrNotRelational
-		if errors.As(err, &nr) {
-			return e.execPath(q, asOf)
+		if !errors.As(err, &nr) {
+			return res, err
 		}
-		return res, err
-	case "relational":
-		return e.execUnfold(q, asOf)
-	case "graph", "asr":
-		return e.execPath(q, asOf)
-	default:
-		return nil, &ErrUnknownBackend{Backend: backend}
 	}
+	return e.execPath(q, opts.AsOfEpoch)
+}
+
+// route resolves opts.Backend for q, for Eval and Explain alike: the
+// executor that runs q ("relational" or "asr"; "graph" is an alias of
+// "asr") and the reason EXPLAIN names: autoBackend's under auto,
+// "forced" for a forced asr, none for a forced relational. Only an
+// auto route to relational falls back to asr where the translation
+// does not cover q. An unknown name is an *ErrUnknownBackend.
+func (e *Engine) route(q *Query, opts Options) (backend, reason string, err error) {
+	switch opts.Backend {
+	case "", "auto":
+		backend, reason = e.autoBackend(q, opts.AsOfEpoch)
+		return backend, reason, nil
+	case "relational":
+		return "relational", "", nil
+	case "graph", "asr":
+		return "asr", "forced", nil
+	}
+	return "", "", &ErrUnknownBackend{Backend: opts.Backend}
 }
 
 // ErrUnknownBackend is the error of a backend name that Eval and

@@ -15,8 +15,8 @@ func TestExecDirectStepQuery(t *testing.T) {
 	// One-step derivations of O tuples from A tuples: both m4 (direct)
 	// and m5 (A joins C) qualify, so all four O tuples bind.
 	e := exampleEngine(t)
-	e.Backend = "relational" // the translation is what is checked
-	res, err := e.ExecString(`FOR [O $x] <- [A $y] INCLUDE PATH [$x] <- [$y] RETURN $x`)
+	opts := Options{Backend: "relational"} // the translation is what is checked
+	res, err := execOn(e, `FOR [O $x] <- [A $y] INCLUDE PATH [$x] <- [$y] RETURN $x`, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,8 +150,8 @@ func refN1cn1() string {
 
 func TestStatsPopulated(t *testing.T) {
 	e := exampleEngine(t)
-	e.Backend = "relational" // the translation is what is checked
-	res, err := e.ExecString(paperQueries["Q1"])
+	opts := Options{Backend: "relational"} // the translation is what is checked
+	res, err := execOn(e, paperQueries["Q1"], opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -91,10 +91,10 @@ func matchesInterpreter(t *testing.T, e *Engine, name, text string) int {
 // reads only the query syntax, so the plan cache stays empty.
 func TestASRBackendZeroGraphBuilds(t *testing.T) {
 	e := exampleEngine(t)
-	e.Backend = "asr"
+	opts := Options{Backend: "asr"}
 	before := provgraph.Builds()
 	for _, name := range []string{"Q4", "Q5", "Q4", "Q5"} {
-		res, err := e.Exec(context.Background(), MustParse(paperQueries[name]), Options{})
+		res, err := e.Exec(context.Background(), MustParse(paperQueries[name]), opts)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -113,26 +113,48 @@ func TestASRBackendZeroGraphBuilds(t *testing.T) {
 	}
 }
 
-// TestASRBackendViaEngineBackendField routes Exec and Explain through
-// the Backend selector.
-func TestASRBackendViaEngineBackendField(t *testing.T) {
+// TestBackendSelectorRoutesExecAndExplain: Exec and Explain read
+// one Options and resolve its backend name alike — a forced asr (and
+// its alias graph), auto's AS OF route, and the typed error of an
+// unknown name.
+func TestBackendSelectorRoutesExecAndExplain(t *testing.T) {
 	e := exampleEngine(t)
-	e.Backend = "asr"
-	out, err := e.ExplainString(paperQueries["Q4"])
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"backend: asr (forced)", "physical plan:", "plan cache:"} {
-		if !containsStr(out, want) {
-			t.Errorf("explain missing %q:\n%s", want, out)
+	for _, name := range []string{"asr", "graph"} {
+		opts := Options{Backend: name}
+		out, err := e.ExplainString(paperQueries["Q4"], opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, want := range []string{"backend: asr (forced)", "physical plan:", "plan cache:"} {
+			if !containsStr(out, want) {
+				t.Errorf("%s: explain missing %q:\n%s", name, want, out)
+			}
+		}
+		res, err := e.Exec(context.Background(), MustParse(paperQueries["Q4"]), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.Backend != "asr" {
+			t.Errorf("%s: ran on %s, want asr", name, res.Stats.Backend)
 		}
 	}
-	e.Backend = "bogus"
+	asOf := Options{AsOfEpoch: e.Sys.DB.Epoch()}
+	if out, err := e.ExplainString(paperQueries["Q1"], asOf); err != nil {
+		t.Fatal(err)
+	} else if !containsStr(out, "backend: relational (AS OF)") {
+		t.Errorf("an AS OF explain must route as Eval does:\n%s", out)
+	}
+	if res, err := e.Exec(context.Background(), MustParse(paperQueries["Q1"]), asOf); err != nil {
+		t.Fatal(err)
+	} else if res.Stats.Backend != "relational" {
+		t.Errorf("AS OF: ran on %s, want relational", res.Stats.Backend)
+	}
+	bogus := Options{Backend: "bogus"}
 	var ub *ErrUnknownBackend
-	if _, err := e.Exec(context.Background(), MustParse(paperQueries["Q1"]), Options{}); !errors.As(err, &ub) {
+	if _, err := e.Exec(context.Background(), MustParse(paperQueries["Q1"]), bogus); !errors.As(err, &ub) {
 		t.Errorf("unknown backend must error with ErrUnknownBackend, got %v", err)
 	}
-	if _, err := e.Explain(MustParse(paperQueries["Q1"])); !errors.As(err, &ub) {
+	if _, err := e.Explain(MustParse(paperQueries["Q1"]), bogus); !errors.As(err, &ub) {
 		t.Errorf("unknown backend must error in Explain with ErrUnknownBackend, got %v", err)
 	}
 }

@@ -8,50 +8,37 @@ import (
 	"repro/internal/relstore"
 )
 
-// Explain compiles a query without executing it and renders the chosen
+// Explain compiles a query without executing it and renders the
 // backend's translation: for the relational backend (Section 4) the
 // matched relations and mappings, every unfolded conjunctive rule
 // (after ASR rewriting, if enabled), and each rule's physical plan;
 // for the asr backend (and its alias graph) the physical operator
-// tree. The engine's Backend selection applies; under auto the first
-// line names the backend a live Eval would run and the reason (the deciding
-// clause, or why the relational translation does not cover the
-// query). The trailing
-// plan-cache line reports hit/miss counters (a relational Explain
-// consults the cache, so explaining a repeated shape counts a hit; the
-// asr planner never does). A relational EXPLAIN renders the cached plan
-// template bound to the query's literals — the plans an execution of
-// the query runs.
-func (e *Engine) Explain(q *Query) (string, error) {
+// tree. opts routes the query exactly as it routes Eval; under auto
+// the first line names the backend Eval would run and the reason (the
+// deciding clause, or why the relational translation does not cover
+// the query). The trailing plan-cache line reports hit/miss counters
+// (a relational Explain consults the cache, so explaining a repeated
+// shape counts a hit; the asr planner never does). A relational
+// EXPLAIN renders the cached plan template bound to the query's
+// literals — the plans an execution of the query runs.
+func (e *Engine) Explain(q *Query, opts Options) (string, error) {
+	backend, reason, err := e.route(q, opts)
+	if err != nil {
+		return "", err
+	}
 	var sb strings.Builder
-	switch e.Backend {
-	case "", "auto":
-		backend, reason := e.autoBackend(q, 0)
-		var err error
-		if backend == "asr" {
-			fmt.Fprintf(&sb, "backend: asr (%s)\n", reason)
-			err = e.explainPhys(&sb, q)
-		} else {
-			err = e.explainRelational(&sb, q, " ("+reason+")")
-			if nr, ok := err.(*ErrNotRelational); ok {
-				fmt.Fprintf(&sb, "backend: asr (%s)\n", nr.Reason)
-				err = e.explainPhys(&sb, q)
-			}
+	if backend == "relational" {
+		err = e.explainRelational(&sb, q, reason)
+		if nr, ok := err.(*ErrNotRelational); ok && reason != "" {
+			backend, reason = "asr", nr.Reason
 		}
-		if err != nil {
-			return "", err
-		}
-	case "relational":
-		if err := e.explainRelational(&sb, q, ""); err != nil {
-			return "", err
-		}
-	case "graph", "asr":
-		fmt.Fprintf(&sb, "backend: asr (forced)\n")
-		if err := e.explainPhys(&sb, q); err != nil {
-			return "", err
-		}
-	default:
-		return "", &ErrUnknownBackend{Backend: e.Backend}
+	}
+	if backend == "asr" {
+		fmt.Fprintf(&sb, "backend: asr (%s)\n", reason)
+		err = e.explainPhys(&sb, q, opts.AsOfEpoch)
+	}
+	if err != nil {
+		return "", err
 	}
 	st := e.PlanCacheStats()
 	fmt.Fprintf(&sb, "plan cache: %d entries, %d hits, %d misses\n", st.Entries, st.Hits, st.Misses)
@@ -59,9 +46,9 @@ func (e *Engine) Explain(q *Query) (string, error) {
 }
 
 // explainPhys renders the physical-plan pipeline's operator tree over
-// a view of the live snapshot.
-func (e *Engine) explainPhys(sb *strings.Builder, q *Query) error {
-	g, release, err := e.bindPathView(0)
+// a view of the snapshot at asOf (0: the live one).
+func (e *Engine) explainPhys(sb *strings.Builder, q *Query, asOf uint64) error {
+	g, release, err := e.bindPathView(asOf)
 	if err != nil {
 		return err
 	}
@@ -80,9 +67,9 @@ func (e *Engine) explainPhys(sb *strings.Builder, q *Query) error {
 
 // explainRelational renders the Section 4 pipeline: anchor, matched
 // schema-graph fragment, unfolded rules, per-rule relational plans;
-// note follows the backend name. It writes nothing when the query is
-// not relational.
-func (e *Engine) explainRelational(sb *strings.Builder, q *Query, note string) error {
+// a non-empty reason follows the backend name. It writes nothing when
+// the query is not relational.
+func (e *Engine) explainRelational(sb *strings.Builder, q *Query, reason string) error {
 	t, err := e.relationalTemplate(e.Sys, q)
 	if err != nil {
 		return err
@@ -92,7 +79,10 @@ func (e *Engine) explainRelational(sb *strings.Builder, q *Query, note string) e
 		return err
 	}
 	comp := t.comp
-	fmt.Fprintf(sb, "backend: relational%s\n", note)
+	if reason != "" {
+		reason = " (" + reason + ")"
+	}
+	fmt.Fprintf(sb, "backend: relational%s\n", reason)
 	fmt.Fprintf(sb, "anchor: %s ($%s)\n", comp.AnchorRel, comp.AnchorVar)
 	fmt.Fprintf(sb, "matched relations: %s\n", strings.Join(comp.Allowed.SortedRelations(), ", "))
 	fmt.Fprintf(sb, "matched mappings: %s\n", strings.Join(comp.Allowed.SortedMappings(), ", "))
@@ -115,12 +105,12 @@ func (e *Engine) explainRelational(sb *strings.Builder, q *Query, note string) e
 }
 
 // ExplainString parses and explains a query.
-func (e *Engine) ExplainString(query string) (string, error) {
+func (e *Engine) ExplainString(query string, opts Options) (string, error) {
 	q, err := Parse(query)
 	if err != nil {
 		return "", err
 	}
-	return e.Explain(q)
+	return e.Explain(q, opts)
 }
 
 func indent(s, prefix string) string {

@@ -46,8 +46,7 @@ func TestExplainConstantFreePlansAreProbePipelines(t *testing.T) {
 		"explain_trust.golden":  set.TargetAnnotationQuery(),
 	} {
 		eng := proql.NewEngine(set.Sys)
-		eng.Backend = "relational"
-		got, err := eng.ExplainString(query)
+		got, err := eng.ExplainString(query, proql.Options{Backend: "relational"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,7 +93,7 @@ func checkGolden(t *testing.T, name, query, got string) {
 func TestExplainPointQueryIsGoalDirected(t *testing.T) {
 	set := chainSetting(t)
 	out, err := proql.NewEngine(set.Sys).ExplainString(
-		`FOR [A0 $x] WHERE $x.k = 80000003 INCLUDE PATH [$x] <-+ [] RETURN $x`)
+		`FOR [A0 $x] WHERE $x.k = 80000003 INCLUDE PATH [$x] <-+ [] RETURN $x`, proql.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,8 +12,8 @@ import (
 // local rows, whose columns it does not read.
 func TestExplainRelationalQuery(t *testing.T) {
 	e := exampleEngine(t)
-	e.Backend = "relational" // the translation is what is checked
-	out, err := e.ExplainString(paperQueries["Q1"])
+	opts := Options{Backend: "relational"} // the translation is what is checked
+	out, err := e.ExplainString(paperQueries["Q1"], opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestExplainGraphQuery(t *testing.T) {
 		"Q4": "backend: asr (no WHERE)",
 		"Q3": "backend: asr (multiple FOR path expressions)",
 	} {
-		out, err := e.ExplainString(paperQueries[q])
+		out, err := e.ExplainString(paperQueries[q], Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,7 +58,7 @@ func TestExplainGraphQuery(t *testing.T) {
 
 func TestExplainParseError(t *testing.T) {
 	e := exampleEngine(t)
-	if _, err := e.ExplainString("FOR nonsense"); err == nil {
+	if _, err := e.ExplainString("FOR nonsense", Options{}); err == nil {
 		t.Error("bad query should error")
 	}
 }
@@ -67,8 +67,8 @@ func TestExplainShowsVirtualProvenanceView(t *testing.T) {
 	// m4 is superfluous: its provenance atom must appear as a
 	// projection over A, not a table scan.
 	e := exampleEngine(t)
-	e.Backend = "relational" // the translation is what is checked
-	out, err := e.ExplainString(paperQueries["Q1"])
+	opts := Options{Backend: "relational"} // the translation is what is checked
+	out, err := e.ExplainString(paperQueries["Q1"], opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestAutoRoutes(t *testing.T) {
 		if res.Stats.Backend != c.want {
 			t.Errorf("%s: ran on %s, want %s", c.class, res.Stats.Backend, c.want)
 		}
-		out, err := e.Explain(q)
+		out, err := e.Explain(q, Options{})
 		if err != nil {
 			t.Fatalf("%s: explain: %v", c.class, err)
 		}
@@ -130,7 +130,7 @@ func TestAutoRoutes(t *testing.T) {
 	if res.Stats.Backend != "relational" {
 		t.Errorf("ASR rewriting: ran on %s, want relational", res.Stats.Backend)
 	}
-	out, err := e.Explain(q)
+	out, err := e.Explain(q, Options{})
 	if err != nil {
 		t.Fatalf("ASR rewriting: explain: %v", err)
 	}

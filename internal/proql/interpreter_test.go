@@ -106,7 +106,7 @@ func (e *Engine) execGraph(g *provgraph.Graph, q *Query) (*Result, error) {
 }
 
 // annotateGraph runs the EVALUATE clause over the interpreter's
-// projected subgraph with provgraph.Eval: tuple nodes with no incoming
+// projected subgraph with evalGraph: tuple nodes with no incoming
 // derivations in the projection are its leaves (Section 3.2.2), as are
 // those with a local contribution.
 func (e *Engine) annotateGraph(q *Query, res *Result, outG *provgraph.Graph) error {
@@ -129,21 +129,23 @@ func (e *Engine) annotateGraph(q *Query, res *Result, outG *provgraph.Graph) err
 		return err
 	}
 	var leafErr error
-	ann, err := provgraph.Eval(outG, s, provgraph.EvalOptions{
-		Leaf: func(tn *provgraph.TupleNode) semiring.Value {
-			rel, ok := e.Sys.Schema.Relation(tn.Ref.Rel)
-			if !ok {
-				leafErr = fmt.Errorf("proql: unknown relation %q", tn.Ref.Rel)
-				return s.Zero()
-			}
-			v, err := evalLeafAssign(s, q.LeafAssign, leafContextForRow(rel, tn.Row, tn.Ref))
-			if err != nil {
-				leafErr = err
-				return s.Zero()
-			}
-			return v
-		},
-		MapFunc: func(m string) semiring.MappingFunc { return mapFuncs[m] },
+	ann, err := evalGraph(outG, s, func(tn *provgraph.TupleNode) semiring.Value {
+		rel, ok := e.Sys.Schema.Relation(tn.Ref.Rel)
+		if !ok {
+			leafErr = fmt.Errorf("proql: unknown relation %q", tn.Ref.Rel)
+			return s.Zero()
+		}
+		v, err := evalLeafAssign(s, q.LeafAssign, leafContextForRow(rel, tn.Row, tn.Ref))
+		if err != nil {
+			leafErr = err
+			return s.Zero()
+		}
+		return v
+	}, func(m string) semiring.MappingFunc {
+		if f := mapFuncs[m]; f != nil {
+			return f
+		}
+		return semiring.Identity
 	})
 	if err != nil {
 		return err
@@ -154,12 +156,84 @@ func (e *Engine) annotateGraph(q *Query, res *Result, outG *provgraph.Graph) err
 	res.Annotations = make(map[model.TupleRef]semiring.Value)
 	for _, ref := range res.rows.refs {
 		if tn, ok := outG.Lookup(ref); ok {
-			if v, ok := ann.Annotation(tn); ok {
-				res.Annotations[ref] = v
-			}
+			res.Annotations[ref] = ann[tn]
 		}
 	}
 	return nil
+}
+
+// evalGraph is the oracle's reference semiring evaluation over a whole
+// graph (Section 2.1): a tuple's annotation is the ⊕ of its leaf value
+// (if it is a leaf) and, per derivation, f_m(⊗ of the sources'
+// annotations). An acyclic graph is evaluated bottom-up, each tuple
+// after its sources; a cyclic one by the monotone fixpoint x ⊕ next
+// from Zero, within 2·(#tuples+#derivations)+2 rounds, and only for a
+// cycle-safe semiring.
+func evalGraph(g *provgraph.Graph, s semiring.Semiring, leaf func(*provgraph.TupleNode) semiring.Value, mapFunc func(string) semiring.MappingFunc) (map[*provgraph.TupleNode]semiring.Value, error) {
+	ann := make(map[*provgraph.TupleNode]semiring.Value, g.NumTuples())
+	step := func(tn *provgraph.TupleNode) semiring.Value {
+		acc := s.Zero()
+		if tn.Leaf {
+			acc = s.Plus(acc, leaf(tn))
+		}
+		for _, d := range tn.Derivations {
+			prod := s.One()
+			for _, src := range d.Sources {
+				v, ok := ann[src]
+				if !ok {
+					v = s.Zero()
+				}
+				prod = s.Times(prod, v)
+			}
+			acc = s.Plus(acc, mapFunc(d.Mapping)(prod))
+		}
+		return acc
+	}
+	cyclic := false
+	onPath := map[*provgraph.TupleNode]bool{}
+	var visit func(*provgraph.TupleNode)
+	visit = func(tn *provgraph.TupleNode) {
+		if _, done := ann[tn]; done || cyclic {
+			return
+		}
+		if onPath[tn] {
+			cyclic = true
+			return
+		}
+		onPath[tn] = true
+		for _, d := range tn.Derivations {
+			for _, src := range d.Sources {
+				visit(src)
+			}
+		}
+		onPath[tn] = false
+		ann[tn] = step(tn)
+	}
+	for _, tn := range g.Tuples() {
+		visit(tn)
+	}
+	if !cyclic {
+		return ann, nil
+	}
+	if !s.CycleSafe() {
+		return nil, fmt.Errorf("proql: graph is cyclic and semiring %s cannot be evaluated by fixpoint", s.Name())
+	}
+	for _, tn := range g.Tuples() {
+		ann[tn] = s.Zero()
+	}
+	rounds := 2*(g.NumTuples()+g.NumDerivations()) + 2
+	for range rounds {
+		changed := false
+		for _, tn := range g.Tuples() {
+			if next := s.Plus(ann[tn], step(tn)); !s.Eq(next, ann[tn]) {
+				ann[tn], changed = next, true
+			}
+		}
+		if !changed {
+			return ann, nil
+		}
+	}
+	return nil, fmt.Errorf("proql: fixpoint did not converge within %d rounds", rounds)
 }
 
 // graphBinding maps variables to graph nodes (*provgraph.TupleNode or

@@ -290,13 +290,13 @@ func TestKeyPinAccessPath(t *testing.T) {
 	} {
 		for _, backend := range []string{"graph", "asr"} {
 			eng := proql.NewEngine(typedSystem(t))
-			eng.Backend = backend
+			opts := proql.Options{Backend: backend}
 			q := proql.MustParse(tc.query)
 			if tc.where != nil {
 				q.Projection.Where = tc.where
 			}
 			label := fmt.Sprintf("%s WHERE %v on %s", tc.query, q.Projection.Where, backend)
-			plan, err := eng.Explain(q)
+			plan, err := eng.Explain(q, opts)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
@@ -307,7 +307,7 @@ func TestKeyPinAccessPath(t *testing.T) {
 				t.Errorf("%s: start=key: presence, want %v:\n%s", label, pinned, plan)
 			}
 			checkKeyPin(t, eng, q, backend, 0, label)
-			res, err := eng.Exec(context.Background(), q, proql.Options{})
+			res, err := eng.Exec(context.Background(), q, opts)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
@@ -336,16 +336,16 @@ func TestKeyPinKeepsErrors(t *testing.T) {
 	} {
 		for _, backend := range []string{"graph", "asr"} {
 			eng := proql.NewEngine(typedSystem(t))
-			eng.Backend = backend
+			opts := proql.Options{Backend: backend}
 			q := proql.MustParse(`FOR [R1 $x] WHERE ` + tc.where + ` RETURN $x`)
-			plan, err := eng.Explain(q)
+			plan, err := eng.Explain(q, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got := strings.Contains(plan, "start=key:"); got != tc.pinned {
 				t.Errorf("%s on %s: pinned = %v, want %v:\n%s", tc.where, backend, got, tc.pinned, plan)
 			}
-			_, err = eng.Exec(context.Background(), q, proql.Options{})
+			_, err = eng.Exec(context.Background(), q, opts)
 			_, wantErr := proql.ExecInterpreter(eng, context.Background(), q, 0)
 			if (err == nil) != (wantErr == nil) {
 				t.Errorf("%s on %s: error %v, interpreter %v", tc.where, backend, err, wantErr)
@@ -372,8 +372,8 @@ func TestExplainGraphPlans(t *testing.T) {
 		{"explain_multipath_graph.golden", "graph", multipath},
 	} {
 		eng := proql.NewEngine(chainSetting(t).Sys)
-		eng.Backend = tc.backend
-		got, err := eng.ExplainString(tc.query)
+		opts := proql.Options{Backend: tc.backend}
+		got, err := eng.ExplainString(tc.query, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -115,7 +115,7 @@ func checkMultipath(t *testing.T, eng *proql.Engine, sh multipathShape, asOf uin
 			}
 		}
 	}
-	if plan, err := eng.Explain(q); err != nil {
+	if plan, err := eng.Explain(q, proql.Options{}); err != nil {
 		t.Fatalf("%s: %v", label, err)
 	} else if fused := strings.Contains(plan, "DistinctJoin("); fused != sh.fused {
 		t.Fatalf("%s: DistinctJoin in plan = %v, want %v:\n%s", label, fused, sh.fused, plan)

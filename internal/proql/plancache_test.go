@@ -19,10 +19,10 @@ func TestPlanCacheHitsOnRepeatedShape(t *testing.T) {
 	want := map[int]int{5: 2, 6: 1, 7: 1}
 	for _, backend := range []string{"relational", "graph", "asr"} {
 		e := exampleEngine(t)
-		e.Backend = backend
+		opts := Options{Backend: backend}
 		for i, n := range []int{5, 6, 7} {
 			q := MustParse(fmt.Sprintf(`FOR [A $x] WHERE $x.length >= %d RETURN $x`, n))
-			res, err := e.Exec(context.Background(), q, Options{})
+			res, err := e.Exec(context.Background(), q, opts)
 			if err != nil {
 				t.Fatalf("%s: run %d: %v", backend, i, err)
 			}
@@ -46,11 +46,11 @@ func TestPlanCacheHitsOnRepeatedShape(t *testing.T) {
 func TestPlanCacheConstantsStillApply(t *testing.T) {
 	for _, backend := range []string{"relational", "graph", "asr"} {
 		e := exampleEngine(t)
-		e.Backend = backend
+		opts := Options{Backend: backend}
 		counts := map[int]int{}
 		// A_l rows have length 7 and 5 (Figure 1).
 		for _, n := range []int{0, 6, 100} {
-			res, err := e.Exec(context.Background(), MustParse(fmt.Sprintf(`FOR [A $x] WHERE $x.length >= %d RETURN $x`, n)), Options{})
+			res, err := e.Exec(context.Background(), MustParse(fmt.Sprintf(`FOR [A $x] WHERE $x.length >= %d RETURN $x`, n)), opts)
 			if err != nil {
 				t.Fatalf("%s: length >= %d: %v", backend, n, err)
 			}
@@ -67,11 +67,11 @@ func TestPlanCacheConstantsStillApply(t *testing.T) {
 // must not share an entry.
 func TestPlanCacheMissOnDifferentBindingPattern(t *testing.T) {
 	e := exampleEngine(t)
-	e.Backend = "relational"
-	if _, err := e.Exec(context.Background(), MustParse(`FOR [A $x] WHERE $x.length >= 6 RETURN $x`), Options{}); err != nil {
+	opts := Options{Backend: "relational"}
+	if _, err := e.Exec(context.Background(), MustParse(`FOR [A $x] WHERE $x.length >= 6 RETURN $x`), opts); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Exec(context.Background(), MustParse(`FOR [A $x] WHERE $x.length >= $x.id RETURN $x`), Options{}); err != nil {
+	if _, err := e.Exec(context.Background(), MustParse(`FOR [A $x] WHERE $x.length >= $x.id RETURN $x`), opts); err != nil {
 		t.Fatal(err)
 	}
 	st := e.PlanCacheStats()
@@ -86,10 +86,10 @@ func TestPlanCacheMissOnDifferentBindingPattern(t *testing.T) {
 // invalidate.
 func TestPlanCacheInvalidationOnDefinitionChange(t *testing.T) {
 	e := exampleEngine(t)
-	e.Backend = "relational"
+	opts := Options{Backend: "relational"}
 	q := `FOR [A $x] WHERE $x.length >= 6 RETURN $x`
 	for i := 0; i < 2; i++ {
-		if _, err := e.Exec(context.Background(), MustParse(q), Options{}); err != nil {
+		if _, err := e.Exec(context.Background(), MustParse(q), opts); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -100,7 +100,7 @@ func TestPlanCacheInvalidationOnDefinitionChange(t *testing.T) {
 	if _, err := e.Sys.DB.MustTable("A_l").Insert(model.Tuple{int64(99), "x", int64(1)}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Exec(context.Background(), MustParse(q), Options{}); err != nil {
+	if _, err := e.Exec(context.Background(), MustParse(q), opts); err != nil {
 		t.Fatal(err)
 	}
 	if st := e.PlanCacheStats(); st.Hits != 2 {
@@ -113,7 +113,7 @@ func TestPlanCacheInvalidationOnDefinitionChange(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Exec(context.Background(), MustParse(q), Options{}); err != nil {
+	if _, err := e.Exec(context.Background(), MustParse(q), opts); err != nil {
 		t.Fatal(err)
 	}
 	st := e.PlanCacheStats()
@@ -132,14 +132,14 @@ func TestPlanCacheInvalidationOnDefinitionChange(t *testing.T) {
 // entry survived.
 func TestPlanCacheBounded(t *testing.T) {
 	e := exampleEngine(t)
-	e.Backend = "relational"
+	opts := Options{Backend: "relational"}
 	want := map[int]int{0: 2, 6: 1, 100: 0} // A_l rows have length 7 and 5 (Figure 1)
 	lengths := []int{0, 6, 100}
 	run := func(v string, i int) {
 		t.Helper()
 		n := lengths[i%len(lengths)]
 		q := MustParse(fmt.Sprintf(`FOR [A $%s] WHERE $%s.length >= %d RETURN $%s`, v, v, n, v))
-		res, err := e.Exec(context.Background(), q, Options{})
+		res, err := e.Exec(context.Background(), q, opts)
 		if err != nil {
 			t.Fatalf("$%s, length >= %d: %v", v, n, err)
 		}

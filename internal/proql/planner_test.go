@@ -146,7 +146,7 @@ func TestExplainGraphQueryShowsPhysicalPlan(t *testing.T) {
 	e := exampleEngine(t)
 	// The INCLUDE paths read only returned variables, so the dedup on
 	// RETURN fuses into the hash join on $z.
-	out, err := e.ExplainString(`FOR [O $x] <-+ [$z], [C $y] <-+ [$z] INCLUDE PATH [$x] <-+ [], [$y] <-+ [] RETURN $x, $y`)
+	out, err := e.ExplainString(`FOR [O $x] <-+ [$z], [C $y] <-+ [$z] INCLUDE PATH [$x] <-+ [], [$y] <-+ [] RETURN $x, $y`, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestExplainGraphQueryShowsPhysicalPlan(t *testing.T) {
 	}
 	// An INCLUDE over the non-returned $z reads Dedup's representative
 	// row: the operators stay apart.
-	out, err = e.ExplainString(`FOR [O $x] <-+ [$z], [C $y] <-+ [$z] INCLUDE PATH [$z] <-+ [] RETURN $x, $y`)
+	out, err = e.ExplainString(`FOR [O $x] <-+ [$z], [C $y] <-+ [$z] INCLUDE PATH [$z] <-+ [] RETURN $x, $y`, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,6 +21,11 @@ func refC(id int64, name string) model.TupleRef {
 	return model.RefFromKey("C", []model.Datum{id, name})
 }
 
+// execOn parses and runs a query under opts.
+func execOn(e *Engine, text string, opts Options) (*Result, error) {
+	return e.Exec(context.Background(), MustParse(text), opts)
+}
+
 func exampleEngine(t *testing.T) *Engine {
 	t.Helper()
 	return NewEngine(fixture.MustSystem(fixture.Options{}))
@@ -100,8 +105,8 @@ func TestCompileTargetQueryRuleCount(t *testing.T) {
 
 func TestExecQ1GraphProjection(t *testing.T) {
 	e := exampleEngine(t)
-	e.Backend = "relational" // the translation is what is checked
-	res, err := e.ExecString(paperQueries["Q1"])
+	opts := Options{Backend: "relational"} // the translation is what is checked
+	res, err := execOn(e, paperQueries["Q1"], opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,8 +284,8 @@ func TestExecWhereOnAnchor(t *testing.T) {
 
 func TestExecQ2PathRestriction(t *testing.T) {
 	e := exampleEngine(t)
-	e.Backend = "relational" // the translation is what is checked
-	res, err := e.ExecString(paperQueries["Q2"])
+	opts := Options{Backend: "relational"} // the translation is what is checked
+	res, err := execOn(e, paperQueries["Q2"], opts)
 	if err != nil {
 		t.Fatal(err)
 	}

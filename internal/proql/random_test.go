@@ -296,9 +296,9 @@ func TestRandomASRPreservation(t *testing.T) {
 			t.Fatal(err)
 		}
 		eng := proql.NewEngine(set.Sys)
-		eng.Backend = "relational" // the rewrite applies to the translation only
+		opts := proql.Options{Backend: "relational"} // the rewrite applies to the translation only
 		q := proql.MustParse(set.TargetQuery())
-		base, err := eng.Exec(context.Background(), q, proql.Options{})
+		base, err := eng.Exec(context.Background(), q, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -316,7 +316,7 @@ func TestRandomASRPreservation(t *testing.T) {
 			t.Fatal(err)
 		}
 		eng.RewriteRules = ix.RewriteRules
-		opt, err := eng.Exec(context.Background(), q, proql.Options{})
+		opt, err := eng.Exec(context.Background(), q, opts)
 		if err != nil {
 			t.Fatalf("trial %d (%v len=%d): %v", trial, kind, maxLen, err)
 		}

@@ -265,14 +265,14 @@ func TestRelationalPointServedCounts(t *testing.T) {
 	t.Logf("%.0f allocations per point query", allocs)
 
 	q := query(7)
-	plan, err := eng.Explain(q)
+	plan, err := eng.Explain(q, proql.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d := proql.RulePlansBuilt() - built; d != 0 {
 		t.Errorf("EXPLAIN of a cached shape built %d rule plans, want 0", d)
 	}
-	fresh, err := proql.NewEngine(set.Sys).Explain(q)
+	fresh, err := proql.NewEngine(set.Sys).Explain(q, proql.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,10 +23,10 @@ func WriteDOT(w io.Writer, g *Graph, title string) error {
 	b.WriteString("  rankdir=LR;\n")
 	b.WriteString("  node [fontsize=10];\n")
 
-	ids := make(map[string]string, g.NumTuples())
+	ids := make(map[*TupleNode]string, g.NumTuples())
 	for i, tn := range g.Tuples() {
 		id := fmt.Sprintf("t%d", i)
-		ids[annKey(tn)] = id
+		ids[tn] = id
 		style := "shape=box"
 		if tn.Leaf {
 			style += ", style=bold"
@@ -41,10 +41,10 @@ func WriteDOT(w io.Writer, g *Graph, title string) error {
 		id := fmt.Sprintf("d%d", i)
 		fmt.Fprintf(&b, "  %s [shape=ellipse, label=%q];\n", id, d.Mapping)
 		for _, src := range d.Sources {
-			fmt.Fprintf(&b, "  %s -> %s;\n", ids[annKey(src)], id)
+			fmt.Fprintf(&b, "  %s -> %s;\n", ids[src], id)
 		}
 		for _, tgt := range d.Targets {
-			fmt.Fprintf(&b, "  %s -> %s;\n", id, ids[annKey(tgt)])
+			fmt.Fprintf(&b, "  %s -> %s;\n", id, ids[tgt])
 		}
 	}
 	b.WriteString("}\n")

@@ -1,9 +1,10 @@
 // Package provgraph implements the provenance graph model of Figure 1:
 // a bipartite graph of tuple nodes and derivation nodes, built from the
-// relationally-encoded provenance of an exchange.System. It provides
-// the annotation evaluation of Section 2.1 (bottom-up for acyclic
-// graphs, fixpoint for cyclic graphs under cycle-safe semirings) and
-// DOT export for interactive provenance browsers.
+// relationally-encoded provenance of an exchange.System or linked from
+// a query's recorded projection, with DOT export for interactive
+// provenance browsers. It evaluates no annotations: the query
+// executors compute EVALUATE's semiring values (Section 2.1) from what
+// a query read.
 package provgraph
 
 import (

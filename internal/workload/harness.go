@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/asr"
+	"repro/internal/fixture"
 	"repro/internal/model"
 	"repro/internal/proql"
 	"repro/internal/provgraph"
@@ -18,14 +19,10 @@ import (
 // quick sweeps.
 const Runs = 7
 
-// relationalEngine returns an engine pinned to the relational backend,
-// for the harnesses that measure the paper's translation (Figs. 7–13,
-// annotation overhead): auto runs whole-relation reads on asr.
-func relationalEngine(set *Setting) *proql.Engine {
-	eng := proql.NewEngine(set.Sys)
-	eng.Backend = "relational"
-	return eng
-}
+// relational pins the relational backend, for the harnesses that
+// measure the paper's translation (Figs. 7–13, annotation overhead):
+// auto runs whole-relation reads on asr.
+var relational = proql.Options{Backend: "relational"}
 
 // timed measures fn with the discard-extremes-and-average protocol.
 func timed(runs int, fn func() error) (time.Duration, error) {
@@ -149,8 +146,8 @@ func measureTarget(set *Setting, x int) (UnfoldStatsRow, error) {
 	if err != nil {
 		return UnfoldStatsRow{}, err
 	}
-	eng := relationalEngine(set)
-	res, err := eng.Exec(context.Background(), q, proql.Options{})
+	eng := proql.NewEngine(set.Sys)
+	res, err := eng.Exec(context.Background(), q, relational)
 	if err != nil {
 		return UnfoldStatsRow{}, err
 	}
@@ -213,13 +210,13 @@ func fillScaleRow(row *ScaleRow, numPeers, dataPeers, base, runs int, seed int64
 		if err != nil {
 			return err
 		}
-		eng := relationalEngine(set)
+		eng := proql.NewEngine(set.Sys)
 		q, err := proql.Parse(set.TargetQuery())
 		if err != nil {
 			return err
 		}
 		dur, err := timed(runs, func() error {
-			_, err := eng.Exec(context.Background(), q, proql.Options{})
+			_, err := eng.Exec(context.Background(), q, relational)
 			return err
 		})
 		if err != nil {
@@ -262,13 +259,13 @@ func RunASRSweep(cfg Config, maxLens []int, kinds []asr.Kind, runs int) (*ASRExp
 		return nil, err
 	}
 	exp := &ASRExperiment{Setting: set}
-	eng := relationalEngine(set)
+	eng := proql.NewEngine(set.Sys)
 	q, err := proql.Parse(set.TargetQuery())
 	if err != nil {
 		return nil, err
 	}
 	exp.Baseline, err = timed(runs, func() error {
-		_, err := eng.Exec(context.Background(), q, proql.Options{})
+		_, err := eng.Exec(context.Background(), q, relational)
 		return err
 	})
 	if err != nil {
@@ -290,7 +287,7 @@ func RunASRSweep(cfg Config, maxLens []int, kinds []asr.Kind, runs int) (*ASRExp
 			}
 			eng.RewriteRules = ix.RewriteRules
 			dur, err := timed(runs, func() error {
-				_, err := eng.Exec(context.Background(), q, proql.Options{})
+				_, err := eng.Exec(context.Background(), q, relational)
 				return err
 			})
 			if err != nil {
@@ -675,7 +672,7 @@ func RunAnnotationOverhead(cfg Config, runs int) (*AnnotationOverheadRow, error)
 	if err != nil {
 		return nil, err
 	}
-	eng := relationalEngine(set)
+	eng := proql.NewEngine(set.Sys)
 	proj, err := proql.Parse(set.TargetQuery())
 	if err != nil {
 		return nil, err
@@ -686,20 +683,63 @@ func RunAnnotationOverhead(cfg Config, runs int) (*AnnotationOverheadRow, error)
 	}
 	row := &AnnotationOverheadRow{}
 	row.ProjectionTime, err = timed(runs, func() error {
-		_, err := eng.Exec(context.Background(), proj, proql.Options{})
+		_, err := eng.Exec(context.Background(), proj, relational)
 		return err
 	})
 	if err != nil {
 		return nil, err
 	}
 	row.AnnotatedTime, err = timed(runs, func() error {
-		_, err := eng.Exec(context.Background(), annot, proql.Options{})
+		_, err := eng.Exec(context.Background(), annot, relational)
 		return err
 	})
 	if err != nil {
 		return nil, err
 	}
 	return row, nil
+}
+
+// Table1Semirings are the semirings of the paper's Table 1, in its
+// order (experiment E1).
+var Table1Semirings = []string{"DERIVABILITY", "TRUST", "CONFIDENTIALITY", "WEIGHT", "LINEAGE", "PROBABILITY", "COUNT", "POLYNOMIAL"}
+
+// table1Leaves are E1's leaf clauses where a semiring's default
+// leaves do not serve: every leaf weighs 1, and the A tuples are
+// secret.
+var table1Leaves = map[string]string{
+	"WEIGHT":          ` ASSIGNING EACH leaf_node $y { DEFAULT : SET 1 }`,
+	"CONFIDENTIALITY": ` ASSIGNING EACH leaf_node $y { CASE $y IN A : SET 'secret' DEFAULT : SET 'public' }`,
+}
+
+// Table1Query is E1's query for one semiring over the Figure 1
+// setting: every O tuple annotated over its whole ancestry.
+func Table1Query(semiring string) string {
+	return "EVALUATE " + semiring + " OF { FOR [O $x] INCLUDE PATH [$x] <-+ [] RETURN $x }" + table1Leaves[semiring]
+}
+
+// RunTable1 runs Table1Query for every Table 1 semiring on one backend
+// over the Figure 1 setting and renders each annotation of
+// O(cn1,7,true).
+func RunTable1(backend string) ([]string, error) {
+	sys, err := fixture.System(fixture.Options{})
+	if err != nil {
+		return nil, err
+	}
+	eng := proql.NewEngine(sys)
+	target := model.RefFromKey("O", []model.Datum{"cn1", int64(7)})
+	out := make([]string, len(Table1Semirings))
+	for i, name := range Table1Semirings {
+		res, err := eng.Eval(context.Background(), proql.MustParse(Table1Query(name)), proql.Options{Backend: backend})
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", name, err)
+		}
+		v, ok := res.Annotations[target]
+		if !ok {
+			return nil, fmt.Errorf("%s: no annotation of %v", name, target)
+		}
+		out[i] = res.Semiring.Format(v)
+	}
+	return out, nil
 }
 
 // ProQLRow is one point of the E14 backend sweep: the Q4-shaped
@@ -760,7 +800,6 @@ func RunProQL(scales []int, numPeers, dataPeers, baseSize, runs int, seed int64)
 		}
 
 		graphEng := proql.NewEngine(set.Sys)
-		graphEng.Backend = "graph"
 		row.GraphBuildTime, err = timed(runs, func() error {
 			_, err := graphEng.Graph()
 			return err
@@ -769,7 +808,7 @@ func RunProQL(scales []int, numPeers, dataPeers, baseSize, runs int, seed int64)
 			return nil, err
 		}
 		row.GraphEvalTime, err = timed(runs, func() error {
-			_, err := graphEng.Exec(context.Background(), q, proql.Options{})
+			_, err := graphEng.Exec(context.Background(), q, proql.Options{Backend: "graph"})
 			return err
 		})
 		if err != nil {
@@ -783,15 +822,14 @@ func RunProQL(scales []int, numPeers, dataPeers, baseSize, runs int, seed int64)
 		var asrEng *proql.Engine
 		row.ASRFirstTime, err = timed(runs, func() error {
 			asrEng = proql.NewEngine(set.Sys)
-			asrEng.Backend = "asr"
-			_, err := asrEng.Exec(context.Background(), q, proql.Options{})
+			_, err := asrEng.Exec(context.Background(), q, proql.Options{Backend: "asr"})
 			return err
 		})
 		if err != nil {
 			return nil, err
 		}
 		row.ASREvalTime, err = timed(runs, func() error {
-			_, err := asrEng.Exec(context.Background(), q, proql.Options{})
+			_, err := asrEng.Exec(context.Background(), q, proql.Options{Backend: "asr"})
 			return err
 		})
 		if err != nil {

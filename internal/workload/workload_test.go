@@ -152,9 +152,9 @@ func TestASRSweepMatchesBaselineResults(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := proql.NewEngine(set.Sys)
-	eng.Backend = "relational" // the rewrite applies to the translation only
+	rel := proql.Options{Backend: "relational"} // the rewrite applies to the translation only
 	q := proql.MustParse(set.TargetQuery())
-	base, err := eng.Exec(context.Background(), q, proql.Options{})
+	base, err := eng.Exec(context.Background(), q, rel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestASRSweepMatchesBaselineResults(t *testing.T) {
 				t.Fatal(err)
 			}
 			eng.RewriteRules = ix.RewriteRules
-			opt, err := eng.Exec(context.Background(), q, proql.Options{})
+			opt, err := eng.Exec(context.Background(), q, rel)
 			if err != nil {
 				t.Fatalf("%v len=%d: %v", kind, maxLen, err)
 			}
@@ -323,9 +323,8 @@ func TestProQLSweepZeroBuildsAt100x(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := proql.NewEngine(set.Sys)
-	eng.Backend = "asr"
 	before := provgraph.Builds()
-	ann, err := eng.ExecString(set.TargetAnnotationQuery())
+	ann, err := eng.Exec(context.Background(), proql.MustParse(set.TargetAnnotationQuery()), proql.Options{Backend: "asr"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,5 +333,24 @@ func TestProQLSweepZeroBuildsAt100x(t *testing.T) {
 	}
 	if got := provgraph.Builds() - before; got != 0 {
 		t.Errorf("annotation query materialized %d provenance graphs, want 0", got)
+	}
+}
+
+// TestTable1Annotations pins experiment E1: the annotation of
+// O(cn1,7,true) in each Table 1 semiring, on the path executor and on
+// the relational translation.
+func TestTable1Annotations(t *testing.T) {
+	want := []string{"true", "true", "secret", "3", "{A[i1|], N[i1|s3:cn1|F|]}",
+		"A[i1|]∧N[i1|s3:cn1|F|]", "1", "A[i1|]^2*N[i1|s3:cn1|F|]"}
+	for _, backend := range []string{"asr", "relational"} {
+		got, err := RunTable1(backend)
+		if err != nil {
+			t.Fatalf("%s: %v", backend, err)
+		}
+		for i, name := range Table1Semirings {
+			if got[i] != want[i] {
+				t.Errorf("%s: %s = %s, want %s", backend, name, got[i], want[i])
+			}
+		}
 	}
 }
