@@ -26,7 +26,7 @@ var relational = proql.Options{Backend: "relational"}
 
 // BenchmarkTable1Semirings times experiment E1: one whole EVALUATE
 // query per Table 1 semiring over the Figure 1 setting, on the default
-// backend (auto, which runs it on asr).
+// backend (auto, which runs it on path).
 func BenchmarkTable1Semirings(b *testing.B) {
 	eng := proql.NewEngine(fixture.MustSystem(fixture.Options{}))
 	for _, name := range workload.Table1Semirings {
@@ -75,7 +75,7 @@ func fig7Config(peers int) workload.Config {
 // BenchmarkFig7ChainAllPeersData is experiment E2: chain topology with
 // data at every peer; unfolded rules and times grow exponentially with
 // the number of peers. The auto-cold arms answer the same query the
-// way auto does, on the asr path executor, with a fresh engine (no
+// way auto does, on the path executor, with a fresh engine (no
 // cached plan) per query.
 func BenchmarkFig7ChainAllPeersData(b *testing.B) {
 	for _, peers := range []int{2, 3, 4, 5, 6} {
@@ -96,8 +96,8 @@ func BenchmarkFig7ChainAllPeersData(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if res.Stats.Backend != "asr" {
-					b.Fatalf("auto ran the target query on %s, want asr", res.Stats.Backend)
+				if res.Stats.Backend != "path" {
+					b.Fatalf("auto ran the target query on %s, want path", res.Stats.Backend)
 				}
 			}
 		})
@@ -268,7 +268,7 @@ func BenchmarkAnnotationOverhead(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, backend := range []string{"relational", "asr"} {
+	for _, backend := range []string{"relational", "path"} {
 		for _, arm := range []struct {
 			name string
 			q    *proql.Query
@@ -285,7 +285,7 @@ func BenchmarkAnnotationOverhead(b *testing.B) {
 	}
 }
 
-// BenchmarkMultiPathMatch measures the asr backend on a multi-path
+// BenchmarkMultiPathMatch measures the path backend on a multi-path
 // common-provenance query (the Q4 shape): the physical-plan pipeline
 // (indexed scans + a join on the shared variable) over the provenance
 // relations, with the plan cached.
@@ -309,12 +309,12 @@ func BenchmarkMultiPathMatch(b *testing.B) {
 	}
 	b.Run("asr", func(b *testing.B) {
 		goal := proql.NewEngine(set.Sys)
-		if _, err := goal.Exec(context.Background(), q, proql.Options{Backend: "asr"}); err != nil { // fill the plan cache
+		if _, err := goal.Exec(context.Background(), q, proql.Options{Backend: "path"}); err != nil { // fill the plan cache
 			b.Fatal(err)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := goal.Exec(context.Background(), q, proql.Options{Backend: "asr"}); err != nil {
+			if _, err := goal.Exec(context.Background(), q, proql.Options{Backend: "path"}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -395,10 +395,11 @@ func servedConfig(size string) workload.Config {
 }
 
 // BenchmarkGraphPointQuery is BenchmarkRelationalPointQuery's point
-// question on the asr backend (which backend "graph" aliases), on
-// instance S: a WHERE that fixes the start relation's key starts the
-// path from one point lookup. Every query binds its own view of the
-// snapshot it pins, so there is no warm or cold state to tell apart.
+// question on the path backend (sub-benchmark name asr, the backend's
+// former name, kept for comparison with earlier runs), on instance S:
+// a WHERE that fixes the start relation's key starts the path from
+// one point lookup. Every query binds its own view of the snapshot it
+// pins, so there is no warm or cold state to tell apart.
 func BenchmarkGraphPointQuery(b *testing.B) {
 	set, err := workload.Build(servedConfig("S"))
 	if err != nil {
@@ -413,7 +414,7 @@ func BenchmarkGraphPointQuery(b *testing.B) {
 	b.Run("asr", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			res, err := eng.Exec(context.Background(), qs[i%len(qs)], proql.Options{Backend: "asr"})
+			res, err := eng.Exec(context.Background(), qs[i%len(qs)], proql.Options{Backend: "path"})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -445,12 +446,12 @@ func BenchmarkAnalyticShapes(b *testing.B) {
 	eng := proql.NewEngine(set.Sys)
 	for _, arm := range []struct{ name, query, backend string }{
 		{"target/auto", set.TargetQuery(), "auto"},
-		{"target/asr", set.TargetQuery(), "asr"},
+		{"target/asr", set.TargetQuery(), "path"},
 		{"target/relational", set.TargetQuery(), "relational"},
 		{"trust/auto", set.TargetAnnotationQuery(), "auto"},
-		{"trust/asr", set.TargetAnnotationQuery(), "asr"},
-		{"multipath/asr", multipathQuery, "asr"},
-		{"include/asr", multipathIncludeQuery, "asr"},
+		{"trust/asr", set.TargetAnnotationQuery(), "path"},
+		{"multipath/asr", multipathQuery, "path"},
+		{"include/asr", multipathIncludeQuery, "path"},
 	} {
 		b.Run(arm.name, func(b *testing.B) {
 			q := proql.MustParse(arm.query)

@@ -200,14 +200,14 @@ func gateExperiment(name string, base, cur []map[string]json.Number, factor, flo
 }
 
 // gateProQL gates the E14 backend sweep. Rows are keyed by "scale" and
-// the asr backend's latencies are normalized within each row against
-// the same file's graph-backend arm (graph_build_ns + graph_eval_ns:
-// the cold cost of answering the same query by materializing the
-// provenance graph). The gated quantity is the asr backend's share of
-// its reference arm, so runner speed cancels; the graph arm's own
-// latencies are the normalizer and are reported ungated. graph_builds
-// and the plan-cache counters are deterministic and gated strictly —
-// graph_builds in particular must stay 0.
+// the path executor's latencies (the asr_* keys) are normalized within
+// each row against the same file's graph arm (graph_build_ns +
+// graph_eval_ns: the cold cost of answering the same query by
+// materializing the provenance graph). The gated quantity is the path
+// executor's share of its reference arm, so runner speed cancels; the
+// graph arm's own latencies are the normalizer and are reported
+// ungated. graph_builds and the plan-cache counters are deterministic
+// and gated strictly — graph_builds in particular must stay 0.
 func gateProQL(base, cur []map[string]json.Number, factor, floorNS float64) int {
 	if len(base) == 0 {
 		return 0

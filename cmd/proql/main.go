@@ -11,7 +11,7 @@
 //	proql -peers 8 -data 2 -base 100 -topology chain   # synthetic setting
 //	proql -save s.json            # serialize the setting as JSON and exit
 //	proql -load s.json            # load a setting from JSON
-//	proql -backend asr -demo      # force the goal-directed ASR backend
+//	proql -backend path -demo     # force the path executor
 //
 // In the shell, prefix a query with "explain" to see the Section 4
 // translation (matched mappings, unfolded rules, physical plans).
@@ -45,7 +45,7 @@ func main() {
 		seed     = flag.Int64("seed", 42, "workload seed")
 		loadFile = flag.String("load", "", "load a setting from a JSON file (see internal/settingio)")
 		saveFile = flag.String("save", "", "save the setting as JSON and exit")
-		backend  = flag.String("backend", "auto", "execution backend: auto (asr for a query with no WHERE; otherwise relational when the query allows, else asr; ASR rewriting and AS OF keep relational), relational, or asr (goal-directed over the provenance tables, no graph build); graph is an alias of asr")
+		backend  = flag.String("backend", "auto", "execution backend: auto (path for a live query with no WHERE; otherwise relational when the query allows, else path), relational, or path (goal-directed over the provenance tables, no graph build)")
 	)
 	flag.Parse()
 

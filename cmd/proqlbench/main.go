@@ -360,11 +360,12 @@ func runMixed(p scaleParams) error {
 
 // runProQL is the backend sweep (E14): the Q4-shaped multi-path
 // common-provenance query at 1x/10x/100x of the base setting, on the
-// goal-directed asr backend (probe the provenance tables directly: no
-// materialization, a join order read from the query syntax), next to the
-// reference arm: materializing the whole provenance graph (graph-build)
-// and a warm run through the "graph" alias (graph-eval). graph-builds
-// must read 0 — the asr arm never pays the build column.
+// goal-directed path executor (probe the provenance tables directly: no
+// materialization, a join order read from the query syntax; the asr-*
+// columns), next to the reference arm: materializing the whole
+// provenance graph (graph-build) and a warm run on an engine that built
+// it (graph-eval). graph-builds must read 0 — the path arms never pay
+// the build column.
 func runProQL(p scaleParams) error {
 	fmt.Printf("ProQL backend sweep (E14): chain of %d peers, base %d at %d upstream peers, scales %v\n",
 		p.proqlPeers, p.proqlBase, p.proqlData, p.proqlScales)
@@ -378,7 +379,7 @@ func runProQL(p scaleParams) error {
 			r.Scale, r.GraphBuildTime, r.GraphEvalTime, r.ASRFirstTime, r.ASREvalTime,
 			r.GraphBuilds, fmt.Sprintf("%d/%d", r.CacheHits, r.CacheMisses), r.InstanceSize)
 		if r.GraphBuilds != 0 {
-			return fmt.Errorf("asr arm materialized %d provenance graphs at scale %d, want 0", r.GraphBuilds, r.Scale)
+			return fmt.Errorf("path arm materialized %d provenance graphs at scale %d, want 0", r.GraphBuilds, r.Scale)
 		}
 		if collected != nil {
 			collected.Proql = append(collected.Proql, benchProQLRow{
@@ -636,6 +637,7 @@ func runASR(title string, cfg workload.Config, lens []int, runs int) error {
 	}
 	fmt.Println(title)
 	fmt.Printf("no-ASR baseline: %v\n", exp.Baseline)
+	fmt.Printf("path executor, no ASR: %v\n", exp.Path)
 	fmt.Println("kind      max-len  query-time  asr-rows")
 	for _, r := range exp.Rows {
 		fmt.Printf("%-9s %7d  %10v  %8d\n", r.Kind, r.MaxLen, r.Time, r.ASRRows)

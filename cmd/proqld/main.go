@@ -30,8 +30,8 @@
 //
 //	GET  /v1/healthz   liveness probe
 //	GET  /v1/stats     epoch, retention floor, instance size, counters, write-lock and log timings
-//	POST /v1/query     {"query": "FOR [O $x] ... RETURN $x", "backend": "auto|relational|asr|graph", "as_of": 7}
-//	                   ("graph" is an alias of "asr"; the reply's "backend" names the executor that ran)
+//	POST /v1/query     {"query": "FOR [O $x] ... RETURN $x", "backend": "auto|relational|path", "as_of": 7}
+//	                   (the reply's "backend" names the executor that ran)
 //	POST /v1/diff      {"query": "...", "from": 5, "to": 9}  (what appeared/disappeared)
 //	POST /v1/insert    {"relation": "A", "rows": [[3, "sn3", 9]]}  (one commit: rows and what they derive)
 //	POST /v1/delete    {"relation": "A", "keys": [[3]]}            (one commit: rows and what depended on them)
@@ -355,11 +355,10 @@ func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 
 type queryRequest struct {
 	Query string `json:"query"`
-	// Backend selects the execution strategy: "" or "auto" (asr for a
+	// Backend selects the execution strategy: "" or "auto" (path for a
 	// live query with no WHERE; otherwise relational when the query
-	// allows, else asr), "relational", or "asr"; "graph" is accepted as
-	// an alias of "asr". The choice is per request; all of them read a
-	// pinned snapshot.
+	// allows, else path), "relational", or "path". The choice is per
+	// request; all of them read a pinned snapshot.
 	Backend string `json:"backend"`
 	// AsOf, when non-zero, evaluates the query against the retained
 	// state at that epoch (time travel). Requires the server to run
@@ -369,7 +368,7 @@ type queryRequest struct {
 }
 
 // queryResponse is the reply to a query. Backend is the executor that
-// ran ("relational" or "asr"; a "graph" request reports "asr"). Epoch
+// ran ("relational" or "path"). Epoch
 // is the storage epoch the query read (its pinned snapshot), not the
 // newest one: the same query with as_of set to it returns the same
 // bindings.
@@ -696,11 +695,13 @@ func runSmoke(srv *server) error {
 	const q = `FOR [O $x] INCLUDE PATH [$x] <-+ [] RETURN $x`
 	var wg sync.WaitGroup
 	errs := make(chan error, 16)
-	for _, backend := range []string{"auto", "graph", "asr"} {
+	const perBackend = 15
+	backends := []string{"auto", "path"}
+	for _, backend := range backends {
 		wg.Add(1)
 		go func(backend string) {
 			defer wg.Done()
-			for i := 0; i < 15; i++ {
+			for i := 0; i < perBackend; i++ {
 				body, err := httpPost(base+"/v1/query", queryRequest{Query: q, Backend: backend})
 				if err != nil {
 					errs <- fmt.Errorf("%s: %v", backend, err)
@@ -762,7 +763,7 @@ func runSmoke(srv *server) error {
 	if err := json.Unmarshal(body, &st); err != nil {
 		return err
 	}
-	if st.Queries < 45 || st.Commits < 20 {
+	if st.Queries < int64(len(backends)*perBackend) || st.Commits < 20 {
 		return fmt.Errorf("implausible counters: %+v", st)
 	}
 	if err := smokeHardening(srv); err != nil {
@@ -787,7 +788,7 @@ func smokeHardening(srv *server) error {
 	cancel()
 	const text = `FOR [O $x] INCLUDE PATH [$x] <-+ [] RETURN $x`
 	eng := srv.sys.Engine()
-	for _, backend := range []string{"auto", "relational", "graph", "asr"} {
+	for _, backend := range []string{"auto", "relational", "path"} {
 		q, err := proql.Parse(text)
 		if err != nil {
 			return err
@@ -866,7 +867,7 @@ func smokeV1() error {
 
 	const q = `FOR [O $x] RETURN $x`
 	counts := map[string]int{}
-	for _, backend := range []string{"auto", "graph", "asr"} {
+	for _, backend := range []string{"auto", "path"} {
 		// Live: the inserted row derived a fifth O tuple.
 		body, err := httpPost(base+"/v1/query", queryRequest{Query: q, Backend: backend})
 		if err != nil {
@@ -899,8 +900,22 @@ func smokeV1() error {
 		}
 		counts[backend] = len(old.Bindings["x"])
 	}
-	if counts["auto"] != counts["graph"] || counts["graph"] != counts["asr"] {
+	if counts["auto"] != counts["path"] {
 		return fmt.Errorf("as_of answers disagree across backends: %v", counts)
+	}
+	// The path executor's older names still run it, and say so.
+	for _, alias := range []string{"asr", "graph"} {
+		body, err := httpPost(base+"/v1/query", queryRequest{Query: q, Backend: alias})
+		if err != nil {
+			return fmt.Errorf("%s: %v", alias, err)
+		}
+		var resp queryResponse
+		if err := json.Unmarshal(body, &resp); err != nil {
+			return err
+		}
+		if resp.Backend != "path" {
+			return fmt.Errorf("backend %q reported %q, want path", alias, resp.Backend)
+		}
 	}
 
 	// Diff across the insert: exactly one O binding appeared.

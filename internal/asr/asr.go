@@ -12,6 +12,13 @@
 // which makes rewritten rules select exactly the rows of one subpath
 // (no NULL-probing ambiguity) while preserving the storage/benefit
 // trade-offs between ASR types that Figures 11–13 measure.
+//
+// The package is a reproduction library, driven directly by the
+// Figs. 11–13 sweeps (workload.RunASRSweep, which sets
+// Engine.RewriteRules on an engine pinned to the relational backend)
+// and by the interleaved-churn harness (workload.RunMixed, which times
+// its maintenance). core keeps no ASR: none beat the path executor on
+// those figures (EXPERIMENTS E6–E8).
 package asr
 
 import (

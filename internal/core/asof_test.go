@@ -38,7 +38,7 @@ func renderFull(t *testing.T, res *proql.Result) string {
 	return sb.String()
 }
 
-var asOfBackends = []string{"auto", "graph", "asr"}
+var asOfBackends = []string{"auto", "path"}
 
 // runAsOfCommits drives a system through k commit points, recording
 // the epoch and the per-backend live rendering at each — the oracle
@@ -140,10 +140,8 @@ func TestQueryAsOfDifferential(t *testing.T) {
 	// just each with its own history.
 	for i := range epochs {
 		auto := bindingLines(oracle[i]["auto"])
-		for _, b := range []string{"graph", "asr"} {
-			if got := bindingLines(oracle[i][b]); got != auto {
-				t.Errorf("epoch %d: %s bindings %q != auto %q", epochs[i], b, got, auto)
-			}
+		if got := bindingLines(oracle[i]["path"]); got != auto {
+			t.Errorf("epoch %d: path bindings %q != auto %q", epochs[i], got, auto)
 		}
 	}
 

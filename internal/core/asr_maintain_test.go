@@ -2,20 +2,21 @@ package core_test
 
 import (
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/asr"
-	"repro/internal/core"
+	"repro/internal/exchange"
 	"repro/internal/model"
 )
 
-// facadeASRSnapshot renders the ASR backing tables of a facade system
-// as one sorted comparable string.
-func facadeASRSnapshot(t *testing.T, sys *core.System) string {
+// asrSnapshot renders the backing tables of an ASR index as one sorted
+// comparable string.
+func asrSnapshot(t *testing.T, ex *exchange.System, ix *asr.Index) string {
 	t.Helper()
 	var lines []string
-	for _, d := range sys.ASRIndex().Defs() {
-		tbl, ok := sys.Exchange().DB.Table(d.Name)
+	for _, d := range ix.Defs() {
+		tbl, ok := ex.DB.Table(d.Name)
 		if !ok {
 			t.Fatalf("ASR table %s missing", d.Name)
 		}
@@ -24,53 +25,60 @@ func facadeASRSnapshot(t *testing.T, sys *core.System) string {
 		}
 	}
 	sort.Strings(lines)
-	out := ""
-	for _, l := range lines {
-		out += l + "\n"
-	}
-	return out
+	return strings.Join(lines, "\n")
 }
 
 // TestFacadeSteadyStateNeverMaterializes is the acceptance check for
-// incremental ASR maintenance: after an ASR is defined, the
-// steady-state update path (InsertLocal+Run, DeleteLocal) must patch
-// the backing tables from the insertion/deletion reports and never
-// invoke Materialize again — while leaving the tables row-identical to
-// a full re-materialization.
+// incremental ASR maintenance: after an ASR is defined over a facade
+// system's exchange, steady-state churn (insert + delta run, delete)
+// patched from the insertion and deletion reports never invokes
+// Materialize again, and leaves the tables row-identical to a full
+// re-materialization. The facade keeps no ASR, so the test drives the
+// exchange system and the index as the E12 harness does.
 func TestFacadeSteadyStateNeverMaterializes(t *testing.T) {
-	sys := openExample(t)
-	if err := sys.DefineASR(asr.Subpath, "m5", "m1"); err != nil {
+	ex := openExample(t).Exchange()
+	ix := asr.NewIndex(ex)
+	if _, err := ix.Define(asr.Subpath, "m5", "m1"); err != nil {
 		t.Fatal(err)
 	}
-	baseline := sys.ASRIndex().Materializations()
+	if err := ix.Materialize(); err != nil {
+		t.Fatal(err)
+	}
+	baseline := ix.Materializations()
+	insert := func(row model.Tuple) {
+		t.Helper()
+		if err := ex.InsertLocal("A", row); err != nil {
+			t.Fatal(err)
+		}
+		report, err := ex.RunDelta()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ix.ApplyInsertions(report); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	// Steady-state churn: insert + run, delete, insert + run.
-	if err := sys.InsertLocal("A", model.Tuple{int64(3), "sn3", int64(4)}); err != nil {
+	insert(model.Tuple{int64(3), "sn3", int64(4)})
+	report, err := ex.DeleteLocal("A", []model.Datum{int64(1)})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.Run(); err != nil {
+	if err := ix.ApplyDeletions(report); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.DeleteLocal("A", []model.Datum{int64(1)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.InsertLocal("A", model.Tuple{int64(1), "sn1", int64(7)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if got := sys.ASRIndex().Materializations(); got != baseline {
+	insert(model.Tuple{int64(1), "sn1", int64(7)})
+	if got := ix.Materializations(); got != baseline {
 		t.Fatalf("steady-state path re-materialized ASRs %d time(s); want patches only", got-baseline)
 	}
 
 	// The patched tables must equal ground truth.
-	patched := facadeASRSnapshot(t, sys)
-	if err := sys.ASRIndex().Materialize(); err != nil {
+	patched := asrSnapshot(t, ex, ix)
+	if err := ix.Materialize(); err != nil {
 		t.Fatal(err)
 	}
-	rebuilt := facadeASRSnapshot(t, sys)
-	if patched != rebuilt {
+	if rebuilt := asrSnapshot(t, ex, ix); patched != rebuilt {
 		t.Fatalf("patched ASR tables differ from re-materialization\npatched:\n%s\nrebuilt:\n%s", patched, rebuilt)
 	}
 }

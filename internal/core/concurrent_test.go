@@ -64,7 +64,7 @@ func churnStep(t *testing.T, sys *core.System, id int64, insert bool) {
 }
 
 // TestConcurrentServeSmoke drives readers on all three ProQL backends
-// (relational, graph, asr) against a RunDelta+DeleteLocal churn
+// (relational, path) against a RunDelta+DeleteLocal churn
 // writer. Every query must observe a committed epoch: with the churn
 // toggling one extra animal, the O relation holds either 4 or 6
 // bindings — any other count is a torn read. Run under -race this is
@@ -92,9 +92,9 @@ func TestConcurrentServeSmoke(t *testing.T) {
 				case 0:
 					res, err = eng.Exec(context.Background(), q, proql.Options{})
 				case 1:
-					res, err = eng.Exec(context.Background(), q, proql.Options{Backend: "graph"})
+					res, err = eng.Exec(context.Background(), q, proql.Options{Backend: "path"})
 				default:
-					res, err = eng.Exec(context.Background(), q, proql.Options{Backend: "asr"})
+					res, err = eng.Exec(context.Background(), q, proql.Options{Backend: "path"})
 				}
 				if err != nil {
 					t.Errorf("reader %d: %v", mode, err)
@@ -246,7 +246,7 @@ func TestReportedEpochReplays(t *testing.T) {
 			defer wg.Done()
 			var once sync.Once
 			defer once.Do(started.Done) // also when a failure ends the reader early
-			backend := []string{"relational", "graph", "asr"}[r%3]
+			backend := []string{"relational", "path"}[r%2]
 			last := false
 			for n := 0; !last || n%len(queries) != 0; n++ {
 				if n == len(queries) {

@@ -1,8 +1,10 @@
 // Package core is the library facade tying the provenance system
 // together: schema and mapping declaration, local-data insertion,
 // update exchange with provenance recording, ProQL querying (graph
-// projection and semiring annotation computation), ASR index
-// management, and provenance-graph export.
+// projection and semiring annotation computation), durability, and
+// provenance-graph export. Section 5's access support relations are
+// not part of it: internal/asr is a library the experiments drive
+// directly.
 //
 // A typical session (see examples/quickstart):
 //
@@ -28,20 +30,18 @@ import (
 	"repro/internal/wal"
 )
 
-// System is one CDSS replica with query and indexing support.
+// System is one CDSS replica with query support.
 //
 // Concurrency: queries (Query, and the engine's Exec* family) may run
 // from any number of goroutines, including while a mutation commits —
 // each query reads a pinned storage snapshot, so it observes either
 // the whole commit or none of it, and no query holds up a mutation. Mutations (Insert,
-// Delete, InsertLocal, Run, DeleteLocal, DefineASR, AdviseASRs,
-// UseASRs) are serialized by an internal writer lock: callers may issue
-// them from multiple goroutines, but they execute one at a time.
+// Delete, InsertLocal, Run, DeleteLocal, Checkpoint, Close) are
+// serialized by an internal writer lock: callers may issue them from
+// multiple goroutines, but they execute one at a time.
 type System struct {
 	ex     *exchange.System
 	engine *proql.Engine
-	index  *asr.Index
-	useASR bool
 	// store is the durability layer of a system created by OpenDurable;
 	// nil for purely in-memory systems.
 	store *wal.Store
@@ -144,9 +144,7 @@ func Open(schema *model.Schema, opts Options) (*System, error) {
 	if opts.RetainEpochs != 0 {
 		ex.DB.SetRetention(opts.RetainEpochs)
 	}
-	s := &System{ex: ex, engine: proql.NewEngine(ex)}
-	s.index = asr.NewIndex(ex)
-	return s, nil
+	return &System{ex: ex, engine: proql.NewEngine(ex)}, nil
 }
 
 // OpenDurable creates (or reopens) a system whose storage persists in
@@ -163,9 +161,7 @@ func OpenDurable(schema *model.Schema, dir string, opts Options) (*System, error
 	if err != nil {
 		return nil, err
 	}
-	s := &System{ex: ex, engine: proql.NewEngine(ex), store: st}
-	s.index = asr.NewIndex(ex)
-	return s, nil
+	return &System{ex: ex, engine: proql.NewEngine(ex), store: st}, nil
 }
 
 // Store exposes the durability layer (nil for in-memory systems).
@@ -197,7 +193,7 @@ func (s *System) Close() error {
 // Wrap adapts an already-built exchange system (e.g. a generated
 // workload setting or the running-example fixture) into the facade.
 func Wrap(ex *exchange.System) *System {
-	return &System{ex: ex, engine: proql.NewEngine(ex), index: asr.NewIndex(ex)}
+	return &System{ex: ex, engine: proql.NewEngine(ex)}
 }
 
 // WrapDurable is Wrap for an exchange system opened through a durable
@@ -256,11 +252,9 @@ func (s *System) InsertLocal(rel string, rows ...model.Tuple) error {
 // their provenance. The first call runs the full fixpoint; afterwards
 // the engine's state persists, so subsequent calls propagate only the
 // rows inserted since the previous run (a Δ-seeded RunDelta whose cost
-// scales with the affected derivations, not the database), and ASR
-// backing tables are patched from the same insertion report instead of
-// re-materialized. Deletions do not break the chain: DeleteLocal
-// repairs the engine's journals from its deletion report, so a Run
-// after it is still delta-seeded.
+// scales with the affected derivations, not the database). Deletions
+// do not break the chain: DeleteLocal repairs the engine's journals
+// from its deletion report, so a Run after it is still delta-seeded.
 func (s *System) Run() error {
 	locked, err := s.lockWrite()
 	if err != nil {
@@ -274,29 +268,21 @@ func (s *System) Run() error {
 // runLocked propagates the pending insertions and closes the batch the
 // caller opened. Called with wmu held.
 func (s *System) runLocked() error {
-	// One outer batch makes the exchange run and the ASR patches a
-	// single storage epoch: a concurrent snapshot sees the pre-run
-	// state or the fully propagated-and-indexed one, never an exchanged
-	// instance whose ASR tables lag behind. Nothing is told of the
-	// commit: every query pins the epoch it reads when it starts.
-	db := s.ex.DB
-	report, err := s.ex.RunDelta()
+	// The caller's batch makes the whole run one storage epoch: a
+	// concurrent snapshot sees the pre-run state or the fully
+	// propagated one. Nothing is told of the commit: every query pins
+	// the epoch it reads when it starts.
+	_, err := s.ex.RunDelta()
+	s.ex.DB.EndBatch()
 	if err != nil {
-		db.EndBatch()
 		return err
-	}
-	asrErr := s.index.ApplyInsertions(report)
-	db.EndBatch()
-	if asrErr != nil {
-		return asrErr
 	}
 	return s.committed()
 }
 
 // Delete removes base tuples and incrementally propagates the
 // deletions through the materialized views using their provenance
-// (use case Q5); the ASR backing tables are patched in place from the
-// deletion report rather than rebuilt. It returns the epoch the commit
+// (use case Q5), as one commit. It returns the epoch the commit
 // published.
 func (s *System) Delete(rel string, keys ...[]model.Datum) (uint64, *exchange.MaintenanceReport, error) {
 	locked, err := s.lockWrite()
@@ -304,21 +290,16 @@ func (s *System) Delete(rel string, keys ...[]model.Datum) (uint64, *exchange.Ma
 		return 0, nil, err
 	}
 	defer s.unlockWrite(locked)
-	// Same epoch discipline as Run: deletions and the ASR patches they
-	// imply commit atomically.
+	// Same epoch discipline as Run: the deletion and everything it
+	// propagates commit atomically.
 	db := s.ex.DB
 	db.BeginBatch()
 	report, err := s.ex.DeleteLocal(rel, keys...)
+	db.EndBatch()
 	if err != nil {
-		db.EndBatch()
 		return 0, nil, err
 	}
-	asrErr := s.index.ApplyDeletions(report)
-	db.EndBatch()
 	epoch := db.Epoch()
-	if asrErr != nil {
-		return 0, nil, asrErr
-	}
 	if err := s.committed(); err != nil {
 		return 0, nil, err
 	}
@@ -368,66 +349,10 @@ func (s *System) Epoch() uint64 { return s.ex.DB.Epoch() }
 // answer, or 0 when history retention is off.
 func (s *System) RetentionFloor() uint64 { return s.ex.DB.RetentionFloor() }
 
-// DefineASR registers an access support relation over a mapping chain
-// (ordered from the derived end toward the sources) and materializes
-// it. UseASRs must be enabled for queries to exploit it.
-func (s *System) DefineASR(kind asr.Kind, chain ...string) error {
-	locked, err := s.lockWrite()
-	if err != nil {
-		return err
-	}
-	defer s.unlockWrite(locked)
-	if _, err := s.index.Define(kind, chain...); err != nil {
-		return err
-	}
-	if err := s.index.Materialize(); err != nil {
-		return err
-	}
-	return s.durable()
-}
-
-// AdviseASRs runs the automated ASR selection (the paper's Section 8
-// future work) for target-style queries anchored at a relation,
-// materializes the suggested indexes, and enables rewriting.
-func (s *System) AdviseASRs(anchorRel string, maxLen int) error {
-	locked, err := s.lockWrite()
-	if err != nil {
-		return err
-	}
-	defer s.unlockWrite(locked)
-	if _, err := s.index.Advise(anchorRel, maxLen); err != nil {
-		return err
-	}
-	if err := s.index.Materialize(); err != nil {
-		return err
-	}
-	s.useASRsLocked(true)
-	return s.durable()
-}
-
-// UseASRs toggles ASR-based rewriting for subsequent queries; while it
-// is on, the auto backend runs every query on the relational
-// translation, the one the rewrite applies to. Like all
-// mutations it is serialized with other writers, but it swaps a hook
-// the query path reads without a latch: call it during setup, not
-// while queries are in flight.
-func (s *System) UseASRs(on bool) {
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
-	s.useASRsLocked(on)
-}
-
-func (s *System) useASRsLocked(on bool) {
-	s.useASR = on
-	if on {
-		s.engine.RewriteRules = s.index.RewriteRules
-	} else {
-		s.engine.RewriteRules = nil
-	}
-}
-
-// ASRIndex exposes the index for inspection.
-func (s *System) ASRIndex() *asr.Index { return s.index }
+// ASRIndex returns an empty index over the system: the facade holds
+// no ASR. It remains only for bench/trace.go, whose Apply* calls on it
+// return at once, and goes with the next change to bench/.
+func (s *System) ASRIndex() *asr.Index { return asr.NewIndex(s.ex) }
 
 // Graph materializes the full provenance graph of the current epoch
 // from a pinned snapshot; the graph is the caller's, and later commits

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -55,50 +56,48 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 }
 
-// queryRelational runs q on the relational translation, the baseline
-// an ASR rewrite must preserve.
-func queryRelational(t *testing.T, sys *core.System, q string) *proql.Result {
+// checkASRRewrite defines one ASR of kind over the chain m5∘m1 on the
+// facade's exchange system and checks that the relational translation
+// answers the whole-target query the same with the rewrite as without.
+// The facade keeps no ASR; the index is driven directly, on an engine
+// pinned to the translation the rewrite applies to.
+func checkASRRewrite(t *testing.T, sys *core.System, kind asr.Kind) {
 	t.Helper()
-	res, err := sys.Engine().Exec(context.Background(), proql.MustParse(q), proql.Options{Backend: "relational"})
+	eng := proql.NewEngine(sys.Exchange())
+	q := proql.MustParse(`FOR [O $x] INCLUDE PATH [$x] <-+ [] RETURN $x`)
+	rel := proql.Options{Backend: "relational"}
+	base, err := eng.Exec(context.Background(), q, rel)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res
-}
-
-// queryRewritten runs q through the facade with ASRs in use, which
-// routes it to the relational translation the rewrite applies to.
-func queryRewritten(t *testing.T, sys *core.System, q string) *proql.Result {
-	t.Helper()
-	res, err := sys.Query(q)
+	ix := asr.NewIndex(sys.Exchange())
+	if _, err := ix.Define(kind, "m5", "m1"); err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.Materialize(); err != nil {
+		t.Fatal(err)
+	}
+	if ix.TotalRows() == 0 {
+		t.Error("ASR table should be materialized")
+	}
+	eng.RewriteRules = ix.RewriteRules
+	opt, err := eng.Exec(context.Background(), q, rel)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.Backend != "relational" {
-		t.Fatalf("with ASRs in use the facade ran %q on %s, not the rewritten translation", q, res.Stats.Backend)
+	if opt.Stats.Backend != "relational" {
+		t.Fatalf("rewritten query ran on %s", opt.Stats.Backend)
 	}
-	return res
-}
-
-func TestFacadeASRLifecycle(t *testing.T) {
-	sys := openExample(t)
-	q := `FOR [O $x] INCLUDE PATH [$x] <-+ [] RETURN $x`
-	base := queryRelational(t, sys, q)
-	if err := sys.DefineASR(asr.Subpath, "m5", "m1"); err != nil {
-		t.Fatal(err)
-	}
-	sys.UseASRs(true)
-	opt := queryRewritten(t, sys, q)
-	if len(opt.SortedRefs("x")) != len(base.SortedRefs("x")) {
+	if fmt.Sprint(opt.SortedRefs("x")) != fmt.Sprint(base.SortedRefs("x")) {
 		t.Error("ASR-rewritten query changed the result")
 	}
 	if got, want := opt.MustGraph().NumDerivations(), base.MustGraph().NumDerivations(); got != want {
 		t.Errorf("derivations %d with ASRs, %d without", got, want)
 	}
-	sys.UseASRs(false)
-	if sys.ASRIndex().TotalRows() == 0 {
-		t.Error("ASR table should be materialized")
-	}
+}
+
+func TestFacadeASRLifecycle(t *testing.T) {
+	checkASRRewrite(t, openExample(t), asr.Subpath)
 }
 
 func TestFacadeWriteDOT(t *testing.T) {
@@ -114,12 +113,8 @@ func TestFacadeWriteDOT(t *testing.T) {
 
 func TestFacadeIncrementalRun(t *testing.T) {
 	sys := openExample(t)
-	if err := sys.DefineASR(asr.CompletePath, "m5", "m1"); err != nil {
-		t.Fatal(err)
-	}
-	before := sys.ASRIndex().TotalRows()
-	// New upstream data: A(3) joins nothing new for m5∘m1... add a C
-	// partner so the complete path grows.
+	// New upstream data: A(3) with a curated N(3) partner, so m1 and
+	// m5 derive new tuples too.
 	if err := sys.InsertLocal("A", model.Tuple{int64(3), "sn3", int64(9)}); err != nil {
 		t.Fatal(err)
 	}
@@ -128,10 +123,6 @@ func TestFacadeIncrementalRun(t *testing.T) {
 	}
 	if err := sys.Run(); err != nil {
 		t.Fatal(err)
-	}
-	after := sys.ASRIndex().TotalRows()
-	if after <= before {
-		t.Errorf("ASR not refreshed on Run: %d -> %d", before, after)
 	}
 	res, err := sys.Query(`FOR [O $x] INCLUDE PATH [$x] <-+ [] RETURN $x`)
 	if err != nil {
@@ -143,23 +134,11 @@ func TestFacadeIncrementalRun(t *testing.T) {
 	}
 }
 
+// TestAdviseASRs checks a suffix ASR, the kind Section 6.4 finds best
+// for target queries, over m5∘m1, the running example's one mapping
+// chain into O longer than a single mapping.
 func TestAdviseASRs(t *testing.T) {
-	sys := openExample(t)
-	q := `FOR [O $x] INCLUDE PATH [$x] <-+ [] RETURN $x`
-	base := queryRelational(t, sys, q)
-	if err := sys.AdviseASRs("O", 4); err != nil {
-		t.Fatal(err)
-	}
-	if len(sys.ASRIndex().Defs()) == 0 {
-		t.Fatal("advisor registered no definitions")
-	}
-	opt := queryRewritten(t, sys, q)
-	if len(opt.SortedRefs("x")) != len(base.SortedRefs("x")) {
-		t.Error("advised ASRs changed query results")
-	}
-	if got, want := opt.MustGraph().NumDerivations(), base.MustGraph().NumDerivations(); got != want {
-		t.Errorf("derivations %d with ASRs, %d without", got, want)
-	}
+	checkASRRewrite(t, openExample(t), asr.Suffix)
 }
 
 func TestWrapMatchesOpen(t *testing.T) {

@@ -61,7 +61,7 @@ func TestInsertIsOneCommit(t *testing.T) {
 	q := proql.MustParse(`FOR [A0 $x] INCLUDE PATH [$x] <-+ [] RETURN $x`)
 	// Query first, so the insert commits under a reader that has read
 	// the epoch before it.
-	if _, err := one.Engine().Exec(context.Background(), q, proql.Options{Backend: "graph"}); err != nil {
+	if _, err := one.Engine().Exec(context.Background(), q, proql.Options{Backend: "path"}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -89,7 +89,7 @@ func TestInsertIsOneCommit(t *testing.T) {
 	if got, want := fingerprint(one.Exchange()), fingerprint(two.Exchange()); got != want {
 		t.Fatalf("Insert and InsertLocal+Run disagree\ngot:\n%s\nwant:\n%s", got, want)
 	}
-	for _, backend := range []string{"relational", "graph", "asr"} {
+	for _, backend := range []string{"relational", "path"} {
 		a, err := one.Engine().Exec(context.Background(), q, proql.Options{Backend: backend})
 		if err != nil {
 			t.Fatal(err)
@@ -156,7 +156,7 @@ func TestWriterThroughBackgroundCheckpoints(t *testing.T) {
 	source, rows, keys := churnRows(sys, cfg, 3)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	for _, backend := range []string{"relational", "graph"} {
+	for _, backend := range []string{"relational", "path"} {
 		wg.Add(1)
 		go func(backend string) {
 			defer wg.Done()

@@ -96,7 +96,7 @@ func TestWriteNotBlockedByGraphQuery(t *testing.T) {
 	}
 	queried := make(chan error, 1)
 	go func() {
-		_, err := eng.Eval(context.Background(), q, proql.Options{Backend: "graph"})
+		_, err := eng.Eval(context.Background(), q, proql.Options{Backend: "path"})
 		queried <- err
 	}()
 	select {
@@ -133,7 +133,7 @@ func TestWriteNotBlockedByGraphQuery(t *testing.T) {
 		`EVALUATE TRUST OF { ` + targetQuery + ` }`,
 		`FOR [O $x] <-+ [$z], [C $y] <-+ [$z] RETURN $x, $y`,
 	} {
-		if _, err := eng.Eval(context.Background(), proql.MustParse(text), proql.Options{Backend: "graph"}); err != nil {
+		if _, err := eng.Eval(context.Background(), proql.MustParse(text), proql.Options{Backend: "path"}); err != nil {
 			t.Fatalf("%s: %v", text, err)
 		}
 	}

@@ -8,7 +8,7 @@ import (
 
 // TestFacadeRunPatchesGraphOnInsert: after the first full run, the
 // facade's Run propagates new local rows with the Δ-seeded RunDelta;
-// graph and asr queries on the warm engine afterwards answer what a
+// path queries on the warm engine afterwards answer what a
 // fresh engine over the same storage answers.
 func TestFacadeRunPatchesGraphOnInsert(t *testing.T) {
 	sys := openExample(t)

@@ -14,18 +14,16 @@ import (
 // targetQuery is the running example's whole-target projection.
 const targetQuery = `FOR [O $x] INCLUDE PATH [$x] <-+ [] RETURN $x`
 
-// warmPathBackends runs q once on the graph and asr backends, so the
+// warmPathBackends runs q once on the path backend, so the
 // engine has planned it against the current epoch.
 func warmPathBackends(t *testing.T, sys *core.System, q string) {
 	t.Helper()
-	for _, backend := range []string{"graph", "asr"} {
-		if _, err := sys.Engine().Exec(context.Background(), proql.MustParse(q), proql.Options{Backend: backend}); err != nil {
-			t.Fatalf("%s: %v", backend, err)
-		}
+	if _, err := sys.Engine().Exec(context.Background(), proql.MustParse(q), proql.Options{Backend: "path"}); err != nil {
+		t.Fatal(err)
 	}
 }
 
-// queryAfterWrite runs q on the graph and asr backends of sys's engine,
+// queryAfterWrite runs q on the path backend of sys's engine,
 // warmed before the write, and of a fresh engine over the same storage;
 // every answer (bindings and projected derivations) must be the same.
 // It returns the bindings of $x.
@@ -34,29 +32,28 @@ func queryAfterWrite(t *testing.T, sys *core.System, q string) []model.TupleRef 
 	fresh := proql.NewEngine(sys.Exchange())
 	var want string
 	var refs []model.TupleRef
-	for _, backend := range []string{"graph", "asr"} {
-		for name, eng := range map[string]*proql.Engine{"warm": sys.Engine(), "fresh": fresh} {
-			res, err := eng.Exec(context.Background(), proql.MustParse(q), proql.Options{Backend: backend})
-			if err != nil {
-				t.Fatalf("%s engine, %s: %v", name, backend, err)
-			}
-			var derivs []string
-			for _, d := range res.MustGraph().Derivations() {
-				derivs = append(derivs, d.ID)
-			}
-			got := fmt.Sprint(res.SortedRefs("x"), derivs)
-			if want == "" {
-				want, refs = got, res.SortedRefs("x")
-			} else if got != want {
-				t.Errorf("%s engine, %s: %s, want %s", name, backend, got, want)
-			}
+	backend := "path"
+	for name, eng := range map[string]*proql.Engine{"warm": sys.Engine(), "fresh": fresh} {
+		res, err := eng.Exec(context.Background(), proql.MustParse(q), proql.Options{Backend: backend})
+		if err != nil {
+			t.Fatalf("%s engine, %s: %v", name, backend, err)
+		}
+		var derivs []string
+		for _, d := range res.MustGraph().Derivations() {
+			derivs = append(derivs, d.ID)
+		}
+		got := fmt.Sprint(res.SortedRefs("x"), derivs)
+		if want == "" {
+			want, refs = got, res.SortedRefs("x")
+		} else if got != want {
+			t.Errorf("%s engine, %s: %s, want %s", name, backend, got, want)
 		}
 	}
 	return refs
 }
 
 // TestFacadeDeleteLocalPatchesGraph: after the facade's DeleteLocal,
-// graph and asr queries on the warm engine answer what a fresh engine
+// path queries on the warm engine answer what a fresh engine
 // over the same storage answers.
 func TestFacadeDeleteLocalPatchesGraph(t *testing.T) {
 	sys := openExample(t)

@@ -98,13 +98,13 @@ func TestPathAnnotationsMatchInterpreter(t *testing.T) {
 					text := fmt.Sprintf("EVALUATE %s OF { %s }%s", sr.name, body, assign)
 					label := setting.name + ": " + text
 					want, werr := ExecInterpreter(e, context.Background(), MustParse(text), 0)
-					got, gerr := e.Exec(context.Background(), MustParse(text), Options{Backend: "asr"})
+					got, gerr := e.Exec(context.Background(), MustParse(text), Options{Backend: "path"})
 					if (werr != nil) != (gerr != nil) {
-						t.Fatalf("%s: interpreter error %v, asr error %v", label, werr, gerr)
+						t.Fatalf("%s: interpreter error %v, path error %v", label, werr, gerr)
 					}
 					if werr != nil {
 						if !strings.Contains(gerr.Error(), "cyclic") {
-							t.Errorf("%s: asr refused with %v, want the cyclic refusal", label, gerr)
+							t.Errorf("%s: path refused with %v, want the cyclic refusal", label, gerr)
 						}
 						refused++
 						continue
@@ -216,8 +216,8 @@ func TestPathEvaluateLinksNothing(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.Stats.Backend != "asr" {
-				t.Fatalf("%s: ran on %s, want asr", text, res.Stats.Backend)
+			if res.Stats.Backend != "path" {
+				t.Fatalf("%s: ran on %s, want path", text, res.Stats.Backend)
 			}
 			if n := res.LinkedNodes(); n != 0 || provgraph.Builds() != builds || len(res.Annotations) == 0 {
 				t.Errorf("%s: EVALUATE linked %d nodes and built %d graphs for %d annotations, want 0 and 0",
@@ -303,7 +303,7 @@ func TestPathEvaluateConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
 				k := (g + i) % len(queries)
-				got, err := e.Exec(context.Background(), queries[k], Options{Backend: "asr"})
+				got, err := e.Exec(context.Background(), queries[k], Options{Backend: "path"})
 				if err != nil {
 					t.Error(err)
 					return

@@ -12,15 +12,16 @@
 //     executes the rules as relational plans with a final semiring
 //     aggregation. It supports the anchored-path queries that all of
 //     the paper's experiments use, and is the backend the ASR indexes
-//     of Section 5 accelerate.
-//   - The asr backend evaluates the full language (multiple path
+//     of Section 5 (internal/asr, through Engine.RewriteRules)
+//     accelerate.
+//   - The path backend evaluates the full language (multiple path
 //     expressions, derivation variables, common-provenance joins) by
 //     physical path-navigation plans over the provenance relations of
-//     a pinned snapshot; "graph" is an alias of it.
+//     a pinned snapshot; it reads no ASR.
 //
-// Exec picks a backend from the query syntax alone: asr for a query
-// with no WHERE and no EVALUATE, otherwise the relational backend
-// whenever the query fits it.
+// Exec picks a backend from the query syntax alone: path for a live
+// query with no WHERE, EVALUATE included, otherwise the relational
+// backend whenever the query fits it.
 package proql
 
 import (

@@ -12,10 +12,10 @@ import (
 // three backend names. Under -race this exercises the plan cache's
 // mutex and the per-query path views' shared buffer list. Afterwards the relational
 // stats must balance: every execution was either a hit or a miss, and
-// the shape interned exactly one entry. The asr planner (and its alias
+// the shape interned exactly one entry. The path planner (and its alias
 // graph) never touches the cache, so there it stays empty.
 func TestPlanCacheConcurrentSameShape(t *testing.T) {
-	for _, backend := range []string{"relational", "graph", "asr"} {
+	for _, backend := range []string{"relational", "path"} {
 		e := exampleEngine(t)
 		opts := Options{Backend: backend}
 

@@ -36,7 +36,7 @@ func constFreeQueries(anchor, caseRel, caseAttr, caseLit string) []string {
 }
 
 // checkConstFree runs one query on the relational backend and on the
-// graph backend and the interpreter (which share no planning code with
+// path backend and the interpreter (which share no planning code with
 // it) at one epoch, and demands identical bindings, annotations and
 // projected graphs. It returns the number of bindings compared.
 func checkConstFree(t *testing.T, eng *proql.Engine, text string, asOf uint64, label string) int {
@@ -55,7 +55,7 @@ func checkConstFree(t *testing.T, eng *proql.Engine, text string, asOf uint64, l
 		return res
 	}
 	got := exec("relational")
-	for _, backend := range []string{"graph", "interpreter"} {
+	for _, backend := range []string{"path", "interpreter"} {
 		want := exec(backend)
 		if g, w := got.SortedRefs("x"), want.SortedRefs("x"); fmt.Sprint(g) != fmt.Sprint(w) {
 			t.Fatalf("%s: bindings\n relational %v\n %s %v", label, g, backend, w)
@@ -208,7 +208,7 @@ const (
 // whole-target and TRUST queries are: no hash join and one scan per rule
 // in their EXPLAIN, and an allocation and byte bound per query served
 // the way proqld serves it (Eval, then the sorted refs). The backend is
-// pinned: auto answers the whole-target query on asr.
+// pinned: auto answers the whole-target query on path.
 func TestConstantFreeServedCounts(t *testing.T) {
 	set := instanceM(t)
 	eng := proql.NewEngine(set.Sys)

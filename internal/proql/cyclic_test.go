@@ -12,7 +12,7 @@ import (
 // cyclicEngine builds the running example *with* mapping m3, which
 // makes C and N derive each other — a recursive mapping set whose
 // Datalog program the relational backend cannot unfold (paper footnote
-// 4). The engine must route such queries to the asr backend (which
+// 4). The engine must route such queries to the path backend (which
 // backend "graph" aliases); its EVALUATE runs the fixpoint evaluation
 // of Section 2.1 "Cycles".
 func cyclicEngine(t *testing.T) *Engine {
@@ -43,8 +43,8 @@ func TestCyclicFallsBackToGraphBackend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.Backend != "asr" {
-		t.Fatalf("backend = %s, want asr", res.Stats.Backend)
+	if res.Stats.Backend != "path" {
+		t.Fatalf("backend = %s, want path", res.Stats.Backend)
 	}
 	// N holds: (1,cn1,false), (1,sn1,true), (2,sn2,true), (2,cn2,false).
 	if got := len(res.SortedRefs("x")); got != 4 {
@@ -69,8 +69,8 @@ func TestCyclicDerivabilityFixpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.Backend != "asr" {
-		t.Fatalf("backend = %s, want asr", res.Stats.Backend)
+	if res.Stats.Backend != "path" {
+		t.Fatalf("backend = %s, want path", res.Stats.Backend)
 	}
 	for ref, v := range res.Annotations {
 		if v != true {
@@ -85,7 +85,7 @@ func TestCyclicCountRejected(t *testing.T) {
 	// the polynomial semiring, on auto and on the path executor alike.
 	e := cyclicEngine(t)
 	for _, s := range []string{"COUNT", "POLYNOMIAL"} {
-		for _, backend := range []string{"auto", "asr"} {
+		for _, backend := range []string{"auto", "path"} {
 			q := MustParse(`EVALUATE ` + s + ` OF { ` + nQuery + ` }`)
 			_, err := e.Exec(context.Background(), q, Options{Backend: backend})
 			if err == nil || !strings.Contains(err.Error(), "cyclic") {

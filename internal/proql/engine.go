@@ -18,22 +18,22 @@ import (
 
 // Engine executes ProQL queries over an exchanged system. By default
 // it routes each query from its syntax alone (autoBackend): a live
-// query with no WHERE, while ASR rewriting is off, runs on the asr
-// backend (physplan over the provenance relations), EVALUATE included;
-// any other query runs on the relational backend (Section 4), falling
-// back to asr for query shapes the relational translation does not
-// cover. Every query reads a snapshot it pins for itself; besides the
-// plan cache, which is keyed by query shape and not by epoch, and the
-// emptied arrays of finished path views, the engine keeps nothing
-// between queries, so a commit has nothing of it to invalidate.
+// query with no WHERE runs on the path backend (physplan over the
+// provenance relations), EVALUATE included; any other query runs on
+// the relational backend (Section 4), falling back to path for query
+// shapes the relational translation does not cover. Every query reads
+// a snapshot it pins for itself; besides the plan cache, which is
+// keyed by query shape and not by epoch, and the emptied arrays of
+// finished path views, the engine keeps nothing between queries, so a
+// commit has nothing of it to invalidate.
 type Engine struct {
 	Sys *exchange.System
 
 	// RewriteRules, when set, rewrites the unfolded conjunctive rules
 	// before planning — the hook the ASR layer (Section 5) uses to
 	// substitute materialized path indexes. It applies to the
-	// relational backend, which auto picks for every query while it is
-	// set.
+	// relational backend only, and does not change auto's routing:
+	// callers that set it pin Options.Backend to "relational".
 	RewriteRules func([]*ConjRule) []*ConjRule
 
 	// plans is the shape-keyed plan cache shared by all backends; it is
@@ -58,12 +58,12 @@ type Binding map[string]model.TupleRef
 // UnfoldTime is the relational backend's translation: on a plan-cache
 // miss the unfolding (CompileUnfold) plus building the plan template,
 // on a hit binding the query's literals into the cached template.
-// PlanTime is the asr backend's physical-planning component. AsOf
+// PlanTime is the path backend's physical-planning component. AsOf
 // is the historical epoch the query asked for (0 = the live epoch);
 // Epoch is the storage epoch whose state the query read, whichever way
 // it was chosen: replaying the query AS OF Epoch gives the same answer.
 type Stats struct {
-	Backend       string // the executor that ran: "relational" or "asr" (also for "graph")
+	Backend       string // the executor that ran: "relational" or "path"
 	AsOf          uint64
 	Epoch         uint64
 	UnfoldedRules int
@@ -213,10 +213,10 @@ func (r *Result) SortedRefs(v string) []model.TupleRef {
 // value is the default policy: auto against the live epoch.
 type Options struct {
 	// Backend forces an execution backend for this call: "relational"
-	// or "asr" ("graph" is an alias of "asr"). Empty or "auto" keeps
-	// the default policy of autoBackend: asr for a live query with no
-	// WHERE while RewriteRules is nil; otherwise relational when the
-	// translation covers the query, asr when it does not.
+	// or "path". Empty or "auto" keeps the default policy of
+	// autoBackend: path for a live query with no WHERE; otherwise
+	// relational when the translation covers the query, path when it
+	// does not.
 	Backend string
 	// AsOfEpoch, when non-zero, evaluates the query AS OF that storage
 	// epoch: every backend pins a SnapshotAt view instead of the live
@@ -274,11 +274,11 @@ func (e *Engine) Eval(ctx context.Context, q *Query, opts Options) (*Result, err
 }
 
 // route resolves opts.Backend for q, for Eval and Explain alike: the
-// executor that runs q ("relational" or "asr"; "graph" is an alias of
-// "asr") and the reason EXPLAIN names: autoBackend's under auto,
-// "forced" for a forced asr, none for a forced relational. Only an
-// auto route to relational falls back to asr where the translation
-// does not cover q. An unknown name is an *ErrUnknownBackend.
+// executor that runs q ("relational" or "path") and the reason EXPLAIN
+// names: autoBackend's under auto, "forced" for a forced path, none for
+// a forced relational. Only an auto route to relational falls back to
+// path where the translation does not cover q. An unknown name is an
+// *ErrUnknownBackend.
 func (e *Engine) route(q *Query, opts Options) (backend, reason string, err error) {
 	switch opts.Backend {
 	case "", "auto":
@@ -286,8 +286,8 @@ func (e *Engine) route(q *Query, opts Options) (backend, reason string, err erro
 		return backend, reason, nil
 	case "relational":
 		return "relational", "", nil
-	case "graph", "asr":
-		return "asr", "forced", nil
+	case "path", "asr", "graph": // asr and graph: older names bench/ still sends
+		return "path", "forced", nil
 	}
 	return "", "", &ErrUnknownBackend{Backend: opts.Backend}
 }
@@ -297,32 +297,31 @@ func (e *Engine) route(q *Query, opts Options) (backend, reason string, err erro
 type ErrUnknownBackend struct{ Backend string }
 
 func (e *ErrUnknownBackend) Error() string {
-	return fmt.Sprintf("proql: unknown backend %q (want auto, relational, graph or asr)", e.Backend)
+	return fmt.Sprintf("proql: unknown backend %q (want auto, relational or path)", e.Backend)
 }
 
 // autoBackend routes a query for backend "auto" from its syntax and
 // the call's settings alone, with no statistics and before any
-// unfolding, and names what decided. A query with no WHERE runs on asr,
-// EVALUATE included: it reads whole relations, where the relational
-// translation's union of unfolded rules grows exponentially with the
-// mapping chain and the path walk does not, and the path executor
-// annotates over what it recorded (annotatePath). Everything else stays
-// relational, the translation's measured ground, and falls back to asr
-// for the shapes the translation does not cover: key-pinned and range
-// WHERE reads (no measurement has yet moved them); any query while ASR
-// rewriting is on, since the rewrite applies to the unfolded rules
-// only; and AS OF reads, which were measured slower on asr when it kept
-// a per-epoch handle cache and have not been measured since.
+// unfolding, and names what decided. A query with no WHERE runs on
+// path, EVALUATE included: it reads whole relations, where the
+// relational translation's union of unfolded rules grows exponentially
+// with the mapping chain and the path walk does not, and the path
+// executor annotates over what it recorded (annotatePath). Everything
+// else stays relational, the translation's measured ground, and falls
+// back to path for the shapes the translation does not cover:
+// key-pinned and range WHERE reads (no measurement has yet moved them)
+// and AS OF reads, which were measured slower on path when it kept a
+// per-epoch handle cache and have not been measured since.
+// RewriteRules plays no part: no ASR configuration beat the path
+// executor on Figs. 11–13 (EXPERIMENTS E6–E8).
 func (e *Engine) autoBackend(q *Query, asOf uint64) (backend, reason string) {
 	switch {
 	case q.Projection.Where != nil:
 		return "relational", "WHERE"
-	case e.RewriteRules != nil:
-		return "relational", "ASR rewriting"
 	case asOf != 0:
 		return "relational", "AS OF"
 	}
-	return "asr", "no WHERE"
+	return "path", "no WHERE"
 }
 
 // ExecString parses and runs a query with default options.

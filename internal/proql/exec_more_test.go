@@ -94,13 +94,13 @@ func TestExecGraphBackendReturnDerivationVar(t *testing.T) {
 func TestExecExistentialPathCondition(t *testing.T) {
 	e := exampleEngine(t)
 	// O tuples with a one-step derivation from C: only m5 outputs
-	// (cn1, cn2). The path condition forces the asr backend.
+	// (cn1, cn2). The path condition forces the path backend.
 	res, err := e.ExecString(`FOR [O $x] WHERE [$x] <- [C] RETURN $x`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.Backend != "asr" {
-		t.Fatalf("backend = %s, want asr", res.Stats.Backend)
+	if res.Stats.Backend != "path" {
+		t.Fatalf("backend = %s, want path", res.Stats.Backend)
 	}
 	refs := res.SortedRefs("x")
 	if len(refs) != 2 {
@@ -180,27 +180,26 @@ func TestPathQueryPinsOnlyWhileRunning(t *testing.T) {
 	e := NewEngine(sys)
 	pins := sys.DB.Pins()
 	q := MustParse(paperQueries["Q4"])
-	for _, backend := range []string{"graph", "asr"} {
-		res, err := e.Exec(context.Background(), q, Options{Backend: backend})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := sys.DB.Pins(); got != pins {
-			t.Fatalf("%s: %d pins after the query, want %d as before it", backend, got, pins)
-		}
-		if res.Stats.Epoch != sys.DB.Epoch() {
-			t.Fatalf("%s: read epoch %d, want the newest %d", backend, res.Stats.Epoch, sys.DB.Epoch())
-		}
+	backend := "path"
+	res, err := e.Exec(context.Background(), q, Options{Backend: backend})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sys.DB.Pins(); got != pins {
+		t.Fatalf("%s: %d pins after the query, want %d as before it", backend, got, pins)
+	}
+	if res.Stats.Epoch != sys.DB.Epoch() {
+		t.Fatalf("%s: read epoch %d, want the newest %d", backend, res.Stats.Epoch, sys.DB.Epoch())
 	}
 	all := MustParse(`FOR [O $x] RETURN $x`)
-	before, err := e.Exec(context.Background(), all, Options{Backend: "asr"})
+	before, err := e.Exec(context.Background(), all, Options{Backend: "path"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := sys.DeleteLocal("A", []model.Datum{int64(2)}); err != nil {
 		t.Fatal(err)
 	}
-	after, err := e.Exec(context.Background(), all, Options{Backend: "asr"})
+	after, err := e.Exec(context.Background(), all, Options{Backend: "path"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,7 @@ import (
 )
 
 // TestASRBackendMatchesGraphOnPaperQueries cross-checks the
-// goal-directed asr backend against the tree-walking interpreter over
+// goal-directed path backend against the tree-walking interpreter over
 // a built provenance graph on every paper query: bindings, projected
 // subgraph size, and annotations must agree.
 func TestASRBackendMatchesGraphOnPaperQueries(t *testing.T) {
@@ -38,9 +38,9 @@ func TestASRBackendMatchesGraphOnLabelStarts(t *testing.T) {
 	}
 }
 
-// matchesInterpreter runs one query on the interpreter and on asr and
+// matchesInterpreter runs one query on the interpreter and on path and
 // compares bindings, projected subgraph size and annotations. It
-// returns the number of asr bindings.
+// returns the number of path bindings.
 func matchesInterpreter(t *testing.T, e *Engine, name, text string) int {
 	t.Helper()
 	q := MustParse(text)
@@ -48,17 +48,17 @@ func matchesInterpreter(t *testing.T, e *Engine, name, text string) int {
 	if err != nil {
 		t.Fatalf("%s: interpreter: %v", name, err)
 	}
-	goal, err := e.Exec(context.Background(), q, Options{Backend: "asr"})
+	goal, err := e.Exec(context.Background(), q, Options{Backend: "path"})
 	if err != nil {
-		t.Fatalf("%s: asr: %v", name, err)
+		t.Fatalf("%s: path: %v", name, err)
 	}
-	if goal.Stats.Backend != "asr" {
+	if goal.Stats.Backend != "path" {
 		t.Fatalf("%s: backend = %q", name, goal.Stats.Backend)
 	}
 	for _, v := range q.Projection.Return {
 		gRefs, sRefs := gr.SortedRefs(v), goal.SortedRefs(v)
 		if len(gRefs) != len(sRefs) {
-			t.Fatalf("%s: $%s bindings %d (interpreter) vs %d (asr)", name, v, len(gRefs), len(sRefs))
+			t.Fatalf("%s: $%s bindings %d (interpreter) vs %d (path)", name, v, len(gRefs), len(sRefs))
 		}
 		for i := range gRefs {
 			if gRefs[i] != sRefs[i] {
@@ -68,10 +68,10 @@ func matchesInterpreter(t *testing.T, e *Engine, name, text string) int {
 	}
 	gg, sg := gr.MustGraph(), goal.MustGraph()
 	if gg.NumDerivations() != sg.NumDerivations() {
-		t.Errorf("%s: projected derivations %d (interpreter) vs %d (asr)", name, gg.NumDerivations(), sg.NumDerivations())
+		t.Errorf("%s: projected derivations %d (interpreter) vs %d (path)", name, gg.NumDerivations(), sg.NumDerivations())
 	}
 	if gg.NumTuples() != sg.NumTuples() {
-		t.Errorf("%s: projected tuples %d (interpreter) vs %d (asr)", name, gg.NumTuples(), sg.NumTuples())
+		t.Errorf("%s: projected tuples %d (interpreter) vs %d (path)", name, gg.NumTuples(), sg.NumTuples())
 	}
 	if (gr.Annotations == nil) != (goal.Annotations == nil) {
 		t.Fatalf("%s: annotation presence differs", name)
@@ -85,20 +85,20 @@ func matchesInterpreter(t *testing.T, e *Engine, name, text string) int {
 	return goal.Len()
 }
 
-// TestASRBackendZeroGraphBuilds asserts the asr backend's defining
+// TestASRBackendZeroGraphBuilds asserts the path backend's defining
 // property: evaluating the multi-path Q4 and annotation Q5 shapes,
-// each twice, never materializes a provenance graph. The asr planner
+// each twice, never materializes a provenance graph. The path planner
 // reads only the query syntax, so the plan cache stays empty.
 func TestASRBackendZeroGraphBuilds(t *testing.T) {
 	e := exampleEngine(t)
-	opts := Options{Backend: "asr"}
+	opts := Options{Backend: "path"}
 	before := provgraph.Builds()
 	for _, name := range []string{"Q4", "Q5", "Q4", "Q5"} {
 		res, err := e.Exec(context.Background(), MustParse(paperQueries[name]), opts)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if res.Stats.Backend != "asr" {
+		if res.Stats.Backend != "path" {
 			t.Fatalf("%s: backend = %q", name, res.Stats.Backend)
 		}
 		if len(res.Bindings) == 0 {
@@ -106,26 +106,26 @@ func TestASRBackendZeroGraphBuilds(t *testing.T) {
 		}
 	}
 	if got := provgraph.Builds() - before; got != 0 {
-		t.Fatalf("asr backend materialized %d provenance graphs, want 0", got)
+		t.Fatalf("path backend materialized %d provenance graphs, want 0", got)
 	}
 	if st := e.PlanCacheStats(); st != (PlanCacheStats{}) {
-		t.Errorf("asr queries touched the plan cache: %+v", st)
+		t.Errorf("path queries touched the plan cache: %+v", st)
 	}
 }
 
 // TestBackendSelectorRoutesExecAndExplain: Exec and Explain read
-// one Options and resolve its backend name alike — a forced asr (and
-// its alias graph), auto's AS OF route, and the typed error of an
-// unknown name.
+// one Options and resolve its backend name alike — a forced path (and
+// its older names asr and graph), auto's AS OF route, and the typed
+// error of an unknown name.
 func TestBackendSelectorRoutesExecAndExplain(t *testing.T) {
 	e := exampleEngine(t)
-	for _, name := range []string{"asr", "graph"} {
+	for _, name := range []string{"path", "asr", "graph"} {
 		opts := Options{Backend: name}
 		out, err := e.ExplainString(paperQueries["Q4"], opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, want := range []string{"backend: asr (forced)", "physical plan:", "plan cache:"} {
+		for _, want := range []string{"backend: path (forced)", "physical plan:", "plan cache:"} {
 			if !containsStr(out, want) {
 				t.Errorf("%s: explain missing %q:\n%s", name, want, out)
 			}
@@ -134,8 +134,8 @@ func TestBackendSelectorRoutesExecAndExplain(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Stats.Backend != "asr" {
-			t.Errorf("%s: ran on %s, want asr", name, res.Stats.Backend)
+		if res.Stats.Backend != "path" {
+			t.Errorf("%s: ran on %s, want path", name, res.Stats.Backend)
 		}
 	}
 	asOf := Options{AsOfEpoch: e.Sys.DB.Epoch()}
@@ -188,7 +188,7 @@ func TestSpareViewsBoundWhatTheyKeep(t *testing.T) {
 	point := MustParse(fmt.Sprintf("FOR [O $x] WHERE $x.name = '%s' AND $x.height = %d INCLUDE PATH [$x] <-+ [] RETURN $x", key[0], key[1]))
 	run := func(q *Query) {
 		t.Helper()
-		if _, err := e.Exec(context.Background(), q, Options{Backend: "asr"}); err != nil {
+		if _, err := e.Exec(context.Background(), q, Options{Backend: "path"}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -220,7 +220,7 @@ func TestSpareViewsBoundWhatTheyKeep(t *testing.T) {
 // TestASRBackendMatchesGraphOnDanglingReferences: a derivation whose
 // source and target tuples the snapshot does not store — a provenance
 // row written behind update exchange's back — gets handles with no row
-// for them, and asr answers as the interpreter does over the built
+// for them, and path answers as the interpreter does over the built
 // graph.
 func TestASRBackendMatchesGraphOnDanglingReferences(t *testing.T) {
 	e := NewEngine(fixture.MustSystem(fixture.Options{Exchange: exchange.Options{MaterializeAll: true}}))
@@ -248,7 +248,7 @@ func TestASRBackendMatchesGraphOnDanglingReferences(t *testing.T) {
 		t.Fatalf("insert %v: %v, %v", row, ok, err)
 	}
 	q := fmt.Sprintf("FOR [$x] <%s [$y] INCLUDE PATH [$x] <%s [$y] RETURN $x, $y", fixture.M1, fixture.M1)
-	res, err := e.Exec(context.Background(), MustParse(q), Options{Backend: "asr"})
+	res, err := e.Exec(context.Background(), MustParse(q), Options{Backend: "path"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,13 +1,13 @@
-// This file is the path executor (backend "asr", with "graph" as an
-// alias): the physical-plan pipeline running over pathView, a
-// physplan.Graph bound to one query's pinned snapshot. The view answers
-// the operators' navigation calls straight from the relstore tables —
-// probing the provenance relations' secondary indexes for a tuple's
-// incoming derivations instead of following materialized adjacency
-// lists — and addresses what it reads by storage position: a tuple by
-// (table ordinal, slot), a derivation by (provenance table ordinal,
-// slot). No provgraph is built, and no data outlives the query: a
-// finished view keeps only the capacity of its arrays (spareViews).
+// This file is the path executor (backend "path"): the physical-plan
+// pipeline running over pathView, a physplan.Graph bound to one
+// query's pinned snapshot. The view answers the operators' navigation
+// calls straight from the relstore tables — probing the provenance
+// relations' secondary indexes for a tuple's incoming derivations
+// instead of following materialized adjacency lists — and addresses
+// what it reads by storage position: a tuple by (table ordinal,
+// slot), a derivation by (provenance table ordinal, slot). No
+// provgraph is built, and no data outlives the query: a finished view
+// keeps only the capacity of its arrays (spareViews).
 
 package proql
 

@@ -19,7 +19,7 @@ import (
 func (e *Engine) execPhys(q *Query, g *pathView, asOf uint64) (*Result, error) {
 	planStart := time.Now()
 	proj := &physplan.Projection{}
-	res := &Result{Stats: Stats{Backend: "asr", AsOf: asOf, Epoch: g.epoch}}
+	res := &Result{Stats: Stats{Backend: "path", AsOf: asOf, Epoch: g.epoch}}
 	spec, err := e.lowerSpec(g, q, proj)
 	if err != nil {
 		return nil, err

@@ -12,15 +12,15 @@ import (
 // backend's translation: for the relational backend (Section 4) the
 // matched relations and mappings, every unfolded conjunctive rule
 // (after ASR rewriting, if enabled), and each rule's physical plan;
-// for the asr backend (and its alias graph) the physical operator
-// tree. opts routes the query exactly as it routes Eval; under auto
-// the first line names the backend Eval would run and the reason (the
-// deciding clause, or why the relational translation does not cover
-// the query). The trailing plan-cache line reports hit/miss counters
-// (a relational Explain consults the cache, so explaining a repeated
-// shape counts a hit; the asr planner never does). A relational
-// EXPLAIN renders the cached plan template bound to the query's
-// literals — the plans an execution of the query runs.
+// for the path backend the physical operator tree. opts routes the
+// query exactly as it routes Eval; under auto the first line names
+// the backend Eval would run and the reason (the deciding clause, or
+// why the relational translation does not cover the query). The
+// trailing plan-cache line reports hit/miss counters (a relational
+// Explain consults the cache, so explaining a repeated shape counts a
+// hit; the path planner never does). A relational EXPLAIN renders the
+// cached plan template bound to the query's literals — the plans an
+// execution of the query runs.
 func (e *Engine) Explain(q *Query, opts Options) (string, error) {
 	backend, reason, err := e.route(q, opts)
 	if err != nil {
@@ -30,11 +30,11 @@ func (e *Engine) Explain(q *Query, opts Options) (string, error) {
 	if backend == "relational" {
 		err = e.explainRelational(&sb, q, reason)
 		if nr, ok := err.(*ErrNotRelational); ok && reason != "" {
-			backend, reason = "asr", nr.Reason
+			backend, reason = "path", nr.Reason
 		}
 	}
-	if backend == "asr" {
-		fmt.Fprintf(&sb, "backend: asr (%s)\n", reason)
+	if backend == "path" {
+		fmt.Fprintf(&sb, "backend: path (%s)\n", reason)
 		err = e.explainPhys(&sb, q, opts.AsOfEpoch)
 	}
 	if err != nil {

@@ -38,7 +38,7 @@ func chainSetting(t testing.TB) *workload.Setting {
 // every other atom by a primary-key probe — no hash join, one scan per
 // rule — and the atoms that bind nothing the query reads (every P_mA
 // after the first, every B_l) are semi-joins. The backend is pinned:
-// auto answers the whole-target query on asr.
+// auto answers the whole-target query on path.
 func TestExplainConstantFreePlansAreProbePipelines(t *testing.T) {
 	set := chainSetting(t)
 	for name, query := range map[string]string{

@@ -2,6 +2,7 @@ package proql
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 )
@@ -36,15 +37,15 @@ func TestExplainRelationalQuery(t *testing.T) {
 	}
 }
 
-// TestExplainGraphQuery: EXPLAIN names the asr backend and why — the
+// TestExplainGraphQuery: EXPLAIN names the path backend and why — the
 // syntax route for a query with no WHERE (Q4), the
 // relational translation's refusal for a multi-path query with a WHERE
 // (Q3).
 func TestExplainGraphQuery(t *testing.T) {
 	e := exampleEngine(t)
 	for q, want := range map[string]string{
-		"Q4": "backend: asr (no WHERE)",
-		"Q3": "backend: asr (multiple FOR path expressions)",
+		"Q4": "backend: path (no WHERE)",
+		"Q3": "backend: path (multiple FOR path expressions)",
 	} {
 		out, err := e.ExplainString(paperQueries[q], Options{})
 		if err != nil {
@@ -82,18 +83,18 @@ func TestExplainShowsVirtualProvenanceView(t *testing.T) {
 
 // TestAutoRoutes pins auto's syntax-only routing, one query per class:
 // a query with no WHERE (whole-relation INCLUDE, multi-path, EVALUATE)
-// runs on asr; a key-pinned or range WHERE runs on the relational
+// runs on path; a key-pinned or range WHERE runs on the relational
 // translation; a WHERE query the translation does not cover falls back
-// to asr. EXPLAIN's backend line names the backend Eval ran, and why.
+// to path. EXPLAIN's backend line names the backend Eval ran, and why.
 func TestAutoRoutes(t *testing.T) {
 	e := exampleEngine(t)
 	for _, c := range []struct{ class, query, want, reason string }{
-		{"whole-relation INCLUDE", paperQueries["Q1"], "asr", "no WHERE"},
-		{"multipath", paperQueries["Q4"], "asr", "no WHERE"},
+		{"whole-relation INCLUDE", paperQueries["Q1"], "path", "no WHERE"},
+		{"multipath", paperQueries["Q4"], "path", "no WHERE"},
 		{"key-pinned", `FOR [A $x] WHERE $x.id = 2 INCLUDE PATH [$x] <-+ [] RETURN $x`, "relational", "WHERE"},
 		{"range", `FOR [A $x] WHERE $x.length >= 6 RETURN $x`, "relational", "WHERE"},
-		{"EVALUATE", paperQueries["Q7"], "asr", "no WHERE"},
-		{"uncovered, falls back", paperQueries["Q3"], "asr", "multiple FOR path expressions"},
+		{"EVALUATE", paperQueries["Q7"], "path", "no WHERE"},
+		{"uncovered, falls back", paperQueries["Q3"], "path", "multiple FOR path expressions"},
 	} {
 		q := MustParse(c.query)
 		res, err := e.Eval(context.Background(), q, Options{})
@@ -113,8 +114,7 @@ func TestAutoRoutes(t *testing.T) {
 		}
 	}
 
-	// A whole-relation read stays on the translation AS OF an epoch
-	// and while ASR rewriting is on.
+	// A whole-relation read stays on the translation AS OF an epoch.
 	q := MustParse(paperQueries["Q1"])
 	res, err := e.Eval(context.Background(), q, Options{AsOfEpoch: e.Sys.DB.Epoch()})
 	if err != nil {
@@ -123,18 +123,37 @@ func TestAutoRoutes(t *testing.T) {
 	if res.Stats.Backend != "relational" {
 		t.Errorf("AS OF: ran on %s, want relational", res.Stats.Backend)
 	}
+	// ASR rewriting applies to a pinned relational backend only: under
+	// auto the same read runs on path.
 	e.RewriteRules = func(rules []*ConjRule) []*ConjRule { return rules }
 	if res, err = e.Eval(context.Background(), q, Options{}); err != nil {
 		t.Fatalf("ASR rewriting: %v", err)
 	}
-	if res.Stats.Backend != "relational" {
-		t.Errorf("ASR rewriting: ran on %s, want relational", res.Stats.Backend)
+	if res.Stats.Backend != "path" {
+		t.Errorf("ASR rewriting: ran on %s, want path", res.Stats.Backend)
 	}
 	out, err := e.Explain(q, Options{})
 	if err != nil {
 		t.Fatalf("ASR rewriting: explain: %v", err)
 	}
-	if line, _, _ := strings.Cut(out, "\n"); line != "backend: relational (ASR rewriting)" {
+	if line, _, _ := strings.Cut(out, "\n"); line != "backend: path (no WHERE)" {
 		t.Errorf("ASR rewriting: EXPLAIN says %q", line)
+	}
+	e.RewriteRules = nil
+
+	// The path executor's older names run it and report its name; an
+	// unknown name is still refused.
+	for _, name := range []string{"asr", "graph"} {
+		res, err := e.Eval(context.Background(), q, Options{Backend: name})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if res.Stats.Backend != "path" {
+			t.Errorf("backend %q reported %s, want path", name, res.Stats.Backend)
+		}
+	}
+	var ub *ErrUnknownBackend
+	if _, err := e.Eval(context.Background(), q, Options{Backend: "bogus"}); !errors.As(err, &ub) {
+		t.Errorf("unknown backend: got %v, want *ErrUnknownBackend", err)
 	}
 }

@@ -18,7 +18,7 @@ import (
 // expressions joined on shared variables, derivation variables,
 // existential path conditions — by threading bindings path by path and
 // touching the whole graph, and it shares no planning or path-matching
-// code with the relational, graph and asr backends.
+// code with the relational, path backend.
 func (e *Engine) execGraph(g *provgraph.Graph, q *Query) (*Result, error) {
 	start := time.Now()
 	outG := provgraph.New()
@@ -386,10 +386,11 @@ func candidateTuples(g *provgraph.Graph, pat NodePattern, b graphBinding) ([]*pr
 	}
 	if pat.Rel != "" {
 		var out []*provgraph.TupleNode
-		g.EachTupleOf(pat.Rel, func(tn *provgraph.TupleNode) bool {
-			out = append(out, tn)
-			return true
-		})
+		for _, tn := range g.Tuples() {
+			if tn.Ref.Rel == pat.Rel {
+				out = append(out, tn)
+			}
+		}
 		sort.Slice(out, func(i, j int) bool { return out[i].Ref.Key < out[j].Ref.Key })
 		return out, nil
 	}

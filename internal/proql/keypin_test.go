@@ -18,8 +18,8 @@ import (
 
 // pinCond draws a WHERE condition that fixes every primary-key column
 // of the generator's relation by an equality with the key of one stored
-// row: half of the literals have the declared type, so that the graph
-// and asr backends pin the path start, the others are perturbed (same
+// row: half of the literals have the declared type, so that the path
+// backend pins the path start, the others are perturbed (same
 // number in the other numeric type, missing value, other type, NULL,
 // the other zero), with the conjuncts in random order, further random conjuncts around them,
 // and now and then the whole of it under OR or NOT, where nothing may
@@ -136,14 +136,14 @@ func pinForms(t *testing.T, start, other string, where proql.Cond) []*proql.Quer
 
 // TestKeyPinDifferential is the correctness guard of key-seeded path
 // starts: random WHERE conditions, most of them fixing the start
-// relation's whole primary key, must give the same answer on the graph
-// and asr backends — which start a pinned path from one point lookup —
+// relation's whole primary key, must give the same answer on the path
+// backend — which starts a pinned path from one point lookup —
 // as on the interpreter that enumerates and filters; live, after the
 // pinned keys were deleted,
 // after they were inserted again, and AS OF the epoch before all that.
 func TestKeyPinDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(20100615))
-	backends := []string{"graph", "asr"}
+	backends := []string{"path"}
 
 	t.Run("typed", func(t *testing.T) {
 		ex := typedSystem(t)
@@ -288,32 +288,31 @@ func TestKeyPinAccessPath(t *testing.T) {
 		// pinned, the other extends it.
 		{query: `FOR [R0 $x] <- [R1 $y], [R0 $x] <-+ [R2 $z] WHERE $x.name = 'n1' AND $x.score = 1.0 RETURN $x`, start: `key:R0(n1, 1)`, want: 1},
 	} {
-		for _, backend := range []string{"graph", "asr"} {
-			eng := proql.NewEngine(typedSystem(t))
-			opts := proql.Options{Backend: backend}
-			q := proql.MustParse(tc.query)
-			if tc.where != nil {
-				q.Projection.Where = tc.where
-			}
-			label := fmt.Sprintf("%s WHERE %v on %s", tc.query, q.Projection.Where, backend)
-			plan, err := eng.Explain(q, opts)
-			if err != nil {
-				t.Fatalf("%s: %v", label, err)
-			}
-			if !strings.Contains(plan, "start="+tc.start) {
-				t.Errorf("%s: plan does not have start=%s:\n%s", label, tc.start, plan)
-			}
-			if pinned := strings.HasPrefix(tc.start, "key:"); pinned != (strings.Count(plan, "start=key:") > 0) {
-				t.Errorf("%s: start=key: presence, want %v:\n%s", label, pinned, plan)
-			}
-			checkKeyPin(t, eng, q, backend, 0, label)
-			res, err := eng.Exec(context.Background(), q, opts)
-			if err != nil {
-				t.Fatalf("%s: %v", label, err)
-			}
-			if got := len(res.SortedRefs("x")); got != tc.want {
-				t.Errorf("%s: %d bindings, want %d", label, got, tc.want)
-			}
+		backend := "path"
+		eng := proql.NewEngine(typedSystem(t))
+		opts := proql.Options{Backend: backend}
+		q := proql.MustParse(tc.query)
+		if tc.where != nil {
+			q.Projection.Where = tc.where
+		}
+		label := fmt.Sprintf("%s WHERE %v on %s", tc.query, q.Projection.Where, backend)
+		plan, err := eng.Explain(q, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if !strings.Contains(plan, "start="+tc.start) {
+			t.Errorf("%s: plan does not have start=%s:\n%s", label, tc.start, plan)
+		}
+		if pinned := strings.HasPrefix(tc.start, "key:"); pinned != (strings.Count(plan, "start=key:") > 0) {
+			t.Errorf("%s: start=key: presence, want %v:\n%s", label, pinned, plan)
+		}
+		checkKeyPin(t, eng, q, backend, 0, label)
+		res, err := eng.Exec(context.Background(), q, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if got := len(res.SortedRefs("x")); got != tc.want {
+			t.Errorf("%s: %d bindings, want %d", label, got, tc.want)
 		}
 	}
 }
@@ -334,34 +333,33 @@ func TestKeyPinKeepsErrors(t *testing.T) {
 		// one is never evaluated, pinned or not.
 		{`$x.id = 99 AND $x.nosuch = 1`, true},
 	} {
-		for _, backend := range []string{"graph", "asr"} {
-			eng := proql.NewEngine(typedSystem(t))
-			opts := proql.Options{Backend: backend}
-			q := proql.MustParse(`FOR [R1 $x] WHERE ` + tc.where + ` RETURN $x`)
-			plan, err := eng.Explain(q, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := strings.Contains(plan, "start=key:"); got != tc.pinned {
-				t.Errorf("%s on %s: pinned = %v, want %v:\n%s", tc.where, backend, got, tc.pinned, plan)
-			}
-			_, err = eng.Exec(context.Background(), q, opts)
-			_, wantErr := proql.ExecInterpreter(eng, context.Background(), q, 0)
-			if (err == nil) != (wantErr == nil) {
-				t.Errorf("%s on %s: error %v, interpreter %v", tc.where, backend, err, wantErr)
-			}
-			if tc.pinned == (wantErr != nil) {
-				t.Errorf("%s: interpreter error %v does not fit the case", tc.where, wantErr)
-			}
+		backend := "path"
+		eng := proql.NewEngine(typedSystem(t))
+		opts := proql.Options{Backend: backend}
+		q := proql.MustParse(`FOR [R1 $x] WHERE ` + tc.where + ` RETURN $x`)
+		plan, err := eng.Explain(q, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := strings.Contains(plan, "start=key:"); got != tc.pinned {
+			t.Errorf("%s on %s: pinned = %v, want %v:\n%s", tc.where, backend, got, tc.pinned, plan)
+		}
+		_, err = eng.Exec(context.Background(), q, opts)
+		_, wantErr := proql.ExecInterpreter(eng, context.Background(), q, 0)
+		if (err == nil) != (wantErr == nil) {
+			t.Errorf("%s on %s: error %v, interpreter %v", tc.where, backend, err, wantErr)
+		}
+		if tc.pinned == (wantErr != nil) {
+			t.Errorf("%s: interpreter error %v does not fit the case", tc.where, wantErr)
 		}
 	}
 }
 
-// TestExplainGraphPlans pins the physical plans of the served graph and
-// asr shapes on the miniature point-read instance: the key-pinned point
-// query on both backend names (one start tuple instead of the relation;
-// "graph" is an alias of asr, so the two plans are the same), and the
-// key-less common-provenance query: two relation scans under one
+// TestExplainGraphPlans pins the physical plans of the served path
+// shapes on the miniature point-read instance: the key-pinned point
+// query under both older names of the path executor, which bench/
+// sends (one start tuple instead of the relation; the two plans are the
+// same), and the key-less common-provenance query: two relation scans under one
 // DistinctJoin, the dedup on RETURN fused into the join on $z.
 func TestExplainGraphPlans(t *testing.T) {
 	const point = `FOR [A0 $x] WHERE $x.k = 80000003 INCLUDE PATH [$x] <-+ [] RETURN $x`

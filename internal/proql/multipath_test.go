@@ -48,12 +48,12 @@ func multipathShapes(r1, r2, r3 string) []multipathShape {
 	}
 }
 
-// checkMultipath runs one query on the graph and asr backends and on
-// the tree-walking interpreter (ExecInterpreter, which shares no code with
+// checkMultipath runs one query on the path backend and on the
+// tree-walking interpreter (ExecInterpreter, which shares no code with
 // physplan) and demands identical bindings, SortedRefs, annotations
 // and projected graphs — except the projected graph of an anyRep form,
-// which only the two physplan backends must agree on, and not under a
-// parallel scan. Eval must answer what Exec answers, without bindings.
+// whose representative derivations the two may pick differently. Eval
+// must answer what Exec answers, without bindings.
 func checkMultipath(t *testing.T, eng *proql.Engine, sh multipathShape, asOf uint64, label string) int {
 	t.Helper()
 	label = fmt.Sprintf("%s: %s: %s", label, sh.name, sh.query)
@@ -71,48 +71,40 @@ func checkMultipath(t *testing.T, eng *proql.Engine, sh multipathShape, asOf uin
 		t.Fatalf("%s: interpreter: %v", label, err)
 	}
 	vars := q.Projection.Return
-	var physGraph string
-	for _, backend := range []string{"graph", "asr"} {
-		got := exec(backend)
-		if g, w := bindingRows(got, vars), bindingRows(want, vars); !slices.Equal(g, w) {
-			t.Fatalf("%s: %s bindings\n got  %v\n want %v", label, backend, g, w)
+	backend := "path"
+	got := exec(backend)
+	if g, w := bindingRows(got, vars), bindingRows(want, vars); !slices.Equal(g, w) {
+		t.Fatalf("%s: %s bindings\n got  %v\n want %v", label, backend, g, w)
+	}
+	for _, v := range vars {
+		if g, w := got.SortedRefs(v), want.SortedRefs(v); !slices.Equal(g, w) {
+			t.Fatalf("%s: %s SortedRefs($%s)\n got  %v\n want %v", label, backend, v, g, w)
 		}
-		for _, v := range vars {
-			if g, w := got.SortedRefs(v), want.SortedRefs(v); !slices.Equal(g, w) {
-				t.Fatalf("%s: %s SortedRefs($%s)\n got  %v\n want %v", label, backend, v, g, w)
-			}
+	}
+	if len(got.Annotations) != len(want.Annotations) {
+		t.Fatalf("%s: %s: %d annotations, oracle has %d", label, backend, len(got.Annotations), len(want.Annotations))
+	}
+	for ref, wv := range want.Annotations {
+		if gv, ok := got.Annotations[ref]; !ok || !want.Semiring.Eq(gv, wv) {
+			t.Fatalf("%s: %s: annotation of %v: got %v, want %v", label, backend, ref, gv, wv)
 		}
-		if len(got.Annotations) != len(want.Annotations) {
-			t.Fatalf("%s: %s: %d annotations, oracle has %d", label, backend, len(got.Annotations), len(want.Annotations))
+	}
+	if !sh.anyRep {
+		if gs, ws := graphSignature(t, got), graphSignature(t, want); gs != ws {
+			t.Fatalf("%s: %s projected graph\n got:\n%s\n want:\n%s", label, backend, gs, ws)
 		}
-		for ref, wv := range want.Annotations {
-			if gv, ok := got.Annotations[ref]; !ok || !want.Semiring.Eq(gv, wv) {
-				t.Fatalf("%s: %s: annotation of %v: got %v, want %v", label, backend, ref, gv, wv)
-			}
-		}
-		gs := graphSignature(t, got)
-		switch {
-		case !sh.anyRep:
-			if ws := graphSignature(t, want); gs != ws {
-				t.Fatalf("%s: %s projected graph\n got:\n%s\n want:\n%s", label, backend, gs, ws)
-			}
-		case physGraph == "":
-			physGraph = gs
-		case gs != physGraph:
-			t.Fatalf("%s: asr projected graph\n got:\n%s\n graph backend:\n%s", label, gs, physGraph)
-		}
+	}
 
-		lean, err := eng.Eval(context.Background(), q, proql.Options{Backend: backend, AsOfEpoch: asOf})
-		if err != nil {
-			t.Fatalf("%s: %s Eval: %v", label, backend, err)
-		}
-		if lean.Bindings != nil || lean.Len() != len(got.Bindings) {
-			t.Fatalf("%s: %s Eval: %d bindings materialized, Len %d; Exec has %d rows", label, backend, len(lean.Bindings), lean.Len(), len(got.Bindings))
-		}
-		for _, v := range vars {
-			if g, w := lean.SortedRefs(v), got.SortedRefs(v); !slices.Equal(g, w) {
-				t.Fatalf("%s: %s Eval SortedRefs($%s) differs from Exec's", label, backend, v)
-			}
+	lean, err := eng.Eval(context.Background(), q, proql.Options{Backend: backend, AsOfEpoch: asOf})
+	if err != nil {
+		t.Fatalf("%s: %s Eval: %v", label, backend, err)
+	}
+	if lean.Bindings != nil || lean.Len() != len(got.Bindings) {
+		t.Fatalf("%s: %s Eval: %d bindings materialized, Len %d; Exec has %d rows", label, backend, len(lean.Bindings), lean.Len(), len(got.Bindings))
+	}
+	for _, v := range vars {
+		if g, w := lean.SortedRefs(v), got.SortedRefs(v); !slices.Equal(g, w) {
+			t.Fatalf("%s: %s Eval SortedRefs($%s) differs from Exec's", label, backend, v)
 		}
 	}
 	if plan, err := eng.Explain(q, proql.Options{}); err != nil {
@@ -192,35 +184,34 @@ const (
 func TestMultiPathServedAllocs(t *testing.T) {
 	eng := proql.NewEngine(instanceM(t).Sys)
 	q := proql.MustParse("FOR [A0 $x] <-+ [$z], [A1 $y] <-+ [$z] RETURN $x, $y")
-	for _, backend := range []string{"graph", "asr"} {
-		rows := 0
-		serve := func() {
-			res, err := eng.Eval(context.Background(), q, proql.Options{Backend: backend})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, v := range res.Vars() {
-				res.SortedRefs(v)
-			}
-			rows = res.Len()
+	backend := "path"
+	rows := 0
+	serve := func() {
+		res, err := eng.Eval(context.Background(), q, proql.Options{Backend: backend})
+		if err != nil {
+			t.Fatal(err)
 		}
-		allocs := testing.AllocsPerRun(2, serve) // fills the plan cache first
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		serve()
-		runtime.ReadMemStats(&after)
-		bytes := after.TotalAlloc - before.TotalAlloc
-		if rows != 140_652 {
-			t.Errorf("%s: %d rows, want 140,652", backend, rows)
+		for _, v := range res.Vars() {
+			res.SortedRefs(v)
 		}
-		if allocs > servedAllocBound {
-			t.Errorf("%s: %.0f allocations per query, bound %d", backend, allocs, servedAllocBound)
-		}
-		if bytes > servedByteBound {
-			t.Errorf("%s: %d bytes allocated per query, bound %d", backend, bytes, servedByteBound)
-		}
-		t.Logf("%s: %d rows, %.0f allocations, %d bytes", backend, rows, allocs, bytes)
+		rows = res.Len()
 	}
+	allocs := testing.AllocsPerRun(2, serve) // fills the plan cache first
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	serve()
+	runtime.ReadMemStats(&after)
+	bytes := after.TotalAlloc - before.TotalAlloc
+	if rows != 140_652 {
+		t.Errorf("%s: %d rows, want 140,652", backend, rows)
+	}
+	if allocs > servedAllocBound {
+		t.Errorf("%s: %.0f allocations per query, bound %d", backend, allocs, servedAllocBound)
+	}
+	if bytes > servedByteBound {
+		t.Errorf("%s: %d bytes allocated per query, bound %d", backend, bytes, servedByteBound)
+	}
+	t.Logf("%s: %d rows, %.0f allocations, %d bytes", backend, rows, allocs, bytes)
 }
 
 // pollCtx is a context whose Err — the cancel poll Eval wires into
@@ -247,23 +238,22 @@ func (c *pollCtx) Err() error {
 func TestMultiPathEvalCancel(t *testing.T) {
 	eng := proql.NewEngine(instanceS(t).Sys)
 	q := proql.MustParse("FOR [A0 $x] <-+ [$z], [A1 $y] <-+ [$z] RETURN $x, $y")
-	for _, backend := range []string{"graph", "asr"} {
-		free := &pollCtx{Context: context.Background()}
-		res, err := eng.Eval(free, q, proql.Options{Backend: backend})
-		if err != nil || res.Len() == 0 {
-			t.Fatalf("%s: uncancelled query: %v, %d rows", backend, err, res.Len())
+	backend := "path"
+	free := &pollCtx{Context: context.Background()}
+	res, err := eng.Eval(free, q, proql.Options{Backend: backend})
+	if err != nil || res.Len() == 0 {
+		t.Fatalf("%s: uncancelled query: %v, %d rows", backend, err, res.Len())
+	}
+	all := free.polls
+	for _, stop := range []int{1, all / 3, 2 * all / 3, all - 1, all} {
+		ctx := &pollCtx{Context: context.Background(), stop: stop}
+		res, err := eng.Eval(ctx, q, proql.Options{Backend: backend})
+		if !errors.Is(err, context.Canceled) || res != nil {
+			t.Errorf("%s: cancelled at poll %d of %d: result %v, error %v; want none and %v",
+				backend, stop, all, res, err, context.Canceled)
 		}
-		all := free.polls
-		for _, stop := range []int{1, all / 3, 2 * all / 3, all - 1, all} {
-			ctx := &pollCtx{Context: context.Background(), stop: stop}
-			res, err := eng.Eval(ctx, q, proql.Options{Backend: backend})
-			if !errors.Is(err, context.Canceled) || res != nil {
-				t.Errorf("%s: cancelled at poll %d of %d: result %v, error %v; want none and %v",
-					backend, stop, all, res, err, context.Canceled)
-			}
-			if ctx.polls != stop {
-				t.Errorf("%s: cancelled at poll %d of %d: polled %d times", backend, stop, all, ctx.polls)
-			}
+		if ctx.polls != stop {
+			t.Errorf("%s: cancelled at poll %d of %d: polled %d times", backend, stop, all, ctx.polls)
 		}
 	}
 }

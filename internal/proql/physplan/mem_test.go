@@ -29,7 +29,11 @@ func (m Mem) EachDerivInto(t Tuple, mapping string, yield func(Deriv) bool) {
 
 // EachDerivOf implements Graph.
 func (m Mem) EachDerivOf(mapping string, yield func(Deriv) bool) {
-	m.G.EachDerivationOf(mapping, func(d *provgraph.DerivNode) bool { return yield(d) })
+	for _, d := range m.G.Derivations() {
+		if d.Mapping == mapping && !yield(d) {
+			return
+		}
+	}
 }
 
 // EachSource implements Graph.
@@ -52,7 +56,11 @@ func (m Mem) EachTarget(d Deriv, yield func(Tuple) bool) {
 
 // EachTupleOf implements Graph.
 func (m Mem) EachTupleOf(rel string, yield func(Tuple) bool) {
-	m.G.EachTupleOf(rel, func(t *provgraph.TupleNode) bool { return yield(t) })
+	for _, t := range m.G.Tuples() {
+		if t.Ref.Rel == rel && !yield(t) {
+			return
+		}
+	}
 }
 
 // EachTuple implements Graph.

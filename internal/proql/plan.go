@@ -885,7 +885,7 @@ func eqLiteral(c Cond) (attr CmpOperand, lit model.Datum, ok bool) {
 
 // probeLiteral is the one rule by which an equality with a literal may
 // become an access path — a constant in an unfolded rule (relational
-// backend) or a key-pinned path start (graph and asr backends) — and
+// backend) or a key-pinned path start (path backend) — and
 // returns the datum to probe with. Key and index probes compare
 // canonical encodings, while the Filter such a probe stands in for
 // compares with coercion (relstore.Cmp, compareDatums: int64 and float64

@@ -15,7 +15,7 @@ import (
 // shapes — structure and binding pattern, with WHERE literals masked to
 // their literalClass — so repeated queries differing only in constants
 // hit, and a hit binds the query's literals into the cached plans
-// instead of planning. The asr backend plans from the query syntax
+// instead of planning. The path backend plans from the query syntax
 // alone and never consults the cache. Entries are validated against the
 // relstore definition version and the mapping count, so dropping or
 // (re)creating tables (Materialize, schema edits) invalidates without

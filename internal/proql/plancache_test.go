@@ -11,13 +11,13 @@ import (
 
 // TestPlanCacheHitsOnRepeatedShape runs the same query shape with
 // different constants on each backend. The relational backend hits its
-// cached template after the first execution; the asr planner (and its
+// cached template after the first execution; the path planner (and its
 // alias graph) reads only the query syntax and leaves the cache empty.
 // Every answer must match its constant.
 func TestPlanCacheHitsOnRepeatedShape(t *testing.T) {
 	// A_l rows have length 7 and 5 (Figure 1).
 	want := map[int]int{5: 2, 6: 1, 7: 1}
-	for _, backend := range []string{"relational", "graph", "asr"} {
+	for _, backend := range []string{"relational", "path"} {
 		e := exampleEngine(t)
 		opts := Options{Backend: backend}
 		for i, n := range []int{5, 6, 7} {
@@ -44,7 +44,7 @@ func TestPlanCacheHitsOnRepeatedShape(t *testing.T) {
 // TestPlanCacheConstantsStillApply guards against the classic plan-
 // cache bug: a hit must still evaluate the *current* constants.
 func TestPlanCacheConstantsStillApply(t *testing.T) {
-	for _, backend := range []string{"relational", "graph", "asr"} {
+	for _, backend := range []string{"relational", "path"} {
 		e := exampleEngine(t)
 		opts := Options{Backend: backend}
 		counts := map[int]int{}

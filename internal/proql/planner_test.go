@@ -16,7 +16,7 @@ import (
 func assertSameGraphResults(t *testing.T, e *Engine, text string, vars []string) {
 	t.Helper()
 	q := MustParse(text)
-	planned, err := e.Exec(context.Background(), q, Options{Backend: "graph"})
+	planned, err := e.Exec(context.Background(), q, Options{Backend: "path"})
 	if err != nil {
 		t.Fatalf("%s: planned: %v", text, err)
 	}
@@ -106,7 +106,7 @@ func TestPlannedErrorParity(t *testing.T) {
 		// WHERE over an unbound variable.
 		`FOR [O $x] WHERE $q.height = 1 RETURN $x`,
 	} {
-		if _, err := e.Exec(context.Background(), MustParse(text), Options{Backend: "graph"}); err == nil {
+		if _, err := e.Exec(context.Background(), MustParse(text), Options{Backend: "path"}); err == nil {
 			t.Errorf("%s: planned should error", text)
 		}
 		if _, err := ExecInterpreter(e, context.Background(), MustParse(text), 0); err == nil {
@@ -151,7 +151,7 @@ func TestExplainGraphQueryShowsPhysicalPlan(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
-		"backend: asr",
+		"backend: path",
 		"join order:",
 		"physical plan:",
 		"DistinctJoin(on $z; distinct $x, $y)",

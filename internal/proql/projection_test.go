@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -37,14 +38,14 @@ func instanceS(t *testing.T) *workload.Setting {
 
 // TestProjectedGraphDeterministic: the projected graph links in one
 // canonical order whichever backend recorded it, so five runs of the
-// whole-target query on each of auto, graph and asr render one DOT
+// whole-target query on each of auto and path render one DOT
 // text between them.
 func TestProjectedGraphDeterministic(t *testing.T) {
 	set := instanceS(t)
 	eng := proql.NewEngine(set.Sys)
 	q := proql.MustParse(set.TargetQuery())
 	renderings := map[string][]string{} // DOT text → backend of each run
-	for _, backend := range []string{"auto", "graph", "asr"} {
+	for _, backend := range []string{"auto", "path"} {
 		for run := 0; run < 5; run++ {
 			res, err := eng.Eval(context.Background(), q, proql.Options{Backend: backend})
 			if err != nil {
@@ -65,7 +66,7 @@ func TestProjectedGraphDeterministic(t *testing.T) {
 	}
 }
 
-// TestProjectionServedCounts holds what the graph and asr backends do
+// TestProjectionServedCounts holds what the path backend do
 // for the served analytic-read workload's whole-target query on
 // instance M: Eval records the projection and links no node of it (an
 // allocation and byte bound per query that an eager link breaks);
@@ -75,48 +76,47 @@ func TestProjectionServedCounts(t *testing.T) {
 	set := instanceM(t)
 	eng := proql.NewEngine(set.Sys)
 	q := proql.MustParse(set.TargetQuery())
-	for _, backend := range []string{"graph", "asr"} {
-		var res *proql.Result
-		serve := func() {
-			var err error
-			if res, err = eng.Eval(context.Background(), q, proql.Options{Backend: backend}); err != nil {
-				t.Fatal(err)
-			}
-			for _, v := range res.Vars() {
-				res.SortedRefs(v)
-			}
-		}
-		allocs := testing.AllocsPerRun(2, serve) // fills the plan cache first
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		serve()
-		runtime.ReadMemStats(&after)
-		bytes := after.TotalAlloc - before.TotalAlloc
-		if res.Len() != 1500 {
-			t.Errorf("%s: %d rows, want 1,500", backend, res.Len())
-		}
-		if allocs > constFreeAllocBound {
-			t.Errorf("%s: %.0f allocations per query, bound %d", backend, allocs, constFreeAllocBound)
-		}
-		if bytes > constFreeByteBound {
-			t.Errorf("%s: %d bytes allocated per query, bound %d", backend, bytes, constFreeByteBound)
-		}
-		t.Logf("%s: %.0f allocations, %d bytes", backend, allocs, bytes)
-		if n := res.LinkedNodes(); n != 0 {
-			t.Errorf("%s: Eval linked %d provgraph nodes, want 0", backend, n)
-		}
-		g := res.MustGraph()
-		if g.NumDerivations() == 0 || res.LinkedNodes() != g.NumTuples()+g.NumDerivations() {
-			t.Errorf("%s: Graph() linked %d derivations, result holds %d nodes", backend, g.NumDerivations(), res.LinkedNodes())
-		}
-
-		ann, err := eng.Eval(context.Background(), proql.MustParse(set.TargetAnnotationQuery()), proql.Options{Backend: backend})
-		if err != nil {
+	backend := "path"
+	var res *proql.Result
+	serve := func() {
+		var err error
+		if res, err = eng.Eval(context.Background(), q, proql.Options{Backend: backend}); err != nil {
 			t.Fatal(err)
 		}
-		if ann.LinkedNodes() != 0 || len(ann.Annotations) != 1500 {
-			t.Errorf("%s: EVALUATE linked %d nodes for %d annotations, want 0 for 1,500", backend, ann.LinkedNodes(), len(ann.Annotations))
+		for _, v := range res.Vars() {
+			res.SortedRefs(v)
 		}
+	}
+	allocs := testing.AllocsPerRun(2, serve) // fills the plan cache first
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	serve()
+	runtime.ReadMemStats(&after)
+	bytes := after.TotalAlloc - before.TotalAlloc
+	if res.Len() != 1500 {
+		t.Errorf("%s: %d rows, want 1,500", backend, res.Len())
+	}
+	if allocs > constFreeAllocBound {
+		t.Errorf("%s: %.0f allocations per query, bound %d", backend, allocs, constFreeAllocBound)
+	}
+	if bytes > constFreeByteBound {
+		t.Errorf("%s: %d bytes allocated per query, bound %d", backend, bytes, constFreeByteBound)
+	}
+	t.Logf("%s: %.0f allocations, %d bytes", backend, allocs, bytes)
+	if n := res.LinkedNodes(); n != 0 {
+		t.Errorf("%s: Eval linked %d provgraph nodes, want 0", backend, n)
+	}
+	g := res.MustGraph()
+	if g.NumDerivations() == 0 || res.LinkedNodes() != g.NumTuples()+g.NumDerivations() {
+		t.Errorf("%s: Graph() linked %d derivations, result holds %d nodes", backend, g.NumDerivations(), res.LinkedNodes())
+	}
+
+	ann, err := eng.Eval(context.Background(), proql.MustParse(set.TargetAnnotationQuery()), proql.Options{Backend: backend})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ann.LinkedNodes() != 0 || len(ann.Annotations) != 1500 {
+		t.Errorf("%s: EVALUATE linked %d nodes for %d annotations, want 0 for 1,500", backend, ann.LinkedNodes(), len(ann.Annotations))
 	}
 }
 
@@ -146,7 +146,7 @@ func TestIncludePointQueryIgnoresOrdinalRange(t *testing.T) {
 	measure := func(key int) (allocs, bytes float64) {
 		q := proql.MustParse(fmt.Sprintf(`FOR [A0 $x] WHERE $x.k = %d INCLUDE PATH [$x] <-+ [] RETURN $x`, key))
 		serve := func() {
-			res, err := eng.Eval(context.Background(), q, proql.Options{Backend: "graph"})
+			res, err := eng.Eval(context.Background(), q, proql.Options{Backend: "path"})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -183,7 +183,7 @@ func TestGraphRuleAfterDelete(t *testing.T) {
 	set.Sys.DB.SetRetention(relstore.RetainAll)
 	eng := proql.NewEngine(set.Sys)
 	q := proql.MustParse(set.TargetQuery())
-	backends := []string{"auto", "graph", "asr"}
+	backends := []string{"auto", "path"}
 	before := set.Sys.DB.Epoch()
 	live := map[string]*proql.Result{}
 	asOf := map[string]*proql.Result{}
@@ -226,10 +226,10 @@ func TestGraphRuleAfterDelete(t *testing.T) {
 	}
 }
 
-// TestEvaluateRacingCommitReadsItsEpoch: EVALUATE on the graph and asr
-// backends computes its annotations over the recorded projection while
-// the query's view is still bound, so they come from the epoch the
-// query read, never from a newer one: with commits racing the queries,
+// TestEvaluateRacingCommitReadsItsEpoch: EVALUATE on the path backend
+// computes its annotations over the recorded projection while the
+// query's view is still bound, so they come from the epoch the query
+// read, never from a newer one: with commits racing the queries,
 // every annotation equals the one the interpreter computes AS OF the
 // epoch the result reports.
 func TestEvaluateRacingCommitReadsItsEpoch(t *testing.T) {
@@ -288,8 +288,7 @@ func TestEvaluateRacingCommitReadsItsEpoch(t *testing.T) {
 	var reads []read
 	for i := 0; i < 40; i++ {
 		q := queries[i%len(queries)]
-		backend := []string{"graph", "asr"}[i/2%2]
-		res, err := eng.Eval(context.Background(), q, proql.Options{Backend: backend})
+		res, err := eng.Eval(context.Background(), q, proql.Options{Backend: "path"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -316,4 +315,114 @@ func TestEvaluateRacingCommitReadsItsEpoch(t *testing.T) {
 		}
 	}
 	t.Logf("%d results over %d epochs", len(reads), len(epochs))
+}
+
+// TestEvaluateLeafMarksReadTheQueryEpoch ties EVALUATE's leaf marks to
+// the epoch the query read. The writer toggles the local contribution
+// of a derived tuple of A1, so its leaf mark — and the COUNT of the A0
+// tuple it derives — differ between epochs while its derivations stay.
+// Every path-executor reply must equal the same query AS OF the epoch
+// it reports, as the interpreter answers it.
+func TestEvaluateLeafMarksReadTheQueryEpoch(t *testing.T) {
+	set, err := workload.Build(workload.Config{
+		Topology:  workload.Chain,
+		Profile:   workload.ProfileLinear,
+		NumPeers:  4,
+		DataPeers: workload.UpstreamDataPeers(4, 2),
+		BaseSize:  100,
+		Seed:      7,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	set.Sys.DB.SetRetention(relstore.RetainAll)
+	sys := core.Wrap(set.Sys)
+	eng := sys.Engine()
+	queries := []*proql.Query{
+		proql.MustParse("EVALUATE COUNT OF { " + set.TargetQuery() + " }"),
+		proql.MustParse("EVALUATE DERIVABILITY OF { " + set.TargetQuery() + " }"),
+	}
+	mid := workload.ARel(1)
+	row := set.Sys.DB.MustTable(mid).Rows()[0] // derived from A2, not local
+	if set.Sys.IsLeafRef(model.RefFromKey(mid, []model.Datum{row[0]})) {
+		t.Fatalf("%s%v is already a local contribution", mid, row)
+	}
+
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	var toggles atomic.Int64
+	wg.Add(1)
+	go func() { // the writer: make the derived tuple local, then not
+		defer wg.Done()
+		for ; ; toggles.Add(1) {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			if _, err := sys.Insert(mid, row); err != nil {
+				t.Error(err)
+				return
+			}
+			if _, err := sys.DeleteLocal(mid, []model.Datum{row[0]}); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	type read struct {
+		q   *proql.Query
+		res *proql.Result
+	}
+	var reads []read
+	// Read until the writer has toggled the mark many times (bounded, in
+	// case it stopped on an error).
+	for i := 0; i < 5000 && (i < 400 || toggles.Load() < 100); i++ {
+		q := queries[i%len(queries)]
+		res, err := eng.Eval(context.Background(), q, proql.Options{Backend: "path"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		reads = append(reads, read{q, res})
+	}
+	close(done)
+	wg.Wait()
+
+	type point struct {
+		q     *proql.Query
+		epoch uint64
+	}
+	oracle := map[point]*proql.Result{}
+	counts := map[string]bool{}
+	for _, r := range reads {
+		if r.res.Stats.Backend != "path" {
+			t.Fatalf("ran on %s", r.res.Stats.Backend)
+		}
+		at := point{r.q, r.res.Stats.Epoch}
+		want := oracle[at]
+		if want == nil {
+			if want, err = proql.ExecInterpreter(eng, context.Background(), r.q, at.epoch); err != nil {
+				t.Fatal(err)
+			}
+			oracle[at] = want
+		}
+		label := fmt.Sprintf("%s at epoch %d", want.Semiring.Name(), r.res.Stats.Epoch)
+		if len(r.res.Annotations) != len(want.Annotations) {
+			t.Fatalf("%s: %d annotations, the interpreter has %d", label, len(r.res.Annotations), len(want.Annotations))
+		}
+		var sum []string
+		for _, ref := range want.SortedRefs("x") {
+			wv, gv := want.Annotations[ref], r.res.Annotations[ref]
+			if !want.Semiring.Eq(gv, wv) {
+				t.Fatalf("%s: annotation of %v = %v, the interpreter's %v", label, ref, want.Semiring.Format(gv), want.Semiring.Format(wv))
+			}
+			sum = append(sum, want.Semiring.Format(wv))
+		}
+		if r.q == queries[0] {
+			counts[strings.Join(sum, ",")] = true
+		}
+	}
+	if len(counts) < 2 {
+		t.Fatalf("COUNT read one state only in %d replies: the writer never changed a leaf mark under the reads", len(reads)/2)
+	}
 }

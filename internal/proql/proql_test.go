@@ -304,8 +304,8 @@ func TestExecQ3GraphBackend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.Backend != "asr" {
-		t.Fatalf("backend = %s, want asr", res.Stats.Backend)
+	if res.Stats.Backend != "path" {
+		t.Fatalf("backend = %s, want path", res.Stats.Backend)
 	}
 	// Tuples derived via m1 or m2: C(1,cn1), N(1,sn1,true), N(2,sn2,true).
 	// One-step derivations *from* those tuples: C(1,cn1) feeds m5 → O(cn1,7).
@@ -325,8 +325,8 @@ func TestExecQ4CommonProvenance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.Backend != "asr" {
-		t.Fatalf("backend = %s, want asr", res.Stats.Backend)
+	if res.Stats.Backend != "path" {
+		t.Fatalf("backend = %s, want path", res.Stats.Backend)
 	}
 	// Only C(1,cn1) has incoming derivations (C(2,cn2) is a pure leaf,
 	// so [C $y] <-+ [$z] cannot match it). Pairs: O(cn1,7) shares A(1)
@@ -350,7 +350,7 @@ func TestExecQ4CommonProvenance(t *testing.T) {
 	}
 }
 
-// TestBackendParity cross-checks the relational and asr (as "graph")
+// TestBackendParity cross-checks the relational and path
 // backends on the same annotation queries.
 func TestBackendParity(t *testing.T) {
 	e := exampleEngine(t)
@@ -386,7 +386,7 @@ func TestBackendParity(t *testing.T) {
 			for ref, v := range rel.Annotations {
 				gv, ok := gr.Annotations[ref]
 				if !ok {
-					t.Errorf("%s: graph backend missing annotation for %v", name, ref)
+					t.Errorf("%s: path backend missing annotation for %v", name, ref)
 					continue
 				}
 				if !rel.Semiring.Eq(v, gv) {

@@ -48,10 +48,10 @@ func randomConfig(rng *rand.Rand) workload.Config {
 }
 
 // TestRandomSettingsBackendParity generates random settings and
-// cross-checks the relational and asr (as "graph") backends on the
-// target query and its trust evaluation — the strongest end-to-end
-// invariant the system has — and whatever auto routes each query to
-// against the interpreter, projected graph included.
+// cross-checks the relational and path backends on the target query
+// and its trust evaluation — the strongest end-to-end invariant the
+// system has — and whatever auto routes each query to against the
+// interpreter, projected graph included.
 func TestRandomSettingsBackendParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(20100611))
 	for trial := 0; trial < 25; trial++ {
@@ -72,7 +72,7 @@ func TestRandomSettingsBackendParity(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: relational: %v", label, err)
 			}
-			gr, err := eng.Exec(context.Background(), q, proql.Options{Backend: "graph"})
+			gr, err := eng.Exec(context.Background(), q, proql.Options{Backend: "path"})
 			if err != nil {
 				t.Fatalf("%s: graph: %v", label, err)
 			}
@@ -138,7 +138,7 @@ func TestRandomSettingsBackendParity(t *testing.T) {
 // randomQuery draws a random ProQL query over a setting's A relations.
 // The shapes cover both backends: anchored single-path queries the
 // relational translation handles, and multi-path / derivation-variable
-// / path-condition queries that route to the asr backend.
+// / path-condition queries that route to the path backend.
 func randomQuery(rng *rand.Rand, numPeers int) (string, []string) {
 	mid := 1 + rng.Intn(numPeers-1)
 	any := rng.Intn(numPeers)
@@ -193,7 +193,7 @@ func includeShapes(mid, top string) []diffQuery {
 // settings and cross-checks every evaluation path the engine has: the
 // relational translation (forced, on the queries it covers), the
 // automatically chosen backend (Exec), the planned graph pipeline and
-// the asr backend must agree with the tree-walking interpreter on
+// the path backend must agree with the tree-walking interpreter on
 // bindings, annotations and the whole projected graph — derivation
 // IDs, each derivation's ordered sources and targets, and every tuple
 // node with its row and leaf mark (see diffQuery for where the
@@ -224,7 +224,7 @@ func TestRandomQueriesDifferential(t *testing.T) {
 				t.Fatalf("%s: interpreter: %v", label, err)
 			}
 			wantGraph := graphSignature(t, want)
-			for _, backend := range []string{"relational", "auto", "graph", "asr"} {
+			for _, backend := range []string{"relational", "auto", "path"} {
 				res, err := eng.Exec(context.Background(), q, proql.Options{Backend: backend})
 				var nr *proql.ErrNotRelational
 				if backend == "relational" && errors.As(err, &nr) {
@@ -373,7 +373,7 @@ func TestRandomDeletionMatchesRebuild(t *testing.T) {
 }
 
 // TestRandomASRBackendAfterChurn cross-checks the path executor (the
-// asr backend and its graph alias) against the interpreter, and against
+// path backend and its graph alias) against the interpreter, and against
 // the relational translation where it covers the query, on random
 // queries issued immediately after deletion and insertion churn. The
 // path executor names tuples and derivations by storage slot, so the
@@ -401,8 +401,8 @@ func TestRandomASRBackendAfterChurn(t *testing.T) {
 			set.Sys.DB.SetRetention(relstore.RetainAll)
 		}
 		eng := proql.NewEngine(set.Sys)
-		if _, err := eng.Exec(context.Background(), proql.MustParse(set.TargetQuery()), proql.Options{Backend: "asr"}); err != nil {
-			t.Fatalf("trial %d: asr before churn: %v", trial, err)
+		if _, err := eng.Exec(context.Background(), proql.MustParse(set.TargetQuery()), proql.Options{Backend: "path"}); err != nil {
+			t.Fatalf("trial %d: path before churn: %v", trial, err)
 		}
 		for round := 0; round < 4; round++ {
 			before := set.Sys.DB.Epoch()
@@ -465,7 +465,7 @@ func checkPathAfterChurn(t *testing.T, eng *proql.Engine, q *proql.Query, vars [
 		t.Fatalf("%s: interpreter: %v", where, err)
 	}
 	ws := graphSignature(t, want)
-	for _, backend := range []string{"graph", "asr", "relational"} {
+	for _, backend := range []string{"path", "relational"} {
 		res, err := eng.Exec(context.Background(), q, proql.Options{Backend: backend, AsOfEpoch: asOf})
 		var nr *proql.ErrNotRelational
 		if backend == "relational" && errors.As(err, &nr) {

@@ -72,11 +72,11 @@ type Compiled struct {
 	BaseRels map[string]bool
 }
 
-// ErrNotRelational reports that a query needs the asr backend.
+// ErrNotRelational reports that a query needs the path backend.
 type ErrNotRelational struct{ Reason string }
 
 func (e *ErrNotRelational) Error() string {
-	return "proql: query requires the asr backend: " + e.Reason
+	return "proql: query requires the path backend: " + e.Reason
 }
 
 // unfolder carries compilation state.
@@ -399,7 +399,7 @@ func findPending(n *wNode) *wNode {
 // which happens exactly when the matched mapping set is recursive, so
 // the Datalog program of Section 4.2.3 would be recursive too
 // (footnote 4) — reports ErrNotRelational so the engine falls back to
-// the asr backend, which handles cyclic provenance.
+// the path backend, which handles cyclic provenance.
 func (u *unfolder) expand(start *wRule) ([]*wRule, error) {
 	queue := []*wRule{start}
 	var done []*wRule

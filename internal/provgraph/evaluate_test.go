@@ -18,7 +18,7 @@ import (
 // The Figure 1 graph's annotations as Section 2.1 defines them, values
 // computed by hand, checked on the evaluators the product serves: each
 // case runs ProQL EVALUATE over whole ancestries on the path executor
-// (asr) and on the relational translation.
+// (path) and on the relational translation.
 
 var allRels = []string{"A", "C", "N", "O"}
 
@@ -56,7 +56,7 @@ func expect[V comparable](t *testing.T, label string, ann map[model.TupleRef]sem
 	}
 }
 
-var backends = []string{"asr", "relational"}
+var backends = []string{"path", "relational"}
 
 func TestEvalDerivability(t *testing.T) {
 	sys := fixture.MustSystem(fixture.Options{})
@@ -226,13 +226,13 @@ func TestEvalCyclicFixpoint(t *testing.T) {
 			}
 			annotated += len(ann)
 		}
-		if backend == "asr" && annotated != g.NumTuples() {
-			t.Errorf("asr annotated %d tuples, the graph has %d", annotated, g.NumTuples())
+		if backend == "path" && annotated != g.NumTuples() {
+			t.Errorf("path annotated %d tuples, the graph has %d", annotated, g.NumTuples())
 		}
 	}
 	// Counting must refuse.
 	q := proql.MustParse(`EVALUATE COUNT OF { FOR [N $x] INCLUDE PATH [$x] <-+ [] RETURN $x }`)
-	if _, err := proql.NewEngine(sys).Eval(context.Background(), q, proql.Options{Backend: "asr"}); err == nil {
+	if _, err := proql.NewEngine(sys).Eval(context.Background(), q, proql.Options{Backend: "path"}); err == nil {
 		t.Error("counting over a cyclic graph should be rejected")
 	}
 }
@@ -257,7 +257,7 @@ func TestEvalCyclicDropLeaf(t *testing.T) {
 		} {
 			// The relational translation covers every anchor but N.
 			v, ok := ann[ref]
-			if !ok && (backend == "asr" || ref.Rel != "N") {
+			if !ok && (backend == "path" || ref.Rel != "N") {
 				t.Errorf("%s: no annotation of %v", backend, ref)
 			} else if ok && v != want {
 				t.Errorf("%s: %v = %v, want %v", backend, ref, v, want)

@@ -60,12 +60,9 @@ type DerivNode struct {
 	ProvRow model.Tuple
 }
 
-// Graph is a provenance graph. Beyond the node maps it maintains the
-// secondary indexes the ProQL physical operators rely on: tuples
-// grouped by relation (label index) and derivations grouped by mapping,
-// so path steps are index lookups instead of full-graph scans. The
-// per-node adjacency (tuple→derivations in both directions) lives on
-// the nodes themselves as Derivations/Uses.
+// Graph is a provenance graph: its tuple and derivation nodes, keyed
+// and in insertion order. Each tuple node lists the derivations that
+// target it; each derivation node lists its sources and targets.
 type Graph struct {
 	tuples map[model.TupleRef]*TupleNode
 	derivs map[string]*DerivNode
@@ -73,20 +70,13 @@ type Graph struct {
 	// its position here
 	tupleOrder []*TupleNode
 	derivOrder []*DerivNode
-	// byRel indexes tuple nodes by relation name, in insertion order.
-	byRel map[string][]*TupleNode
-	// byMapping indexes derivation nodes by mapping name, in insertion
-	// order.
-	byMapping map[string][]*DerivNode
 }
 
 // New returns an empty graph.
 func New() *Graph {
 	return &Graph{
-		tuples:    make(map[model.TupleRef]*TupleNode),
-		derivs:    make(map[string]*DerivNode),
-		byRel:     make(map[string][]*TupleNode),
-		byMapping: make(map[string][]*DerivNode),
+		tuples: make(map[model.TupleRef]*TupleNode),
+		derivs: make(map[string]*DerivNode),
 	}
 }
 
@@ -98,7 +88,6 @@ func (g *Graph) Tuple(ref model.TupleRef) *TupleNode {
 	n := &TupleNode{Ref: ref, ord: len(g.tupleOrder)}
 	g.tuples[ref] = n
 	g.tupleOrder = append(g.tupleOrder, n)
-	g.byRel[ref.Rel] = append(g.byRel[ref.Rel], n)
 	return n
 }
 
@@ -125,7 +114,6 @@ func (g *Graph) AddDerivation(id, mapping string, sources, targets []model.Tuple
 	}
 	g.derivs[id] = d
 	g.derivOrder = append(g.derivOrder, d)
-	g.byMapping[mapping] = append(g.byMapping[mapping], d)
 	return d
 }
 
@@ -153,26 +141,6 @@ func (g *Graph) NumTuples() int { return len(g.tuples) }
 
 // NumDerivations returns the derivation-node count.
 func (g *Graph) NumDerivations() int { return len(g.derivs) }
-
-// EachTupleOf yields the relation's tuple nodes in insertion order,
-// straight from the label index without copying or sorting.
-func (g *Graph) EachTupleOf(rel string, yield func(*TupleNode) bool) {
-	for _, n := range g.byRel[rel] {
-		if !yield(n) {
-			return
-		}
-	}
-}
-
-// EachDerivationOf yields the derivation nodes of one mapping in
-// insertion order, straight from the mapping index.
-func (g *Graph) EachDerivationOf(mapping string, yield func(*DerivNode) bool) {
-	for _, d := range g.byMapping[mapping] {
-		if !yield(d) {
-			return
-		}
-	}
-}
 
 // buildCount counts full-graph materializations; see Builds.
 var buildCount atomic.Int64

@@ -85,41 +85,6 @@ func TestWriteDOT(t *testing.T) {
 	}
 }
 
-func TestLabelIndexes(t *testing.T) {
-	g := buildExample(t, false)
-	// Relation index agrees with a full iteration.
-	for _, rel := range []string{"O", "A", "C", "N"} {
-		want := 0
-		for _, tn := range g.Tuples() {
-			if tn.Ref.Rel == rel {
-				want++
-			}
-		}
-		if got := numTuplesOf(g, rel); got != want {
-			t.Errorf("EachTupleOf(%s) yields %d nodes, want %d", rel, got, want)
-		}
-	}
-	// Mapping index agrees with a full iteration and partitions the
-	// derivations.
-	total := 0
-	for _, m := range []string{"m1", "m2", "m4", "m5"} {
-		want := 0
-		for _, d := range g.Derivations() {
-			if d.Mapping == m {
-				want++
-			}
-		}
-		got := numDerivationsOf(g, m)
-		if got != want {
-			t.Errorf("EachDerivationOf(%s) yields %d nodes, want %d", m, got, want)
-		}
-		total += got
-	}
-	if total != g.NumDerivations() {
-		t.Errorf("mapping index covers %d derivations, graph has %d", total, g.NumDerivations())
-	}
-}
-
 // isCyclic reports whether some tuple of g transitively derives
 // itself.
 func isCyclic(g *provgraph.Graph) bool {
@@ -152,21 +117,6 @@ func isCyclic(g *provgraph.Graph) bool {
 	return false
 }
 
-// numTuplesOf counts the tuple nodes of one relation by its label index.
-func numTuplesOf(g *provgraph.Graph, rel string) int {
-	n := 0
-	g.EachTupleOf(rel, func(*provgraph.TupleNode) bool { n++; return true })
-	return n
-}
-
-// numDerivationsOf counts the derivation nodes of one mapping by its
-// label index.
-func numDerivationsOf(g *provgraph.Graph, mapping string) int {
-	n := 0
-	g.EachDerivationOf(mapping, func(*provgraph.DerivNode) bool { n++; return true })
-	return n
-}
-
 func TestNodeOrdinalsUnique(t *testing.T) {
 	g := buildExample(t, false)
 	seenT := map[int]bool{}
@@ -182,23 +132,5 @@ func TestNodeOrdinalsUnique(t *testing.T) {
 			t.Fatalf("duplicate derivation ordinal %d", d.DerivOrd())
 		}
 		seenD[d.DerivOrd()] = true
-	}
-}
-
-func TestIndexesTrackIncrementalAdds(t *testing.T) {
-	g := provgraph.New()
-	g.AddDerivation("m#1", "m", []model.TupleRef{refA(1)}, []model.TupleRef{refC(1, "x")})
-	if numTuplesOf(g, "A") != 1 || numTuplesOf(g, "C") != 1 {
-		t.Fatalf("label index after first add: A=%d C=%d", numTuplesOf(g, "A"), numTuplesOf(g, "C"))
-	}
-	// Re-adding the same derivation is a no-op everywhere.
-	g.AddDerivation("m#1", "m", []model.TupleRef{refA(1)}, []model.TupleRef{refC(1, "x")})
-	if numDerivationsOf(g, "m") != 1 {
-		t.Fatalf("mapping index after duplicate add: %d", numDerivationsOf(g, "m"))
-	}
-	g.AddDerivation("m#2", "m", []model.TupleRef{refA(2)}, []model.TupleRef{refC(1, "x")})
-	if numDerivationsOf(g, "m") != 2 || numTuplesOf(g, "A") != 2 || numTuplesOf(g, "C") != 1 {
-		t.Fatalf("indexes after second add: m=%d A=%d C=%d",
-			numDerivationsOf(g, "m"), numTuplesOf(g, "A"), numTuplesOf(g, "C"))
 	}
 }

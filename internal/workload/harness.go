@@ -242,17 +242,21 @@ type ASRRow struct {
 	ASRRows int // materialized index size
 }
 
-// ASRExperiment holds a setting plus its no-ASR baseline.
+// ASRExperiment holds a setting plus its no-ASR baselines: the
+// relational translation the ASRs rewrite, and the path executor,
+// which reads no ASR.
 type ASRExperiment struct {
 	Setting  *Setting
 	Baseline time.Duration
+	Path     time.Duration
 	Rows     []ASRRow
 }
 
 // RunASRSweep reproduces the shape of Figures 11, 12, and 13: build
-// the given setting, measure the no-ASR baseline for the target query,
-// then for every ASR kind and maximum path length split the topology's
-// mapping chains into segments, materialize the ASRs, and re-measure.
+// the given setting, measure the no-ASR baselines for the target query
+// (relational and path), then for every ASR kind and maximum path
+// length split the topology's mapping chains into segments, materialize
+// the ASRs, and re-measure on the translation.
 func RunASRSweep(cfg Config, maxLens []int, kinds []asr.Kind, runs int) (*ASRExperiment, error) {
 	set, err := Build(cfg)
 	if err != nil {
@@ -266,6 +270,13 @@ func RunASRSweep(cfg Config, maxLens []int, kinds []asr.Kind, runs int) (*ASRExp
 	}
 	exp.Baseline, err = timed(runs, func() error {
 		_, err := eng.Exec(context.Background(), q, relational)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	exp.Path, err = timed(runs, func() error {
+		_, err := eng.Exec(context.Background(), q, proql.Options{Backend: "path"})
 		return err
 	})
 	if err != nil {
@@ -743,39 +754,40 @@ func RunTable1(backend string) ([]string, error) {
 }
 
 // ProQLRow is one point of the E14 backend sweep: the Q4-shaped
-// multi-path common-provenance query evaluated by the goal-directed asr
-// backend, next to a whole-graph materialization, at one scale
-// multiplier of the base setting.
+// multi-path common-provenance query evaluated by the goal-directed
+// path executor, next to a whole-graph materialization, at one scale
+// multiplier of the base setting. The ASR* fields keep the executor's
+// former name, which the JSON trajectory's keys carry.
 type ProQLRow struct {
 	Scale        int
 	InstanceSize int
 	// GraphBuildTime is a provgraph materialization of a pinned
 	// snapshot (the whole graph a client would assemble);
-	// GraphEvalTime is the warm per-query evaluation on backend
-	// "graph", the alias of asr.
+	// GraphEvalTime is the warm per-query evaluation on the path
+	// executor, on the engine that built the graph.
 	GraphBuildTime time.Duration
 	GraphEvalTime  time.Duration
-	// ASRFirstTime is the asr backend's first evaluation on a fresh
+	// ASRFirstTime is the path executor's first evaluation on a fresh
 	// engine (planning included); ASREvalTime is the repeated-shape
 	// evaluation with the plan cached.
 	ASRFirstTime time.Duration
 	ASREvalTime  time.Duration
 	// GraphBuilds counts provgraph materializations observed during
-	// the asr arm. The backend's defining invariant is 0.
+	// the path arms. The executor's defining invariant is 0.
 	GraphBuilds int64
-	// CacheHits and CacheMisses are the asr engine's plan-cache
-	// counters; the asr planner reads only the query syntax, so both
+	// CacheHits and CacheMisses are the path engine's plan-cache
+	// counters; the path planner reads only the query syntax, so both
 	// are 0.
 	CacheHits   int
 	CacheMisses int
 }
 
 // RunProQL sweeps the multi-path provenance query across scale
-// multipliers of a chain setting, timing the goal-directed asr backend
+// multipliers of a chain setting, timing the goal-directed path executor
 // (probe the provenance tables directly — no materialization, and a
 // join order read from the query syntax) cold and warm against a
 // reference arm: materializing the whole provenance graph, plus a warm
-// evaluation through the "graph" alias.
+// evaluation on the engine that built it.
 func RunProQL(scales []int, numPeers, dataPeers, baseSize, runs int, seed int64) ([]ProQLRow, error) {
 	var out []ProQLRow
 	for _, sc := range scales {
@@ -808,7 +820,7 @@ func RunProQL(scales []int, numPeers, dataPeers, baseSize, runs int, seed int64)
 			return nil, err
 		}
 		row.GraphEvalTime, err = timed(runs, func() error {
-			_, err := graphEng.Exec(context.Background(), q, proql.Options{Backend: "graph"})
+			_, err := graphEng.Exec(context.Background(), q, proql.Options{Backend: "path"})
 			return err
 		})
 		if err != nil {
@@ -822,14 +834,14 @@ func RunProQL(scales []int, numPeers, dataPeers, baseSize, runs int, seed int64)
 		var asrEng *proql.Engine
 		row.ASRFirstTime, err = timed(runs, func() error {
 			asrEng = proql.NewEngine(set.Sys)
-			_, err := asrEng.Exec(context.Background(), q, proql.Options{Backend: "asr"})
+			_, err := asrEng.Exec(context.Background(), q, proql.Options{Backend: "path"})
 			return err
 		})
 		if err != nil {
 			return nil, err
 		}
 		row.ASREvalTime, err = timed(runs, func() error {
-			_, err := asrEng.Exec(context.Background(), q, proql.Options{Backend: "asr"})
+			_, err := asrEng.Exec(context.Background(), q, proql.Options{Backend: "path"})
 			return err
 		})
 		if err != nil {

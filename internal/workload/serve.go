@@ -37,9 +37,9 @@ type ServeRow struct {
 }
 
 // serveQuery picks each backend's natural workload: the relational
-// backend gets the Section 6.1.2 target query it can unfold; the asr
-// backend and its graph alias get the Q4-shaped multi-path query their
-// physical pipeline exists for.
+// backend gets the Section 6.1.2 target query it can unfold; the path
+// executor, under the names graph and asr that key its rows, gets the
+// Q4-shaped multi-path query its physical pipeline exists for.
 func serveQuery(set *Setting, backend string) (*proql.Query, error) {
 	if backend == "relational" {
 		return proql.Parse(set.TargetQuery())

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"repro/internal/asr"
@@ -158,6 +159,25 @@ func TestASRSweepMatchesBaselineResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	check := func(label string, res *proql.Result) {
+		t.Helper()
+		if got, want := fmt.Sprint(res.SortedRefs("x")), fmt.Sprint(base.SortedRefs("x")); got != want {
+			t.Errorf("%s: bindings %s, want %s", label, got, want)
+		}
+		if got, want := res.MustGraph().NumDerivations(), base.MustGraph().NumDerivations(); got != want {
+			t.Errorf("%s: derivations %d, want %d", label, got, want)
+		}
+	}
+	// The sweep's path-executor column must answer what it is timed
+	// against.
+	path, err := eng.Exec(context.Background(), q, proql.Options{Backend: "path"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if path.Stats.Backend != "path" {
+		t.Fatalf("path column ran on %s", path.Stats.Backend)
+	}
+	check("path", path)
 	for _, kind := range []asr.Kind{asr.CompletePath, asr.Subpath, asr.Prefix, asr.Suffix} {
 		for _, maxLen := range []int{1, 2, 3, 5} {
 			ix := asr.NewIndex(set.Sys)
@@ -178,12 +198,7 @@ func TestASRSweepMatchesBaselineResults(t *testing.T) {
 			}
 			eng.RewriteRules = nil
 			ix.DropAll()
-			if got, want := len(opt.SortedRefs("x")), len(base.SortedRefs("x")); got != want {
-				t.Errorf("%v len=%d: bindings %d, want %d", kind, maxLen, got, want)
-			}
-			if got, want := opt.MustGraph().NumDerivations(), base.MustGraph().NumDerivations(); got != want {
-				t.Errorf("%v len=%d: derivations %d, want %d", kind, maxLen, got, want)
-			}
+			check(fmt.Sprintf("%v len=%d", kind, maxLen), opt)
 		}
 	}
 }
@@ -247,8 +262,8 @@ func TestHarnessSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(exp.Rows) != 4 {
-		t.Errorf("ASR sweep rows = %d", len(exp.Rows))
+	if len(exp.Rows) != 4 || exp.Baseline <= 0 || exp.Path <= 0 {
+		t.Errorf("ASR sweep: %d rows, baselines %v (relational) and %v (path)", len(exp.Rows), exp.Baseline, exp.Path)
 	}
 	mrows, err := RunMixed([]int{4}, 1, 20, 2, 3, 7)
 	if err != nil {
@@ -278,10 +293,10 @@ func TestHarnessSmoke(t *testing.T) {
 }
 
 // TestProQLSweepZeroBuildsAt100x runs the E14 backend sweep at 1× and
-// 100× of the base setting and asserts the asr backend's defining
+// 100× of the base setting and asserts the path backend's defining
 // invariant at both points: the Q4-shaped multi-path query and the
 // Q5-shaped annotation query evaluate with zero provgraph
-// materializations, and the asr planner, which reads only the query
+// materializations, and the path planner, which reads only the query
 // syntax, records no plan-cache traffic.
 func TestProQLSweepZeroBuildsAt100x(t *testing.T) {
 	rows, err := RunProQL([]int{1, 100}, 6, 2, 4, 3, 9)
@@ -293,10 +308,10 @@ func TestProQLSweepZeroBuildsAt100x(t *testing.T) {
 	}
 	for _, r := range rows {
 		if r.GraphBuilds != 0 {
-			t.Errorf("scale %d: asr arm materialized %d provenance graphs, want 0", r.Scale, r.GraphBuilds)
+			t.Errorf("scale %d: path arm materialized %d provenance graphs, want 0", r.Scale, r.GraphBuilds)
 		}
 		if r.CacheHits != 0 || r.CacheMisses != 0 {
-			t.Errorf("scale %d: the asr arm touched the plan cache: %+v", r.Scale, r)
+			t.Errorf("scale %d: the path arm touched the plan cache: %+v", r.Scale, r)
 		}
 		if r.GraphBuildTime <= 0 || r.GraphEvalTime <= 0 || r.ASRFirstTime <= 0 || r.ASREvalTime <= 0 {
 			t.Errorf("scale %d: non-positive times: %+v", r.Scale, r)
@@ -324,7 +339,7 @@ func TestProQLSweepZeroBuildsAt100x(t *testing.T) {
 	}
 	eng := proql.NewEngine(set.Sys)
 	before := provgraph.Builds()
-	ann, err := eng.Exec(context.Background(), proql.MustParse(set.TargetAnnotationQuery()), proql.Options{Backend: "asr"})
+	ann, err := eng.Exec(context.Background(), proql.MustParse(set.TargetAnnotationQuery()), proql.Options{Backend: "path"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +357,7 @@ func TestProQLSweepZeroBuildsAt100x(t *testing.T) {
 func TestTable1Annotations(t *testing.T) {
 	want := []string{"true", "true", "secret", "3", "{A[i1|], N[i1|s3:cn1|F|]}",
 		"A[i1|]∧N[i1|s3:cn1|F|]", "1", "A[i1|]^2*N[i1|s3:cn1|F|]"}
-	for _, backend := range []string{"asr", "relational"} {
+	for _, backend := range []string{"path", "relational"} {
 		got, err := RunTable1(backend)
 		if err != nil {
 			t.Fatalf("%s: %v", backend, err)
