@@ -22,10 +22,11 @@ import (
 // provenance relations), EVALUATE included; any other query runs on
 // the relational backend (Section 4), falling back to path for query
 // shapes the relational translation does not cover. Every query reads
-// a snapshot it pins for itself; besides the plan cache, which is
-// keyed by query shape and not by epoch, and the emptied arrays of
-// finished path views, the engine keeps nothing between queries, so a
-// commit has nothing of it to invalidate.
+// a snapshot it pins for itself. Between queries the engine keeps the
+// plan cache, keyed by query shape and the local tables holding rows,
+// the dense tables path queries resolved at the newest epoch they read
+// (denseCache), valid for that epoch alone, and the emptied arrays of
+// finished path views; a commit has nothing of it to invalidate.
 type Engine struct {
 	Sys *exchange.System
 
@@ -39,8 +40,11 @@ type Engine struct {
 	// plans is the shape-keyed plan cache shared by all backends; it is
 	// internally synchronized.
 	plans *planCache
-	// views keeps finished path views' arrays for reuse.
+	// views keeps finished path views' per-query arrays for reuse.
 	views spareViews
+	// dense holds the dense tables path views resolved at the newest
+	// epoch they read, for the next views of that epoch.
+	dense denseCache
 }
 
 // NewEngine builds an engine over a system. The engine is safe for
@@ -353,8 +357,8 @@ func (e *Engine) Graph() (*provgraph.Graph, error) {
 }
 
 // InvalidateGraph, MaintainGraph and MaintainGraphInsert do nothing:
-// no query state outlives its query, so a commit has nothing to
-// invalidate. They keep the names bench/trace.go calls, which
+// what outlives a query is keyed by what it holds for (a shape, an
+// epoch), so a commit has nothing to invalidate. They keep the names bench/trace.go calls, which
 // re-enacts core's commit path by hand.
 func (e *Engine) InvalidateGraph() {}
 

@@ -11,6 +11,7 @@ import (
 	"repro/internal/fixture"
 	"repro/internal/model"
 	"repro/internal/provgraph"
+	"repro/internal/relstore"
 )
 
 // TestASRBackendMatchesGraphOnPaperQueries cross-checks the
@@ -168,55 +169,6 @@ func containsStr(s, sub string) bool {
 	return false
 }
 
-// TestSpareViewsBoundWhatTheyKeep: a finished path query's view is kept
-// for the next query with the arrays its dense reads filled, but only
-// while they stay within spareBytes. Past the bound the view is dropped
-// with its arrays, so a point query after a large one does not hold the
-// large one's memory.
-func TestSpareViewsBoundWhatTheyKeep(t *testing.T) {
-	// Every mapping materialized, so a key-pinned read stays sparse.
-	e := NewEngine(fixture.MustSystem(fixture.Options{Exchange: exchange.Options{MaterializeAll: true}}))
-	whole := MustParse("FOR [O $x] INCLUDE PATH [$x] <-+ [] RETURN $x")
-	one, err := e.Exec(context.Background(), MustParse("FOR [O $x] RETURN $x"), Options{})
-	if err != nil || one.Len() == 0 {
-		t.Fatalf("no O tuple: %v", err)
-	}
-	key, err := model.DecodeDatums(one.Bindings[0]["x"].Key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	point := MustParse(fmt.Sprintf("FOR [O $x] WHERE $x.name = '%s' AND $x.height = %d INCLUDE PATH [$x] <-+ [] RETURN $x", key[0], key[1]))
-	run := func(q *Query) {
-		t.Helper()
-		if _, err := e.Exec(context.Background(), q, Options{Backend: "path"}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	kept := func() (views, bytes int) {
-		e.views.mu.Lock()
-		defer e.views.mu.Unlock()
-		for _, v := range e.views.views {
-			bytes += v.held()
-		}
-		return len(e.views.views), bytes
-	}
-	run(whole)
-	n, full := kept()
-	if n != 1 || full == 0 {
-		t.Fatalf("after a whole-relation query: %d views kept holding %d bytes, want 1 holding its arrays", n, full)
-	}
-	defer func(b int) { spareBytes = b }(spareBytes)
-	spareBytes = full - 1
-	run(whole)
-	if n, _ := kept(); n != 0 {
-		t.Fatalf("a view holding more than spareBytes was kept (%d views)", n)
-	}
-	run(point)
-	if n, bytes := kept(); n != 1 || bytes >= full {
-		t.Fatalf("after a point query: %d views kept holding %d bytes, want 1 holding less than the whole query's %d", n, bytes, full)
-	}
-}
-
 // TestASRBackendMatchesGraphOnDanglingReferences: a derivation whose
 // source and target tuples the snapshot does not store — a provenance
 // row written behind update exchange's back — gets handles with no row
@@ -262,4 +214,103 @@ func TestASRBackendMatchesGraphOnDanglingReferences(t *testing.T) {
 		t.Fatalf("$x binds %d tuples the store lacks, want 1", dangling)
 	}
 	matchesInterpreter(t, e, "dangling", q)
+	// A second query resolves C, whose incoming derivations are m1's,
+	// so m1's table records the dangling tuples by the query's handles
+	// and stays the query's own; the queries after it resolve their own
+	// handles.
+	matchesInterpreter(t, e, "dangling, whole target", "FOR [O $x] INCLUDE PATH [$x] <-+ [] RETURN $x")
+	_, _, tabs := sharedGen(e)
+	if tab, ok := tabs[e.Sys.DB.MustTable("C").Ord()]; !ok || !tab.resolved {
+		t.Fatal("C was not resolved and shared")
+	}
+	if tab, ok := tabs[pr.Table]; ok && tab.edged {
+		t.Fatalf("%s's table was shared with its dangling edges", fixture.M1)
+	}
+	matchesInterpreter(t, e, "dangling, whole target again", "FOR [O $x] INCLUDE PATH [$x] <-+ [] RETURN $x")
+	matchesInterpreter(t, e, "dangling, again", q)
+}
+
+// sharedGen returns the generation of e's shared dense tables: its
+// epoch and definition version, and its tables by ordinal.
+func sharedGen(e *Engine) (epoch, version uint64, tabs map[int]*denseTable) {
+	epoch, version, tabs, _ = SharedDense(e)
+	return epoch, version, tabs
+}
+
+// TestSharedDenseTablesAsOfOlderEpoch: an AS OF read of an older epoch,
+// once the newest epoch's tables are shared, reads its own epoch and
+// leaves the shared generation as it was.
+func TestSharedDenseTablesAsOfOlderEpoch(t *testing.T) {
+	e := NewEngine(fixture.MustSystem(fixture.Options{}))
+	e.Sys.DB.SetRetention(relstore.RetainAll)
+	old := e.Sys.DB.Epoch()
+	if err := e.Sys.InsertLocal("A", model.Tuple{int64(3), "sn3", int64(9)}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Sys.RunDelta(); err != nil {
+		t.Fatal(err)
+	}
+	text := "FOR [O $x] INCLUDE PATH [$x] <-+ [] RETURN $x"
+	matchesInterpreter(t, e, "live", text)
+	epoch, _, tabs := sharedGen(e)
+	if epoch != e.Sys.DB.Epoch() || epoch == old || len(tabs) == 0 {
+		t.Fatalf("%d tables shared at epoch %d, want the newest epoch %d's", len(tabs), epoch, e.Sys.DB.Epoch())
+	}
+	q := MustParse(text)
+	got, err := e.Exec(context.Background(), q, Options{Backend: "path", AsOfEpoch: old})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ExecInterpreter(e, context.Background(), q, old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g, w := fmt.Sprint(got.SortedRefs("x")), fmt.Sprint(want.SortedRefs("x")); g != w {
+		t.Fatalf("AS OF %d: path binds %s, the interpreter %s", old, g, w)
+	}
+	if g, w := got.MustGraph().NumDerivations(), want.MustGraph().NumDerivations(); g != w {
+		t.Fatalf("AS OF %d: path projects %d derivations, the interpreter %d", old, g, w)
+	}
+	next, _, now := sharedGen(e)
+	if next != epoch || len(now) != len(tabs) {
+		t.Fatalf("after the AS OF read: %d tables shared at epoch %d, want epoch %d's %d", len(now), next, epoch, len(tabs))
+	}
+	for ord, tab := range tabs {
+		if now[ord] != tab {
+			t.Fatalf("the AS OF read replaced table %d of the newest epoch", ord)
+		}
+	}
+	if n := matchesInterpreter(t, e, "live again", text); n == got.Len() {
+		t.Fatalf("the commit did not change the answer (%d rows): the AS OF read shows nothing", n)
+	}
+}
+
+// TestSharedDenseTablesFollowDefinitionVersion: a table created at an
+// unchanged epoch (no commit hook is set, so the definition change
+// commits nothing) changes the definition version, and the next view
+// builds its tables again instead of taking the shared ones.
+func TestSharedDenseTablesFollowDefinitionVersion(t *testing.T) {
+	e := NewEngine(fixture.MustSystem(fixture.Options{}))
+	text := "FOR [O $x] INCLUDE PATH [$x] <-+ [] RETURN $x"
+	matchesInterpreter(t, e, "before", text)
+	epoch, version, tabs := sharedGen(e)
+	if len(tabs) == 0 {
+		t.Fatal("a whole-relation query shared no table")
+	}
+	if _, err := e.Sys.DB.CreateTable(&relstore.TableSchema{Name: "probe", Columns: []model.Column{{Name: "k"}}}); err != nil {
+		t.Fatal(err)
+	}
+	if e.Sys.DB.Epoch() != epoch {
+		t.Fatalf("creating a table committed epoch %d", e.Sys.DB.Epoch())
+	}
+	matchesInterpreter(t, e, "after", text)
+	next, nextVersion, now := sharedGen(e)
+	if next != epoch || nextVersion <= version || len(now) == 0 {
+		t.Fatalf("after the definition change: %d tables shared at (epoch %d, version %d), want (%d, > %d)", len(now), next, nextVersion, epoch, version)
+	}
+	for ord, tab := range now {
+		if tabs[ord] == tab {
+			t.Fatalf("table %d of definition version %d is still shared at version %d", ord, version, nextVersion)
+		}
+	}
 }

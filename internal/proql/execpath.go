@@ -6,8 +6,11 @@
 // instead of following materialized adjacency lists — and addresses
 // what it reads by storage position: a tuple by (table ordinal,
 // slot), a derivation by (provenance table ordinal, slot). No
-// provgraph is built, and no data outlives the query: a finished view
-// keeps only the capacity of its arrays (spareViews).
+// provgraph is built. What a query makes of its own — handles, the
+// lists it resolved one handle at a time — goes with it; what its
+// dense reads resolved of whole tables depends on the snapshot alone,
+// and is shared with the next queries that read the same epoch
+// (denseCache).
 
 package proql
 
@@ -40,32 +43,175 @@ func (e *Engine) execPath(q *Query, asOf uint64) (*Result, error) {
 }
 
 // bindPathView pins the snapshot a query reads and binds a view to it;
-// the caller runs release once the query is done with the view.
+// the caller runs release once the query is done with the view, which
+// shares what the view resolved of whole tables (denseCache.release).
 func (e *Engine) bindPathView(asOf uint64) (*pathView, func(), error) {
 	snap, unpin, err := e.snapshotAt(asOf)
 	if err != nil {
 		return nil, nil, err
 	}
 	v := e.views.get()
-	v.sys, v.epoch, v.probes = snap, snap.DB.Epoch(), e.Sys.Probes()
+	v.sys, v.epoch, v.version, v.probes = snap, snap.DB.Epoch(), snap.DB.Version(), e.Sys.Probes()
+	v.shared = &e.dense
 	return v, func() {
+		e.dense.release(v)
 		unpin()
 		e.views.put(v)
 	}, nil
 }
 
+// denseCache holds, by table ordinal, the dense tables the path views
+// of one (epoch, definition version) resolved: the generation of the
+// newest pair a view read. A table is immutable once here, so any
+// number of views read it at once. Two snapshots of one pair read the
+// same rows in the same slots, so a view takes a table only when its
+// own snapshot is of that pair (get); the first view of a newer pair —
+// after a commit or a definition change — retires the generation and
+// builds its tables again. Nothing notifies it. Once no view reads a
+// retired generation, its tables are emptied into spare, and the next
+// builds of the same tables refill their arrays.
+type denseCache struct {
+	mu  sync.Mutex
+	gen *denseGen
+	// spare holds, by table ordinal, emptied tables of retired
+	// generations; spareHeld is the bytes their arrays hold.
+	spare     []*denseTable
+	spareHeld int
+}
+
+// denseGen is the generation of one (epoch, definition version).
+type denseGen struct {
+	epoch, version uint64
+	tabs           []*denseTable
+	// users counts the views that took a table of it and are not
+	// released yet.
+	users int
+}
+
+// genOf returns the generation of v's pair: the held one, or a new one
+// that retires it when v's pair is newer; nil when v read an older pair
+// — an older epoch (an AS OF read, a read that pinned before the last
+// commit) or, at one epoch, an older definition version. Callers hold
+// c.mu.
+func (c *denseCache) genOf(v *pathView) *denseGen {
+	g := c.gen
+	switch {
+	case g == nil || v.epoch > g.epoch || v.epoch == g.epoch && v.version > g.version:
+		if g != nil && g.users == 0 {
+			c.recycle(g)
+		}
+		c.gen = &denseGen{epoch: v.epoch, version: v.version}
+		return c.gen
+	case v.epoch == g.epoch && v.version == g.version:
+		return g
+	}
+	return nil
+}
+
+// get returns the shared dense table with ordinal ord for view v, if
+// one was published for v's pair, counting v as a user of its
+// generation.
+func (c *denseCache) get(v *pathView, ord int) *denseTable {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	g := c.genOf(v)
+	if g == nil || ord >= len(g.tabs) || g.tabs[ord] == nil {
+		return nil
+	}
+	if v.gen == nil {
+		v.gen = g
+		g.users++
+	}
+	return g.tabs[ord]
+}
+
+// take returns a table for a build of the table with ordinal ord to
+// fill: an emptied one from spare, or a new one.
+func (c *denseCache) take(ord int) *denseTable {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if ord < len(c.spare) && c.spare[ord] != nil {
+		t := c.spare[ord]
+		c.spare[ord] = nil
+		c.spareHeld -= t.held()
+		return t
+	}
+	return &denseTable{}
+}
+
+// release publishes what v resolved, unless v failed, and ends v's use
+// of the generation it took tables from.
+func (c *denseCache) release(v *pathView) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if v.err == nil {
+		c.publish(v)
+	}
+	if g := v.gen; g != nil {
+		if g.users--; g.users == 0 && g != c.gen {
+			c.recycle(g)
+		}
+	}
+}
+
+// publish shares the dense tables v built or extended, unless they name
+// per-query state (denseTable.private) or v read an older pair than the
+// held generation (genOf). At one pair, a table replaces the held one
+// when it resolved more of it. It costs one step per table v read.
+func (c *denseCache) publish(v *pathView) {
+	g := c.genOf(v)
+	if g == nil {
+		return
+	}
+	for _, r := range v.rels {
+		if r == nil || r.dense == nil || !r.dense.own || r.dense.private {
+			continue
+		}
+		t := r.dense.denseTable
+		if r.ord >= len(g.tabs) {
+			g.tabs = slices.Grow(g.tabs, r.ord+1-len(g.tabs))[:r.ord+1]
+		}
+		if old := g.tabs[r.ord]; old == nil || !old.resolved && !old.edged && (t.resolved || t.edged) {
+			g.tabs[r.ord] = t
+		}
+	}
+}
+
+// recycle empties the tables of g, retired and read by no view, into
+// spare, each in place of the one spare held for its ordinal, while
+// spare holds at most spareBytes.
+func (c *denseCache) recycle(g *denseGen) {
+	for ord, t := range g.tabs {
+		if t == nil {
+			continue
+		}
+		if ord >= len(c.spare) {
+			c.spare = slices.Grow(c.spare, ord+1-len(c.spare))[:ord+1]
+		}
+		if old := c.spare[ord]; old != nil {
+			c.spareHeld -= old.held()
+		}
+		c.spare[ord] = nil
+		if c.spareHeld+t.held() <= spareBytes {
+			c.spare[ord] = t.empty()
+			c.spareHeld += t.held()
+		}
+	}
+	g.tabs = nil
+}
+
 // spareViews keeps the views of finished path queries for the next
-// ones, at most one per processor. A view keeps, by table ordinal, the
-// arrays its dense reads filled, so the next query's dense reads of
-// the same tables fill them again instead of allocating, and the
-// arrays of its EVALUATE (annotation); a view whose arrays hold more
+// ones, at most one per processor, with the capacity of their per-query
+// arrays: the handle slab, the lists, the resolve scratch and the
+// arrays of an EVALUATE (annotation). A view whose arrays hold more
 // than spareBytes is dropped, so a large query's memory goes with it.
 type spareViews struct {
 	mu    sync.Mutex
 	views []*pathView
 }
 
-// spareBytes bounds the arrays one kept view holds.
+// spareBytes bounds the arrays one kept view holds, and the emptied
+// tables denseCache keeps.
 var spareBytes = 16 << 20
 
 func (s *spareViews) get() *pathView {
@@ -91,47 +237,23 @@ func (s *spareViews) put(v *pathView) {
 	s.mu.Unlock()
 }
 
-// recycle clears v for another query, keeping its arrays; it reports
-// false when they hold more than spareBytes.
+// recycle clears v for another query, keeping its per-query arrays; it
+// reports false when they hold more than spareBytes.
 func (v *pathView) recycle() bool {
-	spare := v.spare
-	for _, r := range v.rels {
-		if r != nil && r.dense != nil && r.tab != nil {
-			if r.ord >= len(spare) {
-				spare = slices.Grow(spare, r.ord+1-len(spare))[:r.ord+1]
-			}
-			spare[r.ord] = r.dense.recycle()
-		}
-	}
 	v.nodes.reset()
 	v.tabs.reset()
 	clear(v.loose)
+	v.hnums.reset()
 	v.ann.recycle()
-	*v = pathView{spare: spare, refs: v.refs, fill: v.fill, nodes: v.nodes, tabs: v.tabs,
+	*v = pathView{refs: v.refs, fill: v.fill, hnums: v.hnums, nodes: v.nodes, tabs: v.tabs,
 		lists: v.lists[:0], loose: v.loose[:0], ann: v.ann}
 	return v.held() <= spareBytes
 }
 
 // held is the size in bytes of the arrays a recycled view keeps.
 func (v *pathView) held() int {
-	n := 12*(cap(v.refs)+cap(v.fill)) + 4*cap(v.lists) + 24*(cap(v.loose)+v.nodes.elems()) + 128*v.tabs.elems() +
+	return 8*cap(v.refs) + 4*(cap(v.fill)+cap(v.lists)+cap(v.hnums.buf)) + 24*(cap(v.loose)+v.nodes.elems()) + 128*v.tabs.elems() +
 		v.ann.held()
-	for _, dr := range v.spare {
-		if dr != nil {
-			n += 24*cap(dr.rows) + 4*(cap(dr.slots)+cap(dr.hnum)+cap(dr.hash.head)+cap(dr.hash.next)+
-				cap(dr.off)+cap(dr.in)+cap(dr.edges)) + 8*cap(dr.hash.ints)
-		}
-	}
-	return n
-}
-
-// recycle empties dr, keeping its arrays, and returns it.
-func (dr *denseRows) recycle() *denseRows {
-	clear(dr.rows) // rows the store may free
-	*dr = denseRows{rows: dr.rows[:0], slots: dr.slots[:0], hnum: dr.hnum[:0],
-		hash: keyHash{head: dr.hash.head[:0], next: dr.hash.next[:0], ints: dr.hash.ints[:0]},
-		off:  dr.off[:0], in: dr.in[:0], edges: dr.edges[:0]}
-	return dr
 }
 
 // reuse returns s with n zeroed elements, in place when its capacity
@@ -166,9 +288,13 @@ func reuse[T any](s []T, n int) []T {
 // dense table addresses its rows by position (slot order); handles for
 // them are made when the walk reaches them.
 type pathView struct {
-	sys    *exchange.System // snapshot view; reads are epoch-frozen
-	epoch  uint64
-	probes map[string][]exchange.IncomingProbe
+	sys            *exchange.System // snapshot view; reads are epoch-frozen
+	epoch, version uint64           // the snapshot's epoch and definition version
+	probes         map[string][]exchange.IncomingProbe
+	// shared holds the dense tables earlier views of the same epoch
+	// resolved (denseCache); gen is the generation v took tables from.
+	shared *denseCache
+	gen    *denseGen
 
 	nodes slab[pathNode] // the handles, by number
 	tabs  slab[pathRel]
@@ -195,9 +321,7 @@ type pathView struct {
 	enc       []byte        // key encoding scratch
 	refs      []uint64      // resolve scratch
 	fill      []int32
-	// spare holds, by table ordinal, the dense arrays earlier queries
-	// filled (spareViews).
-	spare []*denseRows
+	hnums     arena // the dense tables' hnum arrays
 	// ann holds an EVALUATE's arrays (annotatePath).
 	ann annotation
 
@@ -226,24 +350,72 @@ type pathRel struct {
 	dense          *denseRows
 }
 
-// denseRows is a dense table: its rows by position, in slot order.
+// denseRows is a dense table as one query reads it: the table's
+// query-independent arrays, shared between the views of one epoch, and
+// the view's own numbering of its handles.
 type denseRows struct {
+	*denseTable
+	// own says the view built denseTable or copied it to extend it: it
+	// is not shared yet, and the view may write it.
+	own  bool
+	hnum []int32 // position → 1 + its handle's number, 0 until made
+	// linked says the table is resolved and the view bound the tables
+	// its resolution reads, dense: a relation's provenance tables by
+	// probe (provs), resolved too, or a provenance table's relations by
+	// atom (atoms).
+	linked bool
+	provs  []*pathRel
+	atoms  []*pathRel
+}
+
+// denseTable is what a dense read of one table at one (epoch,
+// definition version) resolves: its rows by position, in slot order,
+// and once resolved, a relation's incoming derivations or a provenance
+// table's source and target positions. Once shared (denseCache) it is
+// never written again.
+type denseTable struct {
 	rows  []model.Tuple
 	slots []int32
-	hnum  []int32 // position → 1 + its handle's number, 0 until made
 	hash  keyHash // a relation's positions by key
 	// A resolved relation's incoming derivations: position i's are
-	// in[off[i]:off[i+1]], each an inRef.
+	// in[off[i]:off[i+1]], each an inRef into the provenance table its
+	// probe reads.
 	resolved bool
 	off, in  []int32
-	provs    []*pathRel
 	// A resolved provenance table's source then target tuples, natoms
-	// per position: a position in the atom's relation (atoms[j] for
-	// atom j), or ^n for the handle numbered n of a tuple the snapshot
-	// does not store.
+	// per position: a position in the atom's relation, or ^n for the
+	// handle numbered n of a tuple the snapshot does not store.
 	edged bool
 	edges []int32
-	atoms []*pathRel
+	// private says the table names what only its query knows: the
+	// handle of a tuple the snapshot does not store (edges), or a
+	// virtual mapping's reconstructed rows. It is never shared.
+	private bool
+}
+
+// mutable makes dr's table the view's own to write, copying it if it is
+// shared. It is called before a resolution, whose arrays the copy does
+// not hold yet: it shares the rows, slots and hash alone.
+func (dr *denseRows) mutable() {
+	if !dr.own {
+		t := *dr.denseTable
+		t.off, t.in, t.edges = nil, nil, nil
+		dr.denseTable, dr.own = &t, true
+	}
+}
+
+// held is the size in bytes of t's arrays.
+func (t *denseTable) held() int {
+	return 24*cap(t.rows) + 4*(cap(t.slots)+cap(t.hash.head)+cap(t.hash.next)+cap(t.off)+cap(t.in)+cap(t.edges)) +
+		8*cap(t.hash.ints)
+}
+
+// empty returns t emptied for a build to refill its arrays.
+func (t *denseTable) empty() *denseTable {
+	clear(t.rows) // rows the store may free
+	return &denseTable{rows: t.rows[:0], slots: t.slots[:0],
+		hash: keyHash{head: t.hash.head[:0], next: t.hash.next[:0], ints: t.hash.ints[:0]},
+		off:  t.off[:0], in: t.in[:0], edges: t.edges[:0]}
 }
 
 // pathNode is a handle, a pathTuple or a pathDeriv: the row at
@@ -409,6 +581,31 @@ func (s *slab[T]) reset() {
 // elems is the number of elements the chunks hold.
 func (s *slab[T]) elems() int { return 16<<len(s.c) - 16 }
 
+// arena hands out zeroed int32 arrays from one buffer that outgrows
+// what a query takes, so the next query on the view takes its arrays
+// from the buffer the last one grew.
+type arena struct {
+	buf  []int32
+	used int
+}
+
+// take returns n zeroed elements.
+func (a *arena) take(n int) []int32 {
+	if a.used+n > len(a.buf) {
+		// The arrays taken so far keep the old buffer.
+		a.buf, a.used = make([]int32, max(2*len(a.buf), n, 1024)), 0
+	}
+	s := a.buf[a.used : a.used+n : a.used+n]
+	a.used += n
+	return s
+}
+
+// reset zeroes what was taken from the buffer and takes it back.
+func (a *arena) reset() {
+	clear(a.buf[:a.used])
+	a.used = 0
+}
+
 // newHandle makes a handle for the row at handle position pos of r.
 func (v *pathView) newHandle(r *pathRel, pos int32) int32 {
 	n, h := v.nodes.add()
@@ -461,25 +658,30 @@ func (v *pathView) handleAt(r *pathRel, pos int32) int32 {
 	return n
 }
 
-// densify reads r in one scan: its rows by position, hashed on the key
-// for a relation. Handles made for rows read sparsely keep their
+// densify reads r in one scan, unless an earlier view of the same
+// epoch shared what its scan read: r's rows by position, hashed on the
+// key for a relation. Handles made for rows read sparsely keep their
 // numbers.
 func (v *pathView) densify(r *pathRel) *denseRows {
 	if r.dense != nil {
 		return r.dense
 	}
-	n := r.tab.Slots()
-	dr := &denseRows{}
-	if r.ord < len(v.spare) && v.spare[r.ord] != nil {
-		dr, v.spare[r.ord] = v.spare[r.ord], nil
+	dr := &denseRows{denseTable: v.shared.get(v, r.ord)}
+	if dr.denseTable == nil {
+		n := r.tab.Slots()
+		t := v.shared.take(r.ord)
+		t.rows, t.slots = slices.Grow(t.rows, n), slices.Grow(t.slots, n)
+		r.tab.EachSlot(func(slot int, row model.Tuple) bool {
+			t.rows = append(t.rows, row)
+			t.slots = append(t.slots, int32(slot))
+			return true
+		})
+		if r.rel != nil {
+			buildHash(&t.hash, t.rows, r.rel.Key)
+		}
+		dr.denseTable, dr.own = t, true
 	}
-	dr.rows, dr.slots = reuse(dr.rows, n)[:0], reuse(dr.slots, n)[:0]
-	r.tab.EachSlot(func(slot int, row model.Tuple) bool {
-		dr.rows = append(dr.rows, row)
-		dr.slots = append(dr.slots, int32(slot))
-		return true
-	})
-	dr.hnum = reuse(dr.hnum, len(dr.rows))
+	dr.hnum = v.hnums.take(len(dr.rows))
 	if r.sparse {
 		for i, slot := range dr.slots {
 			if n, ok := v.nums[uint64(r.ord)<<32|uint64(slot)]; ok {
@@ -487,9 +689,6 @@ func (v *pathView) densify(r *pathRel) *denseRows {
 				v.nodes.at(n).pos = int32(i)
 			}
 		}
-	}
-	if r.rel != nil {
-		v.buildHash(&dr.hash, dr.rows, r.rel.Key)
 	}
 	r.dense = dr
 	return dr
@@ -520,7 +719,7 @@ func (v *pathView) read(r *pathRel) *denseRows {
 	return r.dense
 }
 
-func (v *pathView) buildHash(h *keyHash, rows []model.Tuple, key []int) {
+func buildHash(h *keyHash, rows []model.Tuple, key []int) {
 	size := 16
 	for size < len(rows) {
 		size <<= 1
@@ -628,7 +827,7 @@ func (v *pathView) lookupKey(r *pathRel, key []model.Datum) (int32, bool) {
 // targets) to yield: off its table once that is resolved, else from a
 // list resolved by key lookups and kept on d (edgeList).
 func (v *pathView) eachEdge(d *pathDeriv, from, to int, yield func(int32) bool) {
-	if dr := d.rel.dense; d.pos >= 0 && dr.edged {
+	if dr := v.edged(d); dr != nil {
 		atoms := len(dr.atoms)
 		for j, e := range dr.edges[int(d.pos)*atoms:][from:to] {
 			n := ^e
@@ -651,7 +850,7 @@ func (v *pathView) eachEdge(d *pathDeriv, from, to int, yield func(int32) bool) 
 // appendEdges appends the handles of all of d's atoms, sources then
 // targets, to buf, as eachEdge passes them.
 func (v *pathView) appendEdges(buf []int32, d *pathDeriv) []int32 {
-	if dr := d.rel.dense; d.pos >= 0 && dr.edged {
+	if dr := v.edged(d); dr != nil {
 		atoms := len(dr.atoms)
 		for j, e := range dr.edges[int(d.pos)*atoms:][:atoms] {
 			n := ^e
@@ -663,6 +862,18 @@ func (v *pathView) appendEdges(buf []int32, d *pathDeriv) []int32 {
 		return buf
 	}
 	return append(buf, v.edgeList(d)...)
+}
+
+// edged returns d's dense table if its edges are resolved, binding
+// those a shared table holds; nil for a derivation read sparsely.
+func (v *pathView) edged(d *pathDeriv) *denseRows {
+	if d.pos < 0 {
+		return nil
+	}
+	if dr := d.rel.dense; dr.linked || dr.edged && v.resolveEdges(d.rel) {
+		return dr
+	}
+	return nil
 }
 
 // edgeList returns the handles of d's atoms, sources then targets,
@@ -775,30 +986,44 @@ func (v *pathView) incoming(t *pathTuple) []int32 {
 // resolve resolves dense relation r: every provenance table whose head
 // produces r is scanned once, each row's head key looked up in r's key
 // hash, and its source and target tuples — their tables read densely
-// too — recorded by position while the row is at hand.
+// too — recorded by position while the row is at hand. A relation an
+// earlier view of the epoch resolved only has its provenance tables
+// bound, as its resolution read them.
 func (v *pathView) resolve(r *pathRel) bool {
 	dr := r.dense
-	if dr.resolved {
+	if dr.linked {
 		return true
 	}
 	if len(r.probes) > 16 {
 		return false // more than an inRef holds
 	}
-	refs := v.refs[:0] // position << 32 | inRef
-	twice := false     // some mapping has two head atoms in r
-	dr.provs = make([]*pathRel, len(r.probes))
+	provs := make([]*pathRel, len(r.probes))
 	for i := range r.probes {
-		p := &r.probes[i]
-		twice = twice || i > 0 && p.Prov == r.probes[i-1].Prov
-		pr, ok := v.provRel(p.Prov)
-		if !ok {
+		pr, ok := v.provRel(r.probes[i].Prov)
+		if !ok || len(v.densify(pr).rows) > 1<<28 || !v.resolveEdges(pr) {
 			return false
 		}
-		pdr := v.densify(pr)
-		if len(pdr.rows) > 1<<28 || !v.resolveEdges(pr) {
-			return false
-		}
-		dr.provs[i] = pr
+		provs[i] = pr
+	}
+	if !dr.resolved {
+		v.resolveIn(dr, r.probes, provs)
+	}
+	dr.provs, dr.linked = provs, true
+	return true
+}
+
+// resolveIn records the incoming derivations of every position of dr,
+// a relation whose probes find them in the resolved provenance tables
+// provs.
+func (v *pathView) resolveIn(dr *denseRows, probes []exchange.IncomingProbe, provs []*pathRel) {
+	dr.mutable()
+	refs := v.refs[:0] // position << 32 | inRef
+	twice := false     // some mapping has two head atoms in the relation
+	for i, pr := range provs {
+		p := &probes[i]
+		twice = twice || i > 0 && p.Prov == probes[i-1].Prov
+		dr.private = dr.private || pr.ord < 0 // a virtual mapping's
+		pdr := pr.dense
 		atoms := len(p.Prov.Sources) + len(p.Prov.Targets)
 		head := len(p.Prov.Sources) + p.Head
 		for pos := range pdr.rows {
@@ -810,49 +1035,48 @@ func (v *pathView) resolve(r *pathRel) bool {
 	// Counting sort by position keeps each tuple's derivations in probe
 	// then slot order.
 	v.refs = refs
-	dr.off = reuse(dr.off, len(dr.rows)+1)
+	off := reuse(dr.off, len(dr.rows)+1)
 	for _, ref := range refs {
-		dr.off[ref>>32+1]++
+		off[ref>>32+1]++
 	}
 	for i := range dr.rows {
-		dr.off[i+1] += dr.off[i]
+		off[i+1] += off[i]
 	}
-	dr.in = reuse(dr.in, len(refs))
-	fill := append(v.fill[:0], dr.off[:len(dr.rows)]...)
+	in := reuse(dr.in, len(refs))
+	fill := append(v.fill[:0], off[:len(dr.rows)]...)
 	v.fill = fill
 	for _, ref := range refs {
 		pos := ref >> 32
-		dr.in[fill[pos]] = int32(uint32(ref))
+		in[fill[pos]] = int32(uint32(ref))
 		fill[pos]++
 	}
 	if twice {
 		// Two probes of one mapping may find one derivation twice.
-		in, off := dr.in[:0], int32(0)
+		dedup, from := in[:0], int32(0)
 		for i := range dr.rows {
-			from := len(in)
-			for _, ref := range dr.in[off:dr.off[i+1]] {
-				if !slices.Contains(in[from:], ref) {
-					in = append(in, ref)
+			at := len(dedup)
+			for _, ref := range in[from:off[i+1]] {
+				if !slices.Contains(dedup[at:], ref) {
+					dedup = append(dedup, ref)
 				}
 			}
-			off, dr.off[i+1] = dr.off[i+1], int32(len(in))
+			from, off[i+1] = off[i+1], int32(len(dedup))
 		}
-		dr.in = in
+		in = dedup
 	}
-	dr.resolved = true
-	return true
+	dr.off, dr.in, dr.resolved = off, in, true
 }
 
 // resolveEdges records, for every row of dense provenance table pr,
 // the positions of its source and target tuples in their relations,
-// which it reads densely.
+// which it reads densely. A table an earlier view of the epoch resolved
+// only has its relations bound, as its resolution read them.
 func (v *pathView) resolveEdges(pr *pathRel) bool {
 	dr := pr.dense
-	if dr.edged {
+	if dr.linked {
 		return true
 	}
-	atoms := len(pr.prov.Sources) + len(pr.prov.Targets)
-	rels := make([]*pathRel, atoms)
+	rels := make([]*pathRel, len(pr.prov.Sources)+len(pr.prov.Targets))
 	for j := range rels {
 		r, ok := v.rel(v.atom(pr.prov, j).Table)
 		if !ok {
@@ -861,20 +1085,23 @@ func (v *pathView) resolveEdges(pr *pathRel) bool {
 		v.densify(r)
 		rels[j] = r
 	}
-	dr.atoms = rels
-	edges := reuse(dr.edges, len(dr.rows)*atoms)[:0]
-	for _, row := range dr.rows {
-		for j, r := range rels {
-			a := v.atom(pr.prov, j)
-			v.key = a.AppendDatums(v.key[:0], row)
-			pos := r.dense.hash.find(r, v.key)
-			if pos < 0 {
-				pos = ^v.danglingTuple(r, v.key)
+	if !dr.edged {
+		dr.mutable()
+		edges := slices.Grow(dr.edges, len(dr.rows)*len(rels))
+		for _, row := range dr.rows {
+			for j, r := range rels {
+				v.key = v.atom(pr.prov, j).AppendDatums(v.key[:0], row)
+				pos := r.dense.hash.find(r, v.key)
+				if pos < 0 {
+					pos = ^v.danglingTuple(r, v.key)
+					dr.private = true
+				}
+				edges = append(edges, pos)
 			}
-			edges = append(edges, pos)
 		}
+		dr.edges, dr.edged = edges, true
 	}
-	dr.edges, dr.edged = edges, true
+	dr.atoms, dr.linked = rels, true
 	return true
 }
 
@@ -934,7 +1161,8 @@ func (v *pathView) provRel(pr *exchange.ProvRel) (*pathRel, bool) {
 		v.virt = map[*exchange.ProvRel]*pathRel{}
 	}
 	r := v.newRel()
-	*r = pathRel{ord: -1 - len(v.virt), prov: pr, dense: &denseRows{rows: rows, hnum: make([]int32, len(rows))}}
+	t := &denseTable{rows: rows, private: true}
+	*r = pathRel{ord: -1 - len(v.virt), prov: pr, dense: &denseRows{denseTable: t, own: true, hnum: make([]int32, len(rows))}}
 	v.virt[pr] = r
 	return r, true
 }
@@ -942,7 +1170,7 @@ func (v *pathView) provRel(pr *exchange.ProvRel) (*pathRel, bool) {
 // eachIn passes the numbers of the derivations into t to yield: off
 // t's relation once that is resolved, else from incoming.
 func (v *pathView) eachIn(t *pathTuple, yield func(int32) bool) {
-	if dr := t.rel.dense; dr != nil && dr.resolved && t.pos >= 0 || v.resolved(t) {
+	if dr := t.rel.dense; dr != nil && dr.linked && t.pos >= 0 || v.resolved(t) {
 		dr := t.rel.dense
 		for _, ref := range dr.in[dr.off[t.pos]:dr.off[t.pos+1]] {
 			i, pos := splitInRef(ref)

@@ -2,6 +2,7 @@ package proql
 
 import (
 	"context"
+	"unsafe"
 
 	"repro/internal/model"
 	"repro/internal/provgraph"
@@ -64,15 +65,15 @@ func (r *Result) LinkedNodes() int {
 // on top of each plan. This is where the condition sat before
 // pushdown; nothing in it depends on the literal's type.
 func (e *Engine) ExecFilterOnTop(q *Query, asOf uint64) (*Result, error) {
-	comp, err := CompileUnfold(e.Sys, q)
-	if err != nil {
-		return nil, err
-	}
 	sys, release, err := e.snapshotAt(asOf)
 	if err != nil {
 		return nil, err
 	}
 	defer release()
+	comp, err := CompileUnfold(sys, q)
+	if err != nil {
+		return nil, err
+	}
 	bare := *q
 	bare.Projection.Where = nil
 	t, err := e.buildTemplate(sys, comp, &bare)
@@ -137,4 +138,48 @@ func ExecInterpreter(e *Engine, ctx context.Context, q *Query, asOf uint64) (*Re
 	res.Stats.AsOf, res.Stats.Epoch = asOf, sys.DB.Epoch()
 	res.Bindings = res.rows.bindings()
 	return res, nil
+}
+
+// SharedDense reports the generation of e's shared dense tables: the
+// epoch and definition version it holds, its tables by ordinal, and the
+// bytes their arrays hold.
+func SharedDense(e *Engine) (epoch, version uint64, tabs map[int]*denseTable, bytes int) {
+	c := &e.dense
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	tabs = map[int]*denseTable{}
+	if c.gen == nil {
+		return 0, 0, tabs, 0
+	}
+	for ord, t := range c.gen.tabs {
+		if t != nil {
+			tabs[ord] = t
+			bytes += t.held()
+		}
+	}
+	return c.gen.epoch, c.gen.version, tabs, bytes
+}
+
+// SpareViews reports the path views e keeps for the next queries and
+// the bytes their arrays hold.
+func SpareViews(e *Engine) (views, bytes int) {
+	e.views.mu.Lock()
+	defer e.views.mu.Unlock()
+	for _, v := range e.views.views {
+		bytes += v.held()
+	}
+	return len(e.views.views), bytes
+}
+
+// SetSpareBytes sets the bound on the arrays a kept view holds,
+// returning the old one.
+func SetSpareBytes(n int) (old int) {
+	old, spareBytes = spareBytes, n
+	return old
+}
+
+// SharesRows reports whether dense tables a and b hold their rows in
+// one array.
+func SharesRows(a, b *denseTable) bool {
+	return cap(a.rows) > 0 && unsafe.SliceData(a.rows) == unsafe.SliceData(b.rows)
 }

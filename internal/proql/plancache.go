@@ -19,8 +19,11 @@ import (
 // alone and never consults the cache. Entries are validated against the
 // relstore definition version and the mapping count, so dropping or
 // (re)creating tables (Materialize, schema edits) invalidates without
-// an explicit hook; row churn keeps entries alive, since a template
-// names tables rather than holding rows.
+// an explicit hook. Row churn keeps entries alive, since a template
+// names tables rather than holding rows, with one exception the key
+// carries: the unfolding adds a relation's local alternative only where
+// its local table holds rows, so which of the shape's local tables hold
+// rows in the query's snapshot completes the key (localsKey).
 //
 // The cache is shared by every concurrent query on the engine; mu
 // guards the entry map and the hit/miss counters. Entries themselves
@@ -30,7 +33,8 @@ import (
 //
 // Entries are epoch-correct by construction, so AS OF queries share
 // them with live ones: an entry holds an unfolded rule set and plans
-// that name tables, never row data. Every execution runs the plans
+// that name tables, never row data, and its key says for which local
+// tables holding rows it was unfolded. Every execution runs the plans
 // against the snapshot it pinned (live or SnapshotAt), so a plan cached
 // by a live query produces epoch-accurate answers for a time-travel
 // query and vice versa. The version check is about the plan *space*
@@ -39,8 +43,12 @@ import (
 type planCache struct {
 	mu      sync.Mutex
 	entries map[string]*planCacheEntry
-	hits    int
-	misses  int
+	// locals holds, by query shape, the local-contribution tables its
+	// unfolding consults (Compiled.Locals): which of them hold rows in a
+	// query's snapshot completes the entry key (localsKey).
+	locals map[string][]string
+	hits   int
+	misses int
 }
 
 // maxPlanCacheEntries bounds the plan cache; storing into a full cache
@@ -48,7 +56,7 @@ type planCache struct {
 const maxPlanCacheEntries = 256
 
 func newPlanCache() *planCache {
-	return &planCache{entries: map[string]*planCacheEntry{}}
+	return &planCache{entries: map[string]*planCacheEntry{}, locals: map[string][]string{}}
 }
 
 type planCacheEntry struct {
@@ -120,15 +128,20 @@ func (e *Engine) cacheStore(key string, dbVersion uint64, ent *planCacheEntry) {
 
 // relationalTemplate returns the plan template of q's shape for
 // execution on sys: from the cache when recorded at sys's definition
-// version, otherwise unfolded (CompileUnfold), built and stored.
+// version for the same local-contribution tables holding rows in sys,
+// otherwise unfolded against sys (CompileUnfold), built and stored.
 // Failures, ErrNotRelational included, are not cached.
 func (e *Engine) relationalTemplate(sys *exchange.System, q *Query) (*relTemplate, error) {
-	key := templateKey(q, e.RewriteRules != nil)
+	shape := templateKey(q, e.RewriteRules != nil)
 	version := sys.DB.Version()
-	if ent, ok := e.cacheLookup(key, version); ok {
+	c := e.cache()
+	c.mu.Lock()
+	locals := c.locals[shape]
+	c.mu.Unlock()
+	if ent, ok := e.cacheLookup(shape+localsKey(sys, locals), version); ok {
 		return ent.tpl, nil
 	}
-	comp, err := CompileUnfold(e.Sys, q)
+	comp, err := CompileUnfold(sys, q)
 	if err != nil {
 		return nil, err
 	}
@@ -136,8 +149,33 @@ func (e *Engine) relationalTemplate(sys *exchange.System, q *Query) (*relTemplat
 	if err != nil {
 		return nil, err
 	}
-	e.cacheStore(key, version, &planCacheEntry{tpl: t})
+	c.mu.Lock()
+	if _, ok := c.locals[shape]; !ok && len(c.locals) >= maxPlanCacheEntries {
+		clear(c.locals)
+	}
+	c.locals[shape] = comp.Locals
+	c.mu.Unlock()
+	e.cacheStore(shape+localsKey(sys, comp.Locals), version, &planCacheEntry{tpl: t})
 	return t, nil
+}
+
+// localsKey is the part of a plan-cache key that the snapshot decides:
+// which of the local-contribution tables locals hold rows in sys, one
+// byte each.
+func localsKey(sys *exchange.System, locals []string) string {
+	if len(locals) == 0 {
+		return ""
+	}
+	var buf [64]byte
+	key := append(buf[:0], "|locals:"...)
+	for _, name := range locals {
+		b := byte('0')
+		if t, ok := sys.DB.Table(name); ok && !t.Empty() {
+			b = '1'
+		}
+		key = append(key, b)
+	}
+	return string(key)
 }
 
 // templateKey is the plan-cache key: the normalized query shape — path

@@ -426,3 +426,249 @@ func TestEvaluateLeafMarksReadTheQueryEpoch(t *testing.T) {
 		t.Fatalf("COUNT read one state only in %d replies: the writer never changed a leaf mark under the reads", len(reads)/2)
 	}
 }
+
+// TestRelationalTemplateFollowsLocalData: the relational translation
+// adds a relation's local-contribution alternative only where the
+// local table holds rows, so a cached template holds only for the
+// snapshots whose local tables hold rows where its unfolding's did. A
+// derived A1 tuple made local counts twice for its A0 tuple (its local
+// row, and the A2 tuple it is derived from) on a warm engine, whose
+// template was unfolded while A1's local table was empty, and again AS
+// OF that epoch once the local row is gone.
+func TestRelationalTemplateFollowsLocalData(t *testing.T) {
+	set, err := workload.Build(workload.Config{
+		Topology:  workload.Chain,
+		Profile:   workload.ProfileLinear,
+		NumPeers:  4,
+		DataPeers: workload.UpstreamDataPeers(4, 2),
+		BaseSize:  20,
+		Seed:      7,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	set.Sys.DB.SetRetention(relstore.RetainAll)
+	sys := core.Wrap(set.Sys)
+	eng := sys.Engine()
+	q := proql.MustParse("EVALUATE COUNT OF { " + set.TargetQuery() + " }")
+	mid := workload.ARel(1)
+	row := set.Sys.DB.MustTable(mid).Rows()[0] // derived from A2, not local
+	target := model.RefFromKey(workload.ARel(0), []model.Datum{row[0]})
+	count := func(label string, asOf uint64) *proql.Result {
+		t.Helper()
+		res, err := eng.Eval(context.Background(), q, proql.Options{Backend: "relational", AsOfEpoch: asOf})
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		want, err := proql.ExecInterpreter(eng, context.Background(), q, res.Stats.Epoch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for ref, wv := range want.Annotations {
+			if gv := res.Annotations[ref]; !want.Semiring.Eq(gv, wv) {
+				t.Fatalf("%s: annotation of %v = %v, the interpreter's %v", label, ref, gv, wv)
+			}
+		}
+		return res
+	}
+	if got := count("before", 0).Annotations[target]; got != int64(1) {
+		t.Fatalf("before: COUNT of %v = %v, want 1", target, got)
+	}
+	if _, err := sys.Insert(mid, row); err != nil {
+		t.Fatal(err)
+	}
+	local := count("local", 0)
+	if got := local.Annotations[target]; got != int64(2) {
+		t.Fatalf("warm engine: COUNT of %v = %v, want 2", target, got)
+	}
+	if _, err := sys.DeleteLocal(mid, []model.Datum{row[0]}); err != nil {
+		t.Fatal(err)
+	}
+	if got := count("after", 0).Annotations[target]; got != int64(1) {
+		t.Fatalf("after: COUNT of %v = %v, want 1", target, got)
+	}
+	if got := count("as of", local.Stats.Epoch).Annotations[target]; got != int64(2) {
+		t.Fatalf("AS OF %d: COUNT of %v = %v, want 2", local.Stats.Epoch, target, got)
+	}
+}
+
+// TestSharedDenseTablesRacingCommits: whole-relation path reads, plain
+// and EVALUATE, share the dense tables of the epoch they read while a
+// writer's commits take a base tuple away and back, so the derived
+// tuples downstream go and come back. Every reply must be the
+// interpreter's answer AS OF its Stats.Epoch: a view takes only the
+// tables of its own epoch.
+func TestSharedDenseTablesRacingCommits(t *testing.T) {
+	set, err := workload.Build(workload.Config{
+		Topology:  workload.Chain,
+		Profile:   workload.ProfileLinear,
+		NumPeers:  4,
+		DataPeers: workload.UpstreamDataPeers(4, 2),
+		BaseSize:  60,
+		Seed:      7,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	set.Sys.DB.SetRetention(relstore.RetainAll)
+	sys := core.Wrap(set.Sys)
+	eng := sys.Engine()
+	queries := []*proql.Query{
+		proql.MustParse(set.TargetQuery()),
+		proql.MustParse("EVALUATE COUNT OF { " + set.TargetQuery() + " }"),
+	}
+	up := workload.ARel(3)
+	row := set.Sys.DB.MustTable(up + "_l").Rows()[0]
+
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	var toggles atomic.Int64
+	wg.Add(1)
+	go func() { // the writer: take the base tuple away, then back
+		defer wg.Done()
+		for ; ; toggles.Add(1) {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			if _, err := sys.DeleteLocal(up, []model.Datum{row[0]}); err != nil {
+				t.Error(err)
+				return
+			}
+			if _, err := sys.Insert(up, row); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	type read struct {
+		q   *proql.Query
+		res *proql.Result
+	}
+	reads := make([][]read, 2)
+	var readers sync.WaitGroup
+	for r := range reads {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for i := 0; i < 3000 && (i < 200 || toggles.Load() < 50); i++ {
+				q := queries[(i+r)%len(queries)]
+				res, err := eng.Eval(context.Background(), q, proql.Options{Backend: "path"})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				reads[r] = append(reads[r], read{q, res})
+			}
+		}()
+	}
+	readers.Wait()
+	close(done)
+	wg.Wait()
+
+	type point struct {
+		q     *proql.Query
+		epoch uint64
+	}
+	oracle := map[point]*proql.Result{}
+	sizes := map[int]bool{}
+	for _, rs := range reads {
+		for _, r := range rs {
+			at := point{r.q, r.res.Stats.Epoch}
+			want := oracle[at]
+			if want == nil {
+				if want, err = proql.ExecInterpreter(eng, context.Background(), r.q, at.epoch); err != nil {
+					t.Fatal(err)
+				}
+				oracle[at] = want
+			}
+			label := fmt.Sprintf("EVALUATE %q at epoch %d", r.q.Evaluate, at.epoch)
+			got, exp := r.res.SortedRefs("x"), want.SortedRefs("x")
+			if fmt.Sprint(got) != fmt.Sprint(exp) {
+				t.Fatalf("%s: the %d bindings differ from the interpreter's %d", label, len(got), len(exp))
+			}
+			for ref, wv := range want.Annotations {
+				if gv := r.res.Annotations[ref]; !want.Semiring.Eq(gv, wv) {
+					t.Fatalf("%s: annotation of %v = %v, the interpreter's %v", label, ref, gv, wv)
+				}
+			}
+			sizes[len(got)] = true
+		}
+	}
+	if len(sizes) < 2 {
+		t.Fatalf("every reply had the same size: the writer never changed the target under the reads")
+	}
+}
+
+// TestSharedDenseTablesOwnership: what path queries read of whole
+// tables is shared, one epoch's generation at a time, and a view keeps
+// only its own query's arrays. A point query leaves a view holding a
+// small part of what the whole-relation query shares; a view holding
+// more than spareBytes is dropped; after a commit, the next
+// whole-relation query builds its tables anew, refilling the arrays of
+// the retired generation, and the shared set holds the new epoch's
+// alone.
+func TestSharedDenseTablesOwnership(t *testing.T) {
+	set := instanceS(t)
+	sys := core.Wrap(set.Sys)
+	eng := sys.Engine()
+	target := set.Sys.DB.MustTable(workload.ARel(0)).Rows()[0]
+	point := proql.MustParse(fmt.Sprintf("FOR [%s $x] WHERE $x.k = %d INCLUDE PATH [$x] <-+ [] RETURN $x", workload.ARel(0), target[0]))
+	whole := proql.MustParse(set.TargetQuery())
+	run := func(q *proql.Query) {
+		t.Helper()
+		if _, err := eng.Eval(context.Background(), q, proql.Options{Backend: "path"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run(point)
+	_, pointBytes := proql.SpareViews(eng)
+	run(whole)
+	epoch, _, tabs, shared := proql.SharedDense(eng)
+	if epoch != set.Sys.DB.Epoch() || len(tabs) == 0 {
+		t.Fatalf("after a whole-relation query at epoch %d: %d tables shared at epoch %d", set.Sys.DB.Epoch(), len(tabs), epoch)
+	}
+	if pointBytes*8 > shared {
+		t.Fatalf("a point query left a view holding %d bytes, against %d shared by the whole-relation query", pointBytes, shared)
+	}
+	n, held := proql.SpareViews(eng)
+	if n != 1 || held == 0 {
+		t.Fatalf("after a whole-relation query: %d views kept holding %d bytes, want 1", n, held)
+	}
+	defer proql.SetSpareBytes(proql.SetSpareBytes(held - 1))
+	run(whole)
+	if n, _ := proql.SpareViews(eng); n != 0 {
+		t.Fatalf("a view holding more than spareBytes was kept (%d views)", n)
+	}
+
+	// Two commits, each followed by a point read, which retires the
+	// generation before it: the second holds no table, and retiring it
+	// keeps the arrays the first left spare.
+	row := set.Sys.DB.MustTable(workload.ARel(9) + "_l").Rows()[0]
+	if _, err := sys.DeleteLocal(workload.ARel(9), []model.Datum{row[0]}); err != nil {
+		t.Fatal(err)
+	}
+	run(point)
+	if _, err := sys.Insert(workload.ARel(9), row); err != nil {
+		t.Fatal(err)
+	}
+	run(point)
+	run(whole)
+	next, _, now, _ := proql.SharedDense(eng)
+	if next != set.Sys.DB.Epoch() || next == epoch || len(now) == 0 {
+		t.Fatalf("after a commit: %d tables shared at epoch %d, want the new epoch %d's", len(now), next, set.Sys.DB.Epoch())
+	}
+	refilled := 0
+	for ord, tab := range now {
+		if tabs[ord] == tab {
+			t.Fatalf("table %d of epoch %d is still shared at epoch %d", ord, epoch, next)
+		}
+		if old, ok := tabs[ord]; ok && proql.SharesRows(old, tab) {
+			refilled++
+		}
+	}
+	if refilled == 0 {
+		t.Fatalf("no table of epoch %d refilled the arrays of epoch %d's", next, epoch)
+	}
+}

@@ -2,6 +2,8 @@ package proql
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"repro/internal/datalog"
 	"repro/internal/exchange"
@@ -70,6 +72,11 @@ type Compiled struct {
 	// BaseRels are terminal relations (named rightmost path patterns):
 	// their atoms are not unfolded further.
 	BaseRels map[string]bool
+	// Locals names, sorted, the local-contribution tables the unfolding
+	// consulted: a relation's local alternative is a rule only when its
+	// table held rows in the system unfolded, so the rules hold for the
+	// snapshots where exactly the same ones hold rows (localsKey).
+	Locals []string
 }
 
 // ErrNotRelational reports that a query needs the path backend.
@@ -85,6 +92,8 @@ type unfolder struct {
 	allowed  Allowed
 	baseRels map[string]bool
 	fresh    int
+	// locals records the local-contribution tables consulted.
+	locals map[string]bool
 	// maxRules guards against unbounded blowup on cyclic mapping sets.
 	maxRules int
 	produced int
@@ -172,6 +181,7 @@ func CompileUnfold(sys *exchange.System, q *Query) (*Compiled, error) {
 		sys:      sys,
 		allowed:  allowed,
 		baseRels: baseRels,
+		locals:   map[string]bool{},
 		maxRules: DefaultMaxUnfoldedRules,
 	}
 	rel, ok := sys.Schema.Relation(anchor.Rel)
@@ -208,6 +218,7 @@ func CompileUnfold(sys *exchange.System, q *Query) (*Compiled, error) {
 		Rules:      out,
 		Allowed:    allowed,
 		BaseRels:   baseRels,
+		Locals:     slices.Sorted(maps.Keys(u.locals)),
 	}, nil
 }
 
@@ -440,10 +451,14 @@ func (u *unfolder) alternatives(r *wRule, pending *wNode) ([]*wRule, error) {
 	var out []*wRule
 
 	// Local-contribution alternative — only when the peer actually has
-	// local data, mirroring the paper's setup where the number of
-	// peers with local data drives the number of unfolded rules
-	// (Figure 8).
-	if lt, ok := u.sys.DB.Table(rel.LocalName()); ok && lt.Len() > 0 {
+	// local data in the system unfolded (a query's snapshot), mirroring
+	// the paper's setup where the number of peers with local data
+	// drives the number of unfolded rules (Figure 8).
+	lt, ok := u.sys.DB.Table(rel.LocalName())
+	if ok {
+		u.locals[rel.LocalName()] = true
+	}
+	if ok && !lt.Empty() {
 		c := cloneRule(r)
 		p := findPending(c.root)
 		p.state = stateLocal

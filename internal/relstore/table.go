@@ -224,6 +224,23 @@ func (t *Table) Len() int {
 	return n
 }
 
+// Empty reports whether the table holds no row (at the view's epoch,
+// for snapshots). A view stops at its first visible slot.
+func (t *Table) Empty() bool {
+	s := t.s
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if t.asOf == 0 {
+		return s.live == 0
+	}
+	for i, slots := 0, s.be.Slots(); i < slots; i++ {
+		if s.visible(i, t.asOf) {
+			return false
+		}
+	}
+	return true
+}
+
 // Insert adds a row. With a primary key, set semantics apply: a row
 // whose key already exists is ignored and Insert reports false. The
 // row is stored by reference; callers must not mutate it afterwards.
