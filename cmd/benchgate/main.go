@@ -206,8 +206,7 @@ func gateExperiment(name string, base, cur []map[string]json.Number, factor, flo
 // instance, which no path executor change moves. The gated quantity is
 // the path executor's share of it, so runner speed cancels;
 // graph_build_ns itself is the normalizer and is reported ungated.
-// graph_builds and the plan-cache counters are deterministic and gated
-// strictly — graph_builds in particular must stay 0.
+// graph_builds is deterministic and gated strictly: it must stay 0.
 func gateProQL(base, cur []map[string]json.Number, factor, floorNS float64) int {
 	if len(base) == 0 {
 		return 0

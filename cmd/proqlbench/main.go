@@ -64,8 +64,6 @@ type benchProQLRow struct {
 	ASRFirstNS   int64 `json:"asr_first_ns"`
 	ASREvalNS    int64 `json:"asr_eval_ns"`
 	GraphBuilds  int64 `json:"graph_builds"`
-	CacheHits    int   `json:"cache_hits"`
-	CacheMisses  int   `json:"cache_misses"`
 	InstanceRows int   `json:"instance_rows"`
 }
 
@@ -369,15 +367,15 @@ func runMixed(p scaleParams) error {
 func runProQL(p scaleParams) error {
 	fmt.Printf("ProQL backend sweep (E14): chain of %d peers, base %d at %d upstream peers, scales %v\n",
 		p.proqlPeers, p.proqlBase, p.proqlData, p.proqlScales)
-	fmt.Println("scale  graph-build  graph-eval  asr-first  asr-eval  graph-builds  cache(h/m)  instance")
+	fmt.Println("scale  graph-build  graph-eval  asr-first  asr-eval  graph-builds  instance")
 	rows, err := workload.RunProQL(p.proqlScales, p.proqlPeers, p.proqlData, p.proqlBase, p.runs, p.seed)
 	if err != nil {
 		return err
 	}
 	for _, r := range rows {
-		fmt.Printf("%5d  %11v  %10v  %9v  %8v  %12d  %10s  %8d\n",
+		fmt.Printf("%5d  %11v  %10v  %9v  %8v  %12d  %8d\n",
 			r.Scale, r.GraphBuildTime, r.GraphEvalTime, r.ASRFirstTime, r.ASREvalTime,
-			r.GraphBuilds, fmt.Sprintf("%d/%d", r.CacheHits, r.CacheMisses), r.InstanceSize)
+			r.GraphBuilds, r.InstanceSize)
 		if r.GraphBuilds != 0 {
 			return fmt.Errorf("path arm materialized %d provenance graphs at scale %d, want 0", r.GraphBuilds, r.Scale)
 		}
@@ -389,8 +387,6 @@ func runProQL(p scaleParams) error {
 				ASRFirstNS:   r.ASRFirstTime.Nanoseconds(),
 				ASREvalNS:    r.ASREvalTime.Nanoseconds(),
 				GraphBuilds:  r.GraphBuilds,
-				CacheHits:    r.CacheHits,
-				CacheMisses:  r.CacheMisses,
 				InstanceRows: r.InstanceSize,
 			})
 		}

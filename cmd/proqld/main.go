@@ -30,8 +30,8 @@
 //
 //	GET  /v1/healthz   liveness probe
 //	GET  /v1/stats     epoch, retention floor, instance size, counters, write-lock and log timings
-//	POST /v1/query     {"query": "FOR [O $x] ... RETURN $x", "backend": "auto|relational|path", "as_of": 7}
-//	                   (the reply's "backend" names the executor that ran)
+//	POST /v1/query     {"query": "FOR [O $x] ... RETURN $x", "backend": "path|relational", "as_of": 7}
+//	                   (default and "auto": path; the reply's "backend" names the executor that ran)
 //	POST /v1/diff      {"query": "...", "from": 5, "to": 9}  (what appeared/disappeared)
 //	POST /v1/insert    {"relation": "A", "rows": [[3, "sn3", 9]]}  (one commit: rows and what they derive)
 //	POST /v1/delete    {"relation": "A", "keys": [[3]]}            (one commit: rows and what depended on them)
@@ -313,11 +313,6 @@ type statsResponse struct {
 	Rejected         int64  `json:"rejected"`
 	Timeouts         int64  `json:"timeouts"`
 	Durable          bool   `json:"durable"`
-	// CacheEntries, CacheHits and CacheMisses are the relational plan
-	// cache's counters; asr and graph queries never touch the cache.
-	CacheEntries int `json:"cache_entries"`
-	CacheHits    int `json:"cache_hits"`
-	CacheMisses  int `json:"cache_misses"`
 	// WriteWaitNS and WriteHoldNS total the time writes spent waiting
 	// for the writer lock and holding it.
 	WriteWaitNS int64 `json:"write_wait_ns"`
@@ -327,7 +322,6 @@ type statsResponse struct {
 }
 
 func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	st := s.sys.Engine().PlanCacheStats()
 	wait, hold := s.sys.WriteLockNS()
 	var ws *wal.Stats
 	if store := s.sys.Store(); store != nil {
@@ -344,9 +338,6 @@ func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		Rejected:         s.rejected.Load(),
 		Timeouts:         s.timeouts.Load(),
 		Durable:          s.sys.Store() != nil,
-		CacheEntries:     st.Entries,
-		CacheHits:        st.Hits,
-		CacheMisses:      st.Misses,
 		WriteWaitNS:      wait,
 		WriteHoldNS:      hold,
 		WAL:              ws,
@@ -355,10 +346,11 @@ func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 
 type queryRequest struct {
 	Query string `json:"query"`
-	// Backend selects the execution strategy: "" or "auto" (path for a
-	// live query with no WHERE; otherwise relational when the query
-	// allows, else path), "relational", or "path". The choice is per
-	// request; all of them read a pinned snapshot.
+	// Backend selects the executor: "" (or "auto", "asr", "graph", the
+	// names older clients send) and "path" run the path executor,
+	// "relational" the Section 4 translation, which refuses the query
+	// shapes it does not cover. The choice is per request; both read a
+	// pinned snapshot.
 	Backend string `json:"backend"`
 	// AsOf, when non-zero, evaluates the query against the retained
 	// state at that epoch (time travel). Requires the server to run
@@ -670,8 +662,8 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 }
 
 // runSmoke starts the server on an ephemeral port and drives the CI
-// self-test: concurrent readers on all three backends racing HTTP
-// insert/delete commits, each response checked against the two legal
+// self-test: concurrent readers on both executors racing HTTP
+// insert/delete commits, each response checked against the legal
 // committed states of the running example.
 func runSmoke(srv *server) error {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -696,7 +688,7 @@ func runSmoke(srv *server) error {
 	var wg sync.WaitGroup
 	errs := make(chan error, 16)
 	const perBackend = 15
-	backends := []string{"auto", "path"}
+	backends := []string{"relational", "path"}
 	for _, backend := range backends {
 		wg.Add(1)
 		go func(backend string) {
@@ -712,8 +704,8 @@ func runSmoke(srv *server) error {
 					errs <- err
 					return
 				}
-				if n := len(resp.Bindings["x"]); n < 4 || n > 6 {
-					errs <- fmt.Errorf("%s: %d O bindings, want 4-6", backend, n)
+				if n := len(resp.Bindings["x"]); n < 4 || n > 6 || resp.Backend != backend {
+					errs <- fmt.Errorf("%s: %d O bindings on %s, want 4-6 on %s", backend, n, resp.Backend, backend)
 					return
 				}
 			}
@@ -775,20 +767,20 @@ func runSmoke(srv *server) error {
 	if err := smokeDurable(); err != nil {
 		return err
 	}
-	fmt.Printf("proqld smoke ok: %d queries, %d commits, epoch %d, %d cache entries\n",
-		st.Queries, st.Commits, st.Epoch, st.CacheEntries)
+	fmt.Printf("proqld smoke ok: %d queries, %d commits, epoch %d\n",
+		st.Queries, st.Commits, st.Epoch)
 	return nil
 }
 
 // smokeHardening checks the serving guards: a cancelled context aborts
-// query execution on every backend, and a saturated connection limit
+// query execution on both executors, and a saturated connection limit
 // rejects with 503 while the liveness probe stays reachable.
 func smokeHardening(srv *server) error {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	const text = `FOR [O $x] INCLUDE PATH [$x] <-+ [] RETURN $x`
 	eng := srv.sys.Engine()
-	for _, backend := range []string{"auto", "relational", "path"} {
+	for _, backend := range []string{"relational", "path"} {
 		q, err := proql.Parse(text)
 		if err != nil {
 			return err
@@ -867,7 +859,7 @@ func smokeV1() error {
 
 	const q = `FOR [O $x] RETURN $x`
 	counts := map[string]int{}
-	for _, backend := range []string{"auto", "path"} {
+	for _, backend := range []string{"relational", "path"} {
 		// Live: the inserted row derived a fifth O tuple.
 		body, err := httpPost(base+"/v1/query", queryRequest{Query: q, Backend: backend})
 		if err != nil {
@@ -877,7 +869,7 @@ func smokeV1() error {
 		if err := json.Unmarshal(body, &live); err != nil {
 			return err
 		}
-		// AS OF the pre-insert epoch: the old answer, on every backend.
+		// AS OF the pre-insert epoch: the old answer, on both executors.
 		body, err = httpPost(base+"/v1/query", queryRequest{Query: q, Backend: backend, AsOf: before})
 		if err != nil {
 			return fmt.Errorf("%s as_of: %v", backend, err)
@@ -900,11 +892,11 @@ func smokeV1() error {
 		}
 		counts[backend] = len(old.Bindings["x"])
 	}
-	if counts["auto"] != counts["path"] {
-		return fmt.Errorf("as_of answers disagree across backends: %v", counts)
+	if counts["relational"] != counts["path"] {
+		return fmt.Errorf("as_of answers disagree across executors: %v", counts)
 	}
-	// The path executor's older names still run it, and say so.
-	for _, alias := range []string{"asr", "graph"} {
+	// The path executor's other names still run it, and say so.
+	for _, alias := range []string{"auto", "asr", "graph"} {
 		body, err := httpPost(base+"/v1/query", queryRequest{Query: q, Backend: alias})
 		if err != nil {
 			return fmt.Errorf("%s: %v", alias, err)

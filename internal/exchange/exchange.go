@@ -152,12 +152,33 @@ type System struct {
 	LastIterations  int
 	LastDerivations int
 
-	// inProbes is the per-relation reverse-edge probe index built once
-	// at NewSystem (it depends only on the schema and the provenance
-	// layout, never on the data). Caching it — and pre-building the
-	// secondary indexes it probes — keeps the ASR query path free of
+	// roles holds, by table ordinal, what each table of the layout
+	// holds, with the reverse-edge probes of a relation, built once at
+	// NewSystem (they depend only on the schema and the provenance
+	// layout, never on the data). Building them — and pre-building the
+	// secondary indexes they probe — keeps the query path free of
 	// writes: a concurrent reader never triggers index construction.
-	inProbes map[string][]IncomingProbe
+	roles []TableRole
+}
+
+// TableRole is what one table of the system's layout holds: a
+// relation's tuples (Rel), with the Probes that find a tuple's incoming
+// derivations, or a mapping's provenance rows (Prov).
+type TableRole struct {
+	Rel    *model.Relation
+	Probes []IncomingProbe
+	Prov   *ProvRel
+}
+
+// Role returns the role of the table with ordinal ord, nil for a table
+// outside the layout NewSystem built. It is shared and must not be
+// mutated; every probed secondary index was pre-built, so probing is
+// read-only.
+func (s *System) Role(ord int) *TableRole {
+	if ord < 0 || ord >= len(s.roles) {
+		return nil
+	}
+	return &s.roles[ord]
 }
 
 // hookPlan is the precompiled provenance recipe for one mapping: which
@@ -250,7 +271,6 @@ func newSystemOn(db *relstore.Database, schema *model.Schema, opts Options) (*Sy
 	if err != nil {
 		return nil, err
 	}
-	sys.inProbes = probes
 	for _, ps := range probes {
 		for i := range ps {
 			p := &ps[i]
@@ -259,14 +279,22 @@ func newSystemOn(db *relstore.Database, schema *model.Schema, opts Options) (*Sy
 			}
 		}
 	}
+	role := func(ord int) *TableRole {
+		if ord >= len(sys.roles) {
+			sys.roles = slices.Grow(sys.roles, ord+1-len(sys.roles))[:ord+1]
+		}
+		return &sys.roles[ord]
+	}
+	for _, r := range schema.Relations() {
+		*role(db.MustTable(r.Name).Ord()) = TableRole{Rel: r, Probes: probes[r.Name]}
+	}
+	for _, pr := range sys.Prov {
+		if !pr.Virtual {
+			role(pr.Table).Prov = pr
+		}
+	}
 	return sys, nil
 }
-
-// Probes returns the per-relation reverse-edge probe index computed at
-// NewSystem. The map and its slices are shared and must not be
-// mutated; every probed secondary index was pre-built, so probing is
-// read-only.
-func (s *System) Probes() map[string][]IncomingProbe { return s.inProbes }
 
 // Snapshot returns a read-only view of the system pinned to the
 // current storage epoch, plus a release function. Reads through the
@@ -299,11 +327,11 @@ func (s *System) snapView(snap *relstore.Database, err error) (*System, func(), 
 		return nil, nil, err
 	}
 	view := &System{
-		Schema:   s.Schema,
-		DB:       snap,
-		Prov:     s.Prov,
-		opts:     s.opts,
-		inProbes: s.inProbes,
+		Schema: s.Schema,
+		DB:     snap,
+		Prov:   s.Prov,
+		opts:   s.opts,
+		roles:  s.roles,
 	}
 	return view, snap.Close, nil
 }

@@ -19,12 +19,12 @@
 //     physical path-navigation plans over the provenance relations of
 //     a pinned snapshot; it reads no ASR.
 //
-// Exec picks a backend from the query syntax alone: path for a live
-// query with no WHERE, EVALUATE included, otherwise the relational
-// backend whenever the query fits it.
+// Exec runs every query on the path executor unless a call asks for
+// the relational backend.
 package proql
 
 import (
+	"slices"
 	"strings"
 
 	"repro/internal/model"
@@ -44,9 +44,8 @@ type Query struct {
 
 	// Cancel, when non-nil, is polled during execution, from the
 	// evaluating goroutine, once per result row / start tuple; a non-nil
-	// return aborts the query with that error. It is
-	// per-request state, not part of the query shape — the plan cache
-	// ignores it. Set it directly or via the ctx of Exec and Eval.
+	// return aborts the query with that error. It is per-request state.
+	// Set it directly or via the ctx of Exec and Eval.
 	Cancel func() error
 }
 
@@ -143,6 +142,12 @@ func (p PathExpr) Vars() []string {
 		}
 	}
 	return out
+}
+
+// binds reports whether v is one of the path's variables.
+func (p PathExpr) binds(v string) bool {
+	return slices.ContainsFunc(p.Nodes, func(n NodePattern) bool { return n.Var == v }) ||
+		slices.ContainsFunc(p.Edges, func(e EdgePattern) bool { return e.Var == v })
 }
 
 // Cond is a WHERE-clause condition.

@@ -2,7 +2,6 @@ package proql
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"iter"
 	"slices"
@@ -17,29 +16,25 @@ import (
 )
 
 // Engine executes ProQL queries over an exchanged system. By default
-// it routes each query from its syntax alone (autoBackend): a live
-// query with no WHERE runs on the path backend (physplan over the
-// provenance relations), EVALUATE included; any other query runs on
-// the relational backend (Section 4), falling back to path for query
-// shapes the relational translation does not cover. Every query reads
-// a snapshot it pins for itself. Between queries the engine keeps the
-// plan cache, keyed by query shape and the local tables holding rows,
-// the dense tables path queries resolved at the newest epoch they read
-// (denseCache), valid for that epoch alone, and the emptied arrays of
-// finished path views; a commit has nothing of it to invalidate.
+// every query runs on the path executor (physplan over the provenance
+// relations), EVALUATE, WHERE and AS OF included; the relational
+// translation (Section 4) runs only when a call asks for it, and plans
+// the query's unfolded rules from its literals on every call. Every
+// query reads a snapshot it pins for itself. Between queries the
+// engine keeps the dense tables path queries resolved at the newest
+// epoch they read (denseCache), valid for that epoch alone, and the
+// emptied arrays of finished path views; a commit has nothing of it to
+// invalidate.
 type Engine struct {
 	Sys *exchange.System
 
 	// RewriteRules, when set, rewrites the unfolded conjunctive rules
 	// before planning — the hook the ASR layer (Section 5) uses to
 	// substitute materialized path indexes. It applies to the
-	// relational backend only, and does not change auto's routing:
-	// callers that set it pin Options.Backend to "relational".
+	// relational backend only: callers that set it pin
+	// Options.Backend to "relational".
 	RewriteRules func([]*ConjRule) []*ConjRule
 
-	// plans is the shape-keyed plan cache shared by all backends; it is
-	// internally synchronized.
-	plans *planCache
 	// views keeps finished path views' per-query arrays for reuse.
 	views spareViews
 	// dense holds the dense tables path views resolved at the newest
@@ -51,7 +46,7 @@ type Engine struct {
 // concurrent queries (Exec/ExecString) and for commits concurrent with
 // them: every query pins the snapshot it reads.
 func NewEngine(sys *exchange.System) *Engine {
-	return &Engine{Sys: sys, plans: newPlanCache()}
+	return &Engine{Sys: sys}
 }
 
 // Binding is one RETURN row: distinguished variable → tuple node.
@@ -59,13 +54,13 @@ type Binding map[string]model.TupleRef
 
 // Stats reports how a query was executed. UnfoldTime and EvalTime are
 // the two components the paper plots separately in Figures 7–8.
-// UnfoldTime is the relational backend's translation: on a plan-cache
-// miss the unfolding (CompileUnfold) plus building the plan template,
-// on a hit binding the query's literals into the cached template.
-// PlanTime is the path backend's physical-planning component. AsOf
-// is the historical epoch the query asked for (0 = the live epoch);
-// Epoch is the storage epoch whose state the query read, whichever way
-// it was chosen: replaying the query AS OF Epoch gives the same answer.
+// UnfoldTime is the relational backend's translation: the unfolding
+// (CompileUnfold) plus planning every unfolded rule with the query's
+// literals. PlanTime is the path backend's physical-planning
+// component. AsOf is the historical epoch the query asked for (0 = the
+// live epoch); Epoch is the storage epoch whose state the query read,
+// whichever way it was chosen: replaying the query AS OF Epoch gives
+// the same answer.
 type Stats struct {
 	Backend       string // the executor that ran: "relational" or "path"
 	AsOf          uint64
@@ -214,13 +209,12 @@ func (r *Result) SortedRefs(v string) []model.TupleRef {
 }
 
 // Options selects how one Exec, Eval or Explain call runs. The zero
-// value is the default policy: auto against the live epoch.
+// value runs the path executor against the live epoch.
 type Options struct {
-	// Backend forces an execution backend for this call: "relational"
-	// or "path". Empty or "auto" keeps the default policy of
-	// autoBackend: path for a live query with no WHERE; otherwise
-	// relational when the translation covers the query, path when it
-	// does not.
+	// Backend selects the executor for this call: "path" (also
+	// "auto", "asr", "graph" or empty, the names older clients send)
+	// or "relational", the Section 4 translation, which fails with
+	// *ErrNotRelational on the query shapes it does not cover.
 	Backend string
 	// AsOfEpoch, when non-zero, evaluates the query AS OF that storage
 	// epoch: every backend pins a SnapshotAt view instead of the live
@@ -238,9 +232,8 @@ type Options struct {
 // its deadline; context.Background() and nil impose no bound.
 //
 // The context binding is per-call state on q: a *Query shared by
-// concurrent Exec calls must use non-cancellable contexts (the
-// concurrency the plan cache is built for), since binding a
-// cancellable one mutates q.
+// concurrent Exec calls must use non-cancellable contexts, since
+// binding a cancellable one mutates q.
 //
 // Exec is Eval plus the materialization of Result.Bindings.
 func (e *Engine) Exec(ctx context.Context, q *Query, opts Options) (*Result, error) {
@@ -260,40 +253,27 @@ func (e *Engine) Eval(ctx context.Context, q *Query, opts Options) (*Result, err
 	if ctx != nil && ctx.Done() != nil {
 		q.Cancel = ctx.Err
 	}
-	backend, reason, err := e.route(q, opts)
+	backend, err := route(opts)
 	if err != nil {
 		return nil, err
 	}
 	if backend == "relational" {
-		res, err := e.execUnfold(q, opts.AsOfEpoch)
-		if reason == "" { // forced: no fallback
-			return res, err
-		}
-		var nr *ErrNotRelational
-		if !errors.As(err, &nr) {
-			return res, err
-		}
+		return e.execUnfold(q, opts.AsOfEpoch)
 	}
 	return e.execPath(q, opts.AsOfEpoch)
 }
 
-// route resolves opts.Backend for q, for Eval and Explain alike: the
-// executor that runs q ("relational" or "path") and the reason EXPLAIN
-// names: autoBackend's under auto, "forced" for a forced path, none for
-// a forced relational. Only an auto route to relational falls back to
-// path where the translation does not cover q. An unknown name is an
-// *ErrUnknownBackend.
-func (e *Engine) route(q *Query, opts Options) (backend, reason string, err error) {
+// route resolves opts.Backend, for Eval and Explain alike, to the
+// executor that runs the query: "relational" or "path". An unknown
+// name is an *ErrUnknownBackend.
+func route(opts Options) (string, error) {
 	switch opts.Backend {
-	case "", "auto":
-		backend, reason = e.autoBackend(q, opts.AsOfEpoch)
-		return backend, reason, nil
 	case "relational":
-		return "relational", "", nil
-	case "path", "asr", "graph": // asr and graph: older names bench/ still sends
-		return "path", "forced", nil
+		return "relational", nil
+	case "", "auto", "path", "asr", "graph": // auto, asr and graph: names older clients send
+		return "path", nil
 	}
-	return "", "", &ErrUnknownBackend{Backend: opts.Backend}
+	return "", &ErrUnknownBackend{Backend: opts.Backend}
 }
 
 // ErrUnknownBackend is the error of a backend name that Eval and
@@ -302,30 +282,6 @@ type ErrUnknownBackend struct{ Backend string }
 
 func (e *ErrUnknownBackend) Error() string {
 	return fmt.Sprintf("proql: unknown backend %q (want auto, relational or path)", e.Backend)
-}
-
-// autoBackend routes a query for backend "auto" from its syntax and
-// the call's settings alone, with no statistics and before any
-// unfolding, and names what decided. A query with no WHERE runs on
-// path, EVALUATE included: it reads whole relations, where the
-// relational translation's union of unfolded rules grows exponentially
-// with the mapping chain and the path walk does not, and the path
-// executor annotates over what it recorded (annotatePath). Everything
-// else stays relational, the translation's measured ground, and falls
-// back to path for the shapes the translation does not cover:
-// key-pinned and range WHERE reads (no measurement has yet moved them)
-// and AS OF reads, which were measured slower on path when it kept a
-// per-epoch handle cache and have not been measured since.
-// RewriteRules plays no part: no ASR configuration beat the path
-// executor on Figs. 11–13 (EXPERIMENTS E6–E8).
-func (e *Engine) autoBackend(q *Query, asOf uint64) (backend, reason string) {
-	switch {
-	case q.Projection.Where != nil:
-		return "relational", "WHERE"
-	case asOf != 0:
-		return "relational", "AS OF"
-	}
-	return "path", "no WHERE"
 }
 
 // ExecString parses and runs a query with default options.

@@ -88,8 +88,7 @@ func matchesInterpreter(t *testing.T, e *Engine, name, text string) int {
 
 // TestASRBackendZeroGraphBuilds asserts the path backend's defining
 // property: evaluating the multi-path Q4 and annotation Q5 shapes,
-// each twice, never materializes a provenance graph. The path planner
-// reads only the query syntax, so the plan cache stays empty.
+// each twice, never materializes a provenance graph.
 func TestASRBackendZeroGraphBuilds(t *testing.T) {
 	e := exampleEngine(t)
 	opts := Options{Backend: "path"}
@@ -109,24 +108,21 @@ func TestASRBackendZeroGraphBuilds(t *testing.T) {
 	if got := provgraph.Builds() - before; got != 0 {
 		t.Fatalf("path backend materialized %d provenance graphs, want 0", got)
 	}
-	if st := e.PlanCacheStats(); st != (PlanCacheStats{}) {
-		t.Errorf("path queries touched the plan cache: %+v", st)
-	}
 }
 
 // TestBackendSelectorRoutesExecAndExplain: Exec and Explain read
-// one Options and resolve its backend name alike — a forced path (and
-// its older names asr and graph), auto's AS OF route, and the typed
+// one Options and resolve its backend name alike — path (and its other
+// names auto, asr and graph), an AS OF read, relational, and the typed
 // error of an unknown name.
 func TestBackendSelectorRoutesExecAndExplain(t *testing.T) {
 	e := exampleEngine(t)
-	for _, name := range []string{"path", "asr", "graph"} {
+	for _, name := range []string{"path", "auto", "asr", "graph"} {
 		opts := Options{Backend: name}
 		out, err := e.ExplainString(paperQueries["Q4"], opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, want := range []string{"backend: path (forced)", "physical plan:", "plan cache:"} {
+		for _, want := range []string{"backend: path\n", "physical plan:"} {
 			if !containsStr(out, want) {
 				t.Errorf("%s: explain missing %q:\n%s", name, want, out)
 			}
@@ -139,16 +135,18 @@ func TestBackendSelectorRoutesExecAndExplain(t *testing.T) {
 			t.Errorf("%s: ran on %s, want path", name, res.Stats.Backend)
 		}
 	}
-	asOf := Options{AsOfEpoch: e.Sys.DB.Epoch()}
-	if out, err := e.ExplainString(paperQueries["Q1"], asOf); err != nil {
-		t.Fatal(err)
-	} else if !containsStr(out, "backend: relational (AS OF)") {
-		t.Errorf("an AS OF explain must route as Eval does:\n%s", out)
-	}
-	if res, err := e.Exec(context.Background(), MustParse(paperQueries["Q1"]), asOf); err != nil {
-		t.Fatal(err)
-	} else if res.Stats.Backend != "relational" {
-		t.Errorf("AS OF: ran on %s, want relational", res.Stats.Backend)
+	for _, opts := range []Options{{AsOfEpoch: e.Sys.DB.Epoch()}, {Backend: "relational"}} {
+		want, _ := route(opts)
+		if out, err := e.ExplainString(paperQueries["Q1"], opts); err != nil {
+			t.Fatal(err)
+		} else if !containsStr(out, "backend: "+want+"\n") {
+			t.Errorf("%+v: explain must route as Eval does:\n%s", opts, out)
+		}
+		if res, err := e.Exec(context.Background(), MustParse(paperQueries["Q1"]), opts); err != nil {
+			t.Fatal(err)
+		} else if res.Stats.Backend != want {
+			t.Errorf("%+v: ran on %s, want %s", opts, res.Stats.Backend, want)
+		}
 	}
 	bogus := Options{Backend: "bogus"}
 	var ub *ErrUnknownBackend
@@ -228,6 +226,24 @@ func TestASRBackendMatchesGraphOnDanglingReferences(t *testing.T) {
 	}
 	matchesInterpreter(t, e, "dangling, whole target again", "FOR [O $x] INCLUDE PATH [$x] <-+ [] RETURN $x")
 	matchesInterpreter(t, e, "dangling, again", q)
+	// A relation scan binds the tuples C stores, not the one the ghost
+	// row names alone, on both executors and the interpreter.
+	scan := "FOR [C $x] INCLUDE PATH [$x] <-+ [] RETURN $x"
+	stored := e.Sys.DB.MustTable("C").Len()
+	if n := matchesInterpreter(t, e, "dangling, relation scan", scan); n != stored {
+		t.Fatalf("relation scan bound %d C tuples, want the %d stored", n, stored)
+	}
+	rel, err := e.Exec(context.Background(), MustParse(scan), Options{Backend: "relational"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path, err := e.Exec(context.Background(), MustParse(scan), Options{Backend: "path"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := rel.SortedRefs("x"), path.SortedRefs("x"); !slices.Equal(got, want) {
+		t.Fatalf("relational relation scan bound %v, path %v", got, want)
+	}
 }
 
 // sharedGen returns the generation of e's shared dense tables: its

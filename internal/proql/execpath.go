@@ -21,7 +21,6 @@ import (
 	"math/bits"
 	"runtime"
 	"slices"
-	"strings"
 	"sync"
 
 	"repro/internal/exchange"
@@ -51,7 +50,7 @@ func (e *Engine) bindPathView(asOf uint64) (*pathView, func(), error) {
 		return nil, nil, err
 	}
 	v := e.views.get()
-	v.sys, v.epoch, v.version, v.probes = snap, snap.DB.Epoch(), snap.DB.Version(), e.Sys.Probes()
+	v.sys, v.epoch, v.version = snap, snap.DB.Epoch(), snap.DB.Version()
 	v.shared = &e.dense
 	return v, func() {
 		e.dense.release(v)
@@ -243,16 +242,28 @@ func (v *pathView) recycle() bool {
 	v.nodes.reset()
 	v.tabs.reset()
 	clear(v.loose)
+	clear(v.keys)
+	clear(v.rels)
+	nums := v.nums
+	if len(nums) > maxSpareNums {
+		nums = nil // a map keeps its buckets once grown
+	}
+	clear(nums)
 	v.hnums.reset()
 	v.ann.recycle()
 	*v = pathView{refs: v.refs, fill: v.fill, hnums: v.hnums, nodes: v.nodes, tabs: v.tabs,
-		lists: v.lists[:0], loose: v.loose[:0], ann: v.ann}
+		rels: v.rels[:0], nums: nums, lists: v.lists[:0], loose: v.loose[:0], ann: v.ann,
+		key: v.key[:0], vals: v.vals[:0], enc: v.enc[:0], keys: v.keys[:0]}
 	return v.held() <= spareBytes
 }
 
+// maxSpareNums bounds the sparse handles whose map a recycled view
+// keeps.
+const maxSpareNums = 1 << 12
+
 // held is the size in bytes of the arrays a recycled view keeps.
 func (v *pathView) held() int {
-	return 8*cap(v.refs) + 4*(cap(v.fill)+cap(v.lists)+cap(v.hnums.buf)) + 24*(cap(v.loose)+v.nodes.elems()) + 128*v.tabs.elems() +
+	return 8*(cap(v.refs)+cap(v.rels)) + 16*cap(v.keys) + 4*(cap(v.fill)+cap(v.lists)+cap(v.hnums.buf)) + 24*(cap(v.loose)+v.nodes.elems()) + 128*v.tabs.elems() +
 		v.ann.held()
 }
 
@@ -290,7 +301,6 @@ func reuse[T any](s []T, n int) []T {
 type pathView struct {
 	sys            *exchange.System // snapshot view; reads are epoch-frozen
 	epoch, version uint64           // the snapshot's epoch and definition version
-	probes         map[string][]exchange.IncomingProbe
 	// shared holds the dense tables earlier views of the same epoch
 	// resolved (denseCache); gen is the generation v took tables from.
 	shared *denseCache
@@ -319,9 +329,13 @@ type pathView struct {
 
 	key, vals []model.Datum // probe scratch
 	enc       []byte        // key encoding scratch
-	refs      []uint64      // resolve scratch
-	fill      []int32
-	hnums     arena // the dense tables' hnum arrays
+	// keys holds the keys of the tuples found by key lookups
+	// (pathNode.keyAt), so their incoming derivations are probed
+	// without reading their rows again.
+	keys  []model.Datum
+	refs  []uint64 // resolve scratch
+	fill  []int32
+	hnums arena // the dense tables' hnum arrays
 	// ann holds an EVALUATE's arrays (annotatePath).
 	ann annotation
 
@@ -429,6 +443,9 @@ type pathNode struct {
 	pos  int32
 	num  int32
 	list int32
+	// keyAt, once not 0, locates in keys the key of a tuple a key
+	// lookup found: keys[keyAt-1:], as many datums as the key has.
+	keyAt int32
 }
 
 type (
@@ -515,12 +532,10 @@ func (v *pathView) rel(ord int) (*pathRel, bool) {
 		v.fail(fmt.Errorf("proql: no table with ordinal %d", ord))
 		return nil, false
 	}
-	r := v.newRel()
-	*r = pathRel{ord: ord, tab: tab, loose: &v.loose}
-	if rel, ok := v.sys.Schema.Relation(tab.Schema.Name); ok {
-		r.rel, r.probes = rel, v.probes[rel.Name]
-	} else if pr, ok := v.sys.Prov[strings.TrimPrefix(tab.Schema.Name, exchange.ProvTablePrefix)]; ok && pr.Table == ord {
-		r.prov = pr
+	r := v.newRel() // zero: set only what is not
+	r.ord, r.tab, r.loose = ord, tab, &v.loose
+	if role := v.sys.Role(ord); role != nil {
+		r.rel, r.probes, r.prov = role.Rel, role.Probes, role.Prov
 	}
 	if ord >= len(v.rels) {
 		v.rels = slices.Grow(v.rels, ord+1-len(v.rels))[:ord+1]
@@ -820,7 +835,12 @@ func (v *pathView) lookupKey(r *pathRel, key []model.Datum) (int32, bool) {
 	if !ok {
 		return 0, false
 	}
-	return v.handle(r, slot, row), true
+	n := v.handle(r, slot, row)
+	if h := v.nodes.at(n); h.keyAt == 0 {
+		h.keyAt = int32(len(v.keys)) + 1
+		v.keys = append(v.keys, key...)
+	}
+	return n, true
 }
 
 // eachEdge passes the handles of d's atoms from..to (sources then
@@ -840,7 +860,7 @@ func (v *pathView) eachEdge(d *pathDeriv, from, to int, yield func(int32) bool) 
 		}
 		return
 	}
-	for _, n := range v.edgeList(d)[from:to] {
+	for _, n := range v.edgeList(d, from, to) {
 		if !yield(n) {
 			return
 		}
@@ -861,7 +881,8 @@ func (v *pathView) appendEdges(buf []int32, d *pathDeriv) []int32 {
 		}
 		return buf
 	}
-	return append(buf, v.edgeList(d)...)
+	pr := d.rel.prov
+	return append(buf, v.edgeList(d, 0, len(pr.Sources)+len(pr.Targets))...)
 }
 
 // edged returns d's dense table if its edges are resolved, binding
@@ -876,33 +897,43 @@ func (v *pathView) edged(d *pathDeriv) *denseRows {
 	return nil
 }
 
-// edgeList returns the handles of d's atoms, sources then targets,
-// resolved by key lookups on first use and kept on d; nil after a
-// failure.
-func (v *pathView) edgeList(d *pathDeriv) []int32 {
+// unresolvedEdge marks an atom of a list edgeList has not looked up.
+const unresolvedEdge = -1
+
+// edgeList returns the handles of d's atoms from..to (sources then
+// targets), kept on d. Each atom is resolved by a key lookup when it
+// is first asked for: a walk up the provenance reads a derivation's
+// sources only, and its target is the tuple the walk came from. Nil
+// after a failure.
+func (v *pathView) edgeList(d *pathDeriv, from, to int) []int32 {
+	pr := d.rel.prov
 	if d.list == 0 {
-		pr := d.rel.prov
 		atoms := len(pr.Sources) + len(pr.Targets)
-		row := d.DerivRow()
 		off := len(v.lists)
 		v.lists = append(v.lists, int32(atoms))
-		for j := range atoms {
-			a := v.atom(pr, j)
-			r, ok := v.rel(a.Table)
-			if !ok {
-				v.lists = v.lists[:off]
-				return nil
-			}
-			v.key = a.AppendDatums(v.key[:0], row)
-			n, ok := v.lookupKey(r, v.key)
-			if !ok {
-				n = v.danglingTuple(r, v.key)
-			}
-			v.lists = append(v.lists, n)
+		for range atoms {
+			v.lists = append(v.lists, unresolvedEdge)
 		}
 		d.list = int32(off + 1)
 	}
-	return v.listAt(d.list)
+	at := int(d.list) + from
+	for j := at; j < int(d.list)+to; j++ {
+		if v.lists[j] != unresolvedEdge {
+			continue
+		}
+		a := v.atom(pr, j-int(d.list))
+		r, ok := v.rel(a.Table)
+		if !ok {
+			return nil
+		}
+		v.key = a.AppendDatums(v.key[:0], d.DerivRow())
+		n, ok := v.lookupKey(r, v.key)
+		if !ok {
+			n = v.danglingTuple(r, v.key)
+		}
+		v.lists[j] = n
+	}
+	return v.lists[at : int(d.list)+to]
 }
 
 // atom returns atom j of pr's sources then targets.
@@ -946,8 +977,13 @@ func (v *pathView) incoming(t *pathTuple) []int32 {
 	if t.list != 0 {
 		return v.listAt(t.list)
 	}
+	if len(t.rel.probes) == 0 {
+		return nil // no mapping's head produces t's relation
+	}
 	var key []model.Datum
-	if row := t.TupleRow(); row != nil {
+	if t.keyAt != 0 {
+		key = v.keys[t.keyAt-1 : int(t.keyAt-1)+len(t.rel.rel.Key)]
+	} else if row := t.TupleRow(); row != nil {
 		key = v.key[:0]
 		for _, c := range t.rel.rel.Key {
 			key = append(key, row[c])

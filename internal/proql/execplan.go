@@ -2,6 +2,7 @@ package proql
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -119,12 +120,8 @@ func (e *Engine) lowerSpec(g physplan.Graph, q *Query, proj *physplan.Projection
 		Out:    proj,
 		Cancel: q.Cancel,
 	}
-	pathVars := map[string]bool{}
 	for _, p := range q.Projection.For {
 		spec.Paths = append(spec.Paths, toPhysPath(p))
-		for _, v := range p.Vars() {
-			pathVars[v] = true
-		}
 	}
 	for _, p := range q.Projection.Include {
 		spec.Include = append(spec.Include, toPhysPath(p))
@@ -141,14 +138,14 @@ func (e *Engine) lowerSpec(g physplan.Graph, q *Query, proj *physplan.Projection
 				// correlation is available.
 				var correlated []string
 				for _, v := range need {
-					if pathVars[v] {
+					if slices.ContainsFunc(q.Projection.For, func(p PathExpr) bool { return p.binds(v) }) {
 						correlated = append(correlated, v)
 					}
 				}
 				need = correlated
 			}
 			spec.Filters = append(spec.Filters, physplan.FilterSpec{
-				Desc: c.condString(),
+				Desc: condDesc{c},
 				Vars: need,
 				Fn:   e.compileRowCond(g, c),
 			})
@@ -156,6 +153,11 @@ func (e *Engine) lowerSpec(g physplan.Graph, q *Query, proj *physplan.Projection
 	}
 	return spec, nil
 }
+
+// condDesc renders a WHERE conjunct for EXPLAIN when it is asked to.
+type condDesc struct{ c Cond }
+
+func (d condDesc) String() string { return d.c.condString() }
 
 // pinStartKeys gives physplan a key-pinned start for every FOR path
 // whose start node [R $x] has all of R's primary-key columns fixed by
@@ -287,11 +289,9 @@ func splitConjuncts(c Cond) []Cond {
 // condVars returns the variables a condition references, including
 // every variable of embedded path conditions.
 func condVars(c Cond) []string {
-	seen := map[string]bool{}
 	var out []string
 	add := func(v string) {
-		if v != "" && !seen[v] {
-			seen[v] = true
+		if v != "" && !slices.Contains(out, v) {
 			out = append(out, v)
 		}
 	}

@@ -40,85 +40,39 @@ func (o unfoldOutput) derivs(yield func(physplan.ProjDeriv) bool) {
 	}
 }
 
-// relTemplate is the relational backend's plan of one query shape: the
-// unfolded rules and, per rule (after ASR rewriting, if enabled), a
-// physical plan in which every WHERE literal is a parameter slot. It
-// is built on a plan-cache miss and bound to each query's literals on
-// every execution; once stored it is immutable and shared by
-// concurrent queries.
-type relTemplate struct {
-	comp  *Compiled
-	rules []*rulePlan
-	// anchor reads the anchor relation's tuples satisfying WHERE, for a
-	// single-node FOR clause; nil otherwise.
-	anchor *guardedPlan
-	slots  []paramSlot
-}
-
-// unfoldPlans is a template bound to one query's literals.
+// unfoldPlans is the relational backend's plan of one query: the
+// unfolded rules, each with its physical plan (after ASR rewriting, if
+// enabled), and for a single-node FOR clause the read of the anchor
+// relation's tuples satisfying WHERE.
 type unfoldPlans struct {
-	rules  []*rulePlan     // the template's
-	plans  []relstore.Plan // parallel to rules
-	anchor relstore.Plan   // nil unless the template has one
+	comp   *Compiled
+	rules  []*rulePlan
+	anchor relstore.Plan // nil unless the FOR clause is a single node
 }
 
-// buildTemplate plans a compiled query against sys with the literals
-// of q — the first query of its shape — lifted into parameter slots.
-// Everything that depends on a literal's value rather than its
-// literalClass is left to bind: the slots' values and the guards.
-func (e *Engine) buildTemplate(sys *exchange.System, comp *Compiled, q *Query) (*relTemplate, error) {
+// planUnfold unfolds q against sys (CompileUnfold) and plans every
+// unfolded rule with q's WHERE literals.
+func (e *Engine) planUnfold(sys *exchange.System, q *Query) (*unfoldPlans, error) {
+	comp, err := CompileUnfold(sys, q)
+	if err != nil {
+		return nil, err
+	}
 	rules := comp.Rules
 	if e.RewriteRules != nil {
 		rules = e.RewriteRules(rules)
 	}
-	ps := &paramSlots{lits: appendWhereLits(nil, q.Projection.Where)}
-	var n int
-	where := slotWhere(q.Projection.Where, &n)
-	ctx := &planContext{sys: sys, params: ps}
+	where := q.Projection.Where
 	spec := pruneSpecFor(q)
-	t := &relTemplate{comp: comp, rules: make([]*rulePlan, 0, len(rules))}
+	up := &unfoldPlans{comp: comp, rules: make([]*rulePlan, 0, len(rules))}
 	for _, r := range rules {
-		rp, err := buildRulePlan(ctx, r, where, comp.AnchorVar, spec)
+		rp, err := buildRulePlan(sys, r, where, comp.AnchorVar, spec)
 		if err != nil {
 			return nil, err
 		}
-		t.rules = append(t.rules, rp)
+		up.rules = append(up.rules, rp)
 	}
 	if len(q.Projection.For[0].Edges) == 0 {
-		var err error
-		if t.anchor, err = anchorPlan(ctx, comp, where); err != nil {
-			return nil, err
-		}
-	}
-	t.slots = ps.slots
-	return t, nil
-}
-
-// bind fills the template's slots with q's literals: O(slots + rules),
-// no planning.
-func (t *relTemplate) bind(q *Query) (*unfoldPlans, error) {
-	var args []model.Datum
-	if len(t.slots) > 0 {
-		lits := appendWhereLits(make([]model.Datum, 0, len(t.slots)), q.Projection.Where)
-		args = make([]model.Datum, len(t.slots))
-		for i, s := range t.slots {
-			args[i] = lits[s.lit]
-			if s.probe {
-				args[i], _ = probeLiteral(args[i], s.typ)
-			}
-		}
-	}
-	up := &unfoldPlans{rules: t.rules, plans: make([]relstore.Plan, len(t.rules))}
-	for i, rp := range t.rules {
-		p, err := rp.bind(args)
-		if err != nil {
-			return nil, err
-		}
-		up.plans[i] = p
-	}
-	if t.anchor != nil {
-		var err error
-		if up.anchor, err = t.anchor.bind(args); err != nil {
+		if up.anchor, err = anchorPlan(sys, comp, where); err != nil {
 			return nil, err
 		}
 	}
@@ -126,12 +80,11 @@ func (t *relTemplate) bind(q *Query) (*unfoldPlans, error) {
 }
 
 // execUnfold runs a query on the relational backend: it pins a storage
-// snapshot, takes the query shape's plan template from the plan cache
-// (building it on a miss), binds the query's literals into it, and
-// evaluates. Reading through the pinned snapshot keeps a concurrent
-// exchange commit (RunDelta, DeleteLocal) from leaking half of its
-// writes into one query's result. With asOf != 0 the snapshot pins
-// that retained historical epoch instead of the live one.
+// snapshot, unfolds and plans the query against it, and evaluates.
+// Reading through the pinned snapshot keeps a concurrent exchange
+// commit (RunDelta, DeleteLocal) from leaking half of its writes into
+// one query's result. With asOf != 0 the snapshot pins that retained
+// historical epoch instead of the live one.
 func (e *Engine) execUnfold(q *Query, asOf uint64) (*Result, error) {
 	sys, release, err := e.snapshotAt(asOf)
 	if err != nil {
@@ -139,16 +92,12 @@ func (e *Engine) execUnfold(q *Query, asOf uint64) (*Result, error) {
 	}
 	defer release()
 	unfoldStart := time.Now()
-	t, err := e.relationalTemplate(sys, q)
-	if err != nil {
-		return nil, err
-	}
-	up, err := t.bind(q)
+	up, err := e.planUnfold(sys, q)
 	if err != nil {
 		return nil, err
 	}
 	unfoldTime := time.Since(unfoldStart)
-	res, err := e.runUnfold(sys, q, t.comp, asOf, up)
+	res, err := e.runUnfold(sys, q, asOf, up)
 	if err != nil {
 		return nil, err
 	}
@@ -161,7 +110,8 @@ func (e *Engine) execUnfold(q *Query, asOf uint64) (*Result, error) {
 // into the bindings and, under EVALUATE, into the semiring annotation of
 // its distinguished tuple (evalTreeRow, accumulate) — the UNION and
 // GROUP BY aggregation of Section 4.2.4, done in Go.
-func (e *Engine) runUnfold(sys *exchange.System, q *Query, comp *Compiled, asOf uint64, up *unfoldPlans) (*Result, error) {
+func (e *Engine) runUnfold(sys *exchange.System, q *Query, asOf uint64, up *unfoldPlans) (*Result, error) {
+	comp := up.comp
 	out := make(unfoldOutput)
 	res := &Result{Stats: Stats{Backend: "relational", AsOf: asOf, Epoch: sys.DB.Epoch(), UnfoldedRules: len(comp.Rules)}}
 	res.buildGraph = func() (*provgraph.Graph, error) { return e.linkAt(asOf, out.derivs, res.rows.refs) }
@@ -276,9 +226,8 @@ func (e *Engine) runUnfold(sys *exchange.System, q *Query, comp *Compiled, asOf 
 		}
 		return nil
 	}
-	for i, plan := range up.plans {
-		rp = up.rules[i]
-		if err := run(plan, foldRule); err != nil {
+	for _, rp = range up.rules {
+		if err := run(rp.plan, foldRule); err != nil {
 			return nil, err
 		}
 	}
@@ -288,17 +237,17 @@ func (e *Engine) runUnfold(sys *exchange.System, q *Query, comp *Compiled, asOf 
 }
 
 // anchorPlan plans the read of the anchor relation's tuples satisfying
-// the (slotted) WHERE, along the same pushed-down access path the rule
-// plans use: a WHERE that pins the key is one lookup, not a scan.
-func anchorPlan(ctx *planContext, comp *Compiled, where Cond) (*guardedPlan, error) {
-	t, ok := ctx.sys.DB.Table(comp.AnchorRel)
+// the WHERE, along the same pushed-down access path the rule plans use:
+// a WHERE that pins the key is one lookup, not a scan.
+func anchorPlan(sys *exchange.System, comp *Compiled, where Cond) (relstore.Plan, error) {
+	t, ok := sys.DB.Table(comp.AnchorRel)
 	if !ok {
 		return nil, fmt.Errorf("proql: missing table %q", comp.AnchorRel)
 	}
 	// The shared anchor atom's terms are distinct fresh variables, one
 	// per column.
 	pseudo := &ConjRule{Anchor: comp.AnchorAtom}
-	sel, err := splitWhere(ctx, where, pseudo, comp.AnchorVar)
+	sel, err := splitWhere(sys, where, pseudo, comp.AnchorVar)
 	if err != nil {
 		return nil, err
 	}
@@ -314,13 +263,13 @@ func anchorPlan(ctx *planContext, comp *Compiled, where Cond) (*guardedPlan, err
 	}
 	plan := relstore.Select(t, cols, vals)
 	for _, rc := range sel.residual {
-		pred, err := condToExpr(ctx, rc.cond, pseudo, varCols, comp.AnchorVar)
+		pred, err := condToExpr(sys, rc.cond, pseudo, varCols, comp.AnchorVar)
 		if err != nil {
 			return nil, err
 		}
 		plan = &relstore.Filter{Input: plan, Pred: pred}
 	}
-	return &guardedPlan{plan: plan, guards: sel.guards}, nil
+	return guarded(plan, sel.guards)
 }
 
 func evalPred(pred relstore.Expr, row model.Tuple) (bool, error) {

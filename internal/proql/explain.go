@@ -11,37 +11,25 @@ import (
 // Explain compiles a query without executing it and renders the
 // backend's translation: for the relational backend (Section 4) the
 // matched relations and mappings, every unfolded conjunctive rule
-// (after ASR rewriting, if enabled), and each rule's physical plan;
-// for the path backend the physical operator tree. opts routes the
-// query exactly as it routes Eval; under auto the first line names
-// the backend Eval would run and the reason (the deciding clause, or
-// why the relational translation does not cover the query). The
-// trailing plan-cache line reports hit/miss counters (a relational
-// Explain consults the cache, so explaining a repeated shape counts a
-// hit; the path planner never does). A relational EXPLAIN renders the
-// cached plan template bound to the query's literals — the plans an
-// execution of the query runs.
+// (after ASR rewriting, if enabled), and each rule's physical plan —
+// the plans an execution of the query runs; for the path backend the
+// physical operator tree. opts routes the query exactly as it routes
+// Eval, and the first line names the backend.
 func (e *Engine) Explain(q *Query, opts Options) (string, error) {
-	backend, reason, err := e.route(q, opts)
+	backend, err := route(opts)
 	if err != nil {
 		return "", err
 	}
 	var sb strings.Builder
+	fmt.Fprintf(&sb, "backend: %s\n", backend)
 	if backend == "relational" {
-		err = e.explainRelational(&sb, q, reason)
-		if nr, ok := err.(*ErrNotRelational); ok && reason != "" {
-			backend, reason = "path", nr.Reason
-		}
-	}
-	if backend == "path" {
-		fmt.Fprintf(&sb, "backend: path (%s)\n", reason)
+		err = e.explainRelational(&sb, q)
+	} else {
 		err = e.explainPhys(&sb, q, opts.AsOfEpoch)
 	}
 	if err != nil {
 		return "", err
 	}
-	st := e.PlanCacheStats()
-	fmt.Fprintf(&sb, "plan cache: %d entries, %d hits, %d misses\n", st.Entries, st.Hits, st.Misses)
 	return sb.String(), nil
 }
 
@@ -66,23 +54,13 @@ func (e *Engine) explainPhys(sb *strings.Builder, q *Query, asOf uint64) error {
 }
 
 // explainRelational renders the Section 4 pipeline: anchor, matched
-// schema-graph fragment, unfolded rules, per-rule relational plans;
-// a non-empty reason follows the backend name. It writes nothing when
-// the query is not relational.
-func (e *Engine) explainRelational(sb *strings.Builder, q *Query, reason string) error {
-	t, err := e.relationalTemplate(e.Sys, q)
+// schema-graph fragment, unfolded rules, per-rule relational plans.
+func (e *Engine) explainRelational(sb *strings.Builder, q *Query) error {
+	up, err := e.planUnfold(e.Sys, q)
 	if err != nil {
 		return err
 	}
-	up, err := t.bind(q)
-	if err != nil {
-		return err
-	}
-	comp := t.comp
-	if reason != "" {
-		reason = " (" + reason + ")"
-	}
-	fmt.Fprintf(sb, "backend: relational%s\n", reason)
+	comp := up.comp
 	fmt.Fprintf(sb, "anchor: %s ($%s)\n", comp.AnchorRel, comp.AnchorVar)
 	fmt.Fprintf(sb, "matched relations: %s\n", strings.Join(comp.Allowed.SortedRelations(), ", "))
 	fmt.Fprintf(sb, "matched mappings: %s\n", strings.Join(comp.Allowed.SortedMappings(), ", "))
@@ -99,7 +77,7 @@ func (e *Engine) explainRelational(sb *strings.Builder, q *Query, reason string)
 		}
 		sb.WriteString(strings.Join(parts, ", "))
 		sb.WriteByte('\n')
-		sb.WriteString(indent(relstore.Explain(up.plans[i]), "   "))
+		sb.WriteString(indent(relstore.Explain(rp.plan), "   "))
 	}
 	return nil
 }

@@ -84,8 +84,9 @@ func checkGolden(t *testing.T, name, query, got string) {
 	}
 }
 
-// TestExplainPointQueryIsGoalDirected pins the shape of the paper's
-// core question about one tuple: the key selection is pushed into both
+// TestExplainPointQueryIsGoalDirected pins the relational translation
+// of the paper's core question about one tuple: the key selection is
+// pushed into both
 // unfolded rules, so every atom is reached by a key lookup or a key
 // probe and nothing is scanned; the lookup of the anchor's local row
 // binds every column the query reads, so every probe after it is a
@@ -93,7 +94,7 @@ func checkGolden(t *testing.T, name, query, got string) {
 func TestExplainPointQueryIsGoalDirected(t *testing.T) {
 	set := chainSetting(t)
 	out, err := proql.NewEngine(set.Sys).ExplainString(
-		`FOR [A0 $x] WHERE $x.k = 80000003 INCLUDE PATH [$x] <-+ [] RETURN $x`, proql.Options{})
+		`FOR [A0 $x] WHERE $x.k = 80000003 INCLUDE PATH [$x] <-+ [] RETURN $x`, proql.Options{Backend: "relational"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,8 +44,8 @@ func TestExplainRelationalQuery(t *testing.T) {
 func TestExplainGraphQuery(t *testing.T) {
 	e := exampleEngine(t)
 	for q, want := range map[string]string{
-		"Q4": "backend: path (no WHERE)",
-		"Q3": "backend: path (multiple FOR path expressions)",
+		"Q4": "backend: path\n",
+		"Q3": "backend: path\n",
 	} {
 		out, err := e.ExplainString(paperQueries[q], Options{})
 		if err != nil {
@@ -81,63 +81,52 @@ func TestExplainShowsVirtualProvenanceView(t *testing.T) {
 	}
 }
 
-// TestAutoRoutes pins auto's syntax-only routing, one query per class:
-// a query with no WHERE (whole-relation INCLUDE, multi-path, EVALUATE)
-// runs on path; a key-pinned or range WHERE runs on the relational
-// translation; a WHERE query the translation does not cover falls back
-// to path. EXPLAIN's backend line names the backend Eval ran, and why.
+// TestAutoRoutes: auto runs every query on the path executor, one
+// query per class the relational translation used to take: a
+// key-pinned read live and AS OF, a range WHERE, a whole-relation AS OF
+// read, and EVALUATE; ASR rewriting does not change it. EXPLAIN's
+// backend line names the executor Eval ran.
 func TestAutoRoutes(t *testing.T) {
 	e := exampleEngine(t)
-	for _, c := range []struct{ class, query, want, reason string }{
-		{"whole-relation INCLUDE", paperQueries["Q1"], "path", "no WHERE"},
-		{"multipath", paperQueries["Q4"], "path", "no WHERE"},
-		{"key-pinned", `FOR [A $x] WHERE $x.id = 2 INCLUDE PATH [$x] <-+ [] RETURN $x`, "relational", "WHERE"},
-		{"range", `FOR [A $x] WHERE $x.length >= 6 RETURN $x`, "relational", "WHERE"},
-		{"EVALUATE", paperQueries["Q7"], "path", "no WHERE"},
-		{"uncovered, falls back", paperQueries["Q3"], "path", "multiple FOR path expressions"},
+	epoch := e.Sys.DB.Epoch()
+	keyPinned := `FOR [A $x] WHERE $x.id = 2 INCLUDE PATH [$x] <-+ [] RETURN $x`
+	for _, c := range []struct {
+		class, query string
+		asOf         uint64
+	}{
+		{"key-pinned", keyPinned, 0},
+		{"key-pinned AS OF", keyPinned, epoch},
+		{"range", `FOR [A $x] WHERE $x.length >= 6 RETURN $x`, 0},
+		{"whole-relation AS OF", paperQueries["Q1"], epoch},
+		{"EVALUATE", paperQueries["Q7"], 0},
+		{"multipath", paperQueries["Q3"], 0},
 	} {
 		q := MustParse(c.query)
-		res, err := e.Eval(context.Background(), q, Options{})
+		opts := Options{AsOfEpoch: c.asOf}
+		res, err := e.Eval(context.Background(), q, opts)
 		if err != nil {
 			t.Fatalf("%s: %v", c.class, err)
 		}
-		if res.Stats.Backend != c.want {
-			t.Errorf("%s: ran on %s, want %s", c.class, res.Stats.Backend, c.want)
+		if res.Stats.Backend != "path" {
+			t.Errorf("%s: ran on %s, want path", c.class, res.Stats.Backend)
 		}
-		out, err := e.Explain(q, Options{})
+		out, err := e.Explain(q, opts)
 		if err != nil {
 			t.Fatalf("%s: explain: %v", c.class, err)
 		}
-		line, _, _ := strings.Cut(out, "\n")
-		if want := "backend: " + res.Stats.Backend + " (" + c.reason + ")"; line != want {
-			t.Errorf("%s: EXPLAIN says %q, want %q", c.class, line, want)
+		if line, _, _ := strings.Cut(out, "\n"); line != "backend: path" {
+			t.Errorf("%s: EXPLAIN says %q, want %q", c.class, line, "backend: path")
 		}
 	}
 
-	// A whole-relation read stays on the translation AS OF an epoch.
 	q := MustParse(paperQueries["Q1"])
-	res, err := e.Eval(context.Background(), q, Options{AsOfEpoch: e.Sys.DB.Epoch()})
-	if err != nil {
-		t.Fatalf("AS OF: %v", err)
-	}
-	if res.Stats.Backend != "relational" {
-		t.Errorf("AS OF: ran on %s, want relational", res.Stats.Backend)
-	}
-	// ASR rewriting applies to a pinned relational backend only: under
-	// auto the same read runs on path.
 	e.RewriteRules = func(rules []*ConjRule) []*ConjRule { return rules }
-	if res, err = e.Eval(context.Background(), q, Options{}); err != nil {
+	res, err := e.Eval(context.Background(), q, Options{})
+	if err != nil {
 		t.Fatalf("ASR rewriting: %v", err)
 	}
 	if res.Stats.Backend != "path" {
 		t.Errorf("ASR rewriting: ran on %s, want path", res.Stats.Backend)
-	}
-	out, err := e.Explain(q, Options{})
-	if err != nil {
-		t.Fatalf("ASR rewriting: explain: %v", err)
-	}
-	if line, _, _ := strings.Cut(out, "\n"); line != "backend: path (no WHERE)" {
-		t.Errorf("ASR rewriting: EXPLAIN says %q", line)
 	}
 	e.RewriteRules = nil
 

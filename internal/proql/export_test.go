@@ -18,18 +18,14 @@ func EvalCountingRuleRows(e *Engine, q *Query, read func()) error {
 		return err
 	}
 	defer release()
-	t, err := e.relationalTemplate(sys, q)
+	up, err := e.planUnfold(sys, q)
 	if err != nil {
 		return err
 	}
-	up, err := t.bind(q)
-	if err != nil {
-		return err
+	for _, rp := range up.rules {
+		rp.plan = &relstore.Filter{Input: rp.plan, Pred: rowCounter(read)}
 	}
-	for i, p := range up.plans {
-		up.plans[i] = &relstore.Filter{Input: p, Pred: rowCounter(read)}
-	}
-	_, err = e.runUnfold(sys, q, t.comp, 0, up)
+	_, err = e.runUnfold(sys, q, 0, up)
 	return err
 }
 
@@ -43,10 +39,6 @@ func (r rowCounter) Eval(model.Tuple) (model.Datum, error) {
 }
 
 func (r rowCounter) String() string { return "count" }
-
-// RulePlansBuilt is the number of relational rule plans built so far,
-// by every engine: a plan-template hit builds none.
-func RulePlansBuilt() int64 { return rulePlansBuilt.Load() }
 
 // LinkedNodes is the number of provgraph nodes the result holds linked:
 // 0 until Graph() links its recorded projection.
@@ -70,42 +62,37 @@ func (e *Engine) ExecFilterOnTop(q *Query, asOf uint64) (*Result, error) {
 		return nil, err
 	}
 	defer release()
-	comp, err := CompileUnfold(sys, q)
-	if err != nil {
+	if _, err := CompileUnfold(sys, q); err != nil { // what the WHERE may not do
 		return nil, err
 	}
 	bare := *q
 	bare.Projection.Where = nil
-	t, err := e.buildTemplate(sys, comp, &bare)
+	up, err := e.planUnfold(sys, &bare)
 	if err != nil {
 		return nil, err
 	}
-	up, err := t.bind(&bare)
-	if err != nil {
-		return nil, err
-	}
+	comp := up.comp
 	if where := q.Projection.Where; where != nil {
-		ctx := &planContext{sys: sys}
-		for i, rp := range up.rules {
-			pred, err := condToExpr(ctx, where, rp.rule, rp.varCols, comp.AnchorVar)
+		for _, rp := range up.rules {
+			pred, err := condToExpr(sys, where, rp.rule, rp.varCols, comp.AnchorVar)
 			if err != nil {
 				return nil, err
 			}
-			up.plans[i] = &relstore.Filter{Input: up.plans[i], Pred: pred}
+			rp.plan = &relstore.Filter{Input: rp.plan, Pred: pred}
 		}
 		if up.anchor != nil {
 			varCols := make(map[string]int, len(comp.AnchorAtom.Args))
 			for i, term := range comp.AnchorAtom.Args {
 				varCols[term.Var] = i
 			}
-			pred, err := condToExpr(ctx, where, &ConjRule{Anchor: comp.AnchorAtom}, varCols, comp.AnchorVar)
+			pred, err := condToExpr(sys, where, &ConjRule{Anchor: comp.AnchorAtom}, varCols, comp.AnchorVar)
 			if err != nil {
 				return nil, err
 			}
 			up.anchor = &relstore.Filter{Input: up.anchor, Pred: pred}
 		}
 	}
-	res, err := e.runUnfold(sys, q, comp, asOf, up)
+	res, err := e.runUnfold(sys, q, asOf, up)
 	if err != nil {
 		return nil, err
 	}

@@ -385,9 +385,11 @@ func candidateTuples(g *provgraph.Graph, pat NodePattern, b graphBinding) ([]*pr
 		}
 	}
 	if pat.Rel != "" {
+		// A relation scan ranges over the instance: the tuples the
+		// snapshot stores, not those a provenance row names alone.
 		var out []*provgraph.TupleNode
 		for _, tn := range g.Tuples() {
-			if tn.Ref.Rel == pat.Rel {
+			if tn.Ref.Rel == pat.Rel && tn.Row != nil {
 				out = append(out, tn)
 			}
 		}

@@ -3,6 +3,7 @@ package physplan
 import (
 	"iter"
 	"strings"
+	"sync"
 
 	"repro/internal/model"
 )
@@ -124,7 +125,8 @@ func (inc *Include) explain(sb *strings.Builder, indent int) {
 
 // each implements Op.
 func (inc *Include) each(yield func(Row) bool) error {
-	w := newIncludeWalk(inc.g, inc.out)
+	w := getIncludeWalk(inc.g, inc.out)
+	defer putIncludeWalk(w)
 	var err error
 	if ierr := inc.input.each(func(row Row) bool {
 		for i := range inc.paths {
@@ -160,8 +162,31 @@ type includeWalk struct {
 	onStart func(Tuple) bool
 }
 
-func newIncludeWalk(g Graph, out *Projection) *includeWalk {
-	w := &includeWalk{g: g, out: out, visited: map[Tuple]bool{}}
+// includeWalks keeps finished walks, with their closures, queue and a
+// one-page done set, for the next Include executions.
+var includeWalks = sync.Pool{New: func() any { return newIncludeWalk() }}
+
+func getIncludeWalk(g Graph, out *Projection) *includeWalk {
+	w := includeWalks.Get().(*includeWalk)
+	w.g, w.out = g, out
+	return w
+}
+
+// putIncludeWalk keeps w for another execution unless its done set
+// spans more than one page.
+func putIncludeWalk(w *includeWalk) {
+	if w.done.pages != nil {
+		return
+	}
+	w.done.reset()
+	clear(w.queue)
+	clear(w.visited)
+	w.g, w.out, w.bp, w.row, w.queue = nil, nil, nil, nil, w.queue[:0]
+	includeWalks.Put(w)
+}
+
+func newIncludeWalk() *includeWalk {
+	w := &includeWalk{queue: make([]Tuple, 0, 16)}
 	w.onSource = func(src Tuple) bool {
 		if w.done.mark(uint64(src.TupleOrd())) {
 			w.queue = append(w.queue, src)
@@ -175,7 +200,7 @@ func newIncludeWalk(g Graph, out *Projection) *includeWalk {
 	w.onDeriv = func(d Deriv) bool {
 		w.found = true
 		w.out.addDeriv(d)
-		g.EachSource(d, w.onSource)
+		w.g.EachSource(d, w.onSource)
 		return true
 	}
 	w.onStart = func(st Tuple) bool {
@@ -187,6 +212,9 @@ func newIncludeWalk(g Graph, out *Projection) *includeWalk {
 		if bp.ancestrySuffix(0, row) {
 			w.ancestors(st)
 			return true
+		}
+		if w.visited == nil {
+			w.visited = map[Tuple]bool{}
 		}
 		w.visited[st] = true
 		w.walk(bp, 0, st, row)

@@ -5,12 +5,14 @@ const markPageBits = 1 << 12
 
 type markPage [markPageBits / 64]uint64
 
-// marks is a set of uint64 codes (node codes or ordinals) held as bits
-// in pages allocated on first touch, so memory follows the marked set
-// and never the largest code. The page touched last is cached: handles
-// interned together are marked together. The first page lives outside
-// the page map, which a set spanning one page never allocates.
+// marks is a set of uint64 codes (node codes or ordinals) held as bits:
+// the lowest codes inline, a point query's few, and the rest in pages
+// allocated on first touch, so memory follows the marked set and never
+// the largest code. The page touched last is cached: handles interned
+// together are marked together. The first page lives outside the page
+// map, which a set spanning one page never allocates.
 type marks struct {
+	low   [4]uint64            // codes below 256
 	pages map[uint64]*markPage // every page, once there are two
 	last  *markPage
 	lastN uint64 // page number of last
@@ -18,6 +20,14 @@ type marks struct {
 
 // mark adds c, reporting whether it was not yet marked.
 func (m *marks) mark(c uint64) bool {
+	if c < 256 {
+		w, bit := c/64, uint64(1)<<(c%64)
+		if m.low[w]&bit != 0 {
+			return false
+		}
+		m.low[w] |= bit
+		return true
+	}
 	n := c / markPageBits
 	p := m.last
 	if p == nil || n != m.lastN {
@@ -43,6 +53,7 @@ func (m *marks) mark(c uint64) bool {
 
 // reset empties the set, keeping its pages for the next use.
 func (m *marks) reset() {
+	m.low = [4]uint64{}
 	for _, p := range m.pages {
 		clear(p[:])
 	}

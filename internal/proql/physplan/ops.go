@@ -32,7 +32,7 @@ type Scan struct {
 	g      Graph
 	bp     boundPath
 	schema *Schema
-	desc   string
+	start  startBinding
 	cancel func() error
 }
 
@@ -40,7 +40,7 @@ type Scan struct {
 func (s *Scan) Schema() *Schema { return s.schema }
 
 func (s *Scan) explain(sb *strings.Builder, indent int) {
-	writeLine(sb, indent, "Scan(%s, %s)", s.bp.path, s.desc)
+	writeLine(sb, indent, "Scan(%s, %s)", s.bp.path, s.bp.startsDesc(s.start))
 }
 
 // each implements Op: the matches bound on the matcher's scratch row,
@@ -78,7 +78,7 @@ type Extend struct {
 	g      Graph
 	bp     boundPath
 	schema *Schema
-	desc   string
+	start  startBinding
 	cancel func() error
 }
 
@@ -86,7 +86,7 @@ type Extend struct {
 func (e *Extend) Schema() *Schema { return e.schema }
 
 func (e *Extend) explain(sb *strings.Builder, indent int) {
-	writeLine(sb, indent, "Extend(%s, %s)", e.bp.path, e.desc)
+	writeLine(sb, indent, "Extend(%s, %s)", e.bp.path, e.bp.startsDesc(e.start))
 	e.input.explain(sb, indent+1)
 }
 
@@ -177,7 +177,7 @@ type FilterFn func(*Schema, Row) (bool, error)
 // evaluate-after-all-paths error semantics.
 type Filter struct {
 	input   Op
-	desc    string
+	desc    fmt.Stringer
 	fn      FilterFn
 	lenient bool
 }
@@ -234,11 +234,14 @@ func (d *Dedup) explain(sb *strings.Builder, indent int) {
 // each implements Op.
 func (d *Dedup) each(yield func(Row) bool) error {
 	var keys keyer
-	seen := map[uint64]struct{}{}
+	var seen map[uint64]struct{}
 	return d.input.each(func(row Row) bool {
 		k := keys.key(row, d.onCols)
 		if _, dup := seen[k]; dup {
 			return true
+		}
+		if seen == nil {
+			seen = map[uint64]struct{}{}
 		}
 		seen[k] = struct{}{}
 		return yield(row)

@@ -83,8 +83,10 @@ func (p Path) String() string {
 
 // Vars returns the variables bound by the path, tuple vars then
 // derivation vars, in order of appearance.
-func (p Path) Vars() []string {
-	var out []string
+func (p Path) Vars() []string { return p.appendVars(nil) }
+
+// appendVars appends the path's variables, as Vars lists them, to out.
+func (p Path) appendVars(out []string) []string {
 	for _, n := range p.Nodes {
 		if n.Var != "" {
 			out = append(out, n.Var)
@@ -200,14 +202,26 @@ func (bp *boundPath) eachStart(g Graph, row Row, useIndexes bool, yield func(Tup
 	return nil
 }
 
-// startsDesc describes the start strategy for EXPLAIN output, given the
-// variables bound before this path runs.
-func (bp *boundPath) startsDesc(bound map[string]bool) string {
+// startBinding says which of a path's starts earlier paths bind: its
+// first node's variable, or the variable of its first, direct edge.
+type startBinding struct{ node, edge bool }
+
+func (bp *boundPath) startBinding(bound varSet) startBinding {
+	n0, edges := bp.path.Nodes[0], bp.path.Edges
+	return startBinding{
+		node: n0.Var != "" && bound.has(n0.Var),
+		edge: len(edges) > 0 && edges[0].Kind == EdgeDirect && edges[0].Var != "" && bound.has(edges[0].Var),
+	}
+}
+
+// startsDesc describes the start strategy for EXPLAIN output, given
+// which of the path's starts earlier paths bind.
+func (bp *boundPath) startsDesc(sb startBinding) string {
 	n0 := bp.path.Nodes[0]
-	if n0.Var != "" && bound[n0.Var] {
+	if sb.node {
 		return "start=$" + n0.Var
 	}
-	if len(bp.path.Edges) > 0 && bp.path.Edges[0].Kind == EdgeDirect && bp.path.Edges[0].Var != "" && bound[bp.path.Edges[0].Var] {
+	if sb.edge {
 		return "start=targets($" + bp.path.Edges[0].Var + ")"
 	}
 	if bp.path.StartKey != nil {
@@ -249,7 +263,10 @@ type matcher struct {
 }
 
 func (bp *boundPath) newMatcher(g Graph) *matcher {
-	m := &matcher{bp: bp, g: g, visited: map[Tuple]bool{}}
+	m := &matcher{bp: bp, g: g}
+	if len(bp.path.Edges) > 0 {
+		m.visited = map[Tuple]bool{}
+	}
 	if !slices.ContainsFunc(bp.path.Edges, func(e Edge) bool { return e.Kind == EdgePlus }) {
 		return m
 	}
@@ -293,6 +310,9 @@ func (m *matcher) matchStart(st Tuple, row Row, yield func(Row) bool) bool {
 	copy(m.row, row)
 	if c := m.bp.nodeCol[0]; c >= 0 && m.row[c] == nil {
 		m.row[c] = st
+	}
+	if m.visited == nil { // no edge to step
+		return yield(m.row)
 	}
 	m.visited[st] = true
 	cont := m.step(0, st, yield)

@@ -194,7 +194,7 @@ func TestFilterPushdown(t *testing.T) {
 	keep := ref("O", 1)
 	calls := 0
 	filter := FilterSpec{
-		Desc: "x = O(1)",
+		Desc: testDesc("x = O(1)"),
 		Vars: []string{"x"},
 		Fn: func(s *Schema, r Row) (bool, error) {
 			calls++
@@ -698,7 +698,7 @@ func TestLenientFilterDefersErrors(t *testing.T) {
 	}
 	// The lenient pruning copy passes erroring rows through: later
 	// joins may prune them, and the authoritative filter decides.
-	lenient := &Filter{input: scan, desc: "boom", fn: boom, lenient: true}
+	lenient := &Filter{input: scan, desc: testDesc("boom"), fn: boom, lenient: true}
 	rows := 0
 	if err := lenient.each(func(Row) bool { rows++; return true }); err != nil {
 		t.Fatal(err)
@@ -707,7 +707,7 @@ func TestLenientFilterDefersErrors(t *testing.T) {
 		t.Fatalf("lenient filter should pass erroring rows through, got %d", rows)
 	}
 	// The authoritative copy surfaces the error, yielding no row.
-	strict := &Filter{input: scan, desc: "boom", fn: boom}
+	strict := &Filter{input: scan, desc: testDesc("boom"), fn: boom}
 	rows = 0
 	if err := strict.each(func(Row) bool { rows++; return true }); err == nil || rows != 0 {
 		t.Fatalf("strict filter must surface evaluation errors: %d rows, err %v", rows, err)
@@ -802,13 +802,13 @@ func TestScanKeyPinnedStart(t *testing.T) {
 
 // countingFilter passes every row of in, counting them.
 func countingFilter(in Op, n *int) *Filter {
-	return &Filter{input: in, desc: "count", fn: func(*Schema, Row) (bool, error) { *n++; return true, nil }}
+	return &Filter{input: in, desc: testDesc("count"), fn: func(*Schema, Row) (bool, error) { *n++; return true, nil }}
 }
 
 // failingFilter passes the first n rows of in and fails on the next.
 func failingFilter(in Op, n int) *Filter {
 	seen := 0
-	return &Filter{input: in, desc: "fail", fn: func(*Schema, Row) (bool, error) {
+	return &Filter{input: in, desc: testDesc("fail"), fn: func(*Schema, Row) (bool, error) {
 		if seen++; seen > n {
 			return false, errBoom
 		}
@@ -902,10 +902,15 @@ func TestEachReturnsMidRunError(t *testing.T) {
 	}
 	plan := compilePlan(t, diamondGraph(20), Spec{
 		Paths:   []Path{{Nodes: []Node{{Rel: "O", Var: "x"}}}},
-		Filters: []FilterSpec{{Desc: "fail", Vars: []string{"x"}, Fn: failingFilter(nil, 2).fn}},
+		Filters: []FilterSpec{{Desc: testDesc("fail"), Vars: []string{"x"}, Fn: failingFilter(nil, 2).fn}},
 		Return:  []string{"x"},
 	})
 	if a, err := plan.Answer(); !errors.Is(err, errBoom) || a.Rows != 0 {
 		t.Errorf("answer = %d rows, %v; want none and %v", a.Rows, err, errBoom)
 	}
 }
+
+// testDesc is a filter's EXPLAIN text.
+type testDesc string
+
+func (d testDesc) String() string { return string(d) }

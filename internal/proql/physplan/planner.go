@@ -11,7 +11,7 @@ import (
 // earliest operator where all are available) and the compiled
 // predicate.
 type FilterSpec struct {
-	Desc string
+	Desc fmt.Stringer // rendered by EXPLAIN only
 	Vars []string
 	Fn   FilterFn
 }
@@ -75,11 +75,10 @@ func Compile(g Graph, spec Spec) (*Plan, error) {
 	// order. (Stable under reordering, so filter predicates compiled
 	// against it stay valid regardless of the chosen join order.)
 	var cols []string
-	seen := map[string]bool{}
 	for _, p := range spec.Paths {
-		for _, v := range p.Vars() {
-			if !seen[v] {
-				seen[v] = true
+		var buf [8]string
+		for _, v := range p.appendVars(buf[:0]) {
+			if !slices.Contains(cols, v) {
 				cols = append(cols, v)
 			}
 		}
@@ -87,7 +86,7 @@ func Compile(g Graph, spec Spec) (*Plan, error) {
 	schema := NewSchema(cols)
 	order := greedyOrder(spec.Paths)
 
-	bound := map[string]bool{}
+	bound := make(varSet, 0, 8)
 	var root Op
 	// Pushed-down filters are lenient pruning copies (see Filter); the
 	// authoritative evaluation happens once at the end of the pipeline,
@@ -110,14 +109,14 @@ func Compile(g Graph, spec Spec) (*Plan, error) {
 	for oi, idx := range order {
 		p := spec.Paths[idx]
 		bp := bindPath(p, schema)
-		desc := bp.startsDesc(bound)
+		start := bp.startBinding(bound)
 		switch {
 		case root == nil:
-			root = &Scan{g: g, bp: bp, schema: schema, desc: desc, cancel: spec.Cancel}
+			root = &Scan{g: g, bp: bp, schema: schema, start: start, cancel: spec.Cancel}
 		case startBound(p, bound):
 			// Goal-directed: the start tuple (or first-edge derivation)
 			// is bound by earlier paths — extend row by row.
-			root = &Extend{input: root, g: g, bp: bp, schema: schema, desc: desc, cancel: spec.Cancel}
+			root = &Extend{input: root, g: g, bp: bp, schema: schema, start: start, cancel: spec.Cancel}
 		default:
 			// Independent scan hash-joined on the shared variables
 			// (empty = cross product).
@@ -126,12 +125,10 @@ func Compile(g Graph, spec Spec) (*Plan, error) {
 			for i, v := range shared {
 				onCols[i] = schema.Col(v)
 			}
-			right := &Scan{g: g, bp: bp, schema: schema, desc: desc, cancel: spec.Cancel}
+			right := &Scan{g: g, bp: bp, schema: schema, start: start, cancel: spec.Cancel}
 			root = &HashJoin{left: root, right: right, on: shared, onCols: onCols, schema: schema}
 		}
-		for _, v := range p.Vars() {
-			bound[v] = true
-		}
+		bound = bound.add(p)
 		if oi < len(order)-1 {
 			pushFilters()
 		}
@@ -139,7 +136,7 @@ func Compile(g Graph, spec Spec) (*Plan, error) {
 	if root == nil {
 		// No FOR paths: a single empty row (mirrors the interpreter's
 		// unit seed binding).
-		root = &Scan{g: g, bp: bindPath(Path{Nodes: []Node{{}}}, schema), schema: schema, desc: "start=scan:all", cancel: spec.Cancel}
+		root = &Scan{g: g, bp: bindPath(Path{Nodes: []Node{{}}}, schema), schema: schema, cancel: spec.Cancel}
 	}
 	// The authoritative filters, in query order. Filters whose
 	// variables no FOR path binds surface the interpreter's
@@ -194,9 +191,25 @@ func fusable(spec Spec, retCols []int, schema *Schema) bool {
 	return true
 }
 
-func varsBound(vars []string, bound map[string]bool) bool {
+// varSet is a set of a query's few variables.
+type varSet []string
+
+func (s varSet) has(v string) bool { return slices.Contains(s, v) }
+
+// add returns s with p's variables added.
+func (s varSet) add(p Path) varSet {
+	var buf [8]string
+	for _, v := range p.appendVars(buf[:0]) {
+		if !s.has(v) {
+			s = append(s, v)
+		}
+	}
+	return s
+}
+
+func varsBound(vars []string, bound varSet) bool {
 	for _, v := range vars {
-		if !bound[v] {
+		if !bound.has(v) {
 			return false
 		}
 	}
@@ -206,22 +219,22 @@ func varsBound(vars []string, bound map[string]bool) bool {
 // startBound reports whether evaluating p row-by-row can seed from a
 // binding: its start node variable or first-edge derivation variable
 // is already bound.
-func startBound(p Path, bound map[string]bool) bool {
-	if v := p.Nodes[0].Var; v != "" && bound[v] {
+func startBound(p Path, bound varSet) bool {
+	if v := p.Nodes[0].Var; v != "" && bound.has(v) {
 		return true
 	}
 	if len(p.Edges) > 0 && p.Edges[0].Kind == EdgeDirect {
-		if v := p.Edges[0].Var; v != "" && bound[v] {
+		if v := p.Edges[0].Var; v != "" && bound.has(v) {
 			return true
 		}
 	}
 	return false
 }
 
-func sharedVars(p Path, bound map[string]bool) []string {
+func sharedVars(p Path, bound varSet) []string {
 	var out []string
 	for _, v := range p.Vars() {
-		if bound[v] {
+		if bound.has(v) {
 			out = append(out, v)
 		}
 	}
@@ -232,7 +245,7 @@ func sharedVars(p Path, bound map[string]bool) []string {
 // alone; lower runs first: 0 a start bound by an earlier path, 1 a
 // key-pinned start, 2 a start named by a relation or by the first
 // edge's mapping, 3 anything else (every tuple).
-func startRank(p Path, bound map[string]bool) int {
+func startRank(p Path, bound varSet) int {
 	switch {
 	case startBound(p, bound):
 		return 0
@@ -265,7 +278,7 @@ func greedyOrder(paths []Path) []int {
 	n := len(paths)
 	order := make([]int, 0, n)
 	used := make([]bool, n)
-	bound := map[string]bool{}
+	bound := make(varSet, 0, 8)
 	for len(order) < n {
 		best, bestRank, bestPlus, bestConnected := -1, 0, 0, false
 		for i := 0; i < n; i++ {
@@ -291,9 +304,7 @@ func greedyOrder(paths []Path) []int {
 		}
 		used[best] = true
 		order = append(order, best)
-		for _, v := range paths[best].Vars() {
-			bound[v] = true
-		}
+		bound = bound.add(paths[best])
 	}
 	return order
 }

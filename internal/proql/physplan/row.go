@@ -38,26 +38,23 @@
 // that implements it.
 package physplan
 
-import "strconv"
+import (
+	"slices"
+	"strconv"
+)
 
 // Row is one variable binding: a slice indexed by the plan Schema,
 // holding Tuple or Deriv handles (nil = unbound).
 type Row []any
 
-// Schema maps variable names to row columns.
+// Schema maps variable names to row columns: a query's few variables,
+// found by a scan.
 type Schema struct {
 	cols []string
-	idx  map[string]int
 }
 
 // NewSchema builds a schema over the given column (variable) names.
-func NewSchema(cols []string) *Schema {
-	s := &Schema{cols: cols, idx: make(map[string]int, len(cols))}
-	for i, c := range cols {
-		s.idx[c] = i
-	}
-	return s
-}
+func NewSchema(cols []string) *Schema { return &Schema{cols: cols} }
 
 // Extend returns a schema with extra columns appended (names already
 // present are ignored).
@@ -65,7 +62,7 @@ func (s *Schema) Extend(extra []string) *Schema {
 	cols := make([]string, len(s.cols), len(s.cols)+len(extra))
 	copy(cols, s.cols)
 	for _, c := range extra {
-		if _, ok := s.idx[c]; !ok {
+		if !slices.Contains(cols, c) {
 			cols = append(cols, c)
 		}
 	}
@@ -77,10 +74,7 @@ func (s *Schema) Width() int { return len(s.cols) }
 
 // Col returns the column of a variable, or -1 if absent.
 func (s *Schema) Col(name string) int {
-	if i, ok := s.idx[name]; ok {
-		return i
-	}
-	return -1
+	return slices.Index(s.cols, name)
 }
 
 // rowAlloc carves fixed-width rows out of shared backing arrays whose

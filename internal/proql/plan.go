@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync/atomic"
 
 	"repro/internal/exchange"
 	"repro/internal/model"
@@ -16,85 +15,26 @@ import (
 // by later joins or by the query's outputs (anchor keys, provenance
 // terms, leaf contexts) are carried, keeping rows narrow through long
 // join chains. varCols maps each surviving rule variable to its output
-// column. The plan is a template: the query's WHERE literals sit in it
-// as relstore.Param slots (paramSlots), bound per execution.
+// column. The plan is built for one query, with its WHERE literals.
 type rulePlan struct {
-	rule *ConjRule
-	guardedPlan
+	rule    *ConjRule
+	plan    relstore.Plan
 	varCols map[string]int
 }
 
-// guardedPlan is a plan template that yields nothing unless every
-// guard — a WHERE conjunct comparing constants only — holds for the
-// bound literals.
-type guardedPlan struct {
-	plan   relstore.Plan
-	guards []relstore.Expr
-}
-
-// bind returns the executable plan for one query's parameter values.
-func (g *guardedPlan) bind(args []model.Datum) (relstore.Plan, error) {
-	for _, guard := range g.guards {
-		keep, err := evalPred(relstore.BindExpr(guard, args), nil)
+// guarded returns plan, or a plan of no rows unless every guard — a
+// WHERE conjunct comparing constants only — holds.
+func guarded(plan relstore.Plan, guards []relstore.Expr) (relstore.Plan, error) {
+	for _, guard := range guards {
+		keep, err := evalPred(guard, nil)
 		if err != nil {
 			return nil, err
 		}
 		if !keep {
-			return noRows, nil
+			return &relstore.Values{}, nil
 		}
 	}
-	if len(args) == 0 {
-		return g.plan, nil
-	}
-	return &relstore.Bound{Plan: g.plan, Args: args}, nil
-}
-
-// noRows is the plan of a rule a guard empties.
-var noRows = &relstore.Values{}
-
-// planContext resolves tables, including virtual provenance views, and
-// numbers the parameter slots of the template being built.
-type planContext struct {
-	sys    *exchange.System
-	params *paramSlots
-}
-
-// whereLit stands for the i-th literal of a WHERE condition (in
-// appendWhereLits order) in the copy a template is built from.
-type whereLit int
-
-// paramSlots numbers the parameter slots of a plan template as the
-// builder asks for them. A slot reads one WHERE literal of the query
-// being bound: as written, or — where an equality is pushed into an
-// access path — converted by probeLiteral to the attribute's type.
-type paramSlots struct {
-	lits  []model.Datum // the literals of the query the template is built from
-	slots []paramSlot
-}
-
-type paramSlot struct {
-	lit   int
-	probe bool
-	typ   model.DatumType
-}
-
-func (ps *paramSlots) slot(s paramSlot) relstore.Param {
-	i := slices.Index(ps.slots, s)
-	if i < 0 {
-		i = len(ps.slots)
-		ps.slots = append(ps.slots, s)
-	}
-	return relstore.Param(i)
-}
-
-// litExpr is the expression of a WHERE literal: its parameter slot in
-// a template, the value itself in a condition planned with its literals
-// (a test oracle's).
-func (ctx *planContext) litExpr(lit model.Datum) relstore.Expr {
-	if i, ok := lit.(whereLit); ok {
-		return ctx.params.slot(paramSlot{lit: int(i)})
-	}
-	return relstore.Lit{Val: lit}
+	return plan, nil
 }
 
 // pruneSpec describes which variables the query consumes beyond the
@@ -191,8 +131,7 @@ type planAtom struct {
 	// view, which is evaluated as an opaque plan and never probed.
 	table *relstore.Table
 	// constCols/constVals are the argument positions fixed to a
-	// constant — by the rule itself or by a pushed anchor selection,
-	// whose value is a parameter slot.
+	// constant — by the rule itself or by a pushed anchor selection.
 	constCols []int
 	constVals []model.Datum
 	// vars/varCols give the first occurrence of each distinct variable;
@@ -202,9 +141,9 @@ type planAtom struct {
 	repeats [][2]int
 }
 
-func classifyAtom(ctx *planContext, atom model.Atom, fixed map[string]model.Datum) planAtom {
+func classifyAtom(sys *exchange.System, atom model.Atom, fixed map[string]model.Datum) planAtom {
 	pa := planAtom{atom: atom, vars: make([]string, 0, len(atom.Args)), varCols: make([]int, 0, len(atom.Args))}
-	pa.table, _ = ctx.sys.DB.Table(atom.Rel)
+	pa.table, _ = sys.DB.Table(atom.Rel)
 	for ai, t := range atom.Args {
 		if t.IsConst {
 			pa.constCols = append(pa.constCols, ai)
@@ -258,8 +197,7 @@ type joinStep struct {
 // joinOrder orders a rule's body atoms from what the planner can
 // observe without statistics — which terms are bound and which keys and
 // indexes exist (a bound term is obviously selective) — never from the
-// values of the constants, so a template's order serves every binding
-// of its slots. From a seed atom it greedily follows atoms sharing an
+// values of the constants. From a seed atom it greedily follows atoms sharing an
 // already-bound variable, preferring one whose primary key or an
 // existing index covers bound columns including a join column: that
 // atom is index-joined, reading only the rows that join. Atoms with no
@@ -394,25 +332,23 @@ func placeFrom(atoms []planAtom, fixed map[string]model.Datum, seed, limit int) 
 // every body atom, conjuncts over constants only become the rule's
 // guards, and the remaining conjuncts become Filters at the first step
 // that binds their variables. Constants then drive each atom's access
-// path and the join order and method (joinOrder). The literals enter
-// the plan as parameter slots: it is built once per query shape.
+// path and the join order and method (joinOrder).
 //
 // A primary-key probe whose atom binds no variable live after its step
 // (and has no repeated variable to compare) is a semi-join: at most one
 // row matches and none of its columns is needed, so the step emits the
 // left row itself.
-func buildRulePlan(ctx *planContext, rule *ConjRule, where Cond, anchorVar string, spec pruneSpec) (*rulePlan, error) {
-	rulePlansBuilt.Add(1)
+func buildRulePlan(sys *exchange.System, rule *ConjRule, where Cond, anchorVar string, spec pruneSpec) (*rulePlan, error) {
 	if len(rule.Body) == 0 {
 		return nil, fmt.Errorf("proql: empty rule body")
 	}
-	sel, err := splitWhere(ctx, where, rule, anchorVar)
+	sel, err := splitWhere(sys, where, rule, anchorVar)
 	if err != nil {
 		return nil, err
 	}
 	atoms := make([]planAtom, len(rule.Body))
 	for i, atom := range rule.Body {
-		atoms[i] = classifyAtom(ctx, atom, sel.fixed)
+		atoms[i] = classifyAtom(sys, atom, sel.fixed)
 	}
 	steps := joinOrder(atoms, sel.fixed)
 	// Past the last step that mentions it, a variable is carried only if
@@ -423,7 +359,7 @@ func buildRulePlan(ctx *planContext, rule *ConjRule, where Cond, anchorVar strin
 			lastUse[v] = p
 		}
 	}
-	for v := range externalVars(ctx.sys, rule, spec) {
+	for v := range externalVars(sys, rule, spec) {
 		lastUse[v] = len(steps)
 	}
 
@@ -440,7 +376,7 @@ func buildRulePlan(ctx *planContext, rule *ConjRule, where Cond, anchorVar strin
 					t = model.C(d)
 				}
 				if t.IsConst {
-					keys[i] = relstore.ValueExpr(t.Const)
+					keys[i] = relstore.Lit{Val: t.Const}
 				} else {
 					keys[i] = relstore.Col(slices.Index(cols, t.Var))
 				}
@@ -471,7 +407,7 @@ func buildRulePlan(ctx *planContext, rule *ConjRule, where Cond, anchorVar strin
 				cols = append(cols, names...)
 			}
 		} else {
-			ap, err := atomAccessPlan(ctx, a)
+			ap, err := atomAccessPlan(sys, a)
 			if err != nil {
 				return nil, err
 			}
@@ -535,7 +471,7 @@ func buildRulePlan(ctx *planContext, rule *ConjRule, where Cond, anchorVar strin
 				rest = append(rest, rc)
 				continue
 			}
-			pred, err := condToExpr(ctx, rc.cond, rule, at, anchorVar)
+			pred, err := condToExpr(sys, rc.cond, rule, at, anchorVar)
 			if err != nil {
 				return nil, err
 			}
@@ -546,7 +482,11 @@ func buildRulePlan(ctx *planContext, rule *ConjRule, where Cond, anchorVar strin
 	if len(pending) > 0 {
 		return nil, fmt.Errorf("proql: WHERE references a variable not bound by the rule body")
 	}
-	rp := &rulePlan{rule: rule, guardedPlan: guardedPlan{plan: plan, guards: sel.guards}}
+	plan, err = guarded(plan, sel.guards)
+	if err != nil {
+		return nil, err
+	}
+	rp := &rulePlan{rule: rule, plan: plan}
 	rp.varCols = make(map[string]int, len(cols))
 	for ci, v := range cols {
 		rp.varCols[v] = ci
@@ -583,11 +523,11 @@ func isIdentity(cols []int, width int) bool {
 // the path relstore.Select chooses (primary-key lookup, index probe or
 // scan, with residual filters); superfluous provenance relations are
 // projection views, filtered on top.
-func atomAccessPlan(ctx *planContext, pa *planAtom) (relstore.Plan, error) {
+func atomAccessPlan(sys *exchange.System, pa *planAtom) (relstore.Plan, error) {
 	if pa.table != nil {
 		return relstore.Select(pa.table, pa.constCols, pa.constVals), nil
 	}
-	ap, err := viewPlan(ctx, pa.atom)
+	ap, err := viewPlan(sys, pa.atom)
 	if err != nil {
 		return nil, err
 	}
@@ -596,20 +536,20 @@ func atomAccessPlan(ctx *planContext, pa *planAtom) (relstore.Plan, error) {
 	}
 	preds := make([]relstore.Expr, len(pa.constCols))
 	for i, c := range pa.constCols {
-		preds[i] = relstore.Cmp{Op: relstore.EQ, L: relstore.Col(c), R: relstore.ValueExpr(pa.constVals[i])}
+		preds[i] = relstore.Cmp{Op: relstore.EQ, L: relstore.Col(c), R: relstore.Lit{Val: pa.constVals[i]}}
 	}
 	return &relstore.Filter{Input: ap, Pred: relstore.AndAll(preds)}, nil
 }
 
 // viewPlan produces the plan of a body atom with no table of its own: a
 // projection view for a superfluous provenance relation.
-func viewPlan(ctx *planContext, atom model.Atom) (relstore.Plan, error) {
+func viewPlan(sys *exchange.System, atom model.Atom) (relstore.Plan, error) {
 	// Virtual provenance relation: P_<mapping> with no backing table.
 	if len(atom.Rel) > len(exchange.ProvTablePrefix) && atom.Rel[:len(exchange.ProvTablePrefix)] == exchange.ProvTablePrefix {
 		mapping := atom.Rel[len(exchange.ProvTablePrefix):]
-		pr, ok := ctx.sys.Prov[mapping]
+		pr, ok := sys.Prov[mapping]
 		if ok && pr.Virtual {
-			return virtualProvPlan(ctx.sys, pr)
+			return virtualProvPlan(sys, pr)
 		}
 	}
 	return nil, fmt.Errorf("proql: no table or view for atom %s", atom.Rel)
@@ -658,14 +598,14 @@ func virtualProvPlan(sys *exchange.System, pr *exchange.ProvRel) (relstore.Plan,
 // condToExpr compiles a WHERE condition over the anchor variable into a
 // relstore predicate over the rule's output row, resolving $x.attr
 // through the anchor atom's terms.
-func condToExpr(ctx *planContext, c Cond, rule *ConjRule, varCols map[string]int, anchorVar string) (relstore.Expr, error) {
+func condToExpr(sys *exchange.System, c Cond, rule *ConjRule, varCols map[string]int, anchorVar string) (relstore.Expr, error) {
 	switch cc := c.(type) {
 	case CondCmp:
-		l, err := operandExpr(ctx, cc.L, rule, varCols, anchorVar)
+		l, err := operandExpr(sys, cc.L, rule, varCols, anchorVar)
 		if err != nil {
 			return nil, err
 		}
-		r, err := operandExpr(ctx, cc.R, rule, varCols, anchorVar)
+		r, err := operandExpr(sys, cc.R, rule, varCols, anchorVar)
 		if err != nil {
 			return nil, err
 		}
@@ -691,27 +631,27 @@ func condToExpr(ctx *planContext, c Cond, rule *ConjRule, varCols map[string]int
 		// Anchor membership: statically true or false.
 		return relstore.Lit{Val: cc.Rel == rule.Anchor.Rel}, nil
 	case CondAnd:
-		l, err := condToExpr(ctx, cc.L, rule, varCols, anchorVar)
+		l, err := condToExpr(sys, cc.L, rule, varCols, anchorVar)
 		if err != nil {
 			return nil, err
 		}
-		r, err := condToExpr(ctx, cc.R, rule, varCols, anchorVar)
+		r, err := condToExpr(sys, cc.R, rule, varCols, anchorVar)
 		if err != nil {
 			return nil, err
 		}
 		return relstore.And{L: l, R: r}, nil
 	case CondOr:
-		l, err := condToExpr(ctx, cc.L, rule, varCols, anchorVar)
+		l, err := condToExpr(sys, cc.L, rule, varCols, anchorVar)
 		if err != nil {
 			return nil, err
 		}
-		r, err := condToExpr(ctx, cc.R, rule, varCols, anchorVar)
+		r, err := condToExpr(sys, cc.R, rule, varCols, anchorVar)
 		if err != nil {
 			return nil, err
 		}
 		return relstore.Or{L: l, R: r}, nil
 	case CondNot:
-		e, err := condToExpr(ctx, cc.E, rule, varCols, anchorVar)
+		e, err := condToExpr(sys, cc.E, rule, varCols, anchorVar)
 		if err != nil {
 			return nil, err
 		}
@@ -720,11 +660,11 @@ func condToExpr(ctx *planContext, c Cond, rule *ConjRule, varCols map[string]int
 	return nil, fmt.Errorf("proql: unsupported WHERE condition for relational backend")
 }
 
-func operandExpr(ctx *planContext, o CmpOperand, rule *ConjRule, varCols map[string]int, anchorVar string) (relstore.Expr, error) {
+func operandExpr(sys *exchange.System, o CmpOperand, rule *ConjRule, varCols map[string]int, anchorVar string) (relstore.Expr, error) {
 	if o.Var == "" {
-		return ctx.litExpr(o.Lit), nil
+		return relstore.Lit{Val: o.Lit}, nil
 	}
-	t, _, err := anchorTerm(o, rule, anchorVar, ctx.sys)
+	t, _, err := anchorTerm(o, rule, anchorVar, sys)
 	if err != nil {
 		return nil, err
 	}
@@ -756,11 +696,10 @@ func anchorTerm(o CmpOperand, rule *ConjRule, anchorVar string, sys *exchange.Sy
 type anchorSelection struct {
 	// guards are the conjuncts that compare constants only (literals,
 	// constant anchor terms, IN): the rule contributes nothing unless
-	// every one holds. They depend on the literals' values, so they
-	// are decided when a template is bound.
+	// every one holds.
 	guards []relstore.Expr
 	// fixed maps each anchor variable pinned by an attr = literal
-	// conjunct to its constant (a parameter slot).
+	// conjunct to its constant.
 	fixed map[string]model.Datum
 	// residual conjuncts are evaluated as Filters once their variables
 	// are bound.
@@ -774,25 +713,25 @@ type residualCond struct {
 
 // splitWhere splits the anchor WHERE condition of one rule. Every
 // conjunct is validated, whatever the others decide.
-func splitWhere(ctx *planContext, where Cond, rule *ConjRule, anchorVar string) (*anchorSelection, error) {
+func splitWhere(sys *exchange.System, where Cond, rule *ConjRule, anchorVar string) (*anchorSelection, error) {
 	sel := &anchorSelection{fixed: map[string]model.Datum{}}
 	if where == nil {
 		return sel, nil
 	}
 	for _, c := range splitConjuncts(where) {
-		vars, err := anchorCondVars(c, rule, anchorVar, ctx.sys)
+		vars, err := anchorCondVars(c, rule, anchorVar, sys)
 		if err != nil {
 			return nil, err
 		}
 		if len(vars) == 0 {
-			pred, err := condToExpr(ctx, c, rule, nil, anchorVar)
+			pred, err := condToExpr(sys, c, rule, nil, anchorVar)
 			if err != nil {
 				return nil, err
 			}
 			sel.guards = append(sel.guards, pred)
 			continue
 		}
-		if v, d, ok := pushableEq(ctx, c, rule, anchorVar); ok {
+		if v, d, ok := pushableEq(sys, c, rule, anchorVar); ok {
 			if _, dup := sel.fixed[v]; !dup {
 				sel.fixed[v] = d
 				continue
@@ -844,26 +783,17 @@ func anchorCondVars(c Cond, rule *ConjRule, anchorVar string, sys *exchange.Syst
 
 // pushableEq recognizes a conjunct $x.attr = literal (either way round)
 // that can be pushed into the rule as a constant for the anchor
-// variable at attr; probeLiteral decides which literals qualify. In a
-// template the constant is the literal's probe slot: the decision
-// holds for every literal of the same literalClass.
-func pushableEq(ctx *planContext, c Cond, rule *ConjRule, anchorVar string) (string, model.Datum, bool) {
+// variable at attr; probeLiteral decides which literals qualify.
+func pushableEq(sys *exchange.System, c Cond, rule *ConjRule, anchorVar string) (string, model.Datum, bool) {
 	attr, lit, ok := eqLiteral(c)
 	if !ok {
 		return "", nil, false
 	}
-	t, typ, err := anchorTerm(attr, rule, anchorVar, ctx.sys)
+	t, typ, err := anchorTerm(attr, rule, anchorVar, sys)
 	if err != nil || t.IsConst {
 		return "", nil, false
 	}
-	i, slotted := lit.(whereLit)
-	if slotted {
-		lit = ctx.params.lits[i]
-	}
 	d, ok := probeLiteral(lit, typ)
-	if ok && slotted {
-		d = ctx.params.slot(paramSlot{lit: int(i), probe: true, typ: typ})
-	}
 	return t.Var, d, ok
 }
 
@@ -915,33 +845,6 @@ func probeLiteral(lit model.Datum, typ model.DatumType) (model.Datum, bool) {
 	return nil, false
 }
 
-// literalClass partitions literals by what probeLiteral does with them
-// against an attribute of any type: int, string, bool, NULL, float
-// zero (either sign), integral float below 2^53, any other float, and
-// anything else. Plan templates are keyed by it, so a literal bound
-// into a template is pushed exactly where the template's own was.
-func literalClass(lit model.Datum) byte {
-	switch v := lit.(type) {
-	case int64:
-		return 'i'
-	case string:
-		return 's'
-	case bool:
-		return 'b'
-	case nil:
-		return 'n'
-	case float64:
-		switch {
-		case v == 0:
-			return 'z'
-		case v == math.Trunc(v) && math.Abs(v) < 1<<53:
-			return 'I'
-		}
-		return 'f'
-	}
-	return 'o'
-}
-
 // termExpr resolves a rule term to a column reference or literal.
 func termExpr(t model.Term, varCols map[string]int) (relstore.Expr, error) {
 	if t.IsConst {
@@ -953,10 +856,6 @@ func termExpr(t model.Term, varCols map[string]int) (relstore.Expr, error) {
 	}
 	return relstore.Col(col), nil
 }
-
-// rulePlansBuilt counts buildRulePlan calls, for tests that check a
-// cached template is bound, not rebuilt.
-var rulePlansBuilt atomic.Int64
 
 // termValue resolves a rule term against a result row.
 func termValue(t model.Term, varCols map[string]int, row model.Tuple) (model.Datum, error) {

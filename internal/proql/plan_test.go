@@ -42,7 +42,7 @@ func TestSemiJoinOnlyThroughKeys(t *testing.T) {
 			Body:   []model.Atom{model.NewAtom("D", v("d")), model.NewAtom("E", v("id"), v("d"))},
 			Prov:   []ProvRef{{Mapping: "m", Terms: tc.prov}},
 		}
-		rp, err := buildRulePlan(&planContext{sys: sys}, rule, nil, "x", pruneSpec{})
+		rp, err := buildRulePlan(sys, rule, nil, "x", pruneSpec{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -427,15 +427,14 @@ func TestEvaluateLeafMarksReadTheQueryEpoch(t *testing.T) {
 	}
 }
 
-// TestRelationalTemplateFollowsLocalData: the relational translation
-// adds a relation's local-contribution alternative only where the
-// local table holds rows, so a cached template holds only for the
-// snapshots whose local tables hold rows where its unfolding's did. A
-// derived A1 tuple made local counts twice for its A0 tuple (its local
-// row, and the A2 tuple it is derived from) on a warm engine, whose
-// template was unfolded while A1's local table was empty, and again AS
-// OF that epoch once the local row is gone.
-func TestRelationalTemplateFollowsLocalData(t *testing.T) {
+// TestRelationalFollowsLocalData: the relational translation adds a
+// relation's local-contribution alternative only where the local table
+// holds rows in the snapshot the query reads. A derived A1 tuple made
+// local counts twice for its A0 tuple (its local row, and the A2 tuple
+// it is derived from) on an engine that answered the same query while
+// A1's local table was empty, and again AS OF that epoch once the
+// local row is gone.
+func TestRelationalFollowsLocalData(t *testing.T) {
 	set, err := workload.Build(workload.Config{
 		Topology:  workload.Chain,
 		Profile:   workload.ProfileLinear,
@@ -479,7 +478,7 @@ func TestRelationalTemplateFollowsLocalData(t *testing.T) {
 	}
 	local := count("local", 0)
 	if got := local.Annotations[target]; got != int64(2) {
-		t.Fatalf("warm engine: COUNT of %v = %v, want 2", target, got)
+		t.Fatalf("local: COUNT of %v = %v, want 2", target, got)
 	}
 	if _, err := sys.DeleteLocal(mid, []model.Datum{row[0]}); err != nil {
 		t.Fatal(err)

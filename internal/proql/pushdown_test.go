@@ -417,20 +417,22 @@ func TestPushdownTypeGuard(t *testing.T) {
 	}
 }
 
-// TestPushdownErrorsAndCancel checks the two behaviours pushdown must
-// not lose: every conjunct is still validated (even beside a
-// statically false one), and Query.Cancel is still polled once per
-// output row of both the anchor read and the rule stream.
+// TestPushdownErrorsAndCancel checks the two behaviours the relational
+// translation's pushdown must not lose: every conjunct is still
+// validated (even beside a statically false one), and Query.Cancel is
+// still polled once per output row of both the anchor read and the
+// rule stream.
 func TestPushdownErrorsAndCancel(t *testing.T) {
 	sys := typedSystem(t)
 	eng := proql.NewEngine(sys)
+	rel := proql.Options{Backend: "relational"}
 	for _, where := range []string{
 		`$x.nosuch = 1`,
 		`$x.name = 'fixed' AND $x.nosuch = 1`,
 		`1 = 2 AND $x.nosuch = 1`,
 		`$x = 1`,
 	} {
-		if _, err := eng.ExecString(`FOR [R0 $x] WHERE ` + where + ` RETURN $x`); err == nil {
+		if _, err := eng.Exec(context.Background(), proql.MustParse(`FOR [R0 $x] WHERE `+where+` RETURN $x`), rel); err == nil {
 			t.Errorf("WHERE %s: expected an error", where)
 		}
 	}
@@ -438,7 +440,7 @@ func TestPushdownErrorsAndCancel(t *testing.T) {
 	q := proql.MustParse(`FOR [R0 $x] WHERE $x.ok = true INCLUDE PATH [$x] <-+ [] RETURN $x`)
 	var polls atomic.Int64 // rule workers poll too
 	q.Cancel = func() error { polls.Add(1); return nil }
-	res, err := eng.Exec(context.Background(), q, proql.Options{})
+	res, err := eng.Exec(context.Background(), q, rel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -455,7 +457,7 @@ func TestPushdownErrorsAndCancel(t *testing.T) {
 		}
 		return nil
 	}
-	if _, err := eng.Exec(context.Background(), q, proql.Options{}); !errors.Is(err, stop) {
+	if _, err := eng.Exec(context.Background(), q, rel); !errors.Is(err, stop) {
 		t.Errorf("Exec after cancellation = %v, want %v", err, stop)
 	}
 }

@@ -16,9 +16,9 @@ import (
 	"repro/internal/workload"
 )
 
-// templateCase is one query shape of the template differential, built
-// from its literals: the query's own and a primer's of the same
-// literal classes, whose execution leaves the shape's template behind.
+// templateCase is one query shape of the literal differential, built
+// from its literals: two sets of the same literal classes, lits and
+// prime, which a guard over constants only may decide differently.
 type templateCase struct {
 	name        string
 	build       func(lits ...model.Datum) *proql.Query
@@ -90,71 +90,56 @@ func resultText(t *testing.T, res *proql.Result) string {
 	return fmt.Sprintf("bindings %v\nannotations %v\ngraph:\n%s", res.SortedRefs("x"), ann, graphSignature(t, res))
 }
 
-// checkTemplates runs every case on the warm engine, after its primer,
-// and checks the answer against a fresh engine's and the
-// interpreter's. It returns how many answers bound a tuple.
-func checkTemplates(t *testing.T, sys *exchange.System, warm *proql.Engine, rewrite func([]*proql.ConjRule) []*proql.ConjRule, phase string, asOf uint64, cases []templateCase) int {
+// checkTemplates runs every case, with each of its literal sets, on
+// the relational translation and on the path executor, and checks both
+// answers against the interpreter's. It returns how many answers bound
+// a tuple.
+func checkTemplates(t *testing.T, sys *exchange.System, eng *proql.Engine, rewrite func([]*proql.ConjRule) []*proql.ConjRule, phase string, asOf uint64, cases []templateCase) int {
 	t.Helper()
 	bound := 0
+	eng.RewriteRules = rewrite
 	for _, tc := range cases {
-		label := fmt.Sprintf("%s: %s", phase, tc.name)
-		q := tc.build(tc.lits...)
-		exec := func(eng *proql.Engine, q *proql.Query) *proql.Result {
-			t.Helper()
-			res, err := eng.Exec(context.Background(), q, proql.Options{Backend: "relational", AsOfEpoch: asOf})
+		for _, lits := range [][]model.Datum{tc.lits, tc.prime} {
+			label := fmt.Sprintf("%s: %s %v", phase, tc.name, lits)
+			q := tc.build(lits...)
+			interp, err := proql.ExecInterpreter(eng, context.Background(), q, asOf)
 			if err != nil {
-				t.Fatalf("%s: %v", label, err)
+				t.Fatalf("%s: interpreter: %v", label, err)
 			}
-			return res
-		}
-		warm.RewriteRules = rewrite
-		exec(warm, tc.build(tc.prime...))
-		before, built := warm.PlanCacheStats(), proql.RulePlansBuilt()
-		got := resultText(t, exec(warm, q))
-		if after := warm.PlanCacheStats(); after.Hits != before.Hits+1 || after.Misses != before.Misses {
-			t.Errorf("%s: not a template hit: %+v then %+v", label, before, after)
-		}
-		if n := proql.RulePlansBuilt() - built; n != 0 {
-			t.Errorf("%s: a template hit built %d rule plans", label, n)
-		}
-		fresh := proql.NewEngine(sys)
-		fresh.RewriteRules = rewrite
-		if want := resultText(t, exec(fresh, q)); got != want {
-			t.Fatalf("%s: warm engine\n%s\nfresh engine\n%s", label, got, want)
-		}
-		interp, err := proql.ExecInterpreter(warm, context.Background(), q, asOf)
-		if err != nil {
-			t.Fatalf("%s: interpreter: %v", label, err)
-		}
-		if want := resultText(t, interp); got != want {
-			t.Fatalf("%s: warm engine\n%s\ninterpreter\n%s", label, got, want)
-		}
-		if !strings.HasPrefix(got, "bindings []") {
-			bound++
+			want := resultText(t, interp)
+			for _, backend := range []string{"relational", "path"} {
+				res, err := eng.Exec(context.Background(), q, proql.Options{Backend: backend, AsOfEpoch: asOf})
+				if err != nil {
+					t.Fatalf("%s on %s: %v", label, backend, err)
+				}
+				if got := resultText(t, res); got != want {
+					t.Fatalf("%s on %s:\n%s\ninterpreter\n%s", label, backend, got, want)
+				}
+			}
+			if !strings.HasPrefix(want, "bindings []") {
+				bound++
+			}
 		}
 	}
 	return bound
 }
 
-// TestPlanTemplateDifferential checks relational plan templates
-// against two answers that share none of their binding: a fresh engine,
-// which builds the template from the query's own literals, and the
-// tree-walking interpreter. The warm engine answers each query from the
-// template a primer query of the same shape and literal classes but
-// other values left behind — a template hit, which must not plan a
-// single rule — after the same shape ran with literals of every other
-// class. On the chain, shapes cover point and range WHERE, int, float,
-// string, NULL and ±0.0 literals against the int key, constant-only
-// conjuncts that flip between primer and query, a single-node FOR, and
-// EVALUATE TRUST with a leaf CASE; phases cover ASR-rewritten rules,
-// then plain rules again, and AS OF an epoch before deletes. On the
-// typed setting the same literals meet a float key column, where a
-// literal bound into another class's template would miss rows.
+// TestPlanTemplateDifferential checks the relational translation and
+// the path executor against the tree-walking interpreter on queries
+// that differ only in their WHERE literals, each planned from its own
+// literals. On the chain, shapes cover point and range WHERE, int,
+// float, string, NULL and ±0.0 literals against the int key,
+// constant-only conjuncts whose two literal sets decide them
+// differently, a single-node FOR, and EVALUATE TRUST with a leaf CASE;
+// phases cover ASR-rewritten rules, then plain rules again, and AS OF
+// an epoch before deletes. On the typed setting the same literals meet
+// a float key column, where a literal pushed into a key probe it does
+// not match by type would miss rows.
 func TestPlanTemplateDifferential(t *testing.T) {
 	set := chainSetting(t)
 	set.Sys.DB.SetRetention(relstore.RetainAll)
-	warm := proql.NewEngine(set.Sys)
-	bound := checkTemplates(t, set.Sys, warm, nil, "live", 0, templateCases())
+	eng := proql.NewEngine(set.Sys)
+	bound := checkTemplates(t, set.Sys, eng, nil, "live", 0, templateCases())
 
 	ix := asr.NewIndex(set.Sys)
 	for _, chain := range set.AChains() {
@@ -167,8 +152,8 @@ func TestPlanTemplateDifferential(t *testing.T) {
 	if err := ix.Materialize(); err != nil {
 		t.Fatal(err)
 	}
-	bound += checkTemplates(t, set.Sys, warm, ix.RewriteRules, "ASR-rewritten", 0, templateCases())
-	bound += checkTemplates(t, set.Sys, warm, nil, "rewriting off", 0, templateCases())
+	bound += checkTemplates(t, set.Sys, eng, ix.RewriteRules, "ASR-rewritten", 0, templateCases())
+	bound += checkTemplates(t, set.Sys, eng, nil, "rewriting off", 0, templateCases())
 
 	before := set.Sys.DB.Epoch()
 	for _, key := range []int64{80000003, 80000004, 90000007} {
@@ -176,8 +161,8 @@ func TestPlanTemplateDifferential(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	bound += checkTemplates(t, set.Sys, warm, nil, "after deletes", 0, templateCases())
-	bound += checkTemplates(t, set.Sys, warm, nil, fmt.Sprintf("as of %d", before), before, templateCases())
+	bound += checkTemplates(t, set.Sys, eng, nil, "after deletes", 0, templateCases())
+	bound += checkTemplates(t, set.Sys, eng, nil, fmt.Sprintf("as of %d", before), before, templateCases())
 
 	sys := typedSystem(t)
 	score := func(lits ...model.Datum) *proql.Query {
@@ -201,17 +186,17 @@ func TestPlanTemplateDifferential(t *testing.T) {
 	}
 }
 
-// pointAllocBound caps the allocations of one served relational point
-// query on instance S. Planning every rule on every execution made 764;
-// binding the literal into the cached template makes about 298.
-const pointAllocBound = 350
+// pointAllocBound caps the allocations of one served point query on
+// instance S: 105 when the relational translation answered it from a
+// cached plan template.
+const pointAllocBound = 105
 
-// TestRelationalPointServedCounts holds, on instance S, what a warm
-// relational point query is: a template hit that plans no rule, within
+// TestPathPointServedCounts holds, on instance S, what a key-pinned
+// point query is under the default backend: the path executor, within
 // pointAllocBound allocations served the way proqld serves it (Eval,
-// then the sorted refs), with one binding; and its EXPLAIN renders the
-// same template, bound, without planning either.
-func TestRelationalPointServedCounts(t *testing.T) {
+// then the sorted refs), with one binding, and reading the tables
+// sparsely — no dense table is built or shared.
+func TestPathPointServedCounts(t *testing.T) {
 	set, err := workload.Build(workload.Config{
 		Topology:  workload.Chain,
 		Profile:   workload.ProfileLinear,
@@ -229,14 +214,11 @@ func TestRelationalPointServedCounts(t *testing.T) {
 		keys = append(keys, row[0].(int64))
 		return true
 	})
-	query := func(i int) *proql.Query {
-		return proql.MustParse(fmt.Sprintf("FOR [A0 $x] WHERE $x.k = %d INCLUDE PATH [$x] <-+ [] RETURN $x", keys[i%len(keys)]))
-	}
 	qs := make([]*proql.Query, 64)
 	for i := range qs {
-		qs[i] = query(i)
+		qs[i] = proql.MustParse(fmt.Sprintf("FOR [A0 $x] WHERE $x.k = %d INCLUDE PATH [$x] <-+ [] RETURN $x", keys[i*7%len(keys)]))
 	}
-	n, rows := 0, 0
+	n, rows, backend := 0, 0, ""
 	serve := func() {
 		res, err := eng.Eval(context.Background(), qs[n%len(qs)], proql.Options{})
 		if err != nil {
@@ -244,43 +226,18 @@ func TestRelationalPointServedCounts(t *testing.T) {
 		}
 		n++
 		res.SortedRefs("x")
-		rows = res.Len()
+		rows, backend = res.Len(), res.Stats.Backend
 	}
-	serve() // builds the template
-	built, before := proql.RulePlansBuilt(), eng.PlanCacheStats()
-	allocs := testing.AllocsPerRun(50, serve)
-	if rows != 1 {
-		t.Errorf("point query bound %d tuples, want 1", rows)
+	serve()
+	allocs := testing.AllocsPerRun(200, serve)
+	if rows != 1 || backend != "path" {
+		t.Errorf("point query bound %d tuples on %s, want 1 on path", rows, backend)
 	}
 	if allocs > pointAllocBound {
 		t.Errorf("%.0f allocations per point query, bound %d", allocs, pointAllocBound)
 	}
-	if d := proql.RulePlansBuilt() - built; d != 0 {
-		t.Errorf("warm point queries built %d rule plans, want 0", d)
-	}
-	after := eng.PlanCacheStats()
-	if after.Misses != before.Misses || after.Entries != 1 {
-		t.Errorf("plan cache %+v after %+v: want hits only, one entry", after, before)
+	if _, _, tabs, _ := proql.SharedDense(eng); len(tabs) != 0 {
+		t.Errorf("point queries shared %d dense tables, want none", len(tabs))
 	}
 	t.Logf("%.0f allocations per point query", allocs)
-
-	q := query(7)
-	plan, err := eng.Explain(q, proql.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := proql.RulePlansBuilt() - built; d != 0 {
-		t.Errorf("EXPLAIN of a cached shape built %d rule plans, want 0", d)
-	}
-	fresh, err := proql.NewEngine(set.Sys).Explain(q, proql.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cut := func(s string) string { return s[:strings.Index(s, "plan cache:")] }
-	if cut(plan) != cut(fresh) {
-		t.Errorf("EXPLAIN from the cached template\n%s\ndiffers from a fresh engine's\n%s", plan, fresh)
-	}
-	if want := fmt.Sprintf("keys=[%d, $1]", keys[7]); !strings.Contains(plan, want) {
-		t.Errorf("EXPLAIN does not show the bound key %s:\n%s", want, plan)
-	}
 }

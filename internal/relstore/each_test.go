@@ -34,9 +34,6 @@ func TestEachStopsEarly(t *testing.T) {
 		"hash join probe side": {&Scan{Table: "E", Width: 4}, func(p Plan) Plan {
 			return &HashJoin{Left: p, Right: &Scan{Table: "E", Width: 4}, LeftKeys: []int{0}, RightKeys: []int{0}}
 		}},
-		"bound": {&Scan{Table: "E", Width: 4}, func(p Plan) Plan {
-			return &Bound{Plan: &Filter{Input: p, Pred: Cmp{Op: GE, L: Col(0), R: Param(0)}}, Args: []model.Datum{int64(0)}}
-		}},
 	} {
 		pulled, yielded := 0, 0
 		p := tc.over(countingPlan(tc.src, &pulled))

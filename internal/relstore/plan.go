@@ -8,17 +8,16 @@ import (
 )
 
 // Plan is a physical query plan node; Each runs it. Arity is the output
-// width. run passes the node's output rows to yield, one at a time, with
-// Param(i) read as args[i], running the node's inputs the same way; it
-// stops without an error once yield returns false. Every operator
-// pushes each row on as it arrives; only HashJoin holds rows, its build
-// side. A run keeps its state in the call, never on the node, so one
-// plan serves concurrent runs. explain renders the node with its
-// parameters so bound.
+// width. run passes the node's output rows to yield, one at a time,
+// running the node's inputs the same way; it stops without an error
+// once yield returns false. Every operator pushes each row on as it
+// arrives; only HashJoin holds rows, its build side. A run keeps its
+// state in the call, never on the node, so one plan serves concurrent
+// runs. explain renders the node.
 type Plan interface {
 	Arity() int
-	run(db *Database, args []model.Datum, yield func(model.Tuple) bool) error
-	explain(sb *strings.Builder, indent int, args []model.Datum)
+	run(db *Database, yield func(model.Tuple) bool) error
+	explain(sb *strings.Builder, indent int)
 }
 
 // Each runs p over db, passing each output row to yield until yield
@@ -27,13 +26,13 @@ type Plan interface {
 // included. Rows are the stored ones or fresh, never reused: yield may
 // keep them but must not mutate them.
 func Each(p Plan, db *Database, yield func(model.Tuple) bool) error {
-	return p.run(db, nil, yield)
+	return p.run(db, yield)
 }
 
 // Explain renders a plan tree for debugging and EXPLAIN-style output.
 func Explain(p Plan) string {
 	var sb strings.Builder
-	p.explain(&sb, 0, nil)
+	p.explain(&sb, 0)
 	return sb.String()
 }
 
@@ -51,7 +50,7 @@ type Scan struct {
 	Width int
 }
 
-func (s *Scan) run(db *Database, _ []model.Datum, yield func(model.Tuple) bool) error {
+func (s *Scan) run(db *Database, yield func(model.Tuple) bool) error {
 	t, ok := db.Table(s.Table)
 	if !ok {
 		return fmt.Errorf("relstore: scan of unknown table %q", s.Table)
@@ -63,7 +62,7 @@ func (s *Scan) run(db *Database, _ []model.Datum, yield func(model.Tuple) bool) 
 // Arity implements Plan.
 func (s *Scan) Arity() int { return s.Width }
 
-func (s *Scan) explain(sb *strings.Builder, indent int, _ []model.Datum) {
+func (s *Scan) explain(sb *strings.Builder, indent int) {
 	writeLine(sb, indent, "Scan(%s)", s.Table)
 }
 
@@ -78,15 +77,15 @@ type IndexProbe struct {
 	Width int
 }
 
-func (p *IndexProbe) run(db *Database, args []model.Datum, yield func(model.Tuple) bool) error {
+func (p *IndexProbe) run(db *Database, yield func(model.Tuple) bool) error {
 	t, ok := db.Table(p.Table)
 	if !ok {
 		return fmt.Errorf("relstore: probe of unknown table %q", p.Table)
 	}
 	var buf [64]byte
-	enc, err := appendArgs(buf[:0], p.Vals, args)
-	if err != nil {
-		return err
+	enc := buf[:0]
+	for _, v := range p.Vals {
+		enc = model.AppendDatum(enc, v)
 	}
 	t.ProbeEach(p.Index, enc, func(_ int, row model.Tuple) bool { return yield(row) })
 	return nil
@@ -95,7 +94,7 @@ func (p *IndexProbe) run(db *Database, args []model.Datum, yield func(model.Tupl
 // Arity implements Plan.
 func (p *IndexProbe) Arity() int { return p.Width }
 
-func (p *IndexProbe) explain(sb *strings.Builder, indent int, _ []model.Datum) {
+func (p *IndexProbe) explain(sb *strings.Builder, indent int) {
 	writeLine(sb, indent, "IndexProbe(%s cols=%v)", p.Table, p.Index.Cols)
 }
 
@@ -107,15 +106,15 @@ type PKLookup struct {
 	Width int
 }
 
-func (p *PKLookup) run(db *Database, args []model.Datum, yield func(model.Tuple) bool) error {
+func (p *PKLookup) run(db *Database, yield func(model.Tuple) bool) error {
 	t, ok := db.Table(p.Table)
 	if !ok {
 		return fmt.Errorf("relstore: lookup in unknown table %q", p.Table)
 	}
 	var buf [64]byte
-	enc, err := appendArgs(buf[:0], p.Key, args)
-	if err != nil {
-		return err
+	enc := buf[:0]
+	for _, v := range p.Key {
+		enc = model.AppendDatum(enc, v)
 	}
 	if row, found := t.LookupKeyBytes(enc); found {
 		yield(row)
@@ -126,15 +125,14 @@ func (p *PKLookup) run(db *Database, args []model.Datum, yield func(model.Tuple)
 // Arity implements Plan.
 func (p *PKLookup) Arity() int { return p.Width }
 
-func (p *PKLookup) explain(sb *strings.Builder, indent int, _ []model.Datum) {
+func (p *PKLookup) explain(sb *strings.Builder, indent int) {
 	writeLine(sb, indent, "PKLookup(%s)", p.Table)
 }
 
 // Select plans the read of the rows of t whose cols equal vals along
 // the path t.ChooseAccess picks: a PKLookup or IndexProbe on the
 // covered columns under a Filter on the residual ones, or a filtered
-// Scan when neither the key nor an index is covered. Any of vals may
-// be a Param.
+// Scan when neither the key nor an index is covered.
 func Select(t *Table, cols []int, vals []model.Datum) Plan {
 	name, width := t.Schema.Name, len(t.Schema.Columns)
 	if len(cols) == 0 {
@@ -157,7 +155,7 @@ func Select(t *Table, cols []int, vals []model.Datum) Plan {
 	if len(path.Residual) > 0 {
 		preds := make([]Expr, len(path.Residual))
 		for i, p := range path.Residual {
-			preds[i] = Cmp{Op: EQ, L: Col(cols[p]), R: ValueExpr(vals[p])}
+			preds[i] = Cmp{Op: EQ, L: Col(cols[p]), R: Lit{Val: vals[p]}}
 		}
 		plan = &Filter{Input: plan, Pred: AndAll(preds)}
 	}
@@ -170,7 +168,7 @@ type Values struct {
 	Rows []model.Tuple
 }
 
-func (v *Values) run(_ *Database, _ []model.Datum, yield func(model.Tuple) bool) error {
+func (v *Values) run(_ *Database, yield func(model.Tuple) bool) error {
 	for _, row := range v.Rows {
 		if !yield(row) {
 			break
@@ -187,7 +185,7 @@ func (v *Values) Arity() int {
 	return len(v.Rows[0])
 }
 
-func (v *Values) explain(sb *strings.Builder, indent int, _ []model.Datum) {
+func (v *Values) explain(sb *strings.Builder, indent int) {
 	writeLine(sb, indent, "Values(%d rows)", len(v.Rows))
 }
 
@@ -197,13 +195,11 @@ type Filter struct {
 	Pred  Expr
 }
 
-// run binds the predicate's parameters once.
-func (f *Filter) run(db *Database, args []model.Datum, yield func(model.Tuple) bool) error {
-	pred := BindExpr(f.Pred, args)
+func (f *Filter) run(db *Database, yield func(model.Tuple) bool) error {
 	var err error
-	if ierr := f.Input.run(db, args, func(row model.Tuple) bool {
+	if ierr := f.Input.run(db, func(row model.Tuple) bool {
 		var keep bool
-		if keep, err = evalBool(pred, row); err != nil {
+		if keep, err = evalBool(f.Pred, row); err != nil {
 			return false
 		}
 		return !keep || yield(row)
@@ -216,9 +212,9 @@ func (f *Filter) run(db *Database, args []model.Datum, yield func(model.Tuple) b
 // Arity implements Plan.
 func (f *Filter) Arity() int { return f.Input.Arity() }
 
-func (f *Filter) explain(sb *strings.Builder, indent int, args []model.Datum) {
-	writeLine(sb, indent, "Filter(%s)", BindExpr(f.Pred, args))
-	f.Input.explain(sb, indent+1, args)
+func (f *Filter) explain(sb *strings.Builder, indent int) {
+	writeLine(sb, indent, "Filter(%s)", f.Pred)
+	f.Input.explain(sb, indent+1)
 }
 
 // Project evaluates one expression per output column.
@@ -236,9 +232,9 @@ func ProjectCols(input Plan, cols ...int) *Project {
 	return &Project{Input: input, Exprs: exprs}
 }
 
-func (p *Project) run(db *Database, args []model.Datum, yield func(model.Tuple) bool) error {
+func (p *Project) run(db *Database, yield func(model.Tuple) bool) error {
 	var err error
-	if ierr := p.Input.run(db, args, func(row model.Tuple) bool {
+	if ierr := p.Input.run(db, func(row model.Tuple) bool {
 		nr := make(model.Tuple, len(p.Exprs))
 		for i, e := range p.Exprs {
 			if nr[i], err = e.Eval(row); err != nil {
@@ -255,13 +251,13 @@ func (p *Project) run(db *Database, args []model.Datum, yield func(model.Tuple) 
 // Arity implements Plan.
 func (p *Project) Arity() int { return len(p.Exprs) }
 
-func (p *Project) explain(sb *strings.Builder, indent int, args []model.Datum) {
+func (p *Project) explain(sb *strings.Builder, indent int) {
 	parts := make([]string, len(p.Exprs))
 	for i, e := range p.Exprs {
 		parts[i] = e.String()
 	}
 	writeLine(sb, indent, "Project(%s)", strings.Join(parts, ", "))
-	p.Input.explain(sb, indent+1, args)
+	p.Input.explain(sb, indent+1)
 }
 
 // HashJoin is an inner join of two inputs on positional key columns.
@@ -274,12 +270,12 @@ type HashJoin struct {
 	LeftKeys, RightKeys []int
 }
 
-func (j *HashJoin) run(db *Database, args []model.Datum, yield func(model.Tuple) bool) error {
+func (j *HashJoin) run(db *Database, yield func(model.Tuple) bool) error {
 	if len(j.LeftKeys) != len(j.RightKeys) {
 		return fmt.Errorf("relstore: join key arity mismatch %d vs %d", len(j.LeftKeys), len(j.RightKeys))
 	}
 	build := map[string][]model.Tuple{}
-	if err := j.Right.run(db, args, func(row model.Tuple) bool {
+	if err := j.Right.run(db, func(row model.Tuple) bool {
 		if !hasNullAt(row, j.RightKeys) {
 			k := encodeCols(row, j.RightKeys)
 			build[k] = append(build[k], row)
@@ -289,7 +285,7 @@ func (j *HashJoin) run(db *Database, args []model.Datum, yield func(model.Tuple)
 		return err
 	}
 	lw, rw := j.Left.Arity(), j.Right.Arity()
-	return j.Left.run(db, args, func(lr model.Tuple) bool {
+	return j.Left.run(db, func(lr model.Tuple) bool {
 		if hasNullAt(lr, j.LeftKeys) {
 			return true
 		}
@@ -305,10 +301,10 @@ func (j *HashJoin) run(db *Database, args []model.Datum, yield func(model.Tuple)
 // Arity implements Plan.
 func (j *HashJoin) Arity() int { return j.Left.Arity() + j.Right.Arity() }
 
-func (j *HashJoin) explain(sb *strings.Builder, indent int, args []model.Datum) {
+func (j *HashJoin) explain(sb *strings.Builder, indent int) {
 	writeLine(sb, indent, "HashJoin(inner, left=%v right=%v)", j.LeftKeys, j.RightKeys)
-	j.Left.explain(sb, indent+1, args)
-	j.Right.explain(sb, indent+1, args)
+	j.Left.explain(sb, indent+1)
+	j.Right.explain(sb, indent+1)
 }
 
 // IndexJoin is an index nested-loop join: for every left row it fetches
@@ -338,9 +334,9 @@ type IndexJoin struct {
 	Semi  bool
 }
 
-func (j *IndexJoin) run(db *Database, args []model.Datum, yield func(model.Tuple) bool) error {
-	r := &indexJoinRun{j: j, db: db, args: args, yield: yield, lw: j.Left.Arity()}
-	if err := j.Left.run(db, args, r.row); err != nil {
+func (j *IndexJoin) run(db *Database, yield func(model.Tuple) bool) error {
+	r := &indexJoinRun{j: j, db: db, yield: yield, lw: j.Left.Arity()}
+	if err := j.Left.run(db, r.row); err != nil {
 		return err
 	}
 	return r.err
@@ -351,7 +347,6 @@ func (j *IndexJoin) run(db *Database, args []model.Datum, yield func(model.Tuple
 type indexJoinRun struct {
 	j       *IndexJoin
 	db      *Database
-	args    []model.Datum // values of the Params among the keys
 	yield   func(model.Tuple) bool
 	lw      int
 	right   *Table
@@ -388,9 +383,7 @@ func (r *indexJoinRun) row(lr model.Tuple) bool {
 	vals := valBuf[:0]
 	for _, k := range j.Keys {
 		var v model.Datum
-		if p, ok := k.(Param); ok && int(p) < len(r.args) {
-			v = r.args[p]
-		} else if v, r.err = k.Eval(lr); r.err != nil {
+		if v, r.err = k.Eval(lr); r.err != nil {
 			return false
 		}
 		if v == nil {
@@ -447,12 +440,12 @@ func (j *IndexJoin) Arity() int {
 	return j.Left.Arity() + j.Width
 }
 
-func (j *IndexJoin) explain(sb *strings.Builder, indent int, args []model.Datum) {
+func (j *IndexJoin) explain(sb *strings.Builder, indent int) {
 	part := func(positions []int) (cols []int, keys string) {
 		ks := make([]string, len(positions))
 		for i, p := range positions {
 			cols = append(cols, j.Cols[p])
-			ks[i] = BindExpr(j.Keys[p], args).String()
+			ks[i] = j.Keys[p].String()
 		}
 		return cols, strings.Join(ks, ", ")
 	}
@@ -467,7 +460,7 @@ func (j *IndexJoin) explain(sb *strings.Builder, indent int, args []model.Datum)
 		line += fmt.Sprintf(" residual cols=%v keys=[%s]", cols, keys)
 	}
 	writeLine(sb, indent, "%s)", line)
-	j.Left.explain(sb, indent+1, args)
+	j.Left.explain(sb, indent+1)
 }
 
 func hasNullAt(row model.Tuple, cols []int) bool {

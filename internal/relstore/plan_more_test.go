@@ -8,19 +8,20 @@ import (
 )
 
 func TestExplainCoversAllNodes(t *testing.T) {
-	plan := &Bound{Args: []model.Datum{int64(7)}, Plan: &Filter{
-		Pred: Cmp{Op: EQ, L: Col(0), R: Param(0)},
+	seven := Lit{Val: int64(7)}
+	plan := &Filter{
+		Pred: Cmp{Op: EQ, L: Col(0), R: seven},
 		Input: ProjectCols(&HashJoin{
 			Left: &IndexJoin{Left: &Values{Rows: []model.Tuple{{int64(1)}}}, Table: "E", Width: 2, Cols: []int{0},
-				Keys: []Expr{Param(0)}, Path: AccessPath{Kind: AccessPK, Probe: []int{0}}},
+				Keys: []Expr{seven}, Path: AccessPath{Kind: AccessPK, Probe: []int{0}}},
 			Right: &HashJoin{
 				Left:  &Scan{Table: "L", Width: 2},
-				Right: &IndexProbe{Table: "R", Index: IndexOn([]int{0}), Vals: []model.Datum{Param(0)}, Width: 2},
+				Right: &IndexProbe{Table: "R", Index: IndexOn([]int{0}), Vals: []model.Datum{int64(7)}, Width: 2},
 			},
 			LeftKeys:  []int{0},
 			RightKeys: []int{0},
 		}, 0),
-	}}
+	}
 	out := Explain(plan)
 	for _, want := range []string{"Filter(($0 = 7))", "Project($0)", "HashJoin(inner, left=[0] right=[0])", "IndexJoin(E via pk cols=[0] keys=[7])",
 		"Values(1 rows)", "HashJoin(inner, left=[] right=[])", "Scan(L)", "IndexProbe(R cols=[0])"} {
@@ -79,9 +80,9 @@ type openCounting struct {
 	opens *int
 }
 
-func (o openCounting) run(db *Database, args []model.Datum, yield func(model.Tuple) bool) error {
+func (o openCounting) run(db *Database, yield func(model.Tuple) bool) error {
 	*o.opens++
-	return o.Plan.run(db, args, yield)
+	return o.Plan.run(db, yield)
 }
 
 func TestHashJoinStreamsProbeSide(t *testing.T) {

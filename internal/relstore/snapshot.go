@@ -70,6 +70,12 @@ type Database struct {
 	snapVersion uint64
 	views       []Table
 	closed      atomic.Bool
+
+	// lastViews are the table handles of the newest view viewLocked
+	// made, of lastEpoch and lastVersion: the next views of that pair
+	// share them, since handles are never written once made.
+	lastViews              []Table
+	lastEpoch, lastVersion uint64
 }
 
 // NewDatabase returns an empty database.
@@ -86,12 +92,11 @@ func NewDatabase() *Database {
 }
 
 // Version returns a counter bumped on every definition change
-// (CreateTable/DropTable). Caches keyed on query shape — the ProQL
-// plan cache — compare it to detect that mappings, provenance tables
-// or ASR materializations changed out from under a cached plan. Row
-// churn does not bump it: cached planning decisions stay sound across
-// data changes, only definition changes invalidate. On a snapshot
-// view this is the version frozen at snapshot time.
+// (CreateTable/DropTable). What is kept across reads of one table set
+// — a snapshot's table handles, the path executor's shared dense
+// tables — is keyed by it, so a table created or dropped since is
+// never read through a stale handle. Row churn does not bump it. On a
+// snapshot view this is the version frozen at snapshot time.
 func (db *Database) Version() uint64 {
 	if db.base != nil {
 		return db.snapVersion
@@ -129,18 +134,23 @@ func (db *Database) Snapshot() *Database {
 }
 
 // viewLocked pins epoch and returns the read-only view of the current
-// table set as of it: one allocation of table handles, and the name map
-// shared with the writable database. Callers hold db.mu on the writable
-// database.
+// table set as of it: the table handles, made once per (epoch,
+// definition version), and the name map shared with the writable
+// database. Callers hold db.mu on the writable database.
 func (db *Database) viewLocked(epoch uint64) *Database {
-	views := make([]Table, len(db.byOrd))
-	for i, t := range db.byOrd {
-		if t != nil {
-			views[i] = Table{Schema: t.Schema, s: t.s, asOf: epoch}
+	version := db.version.Load()
+	views := db.lastViews
+	if views == nil || db.lastEpoch != epoch || db.lastVersion != version {
+		views = make([]Table, len(db.byOrd))
+		for i, t := range db.byOrd {
+			if t != nil {
+				views[i] = Table{Schema: t.Schema, s: t.s, asOf: epoch}
+			}
 		}
+		db.lastViews, db.lastEpoch, db.lastVersion = views, epoch, version
 	}
 	db.pins[epoch]++
-	return &Database{tables: db.tables, views: views, base: db, snapEpoch: epoch, snapVersion: db.version.Load()}
+	return &Database{tables: db.tables, views: views, base: db, snapEpoch: epoch, snapVersion: version}
 }
 
 // Close releases a snapshot view's pin, allowing rows deleted after

@@ -81,8 +81,8 @@ func timedWith(runs int, fn func() (func() error, error)) (time.Duration, error)
 
 // UnfoldStatsRow is one point of Figures 7 and 8: the unfolded-rule
 // count and the unfolding/evaluation time split of the target query's
-// first execution on a fresh engine, so UnfoldTime is the unfolding
-// itself (plus building the plan template), not a plan-cache hit.
+// first execution on a fresh engine: UnfoldTime is the unfolding
+// itself plus planning every unfolded rule.
 type UnfoldStatsRow struct {
 	X             int // number of peers (Fig 7) or peers with data (Fig 8)
 	UnfoldedRules int
@@ -768,18 +768,13 @@ type ProQLRow struct {
 	GraphBuildTime time.Duration
 	GraphEvalTime  time.Duration
 	// ASRFirstTime is the path executor's first evaluation on a fresh
-	// engine (planning included); ASREvalTime is the repeated-shape
-	// evaluation with the plan cached.
+	// engine; ASREvalTime is the repeated evaluation on the same
+	// engine, which takes the dense tables the first one shared.
 	ASRFirstTime time.Duration
 	ASREvalTime  time.Duration
 	// GraphBuilds counts provgraph materializations observed during
 	// the path arms. The executor's defining invariant is 0.
 	GraphBuilds int64
-	// CacheHits and CacheMisses are the path engine's plan-cache
-	// counters; the path planner reads only the query syntax, so both
-	// are 0.
-	CacheHits   int
-	CacheMisses int
 }
 
 // RunProQL sweeps the multi-path provenance query across scale
@@ -828,9 +823,9 @@ func RunProQL(scales []int, numPeers, dataPeers, baseSize, runs int, seed int64)
 		}
 
 		before := provgraph.Builds()
-		// Cold arm: a fresh engine per iteration, so every run pays the
-		// planning a cached plan saves (the discard-extremes protocol
-		// tames the noise a single cold measurement carries).
+		// Cold arm: a fresh engine per iteration, so every run builds
+		// the dense tables a warm engine shares (the discard-extremes
+		// protocol tames the noise a single cold measurement carries).
 		var asrEng *proql.Engine
 		row.ASRFirstTime, err = timed(runs, func() error {
 			asrEng = proql.NewEngine(set.Sys)
@@ -848,8 +843,6 @@ func RunProQL(scales []int, numPeers, dataPeers, baseSize, runs int, seed int64)
 			return nil, err
 		}
 		row.GraphBuilds = provgraph.Builds() - before
-		st := asrEng.PlanCacheStats()
-		row.CacheHits, row.CacheMisses = st.Hits, st.Misses
 		out = append(out, row)
 	}
 	return out, nil

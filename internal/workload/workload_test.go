@@ -296,8 +296,7 @@ func TestHarnessSmoke(t *testing.T) {
 // 100× of the base setting and asserts the path backend's defining
 // invariant at both points: the Q4-shaped multi-path query and the
 // Q5-shaped annotation query evaluate with zero provgraph
-// materializations, and the path planner, which reads only the query
-// syntax, records no plan-cache traffic.
+// materializations.
 func TestProQLSweepZeroBuildsAt100x(t *testing.T) {
 	rows, err := RunProQL([]int{1, 100}, 6, 2, 4, 3, 9)
 	if err != nil {
@@ -309,9 +308,6 @@ func TestProQLSweepZeroBuildsAt100x(t *testing.T) {
 	for _, r := range rows {
 		if r.GraphBuilds != 0 {
 			t.Errorf("scale %d: path arm materialized %d provenance graphs, want 0", r.Scale, r.GraphBuilds)
-		}
-		if r.CacheHits != 0 || r.CacheMisses != 0 {
-			t.Errorf("scale %d: the path arm touched the plan cache: %+v", r.Scale, r)
 		}
 		if r.GraphBuildTime <= 0 || r.GraphEvalTime <= 0 || r.ASRFirstTime <= 0 || r.ASREvalTime <= 0 {
 			t.Errorf("scale %d: non-positive times: %+v", r.Scale, r)
