@@ -512,8 +512,8 @@ func BenchmarkAnalyticShapes(b *testing.B) {
 
 // BenchmarkExchangeCompiled measures update-exchange materialization
 // itself — the offline step whose output all queries consume — on the
-// compiled semi-naive engine, with the deletion-support index the
-// hooks keep current.
+// compiled semi-naive engine, with the firing hook recording one
+// provenance row per derivation.
 func BenchmarkExchangeCompiled(b *testing.B) {
 	for _, base := range []int{250, 1000} {
 		b.Run(fmt.Sprintf("base=%d", base), func(b *testing.B) {
@@ -537,7 +537,7 @@ func BenchmarkExchangeCompiled(b *testing.B) {
 // "provenance can speed up this test" — by comparing deletion
 // propagation against rebuilding the exchange from scratch on the
 // reduced base data. The "provenance" arm is the delta-driven
-// propagator over the support index built alongside exchange.
+// propagator walking the provenance tables exchange recorded.
 func BenchmarkIncrementalDeletion(b *testing.B) {
 	cfg := workload.Config{
 		Topology:  workload.Chain,

@@ -532,8 +532,8 @@ func runInsertion(p scaleParams) error {
 }
 
 // runDeletion is the use-case-Q5 experiment: one base-tuple deletion
-// propagated by the delta-driven support-index walk and by full
-// re-exchange.
+// propagated by the delta-driven walk over the provenance tables and
+// by full re-exchange.
 func runDeletion(p scaleParams) error {
 	fmt.Printf("Incremental deletion (Q5): chain, base %d at %d upstream peers, one base tuple deleted\n", p.delBase, p.delData)
 	fmt.Println("peers  delta-maintain  rebuild  visited(tuples/derivs)  instance")

@@ -43,7 +43,7 @@ func main() {
 	}
 	fmt.Printf("Retracted %d base tuple(s); maintenance removed %d derived tuple(s) and %d derivation(s),\n",
 		report.LocalDeleted, report.TuplesDeleted, report.DerivationsDeleted)
-	fmt.Printf("visiting only the affected subgraph (%d tuple(s), %d derivation(s)) via the support index.\n\n",
+	fmt.Printf("visiting only the affected subgraph (%d tuple(s), %d derivation(s)) through the provenance tables.\n\n",
 		report.TuplesVisited, report.DerivationsVisited)
 	show("After retraction:")
 

@@ -78,7 +78,7 @@ func TestFacadeDeleteLocalPatchesGraph(t *testing.T) {
 }
 
 // TestFacadeDeleteThenRerun: deletions followed by new inserts and a
-// re-Run must keep storage, support index, and query results coherent.
+// re-Run must keep storage and query results coherent.
 func TestFacadeDeleteThenRerun(t *testing.T) {
 	sys := openExample(t)
 	if _, err := sys.DeleteLocal("A", []model.Datum{int64(1)}); err != nil {

@@ -424,47 +424,3 @@ func (p *Program) ruleByID(ruleID string) (*compiledRule, error) {
 	}
 	return nil, fmt.Errorf("datalog: no rule %q in program", ruleID)
 }
-
-// KeyCol is one key column of an atom resolved against a rule's
-// compiled slot numbering: either a constant from the atom itself or a
-// binding-slot position to read at firing time. It reuses the same
-// slot assignment the join programs probe with, so a consumer (e.g.
-// update exchange's support index) encodes a tuple key straight from
-// the firing's slot buffer with no name resolution.
-type KeyCol struct {
-	IsConst bool
-	Const   model.Datum
-	Slot    int
-}
-
-// AtomKeySlots resolves the key terms of one atom of the identified
-// rule into KeyCol form. keyIdx lists the positions of the relation's
-// key attributes within the atom's argument list. Wildcards and
-// variables absent from the rule are errors: a key term must be
-// recoverable from every firing.
-func (p *Program) AtomKeySlots(ruleID string, a model.Atom, keyIdx []int) ([]KeyCol, error) {
-	cr, err := p.ruleByID(ruleID)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]KeyCol, len(keyIdx))
-	for i, k := range keyIdx {
-		if k < 0 || k >= len(a.Args) {
-			return nil, fmt.Errorf("datalog: rule %s atom %s key index %d out of range", ruleID, a.Rel, k)
-		}
-		t := a.Args[k]
-		if t.IsConst {
-			out[i] = KeyCol{IsConst: true, Const: t.Const}
-			continue
-		}
-		if t.Var == "_" {
-			return nil, fmt.Errorf("datalog: rule %s atom %s has wildcard key term", ruleID, a.Rel)
-		}
-		s, ok := cr.slotOf[t.Var]
-		if !ok {
-			return nil, fmt.Errorf("datalog: rule %s has no variable %q", ruleID, t.Var)
-		}
-		out[i] = KeyCol{Slot: s}
-	}
-	return out, nil
-}

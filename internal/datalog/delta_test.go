@@ -1,7 +1,6 @@
 package datalog
 
 import (
-	"sort"
 	"testing"
 
 	"repro/internal/model"
@@ -152,61 +151,5 @@ func TestRunProgramDeltaStateGuards(t *testing.T) {
 	}
 	if p.StateValid() {
 		t.Fatal("failed delta run must invalidate state")
-	}
-}
-
-// TestHeadHookSurfacesEncodedKeys checks the HookHeads path: heads are
-// inserted before the callback, Inserted reflects primary-key dedup,
-// and EncKey is byte-identical to the canonical key encoding a
-// TupleRef carries.
-func TestHeadHookSurfacesEncodedKeys(t *testing.T) {
-	db, rules := tcProgram(t)
-	e := NewEngine(db)
-	type seen struct {
-		pred     string
-		enc      string
-		row      string
-		inserted bool
-	}
-	var got []seen
-	e.HookHeads = func(r *Rule, vars []string, slots []model.Datum, heads []HeadInsert) {
-		for _, h := range heads {
-			// The table must already contain the row when the hook runs.
-			if _, ok := db.MustTable(h.Pred).LookupEncoded(string(h.EncKey)); !ok {
-				t.Errorf("head %s row %v not stored before hook", h.Pred, h.Row)
-			}
-			got = append(got, seen{pred: h.Pred, enc: string(h.EncKey), row: model.EncodeDatums(h.Row), inserted: h.Inserted})
-		}
-	}
-	if err := e.Run(rules); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != tcDistinctDerivations {
-		t.Fatalf("HookHeads fired for %d heads, want %d", len(got), tcDistinctDerivations)
-	}
-	inserted := 0
-	for _, s := range got {
-		if s.pred != "path" {
-			t.Errorf("unexpected head pred %q", s.pred)
-		}
-		// path's key is all columns, so EncKey == encoded row.
-		if s.enc != s.row {
-			t.Errorf("EncKey %q != canonical key encoding %q", s.enc, s.row)
-		}
-		if s.inserted {
-			inserted++
-		}
-	}
-	if want := db.MustTable("path").Len(); inserted != want {
-		t.Errorf("Inserted=true for %d heads, table holds %d rows", inserted, want)
-	}
-	// Spot-check canonical form against model.EncodeDatums.
-	keys := make([]string, 0, len(got))
-	for _, s := range got {
-		keys = append(keys, s.enc)
-	}
-	sort.Strings(keys)
-	if keys[0] != model.EncodeDatums([]model.Datum{int64(1), int64(2)}) {
-		t.Errorf("unexpected minimal key %q", keys[0])
 	}
 }

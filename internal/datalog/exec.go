@@ -16,28 +16,6 @@ import (
 // vars per firing.
 type SlotHook func(rule *Rule, vars []string, slots []model.Datum)
 
-// HeadInsert describes one head-atom insertion of a firing, surfaced to
-// HeadHook consumers: the head predicate, the materialized row, whether
-// the backing table actually stored it (false when the primary key
-// already existed), and — for keyed predicates — the row's canonical
-// key encoding, byte-identical to model.EncodeDatums of the key
-// attributes (a model.TupleRef's Key). Consumers that intern tuples by
-// encoded key (update exchange's support index) reuse this instead of
-// re-encoding the head key from the binding. EncKey and the HeadInsert
-// slice are reused buffers, valid only during the hook invocation.
-type HeadInsert struct {
-	Pred     string
-	EncKey   []byte
-	Row      model.Tuple
-	Inserted bool
-}
-
-// HeadHook is the firing callback variant that also receives the head
-// insertions. When set it replaces Hook, and the heads are inserted
-// BEFORE the callback runs (Hook fires before insertion) — consumers
-// needing the insertion results accept that ordering.
-type HeadHook func(rule *Rule, vars []string, slots []model.Datum, heads []HeadInsert)
-
 // Engine is the compiled semi-naive Datalog engine: rules are lowered
 // once into slot-based join programs (compile.go) and evaluated to
 // fixpoint over flat binding arrays, probing incremental hash indexes
@@ -45,10 +23,6 @@ type HeadHook func(rule *Rule, vars []string, slots []model.Datum, heads []HeadI
 type Engine struct {
 	DB   *relstore.Database
 	Hook SlotHook
-	// HookHeads, when non-nil, is invoked instead of Hook and
-	// additionally receives the firing's head insertions (with their
-	// canonical key encodings). See HeadHook for ordering semantics.
-	HookHeads HeadHook
 
 	// Stats from the last run.
 	Iterations  int
@@ -229,14 +203,6 @@ type executor struct {
 	keyBuf []byte
 	// arena carves the head rows the firing passes materialize.
 	arena model.TupleArena
-	// heads and encArena are the reused buffers HookHeads firings
-	// materialize head insertions into. Encoded keys are copied out of
-	// the tables' scratch buffers into encArena (offsets first, slices
-	// materialized after all heads inserted, since appends may move the
-	// arena).
-	heads    []HeadInsert
-	headOffs []int
-	encArena []byte
 	// posBuf is the key-encoding scratch for journalAppend's position
 	// map maintenance.
 	posBuf []byte
@@ -263,14 +229,10 @@ func (x *executor) round() error {
 
 // apply records one distinct firing: bump stats, invoke the hook, and
 // insert the instantiated heads (new rows join the journal's NEW
-// region, invisible until the round ends). With HookHeads set the
-// heads are inserted first and surfaced to the callback.
+// region, invisible until the round ends).
 func (x *executor) apply(cr *compiledRule) error {
 	slots := x.slots
 	x.eng.Derivations++
-	if x.eng.HookHeads != nil {
-		return x.applyWithHeads(cr)
-	}
 	if x.eng.Hook != nil {
 		x.eng.Hook(&cr.rule, cr.slotVars, slots)
 	}
@@ -289,7 +251,7 @@ func (x *executor) apply(cr *compiledRule) error {
 			return err
 		}
 		if inserted {
-			x.journalAppend(h.pred, row, nil)
+			x.journalAppend(h.pred, row)
 		}
 	}
 	return nil
@@ -300,74 +262,16 @@ func (x *executor) apply(cr *compiledRule) error {
 // first deletion repair (repair.go) — it is maintained here on the
 // insert path, so every later repair stays O(deleted rows) instead of
 // re-scanning the journal; until then the insert hot path pays only
-// this nil check. enc is the row's canonical key encoding when the
-// caller already has it, nil to encode here.
-func (x *executor) journalAppend(ps *predState, row model.Tuple, enc []byte) {
+// this nil check.
+func (x *executor) journalAppend(ps *predState, row model.Tuple) {
 	if ps.pos != nil {
-		if enc == nil {
-			x.posBuf = appendCols(x.posBuf[:0], row, ps.keyCols)
-			enc = x.posBuf
-		}
-		ps.pos[string(enc)] = int32(len(ps.rows))
+		x.posBuf = appendCols(x.posBuf[:0], row, ps.keyCols)
+		ps.pos[string(x.posBuf)] = int32(len(ps.rows))
 		ps.rows = append(ps.rows, row)
 		ps.posBuilt = len(ps.rows)
 		return
 	}
 	ps.rows = append(ps.rows, row)
-}
-
-// applyWithHeads is apply for the HookHeads mode: insert every head
-// (collecting the insertion results and pk encodings), then invoke the
-// callback once with the completed HeadInsert batch. Single-head rules
-// (the common case) hand the table's scratch encoding through
-// directly; only multi-head rules copy encodings into the executor's
-// arena, since a later head insert into the same table would clobber
-// the earlier scratch.
-func (x *executor) applyWithHeads(cr *compiledRule) error {
-	slots := x.slots
-	x.heads = x.heads[:0]
-	multi := len(cr.heads) > 1
-	if multi {
-		x.headOffs = x.headOffs[:0]
-		x.encArena = x.encArena[:0]
-	}
-	for hi := range cr.heads {
-		h := &cr.heads[hi]
-		row := x.arena.Alloc(len(h.cols))
-		for i, c := range h.cols {
-			if c.isConst {
-				row[i] = c.konst
-			} else {
-				row[i] = slots[c.slot]
-			}
-		}
-		enc, inserted, err := h.pred.table.InsertKeyed(row)
-		if err != nil {
-			return err
-		}
-		if inserted {
-			x.journalAppend(h.pred, row, enc)
-		}
-		ins := HeadInsert{Pred: h.pred.name, Row: row, Inserted: inserted}
-		if multi {
-			x.headOffs = append(x.headOffs, len(x.encArena))
-			x.encArena = append(x.encArena, enc...)
-		} else {
-			ins.EncKey = enc
-		}
-		x.heads = append(x.heads, ins)
-	}
-	if multi {
-		for i := range x.heads {
-			end := len(x.encArena)
-			if i+1 < len(x.headOffs) {
-				end = x.headOffs[i+1]
-			}
-			x.heads[i].EncKey = x.encArena[x.headOffs[i]:end]
-		}
-	}
-	x.eng.HookHeads(&cr.rule, cr.slotVars, slots, x.heads)
-	return nil
 }
 
 func matchSeed(s *seedSpec, row model.Tuple, slots []model.Datum) bool {

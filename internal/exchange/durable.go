@@ -61,17 +61,15 @@ func OpenDurable(schema *model.Schema, dir string, wopts wal.Options, opts Optio
 //   - the pending delta buffer is recomputed as the local-contribution
 //     rows whose public copy is missing — exactly the inserts whose
 //     propagating run had not committed at the crash (a run commits as
-//     one batch, so its effects are on disk entirely or not at all);
-//   - the deletion-support index is dropped for a lazy rebuild from
-//     the recovered provenance tables on the first DeleteLocal
-//     (hook maintenance resumes afterwards).
+//     one batch, so its effects are on disk entirely or not at all).
+//
+// Deletion needs nothing rebuilt: it walks the recovered provenance
+// tables through the probes NewSystem built, so the first DeleteLocal
+// after a restart costs what any other does.
 func (s *System) WarmAttach() error {
 	if err := s.recoverPending(); err != nil {
 		return err
 	}
-	// The support index must never be live-but-empty over non-empty
-	// provenance tables: ensureSupport rebuilds it on demand.
-	s.support = nil
 	if err := s.ensureCompiled(); err != nil {
 		return err
 	}
@@ -111,8 +109,13 @@ func (s *System) recoverPending() error {
 			continue
 		}
 		var rows []model.Tuple
+		var key []byte
 		lt.Iterate(func(row model.Tuple) bool {
-			if _, found := pt.LookupKey(r.KeyOf(row)); !found {
+			key = key[:0]
+			for _, k := range r.Key {
+				key = model.AppendDatum(key, row[k])
+			}
+			if _, found := pt.LookupKeyBytes(key); !found {
 				rows = append(rows, row)
 			}
 			return true

@@ -39,6 +39,37 @@ type ProvRel struct {
 	// Sources and Targets rebuild the keys of the mapping's body and
 	// head atoms from one provenance row, in atom order.
 	Sources, Targets []AtomKey
+	// srcCols, for a projection mapping, gives the source relation's
+	// column that holds each provenance column (-1 if none holds it:
+	// the mapping is not Virtual); srcFirst gives, per body position,
+	// the first position binding the same variable (-1 for constants
+	// and wildcards), so a source row matches the body atom when every
+	// later occurrence agrees with the first.
+	srcCols, srcFirst []int
+}
+
+// varCol returns the provenance column of variable v, -1 if none.
+func (pr *ProvRel) varCol(v string) int { return slices.Index(pr.Vars, v) }
+
+// virtualRow reconstructs a virtual mapping's provenance row from one
+// row of its source relation, reporting false when the body atom does
+// not match the row: a constant position differs, or a repeated
+// variable binds two values.
+func (pr *ProvRel) virtualRow(src model.Tuple) (model.Tuple, bool) {
+	for k, term := range pr.Mapping.Body[0].Args {
+		if term.IsConst {
+			if !model.Equal(src[k], term.Const) {
+				return nil, false
+			}
+		} else if f := pr.srcFirst[k]; f >= 0 && !model.Equal(src[f], src[k]) {
+			return nil, false
+		}
+	}
+	row := make(model.Tuple, len(pr.srcCols))
+	for i, c := range pr.srcCols {
+		row[i] = src[c]
+	}
+	return row, true
 }
 
 // AtomKey rebuilds one atom's tuple key from a provenance row of its
@@ -103,21 +134,14 @@ type System struct {
 	// prog is the exchange program compiled once on first Run and
 	// reused by every subsequent fixpoint over this system; hookPlans
 	// maps each mapping to its provenance table and the binding-slot
-	// positions of its provenance attributes and atom keys. eng is the
-	// compiled engine driving it, created alongside prog; its predicate
-	// journals, indexes, and age watermarks persist across runs so
-	// RunDelta can seed a fixpoint from newly inserted rows alone.
+	// positions of its provenance attributes. eng is the compiled
+	// engine driving it, created alongside prog with the firing hook
+	// that records provenance rows; its predicate journals, indexes,
+	// and age watermarks persist across runs so RunDelta can seed a
+	// fixpoint from newly inserted rows alone.
 	prog      *datalog.Program
 	hookPlans map[string]hookPlan
 	eng       *datalog.Engine
-	// hookFull is the firing callback maintaining provenance tables,
-	// the support index (reusing the engine-surfaced head keys), and —
-	// during delta runs — the insertion report. hookLean is the
-	// provenance-only variant installed for full runs when no support
-	// index is alive, so exchange skips the head-surfacing machinery
-	// it would not consume.
-	hookFull datalog.HeadHook
-	hookLean datalog.SlotHook
 
 	// pending buffers, per public relation, the local-contribution rows
 	// InsertLocal actually stored since the last run — the Δ seed of
@@ -135,39 +159,38 @@ type System struct {
 	// encoded keys of rows deletion propagation removed from storage but
 	// not yet from the persistent journals. DeleteLocal defers the
 	// journal repair here — recording a key is O(1), keeping deletions
-	// at their support-index cost — and the next RunDelta flushes the
+	// at the cost of their walk — and the next RunDelta flushes the
 	// batch into datalog.Program.ApplyDeletions before seeding, so the
 	// repair's O(affected journals) cost is amortized into the run that
 	// actually needs coherent journals.
 	deadRows map[string][]string
-
-	// support is the persistent ref→derivation index DeleteLocal
-	// propagates over. It is populated by the Run hooks as exchange
-	// enumerates derivations; nil means it must be rebuilt from the
-	// provenance tables on the next deletion (after WarmAttach, or when
-	// ref-plan compilation was not possible for this schema).
-	support *supportIndex
+	// walk is DeleteLocal's propagation state, its buffers kept from
+	// one deletion to the next.
+	walk walk
 
 	// Stats from the last Run.
 	LastIterations  int
 	LastDerivations int
 
 	// roles holds, by table ordinal, what each table of the layout
-	// holds, with the reverse-edge probes of a relation, built once at
+	// holds, with the edge probes of a relation, built once at
 	// NewSystem (they depend only on the schema and the provenance
 	// layout, never on the data). Building them — and pre-building the
 	// secondary indexes they probe — keeps the query path free of
-	// writes: a concurrent reader never triggers index construction.
+	// writes (a concurrent reader never triggers index construction)
+	// and lets a deletion walk the provenance tables themselves.
 	roles []TableRole
 }
 
 // TableRole is what one table of the system's layout holds: a
-// relation's tuples (Rel), with the Probes that find a tuple's incoming
-// derivations, or a mapping's provenance rows (Prov).
+// relation's tuples (Rel), with the probes that find the derivations
+// producing a tuple (Incoming) and consuming it (Uses), or a mapping's
+// provenance rows (Prov).
 type TableRole struct {
-	Rel    *model.Relation
-	Probes []IncomingProbe
-	Prov   *ProvRel
+	Rel      *model.Relation
+	Incoming []AtomProbe
+	Uses     []AtomProbe
+	Prov     *ProvRel
 }
 
 // Role returns the role of the table with ordinal ord, nil for a table
@@ -182,24 +205,12 @@ func (s *System) Role(ord int) *TableRole {
 }
 
 // hookPlan is the precompiled provenance recipe for one mapping: which
-// table receives the rows (nil for virtual provenance relations),
-// which engine slots hold the provenance attributes, and — for the
-// support index — each source/target atom's key columns resolved to
-// slots, so the per-firing hook does no map or name lookups beyond one
-// rule-ID fetch.
+// table receives the rows (nil for virtual provenance relations) and
+// which engine slots hold the provenance attributes, so the per-firing
+// hook does no map or name lookups beyond one rule-ID fetch.
 type hookPlan struct {
 	table *relstore.Table
 	slots []int
-	// atoms lists the mapping's body atoms then head atoms; nSources
-	// is the body count. Nil when ref plans could not be compiled.
-	atoms    []atomPlan
-	nSources int
-}
-
-// atomPlan builds one atom's TupleRef from a firing's slot buffer.
-type atomPlan struct {
-	rel  string
-	cols []datalog.KeyCol
 }
 
 // NewSystem creates the storage layout for a schema: one table per
@@ -236,7 +247,7 @@ func ensureTable(db *relstore.Database, schema *relstore.TableSchema) error {
 // NewSystem (fresh in-memory database) and OpenDurable (database
 // recovered from a checkpoint + log replay).
 func newSystemOn(db *relstore.Database, schema *model.Schema, opts Options) (*System, error) {
-	sys := &System{Schema: schema, DB: db, Prov: make(map[string]*ProvRel), opts: opts, support: newSupportIndex()}
+	sys := &System{Schema: schema, DB: db, Prov: make(map[string]*ProvRel), opts: opts}
 	for _, r := range schema.Relations() {
 		if err := ensureTable(db, relstore.SchemaOf(r)); err != nil {
 			return nil, err
@@ -264,18 +275,27 @@ func newSystemOn(db *relstore.Database, schema *model.Schema, opts Options) (*Sy
 			pr.Table = db.MustTable(pr.TableName).Ord()
 		}
 	}
-	// Build the reverse-edge probe index now and pre-ensure every
-	// secondary index it probes: query-time EnsureIndex was a hidden
-	// write on the read-only ASR path, racing concurrent queries.
-	probes, err := sys.IncomingProbes()
+	// Build the edge probes now and pre-ensure every secondary index
+	// they probe: no index is ever built after NewSystem, so a query
+	// never writes and a deletion never pays an index build. A probe on
+	// a table's key columns reads the primary key instead.
+	incoming, uses, err := sys.atomProbes()
 	if err != nil {
 		return nil, err
 	}
-	for _, ps := range probes {
-		for i := range ps {
-			p := &ps[i]
-			if !p.Prov.Virtual && len(p.Cols) > 0 {
-				db.MustTable(p.Prov.TableName).EnsureIndex(p.Cols)
+	ensure := func(t *relstore.Table, cols []int) {
+		if len(cols) > 0 && !slices.Equal(cols, t.Schema.Key) {
+			t.EnsureIndex(cols)
+		}
+	}
+	for _, ps := range [](map[string][]AtomProbe){incoming, uses} {
+		for _, probes := range ps {
+			for _, p := range probes {
+				if p.Prov.Virtual {
+					ensure(db.MustTable(p.Prov.Sources[0].Rel.Name), p.Source.Cols)
+				} else {
+					ensure(db.MustTable(p.Prov.TableName), p.Cols)
+				}
 			}
 		}
 	}
@@ -286,7 +306,7 @@ func newSystemOn(db *relstore.Database, schema *model.Schema, opts Options) (*Sy
 		return &sys.roles[ord]
 	}
 	for _, r := range schema.Relations() {
-		*role(db.MustTable(r.Name).Ord()) = TableRole{Rel: r, Probes: probes[r.Name]}
+		*role(db.MustTable(r.Name).Ord()) = TableRole{Rel: r, Incoming: incoming[r.Name], Uses: uses[r.Name]}
 	}
 	for _, pr := range sys.Prov {
 		if !pr.Virtual {
@@ -303,7 +323,7 @@ func newSystemOn(db *relstore.Database, schema *model.Schema, opts Options) (*Sy
 // what Run/RunDelta/DeleteLocal commit afterwards. The view carries
 // only the fields the read path consults — schema, provenance layout,
 // probe index, options — all immutable after NewSystem; the writer's
-// journals, delta buffers, and support index are deliberately absent
+// journals and delta buffers are deliberately absent
 // (copying them here would race with a concurrent commit mutating
 // them). Mutating entry points on the view fail (its database rejects
 // writes). Callers must invoke the release function when done;
@@ -349,9 +369,24 @@ func (s *System) provRelFor(m *model.Mapping) (*ProvRel, error) {
 	}
 	if !s.opts.MaterializeAll && m.IsProjection() {
 		// A single-source mapping's provenance rows are a projection
-		// of the source relation: the source key attributes determine
-		// the whole row (target keys are copies or constants).
-		pr.Virtual = s.virtualizable(m, vars)
+		// of the source relation when its body atom binds every
+		// provenance variable: the source row determines the whole
+		// provenance row (target keys are copies or constants).
+		args := m.Body[0].Args
+		first := func(v string) int {
+			return slices.IndexFunc(args, func(t model.Term) bool { return !t.IsConst && t.Var == v })
+		}
+		for _, t := range args {
+			f := -1
+			if !t.IsConst && t.Var != "_" {
+				f = first(t.Var)
+			}
+			pr.srcFirst = append(pr.srcFirst, f)
+		}
+		for _, v := range vars {
+			pr.srcCols = append(pr.srcCols, first(v))
+		}
+		pr.Virtual = !slices.Contains(pr.srcCols, -1)
 	}
 	for _, a := range m.Body {
 		ak, err := s.atomKey(pr, a)
@@ -388,32 +423,13 @@ func (s *System) atomKey(pr *ProvRel, a model.Atom) (AtomKey, error) {
 			ak.Cols[i], ak.Consts[i] = -1, term.Const
 			continue
 		}
-		c := slices.Index(pr.Vars, term.Var)
+		c := pr.varCol(term.Var)
 		if c < 0 {
 			return AtomKey{}, fmt.Errorf("exchange: mapping %s key var %q not in provenance row", pr.Mapping.Name, term.Var)
 		}
 		ak.Cols[i] = c
 	}
 	return ak, nil
-}
-
-// virtualizable checks that every provenance attribute of the
-// projection mapping is available from the single body atom, so the
-// provenance relation can be a view over the source.
-func (s *System) virtualizable(m *model.Mapping, vars []string) bool {
-	body := m.Body[0]
-	bodyVars := make(map[string]bool)
-	for _, t := range body.Args {
-		if !t.IsConst && t.Var != "_" {
-			bodyVars[t.Var] = true
-		}
-	}
-	for _, v := range vars {
-		if !bodyVars[v] {
-			return false
-		}
-	}
-	return true
 }
 
 // InsertLocal adds rows to a relation's local-contribution table. Rows
@@ -487,7 +503,6 @@ func (s *System) Run() error {
 	if err := s.ensureCompiled(); err != nil {
 		return err
 	}
-	s.installHooks()
 	s.deltaReady = false
 	if err := s.eng.RunProgram(s.prog); err != nil {
 		return err
@@ -534,12 +549,11 @@ type InsertedDerivation struct {
 // are seeded from the pending local-delta rows only, so the fixpoint
 // enumerates exactly the new derivations — inserting k rows into an
 // exchanged system costs O(affected derivations), not O(database).
-// The hooks extend the provenance tables and the deletion-support
-// index exactly as a full run would, and the returned report lists
-// everything added. Interleaved deletions do not break the chain of
-// delta runs: DeleteLocal repairs the persistent journals from its
-// deletion report, so a RunDelta after it still seeds from the pending
-// rows alone. When no valid persistent state exists (first run, or an
+// The hook extends the provenance tables exactly as a full run would,
+// and the returned report lists every derivation added. Interleaved
+// deletions do not break the chain of delta runs: DeleteLocal repairs
+// the persistent journals from its deletion report, so a RunDelta
+// after it still seeds from the pending rows alone. When no valid persistent state exists (first run, or an
 // earlier error invalidated it) RunDelta falls back to a full Run and
 // reports Full.
 func (s *System) RunDelta() (*InsertionReport, error) {
@@ -574,10 +588,6 @@ func (s *System) RunDelta() (*InsertionReport, error) {
 		}
 		delta[r.LocalName()] = append(delta[r.LocalName()], rows...)
 	}
-	// Delta runs always take the full hook, not the lean one: even with
-	// no support index, the report's InsertedDerivations (virtual
-	// mappings' included) feed asr.Index maintenance.
-	s.eng.HookHeads, s.eng.Hook = s.hookFull, nil
 	s.collect = report
 	err := s.eng.RunProgramDelta(s.prog, delta)
 	s.collect = nil
@@ -626,7 +636,6 @@ func (s *System) ensureCompiled() error {
 		return err
 	}
 	plans := make(map[string]hookPlan, len(s.Prov))
-	refPlansOK := true
 	for name, pr := range s.Prov {
 		slots, err := prog.VarSlots(name, pr.Vars)
 		if err != nil {
@@ -636,35 +645,19 @@ func (s *System) ensureCompiled() error {
 		if !pr.Virtual {
 			hp.table = s.DB.MustTable(pr.TableName)
 		}
-		if atoms, n, err := s.compileRefPlans(prog, name, pr); err == nil {
-			hp.atoms, hp.nSources = atoms, n
-		} else {
-			refPlansOK = false
-		}
 		plans[name] = hp
-	}
-	if !refPlansOK {
-		// Some atom's key terms cannot be recovered from firings
-		// (e.g. a wildcard key term), so the support index cannot
-		// be hook-maintained. Drop it: DeleteLocal rebuilds from
-		// the provenance rows and surfaces the defect as an error
-		// there, exactly as the whole-graph walk did.
-		for name, hp := range plans {
-			hp.atoms, hp.nSources = nil, 0
-			plans[name] = hp
-		}
-		s.support = nil
 	}
 	s.prog, s.hookPlans = prog, plans
 
 	s.eng = datalog.NewEngine(s.DB)
 	var arena model.TupleArena
-	var keyBuf []byte
-	var idBuf []int32
-	s.hookFull = func(rule *datalog.Rule, _ []string, slots []model.Datum, heads []datalog.HeadInsert) {
+	s.eng.Hook = func(rule *datalog.Rule, _ []string, slots []model.Datum) {
 		hp, ok := s.hookPlans[rule.ID]
-		if !ok {
-			return // local copy rule: no provenance
+		if !ok || hp.table == nil && s.collect == nil {
+			// A local copy rule records no provenance, and a virtual
+			// mapping's rows are its source's: only a delta run's
+			// report lists them.
+			return
 		}
 		row := arena.Alloc(len(hp.slots))
 		for i, si := range hp.slots {
@@ -672,120 +665,29 @@ func (s *System) ensureCompiled() error {
 		}
 		// Set semantics on the all-column key keep reruns idempotent
 		// (the compiled engine itself never re-enumerates a
-		// derivation within one run); only genuinely new derivations
-		// enter the support index.
-		fresh := false
+		// derivation within one run). A virtual derivation's firing is
+		// always new: delta rounds never re-enumerate a derivation
+		// across the system's lifetime.
+		fresh := true
 		if hp.table != nil {
 			inserted, err := hp.table.Insert(row)
 			if err != nil {
 				panic(fmt.Sprintf("exchange: provenance insert: %v", err))
 			}
 			fresh = inserted
-		} else if s.support != nil {
-			fresh = s.support.markVirtual(rule.ID, row)
-		} else if s.collect != nil {
-			// Virtual mapping with no support index: delta rounds never
-			// re-enumerate a derivation across the system's lifetime,
-			// so every delta firing is new.
-			fresh = true
 		}
 		if fresh && s.collect != nil {
 			s.collect.InsertedDerivations = append(s.collect.InsertedDerivations,
 				InsertedDerivation{Mapping: rule.ID, Row: row})
 		}
-		if !fresh || s.support == nil || hp.atoms == nil {
-			return
-		}
-		if cap(idBuf) < len(hp.atoms) {
-			idBuf = make([]int32, len(hp.atoms))
-		}
-		sup := s.support
-		ids := idBuf[:len(hp.atoms)]
-		for i := 0; i < hp.nSources; i++ {
-			ap := &hp.atoms[i]
-			keyBuf = keyBuf[:0]
-			for _, c := range ap.cols {
-				if c.IsConst {
-					keyBuf = model.AppendDatum(keyBuf, c.Const)
-				} else {
-					keyBuf = model.AppendDatum(keyBuf, slots[c.Slot])
-				}
-			}
-			ids[i] = sup.tupleID(ap.rel, keyBuf)
-		}
-		// Target atoms are the rule's heads in mapping order: reuse the
-		// primary-key encoding the engine's head insert already
-		// computed instead of re-encoding the key terms from slots.
-		for j := range heads {
-			ids[hp.nSources+j] = sup.tupleID(heads[j].Pred, heads[j].EncKey)
-		}
-		sup.add(rule.ID, hp.table == nil, row, ids, hp.nSources)
-	}
-	// The lean hook only materializes provenance rows; it is installed
-	// for full runs with no support index alive, where the engine's
-	// head-surfacing pass would feed nothing.
-	var leanArena model.TupleArena
-	s.hookLean = func(rule *datalog.Rule, _ []string, slots []model.Datum) {
-		hp, ok := s.hookPlans[rule.ID]
-		if !ok || hp.table == nil {
-			return
-		}
-		row := leanArena.Alloc(len(hp.slots))
-		for i, si := range hp.slots {
-			row[i] = slots[si]
-		}
-		if _, err := hp.table.Insert(row); err != nil {
-			panic(fmt.Sprintf("exchange: provenance insert: %v", err))
-		}
 	}
 	return nil
 }
 
-// installHooks picks the firing callback for a full run: the head-
-// surfacing hook when a support index consumes the surfaced keys, the
-// lean provenance-only hook otherwise.
-func (s *System) installHooks() {
-	if s.support != nil {
-		s.eng.HookHeads, s.eng.Hook = s.hookFull, nil
-	} else {
-		s.eng.HookHeads, s.eng.Hook = nil, s.hookLean
-	}
-}
-
-// compileRefPlans resolves, for one mapping, each body and head atom's
-// key columns into the compiled rule's slot numbering, so the exchange
-// hook can build the support index's TupleRefs straight from a
-// firing's slot buffer.
-func (s *System) compileRefPlans(prog *datalog.Program, name string, pr *ProvRel) ([]atomPlan, int, error) {
-	m := pr.Mapping
-	atoms := make([]atomPlan, 0, len(m.Body)+len(m.Head))
-	addAtom := func(a model.Atom) error {
-		r, ok := s.Schema.Relation(a.Rel)
-		if !ok {
-			return fmt.Errorf("exchange: unknown relation %q", a.Rel)
-		}
-		cols, err := prog.AtomKeySlots(name, a, r.Key)
-		if err != nil {
-			return err
-		}
-		atoms = append(atoms, atomPlan{rel: a.Rel, cols: cols})
-		return nil
-	}
-	for _, a := range m.Body {
-		if err := addAtom(a); err != nil {
-			return nil, 0, err
-		}
-	}
-	for _, a := range m.Head {
-		if err := addAtom(a); err != nil {
-			return nil, 0, err
-		}
-	}
-	return atoms, len(m.Body), nil
-}
-
-// ProvRows returns the provenance rows of a mapping, reconstructing
-// them from the source relation for virtual provenance relations.
+// ProvRows returns the provenance rows of a mapping. A virtual
+// mapping's rows are projected out of its source relation: a source
+// tuple yields a derivation only if the (possibly filtering) body atom
+// matches it.
 func (s *System) ProvRows(mappingName string) ([]model.Tuple, error) {
 	pr, ok := s.Prov[mappingName]
 	if !ok {
@@ -794,45 +696,15 @@ func (s *System) ProvRows(mappingName string) ([]model.Tuple, error) {
 	if !pr.Virtual {
 		return s.DB.MustTable(pr.TableName).Rows(), nil
 	}
-	return s.virtualProvRows(pr)
-}
-
-// virtualProvRows projects the provenance attributes out of the source
-// relation of a superfluous mapping. A source tuple yields a derivation
-// only if the (possibly filtering) body atom matches, i.e. constant
-// positions agree and repeated variables are consistent.
-func (s *System) virtualProvRows(pr *ProvRel) ([]model.Tuple, error) {
-	body := pr.Mapping.Body[0]
-	t, ok := s.DB.Table(body.Rel)
+	t, ok := s.DB.Table(pr.Mapping.Body[0].Rel)
 	if !ok {
-		return nil, fmt.Errorf("exchange: no table for %q", body.Rel)
+		return nil, fmt.Errorf("exchange: no table for %q", pr.Mapping.Body[0].Rel)
 	}
 	var out []model.Tuple
-	t.Iterate(func(row model.Tuple) bool {
-		binding := make(map[string]model.Datum, len(body.Args))
-		for k, term := range body.Args {
-			if term.IsConst {
-				if !model.Equal(row[k], term.Const) {
-					return true
-				}
-				continue
-			}
-			if term.Var == "_" {
-				continue
-			}
-			if prev, bound := binding[term.Var]; bound {
-				if !model.Equal(prev, row[k]) {
-					return true
-				}
-				continue
-			}
-			binding[term.Var] = row[k]
+	t.Iterate(func(src model.Tuple) bool {
+		if row, ok := pr.virtualRow(src); ok {
+			out = append(out, row)
 		}
-		prow := make(model.Tuple, len(pr.Vars))
-		for i, v := range pr.Vars {
-			prow[i] = binding[v]
-		}
-		out = append(out, prow)
 		return true
 	})
 	return out, nil

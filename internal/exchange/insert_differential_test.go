@@ -11,10 +11,9 @@ import (
 // Three-way differential for incremental insertion, mirroring the
 // deletion differential: on randomly generated CDSS settings (acyclic
 // and cyclic mapping graphs) and random insertion batches, the
-// Δ-seeded RunDelta must leave the database, the provenance tables,
-// AND the support index identical to (a) a full re-run on the same
-// warm system and (b) a from-scratch exchange oracle over all base
-// data inserted so far. Some trials interleave deletions: DeleteLocal
+// Δ-seeded RunDelta must leave the database and the provenance tables
+// identical to (a) a full re-run on the same warm system and (b) a
+// from-scratch exchange oracle over all base data inserted so far. Some trials interleave deletions: DeleteLocal
 // repairs the persistent journals from its report, so the following
 // RunDelta must STAY delta-seeded (no full-run fallback) and still
 // converge to the oracle.
@@ -136,21 +135,14 @@ func TestDifferentialInsertion(t *testing.T) {
 				t.Fatalf("trial %d step %d (cyclic=%v): full != oracle\nmappings: %v\nfull:\n%s\noracle:\n%s",
 					trial, step, cyclic, s.mappings, sigFull, sigOracle)
 			}
-			if sysDelta.HasSupportIndex() && oracle.HasSupportIndex() {
-				if got, want := sysDelta.SupportSignature(), oracle.SupportSignature(); got != want {
-					t.Fatalf("trial %d step %d: support index differs from from-scratch build\ndelta:\n%s\noracle:\n%s",
-						trial, step, got, want)
-				}
-			}
 		}
 	}
 }
 
-// TestRunDeltaMultiHeadMapping covers the multi-head (GLAV) path of
-// the head-surfacing hook: one derivation relates two target tuples,
-// whose encoded keys the engine must surface without clobbering each
-// other. Incremental insertion and a subsequent deletion must both
-// leave storage and support index identical to a from-scratch oracle.
+// TestRunDeltaMultiHeadMapping covers the multi-head (GLAV) path: one
+// derivation relates two target tuples. Incremental insertion and a
+// subsequent deletion must both leave storage identical to a
+// from-scratch oracle.
 func TestRunDeltaMultiHeadMapping(t *testing.T) {
 	build := func(xs ...int64) *exchange.System {
 		t.Helper()
@@ -201,9 +193,6 @@ func TestRunDeltaMultiHeadMapping(t *testing.T) {
 	if got, want := signature(t, sys), signature(t, oracle); got != want {
 		t.Fatalf("multi-head delta != oracle\ndelta:\n%s\noracle:\n%s", got, want)
 	}
-	if got, want := sys.SupportSignature(), oracle.SupportSignature(); got != want {
-		t.Fatalf("multi-head support index != oracle\ndelta:\n%s\noracle:\n%s", got, want)
-	}
 	// Deleting the base row must take both heads with it.
 	rep, err := sys.DeleteLocal("S", []model.Datum{int64(3)})
 	if err != nil {
@@ -230,47 +219,5 @@ func TestRunDeltaNoPendingIsCheapNoOp(t *testing.T) {
 	}
 	if report.Derivations != 0 {
 		t.Fatalf("no-pending RunDelta did work: %+v", report)
-	}
-}
-
-// TestSupportPoolChurn drives sustained delete/re-derive churn through
-// the cycle setting and asserts the support index's derivation, edge,
-// and atom pools stay bounded by the live size (free lists recycle
-// vacated slots) instead of growing with total churn.
-func TestSupportPoolChurn(t *testing.T) {
-	sys := buildCycleSetting(t, exchange.Options{})
-	// Warm up one churn cycle so every pool reaches steady state.
-	churn := func(x int64) {
-		key := []model.Datum{x}
-		if _, err := sys.DeleteLocal("R", key); err != nil {
-			t.Fatal(err)
-		}
-		if err := sys.InsertLocal("R", model.Tuple{x}); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := sys.RunDelta(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	churn(0)
-	derivSlots0, live0, edges0, _, atoms0 := sys.SupportPoolSizes()
-	for i := 0; i < 200; i++ {
-		churn(int64(i % 3))
-	}
-	derivSlots, live, edges, freeEdges, atoms := sys.SupportPoolSizes()
-	if live != live0 {
-		t.Fatalf("live derivations drifted: %d -> %d", live0, live)
-	}
-	// Pools may exceed the warm-up size by at most one churn cycle's
-	// worth of slack (deletion frees after the re-derive allocated).
-	const slack = 8
-	if derivSlots > derivSlots0+slack {
-		t.Errorf("derivation slots grew with churn: %d -> %d", derivSlots0, derivSlots)
-	}
-	if edges > edges0+2*slack {
-		t.Errorf("edge pool grew with churn: %d -> %d (free %d)", edges0, edges, freeEdges)
-	}
-	if atoms > atoms0+2*slack {
-		t.Errorf("atom pool grew with churn: %d -> %d", atoms0, atoms)
 	}
 }

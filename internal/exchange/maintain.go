@@ -1,6 +1,7 @@
 package exchange
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/model"
@@ -53,39 +54,37 @@ type DeletedDerivation struct {
 // This is the paper's use case Q5 — "during incremental view
 // maintenance or update exchange, when a base tuple is deleted, we
 // need to determine whether existing view tuples remain derivable;
-// provenance can speed up this test". The propagation is delta-driven:
-// the persistent support index (maintained as exchange runs) gives the
-// derivations consuming each deleted ref, the affected subgraph is the
-// forward closure of the deleted frontier through those support edges,
-// and derivability (the boolean semiring of Table 1) is re-established
-// only inside that subgraph by support counting — a derivation becomes
-// valid when its last undecided source does, and tuples of a mutually-
-// supporting (cyclic) component whose external support vanished are
-// never counted down, so the whole cycle collapses together, which
-// delete-and-rederive algorithms must special-case. Cost scales with
-// the affected subgraph, not the database.
+// provenance can speed up this test". The propagation is delta-driven
+// and reads the provenance tables themselves: the body-atom probes
+// NewSystem built (TableRole.Uses) give the derivations consuming each
+// deleted ref, the affected subgraph is the forward closure of the
+// deleted frontier through those edges, and derivability (the boolean
+// semiring of Table 1) is re-established only inside that subgraph by
+// support counting over the derivations the head-atom probes
+// (TableRole.Incoming) find — a derivation becomes valid when its last
+// undecided source does, and tuples of a mutually-supporting (cyclic)
+// component whose external support vanished are never counted down,
+// so the whole cycle collapses together, which delete-and-rederive
+// algorithms must special-case. Cost scales with the affected
+// subgraph, not the database.
 // After the propagation the deletion report is fed back into the
 // compiled engine's persistent state: the deleted rows' keys join the
 // deferred-repair buffer, and the next RunDelta flushes them into the
 // journals (datalog.Program.ApplyDeletions) before seeding — so the
 // engine state keeps mirroring the tables and the run after a
 // DeleteLocal stays delta-seeded, while the deletion itself pays only
-// O(deleted rows) on top of the support-index walk.
+// O(deleted rows) on top of the walk.
 func (s *System) DeleteLocal(rel string, keys ...[]model.Datum) (*MaintenanceReport, error) {
 	// One epoch for the base deletions plus everything the propagation
 	// cascades to: snapshots taken mid-deletion observe none of it.
 	s.DB.BeginBatch()
 	defer s.DB.EndBatch()
-	report, frontier, err := s.deleteLocalBase(rel, keys)
+	report, err := s.deleteLocalBase(rel, keys)
 	if err != nil || report.LocalDeleted == 0 {
 		return report, err
 	}
 	repairable := s.DeltaReady()
-	if err := s.ensureSupport(); err != nil {
-		s.invalidateDelta()
-		return nil, err
-	}
-	if err := s.maintainDelta(report, frontier); err != nil {
+	if err := s.maintainDelta(report); err != nil {
 		s.invalidateDelta()
 		return nil, err
 	}
@@ -140,26 +139,26 @@ func (s *System) flushDeadRows() error {
 }
 
 // deleteLocalBase removes the keys from the relation's local table and
-// returns the refs of the tuples actually deleted (the frontier).
-func (s *System) deleteLocalBase(rel string, keys [][]model.Datum) (*MaintenanceReport, []model.TupleRef, error) {
+// reports the refs of the tuples actually deleted (the frontier) as
+// DeletedLocals.
+func (s *System) deleteLocalBase(rel string, keys [][]model.Datum) (*MaintenanceReport, error) {
 	r, ok := s.Schema.Relation(rel)
 	if !ok {
-		return nil, nil, fmt.Errorf("exchange: unknown relation %q", rel)
+		return nil, fmt.Errorf("exchange: unknown relation %q", rel)
 	}
 	lt, ok := s.DB.Table(r.LocalName())
 	if !ok {
-		return nil, nil, fmt.Errorf("exchange: no local table for %q", rel)
+		return nil, fmt.Errorf("exchange: no local table for %q", rel)
 	}
 	report := &MaintenanceReport{}
-	var frontier []model.TupleRef
 	for _, key := range keys {
 		deleted, err := lt.Delete(key)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if deleted {
 			report.LocalDeleted++
-			frontier = append(frontier, model.RefFromKey(rel, key))
+			report.DeletedLocals = append(report.DeletedLocals, model.RefFromKey(rel, key))
 			// A row inserted since the last run and deleted before it
 			// ever propagated must leave the pending delta buffer too,
 			// or the next RunDelta would seed from a row no table
@@ -167,8 +166,7 @@ func (s *System) deleteLocalBase(rel string, keys [][]model.Datum) (*Maintenance
 			s.dropPending(rel, r, key)
 		}
 	}
-	report.DeletedLocals = frontier
-	return report, frontier, nil
+	return report, nil
 }
 
 // dropPending removes any buffered-but-not-yet-run local rows matching
@@ -192,48 +190,6 @@ func (s *System) dropPending(rel string, r *model.Relation, key []model.Datum) {
 	s.pending[rel] = kept
 }
 
-// ensureSupport (re)builds the support index from the provenance
-// relations when it is absent — after WarmAttach dropped it, or when a
-// ref-plan compilation failure disabled hook maintenance.
-func (s *System) ensureSupport() error {
-	if s.support != nil {
-		return nil
-	}
-	ix := newSupportIndex()
-	s.support = ix
-	for _, m := range s.Schema.Mappings() {
-		pr := s.Prov[m.Name]
-		rows, err := s.ProvRows(m.Name)
-		if err != nil {
-			s.support = nil
-			return err
-		}
-		for _, row := range rows {
-			sources, targets := s.AtomRefs(pr, row)
-			if pr.Virtual {
-				ix.markVirtual(m.Name, row)
-			}
-			s.supportAddRefs(pr, row, sources, targets)
-		}
-	}
-	return nil
-}
-
-// supportAddRefs interns the refs of one derivation and adds it to the
-// support index (the ref-based slow path of index rebuilds; the
-// exchange hooks intern straight from their slot buffers instead).
-func (s *System) supportAddRefs(pr *ProvRel, row model.Tuple, sources, targets []model.TupleRef) {
-	sup := s.support
-	ids := make([]int32, 0, len(sources)+len(targets))
-	for _, ref := range sources {
-		ids = append(ids, sup.tupleIDRef(ref))
-	}
-	for _, ref := range targets {
-		ids = append(ids, sup.tupleIDRef(ref))
-	}
-	sup.add(pr.Mapping.Name, pr.Virtual, row, ids, len(sources))
-}
-
 // IsLeafRef reports whether the tuple named by ref has a local
 // contribution (a '+' node in Figure 1).
 func (s *System) IsLeafRef(ref model.TupleRef) bool {
@@ -249,45 +205,244 @@ func (s *System) IsLeafRef(ref model.TupleRef) bool {
 	return found
 }
 
-// maintainDelta propagates deletions from the frontier refs outward
-// over the support index.
-func (s *System) maintainDelta(report *MaintenanceReport, frontier []model.TupleRef) error {
-	ix := s.support
+// walk is one deletion propagation's view of the affected subgraph:
+// the tuples and derivations it reached through the probes of the
+// system's table roles, numbered in the order it reached them. A tuple
+// is identified by its ref, a derivation by its mapping and slot — a
+// virtual mapping's derivation by its source row's slot.
+type walk struct {
+	s      *System
+	tuples []walkTuple
+	// tupleOf maps a tuple's table ordinal (uvarint) and encoded key to
+	// its number.
+	tupleOf map[string]int32
+	derivs  []walkDeriv
+	derivOf map[derivID]int32
+	// targets backs the derivations' head tuples, uses the tuples'
+	// consuming derivations, keys the tuples' key datums; buf and vals
+	// are encoding scratch.
+	targets []int32
+	uses    []int32
+	keys    []model.Datum
+	buf     []byte
+	vals    []model.Datum
+}
+
+type walkTuple struct {
+	ref model.TupleRef
+	// ord is the table ordinal of the tuple's relation, key its key
+	// datums.
+	ord int
+	key []model.Datum
+	// affected marks the forward closure of the frontier, derivable a
+	// tuple of it known to be still derivable.
+	affected, derivable bool
+	// uses[0]:uses[1] is the range of w.uses listing the derivations
+	// consuming the tuple, once per body atom naming it; filled when
+	// the tuple is affected.
+	uses [2]int32
+}
+
+type derivID struct {
+	prov *ProvRel
+	slot int
+}
+
+type walkDeriv struct {
+	prov *ProvRel
+	row  model.Tuple
+	// targets is the offset of the derivation's head tuples in
+	// w.targets.
+	targets int32
+	// visited marks a derivation producing an affected tuple; pending
+	// counts its body occurrences of affected tuples not yet known
+	// derivable.
+	visited bool
+	pending int32
+}
+
+// reset empties the walk for a deletion on s, keeping the capacity of
+// its slices: a deletion allocates little beyond its maps and what its
+// report keeps.
+func (w *walk) reset(s *System) {
+	*w = walk{
+		s: s, tupleOf: make(map[string]int32), derivOf: make(map[derivID]int32),
+		tuples: w.tuples[:0], derivs: w.derivs[:0], targets: w.targets[:0], uses: w.uses[:0],
+		keys: w.keys[:0], buf: w.buf, vals: w.vals,
+	}
+}
+
+func (w *walk) targetsOf(d int32) []int32 {
+	dv := &w.derivs[d]
+	return w.targets[dv.targets : dv.targets+int32(len(dv.prov.Targets))]
+}
+
+// atomKey sets w.buf to the lookup key of atom ak's tuple under row.
+func (w *walk) atomKey(ak *AtomKey, row model.Tuple) {
+	w.buf = ak.AppendKey(binary.AppendUvarint(w.buf[:0], uint64(ak.Table)), row)
+}
+
+// tuple returns the number of the tuple whose lookup key w.buf holds,
+// numbering it on first sight with table ordinal ord and the key datums
+// key() returns. The ref's Rel is rel.
+func (w *walk) tuple(rel string, ord int, key func() []model.Datum) int32 {
+	if t, ok := w.tupleOf[string(w.buf)]; ok {
+		return t
+	}
+	var prefix [binary.MaxVarintLen64]byte
+	k := string(w.buf)
+	t := int32(len(w.tuples))
+	w.tupleOf[k] = t
+	w.tuples = append(w.tuples, walkTuple{
+		ref: model.TupleRef{Rel: rel, Key: k[binary.PutUvarint(prefix[:], uint64(ord)):]},
+		ord: ord,
+		key: key(),
+	})
+	return t
+}
+
+// deriv returns the number of the derivation of pr at slot with
+// provenance row row, numbering it and its head tuples on first sight.
+func (w *walk) deriv(pr *ProvRel, slot int, row model.Tuple) int32 {
+	id := derivID{pr, slot}
+	if d, ok := w.derivOf[id]; ok {
+		return d
+	}
+	d := int32(len(w.derivs))
+	w.derivOf[id] = d
+	w.derivs = append(w.derivs, walkDeriv{prov: pr, row: row, targets: int32(len(w.targets))})
+	for i := range pr.Targets {
+		ak := &pr.Targets[i]
+		w.atomKey(ak, row)
+		w.targets = append(w.targets, w.tuple(ak.Rel.Name, ak.Table, func() []model.Datum {
+			n := len(w.keys)
+			w.keys = ak.AppendDatums(w.keys, row)
+			return w.keys[n:len(w.keys):len(w.keys)]
+		}))
+	}
+	return d
+}
+
+// undecided counts the body occurrences of derivation d that name an
+// affected tuple not yet known derivable. A body tuple the walk never
+// numbered is not affected.
+func (w *walk) undecided(d int32) int32 {
+	dv := &w.derivs[d]
+	n := int32(0)
+	for i := range dv.prov.Sources {
+		w.atomKey(&dv.prov.Sources[i], dv.row)
+		if t, ok := w.tupleOf[string(w.buf)]; ok && w.tuples[t].affected && !w.tuples[t].derivable {
+			n++
+		}
+	}
+	return n
+}
+
+// each passes fn the number of every derivation probe p finds for
+// tuple t. A virtual mapping's derivations are rows of its source
+// relation: a body atom's is t's own row when the atom matches it, a
+// head atom's are the source rows holding t's key in p.Source that
+// match the body atom.
+func (w *walk) each(p *AtomProbe, t int32, fn func(d int32)) error {
+	key := w.tuples[t].key
+	if !p.Matches(key) {
+		return nil
+	}
+	pr := p.Prov
+	ord, ix := pr.Table, p.Index
+	if pr.Virtual {
+		ord, ix = pr.Sources[0].Table, p.Source
+	}
+	tbl, ok := w.s.DB.TableAt(ord)
+	if !ok {
+		return fmt.Errorf("exchange: no table %d for mapping %s", ord, pr.Mapping.Name)
+	}
+	found := func(slot int, row model.Tuple) bool {
+		if pr.Virtual {
+			if row, ok = pr.virtualRow(row); !ok {
+				return true
+			}
+		}
+		fn(w.deriv(pr, slot, row))
+		return true
+	}
+	if pr.Virtual && p.Atom < len(pr.Sources) {
+		w.buf = model.AppendDatums(w.buf[:0], key)
+		if slot, row, ok := tbl.LookupKeySlot(w.buf); ok {
+			found(slot, row)
+		}
+		return nil
+	}
+	if len(ix.Cols) == 0 {
+		tbl.EachSlot(found)
+		return nil
+	}
+	w.vals = p.ProbeVals(w.vals, key)
+	w.buf = model.AppendDatums(w.buf[:0], w.vals)
+	tbl.ProbeEach(ix, w.buf, found)
+	return nil
+}
+
+// maintainDelta propagates deletions from the report's frontier
+// (DeletedLocals) outward over the provenance tables.
+func (s *System) maintainDelta(report *MaintenanceReport) error {
+	frontier := report.DeletedLocals
+	w := &s.walk
+	w.reset(s)
 
 	// Affected subgraph: the forward closure of the frontier through
-	// support edges. Every derivation consuming an affected tuple has
-	// all its targets affected, so the derivations targeting affected
-	// tuples (collected below) cover every derivation that can lose a
-	// source.
+	// the derivations consuming its tuples. Every derivation consuming
+	// an affected tuple has all its targets affected, so the
+	// derivations targeting affected tuples (collected below) cover
+	// every derivation that can lose a source.
 	affected := make([]int32, 0, len(frontier))
-	inAffected := make(map[int32]bool, len(frontier))
-	addAffected := func(t int32) {
-		if !inAffected[t] {
-			inAffected[t] = true
+	affect := func(t int32) {
+		if !w.tuples[t].affected {
+			w.tuples[t].affected = true
 			affected = append(affected, t)
 		}
 	}
 	for _, ref := range frontier {
-		// Interning a frontier ref the index has never seen is fine:
-		// it simply has no adjacency, so only its own public row is
-		// checked.
-		addAffected(ix.tupleIDRef(ref))
+		// A frontier tuple no derivation consumes is fine: only its own
+		// public row is checked.
+		tbl, ok := s.DB.Table(ref.Rel)
+		if !ok {
+			return fmt.Errorf("exchange: no table for %q", ref.Rel)
+		}
+		key, err := model.DecodeDatums(ref.Key)
+		if err != nil {
+			return err
+		}
+		w.buf = append(binary.AppendUvarint(w.buf[:0], uint64(tbl.Ord())), ref.Key...)
+		affect(w.tuple(ref.Rel, tbl.Ord(), func() []model.Datum { return key }))
 	}
 	for qi := 0; qi < len(affected); qi++ {
-		for e := ix.usesHead[affected[qi]]; e != -1; e = ix.edgeNext[e] {
-			for _, tgt := range ix.targets(&ix.derivs[ix.edgeDeriv[e]]) {
-				addAffected(tgt)
+		t := affected[qi]
+		probes := s.roles[w.tuples[t].ord].Uses
+		from := int32(len(w.uses))
+		for i := range probes {
+			if err := w.each(&probes[i], t, func(d int32) {
+				w.uses = append(w.uses, d)
+				for _, tgt := range w.targetsOf(d) {
+					affect(tgt)
+				}
+			}); err != nil {
+				return err
 			}
 		}
+		w.tuples[t].uses = [2]int32{from, int32(len(w.uses))}
 	}
 	var derivSet []int32
-	pending := make(map[int32]int)
 	for _, t := range affected {
-		for e := ix.incomingHead[t]; e != -1; e = ix.edgeNext[e] {
-			di := ix.edgeDeriv[e]
-			if _, seen := pending[di]; !seen {
-				pending[di] = 0
-				derivSet = append(derivSet, di)
+		probes := s.roles[w.tuples[t].ord].Incoming
+		for i := range probes {
+			if err := w.each(&probes[i], t, func(d int32) {
+				if !w.derivs[d].visited {
+					w.derivs[d].visited = true
+					derivSet = append(derivSet, d)
+				}
+			}); err != nil {
+				return err
 			}
 		}
 	}
@@ -301,40 +456,31 @@ func (s *System) maintainDelta(report *MaintenanceReport, frontier []model.Tuple
 	// worklist; each count reaching zero fires the derivation and marks
 	// its targets. Tuples never marked — including whole cyclic
 	// components with no external support left — are underivable.
-	derivable := make(map[int32]bool)
 	for _, t := range affected {
-		if s.IsLeafRef(ix.refs[t]) {
-			derivable[t] = true
-		}
+		w.tuples[t].derivable = s.IsLeafRef(w.tuples[t].ref)
 	}
 	var fire []int32
-	for _, di := range derivSet {
-		p := 0
-		for _, src := range ix.sources(&ix.derivs[di]) {
-			if inAffected[src] && !derivable[src] {
-				p++
-			}
-		}
-		pending[di] = p
+	for _, d := range derivSet {
+		p := w.undecided(d)
+		w.derivs[d].pending = p
 		if p == 0 {
-			fire = append(fire, di)
+			fire = append(fire, d)
 		}
 	}
 	for len(fire) > 0 {
-		di := fire[len(fire)-1]
+		d := fire[len(fire)-1]
 		fire = fire[:len(fire)-1]
-		for _, tgt := range ix.targets(&ix.derivs[di]) {
-			if !inAffected[tgt] || derivable[tgt] {
+		for _, tgt := range w.targetsOf(d) {
+			tt := &w.tuples[tgt]
+			if !tt.affected || tt.derivable {
 				continue
 			}
-			derivable[tgt] = true
-			for e := ix.usesHead[tgt]; e != -1; e = ix.edgeNext[e] {
-				ui := ix.edgeDeriv[e]
-				if p, tracked := pending[ui]; tracked {
-					p--
-					pending[ui] = p
-					if p == 0 {
-						fire = append(fire, ui)
+			tt.derivable = true
+			for _, u := range w.uses[tt.uses[0]:tt.uses[1]] {
+				if ud := &w.derivs[u]; ud.visited {
+					ud.pending--
+					if ud.pending == 0 {
+						fire = append(fire, u)
 					}
 				}
 			}
@@ -344,15 +490,15 @@ func (s *System) maintainDelta(report *MaintenanceReport, frontier []model.Tuple
 	// Remove invalidated derivations (some source underivable). The
 	// provenance row is deleted for materialized mappings; a virtual
 	// row vanishes with its source tuple, which the same pass deletes.
-	for _, di := range derivSet {
-		if pending[di] == 0 {
+	for _, d := range derivSet {
+		dv := &w.derivs[d]
+		if dv.pending == 0 {
 			continue
 		}
-		d := &ix.derivs[di]
-		if d.virtual {
+		if dv.prov.Virtual {
 			report.DerivationsDeleted++
 		} else {
-			removed, err := s.DB.MustTable(s.Prov[d.mapping].TableName).Delete(d.row)
+			removed, err := s.DB.MustTable(dv.prov.TableName).Delete(dv.row)
 			if err != nil {
 				return err
 			}
@@ -360,26 +506,23 @@ func (s *System) maintainDelta(report *MaintenanceReport, frontier []model.Tuple
 				report.DerivationsDeleted++
 			}
 		}
-		report.DeletedDerivations = append(report.DeletedDerivations, DeletedDerivation{Mapping: d.mapping, Row: d.row})
-		ix.remove(di)
+		report.DeletedDerivations = append(report.DeletedDerivations, DeletedDerivation{Mapping: dv.prov.Mapping.Name, Row: dv.row})
 	}
 
-	// Remove underivable tuples. Every derivation touching them was
-	// invalid (a valid one would have fired and marked them), so their
-	// adjacency lists are empty by now.
+	// Remove underivable tuples.
 	for _, t := range affected {
-		if derivable[t] {
+		wt := &w.tuples[t]
+		if wt.derivable {
 			continue
 		}
-		ref := ix.refs[t]
-		if tbl, ok := s.DB.Table(ref.Rel); ok {
-			removed, err := tbl.DeleteEncoded(ref.Key)
+		if tbl, ok := s.DB.TableAt(wt.ord); ok {
+			removed, err := tbl.DeleteEncoded(wt.ref.Key)
 			if err != nil {
 				return err
 			}
 			if removed {
 				report.TuplesDeleted++
-				report.DeletedTuples = append(report.DeletedTuples, ref)
+				report.DeletedTuples = append(report.DeletedTuples, wt.ref)
 			}
 		}
 	}

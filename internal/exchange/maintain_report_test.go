@@ -135,8 +135,8 @@ func TestReportMaterializeAllMatchesVirtual(t *testing.T) {
 
 // TestDeleteLocalShortCircuit is the regression test for the no-uses
 // fast path: deleting base tuples of a relation no mapping touches
-// must not walk any provenance — before the support index, DeleteLocal
-// re-read every provenance row of every mapping even then.
+// must not walk any provenance — a walk that scanned the provenance
+// tables would re-read every row of every mapping even then.
 func TestDeleteLocalShortCircuit(t *testing.T) {
 	schema, err := fixture.Schema(fixture.Options{})
 	if err != nil {

@@ -1,6 +1,7 @@
 package exchange_test
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/exchange"
@@ -60,9 +61,8 @@ func TestDeleteLocalPropagates(t *testing.T) {
 // TestDeleteLocalMatchesRebuild is the golden test: after a deletion,
 // the maintained instance must equal the instance obtained by
 // rebuilding exchange from scratch on the reduced base data. The
-// reopened arm recovers with no support index (WarmAttach drops it),
-// so its deletion runs on the index rebuilt lazily from the recovered
-// provenance tables.
+// reopened arm's deletion walks the provenance tables recovered from
+// disk.
 func TestDeleteLocalMatchesRebuild(t *testing.T) {
 	dir := t.TempDir()
 	_, st, err := fixture.DurableSystem(fixture.Options{}, dir, wal.Options{})
@@ -75,9 +75,6 @@ func TestDeleteLocalMatchesRebuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	if reopened.HasSupportIndex() {
-		t.Fatal("a reopened system should start without a support index")
-	}
 
 	// Rebuild: same schema, base data without A(1).
 	schema, err := fixture.Schema(fixture.Options{})
@@ -222,5 +219,54 @@ func TestDeleteLocalOnWorkloadChain(t *testing.T) {
 	}
 	if got := sys.DB.MustTable(workload.ARel(0)).Len(); got != before-1 {
 		t.Errorf("A0 = %d rows, want %d", got, before-1)
+	}
+}
+
+// TestFirstDeleteAfterRestartIsWarm: the first deletion after a
+// restart costs what a later one does. It walks the recovered
+// provenance tables through the probes the reopen built, so nothing
+// proportional to the database is rebuilt on its way; counted in
+// allocations, the first of two single-key deletes at the far
+// upstream peer of a reopened 10-peer chain stays within twice the
+// second.
+func TestFirstDeleteAfterRestartIsWarm(t *testing.T) {
+	cfg := workload.Config{
+		Topology:  workload.Chain,
+		Profile:   workload.ProfileLinear,
+		NumPeers:  10,
+		DataPeers: workload.UpstreamDataPeers(10, 2),
+		BaseSize:  200,
+		Seed:      7,
+	}
+	dir := t.TempDir()
+	_, st, err := workload.OpenDurable(cfg, dir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+	set, st, err := workload.OpenDurable(cfg, dir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	const src = 9
+	mallocs := func(i int64) uint64 {
+		t.Helper()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		report, err := set.Sys.DeleteLocal(workload.ARel(src), []model.Datum{src*10_000_000 + i})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if report.TuplesDeleted != src+1 {
+			t.Fatalf("delete %d: %+v, want the %d-hop chain deleted", i, report, src+1)
+		}
+		return after.Mallocs - before.Mallocs
+	}
+	first, second := mallocs(0), mallocs(1)
+	t.Logf("first delete after restart: %d allocations, the next: %d", first, second)
+	if first > 2*second {
+		t.Fatalf("first delete after restart made %d allocations, the next %d: want at most twice", first, second)
 	}
 }

@@ -15,7 +15,7 @@ import (
 // arbitrary point — between committed batches or mid-append (torn log
 // tail) — then reopened and driven through the remaining workload must
 // end byte-identical to a never-crashed in-memory system that executed
-// the whole workload: same instance (every table), same support index.
+// the whole workload: same instance (every table).
 //
 // Each script op commits exactly one logged batch, so a kill "inside"
 // op i recovers the state after op i-1 and the driver re-applies ops
@@ -186,9 +186,8 @@ func copyFile(t *testing.T, from, to string) {
 }
 
 // oraclePrefixes runs the script on a never-crashed in-memory system
-// and returns the instance signature after every prefix of it, plus
-// the final support signature.
-func oraclePrefixes(t *testing.T, ops []recoveryOp) (sigs []string, support string) {
+// and returns the instance signature after every prefix of it.
+func oraclePrefixes(t *testing.T, ops []recoveryOp) (sigs []string) {
 	t.Helper()
 	oracle, err := exchange.NewSystem(cycleSchema(t), exchange.Options{})
 	if err != nil {
@@ -201,20 +200,14 @@ func oraclePrefixes(t *testing.T, ops []recoveryOp) (sigs []string, support stri
 		}
 		sigs = append(sigs, instanceSignature(oracle))
 	}
-	if err := oracle.EnsureSupport(); err != nil {
-		t.Fatal(err)
-	}
-	if support = oracle.SupportSignature(); support == "" {
-		t.Fatal("oracle produced an empty support signature")
-	}
-	return sigs, support
+	return sigs
 }
 
 // recoverAndResume reopens a crash image, requires exactly the state
 // after the first resume ops — a committed prefix holding every
 // acknowledged commit — then applies the rest of the script and
 // requires the never-crashed oracle's final state.
-func recoverAndResume(t *testing.T, img string, ops []recoveryOp, resume int, sigs []string, support string) {
+func recoverAndResume(t *testing.T, img string, ops []recoveryOp, resume int, sigs []string) {
 	t.Helper()
 	rec, st, err := exchange.OpenDurable(cycleSchema(t), img, wal.Options{}, exchange.Options{})
 	if err != nil {
@@ -232,12 +225,6 @@ func recoverAndResume(t *testing.T, img string, ops []recoveryOp, resume int, si
 	if got := instanceSignature(rec); got != sigs[len(ops)] {
 		t.Fatalf("resumed instance differs from never-crashed oracle\ngot:\n%s\nwant:\n%s", got, sigs[len(ops)])
 	}
-	if err := rec.EnsureSupport(); err != nil {
-		t.Fatal(err)
-	}
-	if got := rec.SupportSignature(); got != support {
-		t.Fatalf("recovered support index differs\ngot:\n%s\nwant:\n%s", got, support)
-	}
 	if err := rec.JournalsMirrorTables(); err != nil {
 		t.Fatalf("recovered journals do not mirror tables: %v", err)
 	}
@@ -245,7 +232,7 @@ func recoverAndResume(t *testing.T, img string, ops []recoveryOp, resume int, si
 
 func TestCrashRecoveryDifferential(t *testing.T) {
 	ops := recoveryScript()
-	sigs, support := oraclePrefixes(t, ops)
+	sigs := oraclePrefixes(t, ops)
 
 	for k := 0; k <= len(ops); k++ {
 		for _, torn := range []bool{false, true} {
@@ -277,7 +264,7 @@ func TestCrashRecoveryDifferential(t *testing.T) {
 					tearLastFrame(t, before, img)
 					resume = k - 1
 				}
-				recoverAndResume(t, img, ops, resume, sigs, support)
+				recoverAndResume(t, img, ops, resume, sigs)
 			})
 		}
 	}
@@ -293,7 +280,7 @@ func TestCrashRecoveryDifferential(t *testing.T) {
 // written by one step only.
 func TestCrashAtRotationSteps(t *testing.T) {
 	ops := recoveryScript()
-	sigs, support := oraclePrefixes(t, ops)
+	sigs := oraclePrefixes(t, ops)
 	dir := t.TempDir()
 	sys, st, err := exchange.OpenDurable(cycleSchema(t), dir, wal.Options{}, exchange.Options{})
 	if err != nil {
@@ -338,7 +325,7 @@ func TestCrashAtRotationSteps(t *testing.T) {
 		// checkpoint that would cover wal-1 never did.
 		img := crashImage(t, a)
 		copyFile(t, file(b, "wal-2.log"), file(img, "wal-2.log"))
-		recoverAndResume(t, img, ops, done, sigs, support)
+		recoverAndResume(t, img, ops, done, sigs)
 	})
 	t.Run("mid-checkpoint", func(t *testing.T) {
 		img := crashImage(t, a)
@@ -352,14 +339,14 @@ func TestCrashAtRotationSteps(t *testing.T) {
 		if err := os.Truncate(tmp, fi.Size()/2); err != nil {
 			t.Fatal(err)
 		}
-		recoverAndResume(t, img, ops, done, sigs, support)
+		recoverAndResume(t, img, ops, done, sigs)
 	})
 	t.Run("renamed-not-retired", func(t *testing.T) {
 		// ckpt-2 is in place next to everything of generation 1.
 		img := crashImage(t, a)
 		copyFile(t, file(b, "wal-2.log"), file(img, "wal-2.log"))
 		copyFile(t, file(b, "ckpt-2.ckpt"), file(img, "ckpt-2.ckpt"))
-		recoverAndResume(t, img, ops, done, sigs, support)
+		recoverAndResume(t, img, ops, done, sigs)
 	})
 
 	checkpoint() // ckpt-3; wal-3 live: it was wal-1 and still holds generation 1's log
@@ -377,13 +364,13 @@ func TestCrashAtRotationSteps(t *testing.T) {
 	before := crashImage(t, dir)
 	apply(1)
 	t.Run("recycled-first-frame", func(t *testing.T) {
-		recoverAndResume(t, crashImage(t, dir), ops, done, sigs, support)
+		recoverAndResume(t, crashImage(t, dir), ops, done, sigs)
 	})
 	t.Run("recycled-first-frame-torn", func(t *testing.T) {
 		// Behind the torn frame lie generation 1's intact frames.
 		img := crashImage(t, dir)
 		tearLastFrame(t, before, img)
-		recoverAndResume(t, img, ops, done-1, sigs, support)
+		recoverAndResume(t, img, ops, done-1, sigs)
 	})
 }
 
@@ -401,9 +388,6 @@ func TestRecoveryWithCheckpoint(t *testing.T) {
 		if err := op.apply(oracle); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := oracle.EnsureSupport(); err != nil {
-		t.Fatal(err)
 	}
 
 	for ckptAt := 1; ckptAt < len(ops); ckptAt += 3 {
@@ -432,12 +416,6 @@ func TestRecoveryWithCheckpoint(t *testing.T) {
 			defer st2.Close()
 			if got, want := instanceSignature(rec), instanceSignature(oracle); got != want {
 				t.Fatalf("recovered instance differs\ngot:\n%s\nwant:\n%s", got, want)
-			}
-			if err := rec.EnsureSupport(); err != nil {
-				t.Fatal(err)
-			}
-			if got, want := rec.SupportSignature(), oracle.SupportSignature(); got != want {
-				t.Fatalf("recovered support index differs\ngot:\n%s\nwant:\n%s", got, want)
 			}
 			// Recovery touched only the suffix: batches after the
 			// checkpoint, not the whole history.

@@ -181,16 +181,21 @@ func AppendDatum(buf []byte, d Datum) []byte {
 	return append(buf, '|')
 }
 
+// AppendDatums appends the canonical encoding of a datum sequence
+// (EncodeDatums) to buf and returns the extended slice.
+func AppendDatums(buf []byte, ds []Datum) []byte {
+	for _, d := range ds {
+		buf = AppendDatum(buf, d)
+	}
+	return buf
+}
+
 // EncodeDatums returns the canonical encoding of a datum sequence. It
 // encodes into a stack buffer, so a short sequence costs one allocation:
 // the string.
 func EncodeDatums(ds []Datum) string {
 	var buf [64]byte
-	b := buf[:0]
-	for _, d := range ds {
-		b = AppendDatum(b, d)
-	}
-	return string(b)
+	return string(AppendDatums(buf[:0], ds))
 }
 
 // DecodeDatums parses a canonical encoding produced by EncodeDatums

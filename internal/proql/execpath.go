@@ -350,7 +350,7 @@ type pathRel struct {
 	tab    *relstore.Table
 	rel    *model.Relation
 	prov   *exchange.ProvRel
-	probes []exchange.IncomingProbe
+	probes []exchange.AtomProbe
 	// key is set only on the copy a dangling tuple's handle points at:
 	// that tuple's key encoding.
 	key string
@@ -535,7 +535,7 @@ func (v *pathView) rel(ord int) (*pathRel, bool) {
 	r := v.newRel() // zero: set only what is not
 	r.ord, r.tab, r.loose = ord, tab, &v.loose
 	if role := v.sys.Role(ord); role != nil {
-		r.rel, r.probes, r.prov = role.Rel, role.Probes, role.Prov
+		r.rel, r.probes, r.prov = role.Rel, role.Incoming, role.Prov
 	}
 	if ord >= len(v.rels) {
 		v.rels = slices.Grow(v.rels, ord+1-len(v.rels))[:ord+1]
@@ -720,7 +720,7 @@ func (v *pathView) read(r *pathRel) *denseRows {
 			// so a table goes dense after reads of about a third of
 			// its slots.
 			r.denseAt = max(16, r.tab.Slots()/3)
-			if slices.ContainsFunc(r.probes, func(p exchange.IncomingProbe) bool { return p.Prov.Virtual }) {
+			if slices.ContainsFunc(r.probes, func(p exchange.AtomProbe) bool { return p.Prov.Virtual }) {
 				// A virtual mapping's rows are rebuilt by a scan anyway,
 				// and a probe into them is a scan of its own.
 				r.denseAt = 1
@@ -827,10 +827,7 @@ func (v *pathView) lookupKey(r *pathRel, key []model.Datum) (int32, bool) {
 		}
 		return 0, false
 	}
-	v.enc = v.enc[:0]
-	for _, d := range key {
-		v.enc = model.AppendDatum(v.enc, d)
-	}
+	v.enc = model.AppendDatums(v.enc[:0], key)
 	slot, row, ok := r.tab.LookupKeySlot(v.enc)
 	if !ok {
 		return 0, false
@@ -1051,7 +1048,7 @@ func (v *pathView) resolve(r *pathRel) bool {
 // resolveIn records the incoming derivations of every position of dr,
 // a relation whose probes find them in the resolved provenance tables
 // provs.
-func (v *pathView) resolveIn(dr *denseRows, probes []exchange.IncomingProbe, provs []*pathRel) {
+func (v *pathView) resolveIn(dr *denseRows, probes []exchange.AtomProbe, provs []*pathRel) {
 	dr.mutable()
 	refs := v.refs[:0] // position << 32 | inRef
 	twice := false     // some mapping has two head atoms in the relation
@@ -1061,9 +1058,8 @@ func (v *pathView) resolveIn(dr *denseRows, probes []exchange.IncomingProbe, pro
 		dr.private = dr.private || pr.ord < 0 // a virtual mapping's
 		pdr := pr.dense
 		atoms := len(p.Prov.Sources) + len(p.Prov.Targets)
-		head := len(p.Prov.Sources) + p.Head
 		for pos := range pdr.rows {
-			if e := pdr.edges[pos*atoms+head]; e >= 0 {
+			if e := pdr.edges[pos*atoms+p.Atom]; e >= 0 {
 				refs = append(refs, uint64(e)<<32|uint64(uint32(inRef(i, pos))))
 			}
 		}
@@ -1145,7 +1141,7 @@ func (v *pathView) resolveEdges(pr *pathRel) bool {
 // equal vals to fn: from the materialized table's index, or by a scan
 // of the reconstructed rows of a virtual mapping. An empty column set
 // (an all-constant head key) matches every row.
-func (v *pathView) eachProvRow(p *exchange.IncomingProbe, vals []model.Datum, fn func(int32)) {
+func (v *pathView) eachProvRow(p *exchange.AtomProbe, vals []model.Datum, fn func(int32)) {
 	r, ok := v.provRel(p.Prov)
 	if !ok {
 		return
@@ -1170,10 +1166,7 @@ func (v *pathView) eachProvRow(p *exchange.IncomingProbe, vals []model.Datum, fn
 		r.tab.EachSlot(each)
 		return
 	}
-	v.enc = v.enc[:0]
-	for _, val := range vals {
-		v.enc = model.AppendDatum(v.enc, val)
-	}
+	v.enc = model.AppendDatums(v.enc[:0], vals)
 	r.tab.ProbeEach(p.Index, v.enc, each)
 }
 

@@ -83,11 +83,7 @@ func (p *IndexProbe) run(db *Database, yield func(model.Tuple) bool) error {
 		return fmt.Errorf("relstore: probe of unknown table %q", p.Table)
 	}
 	var buf [64]byte
-	enc := buf[:0]
-	for _, v := range p.Vals {
-		enc = model.AppendDatum(enc, v)
-	}
-	t.ProbeEach(p.Index, enc, func(_ int, row model.Tuple) bool { return yield(row) })
+	t.ProbeEach(p.Index, model.AppendDatums(buf[:0], p.Vals), func(_ int, row model.Tuple) bool { return yield(row) })
 	return nil
 }
 
@@ -112,11 +108,7 @@ func (p *PKLookup) run(db *Database, yield func(model.Tuple) bool) error {
 		return fmt.Errorf("relstore: lookup in unknown table %q", p.Table)
 	}
 	var buf [64]byte
-	enc := buf[:0]
-	for _, v := range p.Key {
-		enc = model.AppendDatum(enc, v)
-	}
-	if row, found := t.LookupKeyBytes(enc); found {
+	if row, found := t.LookupKeyBytes(model.AppendDatums(buf[:0], p.Key)); found {
 		yield(row)
 	}
 	return nil

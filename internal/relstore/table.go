@@ -56,11 +56,9 @@ func SchemaOf(r *model.Relation) *TableSchema {
 // enforcement and optional secondary hash indexes. The handle is
 // cheap: the writable head table and every snapshot view share the
 // same guarded state, differing only in the epoch they read as of.
-// Writes are rejected on views. Mutating methods may be called by one
-// logical writer at a time (concurrent writers are serialized per
-// operation by the internal lock, but the scratch aliasing of
-// InsertKeyed assumes one writer per table); reads are safe from any
-// number of goroutines.
+// Writes are rejected on views. Concurrent writers are serialized per
+// operation by the internal lock; reads are safe from any number of
+// goroutines.
 type Table struct {
 	Schema *TableSchema
 	s      *tableState
@@ -96,14 +94,11 @@ type tableState struct {
 	dead []int
 	// live counts rows visible to the writer.
 	live int
-	// keyBuf is the reusable scratch buffer for key encoding, so an
-	// insert or probe costs no builder allocation (the Datalog
-	// engine's firing passes insert millions of rows). ixBuf is the
-	// separate scratch for secondary-index keys, so the primary-key
-	// encoding of the row just inserted stays valid until the table's
-	// next key-encoding operation (InsertKeyed relies on this).
+	// keyBuf is the reusable scratch buffer for primary- and
+	// secondary-key encoding under mu, so an insert costs no builder
+	// allocation (the Datalog engine's firing passes insert millions
+	// of rows).
 	keyBuf []byte
-	ixBuf  []byte
 }
 
 // hashIndex maps encoded column values to the row slots holding them.
@@ -245,52 +240,38 @@ func (t *Table) Empty() bool {
 // whose key already exists is ignored and Insert reports false. The
 // row is stored by reference; callers must not mutate it afterwards.
 func (t *Table) Insert(row model.Tuple) (bool, error) {
-	_, ok, err := t.InsertKeyed(row)
-	return ok, err
-}
-
-// InsertKeyed is Insert additionally surfacing the row's canonical
-// primary-key encoding (the same bytes as model.EncodeDatums of the key
-// attributes, i.e. a model.TupleRef's Key). Consumers that intern
-// tuples by encoded key — the update-exchange support index — reuse the
-// probe Insert performs anyway instead of re-encoding the key. The
-// returned slice aliases the table's scratch buffer: it is valid only
-// until the table's next key-encoding operation (insert, delete, or
-// keyed lookup) and must be copied to be retained. For keyless tables
-// the encoding is nil.
-func (t *Table) InsertKeyed(row model.Tuple) ([]byte, bool, error) {
 	if t.asOf != 0 {
-		return nil, false, t.readOnlyErr()
+		return false, t.readOnlyErr()
 	}
 	if len(row) != len(t.Schema.Columns) {
-		return nil, false, fmt.Errorf("relstore: %s: row arity %d, want %d", t.Schema.Name, len(row), len(t.Schema.Columns))
+		return false, fmt.Errorf("relstore: %s: row arity %d, want %d", t.Schema.Name, len(row), len(t.Schema.Columns))
 	}
 	s := t.s
 	s.mu.Lock()
-	key, inserted := s.insert(row)
+	inserted := s.insert(row)
 	s.mu.Unlock()
 	if inserted && s.db != nil {
 		s.db.opPublish()
 	}
-	return key, inserted, nil
+	return inserted, nil
 }
 
-// insert does the keyed/keyless insert under s.mu, returning the key
-// encoding (aliasing keyBuf) and whether the row was new.
-func (s *tableState) insert(row model.Tuple) ([]byte, bool) {
+// insert does the keyed/keyless insert under s.mu, reporting whether
+// the row was new.
+func (s *tableState) insert(row model.Tuple) bool {
 	if s.pk == nil {
 		idx := s.be.Claim(row, s.stamp())
 		s.indexRow(idx, row)
 		s.live++
 		s.logInsert(row)
-		return nil, true
+		return true
 	}
 	// Duplicate lookup through the scratch buffer is allocation-free;
 	// the key string is materialized only for new rows.
 	key := s.encodeKey(row, s.schema.Key)
 	if head, ok := s.pk[string(key)]; ok {
 		if _, died := s.be.Stamps(head); died == 0 {
-			return key, false
+			return false
 		}
 		// The key was deleted: the new row starts a fresh version,
 		// chained to the dead one so snapshots keep finding the old
@@ -301,14 +282,14 @@ func (s *tableState) insert(row model.Tuple) ([]byte, bool) {
 		s.indexRow(idx, row)
 		s.live++
 		s.logInsert(row)
-		return key, true
+		return true
 	}
 	idx := s.be.Claim(row, s.stamp())
 	s.pk[string(key)] = idx
 	s.indexRow(idx, row)
 	s.live++
 	s.logInsert(row)
-	return key, true
+	return true
 }
 
 // logInsert captures the insert for the database's commit log. Called
@@ -353,11 +334,7 @@ func (s *tableState) indexRow(idx int, row model.Tuple) {
 		return
 	}
 	for _, ix := range s.indexes {
-		buf := s.ixBuf[:0]
-		for _, c := range ix.Cols {
-			buf = model.AppendDatum(buf, row[c])
-		}
-		s.ixBuf = buf
+		buf := s.encodeKey(row, ix.Cols)
 		ix.buckets[string(buf)] = append(ix.buckets[string(buf)], idx)
 	}
 }
@@ -434,10 +411,6 @@ func (s *tableState) reclaim(idx int) {
 		}
 	}
 	if s.pk != nil {
-		// encodeCols, not encodeKey: the keyBuf scratch belongs to the
-		// insert path, whose callers may still hold the returned alias
-		// without the lock — and reclamation can run on whichever
-		// goroutine released the last snapshot pin.
 		key := encodeCols(row, s.schema.Key)
 		if head, ok := s.pk[key]; ok {
 			if head == idx {
@@ -643,29 +616,52 @@ func (t *Table) CreateIndex(cols []int) {
 }
 
 func (s *tableState) createIndexLocked(cols []int) {
-	// Presized for the worst case of all-distinct keys: an index build
-	// over a loaded table (the recovery path rebuilds every probe index
-	// at reopen) would otherwise spend most of its time rehashing the
-	// growing bucket map.
+	// Presized for the distinct keys the table holds, estimated from
+	// its first rows: an index build over a loaded table (the recovery
+	// path rebuilds every probe index at reopen) would otherwise spend
+	// most of its time rehashing a growing bucket map when keys are
+	// distinct, or allocating and clearing a map sized for every row
+	// when a few keys repeat.
 	slots := s.be.Slots()
-	ix := &hashIndex{Index: IndexOn(append([]int(nil), cols...)), buckets: make(map[string][]int, slots)}
+	ix := &hashIndex{Index: IndexOn(append([]int(nil), cols...)), buckets: make(map[string][]int, s.distinctEstimate(cols))}
 	// Dead-but-unreclaimed slots are indexed too: snapshot probes must
-	// still find them, and reclamation removes their entries.
-	buf := s.ixBuf
+	// still find them, and reclamation removes their entries. A new
+	// key's bucket is a one-slot window of one shared array, so a
+	// distinct-key index allocates nothing per row beyond its key; a
+	// bucket that grows moves out at its first append.
+	single := make([]int, slots)
 	for idx := 0; idx < slots; idx++ {
 		row := s.be.Row(idx)
 		if row == nil {
 			continue
 		}
-		buf = buf[:0]
-		for _, c := range cols {
-			buf = model.AppendDatum(buf, row[c])
+		k := string(s.encodeKey(row, cols))
+		if b, ok := ix.buckets[k]; ok {
+			ix.buckets[k] = append(b, idx)
+		} else {
+			single[idx] = idx
+			ix.buckets[k] = single[idx : idx+1 : idx+1]
 		}
-		k := string(buf)
-		ix.buckets[k] = append(ix.buckets[k], idx)
 	}
-	s.ixBuf = buf
 	s.indexes[ix.name] = ix
+}
+
+// distinctEstimate estimates the number of distinct cols keys among
+// the table's rows by scaling the count among its first 256 rows.
+func (s *tableState) distinctEstimate(cols []int) int {
+	const sample = 256
+	seen := make(map[string]struct{}, sample)
+	n, slots := 0, s.be.Slots()
+	for idx := 0; idx < slots && n < sample; idx++ {
+		if row := s.be.Row(idx); row != nil {
+			seen[string(s.encodeKey(row, cols))] = struct{}{}
+			n++
+		}
+	}
+	if n == 0 {
+		return 0
+	}
+	return len(seen) * slots / n
 }
 
 // HasIndex reports whether an index on exactly cols exists.
@@ -783,7 +779,8 @@ func (t *Table) ChooseAccess(bound []int) AccessPath {
 // ProbeEach calls fn with the slot and row of every row visible to the
 // view whose ix columns encode to enc (the canonical encoding of the
 // probed values, in ix.Cols order), using the index if the table has
-// it and scanning otherwise. fn returning false stops the enumeration.
+// it, the primary key if ix.Cols is the key, and scanning otherwise.
+// fn returning false stops the enumeration.
 // The matching rows are collected under the read lock and yielded
 // outside it, so fn may freely query this or other tables. fn must not
 // mutate the rows.
@@ -802,11 +799,7 @@ func (t *Table) Probe(ix Index, vals []model.Datum) []model.Tuple {
 	// Local buffer, not s.keyBuf: a read path, safe under concurrent
 	// readers.
 	var buf [64]byte
-	enc := buf[:0]
-	for _, v := range vals {
-		enc = model.AppendDatum(enc, v)
-	}
-	matches := t.probeEncoded(nil, ix, enc)
+	matches := t.probeEncoded(nil, ix, model.AppendDatums(buf[:0], vals))
 	out := make([]model.Tuple, len(matches))
 	for i, m := range matches {
 		out[i] = m.row
@@ -828,6 +821,12 @@ func (t *Table) probeEncoded(out []slotRow, ix Index, enc []byte) []slotRow {
 	if h, ok := s.indexes[ix.name]; ok {
 		for _, i := range h.buckets[string(enc)] {
 			if row, ok := s.liveRow(i, t.asOf); ok {
+				out = append(out, slotRow{i, row})
+			}
+		}
+	} else if s.pk != nil && slices.Equal(ix.Cols, s.schema.Key) {
+		if idx, ok := s.pk[string(enc)]; ok {
+			if i, row, ok := s.lookupVersion(idx, t.asOf); ok {
 				out = append(out, slotRow{i, row})
 			}
 		}

@@ -319,7 +319,8 @@ func RunASRSweep(cfg Config, maxLens []int, kinds []asr.Kind, runs int) (*ASRExp
 
 // DeletionRow is one point of the use-case-Q5 experiment: the time to
 // propagate one base-tuple deletion with the delta-driven propagator
-// (support index) and by rebuilding the exchange from scratch, plus
+// (a walk over the provenance tables) and by rebuilding the exchange
+// from scratch, plus
 // the size of the affected subgraph the delta walk visited versus the
 // instance size.
 type DeletionRow struct {
